@@ -552,16 +552,7 @@ pub trait MessageBus: Send + Sync {
     /// callers count the loss or spool the payload and carry on.
     fn publish(&self, topic: Topic, payload: Bytes) -> Result<(), DcdbError>;
 
-    /// Publishes a batch of readings using the standard frame codec.
-    fn publish_readings(
-        &self,
-        topic: Topic,
-        readings: &[dcdb_common::reading::SensorReading],
-    ) -> Result<(), DcdbError> {
-        self.publish(topic, crate::codec::encode_readings(readings))
-    }
-
-    /// Publishes a columnar batch as a v2 frame — the packed columns go
+    /// Publishes a columnar batch as one frame — the packed columns go
     /// to the wire without a row transpose.
     fn publish_batch(
         &self,
@@ -569,6 +560,18 @@ pub trait MessageBus: Send + Sync {
         batch: &dcdb_common::batch::ReadingBatch,
     ) -> Result<(), DcdbError> {
         self.publish(topic, crate::codec::encode_batch(batch))
+    }
+
+    /// Convenience: transposes `readings` into a batch and publishes it.
+    fn publish_readings(
+        &self,
+        topic: Topic,
+        readings: &[dcdb_common::reading::SensorReading],
+    ) -> Result<(), DcdbError> {
+        self.publish_batch(
+            topic,
+            &dcdb_common::batch::ReadingBatch::from_readings(readings),
+        )
     }
 
     /// Subscribes with explicit queue depth, overflow policy, and
@@ -600,29 +603,6 @@ impl MessageBus for BusHandle {
 }
 
 impl BusHandle {
-    /// Publishes a payload to `topic` (QoS 0).
-    pub fn publish(&self, topic: Topic, payload: Bytes) -> Result<(), DcdbError> {
-        self.inner.publish(topic, payload)
-    }
-
-    /// Publishes a batch of readings using the standard frame codec.
-    pub fn publish_readings(
-        &self,
-        topic: Topic,
-        readings: &[dcdb_common::reading::SensorReading],
-    ) -> Result<(), DcdbError> {
-        self.publish(topic, crate::codec::encode_readings(readings))
-    }
-
-    /// Publishes a columnar batch as a v2 frame.
-    pub fn publish_batch(
-        &self,
-        topic: Topic,
-        batch: &dcdb_common::batch::ReadingBatch,
-    ) -> Result<(), DcdbError> {
-        self.publish(topic, crate::codec::encode_batch(batch))
-    }
-
     /// Subscribes with a topic filter and the broker's default queue
     /// bound and overflow policy.
     pub fn subscribe(&self, filter: TopicFilter) -> Subscription {
@@ -802,7 +782,12 @@ mod tests {
         ];
         bus.publish_readings(t("/n1/power"), &batch).unwrap();
         let msg = sub.try_recv().unwrap().unwrap();
-        assert_eq!(crate::codec::decode_readings(msg.payload).unwrap(), batch);
+        assert_eq!(
+            crate::codec::decode_batch(msg.payload)
+                .unwrap()
+                .to_readings(),
+            batch
+        );
     }
 
     #[test]
@@ -919,7 +904,7 @@ mod tests {
         let vals: Vec<i64> = sub
             .drain()
             .into_iter()
-            .map(|m| crate::codec::decode_readings(m.payload).unwrap()[0].value)
+            .map(|m| crate::codec::decode_batch(m.payload).unwrap().values[0])
             .collect();
         assert_eq!(vals, vec![6, 7, 8, 9]);
         // Bus-level invariant: every published copy is delivered or

@@ -508,7 +508,7 @@ mod tests {
         // Publish order preserved through the delay buffer.
         let first = sub.try_recv().unwrap().unwrap();
         assert_eq!(
-            crate::codec::decode_readings(first.payload).unwrap()[0].value,
+            crate::codec::decode_batch(first.payload).unwrap().values[0],
             1
         );
         assert_eq!(chaos.metrics().released, 2);

@@ -5,27 +5,23 @@
 //! the serialization cost the paper's overhead numbers include is paid
 //! here too.
 //!
-//! Two frame layouts share the version byte (little-endian):
+//! One frame layout, little-endian:
 //!
 //! ```text
-//! v1 (row-major):  [u8 1] [u32 n] n × { [i64 value] [u64 timestamp_ns] }
-//! v2 (columnar):   [u8 2] [u32 n] [n × u64 timestamp_ns] [n × i64 value]
+//! [u8 2] [u32 n] [n × u64 timestamp_ns] [n × i64 value]
 //! ```
 //!
-//! v2 carries a [`ReadingBatch`]'s packed columns verbatim, so encoding
-//! on the Pusher side and decoding on the Collect Agent side are two
-//! memcpys instead of per-reading loops. Decoders accept both versions;
-//! v1 remains for single-reading publishes and older producers.
+//! The frame carries a [`ReadingBatch`]'s packed columns verbatim, so
+//! encoding on the Pusher side and decoding on the Collect Agent side
+//! are two memcpys instead of per-reading loops. Version 1 (row-major)
+//! is retired: nothing encodes it and the decoder rejects it like any
+//! other unknown version.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use dcdb_common::batch::ReadingBatch;
-use dcdb_common::batch::{extend_le_i64s, extend_le_u64s, read_le_i64s, read_le_u64s};
+use bytes::Bytes;
+use dcdb_common::batch::{
+    extend_le_i64s, extend_le_u64s, read_le_i64s, read_le_u64s, ReadingBatch,
+};
 use dcdb_common::error::DcdbError;
-use dcdb_common::reading::SensorReading;
-use dcdb_common::time::Timestamp;
-
-/// Row-major frame format version.
-pub const FRAME_VERSION: u8 = 1;
 
 /// Columnar frame format version.
 pub const FRAME_VERSION_COLUMNAR: u8 = 2;
@@ -33,19 +29,7 @@ pub const FRAME_VERSION_COLUMNAR: u8 = 2;
 /// Bytes occupied by one encoded reading.
 pub const READING_WIRE_SIZE: usize = 16;
 
-/// Encodes a batch of readings into a frame.
-pub fn encode_readings(readings: &[SensorReading]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(5 + readings.len() * READING_WIRE_SIZE);
-    buf.put_u8(FRAME_VERSION);
-    buf.put_u32_le(readings.len() as u32);
-    for r in readings {
-        buf.put_i64_le(r.value);
-        buf.put_u64_le(r.ts.as_nanos());
-    }
-    buf.freeze()
-}
-
-/// Encodes a columnar batch into a v2 frame: both columns land in the
+/// Encodes a columnar batch into a frame: both columns land in the
 /// payload as single bulk copies.
 pub fn encode_batch(batch: &ReadingBatch) -> Bytes {
     let mut buf = Vec::with_capacity(5 + batch.len() * READING_WIRE_SIZE);
@@ -56,8 +40,7 @@ pub fn encode_batch(batch: &ReadingBatch) -> Bytes {
     Bytes::from(buf)
 }
 
-/// Decodes either frame version into a columnar batch (v1 frames are
-/// transposed).
+/// Decodes a frame into a columnar batch.
 pub fn decode_batch(frame: Bytes) -> Result<ReadingBatch, DcdbError> {
     if frame.len() < 5 {
         return Err(DcdbError::Parse(format!(
@@ -66,7 +49,6 @@ pub fn decode_batch(frame: Bytes) -> Result<ReadingBatch, DcdbError> {
         )));
     }
     match frame[0] {
-        FRAME_VERSION => Ok(ReadingBatch::from_readings(&decode_readings(frame)?)),
         FRAME_VERSION_COLUMNAR => {
             let n = u32::from_le_bytes(frame[1..5].try_into().unwrap()) as usize;
             let body = &frame[5..];
@@ -88,95 +70,37 @@ pub fn decode_batch(frame: Bytes) -> Result<ReadingBatch, DcdbError> {
     }
 }
 
-/// Decodes a frame (either version) back into row-major readings.
-pub fn decode_readings(mut frame: Bytes) -> Result<Vec<SensorReading>, DcdbError> {
-    if frame.len() < 5 {
-        return Err(DcdbError::Parse(format!(
-            "sensor frame too short: {} bytes",
-            frame.len()
-        )));
-    }
-    if frame[0] == FRAME_VERSION_COLUMNAR {
-        return Ok(decode_batch(frame)?.to_readings());
-    }
-    let version = frame.get_u8();
-    if version != FRAME_VERSION {
-        return Err(DcdbError::Parse(format!(
-            "unsupported frame version {version}"
-        )));
-    }
-    let n = frame.get_u32_le() as usize;
-    if frame.remaining() != n * READING_WIRE_SIZE {
-        return Err(DcdbError::Parse(format!(
-            "frame length mismatch: {} readings declared, {} bytes remain",
-            n,
-            frame.remaining()
-        )));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let value = frame.get_i64_le();
-        let ts = Timestamp(frame.get_u64_le());
-        out.push(SensorReading::new(value, ts));
-    }
-    Ok(out)
-}
-
-/// Encodes a single reading (the common per-sample publish).
-pub fn encode_reading(r: SensorReading) -> Bytes {
-    encode_readings(std::slice::from_ref(&r))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcdb_common::reading::SensorReading;
+    use dcdb_common::time::Timestamp;
 
     fn r(v: i64, ns: u64) -> SensorReading {
         SensorReading::new(v, Timestamp(ns))
     }
 
     #[test]
-    fn round_trip_empty() {
-        let frame = encode_readings(&[]);
-        assert_eq!(decode_readings(frame).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn round_trip_batch() {
-        let batch = vec![r(-5, 0), r(i64::MAX, u64::MAX), r(0, 42)];
-        let frame = encode_readings(&batch);
-        assert_eq!(frame.len(), 5 + 3 * READING_WIRE_SIZE);
-        assert_eq!(decode_readings(frame).unwrap(), batch);
-    }
-
-    #[test]
-    fn round_trip_single() {
-        let frame = encode_reading(r(7, 9));
-        assert_eq!(decode_readings(frame).unwrap(), vec![r(7, 9)]);
-    }
-
-    #[test]
-    fn columnar_frame_round_trips() {
-        let rows = vec![r(-5, 0), r(i64::MAX, u64::MAX), r(0, 42)];
-        let batch = ReadingBatch::from_readings(&rows);
+    fn frame_round_trips() {
+        let batch = ReadingBatch::from_readings(&[r(-5, 0), r(i64::MAX, u64::MAX), r(0, 42)]);
         let frame = encode_batch(&batch);
         assert_eq!(frame[0], FRAME_VERSION_COLUMNAR);
         assert_eq!(frame.len(), 5 + 3 * READING_WIRE_SIZE);
-        assert_eq!(decode_batch(frame.clone()).unwrap(), batch);
-        // Row-major decoders accept columnar frames transparently.
-        assert_eq!(decode_readings(frame).unwrap(), rows);
-        // And batch decoders accept row-major frames.
-        assert_eq!(decode_batch(encode_readings(&rows)).unwrap(), batch);
+        assert_eq!(decode_batch(frame).unwrap(), batch);
+        let single = ReadingBatch::from_readings(&[r(7, 9)]);
+        assert_eq!(decode_batch(encode_batch(&single)).unwrap(), single);
         assert!(decode_batch(encode_batch(&ReadingBatch::new()))
             .unwrap()
             .is_empty());
     }
 
     #[test]
-    fn columnar_frame_rejects_truncation_and_garbage() {
+    fn rejects_truncation_trailing_garbage_and_bad_version() {
         let batch = ReadingBatch::from_columns(vec![1, 2], vec![10, 20]);
         let frame = encode_batch(&batch);
         assert!(decode_batch(frame.slice(0..frame.len() - 1)).is_err());
+        assert!(decode_batch(frame.slice(0..frame.len() - 3)).is_err());
+        assert!(decode_batch(Bytes::from_static(&[2])).is_err());
         let mut raw = frame.to_vec();
         raw.push(0);
         assert!(decode_batch(Bytes::from(raw)).is_err());
@@ -186,24 +110,16 @@ mod tests {
     }
 
     #[test]
-    fn rejects_truncation() {
-        let frame = encode_readings(&[r(1, 1), r(2, 2)]);
-        let cut = frame.slice(0..frame.len() - 3);
-        assert!(decode_readings(cut).is_err());
-        assert!(decode_readings(Bytes::from_static(&[1])).is_err());
-    }
-
-    #[test]
-    fn rejects_bad_version() {
-        let mut raw = encode_readings(&[r(1, 1)]).to_vec();
-        raw[0] = 9;
-        assert!(decode_readings(Bytes::from(raw)).is_err());
-    }
-
-    #[test]
-    fn rejects_trailing_garbage() {
-        let mut raw = encode_readings(&[r(1, 1)]).to_vec();
-        raw.push(0);
-        assert!(decode_readings(Bytes::from(raw)).is_err());
+    fn retired_v1_frame_is_a_parse_error() {
+        // What a v1 producer would have sent: version byte 1, a count,
+        // interleaved value/timestamp pairs.
+        let mut v1 = vec![1u8];
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&7i64.to_le_bytes());
+        v1.extend_from_slice(&9u64.to_le_bytes());
+        match decode_batch(Bytes::from(v1)) {
+            Err(DcdbError::Parse(msg)) => assert!(msg.contains("unsupported frame version 1")),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 }

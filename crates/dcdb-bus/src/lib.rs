@@ -35,6 +35,6 @@ pub use broker::{
     SubscribeOptions, Subscription, SubscriptionMetrics,
 };
 pub use chaos::{ChaosBus, ChaosConfig, ChaosMetricsSnapshot, Partition};
-pub use codec::{decode_batch, decode_readings, encode_batch, encode_reading, encode_readings};
+pub use codec::{decode_batch, encode_batch};
 pub use filter::{FilterSegment, TopicFilter};
 pub use queue::{OverflowPolicy, QueueMetricsSnapshot};

@@ -7,8 +7,9 @@
 //! full async broker — publisher, router thread, consumer thread — not
 //! the queue in isolation.
 
-use dcdb_bus::codec::decode_readings;
-use dcdb_bus::{Broker, BusConfig, OverflowPolicy, SubscribeOptions, TopicFilter};
+use dcdb_bus::{
+    decode_batch, Broker, BusConfig, MessageBus, OverflowPolicy, SubscribeOptions, TopicFilter,
+};
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
@@ -118,9 +119,7 @@ fn drop_oldest_survivors_preserve_timestamp_order() {
 
     let mut timestamps = Vec::new();
     for msg in sub.drain() {
-        for r in decode_readings(msg.payload).unwrap() {
-            timestamps.push(r.ts.as_nanos());
-        }
+        timestamps.extend(decode_batch(msg.payload).unwrap().ts);
     }
     assert!(!timestamps.is_empty(), "no survivors after overload");
     assert!(

@@ -816,7 +816,7 @@ impl JobDataSource for SimJobSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcdb_bus::Broker;
+    use dcdb_bus::{Broker, MessageBus};
     use dcdb_common::reading::SensorReading;
     use dcdb_storage::{DurableBackend, DurableConfig, StorageBackend};
     use sim_cluster::{AppModel, ClusterConfig};
@@ -898,6 +898,24 @@ mod tests {
         broker
             .handle()
             .publish(t("/bad/frame"), bytes::Bytes::from_static(&[1, 2, 3]))
+            .unwrap();
+        agent.process_pending();
+        assert_eq!(agent.stats().decode_errors, 1);
+        assert_eq!(agent.stats().readings, 0);
+    }
+
+    #[test]
+    fn retired_v1_frame_is_one_decode_error() {
+        // A well-formed frame of the retired row-major version: version
+        // byte 1, one reading as an interleaved value/timestamp pair.
+        let mut v1 = vec![1u8];
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&42i64.to_le_bytes());
+        v1.extend_from_slice(&Timestamp::from_secs(1).as_nanos().to_le_bytes());
+        let (broker, agent) = setup();
+        broker
+            .handle()
+            .publish(t("/r0/n0/power"), bytes::Bytes::from(v1))
             .unwrap();
         agent.process_pending();
         assert_eq!(agent.stats().decode_errors, 1);

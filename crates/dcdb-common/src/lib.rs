@@ -9,9 +9,9 @@
 //! * [`reading`] — [`SensorReading`](reading::SensorReading)s (value +
 //!   timestamp) and single-pass aggregate statistics;
 //! * [`batch`] — columnar [`ReadingBatch`](batch::ReadingBatch)es, the
-//!   structure-of-arrays form the bulk-ingest hot path moves;
-//! * [`topic`] — MQTT-style sensor [`Topic`](topic::Topic)s, metadata,
-//!   and the interning [`SensorRegistry`](topic::SensorRegistry);
+//!   one ingest currency: what the bus frames, the journal records and
+//!   the storage engines insert;
+//! * [`topic`] — MQTT-style sensor [`Topic`](topic::Topic)s;
 //! * [`cache`] — the per-sensor [`SensorCache`](cache::SensorCache) ring
 //!   buffer with O(1) relative and O(log N) absolute views (paper §V-B);
 //! * [`regex`] — a from-scratch linear-time regular-expression engine
@@ -44,4 +44,4 @@ pub use reading::{decode_f64, encode_f64, ReadingStats, SensorReading, FIXED_POI
 pub use regex::Regex;
 pub use sim::{derive_seed, EventTrace, SimClock, SimScheduler};
 pub use time::{Timestamp, VirtualClock, NS_PER_MS, NS_PER_SEC, NS_PER_US};
-pub use topic::{SensorId, SensorMetadata, SensorRegistry, Topic};
+pub use topic::Topic;

@@ -1,20 +1,13 @@
-//! Sensor topics and the sensor registry.
+//! Sensor topics.
 //!
 //! DCDB identifies sensors by MQTT-style topics: forward-slash separated
 //! strings such as `/rack4/chassis2/server3/power` that encode the
 //! physical or logical placement of the sensor in the HPC system
 //! (paper §III-A). The last segment is the *sensor name*; the preceding
 //! path locates the component it belongs to.
-//!
-//! Topic strings are expensive to hash and compare in hot paths, so this
-//! module also provides a [`SensorRegistry`] interning topics into dense
-//! [`SensorId`]s; caches, the bus and the storage backend all key on the
-//! id and translate back to strings only at API boundaries.
 
 use crate::error::DcdbError;
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -163,134 +156,6 @@ impl std::str::FromStr for Topic {
     }
 }
 
-/// Dense integer handle for an interned topic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(transparent)]
-pub struct SensorId(pub u32);
-
-/// Per-sensor metadata carried alongside the topic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SensorMetadata {
-    /// Physical unit of the readings (free-form, e.g. `"W"`, `"C"`).
-    pub unit: String,
-    /// Fixed-point divisor applied when interpreting values as reals.
-    pub scale: f64,
-    /// True for monotonically increasing counters (cycles, instructions);
-    /// consumers typically differentiate these.
-    pub monotonic: bool,
-    /// Expected sampling interval in nanoseconds, 0 if unknown.
-    pub interval_ns: u64,
-}
-
-impl Default for SensorMetadata {
-    fn default() -> Self {
-        SensorMetadata {
-            unit: String::new(),
-            scale: 1.0,
-            monotonic: false,
-            interval_ns: 0,
-        }
-    }
-}
-
-#[derive(Default)]
-struct RegistryInner {
-    by_topic: HashMap<Topic, SensorId>,
-    by_id: Vec<(Topic, SensorMetadata)>,
-}
-
-/// Thread-safe interner mapping topics to dense [`SensorId`]s.
-///
-/// A single registry is shared by all components of one process
-/// (Pusher or Collect Agent); ids are stable for the process lifetime.
-#[derive(Default)]
-pub struct SensorRegistry {
-    inner: RwLock<RegistryInner>,
-}
-
-impl SensorRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns `topic`, returning its id; registers default metadata on
-    /// first sight.
-    pub fn intern(&self, topic: &Topic) -> SensorId {
-        if let Some(&id) = self.inner.read().by_topic.get(topic) {
-            return id;
-        }
-        let mut inner = self.inner.write();
-        if let Some(&id) = inner.by_topic.get(topic) {
-            return id;
-        }
-        let id = SensorId(inner.by_id.len() as u32);
-        inner.by_id.push((topic.clone(), SensorMetadata::default()));
-        inner.by_topic.insert(topic.clone(), id);
-        id
-    }
-
-    /// Interns `topic` and attaches `meta` (overwriting existing
-    /// metadata: the sampling plugin is the authority).
-    pub fn intern_with_meta(&self, topic: &Topic, meta: SensorMetadata) -> SensorId {
-        let id = self.intern(topic);
-        self.inner.write().by_id[id.0 as usize].1 = meta;
-        id
-    }
-
-    /// Looks up the id of an already-interned topic.
-    pub fn lookup(&self, topic: &Topic) -> Option<SensorId> {
-        self.inner.read().by_topic.get(topic).copied()
-    }
-
-    /// Returns the topic for `id`, if valid.
-    pub fn topic(&self, id: SensorId) -> Option<Topic> {
-        self.inner
-            .read()
-            .by_id
-            .get(id.0 as usize)
-            .map(|e| e.0.clone())
-    }
-
-    /// Returns the metadata for `id`, if valid.
-    pub fn metadata(&self, id: SensorId) -> Option<SensorMetadata> {
-        self.inner
-            .read()
-            .by_id
-            .get(id.0 as usize)
-            .map(|e| e.1.clone())
-    }
-
-    /// Number of interned sensors.
-    pub fn len(&self) -> usize {
-        self.inner.read().by_id.len()
-    }
-
-    /// True when nothing has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot of all `(id, topic)` pairs, ordered by id.
-    pub fn all(&self) -> Vec<(SensorId, Topic)> {
-        self.inner
-            .read()
-            .by_id
-            .iter()
-            .enumerate()
-            .map(|(i, (t, _))| (SensorId(i as u32), t.clone()))
-            .collect()
-    }
-}
-
-impl fmt::Debug for SensorRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SensorRegistry")
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,60 +274,6 @@ mod tests {
         assert!(!short.is_ancestor_of(&longer));
         assert!(short.is_ancestor_of(&deeper));
         assert_ne!(longer.prefix(2), short);
-    }
-
-    #[test]
-    fn registry_interns_stably() {
-        let reg = SensorRegistry::new();
-        let a = Topic::parse("/n0/power").unwrap();
-        let b = Topic::parse("/n0/temp").unwrap();
-        let ia = reg.intern(&a);
-        let ib = reg.intern(&b);
-        assert_ne!(ia, ib);
-        assert_eq!(reg.intern(&a), ia);
-        assert_eq!(reg.lookup(&a), Some(ia));
-        assert_eq!(reg.topic(ia).unwrap(), a);
-        assert_eq!(reg.len(), 2);
-    }
-
-    #[test]
-    fn registry_metadata() {
-        let reg = SensorRegistry::new();
-        let t = Topic::parse("/n0/cycles").unwrap();
-        let id = reg.intern_with_meta(
-            &t,
-            SensorMetadata {
-                unit: "cycles".into(),
-                scale: 1.0,
-                monotonic: true,
-                interval_ns: 1_000_000_000,
-            },
-        );
-        let m = reg.metadata(id).unwrap();
-        assert!(m.monotonic);
-        assert_eq!(m.unit, "cycles");
-        assert_eq!(reg.metadata(SensorId(99)), None);
-    }
-
-    #[test]
-    fn registry_concurrent_interning_is_consistent() {
-        let reg = std::sync::Arc::new(SensorRegistry::new());
-        let topics: Vec<Topic> = (0..64)
-            .map(|i| Topic::parse(&format!("/n{}/s{}", i % 8, i)).unwrap())
-            .collect();
-        let mut handles = vec![];
-        for _ in 0..4 {
-            let reg = reg.clone();
-            let topics = topics.clone();
-            handles.push(std::thread::spawn(move || {
-                topics.iter().map(|t| reg.intern(t)).collect::<Vec<_>>()
-            }));
-        }
-        let results: Vec<Vec<SensorId>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for w in results.windows(2) {
-            assert_eq!(w[0], w[1]);
-        }
-        assert_eq!(reg.len(), 64);
     }
 
     #[test]

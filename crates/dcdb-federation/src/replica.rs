@@ -285,10 +285,10 @@ mod tests {
         let src = StorageBackend::new();
         let dst = StorageBackend::new();
         for i in 1..=20u64 {
-            src.insert(&t("/r0/n0/power"), r(i as i64, i));
+            src.insert(&t("/r0/n0/power"), r(i as i64, i)).unwrap();
         }
         for i in 1..=12u64 {
-            dst.insert(&t("/r0/n0/power"), r(i as i64, i));
+            dst.insert(&t("/r0/n0/power"), r(i as i64, i)).unwrap();
         }
         let report = catch_up(&src, &dst).unwrap();
         assert_eq!(report.readings_copied, 8, "only past the watermark");

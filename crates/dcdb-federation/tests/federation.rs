@@ -115,9 +115,7 @@ proptest! {
             let topic = topic_of(p);
             let reading = SensorReading::new(p.value, Timestamp::from_secs(p.sec));
             fed.publish_readings(topic.clone(), &[reading]).unwrap();
-            single
-                .query_engine()
-                .insert_batch(&topic, &[reading]);
+            single.query_engine().insert(&topic, reading);
         }
         // Tick past the newest data so small caches evict and the
         // query engines must stitch cache + storage.

@@ -492,7 +492,7 @@ impl BusConnection {
     pub fn deliver(
         &mut self,
         now: Timestamp,
-        fresh: Vec<(Topic, Vec<SensorReading>)>,
+        fresh: Vec<(Topic, ReadingBatch)>,
     ) -> DeliveryOutcome {
         // The shared clock absorbs out-of-order ticks: the effective
         // `now` is monotonic, so backoff timers never rewind.
@@ -531,14 +531,11 @@ impl BusConnection {
         // Phase 2: fresh batches — published only when the line is
         // clear *and* the spool is empty (otherwise order would
         // invert); spooled otherwise.
-        for (topic, readings) in fresh {
+        for (topic, batch) in fresh {
             if attempting && self.spool.depth() == 0 {
-                match self
-                    .bus
-                    .publish_batch(topic.clone(), &ReadingBatch::from_readings(&readings))
-                {
+                match self.bus.publish_batch(topic.clone(), &batch) {
                     Ok(()) => {
-                        out.published += readings.len() as u64;
+                        out.published += batch.len() as u64;
                         self.on_success(now_ns);
                         continue;
                     }
@@ -549,7 +546,7 @@ impl BusConnection {
                     }
                 }
             }
-            for reading in readings {
+            for reading in batch.iter() {
                 let before = self.spool.metrics();
                 if self.spool.push(&topic, reading) {
                     let after = self.spool.metrics();
@@ -593,7 +590,7 @@ impl BusConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcdb_bus::{decode_readings, Broker, ChaosBus, ChaosConfig};
+    use dcdb_bus::{decode_batch, Broker, ChaosBus, ChaosConfig};
 
     fn t(s: &str) -> Topic {
         Topic::parse(s).unwrap()
@@ -605,6 +602,10 @@ mod tests {
 
     fn r(value: i64, at_ms: u64) -> SensorReading {
         SensorReading::new(value, ms(at_ms))
+    }
+
+    fn b(rows: &[SensorReading]) -> ReadingBatch {
+        ReadingBatch::from_readings(rows)
     }
 
     fn chaos_conn(
@@ -623,7 +624,7 @@ mod tests {
             chaos_conn(ChaosConfig::quiet(1), DeliveryConfig::default());
         let sub = broker.handle().subscribe_str("/#").unwrap();
         chaos.advance(ms(10));
-        let out = conn.deliver(ms(10), vec![(t("/a/power"), vec![r(1, 10)])]);
+        let out = conn.deliver(ms(10), vec![(t("/a/power"), b(&[r(1, 10)]))]);
         assert_eq!(out.published, 1);
         assert_eq!(out.spooled, 0);
         assert_eq!(conn.state(), ConnectionState::Up);
@@ -650,7 +651,7 @@ mod tests {
         // Healthy tick, then three ticks inside the outage.
         for (tick, at) in [(1i64, 50u64), (2, 150), (3, 250), (4, 350)] {
             chaos.advance(ms(at));
-            conn.deliver(ms(at), vec![(t("/a/power"), vec![r(tick, at)])]);
+            conn.deliver(ms(at), vec![(t("/a/power"), b(&[r(tick, at)]))]);
         }
         assert_eq!(conn.state(), ConnectionState::Down);
         assert_eq!(conn.spool_depth(), 3);
@@ -660,7 +661,7 @@ mod tests {
         // succeeds and everything arrives, oldest first, ahead of the
         // fresh tick-5 sample.
         chaos.advance(ms(450));
-        let out = conn.deliver(ms(450), vec![(t("/a/power"), vec![r(5, 450)])]);
+        let out = conn.deliver(ms(450), vec![(t("/a/power"), b(&[r(5, 450)]))]);
         assert_eq!(out.published, 4);
         assert_eq!(out.drained, 3);
         assert_eq!(conn.state(), ConnectionState::Up);
@@ -668,8 +669,7 @@ mod tests {
         let values: Vec<i64> = sub
             .drain()
             .into_iter()
-            .flat_map(|m| decode_readings(m.payload).unwrap())
-            .map(|r| r.value)
+            .flat_map(|m| decode_batch(m.payload).unwrap().values)
             .collect();
         assert_eq!(values, vec![1, 2, 3, 4, 5]);
     }
@@ -692,20 +692,20 @@ mod tests {
         );
 
         chaos.advance(ms(100));
-        conn.deliver(ms(100), vec![(t("/a/x"), vec![r(1, 100)])]);
+        conn.deliver(ms(100), vec![(t("/a/x"), b(&[r(1, 100)]))]);
         assert_eq!(conn.state(), ConnectionState::Down);
         let refused_after_first = chaos.metrics().refused_total();
 
         // Before the probe time nothing touches the bus.
         chaos.advance(ms(600));
-        conn.deliver(ms(600), vec![(t("/a/x"), vec![r(2, 600)])]);
+        conn.deliver(ms(600), vec![(t("/a/x"), b(&[r(2, 600)]))]);
         assert_eq!(chaos.metrics().refused_total(), refused_after_first);
         assert_eq!(conn.spool_depth(), 2);
 
         // Past the backoff the probe runs (and fails: outage persists),
         // growing the backoff.
         chaos.advance(ms(1200));
-        conn.deliver(ms(1200), vec![(t("/a/x"), vec![r(3, 1200)])]);
+        conn.deliver(ms(1200), vec![(t("/a/x"), b(&[r(3, 1200)]))]);
         let m = conn.metrics();
         assert_eq!(chaos.metrics().refused_total(), refused_after_first + 1);
         assert_eq!(m.failed_probes, 1);
@@ -735,7 +735,7 @@ mod tests {
             for i in 0..10u64 {
                 let at = 10 + i * 10;
                 chaos.advance(ms(at));
-                let out = conn.deliver(ms(at), vec![(t("/a/x"), vec![r(i as i64, at)])]);
+                let out = conn.deliver(ms(at), vec![(t("/a/x"), b(&[r(i as i64, at)]))]);
                 totals.published += out.published;
                 totals.spooled += out.spooled;
                 totals.spool_dropped += out.spool_dropped;
@@ -769,7 +769,7 @@ mod tests {
             },
         );
         chaos.advance(ms(10));
-        let out = conn.deliver(ms(10), vec![(t("/a/x"), vec![r(1, 10), r(2, 10)])]);
+        let out = conn.deliver(ms(10), vec![(t("/a/x"), b(&[r(1, 10), r(2, 10)]))]);
         assert_eq!(out.final_errors, 2);
         assert_eq!(out.spooled, 0);
         assert_eq!(conn.spool_depth(), 0);
@@ -792,7 +792,7 @@ mod tests {
         );
         for at in (0..=4000).step_by(500) {
             chaos.advance(ms(at));
-            conn.deliver(ms(at), vec![(t("/a/x"), vec![r(1, at)])]);
+            conn.deliver(ms(at), vec![(t("/a/x"), b(&[r(1, at)]))]);
         }
         let m = conn.metrics();
         assert_eq!(conn.state(), ConnectionState::Up);

@@ -25,8 +25,8 @@
 use crate::delivery::{BusConnection, ConnectionState, DeliveryConfig, DeliveryMetricsSnapshot};
 use crate::plugins::MonitoringPlugin;
 use dcdb_bus::{BusHandle, MessageBus};
+use dcdb_common::batch::ReadingBatch;
 use dcdb_common::error::Result;
-use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use dcdb_rest::Router;
@@ -264,7 +264,7 @@ impl Pusher {
         let interval_ns = self.config.sampling_interval_ms * 1_000_000;
         // Per-topic batches accumulated across every due plugin this
         // tick; publish order follows sampling order.
-        let mut batches: Vec<(Topic, Vec<SensorReading>)> = Vec::new();
+        let mut batches: Vec<(Topic, ReadingBatch)> = Vec::new();
         for slot in &self.plugins {
             let due = slot.next_due.load(Ordering::Acquire);
             if due > now.as_nanos() {
@@ -298,8 +298,8 @@ impl Pusher {
             if self.config.publish && self.connection.is_some() {
                 for (topic, reading) in samples {
                     match batches.iter_mut().find(|(t, _)| *t == topic) {
-                        Some((_, readings)) => readings.push(reading),
-                        None => batches.push((topic, vec![reading])),
+                        Some((_, batch)) => batch.push(reading.value, reading.ts),
+                        None => batches.push((topic, std::iter::once(reading).collect())),
                     }
                 }
             } else {
@@ -622,12 +622,12 @@ mod tests {
         // Per-topic timestamp order survived the outage.
         let mut last_ts_per_topic: std::collections::HashMap<String, u64> = Default::default();
         for msg in sub.drain() {
-            for r in dcdb_bus::decode_readings(msg.payload).unwrap() {
+            for ts in dcdb_bus::decode_batch(msg.payload).unwrap().ts {
                 let last = last_ts_per_topic
                     .entry(msg.topic.as_str().to_string())
                     .or_insert(0);
-                assert!(r.ts.as_nanos() > *last, "out of order on {}", msg.topic);
-                *last = r.ts.as_nanos();
+                assert!(ts > *last, "out of order on {}", msg.topic);
+                *last = ts;
             }
         }
     }

@@ -4,15 +4,13 @@
 //! Wintermute routes its management and on-demand-operator requests
 //! through it (paper §V-A). Requests are one-shot (no keep-alive
 //! pipelining, no chunked encoding; bodies carry `Content-Length`).
-//! Two request decoders are provided: the blocking
-//! [`Request::read_from`] for stream-oriented callers, and the
-//! incremental [`RequestParser`] used by the non-blocking event-loop
-//! server, which accepts bytes as they arrive.
+//! One request decoder: the incremental [`RequestParser`] used by the
+//! non-blocking event-loop server, which accepts bytes as they arrive.
 
 use dcdb_common::error::DcdbError;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::Write;
 
 /// Supported request methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,51 +95,6 @@ impl Request {
     /// A router path parameter by name.
     pub fn path_param(&self, name: &str) -> Option<&str> {
         self.params.get(name).map(String::as_str)
-    }
-
-    /// Reads and parses one request from a stream.
-    pub fn read_from<R: Read>(stream: R) -> Result<Request, DcdbError> {
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        let mut parts = line.split_whitespace();
-        let method = Method::parse(parts.next().unwrap_or(""))?;
-        let target = parts
-            .next()
-            .ok_or_else(|| DcdbError::Parse("missing request target".into()))?;
-        let version = parts.next().unwrap_or("");
-        if !version.starts_with("HTTP/1.") {
-            return Err(DcdbError::Parse(format!("bad HTTP version {version:?}")));
-        }
-        let (path, query) = split_query(target);
-
-        let mut headers = BTreeMap::new();
-        loop {
-            let mut hline = String::new();
-            reader.read_line(&mut hline)?;
-            let trimmed = hline.trim_end();
-            if trimmed.is_empty() {
-                break;
-            }
-            if let Some((k, v)) = trimmed.split_once(':') {
-                headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
-            } else {
-                return Err(DcdbError::Parse(format!("malformed header {trimmed:?}")));
-            }
-        }
-
-        let len = content_length(&headers)?;
-        let mut body = vec![0u8; len];
-        reader.read_exact(&mut body)?;
-
-        Ok(Request {
-            method,
-            path,
-            query,
-            headers,
-            body,
-            params: BTreeMap::new(),
-        })
     }
 }
 
@@ -468,38 +421,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_simple_get() {
-        let raw = b"GET /analytics/plugins?detail=full HTTP/1.1\r\nHost: x\r\n\r\n";
-        let req = Request::read_from(&raw[..]).unwrap();
-        assert_eq!(req.method, Method::Get);
-        assert_eq!(req.path, "/analytics/plugins");
-        assert_eq!(req.query_param("detail"), Some("full"));
-        assert!(req.body.is_empty());
-    }
-
-    #[test]
-    fn parse_put_with_body() {
-        let raw = b"PUT /analytics/start HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
-        let req = Request::read_from(&raw[..]).unwrap();
-        assert_eq!(req.method, Method::Put);
-        assert_eq!(req.body, b"hello");
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(Request::read_from(&b"NOPE / HTTP/1.1\r\n\r\n"[..]).is_err());
-        assert!(Request::read_from(&b"GET /\r\n\r\n"[..]).is_err());
-        assert!(Request::read_from(&b"GET / HTTP/1.1\r\nBadHeader\r\n\r\n"[..]).is_err());
-        assert!(Request::read_from(&b"GET / HTTP/1.1\r\nContent-Length: zap\r\n\r\n"[..]).is_err());
-    }
-
-    #[test]
-    fn parse_truncated_body_errors() {
-        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
-        assert!(Request::read_from(&raw[..]).is_err());
-    }
-
-    #[test]
     fn query_decoding() {
         let req = Request::new(Method::Get, "/q?a=1&b=two%20words&flag&c=x+y");
         assert_eq!(req.query_param("a"), Some("1"));
@@ -542,6 +463,12 @@ mod tests {
         assert_eq!(req.method, Method::Get);
         assert_eq!(req.path, "/ping");
         assert!(req.body.is_empty());
+        let req = RequestParser::new()
+            .feed(b"GET /analytics/plugins?detail=full HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap()
+            .expect("complete");
+        assert_eq!(req.path, "/analytics/plugins");
+        assert_eq!(req.query_param("detail"), Some("full"));
     }
 
     #[test]
@@ -565,8 +492,22 @@ mod tests {
             .feed(b"GET / HTTP/1.1\r\nBadHeader\r\n\r\n")
             .is_err());
         assert!(RequestParser::new()
+            .feed(b"GET / HTTP/1.1\r\nContent-Length: zap\r\n\r\n")
+            .is_err());
+        assert!(RequestParser::new()
             .feed(b"GET / HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n")
             .is_err());
+    }
+
+    #[test]
+    fn incremental_parse_waits_for_a_truncated_body() {
+        // Fewer body bytes than Content-Length promised is not a
+        // request yet; the server's idle reaper closes the connection.
+        let mut parser = RequestParser::new();
+        assert!(parser
+            .feed(b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc")
+            .unwrap()
+            .is_none());
     }
 
     #[test]

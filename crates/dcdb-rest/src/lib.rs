@@ -4,8 +4,8 @@
 //! Wintermute forwards its ODA management requests — plugin start/stop/
 //! reload and on-demand operator triggers — through it (paper §V-A).
 //!
-//! * [`http`] — minimal HTTP/1.1 request/response codec, with both a
-//!   blocking and an incremental (event-loop) request parser;
+//! * [`http`] — minimal HTTP/1.1 request/response codec with one
+//!   incremental (event-loop) request parser;
 //! * [`router`] — pattern routing with `:param` and `*rest` captures;
 //! * [`server`] — non-blocking `poll(2)` event-loop TCP server with a
 //!   bounded worker pool, plus a tiny blocking client helper;

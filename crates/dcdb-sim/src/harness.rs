@@ -22,7 +22,7 @@ use crate::operators::FaultyPlugin;
 use crate::report::{CounterSummary, IdentityReport, ScenarioReport, SloReport};
 use crate::scenario::{LaneSet, Scale, Scenario};
 use dcdb_bus::{ChaosBus, ChaosConfig, MessageBus};
-use dcdb_common::reading::SensorReading;
+use dcdb_common::batch::ReadingBatch;
 use dcdb_common::sim::{derive_seed, lanes, EventTrace, SimClock, SimScheduler};
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
@@ -248,7 +248,7 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
                 }
                 fresh.push((
                     topic.clone(),
-                    vec![SensorReading::new(round as i64, Timestamp(vns))],
+                    ReadingBatch::from_columns(vec![vns], vec![round as i64]),
                 ));
             }
             counters.offered += fresh.len() as u64;

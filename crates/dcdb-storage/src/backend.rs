@@ -83,19 +83,6 @@ impl StorageBackend {
         )
     }
 
-    /// Inserts one reading for `topic`.
-    pub fn insert(&self, topic: &Topic, r: SensorReading) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.series_for(topic).lock().insert(r);
-    }
-
-    /// Inserts a batch of readings for `topic` under one series lock.
-    pub fn insert_batch(&self, topic: &Topic, readings: &[SensorReading]) {
-        self.inserts
-            .fetch_add(readings.len() as u64, Ordering::Relaxed);
-        self.series_for(topic).lock().insert_batch(readings);
-    }
-
     /// Inserts a columnar batch for `topic` under one series lock,
     /// without re-interleaving the columns into rows first.
     pub fn insert_columns(&self, topic: &Topic, batch: &ReadingBatch) {
@@ -186,18 +173,6 @@ impl StorageBackend {
 }
 
 impl crate::StorageEngine for StorageBackend {
-    fn insert(&self, topic: &Topic, r: SensorReading) -> dcdb_common::error::Result<()> {
-        StorageBackend::insert(self, topic, r);
-        Ok(())
-    }
-    fn insert_batch(
-        &self,
-        topic: &Topic,
-        readings: &[SensorReading],
-    ) -> dcdb_common::error::Result<()> {
-        StorageBackend::insert_batch(self, topic, readings);
-        Ok(())
-    }
     fn insert_columns(
         &self,
         topic: &Topic,
@@ -248,6 +223,7 @@ impl std::fmt::Debug for StorageBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StorageEngine;
 
     fn t(s: &str) -> Topic {
         Topic::parse(s).unwrap()
@@ -259,9 +235,9 @@ mod tests {
     #[test]
     fn insert_query_per_topic() {
         let db = StorageBackend::new();
-        db.insert(&t("/n1/power"), r(100, 1));
-        db.insert(&t("/n1/power"), r(110, 2));
-        db.insert(&t("/n2/power"), r(200, 1));
+        db.insert(&t("/n1/power"), r(100, 1)).unwrap();
+        db.insert(&t("/n1/power"), r(110, 2)).unwrap();
+        db.insert(&t("/n2/power"), r(200, 1)).unwrap();
         let q = db.query(&t("/n1/power"), Timestamp::ZERO, Timestamp::from_secs(10));
         assert_eq!(q.len(), 2);
         assert_eq!(q[1].value, 110);
@@ -275,7 +251,7 @@ mod tests {
     fn batch_insert() {
         let db = StorageBackend::new();
         let batch: Vec<SensorReading> = (0..100).map(|i| r(i, i as u64)).collect();
-        db.insert_batch(&t("/n/s"), &batch);
+        db.insert_batch(&t("/n/s"), &batch).unwrap();
         let s = db.stats();
         assert_eq!(s.readings, 100);
         assert_eq!(s.sensors, 1);
@@ -288,7 +264,7 @@ mod tests {
         for n in 0..4 {
             let topic = t(&format!("/n{n}/s"));
             for i in 0..40u64 {
-                db.insert(&topic, r(i as i64, i));
+                db.insert(&topic, r(i as i64, i)).unwrap();
             }
         }
         let evicted = db.evict_before(Timestamp::from_secs(20));
@@ -305,7 +281,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let topic = t(&format!("/n{n}/s"));
                 for i in 0..1000u64 {
-                    db.insert(&topic, r(i as i64, i));
+                    db.insert(&topic, r(i as i64, i)).unwrap();
                 }
             }));
         }
@@ -327,7 +303,7 @@ mod tests {
             let topic = topic.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..500u64 {
-                    db.insert(&topic, r(0, part * 10_000 + i));
+                    db.insert(&topic, r(0, part * 10_000 + i)).unwrap();
                 }
             }));
         }
@@ -343,7 +319,8 @@ mod tests {
     fn topics_spread_across_shards() {
         let db = StorageBackend::new();
         for n in 0..200 {
-            db.insert(&t(&format!("/rack{}/node{n}/power", n % 8)), r(n, 1));
+            db.insert(&t(&format!("/rack{}/node{n}/power", n % 8)), r(n, 1))
+                .unwrap();
         }
         let populated = db.shards.iter().filter(|s| !s.read().is_empty()).count();
         // 200 hashed topics should land in (nearly) every one of the 16
@@ -355,7 +332,6 @@ mod tests {
 
     #[test]
     fn trait_object_round_trip() {
-        use crate::StorageEngine;
         let db: Arc<dyn StorageEngine> = Arc::new(StorageBackend::new());
         db.insert(&t("/n/s"), r(5, 9)).unwrap();
         db.insert_batch(&t("/n/s"), &[r(6, 10), r(7, 11)]).unwrap();
@@ -374,8 +350,8 @@ mod tests {
     #[test]
     fn topics_lists_known_sensors() {
         let db = StorageBackend::new();
-        db.insert(&t("/a/x"), r(1, 1));
-        db.insert(&t("/b/y"), r(1, 1));
+        db.insert(&t("/a/x"), r(1, 1)).unwrap();
+        db.insert(&t("/b/y"), r(1, 1)).unwrap();
         let mut topics: Vec<String> = db.topics().iter().map(|t| t.as_str().to_string()).collect();
         topics.sort();
         assert_eq!(topics, vec!["/a/x", "/b/y"]);

@@ -110,37 +110,6 @@ pub struct RecoveryReport {
     pub quarantined: usize,
 }
 
-/// A write in either shape, so rows and columns share one
-/// journal-then-memtable retry loop.
-#[derive(Clone, Copy)]
-enum WritePayload<'a> {
-    Rows(&'a [SensorReading]),
-    Columns(&'a ReadingBatch),
-}
-
-impl WritePayload<'_> {
-    fn len(&self) -> usize {
-        match self {
-            WritePayload::Rows(r) => r.len(),
-            WritePayload::Columns(b) => b.len(),
-        }
-    }
-
-    fn journal(&self, wal: &mut WalWriter, topic: &Topic) -> Result<()> {
-        match self {
-            WritePayload::Rows(r) => wal.append(topic, r),
-            WritePayload::Columns(b) => wal.append_batch(topic, b),
-        }
-    }
-
-    fn insert(&self, memtable: &StorageBackend, topic: &Topic) {
-        match self {
-            WritePayload::Rows(r) => memtable.insert_batch(topic, r),
-            WritePayload::Columns(b) => memtable.insert_columns(topic, b),
-        }
-    }
-}
-
 /// Operational counters beyond [`StorageStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -193,7 +162,7 @@ pub struct EngineStats {
     pub rollup_recomputes: u64,
 }
 
-/// How an insert was acknowledged by [`DurableBackend::insert_batch_acked`].
+/// How an insert was acknowledged by [`DurableBackend::insert_columns_acked`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertAck {
     /// Journaled (and fsynced, per policy): survives a process kill.
@@ -207,6 +176,14 @@ struct Active {
     memtable: Arc<StorageBackend>,
     wal: Mutex<WalWriter>,
     wal_path: PathBuf,
+}
+
+/// One read's view of every generation holding raw readings; see
+/// [`DurableBackend::generations`] for the order it is taken in.
+struct Generations {
+    active: Arc<StorageBackend>,
+    sealing: Option<Arc<StorageBackend>>,
+    segments: Vec<(u64, Arc<SegmentReader>)>,
 }
 
 /// The durable storage engine. See the module docs for the design.
@@ -362,8 +339,8 @@ impl DurableBackend {
         let mut unsealed = Vec::new();
         for (seq, path) in wal_files {
             max_seq = max_seq.max(seq);
-            let rep: WalReplay = match replay_with(io.as_ref(), &path, |topic, readings| {
-                memtable.insert_batch(&topic, &readings);
+            let rep: WalReplay = match replay_with(io.as_ref(), &path, |topic, batch| {
+                memtable.insert_columns(&topic, &batch);
             }) {
                 Ok(rep) => rep,
                 Err(err) => {
@@ -495,55 +472,38 @@ impl DurableBackend {
         }
     }
 
-    /// Inserts one reading, journaled before acknowledgement.
-    pub fn insert(&self, topic: &Topic, r: SensorReading) -> Result<()> {
-        self.insert_batch(topic, std::slice::from_ref(&r))
+    /// Deletes the files of segments just unpublished from `segments`,
+    /// each once no in-flight read still holds its reader: a read
+    /// snapshots the list and then reads blocks by path, so removing
+    /// the file under it would turn the data it holds into a read
+    /// error. The published list was the only source of clones, so a
+    /// count that reaches one (the caller's) stays there.
+    fn remove_retired(&self, retired: impl IntoIterator<Item = Arc<SegmentReader>>) {
+        for seg in retired {
+            while Arc::strong_count(&seg) > 1 {
+                std::thread::yield_now();
+            }
+            self.remove_file_counted(seg.path());
+        }
     }
 
-    /// Inserts a batch, journaled before acknowledgement: when this
-    /// returns `Ok`, the batch is in the WAL file (and fsynced, under
-    /// `FsyncPolicy::Always`) — it will survive a process kill — unless
-    /// the engine is ReadOnly, in which case the batch was accepted
-    /// memtable-only (use [`DurableBackend::insert_batch_acked`] to
-    /// distinguish the two acknowledgements).
-    pub fn insert_batch(&self, topic: &Topic, readings: &[SensorReading]) -> Result<()> {
-        self.insert_batch_acked(topic, readings).map(|_| ())
-    }
-
-    /// [`DurableBackend::insert_batch`] reporting *how* the batch was
-    /// acknowledged. Transient write errors are retried with bounded
-    /// exponential backoff; a poisoned WAL triggers rotation; under
-    /// ReadOnly the batch goes to the bounded write-behind buffer.
-    pub fn insert_batch_acked(
-        &self,
-        topic: &Topic,
-        readings: &[SensorReading],
-    ) -> Result<InsertAck> {
-        self.insert_payload_acked(topic, WritePayload::Rows(readings))
-    }
-
-    /// Inserts a columnar batch, journaled before acknowledgement. The
-    /// columns flow straight into the journal record and the memtable —
-    /// no row transpose on the hot path.
-    pub fn insert_columns(&self, topic: &Topic, batch: &ReadingBatch) -> Result<()> {
-        self.insert_columns_acked(topic, batch).map(|_| ())
-    }
-
-    /// [`DurableBackend::insert_columns`] reporting *how* the batch was
-    /// acknowledged; same retry/rotation/buffering behaviour as
-    /// [`DurableBackend::insert_batch_acked`].
+    /// Inserts a columnar batch, journaled before acknowledgement: when
+    /// this returns [`InsertAck::Durable`], the batch is in the WAL file
+    /// (and fsynced, under `FsyncPolicy::Always`) — it will survive a
+    /// process kill. Under ReadOnly the batch is accepted memtable-only
+    /// into the bounded write-behind buffer and acknowledged
+    /// [`InsertAck::Buffered`]. The columns flow straight into the
+    /// journal record and the memtable — no row transpose on the hot
+    /// path. Transient write errors are retried with bounded
+    /// exponential backoff; a poisoned WAL triggers rotation.
     pub fn insert_columns_acked(&self, topic: &Topic, batch: &ReadingBatch) -> Result<InsertAck> {
-        self.insert_payload_acked(topic, WritePayload::Columns(batch))
-    }
-
-    fn insert_payload_acked(&self, topic: &Topic, payload: WritePayload<'_>) -> Result<InsertAck> {
-        let len = payload.len();
+        let len = batch.len();
         if len == 0 {
             return Ok(InsertAck::Durable);
         }
         self.health.note_ingested(len);
         if self.health.state() == HealthState::ReadOnly {
-            return self.buffer_payload(topic, payload);
+            return self.buffer_batch(topic, batch);
         }
         let hc = self.config.health;
         let mut attempt = 0u32;
@@ -554,9 +514,9 @@ impl DurableBackend {
             let outcome = {
                 let active = self.active.read();
                 let mut wal = active.wal.lock();
-                match payload.journal(&mut wal, topic) {
+                match wal.append_batch(topic, batch) {
                     Ok(()) => {
-                        payload.insert(&active.memtable, topic);
+                        active.memtable.insert_columns(topic, batch);
                         self.memtable_readings.fetch_add(len, Ordering::Relaxed);
                         Ok(())
                     }
@@ -579,7 +539,7 @@ impl DurableBackend {
                         let _ = self.rotate_wal();
                     }
                     if state == HealthState::ReadOnly {
-                        return self.buffer_payload(topic, payload);
+                        return self.buffer_batch(topic, batch);
                     }
                     if attempt >= hc.max_retries {
                         self.health.note_shed(len);
@@ -600,7 +560,7 @@ impl DurableBackend {
         // Feed the rollup tiers only after the batch is in the memtable
         // and every lock is released: a recompute re-enters the merged
         // query path, which takes the `active` read lock itself.
-        self.rollup_apply(topic, payload);
+        self.rollup_apply(topic, batch);
         if self.memtable_readings.load(Ordering::Relaxed) >= self.config.memtable_max_readings {
             // The batch is already acknowledged durable; a failed seal is
             // a maintenance problem (counted, retried next pass), not an
@@ -610,19 +570,19 @@ impl DurableBackend {
         Ok(InsertAck::Durable)
     }
 
-    /// Streams a just-inserted payload into the rollup accumulator. The
+    /// Streams a just-inserted batch into the rollup accumulator. The
     /// raw closure answers from the merged read path, so recomputed
     /// frames always equal the deduplicated raw truth.
-    fn rollup_apply(&self, topic: &Topic, payload: WritePayload<'_>) {
+    fn rollup_apply(&self, topic: &Topic, batch: &ReadingBatch) {
         if self.config.rollup.tiers.is_empty() {
             return;
         }
-        let pairs: Vec<(u64, i64)> = match payload {
-            WritePayload::Rows(rows) => rows.iter().map(|r| (r.ts.as_nanos(), r.value)).collect(),
-            WritePayload::Columns(b) => {
-                b.ts.iter().copied().zip(b.values.iter().copied()).collect()
-            }
-        };
+        let pairs: Vec<(u64, i64)> = batch
+            .ts
+            .iter()
+            .copied()
+            .zip(batch.values.iter().copied())
+            .collect();
         self.rollup.lock().apply(topic, &pairs, |t0, t1| {
             self.query_merged(topic, Timestamp(t0), Timestamp(t1))
         });
@@ -630,18 +590,18 @@ impl DurableBackend {
 
     /// Accepts a batch memtable-only under ReadOnly, bounded by
     /// `health.buffer_max_readings`; overflow is shed with an error.
-    fn buffer_payload(&self, topic: &Topic, payload: WritePayload<'_>) -> Result<InsertAck> {
-        let len = payload.len();
+    fn buffer_batch(&self, topic: &Topic, batch: &ReadingBatch) -> Result<InsertAck> {
+        let len = batch.len();
         if !self.health.try_note_buffered(len) {
             return Err(DcdbError::InvalidState(
                 "storage is read-only and the write-behind buffer is full".into(),
             ));
         }
         let active = self.active.read();
-        payload.insert(&active.memtable, topic);
+        active.memtable.insert_columns(topic, batch);
         self.memtable_readings.fetch_add(len, Ordering::Relaxed);
         drop(active);
-        self.rollup_apply(topic, payload);
+        self.rollup_apply(topic, batch);
         self.inserts.fetch_add(len as u64, Ordering::Relaxed);
         Ok(InsertAck::Buffered)
     }
@@ -661,11 +621,13 @@ impl DurableBackend {
         let mut active = self.active.write();
         let dumped = (|| -> Result<()> {
             for topic in active.memtable.topics() {
-                let readings = active
+                let batch: ReadingBatch = active
                     .memtable
-                    .query(&topic, Timestamp::ZERO, Timestamp::MAX);
-                if !readings.is_empty() {
-                    new_wal.append(&topic, &readings)?;
+                    .query(&topic, Timestamp::ZERO, Timestamp::MAX)
+                    .into_iter()
+                    .collect();
+                if !batch.is_empty() {
+                    new_wal.append_batch(&topic, &batch)?;
                 }
             }
             new_wal.sync()
@@ -698,6 +660,27 @@ impl DurableBackend {
         self.query_merged(topic, t0, t1)
     }
 
+    /// Snapshots every generation a read must consult, in the reverse
+    /// of [`DurableBackend::seal`]'s publication order. A seal moves data
+    /// active memtable → `sealing` → `segments` (or, when it fails,
+    /// folds `sealing` back into the active memtable before clearing the
+    /// slot), publishing each destination before retiring its source;
+    /// reading source before destination — and querying the snapshots
+    /// only after all three are taken — therefore finds every
+    /// acknowledged reading in at least one of them, however a seal
+    /// interleaves. Brief double visibility is harmless: merges dedupe
+    /// by timestamp.
+    fn generations(&self) -> Generations {
+        let active = Arc::clone(&self.active.read().memtable);
+        let sealing = self.sealing.read().clone();
+        let segments = self.segments.read().clone();
+        Generations {
+            active,
+            sealing,
+            segments,
+        }
+    }
+
     /// [`DurableBackend::query`] without the query-counter bump — the
     /// internal read path shared with rollup recomputes, which must see
     /// exactly the same deduplicated merged truth as external queries.
@@ -705,14 +688,13 @@ impl DurableBackend {
         if t1 < t0 {
             return Vec::new();
         }
-        let segments = self.segments.read().clone();
-        let sealing = self.sealing.read().clone();
-        if segments.is_empty() && sealing.is_none() {
+        let gens = self.generations();
+        if gens.segments.is_empty() && gens.sealing.is_none() {
             // Fast path: everything lives in the active memtable.
-            return self.active.read().memtable.query(topic, t0, t1);
+            return gens.active.query(topic, t0, t1);
         }
         let mut merged: BTreeMap<Timestamp, SensorReading> = BTreeMap::new();
-        for (_, seg) in &segments {
+        for (_, seg) in &gens.segments {
             match seg.query(topic, t0, t1) {
                 Ok(readings) => {
                     for r in readings {
@@ -724,12 +706,12 @@ impl DurableBackend {
                 }
             }
         }
-        if let Some(mem) = &sealing {
+        if let Some(mem) = &gens.sealing {
             for r in mem.query(topic, t0, t1) {
                 merged.insert(r.ts, r);
             }
         }
-        for r in self.active.read().memtable.query(topic, t0, t1) {
+        for r in gens.active.query(topic, t0, t1) {
             merged.insert(r.ts, r);
         }
         merged.into_values().collect()
@@ -746,15 +728,16 @@ impl DurableBackend {
     /// every earlier-authority source only wins with a strictly newer
     /// timestamp.
     pub fn latest(&self, topic: &Topic) -> Option<SensorReading> {
-        let mut best: Option<SensorReading> = self.active.read().memtable.latest(topic);
-        if let Some(mem) = self.sealing.read().clone() {
+        let gens = self.generations();
+        let mut best: Option<SensorReading> = gens.active.latest(topic);
+        if let Some(mem) = &gens.sealing {
             if let Some(r) = mem.latest(topic) {
                 if best.is_none_or(|b| r.ts > b.ts) {
                     best = Some(r);
                 }
             }
         }
-        for (_, seg) in self.segments.read().iter().rev() {
+        for (_, seg) in gens.segments.iter().rev() {
             let worth_reading = match (seg.block_max_ts(topic), &best) {
                 (Some(mts), Some(b)) => mts > b.ts,
                 (Some(_), None) => true,
@@ -788,34 +771,33 @@ impl DurableBackend {
                 best = Some(best.map_or(ts, |b| b.min(ts)));
             }
         };
-        for (_, seg) in self.segments.read().iter() {
+        let gens = self.generations();
+        for (_, seg) in &gens.segments {
             consider(seg.block_min_ts(topic));
         }
-        if let Some(mem) = self.sealing.read().clone() {
+        if let Some(mem) = &gens.sealing {
             consider(mem.oldest_ts(topic));
         }
-        consider(self.active.read().memtable.oldest_ts(topic));
+        consider(gens.active.oldest_ts(topic));
         best
     }
 
     /// True when any generation holds data for `topic`.
     pub fn contains(&self, topic: &Topic) -> bool {
-        self.active.read().memtable.contains(topic)
-            || self
-                .sealing
-                .read()
-                .as_ref()
-                .is_some_and(|m| m.contains(topic))
-            || self.segments.read().iter().any(|(_, s)| s.contains(topic))
+        let gens = self.generations();
+        gens.active.contains(topic)
+            || gens.sealing.is_some_and(|m| m.contains(topic))
+            || gens.segments.iter().any(|(_, s)| s.contains(topic))
     }
 
     /// All topics with data in any generation, unordered.
     pub fn topics(&self) -> Vec<Topic> {
-        let mut set: BTreeSet<Topic> = self.active.read().memtable.topics().into_iter().collect();
-        if let Some(mem) = self.sealing.read().clone() {
+        let gens = self.generations();
+        let mut set: BTreeSet<Topic> = gens.active.topics().into_iter().collect();
+        if let Some(mem) = &gens.sealing {
             set.extend(mem.topics());
         }
-        for (_, seg) in self.segments.read().iter() {
+        for (_, seg) in &gens.segments {
             set.extend(seg.topics().cloned());
         }
         set.into_iter().collect()
@@ -906,7 +888,9 @@ impl DurableBackend {
                 {
                     let active = self.active.read();
                     for (topic, readings) in &entries {
-                        active.memtable.insert_batch(topic, readings);
+                        active
+                            .memtable
+                            .insert_columns(topic, &ReadingBatch::from_readings(readings));
                     }
                     self.memtable_readings.fetch_add(sealed, Ordering::Relaxed);
                 }
@@ -963,6 +947,13 @@ impl DurableBackend {
         if t1 < t0 {
             return Vec::new();
         }
+        // A rollup seal publishes its segment before evicting the clean
+        // hot frames it covers, so — as in `generations` — read the
+        // source (hot) before the destination (segments).
+        let hot = self
+            .rollup
+            .lock()
+            .query_hot(topic, width_ns, t0.as_nanos(), t1.as_nanos());
         // Gather per-source ascending runs in authority order: segments
         // by sequence, hot frames last (so later runs win bucket ties).
         let mut runs: Vec<Vec<AggFrame>> = Vec::new();
@@ -981,10 +972,6 @@ impl DurableBackend {
                 }
             }
         }
-        let hot = self
-            .rollup
-            .lock()
-            .query_hot(topic, width_ns, t0.as_nanos(), t1.as_nanos());
         if !hot.is_empty() {
             runs.push(hot);
         }
@@ -1104,9 +1091,7 @@ impl DurableBackend {
             segments.push((seq, reader));
             segments.sort_by_key(|(s, _)| *s);
         }
-        for (_, seg) in &old {
-            self.remove_file_counted(seg.path());
-        }
+        self.remove_retired(old.into_iter().map(|(_, seg)| seg));
         self.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
@@ -1128,10 +1113,8 @@ impl DurableBackend {
                 _ => true,
             });
         }
-        for seg in dropped {
-            evicted += seg.reading_count();
-            self.remove_file_counted(seg.path());
-        }
+        evicted += dropped.iter().map(|s| s.reading_count()).sum::<usize>();
+        self.remove_retired(dropped);
         evicted
     }
 
@@ -1262,14 +1245,8 @@ impl std::fmt::Debug for DurableBackend {
 }
 
 impl StorageEngine for DurableBackend {
-    fn insert(&self, topic: &Topic, r: SensorReading) -> Result<()> {
-        DurableBackend::insert(self, topic, r)
-    }
-    fn insert_batch(&self, topic: &Topic, readings: &[SensorReading]) -> Result<()> {
-        DurableBackend::insert_batch(self, topic, readings)
-    }
     fn insert_columns(&self, topic: &Topic, batch: &ReadingBatch) -> Result<()> {
-        DurableBackend::insert_columns(self, topic, batch)
+        self.insert_columns_acked(topic, batch).map(|_| ())
     }
     fn query(&self, topic: &Topic, t0: Timestamp, t1: Timestamp) -> Vec<SensorReading> {
         DurableBackend::query(self, topic, t0, t1)
@@ -1398,7 +1375,6 @@ mod tests {
         let dir = TempDir::new("columnar-recovery");
         {
             let db = DurableBackend::open(dir.path(), small_config()).unwrap();
-            // Mix columnar and row-major appends against the same WAL.
             let batch: ReadingBatch = (1..=40u64).map(|i| r(i as i64, i)).collect();
             assert_eq!(
                 db.insert_columns_acked(&t("/n0/power"), &batch).unwrap(),
@@ -1594,6 +1570,52 @@ mod tests {
             assert_eq!(q.len(), 500, "topic /n{n}/s");
         }
         assert!(db.engine_stats().seals >= 1);
+    }
+
+    #[test]
+    fn reads_during_continuous_seals_never_miss_acked_data() {
+        // One writer seals on every other insert (and compacts now and
+        // then); readers race it. A reading acknowledged before a query
+        // starts must be in the result, whichever of memtable, sealing
+        // slot or segment holds it while the query runs.
+        const WRITES: u64 = 1500;
+        let dir = TempDir::new("read-during-seal");
+        let config = DurableConfig {
+            memtable_max_readings: 2,
+            rollup: RollupConfig::disabled(),
+            ..small_config()
+        };
+        let db = DurableBackend::open(dir.path(), config).unwrap();
+        let topic = t("/n0/power");
+        let acked = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    loop {
+                        let floor = acked.load(Ordering::SeqCst);
+                        let got = db.query(&topic, Timestamp::ZERO, Timestamp::MAX).len();
+                        assert!(got >= floor, "query saw {got} of {floor} acked readings");
+                        assert!(db.contains(&topic) || floor == 0);
+                        let newest = db.latest(&topic).map_or(0, |r| r.value as usize);
+                        assert!(newest >= floor, "latest saw {newest}, {floor} acked");
+                        if floor as u64 == WRITES {
+                            break;
+                        }
+                    }
+                });
+            }
+            start.wait();
+            for i in 1..=WRITES {
+                db.insert(&topic, r(i as i64, i)).unwrap();
+                acked.store(i as usize, Ordering::SeqCst);
+                if i % 16 == 0 {
+                    db.compact().unwrap();
+                }
+            }
+        });
+        assert!(db.engine_stats().seals >= WRITES / 2 - 1);
     }
 
     #[test]

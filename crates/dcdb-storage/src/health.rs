@@ -99,7 +99,7 @@ pub struct StorageHealthReport {
     pub state: HealthState,
     /// State transitions since open.
     pub transitions: u64,
-    /// Readings accepted by `insert`/`insert_batch` since open.
+    /// Readings accepted by `insert_columns_acked` since open.
     pub ingested: u64,
     /// Readings acknowledged durable (journaled or sealed).
     pub durable: u64,

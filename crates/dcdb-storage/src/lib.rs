@@ -15,9 +15,11 @@
 //!   segments ([`segment`], [`compress`]) and compaction on top of the
 //!   in-memory backend used as its memtable.
 //!
+//! Every write travels as a columnar [`ReadingBatch`]: one record kind
+//! in the journal, one insert method per layer.
+//!
 //! Supporting modules: [`series`] (one sensor's partitioned series),
-//! [`snapshot`] (binary full-store snapshots), [`crc`] (checksums shared
-//! by the on-disk formats).
+//! [`crc`] (checksums shared by the on-disk formats).
 
 #![warn(missing_docs)]
 
@@ -30,7 +32,6 @@ pub mod io;
 pub mod rollup;
 pub mod segment;
 pub mod series;
-pub mod snapshot;
 pub mod tail;
 pub mod wal;
 
@@ -58,14 +59,16 @@ use dcdb_common::topic::Topic;
 /// engine can refuse to acknowledge data it failed to journal; the
 /// in-memory engine never fails.
 pub trait StorageEngine: Send + Sync + std::fmt::Debug {
-    /// Inserts one reading for `topic`.
-    fn insert(&self, topic: &Topic, r: SensorReading) -> Result<()>;
-    /// Inserts a batch of readings for `topic`.
-    fn insert_batch(&self, topic: &Topic, readings: &[SensorReading]) -> Result<()>;
-    /// Inserts a columnar batch for `topic`. Engines that understand
-    /// the columnar form override this to avoid the row transpose.
-    fn insert_columns(&self, topic: &Topic, batch: &ReadingBatch) -> Result<()> {
-        self.insert_batch(topic, &batch.to_readings())
+    /// Inserts a columnar batch for `topic` — the one write method an
+    /// engine implements.
+    fn insert_columns(&self, topic: &Topic, batch: &ReadingBatch) -> Result<()>;
+    /// Convenience: inserts one reading as a one-element batch.
+    fn insert(&self, topic: &Topic, r: SensorReading) -> Result<()> {
+        self.insert_batch(topic, &[r])
+    }
+    /// Convenience: transposes `readings` into a batch and inserts it.
+    fn insert_batch(&self, topic: &Topic, readings: &[SensorReading]) -> Result<()> {
+        self.insert_columns(topic, &ReadingBatch::from_readings(readings))
     }
     /// Readings for `topic` with `t0 <= ts <= t1`, timestamp-ordered.
     fn query(&self, topic: &Topic, t0: Timestamp, t1: Timestamp) -> Vec<SensorReading>;

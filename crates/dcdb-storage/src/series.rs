@@ -71,50 +71,16 @@ impl Series {
         }
     }
 
-    /// Inserts a batch (the collect agent's normal write path).
+    /// Inserts a columnar batch (the collect agent's normal write path)
+    /// without materializing rows first.
     ///
     /// Consecutive readings with strictly ascending timestamps that land
     /// in the same partition are detected as a *run* and bulk-appended
-    /// when they extend the partition's tail — the shape in-order
-    /// samplers produce — skipping the per-reading binary search.
-    /// Out-of-order or duplicate readings fall back to [`Series::insert`]
-    /// semantics (sorted insert, duplicate timestamps overwrite).
-    pub fn insert_batch(&mut self, readings: &[SensorReading]) {
-        let mut i = 0;
-        while i < readings.len() {
-            let key = self.partition_start(readings[i].ts);
-            let end = key.saturating_add(self.partition_ns);
-            let mut j = i + 1;
-            while j < readings.len()
-                && readings[j].ts > readings[j - 1].ts
-                && readings[j].ts.as_nanos() < end
-            {
-                j += 1;
-            }
-            let part = self.partitions.entry(key).or_default();
-            if part.last().is_none_or(|last| last.ts < readings[i].ts) {
-                part.extend_from_slice(&readings[i..j]);
-                self.len += j - i;
-            } else {
-                for &r in &readings[i..j] {
-                    match part.binary_search_by_key(&r.ts, |x| x.ts) {
-                        Ok(p) => part[p] = r,
-                        Err(p) => {
-                            part.insert(p, r);
-                            self.len += 1;
-                        }
-                    }
-                }
-            }
-            i = j;
-        }
-    }
-
-    /// Inserts a columnar batch without materializing rows first.
-    ///
-    /// Same run detection as [`Series::insert_batch`]: ascending
-    /// stretches that extend a partition's tail are appended straight
-    /// from the packed columns.
+    /// straight from the packed columns when they extend the partition's
+    /// tail — the shape in-order samplers produce — skipping the
+    /// per-reading binary search. Out-of-order or duplicate readings go
+    /// through [`Series::insert`] (sorted insert, duplicate timestamps
+    /// overwrite).
     pub fn insert_columns(&mut self, batch: &ReadingBatch) {
         let (ts, values) = (&batch.ts, &batch.values);
         let mut i = 0;
@@ -134,14 +100,7 @@ impl Series {
                 self.len += j - i;
             } else {
                 for k in i..j {
-                    let r = SensorReading::new(values[k], Timestamp(ts[k]));
-                    match part.binary_search_by_key(&r.ts, |x| x.ts) {
-                        Ok(p) => part[p] = r,
-                        Err(p) => {
-                            part.insert(p, r);
-                            self.len += 1;
-                        }
-                    }
+                    self.insert(SensorReading::new(values[k], Timestamp(ts[k])));
                 }
             }
             i = j;
@@ -261,7 +220,7 @@ mod tests {
     #[test]
     fn query_boundaries_inclusive() {
         let mut s = Series::default();
-        s.insert_batch(&[r(1, 1), r(2, 2), r(3, 3)]);
+        s.insert_columns(&ReadingBatch::from_readings(&[r(1, 1), r(2, 2), r(3, 3)]));
         let q = s.query(Timestamp::from_secs(2), Timestamp::from_secs(2));
         assert_eq!(q.len(), 1);
         assert_eq!(q[0].value, 2);
@@ -287,7 +246,11 @@ mod tests {
         let mut s = Series::new(10 * NS_PER_SEC);
         assert!(s.latest().is_none());
         assert!(s.oldest().is_none());
-        s.insert_batch(&[r(5, 5), r(25, 25), r(15, 15)]);
+        s.insert_columns(&ReadingBatch::from_readings(&[
+            r(5, 5),
+            r(25, 25),
+            r(15, 15),
+        ]));
         assert_eq!(s.latest().unwrap().value, 25);
         assert_eq!(s.oldest().unwrap().value, 5);
     }
@@ -328,13 +291,9 @@ mod tests {
             }
             let mut by_col = Series::new(100 * NS_PER_SEC);
             by_col.insert_columns(&ReadingBatch::from_readings(&rows));
-            let mut by_batch = Series::new(100 * NS_PER_SEC);
-            by_batch.insert_batch(&rows);
             let want: Vec<SensorReading> = by_row.iter().copied().collect();
             assert_eq!(by_col.iter().copied().collect::<Vec<_>>(), want);
-            assert_eq!(by_batch.iter().copied().collect::<Vec<_>>(), want);
             assert_eq!(by_col.len(), by_row.len());
-            assert_eq!(by_batch.len(), by_row.len());
         }
     }
 

@@ -206,18 +206,6 @@ impl TappedEngine {
 }
 
 impl StorageEngine for TappedEngine {
-    fn insert(&self, topic: &Topic, r: SensorReading) -> Result<()> {
-        self.inner.insert(topic, r)?;
-        self.tap(topic, ReadingBatch::from_readings(&[r]));
-        Ok(())
-    }
-
-    fn insert_batch(&self, topic: &Topic, readings: &[SensorReading]) -> Result<()> {
-        self.inner.insert_batch(topic, readings)?;
-        self.tap(topic, ReadingBatch::from_readings(readings));
-        Ok(())
-    }
-
     fn insert_columns(&self, topic: &Topic, batch: &ReadingBatch) -> Result<()> {
         self.inner.insert_columns(topic, batch)?;
         self.tap(topic, batch.clone());
@@ -353,12 +341,7 @@ mod tests {
         #[derive(Debug)]
         struct Refusing;
         impl StorageEngine for Refusing {
-            fn insert(&self, _: &Topic, _: SensorReading) -> Result<()> {
-                Err(dcdb_common::error::DcdbError::InvalidState(
-                    "refused".into(),
-                ))
-            }
-            fn insert_batch(&self, _: &Topic, _: &[SensorReading]) -> Result<()> {
+            fn insert_columns(&self, _: &Topic, _: &ReadingBatch) -> Result<()> {
                 Err(dcdb_common::error::DcdbError::InvalidState(
                     "refused".into(),
                 ))

@@ -10,10 +10,7 @@
 //! [8B magic "DCDBWAL1"]
 //! record*:
 //!   [u32 payload_len] [u32 crc32(payload)] [payload]
-//! payload (row-major, count bit 31 clear):
-//!   [u16 topic_len] [topic utf-8]
-//!   [u32 count] count × { [i64 value] [u64 ts] }
-//! payload (columnar, count bit 31 set):
+//! payload:
 //!   [u16 topic_len] [topic utf-8]
 //!   [u32 count | 0x8000_0000] count × [u64 ts] count × [i64 value]
 //! ```
@@ -23,13 +20,14 @@
 //! everything before it is recovered, everything after is discarded
 //! (it was never acknowledged durable).
 //!
-//! The columnar record is the ingest hot path: the packed timestamp and
-//! value columns of a [`ReadingBatch`] land in the record via two bulk
-//! little-endian copies instead of a per-reading loop, assembled in a
-//! scratch buffer reused across appends. Bit 31 of the count field
-//! flags the layout — [`MAX_PAYLOAD`] (1 GiB) caps legitimate counts
-//! far below `2^31`, so the bit is never ambiguous. Replay accepts both
-//! layouts in any order.
+//! The packed timestamp and value columns of a [`ReadingBatch`] land in
+//! the record via two bulk little-endian copies instead of a
+//! per-reading loop, assembled in a scratch buffer reused across
+//! appends. Bit 31 of the count field marks the columnar layout — the
+//! only one written or replayed; [`MAX_PAYLOAD`] (1 GiB) caps counts far
+//! below `2^31`. A CRC-valid record with the bit clear (the retired
+//! row-major layout) is structurally inconsistent and stops replay like
+//! a torn tail.
 //!
 //! Under [`FsyncPolicy::EveryN`] the writer *pipelines* its syncs: the
 //! Nth append enqueues an fsync request for a background thread and
@@ -68,8 +66,6 @@ use dcdb_common::batch::{
     extend_le_i64s, extend_le_u64s, read_le_i64s, read_le_u64s, ReadingBatch,
 };
 use dcdb_common::error::{DcdbError, Result};
-use dcdb_common::reading::SensorReading;
-use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -79,11 +75,21 @@ use std::time::Duration;
 pub const WAL_MAGIC: &[u8; 8] = b"DCDBWAL1";
 
 /// Largest accepted payload (1 GiB): guards replay against reading a
-/// corrupt length field as an allocation size.
+/// corrupt length field as an allocation size. The writer refuses
+/// records past the same bound, so nothing it acknowledged is ever
+/// discarded as a torn tail.
 const MAX_PAYLOAD: u32 = 1 << 30;
 
 /// Bit 31 of the record count field marks a columnar payload.
 const COLUMNAR_FLAG: u32 = 1 << 31;
+
+/// Payload bytes of a record carrying `readings` readings under a
+/// `topic_len`-byte topic, or `None` when [`replay`] would refuse a
+/// record that long.
+fn payload_len(topic_len: usize, readings: usize) -> Option<usize> {
+    let len = readings.checked_mul(16)?.checked_add(2 + topic_len + 4)?;
+    (len <= MAX_PAYLOAD as usize).then_some(len)
+}
 
 /// When the WAL calls `fsync` relative to appends.
 ///
@@ -333,8 +339,10 @@ impl WalWriter {
         })
     }
 
-    /// Journals one batch of readings for `topic`. On return the record
-    /// is in the file (and fsynced, under `FsyncPolicy::Always`).
+    /// Journals one columnar batch for `topic`. On return the record is
+    /// in the file (and fsynced, under `FsyncPolicy::Always`); its body
+    /// is the batch's two packed columns, copied with two bulk
+    /// little-endian appends.
     ///
     /// On a failed write the file is truncated back to its last good
     /// length, so the failure leaves no partial record behind; if that
@@ -342,43 +350,15 @@ impl WalWriter {
     /// further call errors until the engine rotates to a fresh WAL.
     ///
     /// [`poisoned`]: WalWriter::poisoned
-    pub fn append(&mut self, topic: &Topic, readings: &[SensorReading]) -> Result<()> {
-        self.check_poisoned()?;
-        let topic_bytes = topic.as_str().as_bytes();
-        let payload_len = 2 + topic_bytes.len() + 4 + readings.len() * 16;
-        let mut buf = std::mem::take(&mut self.scratch);
-        buf.clear();
-        buf.reserve(8 + payload_len);
-        buf.extend_from_slice(&(payload_len as u32).to_le_bytes());
-        buf.extend_from_slice(&[0u8; 4]); // CRC placeholder
-        buf.extend_from_slice(&(topic_bytes.len() as u16).to_le_bytes());
-        buf.extend_from_slice(topic_bytes);
-        buf.extend_from_slice(&(readings.len() as u32).to_le_bytes());
-        for r in readings {
-            buf.extend_from_slice(&r.value.to_le_bytes());
-            buf.extend_from_slice(&r.ts.as_nanos().to_le_bytes());
-        }
-        let crc = crc32(&buf[8..]);
-        buf[4..8].copy_from_slice(&crc.to_le_bytes());
-        let result = self.write_record(&buf);
-        self.scratch = buf;
-        result
-    }
-
-    /// Journals one columnar batch for `topic` — the bulk-ingest hot
-    /// path. Identical durability semantics to [`WalWriter::append`];
-    /// the record body is the batch's two packed columns, copied with
-    /// two bulk little-endian appends instead of a per-reading loop.
     pub fn append_batch(&mut self, topic: &Topic, batch: &ReadingBatch) -> Result<()> {
         self.check_poisoned()?;
-        if batch.len() as u64 >= COLUMNAR_FLAG as u64 {
+        let topic_bytes = topic.as_str().as_bytes();
+        let Some(payload_len) = payload_len(topic_bytes.len(), batch.len()) else {
             return Err(DcdbError::InvalidState(format!(
                 "batch of {} readings exceeds the WAL record limit",
                 batch.len()
             )));
-        }
-        let topic_bytes = topic.as_str().as_bytes();
-        let payload_len = 2 + topic_bytes.len() + 4 + batch.len() * 16;
+        };
         let mut buf = std::mem::take(&mut self.scratch);
         buf.clear();
         buf.reserve(8 + payload_len);
@@ -535,12 +515,12 @@ pub struct WalReplay {
     pub discarded_bytes: u64,
 }
 
-/// Replays a WAL, calling `sink(topic, readings)` per recovered record.
+/// Replays a WAL, calling `sink(topic, batch)` per recovered record.
 ///
 /// Tolerates a torn tail: a truncated or CRC-corrupt record terminates
 /// replay without error, reporting `torn_tail = true` and the length of
 /// the clean prefix.
-pub fn replay(path: &Path, sink: impl FnMut(Topic, Vec<SensorReading>)) -> Result<WalReplay> {
+pub fn replay(path: &Path, sink: impl FnMut(Topic, ReadingBatch)) -> Result<WalReplay> {
     replay_with(&StdIo, path, sink)
 }
 
@@ -548,7 +528,7 @@ pub fn replay(path: &Path, sink: impl FnMut(Topic, Vec<SensorReading>)) -> Resul
 pub fn replay_with(
     io: &dyn StorageIo,
     path: &Path,
-    mut sink: impl FnMut(Topic, Vec<SensorReading>),
+    mut sink: impl FnMut(Topic, ReadingBatch),
 ) -> Result<WalReplay> {
     let data = io.read(path)?;
     if data.len() < WAL_MAGIC.len() || &data[..WAL_MAGIC.len()] != WAL_MAGIC {
@@ -584,14 +564,15 @@ pub fn replay_with(
             return torn(report); // corrupt payload
         }
         match decode_payload(payload) {
-            Some((topic, readings)) => {
+            Some((topic, batch)) => {
                 report.batches += 1;
-                report.readings += readings.len();
-                sink(topic, readings);
+                report.readings += batch.len();
+                sink(topic, batch);
             }
             None => {
-                // CRC passed but the structure is inconsistent — treat
-                // as corruption and stop, like a torn tail.
+                // CRC passed but the structure is inconsistent (or the
+                // body is the retired row-major kind) — treat as
+                // corruption and stop, like a torn tail.
                 return torn(report);
             }
         }
@@ -600,7 +581,7 @@ pub fn replay_with(
     }
 }
 
-fn decode_payload(payload: &[u8]) -> Option<(Topic, Vec<SensorReading>)> {
+fn decode_payload(payload: &[u8]) -> Option<(Topic, ReadingBatch)> {
     if payload.len() < 6 {
         return None;
     }
@@ -614,36 +595,27 @@ fn decode_payload(payload: &[u8]) -> Option<(Topic, Vec<SensorReading>)> {
             .try_into()
             .unwrap(),
     );
+    if raw_count & COLUMNAR_FLAG == 0 {
+        return None;
+    }
     let count = (raw_count & !COLUMNAR_FLAG) as usize;
     let body = &payload[2 + topic_len + 4..];
     if body.len() != count * 16 {
         return None;
     }
-    let readings = if raw_count & COLUMNAR_FLAG != 0 {
-        // Columnar: ts column then value column.
-        let ts = read_le_u64s(body, count);
-        let values = read_le_i64s(&body[count * 8..], count);
-        ts.into_iter()
-            .zip(values)
-            .map(|(t, v)| SensorReading::new(v, Timestamp(t)))
-            .collect()
-    } else {
-        // Row-major: interleaved value/ts pairs.
-        let mut readings = Vec::with_capacity(count);
-        for chunk in body.chunks_exact(16) {
-            let value = i64::from_le_bytes(chunk[0..8].try_into().unwrap());
-            let ts = u64::from_le_bytes(chunk[8..16].try_into().unwrap());
-            readings.push(SensorReading::new(value, Timestamp(ts)));
-        }
-        readings
-    };
-    Some((topic, readings))
+    let batch = ReadingBatch::from_columns(
+        read_le_u64s(body, count),
+        read_le_i64s(&body[count * 8..], count),
+    );
+    Some((topic, batch))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::io::{FaultConfig, FaultIo};
+    use dcdb_common::reading::SensorReading;
+    use dcdb_common::time::Timestamp;
     use std::fs::OpenOptions;
 
     fn t(s: &str) -> Topic {
@@ -653,15 +625,19 @@ mod tests {
         SensorReading::new(v, Timestamp::from_secs(s))
     }
 
+    fn b(rows: &[SensorReading]) -> ReadingBatch {
+        ReadingBatch::from_readings(rows)
+    }
+
     fn temp_wal(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("dcdb-wal-test-{}-{name}.log", std::process::id()));
         p
     }
 
-    fn collect_replay(path: &Path) -> (Vec<(Topic, Vec<SensorReading>)>, WalReplay) {
+    fn collect_replay(path: &Path) -> (Vec<(Topic, ReadingBatch)>, WalReplay) {
         let mut got = Vec::new();
-        let rep = replay(path, |topic, readings| got.push((topic, readings))).unwrap();
+        let rep = replay(path, |topic, batch| got.push((topic, batch))).unwrap();
         (got, rep)
     }
 
@@ -669,8 +645,9 @@ mod tests {
     fn append_replay_round_trip() {
         let path = temp_wal("roundtrip");
         let mut w = WalWriter::create(&path, FsyncPolicy::Never).unwrap();
-        w.append(&t("/n0/power"), &[r(1, 1), r(2, 2)]).unwrap();
-        w.append(&t("/n1/temp"), &[r(-7, 3)]).unwrap();
+        w.append_batch(&t("/n0/power"), &b(&[r(1, 1), r(2, 2)]))
+            .unwrap();
+        w.append_batch(&t("/n1/temp"), &b(&[r(-7, 3)])).unwrap();
         w.sync().unwrap();
         let (got, rep) = collect_replay(&path);
         assert_eq!(rep.batches, 2);
@@ -679,8 +656,8 @@ mod tests {
         assert_eq!(rep.discarded_bytes, 0);
         assert_eq!(rep.good_len, w.bytes_written());
         assert_eq!(got[0].0, t("/n0/power"));
-        assert_eq!(got[0].1, vec![r(1, 1), r(2, 2)]);
-        assert_eq!(got[1].1, vec![r(-7, 3)]);
+        assert_eq!(got[0].1, b(&[r(1, 1), r(2, 2)]));
+        assert_eq!(got[1].1, b(&[r(-7, 3)]));
         std::fs::remove_file(&path).ok();
     }
 
@@ -688,9 +665,9 @@ mod tests {
     fn torn_tail_is_tolerated_and_prefix_recovered() {
         let path = temp_wal("torn");
         let mut w = WalWriter::create(&path, FsyncPolicy::Never).unwrap();
-        w.append(&t("/a/b"), &[r(1, 1)]).unwrap();
+        w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
         let good = w.bytes_written();
-        w.append(&t("/a/b"), &[r(2, 2), r(3, 3)]).unwrap();
+        w.append_batch(&t("/a/b"), &b(&[r(2, 2), r(3, 3)])).unwrap();
         drop(w);
         // Crash mid-append: cut the last record in half.
         let full = std::fs::metadata(&path).unwrap().len();
@@ -702,15 +679,15 @@ mod tests {
         assert_eq!(rep.batches, 1);
         assert_eq!(rep.good_len, good);
         assert_eq!(rep.discarded_bytes, (full - good) / 2);
-        assert_eq!(got[0].1, vec![r(1, 1)]);
+        assert_eq!(got[0].1, b(&[r(1, 1)]));
         // Reopening at good_len drops the tail; appends continue cleanly.
         let mut w = WalWriter::open_append(&path, FsyncPolicy::Never, rep.good_len).unwrap();
-        w.append(&t("/a/b"), &[r(4, 4)]).unwrap();
+        w.append_batch(&t("/a/b"), &b(&[r(4, 4)])).unwrap();
         w.sync().unwrap();
         let (got, rep) = collect_replay(&path);
         assert!(!rep.torn_tail);
         assert_eq!(rep.batches, 2);
-        assert_eq!(got[1].1, vec![r(4, 4)]);
+        assert_eq!(got[1].1, b(&[r(4, 4)]));
         std::fs::remove_file(&path).ok();
     }
 
@@ -718,10 +695,10 @@ mod tests {
     fn corrupt_record_stops_replay() {
         let path = temp_wal("corrupt");
         let mut w = WalWriter::create(&path, FsyncPolicy::Never).unwrap();
-        w.append(&t("/a/b"), &[r(1, 1)]).unwrap();
+        w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
         let good = w.bytes_written();
-        w.append(&t("/a/b"), &[r(2, 2)]).unwrap();
-        w.append(&t("/a/b"), &[r(3, 3)]).unwrap();
+        w.append_batch(&t("/a/b"), &b(&[r(2, 2)])).unwrap();
+        w.append_batch(&t("/a/b"), &b(&[r(3, 3)])).unwrap();
         drop(w);
         // Flip one byte inside the second record's payload.
         let mut data = std::fs::read(&path).unwrap();
@@ -778,38 +755,85 @@ mod tests {
         assert!(w.is_err());
         io.clear_faults();
         let mut w = WalWriter::create_with(&io, &path, FsyncPolicy::Never).unwrap();
-        w.append(&t("/a/b"), &[r(1, 1)]).unwrap();
+        w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
         io.set_config(cfg);
         assert!(w.sync().is_err());
         assert!(w.poisoned());
         // Every further op refuses — no silent success after failed fsync.
         io.clear_faults();
-        assert!(w.append(&t("/a/b"), &[r(2, 2)]).is_err());
+        assert!(w.append_batch(&t("/a/b"), &b(&[r(2, 2)])).is_err());
         assert!(w.sync().is_err());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn columnar_and_row_records_interleave_in_replay() {
+    fn empty_and_multi_reading_batches_replay_in_order() {
         let path = temp_wal("columnar");
         let mut w = WalWriter::create(&path, FsyncPolicy::Never).unwrap();
-        let batch = ReadingBatch::from_readings(&[r(10, 1), r(20, 2), r(30, 3)]);
-        w.append(&t("/n0/power"), &[r(1, 1)]).unwrap();
+        let batch = b(&[r(10, 1), r(20, 2), r(30, 3)]);
         w.append_batch(&t("/n1/temp"), &batch).unwrap();
         w.append_batch(&t("/n2/flow"), &ReadingBatch::new())
             .unwrap();
-        w.append(&t("/n0/power"), &[r(2, 2)]).unwrap();
+        w.append_batch(&t("/n0/power"), &b(&[r(2, 2)])).unwrap();
         w.sync().unwrap();
         let (got, rep) = collect_replay(&path);
-        assert_eq!(rep.batches, 4);
-        assert_eq!(rep.readings, 5);
+        assert_eq!(rep.batches, 3);
+        assert_eq!(rep.readings, 4);
         assert!(!rep.torn_tail);
         assert_eq!(rep.good_len, w.bytes_written());
-        assert_eq!(got[1].0, t("/n1/temp"));
-        assert_eq!(got[1].1, batch.to_readings());
-        assert!(got[2].1.is_empty());
-        assert_eq!(got[3].1, vec![r(2, 2)]);
+        assert_eq!(got[0], (t("/n1/temp"), batch));
+        assert!(got[1].1.is_empty());
+        assert_eq!(got[2].1, b(&[r(2, 2)]));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn row_kind_record_stops_replay_like_a_torn_tail() {
+        // A CRC-valid record in the retired row-major layout (count bit
+        // 31 clear, interleaved value/ts pairs) is not replayed: the
+        // columnar prefix before it is kept, everything from it on is
+        // discarded.
+        let path = temp_wal("row-kind");
+        let mut w = WalWriter::create(&path, FsyncPolicy::Never).unwrap();
+        w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
+        let good = w.bytes_written();
+        drop(w);
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&4u16.to_le_bytes());
+        payload.extend_from_slice(b"/a/b");
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&2i64.to_le_bytes());
+        payload.extend_from_slice(&2_000_000_000u64.to_le_bytes());
+        let mut record = Vec::new();
+        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        record.extend_from_slice(&crc32(&payload).to_le_bytes());
+        record.extend_from_slice(&payload);
+        let mut data = std::fs::read(&path).unwrap();
+        data.extend_from_slice(&record);
+        std::fs::write(&path, &data).unwrap();
+        let mut w = WalWriter::open_append(&path, FsyncPolicy::Never, data.len() as u64).unwrap();
+        w.append_batch(&t("/a/b"), &b(&[r(3, 3)])).unwrap();
+        drop(w);
+        let (got, rep) = collect_replay(&path);
+        assert!(rep.torn_tail);
+        assert_eq!(rep.batches, 1);
+        assert_eq!(rep.good_len, good);
+        assert!(rep.discarded_bytes > record.len() as u64);
+        assert_eq!(got, vec![(t("/a/b"), b(&[r(1, 1)]))]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn append_refuses_what_replay_would_discard() {
+        // The writer's size check is the reader's: the largest record
+        // replay accepts is the largest append journals.
+        let fits = (MAX_PAYLOAD as usize - (2 + 4 + 4)) / 16;
+        assert_eq!(payload_len(4, fits), Some(2 + 4 + 4 + fits * 16));
+        assert!(payload_len(4, fits).unwrap() <= MAX_PAYLOAD as usize);
+        assert_eq!(payload_len(4, fits + 1), None);
+        assert_eq!(payload_len(4, (1 << 31) - 1), None, "old writer bound");
+        assert_eq!(payload_len(4, usize::MAX / 8), None, "no overflow");
+        assert_eq!(payload_len(0, 0), Some(6));
     }
 
     #[test]
@@ -824,28 +848,7 @@ mod tests {
         w.sync().unwrap();
         let (got, rep) = collect_replay(&path);
         assert_eq!(rep.readings, 3);
-        assert_eq!(ReadingBatch::from_readings(&got[0].1), batch);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn corrupt_columnar_record_stops_replay() {
-        let path = temp_wal("columnar-corrupt");
-        let mut w = WalWriter::create(&path, FsyncPolicy::Never).unwrap();
-        w.append_batch(&t("/a/b"), &ReadingBatch::from_readings(&[r(1, 1)]))
-            .unwrap();
-        let good = w.bytes_written();
-        w.append_batch(&t("/a/b"), &ReadingBatch::from_readings(&[r(2, 2)]))
-            .unwrap();
-        drop(w);
-        let mut data = std::fs::read(&path).unwrap();
-        let flip = good as usize + 12;
-        data[flip] ^= 0xFF;
-        std::fs::write(&path, &data).unwrap();
-        let (got, rep) = collect_replay(&path);
-        assert!(rep.torn_tail);
-        assert_eq!(rep.batches, 1);
-        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].1, batch);
         std::fs::remove_file(&path).ok();
     }
 
@@ -871,8 +874,8 @@ mod tests {
         assert_eq!(rep.readings, 200);
         assert!(!rep.torn_tail);
         assert_eq!(
-            got[99].1[1],
-            SensorReading::new(100, Timestamp(99 * 1_000 + 500))
+            got[99].1.get(1),
+            Some(SensorReading::new(100, Timestamp(99 * 1_000 + 500)))
         );
         std::fs::remove_file(&path).ok();
     }
@@ -884,12 +887,12 @@ mod tests {
         let path = temp_wal("everyn-fault");
         let io = FaultIo::std(FaultConfig::quiet(23));
         let mut w = WalWriter::create_with(&io, &path, FsyncPolicy::EveryN(2)).unwrap();
-        w.append(&t("/a/b"), &[r(1, 1)]).unwrap();
+        w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
         let mut cfg = FaultConfig::quiet(23);
         cfg.fsync_fail_prob = 1.0;
         io.set_config(cfg);
         // Second append crosses the EveryN threshold → in-line sync fails.
-        assert!(w.append(&t("/a/b"), &[r(2, 2)]).is_err());
+        assert!(w.append_batch(&t("/a/b"), &b(&[r(2, 2)])).is_err());
         assert!(w.poisoned());
         std::fs::remove_file(&path).ok();
     }
@@ -899,22 +902,22 @@ mod tests {
         let path = temp_wal("rollback");
         let io = FaultIo::std(FaultConfig::quiet(17));
         let mut w = WalWriter::create_with(&io, &path, FsyncPolicy::Never).unwrap();
-        w.append(&t("/a/b"), &[r(1, 1)]).unwrap();
+        w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
         let good = w.bytes_written();
         let mut cfg = FaultConfig::quiet(17);
         cfg.torn_write_prob = 1.0;
         io.set_config(cfg);
-        assert!(w.append(&t("/a/b"), &[r(2, 2)]).is_err());
+        assert!(w.append_batch(&t("/a/b"), &b(&[r(2, 2)])).is_err());
         assert!(!w.poisoned(), "rollback succeeded, writer stays usable");
         io.clear_faults();
         // Retry lands cleanly right after the rolled-back prefix.
-        w.append(&t("/a/b"), &[r(2, 2)]).unwrap();
+        w.append_batch(&t("/a/b"), &b(&[r(2, 2)])).unwrap();
         w.sync().unwrap();
         drop(w);
         let (got, rep) = collect_replay(&path);
         assert!(!rep.torn_tail, "no garbage between records");
         assert_eq!(rep.batches, 2);
-        assert_eq!(got[1].1, vec![r(2, 2)]);
+        assert_eq!(got[1].1, b(&[r(2, 2)]));
         assert!(rep.good_len > good);
         std::fs::remove_file(&path).ok();
     }

@@ -17,7 +17,9 @@
 //!
 //! Results land in `bench-results/bus_saturation.json`.
 
-use dcdb_bus::{decode_readings, Broker, BusConfig, OverflowPolicy, SubscribeOptions, TopicFilter};
+use dcdb_bus::{
+    decode_batch, Broker, BusConfig, MessageBus, OverflowPolicy, SubscribeOptions, TopicFilter,
+};
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
@@ -160,8 +162,7 @@ fn run_cell(config: &BusSaturationConfig, policy: OverflowPolicy, factor: u64) -
                 for _ in 0..drain_per_tick {
                     match sub.try_recv() {
                         Ok(Some(msg)) => {
-                            for r in decode_readings(msg.payload).expect("decode") {
-                                let ts = r.ts.as_nanos();
+                            for ts in decode_batch(msg.payload).expect("decode").ts {
                                 if ts <= last_ts {
                                     ordered = false;
                                 }

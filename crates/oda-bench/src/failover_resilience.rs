@@ -27,7 +27,7 @@
 //! the ring, queries stay accounted with exactly one shard down, and
 //! nothing acked on the surviving shards is lost or duplicated.
 
-use dcdb_bus::{encode_reading, Broker, ChaosBus, ChaosConfig, MessageBus};
+use dcdb_bus::{Broker, ChaosBus, ChaosConfig, MessageBus};
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
@@ -272,7 +272,7 @@ fn run_replicated(config: &FailoverResilienceConfig, dir: &Path) -> FailoverCell
             if node == flaky_node {
                 chaos.advance(Timestamp::from_millis(vns / 1_000_000));
                 if chaos
-                    .publish(topic_of(&topology, node), encode_reading(reading))
+                    .publish_readings(topic_of(&topology, node), &[reading])
                     .is_err()
                 {
                     collector_skips += 1;

@@ -3,9 +3,9 @@
 //! One module per figure of the paper's §VI, plus shared reporting
 //! helpers. Each module exposes a `run`-style function returning a
 //! serializable result; the `src/bin/` binaries print the same rows and
-//! series the paper's figures show and write the raw data as JSON; the
-//! `benches/` directory holds the criterion microbenchmarks and
-//! ablation studies.
+//! series the paper's figures show and write the raw data as JSON.
+//! Pipeline cost per layer is measured by the separate `pipeline-bench`
+//! package, not here.
 //!
 //! | Module | Paper artifact |
 //! |---|---|

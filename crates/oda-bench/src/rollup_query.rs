@@ -16,7 +16,7 @@ use dcdb_common::batch::ReadingBatch;
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::{Timestamp, NS_PER_SEC};
 use dcdb_common::topic::Topic;
-use dcdb_storage::{DurableBackend, DurableConfig, FsyncPolicy};
+use dcdb_storage::{DurableBackend, DurableConfig, FsyncPolicy, StorageEngine};
 use serde::Serialize;
 use std::path::Path;
 use std::sync::Arc;

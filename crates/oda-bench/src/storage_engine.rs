@@ -19,7 +19,7 @@
 use dcdb_common::batch::ReadingBatch;
 use dcdb_common::time::{Timestamp, NS_PER_SEC};
 use dcdb_common::topic::Topic;
-use dcdb_storage::{DurableBackend, DurableConfig, FsyncPolicy, StorageBackend};
+use dcdb_storage::{DurableBackend, DurableConfig, FsyncPolicy, StorageBackend, StorageEngine};
 use serde::Serialize;
 use std::path::Path;
 use std::time::Instant;

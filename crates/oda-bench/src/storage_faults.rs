@@ -24,6 +24,7 @@
 //! bit-for-bit reproducible. Results land in
 //! `bench-results/storage_faults.json`.
 
+use dcdb_common::batch::ReadingBatch;
 use dcdb_common::reading::SensorReading;
 use dcdb_common::sim::derive_seed;
 use dcdb_common::time::Timestamp;
@@ -279,17 +280,17 @@ fn run_cell(
         let now = Timestamp::from_millis(now_ms);
         io.advance(now);
         for (i, topic) in topics.iter().enumerate() {
-            let batch: Vec<SensorReading> = (0..config.batch)
+            let batch: ReadingBatch = (0..config.batch)
                 .map(|j| {
                     let ts = now_ms * 1_000_000 + i as u64 * 1000 + j as u64;
                     SensorReading::new((tick * 100 + j as u64) as i64, Timestamp(ts))
                 })
                 .collect();
             ingested += batch.len() as u64;
-            match db.insert_batch_acked(topic, &batch) {
+            match db.insert_columns_acked(topic, &batch) {
                 Ok(InsertAck::Durable) => {
                     acked_durable += batch.len() as u64;
-                    acked[i].extend(batch.iter().map(|r| r.ts.as_nanos()));
+                    acked[i].extend(&batch.ts);
                 }
                 Ok(InsertAck::Buffered) => acked_buffered += batch.len() as u64,
                 Err(_) => shed += batch.len() as u64,

@@ -240,27 +240,9 @@ impl QueryEngine {
         }
     }
 
-    /// Batch insert under a single cache lock.
-    pub fn insert_batch(&self, topic: &Topic, readings: &[SensorReading]) {
-        self.inserts
-            .fetch_add(readings.len() as u64, Ordering::Relaxed);
-        let cache = self.cache_for(topic);
-        {
-            let mut guard = cache.write();
-            for &r in readings {
-                guard.push(r);
-            }
-        }
-        if let Some(storage) = &self.storage {
-            if storage.insert_batch(topic, readings).is_err() {
-                self.storage_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Columnar batch insert: the per-sensor ring buffer takes readings
-    /// row by row, but the packed columns flow to the storage engine
-    /// without a transpose.
+    /// Columnar batch insert under a single cache lock: the per-sensor
+    /// ring buffer takes readings row by row, but the packed columns
+    /// flow to the storage engine without a transpose.
     pub fn insert_columns(&self, topic: &Topic, batch: &ReadingBatch) {
         self.inserts
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
@@ -785,16 +767,12 @@ mod tests {
         frame_end_s: u64,
     }
     impl StorageEngine for PartialRollupStore {
-        fn insert(&self, topic: &Topic, r: SensorReading) -> dcdb_common::error::Result<()> {
-            self.inner.insert(topic, r);
-            Ok(())
-        }
-        fn insert_batch(
+        fn insert_columns(
             &self,
             topic: &Topic,
-            readings: &[SensorReading],
+            batch: &ReadingBatch,
         ) -> dcdb_common::error::Result<()> {
-            self.inner.insert_batch(topic, readings);
+            self.inner.insert_columns(topic, batch);
             Ok(())
         }
         fn query(&self, topic: &Topic, t0: Timestamp, t1: Timestamp) -> Vec<SensorReading> {
@@ -967,9 +945,9 @@ mod tests {
     #[test]
     fn relative_falls_back_to_storage_when_cache_empty() {
         let storage = Arc::new(StorageBackend::new());
-        storage.insert_batch(
+        storage.insert_columns(
             &t("/cold/sensor"),
-            &(1..=20u64).map(|i| r(i as i64, i)).collect::<Vec<_>>(),
+            &(1..=20u64).map(|i| r(i as i64, i)).collect(),
         );
         let qe = QueryEngine::with_storage(8, storage);
         let got = qe.query(
@@ -984,10 +962,10 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_matches_individual() {
+    fn insert_columns_matches_individual() {
         let qe = QueryEngine::new(32);
         let batch: Vec<SensorReading> = (1..=10u64).map(|i| r(i as i64, i)).collect();
-        qe.insert_batch(&t("/b/s"), &batch);
+        qe.insert_columns(&t("/b/s"), &ReadingBatch::from_readings(&batch));
         let got = qe.query(
             &t("/b/s"),
             QueryMode::Absolute {

@@ -10,7 +10,7 @@
 //! cargo run --example rest_control
 //! ```
 
-use dcdb_bus::Broker;
+use dcdb_bus::{Broker, MessageBus};
 use dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;

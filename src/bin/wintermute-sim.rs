@@ -13,7 +13,6 @@
 //!     [--scenario NAME --seed S [--sim-scale tiny|small|large]] [--list-scenarios]
 //!     [--agents N] [--vnodes N] [--replicas 1|2] [--shard-timeout-ms N]
 //!     [--data-dir DIR] [--fsync always|batch|never] [--retention-secs N]
-//!     [--snapshot-path FILE] [--snapshot-secs N]
 //!     [--router-depth N] [--sub-depth N] [--overflow block|drop-newest|drop-oldest]
 //!     [--ingest-budget N] [--quarantine-threshold N]
 //!     [--chaos-seed N] [--outage-ms N] [--drop-prob P]
@@ -49,8 +48,8 @@
 //! per-shard state, and `GET /federation` shows the live shard map.
 //! `--shard-timeout-ms` caps how long the router waits on any one
 //! shard. In durable mode each shard journals under its own
-//! subdirectory of `--data-dir`. The chaos, snapshot, and storage
-//! I/O-fault knobs apply to single-agent runs only and are ignored
+//! subdirectory of `--data-dir`. The chaos and storage I/O-fault
+//! knobs apply to single-agent runs only and are ignored
 //! (with a warning) when `--agents` > 1 — the `oda-bench
 //! federation_scaling --smoke` harness is the chaos driver for the
 //! federated tier.
@@ -94,7 +93,7 @@
 //! `GET /health` (503 once read-only) and under `storage.health` in
 //! `GET /metrics`.
 //!
-//! Persistence modes:
+//! Persistence:
 //!
 //! * `--data-dir DIR` — durable mode: storage becomes a
 //!   [`DurableBackend`] journaling every reading to a WAL before it is
@@ -103,9 +102,6 @@
 //!   recovers every acked insert (a recovery report is printed).
 //!   `--fsync` picks the WAL sync policy, and `--retention-secs`
 //!   bounds how much history is kept on disk.
-//! * `--snapshot-path FILE` — volatile storage with periodic full
-//!   snapshots every `--snapshot-secs` (default 30) and on shutdown;
-//!   the snapshot is restored on the next start (single-agent only).
 
 use dcdb_wintermute::dcdb_bus::{
     Broker, BusConfig, ChaosBus, ChaosConfig, MessageBus, OverflowPolicy,
@@ -232,8 +228,6 @@ fn main() {
     };
     let federated = agents_n > 1;
     let data_dir = arg_str("--data-dir").map(PathBuf::from);
-    let snapshot_path = arg_str("--snapshot-path").map(PathBuf::from);
-    let snapshot_secs = arg("--snapshot-secs", 30).max(1);
     let fault_policy = FaultPolicy {
         quarantine_threshold: arg(
             "--quarantine-threshold",
@@ -272,9 +266,6 @@ fn main() {
              ignoring (use oda-bench federation_scaling --smoke for federated chaos)"
         );
     }
-    if federated && snapshot_path.is_some() {
-        eprintln!("--snapshot-path applies to --agents 1 only; ignoring");
-    }
 
     // Durable-engine knobs, shared by both tiers.
     let fsync = FsyncPolicy::parse(&arg_str("--fsync").unwrap_or("batch".into()))
@@ -289,7 +280,6 @@ fn main() {
 
     let jobs: Arc<dyn JobDataSource> = Arc::new(SimJobSource::new(Arc::clone(&sim)));
     let mut chaos: Option<ChaosBus> = None;
-    let mut volatile: Option<Arc<StorageBackend>> = None;
     let mut broker: Option<Broker> = None;
 
     let (tier, pusher_bus): (Tier, Arc<dyn MessageBus>) = if federated {
@@ -422,7 +412,7 @@ fn main() {
             None => Arc::new(b.handle()),
         };
 
-        // --- The storage tier: durable, snapshotting, or plain volatile. ---
+        // --- The storage tier: durable or plain volatile. ---
         let storage: Arc<dyn StorageEngine> = match &data_dir {
             Some(dir) => {
                 // Optional seeded storage I/O fault injection: wrap the
@@ -488,21 +478,7 @@ fn main() {
                 );
                 db
             }
-            None => {
-                let db = Arc::new(StorageBackend::new());
-                if let Some(path) = &snapshot_path {
-                    match db.restore_from(path) {
-                        Ok(restored) => println!(
-                            "restored {restored} readings from snapshot {}",
-                            path.display()
-                        ),
-                        Err(e) if path.exists() => eprintln!("snapshot restore failed: {e}"),
-                        Err(_) => {} // first run: nothing to restore yet
-                    }
-                }
-                volatile = Some(Arc::clone(&db));
-                db
-            }
+            None => Arc::new(StorageBackend::new()),
         };
 
         // --- The Collect Agent: storage + job analytics + health. ---
@@ -604,7 +580,6 @@ fn main() {
     // --- Drive everything on the wall clock. ---
     let start = std::time::Instant::now();
     let mut last_status = 0u64;
-    let mut last_snapshot = 0u64;
     while start.elapsed().as_secs() < duration_s {
         let now = Timestamp::now();
         if let Some(chaos) = &chaos {
@@ -628,16 +603,6 @@ fn main() {
         }
 
         let elapsed = start.elapsed().as_secs();
-        // Periodic full snapshots in volatile + snapshot mode.
-        if let (Some(db), Some(path)) = (&volatile, &snapshot_path) {
-            if elapsed >= last_snapshot + snapshot_secs {
-                last_snapshot = elapsed;
-                match db.snapshot_to(path) {
-                    Ok(()) => println!("[{elapsed:>3}s] snapshot written to {}", path.display()),
-                    Err(e) => eprintln!("snapshot failed: {e}"),
-                }
-            }
-        }
         if elapsed > last_status && elapsed.is_multiple_of(5) {
             last_status = elapsed;
             let jobs_running = sim.lock().scheduler().running_at(now).len();
@@ -808,12 +773,6 @@ fn main() {
             if data_dir.is_some() {
                 println!("\nflushed durable storage on every shard");
             }
-        }
-    }
-    if let (Some(db), Some(path)) = (&volatile, &snapshot_path) {
-        match db.snapshot_to(path) {
-            Ok(()) => println!("\nfinal snapshot written to {}", path.display()),
-            Err(e) => eprintln!("final snapshot failed: {e}"),
         }
     }
 

@@ -85,11 +85,11 @@ fn spool_drains_oldest_first_with_no_duplicates() {
     // nothing lost, nothing duplicated, nothing reordered.
     let mut per_topic: HashMap<String, Vec<i64>> = HashMap::new();
     for msg in sub.drain() {
-        let readings = dcdb_wintermute::dcdb_bus::decode_readings(msg.payload).unwrap();
+        let batch = dcdb_wintermute::dcdb_bus::decode_batch(msg.payload).unwrap();
         per_topic
             .entry(msg.topic.as_str().to_string())
             .or_default()
-            .extend(readings.iter().map(|r| r.value));
+            .extend(batch.values);
     }
     assert_eq!(per_topic.len(), 4);
     let expect: Vec<i64> = (1..=ticks as i64).collect();
@@ -145,7 +145,7 @@ fn accounting_identity_holds_over_seeded_chaos_schedules() {
                 .drain()
                 .iter()
                 .map(|m| {
-                    dcdb_wintermute::dcdb_bus::decode_readings(m.payload.clone())
+                    dcdb_wintermute::dcdb_bus::decode_batch(m.payload.clone())
                         .unwrap()
                         .len() as u64
                 })

@@ -3,10 +3,12 @@
 //! sequences, and merged memtable+segment queries matching the pure
 //! in-memory backend reading for reading.
 
-use dcdb_wintermute::dcdb_common::{SensorReading, Timestamp, Topic};
+use dcdb_wintermute::dcdb_common::{ReadingBatch, SensorReading, Timestamp, Topic};
 use dcdb_wintermute::dcdb_storage::compress::{compress_block, decompress_block};
 use dcdb_wintermute::dcdb_storage::wal::{replay, WalWriter};
-use dcdb_wintermute::dcdb_storage::{DurableBackend, DurableConfig, FsyncPolicy, StorageBackend};
+use dcdb_wintermute::dcdb_storage::{
+    DurableBackend, DurableConfig, FsyncPolicy, StorageBackend, StorageEngine,
+};
 use std::path::PathBuf;
 
 fn t(s: &str) -> Topic {
@@ -40,9 +42,12 @@ fn wal_replay_stops_cleanly_at_torn_tail() {
     {
         let mut w = WalWriter::create(&path, FsyncPolicy::Never).unwrap();
         for i in 1..=40u64 {
-            w.append(
+            w.append_batch(
                 &t("/n0/power"),
-                &[SensorReading::new(i as i64, Timestamp::from_secs(i))],
+                &ReadingBatch::from_columns(
+                    vec![Timestamp::from_secs(i).as_nanos()],
+                    vec![i as i64],
+                ),
             )
             .unwrap();
         }
@@ -54,17 +59,13 @@ fn wal_replay_stops_cleanly_at_torn_tail() {
     let full = std::fs::read(&path).unwrap();
     for cut in [1usize, 3, 7, 12, 21] {
         std::fs::write(&path, &full[..full.len() - cut]).unwrap();
-        let mut readings = Vec::new();
-        let rep = replay(&path, |_, batch| readings.extend(batch)).unwrap();
+        let mut values = Vec::new();
+        let rep = replay(&path, |_, batch| values.extend(batch.values)).unwrap();
         assert!(rep.torn_tail, "cut {cut} not flagged");
         assert!(rep.readings < 40, "cut {cut} delivered everything");
         // Complete-record prefix: values are exactly 1..=rep.readings.
         let expected: Vec<i64> = (1..=rep.readings as i64).collect();
-        assert_eq!(
-            readings.iter().map(|r| r.value).collect::<Vec<_>>(),
-            expected,
-            "cut {cut}"
-        );
+        assert_eq!(values, expected, "cut {cut}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -114,7 +115,7 @@ fn merged_queries_match_pure_in_memory_backend() {
     for _ in 0..400 {
         let topic = &topics[(rng.next() % topics.len() as u64) as usize];
         let len = 1 + (rng.next() % 8) as usize;
-        let batch: Vec<SensorReading> = (0..len)
+        let batch: ReadingBatch = (0..len)
             .map(|_| {
                 SensorReading::new(
                     rng.next() as i64 % 1_000_000,
@@ -124,8 +125,8 @@ fn merged_queries_match_pure_in_memory_backend() {
                 )
             })
             .collect();
-        durable.insert_batch(topic, &batch).unwrap();
-        reference.insert_batch(topic, &batch);
+        durable.insert_columns(topic, &batch).unwrap();
+        reference.insert_columns(topic, &batch);
     }
 
     // Compaction must not change query results either.
@@ -183,9 +184,12 @@ fn recovery_preserves_merge_equivalence() {
         let mut rng = Rng(0xBADC_0DE5_2026_0001);
         for i in 0..350u64 {
             let topic = t(&format!("/n{}/s", i % 4));
-            let r = SensorReading::new(rng.next() as i64, Timestamp::from_secs(i));
-            durable.insert(&topic, r).unwrap();
-            reference.insert(&topic, r);
+            let batch = ReadingBatch::from_columns(
+                vec![Timestamp::from_secs(i).as_nanos()],
+                vec![rng.next() as i64],
+            );
+            durable.insert_columns(&topic, &batch).unwrap();
+            reference.insert_columns(&topic, &batch);
         }
         // No flush — recovery has to stitch segments + WAL tail.
         std::mem::forget(durable);

@@ -4,13 +4,13 @@
 //! bus, operators failing mid-tick, subscribers vanishing, and plugins
 //! being reconfigured against a sensor space that shrank.
 
-use dcdb_wintermute::dcdb_bus::Broker;
+use dcdb_wintermute::dcdb_bus::{Broker, MessageBus};
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_wintermute::dcdb_common::error::Result as DcdbResult;
-use dcdb_wintermute::dcdb_common::{SensorReading, Timestamp, Topic};
+use dcdb_wintermute::dcdb_common::{ReadingBatch, SensorReading, Timestamp, Topic};
 use dcdb_wintermute::dcdb_storage::{
     DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, HealthConfig, StorageBackend,
-    StorageIo,
+    StorageEngine, StorageIo,
 };
 use dcdb_wintermute::wintermute::prelude::*;
 use dcdb_wintermute::wintermute_plugins;
@@ -344,20 +344,16 @@ fn torn_write_crash_points_recover_prefix_consistent() {
         let mut refused = 0u64;
         for batch_no in 0..40u64 {
             for (i, topic) in topics.iter().enumerate() {
-                let batch: Vec<SensorReading> = (0..3)
+                let batch: ReadingBatch = (0..3)
                     .map(|j| {
                         let ts = (batch_no * 10 + j + 1) * 1_000_000_000 + i as u64;
                         SensorReading::new((batch_no * 10 + j) as i64, Timestamp(ts))
                     })
                     .collect();
                 use dcdb_wintermute::dcdb_storage::InsertAck;
-                match db.insert_batch_acked(topic, &batch) {
-                    Ok(InsertAck::Durable) => {
-                        durable[i].extend(batch.iter().map(|r| r.ts.as_nanos()))
-                    }
-                    Ok(InsertAck::Buffered) => {
-                        buffered[i].extend(batch.iter().map(|r| r.ts.as_nanos()))
-                    }
+                match db.insert_columns_acked(topic, &batch) {
+                    Ok(InsertAck::Durable) => durable[i].extend(&batch.ts),
+                    Ok(InsertAck::Buffered) => buffered[i].extend(&batch.ts),
                     Err(_) => refused += 1,
                 }
             }

@@ -7,7 +7,7 @@
 //! `runs == successes + errors + panics + overruns + quarantined_skips`
 //! holding exactly.
 
-use dcdb_wintermute::dcdb_bus::Broker;
+use dcdb_wintermute::dcdb_bus::{Broker, MessageBus};
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_wintermute::dcdb_common::error::Result as DcdbResult;
 use dcdb_wintermute::dcdb_common::{SensorReading, Timestamp, Topic};

@@ -11,8 +11,8 @@
 //! * unit resolution binds only hierarchically-related, existing
 //!   sensors.
 
-use dcdb_wintermute::dcdb_bus::{decode_readings, encode_readings, Broker, TopicFilter};
-use dcdb_wintermute::dcdb_common::{SensorCache, SensorReading, Timestamp, Topic};
+use dcdb_wintermute::dcdb_bus::{decode_batch, encode_batch, Broker, MessageBus, TopicFilter};
+use dcdb_wintermute::dcdb_common::{ReadingBatch, SensorCache, SensorReading, Timestamp, Topic};
 use dcdb_wintermute::dcdb_storage::StorageBackend;
 use dcdb_wintermute::oda_ml::stats::deciles;
 use dcdb_wintermute::wintermute::prelude::*;
@@ -91,9 +91,10 @@ proptest! {
 
     #[test]
     fn frame_codec_round_trips(readings in reading_sequence(100)) {
-        let frame = encode_readings(&readings);
-        let back = decode_readings(frame).unwrap();
-        prop_assert_eq!(back, readings);
+        let batch = ReadingBatch::from_readings(&readings);
+        let back = decode_batch(encode_batch(&batch)).unwrap();
+        prop_assert_eq!(&back, &batch);
+        prop_assert_eq!(back.to_readings(), readings);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! paper's management workflow (§V-A) and on-demand operator mode
 //! (§IV-B b) driven exactly as an external tool would.
 
-use dcdb_wintermute::dcdb_bus::Broker;
+use dcdb_wintermute::dcdb_bus::{Broker, MessageBus};
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_wintermute::dcdb_common::{SensorReading, Timestamp, Topic};
 use dcdb_wintermute::dcdb_rest::{http_request, Method, RestServer, Router};
