@@ -759,8 +759,9 @@ pub fn agg_series_json(topic: &Topic, func: AggFunc, series: &AggSeries) -> serd
 
 /// Parses an optional `?name=<seconds>` query parameter. `Ok(None)`
 /// when absent; a `400 Bad Request` response when present but not a
-/// valid integer.
-fn parse_ts_param(
+/// valid integer. Shared with the federation router, whose REST surface
+/// takes the same parameters.
+pub fn parse_ts_param(
     req: &dcdb_rest::Request,
     name: &str,
 ) -> std::result::Result<Option<Timestamp>, Response> {

@@ -4,8 +4,8 @@
 //! the DCDB monitoring framework the Wintermute paper extends
 //! (Netti et al., *DCDB Wintermute*, HPDC 2020):
 //!
-//! * [`time`] — nanosecond [`Timestamp`](time::Timestamp)s and a
-//!   deterministic [`VirtualClock`](time::VirtualClock) for simulation;
+//! * [`time`] — nanosecond [`Timestamp`](time::Timestamp)s (the one
+//!   virtual clock for simulation is [`sim::SimClock`]);
 //! * [`reading`] — [`SensorReading`](reading::SensorReading)s (value +
 //!   timestamp) and single-pass aggregate statistics;
 //! * [`batch`] — columnar [`ReadingBatch`](batch::ReadingBatch)es, the
@@ -43,5 +43,5 @@ pub use error::{DcdbError, Result};
 pub use reading::{decode_f64, encode_f64, ReadingStats, SensorReading, FIXED_POINT_SCALE};
 pub use regex::Regex;
 pub use sim::{derive_seed, EventTrace, SimClock, SimScheduler};
-pub use time::{Timestamp, VirtualClock, NS_PER_MS, NS_PER_SEC, NS_PER_US};
+pub use time::{Timestamp, NS_PER_MS, NS_PER_SEC, NS_PER_US};
 pub use topic::Topic;

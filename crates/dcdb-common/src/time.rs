@@ -118,55 +118,6 @@ impl fmt::Display for Timestamp {
     }
 }
 
-/// A monotonically increasing virtual clock for simulation and testing.
-///
-/// The production Pusher and Collect Agent sample on wall-clock time; the
-/// simulator and tests instead advance a `VirtualClock` deterministically
-/// so every experiment is reproducible. Components accept any
-/// `Fn() -> Timestamp` time source, so both interoperate.
-#[derive(Debug)]
-pub struct VirtualClock {
-    now: std::sync::atomic::AtomicU64,
-}
-
-impl VirtualClock {
-    /// Creates a clock starting at `start`.
-    pub fn new(start: Timestamp) -> Self {
-        VirtualClock {
-            now: std::sync::atomic::AtomicU64::new(start.0),
-        }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> Timestamp {
-        Timestamp(self.now.load(std::sync::atomic::Ordering::Acquire))
-    }
-
-    /// Advances the clock by `ns` nanoseconds and returns the new time.
-    pub fn advance(&self, ns: u64) -> Timestamp {
-        let new = self.now.fetch_add(ns, std::sync::atomic::Ordering::AcqRel) + ns;
-        Timestamp(new)
-    }
-
-    /// Sets the clock to an absolute time. Panics if time would go
-    /// backwards, which would violate the monotonicity every cache
-    /// assumes.
-    pub fn set(&self, t: Timestamp) {
-        let prev = self.now.swap(t.0, std::sync::atomic::Ordering::AcqRel);
-        assert!(
-            prev <= t.0,
-            "VirtualClock moved backwards: {prev} -> {}",
-            t.0
-        );
-    }
-}
-
-impl Default for VirtualClock {
-    fn default() -> Self {
-        VirtualClock::new(Timestamp::ZERO)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,23 +161,5 @@ mod tests {
     fn display_formats_fraction() {
         let t = Timestamp(1_500_000_000);
         assert_eq!(t.to_string(), "1.500000000");
-    }
-
-    #[test]
-    fn virtual_clock_advances() {
-        let c = VirtualClock::new(Timestamp::from_secs(5));
-        assert_eq!(c.now(), Timestamp::from_secs(5));
-        let t = c.advance(NS_PER_SEC);
-        assert_eq!(t, Timestamp::from_secs(6));
-        assert_eq!(c.now(), Timestamp::from_secs(6));
-        c.set(Timestamp::from_secs(10));
-        assert_eq!(c.now(), Timestamp::from_secs(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "moved backwards")]
-    fn virtual_clock_rejects_time_travel() {
-        let c = VirtualClock::new(Timestamp::from_secs(5));
-        c.set(Timestamp::from_secs(4));
     }
 }

@@ -40,7 +40,7 @@
 
 use crate::agent::{FederatedAgent, Shard};
 use crate::ring::ShardMap;
-use dcdb_collectagent::{agg_series_json, parse_agg_query, AggQueryParams};
+use dcdb_collectagent::{agg_series_json, parse_agg_query, parse_ts_param, AggQueryParams};
 use dcdb_common::reading::SensorReading;
 use dcdb_common::sim::{EventTrace, SimClock};
 use dcdb_common::time::Timestamp;
@@ -842,23 +842,6 @@ pub fn merge_time_ordered(results: Vec<Vec<SensorReading>>) -> Vec<SensorReading
     all.sort_by_key(|r| r.ts);
     all.dedup_by_key(|r| r.ts);
     all
-}
-
-/// Parses an optional `?name=<seconds>` query parameter (mirrors the
-/// single-agent surface: absent means open range, malformed is a 400).
-fn parse_ts_param(req: &Request, name: &str) -> std::result::Result<Option<Timestamp>, Response> {
-    match req.query_param(name) {
-        None => Ok(None),
-        Some(v) => v
-            .parse::<u64>()
-            .map(|s| Some(Timestamp::from_secs(s)))
-            .map_err(|_| {
-                Response::error(
-                    Status::BadRequest,
-                    format!("malformed {name}: expected unsigned seconds, got {v:?}"),
-                )
-            }),
-    }
 }
 
 #[cfg(test)]

@@ -101,6 +101,15 @@ impl StorageBackend {
         }
     }
 
+    /// The whole series of `topic` as one timestamp-ordered batch (empty
+    /// for unknown sensors) — the shape seals and the journal write.
+    pub fn columns(&self, topic: &Topic) -> ReadingBatch {
+        match self.shard(topic).read().get(topic) {
+            Some(s) => s.lock().columns(),
+            None => ReadingBatch::new(),
+        }
+    }
+
     /// The most recent reading of `topic`.
     pub fn latest(&self, topic: &Topic) -> Option<SensorReading> {
         self.shard(topic)

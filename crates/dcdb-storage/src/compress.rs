@@ -49,19 +49,19 @@ const BLOCK_HEADER: usize = 20;
 
 /// Zig-zag encodes a signed 64-bit integer into an unsigned one.
 #[inline]
-fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
 #[inline]
-fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// Appends `v` as a LEB128 varint.
 #[inline]
-fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push((v as u8) | 0x80);
         v >>= 7;
@@ -71,7 +71,7 @@ fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
 
 /// Reads a LEB128 varint, advancing `pos`.
 #[inline]
-fn get_uvarint(data: &[u8], pos: &mut usize) -> Option<u64> {
+pub(crate) fn get_uvarint(data: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -89,9 +89,6 @@ fn get_uvarint(data: &[u8], pos: &mut usize) -> Option<u64> {
 }
 
 /// Compresses parallel timestamp/value columns into one block.
-///
-/// This is the primary entry point of the codec; the row-major
-/// [`compress_block`] transposes and delegates here.
 ///
 /// # Panics
 /// When the columns differ in length.
@@ -145,12 +142,6 @@ pub fn compress_columns(ts: &[u64], values: &[i64]) -> Vec<u8> {
         base += len;
     }
     out
-}
-
-/// Compresses a run of row-major readings into one block.
-pub fn compress_block(readings: &[SensorReading]) -> Vec<u8> {
-    let batch = ReadingBatch::from_readings(readings);
-    compress_columns(&batch.ts, &batch.values)
 }
 
 fn corrupt() -> DcdbError {
@@ -238,11 +229,6 @@ pub fn decompress_columns(data: &[u8]) -> Result<ReadingBatch> {
     Ok(batch)
 }
 
-/// Decompresses a block produced by [`compress_block`] into rows.
-pub fn decompress_block(data: &[u8]) -> Result<Vec<SensorReading>> {
-    Ok(decompress_columns(data)?.to_readings())
-}
-
 /// An incremental, zero-allocation decoder over one compressed block.
 ///
 /// Yields `(value, ts)` pairs one at a time without materializing a
@@ -328,7 +314,7 @@ mod tests {
     mod scalar_reference {
         use super::*;
 
-        pub fn compress_block(readings: &[SensorReading]) -> Vec<u8> {
+        pub fn compress(readings: &[SensorReading]) -> Vec<u8> {
             let mut out = Vec::with_capacity(20 + readings.len() * 2);
             out.extend_from_slice(&(readings.len() as u32).to_le_bytes());
             let Some(first) = readings.first() else {
@@ -350,7 +336,7 @@ mod tests {
             out
         }
 
-        pub fn decompress_block(data: &[u8]) -> Result<Vec<SensorReading>> {
+        pub fn decompress(data: &[u8]) -> Result<Vec<SensorReading>> {
             let corrupt = || DcdbError::Parse("corrupt compressed block".into());
             if data.len() < 4 {
                 return Err(corrupt());
@@ -394,6 +380,17 @@ mod tests {
         }
     }
 
+    /// Rows in, block out: the columnar codec on the row-shaped inputs
+    /// the scalar reference takes.
+    fn encode(readings: &[SensorReading]) -> Vec<u8> {
+        let batch = ReadingBatch::from_readings(readings);
+        compress_columns(&batch.ts, &batch.values)
+    }
+
+    fn decode(block: &[u8]) -> Result<Vec<SensorReading>> {
+        Ok(decompress_columns(block)?.to_readings())
+    }
+
     fn cursor_collect(block: &[u8]) -> Result<Vec<SensorReading>> {
         let mut cur = BlockCursor::new(block)?;
         let mut out = Vec::new();
@@ -414,8 +411,8 @@ mod tests {
                 )
             })
             .collect();
-        let block = compress_block(&readings);
-        assert_eq!(decompress_block(&block).unwrap(), readings);
+        let block = encode(&readings);
+        assert_eq!(decode(&block).unwrap(), readings);
         // 16 B/reading raw → ~2 B/reading compressed for this shape.
         let raw = readings.len() * 16;
         assert!(
@@ -436,8 +433,8 @@ mod tests {
             vec![r(7, 3), r(-900, 1), r(12345, u64::MAX / 2)],
         ];
         for case in cases {
-            let block = compress_block(&case);
-            assert_eq!(decompress_block(&block).unwrap(), case, "case {case:?}");
+            let block = encode(&case);
+            assert_eq!(decode(&block).unwrap(), case, "case {case:?}");
             assert_eq!(cursor_collect(&block).unwrap(), case, "cursor {case:?}");
         }
     }
@@ -447,8 +444,8 @@ mod tests {
         let mut next = xorshift_stream(0x853C_49E6_748F_EA9B);
         for len in [0usize, 1, 2, 3, 17, 256, 1024] {
             let readings: Vec<SensorReading> = (0..len).map(|_| r(next() as i64, next())).collect();
-            let block = compress_block(&readings);
-            assert_eq!(decompress_block(&block).unwrap(), readings, "len {len}");
+            let block = encode(&readings);
+            assert_eq!(decode(&block).unwrap(), readings, "len {len}");
             assert_eq!(
                 cursor_collect(&block).unwrap(),
                 readings,
@@ -498,12 +495,12 @@ mod tests {
                 })
                 .collect();
             for readings in [wild, tame] {
-                let new_block = compress_block(&readings);
-                let old_block = scalar_reference::compress_block(&readings);
+                let new_block = encode(&readings);
+                let old_block = scalar_reference::compress(&readings);
                 assert_eq!(new_block, old_block, "encode diverged at len {len}");
                 assert_eq!(
-                    decompress_block(&new_block).unwrap(),
-                    scalar_reference::decompress_block(&old_block).unwrap(),
+                    decode(&new_block).unwrap(),
+                    scalar_reference::decompress(&old_block).unwrap(),
                     "decode diverged at len {len}"
                 );
             }
@@ -517,11 +514,11 @@ mod tests {
     fn truncation_fuzz_at_every_offset_matches_reference() {
         let mut next = xorshift_stream(0xDEAD_BEEF_CAFE_F00D);
         let readings: Vec<SensorReading> = (0..300).map(|_| r(next() as i64, next())).collect();
-        let block = compress_block(&readings);
+        let block = encode(&readings);
         for cut in 0..block.len() {
             let prefix = &block[..cut];
-            let new = decompress_block(prefix);
-            let old = scalar_reference::decompress_block(prefix);
+            let new = decode(prefix);
+            let old = scalar_reference::decompress(prefix);
             assert_eq!(
                 new.is_err(),
                 old.is_err(),
@@ -534,7 +531,7 @@ mod tests {
         // Trailing garbage is also rejected, by both paths.
         let mut extended = block.clone();
         extended.push(0);
-        assert!(decompress_block(&extended).is_err());
+        assert!(decode(&extended).is_err());
         assert!(cursor_collect(&extended).is_err());
     }
 
@@ -544,14 +541,13 @@ mod tests {
     #[test]
     fn oversized_count_is_clamped_before_allocation() {
         let readings: Vec<SensorReading> = (0..10).map(|i| r(i, i as u64 * 100)).collect();
-        let mut block = compress_block(&readings);
+        let mut block = encode(&readings);
         block[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
         // Must error (stream exhausts long before u32::MAX readings)
         // and, per the clamp, reserve at most ~len/2 entries. The
         // allocation bound is not directly observable, but a multi-GB
         // with_capacity would abort the test process under the runner's
         // memory limits — surviving to the Err is the regression signal.
-        assert!(decompress_block(&block).is_err());
         assert!(decompress_columns(&block).is_err());
         let mut cur = BlockCursor::new(&block).unwrap();
         let mut err = None;
@@ -582,30 +578,27 @@ mod tests {
         block.extend_from_slice(&[0x80; 10]); // 10 continuation bytes → shift 70
         block.push(0x01);
         block.push(0x00); // would-be second varint
-        assert!(decompress_block(&block).is_err());
-        assert!(scalar_reference::decompress_block(&block).is_err());
+        assert!(decode(&block).is_err());
+        assert!(scalar_reference::decompress(&block).is_err());
         assert!(cursor_collect(&block).is_err());
     }
 
     #[test]
     fn rejects_truncated_blocks() {
         let readings: Vec<SensorReading> = (0..50).map(|i| r(i, i as u64 * 100)).collect();
-        let block = compress_block(&readings);
+        let block = encode(&readings);
         for cut in [0, 3, 10, block.len() - 1] {
-            assert!(
-                decompress_block(&block[..cut]).is_err(),
-                "cut at {cut} accepted"
-            );
+            assert!(decode(&block[..cut]).is_err(), "cut at {cut} accepted");
         }
         let mut extended = block.clone();
         extended.push(0);
-        assert!(decompress_block(&extended).is_err());
+        assert!(decode(&extended).is_err());
     }
 
     #[test]
     fn cursor_streams_without_materializing() {
         let readings: Vec<SensorReading> = (0..777).map(|i| r(i * 3, i as u64 * 50)).collect();
-        let block = compress_block(&readings);
+        let block = encode(&readings);
         let mut cur = BlockCursor::new(&block).unwrap();
         assert_eq!(cur.remaining(), 777);
         let mut n = 0usize;

@@ -27,10 +27,14 @@
 //!   I/O flows through the [`crate::io::StorageIo`] VFS so these paths
 //!   are exercised deterministically by `FaultIo`.
 //!
-//! Directory layout: `wal-<seq>.log` journal generations and
-//! `seg-<seq>.seg` sealed segments, sharing one monotonic sequence
+//! Directory layout: `wal-<seq>.log` journal generations, `seg-<seq>.seg`
+//! sealed raw segments and `rlu-<seq>.rsg` sealed rollup segments (both
+//! the one container of [`crate::sealed`]), sharing one monotonic sequence
 //! counter; `*.tmp` files are crash leftovers and deleted on open;
-//! `quarantine/` collects corrupt files set aside during recovery.
+//! `quarantine/` collects corrupt files set aside during recovery. Both
+//! segment kinds live in a `SealedList` and share one lifecycle:
+//! opened or quarantined on recovery, published after a seal, and
+//! retired only once no read still holds them.
 
 use crate::backend::{StorageBackend, StorageStats};
 use crate::health::{HealthConfig, HealthCore, HealthState, StorageHealthReport};
@@ -39,6 +43,7 @@ use crate::rollup::{
     bucket_start, write_rollup_segment_with, AggFrame, RollupConfig, RollupSegmentReader,
     RollupState, RollupStats,
 };
+use crate::sealed::SealedFile;
 use crate::segment::{write_segment_with, SegmentReader};
 use crate::wal::{replay_with, FsyncPolicy, WalReplay, WalWriter};
 use crate::StorageEngine;
@@ -48,7 +53,7 @@ use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -183,8 +188,21 @@ struct Active {
 struct Generations {
     active: Arc<StorageBackend>,
     sealing: Option<Arc<StorageBackend>>,
-    segments: Vec<(u64, Arc<SegmentReader>)>,
+    segments: Arc<Vec<(u64, Arc<SegmentReader>)>>,
 }
+
+/// The published sealed files of one kind as `(seq, reader)`, ascending
+/// by `seq`; later sequence numbers win key ties during merges. The
+/// list is copy-on-write: a read takes one reference to the current
+/// version and only then touches blocks, so the lock is never held
+/// across I/O, a read costs one reference count however many files are
+/// published, and [`DurableBackend::retire`] can tell from a reader's
+/// reference count (one per list version still alive) when the file is
+/// safe to delete.
+type SealedList<R> = RwLock<Arc<Vec<(u64, Arc<R>)>>>;
+
+/// Signature shared by both segment kinds' `open_with`.
+type OpenSealed<R> = fn(Arc<dyn StorageIo>, &Path) -> Result<R>;
 
 /// The durable storage engine. See the module docs for the design.
 pub struct DurableBackend {
@@ -195,18 +213,15 @@ pub struct DurableBackend {
     /// Memtable currently being written out as a segment; still visible
     /// to reads so sealing never hides acknowledged data.
     sealing: RwLock<Option<Arc<StorageBackend>>>,
-    /// Sealed segments as `(seq, reader)`, ascending by `seq`; later
-    /// sequence numbers win timestamp ties during merges.
-    segments: RwLock<Vec<(u64, Arc<SegmentReader>)>>,
+    /// Sealed raw segments.
+    segments: SealedList<SegmentReader>,
     /// WAL files (paths) whose contents live in the active memtable and
     /// are deleted once that data is sealed into a segment.
     unsealed_wals: Mutex<Vec<PathBuf>>,
     /// The streaming continuous-aggregation accumulator (hot frames).
     rollup: Mutex<RollupState>,
-    /// Sealed rollup segments as `(seq, reader)`, ascending by `seq`;
-    /// later sequence numbers win bucket ties, and hot frames win over
-    /// every segment.
-    rollup_segments: RwLock<Vec<(u64, Arc<RollupSegmentReader>)>>,
+    /// Sealed rollup segments; hot frames win over every one of them.
+    rollup_segments: SealedList<RollupSegmentReader>,
     next_seq: AtomicU64,
     memtable_readings: AtomicUsize,
     /// Serializes seal / compact / retention / WAL-rotation passes.
@@ -229,29 +244,60 @@ fn parse_seq(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
         .ok()
 }
 
-/// Moves a corrupt file into `quarantine/` instead of aborting
-/// recovery; the move (and any failure of the move itself) is counted.
-fn quarantine_file(
-    io: &dyn StorageIo,
-    quarantine_dir: &Path,
-    path: &Path,
-    err: &DcdbError,
-    health: &HealthCore,
-    recovery: &mut RecoveryReport,
-) {
-    eprintln!(
-        "dcdb-storage: quarantining {} after recovery error: {err}",
-        path.display()
-    );
-    let moved = io.create_dir_all(quarantine_dir).is_ok()
-        && path
-            .file_name()
-            .is_some_and(|name| io.rename(path, &quarantine_dir.join(name)).is_ok());
-    if !moved {
-        health.note_cleanup_error();
+/// Opens every sealed file of one kind, oldest first; one that fails
+/// validation goes to `quarantine` instead of aborting recovery.
+fn recover_sealed<R>(
+    io: &Arc<dyn StorageIo>,
+    files: Vec<(u64, PathBuf)>,
+    open: OpenSealed<R>,
+    mut quarantine: impl FnMut(&Path, &DcdbError),
+) -> Vec<(u64, Arc<R>)> {
+    let mut list = Vec::with_capacity(files.len());
+    for (seq, path) in files {
+        match open(Arc::clone(io), &path) {
+            Ok(reader) => list.push((seq, Arc::new(reader))),
+            Err(err) => quarantine(&path, &err),
+        }
     }
-    recovery.quarantined += 1;
-    health.note_quarantined();
+    list
+}
+
+/// The one newest-generation-wins merge, for readings (keyed by
+/// timestamp) and rollup frames (keyed by bucket) alike. Each run is
+/// strictly ascending by `key` and runs come oldest generation first;
+/// where several hold the same key the last one wins — exactly what a
+/// memtable overwrite does.
+fn merge_generations<T>(mut runs: Vec<Vec<T>>, key: impl Fn(&T) -> u64) -> Vec<T> {
+    runs.retain(|run| !run.is_empty());
+    // Steady state the runs are already ascending and disjoint (each
+    // seal covers a newer span); concatenation is the whole merge.
+    if runs
+        .windows(2)
+        .all(|w| w[0].last().map(&key) < w[1].first().map(&key))
+    {
+        // One run (the usual answer: a window inside one sealed span)
+        // is returned as it is; more are appended into one allocation.
+        let total = runs.iter().map(Vec::len).sum::<usize>();
+        let mut runs = runs.into_iter();
+        let mut out = runs.next().unwrap_or_default();
+        out.reserve_exact(total - out.len());
+        runs.for_each(|run| out.extend(run));
+        return out;
+    }
+    // Overlapping runs (late data sealed into a newer generation, hot
+    // frames shadowing the newest sealed span): k-way merge.
+    let mut runs: Vec<_> = runs.into_iter().map(|r| r.into_iter().peekable()).collect();
+    let mut out = Vec::new();
+    while let Some(min) = runs.iter_mut().filter_map(|r| r.peek().map(&key)).min() {
+        let mut winner = None;
+        for run in &mut runs {
+            if run.peek().is_some_and(|x| key(x) == min) {
+                winner = run.next();
+            }
+        }
+        out.extend(winner);
+    }
+    out
 }
 
 impl DurableBackend {
@@ -272,6 +318,24 @@ impl DurableBackend {
         let health = Arc::new(HealthCore::new(config.health));
         let quarantine_dir = dir.join("quarantine");
         let mut recovery = RecoveryReport::default();
+        // Moves a corrupt file into `quarantine/`; the move (and any
+        // failure of the move itself) is counted.
+        let mut quarantined = 0usize;
+        let mut quarantine = |path: &Path, err: &DcdbError| {
+            eprintln!(
+                "dcdb-storage: quarantining {} after recovery error: {err}",
+                path.display()
+            );
+            let moved = io.create_dir_all(&quarantine_dir).is_ok()
+                && path
+                    .file_name()
+                    .is_some_and(|name| io.rename(path, &quarantine_dir.join(name)).is_ok());
+            if !moved {
+                health.note_cleanup_error();
+            }
+            quarantined += 1;
+            health.note_quarantined();
+        };
 
         let mut seg_files: Vec<(u64, PathBuf)> = Vec::new();
         let mut wal_files: Vec<(u64, PathBuf)> = Vec::new();
@@ -298,47 +362,26 @@ impl DurableBackend {
         wal_files.sort();
         rollup_files.sort();
 
-        let mut segments = Vec::with_capacity(seg_files.len());
-        let mut max_seq = 0u64;
-        for (seq, path) in seg_files {
-            match SegmentReader::open_with(Arc::clone(&io), &path) {
-                Ok(reader) => {
-                    recovery.segments += 1;
-                    recovery.segment_readings += reader.reading_count();
-                    segments.push((seq, Arc::new(reader)));
-                }
-                Err(err) => quarantine_file(
-                    io.as_ref(),
-                    &quarantine_dir,
-                    &path,
-                    &err,
-                    &health,
-                    &mut recovery,
-                ),
-            }
-            max_seq = max_seq.max(seq);
-        }
+        let max_seq = [&seg_files, &wal_files, &rollup_files]
+            .iter()
+            .filter_map(|files| files.last())
+            .map(|(seq, _)| *seq)
+            .max()
+            .unwrap_or(0);
 
-        let mut rollup_segments = Vec::with_capacity(rollup_files.len());
-        for (seq, path) in rollup_files {
-            match RollupSegmentReader::open_with(Arc::clone(&io), &path) {
-                Ok(reader) => rollup_segments.push((seq, Arc::new(reader))),
-                Err(err) => quarantine_file(
-                    io.as_ref(),
-                    &quarantine_dir,
-                    &path,
-                    &err,
-                    &health,
-                    &mut recovery,
-                ),
-            }
-            max_seq = max_seq.max(seq);
-        }
+        let segments = recover_sealed(&io, seg_files, SegmentReader::open_with, &mut quarantine);
+        recovery.segments = segments.len();
+        recovery.segment_readings = segments.iter().map(|(_, s)| s.reading_count()).sum();
+        let rollup_segments = recover_sealed(
+            &io,
+            rollup_files,
+            RollupSegmentReader::open_with,
+            &mut quarantine,
+        );
 
         let memtable = Arc::new(StorageBackend::with_partition_ns(config.partition_ns));
         let mut unsealed = Vec::new();
-        for (seq, path) in wal_files {
-            max_seq = max_seq.max(seq);
+        for (_, path) in wal_files {
             let rep: WalReplay = match replay_with(io.as_ref(), &path, |topic, batch| {
                 memtable.insert_columns(&topic, &batch);
             }) {
@@ -347,14 +390,7 @@ impl DurableBackend {
                     // Replay inserts only fully validated records, so a
                     // mid-file I/O or parse failure cannot have fed the
                     // memtable garbage — set the file aside and move on.
-                    quarantine_file(
-                        io.as_ref(),
-                        &quarantine_dir,
-                        &path,
-                        &err,
-                        &health,
-                        &mut recovery,
-                    );
+                    quarantine(&path, &err);
                     continue;
                 }
             };
@@ -368,6 +404,7 @@ impl DurableBackend {
             unsealed.push(path);
         }
 
+        recovery.quarantined = quarantined;
         let wal_seq = max_seq + 1;
         let wal_path = dir.join(format!("wal-{wal_seq:010}.log"));
         let wal = WalWriter::create_with(io.as_ref(), &wal_path, config.fsync)?;
@@ -388,10 +425,10 @@ impl DurableBackend {
                 wal_path,
             }),
             sealing: RwLock::new(None),
-            segments: RwLock::new(segments),
+            segments: RwLock::new(Arc::new(segments)),
             unsealed_wals: Mutex::new(unsealed),
             rollup: Mutex::new(rollup_state),
-            rollup_segments: RwLock::new(rollup_segments),
+            rollup_segments: RwLock::new(Arc::new(rollup_segments)),
             next_seq: AtomicU64::new(wal_seq + 1),
             memtable_readings: AtomicUsize::new(recovery.wal_readings),
             seal_lock: Mutex::new(()),
@@ -472,18 +509,56 @@ impl DurableBackend {
         }
     }
 
-    /// Deletes the files of segments just unpublished from `segments`,
-    /// each once no in-flight read still holds its reader: a read
-    /// snapshots the list and then reads blocks by path, so removing
-    /// the file under it would turn the data it holds into a read
-    /// error. The published list was the only source of clones, so a
-    /// count that reaches one (the caller's) stays there.
-    fn remove_retired(&self, retired: impl IntoIterator<Item = Arc<SegmentReader>>) {
-        for seg in retired {
-            while Arc::strong_count(&seg) > 1 {
+    /// Opens the sealed file `written` reports complete and publishes
+    /// its reader at the tail of `list` — always before the caller
+    /// retires what the file replaces, so a read snapshotting in between
+    /// finds the data in at least one of the two. On failure nothing is
+    /// published and the temp file is removed.
+    fn publish<R>(
+        &self,
+        list: &SealedList<R>,
+        seq: u64,
+        path: &Path,
+        written: Result<()>,
+        open: OpenSealed<R>,
+    ) -> Result<()> {
+        match written.and_then(|()| open(Arc::clone(&self.io), path)) {
+            Ok(reader) => {
+                Arc::make_mut(&mut list.write()).push((seq, Arc::new(reader)));
+                Ok(())
+            }
+            Err(err) => {
+                self.remove_file_counted(&path.with_extension("tmp"));
+                Err(err)
+            }
+        }
+    }
+
+    /// Unpublishes every entry of `list` that `gone` selects, then
+    /// deletes each one's file once no in-flight read still holds its
+    /// reader: a read snapshots the list and then reads blocks by path,
+    /// so removing the file under it would turn the data it holds into
+    /// a read error. The published list was the only source of clones,
+    /// so a count that reaches one (this function's) stays there — and
+    /// a caller still holding a snapshot of `list` would wait forever.
+    fn retire<R: AsRef<SealedFile>>(
+        &self,
+        list: &SealedList<R>,
+        mut gone: impl FnMut(u64, &R) -> bool,
+    ) {
+        let mut retired = Vec::new();
+        Arc::make_mut(&mut list.write()).retain(|(seq, reader)| {
+            let keep = !gone(*seq, reader);
+            if !keep {
+                retired.push(Arc::clone(reader));
+            }
+            keep
+        });
+        for reader in retired {
+            while Arc::strong_count(&reader) > 1 {
                 std::thread::yield_now();
             }
-            self.remove_file_counted(seg.path());
+            self.remove_file_counted((*reader).as_ref().path());
         }
     }
 
@@ -621,11 +696,7 @@ impl DurableBackend {
         let mut active = self.active.write();
         let dumped = (|| -> Result<()> {
             for topic in active.memtable.topics() {
-                let batch: ReadingBatch = active
-                    .memtable
-                    .query(&topic, Timestamp::ZERO, Timestamp::MAX)
-                    .into_iter()
-                    .collect();
+                let batch = active.memtable.columns(&topic);
                 if !batch.is_empty() {
                     new_wal.append_batch(&topic, &batch)?;
                 }
@@ -693,28 +764,18 @@ impl DurableBackend {
             // Fast path: everything lives in the active memtable.
             return gens.active.query(topic, t0, t1);
         }
-        let mut merged: BTreeMap<Timestamp, SensorReading> = BTreeMap::new();
-        for (_, seg) in &gens.segments {
+        let mut runs = Vec::with_capacity(gens.segments.len() + 2);
+        for (_, seg) in gens.segments.iter() {
             match seg.query(topic, t0, t1) {
-                Ok(readings) => {
-                    for r in readings {
-                        merged.insert(r.ts, r);
-                    }
-                }
+                Ok(readings) => runs.push(readings),
                 Err(_) => {
                     self.read_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-        if let Some(mem) = &gens.sealing {
-            for r in mem.query(topic, t0, t1) {
-                merged.insert(r.ts, r);
-            }
-        }
-        for r in gens.active.query(topic, t0, t1) {
-            merged.insert(r.ts, r);
-        }
-        merged.into_values().collect()
+        runs.extend(gens.sealing.map(|mem| mem.query(topic, t0, t1)));
+        runs.push(gens.active.query(topic, t0, t1));
+        merge_generations(runs, |r| r.ts.as_nanos())
     }
 
     /// The newest reading of `topic` across all generations.
@@ -745,14 +806,12 @@ impl DurableBackend {
             };
             if worth_reading {
                 match seg.read_topic(topic) {
-                    Ok(Some(readings)) => {
-                        if let Some(&last) = readings.last() {
-                            if best.is_none_or(|b| last.ts > b.ts) {
-                                best = Some(last);
-                            }
+                    Ok(block) => {
+                        let last = block.and_then(|b| b.get(b.len().checked_sub(1)?));
+                        if last.is_some_and(|l| best.is_none_or(|b| l.ts > b.ts)) {
+                            best = last;
                         }
                     }
-                    Ok(None) => {}
                     Err(_) => {
                         self.read_errors.fetch_add(1, Ordering::Relaxed);
                     }
@@ -772,7 +831,7 @@ impl DurableBackend {
             }
         };
         let gens = self.generations();
-        for (_, seg) in &gens.segments {
+        for (_, seg) in gens.segments.iter() {
             consider(seg.block_min_ts(topic));
         }
         if let Some(mem) = &gens.sealing {
@@ -797,7 +856,7 @@ impl DurableBackend {
         if let Some(mem) = &gens.sealing {
             set.extend(mem.topics());
         }
-        for (_, seg) in &gens.segments {
+        for (_, seg) in gens.segments.iter() {
             set.extend(seg.topics().cloned());
         }
         set.into_iter().collect()
@@ -846,21 +905,25 @@ impl DurableBackend {
 
         let mut topics = old.memtable.topics();
         topics.sort();
-        let entries: Vec<(Topic, Vec<SensorReading>)> = topics
+        let entries: Vec<(Topic, ReadingBatch)> = topics
             .into_iter()
             .map(|t| {
-                let readings = old.memtable.query(&t, Timestamp::ZERO, Timestamp::MAX);
-                (t, readings)
+                let columns = old.memtable.columns(&t);
+                (t, columns)
             })
             .collect();
-        let sealed: usize = entries.iter().map(|(_, r)| r.len()).sum();
+        let sealed: usize = entries.iter().map(|(_, b)| b.len()).sum();
         let seg_path = self.dir.join(format!("seg-{seg_seq:010}.seg"));
 
-        let written = write_segment_with(self.io.as_ref(), &seg_path, &entries)
-            .and_then(|()| SegmentReader::open_with(Arc::clone(&self.io), &seg_path));
-        match written {
-            Ok(reader) => {
-                self.segments.write().push((seg_seq, Arc::new(reader)));
+        let written = write_segment_with(self.io.as_ref(), &seg_path, &entries);
+        match self.publish(
+            &self.segments,
+            seg_seq,
+            &seg_path,
+            written,
+            SegmentReader::open_with,
+        ) {
+            Ok(()) => {
                 *self.sealing.write() = None;
                 // The sealed data is durable in the segment; retire the
                 // WAL generations that covered it. Any write-behind
@@ -887,16 +950,13 @@ impl DurableBackend {
                 // acknowledged insert; the next seal retries.
                 {
                     let active = self.active.read();
-                    for (topic, readings) in &entries {
-                        active
-                            .memtable
-                            .insert_columns(topic, &ReadingBatch::from_readings(readings));
+                    for (topic, batch) in &entries {
+                        active.memtable.insert_columns(topic, batch);
                     }
                     self.memtable_readings.fetch_add(sealed, Ordering::Relaxed);
                 }
                 *self.sealing.write() = None;
                 self.unsealed_wals.lock().push(old.wal_path);
-                self.remove_file_counted(&seg_path.with_extension("tmp"));
                 self.health.note_seal_failure();
                 Err(e)
             }
@@ -916,16 +976,14 @@ impl DurableBackend {
             let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
             let path = self.dir.join(format!("rlu-{seq:010}.rsg"));
             let written =
-                write_rollup_segment_with(self.io.as_ref(), &path, spec.width_ns, &entries)
-                    .and_then(|()| RollupSegmentReader::open_with(Arc::clone(&self.io), &path));
-            match written {
-                Ok(reader) => {
-                    self.rollup_segments.write().push((seq, Arc::new(reader)));
+                write_rollup_segment_with(self.io.as_ref(), &path, spec.width_ns, &entries);
+            let open = RollupSegmentReader::open_with;
+            match self.publish(&self.rollup_segments, seq, &path, written, open) {
+                Ok(()) => {
                     roll.mark_sealed(spec.width_ns);
                     self.rollup_seals.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(_) => {
-                    self.remove_file_counted(&path.with_extension("tmp"));
                     self.rollup_seal_failures.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -957,62 +1015,20 @@ impl DurableBackend {
         // Gather per-source ascending runs in authority order: segments
         // by sequence, hot frames last (so later runs win bucket ties).
         let mut runs: Vec<Vec<AggFrame>> = Vec::new();
-        for (_, seg) in self.rollup_segments.read().iter() {
+        let segments = self.rollup_segments.read().clone();
+        for (_, seg) in segments.iter() {
             if seg.width_ns() != width_ns {
                 continue;
             }
             match seg.query(topic, t0.as_nanos(), t1.as_nanos()) {
-                Ok(frames) => {
-                    if !frames.is_empty() {
-                        runs.push(frames);
-                    }
-                }
+                Ok(frames) => runs.push(frames),
                 Err(_) => {
                     self.read_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-        if !hot.is_empty() {
-            runs.push(hot);
-        }
-        // Steady state the runs are already ascending and disjoint (each
-        // seal covers a newer span); concatenation is the whole merge.
-        // Only late-data recomputes (a newer generation re-sealing an
-        // old bucket) overlap, and then the map enforces last-wins.
-        let ascending_disjoint = runs
-            .windows(2)
-            .all(|w| w[0].last().unwrap().bucket_ns < w[1][0].bucket_ns);
-        if ascending_disjoint {
-            let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-            for run in runs {
-                out.extend(run);
-            }
-            return out;
-        }
-        // Overlapping runs (hot frames shadowing the newest sealed
-        // span, or a late-data re-seal): k-way merge, the last run
-        // holding a bucket wins it.
-        let mut iters: Vec<_> = runs.into_iter().map(|r| r.into_iter().peekable()).collect();
-        let mut out = Vec::new();
-        loop {
-            let mut min_bucket = u64::MAX;
-            for it in &mut iters {
-                if let Some(f) = it.peek() {
-                    min_bucket = min_bucket.min(f.bucket_ns);
-                }
-            }
-            if min_bucket == u64::MAX {
-                break;
-            }
-            let mut winner = None;
-            for it in &mut iters {
-                if it.peek().is_some_and(|f| f.bucket_ns == min_bucket) {
-                    winner = it.next();
-                }
-            }
-            out.push(winner.expect("some run holds min_bucket"));
-        }
-        out
+        runs.push(hot);
+        merge_generations(runs, |f| f.bucket_ns)
     }
 
     /// Rollup tier widths maintained by this engine, ascending.
@@ -1039,23 +1055,12 @@ impl DurableBackend {
             };
             let cutoff = now.saturating_sub_ns(retention).as_nanos();
             self.rollup.lock().evict_before(spec.width_ns, cutoff);
-            let mut dropped: Vec<Arc<RollupSegmentReader>> = Vec::new();
-            {
-                let mut segs = self.rollup_segments.write();
-                segs.retain(|(_, seg)| {
-                    let below = seg.width_ns() == spec.width_ns
-                        && seg
-                            .bucket_range()
-                            .is_some_and(|(_, max_b)| max_b + seg.width_ns() <= cutoff);
-                    if below {
-                        dropped.push(Arc::clone(seg));
-                    }
-                    !below
-                });
-            }
-            for seg in dropped {
-                self.remove_file_counted(seg.path());
-            }
+            self.retire(&self.rollup_segments, |_, seg| {
+                seg.width_ns() == spec.width_ns
+                    && seg
+                        .max_bucket()
+                        .is_some_and(|max_b| max_b + spec.width_ns <= cutoff)
+            });
         }
     }
 
@@ -1063,35 +1068,35 @@ impl DurableBackend {
     /// `compact_min_segments` exist. Returns true if a pass ran.
     pub fn compact(&self) -> Result<bool> {
         let _guard = self.seal_lock.lock();
-        let old: Vec<(u64, Arc<SegmentReader>)> = self.segments.read().clone();
+        let old = self.segments.read().clone();
         if old.len() < self.config.compact_min_segments.max(2) {
             return Ok(false);
         }
-        let mut merged: BTreeMap<Topic, BTreeMap<Timestamp, SensorReading>> = BTreeMap::new();
-        for (_, seg) in &old {
-            for topic in seg.topics().cloned().collect::<Vec<_>>() {
-                let readings = seg.read_topic(&topic)?.unwrap_or_default();
-                let per_topic = merged.entry(topic).or_default();
-                for r in readings {
-                    per_topic.insert(r.ts, r);
-                }
+        let topics: BTreeSet<&Topic> = old.iter().flat_map(|(_, seg)| seg.topics()).collect();
+        let mut entries: Vec<(Topic, ReadingBatch)> = Vec::with_capacity(topics.len());
+        for topic in topics {
+            let mut runs = Vec::with_capacity(old.len());
+            for (_, seg) in old.iter() {
+                runs.extend(seg.read_topic(topic)?.map(|b| b.to_readings()));
             }
+            let merged = merge_generations(runs, |r| r.ts.as_nanos());
+            entries.push((topic.clone(), merged.into_iter().collect()));
         }
-        let entries: Vec<(Topic, Vec<SensorReading>)> = merged
-            .into_iter()
-            .map(|(t, m)| (t, m.into_values().collect()))
-            .collect();
+        // `retire` waits for every other holder of the old readers.
+        drop(old);
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let path = self.dir.join(format!("seg-{seq:010}.seg"));
-        write_segment_with(self.io.as_ref(), &path, &entries)?;
-        let reader = Arc::new(SegmentReader::open_with(Arc::clone(&self.io), &path)?);
-        {
-            let mut segments = self.segments.write();
-            segments.retain(|(s, _)| !old.iter().any(|(o, _)| o == s));
-            segments.push((seq, reader));
-            segments.sort_by_key(|(s, _)| *s);
-        }
-        self.remove_retired(old.into_iter().map(|(_, seg)| seg));
+        let written = write_segment_with(self.io.as_ref(), &path, &entries);
+        self.publish(
+            &self.segments,
+            seq,
+            &path,
+            written,
+            SegmentReader::open_with,
+        )?;
+        // `seal_lock` is held, so everything published before `seq` is
+        // exactly what was just merged.
+        self.retire(&self.segments, |s, _| s < seq);
         self.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
@@ -1102,19 +1107,13 @@ impl DurableBackend {
     pub fn evict_before(&self, cutoff: Timestamp) -> usize {
         let _guard = self.seal_lock.lock();
         let mut evicted = self.active.read().memtable.evict_before(cutoff);
-        let mut dropped: Vec<Arc<SegmentReader>> = Vec::new();
-        {
-            let mut segments = self.segments.write();
-            segments.retain(|(_, seg)| match seg.time_range() {
-                Some((_, max_ts)) if max_ts < cutoff => {
-                    dropped.push(Arc::clone(seg));
-                    false
-                }
-                _ => true,
-            });
-        }
-        evicted += dropped.iter().map(|s| s.reading_count()).sum::<usize>();
-        self.remove_retired(dropped);
+        self.retire(&self.segments, |_, seg| {
+            let below = seg.max_ts().is_some_and(|max_ts| max_ts < cutoff);
+            if below {
+                evicted += seg.reading_count();
+            }
+            below
+        });
         evicted
     }
 
@@ -1296,6 +1295,7 @@ impl StorageEngine for DurableBackend {
 mod tests {
     use super::*;
     use crate::io::{FaultConfig, FaultIo};
+    use dcdb_common::time::NS_PER_SEC;
 
     fn t(s: &str) -> Topic {
         Topic::parse(s).unwrap()
@@ -1616,6 +1616,112 @@ mod tests {
             }
         });
         assert!(db.engine_stats().seals >= WRITES / 2 - 1);
+    }
+
+    #[test]
+    fn tier_reads_during_rollup_seals_and_eviction_never_fail() {
+        // The tier-read twin of the test above: every other insert
+        // seals a rollup segment, maintenance keeps retiring segments
+        // past the retention horizon, and readers race both. One
+        // reading per second into a 1 s tier, so every acknowledged
+        // second inside the retained window owns exactly one frame.
+        const WRITES: u64 = 1200;
+        const RETAIN_S: u64 = 300;
+        let tier = crate::rollup::TierSpec {
+            width_ns: NS_PER_SEC,
+            retention_ns: Some(RETAIN_S * NS_PER_SEC),
+        };
+        let dir = TempDir::new("tier-read-during-seal");
+        let config = DurableConfig {
+            memtable_max_readings: 2,
+            rollup: RollupConfig {
+                tiers: vec![tier],
+                hot_frames_per_sensor: 1,
+            },
+            ..small_config()
+        };
+        let db = DurableBackend::open(dir.path(), config).unwrap();
+        let topic = t("/n0/power");
+        let acked = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    loop {
+                        let floor = acked.load(Ordering::SeqCst);
+                        let until = Timestamp::from_secs(floor);
+                        let frames = db.query_frames(&topic, NS_PER_SEC, Timestamp::ZERO, until);
+                        // No eviction so far used a `now` past the
+                        // insert in flight, so nothing from here on
+                        // can have been retired.
+                        let kept_from = (acked.load(Ordering::SeqCst) + 1).saturating_sub(RETAIN_S);
+                        let want = (kept_from.max(1)..=floor).count();
+                        let got = frames
+                            .iter()
+                            .filter(|f| f.bucket_ns >= kept_from * NS_PER_SEC)
+                            .inspect(|f| assert_eq!(f.count, 1, "{f:?}"))
+                            .count();
+                        assert_eq!(got, want, "frames in [{kept_from}, {floor}] s");
+                        if floor == WRITES {
+                            break;
+                        }
+                    }
+                });
+            }
+            start.wait();
+            for i in 1..=WRITES {
+                db.insert(&topic, r(i as i64, i)).unwrap();
+                acked.store(i, Ordering::SeqCst);
+                if i % 8 == 0 {
+                    db.maintain(Timestamp::from_secs(i)).unwrap();
+                }
+            }
+        });
+        let e = db.engine_stats();
+        assert_eq!(e.read_errors, 0, "{e:?}");
+        assert!(e.rollup_seals >= WRITES / 2 - 1, "{e:?}");
+        assert!((e.rollup_segments as u64) < e.rollup_seals / 2, "{e:?}");
+    }
+
+    #[test]
+    fn retired_file_outlives_the_read_that_holds_it() {
+        // Rollup blocks are pinned once decoded, so the stress test
+        // above rarely meets a deleted file; hold a read's snapshot
+        // open by hand across the retirement instead.
+        let dir = TempDir::new("retire-waits");
+        let config = DurableConfig {
+            rollup: RollupConfig {
+                tiers: vec![crate::rollup::TierSpec {
+                    width_ns: NS_PER_SEC,
+                    retention_ns: Some(NS_PER_SEC),
+                }],
+                hot_frames_per_sensor: 1,
+            },
+            ..small_config()
+        };
+        let db = DurableBackend::open(dir.path(), config).unwrap();
+        db.insert(&t("/n0/power"), r(7, 1)).unwrap();
+        db.flush().unwrap();
+        let held = db.rollup_segments.read().clone();
+        let path = AsRef::<SealedFile>::as_ref(&*held[0].1)
+            .path()
+            .to_path_buf();
+        std::thread::scope(|scope| {
+            let evictor = scope.spawn(|| db.maintain(Timestamp::from_secs(1000)));
+            while !db.rollup_segments.read().is_empty() {
+                std::thread::yield_now();
+            }
+            // Unpublished, but this snapshot's first block read still
+            // finds the file.
+            let frames = held[0].1.query(&t("/n0/power"), 0, u64::MAX).unwrap();
+            assert_eq!(frames.len(), 1);
+            assert!(path.exists());
+            drop(held);
+            evictor.join().unwrap().unwrap();
+        });
+        assert!(!path.exists());
+        assert_eq!(db.engine_stats().read_errors, 0);
     }
 
     #[test]

@@ -12,14 +12,20 @@
 //! * [`backend::StorageBackend`] — the sharded in-memory keyspace;
 //! * [`engine::DurableBackend`] — the log-structured durable engine
 //!   layering a write-ahead log ([`wal`]), compressed immutable sealed
-//!   segments ([`segment`], [`compress`]) and compaction on top of the
-//!   in-memory backend used as its memtable.
+//!   segments ([`segment`], [`compress`]), rollup tiers ([`rollup`])
+//!   and compaction on top of the in-memory backend used as its
+//!   memtable.
 //!
-//! Every write travels as a columnar [`ReadingBatch`]: one record kind
-//! in the journal, one insert method per layer.
+//! Readings have one shape at rest: every write travels as a columnar
+//! [`ReadingBatch`] (one record kind in the journal, one insert method
+//! per layer), a memtable partition is a pair of `ts`/`values` columns,
+//! and a seal hands those columns to the block codec. Rows
+//! (`SensorReading`) exist only where a read API returns them
+//! ([`StorageEngine::query`], [`StorageEngine::latest`]).
 //!
 //! Supporting modules: [`series`] (one sensor's partitioned series),
-//! [`crc`] (checksums shared by the on-disk formats).
+//! [`sealed`] (the one sealed-file container raw and rollup segments
+//! share), [`crc`] (checksums shared by the on-disk formats).
 
 #![warn(missing_docs)]
 
@@ -30,6 +36,7 @@ pub mod engine;
 pub mod health;
 pub mod io;
 pub mod rollup;
+pub mod sealed;
 pub mod segment;
 pub mod series;
 pub mod tail;

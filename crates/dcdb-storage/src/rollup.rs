@@ -38,14 +38,15 @@
 //! the raw WAL. A frame lost between raw seal and rollup seal merely
 //! degrades the planner to the raw path for that bucket.
 
-use crate::crc::crc32;
+use crate::compress::{get_uvarint, put_uvarint, unzigzag, zigzag};
 use crate::io::StorageIo;
+use crate::sealed::{self, Block, Format, SealedFile};
 use dcdb_common::error::{DcdbError, Result};
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::NS_PER_SEC;
 use dcdb_common::topic::Topic;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Default tier widths: 10 seconds and 5 minutes.
@@ -524,59 +525,24 @@ impl RollupState {
 }
 
 // ---------------------------------------------------------------------
-// Rollup segment on-disk format
-// ---------------------------------------------------------------------
-//
-//   "DCRLSEG1" | width_ns u64 | frame blocks... | index
-//   | index_offset u64 | crc32(index) u32 | "DCRLEND1"
-//
-// Index: count u32, then per topic: len u16 + utf8 topic, offset u64,
-// len u32, crc u32, frame count u32, min_bucket u64, max_bucket u64.
+// Rollup segments: the shared sealed-file container (`crate::sealed`) with
+// the tier's `width_ns` as its 8-byte header extension, blocks keyed by
+// bucket start.
 //
 // A frame block is columnar: frame count u32, then nine columns
 // (bucket, count, sum, min, max, first, last, first_ts, last_ts), each
 // stored as a raw first value followed by zigzag-varint wrapping deltas
 // — the same delta style as the raw Gorilla blocks, which compresses
 // the regular bucket stride and slow-moving sums well.
+// ---------------------------------------------------------------------
 
-const ROLLUP_MAGIC: &[u8; 8] = b"DCRLSEG1";
-const ROLLUP_MAGIC_END: &[u8; 8] = b"DCRLEND1";
+pub(crate) const FORMAT: Format = Format {
+    magic: b"DCRLSEG1",
+    magic_end: b"DCRLEND1",
+    ext_len: 8,
+    kind: "rollup segment",
+};
 const COLS: usize = 9;
-
-#[inline]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
-fn get_uvarint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *buf.get(*pos)?;
-        *pos += 1;
-        if shift >= 64 {
-            return None;
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
 
 /// Encodes frames (ascending by bucket) into one columnar block.
 fn encode_frames(frames: &[AggFrame]) -> Vec<u8> {
@@ -604,6 +570,12 @@ fn decode_frames(block: &[u8]) -> Result<Vec<AggFrame>> {
         return Err(corrupt("truncated header"));
     }
     let count = u32::from_le_bytes(block[0..4].try_into().unwrap()) as usize;
+    // The count is read from disk: the first frame costs nine raw words
+    // and every later one at least nine varint bytes, so anything larger
+    // cannot decode — refuse it before allocating for it.
+    if count > 1 + block.len().saturating_sub(4 + COLS * 8) / COLS {
+        return Err(corrupt("frame count exceeds block size"));
+    }
     let mut pos = 4usize;
     let mut cols = vec![[0u64; COLS]; count];
     for col in 0..COLS {
@@ -629,78 +601,27 @@ fn decode_frames(block: &[u8]) -> Result<Vec<AggFrame>> {
     Ok(cols.into_iter().map(AggFrame::from_cols).collect())
 }
 
-/// Writes a rollup segment (atomically, via a temp file + rename) for
-/// one tier. Mirrors [`crate::segment::write_segment_with`].
+/// Writes a rollup segment for one tier; topics with no frames are
+/// skipped. See [`sealed::write`] for the failure contract.
 pub fn write_rollup_segment_with(
     io: &dyn StorageIo,
     path: &Path,
     width_ns: u64,
     entries: &[(Topic, Vec<AggFrame>)],
 ) -> Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file = io.create(&tmp)?;
-        file.write_all(ROLLUP_MAGIC)?;
-        file.write_all(&width_ns.to_le_bytes())?;
-        let mut offset = (ROLLUP_MAGIC.len() + 8) as u64;
-        let mut index = Vec::new();
-        let mut metas: Vec<(&Topic, FrameBlockMeta)> = Vec::with_capacity(entries.len());
-        for (topic, frames) in entries {
-            if frames.is_empty() {
-                continue;
-            }
-            let block = encode_frames(frames);
-            file.write_all(&block)?;
-            metas.push((
-                topic,
-                FrameBlockMeta {
-                    offset,
-                    len: block.len() as u32,
-                    crc: crc32(&block),
-                    count: frames.len() as u32,
-                    min_bucket: frames.first().unwrap().bucket_ns,
-                    max_bucket: frames.last().unwrap().bucket_ns,
-                },
-            ));
-            offset += block.len() as u64;
-        }
-        index.extend_from_slice(&(metas.len() as u32).to_le_bytes());
-        for (topic, m) in &metas {
-            let bytes = topic.as_str().as_bytes();
-            index.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-            index.extend_from_slice(bytes);
-            index.extend_from_slice(&m.offset.to_le_bytes());
-            index.extend_from_slice(&m.len.to_le_bytes());
-            index.extend_from_slice(&m.crc.to_le_bytes());
-            index.extend_from_slice(&m.count.to_le_bytes());
-            index.extend_from_slice(&m.min_bucket.to_le_bytes());
-            index.extend_from_slice(&m.max_bucket.to_le_bytes());
-        }
-        file.write_all(&index)?;
-        file.write_all(&offset.to_le_bytes())?;
-        file.write_all(&crc32(&index).to_le_bytes())?;
-        file.write_all(ROLLUP_MAGIC_END)?;
-        file.sync()?;
-    }
-    io.rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        io.sync_dir(dir)?;
-    }
-    Ok(())
+    let blocks = entries.iter().filter_map(|(topic, frames)| {
+        Some(Block {
+            topic,
+            bytes: encode_frames(frames),
+            count: frames.len() as u32,
+            min_key: frames.first()?.bucket_ns,
+            max_key: frames.last()?.bucket_ns,
+        })
+    });
+    sealed::write(io, path, &FORMAT, &width_ns.to_le_bytes(), blocks)
 }
 
-#[derive(Debug, Clone, Copy)]
-struct FrameBlockMeta {
-    offset: u64,
-    len: u32,
-    crc: u32,
-    count: u32,
-    min_bucket: u64,
-    max_bucket: u64,
-}
-
-/// Read handle over one sealed rollup segment: in-memory index,
-/// on-demand checksummed block reads, like [`crate::segment::SegmentReader`].
+/// Read handle over one sealed rollup segment.
 ///
 /// Unlike raw segments, decoded frame blocks are pinned in memory after
 /// the first read: a rollup tier is 1-2 orders of magnitude smaller
@@ -708,104 +629,35 @@ struct FrameBlockMeta {
 /// decoded form fits comfortably and turns every later tier query into
 /// a binary search over an in-memory slice. Retention eviction drops
 /// the reader — and its cache — wholesale.
+#[derive(Debug)]
 pub struct RollupSegmentReader {
-    io: Arc<dyn StorageIo>,
-    path: PathBuf,
+    file: SealedFile,
     width_ns: u64,
-    index: HashMap<Topic, FrameBlockMeta>,
     decoded: parking_lot::Mutex<HashMap<Topic, Arc<Vec<AggFrame>>>>,
-    min_bucket: u64,
-    max_bucket: u64,
-    frames: usize,
+}
+
+impl AsRef<SealedFile> for RollupSegmentReader {
+    fn as_ref(&self) -> &SealedFile {
+        &self.file
+    }
 }
 
 impl RollupSegmentReader {
     /// Opens a rollup segment, validating magics and the index checksum.
     pub fn open_with(io: Arc<dyn StorageIo>, path: &Path) -> Result<RollupSegmentReader> {
-        let corrupt =
-            |what: &str| DcdbError::Parse(format!("rollup segment {}: {what}", path.display()));
-        let file_len = io.file_len(path)?;
-        let header_len = ROLLUP_MAGIC.len() + 8;
-        let trailer_len = 8 + 4 + 8;
-        if file_len < (header_len + trailer_len) as u64 {
-            return Err(corrupt("file too short"));
-        }
-        let header = io.read_range(path, 0, header_len)?;
-        if &header[..ROLLUP_MAGIC.len()] != ROLLUP_MAGIC {
-            return Err(corrupt("bad leading magic"));
-        }
-        let width_ns = u64::from_le_bytes(header[ROLLUP_MAGIC.len()..].try_into().unwrap());
+        let file = SealedFile::open(io, path, &FORMAT)?;
+        let width_ns = u64::from_le_bytes(file.ext().try_into().expect("ext_len is 8"));
         if width_ns == 0 {
-            return Err(corrupt("zero tier width"));
-        }
-        let trailer = io.read_range(path, file_len - trailer_len as u64, trailer_len)?;
-        if &trailer[12..20] != ROLLUP_MAGIC_END {
-            return Err(corrupt("bad trailing magic"));
-        }
-        let index_offset = u64::from_le_bytes(trailer[0..8].try_into().unwrap());
-        let index_crc = u32::from_le_bytes(trailer[8..12].try_into().unwrap());
-        let index_end = file_len - trailer_len as u64;
-        if index_offset < header_len as u64 || index_offset > index_end {
-            return Err(corrupt("index offset out of range"));
-        }
-        let index_bytes = io.read_range(path, index_offset, (index_end - index_offset) as usize)?;
-        if crc32(&index_bytes) != index_crc {
-            return Err(corrupt("index checksum mismatch"));
-        }
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            let s = index_bytes
-                .get(
-                    *pos..pos
-                        .checked_add(n)
-                        .ok_or_else(|| corrupt("index overflow"))?,
-                )
-                .ok_or_else(|| corrupt("truncated index"))?;
-            *pos += n;
-            Ok(s)
-        };
-        let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let mut index = HashMap::with_capacity(count);
-        let mut min_bucket = u64::MAX;
-        let mut max_bucket = 0u64;
-        let mut frames = 0usize;
-        for _ in 0..count {
-            let topic_len = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
-            let topic = Topic::parse(
-                std::str::from_utf8(take(&mut pos, topic_len)?)
-                    .map_err(|_| corrupt("non-utf8 topic"))?,
-            )?;
-            let meta = FrameBlockMeta {
-                offset: u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()),
-                len: u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()),
-                crc: u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()),
-                count: u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()),
-                min_bucket: u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()),
-                max_bucket: u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()),
-            };
-            min_bucket = min_bucket.min(meta.min_bucket);
-            max_bucket = max_bucket.max(meta.max_bucket);
-            frames += meta.count as usize;
-            index.insert(topic, meta);
-        }
-        if pos != index_bytes.len() {
-            return Err(corrupt("index has trailing bytes"));
+            return Err(DcdbError::Parse(format!(
+                "rollup segment {}: zero tier width",
+                path.display()
+            )));
         }
         Ok(RollupSegmentReader {
-            io,
-            path: path.to_path_buf(),
+            file,
             width_ns,
-            index,
             decoded: parking_lot::Mutex::new(HashMap::new()),
-            min_bucket,
-            max_bucket,
-            frames,
         })
-    }
-
-    /// The segment file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// The tier width this segment stores frames for.
@@ -815,50 +667,32 @@ impl RollupSegmentReader {
 
     /// Total frames across all blocks.
     pub fn frame_count(&self) -> usize {
-        self.frames
+        self.file.item_count()
     }
 
-    /// `[min_bucket, max_bucket]` span; `None` when empty.
-    pub fn bucket_range(&self) -> Option<(u64, u64)> {
-        if self.index.is_empty() {
-            None
-        } else {
-            Some((self.min_bucket, self.max_bucket))
-        }
-    }
-
-    /// True when this segment holds frames for `topic`.
-    pub fn contains(&self, topic: &Topic) -> bool {
-        self.index.contains_key(topic)
+    /// Start of the newest bucket in the segment; `None` when empty.
+    pub fn max_bucket(&self) -> Option<u64> {
+        self.file.max_key()
     }
 
     /// Frames of `topic` whose buckets overlap `[t0, t1]`, ascending.
     pub fn query(&self, topic: &Topic, t0: u64, t1: u64) -> Result<Vec<AggFrame>> {
-        let Some(meta) = self.index.get(topic) else {
+        let Some(meta) = self.file.meta(topic) else {
             return Ok(Vec::new());
         };
-        if meta.max_bucket.saturating_add(self.width_ns - 1) < t0 || meta.min_bucket > t1 {
+        if meta.max_key.saturating_add(self.width_ns - 1) < t0 || meta.min_key > t1 {
             return Ok(Vec::new());
         }
         let cached = self.decoded.lock().get(topic).map(Arc::clone);
         let all = if let Some(all) = cached {
             all
         } else {
-            let block = self
-                .io
-                .read_range(&self.path, meta.offset, meta.len as usize)?;
-            if crc32(&block) != meta.crc {
-                return Err(DcdbError::Parse(format!(
-                    "rollup segment {}: block checksum mismatch for {topic}",
-                    self.path.display()
-                )));
-            }
-            let all = Arc::new(decode_frames(&block)?);
+            let all = Arc::new(decode_frames(&self.file.read_block(topic, meta)?)?);
             self.decoded
                 .lock()
                 .entry(topic.clone())
                 .or_insert_with(|| Arc::clone(&all));
-            Arc::clone(&all)
+            all
         };
         // Blocks are written ascending by bucket, so the overlap is one
         // contiguous run.
@@ -866,17 +700,6 @@ impl RollupSegmentReader {
         let from = all.partition_point(|f| f.bucket_ns < lo);
         let to = all.partition_point(|f| f.bucket_ns <= t1);
         Ok(all[from..to].to_vec())
-    }
-}
-
-impl std::fmt::Debug for RollupSegmentReader {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RollupSegmentReader")
-            .field("path", &self.path)
-            .field("width_ns", &self.width_ns)
-            .field("topics", &self.index.len())
-            .field("frames", &self.frames)
-            .finish()
     }
 }
 
@@ -1021,23 +844,6 @@ mod tests {
             .query(&t("/r0/n0/other"), 0, u64::MAX)
             .unwrap()
             .is_empty());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn rollup_segment_rejects_corruption() {
-        let dir = std::env::temp_dir().join(format!("dcdb-rollup-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("rlu-0000000002.rsg");
-        let frames = vec![AggFrame::seed(0, 1, 42)];
-        write_rollup_segment_with(&StdIo, &path, 10, &[(t("/a/b/c"), frames)]).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        let res = RollupSegmentReader::open_with(Arc::new(StdIo), &path)
-            .and_then(|rd| rd.query(&t("/a/b/c"), 0, u64::MAX));
-        assert!(res.is_err());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -20,8 +20,8 @@ pub const DEFAULT_PARTITION_NS: u64 = 600 * 1_000_000_000;
 #[derive(Debug, Clone)]
 pub struct Series {
     partition_ns: u64,
-    /// partition start timestamp (ns) -> readings sorted by timestamp.
-    partitions: BTreeMap<u64, Vec<SensorReading>>,
+    /// partition start timestamp (ns) -> columns sorted by timestamp.
+    partitions: BTreeMap<u64, ReadingBatch>,
     len: usize,
 }
 
@@ -51,8 +51,8 @@ impl Series {
         self.partitions.len()
     }
 
-    fn partition_start(&self, ts: Timestamp) -> u64 {
-        ts.as_nanos() / self.partition_ns * self.partition_ns
+    fn partition_start(&self, ts_ns: u64) -> u64 {
+        ts_ns / self.partition_ns * self.partition_ns
     }
 
     /// Inserts one reading. Readings may arrive out of order (facility
@@ -60,43 +60,41 @@ impl Series {
     /// sorted. Duplicate timestamps overwrite the previous value, which
     /// makes replays idempotent.
     pub fn insert(&mut self, r: SensorReading) {
-        let key = self.partition_start(r.ts);
-        let part = self.partitions.entry(key).or_default();
-        match part.binary_search_by_key(&r.ts, |x| x.ts) {
-            Ok(i) => part[i] = r,
+        let ts = r.ts.as_nanos();
+        let part = self.partitions.entry(self.partition_start(ts)).or_default();
+        match part.ts.binary_search(&ts) {
+            Ok(i) => part.values[i] = r.value,
             Err(i) => {
-                part.insert(i, r);
+                part.ts.insert(i, ts);
+                part.values.insert(i, r.value);
                 self.len += 1;
             }
         }
     }
 
-    /// Inserts a columnar batch (the collect agent's normal write path)
-    /// without materializing rows first.
+    /// Inserts a columnar batch (the collect agent's normal write path).
     ///
     /// Consecutive readings with strictly ascending timestamps that land
     /// in the same partition are detected as a *run* and bulk-appended
-    /// straight from the packed columns when they extend the partition's
-    /// tail — the shape in-order samplers produce — skipping the
-    /// per-reading binary search. Out-of-order or duplicate readings go
-    /// through [`Series::insert`] (sorted insert, duplicate timestamps
+    /// column to column when they extend the partition's tail — the
+    /// shape in-order samplers produce — skipping the per-reading binary
+    /// search. Out-of-order or duplicate readings go through
+    /// [`Series::insert`] (sorted insert, duplicate timestamps
     /// overwrite).
     pub fn insert_columns(&mut self, batch: &ReadingBatch) {
         let (ts, values) = (&batch.ts, &batch.values);
         let mut i = 0;
         while i < ts.len() {
-            let key = ts[i] / self.partition_ns * self.partition_ns;
+            let key = self.partition_start(ts[i]);
             let end = key.saturating_add(self.partition_ns);
             let mut j = i + 1;
             while j < ts.len() && ts[j] > ts[j - 1] && ts[j] < end {
                 j += 1;
             }
             let part = self.partitions.entry(key).or_default();
-            if part.last().is_none_or(|last| last.ts.as_nanos() < ts[i]) {
-                part.reserve(j - i);
-                for k in i..j {
-                    part.push(SensorReading::new(values[k], Timestamp(ts[k])));
-                }
+            if part.ts.last().is_none_or(|&last| last < ts[i]) {
+                part.ts.extend_from_slice(&ts[i..j]);
+                part.values.extend_from_slice(&values[i..j]);
                 self.len += j - i;
             } else {
                 for k in i..j {
@@ -112,32 +110,37 @@ impl Series {
         if t1 < t0 || self.len == 0 {
             return Vec::new();
         }
-        let first_part = self.partition_start(t0);
+        let (t0, t1) = (t0.as_nanos(), t1.as_nanos());
         let mut out = Vec::new();
-        for (_, part) in self.partitions.range(first_part..=t1.as_nanos()) {
-            let lo = part.partition_point(|r| r.ts < t0);
-            let hi = part.partition_point(|r| r.ts <= t1);
-            out.extend_from_slice(&part[lo..hi]);
+        for (_, part) in self.partitions.range(self.partition_start(t0)..=t1) {
+            let lo = part.ts.partition_point(|&ts| ts < t0);
+            let hi = part.ts.partition_point(|&ts| ts <= t1);
+            let rows = part.ts[lo..hi].iter().zip(&part.values[lo..hi]);
+            out.extend(rows.map(|(&ts, &value)| SensorReading::new(value, Timestamp(ts))));
+        }
+        out
+    }
+
+    /// The whole series as one batch, in timestamp order — what seals
+    /// and journal rotations write out.
+    pub fn columns(&self) -> ReadingBatch {
+        let mut out = ReadingBatch::with_capacity(self.len);
+        for part in self.partitions.values() {
+            out.ts.extend_from_slice(&part.ts);
+            out.values.extend_from_slice(&part.values);
         }
         out
     }
 
     /// The most recent reading.
     pub fn latest(&self) -> Option<SensorReading> {
-        self.partitions
-            .iter()
-            .next_back()
-            .and_then(|(_, p)| p.last())
-            .copied()
+        let part = self.partitions.values().next_back()?;
+        part.get(part.len().checked_sub(1)?)
     }
 
     /// The oldest stored reading.
     pub fn oldest(&self) -> Option<SensorReading> {
-        self.partitions
-            .iter()
-            .next()
-            .and_then(|(_, p)| p.first())
-            .copied()
+        self.partitions.values().next()?.get(0)
     }
 
     /// Drops all partitions that end before `cutoff` (retention).
@@ -161,11 +164,6 @@ impl Series {
         }
         self.len -= evicted;
         evicted
-    }
-
-    /// Iterates all readings in timestamp order.
-    pub fn iter(&self) -> impl Iterator<Item = &SensorReading> {
-        self.partitions.values().flat_map(|p| p.iter())
     }
 }
 
@@ -291,9 +289,51 @@ mod tests {
             }
             let mut by_col = Series::new(100 * NS_PER_SEC);
             by_col.insert_columns(&ReadingBatch::from_readings(&rows));
-            let want: Vec<SensorReading> = by_row.iter().copied().collect();
-            assert_eq!(by_col.iter().copied().collect::<Vec<_>>(), want);
+            assert_eq!(by_col.columns(), by_row.columns());
             assert_eq!(by_col.len(), by_row.len());
+        }
+    }
+
+    #[test]
+    fn random_batch_interleavings_match_row_insert() {
+        // Batches mixing in-order runs, late readings, exact duplicates
+        // and partition crossings, fed across many calls: the columnar
+        // path must leave the series exactly as one `insert` per
+        // reading does, whatever was already stored.
+        let mut state = 0x5EED_C01D_2026_0928u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..200 {
+            let mut by_row = Series::new(50);
+            let mut by_col = Series::new(50);
+            let mut clock = next() % 100;
+            for _ in 0..1 + next() % 12 {
+                let mut batch = ReadingBatch::new();
+                for _ in 0..next() % 40 {
+                    let ts = match next() % 8 {
+                        0 => clock.saturating_sub(next() % 120), // late
+                        1 => clock,                              // duplicate
+                        _ => {
+                            clock += 1 + next() % 9;
+                            clock
+                        }
+                    };
+                    batch.push(next() as i64, Timestamp(ts));
+                }
+                by_col.insert_columns(&batch);
+                batch.iter().for_each(|r| by_row.insert(r));
+                assert_eq!(by_col.columns(), by_row.columns(), "case {case}");
+                assert_eq!(by_col.len(), by_row.len(), "case {case}");
+            }
+            assert!(by_col.columns().is_strictly_ascending());
+            assert_eq!(
+                by_col.query(Timestamp::ZERO, Timestamp::MAX),
+                by_col.columns().to_readings()
+            );
         }
     }
 
@@ -315,12 +355,13 @@ mod tests {
     }
 
     #[test]
-    fn iter_is_globally_sorted() {
+    fn columns_are_globally_sorted() {
         let mut s = Series::new(NS_PER_SEC);
         for &sec in &[9u64, 2, 7, 4, 0] {
-            s.insert(r(0, sec));
+            s.insert(r(sec as i64, sec));
         }
-        let ts: Vec<u64> = s.iter().map(|x| x.ts.as_secs()).collect();
-        assert_eq!(ts, vec![0, 2, 4, 7, 9]);
+        let all = s.columns();
+        assert_eq!(all.values, vec![0, 2, 4, 7, 9]);
+        assert!(all.is_strictly_ascending());
     }
 }

@@ -1,12 +1,8 @@
-//! Gaussian mixture models fitted with expectation-maximization.
-//!
-//! This is the *non-Bayesian* baseline: a fixed number of components,
-//! maximum-likelihood fitting. The ablation benches compare it to the
-//! variational Bayesian model of [`crate::bgmm`], which determines the
-//! effective component count autonomously — the property the paper's
-//! clustering case study relies on (§VI-D).
+//! Gaussian mixture building blocks: one weighted multivariate
+//! component and the stable log-sum-exp the variational Bayesian model
+//! of [`crate::bgmm`] is built from. (The fixed-`k` EM fit that used to
+//! live here was the ablation baseline of a bench deleted in PR 12.)
 
-use crate::kmeans::kmeans;
 use crate::linalg::{Cholesky, SquareMatrix};
 
 /// One multivariate gaussian component with its mixture weight.
@@ -44,44 +40,6 @@ fn log_pdf_with(chol: &Cholesky, mean: &[f64], x: &[f64], d: f64) -> f64 {
     -0.5 * (d * (2.0 * std::f64::consts::PI).ln() + chol.logdet() + maha)
 }
 
-/// A fitted mixture.
-#[derive(Debug, Clone)]
-pub struct GmmModel {
-    /// The fitted components.
-    pub components: Vec<GaussianComponent>,
-    /// Final per-point hard assignments.
-    pub labels: Vec<usize>,
-    /// Final data log-likelihood.
-    pub log_likelihood: f64,
-    /// EM iterations executed.
-    pub iterations: usize,
-    /// True if the log-likelihood change fell below tolerance.
-    pub converged: bool,
-}
-
-impl GmmModel {
-    /// Log of the mixture density Σ_k π_k N(x | μ_k, Σ_k).
-    pub fn log_pdf(&self, x: &[f64]) -> f64 {
-        let logs: Vec<f64> = self
-            .components
-            .iter()
-            .map(|c| c.weight.max(1e-300).ln() + c.log_pdf(x))
-            .collect();
-        log_sum_exp(&logs)
-    }
-
-    /// Index of the most likely component for `x`.
-    pub fn predict(&self, x: &[f64]) -> usize {
-        self.components
-            .iter()
-            .enumerate()
-            .map(|(k, c)| (k, c.weight.max(1e-300).ln() + c.log_pdf(x)))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .map(|(k, _)| k)
-            .unwrap_or(0)
-    }
-}
-
 /// Numerically stable log(Σ exp(x_i)).
 pub fn log_sum_exp(xs: &[f64]) -> f64 {
     let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -91,157 +49,9 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
     m + xs.iter().map(|x| (x - m).exp()).sum::<f64>().ln()
 }
 
-/// Configuration for EM fitting.
-#[derive(Debug, Clone)]
-pub struct GmmConfig {
-    /// Number of components.
-    pub k: usize,
-    /// Maximum EM iterations.
-    pub max_iters: usize,
-    /// Convergence tolerance on mean log-likelihood change.
-    pub tol: f64,
-    /// Diagonal regularization added to every covariance.
-    pub reg_covar: f64,
-    /// RNG seed (k-means init).
-    pub seed: u64,
-}
-
-impl Default for GmmConfig {
-    fn default() -> Self {
-        GmmConfig {
-            k: 3,
-            max_iters: 200,
-            tol: 1e-6,
-            reg_covar: 1e-6,
-            seed: 0xDCDB,
-        }
-    }
-}
-
-/// Fits a GMM with EM, initialized from k-means.
-pub fn fit_gmm(data: &[Vec<f64>], config: &GmmConfig) -> GmmModel {
-    assert!(!data.is_empty(), "gmm on empty data");
-    let n = data.len();
-    let d = data[0].len();
-    let k = config.k.clamp(1, n);
-
-    // Initialize responsibilities from hard k-means labels.
-    let km = kmeans(data, k, 50, config.seed);
-    let mut resp = vec![vec![0.0f64; k]; n];
-    for (i, &l) in km.labels.iter().enumerate() {
-        resp[i][l] = 1.0;
-    }
-
-    let mut components: Vec<GaussianComponent> = Vec::new();
-    let mut prev_ll = f64::NEG_INFINITY;
-    let mut iterations = 0;
-    let mut converged = false;
-
-    for iter in 0..config.max_iters {
-        iterations = iter + 1;
-        // M-step.
-        components.clear();
-        for c in 0..k {
-            let nk: f64 = resp.iter().map(|r| r[c]).sum::<f64>().max(1e-10);
-            let mut mean = vec![0.0; d];
-            for (i, x) in data.iter().enumerate() {
-                for (m, &xi) in mean.iter_mut().zip(x.iter()) {
-                    *m += resp[i][c] * xi;
-                }
-            }
-            for m in &mut mean {
-                *m /= nk;
-            }
-            let mut cov = SquareMatrix::zeros(d);
-            let mut diff = vec![0.0; d];
-            for (i, x) in data.iter().enumerate() {
-                for (j, (&xi, &mj)) in x.iter().zip(mean.iter()).enumerate() {
-                    diff[j] = xi - mj;
-                }
-                cov.rank1_update(&diff, resp[i][c] / nk);
-            }
-            for j in 0..d {
-                cov[(j, j)] += config.reg_covar;
-            }
-            components.push(GaussianComponent {
-                weight: nk / n as f64,
-                mean,
-                cov,
-            });
-        }
-
-        // E-step.
-        let chols: Vec<Option<Cholesky>> = components.iter().map(|c| c.cov.cholesky()).collect();
-        let mut ll = 0.0;
-        for (i, x) in data.iter().enumerate() {
-            let logs: Vec<f64> = components
-                .iter()
-                .zip(chols.iter())
-                .map(|(c, chol)| match chol {
-                    Some(ch) => c.weight.max(1e-300).ln() + log_pdf_with(ch, &c.mean, x, d as f64),
-                    None => f64::NEG_INFINITY,
-                })
-                .collect();
-            let norm = log_sum_exp(&logs);
-            ll += norm;
-            for (c, &lg) in logs.iter().enumerate() {
-                resp[i][c] = if norm.is_finite() {
-                    (lg - norm).exp()
-                } else {
-                    1.0 / k as f64
-                };
-            }
-        }
-        ll /= n as f64;
-        if (ll - prev_ll).abs() < config.tol {
-            converged = true;
-            prev_ll = ll;
-            break;
-        }
-        prev_ll = ll;
-    }
-
-    let labels = data
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            resp[i]
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .map(|(c, _)| c)
-                .unwrap_or(0)
-        })
-        .collect();
-
-    GmmModel {
-        components,
-        labels,
-        log_likelihood: prev_ll,
-        iterations,
-        converged,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::Rng;
-    use rand::SeedableRng;
-
-    fn two_blobs(n: usize, seed: u64) -> Vec<Vec<f64>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut data = Vec::new();
-        for _ in 0..n {
-            data.push(vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)]);
-            data.push(vec![
-                8.0 + rng.gen_range(-1.0..1.0),
-                8.0 + rng.gen_range(-1.0..1.0),
-            ]);
-        }
-        data
-    }
 
     #[test]
     fn log_sum_exp_stability() {
@@ -260,91 +70,5 @@ mod tests {
         };
         let expect = crate::stats::normal_pdf(3.0, 2.0, 2.0);
         assert!((c.pdf(&[3.0]) - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn em_separates_two_blobs() {
-        let data = two_blobs(100, 3);
-        let model = fit_gmm(
-            &data,
-            &GmmConfig {
-                k: 2,
-                ..Default::default()
-            },
-        );
-        assert!(model.converged);
-        // Means near (0,0) and (8,8) in some order.
-        let mut means: Vec<Vec<f64>> = model.components.iter().map(|c| c.mean.clone()).collect();
-        means.sort_by(|a, b| a[0].partial_cmp(&b[0]).unwrap());
-        assert!(means[0][0].abs() < 0.5 && means[0][1].abs() < 0.5);
-        assert!((means[1][0] - 8.0).abs() < 0.5 && (means[1][1] - 8.0).abs() < 0.5);
-        // Weights ~0.5 each.
-        for c in &model.components {
-            assert!((c.weight - 0.5).abs() < 0.1);
-        }
-        // Hard labels split the blobs.
-        let l0 = model.labels[0];
-        assert!(model.labels.iter().step_by(2).all(|&l| l == l0));
-        assert!(model.labels.iter().skip(1).step_by(2).all(|&l| l != l0));
-    }
-
-    #[test]
-    fn predict_assigns_to_nearest_component() {
-        let data = two_blobs(100, 5);
-        let model = fit_gmm(
-            &data,
-            &GmmConfig {
-                k: 2,
-                ..Default::default()
-            },
-        );
-        let near_origin = model.predict(&[0.1, -0.2]);
-        let near_far = model.predict(&[7.9, 8.2]);
-        assert_ne!(near_origin, near_far);
-    }
-
-    #[test]
-    fn mixture_log_pdf_is_higher_in_dense_regions() {
-        let data = two_blobs(100, 7);
-        let model = fit_gmm(
-            &data,
-            &GmmConfig {
-                k: 2,
-                ..Default::default()
-            },
-        );
-        assert!(model.log_pdf(&[0.0, 0.0]) > model.log_pdf(&[4.0, 4.0]));
-    }
-
-    #[test]
-    fn k1_recovers_global_moments() {
-        let data = two_blobs(200, 11);
-        let model = fit_gmm(
-            &data,
-            &GmmConfig {
-                k: 1,
-                ..Default::default()
-            },
-        );
-        let c = &model.components[0];
-        assert!((c.mean[0] - 4.0).abs() < 0.3);
-        assert!((c.weight - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn degenerate_singleton_cluster_is_regularized() {
-        // One far outlier: its covariance would be singular without
-        // reg_covar.
-        let mut data = two_blobs(50, 13);
-        data.push(vec![100.0, 100.0]);
-        let model = fit_gmm(
-            &data,
-            &GmmConfig {
-                k: 3,
-                ..Default::default()
-            },
-        );
-        assert_eq!(model.components.len(), 3);
-        assert!(model.log_likelihood.is_finite());
     }
 }

@@ -11,7 +11,7 @@
 //!   RTrees);
 //! * [`kmeans`] — k-means++ (initialization + ablation baseline);
 //! * [`linear`] — ridge regression (model-choice ablation baseline);
-//! * [`gmm`] — maximum-likelihood gaussian mixtures (ablation baseline);
+//! * [`gmm`] — the gaussian component and log-sum-exp [`bgmm`] builds on;
 //! * [`bgmm`] — the variational *Bayesian* gaussian mixture with
 //!   automatic component-count selection and density-threshold outlier
 //!   detection (clustering plugin, §VI-D);
@@ -34,7 +34,7 @@ pub mod tree;
 pub use bgmm::{fit_bgmm, BgmmConfig, BgmmModel};
 pub use features::{Feature, FeatureExtractor};
 pub use forest::{ForestConfig, RandomForest};
-pub use gmm::{fit_gmm, GaussianComponent, GmmConfig, GmmModel};
+pub use gmm::GaussianComponent;
 pub use kmeans::{kmeans, KMeansResult};
 pub use linalg::SquareMatrix;
 pub use linear::RidgeRegression;

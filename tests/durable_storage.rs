@@ -4,7 +4,7 @@
 //! in-memory backend reading for reading.
 
 use dcdb_wintermute::dcdb_common::{ReadingBatch, SensorReading, Timestamp, Topic};
-use dcdb_wintermute::dcdb_storage::compress::{compress_block, decompress_block};
+use dcdb_wintermute::dcdb_storage::compress::{compress_columns, decompress_columns};
 use dcdb_wintermute::dcdb_storage::wal::{replay, WalWriter};
 use dcdb_wintermute::dcdb_storage::{
     DurableBackend, DurableConfig, FsyncPolicy, StorageBackend, StorageEngine,
@@ -75,7 +75,7 @@ fn compression_round_trips_randomized_sequences() {
     let mut rng = Rng(0x0DDB_1A5E_5EED_2026);
     for case in 0..200 {
         let len = (rng.next() % 300) as usize;
-        let mut readings: Vec<SensorReading> = Vec::with_capacity(len);
+        let mut batch = ReadingBatch::with_capacity(len);
         let mut ts = rng.next() % (1 << 48);
         for _ in 0..len {
             // Mix of regular steps, jitter, and occasional huge jumps —
@@ -85,12 +85,12 @@ fn compression_round_trips_randomized_sequences() {
                 1 => ts.wrapping_sub(rng.next() % 1_000_000),
                 _ => ts.wrapping_add(1_000_000_000 + rng.next() % 5_000),
             };
-            readings.push(SensorReading::new(rng.next() as i64, Timestamp(ts)));
+            batch.push(rng.next() as i64, Timestamp(ts));
         }
-        let block = compress_block(&readings);
+        let block = compress_columns(&batch.ts, &batch.values);
         assert_eq!(
-            decompress_block(&block).unwrap(),
-            readings,
+            decompress_columns(&block).unwrap(),
+            batch,
             "case {case} (len {len})"
         );
     }
