@@ -13,9 +13,10 @@
 use dcdb_bus::{decode_batch, BusHandle, SubscribeOptions, Subscription};
 use dcdb_common::batch::ReadingBatch;
 use dcdb_common::error::Result;
+use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
-use dcdb_rest::{Method, Response, Router, Status};
+use dcdb_rest::{JsonWriter, Method, Response, Router, Status};
 use dcdb_storage::StorageEngine;
 use parking_lot::Mutex;
 use sim_cluster::ClusterSimulator;
@@ -501,11 +502,7 @@ impl CollectAgent {
             let readings = agent
                 .query_engine()
                 .query(&topic, QueryMode::Absolute { t0: from, t1: to });
-            let rows: Vec<serde_json::Value> = readings
-                .iter()
-                .map(|r| serde_json::json!({"value": r.value, "timestamp": r.ts.as_nanos()}))
-                .collect();
-            Response::json(serde_json::Value::Array(rows).to_string())
+            Response::json(sensors_body(None, &readings))
         });
         // GET /query — tier-aware aggregate queries over a sensor
         // pattern: ?sensor=<topic or +/# pattern>&agg=avg&step=10s
@@ -517,31 +514,16 @@ impl CollectAgent {
                 Ok(p) => p,
                 Err(resp) => return resp,
             };
-            let mut topics: Vec<Topic> = agent
-                .query_engine()
-                .topics()
+            let qe = agent.query_engine();
+            let series: Vec<(Topic, AggSeries)> = qe
+                .select(&params.filter)
                 .into_iter()
-                .filter(|t| params.filter.matches(t))
-                .collect();
-            topics.sort();
-            let series: Vec<serde_json::Value> = topics
-                .iter()
                 .map(|topic| {
-                    let s = agent.query_engine().query_agg(
-                        topic,
-                        params.from,
-                        params.to,
-                        params.step_ns,
-                    );
-                    agg_series_json(topic, params.func, &s)
+                    let s = qe.query_agg(&topic, params.from, params.to, params.step_ns);
+                    (topic, s)
                 })
                 .collect();
-            let body = serde_json::json!({
-                "agg": params.func.as_str(),
-                "step_ns": params.step_ns,
-                "series": series,
-            });
-            Response::json(body.to_string())
+            Response::json(agg_query_body(None, params.func, params.step_ns, &series))
         });
         let agent = Arc::clone(self);
         router.route(Method::Get, "/metrics", move |_req| {
@@ -725,36 +707,81 @@ pub fn parse_agg_query(req: &dcdb_rest::Request) -> std::result::Result<AggQuery
     })
 }
 
-/// One aggregate point as served by `/query`: the applied value plus
-/// the mergeable frame columns (`count`/`sum`/`min`/`max`), which is
-/// what lets a federation router combine shard answers exactly and
-/// derive `avg` itself.
-pub fn agg_point_json(func: AggFunc, frame: &dcdb_storage::AggFrame) -> serde_json::Value {
-    serde_json::json!({
-        "t": frame.bucket_ns,
-        "value": func.apply(frame),
-        "count": frame.count,
-        "sum": frame.sum,
-        "min": frame.min,
-        "max": frame.max,
-    })
+/// The body of `GET /sensors/<topic>`, written once from the readings:
+/// an array of `{"timestamp":..,"value":..}` rows, or, behind the
+/// federation router, `{"meta":<meta>,"readings":[..]}` where `meta`
+/// is the router's already-rendered envelope.
+pub fn sensors_body(meta: Option<&str>, readings: &[SensorReading]) -> String {
+    let mut w = JsonWriter::with_capacity(64 + meta.map_or(0, str::len) + 56 * readings.len());
+    if let Some(meta) = meta {
+        w.begin_object();
+        w.key("meta").raw(meta);
+        w.key("readings");
+    }
+    w.begin_array();
+    for r in readings {
+        w.begin_object();
+        w.key("timestamp").u64(r.ts.as_nanos());
+        w.key("value").i64(r.value);
+        w.end_object();
+    }
+    w.end_array();
+    if meta.is_some() {
+        w.end_object();
+    }
+    w.finish()
 }
 
-/// One sensor's aggregate series as served by `/query`.
-pub fn agg_series_json(topic: &Topic, func: AggFunc, series: &AggSeries) -> serde_json::Value {
-    serde_json::json!({
-        "sensor": topic.as_str(),
-        "plan": serde_json::json!({
-            "tier_ns": series.plan.tier_ns,
-            "buckets_from_tier": series.plan.buckets_from_tier,
-            "buckets_from_raw": series.plan.buckets_from_raw,
-        }),
-        "points": series
-            .frames
-            .iter()
-            .map(|f| agg_point_json(func, f))
-            .collect::<Vec<_>>(),
-    })
+/// The body of `GET /query`, written once from the planner's frames:
+/// `{"agg":..,"series":[..],"step_ns":..}` with the federation
+/// router's already-rendered envelope as `"meta"` when there is one.
+/// Each point carries the applied value plus the mergeable frame
+/// columns (`count`/`sum`/`min`/`max`), which is what lets a router
+/// combine shard answers exactly and derive `avg` itself.
+pub fn agg_query_body(
+    meta: Option<&str>,
+    func: AggFunc,
+    step_ns: u64,
+    series: &[(Topic, AggSeries)],
+) -> String {
+    let points: usize = series.iter().map(|(_, s)| s.frames.len()).sum();
+    let mut w = JsonWriter::with_capacity(
+        128 + meta.map_or(0, str::len) + 192 * series.len() + 128 * points,
+    );
+    w.begin_object();
+    w.key("agg").str(func.as_str());
+    if let Some(meta) = meta {
+        w.key("meta").raw(meta);
+    }
+    w.key("series").begin_array();
+    for (topic, s) in series {
+        w.begin_object();
+        w.key("plan").begin_object();
+        w.key("buckets_from_raw")
+            .u64(s.plan.buckets_from_raw as u64);
+        w.key("buckets_from_tier")
+            .u64(s.plan.buckets_from_tier as u64);
+        w.key("tier_ns").u64(s.plan.tier_ns);
+        w.end_object();
+        w.key("points").begin_array();
+        for frame in &s.frames {
+            w.begin_object();
+            w.key("count").u64(frame.count);
+            w.key("max").i64(frame.max);
+            w.key("min").i64(frame.min);
+            w.key("sum").i64(frame.sum);
+            w.key("t").u64(frame.bucket_ns);
+            w.key("value").f64(func.apply(frame));
+            w.end_object();
+        }
+        w.end_array();
+        w.key("sensor").str(topic.as_str());
+        w.end_object();
+    }
+    w.end_array();
+    w.key("step_ns").u64(step_ns);
+    w.end_object();
+    w.finish()
 }
 
 /// Parses an optional `?name=<seconds>` query parameter. `Ok(None)`

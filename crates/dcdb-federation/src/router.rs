@@ -40,7 +40,9 @@
 
 use crate::agent::{FederatedAgent, Shard};
 use crate::ring::ShardMap;
-use dcdb_collectagent::{agg_series_json, parse_agg_query, parse_ts_param, AggQueryParams};
+use dcdb_collectagent::{
+    agg_query_body, parse_agg_query, parse_ts_param, sensors_body, AggQueryParams,
+};
 use dcdb_common::reading::SensorReading;
 use dcdb_common::sim::{EventTrace, SimClock};
 use dcdb_common::time::Timestamp;
@@ -52,7 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wintermute::prelude::{AggSeries, QueryMode};
+use wintermute::prelude::{AggFunc, AggSeries, QueryMode};
 
 /// Router tuning.
 #[derive(Debug, Clone)]
@@ -169,6 +171,13 @@ pub struct FederatedQuery {
     pub readings: Vec<SensorReading>,
 }
 
+impl FederatedQuery {
+    /// The `GET /sensors` body: `{"meta": <envelope>, "readings": [..]}`.
+    pub fn body(&self) -> String {
+        sensors_body(Some(&self.envelope.json().to_string()), &self.readings)
+    }
+}
+
 /// A merged aggregate query: envelope plus per-sensor bucket series
 /// combined with the frame algebra (counts/sums add, min/max compare,
 /// avg derived at the router).
@@ -180,6 +189,19 @@ pub struct FederatedAggQuery {
     pub step_ns: u64,
     /// One merged series per matched sensor, sorted by topic.
     pub series: Vec<(Topic, AggSeries)>,
+}
+
+impl FederatedAggQuery {
+    /// The `GET /query` body for aggregate `func`:
+    /// `{"agg": .., "meta": <envelope>, "series": [..], "step_ns": ..}`.
+    pub fn body(&self, func: AggFunc) -> String {
+        agg_query_body(
+            Some(&self.envelope.json().to_string()),
+            func,
+            self.step_ns,
+            &self.series,
+        )
+    }
 }
 
 /// Router counters.
@@ -483,13 +505,8 @@ impl QueryRouter {
         let (envelope, gathered) = self.scatter_shards(move |shard| {
             let agent = shard.agent()?;
             let qe = agent.query_engine();
-            let topics: Vec<Topic> = qe
-                .topics()
-                .into_iter()
-                .filter(|t| p.filter.matches(t))
-                .collect();
             Some(
-                topics
+                qe.select(&p.filter)
                     .into_iter()
                     .map(|topic| {
                         let series = qe.query_agg(&topic, p.from, p.to, p.step_ns);
@@ -669,17 +686,7 @@ impl QueryRouter {
                 Ok(v) => v.unwrap_or(Timestamp::MAX),
                 Err(resp) => return resp,
             };
-            let result = rt.query_sensors(&topic, from, to);
-            let rows: Vec<serde_json::Value> = result
-                .readings
-                .iter()
-                .map(|r| serde_json::json!({"value": r.value, "timestamp": r.ts.as_nanos()}))
-                .collect();
-            let body = serde_json::json!({
-                "meta": result.envelope.json(),
-                "readings": rows,
-            });
-            Response::json(body.to_string())
+            Response::json(rt.query_sensors(&topic, from, to).body())
         });
 
         // GET /query — federated aggregate queries: validated at the
@@ -693,19 +700,7 @@ impl QueryRouter {
                 Ok(p) => p,
                 Err(resp) => return resp, // 400 pass-through, pre-scatter
             };
-            let result = rt.query_agg(&params);
-            let series: Vec<serde_json::Value> = result
-                .series
-                .iter()
-                .map(|(topic, s)| agg_series_json(topic, params.func, s))
-                .collect();
-            let body = serde_json::json!({
-                "meta": result.envelope.json(),
-                "agg": params.func.as_str(),
-                "step_ns": result.step_ns,
-                "series": series,
-            });
-            Response::json(body.to_string())
+            Response::json(rt.query_agg(&params).body(params.func))
         });
 
         let rt = Arc::clone(self);

@@ -31,6 +31,7 @@ use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use dcdb_rest::Router;
 use parking_lot::Mutex;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use wintermute::prelude::*;
@@ -263,8 +264,10 @@ impl Pusher {
     pub fn tick(&self, now: Timestamp) -> Result<TickReport> {
         let interval_ns = self.config.sampling_interval_ms * 1_000_000;
         // Per-topic batches accumulated across every due plugin this
-        // tick; publish order follows sampling order.
+        // tick; publish order follows sampling order (first sight of a
+        // topic), `slots` finds a topic's batch without scanning them.
         let mut batches: Vec<(Topic, ReadingBatch)> = Vec::new();
+        let mut slots: HashMap<Topic, usize> = HashMap::new();
         for slot in &self.plugins {
             let due = slot.next_due.load(Ordering::Acquire);
             if due > now.as_nanos() {
@@ -297,9 +300,14 @@ impl Pusher {
             }
             if self.config.publish && self.connection.is_some() {
                 for (topic, reading) in samples {
-                    match batches.iter_mut().find(|(t, _)| *t == topic) {
-                        Some((_, batch)) => batch.push(reading.value, reading.ts),
-                        None => batches.push((topic, std::iter::once(reading).collect())),
+                    match slots.entry(topic) {
+                        Entry::Occupied(slot) => {
+                            batches[*slot.get()].1.push(reading.value, reading.ts)
+                        }
+                        Entry::Vacant(slot) => {
+                            batches.push((slot.key().clone(), std::iter::once(reading).collect()));
+                            slot.insert(batches.len() - 1);
+                        }
                     }
                 }
             } else {
@@ -393,6 +401,7 @@ mod tests {
     use crate::delivery::{ReconnectConfig, SpoolConfig};
     use crate::plugins::{FlakyMonitoringPlugin, SimMonitoringPlugin, TesterMonitoringPlugin};
     use dcdb_bus::{Broker, ChaosBus, ChaosConfig, OverflowPolicy};
+    use dcdb_common::reading::SensorReading;
     use sim_cluster::{ClusterConfig, ClusterSimulator};
 
     fn t(s: &str) -> Topic {
@@ -492,6 +501,66 @@ mod tests {
         pusher.tick(Timestamp::from_secs(1)).unwrap();
         assert_eq!(pusher.stats().sampled, 100);
         assert_eq!(pusher.query_engine().navigator().sensor_count(), 100);
+    }
+
+    /// A plugin that reports a fixed sample list (value as given,
+    /// timestamp = now).
+    struct FixedPlugin(Vec<(Topic, i64)>);
+
+    impl MonitoringPlugin for FixedPlugin {
+        fn name(&self) -> &str {
+            "fixed"
+        }
+        fn sensor_topics(&self) -> Vec<Topic> {
+            self.0.iter().map(|(topic, _)| topic.clone()).collect()
+        }
+        fn sample(&mut self, now: Timestamp) -> Result<Vec<sim_cluster::Sample>> {
+            Ok(self
+                .0
+                .iter()
+                .map(|(topic, v)| (topic.clone(), SensorReading::new(*v, now)))
+                .collect())
+        }
+    }
+
+    /// The per-topic grouping is indexed, not scanned: at the paper's
+    /// 1 000-sensor tester Pusher the publish order (first sight of a
+    /// topic), the batch contents and the counters are what the linear
+    /// scan produced, including for a topic sampled again later in the
+    /// same plugin and by a second plugin.
+    #[test]
+    fn thousand_sensor_tick_groups_repeated_topics_in_first_seen_order() {
+        let broker = Broker::new_sync();
+        let mut pusher = Pusher::new(PusherConfig::default(), Some(broker.handle()));
+        let topic = |i: usize| t(&format!("/host/s{i:04}/value"));
+        let mut first: Vec<(Topic, i64)> = (0..1000).map(|i| (topic(i), i as i64)).collect();
+        first.push((topic(5), -1));
+        pusher.add_monitoring_plugin(Box::new(FixedPlugin(first)));
+        pusher.add_monitoring_plugin(Box::new(FixedPlugin(vec![
+            (topic(7), -2),
+            (t("/host/late/value"), -3),
+        ])));
+        let sub = broker.handle().subscribe_str("/#").unwrap();
+        pusher.tick(Timestamp::from_secs(1)).unwrap();
+
+        let stats = pusher.stats();
+        assert_eq!(stats.sampled, 1003);
+        assert_eq!(stats.published, 1003);
+        assert!(stats.delivery_conserved(), "{stats:?}");
+        let got: Vec<(Topic, Vec<i64>)> = sub
+            .drain()
+            .into_iter()
+            .map(|m| {
+                let batch = dcdb_bus::decode_batch(m.payload).unwrap();
+                (m.topic, batch.iter().map(|r| r.value).collect())
+            })
+            .collect();
+        let mut want: Vec<(Topic, Vec<i64>)> =
+            (0..1000).map(|i| (topic(i), vec![i as i64])).collect();
+        want[5].1.push(-1);
+        want[7].1.push(-2);
+        want.push((t("/host/late/value"), vec![-3]));
+        assert_eq!(got, want);
     }
 
     /// Regression: a failing plugin used to abort the tick via `?`,

@@ -6,6 +6,8 @@
 //!
 //! * [`http`] — minimal HTTP/1.1 request/response codec with one
 //!   incremental (event-loop) request parser;
+//! * [`json`] — the push-style writer the data routes (`/sensors`,
+//!   `/query`) render their bodies with, once, without a document tree;
 //! * [`router`] — pattern routing with `:param` and `*rest` captures;
 //! * [`server`] — non-blocking `poll(2)` event-loop TCP server with a
 //!   bounded worker pool, plus a tiny blocking client helper;
@@ -19,10 +21,12 @@
 #![warn(missing_docs)]
 
 pub mod http;
+pub mod json;
 pub mod router;
 pub mod server;
 pub mod sys;
 
 pub use http::{Method, Request, RequestParser, Response, Status};
+pub use json::JsonWriter;
 pub use router::{Handler, Router};
 pub use server::{http_request, RestServer, ServerConfig, ServerMetricsSnapshot};

@@ -186,7 +186,7 @@ impl RestServer {
                     };
                     let Ok(job) = job else { break };
                     let response = router.dispatch(job.req);
-                    let mut bytes = Vec::new();
+                    let mut bytes = Vec::with_capacity(response.body.len() + 128);
                     let _ = response.write_to(&mut bytes);
                     if let Ok(mut done) = done.lock() {
                         done.push((job.conn_id, bytes));
@@ -435,6 +435,16 @@ impl EventLoop {
                     );
                     self.metrics.accepted.fetch_add(1, Ordering::Relaxed);
                     self.metrics.open.fetch_add(1, Ordering::Relaxed);
+                    // The request usually rode in with the handshake:
+                    // read it now instead of after one more poll round.
+                    // A silent peer costs one `WouldBlock` and waits
+                    // for POLLIN (or the idle deadline) as before.
+                    let conn = self.conns.get_mut(&id).expect("inserted above");
+                    let idle = self.config.idle_timeout;
+                    let after = Self::handle_readable(conn, id, &self.job_tx, &self.metrics, idle);
+                    if matches!(after, After::Close) {
+                        self.close_conn(id);
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,

@@ -266,37 +266,42 @@ fn recover_sealed<R>(
 /// timestamp) and rollup frames (keyed by bucket) alike. Each run is
 /// strictly ascending by `key` and runs come oldest generation first;
 /// where several hold the same key the last one wins — exactly what a
-/// memtable overwrite does.
-fn merge_generations<T>(mut runs: Vec<Vec<T>>, key: impl Fn(&T) -> u64) -> Vec<T> {
-    runs.retain(|run| !run.is_empty());
-    // Steady state the runs are already ascending and disjoint (each
-    // seal covers a newer span); concatenation is the whole merge.
-    if runs
-        .windows(2)
-        .all(|w| w[0].last().map(&key) < w[1].first().map(&key))
-    {
-        // One run (the usual answer: a window inside one sealed span)
-        // is returned as it is; more are appended into one allocation.
-        let total = runs.iter().map(Vec::len).sum::<usize>();
-        let mut runs = runs.into_iter();
-        let mut out = runs.next().unwrap_or_default();
-        out.reserve_exact(total - out.len());
-        runs.for_each(|run| out.extend(run));
-        return out;
+/// memtable overwrite does. A left fold of [`merge_newer`]: a single
+/// run (the usual answer: a window inside one sealed span) comes back
+/// as it is.
+fn merge_generations<T>(runs: Vec<Vec<T>>, key: impl Fn(&T) -> u64) -> Vec<T> {
+    runs.into_iter()
+        .fold(Vec::new(), |acc, run| merge_newer(acc, run, &key))
+}
+
+/// Merges `newer` into `acc`, `newer` winning equal keys.
+fn merge_newer<T>(mut acc: Vec<T>, newer: Vec<T>, key: &impl Fn(&T) -> u64) -> Vec<T> {
+    let (Some(last), Some(first)) = (acc.last().map(key), newer.first().map(key)) else {
+        // One side is empty: the other is the merge.
+        return if acc.is_empty() { newer } else { acc };
+    };
+    // Steady state each seal covers a newer span: append.
+    if last < first {
+        acc.extend(newer);
+        return acc;
     }
-    // Overlapping runs (late data sealed into a newer generation, hot
-    // frames shadowing the newest sealed span): k-way merge.
-    let mut runs: Vec<_> = runs.into_iter().map(|r| r.into_iter().peekable()).collect();
-    let mut out = Vec::new();
-    while let Some(min) = runs.iter_mut().filter_map(|r| r.peek().map(&key)).min() {
-        let mut winner = None;
-        for run in &mut runs {
-            if run.peek().is_some_and(|x| key(x) == min) {
-                winner = run.next();
+    // Overlap (late data sealed into a newer generation, hot frames
+    // shadowing the newest sealed span): two-pointer merge.
+    let mut out = Vec::with_capacity(acc.len() + newer.len());
+    let mut old = acc.into_iter().peekable();
+    let mut new = newer.into_iter().peekable();
+    while let (Some(a), Some(b)) = (old.peek().map(key), new.peek().map(key)) {
+        if a < b {
+            out.extend(old.next());
+        } else {
+            if a == b {
+                old.next();
             }
+            out.extend(new.next());
         }
-        out.extend(winner);
     }
+    out.extend(old);
+    out.extend(new);
     out
 }
 
@@ -1296,6 +1301,7 @@ mod tests {
     use super::*;
     use crate::io::{FaultConfig, FaultIo};
     use dcdb_common::time::NS_PER_SEC;
+    use std::collections::BTreeMap;
 
     fn t(s: &str) -> Topic {
         Topic::parse(s).unwrap()
@@ -1463,6 +1469,45 @@ mod tests {
         assert!(db.engine_stats().sealed_segments >= 1);
         let q = db.query(&t("/n0/exact"), Timestamp::ZERO, Timestamp::MAX);
         assert_eq!(q, readings);
+    }
+
+    #[test]
+    fn merge_generations_matches_a_last_writer_wins_map() {
+        // Random run counts, overlaps, duplicates across runs and empty
+        // runs: the fold must equal inserting every run, oldest first,
+        // into an ordered map.
+        let mut state = 0x5EED_3E26_2026_0928u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..2000 {
+            let span = 1 + next() % 64;
+            let mut runs: Vec<Vec<(u64, u64)>> = Vec::new();
+            for run_no in 0..next() % 7 {
+                // Either anywhere in the key space or past the previous
+                // run (the append path), each run strictly ascending.
+                let mut k = match (next() % 3, runs.last().and_then(|r| r.last())) {
+                    (0, Some(last)) => last.0 + next() % 2,
+                    _ => next() % span,
+                };
+                let mut run = Vec::new();
+                for _ in 0..next() % 12 {
+                    run.push((k, run_no));
+                    k += 1 + next() % 4;
+                }
+                runs.push(run);
+            }
+            let mut reference = BTreeMap::new();
+            for run in &runs {
+                reference.extend(run.iter().copied());
+            }
+            let want: Vec<(u64, u64)> = reference.into_iter().collect();
+            let got = merge_generations(runs.clone(), |e| e.0);
+            assert_eq!(got, want, "case {case}: {runs:?}");
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! operators (analysis pipelines, §IV-B d).
 
 use crate::tree::SensorNavigator;
+use dcdb_bus::TopicFilter;
 use dcdb_common::batch::ReadingBatch;
 use dcdb_common::cache::SensorCache;
 use dcdb_common::reading::SensorReading;
@@ -213,13 +214,7 @@ impl QueryEngine {
     /// Rebuilds the navigator from every sensor currently known to the
     /// engine (cached or stored).
     pub fn rebuild_navigator(&self) {
-        let mut topics: Vec<Topic> = self.caches.read().keys().cloned().collect();
-        if let Some(storage) = &self.storage {
-            topics.extend(storage.topics());
-        }
-        topics.sort();
-        topics.dedup();
-        *self.navigator.write() = Arc::new(SensorNavigator::build(topics.iter()));
+        *self.navigator.write() = Arc::new(SensorNavigator::build(self.topics().iter()));
     }
 
     /// The current navigator snapshot.
@@ -334,13 +329,16 @@ impl QueryEngine {
                         }
                         if let Some(storage) = &self.storage {
                             // Stitch: storage for the old part, cache for
-                            // the recent part.
+                            // the recent part — copied, and the guard
+                            // dropped, before the scan: held across it,
+                            // the guard blocks this sensor's ingest for
+                            // the length of a disk read.
                             self.storage_fallbacks.fetch_add(1, Ordering::Relaxed);
+                            let recent = guard.view_absolute(oldest, t1).to_vec();
+                            drop(guard);
                             let boundary = oldest.saturating_sub_ns(1);
                             let mut out = storage.query(topic, t0, boundary.min(t1));
-                            if t1 >= oldest {
-                                out.extend(guard.view_absolute(oldest, t1).iter().copied());
-                            }
+                            out.extend(recent);
                             return out;
                         }
                         // No storage: clip to the cache.
@@ -371,6 +369,26 @@ impl QueryEngine {
         topics.sort();
         topics.dedup();
         topics
+    }
+
+    /// The known topics `filter` selects, ascending. A wildcard-free
+    /// selector names its one topic, so it is looked up — one cache-map
+    /// probe, one storage index probe — instead of enumerating, merging
+    /// and sorting every topic of every generation to keep one.
+    pub fn select(&self, filter: &TopicFilter) -> Vec<Topic> {
+        if !filter.is_exact() {
+            let mut topics = self.topics();
+            topics.retain(|t| filter.matches(t));
+            return topics;
+        }
+        // A literal segment may hold what a topic cannot (whitespace):
+        // then nothing matches, as in the enumeration.
+        Topic::parse(filter.as_str())
+            .ok()
+            .filter(|t| filter.matches(t))
+            .filter(|t| self.knows(t) || self.storage.as_ref().is_some_and(|s| s.contains(t)))
+            .into_iter()
+            .collect()
     }
 
     /// Aggregate query with the tier-aware planner: picks the coarsest
@@ -1020,6 +1038,189 @@ mod tests {
         }
         assert_eq!(qe.sensor_count(), 4);
         assert_eq!(qe.stats().inserts, 2000);
+    }
+
+    /// Delegating store whose `query` parks, once armed, until the test
+    /// releases it — a disk scan of controllable length.
+    #[derive(Debug)]
+    struct ParkingStore {
+        inner: StorageBackend,
+        armed: std::sync::atomic::AtomicBool,
+        entered: std::sync::Mutex<std::sync::mpsc::Sender<()>>,
+        release: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+    impl StorageEngine for ParkingStore {
+        fn insert_columns(
+            &self,
+            topic: &Topic,
+            batch: &ReadingBatch,
+        ) -> dcdb_common::error::Result<()> {
+            self.inner.insert_columns(topic, batch);
+            Ok(())
+        }
+        fn query(&self, topic: &Topic, t0: Timestamp, t1: Timestamp) -> Vec<SensorReading> {
+            if self.armed.load(Ordering::SeqCst) {
+                self.entered.lock().unwrap().send(()).unwrap();
+                self.release.lock().unwrap().recv().unwrap();
+            }
+            self.inner.query(topic, t0, t1)
+        }
+        fn latest(&self, topic: &Topic) -> Option<SensorReading> {
+            self.inner.latest(topic)
+        }
+        fn contains(&self, topic: &Topic) -> bool {
+            self.inner.contains(topic)
+        }
+        fn topics(&self) -> Vec<Topic> {
+            self.inner.topics()
+        }
+        fn evict_before(&self, cutoff: Timestamp) -> usize {
+            self.inner.evict_before(cutoff)
+        }
+        fn stats(&self) -> dcdb_storage::StorageStats {
+            StorageEngine::stats(&self.inner)
+        }
+    }
+
+    /// Regression: the stitch branch held the sensor's cache read guard
+    /// across `storage.query`, so a cold read blocked that sensor's
+    /// ingest (and, on a writer-preferring lock, every later reader)
+    /// for the length of the scan.
+    #[test]
+    fn cold_read_does_not_block_ingest_of_the_same_sensor() {
+        use std::sync::mpsc;
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let store = Arc::new(ParkingStore {
+            inner: StorageBackend::new(),
+            armed: false.into(),
+            entered: entered_tx.into(),
+            release: release_rx.into(),
+        });
+        let qe = Arc::new(QueryEngine::with_storage(
+            8,
+            Arc::clone(&store) as Arc<dyn StorageEngine>,
+        ));
+        for i in 1..=50u64 {
+            qe.insert(&t("/n1/power"), r(i as i64, i));
+        }
+        store.armed.store(true, Ordering::SeqCst);
+
+        let reader = {
+            let qe = Arc::clone(&qe);
+            std::thread::spawn(move || {
+                qe.query(
+                    &t("/n1/power"),
+                    QueryMode::Absolute {
+                        t0: Timestamp::from_secs(5),
+                        t1: Timestamp::from_secs(60),
+                    },
+                )
+            })
+        };
+        // The reader is now inside the storage scan.
+        entered_rx.recv().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let writer = {
+            let qe = Arc::clone(&qe);
+            std::thread::spawn(move || {
+                qe.insert_columns(&t("/n1/power"), &[r(51, 51)].into_iter().collect());
+                done_tx.send(()).unwrap();
+            })
+        };
+        let ingested = done_rx.recv_timeout(std::time::Duration::from_secs(5));
+        release_tx.send(()).unwrap();
+        writer.join().unwrap();
+        let got = reader.join().unwrap();
+        assert!(ingested.is_ok(), "insert_columns waited for the cold read");
+        // The read is the snapshot it took: storage part, then the
+        // cache part copied before the scan.
+        let vals: Vec<i64> = got.iter().map(|x| x.value).collect();
+        assert_eq!(vals, (5..=50).collect::<Vec<i64>>());
+    }
+
+    /// `select` with a wildcard-free filter is a lookup; it must return
+    /// exactly what enumerating and filtering returned, for topics held
+    /// only by storage (after a reopen), only by a cache, by both, and
+    /// for selectors naming nothing.
+    #[test]
+    fn exact_selector_lookup_equals_enumerate_and_filter() {
+        let dir = std::env::temp_dir().join(format!("wm-select-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let topic = |rack: u64, node: u64, s: u64| t(&format!("/r{rack}/n{node}/s{s}"));
+        let open = || -> Arc<dyn StorageEngine> {
+            Arc::new(
+                dcdb_storage::DurableBackend::open(&dir, dcdb_storage::DurableConfig::default())
+                    .unwrap(),
+            )
+        };
+        {
+            let storage = open();
+            let qe = QueryEngine::with_storage(8, Arc::clone(&storage));
+            for (rack, node) in [(0, 0), (0, 1), (1, 0)] {
+                qe.insert(&topic(rack, node, 0), r(1, 1));
+            }
+            storage.flush().unwrap();
+        }
+        // Reopened: the three topics above are storage-only; two more
+        // are cached and stored; the second engine is cache-only.
+        let durable = QueryEngine::with_storage(8, open());
+        durable.insert(&topic(2, 0, 0), r(1, 2));
+        durable.insert(&topic(2, 0, 1), r(1, 2));
+        assert!(!durable.knows(&topic(0, 0, 0)));
+        let cache_only = QueryEngine::new(8);
+        cache_only.insert(&topic(0, 0, 0), r(1, 1));
+        cache_only.insert(&topic(3, 3, 3), r(1, 1));
+
+        let mut state = 0x5EED_5E1E_2026_0928u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut selected = 0;
+        for case in 0..2000 {
+            // Known topics, near misses (ancestor, descendant, unknown
+            // leaf), a literal no topic can equal, untrimmed forms.
+            let (rack, node, s) = (next() % 4, next() % 4, next() % 4);
+            let raw = match next() % 7 {
+                0 => format!("/r{rack}/n{node}"),
+                1 => format!("/r{rack}/n{node}/s{s}/x"),
+                2 => format!("/r{rack}/n {node}/s{s}"),
+                3 => format!("r{rack}/n{node}/s{s}/ "),
+                4 => format!("/r{rack}/+/s{s}"),
+                5 => format!("/r{rack}/#"),
+                _ => format!("/r{rack}/n{node}/s{s}"),
+            };
+            let filter = TopicFilter::parse(&raw).unwrap();
+            for qe in [&durable, &cache_only] {
+                let want: Vec<Topic> = qe
+                    .topics()
+                    .into_iter()
+                    .filter(|t| filter.matches(t))
+                    .collect();
+                let got = qe.select(&filter);
+                assert_eq!(got, want, "case {case}: {raw:?}");
+                selected += got.len();
+            }
+        }
+        assert!(selected > 500, "selectors must hit: {selected}");
+        assert_eq!(
+            durable.select(&TopicFilter::exact(&topic(0, 1, 0))),
+            vec![topic(0, 1, 0)],
+            "storage-only topic"
+        );
+        assert_eq!(
+            cache_only.select(&TopicFilter::exact(&topic(3, 3, 3))),
+            vec![topic(3, 3, 3)],
+            "cache-only topic"
+        );
+        assert!(durable
+            .select(&TopicFilter::exact(&topic(3, 3, 3)))
+            .is_empty());
+        drop(durable);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -5,13 +5,20 @@
 use dcdb_wintermute::dcdb_bus::{Broker, MessageBus};
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_wintermute::dcdb_common::{SensorReading, Timestamp, Topic};
-use dcdb_wintermute::dcdb_rest::{http_request, Method, RestServer, Router};
+use dcdb_wintermute::dcdb_rest::{http_request, Method, RestServer, Router, ServerConfig};
 use dcdb_wintermute::dcdb_storage::StorageBackend;
 use dcdb_wintermute::wintermute::prelude::*;
 use dcdb_wintermute::wintermute_plugins;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn served_agent() -> (RestServer, Arc<CollectAgent>, Broker) {
+    served_agent_with(ServerConfig::default())
+}
+
+fn served_agent_with(config: ServerConfig) -> (RestServer, Arc<CollectAgent>, Broker) {
     let broker = Broker::new_sync();
     let storage = Arc::new(StorageBackend::new());
     let agent = Arc::new(
@@ -44,7 +51,7 @@ fn served_agent() -> (RestServer, Arc<CollectAgent>, Broker) {
 
     let mut router = Router::new();
     agent.mount_routes(&mut router);
-    let server = RestServer::serve("127.0.0.1:0", router).unwrap();
+    let server = RestServer::serve_with("127.0.0.1:0", router, config).unwrap();
     (server, agent, broker)
 }
 
@@ -117,6 +124,73 @@ fn raw_sensor_queries_over_tcp() {
     let (code, body) = http_request(addr, Method::Get, "/sensors/r9/none/power", b"").unwrap();
     assert_eq!(code, 200);
     assert_eq!(body.trim(), "[]");
+}
+
+/// Polls the server's counters until `ready` holds.
+fn wait_for(server: &RestServer, what: &str, ready: impl Fn(&RestServer) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !ready(server) {
+        assert!(Instant::now() < deadline, "{what}: {:?}", server.metrics());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The event loop reads a connection once right after `accept()`; a
+/// request that is only half there by then must still be completed by
+/// the bytes that follow.
+#[test]
+fn request_sent_in_two_halves_is_served() {
+    let (server, _agent, _broker) = served_agent();
+    let request = b"GET /sensors/r0/n0/power?from_s=10&to_s=12 HTTP/1.1\r\nHost: dcdb\r\n\r\n";
+    let (first, second) = request.split_at(request.len() / 2);
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(first).unwrap();
+    // Accepted (and read, on the same thread) with half a request.
+    wait_for(&server, "accept", |s| s.metrics().accepted == 1);
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(server.metrics().responses, 0);
+    stream.write_all(second).unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 200"), "reply = {reply:?}");
+    let body = reply.split("\r\n\r\n").nth(1).unwrap();
+    let rows: serde_json::Value = serde_json::from_str(body).unwrap();
+    assert_eq!(rows.as_array().unwrap().len(), 3);
+    wait_for(&server, "response counted", |s| s.metrics().responses == 1);
+    assert_eq!(server.metrics().bad_requests, 0);
+}
+
+/// A client that connects and never sends is not closed by the
+/// read-on-accept (nothing to read is not end-of-stream); it is reaped
+/// at the idle deadline, once.
+#[test]
+fn silent_client_is_reaped_at_the_idle_deadline_and_counted_once() {
+    let idle = Duration::from_millis(200);
+    let (server, _agent, _broker) = served_agent_with(ServerConfig {
+        idle_timeout: idle,
+        ..ServerConfig::default()
+    });
+    let connected = Instant::now();
+    let mut silent = TcpStream::connect(server.addr()).unwrap();
+    silent
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut buf = Vec::new();
+    silent.read_to_end(&mut buf).unwrap();
+    assert!(buf.is_empty(), "no response to no request");
+    assert!(connected.elapsed() >= idle, "closed before the deadline");
+    wait_for(&server, "reap", |s| s.metrics().open_connections == 0);
+    // Long enough for several more poll ticks to pass over it.
+    std::thread::sleep(2 * idle);
+    let m = server.metrics();
+    assert_eq!(
+        (m.accepted, m.reaped_idle, m.responses, m.bad_requests),
+        (1, 1, 0, 0),
+        "{m:?}"
+    );
 }
 
 #[test]
