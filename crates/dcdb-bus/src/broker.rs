@@ -7,15 +7,14 @@
 //! * QoS 0 (fire-and-forget) delivery, like DCDB's data path;
 //! * wildcard subscriptions backed by a topic trie, so routing cost is
 //!   proportional to topic depth rather than subscriber count;
-//! * an asynchronous router thread decoupling publishers from slow
-//!   subscribers, with an optional synchronous mode for deterministic
-//!   tests;
-//! * **bounded queues everywhere**: the router input and every
-//!   subscriber queue carry a capacity bound and an
-//!   [`OverflowPolicy`], so a slow subscriber or a publish storm
-//!   degrades by policy (block / drop-newest / drop-oldest) instead of
-//!   growing memory without limit. Queue depth, high-water marks and
-//!   drop counters are exported per subscriber via
+//! * one hop: `publish` matches and enqueues on the caller's thread, so
+//!   a message's fate is decided when `publish` returns and the bus is
+//!   deterministic by construction;
+//! * **bounded queues**: every subscriber queue carries a capacity
+//!   bound and an [`OverflowPolicy`], so a slow subscriber or a publish
+//!   storm degrades by policy (block / drop-newest / drop-oldest)
+//!   instead of growing memory without limit. Queue depth, high-water
+//!   marks and drop counters are exported per subscriber via
 //!   [`Broker::metrics`] / [`BusHandle::metrics`].
 
 use crate::filter::{FilterSegment, TopicFilter};
@@ -23,10 +22,10 @@ use crate::queue::{BoundedQueue, OverflowPolicy, PushOutcome, QueueMetricsSnapsh
 use bytes::Bytes;
 use dcdb_common::error::DcdbError;
 use dcdb_common::topic::Topic;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A routed message: topic plus opaque payload.
@@ -48,23 +47,19 @@ struct SubId(u64);
 /// Queue sizing and overflow behaviour for a broker.
 #[derive(Debug, Clone, Copy)]
 pub struct BusConfig {
-    /// Capacity of the router input queue (messages awaiting routing).
-    pub router_depth: usize,
-    /// What the router input does when full. `DropOldest` keeps
-    /// publishers non-blocking (QoS 0); `Block` gives lossless
-    /// backpressure at the cost of stalling publishers.
-    pub router_policy: OverflowPolicy,
     /// Default capacity of each subscriber queue.
     pub sub_depth: usize,
-    /// Default overflow policy of each subscriber queue.
+    /// Default overflow policy of each subscriber queue. `DropOldest`
+    /// keeps publishers non-blocking (QoS 0). `Block` gives lossless
+    /// backpressure by parking the publishing thread inside `publish`
+    /// until the subscriber pops, so it requires the consumer to run on
+    /// another thread than the publisher.
     pub sub_policy: OverflowPolicy,
 }
 
 impl Default for BusConfig {
     fn default() -> Self {
         BusConfig {
-            router_depth: 65_536,
-            router_policy: OverflowPolicy::DropOldest,
             sub_depth: 8_192,
             sub_policy: OverflowPolicy::DropOldest,
         }
@@ -118,7 +113,7 @@ pub struct BusStats {
 /// drop-oldest eviction — an eviction moves the evicted copy from
 /// `delivered` to `dropped`). With a single subscriber matching every
 /// topic, `published == delivered + dropped` holds across policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BusStatsSnapshot {
     /// Messages accepted from publishers.
     pub published: u64,
@@ -128,8 +123,9 @@ pub struct BusStatsSnapshot {
     /// Copies dropped: dead subscriber, full queue (drop-newest), or
     /// evicted (drop-oldest).
     pub dropped: u64,
-    /// Messages lost at the router input queue before routing
-    /// (publish storms outpacing the router itself).
+    /// Always 0: there is no router queue to lose a message at. Kept
+    /// because frozen `pipeline-bench/` reads it; the next `[benchmark]`
+    /// PR deletes it (ROADMAP item 1b).
     pub router_dropped: u64,
 }
 
@@ -145,15 +141,15 @@ pub struct SubscriptionMetrics {
     pub queue: QueueMetricsSnapshot,
 }
 
-/// Full bus metrics: broker counters, router lag, and one entry per
-/// live subscription.
+/// Full bus metrics: broker counters and one entry per live
+/// subscription.
 #[derive(Debug, Clone)]
 pub struct BusMetricsSnapshot {
     /// Broker-level counters.
     pub stats: BusStatsSnapshot,
-    /// Router input queue counters (`None` for synchronous brokers).
-    /// `depth` here is the router lag: messages published but not yet
-    /// routed.
+    /// Always `None`: there is no router queue. Kept because frozen
+    /// `pipeline-bench/` reads it; the next `[benchmark]` PR deletes it
+    /// (ROADMAP item 1b).
     pub router: Option<QueueMetricsSnapshot>,
     /// Per-subscription queue metrics.
     pub subscriptions: Vec<SubscriptionMetrics>,
@@ -230,50 +226,48 @@ struct Inner {
     config: BusConfig,
     trie: RwLock<TrieNode>,
     sinks: RwLock<HashMap<SubId, SinkEntry>>,
-    input: RwLock<Option<Arc<BoundedQueue<Message>>>>,
     next_id: AtomicU64,
     stats: BusStats,
-    /// Messages fully routed by the router thread; together with the
-    /// input queue's drop counters this drives [`Broker::flush`].
-    routed_done: AtomicU64,
-    progress_lock: StdMutex<()>,
-    progress: Condvar,
 }
 
 impl Inner {
-    fn route(&self, msg: Message) {
+    fn publish(&self, topic: Topic, payload: Bytes) {
+        self.stats.published.fetch_add(1, Ordering::Relaxed);
         let mut ids = Vec::new();
         self.trie
             .read()
-            .collect(&msg.topic.segments().collect::<Vec<_>>(), &mut ids);
+            .collect(&topic.segments().collect::<Vec<_>>(), &mut ids);
         if ids.is_empty() {
             return;
         }
-        let sinks = self.sinks.read();
+        // A `Block` queue parks the publisher inside `push`, so no
+        // broker lock may be held across it: take the matched queues
+        // out from under the read guard first.
+        let targets: Vec<(SubId, Arc<BoundedQueue<Message>>)> = {
+            let sinks = self.sinks.read();
+            ids.into_iter()
+                .filter_map(|id| sinks.get(&id).map(|e| (id, Arc::clone(&e.queue))))
+                .collect()
+        };
+        let msg = Message { topic, payload };
         let mut dead: Vec<SubId> = Vec::new();
-        for id in ids {
-            if let Some(entry) = sinks.get(&id) {
-                match entry.queue.push(msg.clone()) {
-                    PushOutcome::Enqueued => {
-                        self.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                    }
-                    PushOutcome::Evicted => {
-                        // The new copy was admitted but an older
-                        // delivered copy was evicted: net effect is one
-                        // more drop, delivered unchanged.
-                        self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                    PushOutcome::DroppedNewest => {
-                        self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                    PushOutcome::Closed => {
-                        self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                        dead.push(id);
-                    }
+        for (id, queue) in targets {
+            match queue.push(msg.clone()) {
+                PushOutcome::Enqueued => {
+                    self.stats.delivered.fetch_add(1, Ordering::Relaxed);
+                }
+                // `Evicted`: the new copy was admitted but an older
+                // delivered copy was evicted — net effect is one more
+                // drop, delivered unchanged.
+                PushOutcome::Evicted | PushOutcome::DroppedNewest => {
+                    self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                }
+                PushOutcome::Closed => {
+                    self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                    dead.push(id);
                 }
             }
         }
-        drop(sinks);
         if !dead.is_empty() {
             // A disconnected subscriber must leave *both* indexes: the
             // sink map and the routing trie. Leaving it in the trie
@@ -288,38 +282,6 @@ impl Inner {
                 }
             }
         }
-    }
-
-    fn publish(&self, topic: Topic, payload: Bytes) -> Result<(), DcdbError> {
-        self.stats.published.fetch_add(1, Ordering::Relaxed);
-        let msg = Message { topic, payload };
-        let guard = self.input.read();
-        match guard.as_ref() {
-            Some(input) => {
-                match input.push(msg) {
-                    PushOutcome::Enqueued => {}
-                    PushOutcome::Evicted | PushOutcome::DroppedNewest => {
-                        // Lost before routing; flush waiters may now be
-                        // satisfiable.
-                        self.notify_progress();
-                    }
-                    PushOutcome::Closed => {
-                        return Err(DcdbError::Disconnected("broker router stopped".into()));
-                    }
-                }
-                Ok(())
-            }
-            None => {
-                // Synchronous mode (or broker shut down and drained).
-                self.route(msg);
-                Ok(())
-            }
-        }
-    }
-
-    fn notify_progress(&self) {
-        let _guard = self.progress_lock.lock().unwrap();
-        self.progress.notify_all();
     }
 
     fn subscribe(self: &Arc<Self>, filter: TopicFilter, opts: SubscribeOptions) -> Subscription {
@@ -353,31 +315,19 @@ impl Inner {
         let mut trie = self.trie.write();
         let mut sinks = self.sinks.write();
         trie.remove(filter.segments(), id);
-        if let Some(entry) = sinks.remove(&id) {
-            entry.queue.close_tx();
-        }
+        sinks.remove(&id);
     }
 
     fn stats_snapshot(&self) -> BusStatsSnapshot {
-        let router_dropped = self
-            .input
-            .read()
-            .as_ref()
-            .map(|q| {
-                let m = q.metrics();
-                m.dropped_newest + m.dropped_oldest
-            })
-            .unwrap_or(0);
         BusStatsSnapshot {
             published: self.stats.published.load(Ordering::Relaxed),
             delivered: self.stats.delivered.load(Ordering::Relaxed),
             dropped: self.stats.dropped.load(Ordering::Relaxed),
-            router_dropped,
+            router_dropped: 0,
         }
     }
 
     fn metrics_snapshot(&self) -> BusMetricsSnapshot {
-        let router = self.input.read().as_ref().map(|q| q.metrics());
         let subscriptions = self
             .sinks
             .read()
@@ -390,76 +340,36 @@ impl Inner {
             .collect();
         BusMetricsSnapshot {
             stats: self.stats_snapshot(),
-            router,
+            router: None,
             subscriptions,
         }
     }
 }
 
-/// The broker. Owns the router thread; dropped last-in-line it drains
-/// and stops the router. Cheap [`BusHandle`]s are handed to every
-/// component that needs to publish or subscribe.
+/// The broker: the subscription indexes and counters that cheap
+/// [`BusHandle`]s publish into and subscribe on. It owns no thread;
+/// handles and subscriptions outlive it.
 pub struct Broker {
     inner: Arc<Inner>,
-    router: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl Broker {
-    fn inner(config: BusConfig) -> Arc<Inner> {
-        Arc::new(Inner {
-            config,
-            trie: RwLock::new(TrieNode::default()),
-            sinks: RwLock::new(HashMap::new()),
-            input: RwLock::new(None),
-            next_id: AtomicU64::new(0),
-            stats: BusStats::default(),
-            routed_done: AtomicU64::new(0),
-            progress_lock: StdMutex::new(()),
-            progress: Condvar::new(),
-        })
-    }
-
-    /// Creates a broker with an asynchronous router thread and default
-    /// queue bounds (the production configuration).
+    /// Creates a broker with default queue bounds.
     pub fn new() -> Broker {
         Broker::with_config(BusConfig::default())
     }
 
-    /// Creates an asynchronous broker with explicit queue bounds and
-    /// overflow policies.
+    /// Creates a broker with explicit subscriber queue bounds and
+    /// overflow policy.
     pub fn with_config(config: BusConfig) -> Broker {
-        let inner = Broker::inner(config);
-        let input = BoundedQueue::new(config.router_depth, config.router_policy);
-        *inner.input.write() = Some(Arc::clone(&input));
-        let router_inner = Arc::clone(&inner);
-        let handle = std::thread::Builder::new()
-            .name("dcdb-bus-router".into())
-            .spawn(move || {
-                while let Ok(msg) = input.pop() {
-                    router_inner.route(msg);
-                    router_inner.routed_done.fetch_add(1, Ordering::Release);
-                    router_inner.notify_progress();
-                }
-            })
-            .expect("failed to spawn bus router");
         Broker {
-            inner,
-            router: Mutex::new(Some(handle)),
-        }
-    }
-
-    /// Creates a broker that routes inline inside `publish` — fully
-    /// deterministic, for tests and single-threaded simulation.
-    pub fn new_sync() -> Broker {
-        Broker::new_sync_with(BusConfig::default())
-    }
-
-    /// Synchronous broker with explicit queue bounds (subscriber queues
-    /// still apply their overflow policy; there is no router queue).
-    pub fn new_sync_with(config: BusConfig) -> Broker {
-        Broker {
-            inner: Broker::inner(config),
-            router: Mutex::new(None),
+            inner: Arc::new(Inner {
+                config,
+                trie: RwLock::new(TrieNode::default()),
+                sinks: RwLock::new(HashMap::new()),
+                next_id: AtomicU64::new(0),
+                stats: BusStats::default(),
+            }),
         }
     }
 
@@ -470,43 +380,18 @@ impl Broker {
         }
     }
 
-    /// Blocks until every message published before this call has been
-    /// routed *or dropped at the router input* (QoS 0: a bounded router
-    /// queue may shed load under a publish storm; either way the
-    /// message's fate is decided when `flush` returns). No-op in
-    /// synchronous mode.
-    pub fn flush(&self) {
-        let input = match self.inner.input.read().as_ref() {
-            Some(q) => Arc::clone(q),
-            None => return,
-        };
-        let target = input.metrics().offered;
-        let settled = |inner: &Inner| {
-            let m = input.metrics();
-            inner.routed_done.load(Ordering::Acquire)
-                + m.dropped_newest
-                + m.dropped_oldest
-                + m.dropped_closed
-                >= target
-        };
-        let mut guard = self.inner.progress_lock.lock().unwrap();
-        while !settled(&self.inner) {
-            let (g, _timeout) = self
-                .inner
-                .progress
-                .wait_timeout(guard, Duration::from_millis(50))
-                .unwrap();
-            guard = g;
-        }
-    }
+    /// Does nothing: everything published is already routed. Kept
+    /// because frozen `pipeline-bench/` calls it; the next `[benchmark]`
+    /// PR deletes it (ROADMAP item 1b).
+    pub fn flush(&self) {}
 
     /// Snapshot of the broker counters.
     pub fn stats(&self) -> BusStatsSnapshot {
         self.inner.stats_snapshot()
     }
 
-    /// Full metrics: broker counters, router lag, and per-subscription
-    /// queue depth / high-water / drop counters.
+    /// Full metrics: broker counters and per-subscription queue depth /
+    /// high-water / drop counters.
     pub fn metrics(&self) -> BusMetricsSnapshot {
         self.inner.metrics_snapshot()
     }
@@ -523,20 +408,6 @@ impl Default for Broker {
     }
 }
 
-impl Drop for Broker {
-    fn drop(&mut self) {
-        // Close the router input so the thread drains and exits, then
-        // detach it so later publishes route inline.
-        if let Some(input) = self.inner.input.read().as_ref() {
-            input.close_tx();
-        }
-        if let Some(handle) = self.router.lock().take() {
-            let _ = handle.join();
-        }
-        *self.inner.input.write() = None;
-    }
-}
-
 /// The publish/subscribe surface of the bus, shared by the real
 /// [`BusHandle`] and by fault-injecting wrappers such as
 /// [`crate::chaos::ChaosBus`].
@@ -548,8 +419,9 @@ impl Drop for Broker {
 /// exact production code path.
 pub trait MessageBus: Send + Sync {
     /// Publishes a payload to `topic` (QoS 0). An `Err` means the bus
-    /// refused the publish (router stopped, simulated outage); QoS-0
-    /// callers count the loss or spool the payload and carry on.
+    /// refused the publish (simulated outage; the in-process broker
+    /// never refuses); QoS-0 callers count the loss or spool the
+    /// payload and carry on.
     fn publish(&self, topic: Topic, payload: Bytes) -> Result<(), DcdbError>;
 
     /// Publishes a columnar batch as one frame — the packed columns go
@@ -590,7 +462,8 @@ pub struct BusHandle {
 
 impl MessageBus for BusHandle {
     fn publish(&self, topic: Topic, payload: Bytes) -> Result<(), DcdbError> {
-        self.inner.publish(topic, payload)
+        self.inner.publish(topic, payload);
+        Ok(())
     }
 
     fn subscribe_with(&self, filter: TopicFilter, opts: SubscribeOptions) -> Subscription {
@@ -698,6 +571,9 @@ impl Subscription {
 
 impl Drop for Subscription {
     fn drop(&mut self) {
+        // Wake publishers parked on a full `Block` queue (they return
+        // `Closed`) before waiting for the index locks.
+        self.queue.close_rx();
         self.inner.unsubscribe(&self.filter, self.id);
     }
 }
@@ -713,8 +589,8 @@ mod tests {
     }
 
     #[test]
-    fn sync_publish_routes_to_matching_subscribers() {
-        let broker = Broker::new_sync();
+    fn publish_routes_to_matching_subscribers() {
+        let broker = Broker::new();
         let bus = broker.handle();
         let power = bus.subscribe_str("/+/power").unwrap();
         let all = bus.subscribe_str("/#").unwrap();
@@ -731,25 +607,23 @@ mod tests {
     }
 
     #[test]
-    fn async_router_delivers_after_flush() {
+    fn published_messages_are_routed_when_publish_returns() {
         let broker = Broker::new();
         let bus = broker.handle();
         let sub = bus.subscribe_str("/a/#").unwrap();
         for i in 0..100 {
             bus.publish(t(&format!("/a/s{i}")), Bytes::new()).unwrap();
+            assert_eq!(sub.queued(), i + 1);
         }
-        broker.flush();
-        assert_eq!(sub.queued(), 100);
         let stats = broker.stats();
         assert_eq!(stats.published, 100);
         assert_eq!(stats.delivered, 100);
         assert_eq!(stats.dropped, 0);
-        assert_eq!(stats.router_dropped, 0);
     }
 
     #[test]
     fn unsubscribe_on_drop() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let bus = broker.handle();
         {
             let _sub = bus.subscribe_str("/x/#").unwrap();
@@ -762,7 +636,7 @@ mod tests {
 
     #[test]
     fn overlapping_filters_each_get_a_copy() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let bus = broker.handle();
         let a = bus.subscribe_str("/r1/#").unwrap();
         let b = bus.subscribe_str("/r1/+/power").unwrap();
@@ -773,7 +647,7 @@ mod tests {
 
     #[test]
     fn readings_round_trip_over_bus() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let bus = broker.handle();
         let sub = bus.subscribe_str("/n1/power").unwrap();
         let batch = vec![
@@ -792,7 +666,7 @@ mod tests {
 
     #[test]
     fn no_subscribers_is_fine() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let bus = broker.handle();
         bus.publish(t("/lonely"), Bytes::new()).unwrap();
         assert_eq!(broker.stats().published, 1);
@@ -800,12 +674,13 @@ mod tests {
     }
 
     #[test]
-    fn publish_after_broker_drop_fails_or_routes_sync() {
+    fn handles_and_subscriptions_outlive_the_broker() {
         let broker = Broker::new();
         let bus = broker.handle();
+        let sub = bus.subscribe_str("/a/#").unwrap();
         drop(broker);
-        // Router gone: inline routing still works (no subscribers).
         bus.publish(t("/a/b"), Bytes::new()).unwrap();
+        assert_eq!(sub.queued(), 1);
     }
 
     #[test]
@@ -826,7 +701,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        broker.flush();
         assert_eq!(sub.queued(), 1000);
     }
 
@@ -841,7 +715,7 @@ mod tests {
 
     #[test]
     fn drain_empties_queue() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let bus = broker.handle();
         let sub = bus.subscribe_str("/d/#").unwrap();
         for i in 0..5 {
@@ -856,7 +730,7 @@ mod tests {
         // Regression: a disconnected sink used to be removed from the
         // sink map but never from the trie, so the stale SubId matched
         // every subsequent publish and `dropped` grew forever.
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let bus = broker.handle();
         let sub = bus.subscribe_str("/x/#").unwrap();
         sub.simulate_disconnect();
@@ -879,7 +753,7 @@ mod tests {
 
     #[test]
     fn bounded_subscription_drop_oldest_keeps_freshest() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let bus = broker.handle();
         let sub = bus.subscribe_with(
             TopicFilter::parse("/s/#").unwrap(),
@@ -925,7 +799,6 @@ mod tests {
         for i in 0..7 {
             bus.publish(t(&format!("/a/{i}")), Bytes::new()).unwrap();
         }
-        broker.flush();
         let m = broker.metrics();
         assert_eq!(m.subscriptions.len(), 2);
         let a = m
@@ -936,30 +809,51 @@ mod tests {
         assert_eq!(a.filter, "/a/#");
         assert_eq!(a.queue.depth, 7);
         assert_eq!(a.queue.high_water, 7);
-        let router = m.router.expect("async broker has a router queue");
-        assert_eq!(router.offered, 7);
-        assert_eq!(router.dequeued, 7);
-        assert_eq!(router.depth, 0);
+        assert_eq!(a.queue.offered, 7);
+        assert_eq!(a.queue.dequeued, 0);
+        let b = m.subscriptions.iter().find(|s| s.filter == "/b/#").unwrap();
+        assert_eq!(b.label, "sub-1");
+        assert_eq!(b.queue.offered, 0);
+        assert_eq!(b.queue.capacity, BusConfig::default().sub_depth);
+        assert_eq!(m.stats, broker.stats());
     }
 
     #[test]
-    fn flush_settles_even_when_router_drops() {
-        let broker = Broker::with_config(BusConfig {
-            router_depth: 8,
-            router_policy: OverflowPolicy::DropOldest,
-            ..BusConfig::default()
-        });
+    fn dropping_a_full_block_subscription_releases_the_publisher() {
+        // A publisher parked on a full `Block` queue holds no broker
+        // lock, and dropping the subscription closes the queue before
+        // it waits for one: neither side can wedge the other.
+        let broker = Broker::new();
         let bus = broker.handle();
-        let sub = bus.subscribe_str("/#").unwrap();
-        for i in 0..5000 {
-            bus.publish(t(&format!("/f/{i}")), Bytes::new()).unwrap();
-        }
-        broker.flush(); // must not hang
-        let stats = broker.stats();
-        assert_eq!(
-            stats.published,
-            stats.delivered + stats.dropped + stats.router_dropped
+        let sub = bus.subscribe_with(
+            TopicFilter::parse("/b/#").unwrap(),
+            SubscribeOptions::default()
+                .depth(1)
+                .policy(OverflowPolicy::Block),
         );
-        assert!(sub.queued() <= 5000);
+        let publisher = std::thread::spawn(move || {
+            for i in 0..3 {
+                bus.publish(t(&format!("/b/{i}")), Bytes::new()).unwrap();
+            }
+        });
+        // The second push has been offered to the full queue: the
+        // publisher is inside it.
+        while sub.metrics().offered < 2 {
+            std::thread::yield_now();
+        }
+        let dropper = std::thread::spawn(move || drop(sub));
+        // A deadlock must fail the test, not hang it.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !(publisher.is_finished() && dropper.is_finished()) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "publisher and dropper wedged each other"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        publisher.join().unwrap();
+        dropper.join().unwrap();
+        assert_eq!(broker.subscriber_count(), 0);
+        assert_eq!(broker.stats().published, 3);
     }
 }

@@ -244,9 +244,9 @@ impl ChaosState {
             };
             if let Some(d) = msg {
                 self.released.fetch_add(1, Ordering::Relaxed);
-                // The inner bus may refuse (router stopped); at this
-                // point the publisher has long moved on — QoS 0, the
-                // loss is the inner bus's to count.
+                // The inner bus may refuse; at this point the
+                // publisher has long moved on — QoS 0, the loss is
+                // the inner bus's to count.
                 let _ = self.inner.publish(d.topic, d.payload);
             }
         }
@@ -440,7 +440,7 @@ mod tests {
 
     #[test]
     fn outage_window_refuses_then_recovers() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let chaos = ChaosBus::new(
             broker.handle(),
             ChaosConfig::quiet(1).with_outage_ms(100, 200),
@@ -465,7 +465,7 @@ mod tests {
     #[test]
     fn drop_probability_is_deterministic_per_seed() {
         let count_losses = |seed: u64| {
-            let broker = Broker::new_sync();
+            let broker = Broker::new();
             let mut config = ChaosConfig::quiet(seed);
             config.drop_prob = 0.5;
             let chaos = ChaosBus::new(broker.handle(), config);
@@ -485,7 +485,7 @@ mod tests {
 
     #[test]
     fn delay_holds_until_virtual_time_passes() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let mut config = ChaosConfig::quiet(7);
         config.delay_ns = 40 * 1_000_000; // 40 ms
         let chaos = ChaosBus::new(broker.handle(), config);
@@ -516,7 +516,7 @@ mod tests {
 
     #[test]
     fn partition_cuts_only_the_matching_prefix() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let chaos = ChaosBus::new(broker.handle(), ChaosConfig::quiet(3));
         let sub = broker.handle().subscribe_str("/#").unwrap();
 
@@ -545,7 +545,7 @@ mod tests {
         // Regression guard for the SimClock unification: `advance` is a
         // monotonic fetch_max, so a stale tick arriving after the
         // window closed must not re-enter the outage.
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let chaos = ChaosBus::new(
             broker.handle(),
             ChaosConfig::quiet(5).with_outage_ms(100, 200),
@@ -565,7 +565,7 @@ mod tests {
     fn shared_clock_drives_two_wrappers_and_traces_transitions() {
         let clock = dcdb_common::sim::SimClock::new();
         let trace = dcdb_common::sim::EventTrace::new();
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let a = ChaosBus::over(
             Arc::new(broker.handle()),
             ChaosConfig::quiet(1).with_outage_ms(100, 200),

@@ -9,8 +9,8 @@
 //! * [`queue`] — bounded delivery queues with overflow policies
 //!   (block / drop-newest / drop-oldest) and lock-free metrics;
 //! * [`broker`] — a QoS-0 [`Broker`](broker::Broker) with trie-based
-//!   routing, an asynchronous router thread, and bounded queues on the
-//!   router input and every subscription;
+//!   routing on the publisher's thread and a bounded queue on every
+//!   subscription;
 //! * [`chaos`] — a deterministic fault-injection wrapper
 //!   ([`ChaosBus`](chaos::ChaosBus)) implementing the same
 //!   [`MessageBus`](broker::MessageBus) surface: seeded refuse-publish

@@ -4,11 +4,11 @@
 //! allowed to drop messages, but the drops must be *bounded, chosen by
 //! policy, and observable* — never silent memory growth (DCDB paper
 //! §IV-A; the ODA-in-practice follow-up calls sustained overload the
-//! main gap between prototype and production). Every queue in the bus —
-//! the router input and each subscriber queue — is an instance of
-//! [`BoundedQueue`] carrying an [`OverflowPolicy`] and a lock-free
-//! readable [`QueueMetrics`] block (depth, high-water mark, drop
-//! counters) that feeds the `/metrics` endpoint.
+//! main gap between prototype and production). Every subscriber queue
+//! in the bus is an instance of [`BoundedQueue`] carrying an
+//! [`OverflowPolicy`] and a lock-free readable [`QueueMetrics`] block
+//! (depth, high-water mark, drop counters) that feeds the `/metrics`
+//! endpoint.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -3,9 +3,9 @@
 //! The broker is QoS 0: under overload it may shed messages, but the
 //! shedding must be bounded (queue depth never exceeds the configured
 //! capacity), policy-driven, and fully accounted (`published ==
-//! delivered + dropped` once the router settles). These tests drive the
-//! full async broker — publisher, router thread, consumer thread — not
-//! the queue in isolation.
+//! delivered + dropped`). These tests drive the broker under real
+//! threads — publishers routing into subscriber queues that consumer
+//! threads drain — not the queue in isolation.
 
 use dcdb_bus::{
     decode_batch, Broker, BusConfig, MessageBus, OverflowPolicy, SubscribeOptions, TopicFilter,
@@ -13,6 +13,7 @@ use dcdb_bus::{
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -43,8 +44,6 @@ fn bounded_subscription_never_exceeds_depth_under_overload() {
     ] {
         let depth = 64usize;
         let broker = Broker::with_config(BusConfig {
-            router_depth: 256,
-            router_policy: policy,
             sub_depth: depth,
             sub_policy: policy,
         });
@@ -77,7 +76,6 @@ fn bounded_subscription_never_exceeds_depth_under_overload() {
         for seq in 0..10_000u64 {
             handle.publish_readings(t.clone(), &[reading(seq)]).unwrap();
         }
-        broker.flush();
         stop.store(true, Ordering::Release);
         let sub = consumer.join().unwrap();
 
@@ -101,7 +99,6 @@ fn drop_oldest_survivors_preserve_timestamp_order() {
     let broker = Broker::with_config(BusConfig {
         sub_depth: 32,
         sub_policy: OverflowPolicy::DropOldest,
-        ..BusConfig::default()
     });
     let sub = broker
         .handle()
@@ -115,7 +112,6 @@ fn drop_oldest_survivors_preserve_timestamp_order() {
             .publish_readings(t.clone(), &[reading(seq)])
             .unwrap();
     }
-    broker.flush();
 
     let mut timestamps = Vec::new();
     for msg in sub.drain() {
@@ -146,11 +142,6 @@ fn drop_oldest_survivors_preserve_timestamp_order() {
 fn published_equals_delivered_plus_dropped_for_shedding_policies() {
     for policy in [OverflowPolicy::DropOldest, OverflowPolicy::DropNewest] {
         let broker = Broker::with_config(BusConfig {
-            router_depth: 1024,
-            // Keep the router lossless here so per-subscriber
-            // accounting is exercised in isolation; router losses are
-            // covered by the broker's own flush-under-drops test.
-            router_policy: OverflowPolicy::Block,
             sub_depth: 16,
             sub_policy: policy,
         });
@@ -174,14 +165,9 @@ fn published_equals_delivered_plus_dropped_for_shedding_policies() {
                 .publish_readings(t, &[reading(seq)])
                 .unwrap();
         }
-        broker.flush();
 
         let stats = broker.stats();
         assert_eq!(stats.published, total, "{policy:?}");
-        assert_eq!(
-            stats.router_dropped, 0,
-            "{policy:?}: lossless router dropped"
-        );
         // Each message matched `wide`; every second one also matched
         // `narrow` — three copies per two messages.
         let copies = total + total / 2;
@@ -216,8 +202,6 @@ fn published_equals_delivered_plus_dropped_for_shedding_policies() {
 #[test]
 fn block_policy_is_lossless_end_to_end() {
     let broker = Broker::with_config(BusConfig {
-        router_depth: 64,
-        router_policy: OverflowPolicy::Block,
         sub_depth: 8,
         sub_policy: OverflowPolicy::Block,
     });
@@ -256,7 +240,6 @@ fn block_policy_is_lossless_end_to_end() {
             .publish_readings(t, &[reading(seq)])
             .unwrap();
     }
-    broker.flush();
     stop.store(true, Ordering::Release);
     let consumed: u64 = consumers.into_iter().map(|h| h.join().unwrap()).sum();
 
@@ -264,7 +247,116 @@ fn block_policy_is_lossless_end_to_end() {
     let copies = total + total / 2;
     assert_eq!(stats.published, total);
     assert_eq!(stats.dropped, 0, "Block policy must not drop");
-    assert_eq!(stats.router_dropped, 0);
     assert_eq!(stats.delivered, copies);
     assert_eq!(consumed, copies);
+}
+
+/// The one routing path under real threads: four publishers route
+/// concurrently into one consumer's queue, for every overflow policy,
+/// while a second subscriber dies mid-run.
+#[test]
+fn concurrent_publishers_keep_order_and_accounting_while_a_subscriber_dies() {
+    const PUBLISHERS: u64 = 4;
+    const PER_PUBLISHER: u64 = 2_000;
+    const VICTIM_LIFETIME: u64 = 32;
+    for policy in [
+        OverflowPolicy::DropOldest,
+        OverflowPolicy::DropNewest,
+        OverflowPolicy::Block,
+    ] {
+        let broker = Broker::with_config(BusConfig {
+            sub_depth: 64,
+            sub_policy: policy,
+        });
+        let stop = Arc::new(AtomicBool::new(false));
+        let survivor = {
+            let sub = broker.handle().subscribe(filter("/#"));
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut last_seq: HashMap<String, i64> = HashMap::new();
+                let mut consumed = 0u64;
+                loop {
+                    match sub.recv_timeout(Duration::from_millis(1)) {
+                        Ok(Some(msg)) => {
+                            let seq = decode_batch(msg.payload).unwrap().values[0];
+                            let last = last_seq.entry(msg.topic.as_str().to_string()).or_insert(-1);
+                            assert!(
+                                seq > *last,
+                                "{policy:?}: {} went {last} -> {seq}",
+                                msg.topic
+                            );
+                            *last = seq;
+                            consumed += 1;
+                        }
+                        Ok(None) if stop.load(Ordering::Acquire) && sub.queued() == 0 => {
+                            return (sub, consumed);
+                        }
+                        Ok(None) => {}
+                        Err(_) => return (sub, consumed),
+                    }
+                }
+            })
+        };
+        // Consumes less than one queue's worth (so it cannot starve),
+        // then goes away with publishers mid-push (under `Block`,
+        // parked on its full queue).
+        let victim = {
+            let sub = broker.handle().subscribe(filter("/#"));
+            std::thread::spawn(move || {
+                for _ in 0..VICTIM_LIFETIME {
+                    sub.recv().unwrap();
+                }
+            })
+        };
+        let publishers: Vec<_> = (0..PUBLISHERS)
+            .map(|p| {
+                let handle = broker.handle();
+                std::thread::spawn(move || {
+                    let t = topic(&format!("/p{p}/power"));
+                    for seq in 0..PER_PUBLISHER {
+                        handle.publish_readings(t.clone(), &[reading(seq)]).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in publishers {
+            h.join().unwrap();
+        }
+        victim.join().unwrap();
+        stop.store(true, Ordering::Release);
+        let (sub, consumed) = survivor.join().unwrap();
+
+        // Every message reached the survivor's queue and is accounted
+        // there as consumed or dropped by policy.
+        let published = PUBLISHERS * PER_PUBLISHER;
+        let stats = broker.stats();
+        let m = sub.metrics();
+        assert_eq!(stats.published, published, "{policy:?}");
+        assert_eq!(m.offered, published, "{policy:?}: {m:?}");
+        assert_eq!(consumed + m.dropped_total(), published, "{policy:?}: {m:?}");
+        assert!(m.high_water <= 64, "{policy:?}: {m:?}");
+        if policy == OverflowPolicy::Block {
+            assert_eq!(consumed, published, "Block must not lose: {m:?}");
+        }
+        // The rest of the bus-level copies are the victim's: at least
+        // what it consumed, at most one per message.
+        let victim_copies = stats.delivered + stats.dropped - published;
+        assert!(
+            (VICTIM_LIFETIME..=published).contains(&victim_copies),
+            "{policy:?}: {stats:?}"
+        );
+        // The victim left both indexes: one more publish makes exactly
+        // one copy.
+        assert_eq!(broker.subscriber_count(), 1, "{policy:?}");
+        broker
+            .handle()
+            .publish_readings(topic("/p0/power"), &[reading(PER_PUBLISHER)])
+            .unwrap();
+        let after = broker.stats();
+        assert_eq!(
+            after.delivered + after.dropped,
+            stats.delivered + stats.dropped + 1,
+            "{policy:?}"
+        );
+    }
 }

@@ -373,8 +373,8 @@ impl CollectAgent {
         }
     }
 
-    /// Live operational metrics as JSON: broker counters and router
-    /// lag, per-subscriber queue depth / high-water / drop counters,
+    /// Live operational metrics as JSON: broker counters,
+    /// per-subscriber queue depth / high-water / drop counters,
     /// agent ingest counters, query-engine and storage statistics, and
     /// the embedded Wintermute runtime's per-operator fault-isolation
     /// metrics (runs, errors, panics, overruns, quarantine state,
@@ -416,9 +416,6 @@ impl CollectAgent {
             "published": bus.stats.published,
             "delivered": bus.stats.delivered,
             "dropped": bus.stats.dropped,
-            "router_dropped": bus.stats.router_dropped,
-            "router_lag": bus.router.as_ref().map(|r| r.depth),
-            "router": bus.router.as_ref().map(queue_json),
             "subscriptions": subs,
         });
         let agent_json = serde_json::json!({
@@ -854,7 +851,7 @@ mod tests {
     }
 
     fn setup() -> (Broker, Arc<CollectAgent>) {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let storage = Arc::new(StorageBackend::new());
         let agent = Arc::new(
             CollectAgent::new(CollectAgentConfig::default(), &broker.handle(), storage).unwrap(),
@@ -1143,7 +1140,7 @@ mod tests {
         let mut dir = std::env::temp_dir();
         dir.push(format!("dcdb-agent-rollup-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let storage = Arc::new(DurableBackend::open(&dir, DurableConfig::default()).unwrap());
         // A short cache window: the planner only trusts tier frames for
         // buckets wholly before the raw-cache boundary, so most of the
@@ -1255,7 +1252,7 @@ mod tests {
 
     #[test]
     fn ingest_budget_bounds_one_pass_and_preserves_backlog() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let storage = Arc::new(StorageBackend::new());
         let agent = CollectAgent::new(
             CollectAgentConfig {
@@ -1301,7 +1298,7 @@ mod tests {
 
     #[test]
     fn health_and_metrics_report_agent_identity_and_shard() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let storage = Arc::new(StorageBackend::new());
         let agent = Arc::new(
             CollectAgent::new(
@@ -1460,7 +1457,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let agent = Arc::new(
             CollectAgent::new(
                 CollectAgentConfig::default(),
@@ -1514,7 +1511,7 @@ mod tests {
         dir.push(format!("dcdb-agent-durable-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         {
-            let broker = Broker::new_sync();
+            let broker = Broker::new();
             let storage = Arc::new(DurableBackend::open(&dir, DurableConfig::default()).unwrap());
             let agent = CollectAgent::new(CollectAgentConfig::default(), &broker.handle(), storage)
                 .unwrap();
@@ -1532,7 +1529,7 @@ mod tests {
         }
         // "Restart": a fresh agent over the same data directory serves
         // the old range from recovered segments/WAL on a cold cache.
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let storage = Arc::new(DurableBackend::open(&dir, DurableConfig::default()).unwrap());
         let agent =
             CollectAgent::new(CollectAgentConfig::default(), &broker.handle(), storage).unwrap();
@@ -1549,7 +1546,7 @@ mod tests {
 
     #[test]
     fn storage_fallback_after_cache_eviction() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let storage = Arc::new(StorageBackend::new());
         let agent = CollectAgent::new(
             CollectAgentConfig {

@@ -394,7 +394,7 @@ impl FederatedAgent {
             agent_template: config.agent,
             storage_factory,
             membership: Mutex::new(()),
-            fallback_broker: Broker::new_sync(),
+            fallback_broker: Broker::new(),
             rebalances: AtomicU64::new(0),
             drains_timed_out: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
@@ -834,10 +834,7 @@ fn build_node(
     ordinal: usize,
     node_id: &str,
 ) -> Result<NodeRuntime> {
-    // Synchronous brokers keep per-node ingest deterministic;
-    // concurrency lives at the federation tier (scatter threads and
-    // per-shard I/O), not inside each node's bus.
-    let broker = Broker::new_sync();
+    let broker = Broker::new();
     let engine = TappedEngine::wrap(storage(ordinal, node_id)?);
     let agent = Arc::new(CollectAgent::new(
         CollectAgentConfig {
@@ -914,12 +911,7 @@ impl MessageBus for FederatedAgent {
     }
 
     fn stats(&self) -> BusStatsSnapshot {
-        let mut total = BusStatsSnapshot {
-            published: 0,
-            delivered: 0,
-            dropped: 0,
-            router_dropped: 0,
-        };
+        let mut total = BusStatsSnapshot::default();
         for shard in &self.shards {
             for node in &shard.nodes {
                 if let Some(rt) = node.runtime.read().as_ref() {
@@ -927,7 +919,6 @@ impl MessageBus for FederatedAgent {
                     total.published += s.published;
                     total.delivered += s.delivered;
                     total.dropped += s.dropped;
-                    total.router_dropped += s.router_dropped;
                 }
             }
         }

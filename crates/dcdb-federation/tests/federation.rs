@@ -53,7 +53,7 @@ fn federation_with(agents: usize, replication: ReplicationConfig) -> Arc<Federat
 
 /// Reference: one Collect Agent ingesting everything.
 fn single_agent() -> (dcdb_bus::Broker, Arc<CollectAgent>) {
-    let broker = dcdb_bus::Broker::new_sync();
+    let broker = dcdb_bus::Broker::new();
     let storage = Arc::new(StorageBackend::new());
     let agent = Arc::new(CollectAgent::new(agent_config(), &broker.handle(), storage).unwrap());
     (broker, agent)

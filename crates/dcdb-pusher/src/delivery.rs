@@ -612,7 +612,7 @@ mod tests {
         config: ChaosConfig,
         delivery: DeliveryConfig,
     ) -> (Broker, ChaosBus, BusConnection) {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let chaos = ChaosBus::new(broker.handle(), config);
         let conn = BusConnection::new(Arc::new(chaos.clone()), delivery);
         (broker, chaos, conn)

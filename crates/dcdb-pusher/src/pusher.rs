@@ -409,7 +409,7 @@ mod tests {
     }
 
     fn sim_pusher(publish: bool) -> (Pusher, Broker) {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let sim = Arc::new(Mutex::new(ClusterSimulator::new(
             ClusterConfig::small_manual(7),
         )));
@@ -492,7 +492,7 @@ mod tests {
 
     #[test]
     fn tester_plugin_in_pusher() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let mut pusher = Pusher::new(PusherConfig::default(), Some(broker.handle()));
         pusher.add_monitoring_plugin(Box::new(
             TesterMonitoringPlugin::new(&t("/host/tester"), 100).unwrap(),
@@ -530,7 +530,7 @@ mod tests {
     /// same plugin and by a second plugin.
     #[test]
     fn thousand_sensor_tick_groups_repeated_topics_in_first_seen_order() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let mut pusher = Pusher::new(PusherConfig::default(), Some(broker.handle()));
         let topic = |i: usize| t(&format!("/host/s{i:04}/value"));
         let mut first: Vec<(Topic, i64)> = (0..1000).map(|i| (topic(i), i as i64)).collect();
@@ -567,7 +567,7 @@ mod tests {
     /// skipping every later plugin *and* the operator-manager tick.
     #[test]
     fn failing_plugin_does_not_abort_tick() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let mut pusher = Pusher::new(
             PusherConfig {
                 plugin_fault: FaultPolicy {
@@ -612,7 +612,7 @@ mod tests {
 
     #[test]
     fn quarantined_plugin_recovers_on_successful_probe() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let mut pusher = Pusher::new(
             PusherConfig {
                 plugin_fault: FaultPolicy {
@@ -646,7 +646,7 @@ mod tests {
 
     #[test]
     fn outage_spools_and_recovers_without_loss() {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let chaos = ChaosBus::new(
             broker.handle(),
             // Outage covers ticks at 3 s and 4 s.

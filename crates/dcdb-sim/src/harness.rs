@@ -675,8 +675,7 @@ fn finish(
 
     let bus_stats = MessageBus::stats(fed.as_ref());
     let identities = IdentityReport {
-        bus: bus_stats.published
-            == bus_stats.delivered + bus_stats.dropped + bus_stats.router_dropped,
+        bus: bus_stats.published == bus_stats.delivered + bus_stats.dropped,
         delivery: counters.offered
             == counters.published
                 + counters.spool_dropped

@@ -15,8 +15,8 @@ use serde::Serialize;
 /// make the books stop balancing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct IdentityReport {
-    /// Broker tier: `published == delivered + dropped + router_dropped`
-    /// across the federation's internal brokers.
+    /// Broker tier: `published == delivered + dropped` across the
+    /// federation's internal brokers.
     pub bus: bool,
     /// Supervised-connection tier, summed over every connection:
     /// `offered == published + spool_dropped + spool_depth_end +

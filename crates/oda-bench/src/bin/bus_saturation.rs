@@ -24,27 +24,18 @@ fn main() {
     let result = run(&config);
 
     println!(
-        "{:<12} {:>6} {:>10} {:>10} {:>11} {:>11} {:>9} {:>8} {:>7}",
-        "policy",
-        "factor",
-        "published",
-        "consumed",
-        "dropped@sub",
-        "dropped@rtr",
-        "highwater",
-        "drop%",
-        "ok"
+        "{:<12} {:>6} {:>10} {:>10} {:>10} {:>9} {:>8} {:>7}",
+        "policy", "factor", "published", "consumed", "dropped", "highwater", "drop%", "ok"
     );
     for c in &result.cells {
         println!(
-            "{:<12} {:>5}x {:>10} {:>10} {:>11} {:>11} {:>9} {:>7.2}% {:>7}",
+            "{:<12} {:>5}x {:>10} {:>10} {:>10} {:>9} {:>7.2}% {:>7}",
             c.policy,
             c.factor,
             c.published,
             c.consumed,
-            c.dropped_sub,
-            c.dropped_router,
-            c.sub_high_water.max(c.router_high_water),
+            c.dropped,
+            c.high_water,
             c.drop_ratio * 100.0,
             if c.bound_respected && c.conserved && c.ordered {
                 "yes"

@@ -8,12 +8,12 @@
 //! the configured [`OverflowPolicy`], and every published message must
 //! be accounted as delivered or dropped.
 //!
-//! The harness drives the real async [`Broker`] (publisher thread,
-//! router thread, consumer thread). The consumer drains a fixed number
-//! of messages per tick; the publisher offers `factor` times that
-//! volume. For the shedding policies the surplus is dropped at the
-//! bounded queues; for `Block` the publisher is paced to the consumer's
-//! rate and nothing is lost.
+//! The harness drives the real [`Broker`] under two threads: the
+//! publisher routes into the one bound the bus has, the subscriber
+//! queue, and the consumer drains a fixed number of messages per tick;
+//! the publisher offers `factor` times that volume. For the shedding
+//! policies the surplus is dropped at the bounded queue; for `Block`
+//! the publisher is paced to the consumer's rate and nothing is lost.
 //!
 //! Results land in `bench-results/bus_saturation.json`.
 
@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 /// Workload shape.
 #[derive(Debug, Clone)]
 pub struct BusSaturationConfig {
-    /// Queue bound applied to the router input and the subscriber.
+    /// Subscriber queue bound.
     pub bound: usize,
     /// Messages the consumer drains per tick (its nominal capacity).
     pub drain_per_tick: usize,
@@ -94,22 +94,18 @@ pub struct SaturationCell {
     /// Messages the consumer actually decoded.
     pub consumed: u64,
     /// Copies shed at the subscriber queue.
-    pub dropped_sub: u64,
-    /// Messages shed at the router input queue.
-    pub dropped_router: u64,
+    pub dropped: u64,
     /// Deepest the subscriber queue ever got.
-    pub sub_high_water: usize,
-    /// Deepest the router input queue ever got.
-    pub router_high_water: usize,
-    /// Both high-water marks stayed at or below the configured bound.
+    pub high_water: usize,
+    /// The high-water mark stayed at or below the configured bound.
     pub bound_respected: bool,
-    /// `published == delivered + dropped_sub + dropped_router` held.
+    /// `published == delivered + dropped` held.
     pub conserved: bool,
     /// The consumed stream was in publication (timestamp) order.
     pub ordered: bool,
     /// Fraction of published messages that were consumed.
     pub delivery_ratio: f64,
-    /// Fraction of published messages lost (any site).
+    /// Fraction of published messages lost.
     pub drop_ratio: f64,
     /// Wall-clock time for the cell, milliseconds.
     pub elapsed_ms: f64,
@@ -118,7 +114,7 @@ pub struct SaturationCell {
 /// Full result: the grid of cells plus the workload shape.
 #[derive(Debug, Clone, Serialize)]
 pub struct BusSaturationResult {
-    /// Queue bound used for router and subscriber queues.
+    /// Subscriber queue bound.
     pub bound: usize,
     /// Consumer capacity, messages per tick.
     pub drain_per_tick: usize,
@@ -139,8 +135,6 @@ fn reading(seq: u64) -> SensorReading {
 
 fn run_cell(config: &BusSaturationConfig, policy: OverflowPolicy, factor: u64) -> SaturationCell {
     let broker = Broker::with_config(BusConfig {
-        router_depth: config.bound,
-        router_policy: policy,
         sub_depth: config.bound,
         sub_policy: policy,
     });
@@ -195,31 +189,25 @@ fn run_cell(config: &BusSaturationConfig, policy: OverflowPolicy, factor: u64) -
         }
         std::thread::sleep(tick);
     }
-    broker.flush();
     stop.store(true, Ordering::Release);
     let (sub, consumed, ordered) = consumer.join().expect("consumer");
     let elapsed_ms = start.elapsed().as_secs_f64() * 1000.0;
 
     let stats = broker.stats();
-    let metrics = broker.metrics();
     let sub_m = sub.metrics();
-    let router_hw = metrics.router.map(|r| r.high_water).unwrap_or(0);
-    let dropped_total = stats.dropped + stats.router_dropped;
     SaturationCell {
         policy: policy.as_str().to_string(),
         factor,
         published: stats.published,
         delivered: stats.delivered,
         consumed,
-        dropped_sub: stats.dropped,
-        dropped_router: stats.router_dropped,
-        sub_high_water: sub_m.high_water,
-        router_high_water: router_hw,
-        bound_respected: sub_m.high_water <= config.bound && router_hw <= config.bound,
-        conserved: stats.published == stats.delivered + dropped_total && sub_m.conserved(),
+        dropped: stats.dropped,
+        high_water: sub_m.high_water,
+        bound_respected: sub_m.high_water <= config.bound,
+        conserved: stats.published == stats.delivered + stats.dropped && sub_m.conserved(),
         ordered,
         delivery_ratio: consumed as f64 / stats.published.max(1) as f64,
-        drop_ratio: dropped_total as f64 / stats.published.max(1) as f64,
+        drop_ratio: stats.dropped as f64 / stats.published.max(1) as f64,
         elapsed_ms,
     }
 }
@@ -270,16 +258,12 @@ mod tests {
                 cell.policy, cell.factor
             );
             if cell.policy == "block" {
-                assert_eq!(
-                    cell.dropped_sub + cell.dropped_router,
-                    0,
-                    "block policy must be lossless"
-                );
+                assert_eq!(cell.dropped, 0, "block policy must be lossless");
                 assert_eq!(cell.consumed, cell.published);
             }
             if cell.policy != "block" && cell.factor >= 16 {
                 assert!(
-                    cell.dropped_sub + cell.dropped_router > 0,
+                    cell.dropped > 0,
                     "{} x{}: 16x overload produced no drops",
                     cell.policy,
                     cell.factor

@@ -161,7 +161,7 @@ fn run_cell(
     policy: OverflowPolicy,
     spool_depth: usize,
 ) -> ResilienceCell {
-    let broker = Broker::new_sync();
+    let broker = Broker::new();
     let mut chaos_cfg = ChaosConfig::quiet(config.seed);
     chaos_cfg.outages = config
         .outages_ms
@@ -265,8 +265,8 @@ fn run_cell(
         conserved &= s.delivery_conserved();
     }
     let received = agent.stats().readings;
-    // End-to-end: the synchronous broker delivers every published
-    // reading, so receipt must match publication exactly.
+    // End-to-end: the broker delivers every published reading, so
+    // receipt must match publication exactly.
     conserved &= received == published;
     let lost = sampled - received - spooled_at_end;
     let stale_at_end = agent.delivery_health().iter().filter(|s| s.stale).count();

@@ -226,7 +226,7 @@ fn run_replicated(config: &FailoverResilienceConfig, dir: &Path) -> FailoverCell
     // and are never acked, so the accounting identity still closes.
     let lane0 = derive_seed(config.fault_seed, 0);
     let horizon_ns = config.rounds * config.round_ms * 1_000_000;
-    let scratch = Broker::new_sync();
+    let scratch = Broker::new();
     let chaos = ChaosBus::new(
         scratch.handle(),
         ChaosConfig {

@@ -111,7 +111,7 @@ pub fn run_app(config: &Fig7Config, app: AppModel) -> Fig7Result {
     sim.lock()
         .submit_job("fig7", app, (0..total_nodes).collect(), job_start, job_end);
 
-    let broker = Broker::new_sync();
+    let broker = Broker::new();
 
     // One Pusher per node, each with a perfmetrics CPI operator whose
     // outputs are forwarded onto the bus (pipeline stage 1).

@@ -44,7 +44,7 @@ fn main() {
     let sim = Arc::new(Mutex::new(sim));
 
     // --- Stage 1: one Pusher per node with a perfmetrics operator. ---
-    let broker = Broker::new_sync();
+    let broker = Broker::new();
     let mut pushers = Vec::new();
     for node in 0..4 {
         let mut pusher = Pusher::new(

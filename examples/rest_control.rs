@@ -23,7 +23,7 @@ use wintermute_plugins::AggregatorPlugin;
 
 fn main() {
     // --- A Collect Agent with some sensor data and an aggregator. ---
-    let broker = Broker::new_sync();
+    let broker = Broker::new();
     let storage = Arc::new(StorageBackend::new());
     let agent = Arc::new(
         CollectAgent::new(CollectAgentConfig::default(), &broker.handle(), storage).unwrap(),

@@ -13,13 +13,15 @@
 //!     [--scenario NAME --seed S [--sim-scale tiny|small|large]] [--list-scenarios]
 //!     [--agents N] [--vnodes N] [--replicas 1|2] [--shard-timeout-ms N]
 //!     [--data-dir DIR] [--fsync always|batch|never] [--retention-secs N]
-//!     [--router-depth N] [--sub-depth N] [--overflow block|drop-newest|drop-oldest]
+//!     [--sub-depth N] [--overflow block|drop-newest|drop-oldest]
 //!     [--ingest-budget N] [--quarantine-threshold N]
 //!     [--chaos-seed N] [--outage-ms N] [--drop-prob P]
 //!     [--spool-depth N] [--reconnect-base-ms N]
 //!     [--io-fault-seed N] [--enospc-after BYTES] [--eio-prob P]
 //!     [--fsync-fail-prob P] [--io-latency-ms N]
 //! ```
+//!
+//! Any other `--flag` is a usage error (exit status 2).
 //!
 //! Deterministic replay (`--scenario NAME --seed S`): instead of the
 //! wall-clock deployment, run one named fault scenario from the
@@ -37,11 +39,9 @@
 //! the primary streams its acked journal to a standby, failure
 //! detection promotes the standby when the primary dies, and the
 //! status line and `GET /federation` report per-shard roles,
-//! replication lag, and promotions. (`--replicas` used to mean ring
-//! vnodes; a value above 2 is taken in the old sense with a
-//! deprecation note.) Pushers publish *through the federation*, which
-//! routes
-//! each reading to the shard owning its topic, and the REST surface is
+//! replication lag, and promotions. Pushers publish *through the
+//! federation*, which routes each reading to the shard owning its
+//! topic, and the REST surface is
 //! served by the scatter-gather [`QueryRouter`]: `/sensors` responses
 //! carry a partial-result envelope (`shards_total == shards_ok +
 //! shards_timed_out + shards_down`), `/metrics` and `/health` aggregate
@@ -54,9 +54,12 @@
 //! federation_scaling --smoke` harness is the chaos driver for the
 //! federated tier.
 //!
-//! Backpressure knobs (paper §V scalability): the broker's router input
-//! and every subscription queue are bounded; `--overflow` picks what
-//! happens when a queue is full (QoS-0 default: `drop-oldest`).
+//! Backpressure knobs (paper §V scalability): every subscription queue
+//! of the broker is bounded at `--sub-depth`; `--overflow` picks what
+//! happens when a queue is full (QoS-0 default: `drop-oldest`). `block`
+//! parks the publisher until the subscriber pops, and this binary
+//! drives Pushers and Collect Agent from one loop, so under `block`
+//! `--sub-depth` must hold one tick's worth of messages.
 //! `--ingest-budget` caps how many bus messages the Collect Agent
 //! drains per tick so operators and storage maintenance are never
 //! starved. Live queue depths and drop counters are served at
@@ -129,6 +132,38 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Every flag this binary reads.
+const FLAGS: &[&str] = &[
+    "--nodes",
+    "--duration",
+    "--port",
+    "--scenario",
+    "--seed",
+    "--sim-scale",
+    "--list-scenarios",
+    "--agents",
+    "--vnodes",
+    "--replicas",
+    "--shard-timeout-ms",
+    "--data-dir",
+    "--fsync",
+    "--retention-secs",
+    "--sub-depth",
+    "--overflow",
+    "--ingest-budget",
+    "--quarantine-threshold",
+    "--chaos-seed",
+    "--outage-ms",
+    "--drop-prob",
+    "--spool-depth",
+    "--reconnect-base-ms",
+    "--io-fault-seed",
+    "--enospc-after",
+    "--eio-prob",
+    "--fsync-fail-prob",
+    "--io-latency-ms",
+];
+
 fn arg(name: &str, default: u64) -> u64 {
     arg_str(name)
         .and_then(|v| v.parse().ok())
@@ -198,6 +233,13 @@ fn scenario_mode() -> bool {
 }
 
 fn main() {
+    if let Some(unknown) = std::env::args()
+        .skip(1)
+        .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+    {
+        eprintln!("unknown flag {unknown}; flags: {}", FLAGS.join(" "));
+        std::process::exit(2);
+    }
     if scenario_mode() {
         return;
     }
@@ -205,27 +247,8 @@ fn main() {
     let duration_s = arg("--duration", 30);
     let port = arg("--port", 0);
     let agents_n = arg("--agents", 1).max(1) as usize;
-    // --vnodes is the ring knob; --replicas is the replication factor.
-    // --replicas historically meant vnodes, so a value that can only be
-    // a vnode count (> 2) keeps the old meaning, with a note.
-    let vnodes_arg = arg_str("--vnodes").and_then(|v| v.parse::<u64>().ok());
-    let replicas_arg = arg_str("--replicas").and_then(|v| v.parse::<u64>().ok());
-    let mut vnodes = vnodes_arg.unwrap_or(DEFAULT_VNODES as u64).max(1) as usize;
-    let replication_factor = match replicas_arg {
-        Some(n) if n > 2 => {
-            eprintln!(
-                "deprecated: --replicas {n} looks like the old meaning (ring virtual nodes); \
-                 honoring it as --vnodes {n}. --replicas now sets the per-shard replication \
-                 factor (1 = unreplicated, 2 = primary/replica pairs)."
-            );
-            if vnodes_arg.is_none() {
-                vnodes = n as usize;
-            }
-            1
-        }
-        Some(n) => n.max(1) as usize,
-        None => 1,
-    };
+    let vnodes = arg("--vnodes", DEFAULT_VNODES as u64).max(1) as usize;
+    let replication_factor = arg("--replicas", 1).clamp(1, 2) as usize;
     let federated = agents_n > 1;
     let data_dir = arg_str("--data-dir").map(PathBuf::from);
     let fault_policy = FaultPolicy {
@@ -250,7 +273,6 @@ fn main() {
     })));
 
     // --- Transport + storage tier: single broker, or the federation. ---
-    let bus_defaults = BusConfig::default();
     let overflow = OverflowPolicy::parse(&arg_str("--overflow").unwrap_or("drop-oldest".into()))
         .expect("--overflow must be block|drop-newest|drop-oldest");
     // Optional deterministic fault injection on the pusher→agent path.
@@ -373,9 +395,7 @@ fn main() {
     } else {
         // --- Single-agent tier (the pre-federation deployment). ---
         let b = Broker::with_config(BusConfig {
-            router_depth: arg("--router-depth", bus_defaults.router_depth as u64).max(1) as usize,
-            router_policy: overflow,
-            sub_depth: arg("--sub-depth", bus_defaults.sub_depth as u64).max(1) as usize,
+            sub_depth: arg("--sub-depth", BusConfig::default().sub_depth as u64).max(1) as usize,
             sub_policy: overflow,
         });
         chaos = if chaos_requested {
@@ -655,13 +675,12 @@ fn main() {
                     };
                     println!(
                         "[{elapsed:>3}s] ingested {} readings, {jobs_running} jobs running, \
-                         storage holds {} readings, bus dropped {} (router {}), backlog {}, \
+                         storage holds {} readings, bus dropped {}, backlog {}, \
                          {delivery_seg}, operators: {} runs ({} ok, {} err, {} panic, {} \
                          overrun, {} quarantined){health_seg}",
                         a.readings,
                         storage.stats().readings,
                         bus.dropped,
-                        bus.router_dropped,
                         agent.ingest_backlog(),
                         ops.runs,
                         ops.successes,

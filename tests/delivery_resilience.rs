@@ -62,7 +62,7 @@ fn chaos_pusher(
 /// sees its tester counter strictly sequential with no duplicates.
 #[test]
 fn spool_drains_oldest_first_with_no_duplicates() {
-    let broker = Broker::new_sync();
+    let broker = Broker::new();
     let chaos = ChaosBus::new(
         broker.handle(),
         ChaosConfig::quiet(7).with_outage_ms(3_200, 9_400),
@@ -101,8 +101,8 @@ fn spool_drains_oldest_first_with_no_duplicates() {
 /// Property-style sweep: under arbitrary seeded outage schedules and
 /// every overflow policy, the delivery accounting identity
 /// `sampled == published + spooled_pending + spool_dropped +
-/// final_errors` holds exactly, and the synchronous broker receives
-/// precisely what was published.
+/// final_errors` holds exactly, and the broker receives precisely what
+/// was published.
 #[test]
 fn accounting_identity_holds_over_seeded_chaos_schedules() {
     let horizon_ticks = 60u64;
@@ -113,7 +113,7 @@ fn accounting_identity_holds_over_seeded_chaos_schedules() {
             OverflowPolicy::DropNewest,
             OverflowPolicy::Block,
         ] {
-            let broker = Broker::new_sync();
+            let broker = Broker::new();
             let mut cfg = ChaosConfig::quiet(seed);
             cfg.outages = ChaosConfig::seeded_outages(
                 seed,
@@ -139,8 +139,7 @@ fn accounting_identity_holds_over_seeded_chaos_schedules() {
                 "seed {seed} {policy:?} depth {depth}: identity broken: {stats:?}"
             );
             assert_eq!(stats.sampled, 3 * horizon_ticks);
-            // End-to-end: the sync broker delivered every published
-            // reading.
+            // End-to-end: the broker delivered every published reading.
             let received: u64 = sub
                 .drain()
                 .iter()
@@ -162,7 +161,7 @@ fn accounting_identity_holds_over_seeded_chaos_schedules() {
 /// behind an outage and clears the flag once the spool drains.
 #[test]
 fn staleness_raised_during_outage_and_cleared_after_recovery() {
-    let broker = Broker::new_sync();
+    let broker = Broker::new();
     let chaos = ChaosBus::new(
         broker.handle(),
         ChaosConfig::quiet(21).with_outage_ms(4_500, 11_500),
@@ -210,7 +209,7 @@ fn staleness_raised_during_outage_and_cleared_after_recovery() {
 /// hammering the dead broker, and recovery is counted as a reconnect.
 #[test]
 fn connection_is_supervised_with_backoff_and_reconnect() {
-    let broker = Broker::new_sync();
+    let broker = Broker::new();
     let chaos = ChaosBus::new(
         broker.handle(),
         ChaosConfig::quiet(3).with_outage_ms(2_500, 14_500),
@@ -249,7 +248,7 @@ fn connection_is_supervised_with_backoff_and_reconnect() {
 /// losses follow the configured policy, and the identity still holds.
 #[test]
 fn local_cache_keeps_working_while_partitioned() {
-    let broker = Broker::new_sync();
+    let broker = Broker::new();
     let chaos = ChaosBus::new(broker.handle(), ChaosConfig::quiet(5));
     chaos.partition("/host");
     let pusher = chaos_pusher(&chaos, 2, OverflowPolicy::DropOldest, 8, 1000);
@@ -279,7 +278,7 @@ fn local_cache_keeps_working_while_partitioned() {
 /// wintermute-sim).
 #[test]
 fn fleet_of_pushers_shares_one_chaos_bus() {
-    let broker = Broker::new_sync();
+    let broker = Broker::new();
     let chaos = ChaosBus::new(
         broker.handle(),
         ChaosConfig::quiet(9).with_outage_ms(2_200, 5_800),

@@ -38,7 +38,7 @@ fn build_system() -> (
         Timestamp::from_secs(1000),
     );
     let sim = Arc::new(Mutex::new(sim));
-    let broker = Broker::new_sync();
+    let broker = Broker::new();
     let mut pushers = Vec::new();
     for node in 0..4 {
         let mut pusher = Pusher::new(
@@ -175,8 +175,9 @@ fn feedback_loop_operator_reacts_to_derived_state() {
 }
 
 #[test]
-fn async_broker_end_to_end() {
-    // Same flow but with the threaded router (production config).
+fn process_pending_ingests_everything_published() {
+    // One pusher, no `agent.tick`: the count `process_pending` returns
+    // is exactly what was published.
     let mut sim = ClusterSimulator::new(ClusterConfig::small_manual(5));
     sim.submit_job(
         "x",
@@ -196,14 +197,13 @@ fn async_broker_end_to_end() {
     for s in 1..=5u64 {
         pusher.tick(Timestamp::from_secs(s)).unwrap();
     }
-    broker.flush();
     let ingested = agent.process_pending();
     assert_eq!(ingested, 5 * 22);
 }
 
 #[test]
 fn operator_outputs_reach_storage_through_bus_sink() {
-    let (pushers, agent, broker, _sim) = build_system();
+    let (pushers, agent, _broker, _sim) = build_system();
     pushers[0]
         .manager()
         .load(
@@ -213,7 +213,6 @@ fn operator_outputs_reach_storage_through_bus_sink() {
         )
         .unwrap();
     drive(&pushers, &agent, 1, 5);
-    broker.flush();
     agent.process_pending();
     // The derived sensor persisted in the storage backend.
     assert!(
@@ -273,9 +272,8 @@ fn reload_after_new_sensors_appear_at_runtime() {
 
 #[test]
 fn sensor_reading_volume_accounting_is_consistent() {
-    let (pushers, agent, broker, _sim) = build_system();
+    let (pushers, agent, _broker, _sim) = build_system();
     drive(&pushers, &agent, 1, 20);
-    broker.flush();
     agent.process_pending();
     let pusher_published: u64 = pushers.iter().map(|p| p.stats().published).sum();
     assert_eq!(pusher_published, agent.stats().messages);

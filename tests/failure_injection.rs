@@ -41,7 +41,7 @@ fn stale_samples_are_rejected_but_do_not_poison_the_cache() {
 
 #[test]
 fn corrupt_frames_interleaved_with_good_ones() {
-    let broker = Broker::new_sync();
+    let broker = Broker::new();
     let storage = Arc::new(StorageBackend::new());
     let agent =
         CollectAgent::new(CollectAgentConfig::default(), &broker.handle(), storage).unwrap();
@@ -160,7 +160,7 @@ fn failing_operator_does_not_starve_healthy_ones() {
 
 #[test]
 fn dropped_subscriber_does_not_break_publishing() {
-    let broker = Broker::new_sync();
+    let broker = Broker::new();
     let bus = broker.handle();
     let sub = bus.subscribe_str("/#").unwrap();
     bus.publish(t("/n0/a"), bytes::Bytes::new()).unwrap();
@@ -414,7 +414,7 @@ fn collect_agent_killed_mid_ingest_recovers_acked_readings() {
 
     let acked;
     {
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let storage = Arc::new(DurableBackend::open(&dir, durable_test_config()).unwrap());
         let agent = CollectAgent::new(
             CollectAgentConfig::default(),

@@ -381,7 +381,7 @@ fn overrunning_operator_is_skipped_not_blocking() {
 /// REST start action clears it.
 #[test]
 fn metrics_flow_through_collect_agent_rest() {
-    let broker = Broker::new_sync();
+    let broker = Broker::new();
     let storage = Arc::new(StorageBackend::new());
     let agent = Arc::new(
         CollectAgent::new(CollectAgentConfig::default(), &broker.handle(), storage).unwrap(),

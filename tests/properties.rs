@@ -111,7 +111,7 @@ proptest! {
         let filter = TopicFilter::parse(&fstr).unwrap();
         let expected = filter.matches(&topic);
 
-        let broker = Broker::new_sync();
+        let broker = Broker::new();
         let bus = broker.handle();
         let sub = bus.subscribe(filter);
         bus.publish(topic.clone(), bytes::Bytes::new()).unwrap();

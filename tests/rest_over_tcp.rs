@@ -19,7 +19,7 @@ fn served_agent() -> (RestServer, Arc<CollectAgent>, Broker) {
 }
 
 fn served_agent_with(config: ServerConfig) -> (RestServer, Arc<CollectAgent>, Broker) {
-    let broker = Broker::new_sync();
+    let broker = Broker::new();
     let storage = Arc::new(StorageBackend::new());
     let agent = Arc::new(
         CollectAgent::new(CollectAgentConfig::default(), &broker.handle(), storage).unwrap(),
