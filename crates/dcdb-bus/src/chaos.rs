@@ -44,18 +44,6 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One scheduled partition: publishes under `prefix` are refused while
-/// virtual time is inside `[from_ns, until_ns)`.
-#[derive(Debug, Clone)]
-pub struct Partition {
-    /// Topic prefix cut off from the bus (e.g. `/rack00/node02`).
-    pub prefix: String,
-    /// Partition start, nanoseconds of virtual time.
-    pub from_ns: u64,
-    /// Partition end (exclusive), nanoseconds of virtual time.
-    pub until_ns: u64,
-}
-
 /// The full fault schedule of a [`ChaosBus`].
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
@@ -72,8 +60,6 @@ pub struct ChaosConfig {
     /// Refuse-publish windows `[start_ns, end_ns)` in virtual time,
     /// affecting every topic (a full broker outage).
     pub outages: Vec<(u64, u64)>,
-    /// Scheduled per-prefix partitions.
-    pub partitions: Vec<Partition>,
 }
 
 impl ChaosConfig {
@@ -84,7 +70,6 @@ impl ChaosConfig {
             drop_prob: 0.0,
             delay_ns: 0,
             outages: Vec::new(),
-            partitions: Vec::new(),
         }
     }
 
@@ -92,17 +77,6 @@ impl ChaosConfig {
     pub fn with_outage_ms(mut self, start_ms: u64, end_ms: u64) -> ChaosConfig {
         self.outages
             .push((start_ms * 1_000_000, end_ms * 1_000_000));
-        self
-    }
-
-    /// Adds a scheduled partition of `prefix`, milliseconds of virtual
-    /// time.
-    pub fn with_partition_ms(mut self, prefix: &str, from_ms: u64, until_ms: u64) -> ChaosConfig {
-        self.partitions.push(Partition {
-            prefix: prefix.to_string(),
-            from_ns: from_ms * 1_000_000,
-            until_ns: until_ms * 1_000_000,
-        });
         self
     }
 
@@ -194,8 +168,7 @@ struct ChaosState {
     was_outage: AtomicBool,
     rng: Mutex<StdRng>,
     delayed: Mutex<BinaryHeap<Delayed>>,
-    /// Prefixes partitioned at runtime via [`ChaosBus::partition`], in
-    /// addition to the scheduled ones.
+    /// Prefixes partitioned at runtime via [`ChaosBus::partition`].
     manual_partitions: Mutex<Vec<String>>,
     seq: AtomicU64,
     refused_outage: AtomicU64,
@@ -219,17 +192,13 @@ impl ChaosState {
             .any(|&(start, end)| now >= start && now < end)
     }
 
-    fn partitioned(&self, topic: &Topic, now: u64) -> bool {
+    fn partitioned(&self, topic: &Topic) -> bool {
         let path = topic.as_str();
-        let covers = |prefix: &str| {
+        self.manual_partitions.lock().iter().any(|prefix| {
             path == prefix
-                || (path.starts_with(prefix) && path.as_bytes().get(prefix.len()) == Some(&b'/'))
-        };
-        self.config
-            .partitions
-            .iter()
-            .any(|p| now >= p.from_ns && now < p.until_ns && covers(&p.prefix))
-            || self.manual_partitions.lock().iter().any(|p| covers(p))
+                || (path.starts_with(prefix.as_str())
+                    && path.as_bytes().get(prefix.len()) == Some(&b'/'))
+        })
     }
 
     fn release_due(&self, now: u64) {
@@ -310,7 +279,7 @@ impl ChaosBus {
         Arc::clone(&self.state.clock)
     }
 
-    /// Advances virtual time: outage/partition windows are evaluated
+    /// Advances virtual time: outage windows are evaluated
     /// against the latest `advance`d timestamp, and any delayed message
     /// whose release time has passed is forwarded to the inner bus (in
     /// release order). The underlying [`SimClock`] is monotonic
@@ -386,7 +355,7 @@ impl MessageBus for ChaosBus {
             self.state.refused_outage.fetch_add(1, Ordering::Relaxed);
             return Err(DcdbError::Disconnected("chaos: broker outage".into()));
         }
-        if self.state.partitioned(&topic, now) {
+        if self.state.partitioned(&topic) {
             self.state.refused_partition.fetch_add(1, Ordering::Relaxed);
             return Err(DcdbError::Disconnected(format!(
                 "chaos: partitioned from {topic}"

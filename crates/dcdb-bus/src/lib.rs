@@ -34,7 +34,7 @@ pub use broker::{
     Broker, BusConfig, BusHandle, BusMetricsSnapshot, BusStatsSnapshot, Message, MessageBus,
     SubscribeOptions, Subscription, SubscriptionMetrics,
 };
-pub use chaos::{ChaosBus, ChaosConfig, ChaosMetricsSnapshot, Partition};
+pub use chaos::{ChaosBus, ChaosConfig, ChaosMetricsSnapshot};
 pub use codec::{decode_batch, encode_batch};
 pub use filter::{FilterSegment, TopicFilter};
 pub use queue::{OverflowPolicy, QueueMetricsSnapshot};

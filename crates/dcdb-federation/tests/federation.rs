@@ -15,7 +15,7 @@ use dcdb_common::topic::Topic;
 use dcdb_federation::{
     FederatedAgent, FederationConfig, QueryRouter, ReplicationConfig, RouterConfig,
 };
-use dcdb_storage::StorageBackend;
+use dcdb_storage::{DurableBackend, DurableConfig, StorageBackend, StorageEngine};
 use proptest::prelude::*;
 use std::sync::Arc;
 use wintermute::prelude::QueryMode;
@@ -88,6 +88,14 @@ fn pubs() -> impl Strategy<Value = Vec<Pub>> {
                 .collect()
         },
     )
+}
+
+/// The whole-second timestamps of a query answer, in answer order.
+fn secs_of(readings: &[SensorReading]) -> Vec<u64> {
+    readings
+        .iter()
+        .map(|r| r.ts.as_nanos() / 1_000_000_000)
+        .collect()
 }
 
 fn topic_of(p: &Pub) -> Topic {
@@ -191,12 +199,7 @@ proptest! {
         prop_assert!(fed.shard(&owner).unwrap().is_up());
         let got = rt.query_sensors(&topic, Timestamp::ZERO, Timestamp::MAX);
         prop_assert!(got.envelope.complete(), "{:?}", got.envelope);
-        let got_secs: Vec<u64> = got
-            .readings
-            .iter()
-            .map(|r| r.ts.as_nanos() / 1_000_000_000)
-            .collect();
-        prop_assert_eq!(got_secs, published);
+        prop_assert_eq!(secs_of(&got.readings), published);
     }
 }
 
@@ -231,4 +234,89 @@ fn envelope_identity_under_mixed_outage() {
     assert_eq!(q.envelope.shards_timed_out, 1);
     assert_eq!(q.envelope.shards_ok, 2);
     assert!(!q.envelope.complete());
+}
+
+/// The durable counterpart of the replica-pair property above: an
+/// *unreplicated* shard whose engine is a `DurableBackend` on its own
+/// directory is killed and rejoined mid-stream. Nothing holds its
+/// pre-kill readings but its disk, so the rejoin must reopen that
+/// directory — the map cuts over both ways, every envelope during the
+/// outage stays accounted, and the final scatter returns every acked
+/// publish exactly once, histories split across shards included.
+#[test]
+fn durable_unreplicated_shard_kill_and_rejoin_returns_every_acked_reading_once() {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("dcdb-federation-durable-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let base = dir.clone();
+    let fed = Arc::new(
+        FederatedAgent::new_with(
+            FederationConfig {
+                agents: 4,
+                agent: agent_config(),
+                drain_timeout_ms: 200,
+                ..FederationConfig::default()
+            },
+            move |_, id| {
+                let db = DurableBackend::open(&base.join(id), DurableConfig::default())?;
+                Ok(Arc::new(db) as Arc<dyn StorageEngine>)
+            },
+        )
+        .unwrap(),
+    );
+    let rt = QueryRouter::new(Arc::clone(&fed), RouterConfig::default());
+    let topics: Vec<Topic> = (0..16)
+        .map(|n| t(&format!("/rack00/node{n:02}/power")))
+        .collect();
+    let probe = &topics[0];
+    let victim = fed.shard_map().assign_id(probe).unwrap().to_string();
+    assert_eq!(fed.shard_map().epoch, 0);
+
+    let (kill_at, rejoin_at) = (10u64, 20u64);
+    let mut acked: Vec<Vec<u64>> = vec![Vec::new(); topics.len()];
+    for sec in 1..=30u64 {
+        if sec == kill_at {
+            // Ingest first, so everything acked so far is in the
+            // victim's journal before its memtable and cache die.
+            fed.process_pending();
+            assert!(fed.kill(&victim));
+        }
+        if sec == rejoin_at {
+            // Refused publishes fed detection: the shard left the ring.
+            let degraded = fed.shard_map();
+            assert_eq!(degraded.epoch, 1);
+            assert_ne!(degraded.assign_id(probe), Some(victim.as_str()));
+            fed.process_pending();
+            assert!(fed.rejoin(&victim));
+            let restored = fed.shard_map();
+            assert_eq!(restored.epoch, 2);
+            assert_eq!(restored.assign_id(probe), Some(victim.as_str()));
+        }
+        for (topic, secs) in topics.iter().zip(acked.iter_mut()) {
+            let reading = SensorReading::new(sec as i64, Timestamp::from_secs(sec));
+            if fed.publish_readings(topic.clone(), &[reading]).is_ok() {
+                secs.push(sec);
+            }
+        }
+        let q = rt.query_sensors(probe, Timestamp::ZERO, Timestamp::MAX);
+        assert!(q.envelope.accounted(), "sec {sec}: {:?}", q.envelope);
+        let down = usize::from((kill_at..rejoin_at).contains(&sec));
+        assert_eq!(q.envelope.shards_down, down, "sec {sec}: {:?}", q.envelope);
+    }
+    fed.process_pending();
+    // Past the 4 s caches: every answer below stitches cache + storage.
+    fed.tick(Timestamp::from_secs(45));
+
+    assert!(
+        acked[0].len() < 30,
+        "the outage refused no publish: {acked:?}"
+    );
+    for (topic, secs) in topics.iter().zip(&acked) {
+        let got = rt.query_sensors(topic, Timestamp::ZERO, Timestamp::MAX);
+        assert!(got.envelope.complete(), "{topic}: {:?}", got.envelope);
+        assert_eq!(&secs_of(&got.readings), secs, "{topic}");
+    }
+    drop(rt);
+    drop(fed);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -81,12 +81,6 @@ impl Request {
         }
     }
 
-    /// Builder-style body attachment.
-    pub fn with_body(mut self, body: impl Into<Vec<u8>>) -> Request {
-        self.body = body.into();
-        self
-    }
-
     /// A query parameter by name.
     pub fn query_param(&self, name: &str) -> Option<&str> {
         self.query.get(name).map(String::as_str)

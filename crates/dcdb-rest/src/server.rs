@@ -781,5 +781,6 @@ mod tests {
         let m = server.metrics();
         assert_eq!(m.responses, 256);
         assert_eq!(m.accepted, 256);
+        assert_eq!(m.accept_errors, 0);
     }
 }

@@ -41,7 +41,7 @@ use crate::health::{HealthConfig, HealthCore, HealthState, StorageHealthReport};
 use crate::io::{StdIo, StorageIo};
 use crate::rollup::{
     bucket_start, write_rollup_segment_with, AggFrame, RollupConfig, RollupSegmentReader,
-    RollupState, RollupStats,
+    RollupState,
 };
 use crate::sealed::SealedFile;
 use crate::segment::{write_segment_with, SegmentReader};
@@ -1046,11 +1046,6 @@ impl DurableBackend {
             .collect()
     }
 
-    /// Rollup accumulator counters plus sealed rollup segment count.
-    pub fn rollup_stats(&self) -> RollupStats {
-        self.rollup.lock().stats()
-    }
-
     /// Applies per-tier rollup retention: drops hot frames and whole
     /// rollup segments entirely below each tier's cutoff.
     fn evict_rollups(&self, now: Timestamp) {
@@ -1205,14 +1200,6 @@ impl DurableBackend {
             rollup_folds: roll.folds,
             rollup_recomputes: roll.recomputes,
         }
-    }
-
-    /// Total bytes currently on disk (WALs + segments).
-    pub fn disk_bytes(&self) -> u64 {
-        self.io
-            .list(&self.dir)
-            .map(|paths| paths.iter().filter_map(|p| self.io.file_len(p).ok()).sum())
-            .unwrap_or(0)
     }
 }
 
@@ -1780,7 +1767,6 @@ mod tests {
         assert_eq!(s.readings, 3);
         assert_eq!(s.sensors, 2);
         assert_eq!(s.inserts, 3);
-        assert!(db.disk_bytes() > 0);
         let dbg = format!("{db:?}");
         assert!(dbg.contains("DurableBackend"));
         let mut topics = db.topics();

@@ -305,11 +305,6 @@ impl RollupState {
         }
     }
 
-    /// Tier widths, ascending; empty when rollups are disabled.
-    pub fn tier_widths(&self) -> Vec<u64> {
-        self.tiers.iter().map(|t| t.spec.width_ns).collect()
-    }
-
     /// Tier specs, ascending by width.
     pub fn tier_specs(&self) -> Vec<TierSpec> {
         self.tiers.iter().map(|t| t.spec).collect()

@@ -16,7 +16,6 @@
 
 use dcdb_common::reading::decode_f64;
 use dcdb_common::time::{Timestamp, NS_PER_SEC};
-use dcdb_common::topic::Topic;
 use serde::Serialize;
 use sim_cluster::{ClusterConfig, ClusterSimulator, ProfileClass};
 use std::collections::HashMap;
@@ -265,14 +264,6 @@ pub fn run(config: &Fig8Config) -> Fig8Result {
         profile_agreement,
         anomalies_flagged,
     }
-}
-
-/// The topic of one node's cluster label (shared with tests).
-pub fn label_topic(node: usize) -> Topic {
-    sim_cluster::Topology::coolmuc3()
-        .node_topic(node)
-        .child("cluster-label")
-        .unwrap()
 }
 
 #[cfg(test)]

@@ -1,25 +1,21 @@
 //! # oda-bench — reproduction harness for the Wintermute evaluation
 //!
-//! One module per figure of the paper's §VI, plus shared reporting
-//! helpers. Each module exposes a `run`-style function returning a
-//! serializable result; the `src/bin/` binaries print the same rows and
-//! series the paper's figures show and write the raw data as JSON.
-//! Pipeline cost per layer is measured by the separate `pipeline-bench`
-//! package, not here.
+//! One module per figure of the paper's §VI and one per correctness
+//! gate, plus shared reporting helpers. Each module exposes a
+//! `run`-style function returning a serializable result; the `src/bin/`
+//! binaries print the same rows and series the paper's figures show and
+//! write the raw data as JSON. Throughput, latency and cost per layer
+//! are measured by the separate `pipeline-bench` package, not here.
 //!
-//! | Module | Paper artifact |
+//! | Module | Paper artifact or gate |
 //! |---|---|
 //! | [`fig5`] | Fig. 5a/5b — Query Engine overhead heatmaps + §VI-A footprint |
 //! | [`fig6`] | Fig. 6a/6b — power prediction series and error PDF |
 //! | [`fig7`] | Fig. 7 — per-job CPI deciles for four CORAL-2 apps |
 //! | [`fig8`] | Fig. 8 — BGMM clustering of node behaviour |
-//! | [`storage_engine`] | Durable engine ingest/scan/recovery throughput |
-//! | [`query_concurrency`] | Event-loop REST server under 10k simultaneous query clients |
 //! | [`bus_saturation`] | Bounded bus under 1×/4×/16× publisher overload |
 //! | [`delivery_resilience`] | Pusher spool + reconnect through injected broker outages |
 //! | [`storage_faults`] | Durable engine health/recovery through injected I/O faults |
-//! | [`rollup_query`] | Raw-scan vs tier-served aggregation latency |
-//! | [`federation_scaling`] | Federated ingest scaling + scatter-gather query latency |
 //! | [`failover_resilience`] | Replica-pair promotion under a seeded primary crash |
 //! | [`sim_matrix`] | Fault scenario × scale matrix over the deterministic simulation harness |
 //!
@@ -34,15 +30,11 @@
 pub mod bus_saturation;
 pub mod delivery_resilience;
 pub mod failover_resilience;
-pub mod federation_scaling;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod query_concurrency;
-pub mod rollup_query;
 pub mod sim_matrix;
-pub mod storage_engine;
 pub mod storage_faults;
 
 use serde::{Deserialize, Serialize};

@@ -81,11 +81,6 @@ impl BgmmModel {
         self.components.len()
     }
 
-    /// Density of `x` under component `k` (expected-parameter plug-in).
-    pub fn component_pdf(&self, k: usize, x: &[f64]) -> f64 {
-        self.components[k].pdf(x)
-    }
-
     /// Classifies a new point: the best component, or `None` if the
     /// density under every component is below `threshold`.
     pub fn classify(&self, x: &[f64], threshold: f64) -> Option<usize> {

@@ -91,11 +91,6 @@ impl ClusterSimulator {
         &self.scheduler
     }
 
-    /// Mutable access to the job table (manual job submission).
-    pub fn scheduler_mut(&mut self) -> &mut JobScheduler {
-        &mut self.scheduler
-    }
-
     /// Mutable access to the background workload generator (tuning job
     /// mix parameters), when auto-workload is enabled.
     pub fn workload_mut(&mut self) -> Option<&mut WorkloadGenerator> {

@@ -100,7 +100,6 @@ pub type Sample = (Topic, SensorReading);
 /// Simulates one compute node's sensors.
 #[derive(Debug)]
 pub struct NodeSimulator {
-    node: usize,
     topology: Topology,
     profile: ProfileClass,
     rng: StdRng,
@@ -165,7 +164,6 @@ impl NodeSimulator {
                 .collect(),
         };
         NodeSimulator {
-            node,
             topology,
             profile,
             rng: StdRng::seed_from_u64(seed ^ (node as u64).wrapping_mul(0x9E37)),
@@ -181,11 +179,6 @@ impl NodeSimulator {
             last_tick: None,
             node_topics,
         }
-    }
-
-    /// The node's global index.
-    pub fn node_index(&self) -> usize {
-        self.node
     }
 
     /// The node's behavioural profile.

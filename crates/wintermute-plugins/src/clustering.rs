@@ -118,11 +118,6 @@ impl ClusteringOperator {
             };
         }
     }
-
-    /// The effective cluster count of the last pass (diagnostics).
-    pub fn effective_clusters(&self) -> usize {
-        self.last_k
-    }
 }
 
 impl Operator for ClusteringOperator {

@@ -93,11 +93,6 @@ pub struct RegressorOperator {
 }
 
 impl RegressorOperator {
-    /// True once the model has been fitted.
-    pub fn is_trained(&self) -> bool {
-        self.model.is_some()
-    }
-
     /// Samples accumulated so far.
     pub fn training_samples(&self) -> usize {
         self.train_x.len()

@@ -50,9 +50,9 @@
 //! shard. In durable mode each shard journals under its own
 //! subdirectory of `--data-dir`. The chaos and storage I/O-fault
 //! knobs apply to single-agent runs only and are ignored
-//! (with a warning) when `--agents` > 1 — the `oda-bench
-//! federation_scaling --smoke` harness is the chaos driver for the
-//! federated tier.
+//! (with a warning) when `--agents` > 1 — `--scenario shard_churn
+//! --seed S` (or `oda-bench sim_matrix` for every scenario) is the
+//! chaos driver for the federated tier.
 //!
 //! Backpressure knobs (paper §V scalability): every subscription queue
 //! of the broker is bounded at `--sub-depth`; `--overflow` picks what
@@ -285,7 +285,8 @@ fn main() {
     if federated && chaos_requested {
         eprintln!(
             "chaos knobs (--chaos-seed/--outage-ms/--drop-prob) apply to --agents 1 only; \
-             ignoring (use oda-bench federation_scaling --smoke for federated chaos)"
+             ignoring (use --scenario shard_churn --seed S, or oda-bench sim_matrix, \
+             for federated chaos)"
         );
     }
 
