@@ -31,7 +31,6 @@ use dcdb_common::error::Result;
 use dcdb_common::time::Timestamp;
 use dcdb_storage::{JournalTail, StorageEngine, TappedEngine};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Replication knobs of a federation.
 #[derive(Debug, Clone)]
@@ -69,11 +68,6 @@ impl ReplicationConfig {
             replication_factor: 2,
             ..ReplicationConfig::default()
         }
-    }
-
-    /// Whether shards run as replica pairs.
-    pub fn enabled(&self) -> bool {
-        self.replication_factor > 1
     }
 }
 
@@ -143,17 +137,25 @@ impl ReplicaLink {
     }
 
     /// Applies up to `budget` queued entries to `standby`, in ack
-    /// order. Returns entries applied.
+    /// order. Returns entries applied. An entry the standby refuses
+    /// (its own disk is failing) goes back to the head of the tail with
+    /// everything polled after it, so the stream stays gap-free and the
+    /// next pump retries from the same entry.
     pub fn pump(&self, standby: &dyn StorageEngine, budget: usize) -> Result<usize> {
-        let entries = self.tail.poll(budget.max(1));
-        let n = entries.len();
-        for e in &entries {
-            standby.insert_columns(&e.topic, &e.batch)?;
+        let mut entries = self.tail.poll(budget.max(1));
+        let mut outcome = Ok(entries.len());
+        for (i, e) in entries.iter().enumerate() {
+            if let Err(err) = standby.insert_columns(&e.topic, &e.batch) {
+                self.tail.requeue(entries.split_off(i));
+                outcome = Err(err);
+                break;
+            }
             self.applied_readings
                 .fetch_add(e.batch.len() as u64, Ordering::Relaxed);
         }
-        self.applied_entries.fetch_add(n as u64, Ordering::Relaxed);
-        Ok(n)
+        self.applied_entries
+            .fetch_add(entries.len() as u64, Ordering::Relaxed);
+        outcome
     }
 
     /// Drains the whole tail into `standby` (promotion path: apply the
@@ -169,12 +171,6 @@ impl ReplicaLink {
                 return Ok(total);
             }
         }
-    }
-
-    /// Whether the tail overflowed since attach (stream has a gap; the
-    /// standby needs an anti-entropy resync).
-    pub fn gapped(&self) -> bool {
-        self.tail.dropped() > 0
     }
 
     /// Counter snapshot.
@@ -236,15 +232,13 @@ pub fn catch_up(src: &dyn StorageEngine, dst: &dyn StorageEngine) -> Result<Catc
 /// lives so every harness shares one splitter.
 pub use dcdb_common::sim::derive_seed;
 
-/// The Arc alias every replication call site passes around.
-pub type EngineRef = Arc<dyn StorageEngine>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dcdb_common::reading::SensorReading;
     use dcdb_common::topic::Topic;
-    use dcdb_storage::StorageBackend;
+    use dcdb_storage::{DurableBackend, DurableConfig, FaultConfig, FaultIo, StorageBackend};
+    use std::sync::Arc;
 
     fn t(s: &str) -> Topic {
         Topic::parse(s).unwrap()
@@ -278,6 +272,45 @@ mod tests {
             10,
             "every acked reading reached the standby exactly once"
         );
+    }
+
+    /// Regression: `pump` used to poll a budget's worth of entries and
+    /// abort on the first one the standby refused, silently dropping it
+    /// and everything polled after it — acked readings gone from the
+    /// stream with no overflow counted, so no resync either. Found by
+    /// the `dcdb-sim` ledger (`compound`, seed 0xD1CE, `small`: 64 of
+    /// 1 331 accepted readings missing after the promotions).
+    #[test]
+    fn a_refused_entry_stays_on_the_stream_with_everything_after_it() {
+        let dir = std::env::temp_dir().join(format!("dcdb-replica-pump-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let io = Arc::new(FaultIo::std(FaultConfig::quiet(1)));
+        let standby =
+            DurableBackend::open_with(Arc::clone(&io) as _, &dir, DurableConfig::default())
+                .unwrap();
+        let primary = TappedEngine::wrap(Arc::new(StorageBackend::new()));
+        let link = ReplicaLink::attach(&primary, 64);
+        for i in 1..=6u64 {
+            primary.insert(&t("/r0/n0/power"), r(i as i64, i)).unwrap();
+        }
+        assert_eq!(link.pump(&standby, 2).unwrap(), 2);
+        // The standby's disk starts failing: the third entry is refused.
+        io.set_config(FaultConfig {
+            eio_prob: 1.0,
+            ..FaultConfig::quiet(1)
+        });
+        assert!(link.pump(&standby, 64).is_err());
+        let s = link.stats();
+        assert_eq!((s.applied_entries, s.lag_entries), (2, 4), "{s:?}");
+        // Once it heals, the next pass resumes at the refused entry.
+        io.clear_faults();
+        assert_eq!(link.drain(&standby).unwrap(), 4);
+        let got = standby.query(&t("/r0/n0/power"), Timestamp::ZERO, Timestamp::MAX);
+        let values: Vec<i64> = got.iter().map(|r| r.value).collect();
+        assert_eq!(values, vec![1, 2, 3, 4, 5, 6], "every acked reading, once");
+        assert_eq!(link.stats().overflowed, 0);
+        drop(standby);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

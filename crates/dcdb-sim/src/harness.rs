@@ -16,8 +16,11 @@
 //! [`BusConnection`]s → [`ChaosBus`] → [`FederatedAgent`] → (optionally
 //! fault-injected durable) shard storage — and asserts the stack's
 //! conservation identities at the end: faults move readings between
-//! accounting terms, they never make the books stop balancing.
+//! accounting terms, they never make the books stop balancing. Then it
+//! holds one final answer per topic against the [`Ledger`] of readings
+//! the federation accepted: balanced books are not yet right answers.
 
+use crate::ledger::{AnswerReport, Ledger};
 use crate::operators::FaultyPlugin;
 use crate::report::{CounterSummary, IdentityReport, ScenarioReport, SloReport};
 use crate::scenario::{LaneSet, Scale, Scenario};
@@ -31,15 +34,15 @@ use dcdb_federation::{
 };
 use dcdb_pusher::{BusConnection, DeliveryConfig, ReconnectConfig};
 use dcdb_storage::{
-    DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, StdIo, StorageBackend,
-    StorageEngine, StorageIo,
+    DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, HealthState, StdIo,
+    StorageBackend, StorageEngine, StorageIo,
 };
 use sim_cluster::{FacilityEventKind, FacilitySchedule, Topology};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use wintermute::prelude::{OperatorManager, PluginConfig, QueryEngine};
+use wintermute::prelude::{OperatorManager, PluginConfig, QueryEngine, QueryMode};
 
 /// One discrete fault action owned by the virtual-time scheduler.
 #[derive(Debug, Clone)]
@@ -130,9 +133,11 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
     router.use_sim_clock(Arc::clone(&clock));
     router.set_trace(trace.clone());
 
-    // --- Transport chaos over the federation front door.
+    // --- Transport chaos over the federation front door; the ledger
+    // between them records what the federation accepted.
+    let ledger = Arc::new(Ledger::over(Arc::clone(&fed) as Arc<dyn MessageBus>));
     let chaos = ChaosBus::over(
-        Arc::clone(&fed) as Arc<dyn MessageBus>,
+        Arc::clone(&ledger) as Arc<dyn MessageBus>,
         chaos_config(&lanes_armed, seed, horizon_ns, rm_ns),
         Arc::clone(&clock),
     );
@@ -222,6 +227,7 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
                     &fed,
                     &chaos,
                     &router,
+                    &ledger,
                     &shard_ids,
                     &topics,
                     &trace,
@@ -259,6 +265,16 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
         let round_end = round * rm_ns;
         chaos.advance(Timestamp(round_end));
         fed.process_pending();
+
+        // Storage maintenance, as the daemon's tick runs it, from the
+        // round the fault window lifts (a probe inside it would re-draw
+        // the seeded fault stream): a ReadOnly engine has to probe and
+        // rotate its way back before the run ends.
+        if lanes_armed.io && round_end >= fault_window(horizon_ns).1 {
+            for agent in fed.shards().iter().filter_map(|s| s.agent()) {
+                let _ = agent.storage().maintain(Timestamp(round_end));
+            }
+        }
 
         // Retry rejoins that failed (e.g. recovery hit an injected I/O
         // fault) — the operator's move, replayed deterministically.
@@ -316,7 +332,26 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
     }
 
     // --- Drain and settle.
-    chaos.advance(Timestamp(horizon_ns + rm_ns));
+    let mut now_ns = horizon_ns + rm_ns;
+    chaos.advance(Timestamp(now_ns));
+    while fed.process_pending() > 0 {}
+    // The witness covers the faulted horizon; what follows examines
+    // the system the faults left behind.
+    let witnessed = (trace.events(), trace.witness(), trace.tail());
+
+    // --- Recover: every outage has lifted, so each connection must
+    // reconnect and drain its spool within two backoff caps.
+    let deadline_ns = now_ns + 2 * ReconnectConfig::default().cap_ms * 1_000_000;
+    while now_ns < deadline_ns && connections.iter().any(|c| c.metrics().spool.depth > 0) {
+        now_ns += rm_ns;
+        chaos.advance(Timestamp(now_ns));
+        for conn in connections.iter_mut() {
+            let out = conn.deliver(Timestamp(now_ns), Vec::new());
+            counters.published += out.published;
+            counters.delivery_final_errors += out.final_errors;
+        }
+    }
+    chaos.advance(Timestamp(now_ns + rm_ns));
     while fed.process_pending() > 0 {}
     for shard in fed.shards() {
         if let Some(agent) = shard.agent() {
@@ -335,10 +370,12 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
         rounds,
         &fed,
         &router,
+        &ledger,
+        &topics,
         &chaos,
         &connections,
         manager.as_deref(),
-        &trace,
+        witnessed,
         counters,
         envelopes_ok,
     );
@@ -346,6 +383,12 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
     drop(router);
     let _ = std::fs::remove_dir_all(&dir);
     report
+}
+
+/// The window the storage fault devices are armed in: the middle half
+/// of the horizon, so opens run clean and engines get a quarter to heal.
+fn fault_window(horizon_ns: u64) -> (u64, u64) {
+    (horizon_ns / 4, horizon_ns * 3 / 4)
 }
 
 /// Builds the federation: volatile shards, or durable shards over
@@ -381,14 +424,12 @@ fn build_federation(
                     return Ok(Arc::new(StorageBackend::new()) as Arc<dyn StorageEngine>);
                 }
                 // ENOSPC / EIO / torn-write / fsync-poison faults fire
-                // inside the middle half of the horizon, so recovery on
-                // open (virtual time 0) runs clean and the engine heals
-                // before the end of the run.
+                // inside the fault window only.
                 let config = FaultConfig {
                     eio_prob: 0.015,
                     fsync_fail_prob: 0.03,
                     torn_write_prob: 0.01,
-                    window_ns: Some((horizon_ns / 4, horizon_ns * 3 / 4)),
+                    window_ns: Some(fault_window(horizon_ns)),
                     enospc_after_bytes: (id == "agent-00").then_some(8 * 1024),
                     ..FaultConfig::quiet(device_seed(io_lane, id))
                 };
@@ -552,6 +593,7 @@ fn apply_action(
     fed: &Arc<FederatedAgent>,
     chaos: &ChaosBus,
     router: &QueryRouter,
+    ledger: &Ledger,
     shard_ids: &[String],
     topics: &[Topic],
     trace: &EventTrace,
@@ -562,9 +604,29 @@ fn apply_action(
 ) {
     match action {
         SimAction::Kill(idx) => {
-            if fed.kill(&shard_ids[idx]) {
+            let shard = &fed.shards()[idx];
+            // A pair survives one node down: overlapping lanes never
+            // take its last live node.
+            if !shard.standby_alive() {
+                trace.record(at, "churn", &format!("kill {} skipped", shard.id));
+                return;
+            }
+            // Drain first: a kill lands on a round boundary of the
+            // victim, so "accepted" always means "on an engine or on
+            // the replication link the promotion drains" — never in a
+            // broker queue that dies with the node.
+            fed.process_pending();
+            let Some(agent) = shard.agent() else { return };
+            // What dies with the node: readings its engine shed and
+            // only its cache still served — and its health books.
+            for (topic, ts) in cache_only(agent.query_engine(), agent.storage()) {
+                ledger.note_shed_at_kill(topic, ts.as_nanos());
+                counters.lost_shed_at_kill += 1;
+            }
+            tally_health(counters, agent.storage().as_ref());
+            if fed.kill(&shard.id) {
                 counters.kills += 1;
-                trace.record(at, "churn", &format!("kill {}", shard_ids[idx]));
+                trace.record(at, "churn", &format!("kill {}", shard.id));
             }
         }
         SimAction::Rejoin(idx) => {
@@ -606,6 +668,38 @@ fn apply_action(
     }
 }
 
+/// Readings `engine` serves for its cached topics that `storage` does
+/// not hold: the engine refused them, the cache kept them.
+fn cache_only(engine: &QueryEngine, storage: &Arc<dyn StorageEngine>) -> Vec<(Topic, Timestamp)> {
+    let (t0, t1) = (Timestamp::ZERO, Timestamp::MAX);
+    let mut only = Vec::new();
+    for topic in engine.topics() {
+        let stored: HashSet<_> = storage.query(&topic, t0, t1).iter().map(|r| r.ts).collect();
+        let served = engine.query(&topic, QueryMode::Absolute { t0, t1 });
+        only.extend(
+            served
+                .iter()
+                .map(|r| r.ts)
+                .filter(|ts| !stored.contains(ts))
+                .map(|ts| (topic.clone(), ts)),
+        );
+    }
+    only
+}
+
+/// Adds a durable engine's health books to the run's sums; false when
+/// its own conservation identity is broken. Volatile engines keep none.
+fn tally_health(counters: &mut CounterSummary, storage: &dyn StorageEngine) -> bool {
+    let Some(h) = storage.health() else {
+        return true;
+    };
+    counters.storage_ingested += h.ingested;
+    counters.storage_durable += h.durable;
+    counters.storage_buffered += h.buffered;
+    counters.storage_shed += h.shed;
+    h.conserved()
+}
+
 /// Collects end-of-run counters, checks every conservation identity,
 /// grades the SLOs and assembles the report.
 #[allow(clippy::too_many_arguments)]
@@ -618,14 +712,15 @@ fn finish(
     rounds: u64,
     fed: &Arc<FederatedAgent>,
     router: &QueryRouter,
+    ledger: &Ledger,
+    topics: &[Topic],
     chaos: &ChaosBus,
     connections: &[BusConnection],
     manager: Option<&OperatorManager>,
-    trace: &EventTrace,
+    (trace_events, trace_hash, trace_tail): (u64, String, Vec<String>),
     mut counters: CounterSummary,
     envelopes_ok: bool,
 ) -> ScenarioReport {
-    let _ = router;
     let chaos_m = chaos.metrics();
     counters.chaos_refused = chaos_m.refused_total();
     counters.chaos_dropped = chaos_m.dropped;
@@ -648,19 +743,20 @@ fn finish(
     counters.spool_depth_end = spool_depth;
     counters.spool_dropped = spool_dropped;
 
-    let mut storage_checked = false;
+    // Live primaries' books join those tallied at each kill; the sums
+    // must balance too, and cover every reading a kill was charged with.
     let mut storage_ok = true;
-    for shard in fed.shards() {
-        let Some(agent) = shard.agent() else { continue };
-        if let Some(h) = agent.storage().health() {
-            storage_checked = true;
-            storage_ok &= h.ingested == h.durable + h.buffered + h.shed;
-            counters.storage_ingested += h.ingested;
-            counters.storage_durable += h.durable;
-            counters.storage_buffered += h.buffered;
-            counters.storage_shed += h.shed;
-        }
+    let mut storage_healed = true;
+    for agent in fed.shards().iter().filter_map(|s| s.agent()) {
+        storage_ok &= tally_health(&mut counters, agent.storage().as_ref());
+        storage_healed &= agent
+            .storage()
+            .health()
+            .is_none_or(|h| h.state != HealthState::ReadOnly && h.buffered == 0);
     }
+    storage_ok &= counters.storage_ingested
+        == counters.storage_durable + counters.storage_buffered + counters.storage_shed
+        && counters.lost_shed_at_kill <= counters.storage_shed;
 
     let mut operators_ok = true;
     if let Some(mgr) = manager {
@@ -673,6 +769,13 @@ fn finish(
             t.runs == t.successes + t.errors + t.panics + t.overruns + t.quarantined_skips;
     }
 
+    // One final scatter-gather per topic, held against the ledger.
+    let mut answers = AnswerReport::default();
+    for topic in topics {
+        let q = router.query_sensors(topic, Timestamp::ZERO, Timestamp::MAX);
+        ledger.compare(topic, &q.readings, &mut answers);
+    }
+
     let bus_stats = MessageBus::stats(fed.as_ref());
     let identities = IdentityReport {
         bus: bus_stats.published == bus_stats.delivered + bus_stats.dropped,
@@ -683,9 +786,10 @@ fn finish(
                 + counters.delivery_final_errors,
         chaos_chain: counters.chaos_passed + counters.chaos_released
             == counters.fed_publishes + counters.fed_refused,
-        storage: !scenario.lanes.io || (storage_checked && storage_ok),
+        storage: storage_ok && (!scenario.lanes.io || counters.storage_ingested > 0),
         operators: operators_ok,
         envelopes: envelopes_ok,
+        answers: answers.holds(),
     };
 
     let complete_query_ratio = if counters.queries == 0 {
@@ -695,13 +799,23 @@ fn finish(
     };
     let drop_ratio = counters.chaos_dropped as f64 / counters.offered.max(1) as f64;
     let shed_ratio = counters.storage_shed as f64 / counters.fed_publishes.max(1) as f64;
-    let failovers_resolved = counters.kills == 0 || fed_stats.shards_up == agents;
+    let failovers_resolved = fed_stats.shards_up == agents
+        && counters.promotions == counters.kills
+        && fed_stats.replication_lag_entries <= topology.total_nodes;
+    let delivery_drained = counters.spool_depth_end == 0 && counters.delivery_final_errors == 0;
     let slo = SloReport {
         complete_query_ratio,
         drop_ratio,
         shed_ratio,
         failovers_resolved,
-        ok: complete_query_ratio >= 0.25 && drop_ratio <= 0.25 && failovers_resolved,
+        storage_healed,
+        delivery_drained,
+        ok: complete_query_ratio >= 0.25
+            && drop_ratio <= 0.25
+            && shed_ratio <= 0.05
+            && failovers_resolved
+            && storage_healed
+            && delivery_drained,
     };
 
     let ok = identities.all() && slo.ok;
@@ -713,10 +827,11 @@ fn finish(
         islands: topology.islands,
         agents,
         rounds,
-        trace_events: trace.events(),
-        trace_hash: trace.witness(),
-        trace_tail: trace.tail(),
+        trace_events,
+        trace_hash,
+        trace_tail,
         identities,
+        answers,
         counters,
         slo,
         ok,

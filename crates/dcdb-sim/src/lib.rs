@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 mod harness;
+pub mod ledger;
 pub mod operators;
 pub mod report;
 pub mod scenario;

@@ -7,6 +7,7 @@
 //! appear in them (wall durations live in the surrounding bench meta,
 //! never in the report).
 
+use crate::ledger::AnswerReport;
 use serde::Serialize;
 
 /// Verdicts of the conservation identities the run asserted. Each
@@ -37,6 +38,10 @@ pub struct IdentityReport {
     /// Every query envelope satisfied `shards_total == shards_ok +
     /// shards_timed_out + shards_down`.
     pub envelopes: bool,
+    /// One final scatter-gather per topic against the ledger of
+    /// readings the federation accepted: no phantom, duplicated or
+    /// wrong-valued reading, and every missing one attributed.
+    pub answers: bool,
 }
 
 impl IdentityReport {
@@ -48,6 +53,7 @@ impl IdentityReport {
             && self.storage
             && self.operators
             && self.envelopes
+            && self.answers
     }
 }
 
@@ -79,7 +85,8 @@ pub struct CounterSummary {
     pub fed_publishes: u64,
     /// Publishes the federation refused (owning shard down).
     pub fed_refused: u64,
-    /// Sum of `ingested` over faulted durable engines (0 if volatile).
+    /// Sum of `ingested` over faulted durable engines — every primary
+    /// live at the end or at its kill (0 if volatile).
     pub storage_ingested: u64,
     /// Sum of `durable` over faulted durable engines.
     pub storage_durable: u64,
@@ -87,6 +94,10 @@ pub struct CounterSummary {
     pub storage_buffered: u64,
     /// Sum of `shed` over faulted durable engines.
     pub storage_shed: u64,
+    /// Readings a primary's engine had shed — served by its sensor
+    /// cache alone — when the node was killed: the only readings the
+    /// `answers` identity lets the final answers lack.
+    pub lost_shed_at_kill: u64,
     /// Operator computations due (all outcomes).
     pub operator_runs: u64,
     /// Contained operator panics.
@@ -120,11 +131,19 @@ pub struct SloReport {
     pub drop_ratio: f64,
     /// Readings shed by storage over publishes the federation accepted.
     pub shed_ratio: f64,
-    /// Every kill of a replicated shard was answered by a promotion or
-    /// an explicit degraded removal (no silent zombie shards).
+    /// Every kill was answered by exactly one promotion, every shard is
+    /// up again, and replication lag is back within one round's batch.
     pub failovers_resolved: bool,
+    /// Every durable engine journals again after the fault window
+    /// lifted: none left ReadOnly, no write-behind buffer undrained (a
+    /// node promoted in the last round may still be Degraded).
+    pub storage_healed: bool,
+    /// Every spool drained and nothing was lost outright once the last
+    /// outage had lifted.
+    pub delivery_drained: bool,
     /// The SLO gates held: a majority of queries complete, silent loss
-    /// bounded by the injected drop schedule, failovers resolved.
+    /// and storage shedding bounded by the injected fault schedule,
+    /// failovers resolved, storage healed, delivery drained.
     pub ok: bool,
 }
 
@@ -155,6 +174,8 @@ pub struct ScenarioReport {
     pub trace_tail: Vec<String>,
     /// Per-layer conservation verdicts.
     pub identities: IdentityReport,
+    /// The final answers against the ledger, behind `identities.answers`.
+    pub answers: AnswerReport,
     /// Deterministic end-of-run counters.
     pub counters: CounterSummary,
     /// Graded service levels.

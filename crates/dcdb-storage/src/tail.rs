@@ -61,15 +61,12 @@ struct TailShared {
     /// Entries evicted by overflow since attach: a nonzero delta means
     /// the stream has a gap and the consumer must anti-entropy resync.
     dropped: AtomicU64,
-    /// Entries handed to the consumer via [`JournalTail::poll`].
-    polled: AtomicU64,
 }
 
 /// The consumer half of a tapped engine's acknowledged-write stream.
 ///
 /// Created by [`TappedEngine::attach_tail`]; detached (and the
-/// producer's enqueues stop) by [`TappedEngine::detach_tail`] or by
-/// attaching a new tail.
+/// producer's enqueues stop) by attaching a new tail.
 pub struct JournalTail {
     shared: Arc<TailShared>,
 }
@@ -79,11 +76,17 @@ impl JournalTail {
     pub fn poll(&self, max: usize) -> Vec<TailEntry> {
         let mut queue = self.shared.queue.lock();
         let take = max.min(queue.len());
-        let out: Vec<TailEntry> = queue.drain(..take).map(|(e, _)| e).collect();
-        self.shared
-            .polled
-            .fetch_add(out.len() as u64, Ordering::Relaxed);
-        out
+        queue.drain(..take).map(|(e, _)| e).collect()
+    }
+
+    /// Puts polled entries the consumer could not apply back at the head
+    /// of the queue, in their original order, so the next poll sees
+    /// them first: a poll only consumes what was applied.
+    pub fn requeue(&self, entries: Vec<TailEntry>) {
+        let mut queue = self.shared.queue.lock();
+        for entry in entries.into_iter().rev() {
+            queue.push_front((entry, Instant::now()));
+        }
     }
 
     /// Entries currently queued (replication lag in entries).
@@ -107,11 +110,6 @@ impl JournalTail {
     /// engine (watermark-bounded scan) before relying on it again.
     pub fn dropped(&self) -> u64 {
         self.shared.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Entries delivered through [`JournalTail::poll`] so far.
-    pub fn polled(&self) -> u64 {
-        self.shared.polled.load(Ordering::Relaxed)
     }
 }
 
@@ -166,15 +164,9 @@ impl TappedEngine {
             queue: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
             dropped: AtomicU64::new(0),
-            polled: AtomicU64::new(0),
         });
         *self.tail.lock() = Some(Arc::clone(&shared));
         JournalTail { shared }
-    }
-
-    /// Detaches the current tail; subsequent acks are not streamed.
-    pub fn detach_tail(&self) {
-        *self.tail.lock() = None;
     }
 
     /// Acked inserts streamed to a tail since wrap.

@@ -14,9 +14,6 @@
 //! | [`fig7`] | Fig. 7 — per-job CPI deciles for four CORAL-2 apps |
 //! | [`fig8`] | Fig. 8 — BGMM clustering of node behaviour |
 //! | [`bus_saturation`] | Bounded bus under 1×/4×/16× publisher overload |
-//! | [`delivery_resilience`] | Pusher spool + reconnect through injected broker outages |
-//! | [`storage_faults`] | Durable engine health/recovery through injected I/O faults |
-//! | [`failover_resilience`] | Replica-pair promotion under a seeded primary crash |
 //! | [`sim_matrix`] | Fault scenario × scale matrix over the deterministic simulation harness |
 //!
 //! Every binary writes `bench-results/<name>.json` in a normalized
@@ -28,14 +25,11 @@
 #![warn(missing_docs)]
 
 pub mod bus_saturation;
-pub mod delivery_resilience;
-pub mod failover_resilience;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod sim_matrix;
-pub mod storage_faults;
 
 use serde::{Deserialize, Serialize};
 use std::path::Path;

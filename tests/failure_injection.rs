@@ -297,46 +297,58 @@ fn kill_mid_wal_record_tolerates_torn_tail() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Property: crash the engine at *any* torn-write point the seeded
-/// injector produces and recovery is prefix-consistent — every batch
-/// acknowledged *durable* is fully recovered, nothing from a refused
-/// batch survives (torn prefixes are rolled back on failure and
-/// discarded by replay after a crash), and batches accepted
-/// memtable-only under ReadOnly are the only ones allowed to go
-/// missing. Each seed exercises a different schedule of torn writes
-/// across appends, seals and rotations.
+/// Property: crash the engine at *any* fault point the seeded injector
+/// produces — a torn write, an EIO, a failed fsync, a full disk — and
+/// recovery is prefix-consistent: every batch acknowledged *durable* is
+/// fully recovered, nothing from a refused batch survives (torn
+/// prefixes are rolled back on failure and discarded by replay after a
+/// crash), and batches accepted memtable-only under ReadOnly are the
+/// only ones allowed to go missing. Each seed exercises a different
+/// schedule of its class's faults across appends, seals and rotations.
+/// A failed fsync is the one fault that leaves a refused batch's fate
+/// open — the record is written, its durability unknown — so under that
+/// class a refused batch may survive the crash; it is still never lost
+/// if acknowledged.
 #[test]
 fn torn_write_crash_points_recover_prefix_consistent() {
     let mut dir = std::env::temp_dir();
     dir.push(format!("dcdb-torn-property-{}", std::process::id()));
-    let config = DurableConfig {
-        fsync: FsyncPolicy::Never,
-        // Small seal threshold: some seeds tear a WAL append, some a
-        // segment write, some the post-seal WAL swap.
-        memtable_max_readings: 150,
-        health: HealthConfig {
-            // No retries: every injected tear surfaces as a refused
-            // batch, maximising distinct crash points.
-            max_retries: 0,
-            retry_backoff_base_ms: 0,
-            ..HealthConfig::default()
-        },
-        ..DurableConfig::default()
-    };
     let topics: Vec<Topic> = (0..3).map(|n| t(&format!("/n{n}/power"))).collect();
 
-    for seed in 1..=48u64 {
+    for seed in 1..=64u64 {
+        // The class this seed runs under, with the fsync policy that
+        // makes it bite (a failed fsync needs an fsync per append).
+        let mut faults = FaultConfig::quiet(seed);
+        let mut fsync = FsyncPolicy::Never;
+        let class = ["torn", "eio", "fsync", "enospc"][(seed % 4) as usize];
+        match class {
+            "torn" => faults.torn_write_prob = 0.35,
+            "eio" => faults.eio_prob = 0.35,
+            "fsync" => (faults.fsync_fail_prob, fsync) = (0.35, FsyncPolicy::Always),
+            _ => faults.enospc_after_bytes = Some(1024 + 512 * (seed % 16)),
+        }
+        let config = DurableConfig {
+            fsync,
+            // Small seal threshold: some seeds fault a WAL append, some
+            // a segment write, some the post-seal WAL swap.
+            memtable_max_readings: 150,
+            health: HealthConfig {
+                // No retries: every injected fault surfaces as a
+                // refused batch, maximising distinct crash points.
+                max_retries: 0,
+                retry_backoff_base_ms: 0,
+                ..HealthConfig::default()
+            },
+            ..DurableConfig::default()
+        };
         std::fs::remove_dir_all(&dir).ok();
-        // Open under a quiet schedule (a torn initial WAL header is a
-        // failed open, not a crash point), then arm the tears.
+        // Open under a quiet schedule (a faulted initial WAL header is
+        // a failed open, not a crash point), then arm the faults.
         let io = Arc::new(FaultIo::std(FaultConfig::quiet(seed)));
         let db =
             DurableBackend::open_with(Arc::clone(&io) as Arc<dyn StorageIo>, &dir, config.clone())
                 .unwrap();
-        io.set_config(FaultConfig {
-            torn_write_prob: 0.35,
-            ..FaultConfig::quiet(seed)
-        });
+        io.set_config(faults);
         // Durable-acked (topic, ts) pairs — the set a crash must never
         // lose — and buffered ones, which legitimately may not survive.
         let mut durable: Vec<Vec<u64>> = vec![Vec::new(); topics.len()];
@@ -360,8 +372,13 @@ fn torn_write_crash_points_recover_prefix_consistent() {
         }
         assert!(
             db.health_report().conserved(),
-            "seed {seed}: conservation identity broken: {:?}",
+            "seed {seed} ({class}): conservation identity broken: {:?}",
             db.health_report()
+        );
+        assert!(
+            refused + buffered.iter().map(|b| b.len() as u64).sum::<u64>() > 0,
+            "seed {seed} ({class}): the schedule injected nothing: {:?}",
+            io.stats()
         );
         // Crash: no Drop, no flush; the torn prefixes (rolled back or
         // not) are whatever is on disk right now.
@@ -380,7 +397,7 @@ fn torn_write_crash_points_recover_prefix_consistent() {
             for ts in &durable[i] {
                 assert!(
                     got.contains(ts),
-                    "seed {seed} topic {topic}: durable-acked ts {ts} lost \
+                    "seed {seed} ({class}) topic {topic}: durable-acked ts {ts} lost \
                      ({} refused batches this run)",
                     refused
                 );
@@ -394,10 +411,10 @@ fn torn_write_crash_points_recover_prefix_consistent() {
                 .chain(buffered[i].iter())
                 .copied()
                 .collect();
-            for ts in &got {
+            for ts in got.iter().filter(|_| class != "fsync") {
                 assert!(
                     inserted.contains(ts),
-                    "seed {seed} topic {topic}: recovered ts {ts} was never acknowledged"
+                    "seed {seed} ({class}) topic {topic}: recovered ts {ts} was never acknowledged"
                 );
             }
         }

@@ -5,7 +5,8 @@
 //! for — a failure observed under any seed is reproducible from that
 //! seed alone — so any nondeterminism (thread-timing leaking into the
 //! trace, wall-clock values in counters, unseeded randomness) fails
-//! here first.
+//! here first. Every run must also hold all seven identities: the six
+//! conservation laws and the final answers against the ledger.
 
 use dcdb_wintermute::dcdb_sim::{run_scenario, Scale, SCENARIOS};
 
@@ -33,9 +34,16 @@ fn every_scenario_replays_bit_identically_across_seeds() {
                         scenario.name
                     );
                     assert_eq!(
-                        a.identities, b.identities,
-                        "{} identity verdicts diverged under seed {seed}",
+                        a.answers, b.answers,
+                        "{} final answers diverged under seed {seed}",
                         scenario.name
+                    );
+                    assert!(
+                        a.identities.all() && a.identities == b.identities,
+                        "{} seed {seed}: an identity failed: {:?}\nanswers vs the ledger: {:?}",
+                        scenario.name,
+                        a.identities,
+                        a.answers
                     );
                 }
             })
