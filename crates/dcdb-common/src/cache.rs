@@ -308,6 +308,16 @@ impl<'a> CacheView<'a> {
         }
     }
 
+    /// A view over readings that are already contiguous and in
+    /// timestamp order (a storage answer, say), so one consumer can take
+    /// both cache and storage data.
+    pub fn from_slice(readings: &'a [SensorReading]) -> Self {
+        CacheView {
+            first: readings,
+            second: &[],
+        }
+    }
+
     /// Number of readings in the view.
     pub fn len(&self) -> usize {
         self.first.len() + self.second.len()

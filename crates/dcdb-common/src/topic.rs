@@ -98,6 +98,13 @@ impl Topic {
             && other.0.as_bytes()[self.0.len()] == b'/'
     }
 
+    /// True when both topics share one allocation (one is a clone of
+    /// the other) — an O(1) identity test; equal topics parsed apart
+    /// compare unequal here.
+    pub fn ptr_eq(&self, other: &Topic) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
     /// The topic truncated to its first `depth` segments — the whole
     /// topic when it is shorter (never an empty path; `depth` is clamped
     /// to at least 1).

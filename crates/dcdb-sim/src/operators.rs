@@ -95,11 +95,11 @@ impl OperatorPlugin for FaultyPlugin {
         // bypassed and each operator gets its own fixed output topic.
         (0..self.operators.max(1))
             .map(|i| {
-                let unit = Unit {
-                    name: Topic::parse(&format!("/sim/chaos-op{i:02}"))?,
-                    inputs: Vec::new(),
-                    outputs: vec![Topic::parse(&format!("/sim/chaos-op{i:02}/out"))?],
-                };
+                let unit = Unit::new(
+                    Topic::parse(&format!("/sim/chaos-op{i:02}"))?,
+                    Vec::new(),
+                    vec![Topic::parse(&format!("/sim/chaos-op{i:02}/out"))?],
+                );
                 Ok(Box::new(FaultyOperator {
                     name: format!("{}#{i}", config.name),
                     units: vec![unit],

@@ -96,9 +96,14 @@ impl Operator for AggregatorOperator {
 
     fn compute(&mut self, i: usize, ctx: &ComputeContext<'_>) -> Result<Vec<Output>> {
         let unit = &self.units[i];
+        let window = QueryMode::Relative {
+            offset_ns: self.window_ns,
+        };
         let mut values = Vec::new();
-        for input in &unit.inputs {
-            values.extend(ctx.window_values(input, self.window_ns));
+        for k in 0..unit.inputs.len() {
+            ctx.input_view(unit, k, window, |readings| {
+                values.extend(readings.iter().map(|r| r.value as f64))
+            });
         }
         if values.is_empty() {
             // No data yet: skip silently; aggregation on a cold cache is
@@ -109,7 +114,7 @@ impl Operator for AggregatorOperator {
         // A non-representable aggregate (NaN/±inf division artifacts,
         // or magnitudes past i64) is an error the runtime counts, not
         // a silently saturated reading.
-        let value = finite_output(&format!("aggregator {}", self.name), agg)?;
+        let value = finite_output(format_args!("aggregator {}", self.name), agg)?;
         Ok(unit
             .outputs
             .iter()

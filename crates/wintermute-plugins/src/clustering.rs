@@ -52,44 +52,36 @@ impl ClusteringOperator {
     /// gauge input, windowed rate per counter input.
     fn features(&self, unit: &Unit, ctx: &ComputeContext<'_>) -> Option<Vec<f64>> {
         let mut out = Vec::with_capacity(unit.inputs.len());
-        for input in &unit.inputs {
-            let readings = ctx.query.query(
-                input,
-                QueryMode::Relative {
-                    offset_ns: self.window_ns,
-                },
-            );
-            if readings.is_empty() {
-                return None;
-            }
+        let window = QueryMode::Relative {
+            offset_ns: self.window_ns,
+        };
+        for (k, input) in unit.inputs.iter().enumerate() {
             let name = input.name();
             let is_rate = self.rates.iter().any(|r| r == name);
             let is_fp = self.fixed_point.iter().any(|r| r == name);
-            let value = if is_rate {
-                if readings.len() < 2 {
-                    return None;
-                }
-                let first = readings.first().unwrap();
-                let last = readings.last().unwrap();
-                let dt = last.ts.elapsed_since(first.ts) as f64 / 1e9;
-                if dt <= 0.0 {
-                    return None;
-                }
-                (last.value - first.value) as f64 / dt
-            } else {
-                let vals: Vec<f64> = readings
-                    .iter()
-                    .map(|r| {
+            let value = ctx.input_view(unit, k, window, |readings| {
+                if is_rate {
+                    if readings.len() < 2 {
+                        return None;
+                    }
+                    let first = readings.first()?;
+                    let last = readings.last()?;
+                    let dt = last.ts.elapsed_since(first.ts) as f64 / 1e9;
+                    (dt > 0.0).then(|| (last.value - first.value) as f64 / dt)
+                } else {
+                    // The window mean, summed in reading order.
+                    let decode = |r: &SensorReading| {
                         if is_fp {
                             decode_f64(r.value)
                         } else {
                             r.value as f64
                         }
-                    })
-                    .collect();
-                oda_ml::stats::mean(&vals)
-            };
-            out.push(value);
+                    };
+                    let sum: f64 = readings.iter().map(decode).sum();
+                    (!readings.is_empty()).then(|| sum / readings.len() as f64)
+                }
+            });
+            out.push(value?);
         }
         Some(out)
     }

@@ -25,7 +25,6 @@
 use dcdb_common::error::{DcdbError, Result};
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::NS_PER_MS;
-use oda_ml::stats::mean;
 use wintermute::prelude::*;
 
 /// Per-sensor rolling baseline.
@@ -101,13 +100,19 @@ impl Operator for HealthOperator {
 
         let mut worst_z = 0.0f64;
         let mut saw_data = false;
-        for (input, baseline) in unit.inputs.iter().zip(state.baselines.iter_mut()) {
-            let window = ctx.window_values(input, self.window_ns);
-            if window.is_empty() {
+        let window = QueryMode::Relative {
+            offset_ns: self.window_ns,
+        };
+        for (k, baseline) in state.baselines.iter_mut().enumerate() {
+            // The window mean, summed in reading order as `mean` does.
+            let current = ctx.input_view(unit, k, window, |readings| {
+                let sum: f64 = readings.iter().map(|r| r.value as f64).sum();
+                (!readings.is_empty()).then(|| sum / readings.len() as f64)
+            });
+            let Some(current) = current else {
                 continue;
-            }
+            };
             saw_data = true;
-            let current = mean(&window);
             if state.computations > 1 {
                 worst_z = worst_z.max(baseline.z_score(current));
             }

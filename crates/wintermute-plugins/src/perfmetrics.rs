@@ -47,18 +47,18 @@ pub struct PerfMetricsOperator {
 impl PerfMetricsOperator {
     fn deltas(&self, unit: &Unit, ctx: &ComputeContext<'_>) -> Deltas {
         let mut d = Deltas::default();
-        for input in &unit.inputs {
-            let readings = ctx.query.query(
-                input,
-                QueryMode::Relative {
-                    offset_ns: self.window_ns,
-                },
-            );
-            if readings.len() < 2 {
+        let window = QueryMode::Relative {
+            offset_ns: self.window_ns,
+        };
+        for (k, input) in unit.inputs.iter().enumerate() {
+            // The window's two ends, once it holds two readings.
+            let ends = ctx.input_view(unit, k, window, |readings| {
+                (readings.len() >= 2)
+                    .then(|| (*readings.first().unwrap(), *readings.last().unwrap()))
+            });
+            let Some((first, last)) = ends else {
                 continue;
-            }
-            let first = readings.first().unwrap();
-            let last = readings.last().unwrap();
+            };
             let delta = (last.value - first.value) as f64;
             let span = last.ts.elapsed_since(first.ts) as f64 / 1e9;
             match input.name() {

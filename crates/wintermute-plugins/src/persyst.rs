@@ -66,14 +66,12 @@ impl Operator for PersystOperator {
         let unit = &self.units[i];
         // Latest value of the metric on every core of the job.
         let mut values = Vec::with_capacity(unit.inputs.len());
-        for input in &unit.inputs {
-            let recent = ctx.query.query(
-                input,
-                QueryMode::Relative {
-                    offset_ns: self.window_ns,
-                },
-            );
-            if let Some(last) = recent.last() {
+        let window = QueryMode::Relative {
+            offset_ns: self.window_ns,
+        };
+        for k in 0..unit.inputs.len() {
+            let last = ctx.input_view(unit, k, window, |recent| recent.last().copied());
+            if let Some(last) = last {
                 values.push(if self.fixed_point {
                     decode_f64(last.value)
                 } else {

@@ -99,28 +99,24 @@ impl RegressorOperator {
     }
 
     fn feature_vector(&self, unit: &Unit, ctx: &ComputeContext<'_>) -> Vec<f64> {
-        let windows: Vec<Vec<f64>> = unit
-            .inputs
-            .iter()
-            .map(|input| {
-                ctx.query
-                    .query(
-                        input,
-                        QueryMode::Relative {
-                            offset_ns: self.window_ns,
-                        },
-                    )
-                    .iter()
-                    .map(|r| r.value as f64)
-                    .collect()
+        let window = QueryMode::Relative {
+            offset_ns: self.window_ns,
+        };
+        let windows: Vec<Vec<f64>> = (0..unit.inputs.len())
+            .map(|k| {
+                ctx.input_view(unit, k, window, |readings| {
+                    readings.iter().map(|r| r.value as f64).collect()
+                })
             })
             .collect();
         self.extractor.extract(&windows)
     }
 
     fn target_value(&self, unit: &Unit, ctx: &ComputeContext<'_>) -> Option<f64> {
-        let target = unit.inputs.iter().find(|i| i.name() == self.target)?;
-        ctx.latest_value(target)
+        let target = unit.inputs.iter().position(|i| i.name() == self.target)?;
+        ctx.input_view(unit, target, QueryMode::Latest, |latest| {
+            latest.last().map(|r| r.value as f64)
+        })
     }
 }
 
@@ -134,8 +130,8 @@ impl Operator for RegressorOperator {
     }
 
     fn compute(&mut self, i: usize, ctx: &ComputeContext<'_>) -> Result<Vec<Output>> {
-        let unit = self.units[i].clone();
-        let Some(truth) = self.target_value(&unit, ctx) else {
+        let unit = &self.units[i];
+        let Some(truth) = self.target_value(unit, ctx) else {
             return Ok(Vec::new()); // target sensor has no data yet
         };
 
@@ -178,7 +174,7 @@ impl Operator for RegressorOperator {
         }
 
         // Extract features now; they predict the next interval.
-        let features = self.feature_vector(&unit, ctx);
+        let features = self.feature_vector(unit, ctx);
         let mut out = Vec::new();
         if let Some(model) = &self.model {
             let prediction = model.predict(&features);

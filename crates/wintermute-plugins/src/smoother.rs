@@ -35,7 +35,10 @@ impl Operator for SmootherOperator {
 
     fn compute(&mut self, i: usize, ctx: &ComputeContext<'_>) -> Result<Vec<Output>> {
         let unit = &self.units[i];
-        let Some(latest) = ctx.latest_value(&unit.inputs[0]) else {
+        let latest = ctx.input_view(unit, 0, QueryMode::Latest, |latest| {
+            latest.last().map(|r| r.value as f64)
+        });
+        let Some(latest) = latest else {
             return Ok(Vec::new());
         };
         let smoothed = match self.state[i] {
@@ -43,7 +46,7 @@ impl Operator for SmootherOperator {
             Some(prev) => prev + self.alpha * (latest - prev),
         };
         self.state[i] = Some(smoothed);
-        let value = finite_output(&format!("smoother {}", self.name), smoothed)?;
+        let value = finite_output(format_args!("smoother {}", self.name), smoothed)?;
         Ok(unit
             .outputs
             .iter()

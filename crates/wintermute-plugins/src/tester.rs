@@ -68,27 +68,22 @@ impl Operator for TesterOperator {
             return Ok(Vec::new());
         }
         let mut retrieved = 0u64;
+        let mode = match self.mode {
+            TesterMode::Relative => QueryMode::Relative {
+                offset_ns: self.range_ns,
+            },
+            TesterMode::Absolute => QueryMode::Absolute {
+                t0: ctx.now.saturating_sub_ns(self.range_ns),
+                t1: ctx.now,
+            },
+        };
         for q in 0..self.queries {
-            let input = &unit.inputs[q % unit.inputs.len()];
-            let readings = match self.mode {
-                TesterMode::Relative => ctx.query.query(
-                    input,
-                    QueryMode::Relative {
-                        offset_ns: self.range_ns,
-                    },
-                ),
-                TesterMode::Absolute => ctx.query.query(
-                    input,
-                    QueryMode::Absolute {
-                        t0: ctx.now.saturating_sub_ns(self.range_ns),
-                        t1: ctx.now,
-                    },
-                ),
-            };
             // Consume the data the way a real model would: fold over it
             // so the fetch cannot be optimized away.
-            retrieved += readings.len() as u64;
-            std::hint::black_box(&readings);
+            retrieved += ctx.input_view(unit, q % unit.inputs.len(), mode, |readings| {
+                std::hint::black_box(&readings);
+                readings.len() as u64
+            });
         }
         self.total_retrieved += retrieved;
         Ok(unit

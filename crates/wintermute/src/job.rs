@@ -107,11 +107,7 @@ impl JobUnitBuilder {
             .iter()
             .map(|s| job_topic.child(s).expect("valid output topic"))
             .collect();
-        Some(Unit {
-            name: job_topic,
-            inputs,
-            outputs,
-        })
+        Some(Unit::new(job_topic, inputs, outputs))
     }
 
     /// Builds units for every running job.

@@ -7,9 +7,12 @@
 //! stop / reload, and on-demand operator invocations.
 //!
 //! Scheduling is tick-based: [`OperatorManager::tick`] runs every
-//! *online* operator whose interval has elapsed, publishing its outputs
-//! to the Query Engine (making pipelines possible) and to any attached
-//! [`SensorSink`]s (MQTT bus, storage backend). Ticks can be driven by
+//! *online* operator whose interval has elapsed — one after another on
+//! the calling thread, plugins in the order they were loaded, so a
+//! pipeline stage sees what the stage loaded before it published this
+//! tick — publishing its outputs to the Query Engine (making pipelines
+//! possible) and to any attached [`SensorSink`]s (MQTT bus, storage
+//! backend). Ticks can be driven by
 //! a wall-clock thread ([`OperatorManager::start_thread`]) in production
 //! or by a virtual clock in simulation — the manager itself is
 //! clock-agnostic.
@@ -21,24 +24,24 @@
 //! — skipped with exponential backoff on its `next_due` — until a
 //! `PUT /analytics/plugins/:name/start` (or reload) resumes it; and an
 //! operator still busy when it comes due again is skipped and counted as
-//! an *overrun* rather than parking a rayon worker on its mutex.
+//! an *overrun* rather than parking the tick on its mutex.
 //! Per-operator counters (runs, outputs, errors, panics, overruns,
 //! latency EWMA, quarantine state) are exposed through
 //! [`OperatorManager::metrics_json`].
 
-use crate::operator::{compute_all_units, ComputeContext, Operator, Output};
+use crate::operator::{compute_units, ComputeContext, Operator, Output};
 use crate::plugin::{OperatorPlugin, PluginConfig};
 use crate::query::QueryEngine;
+use crate::unit::Unit;
 use dcdb_common::error::{DcdbError, Result};
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use dcdb_rest::{Method, Response, Router, Status};
 use parking_lot::{Mutex, RwLock};
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -96,8 +99,8 @@ impl Default for FaultPolicy {
     }
 }
 
-/// Per-slot runtime counters. All fields are atomics so the rayon
-/// workers, the due-scan and REST readers never contend on a lock.
+/// Per-slot runtime counters. All fields are atomics so the tick, the
+/// due-scan and REST readers never contend on a lock.
 #[derive(Default)]
 struct SlotMetrics {
     runs: AtomicU64,
@@ -234,6 +237,10 @@ struct OperatorSlot {
     /// (overrun reporting must not block on a busy operator).
     name: String,
     operator: Mutex<Box<dyn Operator>>,
+    /// The operator's unit count as of its last run (job operators
+    /// rebuild their units every tick): listing reads it here and never
+    /// waits for a computation holding the operator.
+    units: AtomicUsize,
     /// Next due time in ns; 0 = run at the first tick.
     next_due: AtomicU64,
     metrics: SlotMetrics,
@@ -290,7 +297,9 @@ pub struct TickReport {
 /// shared as `Arc` with the REST router.
 pub struct OperatorManager {
     registry: RwLock<HashMap<String, Box<dyn OperatorPlugin>>>,
-    plugins: RwLock<HashMap<String, Arc<LoadedPlugin>>>,
+    /// Loaded instances in load order, which is the order a tick runs
+    /// them in: a pipeline's stages are loaded upstream first.
+    plugins: RwLock<Vec<Arc<LoadedPlugin>>>,
     query: Arc<QueryEngine>,
     sinks: RwLock<Vec<Arc<dyn SensorSink>>>,
     time_source: Box<dyn Fn() -> Timestamp + Send + Sync>,
@@ -313,7 +322,7 @@ impl OperatorManager {
     ) -> Arc<OperatorManager> {
         Arc::new(OperatorManager {
             registry: RwLock::new(HashMap::new()),
-            plugins: RwLock::new(HashMap::new()),
+            plugins: RwLock::new(Vec::new()),
             query,
             sinks: RwLock::new(Vec::new()),
             time_source,
@@ -358,17 +367,25 @@ impl OperatorManager {
 
     /// Loads (configures and starts) a plugin instance.
     pub fn load(&self, config: PluginConfig) -> Result<()> {
-        if self.plugins.read().contains_key(&config.name) {
+        if self.plugin(&config.name).is_ok() {
             return Err(DcdbError::InvalidState(format!(
                 "plugin instance {:?} already loaded",
                 config.name
             )));
         }
         let loaded = self.configure(config)?;
-        self.plugins
-            .write()
-            .insert(loaded.config.name.clone(), Arc::new(loaded));
+        self.plugins.write().push(Arc::new(loaded));
         Ok(())
+    }
+
+    /// The loaded instance called `name`.
+    fn plugin(&self, name: &str) -> Result<Arc<LoadedPlugin>> {
+        self.plugins
+            .read()
+            .iter()
+            .find(|p| p.config.name == name)
+            .map(Arc::clone)
+            .ok_or_else(|| DcdbError::NotFound(format!("plugin {name:?}")))
     }
 
     fn configure(&self, config: PluginConfig) -> Result<LoadedPlugin> {
@@ -384,6 +401,7 @@ impl OperatorManager {
                 .into_iter()
                 .map(|op| OperatorSlot {
                     name: op.name().to_string(),
+                    units: AtomicUsize::new(op.units().len()),
                     operator: Mutex::new(op),
                     next_due: AtomicU64::new(0),
                     metrics: SlotMetrics::default(),
@@ -395,11 +413,13 @@ impl OperatorManager {
 
     /// Unloads a plugin instance entirely.
     pub fn unload(&self, name: &str) -> Result<()> {
-        self.plugins
-            .write()
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| DcdbError::NotFound(format!("plugin {name:?}")))
+        let mut plugins = self.plugins.write();
+        let at = plugins
+            .iter()
+            .position(|p| p.config.name == name)
+            .ok_or_else(|| DcdbError::NotFound(format!("plugin {name:?}")))?;
+        plugins.remove(at);
+        Ok(())
     }
 
     /// Pauses an instance's online computation.
@@ -412,10 +432,7 @@ impl OperatorManager {
     /// REST escape hatch (`PUT /analytics/plugins/:name/start`) for an
     /// operator quarantined after repeated failures.
     pub fn start(&self, name: &str) -> Result<()> {
-        let plugins = self.plugins.read();
-        let plugin = plugins
-            .get(name)
-            .ok_or_else(|| DcdbError::NotFound(format!("plugin {name:?}")))?;
+        let plugin = self.plugin(name)?;
         plugin.running.store(true, Ordering::Release);
         for slot in &plugin.operators {
             slot.metrics.reset_quarantine();
@@ -425,51 +442,42 @@ impl OperatorManager {
     }
 
     fn set_running(&self, name: &str, running: bool) -> Result<()> {
-        let plugins = self.plugins.read();
-        let plugin = plugins
-            .get(name)
-            .ok_or_else(|| DcdbError::NotFound(format!("plugin {name:?}")))?;
-        plugin.running.store(running, Ordering::Release);
+        self.plugin(name)?.running.store(running, Ordering::Release);
         Ok(())
     }
 
     /// Re-runs a plugin's configurator against the *current* sensor
-    /// tree — the dynamic-reconfiguration path of the REST API.
+    /// tree — the dynamic-reconfiguration path of the REST API. The
+    /// instance keeps its place in the tick order.
     pub fn reload(&self, name: &str) -> Result<()> {
-        let config = {
-            let plugins = self.plugins.read();
-            plugins
-                .get(name)
-                .ok_or_else(|| DcdbError::NotFound(format!("plugin {name:?}")))?
-                .config
-                .clone()
-        };
-        let reloaded = self.configure(config)?;
-        self.plugins
-            .write()
-            .insert(name.to_string(), Arc::new(reloaded));
+        let reloaded = Arc::new(self.configure(self.plugin(name)?.config.clone())?);
+        let mut plugins = self.plugins.write();
+        match plugins.iter_mut().find(|p| p.config.name == name) {
+            Some(plugin) => *plugin = reloaded,
+            // Unloaded while it was being configured: as a fresh load.
+            None => plugins.push(reloaded),
+        }
         Ok(())
     }
 
     /// True if the named instance is loaded and running.
     pub fn is_running(&self, name: &str) -> bool {
-        self.plugins
-            .read()
-            .get(name)
+        self.plugin(name)
             .map(|p| p.running.load(Ordering::Acquire))
             .unwrap_or(false)
     }
 
-    /// `(name, kind, running, operators, units)` for every instance.
+    /// `(name, kind, running, operators, units)` for every instance,
+    /// sorted by name; `units` as of each operator's last run.
     pub fn list(&self) -> Vec<(String, String, bool, usize, usize)> {
         let plugins = self.plugins.read();
         let mut out: Vec<_> = plugins
-            .values()
+            .iter()
             .map(|p| {
                 let units = p
                     .operators
                     .iter()
-                    .map(|s| s.operator.lock().units().len())
+                    .map(|s| s.units.load(Ordering::Relaxed))
                     .sum();
                 (
                     p.config.name.clone(),
@@ -484,17 +492,15 @@ impl OperatorManager {
         out
     }
 
-    /// Runs every due online operator. Due slots are processed in
-    /// parallel with rayon — this is what makes [`UnitMode::Parallel`]
-    /// (one operator per unit) scale across cores.
+    /// Runs every due online operator: due slots run one after another
+    /// on the calling thread, plugins in load order, a plugin's
+    /// operators in the order its configurator made them.
     ///
     /// The tick is fault-isolated: panics are caught and recorded,
     /// repeatedly failing operators are quarantined (skipped with
     /// exponential backoff), and operators still busy from a previous
-    /// computation are skipped as overruns instead of blocking a rayon
-    /// worker.
-    ///
-    /// [`UnitMode::Parallel`]: crate::operator::UnitMode::Parallel
+    /// computation (another thread's tick, or an on-demand request) are
+    /// skipped as overruns instead of blocking the tick.
     pub fn tick(&self, now: Timestamp) -> TickReport {
         self.ticks.fetch_add(1, Ordering::Relaxed);
         let policy = self.fault_policy();
@@ -504,7 +510,7 @@ impl OperatorManager {
         let mut due: Vec<(Arc<LoadedPlugin>, usize, u64)> = Vec::new();
         {
             let plugins = self.plugins.read();
-            for plugin in plugins.values() {
+            for plugin in plugins.iter() {
                 if !plugin.running.load(Ordering::Acquire) {
                     continue;
                 }
@@ -554,15 +560,8 @@ impl OperatorManager {
         }
 
         report.operators_run += due.len();
-        let results: Vec<SlotOutcome> = due
-            .par_iter()
-            .map(|(plugin, slot_idx, interval_ns)| {
-                self.run_slot(plugin, *slot_idx, *interval_ns, now, policy)
-            })
-            .collect();
-
-        for outcome in results {
-            match outcome {
+        for (plugin, slot_idx, interval_ns) in &due {
+            match self.run_slot(plugin, *slot_idx, *interval_ns, now, policy) {
                 SlotOutcome::Success { outputs } => {
                     report.successes += 1;
                     report.outputs_published += outputs;
@@ -602,29 +601,30 @@ impl OperatorManager {
         slot.metrics.runs.fetch_add(1, Ordering::Relaxed);
         // A computation still running from a previous tick (or a long
         // on-demand request) holds the slot mutex; skip instead of
-        // parking this rayon worker until it finishes.
+        // parking the tick until it finishes.
         let Some(mut op) = slot.operator.try_lock() else {
             slot.metrics.overruns.fetch_add(1, Ordering::Relaxed);
             return SlotOutcome::Overrun;
         };
-        let ctx = ComputeContext {
-            query: &self.query,
-            now,
-        };
+        let ctx = ComputeContext::new(&self.query, now);
         let start = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| compute_all_units(op.as_mut(), &ctx)));
+        let result = catch_unwind(AssertUnwindSafe(|| compute_units(op.as_mut(), &ctx)));
         slot.metrics
             .record_latency(start.elapsed().as_nanos() as u64);
+        slot.units.store(op.units().len(), Ordering::Relaxed);
         match result {
-            Ok(Ok(outputs)) => {
+            Ok(Ok((outputs, ends))) => {
                 slot.metrics.note_success();
                 slot.metrics.successes.fetch_add(1, Ordering::Relaxed);
                 slot.metrics
                     .outputs
                     .fetch_add(outputs.len() as u64, Ordering::Relaxed);
-                let n = outputs.len();
-                self.publish(outputs);
-                SlotOutcome::Success { outputs: n }
+                // Only now, with every unit done: a run that fails
+                // publishes nothing.
+                self.publish(op.units(), &outputs, &ends);
+                SlotOutcome::Success {
+                    outputs: outputs.len(),
+                }
             }
             Ok(Err(e)) => {
                 slot.metrics.errors.fetch_add(1, Ordering::Relaxed);
@@ -673,14 +673,35 @@ impl OperatorManager {
         }
     }
 
-    fn publish(&self, outputs: Vec<Output>) {
+    /// Publishes one run's outputs to the engine and the sinks, counting
+    /// them into the engine's `inserts` once. An output a unit
+    /// returned under its own topic (a clone of its `outputs` entry, as
+    /// every in-tree plugin returns) goes through the unit's bound
+    /// handle; any other output is inserted by topic. `ends[i]` is where
+    /// unit `i`'s outputs end; operator-level outputs follow.
+    fn publish(&self, units: &[Unit], outputs: &[Output], ends: &[usize]) {
         let sinks = self.sinks.read();
-        for (topic, reading) in outputs {
-            self.query.insert(&topic, reading);
-            for sink in sinks.iter() {
-                sink.publish(&topic, reading);
+        let put = |unit: Option<&Unit>, (topic, reading): &Output| {
+            match unit.and_then(|unit| unit.output_handle(&self.query, topic)) {
+                Some(cache) => self.query.insert_bound(cache, topic, *reading),
+                None => {
+                    let cache = self.query.bind_or_create(topic);
+                    self.query.insert_bound(&cache, topic, *reading);
+                }
             }
+            for sink in sinks.iter() {
+                sink.publish(topic, *reading);
+            }
+        };
+        let mut start = 0;
+        for (unit, &end) in units.iter().zip(ends) {
+            outputs[start..end]
+                .iter()
+                .for_each(|output| put(Some(unit), output));
+            start = end;
         }
+        outputs[start..].iter().for_each(|output| put(None, output));
+        self.query.add_inserts(outputs.len() as u64);
     }
 
     /// Per-plugin, per-operator runtime metric snapshots, sorted by
@@ -688,7 +709,7 @@ impl OperatorManager {
     pub fn operator_metrics(&self) -> Vec<PluginMetricsSnapshot> {
         let plugins = self.plugins.read();
         let mut out: Vec<PluginMetricsSnapshot> = plugins
-            .values()
+            .iter()
             .map(|p| PluginMetricsSnapshot {
                 name: p.config.name.clone(),
                 kind: p.config.kind.clone(),
@@ -781,18 +802,8 @@ impl OperatorManager {
     /// `unit_topic` in plugin `name`, returning (not publishing) its
     /// outputs — "output data is propagated only as a response".
     pub fn on_demand(&self, name: &str, unit_topic: &Topic, now: Timestamp) -> Result<Vec<Output>> {
-        let plugin = {
-            let plugins = self.plugins.read();
-            Arc::clone(
-                plugins
-                    .get(name)
-                    .ok_or_else(|| DcdbError::NotFound(format!("plugin {name:?}")))?,
-            )
-        };
-        let ctx = ComputeContext {
-            query: &self.query,
-            now,
-        };
+        let plugin = self.plugin(name)?;
+        let ctx = ComputeContext::new(&self.query, now);
         // A refresh failure in one slot must not make units in later
         // slots unreachable: record it, keep searching (the slot's
         // existing unit set is still searchable), and fail only when
@@ -803,6 +814,7 @@ impl OperatorManager {
             if let Err(e) = op.refresh_units(&ctx) {
                 refresh_errors.push(format!("{}: {e}", op.name()));
             }
+            slot.units.store(op.units().len(), Ordering::Relaxed);
             let idx = op.units().iter().position(|u| &u.name == unit_topic);
             if let Some(idx) = idx {
                 return op.compute(idx, &ctx);
@@ -820,10 +832,7 @@ impl OperatorManager {
 
     /// Unit names of an instance (REST listing).
     pub fn units_of(&self, name: &str) -> Result<Vec<Topic>> {
-        let plugins = self.plugins.read();
-        let plugin = plugins
-            .get(name)
-            .ok_or_else(|| DcdbError::NotFound(format!("plugin {name:?}")))?;
+        let plugin = self.plugin(name)?;
         let mut out = Vec::new();
         for slot in &plugin.operators {
             out.extend(slot.operator.lock().units().iter().map(|u| u.name.clone()));
@@ -1535,6 +1544,115 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("refresh errors"), "{err}");
         assert!(err.to_string().contains("refresh failed"), "{err}");
+    }
+
+    /// Regression: `plugins` was a `HashMap` and the tick walked its
+    /// values, so whether a stage ran before or after the stage feeding
+    /// it depended on the process's hash seed — and on each map's own
+    /// seed, which is why fresh managers are enough to see it.
+    #[test]
+    fn pipeline_stages_run_in_load_order() {
+        for fresh in 0..32 {
+            let qe = Arc::new(QueryEngine::new(32));
+            let tree = [t("/n0/power"), t("/n0/power2"), t("/n0/power22")];
+            qe.set_navigator(SensorNavigator::build(&tree));
+            let mgr = OperatorManager::new(Arc::clone(&qe));
+            mgr.register_plugin(Box::new(ScalePlugin));
+            // Unrelated instances around the two stages vary the map.
+            for (name, input) in [
+                ("zz-first", "power"),
+                ("stage-1", "power"),
+                ("aa-between", "power"),
+                ("stage-2", "power2"),
+            ] {
+                let output = format!("<topdown>{input}2");
+                let input = format!("<topdown>{input}");
+                let config = PluginConfig::online(name, "scale", 1000);
+                mgr.load(config.with_patterns(&[&input], &[&output]))
+                    .unwrap();
+            }
+            // A reload keeps the stage's place.
+            mgr.reload("stage-1").unwrap();
+            for k in 1..=3u64 {
+                let now = Timestamp::from_secs(k);
+                qe.insert(&t("/n0/power"), SensorReading::new(k as i64, now));
+                let report = mgr.tick(now);
+                assert!(report.errors.is_empty(), "{fresh}: {:?}", report.errors);
+                let got = qe.query(&t("/n0/power22"), crate::query::QueryMode::Latest);
+                assert_eq!(got, vec![SensorReading::new(4 * k as i64, now)], "{fresh}");
+            }
+        }
+    }
+
+    /// Parks inside `compute` until released.
+    struct ParkedOperator {
+        units: Vec<Unit>,
+        entered: std::sync::mpsc::Sender<()>,
+        release: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl Operator for ParkedOperator {
+        fn name(&self) -> &str {
+            "parked"
+        }
+        fn units(&self) -> &[Unit] {
+            &self.units
+        }
+        fn compute(&mut self, _i: usize, _ctx: &ComputeContext<'_>) -> Result<Vec<Output>> {
+            self.entered.send(()).unwrap();
+            self.release.recv().unwrap();
+            Ok(Vec::new())
+        }
+    }
+
+    struct ParkedPlugin(Mutex<Option<ParkedOperator>>);
+
+    impl OperatorPlugin for ParkedPlugin {
+        fn kind(&self) -> &str {
+            "parked"
+        }
+        fn configure(
+            &self,
+            _: &PluginConfig,
+            _: &SensorNavigator,
+        ) -> Result<Vec<Box<dyn Operator>>> {
+            let op = self.0.lock().take().expect("configured once");
+            Ok(vec![Box::new(op)])
+        }
+    }
+
+    /// Regression: `list()` locked every operator to count its units,
+    /// so `GET /analytics/plugins` waited for a running computation.
+    #[test]
+    fn list_does_not_wait_for_a_running_computation() {
+        use std::sync::mpsc;
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let mgr = manager_with_data();
+        mgr.register_plugin(Box::new(ParkedPlugin(Mutex::new(Some(ParkedOperator {
+            units: vec![Unit::new(t("/n0"), vec![], vec![t("/n0/out")])],
+            entered: entered_tx,
+            release: release_rx,
+        })))));
+        mgr.load(PluginConfig::online("busy", "parked", 1000))
+            .unwrap();
+        let ticker = {
+            let mgr = Arc::clone(&mgr);
+            std::thread::spawn(move || mgr.tick(Timestamp::from_secs(2)))
+        };
+        // The operator is now inside `compute`, holding its slot.
+        entered_rx.recv().unwrap();
+        let (listed_tx, listed_rx) = mpsc::channel();
+        let lister = {
+            let mgr = Arc::clone(&mgr);
+            std::thread::spawn(move || listed_tx.send(mgr.list()).unwrap())
+        };
+        let listed = listed_rx.recv_timeout(std::time::Duration::from_secs(5));
+        release_tx.send(()).unwrap();
+        lister.join().unwrap();
+        assert_eq!(ticker.join().unwrap().successes, 1);
+        let listed = listed.expect("list() waited for the computation");
+        assert_eq!(listed, vec![("busy".into(), "parked".into(), true, 1, 1)]);
     }
 
     #[test]

@@ -15,15 +15,18 @@
 //! * [`UnitMode::Sequential`] — one operator instance processes all
 //!   units in order (shared model, no race conditions);
 //! * [`UnitMode::Parallel`] — "one distinct model (and thus operator) is
-//!   created for each unit", letting the manager run them concurrently.
+//!   created for each unit"; the manager runs due operators one after
+//!   another on the ticking thread.
 
-use crate::query::QueryEngine;
+use crate::query::{QueryEngine, QueryMode};
 use crate::unit::Unit;
+use dcdb_common::cache::CacheView;
 use dcdb_common::error::Result;
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 
 /// When an operator computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -45,7 +48,7 @@ pub enum UnitMode {
     /// All units share one operator (and one model), processed in order.
     #[default]
     Sequential,
-    /// One operator per unit; the manager parallelizes across them.
+    /// One operator (and model) per unit.
     Parallel,
 }
 
@@ -60,30 +63,66 @@ pub struct ComputeContext<'a> {
     /// Time of this computation (virtual in simulation, wall in
     /// production).
     pub now: Timestamp,
+    /// Cache hits of [`ComputeContext::input_view`] reads, added to the
+    /// engine's counter once, when the context goes: one operator run
+    /// counts its thousands of reads with one atomic add.
+    cache_hits: Cell<u64>,
+}
+
+impl Drop for ComputeContext<'_> {
+    fn drop(&mut self) {
+        self.query.add_cache_hits(self.cache_hits.get());
+    }
 }
 
 impl<'a> ComputeContext<'a> {
+    /// A context over `query` at time `now`.
+    pub fn new(query: &'a QueryEngine, now: Timestamp) -> ComputeContext<'a> {
+        ComputeContext {
+            query,
+            now,
+            cache_hits: Cell::new(0),
+        }
+    }
+
+    /// Reads input `k` of `unit` in place: `f` sees the readings `mode`
+    /// selects without a copy ([`QueryEngine::view`], whose rule holds
+    /// here too: `f` must not call back into the engine). The unit finds
+    /// its sensor's cache on the first read and keeps it, so later reads
+    /// look nothing up; while the engine does not know the topic, or its
+    /// cache cannot answer alone, the read goes by topic.
+    pub fn input_view<R>(
+        &self,
+        unit: &Unit,
+        k: usize,
+        mode: QueryMode,
+        f: impl FnOnce(CacheView<'_>) -> R,
+    ) -> R {
+        let topic = &unit.inputs[k];
+        match unit.input_handle(self.query, k) {
+            Some(cache) => self
+                .query
+                .view_bound(cache, topic, mode, &self.cache_hits, f),
+            None => self.query.view(topic, mode, f),
+        }
+    }
+
     /// Convenience: the input window of `topic` covering the last
     /// `window_ns`, as `f64` values in timestamp order.
     pub fn window_values(&self, topic: &Topic, window_ns: u64) -> Vec<f64> {
-        self.query
-            .query(
-                topic,
-                crate::query::QueryMode::Relative {
-                    offset_ns: window_ns,
-                },
-            )
-            .iter()
-            .map(|r| r.value as f64)
-            .collect()
+        let mode = QueryMode::Relative {
+            offset_ns: window_ns,
+        };
+        self.query.view(topic, mode, |window| {
+            window.iter().map(|r| r.value as f64).collect()
+        })
     }
 
     /// Convenience: the most recent value of `topic`, if any.
     pub fn latest_value(&self, topic: &Topic) -> Option<f64> {
-        self.query
-            .query(topic, crate::query::QueryMode::Latest)
-            .first()
-            .map(|r| r.value as f64)
+        self.query.view(topic, QueryMode::Latest, |latest| {
+            latest.last().map(|r| r.value as f64)
+        })
     }
 }
 
@@ -126,8 +165,9 @@ pub trait Operator: Send {
 /// `i64::MAX`/`MIN`, publishing a plausible-looking but wrong
 /// reading). The `Err` propagates out of `compute` where the runtime
 /// counts it against the operator and skips the output — a gap in the
-/// derived series, never a fabricated extreme.
-pub fn finite_output(what: &str, value: f64) -> Result<i64> {
+/// derived series, never a fabricated extreme. `what` names the output
+/// in that error and is formatted only then: pass `format_args!`.
+pub fn finite_output(what: impl std::fmt::Display, value: f64) -> Result<i64> {
     let rounded = value.round();
     // i64::MIN as f64 is exactly -2^63 (representable); i64::MAX as
     // f64 is exactly 2^63 (NOT representable), hence >= on that side.
@@ -145,14 +185,26 @@ pub fn finite_output(what: &str, value: f64) -> Result<i64> {
 /// "iterate through its units" loop of §V-C.1 used by both the manager
 /// (online ticks) and tests.
 pub fn compute_all_units(op: &mut dyn Operator, ctx: &ComputeContext<'_>) -> Result<Vec<Output>> {
+    Ok(compute_units(op, ctx)?.0)
+}
+
+/// [`compute_all_units`], also telling which unit produced what: entry
+/// `i` of the second list is where unit `i`'s outputs end in the first;
+/// operator-level outputs follow the last unit's.
+pub(crate) fn compute_units(
+    op: &mut dyn Operator,
+    ctx: &ComputeContext<'_>,
+) -> Result<(Vec<Output>, Vec<usize>)> {
     op.refresh_units(ctx)?;
     let n = op.units().len();
     let mut out = Vec::new();
+    let mut ends = Vec::with_capacity(n);
     for i in 0..n {
         out.extend(op.compute(i, ctx)?);
+        ends.push(out.len());
     }
     out.extend(op.operator_outputs(ctx));
-    Ok(out)
+    Ok((out, ends))
 }
 
 #[cfg(test)]
@@ -217,11 +269,11 @@ mod tests {
     }
 
     fn unit(node: &str) -> Unit {
-        Unit {
-            name: t(node),
-            inputs: vec![t(&format!("{node}/power"))],
-            outputs: vec![t(&format!("{node}/power-avg"))],
-        }
+        Unit::new(
+            t(node),
+            vec![t(&format!("{node}/power"))],
+            vec![t(&format!("{node}/power-avg"))],
+        )
     }
 
     #[test]
@@ -233,10 +285,7 @@ mod tests {
             window_ns: 5 * dcdb_common::time::NS_PER_SEC,
             computed: 0,
         };
-        let ctx = ComputeContext {
-            query: &qe,
-            now: Timestamp::from_secs(11),
-        };
+        let ctx = ComputeContext::new(&qe, Timestamp::from_secs(11));
         let outputs = compute_all_units(&mut op, &ctx).unwrap();
         assert_eq!(op.computed, 2);
         assert_eq!(outputs.len(), 2);
@@ -255,20 +304,14 @@ mod tests {
             window_ns: 1,
             computed: 0,
         };
-        let ctx = ComputeContext {
-            query: &qe,
-            now: Timestamp::from_secs(1),
-        };
+        let ctx = ComputeContext::new(&qe, Timestamp::from_secs(1));
         assert!(compute_all_units(&mut op, &ctx).is_err());
     }
 
     #[test]
     fn context_helpers() {
         let qe = engine_with_data();
-        let ctx = ComputeContext {
-            query: &qe,
-            now: Timestamp::from_secs(11),
-        };
+        let ctx = ComputeContext::new(&qe, Timestamp::from_secs(11));
         assert_eq!(ctx.latest_value(&t("/n1/power")), Some(110.0));
         assert_eq!(ctx.latest_value(&t("/missing")), None);
         let w = ctx.window_values(&t("/n1/power"), 3 * dcdb_common::time::NS_PER_SEC);
@@ -322,10 +365,7 @@ mod tests {
             window_ns: 10 * dcdb_common::time::NS_PER_SEC,
             computed: 0,
         };
-        let ctx = ComputeContext {
-            query: &qe,
-            now: Timestamp::from_secs(5),
-        };
+        let ctx = ComputeContext::new(&qe, Timestamp::from_secs(5));
         let err = compute_all_units(&mut op, &ctx).unwrap_err();
         assert!(
             matches!(err, DcdbError::InvalidState(_)),

@@ -187,10 +187,12 @@ mod tests {
 
     fn units(n: usize) -> Vec<Unit> {
         (0..n)
-            .map(|i| Unit {
-                name: t(&format!("/n{i}")),
-                inputs: vec![t(&format!("/n{i}/in"))],
-                outputs: vec![t(&format!("/n{i}/out"))],
+            .map(|i| {
+                Unit::new(
+                    t(&format!("/n{i}")),
+                    vec![t(&format!("/n{i}/in"))],
+                    vec![t(&format!("/n{i}/out"))],
+                )
             })
             .collect()
     }

@@ -19,12 +19,13 @@
 use crate::tree::SensorNavigator;
 use dcdb_bus::TopicFilter;
 use dcdb_common::batch::ReadingBatch;
-use dcdb_common::cache::SensorCache;
+use dcdb_common::cache::{CacheView, SensorCache};
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use dcdb_storage::{rollup::bucket_start, AggFrame, StorageEngine};
 use parking_lot::RwLock;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -153,10 +154,44 @@ pub struct AggSeries {
     pub plan: AggPlan,
 }
 
+/// One sensor's cache as the engine shares it: the value of the cache
+/// map, and what a unit keeps once it has found its sensor. Entries of
+/// the map are never removed, so a handle stays valid for the engine's
+/// life.
+pub(crate) type SensorHandle = Arc<RwLock<SensorCache>>;
+
+/// What a read hands its consumer: cache readings in place, or the
+/// `Vec` a storage scan produced.
+enum Answer<'a> {
+    View(CacheView<'a>),
+    Owned(Vec<SensorReading>),
+}
+
+/// The view `mode` selects when the cache alone answers the read;
+/// `None` when the cache is empty or (with a storage engine attached)
+/// the range reaches past its oldest reading.
+fn cached(cache: &SensorCache, mode: QueryMode, has_storage: bool) -> Option<CacheView<'_>> {
+    let view = match mode {
+        QueryMode::Latest => cache.view_relative(0),
+        QueryMode::Relative { offset_ns } => cache.view_relative(offset_ns),
+        QueryMode::Absolute { t0, t1 } => {
+            // In range, or no storage to reach back into: clip to the
+            // cache (the answer may be empty and is still a hit).
+            let oldest = cache.oldest()?.ts;
+            return (t0 >= oldest || !has_storage).then(|| cache.view_absolute(t0, t1));
+        }
+    };
+    (!view.is_empty()).then_some(view)
+}
+
+/// Distinguishes engines, so a unit bound in one is not read in another.
+static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(0);
+
 /// The per-process query engine.
 pub struct QueryEngine {
+    id: u64,
     navigator: RwLock<Arc<SensorNavigator>>,
-    caches: RwLock<HashMap<Topic, Arc<RwLock<SensorCache>>>>,
+    caches: RwLock<HashMap<Topic, SensorHandle>>,
     storage: Option<Arc<dyn StorageEngine>>,
     cache_capacity: usize,
     cache_hits: AtomicU64,
@@ -176,6 +211,7 @@ impl QueryEngine {
     /// cache data").
     pub fn new(cache_capacity: usize) -> QueryEngine {
         QueryEngine {
+            id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
             navigator: RwLock::new(Arc::new(SensorNavigator::build(
                 std::iter::empty::<&Topic>(),
             ))),
@@ -205,6 +241,11 @@ impl QueryEngine {
         }
     }
 
+    /// This engine's identity among the process's engines.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
     /// Replaces the sensor navigator (called after sensor discovery or
     /// when plugins add output sensors).
     pub fn set_navigator(&self, nav: SensorNavigator) {
@@ -225,8 +266,13 @@ impl QueryEngine {
     /// Inserts a reading for `topic`, creating its cache on first sight,
     /// and forwarding to the storage backend when one is attached.
     pub fn insert(&self, topic: &Topic, reading: SensorReading) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        let cache = self.cache_for(topic);
+        self.add_inserts(1);
+        self.insert_bound(&self.bind_or_create(topic), topic, reading);
+    }
+
+    /// [`QueryEngine::insert`] into a cache already found, leaving
+    /// `inserts` to the caller ([`QueryEngine::add_inserts`]).
+    pub(crate) fn insert_bound(&self, cache: &SensorHandle, topic: &Topic, reading: SensorReading) {
         cache.write().push(reading);
         if let Some(storage) = &self.storage {
             if storage.insert(topic, reading).is_err() {
@@ -241,7 +287,7 @@ impl QueryEngine {
     pub fn insert_columns(&self, topic: &Topic, batch: &ReadingBatch) {
         self.inserts
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        let cache = self.cache_for(topic);
+        let cache = self.bind_or_create(topic);
         {
             let mut guard = cache.write();
             for r in batch.iter() {
@@ -255,9 +301,15 @@ impl QueryEngine {
         }
     }
 
-    fn cache_for(&self, topic: &Topic) -> Arc<RwLock<SensorCache>> {
-        if let Some(c) = self.caches.read().get(topic) {
-            return Arc::clone(c);
+    /// The handle of `topic`'s cache, if the engine has one.
+    pub(crate) fn bind(&self, topic: &Topic) -> Option<SensorHandle> {
+        self.caches.read().get(topic).map(Arc::clone)
+    }
+
+    /// The handle of `topic`'s cache, created on first sight.
+    pub(crate) fn bind_or_create(&self, topic: &Topic) -> SensorHandle {
+        if let Some(c) = self.bind(topic) {
+            return c;
         }
         let mut caches = self.caches.write();
         Arc::clone(
@@ -275,86 +327,104 @@ impl QueryEngine {
     /// Executes a query. Cache-first; falls back to storage for
     /// absolute ranges that reach past the cache contents.
     pub fn query(&self, topic: &Topic, mode: QueryMode) -> Vec<SensorReading> {
-        let cache = self.caches.read().get(topic).map(Arc::clone);
-        match mode {
-            QueryMode::Latest => {
-                if let Some(c) = cache {
-                    if let Some(&latest) = c.read().latest() {
-                        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        return vec![latest];
-                    }
+        self.read(topic, mode, |answer| match answer {
+            Answer::View(view) => view.to_vec(),
+            Answer::Owned(readings) => readings,
+        })
+    }
+
+    /// [`QueryEngine::query`] without the copy: `f` sees the readings
+    /// where they lie. A cache hit runs `f` under the engine's read
+    /// guards, so `f` must not call back into the engine — an insert
+    /// from inside it deadlocks. Answers that touch storage are
+    /// materialised first and `f` runs over them with no guard held.
+    pub fn view<R>(&self, topic: &Topic, mode: QueryMode, f: impl FnOnce(CacheView<'_>) -> R) -> R {
+        self.read(topic, mode, |answer| match answer {
+            Answer::View(view) => f(view),
+            Answer::Owned(readings) => f(CacheView::from_slice(&readings)),
+        })
+    }
+
+    /// [`QueryEngine::view`] through a handle already bound: no map
+    /// lookup, and a cache hit is counted into `hits` for the caller to
+    /// add once ([`QueryEngine::add_cache_hits`]). Anything but a cache hit takes
+    /// the by-topic path.
+    pub(crate) fn view_bound<R>(
+        &self,
+        cache: &SensorHandle,
+        topic: &Topic,
+        mode: QueryMode,
+        hits: &Cell<u64>,
+        f: impl FnOnce(CacheView<'_>) -> R,
+    ) -> R {
+        let guard = cache.read();
+        if let Some(view) = cached(&guard, mode, self.storage.is_some()) {
+            hits.set(hits.get() + 1);
+            return f(view);
+        }
+        drop(guard);
+        self.view(topic, mode, f)
+    }
+
+    /// Adds the cache hits [`QueryEngine::view_bound`] left to its
+    /// caller: one operator run adds its thousands at once.
+    pub(crate) fn add_cache_hits(&self, hits: u64) {
+        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
+    }
+
+    /// Adds the inserts [`QueryEngine::insert_bound`] left to its caller.
+    pub(crate) fn add_inserts(&self, inserts: u64) {
+        self.inserts.fetch_add(inserts, Ordering::Relaxed);
+    }
+
+    /// The one read path under `query` and `view`.
+    fn read<R>(&self, topic: &Topic, mode: QueryMode, f: impl FnOnce(Answer<'_>) -> R) -> R {
+        // The cached tail of an absolute range that reaches past the
+        // cache, with the oldest cached timestamp.
+        let mut tail = None;
+        {
+            let caches = self.caches.read();
+            if let Some(cache) = caches.get(topic) {
+                let guard = cache.read();
+                if let Some(view) = cached(&guard, mode, self.storage.is_some()) {
+                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    return f(Answer::View(view));
                 }
-                if let Some(storage) = &self.storage {
-                    if let Some(latest) = storage.latest(topic) {
-                        self.storage_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        return vec![latest];
-                    }
+                if let (QueryMode::Absolute { t1, .. }, Some(oldest)) = (mode, guard.oldest()) {
+                    // Copied, and the guards dropped, before the scan:
+                    // held across it, they block this sensor's ingest
+                    // for the length of a disk read.
+                    tail = Some((oldest.ts, guard.view_absolute(oldest.ts, t1).to_vec()));
                 }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Vec::new()
             }
-            QueryMode::Relative { offset_ns } => {
-                if let Some(c) = cache {
-                    let guard = c.read();
-                    let view = guard.view_relative(offset_ns);
-                    if !view.is_empty() {
-                        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        return view.to_vec();
-                    }
+        }
+        let found = self.storage.as_ref().and_then(|storage| match mode {
+            QueryMode::Latest => storage.latest(topic).map(|latest| vec![latest]),
+            // Relative queries are defined against live data; if the
+            // cache is empty, answer from storage's most recent span.
+            QueryMode::Relative { offset_ns } => storage.latest(topic).map(|latest| {
+                storage.query(topic, latest.ts.saturating_sub_ns(offset_ns), latest.ts)
+            }),
+            QueryMode::Absolute { t0, t1 } => match tail {
+                // Stitch: storage for the old part, cache for the
+                // recent part.
+                Some((oldest, recent)) => {
+                    let boundary = oldest.saturating_sub_ns(1);
+                    let mut out = storage.query(topic, t0, boundary.min(t1));
+                    out.extend(recent);
+                    Some(out)
                 }
-                // Relative queries are defined against live data; if the
-                // cache is empty, answer from storage's most recent span.
-                if let Some(storage) = &self.storage {
-                    if let Some(latest) = storage.latest(topic) {
-                        self.storage_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        return storage.query(
-                            topic,
-                            latest.ts.saturating_sub_ns(offset_ns),
-                            latest.ts,
-                        );
-                    }
-                }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Vec::new()
+                None => Some(storage.query(topic, t0, t1)).filter(|out| !out.is_empty()),
+            },
+        });
+        match found {
+            Some(readings) => {
+                self.storage_fallbacks.fetch_add(1, Ordering::Relaxed);
+                f(Answer::Owned(readings))
             }
-            QueryMode::Absolute { t0, t1 } => {
-                if let Some(c) = cache {
-                    let guard = c.read();
-                    let cache_oldest = guard.oldest().map(|r| r.ts);
-                    if let Some(oldest) = cache_oldest {
-                        if t0 >= oldest {
-                            // Fully answerable from cache.
-                            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                            return guard.view_absolute(t0, t1).to_vec();
-                        }
-                        if let Some(storage) = &self.storage {
-                            // Stitch: storage for the old part, cache for
-                            // the recent part — copied, and the guard
-                            // dropped, before the scan: held across it,
-                            // the guard blocks this sensor's ingest for
-                            // the length of a disk read.
-                            self.storage_fallbacks.fetch_add(1, Ordering::Relaxed);
-                            let recent = guard.view_absolute(oldest, t1).to_vec();
-                            drop(guard);
-                            let boundary = oldest.saturating_sub_ns(1);
-                            let mut out = storage.query(topic, t0, boundary.min(t1));
-                            out.extend(recent);
-                            return out;
-                        }
-                        // No storage: clip to the cache.
-                        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        return guard.view_absolute(t0, t1).to_vec();
-                    }
-                }
-                if let Some(storage) = &self.storage {
-                    let out = storage.query(topic, t0, t1);
-                    if !out.is_empty() {
-                        self.storage_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        return out;
-                    }
-                }
+            None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                Vec::new()
+                f(Answer::Owned(Vec::new()))
             }
         }
     }
@@ -493,7 +563,7 @@ impl QueryEngine {
     /// The `[oldest, newest]` timestamps of any data for `topic` across
     /// cache and storage.
     fn data_extent(&self, topic: &Topic) -> Option<(Timestamp, Timestamp)> {
-        let cache = self.caches.read().get(topic).map(Arc::clone);
+        let cache = self.bind(topic);
         let (mut oldest, mut newest) = (None::<Timestamp>, None::<Timestamp>);
         if let Some(c) = cache {
             let guard = c.read();
@@ -538,10 +608,7 @@ impl QueryEngine {
         plan.tier_ns = width;
         let storage = self.storage.as_ref().expect("tier path requires storage");
         let cache_oldest: Option<u64> = self
-            .caches
-            .read()
-            .get(topic)
-            .map(Arc::clone)
+            .bind(topic)
             .and_then(|c| c.read().oldest().map(|r| r.ts.as_nanos()));
         let tier_frames = storage.query_frames(topic, width, Timestamp(g0), Timestamp(g_end - 1));
         let usable_end = cache_oldest.unwrap_or(u64::MAX);

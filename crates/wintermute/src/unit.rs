@@ -18,11 +18,14 @@
 //! <bottomup-1>healthy
 //! ```
 
+use crate::query::{QueryEngine, SensorHandle};
 use crate::tree::{LevelSpec, SensorNavigator};
 use dcdb_common::error::DcdbError;
 use dcdb_common::regex::Regex;
 use dcdb_common::topic::Topic;
+use std::cmp::Ordering;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// One pattern expression: where to look (level + filter) and what
 /// sensor name to bind.
@@ -103,8 +106,14 @@ impl PatternExpr {
     /// The expression's *domain*: every node at the resolved level whose
     /// name passes the filter.
     pub fn domain(&self, nav: &SensorNavigator) -> Result<Vec<Topic>, DcdbError> {
+        Ok(self.level_domain(nav)?.1)
+    }
+
+    /// The resolved level and the domain on it, in the navigator's
+    /// order.
+    fn level_domain(&self, nav: &SensorNavigator) -> Result<(usize, Vec<Topic>), DcdbError> {
         let level = nav.resolve_level(self.level)?;
-        Ok(nav
+        let domain = nav
             .nodes_at_level(level)
             .iter()
             .filter(|node| {
@@ -114,7 +123,8 @@ impl PatternExpr {
                     .unwrap_or(true)
             })
             .cloned()
-            .collect())
+            .collect();
+        Ok((level, domain))
     }
 }
 
@@ -166,6 +176,11 @@ impl UnitTemplate {
 }
 
 /// A concrete, resolved unit (paper §III-B).
+///
+/// A unit's sensors are fixed once it is built, so the first read or
+/// publish of each finds its cache in the engine and keeps the handle
+/// ([`Unit::input_handle`], [`Unit::output_handle`]); `inputs` and
+/// `outputs` must not be edited after that — build a new unit instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Unit {
     /// The unit's name: the sensor-tree node it is bound to.
@@ -174,6 +189,84 @@ pub struct Unit {
     pub inputs: Vec<Topic>,
     /// Fully-resolved output sensor topics.
     pub outputs: Vec<Topic>,
+    bound: Bound,
+}
+
+/// A unit's cache handles in one engine: one slot per input, then one
+/// per output, each filled when its topic is first found there. No part
+/// of the unit's value: a clone starts unbound, and units compare by
+/// their topics.
+#[derive(Debug, Default)]
+struct Bound(OnceLock<(u64, Box<[OnceLock<SensorHandle>]>)>);
+
+impl Clone for Bound {
+    fn clone(&self) -> Bound {
+        Bound::default()
+    }
+}
+
+impl PartialEq for Bound {
+    fn eq(&self, _: &Bound) -> bool {
+        true
+    }
+}
+
+impl Eq for Bound {}
+
+impl Unit {
+    /// A unit over the given sensors, not yet bound to any engine.
+    pub fn new(name: Topic, inputs: Vec<Topic>, outputs: Vec<Topic>) -> Unit {
+        Unit {
+            name,
+            inputs,
+            outputs,
+            bound: Bound::default(),
+        }
+    }
+
+    /// The handle in slot `slot` of `engine`, found by `find` on first
+    /// use. `None` while `find` has nothing, and for every engine but
+    /// the first this unit was used with.
+    fn handle(
+        &self,
+        engine: &QueryEngine,
+        slot: usize,
+        find: impl FnOnce() -> Option<SensorHandle>,
+    ) -> Option<&SensorHandle> {
+        let (bound_in, slots) = self.bound.0.get_or_init(|| {
+            let slots = self.inputs.len() + self.outputs.len();
+            (engine.id(), (0..slots).map(|_| OnceLock::new()).collect())
+        });
+        if *bound_in != engine.id() {
+            return None;
+        }
+        let slot = slots.get(slot)?;
+        if slot.get().is_none() {
+            // A racing binder found the same map entry: either may win.
+            let _ = slot.set(find()?);
+        }
+        slot.get()
+    }
+
+    /// The cache handle of input `k` in `engine`; `None` until the
+    /// engine knows the topic.
+    pub(crate) fn input_handle(&self, engine: &QueryEngine, k: usize) -> Option<&SensorHandle> {
+        self.handle(engine, k, || engine.bind(self.inputs.get(k)?))
+    }
+
+    /// The cache handle (created on first publish) of the output
+    /// `topic` names, when `topic` *is* one of this unit's outputs — a
+    /// clone of it, tested by pointer, so no string is compared.
+    pub(crate) fn output_handle(
+        &self,
+        engine: &QueryEngine,
+        topic: &Topic,
+    ) -> Option<&SensorHandle> {
+        let j = self.outputs.iter().position(|o| o.ptr_eq(topic))?;
+        self.handle(engine, self.inputs.len() + j, || {
+            Some(engine.bind_or_create(topic))
+        })
+    }
 }
 
 impl fmt::Display for Unit {
@@ -228,17 +321,17 @@ pub fn resolve_units(
         .ok_or_else(|| DcdbError::Config("unit template has no outputs".into()))?;
     let unit_domain = first_output.domain(nav)?;
 
-    // Pre-compute every input pattern's domain once; per-unit work is
-    // then a hierarchical-relation scan.
-    let input_domains: Vec<Vec<Topic>> = template
+    // Pre-compute every pattern's domain once; per-unit work is then
+    // two binary searches per pattern.
+    let input_domains: Vec<(usize, Vec<Topic>)> = template
         .inputs
         .iter()
-        .map(|p| p.domain(nav))
+        .map(|p| p.level_domain(nav))
         .collect::<Result<_, _>>()?;
-    let output_domains: Vec<Vec<Topic>> = template
+    let output_domains: Vec<(usize, Vec<Topic>)> = template
         .outputs
         .iter()
-        .map(|p| p.domain(nav))
+        .map(|p| p.level_domain(nav))
         .collect::<Result<_, _>>()?;
 
     let mut units = Vec::with_capacity(unit_domain.len());
@@ -246,12 +339,9 @@ pub fn resolve_units(
 
     'units: for unit_name in unit_domain {
         let mut inputs = Vec::new();
-        for (pattern, domain) in template.inputs.iter().zip(&input_domains) {
+        for (pattern, (level, domain)) in template.inputs.iter().zip(&input_domains) {
             let mut matched = false;
-            for node in domain {
-                if !SensorNavigator::hierarchically_related(&unit_name, node) {
-                    continue;
-                }
+            for node in related(domain, *level, &unit_name) {
                 let sensor = node.child(&pattern.sensor)?;
                 if nav.has_sensor(&sensor) {
                     inputs.push(sensor);
@@ -268,11 +358,9 @@ pub fn resolve_units(
         }
 
         let mut outputs = Vec::new();
-        for (pattern, domain) in template.outputs.iter().zip(&output_domains) {
-            for node in domain {
-                if SensorNavigator::hierarchically_related(&unit_name, node) {
-                    outputs.push(node.child(&pattern.sensor)?);
-                }
+        for (pattern, (level, domain)) in template.outputs.iter().zip(&output_domains) {
+            for node in related(domain, *level, &unit_name) {
+                outputs.push(node.child(&pattern.sensor)?);
             }
         }
         if outputs.is_empty() {
@@ -283,14 +371,48 @@ pub fn resolve_units(
             continue;
         }
 
-        units.push(Unit {
-            name: unit_name,
-            inputs,
-            outputs,
-        });
+        units.push(Unit::new(unit_name, inputs, outputs));
     }
 
     Ok(Resolution { units, skipped })
+}
+
+/// The nodes of `domain` hierarchically related to `unit`, in order.
+///
+/// `domain` is (a filtered subsequence of) one navigator level, and a
+/// level lists its nodes depth-first over sorted names — sorted by
+/// their segments, compared one after another. A node on `level` is
+/// related to the unit exactly when the two agree on every segment both
+/// have: it is the unit's ancestor on that level (walk the unit's
+/// parent chain up to it), the unit itself, or one of its descendants —
+/// in each case the one contiguous run of nodes that start with `key`.
+fn related<'d>(domain: &'d [Topic], level: usize, unit: &Topic) -> &'d [Topic] {
+    let key = unit.prefix(level + 1);
+    let start = domain.partition_point(|node| cmp_to_key(node, &key) == Ordering::Less);
+    let len = domain[start..]
+        .iter()
+        .take_while(|node| cmp_to_key(node, &key) == Ordering::Equal)
+        .count();
+    &domain[start..start + len]
+}
+
+/// Where `node` lies against the run of paths that start with the
+/// segments of `key`, in the navigator's order; `node` has at least as
+/// many segments as `key`. Comparing the paths byte by byte with `/`
+/// below every other byte compares them segment by segment.
+fn cmp_to_key(node: &Topic, key: &Topic) -> Ordering {
+    let (node, key) = (node.as_str().as_bytes(), key.as_str().as_bytes());
+    let rank = |byte: u8| if byte == b'/' { 0 } else { byte };
+    match node.iter().zip(key).find(|(n, k)| n != k) {
+        Some((&n, &k)) => rank(n).cmp(&rank(k)),
+        // One path is a prefix of the other: `node` runs on into a
+        // longer segment, or is `key` or below it, or stops short.
+        None => match node.get(key.len()) {
+            Some(b'/') => Ordering::Equal,
+            Some(_) => Ordering::Greater,
+            None => node.len().cmp(&key.len()),
+        },
+    }
 }
 
 #[cfg(test)]

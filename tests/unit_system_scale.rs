@@ -5,11 +5,12 @@
 //! templates against a full CooLMUC-3-sized sensor tree and check both
 //! correctness and that resolution stays fast enough for reloads.
 
+use dcdb_wintermute::dcdb_common::Topic;
 use dcdb_wintermute::sim_cluster::Topology;
 use dcdb_wintermute::wintermute::prelude::*;
 
 /// All sensor topics of the full 148-node, 64-core system.
-fn coolmuc3_topics() -> Vec<dcdb_wintermute::dcdb_common::Topic> {
+fn coolmuc3_topics() -> Vec<Topic> {
     let topology = Topology::coolmuc3();
     topology
         .nodes()
@@ -76,6 +77,157 @@ fn per_core_template_instantiates_9472_units() {
     // reconfigures plugins dynamically via REST. Generous bound (debug
     // builds on one core are slow).
     assert!(elapsed.as_secs_f64() < 30.0, "resolution took {elapsed:?}");
+}
+
+/// What `resolve_units` must make of the candidate `name`, by the
+/// definition: every node of every pattern's domain (`domains`, inputs
+/// then outputs) tested against the unit. `Err` names the first input
+/// pattern that binds nothing.
+fn unit_by_scan(
+    template: &UnitTemplate,
+    domains: &[Vec<Topic>],
+    nav: &SensorNavigator,
+    name: &Topic,
+) -> Result<Unit, String> {
+    let patterns = template.inputs.iter().chain(&template.outputs);
+    let mut related = patterns.zip(domains).map(|(pattern, domain)| {
+        let sensors: Vec<Topic> = domain
+            .iter()
+            .filter(|node| SensorNavigator::hierarchically_related(name, node))
+            .map(|node| node.child(&pattern.sensor).unwrap())
+            .collect();
+        (pattern, sensors)
+    });
+    let mut inputs = Vec::new();
+    for (pattern, sensors) in related.by_ref().take(template.inputs.len()) {
+        let before = inputs.len();
+        inputs.extend(sensors.into_iter().filter(|s| nav.has_sensor(s)));
+        if inputs.len() == before {
+            return Err(pattern.to_string());
+        }
+    }
+    let outputs = related.flat_map(|(_, sensors)| sensors).collect();
+    Ok(Unit::new(name.clone(), inputs, outputs))
+}
+
+/// Holds `resolve_units` to the scan on every `step`-th candidate unit:
+/// the same units, the same input order, the same skips in the same
+/// order. Returns how many candidates were skipped.
+fn assert_resolution_equals_scan(
+    nav: &SensorNavigator,
+    inputs: &[&str],
+    outputs: &[&str],
+    step: usize,
+) -> usize {
+    let template = UnitTemplate::parse(inputs, outputs).unwrap();
+    let got = resolve_units(&template, nav).unwrap();
+    let domains: Vec<Vec<Topic>> = template
+        .inputs
+        .iter()
+        .chain(&template.outputs)
+        .map(|pattern| pattern.domain(nav).unwrap())
+        .collect();
+    let candidates = &domains[template.inputs.len()];
+    assert_eq!(candidates.len(), got.units.len() + got.skipped.len());
+    // Units and skips come in candidate order: walk all three.
+    let mut units = got.units.iter().peekable();
+    let mut skipped = got.skipped.iter().peekable();
+    for (at, name) in candidates.iter().enumerate() {
+        let built = units.next_if(|u| &u.name == name);
+        let skip = skipped.next_if(|s| &s.name == name);
+        assert!(built.is_some() != skip.is_some(), "{name}");
+        if at % step == 0 {
+            let want = unit_by_scan(&template, &domains, nav, name);
+            assert_eq!(built, want.as_ref().ok(), "{name}");
+            assert_eq!(skip.map(|s| &s.pattern), want.as_ref().err(), "{name}");
+        }
+    }
+    got.skipped.len()
+}
+
+#[test]
+fn resolution_equals_the_all_pairs_scan() {
+    // The per-core templates are checked on every 211th unit of
+    // CooLMUC-3 — the scan is quadratic, which is why it went. One node
+    // lacks its OPA counters, so a template skips it.
+    let mut topics = coolmuc3_topics();
+    topics.retain(|t| !t.as_str().starts_with("/rack02/node07/opa"));
+    let nav = SensorNavigator::build(topics.iter());
+    let per_core = [
+        "<bottomup, filter cpu>cycles",
+        "<bottomup, filter cpu>instructions",
+    ];
+    let per_node = ["<bottomup-1>power", per_core[0], per_core[1]];
+    let mut skipped = 0;
+    for (inputs, outputs, step) in [
+        (&per_core[..], &["<bottomup, filter cpu>cpi"][..], 211),
+        (
+            &["<bottomup-1>power", "<topdown>power"],
+            &["<bottomup, filter cpu0>score", "<bottomup-1>healthy"],
+            211,
+        ),
+        (&per_node, &["<bottomup-1>healthy"], 1),
+        (
+            &["<bottomup-1>opa-xmit-bytes"],
+            &["<bottomup-1>opa-seen"],
+            1,
+        ),
+        (&["<bottomup-1>power"], &["<topdown>rack-power"], 1),
+    ] {
+        skipped += assert_resolution_equals_scan(&nav, inputs, outputs, step);
+    }
+    // No rack has a power sensor (cpu00..cpu09 of every node go), and
+    // one node has no OPA counters.
+    assert_eq!(skipped, 148 * 10 + 1);
+
+    // The paper's Fig. 2 tree, made ragged, with sensors missing here
+    // and there and names whose byte order and segment order disagree
+    // (`-` and `.` sort below `/`).
+    let mut topics = Vec::new();
+    for rack in ["r01", "r01-b", "r01.x", "r02", "r03"] {
+        topics.push(format!("/{rack}/inlet-temp"));
+        for chassis in ["c01", "c01-x", "c02"] {
+            if (rack, chassis) != ("r02", "c01-x") {
+                topics.push(format!("/{rack}/{chassis}/power"));
+            }
+            for server in ["s01", "s01-a", "s02"] {
+                topics.push(format!("/{rack}/{chassis}/{server}/memfree"));
+                for cpu in ["cpu0", "cpu1", "gpu0"] {
+                    if (rack, server) != ("r03", "s02") {
+                        topics.push(format!("/{rack}/{chassis}/{server}/{cpu}/cpu-cycles"));
+                    }
+                    if cpu != "gpu0" {
+                        topics.push(format!("/{rack}/{chassis}/{server}/{cpu}/cache-misses"));
+                    }
+                }
+            }
+        }
+    }
+    topics.push("/r04/c01/s01/memfree".to_string());
+    let topics: Vec<Topic> = topics.iter().map(|t| Topic::parse(t).unwrap()).collect();
+    let nav = SensorNavigator::build(topics.iter());
+    let paper = [
+        "<topdown+1>power",
+        "<bottomup, filter cpu>cpu-cycles",
+        "<bottomup, filter cpu>cache-misses",
+    ];
+    let mut skipped = 0;
+    for (inputs, outputs) in [
+        (&paper[..], &["<bottomup-1>healthy"][..]),
+        (&["<topdown+1>power"], &["<topdown>rack-power"]),
+        (&["<bottomup-1>memfree"], &["<bottomup-1>pred"]),
+        (
+            &["<topdown>inlet-temp", "<bottomup-1>memfree"],
+            &["<bottomup, filter cpu>score", "<bottomup-1>healthy"],
+        ),
+        (
+            &["<bottomup, filter ^cpu1$>cache-misses"],
+            &["<topdown+1, filter ^c0[12]>misses", "<bottomup>per-cpu"],
+        ),
+    ] {
+        skipped += assert_resolution_equals_scan(&nav, inputs, outputs, 1);
+    }
+    assert!(skipped > 0, "no template exercised a skipped unit");
 }
 
 #[test]
