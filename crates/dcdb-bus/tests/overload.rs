@@ -34,7 +34,12 @@ fn reading(seq: u64) -> SensorReading {
 }
 
 /// A deliberately slow consumer under sustained overload never sees its
-/// queue grow past the configured bound, for any overflow policy.
+/// queue grow past the configured bound, for any overflow policy; what
+/// it does see is in publication order, every message is accounted for,
+/// the shedding policies really shed and `Block` loses nothing. The
+/// publisher is unpaced, so the overload is whatever the consumer's
+/// 20 µs a message makes it — far past the 16× at which a bounded bus
+/// must shed.
 #[test]
 fn bounded_subscription_never_exceeds_depth_under_overload() {
     for policy in [
@@ -43,6 +48,7 @@ fn bounded_subscription_never_exceeds_depth_under_overload() {
         OverflowPolicy::Block,
     ] {
         let depth = 64usize;
+        let total = 10_000u64;
         let broker = Broker::with_config(BusConfig {
             sub_depth: depth,
             sub_policy: policy,
@@ -56,16 +62,24 @@ fn bounded_subscription_never_exceeds_depth_under_overload() {
         let consumer = {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
+                let mut consumed = 0u64;
+                let mut last_ts = 0u64;
                 loop {
                     match sub.recv_timeout(Duration::from_millis(1)) {
-                        // Slower than the publisher: force overload.
-                        Ok(Some(_)) => std::thread::sleep(Duration::from_micros(20)),
+                        Ok(Some(msg)) => {
+                            let ts = decode_batch(msg.payload).unwrap().ts[0];
+                            assert!(ts > last_ts, "{policy:?}: {last_ts} then {ts}");
+                            last_ts = ts;
+                            consumed += 1;
+                            // Slower than the publisher: force overload.
+                            std::thread::sleep(Duration::from_micros(20));
+                        }
                         Ok(None) => {
                             if stop.load(Ordering::Acquire) && sub.queued() == 0 {
-                                return sub;
+                                return (sub, consumed);
                             }
                         }
-                        Err(_) => return sub,
+                        Err(_) => return (sub, consumed),
                     }
                 }
             })
@@ -73,11 +87,11 @@ fn bounded_subscription_never_exceeds_depth_under_overload() {
 
         let handle = broker.handle();
         let t = topic("/bench/node00/power");
-        for seq in 0..10_000u64 {
+        for seq in 0..total {
             handle.publish_readings(t.clone(), &[reading(seq)]).unwrap();
         }
         stop.store(true, Ordering::Release);
-        let sub = consumer.join().unwrap();
+        let (sub, consumed) = consumer.join().unwrap();
 
         let m = sub.metrics();
         assert!(
@@ -89,6 +103,15 @@ fn bounded_subscription_never_exceeds_depth_under_overload() {
             m.conserved(),
             "{policy:?}: queue counters not conserved: {m:?}"
         );
+        let stats = broker.stats();
+        assert_eq!(stats.published, total, "{policy:?}");
+        assert_eq!(stats.published, stats.delivered + stats.dropped);
+        assert_eq!(consumed + m.dropped_total(), total, "{policy:?}: {m:?}");
+        if policy == OverflowPolicy::Block {
+            assert_eq!(consumed, total, "Block must not lose: {m:?}");
+        } else {
+            assert!(m.dropped_total() > 0, "{policy:?}: overload shed nothing");
+        }
     }
 }
 

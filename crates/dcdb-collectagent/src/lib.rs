@@ -44,12 +44,13 @@ pub struct CollectAgentConfig {
     /// maintenance: surplus messages stay on the (bounded) subscriber
     /// queue and are shed there by its overflow policy.
     pub ingest_budget: usize,
-    /// How many leading topic segments identify one data source
-    /// (Pusher) for delivery-staleness tracking — `/rack00/node03/...`
-    /// with depth 2 groups by node. A source is flagged stale once no
-    /// reading arrived for 3× `expected_interval_ms`.
-    pub source_prefix_depth: usize,
 }
+
+/// How many leading topic segments identify one data source (Pusher)
+/// for delivery-staleness tracking — `/rack00/node03/...` groups by
+/// node. A source is flagged stale once no reading arrived for 3× the
+/// expected sampling interval.
+const SOURCE_PREFIX_DEPTH: usize = 2;
 
 impl Default for CollectAgentConfig {
     fn default() -> Self {
@@ -58,7 +59,6 @@ impl Default for CollectAgentConfig {
             cache_secs: 180,
             expected_interval_ms: 1000,
             ingest_budget: 4096,
-            source_prefix_depth: 2,
         }
     }
 }
@@ -66,7 +66,7 @@ impl Default for CollectAgentConfig {
 /// Delivery health of one data source (Pusher), keyed by topic prefix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceHealth {
-    /// The source's topic prefix (first `source_prefix_depth` segments).
+    /// The source's topic prefix (its first two segments).
     pub prefix: String,
     /// Newest reading timestamp seen from this source, nanoseconds.
     pub last_seen_ns: u64,
@@ -163,7 +163,6 @@ pub struct CollectAgent {
     shard: Mutex<Option<ShardAssignment>>,
     ingest_budget: usize,
     expected_interval_ms: u64,
-    source_prefix_depth: usize,
     manager: Arc<OperatorManager>,
     storage: Arc<dyn StorageEngine>,
     messages: AtomicU64,
@@ -209,7 +208,6 @@ impl CollectAgent {
             shard: Mutex::new(None),
             ingest_budget: config.ingest_budget.max(1),
             expected_interval_ms: config.expected_interval_ms.max(1),
-            source_prefix_depth: config.source_prefix_depth.max(1),
             manager,
             storage,
             messages: AtomicU64::new(0),
@@ -306,7 +304,7 @@ impl CollectAgent {
         let Some(newest) = batch.ts.iter().copied().max() else {
             return;
         };
-        let prefix = topic.prefix(self.source_prefix_depth).as_str().to_string();
+        let prefix = topic.prefix(SOURCE_PREFIX_DEPTH).as_str().to_string();
         let mut sources = self.sources.lock();
         let record = sources.entry(prefix).or_insert(SourceRecord {
             last_seen_ns: 0,
@@ -452,7 +450,7 @@ impl CollectAgent {
         let delivery_json = serde_json::json!({
             "expected_interval_ms": self.expected_interval_ms,
             "stale_after_ms": self.stale_after_ms(),
-            "source_prefix_depth": self.source_prefix_depth,
+            "source_prefix_depth": SOURCE_PREFIX_DEPTH,
             "stale_sources": health.iter().filter(|s| s.stale).count(),
             "sources": health
                 .iter()
@@ -482,18 +480,8 @@ impl CollectAgent {
         self.manager.mount_routes(router);
         let agent = Arc::clone(self);
         router.route(Method::Get, "/sensors/*topic", move |req| {
-            let raw = format!("/{}", req.path_param("topic").unwrap_or_default());
-            let Ok(topic) = Topic::parse(&raw) else {
-                return Response::error(Status::BadRequest, "malformed topic");
-            };
-            // Absent parameters default to the open range; present but
-            // unparsable ones are client errors, not open ranges.
-            let from = match parse_ts_param(req, "from_s") {
-                Ok(v) => v.unwrap_or(Timestamp::ZERO),
-                Err(resp) => return resp,
-            };
-            let to = match parse_ts_param(req, "to_s") {
-                Ok(v) => v.unwrap_or(Timestamp::MAX),
+            let (topic, from, to) = match parse_sensors_query(req) {
+                Ok(q) => q,
                 Err(resp) => return resp,
             };
             let readings = agent
@@ -673,14 +661,8 @@ pub fn parse_agg_query(req: &dcdb_rest::Request) -> std::result::Result<AggQuery
             }
         },
     };
-    let from = match parse_ts_param(req, "from_s") {
-        Ok(v) => v.unwrap_or(Timestamp::ZERO),
-        Err(resp) => return Err(resp),
-    };
-    let to = match parse_ts_param(req, "to_s") {
-        Ok(v) => v.unwrap_or(Timestamp::MAX),
-        Err(resp) => return Err(resp),
-    };
+    let from = parse_ts_param(req, "from_s")?.unwrap_or(Timestamp::ZERO);
+    let to = parse_ts_param(req, "to_s")?.unwrap_or(Timestamp::MAX);
     if to < from {
         return Err(Response::error(
             Status::BadRequest,
@@ -702,6 +684,22 @@ pub fn parse_agg_query(req: &dcdb_rest::Request) -> std::result::Result<AggQuery
         from,
         to,
     })
+}
+
+/// Validates a `GET /sensors/*topic?from_s=..&to_s=..` request into
+/// `(topic, from, to)`, for the single-agent route and the federation
+/// router alike. Absent bounds default to the open range; a malformed
+/// topic or a present-but-unparsable bound is a `400 Bad Request`.
+pub fn parse_sensors_query(
+    req: &dcdb_rest::Request,
+) -> std::result::Result<(Topic, Timestamp, Timestamp), Response> {
+    let raw = format!("/{}", req.path_param("topic").unwrap_or_default());
+    let Ok(topic) = Topic::parse(&raw) else {
+        return Err(Response::error(Status::BadRequest, "malformed topic"));
+    };
+    let from = parse_ts_param(req, "from_s")?.unwrap_or(Timestamp::ZERO);
+    let to = parse_ts_param(req, "to_s")?.unwrap_or(Timestamp::MAX);
+    Ok((topic, from, to))
 }
 
 /// The body of `GET /sensors/<topic>`, written once from the readings:
@@ -783,9 +781,8 @@ pub fn agg_query_body(
 
 /// Parses an optional `?name=<seconds>` query parameter. `Ok(None)`
 /// when absent; a `400 Bad Request` response when present but not a
-/// valid integer. Shared with the federation router, whose REST surface
-/// takes the same parameters.
-pub fn parse_ts_param(
+/// valid integer.
+fn parse_ts_param(
     req: &dcdb_rest::Request,
     name: &str,
 ) -> std::result::Result<Option<Timestamp>, Response> {

@@ -35,12 +35,12 @@
 //! watermarks. A shard with no standby degrades the PR-6 way: it is
 //! removed from the ring and queries return partial results.
 
-use crate::replica::{self, ReplicaLink, ReplicaLinkStats, ReplicationConfig};
-use crate::ring::{ShardMap, DEFAULT_SHARD_KEY_DEPTH, DEFAULT_VNODES};
+use crate::replica::{self, ReplicaLink, ReplicaLinkStats};
+use crate::ring::{ShardMap, DEFAULT_VNODES};
 use bytes::Bytes;
 use dcdb_bus::{
-    Broker, BusHandle, BusStatsSnapshot, FilterSegment, MessageBus, SubscribeOptions, Subscription,
-    TopicFilter,
+    Broker, BusConfig, BusHandle, BusStatsSnapshot, FilterSegment, MessageBus, SubscribeOptions,
+    Subscription, TopicFilter,
 };
 use dcdb_collectagent::{CollectAgent, CollectAgentConfig, ShardAssignment, ShardRole};
 use dcdb_common::error::{DcdbError, Result};
@@ -59,29 +59,48 @@ pub struct FederationConfig {
     pub agents: usize,
     /// Virtual nodes per agent on the hash ring.
     pub vnodes: usize,
-    /// Leading topic segments forming the shard key.
-    pub shard_key_depth: usize,
     /// Template for each shard's Collect Agent (`agent_id` is replaced
     /// with the node's id).
     pub agent: CollectAgentConfig,
+    /// Queue bound and overflow policy of every node's broker, first
+    /// built or rebuilt by [`FederatedAgent::rejoin`].
+    pub bus: BusConfig,
     /// How long a rebalance waits for queries pinned to the outgoing
     /// epoch before giving up on the drain (the cutover itself has
     /// already happened; a timeout only means an old-epoch reader was
     /// still running and is counted in the stats).
     pub drain_timeout_ms: u64,
-    /// Replica pairs, journal-tail sizing, and the failover threshold.
-    pub replication: ReplicationConfig,
+    /// Nodes per shard: `1` runs the unreplicated tier (a shard loss
+    /// degrades to partial results), `2` runs primary/replica pairs
+    /// with failover. Clamped to `1..=2`.
+    pub replication_factor: usize,
 }
+
+/// Leading topic segments forming the shard key: `/rack/node` — one
+/// compute node's sensors stay together.
+const SHARD_KEY_DEPTH: usize = 2;
+
+/// Consecutive ingest/query/supervision failures of a shard's primary
+/// before the federation fails over (promotes the standby, or removes
+/// the shard from the ring when it has none).
+const FAILOVER_THRESHOLD: u64 = 3;
+
+/// Bound of a shard's journal tail queue, entries. Overflow is counted
+/// and forces an anti-entropy resync — never silent loss.
+const TAIL_CAPACITY: usize = 4096;
+
+/// Max entries one replication pump applies to a standby.
+const PUMP_BUDGET: usize = 512;
 
 impl Default for FederationConfig {
     fn default() -> Self {
         FederationConfig {
             agents: 4,
             vnodes: DEFAULT_VNODES,
-            shard_key_depth: DEFAULT_SHARD_KEY_DEPTH,
             agent: CollectAgentConfig::default(),
+            bus: BusConfig::default(),
             drain_timeout_ms: 1_000,
-            replication: ReplicationConfig::default(),
+            replication_factor: 1,
         }
     }
 }
@@ -285,8 +304,9 @@ pub struct FederatedAgent {
     shards: Vec<Arc<Shard>>,
     current: RwLock<Arc<EpochState>>,
     drain_timeout_ms: u64,
-    replication: ReplicationConfig,
+    replication_factor: usize,
     agent_template: CollectAgentConfig,
+    bus: BusConfig,
     /// Rebuilds a node's engine on rejoin — durable engines reopen
     /// their journal directory and recover; volatile engines come back
     /// empty and refill through catch-up.
@@ -326,11 +346,7 @@ impl FederatedAgent {
         storage: impl Fn(usize, &str) -> Result<Arc<dyn StorageEngine>> + Send + Sync + 'static,
     ) -> Result<FederatedAgent> {
         let n = config.agents.max(1);
-        let factor = config.replication.replication_factor.clamp(1, 2);
-        let replication = ReplicationConfig {
-            replication_factor: factor,
-            ..config.replication.clone()
-        };
+        let factor = config.replication_factor.clamp(1, 2);
         let storage_factory: Box<StorageFactory> = Box::new(storage);
         let mut shards = Vec::with_capacity(n);
         for i in 0..n {
@@ -344,6 +360,7 @@ impl FederatedAgent {
                 };
                 let runtime = build_node(
                     &config.agent,
+                    config.bus,
                     storage_factory.as_ref(),
                     i * factor + slot,
                     &node_id,
@@ -362,10 +379,7 @@ impl FederatedAgent {
                     .as_ref()
                     .map(|rt| Arc::clone(&rt.engine))
                     .expect("just built");
-                Some(ReplicaLink::attach(
-                    &primary_engine,
-                    replication.tail_capacity,
-                ))
+                Some(ReplicaLink::attach(&primary_engine, TAIL_CAPACITY))
             } else {
                 None
             };
@@ -382,7 +396,7 @@ impl FederatedAgent {
             }));
         }
         let ids: Vec<String> = shards.iter().map(|s| s.id.clone()).collect();
-        let map = Arc::new(ShardMap::build(&ids, config.vnodes, config.shard_key_depth));
+        let map = Arc::new(ShardMap::build(&ids, config.vnodes, SHARD_KEY_DEPTH));
         let fed = FederatedAgent {
             shards,
             current: RwLock::new(Arc::new(EpochState {
@@ -390,8 +404,9 @@ impl FederatedAgent {
                 inflight: AtomicU64::new(0),
             })),
             drain_timeout_ms: config.drain_timeout_ms,
-            replication,
+            replication_factor: factor,
             agent_template: config.agent,
+            bus: config.bus,
             storage_factory,
             membership: Mutex::new(()),
             fallback_broker: Broker::new(),
@@ -413,11 +428,6 @@ impl FederatedAgent {
     /// The shard with `id`, if configured.
     pub fn shard(&self, id: &str) -> Option<&Arc<Shard>> {
         self.shards.iter().find(|s| s.id == id)
-    }
-
-    /// The replication configuration this federation runs with.
-    pub fn replication_config(&self) -> &ReplicationConfig {
-        &self.replication
     }
 
     /// The current shard map.
@@ -532,7 +542,7 @@ impl FederatedAgent {
                 continue; // already degraded out; waiting for rejoin
             }
             let strikes = shard.strikes.fetch_add(1, Ordering::AcqRel) + 1;
-            if strikes >= self.replication.failover_threshold {
+            if strikes >= FAILOVER_THRESHOLD {
                 let promoted = self.failover(i);
                 if promoted || !self.shard_map().agents.iter().any(|a| *a == shard.id) {
                     acted += 1;
@@ -559,9 +569,10 @@ impl FederatedAgent {
         let Some(slot) = (0..shard.nodes.len()).find(|&s| !shard.nodes[s].alive()) else {
             return false;
         };
-        let factor = self.replication.replication_factor;
+        let factor = self.replication_factor;
         let Ok(runtime) = build_node(
             &self.agent_template,
+            self.bus,
             self.storage_factory.as_ref(),
             shard.index * factor + slot,
             &shard.nodes[slot].id,
@@ -583,7 +594,7 @@ impl FederatedAgent {
             // overlap); the pump resyncs again if catch-up failed.
             let primary_slot = shard.primary.load(Ordering::Acquire);
             let primary_engine = shard.engine_of(primary_slot).expect("primary is up");
-            let link = ReplicaLink::attach(&primary_engine, self.replication.tail_capacity);
+            let link = ReplicaLink::attach(&primary_engine, TAIL_CAPACITY);
             link.mark_dirty();
             if replica::catch_up(primary_engine.as_ref(), runtime.engine.as_ref()).is_ok() {
                 link.note_resynced();
@@ -696,9 +707,7 @@ impl FederatedAgent {
                     }
                 }
             }
-            applied += link
-                .pump(standby.as_ref(), self.replication.pump_budget)
-                .unwrap_or(0);
+            applied += link.pump(standby.as_ref(), PUMP_BUDGET).unwrap_or(0);
         }
         applied
     }
@@ -805,7 +814,7 @@ impl FederatedAgent {
             "vnodes": map.vnodes,
             "shard_key_depth": map.shard_key_depth,
             "ring": map.agents,
-            "replication_factor": self.replication.replication_factor,
+            "replication_factor": self.replication_factor,
             "shards_total": stats.shards_total,
             "shards_up": stats.shards_up,
             "rebalances": stats.rebalances,
@@ -830,11 +839,12 @@ impl FederatedAgent {
 /// Builds one node's runtime: broker, tapped engine, Collect Agent.
 fn build_node(
     template: &CollectAgentConfig,
+    bus: BusConfig,
     storage: &StorageFactory,
     ordinal: usize,
     node_id: &str,
 ) -> Result<NodeRuntime> {
-    let broker = Broker::new();
+    let broker = Broker::with_config(bus);
     let engine = TappedEngine::wrap(storage(ordinal, node_id)?);
     let agent = Arc::new(CollectAgent::new(
         CollectAgentConfig {
@@ -867,7 +877,7 @@ impl MessageBus for FederatedAgent {
                     // trigger the failover that re-routes these keys.
                     self.publishes_refused.fetch_add(1, Ordering::Relaxed);
                     let strikes = shard.strikes.fetch_add(1, Ordering::AcqRel) + 1;
-                    if strikes >= self.replication.failover_threshold {
+                    if strikes >= FAILOVER_THRESHOLD {
                         self.failover(shard.index);
                     }
                     Err(DcdbError::Disconnected(format!(
@@ -952,7 +962,7 @@ mod tests {
     fn replicated(agents: usize) -> FederatedAgent {
         FederatedAgent::new(FederationConfig {
             agents,
-            replication: ReplicationConfig::pair(),
+            replication_factor: 2,
             ..FederationConfig::default()
         })
         .unwrap()
@@ -1009,8 +1019,7 @@ mod tests {
 
         // Detection: supervision strikes accumulate to the threshold,
         // then the shard (no standby) degrades out of the ring.
-        let threshold = fed.replication_config().failover_threshold;
-        for _ in 0..threshold {
+        for _ in 0..FAILOVER_THRESHOLD {
             fed.supervise();
         }
         let map = fed.shard_map();
@@ -1080,8 +1089,7 @@ mod tests {
         );
 
         assert!(fed.kill(&owner));
-        let threshold = fed.replication_config().failover_threshold;
-        for _ in 0..threshold {
+        for _ in 0..FAILOVER_THRESHOLD {
             fed.supervise();
         }
         // Promotion: same ring membership, bumped epochs, counted.
@@ -1144,7 +1152,7 @@ mod tests {
 
         // Each refused publish is a strike; the pusher's spool rides
         // the refusals until the threshold promotes the standby.
-        let threshold = fed.replication_config().failover_threshold;
+        let threshold = FAILOVER_THRESHOLD;
         let mut refusals = 0;
         for i in 0..threshold + 2 {
             let r = fed.publish_readings(
@@ -1194,7 +1202,7 @@ mod tests {
             })
             .unwrap(),
         );
-        let threshold = fed.replication_config().failover_threshold;
+        let threshold = FAILOVER_THRESHOLD;
         // A query pinned to epoch 0 that outlives the drain budget: the
         // cutover still happens, and the timeout is counted.
         let guard = fed.begin_query();
@@ -1231,8 +1239,7 @@ mod tests {
         assert_eq!(assignment.role, ShardRole::Primary);
 
         fed.kill("agent-00");
-        let threshold = fed.replication_config().failover_threshold;
-        for _ in 0..threshold {
+        for _ in 0..FAILOVER_THRESHOLD {
             fed.supervise();
         }
         // Promoted standby reports primary at the bumped epoch.
@@ -1253,6 +1260,34 @@ mod tests {
             .map(|rt| Arc::clone(&rt.agent))
             .unwrap();
         assert_eq!(standby.shard_assignment().unwrap().role, ShardRole::Replica);
+    }
+
+    #[test]
+    fn a_rejoined_node_runs_the_configured_bus() {
+        let fed = FederatedAgent::new(FederationConfig {
+            agents: 2,
+            bus: BusConfig {
+                sub_depth: 8,
+                sub_policy: dcdb_bus::OverflowPolicy::DropNewest,
+            },
+            ..FederationConfig::default()
+        })
+        .unwrap();
+        let ingest_queue = |id: &str| {
+            let bus = fed.shard(id).unwrap().bus().unwrap().metrics();
+            let sub = bus
+                .subscriptions
+                .iter()
+                .find(|s| s.label == "collect-agent");
+            let queue = &sub.expect("the agent's subscription").queue;
+            (queue.capacity, queue.policy)
+        };
+        let configured = (8, dcdb_bus::OverflowPolicy::DropNewest);
+        assert_eq!(ingest_queue("agent-00"), configured);
+        assert_eq!(ingest_queue("agent-01"), configured);
+        assert!(fed.kill("agent-01"));
+        assert!(fed.rejoin("agent-01"));
+        assert_eq!(ingest_queue("agent-01"), configured, "rebuilt by rejoin");
     }
 
     #[test]

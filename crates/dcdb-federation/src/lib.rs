@@ -33,10 +33,8 @@ pub mod ring;
 pub mod router;
 
 pub use agent::{FederatedAgent, FederationConfig, FederationStats, QueryGuard, Shard};
-pub use replica::{
-    catch_up, derive_seed, CatchUpReport, ReplicaLink, ReplicaLinkStats, ReplicationConfig,
-};
-pub use ring::{ShardMap, DEFAULT_SHARD_KEY_DEPTH, DEFAULT_VNODES};
+pub use replica::{catch_up, derive_seed, CatchUpReport, ReplicaLink, ReplicaLinkStats};
+pub use ring::{ShardMap, DEFAULT_VNODES};
 pub use router::{
     merge_time_ordered, FederatedQuery, QueryEnvelope, QueryRouter, RouterConfig, RouterStats,
     ShardOutcome,

@@ -32,45 +32,6 @@ use dcdb_common::time::Timestamp;
 use dcdb_storage::{JournalTail, StorageEngine, TappedEngine};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Replication knobs of a federation.
-#[derive(Debug, Clone)]
-pub struct ReplicationConfig {
-    /// Nodes per shard: `1` runs the PR-6 unreplicated tier (a shard
-    /// loss degrades to partial results), `2` runs primary/replica
-    /// pairs with failover. Clamped to `1..=2`.
-    pub replication_factor: usize,
-    /// Bound of the journal tail queue, entries. Overflow is counted
-    /// and forces an anti-entropy resync — never silent loss.
-    pub tail_capacity: usize,
-    /// Max entries one replication pump applies to the standby.
-    pub pump_budget: usize,
-    /// Consecutive ingest/query/supervision failures of a shard's
-    /// primary before the federation fails over (promotes the standby,
-    /// or removes the shard from the ring when it has none).
-    pub failover_threshold: u64,
-}
-
-impl Default for ReplicationConfig {
-    fn default() -> Self {
-        ReplicationConfig {
-            replication_factor: 1,
-            tail_capacity: 4096,
-            pump_budget: 512,
-            failover_threshold: 3,
-        }
-    }
-}
-
-impl ReplicationConfig {
-    /// The replicated configuration: primary/replica pairs.
-    pub fn pair() -> ReplicationConfig {
-        ReplicationConfig {
-            replication_factor: 2,
-            ..ReplicationConfig::default()
-        }
-    }
-}
-
 /// Counters of one shard's replication stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicaLinkStats {

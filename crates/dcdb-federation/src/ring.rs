@@ -32,10 +32,6 @@ use serde::{Deserialize, Serialize};
 /// shard ratio near 1 for small fleets.
 pub const DEFAULT_VNODES: usize = 64;
 
-/// Default shard-key depth: `/rack/node` — one compute node's sensors
-/// stay together.
-pub const DEFAULT_SHARD_KEY_DEPTH: usize = 2;
-
 /// 64-bit FNV-1a with a splitmix64 finalizer: tiny, dependency-free,
 /// stable across platforms and process runs (unlike `std`'s
 /// `DefaultHasher`, which is randomized). Raw FNV-1a mixes its high

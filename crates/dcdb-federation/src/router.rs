@@ -41,13 +41,13 @@
 use crate::agent::{FederatedAgent, Shard};
 use crate::ring::ShardMap;
 use dcdb_collectagent::{
-    agg_query_body, parse_agg_query, parse_ts_param, sensors_body, AggQueryParams,
+    agg_query_body, parse_agg_query, parse_sensors_query, sensors_body, AggQueryParams,
 };
 use dcdb_common::reading::SensorReading;
 use dcdb_common::sim::{EventTrace, SimClock};
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
-use dcdb_pusher::ReconnectConfig;
+use dcdb_pusher::{ReconnectConfig, BACKOFF_MULTIPLIER};
 use dcdb_rest::{Method, Request, Response, Router, Status};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -591,7 +591,7 @@ impl QueryRouter {
             sup.consecutive_timeouts += 1;
             if sup.routed_down {
                 // Failed probe: double the backoff, capped.
-                let next = ((sup.backoff_ms as f64) * rc.multiplier) as u64;
+                let next = sup.backoff_ms.saturating_mul(BACKOFF_MULTIPLIER);
                 sup.backoff_ms = next.clamp(rc.base_ms, rc.cap_ms);
                 sup.next_probe_at_ns = Some(now_ns + sup.backoff_ms * 1_000_000);
                 false
@@ -655,6 +655,25 @@ impl QueryRouter {
         shard.is_up() && !self.supervision[i].lock().routed_down
     }
 
+    /// Forwards `req` to shard `i`'s own single-agent route table, so
+    /// the federated analytics surface is the single-agent one per
+    /// shard. `None` while the shard is unreachable.
+    fn forward(&self, i: usize, req: &Request) -> Option<Response> {
+        if !self.reachable(i, &self.federation.shards()[i]) {
+            return None;
+        }
+        Some(self.shard_router(i)?.dispatch(req.clone()))
+    }
+
+    /// [`QueryRouter::forward`] to every reachable shard: `(shard id,
+    /// that shard's response)` in shard order.
+    fn fan_out(&self, req: &Request) -> Vec<(String, Response)> {
+        let shards = self.federation.shards().iter().enumerate();
+        shards
+            .filter_map(|(i, shard)| Some((shard.id.clone(), self.forward(i, req)?)))
+            .collect()
+    }
+
     /// Mounts the federated REST surface:
     ///
     /// * `GET /sensors/*topic?from_s=..&to_s=..` — scatter-gather range
@@ -669,21 +688,19 @@ impl QueryRouter {
     /// * `GET /federation` — shard map, supervision, counters;
     /// * `GET /analytics/plugins` — union of every reachable shard's
     ///   plugin list, each entry tagged with its shard id;
+    /// * `PUT /analytics/plugins/:name/:action`, `DELETE
+    ///   /analytics/plugins/:name` — applied on every reachable shard
+    ///   (each runs its own instance of the plugin); the reply carries
+    ///   one row per shard;
+    /// * `GET /analytics/plugins/:name/units` — union of the shards'
+    ///   unit lists;
     /// * `GET /analytics/compute/:name?unit=<topic>` — forwarded to the
     ///   shard owning the unit's topic.
     pub fn mount_routes(self: &Arc<Self>, router: &mut Router) {
         let rt = Arc::clone(self);
         router.route(Method::Get, "/sensors/*topic", move |req| {
-            let raw = format!("/{}", req.path_param("topic").unwrap_or_default());
-            let Ok(topic) = Topic::parse(&raw) else {
-                return Response::error(Status::BadRequest, "malformed topic");
-            };
-            let from = match parse_ts_param(req, "from_s") {
-                Ok(v) => v.unwrap_or(Timestamp::ZERO),
-                Err(resp) => return resp,
-            };
-            let to = match parse_ts_param(req, "to_s") {
-                Ok(v) => v.unwrap_or(Timestamp::MAX),
+            let (topic, from, to) = match parse_sensors_query(req) {
+                Ok(q) => q,
                 Err(resp) => return resp,
             };
             Response::json(rt.query_sensors(&topic, from, to).body())
@@ -768,22 +785,15 @@ impl QueryRouter {
         });
 
         let rt = Arc::clone(self);
-        router.route(Method::Get, "/analytics/plugins", move |_req| {
+        router.route(Method::Get, "/analytics/plugins", move |req| {
             let mut merged: Vec<serde_json::Value> = Vec::new();
-            for (i, shard) in rt.federation.shards().iter().enumerate() {
-                if !rt.reachable(i, shard) {
-                    continue;
-                }
-                let Some(routes) = rt.shard_router(i) else {
-                    continue;
-                };
-                let resp = routes.dispatch(Request::new(Method::Get, "/analytics/plugins"));
+            for (shard, resp) in rt.fan_out(req) {
                 if let Ok(serde_json::Value::Array(list)) =
                     serde_json::from_str::<serde_json::Value>(&resp.body_str())
                 {
                     for mut entry in list {
                         if let serde_json::Value::Object(obj) = &mut entry {
-                            obj.insert("shard".into(), serde_json::json!(shard.id));
+                            obj.insert("shard".into(), serde_json::json!(shard));
                         }
                         merged.push(entry);
                     }
@@ -792,9 +802,34 @@ impl QueryRouter {
             Response::json(serde_json::Value::Array(merged).to_string())
         });
 
+        for (method, pattern) in [
+            (Method::Put, "/analytics/plugins/:name/:action"),
+            (Method::Delete, "/analytics/plugins/:name"),
+        ] {
+            let rt = Arc::clone(self);
+            router.route(method, pattern, move |req| {
+                per_shard_reply(req.path_param("action"), rt.fan_out(req))
+            });
+        }
+
+        let rt = Arc::clone(self);
+        router.route(Method::Get, "/analytics/plugins/:name/units", move |req| {
+            let replies = rt.fan_out(req);
+            let lists = replies
+                .iter()
+                .filter_map(|(_, resp)| serde_json::from_str::<Vec<String>>(&resp.body_str()).ok());
+            let lists: Vec<Vec<String>> = lists.collect();
+            if lists.is_empty() {
+                return refused(replies);
+            }
+            let mut units = lists.concat();
+            units.sort();
+            units.dedup();
+            Response::json(serde_json::to_string(&units).unwrap_or_default())
+        });
+
         let rt = Arc::clone(self);
         router.route(Method::Get, "/analytics/compute/:name", move |req| {
-            let name = req.path_param("name").unwrap_or_default();
             let Some(unit) = req.query_param("unit") else {
                 return Response::error(Status::BadRequest, "missing unit parameter");
             };
@@ -808,23 +843,45 @@ impl QueryRouter {
             let Some(i) = rt.federation.shards().iter().position(|s| s.id == owner) else {
                 return Response::error(Status::ServiceUnavailable, "owner shard unknown");
             };
-            if !rt.reachable(i, &rt.federation.shards()[i]) {
-                return Response::error(
-                    Status::ServiceUnavailable,
-                    format!("owner shard {owner} is down"),
-                );
-            }
-            let Some(routes) = rt.shard_router(i) else {
-                return Response::error(
-                    Status::ServiceUnavailable,
-                    format!("owner shard {owner} is down"),
-                );
-            };
-            routes.dispatch(Request::new(
-                Method::Get,
-                &format!("/analytics/compute/{name}?unit={unit}"),
-            ))
+            rt.forward(i, req).unwrap_or_else(|| {
+                let down = format!("owner shard {owner} is down");
+                Response::error(Status::ServiceUnavailable, down)
+            })
         });
+    }
+}
+
+/// The reply to a fanned-out plugin action: one row per reachable shard
+/// (`shard`, `status`, `ok`, and the shard's `error` text if it
+/// refused). 200 when at least one shard applied it; otherwise
+/// [`refused`].
+fn per_shard_reply(action: Option<&str>, replies: Vec<(String, Response)>) -> Response {
+    let applied = |r: &Response| matches!(r.status, Status::Ok | Status::NoContent);
+    if !replies.iter().any(|(_, r)| applied(r)) {
+        return refused(replies);
+    }
+    let rows: Vec<serde_json::Value> = replies
+        .iter()
+        .map(|(shard, r)| {
+            serde_json::json!({
+                "shard": shard,
+                "status": r.status.code(),
+                "ok": applied(r),
+                "error": (!applied(r)).then(|| r.body_str().into_owned()),
+            })
+        })
+        .collect();
+    let ok = replies.iter().all(|(_, r)| applied(r));
+    Response::json(serde_json::json!({"action": action, "ok": ok, "shards": rows}).to_string())
+}
+
+/// No shard served a fanned-out request: the first shard's own refusal
+/// (they run the same route table, so it speaks for all), or 503 when
+/// no shard was reachable to ask.
+fn refused(replies: Vec<(String, Response)>) -> Response {
+    match replies.into_iter().next() {
+        Some((_, first)) => first,
+        None => Response::error(Status::ServiceUnavailable, "no reachable shard"),
     }
 }
 
@@ -844,6 +901,11 @@ mod tests {
     use super::*;
     use crate::agent::FederationConfig;
     use dcdb_bus::MessageBus;
+    use dcdb_common::error::{DcdbError, Result as DcdbResult};
+    use wintermute::prelude::{
+        instantiate, ComputeContext, FaultPolicy, Operator, OperatorPlugin, Output, PluginConfig,
+        SensorNavigator, Unit,
+    };
 
     fn t(s: &str) -> Topic {
         Topic::parse(s).unwrap()
@@ -966,12 +1028,11 @@ mod tests {
 
     #[test]
     fn router_failure_detection_promotes_and_a_probe_recovers_without_double_promotion() {
-        use crate::replica::ReplicationConfig;
         let fed = Arc::new(
             FederatedAgent::new(FederationConfig {
                 agents: 2,
                 drain_timeout_ms: 100,
-                replication: ReplicationConfig::pair(),
+                replication_factor: 2,
                 ..FederationConfig::default()
             })
             .unwrap(),
@@ -1165,6 +1226,143 @@ mod tests {
             "{}",
             resp.body_str()
         );
+    }
+
+    /// Fails every computation, so one tick at threshold 1 quarantines it.
+    struct FailingOperator(Vec<Unit>);
+
+    impl Operator for FailingOperator {
+        fn name(&self) -> &str {
+            "failing"
+        }
+        fn units(&self) -> &[Unit] {
+            &self.0
+        }
+        fn compute(&mut self, _i: usize, _ctx: &ComputeContext<'_>) -> DcdbResult<Vec<Output>> {
+            Err(DcdbError::Config("injected".into()))
+        }
+    }
+
+    struct FailingPlugin;
+
+    impl OperatorPlugin for FailingPlugin {
+        fn kind(&self) -> &str {
+            "failing"
+        }
+        fn configure(
+            &self,
+            config: &PluginConfig,
+            nav: &SensorNavigator,
+        ) -> DcdbResult<Vec<Box<dyn Operator>>> {
+            let units = config.resolve(nav)?.units;
+            instantiate(config, units, |_, units| {
+                Ok(Box::new(FailingOperator(units)) as Box<dyn Operator>)
+            })
+        }
+    }
+
+    #[test]
+    fn plugin_actions_fan_out_and_resume_a_quarantined_operator_on_one_shard() {
+        let fed = federation(3);
+        for node in 0..12 {
+            feed(&fed, node, 1..=3);
+        }
+        for shard in fed.shards() {
+            let agent = shard.agent().unwrap();
+            assert!(agent.query_engine().sensor_count() > 0, "{}", shard.id);
+            agent.manager().set_fault_policy(FaultPolicy {
+                quarantine_threshold: 1,
+                ..Default::default()
+            });
+            agent.manager().register_plugin(Box::new(FailingPlugin));
+            agent
+                .manager()
+                .load(
+                    PluginConfig::online("flaky", "failing", 1000)
+                        .with_patterns(&["<bottomup>power"], &["<bottomup>power-out"]),
+                )
+                .unwrap();
+        }
+        let rt = Arc::new(QueryRouter::new(Arc::clone(&fed), RouterConfig::default()));
+        let mut router = Router::new();
+        rt.mount_routes(&mut router);
+        let quarantined = || -> Vec<u64> {
+            fed.shards()
+                .iter()
+                .map(|s| {
+                    let totals = s.agent().unwrap().manager().metrics_totals();
+                    totals.quarantined_operators
+                })
+                .collect()
+        };
+
+        // Only shard 1 ticks: its operator fails once and is quarantined.
+        let victim = fed.shards()[1].agent().unwrap();
+        let report = victim.tick(Timestamp::from_secs(4));
+        assert_eq!(report.newly_quarantined.len(), 1, "{report:?}");
+        assert_eq!(quarantined(), vec![0, 1, 0]);
+
+        // The resume the daemon's log line advertises, through the router.
+        let resp = router.dispatch(Request::new(Method::Put, "/analytics/plugins/flaky/start"));
+        assert_eq!(resp.status.code(), 200, "{}", resp.body_str());
+        let v: serde_json::Value = serde_json::from_str(&resp.body_str()).unwrap();
+        assert_eq!(v.get("action").unwrap().as_str(), Some("start"));
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
+        let rows = v.get("shards").unwrap().as_array().unwrap();
+        let ids: Vec<&str> = rows
+            .iter()
+            .map(|r| r.get("shard").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(ids, vec!["agent-00", "agent-01", "agent-02"]);
+        assert!(rows
+            .iter()
+            .all(|r| r.get("status").unwrap().as_u64() == Some(200)));
+        assert_eq!(quarantined(), vec![0, 0, 0]);
+        assert_eq!(
+            victim.tick(Timestamp::from_secs(5)).errors.len(),
+            1,
+            "the resumed operator runs again"
+        );
+
+        // `units` is the union of the shards' lists.
+        let resp = router.dispatch(Request::new(Method::Get, "/analytics/plugins/flaky/units"));
+        assert_eq!(resp.status.code(), 200, "{}", resp.body_str());
+        let units: Vec<String> = serde_json::from_str(&resp.body_str()).unwrap();
+        let expected: usize = fed
+            .shards()
+            .iter()
+            .map(|s| {
+                s.agent()
+                    .unwrap()
+                    .manager()
+                    .units_of("flaky")
+                    .unwrap()
+                    .len()
+            })
+            .sum();
+        assert_eq!(units.len(), expected);
+        assert_eq!(expected, 12, "one unit per node");
+
+        // An unknown plugin is the shards' own 404; an unknown action
+        // their 400. A killed shard has no row.
+        let resp = router.dispatch(Request::new(Method::Put, "/analytics/plugins/ghost/start"));
+        assert_eq!(resp.status.code(), 404);
+        let resp = router.dispatch(Request::new(
+            Method::Put,
+            "/analytics/plugins/flaky/explode",
+        ));
+        assert_eq!(resp.status.code(), 400);
+        fed.kill("agent-02");
+        let resp = router.dispatch(Request::new(Method::Delete, "/analytics/plugins/flaky"));
+        assert_eq!(resp.status.code(), 200, "{}", resp.body_str());
+        let v: serde_json::Value = serde_json::from_str(&resp.body_str()).unwrap();
+        assert_eq!(v.get("shards").unwrap().as_array().unwrap().len(), 2);
+        let resp = router.dispatch(Request::new(Method::Get, "/analytics/plugins/flaky/units"));
+        assert_eq!(resp.status.code(), 404);
+        fed.kill("agent-00");
+        fed.kill("agent-01");
+        let resp = router.dispatch(Request::new(Method::Put, "/analytics/plugins/flaky/start"));
+        assert_eq!(resp.status.code(), 503);
     }
 
     #[test]

@@ -12,9 +12,7 @@ use dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
-use dcdb_federation::{
-    FederatedAgent, FederationConfig, QueryRouter, ReplicationConfig, RouterConfig,
-};
+use dcdb_federation::{FederatedAgent, FederationConfig, QueryRouter, RouterConfig};
 use dcdb_storage::{DurableBackend, DurableConfig, StorageBackend, StorageEngine};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -35,16 +33,16 @@ fn agent_config() -> CollectAgentConfig {
 }
 
 fn federation(agents: usize) -> Arc<FederatedAgent> {
-    federation_with(agents, ReplicationConfig::default())
+    federation_with(agents, 1)
 }
 
-fn federation_with(agents: usize, replication: ReplicationConfig) -> Arc<FederatedAgent> {
+fn federation_with(agents: usize, replication_factor: usize) -> Arc<FederatedAgent> {
     Arc::new(
         FederatedAgent::new(FederationConfig {
             agents,
             agent: agent_config(),
             drain_timeout_ms: 200,
-            replication,
+            replication_factor,
             ..FederationConfig::default()
         })
         .unwrap(),
@@ -169,7 +167,7 @@ proptest! {
         kill_at in 5u64..15,
         rejoin_at in 16u64..25,
     ) {
-        let fed = federation_with(agents, ReplicationConfig::pair());
+        let fed = federation_with(agents, 2);
         let rt = QueryRouter::new(Arc::clone(&fed), RouterConfig::default());
         let topic = t(&format!("/rack00/node{node:02}/power"));
         let owner = fed.shard_map().assign_id(&topic).unwrap().to_string();

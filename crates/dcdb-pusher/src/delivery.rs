@@ -75,6 +75,10 @@ impl ConnectionState {
     }
 }
 
+/// Factor the backoff grows by after every failed probe, here and in
+/// the federation router's shard supervision: doubling, up to `cap_ms`.
+pub const BACKOFF_MULTIPLIER: u64 = 2;
+
 /// Reconnect/backoff policy of a [`BusConnection`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReconnectConfig {
@@ -82,8 +86,6 @@ pub struct ReconnectConfig {
     pub base_ms: u64,
     /// Backoff ceiling, milliseconds.
     pub cap_ms: u64,
-    /// Multiplier applied to the backoff after every failed probe.
-    pub multiplier: f64,
     /// Jitter fraction: each scheduled probe is delayed by up to this
     /// fraction of the backoff, drawn from a seeded RNG (spreads
     /// reconnect storms across pushers while staying reproducible).
@@ -100,7 +102,6 @@ impl Default for ReconnectConfig {
         ReconnectConfig {
             base_ms: 500,
             cap_ms: 30_000,
-            multiplier: 2.0,
             jitter: 0.2,
             down_threshold: 3,
             seed: 0x5EED,
@@ -476,7 +477,7 @@ impl BusConnection {
             let jitter = 1.0 + self.reconnect.jitter.max(0.0) * self.rng.gen::<f64>();
             let delay_ms = (self.backoff_ms as f64 * jitter) as u64;
             self.next_probe_ns = now_ns + delay_ms.max(1) * 1_000_000;
-            let grown = (self.backoff_ms as f64 * self.reconnect.multiplier.max(1.0)) as u64;
+            let grown = self.backoff_ms.saturating_mul(BACKOFF_MULTIPLIER);
             self.backoff_ms = grown.clamp(1, self.reconnect.cap_ms.max(1));
         }
     }
@@ -682,7 +683,6 @@ mod tests {
             DeliveryConfig {
                 reconnect: ReconnectConfig {
                     base_ms: 1000,
-                    multiplier: 2.0,
                     jitter: 0.0,
                     down_threshold: 1,
                     ..ReconnectConfig::default()

@@ -21,7 +21,7 @@ pub mod pusher;
 
 pub use delivery::{
     BusConnection, ConnectionState, DeliveryConfig, DeliveryMetricsSnapshot, DeliveryOutcome,
-    ReconnectConfig, SpoolConfig, SpoolMetricsSnapshot,
+    ReconnectConfig, SpoolConfig, SpoolMetricsSnapshot, BACKOFF_MULTIPLIER,
 };
 pub use plugins::{
     standard_plugin_set, ClassMonitoringPlugin, FlakyMonitoringPlugin, MonitoringPlugin,

@@ -29,6 +29,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Upper bound on simultaneously open client connections; accepts
+/// beyond it wait in the listen backlog until a slot frees.
+const MAX_CONNECTIONS: usize = 16 * 1024;
+
 /// Tuning and fault-injection knobs for [`RestServer`].
 #[derive(Clone)]
 pub struct ServerConfig {
@@ -37,9 +41,6 @@ pub struct ServerConfig {
     /// Connections making no read or write progress for this long are
     /// reaped.
     pub idle_timeout: Duration,
-    /// Upper bound on simultaneously open client connections; accepts
-    /// beyond it wait in the listen backlog until a slot frees.
-    pub max_connections: usize,
     /// Test hook: called with the accept attempt ordinal (starting at
     /// 0); returning `true` makes that attempt fail as a transient
     /// accept error. `None` disables injection.
@@ -51,7 +52,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             idle_timeout: Duration::from_secs(10),
-            max_connections: 16 * 1024,
             accept_fault: None,
         }
     }
@@ -356,7 +356,7 @@ impl EventLoop {
     }
 
     fn accepting(&self, now: Instant) -> bool {
-        if self.conns.len() >= self.config.max_connections {
+        if self.conns.len() >= MAX_CONNECTIONS {
             return false;
         }
         match self.accept_retry_at {
@@ -405,7 +405,7 @@ impl EventLoop {
     }
 
     fn accept_pending(&mut self) {
-        while self.conns.len() < self.config.max_connections {
+        while self.conns.len() < MAX_CONNECTIONS {
             let attempt = self.accept_attempts;
             self.accept_attempts += 1;
             if let Some(fault) = &self.config.accept_fault {

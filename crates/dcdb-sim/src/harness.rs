@@ -29,9 +29,7 @@ use dcdb_common::batch::ReadingBatch;
 use dcdb_common::sim::{derive_seed, lanes, EventTrace, SimClock, SimScheduler};
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
-use dcdb_federation::{
-    FederatedAgent, FederationConfig, QueryRouter, ReplicationConfig, RouterConfig,
-};
+use dcdb_federation::{FederatedAgent, FederationConfig, QueryRouter, RouterConfig};
 use dcdb_pusher::{BusConnection, DeliveryConfig, ReconnectConfig};
 use dcdb_storage::{
     DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, HealthState, StdIo,
@@ -402,10 +400,10 @@ fn build_federation(
     clock: &Arc<SimClock>,
     trace: &EventTrace,
 ) -> Arc<FederatedAgent> {
-    let replication = if lanes_armed.churn || lanes_armed.facility {
-        ReplicationConfig::pair()
+    let replication_factor = if lanes_armed.churn || lanes_armed.facility {
+        2
     } else {
-        ReplicationConfig::default()
+        1
     };
     let io_lane = derive_seed(seed, lanes::IO);
     let io_armed = lanes_armed.io;
@@ -416,7 +414,7 @@ fn build_federation(
         FederatedAgent::new_with(
             FederationConfig {
                 agents,
-                replication,
+                replication_factor,
                 ..FederationConfig::default()
             },
             move |_ordinal, id: &str| {

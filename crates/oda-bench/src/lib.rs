@@ -1,7 +1,7 @@
 //! # oda-bench — reproduction harness for the Wintermute evaluation
 //!
-//! One module per figure of the paper's §VI and one per correctness
-//! gate, plus shared reporting helpers. Each module exposes a
+//! One module per figure of the paper's §VI and one for the
+//! correctness gate, plus shared reporting helpers. Each module exposes a
 //! `run`-style function returning a serializable result; the `src/bin/`
 //! binaries print the same rows and series the paper's figures show and
 //! write the raw data as JSON. Throughput, latency and cost per layer
@@ -13,7 +13,6 @@
 //! | [`fig6`] | Fig. 6a/6b — power prediction series and error PDF |
 //! | [`fig7`] | Fig. 7 — per-job CPI deciles for four CORAL-2 apps |
 //! | [`fig8`] | Fig. 8 — BGMM clustering of node behaviour |
-//! | [`bus_saturation`] | Bounded bus under 1×/4×/16× publisher overload |
 //! | [`sim_matrix`] | Fault scenario × scale matrix over the deterministic simulation harness |
 //!
 //! Every binary writes `bench-results/<name>.json` in a normalized
@@ -24,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bus_saturation;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;

@@ -35,31 +35,35 @@
 //! Federation (`--agents N`, N > 1): the storage tier becomes a
 //! [`FederatedAgent`] — N Collect Agents, each owning a shard of the
 //! topic space on a consistent-hash ring (`--vnodes` virtual nodes per
-//! agent). `--replicas 2` runs every shard as a primary/replica pair:
-//! the primary streams its acked journal to a standby, failure
-//! detection promotes the standby when the primary dies, and the
-//! status line and `GET /federation` report per-shard roles,
-//! replication lag, and promotions. Pushers publish *through the
-//! federation*, which routes each reading to the shard owning its
-//! topic, and the REST surface is
-//! served by the scatter-gather [`QueryRouter`]: `/sensors` responses
-//! carry a partial-result envelope (`shards_total == shards_ok +
-//! shards_timed_out + shards_down`), `/metrics` and `/health` aggregate
-//! per-shard state, and `GET /federation` shows the live shard map.
-//! `--shard-timeout-ms` caps how long the router waits on any one
-//! shard. In durable mode each shard journals under its own
-//! subdirectory of `--data-dir`. The chaos and storage I/O-fault
-//! knobs apply to single-agent runs only and are ignored
-//! (with a warning) when `--agents` > 1 — `--scenario shard_churn
-//! --seed S` (or `oda-bench sim_matrix` for every scenario) is the
-//! chaos driver for the federated tier.
+//! agent). `--replicas 2` runs every shard as a primary/replica pair
+//! with failover; `--shard-timeout-ms` caps how long the router waits
+//! on any one shard; `GET /federation` shows the live shard map, roles,
+//! replication lag and promotions. Every other flag means the same at
+//! any `--agents N`: storage, chaos, the bus knobs, the status line,
+//! the shutdown flush and the final report are written once over the
+//! live agents (one at `--agents 1`). Two things differ, and only these
+//! (ROADMAP item 6; one REST table and one front door wait on item 1):
+//!
+//! * the **front door** the Pushers publish to: the broker's handle at
+//!   `--agents 1` (`Broker → CollectAgent`, as `pipeline-bench` composes
+//!   it), else the federation, which routes each reading to the shard
+//!   owning its topic;
+//! * the **mounted route table**: [`CollectAgent::mount_routes`] at
+//!   `--agents 1`, else the scatter-gather [`QueryRouter`]'s — `/sensors`
+//!   and `/query` carry a partial-result envelope (`shards_total ==
+//!   shards_ok + shards_timed_out + shards_down`), `/metrics` and
+//!   `/health` aggregate per-shard state, and `/analytics/plugins*`
+//!   actions apply on every shard.
+//!
+//! `--scenario shard_churn --seed S` (or `oda-bench sim_matrix` for
+//! every scenario) is the deterministic driver for shard kills.
 //!
 //! Backpressure knobs (paper §V scalability): every subscription queue
-//! of the broker is bounded at `--sub-depth`; `--overflow` picks what
-//! happens when a queue is full (QoS-0 default: `drop-oldest`). `block`
-//! parks the publisher until the subscriber pops, and this binary
-//! drives Pushers and Collect Agent from one loop, so under `block`
-//! `--sub-depth` must hold one tick's worth of messages.
+//! of every agent's broker is bounded at `--sub-depth`; `--overflow`
+//! picks what happens when a queue is full (QoS-0 default:
+//! `drop-oldest`). `block` parks the publisher until the subscriber
+//! pops, and this binary drives Pushers and Collect Agents from one
+//! loop, so under `block` `--sub-depth` must hold one tick's messages.
 //! `--ingest-budget` caps how many bus messages the Collect Agent
 //! drains per tick so operators and storage maintenance are never
 //! starved. Live queue depths and drop counters are served at
@@ -73,7 +77,7 @@
 //! and quarantine state.
 //!
 //! Delivery resilience (chaos knobs): any of `--chaos-seed`,
-//! `--outage-ms` or `--drop-prob` routes the Pushers through a
+//! `--outage-ms` or `--drop-prob` wraps the front door in a
 //! deterministic fault-injecting [`ChaosBus`]. `--outage-ms N` injects
 //! two seeded broker outages of up to N ms across the run;
 //! `--drop-prob P` silently drops each published message with
@@ -86,8 +90,10 @@
 //!
 //! Storage I/O faults (durable mode only): any of `--io-fault-seed`,
 //! `--enospc-after`, `--eio-prob`, `--fsync-fail-prob` or
-//! `--io-latency-ms` routes every byte of the durable engine through a
-//! seeded fault-injecting [`FaultIo`] VFS. `--enospc-after N` makes the
+//! `--io-latency-ms` routes every byte of each durable engine through
+//! its own seeded fault-injecting [`FaultIo`] VFS, armed once the
+//! engine has recovered — at startup, and when the federation restarts
+//! a node. `--enospc-after N` makes the
 //! virtual disk run out of space after N written bytes; `--eio-prob` /
 //! `--fsync-fail-prob` inject per-operation I/O and fsync failures;
 //! `--io-latency-ms` adds per-operation device latency (slept for, since
@@ -101,8 +107,8 @@
 //! * `--data-dir DIR` — durable mode: storage becomes a
 //!   [`DurableBackend`] journaling every reading to a WAL before it is
 //!   acknowledged and sealing compressed segments under `DIR` (one
-//!   subdirectory per shard when federated). On restart the engine
-//!   recovers every acked insert (a recovery report is printed).
+//!   subdirectory per node when federated). On restart each engine
+//!   recovers every acked insert (and prints a recovery report).
 //!   `--fsync` picks the WAL sync policy, and `--retention-secs`
 //!   bounds how much history is kept on disk.
 
@@ -110,18 +116,20 @@ use dcdb_wintermute::dcdb_bus::{
     Broker, BusConfig, ChaosBus, ChaosConfig, MessageBus, OverflowPolicy,
 };
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig, SimJobSource};
+use dcdb_wintermute::dcdb_common::error::Result;
+use dcdb_wintermute::dcdb_common::sim::{derive_seed, SimClock};
 use dcdb_wintermute::dcdb_common::{Timestamp, Topic};
 use dcdb_wintermute::dcdb_federation::{
-    FederatedAgent, FederationConfig, QueryRouter, ReplicationConfig, RouterConfig, DEFAULT_VNODES,
+    FederatedAgent, FederationConfig, QueryRouter, RouterConfig, DEFAULT_VNODES,
 };
 use dcdb_wintermute::dcdb_pusher::{
-    standard_plugin_set, ConnectionState, DeliveryConfig, Pusher, PusherConfig, ReconnectConfig,
-    SpoolConfig,
+    standard_plugin_set, ConnectionState, DeliveryConfig, Pusher, PusherConfig, PusherStats,
+    ReconnectConfig, SpoolConfig,
 };
 use dcdb_wintermute::dcdb_rest::{RestServer, Router};
 use dcdb_wintermute::dcdb_storage::{
-    DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, StorageBackend,
-    StorageEngine, StorageIo,
+    DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, StdIo, StorageBackend,
+    StorageEngine, StorageHealthReport, StorageIo,
 };
 use dcdb_wintermute::sim_cluster::{ClusterConfig, ClusterSimulator, Topology};
 use dcdb_wintermute::wintermute::manager::{BusSink, OperatorTotals};
@@ -164,31 +172,78 @@ const FLAGS: &[&str] = &[
     "--io-latency-ms",
 ];
 
+/// The value following `name` on the command line, if present and
+/// parsable.
+fn flag<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let mut from_name = std::env::args().skip_while(|a| a != name);
+    from_name.nth(1)?.parse().ok()
+}
+
 fn arg(name: &str, default: u64) -> u64 {
-    arg_str(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    flag(name).unwrap_or(default)
 }
 
-fn arg_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// One counter summed over the status line's per-pusher / per-agent snapshots.
+fn total<T>(snapshots: &[T], counter: fn(&T) -> u64) -> u64 {
+    snapshots.iter().map(counter).sum()
 }
 
-/// The storage/analytics tier behind the Pushers: one Collect Agent, or
-/// a sharded federation behind a scatter-gather router.
+/// The storage/analytics tier behind the Pushers. `main` is written
+/// once over [`Tier::agents`]; `front_door` and `mount_routes` are the
+/// two things that differ between `--agents 1` and `--agents N`.
 enum Tier {
+    /// `Broker → CollectAgent`, composed as `pipeline-bench` composes it.
     Single {
+        broker: Broker,
         agent: Arc<CollectAgent>,
-        storage: Arc<dyn StorageEngine>,
     },
     Federated {
         fed: Arc<FederatedAgent>,
         router: Arc<QueryRouter>,
     },
+}
+
+impl Tier {
+    // Forked until ROADMAP item 1 lets item 6 make `--agents 1` a ring of one.
+    fn front_door(&self) -> Arc<dyn MessageBus> {
+        match self {
+            Tier::Single { broker, .. } => Arc::new(broker.handle()),
+            Tier::Federated { fed, .. } => Arc::clone(fed) as Arc<dyn MessageBus>,
+        }
+    }
+
+    // Forked until ROADMAP item 1 lets item 6 serve both from one REST table.
+    fn mount_routes(&self, routes: &mut Router) {
+        match self {
+            Tier::Single { agent, .. } => agent.mount_routes(routes),
+            Tier::Federated { router, .. } => router.mount_routes(routes),
+        }
+    }
+
+    /// The live primaries with the prefix their log lines carry: one
+    /// unprefixed entry at `--agents 1`.
+    fn agents(&self) -> Vec<(String, Arc<CollectAgent>)> {
+        match self {
+            Tier::Single { agent, .. } => vec![(String::new(), Arc::clone(agent))],
+            Tier::Federated { fed, .. } => fed
+                .shards()
+                .iter()
+                .filter_map(|s| Some((format!("{}: ", s.id), s.agent()?)))
+                .collect(),
+        }
+    }
+
+    /// One tick of everything behind the front door.
+    fn tick(&self, now: Timestamp) -> Vec<(String, TickReport)> {
+        match self {
+            Tier::Single { agent, .. } => vec![(String::new(), agent.tick(now))],
+            Tier::Federated { fed, .. } => {
+                let shards = fed.shards();
+                let labelled = |(i, report): (usize, _)| (format!("{}: ", shards[i].id), report);
+                fed.tick(now).into_iter().map(labelled).collect()
+            }
+        }
+    }
 }
 
 /// `--scenario` / `--list-scenarios`: the deterministic replay mode.
@@ -203,7 +258,7 @@ fn scenario_mode() -> bool {
         }
         return true;
     }
-    let Some(name) = arg_str("--scenario") else {
+    let Some(name) = flag::<String>("--scenario") else {
         return false;
     };
     let Some(scenario) = find(&name) else {
@@ -211,7 +266,7 @@ fn scenario_mode() -> bool {
         std::process::exit(2);
     };
     let seed = arg("--seed", 0xD1CE);
-    let scale_name = arg_str("--sim-scale").unwrap_or("small".into());
+    let scale_name = flag::<String>("--sim-scale").unwrap_or("small".into());
     let Some(scale) = Scale::parse(&scale_name) else {
         eprintln!("--sim-scale must be tiny|small|large, got {scale_name:?}");
         std::process::exit(2);
@@ -247,10 +302,7 @@ fn main() {
     let duration_s = arg("--duration", 30);
     let port = arg("--port", 0);
     let agents_n = arg("--agents", 1).max(1) as usize;
-    let vnodes = arg("--vnodes", DEFAULT_VNODES as u64).max(1) as usize;
-    let replication_factor = arg("--replicas", 1).clamp(1, 2) as usize;
-    let federated = agents_n > 1;
-    let data_dir = arg_str("--data-dir").map(PathBuf::from);
+    let data_dir = flag::<PathBuf>("--data-dir");
     let fault_policy = FaultPolicy {
         quarantine_threshold: arg(
             "--quarantine-threshold",
@@ -259,11 +311,14 @@ fn main() {
         .max(1),
         ..FaultPolicy::default()
     };
-    let ingest_budget = arg(
-        "--ingest-budget",
-        CollectAgentConfig::default().ingest_budget as u64,
-    )
-    .max(1) as usize;
+    let agent_config = CollectAgentConfig {
+        ingest_budget: arg(
+            "--ingest-budget",
+            CollectAgentConfig::default().ingest_budget as u64,
+        )
+        .max(1) as usize,
+        ..CollectAgentConfig::default()
+    };
 
     // --- The simulated system with background workload. ---
     let sim = Arc::new(Mutex::new(ClusterSimulator::new(ClusterConfig {
@@ -272,109 +327,125 @@ fn main() {
         auto_workload: true,
     })));
 
-    // --- Transport + storage tier: single broker, or the federation. ---
-    let overflow = OverflowPolicy::parse(&arg_str("--overflow").unwrap_or("drop-oldest".into()))
-        .expect("--overflow must be block|drop-newest|drop-oldest");
-    // Optional deterministic fault injection on the pusher→agent path.
-    let chaos_seed = arg_str("--chaos-seed").and_then(|v| v.parse::<u64>().ok());
-    let outage_ms = arg("--outage-ms", 0);
-    let drop_prob = arg_str("--drop-prob")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.0);
-    let chaos_requested = chaos_seed.is_some() || outage_ms > 0 || drop_prob > 0.0;
-    if federated && chaos_requested {
-        eprintln!(
-            "chaos knobs (--chaos-seed/--outage-ms/--drop-prob) apply to --agents 1 only; \
-             ignoring (use --scenario shard_churn --seed S, or oda-bench sim_matrix, \
-             for federated chaos)"
-        );
-    }
-
-    // Durable-engine knobs, shared by both tiers.
-    let fsync = FsyncPolicy::parse(&arg_str("--fsync").unwrap_or("batch".into()))
-        .expect("--fsync must be always|batch|never");
+    // --- Storage: one opener for every engine of either tier. ---
     let durable_config = DurableConfig {
-        fsync,
-        retention_ns: arg_str("--retention-secs")
-            .and_then(|v| v.parse::<u64>().ok())
-            .map(|s| s * 1_000_000_000),
+        fsync: FsyncPolicy::parse(&flag::<String>("--fsync").unwrap_or("batch".into()))
+            .expect("--fsync must be always|batch|never"),
+        retention_ns: flag::<u64>("--retention-secs").map(|s| s * 1_000_000_000),
         ..DurableConfig::default()
     };
-
-    let jobs: Arc<dyn JobDataSource> = Arc::new(SimJobSource::new(Arc::clone(&sim)));
-    let mut chaos: Option<ChaosBus> = None;
-    let mut broker: Option<Broker> = None;
-
-    let (tier, pusher_bus): (Tier, Arc<dyn MessageBus>) = if federated {
-        // --- Federated tier: N sharded Collect Agents + query router. ---
-        let io_fault_requested = arg_str("--io-fault-seed").is_some()
-            || arg_str("--enospc-after").is_some()
-            || arg_str("--eio-prob").is_some()
-            || arg_str("--fsync-fail-prob").is_some()
-            || arg("--io-latency-ms", 0) > 0;
-        if io_fault_requested && data_dir.is_some() {
-            eprintln!("storage I/O fault knobs apply to --agents 1 only; ignoring");
-        }
-        let fed = Arc::new(
-            FederatedAgent::new_with(
-                FederationConfig {
-                    agents: agents_n,
-                    vnodes,
-                    agent: CollectAgentConfig {
-                        ingest_budget,
-                        ..CollectAgentConfig::default()
-                    },
-                    replication: ReplicationConfig {
-                        replication_factor,
-                        ..ReplicationConfig::default()
-                    },
-                    ..FederationConfig::default()
-                },
-                {
-                    // The federation keeps the factory for rejoins, so
-                    // it owns its inputs.
-                    let data_dir = data_dir.clone();
-                    let durable_config = durable_config.clone();
-                    move |_, id: &str| match &data_dir {
-                        Some(dir) => {
-                            let io: Arc<dyn StorageIo> =
-                                Arc::new(dcdb_wintermute::dcdb_storage::StdIo);
-                            let db = Arc::new(DurableBackend::open_with(
-                                io,
-                                &dir.join(id),
-                                durable_config.clone(),
-                            )?);
-                            let rec = db.recovery();
-                            println!(
-                                "shard {id}: durable storage in {}, recovered {} segments \
-                                 ({} readings) + {} WAL files ({} readings)",
-                                dir.join(id).display(),
-                                rec.segments,
-                                rec.segment_readings,
-                                rec.wal_files,
-                                rec.wal_readings,
-                            );
-                            Ok(db as Arc<dyn StorageEngine>)
-                        }
-                        None => Ok(Arc::new(StorageBackend::new()) as Arc<dyn StorageEngine>),
-                    }
-                },
-            )
-            .expect("federation"),
+    // Optional seeded storage I/O fault injection (durable mode): ENOSPC /
+    // EIO / fsync failures / device latency exercise the engines' health
+    // state machine on a live deployment.
+    let io_faults = {
+        let seed = flag::<u64>("--io-fault-seed");
+        let cfg = FaultConfig {
+            enospc_after_bytes: flag::<u64>("--enospc-after"),
+            eio_prob: flag::<f64>("--eio-prob").unwrap_or(0.0).clamp(0.0, 1.0),
+            fsync_fail_prob: flag::<f64>("--fsync-fail-prob")
+                .unwrap_or(0.0)
+                .clamp(0.0, 1.0),
+            latency_ns: arg("--io-latency-ms", 0) * 1_000_000,
+            sleep_on_latency: true,
+            ..FaultConfig::quiet(seed.unwrap_or(0x10FA))
+        };
+        let requested = seed.is_some()
+            || cfg.enospc_after_bytes.is_some()
+            || cfg.eio_prob > 0.0
+            || cfg.fsync_fail_prob > 0.0
+            || cfg.latency_ns > 0;
+        (requested && data_dir.is_some()).then_some(cfg)
+    };
+    if let Some(cfg) = &io_faults {
+        println!(
+            "storage io faults: seed {:#x}, enospc-after {:?}, eio-prob {:.3}, \
+             fsync-fail-prob {:.3}, latency {}ms",
+            cfg.seed,
+            cfg.enospc_after_bytes,
+            cfg.eio_prob,
+            cfg.fsync_fail_prob,
+            cfg.latency_ns / 1_000_000,
         );
-        for shard in fed.shards() {
-            let agent = shard.agent().expect("shards start up");
-            agent.manager().set_fault_policy(fault_policy);
-            wintermute_plugins::register_all(agent.manager(), Some(Arc::clone(&jobs)));
-            agent
-                .manager()
-                .load(
-                    PluginConfig::online("persyst", "persyst", 2000)
-                        .with_option("window_ms", 5000u64),
-                )
-                .expect("persyst loads");
+    }
+    // `(node ordinal, node id) -> engine`. The single tier calls it once;
+    // the federation keeps it as its storage factory, so a node it
+    // restarts is opened, recovered and fault-armed the same way.
+    let open_storage = {
+        let data_dir = data_dir.clone();
+        move |ordinal: usize, node_id: &str| -> Result<Arc<dyn StorageEngine>> {
+            let Some(dir) = &data_dir else {
+                return Ok(Arc::new(StorageBackend::new()));
+            };
+            let dir = match agents_n {
+                1 => dir.clone(),
+                _ => dir.join(node_id),
+            };
+            // Opened with the faults disarmed so startup recovery runs on
+            // the real filesystem; armed below for the live run.
+            let fault_io = io_faults.map(|cfg| {
+                let seed = derive_seed(cfg.seed, ordinal as u64);
+                let io = Arc::new(FaultIo::std(FaultConfig::quiet(seed)));
+                (io, FaultConfig { seed, ..cfg })
+            });
+            let io: Arc<dyn StorageIo> = match &fault_io {
+                Some((io, _)) => Arc::clone(io) as Arc<dyn StorageIo>,
+                None => Arc::new(StdIo),
+            };
+            let db = Arc::new(DurableBackend::open_with(io, &dir, durable_config.clone())?);
+            let rec = db.recovery();
+            println!(
+                "durable storage in {}: recovered {} segments ({} readings) + \
+                 {} WAL files ({} batches, {} readings, {} torn tails)",
+                dir.display(),
+                rec.segments,
+                rec.segment_readings,
+                rec.wal_files,
+                rec.wal_batches,
+                rec.wal_readings,
+                rec.torn_tails,
+            );
+            if let Some((io, cfg)) = fault_io {
+                io.set_config(cfg);
+                println!(
+                    "storage io faults armed under {}: device seed {:#x}",
+                    dir.display(),
+                    cfg.seed
+                );
+            }
+            Ok(db)
         }
-        let query_router = Arc::new(QueryRouter::new(
+    };
+
+    // --- Transport + storage tier: one broker and agent, or the federation. ---
+    let overflow =
+        OverflowPolicy::parse(&flag::<String>("--overflow").unwrap_or("drop-oldest".into()))
+            .expect("--overflow must be block|drop-newest|drop-oldest");
+    let bus_config = BusConfig {
+        sub_depth: arg("--sub-depth", BusConfig::default().sub_depth as u64).max(1) as usize,
+        sub_policy: overflow,
+    };
+    let tier = if agents_n == 1 {
+        let broker = Broker::with_config(bus_config);
+        let storage = open_storage(0, &agent_config.agent_id).expect("open data dir");
+        let agent = CollectAgent::new(agent_config, &broker.handle(), storage);
+        Tier::Single {
+            broker,
+            agent: Arc::new(agent.expect("collect agent")),
+        }
+    } else {
+        let fed = FederatedAgent::new_with(
+            FederationConfig {
+                agents: agents_n,
+                vnodes: arg("--vnodes", DEFAULT_VNODES as u64).max(1) as usize,
+                agent: agent_config,
+                bus: bus_config,
+                replication_factor: arg("--replicas", 1).clamp(1, 2) as usize,
+                ..FederationConfig::default()
+            },
+            open_storage,
+        );
+        let fed = Arc::new(fed.expect("federation"));
+        let router = Arc::new(QueryRouter::new(
             Arc::clone(&fed),
             RouterConfig {
                 shard_timeout_ms: arg(
@@ -385,135 +456,10 @@ fn main() {
                 ..RouterConfig::default()
             },
         ));
-        let bus: Arc<dyn MessageBus> = Arc::clone(&fed) as Arc<dyn MessageBus>;
-        (
-            Tier::Federated {
-                fed,
-                router: query_router,
-            },
-            bus,
-        )
-    } else {
-        // --- Single-agent tier (the pre-federation deployment). ---
-        let b = Broker::with_config(BusConfig {
-            sub_depth: arg("--sub-depth", BusConfig::default().sub_depth as u64).max(1) as usize,
-            sub_policy: overflow,
-        });
-        chaos = if chaos_requested {
-            let seed = chaos_seed.unwrap_or(0xC4A05);
-            let mut cfg = ChaosConfig::quiet(seed);
-            cfg.drop_prob = drop_prob.clamp(0.0, 1.0);
-            if outage_ms > 0 {
-                // Two seeded outages of up to --outage-ms, placed within the
-                // run and shifted onto the wall clock.
-                let start_ns = Timestamp::now().as_nanos();
-                let horizon_ns = duration_s.max(1) * 1_000_000_000;
-                cfg.outages = ChaosConfig::seeded_outages(
-                    seed,
-                    horizon_ns,
-                    2,
-                    outage_ms * 1_000_000 / 2,
-                    outage_ms * 1_000_000,
-                )
-                .into_iter()
-                .map(|(from, until)| (start_ns + from, start_ns + until))
-                .collect();
-            }
-            println!(
-                "chaos: seed {seed:#x}, drop-prob {:.3}, {} outage window(s)",
-                cfg.drop_prob,
-                cfg.outages.len()
-            );
-            Some(ChaosBus::new(b.handle(), cfg))
-        } else {
-            None
-        };
-        let bus: Arc<dyn MessageBus> = match &chaos {
-            Some(chaos) => Arc::new(chaos.clone()),
-            None => Arc::new(b.handle()),
-        };
-
-        // --- The storage tier: durable or plain volatile. ---
-        let storage: Arc<dyn StorageEngine> = match &data_dir {
-            Some(dir) => {
-                // Optional seeded storage I/O fault injection: wrap the
-                // real filesystem in the FaultIo VFS so ENOSPC / EIO /
-                // fsync failures / device latency exercise the engine's
-                // health state machine on a live deployment.
-                let io_fault_seed = arg_str("--io-fault-seed").and_then(|v| v.parse::<u64>().ok());
-                let enospc_after = arg_str("--enospc-after").and_then(|v| v.parse::<u64>().ok());
-                let eio_prob = arg_str("--eio-prob")
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .unwrap_or(0.0);
-                let fsync_fail_prob = arg_str("--fsync-fail-prob")
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .unwrap_or(0.0);
-                let io_latency_ms = arg("--io-latency-ms", 0);
-                let fault_io = if io_fault_seed.is_some()
-                    || enospc_after.is_some()
-                    || eio_prob > 0.0
-                    || fsync_fail_prob > 0.0
-                    || io_latency_ms > 0
-                {
-                    let seed = io_fault_seed.unwrap_or(0x10FA);
-                    let cfg = FaultConfig {
-                        enospc_after_bytes: enospc_after,
-                        eio_prob: eio_prob.clamp(0.0, 1.0),
-                        fsync_fail_prob: fsync_fail_prob.clamp(0.0, 1.0),
-                        latency_ns: io_latency_ms * 1_000_000,
-                        sleep_on_latency: true,
-                        ..FaultConfig::quiet(seed)
-                    };
-                    println!(
-                        "storage io faults: seed {seed:#x}, enospc-after {:?}, eio-prob {:.3}, \
-                         fsync-fail-prob {:.3}, latency {io_latency_ms}ms",
-                        enospc_after, cfg.eio_prob, cfg.fsync_fail_prob,
-                    );
-                    // Open with faults disarmed so startup recovery runs on the
-                    // real filesystem, then arm them for the live run.
-                    Some((Arc::new(FaultIo::std(FaultConfig::quiet(seed))), cfg))
-                } else {
-                    None
-                };
-                let io: Arc<dyn StorageIo> = match &fault_io {
-                    Some((io, _)) => Arc::clone(io) as Arc<dyn StorageIo>,
-                    None => Arc::new(dcdb_wintermute::dcdb_storage::StdIo),
-                };
-                let db = Arc::new(
-                    DurableBackend::open_with(io, dir, durable_config).expect("open data dir"),
-                );
-                if let Some((io, cfg)) = &fault_io {
-                    io.set_config(*cfg);
-                }
-                let rec = db.recovery();
-                println!(
-                    "durable storage in {}: recovered {} segments ({} readings) + \
-                     {} WAL files ({} batches, {} readings, {} torn tails)",
-                    dir.display(),
-                    rec.segments,
-                    rec.segment_readings,
-                    rec.wal_files,
-                    rec.wal_batches,
-                    rec.wal_readings,
-                    rec.torn_tails,
-                );
-                db
-            }
-            None => Arc::new(StorageBackend::new()),
-        };
-
-        // --- The Collect Agent: storage + job analytics + health. ---
-        let agent = Arc::new(
-            CollectAgent::new(
-                CollectAgentConfig {
-                    ingest_budget,
-                    ..CollectAgentConfig::default()
-                },
-                &b.handle(),
-                Arc::clone(&storage),
-            )
-            .expect("collect agent"),
-        );
+        Tier::Federated { fed, router }
+    };
+    let jobs: Arc<dyn JobDataSource> = Arc::new(SimJobSource::new(Arc::clone(&sim)));
+    for (_, agent) in tier.agents() {
         agent.manager().set_fault_policy(fault_policy);
         wintermute_plugins::register_all(agent.manager(), Some(Arc::clone(&jobs)));
         agent
@@ -522,8 +468,44 @@ fn main() {
                 PluginConfig::online("persyst", "persyst", 2000).with_option("window_ms", 5000u64),
             )
             .expect("persyst loads");
-        broker = Some(b);
-        (Tier::Single { agent, storage }, bus)
+    }
+
+    // --- Optional deterministic fault injection on the pusher→agent path,
+    // wrapped around whichever front door the Pushers publish to. ---
+    let front_door = tier.front_door();
+    let chaos_seed = flag::<u64>("--chaos-seed");
+    let outage_ms = arg("--outage-ms", 0);
+    let drop_prob = flag::<f64>("--drop-prob").unwrap_or(0.0).clamp(0.0, 1.0);
+    let chaos = (chaos_seed.is_some() || outage_ms > 0 || drop_prob > 0.0).then(|| {
+        let seed = chaos_seed.unwrap_or(0xC4A05);
+        let mut cfg = ChaosConfig::quiet(seed);
+        cfg.drop_prob = drop_prob;
+        if outage_ms > 0 {
+            // Two seeded outages of up to --outage-ms, placed within the
+            // run and shifted onto the wall clock.
+            let start_ns = Timestamp::now().as_nanos();
+            let horizon_ns = duration_s.max(1) * 1_000_000_000;
+            cfg.outages = ChaosConfig::seeded_outages(
+                seed,
+                horizon_ns,
+                2,
+                outage_ms * 1_000_000 / 2,
+                outage_ms * 1_000_000,
+            )
+            .into_iter()
+            .map(|(from, until)| (start_ns + from, start_ns + until))
+            .collect();
+        }
+        println!(
+            "chaos: seed {seed:#x}, drop-prob {:.3}, {} outage window(s)",
+            cfg.drop_prob,
+            cfg.outages.len()
+        );
+        ChaosBus::over(Arc::clone(&front_door), cfg, SimClock::new())
+    });
+    let pusher_bus: Arc<dyn MessageBus> = match &chaos {
+        Some(chaos) => Arc::new(chaos.clone()),
+        None => Arc::clone(&front_door),
     };
 
     // --- Per-node Pushers: production plugin set + in-band operators. ---
@@ -572,28 +554,16 @@ fn main() {
     }
 
     // --- REST control plane. ---
-    let mut router = Router::new();
-    match &tier {
-        Tier::Single { agent, .. } => agent.mount_routes(&mut router),
-        Tier::Federated { router: rt, .. } => rt.mount_routes(&mut router),
-    }
-    let server = RestServer::serve(&format!("127.0.0.1:{port}"), router).expect("bind REST server");
-    match &tier {
-        Tier::Single { .. } => println!(
-            "wintermute-sim: {nodes} nodes, REST on http://{}",
-            server.addr()
-        ),
-        Tier::Federated { fed, .. } => println!(
-            "wintermute-sim: {nodes} nodes, {agents_n} sharded agents \
-             ({vnodes} vnodes each, replication factor {replication_factor}, epoch {}), \
-             REST on http://{}",
-            fed.shard_map().epoch,
-            server.addr()
-        ),
-    }
+    let mut routes = Router::new();
+    tier.mount_routes(&mut routes);
+    let server = RestServer::serve(&format!("127.0.0.1:{port}"), routes).expect("bind REST server");
+    println!(
+        "wintermute-sim: {nodes} nodes, {agents_n} Collect Agent(s), REST on http://{}",
+        server.addr()
+    );
     println!("try: curl http://{}/analytics/plugins", server.addr());
     println!("     curl http://{}/metrics", server.addr());
-    if federated {
+    if let Tier::Federated { .. } = &tier {
         println!("     curl http://{}/federation", server.addr());
     }
     println!();
@@ -611,16 +581,8 @@ fn main() {
                 eprintln!("pusher tick failed: {e}");
             }
         }
-        match &tier {
-            Tier::Single { agent, .. } => {
-                let report = agent.tick(now);
-                report_operator_faults("", &report);
-            }
-            Tier::Federated { fed, .. } => {
-                for (index, report) in fed.tick(now) {
-                    report_operator_faults(&format!("agent-{index:02}: "), &report);
-                }
-            }
+        for (prefix, report) in tier.tick(now) {
+            report_operator_faults(&prefix, &report);
         }
 
         let elapsed = start.elapsed().as_secs();
@@ -630,125 +592,50 @@ fn main() {
             // Delivery summary across all pushers: connection states,
             // total spool depth and losses.
             let mut state_counts = [0usize; 3];
-            let mut spool_depth = 0u64;
-            let mut spool_dropped = 0u64;
-            let mut refused = 0u64;
-            let mut reconnects = 0u64;
-            for pusher in &pushers {
-                if let Some(state) = pusher.connection_state() {
-                    state_counts[state.index()] += 1;
-                }
-                let s = pusher.stats();
-                spool_depth += s.spooled_pending;
-                spool_dropped += s.spool_dropped;
-                refused += s.publish_errors;
-                reconnects += s.reconnects;
+            for state in pushers.iter().filter_map(|p| p.connection_state()) {
+                state_counts[state.index()] += 1;
             }
-            let delivery_seg = format!(
-                "delivery: {} up / {} degraded / {} down, spool {} (refused {}, dropped {}, \
-                 reconnects {})",
-                state_counts[ConnectionState::Up.index()],
-                state_counts[ConnectionState::Degraded.index()],
-                state_counts[ConnectionState::Down.index()],
-                spool_depth,
-                refused,
-                spool_dropped,
-                reconnects,
-            );
-            match &tier {
-                Tier::Single { agent, storage } => {
-                    let a = agent.stats();
-                    let bus = broker.as_ref().expect("single tier keeps its broker");
-                    let bus = bus.handle().stats();
-                    let ops = agent.manager().metrics_totals();
-                    // Storage health segment, present in durable mode only.
-                    let health_seg = match storage.health() {
-                        Some(h) => format!(
-                            ", storage {} (errs {}, retries {}, rotations {}, buffered {}, shed {})",
-                            h.state.as_str(),
-                            h.write_errors,
-                            h.write_retries,
-                            h.wal_rotations,
-                            h.buffered,
-                            h.shed,
-                        ),
-                        None => String::new(),
-                    };
-                    println!(
-                        "[{elapsed:>3}s] ingested {} readings, {jobs_running} jobs running, \
-                         storage holds {} readings, bus dropped {}, backlog {}, \
-                         {delivery_seg}, operators: {} runs ({} ok, {} err, {} panic, {} \
-                         overrun, {} quarantined){health_seg}",
-                        a.readings,
-                        storage.stats().readings,
-                        bus.dropped,
-                        agent.ingest_backlog(),
-                        ops.runs,
-                        ops.successes,
-                        ops.errors,
-                        ops.panics,
-                        ops.overruns,
-                        ops.quarantined_operators,
-                    );
-                }
+            let delivery: Vec<PusherStats> = pushers.iter().map(|p| p.stats()).collect();
+            // Totals over the live agents.
+            let mut ingested = 0u64;
+            let mut stored = 0usize;
+            let mut backlog = 0usize;
+            let mut ops: Vec<OperatorTotals> = Vec::new();
+            let mut health: Vec<StorageHealthReport> = Vec::new();
+            for (_, agent) in tier.agents() {
+                ingested += agent.stats().readings;
+                stored += agent.storage().stats().readings;
+                backlog += agent.ingest_backlog();
+                ops.push(agent.manager().metrics_totals());
+                health.extend(agent.storage().health());
+            }
+            // Storage health segment, present in durable mode only: the
+            // worst engine's state over the summed counters.
+            let health_seg = match health.iter().map(|h| h.state).max_by_key(|s| *s as u8) {
+                Some(worst) => format!(
+                    ", storage {} (errs {}, retries {}, rotations {}, buffered {}, shed {})",
+                    worst.as_str(),
+                    total(&health, |h| h.write_errors),
+                    total(&health, |h| h.write_retries),
+                    total(&health, |h| h.wal_rotations),
+                    total(&health, |h| h.buffered),
+                    total(&health, |h| h.shed),
+                ),
+                None => String::new(),
+            };
+            let federation_seg = match &tier {
+                Tier::Single { .. } => String::new(),
                 Tier::Federated { fed, router } => {
                     let fs = fed.stats();
                     let rs = router.stats();
-                    let bus = MessageBus::stats(fed.as_ref());
-                    let mut ingested = 0u64;
-                    let mut stored = 0usize;
-                    let mut backlog = 0usize;
-                    let mut ops = OperatorTotals::default();
-                    for shard in fed.shards() {
-                        let Some(agent) = shard.agent() else { continue };
-                        let a = agent.stats();
-                        ingested += a.readings;
-                        stored += agent.storage().stats().readings;
-                        backlog += agent.ingest_backlog();
-                        let t = agent.manager().metrics_totals();
-                        ops.runs += t.runs;
-                        ops.successes += t.successes;
-                        ops.errors += t.errors;
-                        ops.panics += t.panics;
-                        ops.overruns += t.overruns;
-                        ops.quarantined_operators += t.quarantined_operators;
-                    }
-                    // Per-shard role summary: primary node + replication
-                    // lag where a standby is wired.
-                    let roles: Vec<String> = fed
-                        .shards()
-                        .iter()
-                        .map(|s| match s.replication_stats() {
-                            Some(r) => format!(
-                                "{}={} (lag {} entries/{} ms)",
-                                s.id,
-                                s.primary_node_id(),
-                                r.lag_entries,
-                                r.lag_ms
-                            ),
-                            None => format!(
-                                "{}={}",
-                                s.id,
-                                if s.is_up() {
-                                    s.primary_node_id()
-                                } else {
-                                    "down"
-                                }
-                            ),
-                        })
-                        .collect();
-                    println!(
-                        "[{elapsed:>3}s] federation epoch {}: {}/{} shards up, ingested \
-                         {ingested} readings, {jobs_running} jobs running, storage holds \
-                         {stored} readings, bus dropped {}, backlog {backlog}, routed {} \
-                         (refused {}), rebalances {} (drain timeouts {}), promotions {} \
-                         (degraded {}), replication lag {} entries, roles [{}], router: {} \
-                         queries ({} timeouts, {} marked down), {delivery_seg}, operators: \
-                         {} runs ({} ok, {} err, {} panic, {} overrun, {} quarantined)",
+                    format!(
+                        ", federation epoch {}: {}/{} shards up, routed {} (refused {}), \
+                         rebalances {} (drain timeouts {}), promotions {} (degraded {}), \
+                         replication lag {} entries, router: {} queries ({} timeouts, {} \
+                         marked down)",
                         fs.epoch,
                         fs.shards_up,
                         fs.shards_total,
-                        bus.dropped,
                         fs.publishes,
                         fs.publishes_refused,
                         fs.rebalances,
@@ -756,97 +643,84 @@ fn main() {
                         fs.promotions,
                         fs.degraded_removals,
                         fs.replication_lag_entries,
-                        roles.join(", "),
                         rs.queries,
                         rs.shard_timeouts,
                         rs.marked_down,
-                        ops.runs,
-                        ops.successes,
-                        ops.errors,
-                        ops.panics,
-                        ops.overruns,
-                        ops.quarantined_operators,
-                    );
+                    )
                 }
-            }
+            };
+            println!(
+                "[{elapsed:>3}s] ingested {ingested} readings, {jobs_running} jobs running, \
+                 storage holds {stored} readings, bus dropped {}, backlog {backlog}, \
+                 delivery: {} up / {} degraded / {} down, spool {} (refused {}, dropped {}, \
+                 reconnects {}), operators: {} runs ({} ok, {} err, {} panic, {} overrun, {} \
+                 quarantined){health_seg}{federation_seg}",
+                front_door.stats().dropped,
+                state_counts[ConnectionState::Up.index()],
+                state_counts[ConnectionState::Degraded.index()],
+                state_counts[ConnectionState::Down.index()],
+                total(&delivery, |s| s.spooled_pending),
+                total(&delivery, |s| s.publish_errors),
+                total(&delivery, |s| s.spool_dropped),
+                total(&delivery, |s| s.reconnects),
+                total(&ops, |t| t.runs),
+                total(&ops, |t| t.successes),
+                total(&ops, |t| t.errors),
+                total(&ops, |t| t.panics),
+                total(&ops, |t| t.overruns),
+                total(&ops, |t| t.quarantined_operators),
+            );
         }
         std::thread::sleep(Duration::from_millis(200));
     }
 
     // --- Graceful shutdown: make everything acked durable. ---
-    match &tier {
-        Tier::Single { storage, .. } => match storage.flush() {
-            Ok(()) => {
-                if data_dir.is_some() {
-                    println!("\nflushed durable storage (memtable sealed, WAL synced)");
-                }
-            }
-            Err(e) => eprintln!("storage flush failed: {e}"),
-        },
-        Tier::Federated { fed, .. } => {
-            for shard in fed.shards() {
-                let Some(agent) = shard.agent() else { continue };
-                if let Err(e) = agent.storage().flush() {
-                    eprintln!("shard {} storage flush failed: {e}", shard.id);
-                }
-            }
-            if data_dir.is_some() {
-                println!("\nflushed durable storage on every shard");
-            }
+    let agents = tier.agents();
+    let mut flushed = data_dir.is_some();
+    for (prefix, agent) in &agents {
+        if let Err(e) = agent.storage().flush() {
+            eprintln!("{prefix}storage flush failed: {e}");
+            flushed = false;
         }
+    }
+    if flushed {
+        println!("\nflushed durable storage (memtable sealed, WAL synced)");
     }
 
     // --- Final report. ---
     println!("\nshutting down after {duration_s}s:");
     let example_cpi = Topic::parse("/rack00/node00/cpu00/cpi").unwrap();
-    match &tier {
-        Tier::Single { agent, storage } => {
-            for (name, kind, running, ops, units) in agent.manager().list() {
-                println!(
-                    "  plugin {name} ({kind}): {} operators, {units} units, {}",
-                    ops,
-                    if running { "running" } else { "stopped" }
-                );
-            }
-            let cpi = agent.query_engine().query(&example_cpi, QueryMode::Latest);
-            if let Some(r) = cpi.first() {
-                println!(
-                    "  sample derived metric {example_cpi} = {:.2}",
-                    dcdb_wintermute::dcdb_common::decode_f64(r.value)
-                );
-            }
-            println!("  storage: {:?}", storage.stats());
+    for (prefix, agent) in &agents {
+        for (name, kind, running, ops, units) in agent.manager().list() {
+            println!(
+                "  {prefix}plugin {name} ({kind}): {} operators, {units} units, {}",
+                ops,
+                if running { "running" } else { "stopped" }
+            );
         }
-        Tier::Federated { fed, router } => {
-            for shard in fed.shards() {
-                let Some(agent) = shard.agent() else {
-                    println!("  shard {} (down)", shard.id);
-                    continue;
-                };
-                let a = agent.stats();
-                println!(
-                    "  shard {} (up, primary {}, promotions {}): {} readings ingested, \
-                     {} sensors, storage {:?}",
-                    shard.id,
-                    shard.primary_node_id(),
-                    shard.promotions(),
-                    a.readings,
-                    agent.query_engine().sensor_count(),
-                    agent.storage().stats(),
-                );
-            }
-            // One scatter-gather query through the router, envelope and all.
-            let q = router.query_sensors(&example_cpi, Timestamp::ZERO, Timestamp::MAX);
-            if let Some(r) = q.readings.last() {
-                println!(
-                    "  sample derived metric {example_cpi} = {:.2} \
-                     ({}/{} shards answered)",
-                    dcdb_wintermute::dcdb_common::decode_f64(r.value),
-                    q.envelope.shards_ok,
-                    q.envelope.shards_total,
-                );
-            }
+        let cpi = agent.query_engine().query(&example_cpi, QueryMode::Latest);
+        if let Some(r) = cpi.first() {
+            println!(
+                "  {prefix}sample derived metric {example_cpi} = {:.2}",
+                dcdb_wintermute::dcdb_common::decode_f64(r.value)
+            );
         }
+        println!("  {prefix}storage: {:?}", agent.storage().stats());
+    }
+    if let Tier::Federated { fed, router } = &tier {
+        // One scatter-gather query through the router, envelope and all.
+        let q = router.query_sensors(&example_cpi, Timestamp::ZERO, Timestamp::MAX);
+        let fs = fed.stats();
+        println!(
+            "  federation: {}/{} shards up, {} promotions; router returned {} readings of \
+             {example_cpi} ({}/{} shards answered)",
+            fs.shards_up,
+            fs.shards_total,
+            fs.promotions,
+            q.readings.len(),
+            q.envelope.shards_ok,
+            q.envelope.shards_total,
+        );
     }
 }
 

@@ -10,7 +10,7 @@
 use dcdb_wintermute::dcdb_bus::MessageBus;
 use dcdb_wintermute::dcdb_common::{SensorReading, Timestamp, Topic};
 use dcdb_wintermute::dcdb_federation::{
-    derive_seed, FederatedAgent, FederationConfig, QueryRouter, ReplicationConfig, RouterConfig,
+    derive_seed, FederatedAgent, FederationConfig, QueryRouter, RouterConfig,
 };
 use std::sync::Arc;
 
@@ -31,7 +31,7 @@ fn scenario(seed: u64) {
     let fed = Arc::new(
         FederatedAgent::new(FederationConfig {
             agents,
-            replication: ReplicationConfig::pair(),
+            replication_factor: 2,
             ..FederationConfig::default()
         })
         .unwrap(),
