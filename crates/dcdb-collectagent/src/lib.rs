@@ -172,8 +172,6 @@ pub struct CollectAgent {
     /// Ticks whose ingest budget was exhausted with messages still
     /// queued (overload indicator).
     budget_exhausted: AtomicU64,
-    /// Count of sensors first seen since the last navigator rebuild.
-    dirty_sensors: AtomicU64,
     /// Last-seen reading timestamp + counters per source prefix
     /// (delivery staleness tracking).
     sources: Mutex<std::collections::HashMap<String, SourceRecord>>,
@@ -215,7 +213,6 @@ impl CollectAgent {
             decode_errors: AtomicU64::new(0),
             maintenance_errors: AtomicU64::new(0),
             budget_exhausted: AtomicU64::new(0),
-            dirty_sensors: AtomicU64::new(0),
             sources: Mutex::new(std::collections::HashMap::new()),
             last_tick_ns: AtomicU64::new(0),
         })
@@ -259,36 +256,32 @@ impl CollectAgent {
     /// under sustained overload). Returns the number of readings
     /// ingested.
     pub fn process_pending(&self) -> usize {
-        let mut ingested = 0;
+        let budget = self.ingest_budget;
+        let mut group: Vec<(Topic, ReadingBatch)> =
+            Vec::with_capacity(budget.min(self.subscription.queued()));
         let mut consumed = 0usize;
-        while consumed < self.ingest_budget {
+        while consumed < budget {
             let Ok(Some(msg)) = self.subscription.try_recv() else {
                 break;
             };
             consumed += 1;
-            self.messages.fetch_add(1, Ordering::Relaxed);
             match decode_batch(msg.payload) {
-                Ok(batch) => {
-                    let known = self.query_engine().knows(&msg.topic);
-                    self.query_engine().insert_columns(&msg.topic, &batch);
-                    ingested += batch.len();
-                    self.readings
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    self.note_source(&msg.topic, &batch);
-                    if !known {
-                        self.dirty_sensors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                Ok(batch) => group.push((msg.topic, batch)),
                 Err(_) => {
                     self.decode_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-        if consumed == self.ingest_budget && self.subscription.queued() > 0 {
+        let ingested: usize = group.iter().map(|(_, batch)| batch.len()).sum();
+        self.messages.fetch_add(consumed as u64, Ordering::Relaxed);
+        self.readings.fetch_add(ingested as u64, Ordering::Relaxed);
+        if consumed == budget && self.subscription.queued() > 0 {
             self.budget_exhausted.fetch_add(1, Ordering::Relaxed);
         }
-        // New sensors appeared: refresh the tree so operators can bind.
-        if self.dirty_sensors.swap(0, Ordering::AcqRel) > 0 {
+        self.note_sources(&group);
+        // The drain is the unit the storage engine journals; sensors
+        // it had not seen need the tree refreshed so operators can bind.
+        if self.query_engine().insert_many(&group) > 0 {
             self.query_engine().rebuild_navigator();
         }
         ingested
@@ -299,19 +292,25 @@ impl CollectAgent {
         self.subscription.queued()
     }
 
-    /// Updates the per-source last-seen clock from one ingested batch.
-    fn note_source(&self, topic: &Topic, batch: &ReadingBatch) {
-        let Some(newest) = batch.ts.iter().copied().max() else {
-            return;
-        };
-        let prefix = topic.prefix(SOURCE_PREFIX_DEPTH).as_str().to_string();
+    /// Updates the per-source last-seen clocks from one drain, under one
+    /// lock; a source's key is allocated when it is first seen.
+    fn note_sources(&self, group: &[(Topic, ReadingBatch)]) {
         let mut sources = self.sources.lock();
-        let record = sources.entry(prefix).or_insert(SourceRecord {
-            last_seen_ns: 0,
-            readings: 0,
-        });
-        record.last_seen_ns = record.last_seen_ns.max(newest);
-        record.readings += batch.len() as u64;
+        for (topic, batch) in group {
+            let Some(newest) = batch.ts.iter().copied().max() else {
+                continue;
+            };
+            let prefix = topic.prefix_str(SOURCE_PREFIX_DEPTH);
+            let record = match sources.get_mut(prefix) {
+                Some(record) => record,
+                None => sources.entry(prefix.to_string()).or_insert(SourceRecord {
+                    last_seen_ns: 0,
+                    readings: 0,
+                }),
+            };
+            record.last_seen_ns = record.last_seen_ns.max(newest);
+            record.readings += batch.len() as u64;
+        }
     }
 
     /// Per-pusher delivery health: one entry per source prefix, sorted

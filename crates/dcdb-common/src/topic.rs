@@ -117,23 +117,28 @@ impl Topic {
     /// to carry their own ad-hoc string-slicing; a single normalized
     /// implementation keeps the two keyspaces identical.
     pub fn prefix(&self, depth: usize) -> Topic {
+        let prefix = self.prefix_str(depth);
+        if prefix.len() == self.0.len() {
+            self.clone()
+        } else {
+            Topic(prefix.into())
+        }
+    }
+
+    /// [`Topic::prefix`] as a slice of this topic: the same key, with
+    /// no allocation.
+    pub fn prefix_str(&self, depth: usize) -> &str {
         let depth = depth.max(1);
-        let mut end = 0usize;
         let mut segments = 0usize;
         for (i, byte) in self.0.bytes().enumerate() {
             if byte == b'/' && i > 0 {
                 segments += 1;
                 if segments == depth {
-                    end = i;
-                    break;
+                    return &self.0[..i];
                 }
             }
         }
-        if end == 0 {
-            self.clone()
-        } else {
-            Topic(self.0[..end].into())
-        }
+        &self.0
     }
 }
 

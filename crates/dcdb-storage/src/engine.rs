@@ -5,7 +5,9 @@
 //! the existing in-memory [`StorageBackend`] as its *memtable* and adds:
 //!
 //! * a write-ahead log ([`crate::wal`]): every insert batch is journaled
-//!   before it is acknowledged, under a configurable fsync policy;
+//!   before it is acknowledged, under a configurable fsync policy — a
+//!   group of batches ([`DurableBackend::insert_many_acked`]: one
+//!   Collect Agent drain) in one journal write per sync window;
 //! * *sealing*: when the memtable exceeds a size threshold (or on
 //!   explicit flush) its contents are written as an immutable compressed
 //!   segment ([`crate::segment`]) and the WAL generation is retired;
@@ -53,7 +55,9 @@ use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeSet;
+use std::borrow::Borrow;
+use std::collections::{BTreeSet, HashSet};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -167,7 +171,7 @@ pub struct EngineStats {
     pub rollup_recomputes: u64,
 }
 
-/// How an insert was acknowledged by [`DurableBackend::insert_columns_acked`].
+/// How an insert was acknowledged by [`DurableBackend::insert_many_acked`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertAck {
     /// Journaled (and fsynced, per policy): survives a process kill.
@@ -567,48 +571,105 @@ impl DurableBackend {
         }
     }
 
-    /// Inserts a columnar batch, journaled before acknowledgement: when
-    /// this returns [`InsertAck::Durable`], the batch is in the WAL file
-    /// (and fsynced, under `FsyncPolicy::Always`) — it will survive a
-    /// process kill. Under ReadOnly the batch is accepted memtable-only
-    /// into the bounded write-behind buffer and acknowledged
-    /// [`InsertAck::Buffered`]. The columns flow straight into the
-    /// journal record and the memtable — no row transpose on the hot
-    /// path. Transient write errors are retried with bounded
-    /// exponential backoff; a poisoned WAL triggers rotation.
+    /// Inserts one columnar batch: the one-entry case of
+    /// [`DurableBackend::insert_many_acked`].
     pub fn insert_columns_acked(&self, topic: &Topic, batch: &ReadingBatch) -> Result<InsertAck> {
-        let len = batch.len();
-        if len == 0 {
-            return Ok(InsertAck::Durable);
-        }
-        self.health.note_ingested(len);
-        if self.health.state() == HealthState::ReadOnly {
-            return self.buffer_batch(topic, batch);
-        }
+        self.insert_many_acked(&[(topic, batch)])
+            .pop()
+            .map_or(Ok(InsertAck::Durable), |(_, ack)| ack)
+    }
+
+    /// Inserts a group of columnar batches in order, journaled before
+    /// acknowledgement, and lists the index ranges that were *not*
+    /// acknowledged [`InsertAck::Durable`]: accepted memtable-only into
+    /// the bounded write-behind buffer under ReadOnly
+    /// ([`InsertAck::Buffered`]), or refused with the error that
+    /// refused them. Every entry outside those ranges is in the WAL
+    /// file (and fsynced, under `FsyncPolicy::Always`) when this
+    /// returns — it will survive a process kill — and the list is empty
+    /// and unallocated when that is all of them.
+    ///
+    /// The group is journaled in *chunks*: a chunk is the longest run
+    /// of entries that crosses neither the journal's next sync point
+    /// nor the seal threshold and names no sensor twice, and costs one
+    /// lock pair and one journal write. The first two bounds put sync
+    /// requests and seals exactly where inserting the entries one by
+    /// one puts them. The third keeps the rollup fold's view of the
+    /// memtable the one-by-one view: a recompute reads the sensor's raw
+    /// readings back, and must not find a later entry's there. The
+    /// columns flow straight into the journal records and the memtable
+    /// — no row transpose on the hot path. A chunk whose write fails is
+    /// retried with bounded exponential backoff and a poisoned WAL
+    /// triggers rotation; a chunk that stays refused is refused whole,
+    /// and none of it reaches the memtable.
+    pub fn insert_many_acked<T, B>(
+        &self,
+        group: &[(T, B)],
+    ) -> Vec<(Range<usize>, Result<InsertAck>)>
+    where
+        T: Borrow<Topic>,
+        B: Borrow<ReadingBatch>,
+    {
         let hc = self.config.health;
+        let mut exceptions = Vec::new();
+        let mut seen = HashSet::new();
+        let mut pairs = Vec::new();
+        let mut start = 0usize;
         let mut attempt = 0u32;
-        loop {
-            // The append and the memtable insert happen under one
+        while start < group.len() {
+            if group[start].1.borrow().is_empty() {
+                start += 1;
+                continue;
+            }
+            if self.health.state() == HealthState::ReadOnly {
+                self.buffer_entries(group, start, &mut exceptions);
+                break;
+            }
+            // The append and the memtable inserts happen under one
             // `active` guard per attempt, so a concurrent seal can never
-            // retire the WAL generation that covers this batch.
-            let outcome = {
+            // retire the WAL generation that covers this chunk.
+            let (end, outcome) = {
                 let active = self.active.read();
                 let mut wal = active.wal.lock();
-                match wal.append_batch(topic, batch) {
-                    Ok(()) => {
-                        active.memtable.insert_columns(topic, batch);
-                        self.memtable_readings.fetch_add(len, Ordering::Relaxed);
-                        Ok(())
+                let end = self.chunk_end(group, start, wal.sync_room(), &mut seen);
+                let outcome = match wal.append_group(&group[start..end]) {
+                    Ok(journaled) => {
+                        let mut readings = 0usize;
+                        for (topic, batch) in &group[start..start + journaled] {
+                            active
+                                .memtable
+                                .insert_columns(topic.borrow(), batch.borrow());
+                            readings += batch.borrow().len();
+                        }
+                        self.memtable_readings
+                            .fetch_add(readings, Ordering::Relaxed);
+                        Ok((journaled, readings))
                     }
                     Err(err) => Err((err, wal.poisoned())),
-                }
+                };
+                (end, outcome)
             };
             match outcome {
-                Ok(()) => {
-                    self.health.record_write_success();
-                    self.health.note_durable(len);
-                    self.inserts.fetch_add(len as u64, Ordering::Relaxed);
-                    break;
+                Ok((journaled, readings)) => {
+                    self.health.record_write_success(journaled);
+                    self.health.note_ingested(readings);
+                    self.health.note_durable(readings);
+                    self.inserts.fetch_add(readings as u64, Ordering::Relaxed);
+                    // Feed the rollup tiers only after the chunk is in
+                    // the memtable and every lock is released: a
+                    // recompute re-enters the merged query path, which
+                    // takes the `active` read lock itself.
+                    self.rollup_apply(&group[start..start + journaled], &mut pairs);
+                    start += journaled;
+                    attempt = 0;
+                    if self.memtable_readings.load(Ordering::Relaxed)
+                        >= self.config.memtable_max_readings
+                    {
+                        // The chunk is already acknowledged durable; a
+                        // failed seal is a maintenance problem (counted,
+                        // retried next pass), not an insert failure.
+                        let _ = self.seal();
+                    }
                 }
                 Err((err, poisoned)) => {
                     let state = self.health.record_write_error();
@@ -619,11 +680,20 @@ impl DurableBackend {
                         let _ = self.rotate_wal();
                     }
                     if state == HealthState::ReadOnly {
-                        return self.buffer_batch(topic, batch);
+                        self.buffer_entries(group, start, &mut exceptions);
+                        break;
                     }
                     if attempt >= hc.max_retries {
-                        self.health.note_shed(len);
-                        return Err(err);
+                        let readings = group[start..end]
+                            .iter()
+                            .map(|(_, batch)| batch.borrow().len())
+                            .sum();
+                        self.health.note_ingested(readings);
+                        self.health.note_shed(readings);
+                        exceptions.push((start..end, Err(err)));
+                        start = end;
+                        attempt = 0;
+                        continue;
                     }
                     attempt += 1;
                     self.health.note_retry();
@@ -637,53 +707,100 @@ impl DurableBackend {
                 }
             }
         }
-        // Feed the rollup tiers only after the batch is in the memtable
-        // and every lock is released: a recompute re-enters the merged
-        // query path, which takes the `active` read lock itself.
-        self.rollup_apply(topic, batch);
-        if self.memtable_readings.load(Ordering::Relaxed) >= self.config.memtable_max_readings {
-            // The batch is already acknowledged durable; a failed seal is
-            // a maintenance problem (counted, retried next pass), not an
-            // insert failure.
-            let _ = self.seal();
-        }
-        Ok(InsertAck::Durable)
+        exceptions
     }
 
-    /// Streams a just-inserted batch into the rollup accumulator. The
-    /// raw closure answers from the merged read path, so recomputed
-    /// frames always equal the deduplicated raw truth.
-    fn rollup_apply(&self, topic: &Topic, batch: &ReadingBatch) {
+    /// End of the chunk of `group` that starts at the non-empty entry
+    /// `start`, given `room` records before the journal's next sync
+    /// point (see [`DurableBackend::insert_many_acked`]). An empty
+    /// batch ends the chunk before it: it is never journaled.
+    fn chunk_end<'g, T, B>(
+        &self,
+        group: &'g [(T, B)],
+        start: usize,
+        room: usize,
+        seen: &mut HashSet<&'g Topic>,
+    ) -> usize
+    where
+        T: Borrow<Topic>,
+        B: Borrow<ReadingBatch>,
+    {
+        // A group of one has no second entry to repeat its sensor.
+        let repeats_possible = group.len() > 1;
+        seen.clear();
+        let mut filling = self.memtable_readings.load(Ordering::Relaxed);
+        let mut end = start;
+        while end < group.len() && end - start < room {
+            let (topic, batch) = &group[end];
+            let batch: &ReadingBatch = batch.borrow();
+            if batch.is_empty() || (repeats_possible && !seen.insert(topic.borrow())) {
+                break;
+            }
+            end += 1;
+            filling += batch.len();
+            if filling >= self.config.memtable_max_readings {
+                break;
+            }
+        }
+        end
+    }
+
+    /// Streams just-inserted batches into the rollup accumulator under
+    /// one lock, each through `pairs`. The raw closure answers from the
+    /// merged read path, so recomputed frames always equal the
+    /// deduplicated raw truth.
+    fn rollup_apply<T, B>(&self, entries: &[(T, B)], pairs: &mut Vec<(u64, i64)>)
+    where
+        T: Borrow<Topic>,
+        B: Borrow<ReadingBatch>,
+    {
         if self.config.rollup.tiers.is_empty() {
             return;
         }
-        let pairs: Vec<(u64, i64)> = batch
-            .ts
-            .iter()
-            .copied()
-            .zip(batch.values.iter().copied())
-            .collect();
-        self.rollup.lock().apply(topic, &pairs, |t0, t1| {
-            self.query_merged(topic, Timestamp(t0), Timestamp(t1))
-        });
+        let mut rollup = self.rollup.lock();
+        for (topic, batch) in entries {
+            let (topic, batch): (&Topic, &ReadingBatch) = (topic.borrow(), batch.borrow());
+            pairs.clear();
+            pairs.extend(batch.ts.iter().copied().zip(batch.values.iter().copied()));
+            rollup.apply(topic, pairs, |t0, t1| {
+                self.query_merged(topic, Timestamp(t0), Timestamp(t1))
+            });
+        }
     }
 
-    /// Accepts a batch memtable-only under ReadOnly, bounded by
-    /// `health.buffer_max_readings`; overflow is shed with an error.
-    fn buffer_batch(&self, topic: &Topic, batch: &ReadingBatch) -> Result<InsertAck> {
-        let len = batch.len();
-        if !self.health.try_note_buffered(len) {
-            return Err(DcdbError::InvalidState(
-                "storage is read-only and the write-behind buffer is full".into(),
-            ));
+    /// Accepts `group[start..]` memtable-only under ReadOnly, entry by
+    /// entry as far as `health.buffer_max_readings` allows; an entry
+    /// past the bound is shed with an error.
+    fn buffer_entries<T, B>(
+        &self,
+        group: &[(T, B)],
+        start: usize,
+        exceptions: &mut Vec<(Range<usize>, Result<InsertAck>)>,
+    ) where
+        T: Borrow<Topic>,
+        B: Borrow<ReadingBatch>,
+    {
+        let mut pairs = Vec::new();
+        for (i, entry) in group.iter().enumerate().skip(start) {
+            let (topic, batch): (&Topic, &ReadingBatch) = (entry.0.borrow(), entry.1.borrow());
+            let len = batch.len();
+            if len == 0 {
+                continue;
+            }
+            self.health.note_ingested(len);
+            if !self.health.try_note_buffered(len) {
+                let full = "storage is read-only and the write-behind buffer is full";
+                exceptions.push((i..i + 1, Err(DcdbError::InvalidState(full.into()))));
+                continue;
+            }
+            let active = self.active.read();
+            active.memtable.insert_columns(topic, batch);
+            self.memtable_readings.fetch_add(len, Ordering::Relaxed);
+            drop(active);
+            self.rollup_apply(std::slice::from_ref(entry), &mut pairs);
+            self.inserts.fetch_add(len as u64, Ordering::Relaxed);
+            exceptions.push((i..i + 1, Ok(InsertAck::Buffered)));
         }
-        let active = self.active.read();
-        active.memtable.insert_columns(topic, batch);
-        self.memtable_readings.fetch_add(len, Ordering::Relaxed);
-        drop(active);
-        self.rollup_apply(topic, batch);
-        self.inserts.fetch_add(len as u64, Ordering::Relaxed);
-        Ok(InsertAck::Buffered)
     }
 
     /// Rotates to a fresh WAL file that re-journals the entire active
@@ -1238,6 +1355,14 @@ impl std::fmt::Debug for DurableBackend {
 impl StorageEngine for DurableBackend {
     fn insert_columns(&self, topic: &Topic, batch: &ReadingBatch) -> Result<()> {
         self.insert_columns_acked(topic, batch).map(|_| ())
+    }
+    fn insert_many(&self, group: &[(Topic, ReadingBatch)]) -> Vec<usize> {
+        let refused = |(range, ack): (Range<usize>, Result<InsertAck>)| ack.err().map(|_| range);
+        self.insert_many_acked(group)
+            .into_iter()
+            .filter_map(refused)
+            .flatten()
+            .collect()
     }
     fn query(&self, topic: &Topic, t0: Timestamp, t1: Timestamp) -> Vec<SensorReading> {
         DurableBackend::query(self, topic, t0, t1)

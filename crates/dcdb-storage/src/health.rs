@@ -99,7 +99,7 @@ pub struct StorageHealthReport {
     pub state: HealthState,
     /// State transitions since open.
     pub transitions: u64,
-    /// Readings accepted by `insert_columns_acked` since open.
+    /// Readings the engine's insert path has accounted for since open.
     pub ingested: u64,
     /// Readings acknowledged durable (journaled or sealed).
     pub durable: u64,
@@ -292,13 +292,14 @@ impl HealthCore {
         inner.state
     }
 
-    /// Records a successful journal write, healing Degraded → Healthy
-    /// after enough consecutive successes. ReadOnly heals only through
-    /// [`HealthCore::record_probe_success`].
-    pub fn record_write_success(&self) {
+    /// Records `batches` batches journaled by one successful write,
+    /// healing Degraded → Healthy after enough consecutive successes.
+    /// ReadOnly heals only through [`HealthCore::record_probe_success`].
+    pub fn record_write_success(&self, batches: usize) {
+        let batches = u32::try_from(batches).unwrap_or(u32::MAX);
         let mut inner = self.inner.lock();
         inner.consecutive_failures = 0;
-        inner.consecutive_successes = inner.consecutive_successes.saturating_add(1);
+        inner.consecutive_successes = inner.consecutive_successes.saturating_add(batches);
         if inner.state == HealthState::Degraded
             && inner.consecutive_successes >= self.config.heal_after
         {
@@ -485,12 +486,12 @@ mod tests {
         h.record_write_error();
         assert_eq!(h.state(), HealthState::ReadOnly);
         // Write successes alone do not leave ReadOnly.
-        h.record_write_success();
+        h.record_write_success(1);
         assert_eq!(h.state(), HealthState::ReadOnly);
         h.record_probe_success();
         assert_eq!(h.state(), HealthState::Degraded);
-        h.record_write_success();
-        h.record_write_success();
+        h.record_write_success(1);
+        h.record_write_success(1);
         assert_eq!(h.state(), HealthState::Healthy);
         assert_eq!(h.report().transitions, 4);
     }
@@ -499,7 +500,7 @@ mod tests {
     fn success_resets_failure_streak() {
         let h = HealthCore::new(cfg());
         h.record_write_error();
-        h.record_write_success();
+        h.record_write_success(1);
         h.record_write_error();
         assert_eq!(h.state(), HealthState::Healthy, "streak was broken");
     }

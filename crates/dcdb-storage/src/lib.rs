@@ -17,8 +17,9 @@
 //!   memtable.
 //!
 //! Readings have one shape at rest: every write travels as a columnar
-//! [`ReadingBatch`] (one record kind in the journal, one insert method
-//! per layer), a memtable partition is a pair of `ts`/`values` columns,
+//! [`ReadingBatch`] (one record kind in the journal, one insert path
+//! per layer: a group of batches, of which a single batch is the group
+//! of one), a memtable partition is a pair of `ts`/`values` columns,
 //! and a seal hands those columns to the block codec. Rows
 //! (`SensorReading`) exist only where a read API returns them
 //! ([`StorageEngine::query`], [`StorageEngine::latest`]).
@@ -69,6 +70,17 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// Inserts a columnar batch for `topic` — the one write method an
     /// engine implements.
     fn insert_columns(&self, topic: &Topic, batch: &ReadingBatch) -> Result<()>;
+    /// Inserts a group of batches in order and returns the indices of
+    /// the entries the engine refused, ascending — empty (and
+    /// unallocated) when it acknowledged them all. An engine that can
+    /// journal a group cheaper than its entries one by one overrides
+    /// this; what is stored and acknowledged is the same either way.
+    fn insert_many(&self, group: &[(Topic, ReadingBatch)]) -> Vec<usize> {
+        let refused = |(i, (topic, batch)): (usize, &(Topic, ReadingBatch))| {
+            self.insert_columns(topic, batch).is_err().then_some(i)
+        };
+        group.iter().enumerate().filter_map(refused).collect()
+    }
     /// Convenience: inserts one reading as a one-element batch.
     fn insert(&self, topic: &Topic, r: SensorReading) -> Result<()> {
         self.insert_batch(topic, &[r])

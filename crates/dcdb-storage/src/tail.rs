@@ -12,7 +12,9 @@
 //!   insert the inner engine acknowledged, appends the batch to an
 //!   attached [`JournalTail`] — a bounded in-memory queue. The tap
 //!   costs one enqueue per acked insert; the ack itself is unchanged
-//!   (journal-before-ack stays inside the wrapped engine).
+//!   (journal-before-ack stays inside the wrapped engine). A group
+//!   ([`StorageEngine::insert_many`]) is forwarded whole and tapped
+//!   entry by entry, in order, skipping the ones the engine refused.
 //! * [`JournalTail`] is the consumer half: the replication pump polls
 //!   entries and applies them to the standby engine. Lag is observable
 //!   as entries queued plus the age of the oldest queued entry.
@@ -202,6 +204,21 @@ impl StorageEngine for TappedEngine {
         self.inner.insert_columns(topic, batch)?;
         self.tap(topic, batch.clone());
         Ok(())
+    }
+
+    fn insert_many(&self, group: &[(Topic, ReadingBatch)]) -> Vec<usize> {
+        let refused = self.inner.insert_many(group);
+        if self.tail.lock().is_none() {
+            return refused;
+        }
+        // `refused` is ascending: walk it beside the group.
+        let mut next_refused = refused.iter().copied().peekable();
+        for (i, (topic, batch)) in group.iter().enumerate() {
+            if next_refused.next_if_eq(&i).is_none() {
+                self.tap(topic, batch.clone());
+            }
+        }
+        refused
     }
 
     fn query(&self, topic: &Topic, t0: Timestamp, t1: Timestamp) -> Vec<SensorReading> {

@@ -15,6 +15,19 @@
 //!   [u32 count | 0x8000_0000] count × [u64 ts] count × [i64 value]
 //! ```
 //!
+//! The **record** — one `(topic, batch)` — is the atomic unit on disk;
+//! the **group** is the unit of writing and of acknowledgement.
+//! [`WalWriter::append_group`] assembles the records of a run of
+//! batches back to back in one buffer and hands it to one `write_all`:
+//! the bytes are those of the same batches appended one at a time, so
+//! [`replay`] and every journal written before groups existed read as
+//! they always did. What a group changes is the cost — one `write(2)`
+//! for the run instead of one per batch — and what a failure covers: a
+//! failed group write is rolled back whole and none of the group is
+//! acknowledged. A crash mid-write leaves a prefix of whole records and
+//! at most one torn one, which replay drops; none of them had been
+//! acknowledged. [`WalWriter::append_batch`] is the group of one.
+//!
 //! All integers little-endian. A record whose length field reaches past
 //! the end of the file, or whose CRC does not match, terminates replay:
 //! everything before it is recovered, everything after is discarded
@@ -45,15 +58,24 @@
 //! harvested at the next sync point and poisons the writer exactly
 //! like an in-line failure.
 //!
+//! Every record of a group counts as one append toward `N`, and a
+//! group write never straddles a sync point: `append_group` journals
+//! the longest prefix of what it is given that fits the current window
+//! ([`WalWriter::sync_room`]) and says how many records that was, so a
+//! sync request still covers exactly `N` records and the bound above
+//! holds in records, unchanged. `Always` issues one write and one
+//! fsync per group before acknowledging it; `Never` one write.
+//!
 //! All I/O goes through the [`crate::io::StorageIo`] VFS, so fault
 //! injection exercises the exact production code paths. Two failure
 //! rules keep acknowledged data safe under injected faults:
 //!
 //! * **Torn-append rollback** — a failed `write_all` may have landed a
-//!   prefix of the record. The writer truncates back to the last good
-//!   length before any further append, so a retried record can never be
-//!   journaled *after* garbage (where replay would stop and lose it).
-//!   If the truncate itself fails, the writer poisons itself.
+//!   prefix of the group. The writer truncates back to the last good
+//!   length before any further append, so a retried group can never be
+//!   journaled *after* garbage (where replay would stop and lose it)
+//!   nor after a copy of its own first records. If the truncate itself
+//!   fails, the writer poisons itself.
 //! * **Fsync poisoning** — once an fsync fails, the kernel may have
 //!   dropped dirty pages and a later fsync on the same fd can report
 //!   success without the data being durable. A failed sync therefore
@@ -67,6 +89,7 @@ use dcdb_common::batch::{
 };
 use dcdb_common::error::{DcdbError, Result};
 use dcdb_common::topic::Topic;
+use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -89,6 +112,30 @@ const COLUMNAR_FLAG: u32 = 1 << 31;
 fn payload_len(topic_len: usize, readings: usize) -> Option<usize> {
     let len = readings.checked_mul(16)?.checked_add(2 + topic_len + 4)?;
     (len <= MAX_PAYLOAD as usize).then_some(len)
+}
+
+/// Appends one CRC-framed record for `(topic, batch)` to `buf`, which
+/// is left as it was when the record is past the size limit.
+fn push_record(buf: &mut Vec<u8>, topic: &Topic, batch: &ReadingBatch) -> Result<()> {
+    let topic_bytes = topic.as_str().as_bytes();
+    let Some(payload_len) = payload_len(topic_bytes.len(), batch.len()) else {
+        return Err(DcdbError::InvalidState(format!(
+            "batch of {} readings exceeds the WAL record limit",
+            batch.len()
+        )));
+    };
+    let start = buf.len();
+    buf.reserve(8 + payload_len);
+    buf.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    buf.extend_from_slice(&[0u8; 4]); // CRC placeholder
+    buf.extend_from_slice(&(topic_bytes.len() as u16).to_le_bytes());
+    buf.extend_from_slice(topic_bytes);
+    buf.extend_from_slice(&(batch.len() as u32 | COLUMNAR_FLAG).to_le_bytes());
+    extend_le_u64s(buf, &batch.ts);
+    extend_le_i64s(buf, &batch.values);
+    let crc = crc32(&buf[start + 8..]);
+    buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 /// When the WAL calls `fsync` relative to appends.
@@ -125,9 +172,9 @@ impl FsyncPolicy {
 
 /// Appender over one WAL file.
 ///
-/// Appends are single `write_all` calls of a fully assembled record, so
+/// Appends are single `write_all` calls of fully assembled records, so
 /// nothing acknowledged is ever buffered in user space — a process kill
-/// after an append cannot lose the record (only a machine crash can,
+/// after an append cannot lose its records (only a machine crash can,
 /// subject to the fsync policy).
 pub struct WalWriter {
     file: Box<dyn IoFile>,
@@ -136,7 +183,7 @@ pub struct WalWriter {
     appends_since_sync: u32,
     bytes: u64,
     poisoned: bool,
-    /// Record assembly buffer, reused across appends.
+    /// Group assembly buffer, reused across appends.
     scratch: Vec<u8>,
     /// Background group-commit syncer (lazily spawned for `EveryN`).
     syncer: Option<PipelinedSync>,
@@ -339,45 +386,70 @@ impl WalWriter {
         })
     }
 
-    /// Journals one columnar batch for `topic`. On return the record is
-    /// in the file (and fsynced, under `FsyncPolicy::Always`); its body
-    /// is the batch's two packed columns, copied with two bulk
-    /// little-endian appends.
-    ///
-    /// On a failed write the file is truncated back to its last good
-    /// length, so the failure leaves no partial record behind; if that
-    /// rollback itself fails the writer becomes [`poisoned`] and every
-    /// further call errors until the engine rotates to a fresh WAL.
-    ///
-    /// [`poisoned`]: WalWriter::poisoned
+    /// Journals one columnar batch for `topic`: the one-record case of
+    /// [`WalWriter::append_group`].
     pub fn append_batch(&mut self, topic: &Topic, batch: &ReadingBatch) -> Result<()> {
-        self.check_poisoned()?;
-        let topic_bytes = topic.as_str().as_bytes();
-        let Some(payload_len) = payload_len(topic_bytes.len(), batch.len()) else {
-            return Err(DcdbError::InvalidState(format!(
-                "batch of {} readings exceeds the WAL record limit",
-                batch.len()
-            )));
-        };
-        let mut buf = std::mem::take(&mut self.scratch);
-        buf.clear();
-        buf.reserve(8 + payload_len);
-        buf.extend_from_slice(&(payload_len as u32).to_le_bytes());
-        buf.extend_from_slice(&[0u8; 4]); // CRC placeholder
-        buf.extend_from_slice(&(topic_bytes.len() as u16).to_le_bytes());
-        buf.extend_from_slice(topic_bytes);
-        buf.extend_from_slice(&(batch.len() as u32 | COLUMNAR_FLAG).to_le_bytes());
-        extend_le_u64s(&mut buf, &batch.ts);
-        extend_le_i64s(&mut buf, &batch.values);
-        let crc = crc32(&buf[8..]);
-        buf[4..8].copy_from_slice(&crc.to_le_bytes());
-        let result = self.write_record(&buf);
-        self.scratch = buf;
-        result
+        self.append_group(&[(topic, batch)]).map(|_| ())
     }
 
-    /// Writes one assembled record and applies the fsync policy.
-    fn write_record(&mut self, buf: &[u8]) -> Result<()> {
+    /// Journals the longest prefix of `entries` that does not cross the
+    /// next sync point, one record per entry, back to back in a single
+    /// `write_all`, and returns how many it journaled (at least one,
+    /// unless `entries` is empty). On return those records are in the
+    /// file (and fsynced, under `FsyncPolicy::Always`); each body is its
+    /// batch's two packed columns, copied with two bulk little-endian
+    /// appends. A record past the size [`replay`] accepts ends the
+    /// prefix before it, and is an error when it comes first.
+    ///
+    /// On a failed write the file is truncated back to its last good
+    /// length, so the failure leaves no partial record behind and none
+    /// of the prefix is journaled; if that rollback itself fails the
+    /// writer becomes [`poisoned`] and every further call errors until
+    /// the engine rotates to a fresh WAL.
+    ///
+    /// [`poisoned`]: WalWriter::poisoned
+    pub fn append_group<T, B>(&mut self, entries: &[(T, B)]) -> Result<usize>
+    where
+        T: Borrow<Topic>,
+        B: Borrow<ReadingBatch>,
+    {
+        self.check_poisoned()?;
+        if entries.is_empty() {
+            return Ok(0);
+        }
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        let mut records = 0u32;
+        let mut result = Ok(());
+        for (topic, batch) in entries.iter().take(self.sync_room()) {
+            if let Err(err) = push_record(&mut buf, topic.borrow(), batch.borrow()) {
+                if records == 0 {
+                    result = Err(err);
+                }
+                break;
+            }
+            records += 1;
+        }
+        if records > 0 {
+            result = self.write_records(&buf, records);
+        }
+        self.scratch = buf;
+        result.map(|()| records as usize)
+    }
+
+    /// Records that may still be journaled before the next sync point:
+    /// what is left of the `EveryN` window, and no bound under the
+    /// other two policies.
+    pub fn sync_room(&self) -> usize {
+        match self.policy {
+            FsyncPolicy::EveryN(n) => n.saturating_sub(self.appends_since_sync).max(1) as usize,
+            FsyncPolicy::Always | FsyncPolicy::Never => usize::MAX,
+        }
+    }
+
+    /// Writes `records` assembled records as one write and applies the
+    /// fsync policy, every record counting as one append.
+    fn write_records(&mut self, buf: &[u8], records: u32) -> Result<()> {
         if let Err(err) = self.file.write_all(buf) {
             // The write may have torn: restore the clean prefix so a
             // retried append cannot land after garbage.
@@ -387,7 +459,7 @@ impl WalWriter {
             return Err(err);
         }
         self.bytes += buf.len() as u64;
-        self.appends_since_sync += 1;
+        self.appends_since_sync += records;
         match self.policy {
             FsyncPolicy::Always => self.sync()?,
             FsyncPolicy::EveryN(n) => {

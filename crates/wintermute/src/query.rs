@@ -301,6 +301,36 @@ impl QueryEngine {
         }
     }
 
+    /// Inserts a group of columnar batches — one Collect Agent drain —
+    /// in order: every batch goes into its sensor's cache, then the
+    /// storage engine takes the group in one call, so a durable engine
+    /// journals it in as few writes as its sync policy allows. Returns
+    /// how many sensors had no cache yet; when that is not zero the
+    /// caller owes them a [`QueryEngine::rebuild_navigator`]. (A cache
+    /// another thread creates between the lookup and the creation is
+    /// counted too: one rebuild more than needed, never one fewer.)
+    pub fn insert_many(&self, group: &[(Topic, ReadingBatch)]) -> usize {
+        let mut readings = 0u64;
+        let mut created = 0usize;
+        for (topic, batch) in group {
+            readings += batch.len() as u64;
+            let cache = self.bind(topic).unwrap_or_else(|| {
+                created += 1;
+                self.bind_or_create(topic)
+            });
+            let mut guard = cache.write();
+            for r in batch.iter() {
+                guard.push(r);
+            }
+        }
+        self.add_inserts(readings);
+        if let Some(storage) = &self.storage {
+            let refused = storage.insert_many(group).len() as u64;
+            self.storage_errors.fetch_add(refused, Ordering::Relaxed);
+        }
+        created
+    }
+
     /// The handle of `topic`'s cache, if the engine has one.
     pub(crate) fn bind(&self, topic: &Topic) -> Option<SensorHandle> {
         self.caches.read().get(topic).map(Arc::clone)
