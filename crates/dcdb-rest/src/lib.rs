@@ -9,8 +9,9 @@
 //! * [`json`] — the push-style writer the data routes (`/sensors`,
 //!   `/query`) render their bodies with, once, without a document tree;
 //! * [`router`] — pattern routing with `:param` and `*rest` captures;
-//! * [`server`] — non-blocking `poll(2)` event-loop TCP server with a
-//!   bounded worker pool, plus a tiny blocking client helper;
+//! * [`server`] — non-blocking `poll(2)` TCP server whose threads are
+//!   event loops that each accept, dispatch and answer their own
+//!   connections, plus a tiny blocking client helper;
 //! * [`sys`] — the raw `poll(2)` binding shared by the server and the
 //!   high-concurrency bench client.
 //!

@@ -1,10 +1,14 @@
 //! Event-loop TCP server for the REST control APIs.
 //!
-//! A single `poll(2)`-driven event loop owns the listener and every
-//! client connection in non-blocking mode, so thousands of idle or
+//! [`ServerConfig::workers`] threads each run a `poll(2)`-driven event
+//! loop over a clone of one non-blocking listener. A loop owns every
+//! connection it accepts, from `accept(2)` to the last byte written: it
+//! parses the request, runs the router handler inline and writes the
+//! response, so a request never changes threads. Thousands of idle or
 //! slow clients cost one file descriptor each instead of one thread
-//! each. Router handlers run on a small bounded worker pool; finished
-//! responses are handed back to the loop through a self-pipe wakeup.
+//! each. The trade-off: a long handler (an on-demand
+//! `/analytics/compute`, say) holds the connections parked on its own
+//! loop until it returns; the other loops keep accepting and serving.
 //!
 //! Robustness properties the old thread-per-connection server lacked:
 //!
@@ -14,7 +18,10 @@
 //!   acceptor;
 //! * every connection carries an idle deadline that covers *both*
 //!   read-stalled and write-stalled peers, so slow clients are reaped
-//!   instead of leaking resources for the lifetime of the process.
+//!   instead of leaking resources for the lifetime of the process;
+//! * a panicking handler is answered `500` and counted in
+//!   [`ServerMetricsSnapshot::handler_panics`]; its loop and the
+//!   connections parked on it live on.
 
 use crate::http::{Request, RequestParser, Response, Status};
 use crate::router::Router;
@@ -25,25 +32,28 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Upper bound on simultaneously open client connections; accepts
-/// beyond it wait in the listen backlog until a slot frees.
-const MAX_CONNECTIONS: usize = 16 * 1024;
+/// Upper bound on simultaneously open client connections, server-wide;
+/// accepts beyond it wait in the listen backlog until a slot frees.
+const MAX_CONNECTIONS: u64 = 16 * 1024;
 
 /// Tuning and fault-injection knobs for [`RestServer`].
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Worker threads running router handlers.
+    /// Event-loop threads; each accepts, dispatches and answers its own
+    /// connections.
     pub workers: usize,
     /// Connections making no read or write progress for this long are
     /// reaped.
     pub idle_timeout: Duration,
-    /// Test hook: called with the accept attempt ordinal (starting at
-    /// 0); returning `true` makes that attempt fail as a transient
-    /// accept error. `None` disables injection.
+    /// Test hook: called with the server-wide accept attempt ordinal
+    /// (starting at 0); returning `true` makes that attempt fail as a
+    /// transient accept error. `None` disables injection.
     pub accept_fault: Option<Arc<dyn Fn(u64) -> bool + Send + Sync>>,
 }
 
@@ -68,6 +78,8 @@ pub struct ServerMetricsSnapshot {
     pub responses: u64,
     /// Connections that sent an unparsable request (answered `400`).
     pub bad_requests: u64,
+    /// Handlers that panicked (answered `500`).
+    pub handler_panics: u64,
     /// Connections reaped for exceeding the idle deadline while
     /// read- or write-stalled.
     pub reaped_idle: u64,
@@ -81,6 +93,7 @@ struct Metrics {
     accept_errors: AtomicU64,
     responses: AtomicU64,
     bad_requests: AtomicU64,
+    handler_panics: AtomicU64,
     reaped_idle: AtomicU64,
     open: AtomicU64,
 }
@@ -92,32 +105,51 @@ impl Metrics {
             accept_errors: self.accept_errors.load(Ordering::Relaxed),
             responses: self.responses.load(Ordering::Relaxed),
             bad_requests: self.bad_requests.load(Ordering::Relaxed),
+            handler_panics: self.handler_panics.load(Ordering::Relaxed),
             reaped_idle: self.reaped_idle.load(Ordering::Relaxed),
             open_connections: self.open.load(Ordering::Relaxed),
         }
     }
 }
 
+/// What every event loop of one server shares.
+struct Shared {
+    router: Router,
+    config: ServerConfig,
+    metrics: Metrics,
+    stop: AtomicBool,
+    /// Server-wide accept attempt ordinal fed to `accept_fault`.
+    accept_attempts: AtomicU64,
+}
+
+impl Shared {
+    /// Runs the handler for `req`; a panic is answered `500`.
+    fn answer(&self, req: Request) -> Response {
+        catch_unwind(AssertUnwindSafe(|| self.router.dispatch(req))).unwrap_or_else(|_| {
+            self.metrics.handler_panics.fetch_add(1, Ordering::Relaxed);
+            Response::error(Status::InternalError, "handler panicked")
+        })
+    }
+}
+
 /// A running REST server; shuts down on drop.
 pub struct RestServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    wake: Arc<UnixStream>,
-    metrics: Arc<Metrics>,
-    event_loop: Option<std::thread::JoinHandle<()>>,
+    shared: Arc<Shared>,
+    /// Written once at shutdown and never drained: it stays readable,
+    /// so every loop's `poll` sees it.
+    wake: UnixStream,
+    loops: Vec<JoinHandle<()>>,
 }
 
 enum ConnState {
     Reading(RequestParser),
-    Dispatching,
-    Writing,
+    Writing { buf: Vec<u8>, written: usize },
 }
 
 struct Conn {
     stream: TcpStream,
     state: ConnState,
-    write_buf: Vec<u8>,
-    written: usize,
     deadline: Instant,
 }
 
@@ -127,17 +159,11 @@ enum After {
     Close,
 }
 
-struct Job {
-    conn_id: u64,
-    req: Request,
-}
-
-/// Serialized responses handed back from the worker pool, tagged with
-/// the connection they belong to.
-type DoneQueue = Arc<Mutex<Vec<(u64, Vec<u8>)>>>;
-
 const ACCEPT_BACKOFF_BASE: Duration = Duration::from_millis(1);
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
+/// Accepts per poll round, so a loop answering each request inline
+/// still returns to the connections parked on it under a full backlog.
+const ACCEPT_BATCH: usize = 64;
 /// Poll tick; bounds how late idle reaping and accept retries can run.
 const POLL_TICK_MS: i32 = 100;
 
@@ -157,82 +183,40 @@ impl RestServer {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
+        let (wake_rx, wake) = UnixStream::pair()?;
 
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
-        let wake_tx = Arc::new(wake_tx);
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let metrics = Arc::new(Metrics::default());
-        let router = Arc::new(router);
-
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let done: DoneQueue = Arc::new(Mutex::new(Vec::new()));
-
-        let mut workers = Vec::new();
-        for i in 0..config.workers.max(1) {
-            let job_rx = Arc::clone(&job_rx);
-            let done = Arc::clone(&done);
-            let wake = Arc::clone(&wake_tx);
-            let router = Arc::clone(&router);
-            let handle = std::thread::Builder::new()
-                .name(format!("dcdb-rest-worker-{i}"))
-                .spawn(move || loop {
-                    let job = match job_rx.lock() {
-                        Ok(rx) => rx.recv(),
-                        Err(_) => break,
-                    };
-                    let Ok(job) = job else { break };
-                    let response = router.dispatch(job.req);
-                    let mut bytes = Vec::with_capacity(response.body.len() + 128);
-                    let _ = response.write_to(&mut bytes);
-                    if let Ok(mut done) = done.lock() {
-                        done.push((job.conn_id, bytes));
-                    }
-                    let _ = (&*wake).write(&[1]);
-                })
-                .map_err(DcdbError::Io)?;
-            workers.push(handle);
-        }
-
-        let loop_stop = Arc::clone(&stop);
-        let loop_metrics = Arc::clone(&metrics);
-        let event_loop = std::thread::Builder::new()
-            .name("dcdb-rest-eventloop".into())
-            .spawn(move || {
-                let mut el = EventLoop {
-                    listener,
-                    wake_rx,
-                    config,
-                    metrics: loop_metrics,
-                    stop: loop_stop,
-                    job_tx,
-                    done,
-                    conns: HashMap::new(),
-                    next_conn_id: 0,
-                    accept_attempts: 0,
-                    accept_backoff: ACCEPT_BACKOFF_BASE,
-                    accept_retry_at: None,
-                };
-                el.run();
-                // Dropping the job sender lets the workers drain and
-                // exit; join them so shutdown() means fully stopped.
-                drop(el);
-                for w in workers {
-                    let _ = w.join();
-                }
-            })
-            .map_err(DcdbError::Io)?;
-
-        Ok(RestServer {
+        let loops = config.workers.max(1);
+        let mut server = RestServer {
             addr: local,
-            stop,
-            wake: wake_tx,
-            metrics,
-            event_loop: Some(event_loop),
-        })
+            shared: Arc::new(Shared {
+                router,
+                config,
+                metrics: Metrics::default(),
+                stop: AtomicBool::new(false),
+                accept_attempts: AtomicU64::new(0),
+            }),
+            wake,
+            loops: Vec::with_capacity(loops),
+        };
+        // An early return drops `server`, which stops and joins the
+        // loops already running.
+        for i in 0..loops {
+            let event_loop = EventLoop {
+                shared: Arc::clone(&server.shared),
+                listener: listener.try_clone()?,
+                wake: wake_rx.try_clone()?,
+                conns: HashMap::new(),
+                next_conn_id: 0,
+                accept_backoff: ACCEPT_BACKOFF_BASE,
+                accept_retry_at: None,
+            };
+            let handle = std::thread::Builder::new()
+                .name(format!("dcdb-rest-loop-{i}"))
+                .spawn(move || event_loop.run())
+                .map_err(DcdbError::Io)?;
+            server.loops.push(handle);
+        }
+        Ok(server)
     }
 
     /// The bound address (with the resolved ephemeral port).
@@ -242,18 +226,18 @@ impl RestServer {
 
     /// Current server counters.
     pub fn metrics(&self) -> ServerMetricsSnapshot {
-        self.metrics.snapshot()
+        self.shared.metrics.snapshot()
     }
 
-    /// Signals the event loop to stop and joins it (idempotent).
+    /// Signals every event loop to stop and joins them (idempotent).
     pub fn shutdown(&mut self) {
-        if self.event_loop.is_none() {
+        if self.loops.is_empty() {
             return;
         }
-        self.stop.store(true, Ordering::Release);
-        let _ = (&*self.wake).write(&[1]);
-        if let Some(h) = self.event_loop.take() {
-            let _ = h.join();
+        self.shared.stop.store(true, Ordering::Release);
+        let _ = (&self.wake).write(&[1]);
+        for handle in self.loops.drain(..) {
+            let _ = handle.join();
         }
     }
 }
@@ -265,30 +249,22 @@ impl Drop for RestServer {
 }
 
 struct EventLoop {
+    shared: Arc<Shared>,
     listener: TcpListener,
-    wake_rx: UnixStream,
-    config: ServerConfig,
-    metrics: Arc<Metrics>,
-    stop: Arc<AtomicBool>,
-    job_tx: mpsc::Sender<Job>,
-    done: DoneQueue,
+    wake: UnixStream,
     conns: HashMap<u64, Conn>,
     next_conn_id: u64,
-    accept_attempts: u64,
     accept_backoff: Duration,
     accept_retry_at: Option<Instant>,
 }
 
 impl EventLoop {
-    fn run(&mut self) {
-        // pollfd layout per iteration: [0] listener, [1] wake pipe,
+    fn run(mut self) {
+        // pollfd layout per iteration: [0] listener, [1] shutdown wake,
         // [2..] one entry per connection (ids kept in lockstep).
         let mut fds: Vec<PollFd> = Vec::new();
         let mut ids: Vec<u64> = Vec::new();
-        loop {
-            if self.stop.load(Ordering::Acquire) {
-                break;
-            }
+        while !self.shared.stop.load(Ordering::Acquire) {
             let now = Instant::now();
             let accepting = self.accepting(now);
 
@@ -298,12 +274,11 @@ impl EventLoop {
                 self.listener.as_raw_fd(),
                 if accepting { POLLIN } else { 0 },
             ));
-            fds.push(PollFd::new(self.wake_rx.as_raw_fd(), POLLIN));
+            fds.push(PollFd::new(self.wake.as_raw_fd(), POLLIN));
             for (&id, conn) in &self.conns {
                 let events = match conn.state {
                     ConnState::Reading(_) => POLLIN,
-                    ConnState::Dispatching => 0,
-                    ConnState::Writing => POLLOUT,
+                    ConnState::Writing { .. } => POLLOUT,
                 };
                 fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
                 ids.push(id);
@@ -312,14 +287,9 @@ impl EventLoop {
             if poll_ready(&mut fds, self.poll_timeout_ms(now)).is_err() {
                 continue;
             }
-            if self.stop.load(Ordering::Acquire) {
+            if self.shared.stop.load(Ordering::Acquire) {
                 break;
             }
-
-            if fds[1].revents & POLLIN != 0 {
-                self.drain_wake();
-            }
-            self.flush_done();
             if fds[0].revents & POLLIN != 0 {
                 self.accept_pending();
             }
@@ -332,17 +302,13 @@ impl EventLoop {
                 let Some(conn) = self.conns.get_mut(&id) else {
                     continue;
                 };
-                let idle = self.config.idle_timeout;
                 let after = match conn.state {
                     ConnState::Reading(_) if revents & (POLLIN | POLLHUP | POLLERR) != 0 => {
-                        Self::handle_readable(conn, id, &self.job_tx, &self.metrics, idle)
+                        conn.handle_readable(&self.shared)
                     }
-                    ConnState::Writing if revents & (POLLOUT | POLLHUP | POLLERR) != 0 => {
-                        Self::handle_writable(conn, &self.metrics, idle)
+                    ConnState::Writing { .. } if revents & (POLLOUT | POLLHUP | POLLERR) != 0 => {
+                        conn.handle_writable(&self.shared)
                     }
-                    // A dispatching peer that errors or hangs up is
-                    // discovered when its response write fails, or by
-                    // the idle deadline.
                     _ if revents & POLLNVAL != 0 => After::Close,
                     _ => After::Keep,
                 };
@@ -356,7 +322,7 @@ impl EventLoop {
     }
 
     fn accepting(&self, now: Instant) -> bool {
-        if self.conns.len() >= MAX_CONNECTIONS {
+        if self.shared.metrics.open.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
             return false;
         }
         match self.accept_retry_at {
@@ -373,42 +339,13 @@ impl EventLoop {
         (timeout.as_millis() as i32).max(1)
     }
 
-    fn drain_wake(&mut self) {
-        let mut buf = [0u8; 256];
-        while matches!(self.wake_rx.read(&mut buf), Ok(n) if n > 0) {}
-    }
-
-    /// Moves finished worker responses onto their connections and
-    /// starts writing them out.
-    fn flush_done(&mut self) {
-        let done = match self.done.lock() {
-            Ok(mut d) => std::mem::take(&mut *d),
-            Err(_) => return,
-        };
-        for (id, bytes) in done {
-            // The connection may have been reaped while dispatching.
-            let Some(conn) = self.conns.get_mut(&id) else {
-                continue;
-            };
-            conn.write_buf = bytes;
-            conn.written = 0;
-            conn.state = ConnState::Writing;
-            let idle = self.config.idle_timeout;
-            conn.deadline = Instant::now() + idle;
-            if matches!(
-                Self::handle_writable(conn, &self.metrics, idle),
-                After::Close
-            ) {
-                self.close_conn(id);
-            }
-        }
-    }
-
     fn accept_pending(&mut self) {
-        while self.conns.len() < MAX_CONNECTIONS {
-            let attempt = self.accept_attempts;
-            self.accept_attempts += 1;
-            if let Some(fault) = &self.config.accept_fault {
+        for _ in 0..ACCEPT_BATCH {
+            if self.shared.metrics.open.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
+                return;
+            }
+            let attempt = self.shared.accept_attempts.fetch_add(1, Ordering::Relaxed);
+            if let Some(fault) = &self.shared.config.accept_fault {
                 if fault(attempt) {
                     self.note_accept_error();
                     return;
@@ -421,29 +358,21 @@ impl EventLoop {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    let id = self.next_conn_id;
-                    self.next_conn_id += 1;
-                    self.conns.insert(
-                        id,
-                        Conn {
-                            stream,
-                            state: ConnState::Reading(RequestParser::new()),
-                            write_buf: Vec::new(),
-                            written: 0,
-                            deadline: Instant::now() + self.config.idle_timeout,
-                        },
-                    );
-                    self.metrics.accepted.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.open.fetch_add(1, Ordering::Relaxed);
+                    self.shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
+                    let mut conn = Conn {
+                        stream,
+                        state: ConnState::Reading(RequestParser::new()),
+                        deadline: Instant::now() + self.shared.config.idle_timeout,
+                    };
                     // The request usually rode in with the handshake:
-                    // read it now instead of after one more poll round.
-                    // A silent peer costs one `WouldBlock` and waits
-                    // for POLLIN (or the idle deadline) as before.
-                    let conn = self.conns.get_mut(&id).expect("inserted above");
-                    let idle = self.config.idle_timeout;
-                    let after = Self::handle_readable(conn, id, &self.job_tx, &self.metrics, idle);
-                    if matches!(after, After::Close) {
-                        self.close_conn(id);
+                    // read, answer and close it now instead of after
+                    // one more poll round. A silent peer costs one
+                    // `WouldBlock` and parks here until POLLIN (or the
+                    // idle deadline).
+                    if matches!(conn.handle_readable(&self.shared), After::Keep) {
+                        self.shared.metrics.open.fetch_add(1, Ordering::Relaxed);
+                        self.conns.insert(self.next_conn_id, conn);
+                        self.next_conn_id += 1;
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
@@ -459,74 +388,12 @@ impl EventLoop {
     }
 
     fn note_accept_error(&mut self) {
-        self.metrics.accept_errors.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .metrics
+            .accept_errors
+            .fetch_add(1, Ordering::Relaxed);
         self.accept_retry_at = Some(Instant::now() + self.accept_backoff);
         self.accept_backoff = (self.accept_backoff * 2).min(ACCEPT_BACKOFF_MAX);
-    }
-
-    fn handle_readable(
-        conn: &mut Conn,
-        id: u64,
-        job_tx: &mpsc::Sender<Job>,
-        metrics: &Metrics,
-        idle: Duration,
-    ) -> After {
-        let mut tmp = [0u8; 4096];
-        loop {
-            match conn.stream.read(&mut tmp) {
-                Ok(0) => return After::Close,
-                Ok(n) => {
-                    let ConnState::Reading(parser) = &mut conn.state else {
-                        return After::Keep;
-                    };
-                    match parser.feed(&tmp[..n]) {
-                        Ok(Some(req)) => {
-                            conn.state = ConnState::Dispatching;
-                            conn.deadline = Instant::now() + idle;
-                            if job_tx.send(Job { conn_id: id, req }).is_err() {
-                                return After::Close;
-                            }
-                            return After::Keep;
-                        }
-                        Ok(None) => {
-                            conn.deadline = Instant::now() + idle;
-                        }
-                        Err(e) => {
-                            metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-                            let resp =
-                                Response::error(Status::BadRequest, format!("bad request: {e}"));
-                            let mut bytes = Vec::new();
-                            let _ = resp.write_to(&mut bytes);
-                            conn.write_buf = bytes;
-                            conn.written = 0;
-                            conn.state = ConnState::Writing;
-                            return Self::handle_writable(conn, metrics, idle);
-                        }
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return After::Keep,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return After::Close,
-            }
-        }
-    }
-
-    fn handle_writable(conn: &mut Conn, metrics: &Metrics, idle: Duration) -> After {
-        while conn.written < conn.write_buf.len() {
-            match conn.stream.write(&conn.write_buf[conn.written..]) {
-                Ok(0) => return After::Close,
-                Ok(n) => {
-                    conn.written += n;
-                    conn.deadline = Instant::now() + idle;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return After::Keep,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return After::Close,
-            }
-        }
-        metrics.responses.fetch_add(1, Ordering::Relaxed);
-        let _ = conn.stream.shutdown(std::net::Shutdown::Write);
-        After::Close
     }
 
     fn reap_idle(&mut self, now: Instant) {
@@ -537,15 +404,79 @@ impl EventLoop {
             .map(|(&id, _)| id)
             .collect();
         for id in expired {
-            self.metrics.reaped_idle.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .metrics
+                .reaped_idle
+                .fetch_add(1, Ordering::Relaxed);
             self.close_conn(id);
         }
     }
 
     fn close_conn(&mut self, id: u64) {
         if self.conns.remove(&id).is_some() {
-            self.metrics.open.fetch_sub(1, Ordering::Relaxed);
+            self.shared.metrics.open.fetch_sub(1, Ordering::Relaxed);
         }
+    }
+}
+
+impl Conn {
+    /// Reads what the peer sent; a complete request is dispatched on
+    /// this thread and its response written straight away.
+    fn handle_readable(&mut self, shared: &Shared) -> After {
+        let idle = shared.config.idle_timeout;
+        let mut tmp = [0u8; 4096];
+        loop {
+            match self.stream.read(&mut tmp) {
+                Ok(0) => return After::Close,
+                Ok(n) => {
+                    let ConnState::Reading(parser) = &mut self.state else {
+                        return After::Keep;
+                    };
+                    let response = match parser.feed(&tmp[..n]) {
+                        Ok(None) => {
+                            self.deadline = Instant::now() + idle;
+                            continue;
+                        }
+                        Ok(Some(req)) => shared.answer(req),
+                        Err(e) => {
+                            shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
+                            Response::error(Status::BadRequest, format!("bad request: {e}"))
+                        }
+                    };
+                    let mut buf = Vec::with_capacity(response.body.len() + 128);
+                    let _ = response.write_to(&mut buf);
+                    self.state = ConnState::Writing { buf, written: 0 };
+                    self.deadline = Instant::now() + idle;
+                    return self.handle_writable(shared);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return After::Keep,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return After::Close,
+            }
+        }
+    }
+
+    /// Writes as much of the response as the socket takes; falls back
+    /// to `POLLOUT` on `WouldBlock`.
+    fn handle_writable(&mut self, shared: &Shared) -> After {
+        let ConnState::Writing { buf, written } = &mut self.state else {
+            return After::Keep;
+        };
+        while *written < buf.len() {
+            match self.stream.write(&buf[*written..]) {
+                Ok(0) => return After::Close,
+                Ok(n) => {
+                    *written += n;
+                    self.deadline = Instant::now() + shared.config.idle_timeout;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return After::Keep,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return After::Close,
+            }
+        }
+        shared.metrics.responses.fetch_add(1, Ordering::Relaxed);
+        let _ = self.stream.shutdown(std::net::Shutdown::Write);
+        After::Close
     }
 }
 
@@ -609,6 +540,7 @@ pub fn http_request(
 mod tests {
     use super::*;
     use crate::http::Method;
+    use std::sync::{mpsc, Mutex};
 
     fn test_router() -> Router {
         let mut r = Router::new();
@@ -623,6 +555,13 @@ mod tests {
             ))
         });
         r
+    }
+
+    fn two_loops() -> ServerConfig {
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        }
     }
 
     #[test]
@@ -715,6 +654,48 @@ mod tests {
         stream.read_to_string(&mut reply).unwrap();
         assert!(reply.starts_with("HTTP/1.1 400"), "reply = {reply:?}");
         assert_eq!(server.metrics().bad_requests, 1);
+    }
+
+    #[test]
+    fn handler_panic_is_answered_500_and_the_loops_live_on() {
+        let mut router = test_router();
+        router.get("/boom", |_| panic!("handler bug"));
+        let server = RestServer::serve_with("127.0.0.1:0", router, two_loops()).unwrap();
+        // More panics than loops: none may take a thread with it.
+        for _ in 0..3 {
+            let start = Instant::now();
+            let (code, _) = http_request(server.addr(), Method::Get, "/boom", b"").unwrap();
+            assert_eq!(code, 500);
+            assert!(start.elapsed() < Duration::from_secs(2), "not prompt");
+        }
+        let (code, body) = http_request(server.addr(), Method::Get, "/ping", b"").unwrap();
+        assert_eq!((code, body.as_str()), (200, "pong"));
+        assert_eq!(server.metrics().handler_panics, 3);
+    }
+
+    #[test]
+    fn a_blocked_handler_does_not_stall_the_other_loop() {
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (entered_tx, release_rx) = (Mutex::new(entered_tx), Mutex::new(release_rx));
+        let mut router = test_router();
+        router.get("/block", move |_| {
+            entered_tx.lock().unwrap().send(()).unwrap();
+            let _ = release_rx.lock().unwrap().recv();
+            Response::text("released")
+        });
+        let server = RestServer::serve_with("127.0.0.1:0", router, two_loops()).unwrap();
+        let addr = server.addr();
+        let blocked = std::thread::spawn(move || http_request(addr, Method::Get, "/block", b""));
+        entered_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("handler entered");
+        // One loop is inside the handler; the other answers.
+        let (code, body) = http_request(addr, Method::Get, "/ping", b"").unwrap();
+        assert_eq!((code, body.as_str()), (200, "pong"));
+        release_tx.send(()).unwrap();
+        let (code, body) = blocked.join().unwrap().unwrap();
+        assert_eq!((code, body.as_str()), (200, "released"));
     }
 
     #[test]

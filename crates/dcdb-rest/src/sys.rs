@@ -4,8 +4,8 @@
 //! The workspace vendors no `libc` or `mio` crate, so the one symbol
 //! needed is declared directly against the platform C library (always
 //! linked on the targets this workspace supports). Everything else the
-//! event loop needs — non-blocking sockets, a wakeup pipe — comes from
-//! `std` (`set_nonblocking`, `UnixStream::pair`).
+//! event loops need — non-blocking sockets, a shutdown wake socket —
+//! comes from `std` (`set_nonblocking`, `UnixStream::pair`).
 
 use std::io;
 use std::os::raw::{c_int, c_ulong};
