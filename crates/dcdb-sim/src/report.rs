@@ -1,14 +1,71 @@
 //! The result of one simulated scenario run: the determinism witness,
-//! the conservation-identity verdicts, and the SLO numbers.
+//! the conservation-identity verdicts, and the SLO numbers — and the
+//! one writer every result file under `bench-results/` goes through.
 //!
-//! Everything in here is a pure function of `(scenario, seed, scale)`:
-//! [`CounterSummary`] and the trace witness are compared byte-for-byte
-//! by the determinism property test, so nothing wall-clock-derived may
-//! appear in them (wall durations live in the surrounding bench meta,
-//! never in the report).
+//! Everything in a [`ScenarioReport`] is a pure function of `(scenario,
+//! seed, scale)`: [`CounterSummary`] and the trace witness are compared
+//! byte-for-byte by the determinism property test, so nothing
+//! wall-clock-derived may appear in them (wall durations live in the
+//! surrounding [`BenchMeta`], never in the report).
 
 use crate::ledger::AnswerReport;
 use serde::Serialize;
+use std::path::PathBuf;
+use std::time::Instant;
+
+/// The metadata block of a result file: what ran, with which seed and
+/// configuration, and for how long.
+#[derive(Debug, Clone, Serialize)]
+pub struct BenchMeta {
+    /// Bench name; also the `bench-results/<name>.json` file stem.
+    pub bench: String,
+    /// RNG seed the run used, if the run is seeded.
+    pub seed: Option<u64>,
+    /// The exact configuration of the run (`Debug` of the config
+    /// struct), so a result file records what produced it.
+    pub config: String,
+    /// Wall-clock duration of the run, milliseconds.
+    pub duration_ms: u64,
+}
+
+impl BenchMeta {
+    /// Builds the meta block for `bench`, stamping `duration_ms` from
+    /// `started` (capture `Instant::now()` before the run).
+    pub fn new(
+        bench: &str,
+        seed: Option<u64>,
+        config: &impl std::fmt::Debug,
+        started: Instant,
+    ) -> BenchMeta {
+        BenchMeta {
+            bench: bench.to_string(),
+            seed,
+            config: format!("{config:?}"),
+            duration_ms: started.elapsed().as_millis() as u64,
+        }
+    }
+}
+
+/// Writes `{"meta": meta, "data": data}` to
+/// `bench-results/<meta.bench>.json` under the working directory.
+pub fn write_json_report<T: Serialize>(meta: &BenchMeta, data: &T) -> std::io::Result<PathBuf> {
+    let to_io = |e: serde_json::Error| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
+    let mut obj = serde_json::Map::new();
+    obj.insert(
+        "meta".to_string(),
+        serde_json::to_value(meta).map_err(to_io)?,
+    );
+    obj.insert(
+        "data".to_string(),
+        serde_json::to_value(data).map_err(to_io)?,
+    );
+    let dir = PathBuf::from("bench-results");
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(format!("{}.json", meta.bench));
+    let json = serde_json::to_string_pretty(&serde_json::Value::Object(obj)).map_err(to_io)?;
+    std::fs::write(&path, json)?;
+    Ok(path)
+}
 
 /// Verdicts of the conservation identities the run asserted. Each
 /// identity is a per-layer accounting law that must hold *under*

@@ -5,9 +5,9 @@
 //! harness derives everything else (outage windows, fault windows,
 //! kill schedules, storm rounds, facility events) from the single run
 //! seed via per-lane splitmix sub-seeds. `wintermute-sim --scenario
-//! <name> --seed <s>` and the `oda-bench sim_matrix` harness both
-//! resolve names through this registry, so a scenario observed anywhere
-//! replays bit-identically everywhere.
+//! <name> --seed <s>` and the `sim_matrix` binary both resolve names
+//! through this registry, so a scenario observed anywhere replays
+//! bit-identically everywhere.
 
 use sim_cluster::Topology;
 

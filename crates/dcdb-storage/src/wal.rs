@@ -156,8 +156,8 @@ pub enum FsyncPolicy {
 }
 
 impl FsyncPolicy {
-    /// Parses the CLI spelling used by `wintermute-sim` and `oda-bench`
-    /// (`always`, `batch`, `never`).
+    /// Parses the `--fsync` spelling of `wintermute-sim` (`always`,
+    /// `batch`, `never`).
     pub fn parse(s: &str) -> Result<FsyncPolicy> {
         match s {
             "always" => Ok(FsyncPolicy::Always),

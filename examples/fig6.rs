@@ -1,18 +1,27 @@
-//! Figure 6 — online power-consumption prediction (paper §VI-B).
+//! Figure 6 (paper §VI-B): online power-consumption prediction.
 //!
 //! A regressor operator runs in a node's Pusher at a 250 ms interval,
 //! training a random forest on windowed statistics of local sensors
-//! until 30 k samples accumulate, then predicting node power one
+//! until its training set is full, then predicting node power one
 //! interval ahead while CORAL-2 applications (Kripke, AMG, Nekbone,
 //! LAMMPS) run on the node. The paper reports an average relative error
 //! of 6.2 % at 250 ms (10.4 % at 125 ms, 6.7 % at 500 ms), with the
 //! predicted series tracking the real one minus short turbo/noise
-//! spikes.
+//! spikes. Prints the series excerpt (Fig. 6a) and the error per power
+//! bin with its empirical PDF (Fig. 6b), and writes
+//! `bench-results/fig6.json`.
+//!
+//! ```text
+//! cargo run --release --example fig6             # scaled default
+//! cargo run --release --example fig6 -- --full   # paper-size training
+//! cargo run --release --example fig6 -- --sweep  # 125 / 250 / 500 ms
+//! ```
 
 use dcdb_common::reading::decode_f64;
 use dcdb_common::time::{Timestamp, NS_PER_MS, NS_PER_SEC};
 use dcdb_common::topic::Topic;
 use dcdb_pusher::{Pusher, PusherConfig, SimMonitoringPlugin};
+use dcdb_wintermute::dcdb_sim::report::{write_json_report, BenchMeta};
 use oda_ml::stats::{mean, Histogram};
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -23,24 +32,24 @@ use wintermute_plugins::RegressorPlugin;
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
-pub struct Fig6Config {
+struct Fig6Config {
     /// Sampling + prediction interval, ms (paper: 250; sweep 125/500).
-    pub interval_ms: u64,
+    interval_ms: u64,
     /// Training set size (paper: 30 000).
-    pub training_size: usize,
+    training_size: usize,
     /// Evaluation ticks after training completes.
-    pub eval_ticks: usize,
+    eval_ticks: usize,
     /// Cores on the simulated node (paper hardware: 64).
-    pub cores: usize,
+    cores: usize,
     /// Trees in the forest.
-    pub trees: usize,
+    trees: usize,
     /// RNG seed.
-    pub seed: u64,
+    seed: u64,
 }
 
 impl Fig6Config {
     /// The paper's configuration (expensive: 30 k training ticks).
-    pub fn paper() -> Fig6Config {
+    fn paper() -> Fig6Config {
         Fig6Config {
             interval_ms: 250,
             training_size: 30_000,
@@ -51,8 +60,8 @@ impl Fig6Config {
         }
     }
 
-    /// A scaled-down run preserving the shape (default for the harness).
-    pub fn quick() -> Fig6Config {
+    /// A scaled-down run preserving the shape (the default).
+    fn quick() -> Fig6Config {
         Fig6Config {
             interval_ms: 250,
             training_size: 4_000,
@@ -66,43 +75,43 @@ impl Fig6Config {
 
 /// One evaluation point: time, real power, prediction for that time.
 #[derive(Debug, Clone, Serialize)]
-pub struct SeriesPoint {
+struct SeriesPoint {
     /// Seconds since evaluation start.
-    pub t_s: f64,
+    t_s: f64,
     /// Real node power, watts.
-    pub real_w: f64,
+    real_w: f64,
     /// Predicted power (made one interval earlier), watts.
-    pub predicted_w: f64,
+    predicted_w: f64,
 }
 
 /// One relative-error bin of Fig. 6b.
 #[derive(Debug, Clone, Serialize)]
-pub struct ErrorBin {
+struct ErrorBin {
     /// Bin-center power, watts.
-    pub power_w: f64,
+    power_w: f64,
     /// Mean relative error of predictions for real powers in this bin.
-    pub rel_error: f64,
+    rel_error: f64,
     /// Empirical probability of this power bin (the fitted PDF overlay).
-    pub probability: f64,
+    probability: f64,
 }
 
 /// The experiment result.
 #[derive(Debug, Clone, Serialize)]
-pub struct Fig6Result {
+struct Fig6Result {
     /// Interval used, ms.
-    pub interval_ms: u64,
+    interval_ms: u64,
     /// Average relative prediction error (the paper's 6.2 % headline).
-    pub avg_rel_error: f64,
+    avg_rel_error: f64,
     /// Time series excerpt (Fig. 6a).
-    pub series: Vec<SeriesPoint>,
+    series: Vec<SeriesPoint>,
     /// Error-vs-power bins (Fig. 6b).
-    pub bins: Vec<ErrorBin>,
+    bins: Vec<ErrorBin>,
     /// Training samples used.
-    pub training_samples: usize,
+    training_samples: usize,
 }
 
 /// Runs the experiment.
-pub fn run(config: &Fig6Config) -> Fig6Result {
+fn run(config: &Fig6Config) -> Fig6Result {
     // One node with the requested core count; manual workload.
     let topology = Topology::new(1, 1, config.cores);
     let sim = Arc::new(Mutex::new(ClusterSimulator::new(ClusterConfig {
@@ -177,21 +186,12 @@ pub fn run(config: &Fig6Config) -> Fig6Result {
 
     // Align predictions with truth: the prediction written at tick k
     // targets the power at tick k+1.
-    let horizon = Timestamp::MAX;
-    let reals = pusher.query_engine().query(
-        &power_topic,
-        QueryMode::Absolute {
-            t0: Timestamp::ZERO,
-            t1: horizon,
-        },
-    );
-    let preds = pusher.query_engine().query(
-        &pred_topic,
-        QueryMode::Absolute {
-            t0: Timestamp::ZERO,
-            t1: horizon,
-        },
-    );
+    let everything = QueryMode::Absolute {
+        t0: Timestamp::ZERO,
+        t1: Timestamp::MAX,
+    };
+    let reals = pusher.query_engine().query(&power_topic, everything);
+    let preds = pusher.query_engine().query(&pred_topic, everything);
 
     let mut series = Vec::new();
     let mut all_errors = Vec::new();
@@ -248,6 +248,81 @@ pub fn run(config: &Fig6Config) -> Fig6Result {
     }
 }
 
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let full = args.iter().any(|a| a == "--full");
+    let sweep = args.iter().any(|a| a == "--sweep");
+
+    if sweep {
+        println!("=== §VI-B interval sweep (paper: 10.4% @125ms, 6.2% @250ms, 6.7% @500ms) ===");
+        for interval_ms in [125u64, 250, 500] {
+            let mut cfg = Fig6Config::quick();
+            cfg.interval_ms = interval_ms;
+            let started = std::time::Instant::now();
+            let result = run(&cfg);
+            println!(
+                "interval {interval_ms:>4} ms -> avg relative error {:.1} % over {} points",
+                result.avg_rel_error * 100.0,
+                result.series.len()
+            );
+            let meta = BenchMeta::new(
+                &format!("fig6_sweep_{interval_ms}ms"),
+                Some(cfg.seed),
+                &cfg,
+                started,
+            );
+            write_json_report(&meta, &result).expect("write json");
+        }
+        return;
+    }
+
+    let config = if full {
+        Fig6Config::paper()
+    } else {
+        Fig6Config::quick()
+    };
+    println!(
+        "training {} samples at {} ms on a {}-core node ({} trees)...\n",
+        config.training_size, config.interval_ms, config.cores, config.trees
+    );
+    let started = std::time::Instant::now();
+    let result = run(&config);
+
+    println!("=== Fig. 6a — real vs predicted node power (excerpt) ===");
+    println!("{:>8} | {:>9} | {:>12}", "t[s]", "power[W]", "predicted[W]");
+    for p in result
+        .series
+        .iter()
+        .step_by(result.series.len().max(40) / 40)
+    {
+        println!(
+            "{:>8.1} | {:>9.0} | {:>12.0}",
+            p.t_s, p.real_w, p.predicted_w
+        );
+    }
+
+    println!("\n=== Fig. 6b — relative error by power bin (with empirical PDF) ===");
+    println!(
+        "{:>9} | {:>10} | {:>11}",
+        "power[W]", "rel.error", "probability"
+    );
+    for b in result.bins.iter().filter(|b| b.probability > 0.0) {
+        println!(
+            "{:>9.0} | {:>9.1}% | {:>11.4}",
+            b.power_w,
+            b.rel_error * 100.0,
+            b.probability
+        );
+    }
+    println!(
+        "\naverage relative error: {:.1} % (paper: 6.2 % at 250 ms)",
+        result.avg_rel_error * 100.0
+    );
+    let meta = BenchMeta::new("fig6", Some(config.seed), &config, started);
+    let path = write_json_report(&meta, &result).expect("write json");
+    println!("raw data -> {}", path.display());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,5 +349,10 @@ mod tests {
         // PDF sums to ~1 over bins that saw data.
         let psum: f64 = result.bins.iter().map(|b| b.probability).sum();
         assert!((psum - 1.0).abs() < 1e-9);
+        // The same configuration reproduces the same figure.
+        assert_eq!(
+            serde_json::to_string(&result).unwrap(),
+            serde_json::to_string(&run(&cfg)).unwrap()
+        );
     }
 }

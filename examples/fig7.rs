@@ -1,14 +1,19 @@
-//! Figure 7 — per-job CPI decile analysis (paper §VI-C).
+//! Figure 7 (paper §VI-C): per-job CPI deciles over time.
 //!
 //! The full two-stage pipeline across components: perfmetrics operators
 //! in every node's Pusher derive per-core CPI from counters and publish
 //! it over the bus; a persyst operator in the Collect Agent instantiates
 //! one unit per running job and publishes the deciles of each job's
-//! per-core CPI distribution each second. The figure plots deciles
+//! per-core CPI distribution each interval. The figure plots deciles
 //! {0, 2, 5, 8, 10} over time for jobs running Kripke, AMG, Nekbone and
 //! LAMMPS, whose distinct signatures (tight/low for LAMMPS, spiky upper
 //! tail for AMG, sawtooth for Kripke, late spread blow-up for Nekbone)
-//! must reproduce.
+//! must reproduce. Writes `bench-results/fig7_<app>.json`.
+//!
+//! ```text
+//! cargo run --release --example fig7             # scaled default
+//! cargo run --release --example fig7 -- --full   # 32 nodes × 64 cores
+//! ```
 
 use dcdb_bus::Broker;
 use dcdb_collectagent::{CollectAgent, CollectAgentConfig, SimJobSource};
@@ -16,6 +21,8 @@ use dcdb_common::time::{Timestamp, NS_PER_SEC};
 use dcdb_common::topic::Topic;
 use dcdb_pusher::{Pusher, PusherConfig, SimMonitoringPlugin};
 use dcdb_storage::StorageBackend;
+use dcdb_wintermute::dcdb_sim::report::{write_json_report, BenchMeta};
+use oda_ml::stats::{mean, quantile};
 use parking_lot::Mutex;
 use serde::Serialize;
 use sim_cluster::{AppModel, ClusterConfig, ClusterSimulator, Topology};
@@ -28,23 +35,23 @@ use wintermute_plugins::{PerfMetricsPlugin, PersystPlugin};
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
-pub struct Fig7Config {
+struct Fig7Config {
     /// Nodes per job (paper: 32).
-    pub nodes_per_job: usize,
+    nodes_per_job: usize,
     /// Cores per node (paper: 64 → 2048 samples per decile).
-    pub cores_per_node: usize,
+    cores_per_node: usize,
     /// Sampling / computation interval, seconds (paper: 1 s).
-    pub interval_s: u64,
+    interval_s: u64,
     /// Run duration per application, seconds (paper: the app's full
     /// runtime; `None` = the model's nominal duration).
-    pub duration_s: Option<u64>,
+    duration_s: Option<u64>,
     /// RNG seed.
-    pub seed: u64,
+    seed: u64,
 }
 
 impl Fig7Config {
     /// Paper-scale configuration (2048 cores per job).
-    pub fn paper() -> Fig7Config {
+    fn paper() -> Fig7Config {
         Fig7Config {
             nodes_per_job: 32,
             cores_per_node: 64,
@@ -55,7 +62,7 @@ impl Fig7Config {
     }
 
     /// Scaled-down default preserving the distribution shapes.
-    pub fn quick() -> Fig7Config {
+    fn quick() -> Fig7Config {
         Fig7Config {
             nodes_per_job: 4,
             cores_per_node: 16,
@@ -69,34 +76,34 @@ impl Fig7Config {
 
 /// One time point of the decile series.
 #[derive(Debug, Clone, Serialize)]
-pub struct DecilePoint {
+struct DecilePoint {
     /// Seconds since job start.
-    pub t_s: f64,
-    /// Deciles 0, 2, 5, 8, 10 of the per-core CPI distribution.
-    pub d0: f64,
+    t_s: f64,
+    /// Minimum of the per-core CPI distribution.
+    d0: f64,
     /// 2nd decile.
-    pub d2: f64,
+    d2: f64,
     /// Median.
-    pub d5: f64,
+    d5: f64,
     /// 8th decile.
-    pub d8: f64,
+    d8: f64,
     /// Maximum.
-    pub d10: f64,
+    d10: f64,
 }
 
 /// Result for one application.
 #[derive(Debug, Clone, Serialize)]
-pub struct Fig7Result {
+struct Fig7Result {
     /// Application name.
-    pub app: String,
+    app: String,
     /// Decile series over the job's runtime.
-    pub series: Vec<DecilePoint>,
+    series: Vec<DecilePoint>,
     /// Samples aggregated per decile point (cores in the job).
-    pub samples_per_point: usize,
+    samples_per_point: usize,
 }
 
 /// Runs the pipeline for one application and returns its decile series.
-pub fn run_app(config: &Fig7Config, app: AppModel) -> Fig7Result {
+fn run_app(config: &Fig7Config, app: AppModel) -> Fig7Result {
     let topology = Topology::new(1, config.nodes_per_job, config.cores_per_node);
     let total_nodes = topology.total_nodes;
     let sim = Arc::new(Mutex::new(ClusterSimulator::new(ClusterConfig {
@@ -171,43 +178,25 @@ pub fn run_app(config: &Fig7Config, app: AppModel) -> Fig7Result {
         now = now.saturating_add_ns(config.interval_s * NS_PER_SEC);
     }
 
-    // Extract the decile series for the job (id 0).
-    let fetch = |name: &str| -> Vec<(Timestamp, f64)> {
-        agent
-            .query_engine()
-            .query(
-                &Topic::parse(&format!("/job/0/{name}")).unwrap(),
-                QueryMode::Absolute {
-                    t0: Timestamp::ZERO,
-                    t1: Timestamp::MAX,
-                },
-            )
-            .iter()
-            .map(|r| (r.ts, decode_decile(r)))
-            .collect()
+    // Extract the decile series for the job (id 0), stamped by d0.
+    let everything = QueryMode::Absolute {
+        t0: Timestamp::ZERO,
+        t1: Timestamp::MAX,
     };
-    let d0 = fetch("d0");
-    let d2 = fetch("d2");
-    let d5 = fetch("d5");
-    let d8 = fetch("d8");
-    let d10 = fetch("d10");
-
-    let series = d0
-        .iter()
-        .zip(&d2)
-        .zip(&d5)
-        .zip(&d8)
-        .zip(&d10)
-        .map(
-            |(((((ts, v0), (_, v2)), (_, v5)), (_, v8)), (_, v10))| DecilePoint {
-                t_s: ts.elapsed_since(job_start) as f64 / 1e9,
-                d0: *v0,
-                d2: *v2,
-                d5: *v5,
-                d8: *v8,
-                d10: *v10,
-            },
-        )
+    let d = ["d0", "d2", "d5", "d8", "d10"].map(|name| {
+        let topic = Topic::parse(&format!("/job/0/{name}")).expect("valid decile topic");
+        agent.query_engine().query(&topic, everything)
+    });
+    let points = d.iter().map(Vec::len).min().unwrap_or(0);
+    let series = (0..points)
+        .map(|i| DecilePoint {
+            t_s: d[0][i].ts.elapsed_since(job_start) as f64 / 1e9,
+            d0: decode_decile(&d[0][i]),
+            d2: decode_decile(&d[1][i]),
+            d5: decode_decile(&d[2][i]),
+            d8: decode_decile(&d[3][i]),
+            d10: decode_decile(&d[4][i]),
+        })
         .collect();
 
     Fig7Result {
@@ -217,12 +206,57 @@ pub fn run_app(config: &Fig7Config, app: AppModel) -> Fig7Result {
     }
 }
 
-/// Runs all four CORAL-2 applications (the paper's Figure 7).
-pub fn run_all(config: &Fig7Config) -> Vec<Fig7Result> {
-    AppModel::coral2()
-        .into_iter()
-        .map(|app| run_app(config, app))
-        .collect()
+fn main() {
+    let full = std::env::args().any(|a| a == "--full");
+    let config = if full {
+        Fig7Config::paper()
+    } else {
+        Fig7Config::quick()
+    };
+    println!(
+        "{} nodes × {} cores per job, {} s interval ({} samples per decile)\n",
+        config.nodes_per_job,
+        config.cores_per_node,
+        config.interval_s,
+        config.nodes_per_job * config.cores_per_node
+    );
+
+    for app in AppModel::coral2() {
+        let started = std::time::Instant::now();
+        let result = run_app(&config, app);
+        println!("=== Fig. 7 — {} ===", result.app);
+        println!(
+            "{:>6} | {:>6} {:>6} {:>6} {:>6} {:>6}",
+            "t[s]", "d0", "d2", "d5", "d8", "d10"
+        );
+        let step = (result.series.len() / 20).max(1);
+        for p in result.series.iter().step_by(step) {
+            println!(
+                "{:>6.0} | {:>6.2} {:>6.2} {:>6.2} {:>6.2} {:>6.2}",
+                p.t_s, p.d0, p.d2, p.d5, p.d8, p.d10
+            );
+        }
+        // Shape summary in the paper's terms.
+        let meds: Vec<f64> = result.series.iter().map(|p| p.d5).collect();
+        let spreads: Vec<f64> = result.series.iter().map(|p| p.d10 - p.d0).collect();
+        println!(
+            "median CPI {:.2}, mean d10-d0 spread {:.2}, max d10 {:.2}\n",
+            quantile(&meds, 0.5),
+            mean(&spreads),
+            result.series.iter().map(|p| p.d10).fold(0.0, f64::max),
+        );
+        let meta = BenchMeta::new(
+            &format!("fig7_{}", result.app.to_lowercase()),
+            Some(config.seed),
+            &config,
+            started,
+        );
+        write_json_report(&meta, &result).expect("write json");
+    }
+    println!(
+        "expected shapes (paper): LAMMPS low/tight ~1.6; AMG low median with d8/d10 spikes to ~30;"
+    );
+    println!("Kripke sawtooth across all deciles; Nekbone tight early, spread blow-up late.");
 }
 
 #[cfg(test)]
@@ -244,18 +278,23 @@ mod tests {
         let result = run_app(&tiny(), AppModel::Lammps);
         assert!(result.series.len() >= 20, "{} points", result.series.len());
         let med: Vec<f64> = result.series.iter().map(|p| p.d5).collect();
-        let avg = oda_ml::stats::mean(&med);
+        let avg = mean(&med);
         assert!((1.2..2.2).contains(&avg), "LAMMPS median CPI {avg}");
         // Spread stays small.
         let spreads: Vec<f64> = result.series.iter().map(|p| p.d10 - p.d0).collect();
-        assert!(oda_ml::stats::mean(&spreads) < 2.0);
+        assert!(mean(&spreads) < 2.0);
+        // The same configuration reproduces the same series.
+        assert_eq!(
+            serde_json::to_string(&result).unwrap(),
+            serde_json::to_string(&run_app(&tiny(), AppModel::Lammps)).unwrap()
+        );
     }
 
     #[test]
     fn amg_has_tail_spikes() {
         let result = run_app(&tiny(), AppModel::Amg);
         let max_d10 = result.series.iter().map(|p| p.d10).fold(0.0, f64::max);
-        let avg_d5 = oda_ml::stats::mean(&result.series.iter().map(|p| p.d5).collect::<Vec<_>>());
+        let avg_d5 = mean(&result.series.iter().map(|p| p.d5).collect::<Vec<_>>());
         assert!(avg_d5 < 5.0, "AMG median {avg_d5}");
         assert!(max_d10 > 10.0, "AMG tail {max_d10}");
     }

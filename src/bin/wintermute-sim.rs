@@ -55,7 +55,7 @@
 //!   `/health` aggregate per-shard state, and `/analytics/plugins*`
 //!   actions apply on every shard.
 //!
-//! `--scenario shard_churn --seed S` (or `oda-bench sim_matrix` for
+//! `--scenario shard_churn --seed S` (or `dcdb-sim`'s `sim_matrix` for
 //! every scenario) is the deterministic driver for shard kills.
 //!
 //! Backpressure knobs (paper §V scalability): every subscription queue
