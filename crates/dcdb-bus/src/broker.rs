@@ -131,7 +131,7 @@ pub struct BusStatsSnapshot {
 
 /// Metrics for one live subscription, as exported by
 /// [`Broker::metrics`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct SubscriptionMetrics {
     /// Label supplied at subscribe time (or a generated one).
     pub label: String,

@@ -8,14 +8,12 @@
 //! * [`codec`] — the compact binary frame format for reading batches;
 //! * [`queue`] — bounded delivery queues with overflow policies
 //!   (block / drop-newest / drop-oldest) and lock-free metrics;
-//! * [`broker`] — a QoS-0 [`Broker`](broker::Broker) with trie-based
-//!   routing on the publisher's thread and a bounded queue on every
-//!   subscription;
-//! * [`chaos`] — a deterministic fault-injection wrapper
-//!   ([`ChaosBus`](chaos::ChaosBus)) implementing the same
-//!   [`MessageBus`](broker::MessageBus) surface: seeded refuse-publish
-//!   windows, per-message drops, delivery delay and partitions, so
-//!   outages replay bit-for-bit in tests and benches.
+//! * [`broker`] — a QoS-0 [`Broker`] with trie-based routing on the
+//!   publisher's thread and a bounded queue on every subscription;
+//! * [`chaos`] — a deterministic fault-injection wrapper ([`ChaosBus`])
+//!   implementing the same [`MessageBus`] surface: seeded
+//!   refuse-publish windows, per-message drops, delivery delay and
+//!   partitions, so outages replay bit-for-bit in tests and benches.
 //!
 //! The broker is deliberately faithful to how the paper uses MQTT —
 //! topic-based fan-out with publisher/consumer decoupling and explicit

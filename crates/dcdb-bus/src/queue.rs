@@ -10,13 +10,15 @@
 //! (depth, high-water mark, drop counters) that feeds the `/metrics`
 //! endpoint.
 
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// What a full queue does with the next message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum OverflowPolicy {
     /// The producer blocks until space frees up (lossless backpressure;
     /// publishers slow to the consumer's pace).
@@ -30,22 +32,14 @@ pub enum OverflowPolicy {
 }
 
 impl OverflowPolicy {
-    /// Parses `block` / `drop-newest` / `drop-oldest`.
+    /// Parses `block` / `drop-newest` / `drop-oldest` (the spelling
+    /// `/metrics` serves).
     pub fn parse(s: &str) -> Option<OverflowPolicy> {
         match s {
             "block" => Some(OverflowPolicy::Block),
             "drop-newest" | "dropnewest" => Some(OverflowPolicy::DropNewest),
             "drop-oldest" | "dropoldest" => Some(OverflowPolicy::DropOldest),
             _ => None,
-        }
-    }
-
-    /// Canonical config-file / JSON spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            OverflowPolicy::Block => "block",
-            OverflowPolicy::DropNewest => "drop-newest",
-            OverflowPolicy::DropOldest => "drop-oldest",
         }
     }
 }
@@ -84,7 +78,7 @@ pub struct QueueMetrics {
 
 /// Point-in-time copy of [`QueueMetrics`], plus the queue's static
 /// configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct QueueMetricsSnapshot {
     /// Configured capacity bound.
     pub capacity: usize,
@@ -421,12 +415,12 @@ mod tests {
 
     #[test]
     fn policy_parse_round_trip() {
-        for p in [
-            OverflowPolicy::Block,
-            OverflowPolicy::DropNewest,
-            OverflowPolicy::DropOldest,
+        for (word, p) in [
+            ("block", OverflowPolicy::Block),
+            ("drop-newest", OverflowPolicy::DropNewest),
+            ("drop-oldest", OverflowPolicy::DropOldest),
         ] {
-            assert_eq!(OverflowPolicy::parse(p.as_str()), Some(p));
+            assert_eq!(OverflowPolicy::parse(word), Some(p));
         }
         assert_eq!(OverflowPolicy::parse("nope"), None);
     }

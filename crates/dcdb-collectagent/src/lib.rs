@@ -12,6 +12,7 @@
 
 use dcdb_bus::{decode_batch, BusHandle, SubscribeOptions, Subscription};
 use dcdb_common::batch::ReadingBatch;
+use dcdb_common::document;
 use dcdb_common::error::Result;
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
@@ -19,6 +20,8 @@ use dcdb_common::topic::Topic;
 use dcdb_rest::{JsonWriter, Method, Response, Router, Status};
 use dcdb_storage::StorageEngine;
 use parking_lot::Mutex;
+use serde::Serialize;
+use serde_json::json;
 use sim_cluster::ClusterSimulator;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,7 +67,7 @@ impl Default for CollectAgentConfig {
 }
 
 /// Delivery health of one data source (Pusher), keyed by topic prefix.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SourceHealth {
     /// The source's topic prefix (its first two segments).
     pub prefix: String,
@@ -81,7 +84,7 @@ pub struct SourceHealth {
 }
 
 /// Counters for footprint reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CollectAgentStats {
     /// Messages consumed from the bus.
     pub messages: u64,
@@ -103,7 +106,8 @@ struct SourceRecord {
 }
 
 /// This agent's role within its shard's replica pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[serde(rename_all = "lowercase")]
 pub enum ShardRole {
     /// Serves ingest and queries; the shard's ring member.
     #[default]
@@ -113,20 +117,10 @@ pub enum ShardRole {
     Replica,
 }
 
-impl ShardRole {
-    /// The role as reported by `/health`, `/metrics` and `/federation`.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ShardRole::Primary => "primary",
-            ShardRole::Replica => "replica",
-        }
-    }
-}
-
 /// This agent's place in a federated deployment, assigned by the
 /// federation host and reported verbatim by `GET /health` and
 /// `GET /metrics` so shards are tellable apart from the outside.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ShardAssignment {
     /// Zero-based shard index within the federation.
     pub index: usize,
@@ -139,18 +133,6 @@ pub struct ShardAssignment {
     pub vnodes: usize,
     /// Primary or journal-tailing replica within the shard's pair.
     pub role: ShardRole,
-}
-
-impl ShardAssignment {
-    fn json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "index": self.index,
-            "total": self.total,
-            "epoch": self.epoch,
-            "vnodes": self.vnodes,
-            "role": self.role.as_str(),
-        })
-    }
 }
 
 /// One DCDB Collect Agent.
@@ -381,94 +363,36 @@ impl CollectAgent {
     /// interval.
     pub fn metrics_json(&self) -> serde_json::Value {
         let bus = self.bus.metrics();
-        let queue_json = |q: &dcdb_bus::QueueMetricsSnapshot| {
-            serde_json::json!({
-                "capacity": q.capacity,
-                "policy": q.policy.as_str(),
-                "depth": q.depth,
-                "high_water": q.high_water,
-                "offered": q.offered,
-                "enqueued": q.enqueued,
-                "dequeued": q.dequeued,
-                "dropped_newest": q.dropped_newest,
-                "dropped_oldest": q.dropped_oldest,
-                "dropped_closed": q.dropped_closed,
-            })
-        };
-        let subs: Vec<serde_json::Value> = bus
-            .subscriptions
-            .iter()
-            .map(|s| {
-                serde_json::json!({
-                    "label": s.label,
-                    "filter": s.filter,
-                    "queue": queue_json(&s.queue),
-                })
-            })
-            .collect();
-        let agent = self.stats();
-        let query = self.query_engine().stats();
-        let storage = self.storage.stats();
-        let bus_json = serde_json::json!({
-            "published": bus.stats.published,
-            "delivered": bus.stats.delivered,
-            "dropped": bus.stats.dropped,
-            "subscriptions": subs,
-        });
-        let agent_json = serde_json::json!({
-            "id": self.agent_id,
-            "shard": self.shard_assignment().map(|s| s.json()),
-            "messages": agent.messages,
-            "readings": agent.readings,
-            "decode_errors": agent.decode_errors,
-            "maintenance_errors": agent.maintenance_errors,
-            "budget_exhausted": agent.budget_exhausted,
-            "ingest_backlog": self.ingest_backlog(),
-        });
-        let query_json = serde_json::json!({
-            "cache_hits": query.cache_hits,
-            "storage_fallbacks": query.storage_fallbacks,
-            "misses": query.misses,
-            "inserts": query.inserts,
-            "storage_errors": query.storage_errors,
-            "agg_queries": query.agg_queries,
-            "agg_tier_buckets": query.agg_tier_buckets,
-            "agg_raw_buckets": query.agg_raw_buckets,
-            "sensors": self.query_engine().sensor_count(),
-            "cache_memory_bytes": self.query_engine().cache_memory_bytes(),
-        });
-        let storage_json = serde_json::json!({
-            "readings": storage.readings,
-            "sensors": storage.sensors,
-            "inserts": storage.inserts,
-            "queries": storage.queries,
-            "health": self.storage.health().map(storage_health_json),
-        });
-        let operators_json = self.manager.metrics_json();
-        let health = self.delivery_health();
-        let delivery_json = serde_json::json!({
-            "expected_interval_ms": self.expected_interval_ms,
-            "stale_after_ms": self.stale_after_ms(),
-            "source_prefix_depth": SOURCE_PREFIX_DEPTH,
-            "stale_sources": health.iter().filter(|s| s.stale).count(),
-            "sources": health
-                .iter()
-                .map(|s| serde_json::json!({
-                    "prefix": s.prefix,
-                    "last_seen_ns": s.last_seen_ns,
-                    "age_ms": s.age_ms,
-                    "readings": s.readings,
-                    "stale": s.stale,
-                }))
-                .collect::<Vec<_>>(),
-        });
-        serde_json::json!({
-            "bus": bus_json,
-            "agent": agent_json,
-            "query": query_json,
-            "storage": storage_json,
-            "operators": operators_json,
-            "delivery": delivery_json,
+        let qe = self.query_engine();
+        let sources = self.delivery_health();
+        json!({
+            "bus": json!({
+                "published": bus.stats.published,
+                "delivered": bus.stats.delivered,
+                "dropped": bus.stats.dropped,
+                "subscriptions": bus.subscriptions,
+            }),
+            "agent": document(&self.stats(), json!({
+                "id": self.agent_id,
+                "shard": self.shard_assignment(),
+                "ingest_backlog": self.ingest_backlog(),
+            })),
+            "query": document(&qe.stats(), json!({
+                "sensors": qe.sensor_count(),
+                "cache_memory_bytes": qe.cache_memory_bytes(),
+            })),
+            "storage": document(
+                &self.storage.stats(),
+                json!({"health": self.storage.health().map(health_document)}),
+            ),
+            "operators": self.manager.metrics_json(),
+            "delivery": json!({
+                "expected_interval_ms": self.expected_interval_ms,
+                "stale_after_ms": self.stale_after_ms(),
+                "source_prefix_depth": SOURCE_PREFIX_DEPTH,
+                "stale_sources": sources.iter().filter(|s| s.stale).count(),
+                "sources": sources,
+            }),
         })
     }
 
@@ -521,56 +445,27 @@ impl CollectAgent {
         let agent = Arc::clone(self);
         router.route(Method::Get, "/health", move |_req| {
             let report = agent.storage().health();
-            let (status, state) = match report {
-                Some(r) if r.state == dcdb_storage::HealthState::ReadOnly => {
-                    (Status::ServiceUnavailable, r.state.as_str())
-                }
-                Some(r) => (Status::Ok, r.state.as_str()),
-                None => (Status::Ok, "healthy"),
+            let state = report.map_or(dcdb_storage::HealthState::Healthy, |h| h.state);
+            let status = match state {
+                dcdb_storage::HealthState::ReadOnly => Status::ServiceUnavailable,
+                _ => Status::Ok,
             };
-            let body = serde_json::json!({
+            let body = json!({
                 "status": if status == Status::Ok { "ok" } else { "unavailable" },
                 "agent_id": agent.agent_id(),
-                "shard": agent.shard_assignment().map(|s| s.json()),
+                "shard": agent.shard_assignment(),
                 "state": state,
-                "storage": report.map(storage_health_json),
+                "storage": report.map(health_document),
             });
             Response::json(body.to_string()).with_status(status)
         });
     }
 }
 
-/// The storage health report as served under `/metrics` (`storage.health`)
+/// A storage health report as served under `/metrics` (`storage.health`)
 /// and `/health` (`storage`).
-fn storage_health_json(h: dcdb_storage::StorageHealthReport) -> serde_json::Value {
-    serde_json::json!({
-        "state": h.state.as_str(),
-        "transitions": h.transitions,
-        "ingested": h.ingested,
-        "durable": h.durable,
-        "buffered": h.buffered,
-        "shed": h.shed,
-        "conserved": h.conserved(),
-        "write_errors": h.write_errors,
-        "write_retries": h.write_retries,
-        "fsync_poisonings": h.fsync_poisonings,
-        "wal_rotations": h.wal_rotations,
-        "probes": h.probes,
-        "drop_sync_errors": h.drop_sync_errors,
-        "cleanup_errors": h.cleanup_errors,
-        "quarantined": h.quarantined,
-        "seal_failures": h.seal_failures,
-        "recovery": serde_json::json!({
-            "recovered_readings": h.recovered_readings,
-            "wal_bytes_discarded": h.wal_bytes_discarded,
-            "torn_tails": h.torn_tails,
-        }),
-        "time_in_state_ns": serde_json::json!({
-            "healthy": h.healthy_ns,
-            "degraded": h.degraded_ns,
-            "read_only": h.readonly_ns,
-        }),
-    })
+fn health_document(h: dcdb_storage::StorageHealthReport) -> serde_json::Value {
+    document(&h, json!({"conserved": h.conserved()}))
 }
 
 /// Validated parameters of a `GET /query` aggregate request, shared by

@@ -4,31 +4,32 @@
 //! the DCDB monitoring framework the Wintermute paper extends
 //! (Netti et al., *DCDB Wintermute*, HPDC 2020):
 //!
-//! * [`time`] — nanosecond [`Timestamp`](time::Timestamp)s (the one
-//!   virtual clock for simulation is [`sim::SimClock`]);
-//! * [`reading`] — [`SensorReading`](reading::SensorReading)s (value +
-//!   timestamp) and single-pass aggregate statistics;
-//! * [`batch`] — columnar [`ReadingBatch`](batch::ReadingBatch)es, the
-//!   one ingest currency: what the bus frames, the journal records and
-//!   the storage engines insert;
-//! * [`topic`] — MQTT-style sensor [`Topic`](topic::Topic)s;
-//! * [`cache`] — the per-sensor [`SensorCache`](cache::SensorCache) ring
-//!   buffer with O(1) relative and O(log N) absolute views (paper §V-B);
+//! * [`time`] — nanosecond [`Timestamp`]s (the one virtual clock for
+//!   simulation is [`sim::SimClock`]);
+//! * [`reading`] — [`SensorReading`]s (value + timestamp) and
+//!   single-pass aggregate statistics;
+//! * [`batch`] — columnar [`ReadingBatch`]es, the one ingest currency:
+//!   what the bus frames, the journal records and the storage engines
+//!   insert;
+//! * [`topic`] — MQTT-style sensor [`Topic`]s;
+//! * [`cache`] — the per-sensor [`SensorCache`] ring buffer with O(1)
+//!   relative and O(log N) absolute views (paper §V-B);
 //! * [`regex`] — a from-scratch linear-time regular-expression engine
 //!   used by Unit System filters (paper §III-B);
 //! * [`sim`] — deterministic-simulation primitives: the shared
-//!   [`SimClock`](sim::SimClock), the canonical
-//!   [`EventTrace`](sim::EventTrace) whose hash witnesses replay
-//!   determinism, the [`SimScheduler`](sim::SimScheduler) event queue,
-//!   and the splitmix64 [`derive_seed`](sim::derive_seed) lane splitter;
+//!   [`SimClock`], the canonical [`EventTrace`] whose hash witnesses
+//!   replay determinism, the [`SimScheduler`] event queue, and the
+//!   splitmix64 [`derive_seed`] lane splitter;
 //! * [`config`] — typed and key-value configuration blocks;
-//! * [`error`] — the shared [`DcdbError`](error::DcdbError) type.
+//! * [`doc`] — control-plane documents rendered from snapshot structs;
+//! * [`error`] — the shared [`DcdbError`] type.
 
 #![warn(missing_docs)]
 
 pub mod batch;
 pub mod cache;
 pub mod config;
+pub mod doc;
 pub mod error;
 pub mod reading;
 pub mod regex;
@@ -39,6 +40,7 @@ pub mod topic;
 pub use batch::ReadingBatch;
 pub use cache::{CacheView, PushOutcome, SensorCache};
 pub use config::{KvConfig, SamplingConfig};
+pub use doc::document;
 pub use error::{DcdbError, Result};
 pub use reading::{decode_f64, encode_f64, ReadingStats, SensorReading, FIXED_POINT_SCALE};
 pub use regex::Regex;

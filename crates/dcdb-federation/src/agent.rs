@@ -268,7 +268,7 @@ impl Drop for QueryGuard {
 }
 
 /// Federation counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct FederationStats {
     /// Current shard-map epoch.
     pub epoch: u64,
@@ -774,7 +774,6 @@ impl FederatedAgent {
     /// `GET /federation` and the sim's status line.
     pub fn status_json(&self) -> serde_json::Value {
         let map = self.shard_map();
-        let stats = self.stats();
         let shards: Vec<serde_json::Value> = self
             .shards
             .iter()
@@ -809,23 +808,14 @@ impl FederatedAgent {
                 })
             })
             .collect();
-        serde_json::json!({
-            "epoch": map.epoch,
+        let ring = serde_json::json!({
             "vnodes": map.vnodes,
             "shard_key_depth": map.shard_key_depth,
             "ring": map.agents,
             "replication_factor": self.replication_factor,
-            "shards_total": stats.shards_total,
-            "shards_up": stats.shards_up,
-            "rebalances": stats.rebalances,
-            "drains_timed_out": stats.drains_timed_out,
-            "publishes": stats.publishes,
-            "publishes_refused": stats.publishes_refused,
-            "promotions": stats.promotions,
-            "degraded_removals": stats.degraded_removals,
-            "replication_lag_entries": stats.replication_lag_entries,
             "shards": shards,
-        })
+        });
+        dcdb_common::document(&self.stats(), ring)
     }
 
     /// The shard the ring assigns `topic` to, regardless of liveness.

@@ -43,6 +43,7 @@ use crate::ring::ShardMap;
 use dcdb_collectagent::{
     agg_query_body, parse_agg_query, parse_sensors_query, sensors_body, AggQueryParams,
 };
+use dcdb_common::document;
 use dcdb_common::reading::SensorReading;
 use dcdb_common::sim::{EventTrace, SimClock};
 use dcdb_common::time::Timestamp;
@@ -50,6 +51,8 @@ use dcdb_common::topic::Topic;
 use dcdb_pusher::{ReconnectConfig, BACKOFF_MULTIPLIER};
 use dcdb_rest::{Method, Request, Response, Router, Status};
 use parking_lot::Mutex;
+use serde::Serialize;
+use serde_json::json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -123,7 +126,7 @@ pub enum ShardOutcome {
 }
 
 /// The partial-result accounting attached to every routed response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct QueryEnvelope {
     /// Shard-map epoch the query ran under.
     pub epoch: u64,
@@ -150,14 +153,7 @@ impl QueryEnvelope {
 
     /// The envelope as served under `"meta"` in routed responses.
     pub fn json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "epoch": self.epoch,
-            "complete": self.complete(),
-            "shards_total": self.shards_total,
-            "shards_ok": self.shards_ok,
-            "shards_timed_out": self.shards_timed_out,
-            "shards_down": self.shards_down,
-        })
+        document(self, json!({"complete": self.complete()}))
     }
 }
 
@@ -205,7 +201,7 @@ impl FederatedAggQuery {
 }
 
 /// Router counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct RouterStats {
     /// Scatters issued.
     pub queries: u64,
@@ -326,16 +322,8 @@ impl QueryRouter {
     /// Router counters as served under `"router"` in `/metrics` and
     /// `/federation`.
     fn router_json(&self) -> serde_json::Value {
-        let stats = self.stats();
-        serde_json::json!({
-            "queries": stats.queries,
-            "partial": stats.partial,
-            "shard_timeouts": stats.shard_timeouts,
-            "shard_downs": stats.shard_downs,
-            "marked_down": stats.marked_down,
-            "recovered": stats.recovered,
-            "shard_timeout_ms": self.config.shard_timeout_ms,
-        })
+        let timeout = json!({"shard_timeout_ms": self.config.shard_timeout_ms});
+        document(&self.stats(), timeout)
     }
 
     /// Whether supervision currently routes `shard_index` as down.
@@ -629,7 +617,7 @@ impl QueryRouter {
                     None => "down",
                 };
                 let replication = s.replication_stats();
-                serde_json::json!({
+                json!({
                     "agent_id": s.id,
                     "up": s.is_up(),
                     "routed_down": sup.routed_down,
@@ -642,10 +630,7 @@ impl QueryRouter {
                     "promotions": s.promotions(),
                     "replication_lag_entries": replication.map(|r| r.lag_entries),
                     "replication_lag_ms": replication.map(|r| r.lag_ms),
-                    "shard": agent.and_then(|a| a.shard_assignment()).map(|a| serde_json::json!({
-                        "index": a.index, "total": a.total, "epoch": a.epoch,
-                        "role": a.role.as_str(),
-                    })),
+                    "shard": agent.and_then(|a| a.shard_assignment()),
                 })
             })
             .collect()
@@ -736,7 +721,7 @@ impl QueryRouter {
                     (s.id.clone(), doc)
                 })
                 .collect();
-            let body = serde_json::json!({
+            let body = json!({
                 "router": rt.router_json(),
                 "federation": rt.federation.status_json(),
                 "shards": serde_json::Value::Object(shards),
@@ -763,7 +748,7 @@ impl QueryRouter {
             } else {
                 (Status::Ok, "ok")
             };
-            let body = serde_json::json!({
+            let body = json!({
                 "status": word,
                 "epoch": map.epoch,
                 "shards_total": total,
@@ -776,7 +761,7 @@ impl QueryRouter {
         let rt = Arc::clone(self);
         router.route(Method::Get, "/federation", move |_req| {
             let map = rt.federation.shard_map();
-            let body = serde_json::json!({
+            let body = json!({
                 "federation": rt.federation.status_json(),
                 "supervision": rt.shard_health_json(&map),
                 "router": rt.router_json(),
@@ -793,7 +778,7 @@ impl QueryRouter {
                 {
                     for mut entry in list {
                         if let serde_json::Value::Object(obj) = &mut entry {
-                            obj.insert("shard".into(), serde_json::json!(shard));
+                            obj.insert("shard".into(), shard.clone().into());
                         }
                         merged.push(entry);
                     }
@@ -863,7 +848,7 @@ fn per_shard_reply(action: Option<&str>, replies: Vec<(String, Response)>) -> Re
     let rows: Vec<serde_json::Value> = replies
         .iter()
         .map(|(shard, r)| {
-            serde_json::json!({
+            json!({
                 "shard": shard,
                 "status": r.status.code(),
                 "ok": applied(r),
@@ -872,7 +857,7 @@ fn per_shard_reply(action: Option<&str>, replies: Vec<(String, Response)>) -> Re
         })
         .collect();
     let ok = replies.iter().all(|(_, r)| applied(r));
-    Response::json(serde_json::json!({"action": action, "ok": ok, "shards": rows}).to_string())
+    Response::json(json!({"action": action, "ok": ok, "shards": rows}).to_string())
 }
 
 /// No shard served a fanned-out request: the first shard's own refusal

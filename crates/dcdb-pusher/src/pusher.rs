@@ -163,10 +163,12 @@ impl Pusher {
 
     /// Creates a Pusher over any [`MessageBus`] — the production
     /// [`BusHandle`] or a fault-injecting
-    /// [`ChaosBus`](dcdb_bus::ChaosBus).
-    pub fn with_bus(config: PusherConfig, bus: Option<Arc<dyn MessageBus>>) -> Pusher {
+    /// [`ChaosBus`](dcdb_bus::ChaosBus). A zero sampling interval means
+    /// 1 ms, for cache sizing and ticking alike.
+    pub fn with_bus(mut config: PusherConfig, bus: Option<Arc<dyn MessageBus>>) -> Pusher {
+        config.sampling_interval_ms = config.sampling_interval_ms.max(1);
         let cache_slots =
-            (config.cache_secs * 1000 / config.sampling_interval_ms.max(1)).max(2) as usize + 1;
+            (config.cache_secs * 1000 / config.sampling_interval_ms).max(2) as usize + 1;
         let query = Arc::new(QueryEngine::new(cache_slots));
         let manager = OperatorManager::new(query);
         let connection = bus.map(|bus| Mutex::new(BusConnection::new(bus, config.delivery)));
@@ -488,6 +490,35 @@ mod tests {
             .query_engine()
             .query(&t("/rack00/node00/power-avg"), QueryMode::Latest);
         assert!(!got.is_empty(), "operator output missing");
+    }
+
+    /// A zero interval still advances `next_due`; otherwise the first
+    /// tick would spin forever.
+    #[test]
+    fn zero_sampling_interval_ticks_as_one_millisecond() {
+        let mut pusher = Pusher::new(
+            PusherConfig {
+                sampling_interval_ms: 0,
+                ..PusherConfig::default()
+            },
+            None,
+        );
+        pusher.add_monitoring_plugin(Box::new(
+            TesterMonitoringPlugin::new(&t("/host/tester"), 2).unwrap(),
+        ));
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let ticker = std::thread::spawn(move || {
+            for ms in [1_000, 1_000, 1_001] {
+                pusher.tick(Timestamp::from_millis(ms)).unwrap();
+            }
+            done_tx.send(pusher.stats().sampled).unwrap();
+        });
+        // A hung tick never sends; it cannot be joined either.
+        let sampled = done
+            .recv_timeout(std::time::Duration::from_secs(2))
+            .expect("tick returned");
+        ticker.join().expect("ticker thread");
+        assert_eq!(sampled, 4, "due once per millisecond");
     }
 
     #[test]

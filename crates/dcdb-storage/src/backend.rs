@@ -27,7 +27,7 @@ use std::sync::Arc;
 pub const SHARD_COUNT: usize = 16;
 
 /// Aggregate counters for footprint reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
 pub struct StorageStats {
     /// Total readings currently stored.
     pub readings: usize,

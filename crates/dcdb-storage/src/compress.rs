@@ -26,7 +26,7 @@
 //!
 //! The implementation is *columnar*: both directions work over packed
 //! `u64`/`i64` columns ([`ReadingBatch`]) in chunks of
-//! [`CHUNK`] readings. The arithmetic passes (delta, delta-of-delta,
+//! `CHUNK` readings. The arithmetic passes (delta, delta-of-delta,
 //! zig-zag and their inverses) run over plain integer slices with no
 //! data-dependent branches, which the compiler auto-vectorizes; only
 //! the byte-granular varint stage remains serial. The emitted bytes

@@ -25,10 +25,12 @@
 
 use dcdb_common::time::Timestamp;
 use parking_lot::Mutex;
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Health classification of the durable engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[serde(rename_all = "snake_case")]
 pub enum HealthState {
     /// Writes succeed; normal operation.
     Healthy,
@@ -93,7 +95,7 @@ impl Default for HealthConfig {
 
 /// Point-in-time health report of a storage engine, in the shape the
 /// Collect Agent serves from `/metrics` and `/health`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct StorageHealthReport {
     /// Current state.
     pub state: HealthState,
@@ -126,18 +128,32 @@ pub struct StorageHealthReport {
     pub quarantined: u64,
     /// Failed memtable→segment seal attempts.
     pub seal_failures: u64,
-    /// Readings recovered by WAL replay on open.
+    /// What WAL replay found on open.
+    pub recovery: ReplayCounters,
+    /// Virtual/observed time spent in each state, nanoseconds.
+    pub time_in_state_ns: TimeInState,
+}
+
+/// What WAL replay found when the engine opened.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct ReplayCounters {
+    /// Readings recovered by WAL replay.
     pub recovered_readings: u64,
-    /// WAL bytes discarded at torn tails during replay.
+    /// WAL bytes discarded at torn tails.
     pub wal_bytes_discarded: u64,
-    /// Torn WAL tails encountered during replay.
+    /// Torn WAL tails encountered.
     pub torn_tails: u64,
-    /// Virtual/observed time spent Healthy, nanoseconds.
-    pub healthy_ns: u64,
-    /// Time spent Degraded, nanoseconds.
-    pub degraded_ns: u64,
-    /// Time spent ReadOnly, nanoseconds.
-    pub readonly_ns: u64,
+}
+
+/// Time spent in each [`HealthState`], nanoseconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct TimeInState {
+    /// Time spent Healthy.
+    pub healthy: u64,
+    /// Time spent Degraded.
+    pub degraded: u64,
+    /// Time spent ReadOnly.
+    pub read_only: u64,
 }
 
 impl StorageHealthReport {
@@ -449,12 +465,16 @@ impl HealthCore {
             cleanup_errors: self.cleanup_errors.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
             seal_failures: self.seal_failures.load(Ordering::Relaxed),
-            recovered_readings: self.recovered_readings.load(Ordering::Relaxed),
-            wal_bytes_discarded: self.wal_bytes_discarded.load(Ordering::Relaxed),
-            torn_tails: self.torn_tails.load(Ordering::Relaxed),
-            healthy_ns: self.healthy_ns.load(Ordering::Relaxed),
-            degraded_ns: self.degraded_ns.load(Ordering::Relaxed),
-            readonly_ns: self.readonly_ns.load(Ordering::Relaxed),
+            recovery: ReplayCounters {
+                recovered_readings: self.recovered_readings.load(Ordering::Relaxed),
+                wal_bytes_discarded: self.wal_bytes_discarded.load(Ordering::Relaxed),
+                torn_tails: self.torn_tails.load(Ordering::Relaxed),
+            },
+            time_in_state_ns: TimeInState {
+                healthy: self.healthy_ns.load(Ordering::Relaxed),
+                degraded: self.degraded_ns.load(Ordering::Relaxed),
+                read_only: self.readonly_ns.load(Ordering::Relaxed),
+            },
         }
     }
 }
@@ -560,9 +580,9 @@ mod tests {
         h.record_write_error();
         h.record_write_error(); // → Degraded
         h.observe(Timestamp::from_millis(250));
-        let r = h.report();
-        assert_eq!(r.healthy_ns, 100 * 1_000_000);
-        assert_eq!(r.degraded_ns, 150 * 1_000_000);
-        assert_eq!(r.readonly_ns, 0);
+        let t = h.report().time_in_state_ns;
+        assert_eq!(t.healthy, 100 * 1_000_000);
+        assert_eq!(t.degraded, 150 * 1_000_000);
+        assert_eq!(t.read_only, 0);
     }
 }

@@ -45,7 +45,9 @@ pub mod wal;
 
 pub use backend::{StorageBackend, StorageStats};
 pub use engine::{DurableBackend, DurableConfig, EngineStats, InsertAck, RecoveryReport};
-pub use health::{HealthConfig, HealthCore, HealthState, StorageHealthReport};
+pub use health::{
+    HealthConfig, HealthCore, HealthState, ReplayCounters, StorageHealthReport, TimeInState,
+};
 pub use io::{FaultConfig, FaultIo, FaultIoStats, StdIo, StorageIo};
 pub use rollup::{AggFrame, RollupConfig, RollupStats, TierSpec, DEFAULT_TIER_WIDTHS_NS};
 pub use series::{Series, DEFAULT_PARTITION_NS};

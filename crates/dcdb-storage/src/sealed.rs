@@ -48,7 +48,7 @@ pub struct Format {
     pub kind: &'static str,
 }
 
-/// One topic's encoded block, handed to [`write`].
+/// One topic's encoded block, handed to [`write()`].
 pub struct Block<'a> {
     /// The topic the block belongs to.
     pub topic: &'a Topic,

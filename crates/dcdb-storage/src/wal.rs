@@ -37,7 +37,7 @@
 //! the record via two bulk little-endian copies instead of a
 //! per-reading loop, assembled in a scratch buffer reused across
 //! appends. Bit 31 of the count field marks the columnar layout — the
-//! only one written or replayed; [`MAX_PAYLOAD`] (1 GiB) caps counts far
+//! only one written or replayed; `MAX_PAYLOAD` (1 GiB) caps counts far
 //! below `2^31`. A CRC-valid record with the bit clear (the retired
 //! row-major layout) is structurally inconsistent and stops replay like
 //! a torn tail.

@@ -1,7 +1,7 @@
 //! Random-forest regression.
 //!
 //! Bagged ensemble of CART trees (bootstrap sampling + per-split feature
-//! subsampling), trained in parallel with rayon. This is the model the
+//! subsampling), trained one tree after another. This is the model the
 //! paper's regressor plugin uses for online power prediction (§VI-B); a
 //! downstream operator retrains it whenever its training buffer fills.
 
@@ -9,7 +9,6 @@ use crate::tree::{RegressionTree, TreeConfig};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of the forest.
@@ -22,8 +21,6 @@ pub struct ForestConfig {
     pub tree: TreeConfig,
     /// RNG seed for reproducible training.
     pub seed: u64,
-    /// Train trees in parallel with rayon.
-    pub parallel: bool,
 }
 
 impl Default for ForestConfig {
@@ -32,7 +29,6 @@ impl Default for ForestConfig {
             n_trees: 20,
             tree: TreeConfig::default(),
             seed: 0xDCDB,
-            parallel: true,
         }
     }
 }
@@ -70,11 +66,7 @@ impl RandomForest {
             RegressionTree::fit(&bx, &by, &tree_cfg, rng.gen())
         };
 
-        let trees: Vec<RegressionTree> = if config.parallel {
-            (0..config.n_trees).into_par_iter().map(fit_one).collect()
-        } else {
-            (0..config.n_trees).map(fit_one).collect()
-        };
+        let trees = (0..config.n_trees).map(fit_one).collect();
         RandomForest { trees, n_features }
     }
 
@@ -149,10 +141,9 @@ mod tests {
         (x, y)
     }
 
-    fn small_cfg(parallel: bool) -> ForestConfig {
+    fn small_cfg() -> ForestConfig {
         ForestConfig {
             n_trees: 10,
-            parallel,
             ..Default::default()
         }
     }
@@ -160,14 +151,14 @@ mod tests {
     #[test]
     fn fits_linear_signal_reasonably() {
         let (x, y) = synthetic(600);
-        let forest = RandomForest::fit(&x, &y, &small_cfg(false));
+        let forest = RandomForest::fit(&x, &y, &small_cfg());
         let rel = forest.mean_relative_error(&x, &y, 1.0);
         // Loose bound: with max_features=1 the ensemble quality varies
         // noticeably with the RNG stream (upstream rand vs the
         // vendored stand-in draw different bootstrap samples).
         assert!(rel < 0.3, "relative error {rel}");
         // With all features available per split the fit tightens.
-        let mut cfg = small_cfg(false);
+        let mut cfg = small_cfg();
         cfg.tree.max_features = Some(3);
         let full = RandomForest::fit(&x, &y, &cfg);
         let rel_full = full.mean_relative_error(&x, &y, 1.0);
@@ -175,21 +166,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_agree() {
-        let (x, y) = synthetic(300);
-        let seq = RandomForest::fit(&x, &y, &small_cfg(false));
-        let par = RandomForest::fit(&x, &y, &small_cfg(true));
-        // Same seeds per tree index => identical ensembles.
-        for xi in x.iter().take(20) {
-            assert!((seq.predict(xi) - par.predict(xi)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn reproducible_with_seed() {
         let (x, y) = synthetic(200);
-        let a = RandomForest::fit(&x, &y, &small_cfg(true));
-        let b = RandomForest::fit(&x, &y, &small_cfg(true));
+        let a = RandomForest::fit(&x, &y, &small_cfg());
+        let b = RandomForest::fit(&x, &y, &small_cfg());
         for xi in x.iter().take(10) {
             assert_eq!(a.predict(xi), b.predict(xi));
         }
@@ -198,8 +178,8 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let (x, y) = synthetic(200);
-        let a = RandomForest::fit(&x, &y, &small_cfg(true));
-        let mut cfg = small_cfg(true);
+        let a = RandomForest::fit(&x, &y, &small_cfg());
+        let mut cfg = small_cfg();
         cfg.seed = 999;
         let b = RandomForest::fit(&x, &y, &cfg);
         let diverges = x
@@ -231,7 +211,6 @@ mod tests {
             &y,
             &ForestConfig {
                 n_trees: 1,
-                parallel: false,
                 ..Default::default()
             },
         );
@@ -240,7 +219,6 @@ mod tests {
             &y,
             &ForestConfig {
                 n_trees: 30,
-                parallel: true,
                 ..Default::default()
             },
         );
@@ -255,7 +233,7 @@ mod tests {
     #[test]
     fn batch_predict_matches_scalar() {
         let (x, y) = synthetic(100);
-        let forest = RandomForest::fit(&x, &y, &small_cfg(false));
+        let forest = RandomForest::fit(&x, &y, &small_cfg());
         let batch = forest.predict_batch(&x[..5]);
         for (i, b) in batch.iter().enumerate() {
             assert_eq!(*b, forest.predict(&x[i]));
@@ -266,7 +244,7 @@ mod tests {
     fn relative_error_skips_near_zero_targets() {
         let x = vec![vec![0.0], vec![1.0]];
         let y = vec![0.0, 10.0];
-        let forest = RandomForest::fit(&x, &y, &small_cfg(false));
+        let forest = RandomForest::fit(&x, &y, &small_cfg());
         // Only the y=10 sample contributes.
         let rel = forest.mean_relative_error(&x, &y, 0.5);
         assert!(rel.is_finite());
@@ -275,7 +253,7 @@ mod tests {
     #[test]
     fn metadata_accessors() {
         let (x, y) = synthetic(50);
-        let forest = RandomForest::fit(&x, &y, &small_cfg(false));
+        let forest = RandomForest::fit(&x, &y, &small_cfg());
         assert_eq!(forest.tree_count(), 10);
         assert_eq!(forest.n_features(), 3);
     }

@@ -9,7 +9,7 @@
 //! * [`tree`] / [`forest`] — CART regression trees and bagged random
 //!   forests (regressor plugin's model, §VI-B — substitute for OpenCV
 //!   RTrees);
-//! * [`kmeans`] — k-means++ (initialization + ablation baseline);
+//! * [`mod@kmeans`] — k-means++ (initialization + ablation baseline);
 //! * [`linear`] — ridge regression (model-choice ablation baseline);
 //! * [`gmm`] — the gaussian component and log-sum-exp [`bgmm`] builds on;
 //! * [`bgmm`] — the variational *Bayesian* gaussian mixture with

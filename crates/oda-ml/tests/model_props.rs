@@ -34,7 +34,7 @@ proptest! {
 
     #[test]
     fn forest_predictions_stay_within_target_range((x, y) in dataset()) {
-        let cfg = ForestConfig { n_trees: 5, parallel: false, ..Default::default() };
+        let cfg = ForestConfig { n_trees: 5, ..Default::default() };
         let forest = RandomForest::fit(&x, &y, &cfg);
         let lo = y.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = y.iter().copied().fold(f64::NEG_INFINITY, f64::max);

@@ -2,10 +2,10 @@
 //! virtual clock.
 //!
 //! [`ClusterSimulator`] is what the figure harnesses drive: it owns one
-//! [`NodeSimulator`](crate::node::NodeSimulator) per compute node, keeps
-//! the node's running application in sync with the job table, and
-//! produces the full system's sensor samples each tick — the same
-//! stream 148 real Pushers would publish.
+//! [`NodeSimulator`] per compute node, keeps the node's running
+//! application in sync with the job table, and produces the full
+//! system's sensor samples each tick — the same stream 148 real Pushers
+//! would publish.
 
 use crate::apps::AppModel;
 use crate::node::{NodeSimulator, ProfileClass, Sample};

@@ -9,7 +9,7 @@
 //! Options:
 //! * `op` — `"mean"` (default), `"sum"`, `"min"`, `"max"`, `"std"`,
 //!   `"median"`, `"quantile"`;
-//! * `q` — quantile in [0,1] when `op == "quantile"`;
+//! * `q` — quantile in \[0, 1\] when `op == "quantile"`;
 //! * `window_ms` — aggregation window (default 5000).
 
 use dcdb_common::error::{DcdbError, Result};

@@ -5,7 +5,7 @@
 //! as compute nodes, each having as input a node's power, temperature
 //! and CPU idle time sensors, and as output a label of the cluster to
 //! which it belongs. At every computation interval the operator computes
-//! [window] averages for the input sensors of each unit. Then, each unit
+//! \[window\] averages for the input sensors of each unit. Then, each unit
 //! is treated as a data point ... and clustering is applied."
 //!
 //! The model is shared by all units, so the plugin runs in sequential

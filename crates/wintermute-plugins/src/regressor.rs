@@ -5,7 +5,7 @@
 //! features (e.g., mean or standard deviation) are computed from its
 //! recent readings. These features are then combined to form a feature
 //! vector, which is fed into the random forest model to perform
-//! regression and output a sensor prediction of the next [interval].
+//! regression and output a sensor prediction of the next \[interval\].
 //! Training of the model, which is shared by all units of an operator,
 //! is performed automatically: feature vectors are accumulated in
 //! memory until a certain training set size is reached."
@@ -256,7 +256,6 @@ impl OperatorPlugin for RegressorPlugin {
                 ..TreeConfig::default()
             },
             seed: config.options.u64_or("seed", 0xDCDB),
-            parallel: true,
         };
         let retrain = config.options.bool_or("continuous_training", false);
         let model_kind = match config.options.str_opt("model").unwrap_or("forest") {

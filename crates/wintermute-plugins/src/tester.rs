@@ -6,7 +6,7 @@
 //!   sensors with negligible overhead, so as to provide a reliable
 //!   baseline" — implemented in `dcdb-pusher` as a monitoring plugin
 //!   whose sensors live at `<prefix>/tNNN/value`;
-//! * an **operator** tester that "simply perform[s] a certain number of
+//! * an **operator** tester that "simply perform\[s\] a certain number of
 //!   queries over the input sensors of their units" at each computation
 //!   interval — this module.
 //!

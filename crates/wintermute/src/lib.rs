@@ -12,7 +12,7 @@
 //!
 //! * [`tree`] — the **sensor tree** abstraction over MQTT-style topics
 //!   (§III-A) with level-indexed navigation;
-//! * [`unit`] — the **Unit System**: pattern expressions, pattern units
+//! * [`mod@unit`] — the **Unit System**: pattern expressions, pattern units
 //!   and their resolution into concrete units (§III-B/C, §V-C.2);
 //! * [`query`] — the **Query Engine**: cache-first sensor access with
 //!   relative (O(1)) and absolute (O(log N)) query modes (§V-B);
@@ -64,7 +64,7 @@ pub mod prelude {
     pub use crate::job::{JobDataSource, JobInfo, JobUnitBuilder, StaticJobSource};
     pub use crate::manager::{
         BusSink, FaultPolicy, OperatorManager, OperatorMetricsSnapshot, OperatorTotals,
-        PluginMetricsSnapshot, SensorSink, TickReport,
+        PluginMetricsSnapshot, PluginStatus, SensorSink, TickReport,
     };
     pub use crate::operator::{
         compute_all_units, finite_output, ComputeContext, Operator, OperatorMode, Output, UnitMode,

@@ -39,6 +39,7 @@ use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use dcdb_rest::{Method, Response, Router, Status};
 use parking_lot::{Mutex, RwLock};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -164,7 +165,7 @@ impl SlotMetrics {
 }
 
 /// Point-in-time runtime metrics of one operator slot.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct OperatorMetricsSnapshot {
     /// Operator name (unique within its plugin).
     pub name: String,
@@ -198,21 +199,42 @@ pub struct OperatorMetricsSnapshot {
     pub max_latency_ns: u64,
 }
 
+/// Whether a plugin instance computes online.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[serde(rename_all = "lowercase")]
+pub enum PluginStatus {
+    /// Online computation is enabled.
+    Running,
+    /// Paused (`stop`); on-demand requests are still answered.
+    #[default]
+    Stopped,
+}
+
+impl From<bool> for PluginStatus {
+    fn from(running: bool) -> PluginStatus {
+        if running {
+            PluginStatus::Running
+        } else {
+            PluginStatus::Stopped
+        }
+    }
+}
+
 /// Runtime metrics of one plugin instance and its operators.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct PluginMetricsSnapshot {
     /// Instance name.
     pub name: String,
     /// Plugin kind.
     pub kind: String,
     /// Whether online computation is enabled.
-    pub running: bool,
+    pub status: PluginStatus,
     /// One snapshot per operator slot.
     pub operators: Vec<OperatorMetricsSnapshot>,
 }
 
-/// Aggregate runtime totals across every loaded operator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Aggregate runtime totals across a set of operators.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct OperatorTotals {
     /// Due events processed (all outcomes).
     pub runs: u64,
@@ -230,6 +252,39 @@ pub struct OperatorTotals {
     pub quarantined_skips: u64,
     /// Operators currently quarantined.
     pub quarantined_operators: u64,
+}
+
+impl OperatorTotals {
+    /// Sums `operators`' counters.
+    pub(crate) fn of<'a>(operators: impl IntoIterator<Item = &'a OperatorMetricsSnapshot>) -> Self {
+        let mut t = OperatorTotals::default();
+        for op in operators {
+            t.runs += op.runs;
+            t.successes += op.successes;
+            t.outputs += op.outputs;
+            t.errors += op.errors;
+            t.panics += op.panics;
+            t.overruns += op.overruns;
+            t.quarantined_skips += op.quarantined_skips;
+            t.quarantined_operators += op.quarantined as u64;
+        }
+        t
+    }
+}
+
+/// One row of `GET /analytics/plugins`: an instance, its operator and
+/// unit counts, and its operators' fault counters summed.
+#[derive(Serialize)]
+struct PluginListing {
+    name: String,
+    kind: String,
+    status: PluginStatus,
+    operators: usize,
+    units: usize,
+    errors: u64,
+    panics: u64,
+    overruns: u64,
+    quarantined_operators: u64,
 }
 
 struct OperatorSlot {
@@ -713,7 +768,7 @@ impl OperatorManager {
             .map(|p| PluginMetricsSnapshot {
                 name: p.config.name.clone(),
                 kind: p.config.kind.clone(),
-                running: p.running.load(Ordering::Acquire),
+                status: p.running.load(Ordering::Acquire).into(),
                 operators: p
                     .operators
                     .iter()
@@ -727,73 +782,18 @@ impl OperatorManager {
 
     /// Aggregate runtime totals across every loaded operator.
     pub fn metrics_totals(&self) -> OperatorTotals {
-        let mut t = OperatorTotals::default();
-        for plugin in self.operator_metrics() {
-            for op in &plugin.operators {
-                t.runs += op.runs;
-                t.successes += op.successes;
-                t.outputs += op.outputs;
-                t.errors += op.errors;
-                t.panics += op.panics;
-                t.overruns += op.overruns;
-                t.quarantined_skips += op.quarantined_skips;
-                t.quarantined_operators += op.quarantined as u64;
-            }
-        }
-        t
+        let plugins = self.operator_metrics();
+        OperatorTotals::of(plugins.iter().flat_map(|p| &p.operators))
     }
 
     /// Full operator-runtime metrics as JSON — ticks, aggregate totals
     /// and per-plugin / per-operator counters, latencies (ns) and
     /// quarantine state. Hosts merge this into their `GET /metrics`.
     pub fn metrics_json(&self) -> serde_json::Value {
-        let totals = self.metrics_totals();
-        let plugins: Vec<serde_json::Value> = self
-            .operator_metrics()
-            .iter()
-            .map(|p| {
-                let ops: Vec<serde_json::Value> = p
-                    .operators
-                    .iter()
-                    .map(|o| {
-                        serde_json::json!({
-                            "name": o.name,
-                            "runs": o.runs,
-                            "successes": o.successes,
-                            "outputs": o.outputs,
-                            "errors": o.errors,
-                            "panics": o.panics,
-                            "overruns": o.overruns,
-                            "quarantined_skips": o.quarantined_skips,
-                            "consecutive_failures": o.consecutive_failures,
-                            "quarantined": o.quarantined,
-                            "last_latency_ns": o.last_latency_ns,
-                            "ewma_latency_ns": o.ewma_latency_ns,
-                            "max_latency_ns": o.max_latency_ns,
-                        })
-                    })
-                    .collect();
-                serde_json::json!({
-                    "name": p.name,
-                    "kind": p.kind,
-                    "status": if p.running { "running" } else { "stopped" },
-                    "operators": ops,
-                })
-            })
-            .collect();
-        let totals_json = serde_json::json!({
-            "runs": totals.runs,
-            "successes": totals.successes,
-            "outputs": totals.outputs,
-            "errors": totals.errors,
-            "panics": totals.panics,
-            "overruns": totals.overruns,
-            "quarantined_skips": totals.quarantined_skips,
-            "quarantined_operators": totals.quarantined_operators,
-        });
+        let plugins = self.operator_metrics();
         serde_json::json!({
             "ticks": self.ticks(),
-            "totals": totals_json,
+            "totals": OperatorTotals::of(plugins.iter().flat_map(|p| &p.operators)),
             "plugins": plugins,
         })
     }
@@ -850,39 +850,27 @@ impl OperatorManager {
     pub fn mount_routes(self: &Arc<Self>, router: &mut Router) {
         let mgr = Arc::clone(self);
         router.get("/analytics/plugins", move |_req| {
-            let metrics: HashMap<String, PluginMetricsSnapshot> = mgr
-                .operator_metrics()
-                .into_iter()
-                .map(|p| (p.name.clone(), p))
-                .collect();
-            let list: Vec<serde_json::Value> = mgr
+            let metrics = mgr.operator_metrics();
+            let list: Vec<PluginListing> = mgr
                 .list()
                 .into_iter()
-                .map(|(name, kind, running, ops, units)| {
-                    // Per-plugin fault summary folded from the slots.
-                    let (mut errors, mut panics, mut overruns, mut quarantined) = (0, 0, 0, 0u64);
-                    if let Some(m) = metrics.get(&name) {
-                        for o in &m.operators {
-                            errors += o.errors;
-                            panics += o.panics;
-                            overruns += o.overruns;
-                            quarantined += o.quarantined as u64;
-                        }
+                .map(|(name, kind, running, operators, units)| {
+                    let slots = metrics.iter().filter(|m| m.name == name);
+                    let t = OperatorTotals::of(slots.flat_map(|m| &m.operators));
+                    PluginListing {
+                        name,
+                        kind,
+                        status: running.into(),
+                        operators,
+                        units,
+                        errors: t.errors,
+                        panics: t.panics,
+                        overruns: t.overruns,
+                        quarantined_operators: t.quarantined_operators,
                     }
-                    serde_json::json!({
-                        "name": name,
-                        "kind": kind,
-                        "status": if running { "running" } else { "stopped" },
-                        "operators": ops,
-                        "units": units,
-                        "errors": errors,
-                        "panics": panics,
-                        "overruns": overruns,
-                        "quarantined_operators": quarantined,
-                    })
                 })
                 .collect();
-            Response::json(serde_json::Value::Array(list).to_string())
+            Response::json(serde_json::json!(list).to_string())
         });
 
         let mgr = Arc::clone(self);

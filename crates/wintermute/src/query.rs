@@ -52,7 +52,7 @@ pub enum QueryMode {
 }
 
 /// Counters for the cache-vs-storage ablation and footprint reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct QueryStats {
     /// Queries answered purely from the sensor cache.
     pub cache_hits: u64,

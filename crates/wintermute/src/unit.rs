@@ -179,7 +179,7 @@ impl UnitTemplate {
 ///
 /// A unit's sensors are fixed once it is built, so the first read or
 /// publish of each finds its cache in the engine and keeps the handle
-/// ([`Unit::input_handle`], [`Unit::output_handle`]); `inputs` and
+/// (`Unit::input_handle`, `Unit::output_handle`); `inputs` and
 /// `outputs` must not be edited after that — build a new unit instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Unit {
