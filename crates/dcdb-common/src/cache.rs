@@ -12,30 +12,84 @@
 //! * **absolute** — the caller supplies absolute timestamps and the cache
 //!   binary-searches for the boundaries, O(log N) but exact.
 //!
-//! Views are zero-copy: a [`CacheView`] borrows (up to) two slices of the
-//! ring storage and iterates them in timestamp order.
+//! A cache is shared by one writer at a time and any number of readers,
+//! with no lock: the ring carries a sequence stamp. A writer claims the
+//! ring by moving the stamp from even to odd with one compare-and-swap,
+//! stores its readings, and publishes the stamp even again. A reader
+//! copies the readings it selects into a buffer of its own and starts
+//! over if the stamp was odd or moved while it copied. A reader never
+//! blocks a writer, and holds nothing once its read returns.
 
 use crate::reading::SensorReading;
 use crate::time::Timestamp;
+use std::fmt;
+use std::sync::atomic::{fence, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-/// Ring buffer of recent readings for one sensor.
+/// Slots allocated with the cache; the rest of a larger ring is
+/// allocated on the first write past them.
+const FIRST_BLOCK: usize = 4096;
+
+/// One reading of the ring. Its halves are atomics accessed `Relaxed`,
+/// so a read racing a write sees some stored value — which the stamp
+/// check then discards — rather than undefined behaviour.
+#[derive(Default)]
+struct Slot {
+    value: AtomicI64,
+    ts: AtomicU64,
+}
+
+impl Slot {
+    fn load(&self) -> SensorReading {
+        SensorReading::new(
+            self.value.load(Ordering::Relaxed),
+            Timestamp(self.ts.load(Ordering::Relaxed)),
+        )
+    }
+
+    fn store(&self, r: SensorReading) {
+        self.value.store(r.value, Ordering::Relaxed);
+        self.ts.store(r.ts.as_nanos(), Ordering::Relaxed);
+    }
+}
+
+fn slots(n: usize) -> Box<[Slot]> {
+    (0..n).map(|_| Slot::default()).collect()
+}
+
+/// Spins briefly, then yields: the other side of the stamp holds it for
+/// a few stores or copies, unless the scheduler took its core.
+fn back_off(spins: &mut u32) {
+    if *spins < 64 {
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
+    *spins += 1;
+}
+
+/// Ring buffer of recent readings for one sensor, shared without a lock.
 ///
 /// Writes must be timestamp-monotonic (enforced: stale writes are
 /// rejected), which every sampling loop guarantees by construction; this
 /// is what makes binary search on the logical sequence valid.
-#[derive(Debug, Clone)]
+///
+/// Ring memory is at most two blocks, neither moved nor freed before the
+/// cache: the first `min(capacity, 4096)` slots, allocated here, and the
+/// rest, allocated by the first write that needs them.
 pub struct SensorCache {
-    buf: Vec<SensorReading>,
-    /// Ring capacity (independent of `buf.capacity()`, which the
-    /// allocator may round up).
-    cap: usize,
-    /// Index of the oldest element.
-    head: usize,
-    len: usize,
-    /// Exponentially weighted estimate of the sampling interval (ns).
-    avg_interval_ns: f64,
-    /// Readings dropped because they were older than the newest entry.
-    rejected: u64,
+    first: Box<[Slot]>,
+    rest: OnceLock<Box<[Slot]>>,
+    /// Odd while a writer holds the ring; bumped by two per write.
+    stamp: AtomicU32,
+    cap: u32,
+    /// Physical index of the oldest reading; always `< cap`.
+    head: AtomicU32,
+    /// Number of readings held; always `<= cap`.
+    len: AtomicU32,
+    /// Exponentially weighted estimate of the sampling interval (ns), as
+    /// `f64` bits.
+    avg_interval_ns: AtomicU64,
 }
 
 /// Outcome of [`SensorCache::push`].
@@ -50,19 +104,22 @@ pub enum PushOutcome {
 }
 
 impl SensorCache {
-    /// Creates a cache holding at most `capacity` readings.
+    /// Creates a cache holding at most `capacity` readings
+    /// (`1..=u32::MAX`).
     ///
     /// DCDB sizes caches by time (e.g. 180 s at a 1 s interval); use
     /// [`SensorCache::with_window`] for that calculation.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
+        let cap = u32::try_from(capacity).expect("cache capacity fits in u32");
         SensorCache {
-            buf: Vec::with_capacity(capacity.min(4096)),
-            cap: capacity,
-            head: 0,
-            len: 0,
-            avg_interval_ns: 0.0,
-            rejected: 0,
+            first: slots(capacity.min(FIRST_BLOCK)),
+            rest: OnceLock::new(),
+            stamp: AtomicU32::new(0),
+            cap,
+            head: AtomicU32::new(0),
+            len: AtomicU32::new(0),
+            avg_interval_ns: AtomicU64::new(0f64.to_bits()),
         }
     }
 
@@ -76,171 +133,218 @@ impl SensorCache {
 
     /// Maximum number of readings held.
     pub fn capacity(&self) -> usize {
-        self.cap
+        self.cap as usize
     }
 
     /// Bytes actually held by this cache: the struct itself plus the
-    /// ring storage *as allocated*, not as configured. `buf` grows
-    /// lazily (and starts at most 4096 slots), so a mostly-empty cache
-    /// reports far less than `cap * size_of::<SensorReading>()` —
-    /// footprint metrics must not charge capacity that was never
+    /// ring blocks *as allocated*, not as configured. A cache larger
+    /// than its first block allocates the rest only when it fills past
+    /// it, so footprint metrics are not charged capacity that was never
     /// allocated.
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.buf.capacity() * std::mem::size_of::<SensorReading>()
+        let slots = self.first.len() + self.rest.get().map_or(0, |rest| rest.len());
+        std::mem::size_of::<Self>() + slots * std::mem::size_of::<Slot>()
     }
 
     /// Number of cached readings.
     pub fn len(&self) -> usize {
-        self.len
+        self.len.load(Ordering::Relaxed) as usize
     }
 
     /// True when the cache holds no readings.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Count of stale readings rejected so far (monitoring hook).
-    pub fn rejected_count(&self) -> u64 {
-        self.rejected
+        self.len() == 0
     }
 
     /// Running estimate of the sampling interval in nanoseconds
     /// (0.0 until at least two readings arrive).
     pub fn avg_interval_ns(&self) -> f64 {
-        self.avg_interval_ns
+        f64::from_bits(self.avg_interval_ns.load(Ordering::Relaxed))
     }
 
-    /// Logical index -> physical index.
-    #[inline]
-    fn phys(&self, logical: usize) -> usize {
-        let cap = self.cap;
-        let i = self.head + logical;
-        if i >= cap {
-            i - cap
-        } else {
-            i
+    /// The slot at physical index `p`; `None` only past the first block
+    /// before the rest exists, which a read racing that first write can
+    /// ask for (and then discards).
+    fn slot(&self, p: usize) -> Option<&Slot> {
+        match p.checked_sub(self.first.len()) {
+            None => self.first.get(p),
+            Some(q) => self.rest.get()?.get(q),
         }
     }
 
-    /// Reading at logical position `i` (0 = oldest).
-    #[inline]
-    pub fn get(&self, i: usize) -> Option<&SensorReading> {
-        if i >= self.len {
-            return None;
+    /// The slot of logical position `i` (0 = oldest) when the oldest
+    /// reading is at physical index `head`.
+    fn at(&self, head: usize, i: usize) -> Option<&Slot> {
+        let cap = self.cap as usize;
+        let p = head + i;
+        self.slot(if p >= cap { p - cap } else { p })
+    }
+
+    /// Claims the ring for one writer.
+    fn writer(&self) -> Writer<'_> {
+        let mut spins = 0;
+        loop {
+            let s = self.stamp.load(Ordering::Relaxed);
+            if s & 1 == 0
+                && self
+                    .stamp
+                    .compare_exchange_weak(
+                        s,
+                        s.wrapping_add(1),
+                        Ordering::Acquire,
+                        Ordering::Relaxed,
+                    )
+                    .is_ok()
+            {
+                // A reader that sees any slot store below also sees the
+                // odd stamp on its check (paired with the fence in
+                // `read`).
+                fence(Ordering::Release);
+                return Writer {
+                    cache: self,
+                    stamp: s.wrapping_add(2),
+                };
+            }
+            back_off(&mut spins);
         }
-        self.buf.get(self.phys(i))
+    }
+
+    /// Runs `attempt` over the ring until one ran with no write in
+    /// between, and returns what that one returned.
+    fn read<R>(&self, mut attempt: impl FnMut(&Ring<'_>) -> R) -> R {
+        let mut spins = 0;
+        loop {
+            // Acquire: a stamp a writer published brings its stores.
+            let s = self.stamp.load(Ordering::Acquire);
+            if s & 1 == 0 {
+                let ring = Ring {
+                    cache: self,
+                    head: self.head.load(Ordering::Relaxed) as usize,
+                    len: self.len.load(Ordering::Relaxed) as usize,
+                    avg_interval_ns: f64::from_bits(self.avg_interval_ns.load(Ordering::Relaxed)),
+                };
+                let got = attempt(&ring);
+                // The loads above happen before the check (paired with
+                // the fence in `writer`).
+                fence(Ordering::Acquire);
+                if self.stamp.load(Ordering::Relaxed) == s {
+                    return got;
+                }
+            }
+            back_off(&mut spins);
+        }
     }
 
     /// The most recent reading.
-    pub fn latest(&self) -> Option<&SensorReading> {
-        if self.len == 0 {
-            None
-        } else {
-            self.get(self.len - 1)
-        }
+    pub fn latest(&self) -> Option<SensorReading> {
+        self.read(|ring| ring.len.checked_sub(1).map(|i| ring.get(i)))
     }
 
-    /// The oldest cached reading.
-    pub fn oldest(&self) -> Option<&SensorReading> {
-        self.get(0)
+    /// The timestamps of the oldest and the newest cached reading.
+    pub fn extent(&self) -> Option<(Timestamp, Timestamp)> {
+        self.read(|ring| {
+            let newest = ring.len.checked_sub(1)?;
+            Some((ring.get(0).ts, ring.get(newest).ts))
+        })
     }
 
     /// Inserts a reading. Readings must arrive in timestamp order;
     /// a reading whose timestamp is not strictly newer than the latest
     /// entry is rejected (sampling loops occasionally re-fire on clock
     /// hiccups, and silently reordering would break binary search).
-    pub fn push(&mut self, r: SensorReading) -> PushOutcome {
-        if let Some(last) = self.latest() {
-            if r.ts <= last.ts {
-                self.rejected += 1;
-                return PushOutcome::RejectedStale;
-            }
-            let dt = r.ts.elapsed_since(last.ts) as f64;
-            self.avg_interval_ns = if self.avg_interval_ns == 0.0 {
-                dt
-            } else {
-                // EWMA with alpha = 1/8: smooth but adapts within a few
-                // samples when an operator's interval is reconfigured.
-                self.avg_interval_ns * 0.875 + dt * 0.125
-            };
-        }
-        let cap = self.cap;
-        if self.buf.len() < cap {
-            self.buf.push(r);
-            self.len += 1;
-            PushOutcome::Stored
-        } else if self.len < cap {
-            // Buffer physically full but logically not (after clear()).
-            let idx = self.phys(self.len);
-            self.buf[idx] = r;
-            self.len += 1;
-            PushOutcome::Stored
-        } else {
-            self.buf[self.head] = r;
-            self.head = if self.head + 1 == cap {
-                0
-            } else {
-                self.head + 1
-            };
-            PushOutcome::Evicted
-        }
+    pub fn push(&self, r: SensorReading) -> PushOutcome {
+        self.writer().push(r)
     }
 
-    /// Drops all readings, keeping the allocation and interval estimate.
-    pub fn clear(&mut self) {
-        self.head = 0;
-        self.len = 0;
-        // buf keeps stale values; len guards all access.
+    /// Inserts `readings` in order inside one write, and returns how
+    /// many were rejected as not newer than the latest entry.
+    pub fn push_all(&self, readings: impl IntoIterator<Item = SensorReading>) -> usize {
+        let mut writer = self.writer();
+        readings
+            .into_iter()
+            .filter(|&r| writer.push(r) == PushOutcome::RejectedStale)
+            .count()
     }
 
-    /// View over the whole cache, oldest to newest.
-    pub fn view_all(&self) -> CacheView<'_> {
-        self.view_range_logical(0, self.len)
-    }
-
-    /// O(1) **relative** view: approximately the last `offset_ns` of
-    /// data, ending at the newest reading.
+    /// Copies into `out` (cleared first) approximately the last
+    /// `offset_ns` of data, ending at the newest reading — an O(1)
+    /// **relative** read.
     ///
     /// The start is computed from the average-interval estimate, exactly
     /// like DCDB's fast path; the result may include slightly more or
     /// less than `offset_ns` when sampling jitters. `offset_ns == 0`
-    /// yields just the most recent reading.
-    pub fn view_relative(&self, offset_ns: u64) -> CacheView<'_> {
-        if self.len == 0 {
-            return CacheView::empty();
-        }
-        if offset_ns == 0 {
-            return self.view_range_logical(self.len - 1, self.len);
-        }
-        let est = if self.avg_interval_ns > 0.0 {
-            (offset_ns as f64 / self.avg_interval_ns).ceil() as usize + 1
-        } else {
-            self.len
-        };
-        let n = est.min(self.len);
-        self.view_range_logical(self.len - n, self.len)
+    /// yields just the most recent reading. Returns the oldest cached
+    /// timestamp at the time of the copy, `None` when the cache is
+    /// empty.
+    pub fn read_relative(&self, offset_ns: u64, out: &mut Vec<SensorReading>) -> Option<Timestamp> {
+        self.read(|ring| {
+            let n = if offset_ns == 0 {
+                1
+            } else if ring.avg_interval_ns > 0.0 {
+                ((offset_ns as f64 / ring.avg_interval_ns).ceil() as usize).saturating_add(1)
+            } else {
+                ring.len
+            };
+            ring.copy(ring.len.saturating_sub(n), ring.len, out)
+        })
     }
 
-    /// O(log N) **absolute** view: all readings with
-    /// `t0 <= ts <= t1`, by binary search on the timestamps.
-    pub fn view_absolute(&self, t0: Timestamp, t1: Timestamp) -> CacheView<'_> {
-        if self.len == 0 || t1 < t0 {
-            return CacheView::empty();
-        }
-        let lo = self.lower_bound(t0);
-        let hi = self.upper_bound(t1);
-        if lo >= hi {
-            return CacheView::empty();
-        }
-        self.view_range_logical(lo, hi)
+    /// Copies into `out` (cleared first) all readings with
+    /// `t0 <= ts <= t1` — an O(log N) **absolute** read by binary search
+    /// on the timestamps. Returns the oldest cached timestamp at the
+    /// time of the copy (even when no reading falls in the range),
+    /// `None` when the cache is empty.
+    pub fn read_absolute(
+        &self,
+        t0: Timestamp,
+        t1: Timestamp,
+        out: &mut Vec<SensorReading>,
+    ) -> Option<Timestamp> {
+        self.read(|ring| {
+            let (lo, hi) = if t1 < t0 {
+                (0, 0)
+            } else {
+                (ring.partition(|ts| ts < t0), ring.partition(|ts| ts <= t1))
+            };
+            ring.copy(lo, hi.max(lo), out)
+        })
+    }
+}
+
+impl fmt::Debug for SensorCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SensorCache")
+            .field("capacity", &self.cap)
+            .field("len", &self.len())
+            .finish()
+    }
+}
+
+/// The ring as one read attempt saw it. `head` and `len` are each in
+/// range on their own (every store keeps them so), so no index panics
+/// even when the attempt raced a writer and sees them mismatched; the
+/// stamp check discards such an attempt.
+struct Ring<'a> {
+    cache: &'a SensorCache,
+    head: usize,
+    len: usize,
+    avg_interval_ns: f64,
+}
+
+impl Ring<'_> {
+    /// Reading at logical position `i` (0 = oldest, `i < len`).
+    fn get(&self, i: usize) -> SensorReading {
+        self.cache
+            .at(self.head, i)
+            .map_or(SensorReading::new(0, Timestamp::ZERO), Slot::load)
     }
 
-    /// First logical index with `ts >= t`.
-    fn lower_bound(&self, t: Timestamp) -> usize {
+    /// First logical index whose timestamp fails `before`.
+    fn partition(&self, before: impl Fn(Timestamp) -> bool) -> usize {
         let (mut lo, mut hi) = (0usize, self.len);
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if self.get(mid).unwrap().ts < t {
+            if before(self.get(mid).ts) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -249,115 +353,72 @@ impl SensorCache {
         lo
     }
 
-    /// First logical index with `ts > t`.
-    fn upper_bound(&self, t: Timestamp) -> usize {
-        let (mut lo, mut hi) = (0usize, self.len);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.get(mid).unwrap().ts <= t {
-                lo = mid + 1;
+    /// Replaces `out` with logical positions `lo..hi`; returns the
+    /// oldest timestamp held.
+    fn copy(&self, lo: usize, hi: usize, out: &mut Vec<SensorReading>) -> Option<Timestamp> {
+        out.clear();
+        out.extend((lo..hi).map(|i| self.get(i)));
+        (self.len > 0).then(|| self.get(0).ts)
+    }
+}
+
+/// One writer's exclusive hold on a ring, released — also on unwind —
+/// by publishing the next even stamp.
+struct Writer<'a> {
+    cache: &'a SensorCache,
+    stamp: u32,
+}
+
+impl Writer<'_> {
+    fn push(&mut self, r: SensorReading) -> PushOutcome {
+        let c = self.cache;
+        let cap = c.cap as usize;
+        let head = c.head.load(Ordering::Relaxed) as usize;
+        let len = c.len.load(Ordering::Relaxed) as usize;
+        if let Some(last) = len.checked_sub(1).and_then(|i| c.at(head, i)) {
+            let last = last.load();
+            if r.ts <= last.ts {
+                return PushOutcome::RejectedStale;
+            }
+            let dt = r.ts.elapsed_since(last.ts) as f64;
+            let avg = f64::from_bits(c.avg_interval_ns.load(Ordering::Relaxed));
+            let avg = if avg == 0.0 {
+                dt
             } else {
-                hi = mid;
-            }
+                // EWMA with alpha = 1/8: smooth but adapts within a few
+                // samples when an operator's interval is reconfigured.
+                avg * 0.875 + dt * 0.125
+            };
+            c.avg_interval_ns.store(avg.to_bits(), Ordering::Relaxed);
         }
-        lo
-    }
-
-    /// Builds a view over logical indices `[lo, hi)`.
-    fn view_range_logical(&self, lo: usize, hi: usize) -> CacheView<'_> {
-        debug_assert!(lo <= hi && hi <= self.len);
-        if lo == hi {
-            return CacheView::empty();
-        }
-        let cap = self.cap;
-        let p_lo = self.phys(lo);
-        let p_hi = self.phys(hi - 1) + 1; // exclusive physical end
-        if p_lo < p_hi {
-            CacheView {
-                first: &self.buf[p_lo..p_hi],
-                second: &[],
-            }
+        if len < cap {
+            // The oldest reading stays at index 0 until the ring is full.
+            self.slot(len).store(r);
+            c.len.store(len as u32 + 1, Ordering::Relaxed);
+            PushOutcome::Stored
         } else {
-            // Wrapped: [p_lo, cap) then [0, p_hi).
-            let filled = self.buf.len().min(cap);
-            let _ = cap;
-            CacheView {
-                first: &self.buf[p_lo..filled],
-                second: &self.buf[..p_hi],
-            }
+            self.slot(head).store(r);
+            let next = if head + 1 == cap { 0 } else { head + 1 };
+            c.head.store(next as u32, Ordering::Relaxed);
+            PushOutcome::Evicted
+        }
+    }
+
+    /// The slot at physical index `p < cap`, allocating the rest of the
+    /// ring when `p` is past the first block.
+    fn slot(&self, p: usize) -> &Slot {
+        let c = self.cache;
+        match p.checked_sub(c.first.len()) {
+            None => &c.first[p],
+            Some(q) => &c.rest.get_or_init(|| slots(c.cap as usize - c.first.len()))[q],
         }
     }
 }
 
-/// Zero-copy, timestamp-ordered view over cached readings.
-///
-/// Because the backing store is a ring buffer, a view is at most two
-/// contiguous slices; iteration chains them.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheView<'a> {
-    first: &'a [SensorReading],
-    second: &'a [SensorReading],
-}
-
-impl<'a> CacheView<'a> {
-    /// An empty view.
-    pub fn empty() -> Self {
-        CacheView {
-            first: &[],
-            second: &[],
-        }
-    }
-
-    /// A view over readings that are already contiguous and in
-    /// timestamp order (a storage answer, say), so one consumer can take
-    /// both cache and storage data.
-    pub fn from_slice(readings: &'a [SensorReading]) -> Self {
-        CacheView {
-            first: readings,
-            second: &[],
-        }
-    }
-
-    /// Number of readings in the view.
-    pub fn len(&self) -> usize {
-        self.first.len() + self.second.len()
-    }
-
-    /// True when the view contains no readings.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterates readings oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = &'a SensorReading> + '_ {
-        self.first.iter().chain(self.second.iter())
-    }
-
-    /// Copies the view into a `Vec` (API-boundary convenience).
-    pub fn to_vec(&self) -> Vec<SensorReading> {
-        let mut v = Vec::with_capacity(self.len());
-        v.extend_from_slice(self.first);
-        v.extend_from_slice(self.second);
-        v
-    }
-
-    /// First (oldest) reading in the view.
-    pub fn first(&self) -> Option<&'a SensorReading> {
-        self.first.first().or_else(|| self.second.first())
-    }
-
-    /// Last (newest) reading in the view.
-    pub fn last(&self) -> Option<&'a SensorReading> {
-        self.second.last().or_else(|| self.first.last())
-    }
-}
-
-impl<'a> IntoIterator for CacheView<'a> {
-    type Item = &'a SensorReading;
-    type IntoIter =
-        std::iter::Chain<std::slice::Iter<'a, SensorReading>, std::slice::Iter<'a, SensorReading>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.first.iter().chain(self.second.iter())
+impl Drop for Writer<'_> {
+    fn drop(&mut self) {
+        // Release: the stores of this write come with the stamp.
+        self.cache.stamp.store(self.stamp, Ordering::Release);
     }
 }
 
@@ -371,31 +432,59 @@ mod tests {
     }
 
     fn fill(cache: &mut SensorCache, n: u64) {
-        for i in 1..=n {
+        fill_from(cache, 1, n);
+    }
+
+    fn fill_from(cache: &SensorCache, from: u64, to: u64) {
+        for i in from..=to {
             assert_ne!(cache.push(r(i as i64, i)), PushOutcome::RejectedStale);
         }
     }
 
+    fn values(readings: &[SensorReading]) -> Vec<i64> {
+        readings.iter().map(|r| r.value).collect()
+    }
+
+    fn all(cache: &SensorCache) -> Vec<SensorReading> {
+        let mut out = Vec::new();
+        cache.read_absolute(Timestamp::ZERO, Timestamp::MAX, &mut out);
+        out
+    }
+
+    fn absolute(cache: &SensorCache, t0: u64, t1: u64) -> Vec<i64> {
+        let mut out = Vec::new();
+        cache.read_absolute(Timestamp::from_secs(t0), Timestamp::from_secs(t1), &mut out);
+        values(&out)
+    }
+
+    fn relative(cache: &SensorCache, offset_ns: u64) -> Vec<SensorReading> {
+        let mut out = Vec::new();
+        cache.read_relative(offset_ns, &mut out);
+        out
+    }
+
     #[test]
     fn push_and_eviction() {
-        let mut c = SensorCache::new(3);
+        let c = SensorCache::new(3);
         assert_eq!(c.push(r(1, 1)), PushOutcome::Stored);
         assert_eq!(c.push(r(2, 2)), PushOutcome::Stored);
         assert_eq!(c.push(r(3, 3)), PushOutcome::Stored);
         assert_eq!(c.push(r(4, 4)), PushOutcome::Evicted);
         assert_eq!(c.len(), 3);
-        assert_eq!(c.oldest().unwrap().value, 2);
+        assert_eq!(values(&all(&c)), vec![2, 3, 4]);
         assert_eq!(c.latest().unwrap().value, 4);
     }
 
     #[test]
     fn rejects_stale() {
-        let mut c = SensorCache::new(4);
+        let c = SensorCache::new(4);
         c.push(r(1, 5));
         assert_eq!(c.push(r(2, 5)), PushOutcome::RejectedStale);
         assert_eq!(c.push(r(2, 4)), PushOutcome::RejectedStale);
         assert_eq!(c.len(), 1);
-        assert_eq!(c.rejected_count(), 2);
+        // One write, two refusals among three.
+        assert_eq!(c.push_all([r(3, 3), r(6, 6), r(4, 4)]), 2);
+        assert_eq!(values(&all(&c)), vec![1, 6]);
     }
 
     #[test]
@@ -413,114 +502,124 @@ mod tests {
     }
 
     #[test]
+    fn the_rest_of_a_large_ring_is_allocated_by_the_first_write_past_the_first_block() {
+        let slot = std::mem::size_of::<SensorReading>();
+        let mut c = SensorCache::new(FIRST_BLOCK + 10);
+        fill(&mut c, FIRST_BLOCK as u64);
+        let first = c.memory_bytes();
+        assert_eq!(
+            first,
+            std::mem::size_of::<SensorCache>() + FIRST_BLOCK * slot
+        );
+        fill_from(&c, FIRST_BLOCK as u64 + 1, FIRST_BLOCK as u64 + 25);
+        assert_eq!(c.memory_bytes(), first + 10 * slot);
+        let held = all(&c);
+        assert_eq!(held.len(), FIRST_BLOCK + 10);
+        assert_eq!(held[0].value, 16);
+        assert_eq!(held.last().unwrap().value, FIRST_BLOCK as i64 + 25);
+    }
+
+    #[test]
+    fn the_shared_cache_is_no_larger_than_the_single_threaded_one_was() {
+        assert!(std::mem::size_of::<SensorCache>() <= 64);
+        assert_eq!(
+            std::mem::size_of::<Slot>(),
+            std::mem::size_of::<SensorReading>()
+        );
+    }
+
+    #[test]
     fn with_window_sizes_by_interval() {
         let c = SensorCache::with_window(180 * NS_PER_SEC, NS_PER_SEC);
         assert!(c.capacity() >= 181);
     }
 
     #[test]
-    fn view_all_is_ordered_after_wrap() {
+    fn read_all_is_ordered_after_wrap() {
         let mut c = SensorCache::new(5);
         fill(&mut c, 12);
-        let vals: Vec<i64> = c.view_all().iter().map(|r| r.value).collect();
-        assert_eq!(vals, vec![8, 9, 10, 11, 12]);
+        assert_eq!(values(&all(&c)), vec![8, 9, 10, 11, 12]);
     }
 
     #[test]
-    fn absolute_view_exact_bounds() {
+    fn absolute_read_exact_bounds() {
         let mut c = SensorCache::new(10);
         fill(&mut c, 10);
-        let v = c.view_absolute(Timestamp::from_secs(3), Timestamp::from_secs(6));
-        let vals: Vec<i64> = v.iter().map(|r| r.value).collect();
-        assert_eq!(vals, vec![3, 4, 5, 6]);
+        assert_eq!(absolute(&c, 3, 6), vec![3, 4, 5, 6]);
     }
 
     #[test]
-    fn absolute_view_outside_range_is_empty() {
+    fn absolute_read_outside_range_is_empty() {
         let mut c = SensorCache::new(8);
         fill(&mut c, 8);
-        assert!(c
-            .view_absolute(Timestamp::from_secs(100), Timestamp::from_secs(200))
-            .is_empty());
-        assert!(c
-            .view_absolute(Timestamp::from_secs(6), Timestamp::from_secs(2))
-            .is_empty());
-        assert!(c.view_absolute(Timestamp::ZERO, Timestamp::ZERO).is_empty());
+        assert!(absolute(&c, 100, 200).is_empty());
+        assert!(absolute(&c, 6, 2).is_empty());
+        assert!(absolute(&c, 0, 0).is_empty());
+        // The oldest cached timestamp comes back even then.
+        let mut out = Vec::new();
+        let oldest = c.read_absolute(Timestamp::from_secs(6), Timestamp::from_secs(2), &mut out);
+        assert_eq!(oldest, Some(Timestamp::from_secs(1)));
     }
 
     #[test]
-    fn absolute_view_spanning_wrap() {
+    fn absolute_read_spanning_wrap() {
         let mut c = SensorCache::new(4);
         fill(&mut c, 10); // cache holds ts 7..=10, head mid-buffer
-        let v = c.view_absolute(Timestamp::from_secs(7), Timestamp::from_secs(10));
-        let vals: Vec<i64> = v.iter().map(|r| r.value).collect();
-        assert_eq!(vals, vec![7, 8, 9, 10]);
+        assert_eq!(absolute(&c, 7, 10), vec![7, 8, 9, 10]);
         // Partially out-of-cache range clips to what is cached.
-        let v = c.view_absolute(Timestamp::from_secs(1), Timestamp::from_secs(8));
-        let vals: Vec<i64> = v.iter().map(|r| r.value).collect();
-        assert_eq!(vals, vec![7, 8]);
+        assert_eq!(absolute(&c, 1, 8), vec![7, 8]);
     }
 
     #[test]
-    fn relative_view_zero_offset_is_latest() {
+    fn relative_read_zero_offset_is_latest() {
         let mut c = SensorCache::new(8);
         fill(&mut c, 6);
-        let v = c.view_relative(0);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v.first().unwrap().value, 6);
+        assert_eq!(values(&relative(&c, 0)), vec![6]);
     }
 
     #[test]
-    fn relative_view_uses_interval_estimate() {
+    fn relative_read_uses_interval_estimate() {
         let mut c = SensorCache::new(64);
         fill(&mut c, 30); // 1 s interval
-        let v = c.view_relative(5 * NS_PER_SEC);
+        let v = relative(&c, 5 * NS_PER_SEC);
         // ~5 s of data at 1 Hz: 5-7 readings given the +1 headroom.
         assert!((5..=7).contains(&v.len()), "len={}", v.len());
         assert_eq!(v.last().unwrap().value, 30);
     }
 
     #[test]
-    fn relative_view_clamps_to_available() {
+    fn relative_read_clamps_to_available() {
         let mut c = SensorCache::new(64);
         fill(&mut c, 4);
-        let v = c.view_relative(1000 * NS_PER_SEC);
-        assert_eq!(v.len(), 4);
+        assert_eq!(relative(&c, 1000 * NS_PER_SEC).len(), 4);
+        assert_eq!(relative(&c, u64::MAX).len(), 4);
     }
 
     #[test]
-    fn relative_view_without_interval_estimate_returns_all() {
-        let mut c = SensorCache::new(8);
+    fn relative_read_without_interval_estimate_returns_all() {
+        let c = SensorCache::new(8);
         c.push(r(1, 1));
-        let v = c.view_relative(10 * NS_PER_SEC);
-        assert_eq!(v.len(), 1);
+        assert_eq!(relative(&c, 10 * NS_PER_SEC).len(), 1);
     }
 
     #[test]
-    fn empty_cache_views() {
+    fn empty_cache_reads() {
         let c = SensorCache::new(4);
-        assert!(c.view_all().is_empty());
-        assert!(c.view_relative(NS_PER_SEC).is_empty());
-        assert!(c.view_absolute(Timestamp::ZERO, Timestamp::MAX).is_empty());
+        let mut out = vec![r(9, 9)];
+        assert_eq!(c.read_relative(NS_PER_SEC, &mut out), None);
+        assert!(out.is_empty(), "a read replaces the buffer's contents");
+        assert_eq!(
+            c.read_absolute(Timestamp::ZERO, Timestamp::MAX, &mut out),
+            None
+        );
+        assert!(out.is_empty());
         assert!(c.latest().is_none());
-        assert!(c.oldest().is_none());
-    }
-
-    #[test]
-    fn clear_keeps_working() {
-        let mut c = SensorCache::new(3);
-        fill(&mut c, 7);
-        c.clear();
-        assert!(c.is_empty());
-        c.push(r(100, 100));
-        c.push(r(101, 101));
-        let vals: Vec<i64> = c.view_all().iter().map(|r| r.value).collect();
-        assert_eq!(vals, vec![100, 101]);
+        assert!(c.extent().is_none());
     }
 
     #[test]
     fn interval_estimate_converges() {
-        let mut c = SensorCache::new(128);
+        let c = SensorCache::new(128);
         for i in 0..100u64 {
             c.push(SensorReading::new(i as i64, Timestamp(i * 250_000_000)));
         }
@@ -529,12 +628,12 @@ mod tests {
     }
 
     #[test]
-    fn view_first_last_cross_wrap() {
+    fn extent_crosses_the_wrap() {
         let mut c = SensorCache::new(4);
         fill(&mut c, 6);
-        let v = c.view_all();
-        assert_eq!(v.first().unwrap().value, 3);
-        assert_eq!(v.last().unwrap().value, 6);
-        assert_eq!(v.to_vec().len(), 4);
+        assert_eq!(
+            c.extent(),
+            Some((Timestamp::from_secs(3), Timestamp::from_secs(6)))
+        );
     }
 }

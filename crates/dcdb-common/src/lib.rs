@@ -13,7 +13,8 @@
 //!   insert;
 //! * [`topic`] — MQTT-style sensor [`Topic`]s;
 //! * [`cache`] — the per-sensor [`SensorCache`] ring buffer with O(1)
-//!   relative and O(log N) absolute views (paper §V-B);
+//!   relative and O(log N) absolute reads, shared without a lock
+//!   (paper §V-B);
 //! * [`regex`] — a from-scratch linear-time regular-expression engine
 //!   used by Unit System filters (paper §III-B);
 //! * [`sim`] — deterministic-simulation primitives: the shared
@@ -38,7 +39,7 @@ pub mod time;
 pub mod topic;
 
 pub use batch::ReadingBatch;
-pub use cache::{CacheView, PushOutcome, SensorCache};
+pub use cache::{PushOutcome, SensorCache};
 pub use config::{KvConfig, SamplingConfig};
 pub use doc::document;
 pub use error::{DcdbError, Result};

@@ -83,6 +83,8 @@ pub struct AggregatorOperator {
     units: Vec<Unit>,
     op: AggregateOp,
     window_ns: u64,
+    /// One unit's window values, reused by every unit.
+    values: Vec<f64>,
 }
 
 impl Operator for AggregatorOperator {
@@ -99,18 +101,18 @@ impl Operator for AggregatorOperator {
         let window = QueryMode::Relative {
             offset_ns: self.window_ns,
         };
-        let mut values = Vec::new();
+        self.values.clear();
         for k in 0..unit.inputs.len() {
             ctx.input_view(unit, k, window, |readings| {
-                values.extend(readings.iter().map(|r| r.value as f64))
+                self.values.extend(readings.iter().map(|r| r.value as f64))
             });
         }
-        if values.is_empty() {
+        if self.values.is_empty() {
             // No data yet: skip silently; aggregation on a cold cache is
             // expected at startup, not an error.
             return Ok(Vec::new());
         }
-        let agg = self.op.apply(&values);
+        let agg = self.op.apply(&self.values);
         // A non-representable aggregate (NaN/±inf division artifacts,
         // or magnitudes past i64) is an error the runtime counts, not
         // a silently saturated reading.
@@ -145,6 +147,7 @@ impl OperatorPlugin for AggregatorPlugin {
                 units,
                 op,
                 window_ns,
+                values: Vec::new(),
             }) as Box<dyn Operator>)
         })
     }

@@ -19,12 +19,81 @@
 //!   counters.
 //!
 //! Which metric an output computes is inferred from the output sensor's
-//! name, so one plugin instance can emit any subset.
+//! name, so one plugin instance can emit any subset; a name no metric
+//! has fails the plugin's load.
 
 use dcdb_common::error::{DcdbError, Result};
 use dcdb_common::reading::{encode_f64, SensorReading};
 use dcdb_common::time::NS_PER_MS;
+use dcdb_common::topic::Topic;
 use wintermute::prelude::*;
+
+/// The monotonic counter an input sensor's name says it is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Counter {
+    Cycles,
+    Instructions,
+    CacheMisses,
+    Flops,
+    /// `opa-xmit-bytes` or `opa-rcv-bytes`: both add to one total.
+    OpaBytes,
+}
+
+impl Counter {
+    /// `None` for an input no metric reads.
+    fn of(input: &Topic) -> Option<Counter> {
+        Some(match input.name() {
+            "cycles" => Counter::Cycles,
+            "instructions" => Counter::Instructions,
+            "cache-misses" => Counter::CacheMisses,
+            "flops" => Counter::Flops,
+            "opa-xmit-bytes" | "opa-rcv-bytes" => Counter::OpaBytes,
+            _ => return None,
+        })
+    }
+}
+
+/// The derived metric an output sensor's name asks for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Metric {
+    Cpi,
+    FlopsRate,
+    MissRatio,
+    OpaRate,
+}
+
+impl Metric {
+    fn of(output: &Topic) -> Result<Metric> {
+        Ok(match output.name() {
+            "cpi" => Metric::Cpi,
+            "flops-rate" => Metric::FlopsRate,
+            "miss-ratio" => Metric::MissRatio,
+            "opa-rate" => Metric::OpaRate,
+            other => {
+                return Err(DcdbError::Config(format!(
+                    "perfmetrics: unknown derived metric {other:?}"
+                )))
+            }
+        })
+    }
+}
+
+/// One unit's sensors as counters and metrics, resolved when the plugin
+/// is configured.
+#[derive(PartialEq)]
+struct UnitPlan {
+    counters: Box<[Option<Counter>]>,
+    metrics: Box<[Metric]>,
+}
+
+impl UnitPlan {
+    fn of(unit: &Unit) -> Result<UnitPlan> {
+        Ok(UnitPlan {
+            counters: unit.inputs.iter().map(Counter::of).collect(),
+            metrics: unit.outputs.iter().map(Metric::of).collect::<Result<_>>()?,
+        })
+    }
+}
 
 /// Counter deltas extracted from one unit's window.
 #[derive(Debug, Default, Clone, Copy)]
@@ -41,18 +110,22 @@ struct Deltas {
 pub struct PerfMetricsOperator {
     name: String,
     units: Vec<Unit>,
+    /// The distinct plans of the units (units resolved from one
+    /// template share one), and which one unit `i` has.
+    plans: Vec<UnitPlan>,
+    plan_of: Vec<usize>,
     window_ns: u64,
 }
 
 impl PerfMetricsOperator {
-    fn deltas(&self, unit: &Unit, ctx: &ComputeContext<'_>) -> Deltas {
+    fn deltas(&self, i: usize, ctx: &ComputeContext<'_>) -> Deltas {
         let mut d = Deltas::default();
         let window = QueryMode::Relative {
             offset_ns: self.window_ns,
         };
-        for (k, input) in unit.inputs.iter().enumerate() {
+        for (k, counter) in self.plans[self.plan_of[i]].counters.iter().enumerate() {
             // The window's two ends, once it holds two readings.
-            let ends = ctx.input_view(unit, k, window, |readings| {
+            let ends = ctx.input_view(&self.units[i], k, window, |readings| {
                 (readings.len() >= 2)
                     .then(|| (*readings.first().unwrap(), *readings.last().unwrap()))
             });
@@ -61,21 +134,21 @@ impl PerfMetricsOperator {
             };
             let delta = (last.value - first.value) as f64;
             let span = last.ts.elapsed_since(first.ts) as f64 / 1e9;
-            match input.name() {
-                "cycles" => {
+            match counter {
+                Some(Counter::Cycles) => {
                     d.cycles = delta;
                     d.span_s = span;
                 }
-                "instructions" => d.instructions = delta,
-                "cache-misses" => d.cache_misses = delta,
-                "flops" => d.flops = delta,
-                "opa-xmit-bytes" | "opa-rcv-bytes" => {
+                Some(Counter::Instructions) => d.instructions = delta,
+                Some(Counter::CacheMisses) => d.cache_misses = delta,
+                Some(Counter::Flops) => d.flops = delta,
+                Some(Counter::OpaBytes) => {
                     d.opa_bytes += delta;
                     if d.span_s <= 0.0 {
                         d.span_s = span;
                     }
                 }
-                _ => {}
+                None => {}
             }
         }
         d
@@ -92,39 +165,34 @@ impl Operator for PerfMetricsOperator {
     }
 
     fn compute(&mut self, i: usize, ctx: &ComputeContext<'_>) -> Result<Vec<Output>> {
-        let unit = &self.units[i];
-        let d = self.deltas(unit, ctx);
+        let d = self.deltas(i, ctx);
         let mut out = Vec::new();
-        for output in &unit.outputs {
-            let value = match output.name() {
-                "cpi" => {
+        let metrics = &self.plans[self.plan_of[i]].metrics;
+        for (output, metric) in self.units[i].outputs.iter().zip(metrics) {
+            let value = match metric {
+                Metric::Cpi => {
                     if d.instructions <= 0.0 {
                         continue; // idle core this window: no metric
                     }
                     encode_f64(d.cycles / d.instructions)
                 }
-                "flops-rate" => {
+                Metric::FlopsRate => {
                     if d.span_s <= 0.0 {
                         continue;
                     }
                     finite_output("perfmetrics flops-rate", d.flops / d.span_s)?
                 }
-                "miss-ratio" => {
+                Metric::MissRatio => {
                     if d.instructions <= 0.0 {
                         continue;
                     }
                     encode_f64(d.cache_misses / d.instructions)
                 }
-                "opa-rate" => {
+                Metric::OpaRate => {
                     if d.span_s <= 0.0 {
                         continue;
                     }
                     finite_output("perfmetrics opa-rate", d.opa_bytes / d.span_s)?
-                }
-                other => {
-                    return Err(DcdbError::Config(format!(
-                        "perfmetrics: unknown derived metric {other:?}"
-                    )))
                 }
             };
             out.push((output.clone(), SensorReading::new(value, ctx.now)));
@@ -149,9 +217,22 @@ impl OperatorPlugin for PerfMetricsPlugin {
         let window_ns = config.options.u64_or("window_ms", 2500) * NS_PER_MS;
         let resolution = config.resolve(nav)?;
         instantiate(config, resolution.units, |name, units| {
+            let mut plans: Vec<UnitPlan> = Vec::new();
+            let plan_of = units
+                .iter()
+                .map(|unit| {
+                    let plan = UnitPlan::of(unit)?;
+                    Ok(plans.iter().position(|p| *p == plan).unwrap_or_else(|| {
+                        plans.push(plan);
+                        plans.len() - 1
+                    }))
+                })
+                .collect::<Result<_>>()?;
             Ok(Box::new(PerfMetricsOperator {
                 name,
                 units,
+                plans,
+                plan_of,
                 window_ns,
             }) as Box<dyn Operator>)
         })
@@ -179,7 +260,7 @@ pub fn cpi_config(name: &str, interval_ms: u64) -> PluginConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcdb_common::{Timestamp, Topic};
+    use dcdb_common::Timestamp;
     use std::sync::Arc;
 
     fn t(s: &str) -> Topic {
@@ -349,18 +430,22 @@ mod tests {
     }
 
     #[test]
-    fn unknown_metric_name_errors() {
+    fn unknown_metric_name_fails_the_load() {
         let mgr = manager();
-        let cfg = PluginConfig::online("pm", "perfmetrics", 1000).with_patterns(
-            &[
-                "<bottomup, filter cpu>cycles",
-                "<bottomup, filter cpu>instructions",
-            ],
-            &["<bottomup, filter cpu>bogus-metric"],
-        );
-        mgr.load(cfg).unwrap();
-        let report = mgr.tick(Timestamp::from_secs(11));
-        assert!(!report.errors.is_empty());
+        for unknown in ["ipc", "bogus-metric"] {
+            let cfg = PluginConfig::online("pm", "perfmetrics", 1000).with_patterns(
+                &[
+                    "<bottomup, filter cpu>cycles",
+                    "<bottomup, filter cpu>instructions",
+                ],
+                &[&format!("<bottomup, filter cpu>{unknown}")],
+            );
+            let err = mgr.load(cfg).unwrap_err().to_string();
+            assert!(err.contains("unknown derived metric"), "{err}");
+            assert!(err.contains(unknown), "{err}");
+        }
+        assert!(mgr.list().is_empty());
+        assert!(mgr.tick(Timestamp::from_secs(11)).errors.is_empty());
     }
 
     #[test]

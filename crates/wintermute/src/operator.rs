@@ -20,13 +20,12 @@
 
 use crate::query::{QueryEngine, QueryMode};
 use crate::unit::Unit;
-use dcdb_common::cache::CacheView;
 use dcdb_common::error::Result;
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 /// When an operator computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,6 +66,10 @@ pub struct ComputeContext<'a> {
     /// engine's counter once, when the context goes: one operator run
     /// counts its thousands of reads with one atomic add.
     cache_hits: Cell<u64>,
+    /// What [`ComputeContext::input_view`] copies readings into, reused
+    /// by every read of the run; a read from inside another's closure
+    /// takes a buffer of its own.
+    scratch: RefCell<Vec<SensorReading>>,
 }
 
 impl Drop for ComputeContext<'_> {
@@ -82,29 +85,34 @@ impl<'a> ComputeContext<'a> {
             query,
             now,
             cache_hits: Cell::new(0),
+            scratch: RefCell::new(Vec::new()),
         }
     }
 
-    /// Reads input `k` of `unit` in place: `f` sees the readings `mode`
-    /// selects without a copy ([`QueryEngine::view`], whose rule holds
-    /// here too: `f` must not call back into the engine). The unit finds
-    /// its sensor's cache on the first read and keeps it, so later reads
-    /// look nothing up; while the engine does not know the topic, or its
-    /// cache cannot answer alone, the read goes by topic.
+    /// Reads input `k` of `unit`: `f` sees the readings `mode` selects,
+    /// copied into the context's scratch buffer, so nothing is allocated
+    /// per read and no guard is held while `f` runs. The unit finds its
+    /// sensor's cache on the first read and keeps it, so later reads
+    /// look nothing up; while the engine does not know the topic the
+    /// read goes by topic.
     pub fn input_view<R>(
         &self,
         unit: &Unit,
         k: usize,
         mode: QueryMode,
-        f: impl FnOnce(CacheView<'_>) -> R,
+        f: impl FnOnce(&[SensorReading]) -> R,
     ) -> R {
         let topic = &unit.inputs[k];
+        let mut nested = Vec::new();
+        let mut scratch = self.scratch.try_borrow_mut();
+        let buf = scratch.as_deref_mut().unwrap_or(&mut nested);
         match unit.input_handle(self.query, k) {
             Some(cache) => self
                 .query
-                .view_bound(cache, topic, mode, &self.cache_hits, f),
-            None => self.query.view(topic, mode, f),
+                .read_bound(cache, topic, mode, &self.cache_hits, buf),
+            None => self.query.read(topic, mode, buf),
         }
+        f(buf)
     }
 
     /// Convenience: the input window of `topic` covering the last
@@ -197,7 +205,7 @@ pub(crate) fn compute_units(
 ) -> Result<(Vec<Output>, Vec<usize>)> {
     op.refresh_units(ctx)?;
     let n = op.units().len();
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(n);
     let mut ends = Vec::with_capacity(n);
     for i in 0..n {
         out.extend(op.compute(i, ctx)?);
@@ -317,6 +325,34 @@ mod tests {
         let w = ctx.window_values(&t("/n1/power"), 3 * dcdb_common::time::NS_PER_SEC);
         assert!(!w.is_empty());
         assert_eq!(*w.last().unwrap(), 110.0);
+    }
+
+    #[test]
+    fn an_input_view_closure_may_read_again_and_insert() {
+        let qe = engine_with_data();
+        let unit = Unit::new(
+            t("/n"),
+            vec![t("/n1/power"), t("/n2/power")],
+            vec![t("/n/out")],
+        );
+        let ctx = ComputeContext::new(&qe, Timestamp::from_secs(11));
+        let window = QueryMode::Relative {
+            offset_ns: 2 * dcdb_common::time::NS_PER_SEC,
+        };
+        let (outer, inner) = ctx.input_view(&unit, 0, window, |n1| {
+            // A nested read gets a buffer of its own: `n1` stays intact.
+            let inner = ctx.input_view(&unit, 1, QueryMode::Latest, |n2| n2.to_vec());
+            qe.insert(
+                &t("/n1/power"),
+                SensorReading::new(111, Timestamp::from_secs(11)),
+            );
+            (n1.to_vec(), inner)
+        });
+        assert_eq!(outer.last().map(|r| r.value), Some(110));
+        assert!(outer.len() >= 2);
+        assert_eq!(inner.iter().map(|r| r.value).collect::<Vec<_>>(), vec![210]);
+        let latest = ctx.input_view(&unit, 0, QueryMode::Latest, |n1| n1.to_vec());
+        assert_eq!(latest[0].value, 111);
     }
 
     #[test]

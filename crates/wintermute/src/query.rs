@@ -19,7 +19,7 @@
 use crate::tree::SensorNavigator;
 use dcdb_bus::TopicFilter;
 use dcdb_common::batch::ReadingBatch;
-use dcdb_common::cache::{CacheView, SensorCache};
+use dcdb_common::cache::{PushOutcome, SensorCache};
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
@@ -66,6 +66,9 @@ pub struct QueryStats {
     /// durable backend failing to journal); the reading stays cached
     /// but is not guaranteed to survive a restart.
     pub storage_errors: u64,
+    /// Readings a sensor cache refused as not newer than its latest
+    /// (the storage engine, when attached, still takes them).
+    pub cache_rejected: u64,
     /// Aggregate (`query_agg`) requests served.
     pub agg_queries: u64,
     /// Sub-buckets of aggregate queries served from rollup frames.
@@ -154,34 +157,33 @@ pub struct AggSeries {
     pub plan: AggPlan,
 }
 
-/// One sensor's cache as the engine shares it: the value of the cache
-/// map, and what a unit keeps once it has found its sensor. Entries of
-/// the map are never removed, so a handle stays valid for the engine's
-/// life.
-pub(crate) type SensorHandle = Arc<RwLock<SensorCache>>;
-
-/// What a read hands its consumer: cache readings in place, or the
-/// `Vec` a storage scan produced.
-enum Answer<'a> {
-    View(CacheView<'a>),
-    Owned(Vec<SensorReading>),
-}
-
-/// The view `mode` selects when the cache alone answers the read;
-/// `None` when the cache is empty or (with a storage engine attached)
-/// the range reaches past its oldest reading.
-fn cached(cache: &SensorCache, mode: QueryMode, has_storage: bool) -> Option<CacheView<'_>> {
-    let view = match mode {
-        QueryMode::Latest => cache.view_relative(0),
-        QueryMode::Relative { offset_ns } => cache.view_relative(offset_ns),
+/// Copies into `buf` what `mode` selects of `cache`. `Ok` when the cache
+/// alone answers the read; otherwise `Err`, which for an absolute range
+/// reaching past a non-empty cache (with a storage engine attached) holds
+/// the cache's oldest timestamp, `buf` then holding the cached part.
+fn cached(
+    cache: &SensorCache,
+    mode: QueryMode,
+    has_storage: bool,
+    buf: &mut Vec<SensorReading>,
+) -> Result<(), Option<Timestamp>> {
+    match mode {
+        QueryMode::Latest => cache.read_relative(0, buf),
+        QueryMode::Relative { offset_ns } => cache.read_relative(offset_ns, buf),
         QueryMode::Absolute { t0, t1 } => {
-            // In range, or no storage to reach back into: clip to the
-            // cache (the answer may be empty and is still a hit).
-            let oldest = cache.oldest()?.ts;
-            return (t0 >= oldest || !has_storage).then(|| cache.view_absolute(t0, t1));
+            return match cache.read_absolute(t0, t1, buf) {
+                // In range, or no storage to reach back into: clipped to
+                // the cache (the answer may be empty and is still a hit).
+                Some(oldest) if t0 >= oldest || !has_storage => Ok(()),
+                tail => Err(tail),
+            };
         }
     };
-    (!view.is_empty()).then_some(view)
+    if buf.is_empty() {
+        Err(None)
+    } else {
+        Ok(())
+    }
 }
 
 /// Distinguishes engines, so a unit bound in one is not read in another.
@@ -191,7 +193,9 @@ static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(0);
 pub struct QueryEngine {
     id: u64,
     navigator: RwLock<Arc<SensorNavigator>>,
-    caches: RwLock<HashMap<Topic, SensorHandle>>,
+    /// Entries are never removed, so a cache a unit has found stays the
+    /// sensor's cache for the engine's life.
+    caches: RwLock<HashMap<Topic, Arc<SensorCache>>>,
     storage: Option<Arc<dyn StorageEngine>>,
     cache_capacity: usize,
     cache_hits: AtomicU64,
@@ -199,6 +203,7 @@ pub struct QueryEngine {
     misses: AtomicU64,
     inserts: AtomicU64,
     storage_errors: AtomicU64,
+    cache_rejected: AtomicU64,
     agg_queries: AtomicU64,
     agg_tier_buckets: AtomicU64,
     agg_raw_buckets: AtomicU64,
@@ -223,6 +228,7 @@ impl QueryEngine {
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             storage_errors: AtomicU64::new(0),
+            cache_rejected: AtomicU64::new(0),
             agg_queries: AtomicU64::new(0),
             agg_tier_buckets: AtomicU64::new(0),
             agg_raw_buckets: AtomicU64::new(0),
@@ -272,8 +278,10 @@ impl QueryEngine {
 
     /// [`QueryEngine::insert`] into a cache already found, leaving
     /// `inserts` to the caller ([`QueryEngine::add_inserts`]).
-    pub(crate) fn insert_bound(&self, cache: &SensorHandle, topic: &Topic, reading: SensorReading) {
-        cache.write().push(reading);
+    pub(crate) fn insert_bound(&self, cache: &SensorCache, topic: &Topic, reading: SensorReading) {
+        if cache.push(reading) == PushOutcome::RejectedStale {
+            self.add_rejected(1);
+        }
         if let Some(storage) = &self.storage {
             if storage.insert(topic, reading).is_err() {
                 self.storage_errors.fetch_add(1, Ordering::Relaxed);
@@ -281,19 +289,13 @@ impl QueryEngine {
         }
     }
 
-    /// Columnar batch insert under a single cache lock: the per-sensor
-    /// ring buffer takes readings row by row, but the packed columns
-    /// flow to the storage engine without a transpose.
+    /// Columnar batch insert in one cache write: the per-sensor ring
+    /// buffer takes readings row by row, but the packed columns flow to
+    /// the storage engine without a transpose.
     pub fn insert_columns(&self, topic: &Topic, batch: &ReadingBatch) {
         self.inserts
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        let cache = self.bind_or_create(topic);
-        {
-            let mut guard = cache.write();
-            for r in batch.iter() {
-                guard.push(r);
-            }
-        }
+        self.add_rejected(self.bind_or_create(topic).push_all(batch.iter()));
         if let Some(storage) = &self.storage {
             if storage.insert_columns(topic, batch).is_err() {
                 self.storage_errors.fetch_add(1, Ordering::Relaxed);
@@ -312,18 +314,17 @@ impl QueryEngine {
     pub fn insert_many(&self, group: &[(Topic, ReadingBatch)]) -> usize {
         let mut readings = 0u64;
         let mut created = 0usize;
+        let mut rejected = 0usize;
         for (topic, batch) in group {
             readings += batch.len() as u64;
             let cache = self.bind(topic).unwrap_or_else(|| {
                 created += 1;
                 self.bind_or_create(topic)
             });
-            let mut guard = cache.write();
-            for r in batch.iter() {
-                guard.push(r);
-            }
+            rejected += cache.push_all(batch.iter());
         }
         self.add_inserts(readings);
+        self.add_rejected(rejected);
         if let Some(storage) = &self.storage {
             let refused = storage.insert_many(group).len() as u64;
             self.storage_errors.fetch_add(refused, Ordering::Relaxed);
@@ -331,13 +332,13 @@ impl QueryEngine {
         created
     }
 
-    /// The handle of `topic`'s cache, if the engine has one.
-    pub(crate) fn bind(&self, topic: &Topic) -> Option<SensorHandle> {
+    /// `topic`'s cache, if the engine has one.
+    pub(crate) fn bind(&self, topic: &Topic) -> Option<Arc<SensorCache>> {
         self.caches.read().get(topic).map(Arc::clone)
     }
 
-    /// The handle of `topic`'s cache, created on first sight.
-    pub(crate) fn bind_or_create(&self, topic: &Topic) -> SensorHandle {
+    /// `topic`'s cache, created on first sight.
+    pub(crate) fn bind_or_create(&self, topic: &Topic) -> Arc<SensorCache> {
         if let Some(c) = self.bind(topic) {
             return c;
         }
@@ -345,7 +346,7 @@ impl QueryEngine {
         Arc::clone(
             caches
                 .entry(topic.clone())
-                .or_insert_with(|| Arc::new(RwLock::new(SensorCache::new(self.cache_capacity)))),
+                .or_insert_with(|| Arc::new(SensorCache::new(self.cache_capacity))),
         )
     }
 
@@ -357,46 +358,41 @@ impl QueryEngine {
     /// Executes a query. Cache-first; falls back to storage for
     /// absolute ranges that reach past the cache contents.
     pub fn query(&self, topic: &Topic, mode: QueryMode) -> Vec<SensorReading> {
-        self.read(topic, mode, |answer| match answer {
-            Answer::View(view) => view.to_vec(),
-            Answer::Owned(readings) => readings,
-        })
+        let mut buf = Vec::new();
+        self.read(topic, mode, &mut buf);
+        buf
     }
 
-    /// [`QueryEngine::query`] without the copy: `f` sees the readings
-    /// where they lie. A cache hit runs `f` under the engine's read
-    /// guards, so `f` must not call back into the engine — an insert
-    /// from inside it deadlocks. Answers that touch storage are
-    /// materialised first and `f` runs over them with no guard held.
-    pub fn view<R>(&self, topic: &Topic, mode: QueryMode, f: impl FnOnce(CacheView<'_>) -> R) -> R {
-        self.read(topic, mode, |answer| match answer {
-            Answer::View(view) => f(view),
-            Answer::Owned(readings) => f(CacheView::from_slice(&readings)),
-        })
-    }
-
-    /// [`QueryEngine::view`] through a handle already bound: no map
-    /// lookup, and a cache hit is counted into `hits` for the caller to
-    /// add once ([`QueryEngine::add_cache_hits`]). Anything but a cache hit takes
-    /// the by-topic path.
-    pub(crate) fn view_bound<R>(
+    /// [`QueryEngine::query`] handed to `f`. The answer is a copy and no
+    /// guard is held while `f` runs, so `f` may call back into the
+    /// engine, an insert into the same sensor included.
+    pub fn view<R>(
         &self,
-        cache: &SensorHandle,
+        topic: &Topic,
+        mode: QueryMode,
+        f: impl FnOnce(&[SensorReading]) -> R,
+    ) -> R {
+        f(&self.query(topic, mode))
+    }
+
+    /// [`QueryEngine::read`] through a cache already found: no map
+    /// lookup, and a cache hit is counted into `hits` for the caller to
+    /// add once ([`QueryEngine::add_cache_hits`]).
+    pub(crate) fn read_bound(
+        &self,
+        cache: &SensorCache,
         topic: &Topic,
         mode: QueryMode,
         hits: &Cell<u64>,
-        f: impl FnOnce(CacheView<'_>) -> R,
-    ) -> R {
-        let guard = cache.read();
-        if let Some(view) = cached(&guard, mode, self.storage.is_some()) {
-            hits.set(hits.get() + 1);
-            return f(view);
+        buf: &mut Vec<SensorReading>,
+    ) {
+        match cached(cache, mode, self.storage.is_some(), buf) {
+            Ok(()) => hits.set(hits.get() + 1),
+            Err(tail) => self.read_storage(topic, mode, tail, buf),
         }
-        drop(guard);
-        self.view(topic, mode, f)
     }
 
-    /// Adds the cache hits [`QueryEngine::view_bound`] left to its
+    /// Adds the cache hits [`QueryEngine::read_bound`] left to its
     /// caller: one operator run adds its thousands at once.
     pub(crate) fn add_cache_hits(&self, hits: u64) {
         self.cache_hits.fetch_add(hits, Ordering::Relaxed);
@@ -407,27 +403,41 @@ impl QueryEngine {
         self.inserts.fetch_add(inserts, Ordering::Relaxed);
     }
 
-    /// The one read path under `query` and `view`.
-    fn read<R>(&self, topic: &Topic, mode: QueryMode, f: impl FnOnce(Answer<'_>) -> R) -> R {
-        // The cached tail of an absolute range that reaches past the
-        // cache, with the oldest cached timestamp.
-        let mut tail = None;
-        {
-            let caches = self.caches.read();
-            if let Some(cache) = caches.get(topic) {
-                let guard = cache.read();
-                if let Some(view) = cached(&guard, mode, self.storage.is_some()) {
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return f(Answer::View(view));
-                }
-                if let (QueryMode::Absolute { t1, .. }, Some(oldest)) = (mode, guard.oldest()) {
-                    // Copied, and the guards dropped, before the scan:
-                    // held across it, they block this sensor's ingest
-                    // for the length of a disk read.
-                    tail = Some((oldest.ts, guard.view_absolute(oldest.ts, t1).to_vec()));
-                }
-            }
+    /// Counts readings a cache refused, with no atomic write for none.
+    fn add_rejected(&self, rejected: usize) {
+        if rejected > 0 {
+            self.cache_rejected
+                .fetch_add(rejected as u64, Ordering::Relaxed);
         }
+    }
+
+    /// The one read path under `query`, `view` and unit reads: replaces
+    /// `buf` with the answer, and counts it.
+    pub(crate) fn read(&self, topic: &Topic, mode: QueryMode, buf: &mut Vec<SensorReading>) {
+        let tail = match self.caches.read().get(topic) {
+            Some(cache) => match cached(cache, mode, self.storage.is_some(), buf) {
+                Ok(()) => {
+                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
+                Err(tail) => tail,
+            },
+            None => None,
+        };
+        self.read_storage(topic, mode, tail, buf);
+    }
+
+    /// The storage half of a read the cache could not answer alone.
+    /// With `tail` (the cache's oldest timestamp) `buf` holds the cached
+    /// part of the range, copied before the scan so no cache write waits
+    /// on a disk read; `buf` leaves holding the answer.
+    fn read_storage(
+        &self,
+        topic: &Topic,
+        mode: QueryMode,
+        tail: Option<Timestamp>,
+        buf: &mut Vec<SensorReading>,
+    ) {
         let found = self.storage.as_ref().and_then(|storage| match mode {
             QueryMode::Latest => storage.latest(topic).map(|latest| vec![latest]),
             // Relative queries are defined against live data; if the
@@ -438,10 +448,10 @@ impl QueryEngine {
             QueryMode::Absolute { t0, t1 } => match tail {
                 // Stitch: storage for the old part, cache for the
                 // recent part.
-                Some((oldest, recent)) => {
+                Some(oldest) => {
                     let boundary = oldest.saturating_sub_ns(1);
                     let mut out = storage.query(topic, t0, boundary.min(t1));
-                    out.extend(recent);
+                    out.append(buf);
                     Some(out)
                 }
                 None => Some(storage.query(topic, t0, t1)).filter(|out| !out.is_empty()),
@@ -450,11 +460,11 @@ impl QueryEngine {
         match found {
             Some(readings) => {
                 self.storage_fallbacks.fetch_add(1, Ordering::Relaxed);
-                f(Answer::Owned(readings))
+                *buf = readings;
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                f(Answer::Owned(Vec::new()))
+                buf.clear();
             }
         }
     }
@@ -590,20 +600,16 @@ impl QueryEngine {
         out
     }
 
+    /// The oldest and newest timestamps `topic`'s cache holds.
+    fn cache_extent(&self, topic: &Topic) -> Option<(Timestamp, Timestamp)> {
+        self.caches.read().get(topic)?.extent()
+    }
+
     /// The `[oldest, newest]` timestamps of any data for `topic` across
     /// cache and storage.
     fn data_extent(&self, topic: &Topic) -> Option<(Timestamp, Timestamp)> {
-        let cache = self.bind(topic);
-        let (mut oldest, mut newest) = (None::<Timestamp>, None::<Timestamp>);
-        if let Some(c) = cache {
-            let guard = c.read();
-            if let Some(o) = guard.oldest() {
-                oldest = Some(o.ts);
-            }
-            if let Some(l) = guard.latest() {
-                newest = Some(l.ts);
-            }
-        }
+        let cached = self.cache_extent(topic);
+        let (mut oldest, mut newest) = (cached.map(|c| c.0), cached.map(|c| c.1));
         if let Some(storage) = &self.storage {
             if let Some(o) = storage.oldest_ts(topic) {
                 oldest = Some(oldest.map_or(o, |x| x.min(o)));
@@ -637,9 +643,9 @@ impl QueryEngine {
     ) -> Vec<AggFrame> {
         plan.tier_ns = width;
         let storage = self.storage.as_ref().expect("tier path requires storage");
-        let cache_oldest: Option<u64> = self
-            .bind(topic)
-            .and_then(|c| c.read().oldest().map(|r| r.ts.as_nanos()));
+        let cache_oldest = self
+            .cache_extent(topic)
+            .map(|(oldest, _)| oldest.as_nanos());
         let tier_frames = storage.query_frames(topic, width, Timestamp(g0), Timestamp(g_end - 1));
         let usable_end = cache_oldest.unwrap_or(u64::MAX);
         let mut out: Vec<AggFrame> = Vec::new();
@@ -700,6 +706,7 @@ impl QueryEngine {
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             storage_errors: self.storage_errors.load(Ordering::Relaxed),
+            cache_rejected: self.cache_rejected.load(Ordering::Relaxed),
             agg_queries: self.agg_queries.load(Ordering::Relaxed),
             agg_tier_buckets: self.agg_tier_buckets.load(Ordering::Relaxed),
             agg_raw_buckets: self.agg_raw_buckets.load(Ordering::Relaxed),
@@ -721,7 +728,7 @@ impl QueryEngine {
     /// mostly-empty caches.
     pub fn cache_memory_bytes(&self) -> usize {
         let caches = self.caches.read();
-        caches.values().map(|c| c.read().memory_bytes()).sum()
+        caches.values().map(|c| c.memory_bytes()).sum()
     }
 
     /// Number of sensors with caches.
@@ -1135,6 +1142,55 @@ mod tests {
         }
         assert_eq!(qe.sensor_count(), 4);
         assert_eq!(qe.stats().inserts, 2000);
+    }
+
+    /// Regression: a cache hit ran `view`'s closure under the cache's
+    /// read guard, so an insert into the same sensor from inside it
+    /// waited for that guard forever.
+    #[test]
+    fn a_view_closure_may_insert_into_the_sensor_it_reads() {
+        let qe = Arc::new(seeded_engine());
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let viewer = {
+            let qe = Arc::clone(&qe);
+            std::thread::spawn(move || {
+                let seen = qe.view(&t("/n1/power"), QueryMode::Latest, |latest| {
+                    qe.insert(&t("/n1/power"), r(51, 51));
+                    latest.to_vec()
+                });
+                done_tx.send(seen).unwrap();
+            })
+        };
+        let seen = done_rx.recv_timeout(std::time::Duration::from_secs(2));
+        assert_eq!(seen.expect("the insert waited").len(), 1);
+        viewer.join().unwrap();
+        assert_eq!(qe.query(&t("/n1/power"), QueryMode::Latest)[0].value, 51);
+    }
+
+    #[test]
+    fn readings_a_cache_refuses_are_counted() {
+        let storage = Arc::new(StorageBackend::new());
+        let qe = QueryEngine::with_storage(8, storage);
+        let topic = t("/n1/power");
+        qe.insert(&topic, r(1, 10));
+        assert_eq!(qe.stats().cache_rejected, 0);
+        // Not newer than the latest: refused by the cache.
+        qe.insert(&topic, r(2, 10));
+        assert_eq!(qe.stats().cache_rejected, 1);
+        // One stale reading inside a drain's batch.
+        let batch: ReadingBatch = [r(3, 11), r(4, 9), r(5, 12)].into_iter().collect();
+        qe.insert_many(&[
+            (topic.clone(), batch),
+            (t("/n2/power"), [r(6, 1)].into_iter().collect()),
+        ]);
+        assert_eq!(qe.stats().cache_rejected, 2);
+        let cached: Vec<i64> = qe
+            .query(&topic, QueryMode::Relative { offset_ns: 0 })
+            .iter()
+            .map(|x| x.value)
+            .collect();
+        assert_eq!(cached, vec![5]);
+        assert_eq!(qe.stats().inserts, 6);
     }
 
     /// Delegating store whose `query` parks, once armed, until the test

@@ -18,14 +18,15 @@
 //! <bottomup-1>healthy
 //! ```
 
-use crate::query::{QueryEngine, SensorHandle};
+use crate::query::QueryEngine;
 use crate::tree::{LevelSpec, SensorNavigator};
+use dcdb_common::cache::SensorCache;
 use dcdb_common::error::DcdbError;
 use dcdb_common::regex::Regex;
 use dcdb_common::topic::Topic;
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One pattern expression: where to look (level + filter) and what
 /// sensor name to bind.
@@ -197,7 +198,10 @@ pub struct Unit {
 /// of the unit's value: a clone starts unbound, and units compare by
 /// their topics.
 #[derive(Debug, Default)]
-struct Bound(OnceLock<(u64, Box<[OnceLock<SensorHandle>]>)>);
+struct Bound(OnceLock<(u64, Box<[Handle]>)>);
+
+/// One sensor's cache, once found.
+type Handle = OnceLock<Arc<SensorCache>>;
 
 impl Clone for Bound {
     fn clone(&self) -> Bound {
@@ -231,8 +235,8 @@ impl Unit {
         &self,
         engine: &QueryEngine,
         slot: usize,
-        find: impl FnOnce() -> Option<SensorHandle>,
-    ) -> Option<&SensorHandle> {
+        find: impl FnOnce() -> Option<Arc<SensorCache>>,
+    ) -> Option<&Arc<SensorCache>> {
         let (bound_in, slots) = self.bound.0.get_or_init(|| {
             let slots = self.inputs.len() + self.outputs.len();
             (engine.id(), (0..slots).map(|_| OnceLock::new()).collect())
@@ -250,7 +254,7 @@ impl Unit {
 
     /// The cache handle of input `k` in `engine`; `None` until the
     /// engine knows the topic.
-    pub(crate) fn input_handle(&self, engine: &QueryEngine, k: usize) -> Option<&SensorHandle> {
+    pub(crate) fn input_handle(&self, engine: &QueryEngine, k: usize) -> Option<&Arc<SensorCache>> {
         self.handle(engine, k, || engine.bind(self.inputs.get(k)?))
     }
 
@@ -261,7 +265,7 @@ impl Unit {
         &self,
         engine: &QueryEngine,
         topic: &Topic,
-    ) -> Option<&SensorHandle> {
+    ) -> Option<&Arc<SensorCache>> {
         let j = self.outputs.iter().position(|o| o.ptr_eq(topic))?;
         self.handle(engine, self.inputs.len() + j, || {
             Some(engine.bind_or_create(topic))

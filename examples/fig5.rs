@@ -175,8 +175,8 @@ fn build_tester_pusher(sensors: usize, queries: usize, mode: &str, range_ms: u64
 /// Readings one tester query returns once `cached` readings, one per
 /// simulated second, sit in each sensor's cache. An absolute query
 /// counts the timestamps in `[now − range, now]`: ⌊range_s⌋ + 1. A
-/// relative query sizes its view from the cache's interval estimate
-/// (`SensorCache::view_relative`): ⌈range_s⌉ + 1.
+/// relative query sizes its read from the cache's interval estimate
+/// (`SensorCache::read_relative`): ⌈range_s⌉ + 1.
 fn readings_per_query(mode: &str, range_ms: u64, cached: u64) -> u64 {
     let span_s = if mode == "absolute" {
         range_ms / 1000

@@ -299,6 +299,7 @@ query.agg_raw_buckets: integer
 query.agg_tier_buckets: integer
 query.cache_hits: integer
 query.cache_memory_bytes: integer
+query.cache_rejected: integer
 query.inserts: integer
 query.misses: integer
 query.sensors: integer
@@ -488,6 +489,7 @@ shards.*.query.agg_raw_buckets: integer
 shards.*.query.agg_tier_buckets: integer
 shards.*.query.cache_hits: integer
 shards.*.query.cache_memory_bytes: integer
+shards.*.query.cache_rejected: integer
 shards.*.query.inserts: integer
 shards.*.query.misses: integer
 shards.*.query.sensors: integer

@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures and invariants,
 //! spanning crates:
 //!
-//! * the sensor cache's absolute views agree with a naive reference;
+//! * the sensor cache's absolute reads agree with a naive reference;
 //! * cache + storage stitching in the Query Engine loses nothing;
 //! * the frame codec round-trips arbitrary batches;
 //! * MQTT filter matching is consistent between the standalone matcher
@@ -52,13 +52,14 @@ proptest! {
         lo in 0u64..300_000_000,
         span in 0u64..300_000_000,
     ) {
-        let mut cache = SensorCache::new(cap);
+        let cache = SensorCache::new(cap);
         for &r in &readings {
             cache.push(r);
         }
         let t0 = Timestamp(lo);
         let t1 = Timestamp(lo + span);
-        let got: Vec<SensorReading> = cache.view_absolute(t0, t1).to_vec();
+        let mut got: Vec<SensorReading> = Vec::new();
+        cache.read_absolute(t0, t1, &mut got);
         // Reference: last `cap` readings, filtered by range.
         let kept: Vec<SensorReading> = readings
             .iter()
@@ -175,7 +176,7 @@ proptest! {
 
     #[test]
     fn cache_latest_is_max_timestamp(readings in reading_sequence(100)) {
-        let mut cache = SensorCache::new(32);
+        let cache = SensorCache::new(32);
         for &r in &readings {
             cache.push(r);
         }

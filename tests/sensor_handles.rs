@@ -1,7 +1,10 @@
-//! A unit binds its sensors once, reads them in place and publishes
-//! through the handles it keeps (paper §III-B, §V-B, §V-C). These tests
-//! hold that path to `QueryEngine::query`'s answers and counters, and to
-//! the publishing rules of the runtime.
+//! A unit binds its sensors once, reads them through the handles it
+//! keeps and publishes through them (paper §III-B, §V-B, §V-C). These
+//! tests hold that path to `QueryEngine::query`'s answers and counters,
+//! and to the publishing rules of the runtime.
+
+// The equivalence check holds what `iter` yields to `len` on purpose.
+#![allow(clippy::iter_count)]
 
 use dcdb_wintermute::dcdb_common::batch::ReadingBatch;
 use dcdb_wintermute::dcdb_common::reading::encode_f64;
