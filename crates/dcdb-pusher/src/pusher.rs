@@ -9,24 +9,27 @@
 //! horizontal scalability" (§IV-B a).
 //!
 //! The Pusher is tick-driven: each [`Pusher::tick`] samples every due
-//! monitoring plugin, stores readings in the local caches, hands them
-//! to the supervised delivery layer (see [`crate::delivery`]), then
-//! runs due Wintermute operators. Production deployments drive ticks
-//! from a wall-clock thread; simulations from a virtual clock.
+//! monitoring plugin, stores readings in the local caches, runs due
+//! Wintermute operators, then hands the samples followed by the
+//! operators' outputs to the supervised delivery layer (see
+//! [`crate::delivery`]) in one call. Production deployments drive ticks
+//! from a wall-clock loop; simulations from a virtual clock.
 //!
 //! Fault isolation mirrors the operator runtime: a failing monitoring
 //! plugin is counted (`sample_errors`), never aborts the tick, and is
 //! quarantined with interval backoff after
 //! [`FaultPolicy::quarantine_threshold`] consecutive failures — the
-//! remaining plugins and the operator tick keep running. Publishes are
-//! batched per topic and routed through a [`BusConnection`], which
-//! spools refused readings and drains them oldest-first on recovery.
+//! remaining plugins and the operator tick keep running. Everything a
+//! Pusher publishes, sampled or derived, is batched per topic and
+//! routed through one [`BusConnection`], which spools refused readings
+//! and drains them oldest-first on recovery.
 
 use crate::delivery::{BusConnection, ConnectionState, DeliveryConfig, DeliveryMetricsSnapshot};
 use crate::plugins::MonitoringPlugin;
 use dcdb_bus::{BusHandle, MessageBus};
 use dcdb_common::batch::ReadingBatch;
 use dcdb_common::error::Result;
+use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use dcdb_rest::Router;
@@ -99,6 +102,9 @@ pub struct PluginMetricsSnapshot {
 pub struct PusherStats {
     /// Readings sampled from monitoring plugins.
     pub sampled: u64,
+    /// Readings the Pusher's operators derived; they leave with the
+    /// samples.
+    pub derived: u64,
     /// Readings published to the bus (fresh and spool-drained alike).
     pub published: u64,
     /// Publish attempts the bus refused (transient count — refused
@@ -115,20 +121,20 @@ pub struct PusherStats {
     /// Readings lost outright: the bus refused and the spool could not
     /// hold them (spool disabled).
     pub publish_errors_final: u64,
-    /// Readings sampled while publishing was disabled or no bus was
-    /// attached (cache-only operation).
+    /// Readings sampled or derived while publishing was disabled or no
+    /// bus was attached (cache-only operation).
     pub unpublished: u64,
     /// Successful reconnects of the bus connection.
     pub reconnects: u64,
 }
 
 impl PusherStats {
-    /// The delivery accounting identity: every sampled reading is
-    /// published, parked in the spool, dropped at the spool, lost as a
-    /// final publish error, or (with publishing disabled) deliberately
-    /// unpublished. Holds exactly at tick boundaries.
+    /// The delivery accounting identity: every sampled or derived
+    /// reading is published, parked in the spool, dropped at the spool,
+    /// lost as a final publish error, or (with publishing disabled)
+    /// deliberately unpublished. Holds exactly at tick boundaries.
     pub fn delivery_conserved(&self) -> bool {
-        self.sampled
+        self.sampled + self.derived
             == self.published
                 + self.spooled_pending
                 + self.spool_dropped
@@ -144,6 +150,7 @@ pub struct Pusher {
     manager: Arc<OperatorManager>,
     connection: Option<Mutex<BusConnection>>,
     sampled: AtomicU64,
+    derived: AtomicU64,
     published: AtomicU64,
     publish_errors: AtomicU64,
     sample_errors: AtomicU64,
@@ -178,6 +185,7 @@ impl Pusher {
             manager,
             connection,
             sampled: AtomicU64::new(0),
+            derived: AtomicU64::new(0),
             published: AtomicU64::new(0),
             publish_errors: AtomicU64::new(0),
             sample_errors: AtomicU64::new(0),
@@ -198,15 +206,9 @@ impl Pusher {
         self.manager.query_engine()
     }
 
-    /// Adds a monitoring plugin and extends the sensor tree with its
-    /// topics.
+    /// Adds a monitoring plugin; [`Pusher::refresh_sensor_tree`] puts
+    /// its topics in the sensor tree.
     pub fn add_monitoring_plugin(&mut self, plugin: Box<dyn MonitoringPlugin>) {
-        // Prime caches so the navigator knows the sensors before the
-        // first sample (operators may be configured before data flows).
-        for topic in plugin.sensor_topics() {
-            // Touching the engine creates the cache without data.
-            let _ = self.query_engine().knows(&topic);
-        }
         self.plugins.push(PluginSlot {
             name: plugin.name().to_string(),
             plugin: Mutex::new(plugin),
@@ -218,17 +220,18 @@ impl Pusher {
         });
     }
 
-    /// Rebuilds the navigator from all declared sensors. Call after
-    /// adding monitoring plugins and before loading operator plugins.
+    /// Rebuilds the navigator from all declared sensors and every
+    /// cached one, derived sensors included. Call after adding
+    /// monitoring plugins and before loading operator plugins, and again
+    /// before loading a stage over an earlier stage's outputs.
     pub fn refresh_sensor_tree(&self) {
         let mut topics = Vec::new();
         for slot in &self.plugins {
             topics.extend(slot.plugin.lock().sensor_topics());
         }
-        // Include any derived sensors already cached.
-        let nav_topics: Vec<_> = topics.iter().collect();
+        topics.extend(self.query_engine().topics());
         self.query_engine()
-            .set_navigator(SensorNavigator::build(nav_topics));
+            .set_navigator(SensorNavigator::build(&topics));
     }
 
     /// Handles one plugin's sample failure: count it, and after the
@@ -261,15 +264,26 @@ impl Pusher {
     }
 
     /// One tick: sample due monitoring plugins (isolating failures),
-    /// cache their readings, deliver them in per-topic batches through
-    /// the supervised connection, then run due Wintermute operators.
+    /// cache their readings, run due Wintermute operators, then deliver
+    /// the samples followed by the operators' outputs in per-topic
+    /// batches through the supervised connection. The returned report's
+    /// `outputs` are empty: they left with the samples.
     pub fn tick(&self, now: Timestamp) -> Result<TickReport> {
         let interval_ns = self.config.sampling_interval_ms * 1_000_000;
-        // Per-topic batches accumulated across every due plugin this
-        // tick; publish order follows sampling order (first sight of a
-        // topic), `slots` finds a topic's batch without scanning them.
+        let publishing = self.config.publish && self.connection.is_some();
+        // Per-topic batches accumulated across every due plugin and
+        // then every operator run this tick; publish order follows
+        // first sight of a topic, `slots` finds a topic's batch without
+        // scanning them.
         let mut batches: Vec<(Topic, ReadingBatch)> = Vec::new();
         let mut slots: HashMap<Topic, usize> = HashMap::new();
+        let mut batch = |topic: Topic, reading: SensorReading| match slots.entry(topic) {
+            Entry::Occupied(slot) => batches[*slot.get()].1.push(reading.value, reading.ts),
+            Entry::Vacant(slot) => {
+                batches.push((slot.key().clone(), std::iter::once(reading).collect()));
+                slot.insert(batches.len() - 1);
+            }
+        };
         for slot in &self.plugins {
             let due = slot.next_due.load(Ordering::Acquire);
             if due > now.as_nanos() {
@@ -300,17 +314,9 @@ impl Pusher {
             for (topic, reading) in &samples {
                 self.query_engine().insert(topic, *reading);
             }
-            if self.config.publish && self.connection.is_some() {
+            if publishing {
                 for (topic, reading) in samples {
-                    match slots.entry(topic) {
-                        Entry::Occupied(slot) => {
-                            batches[*slot.get()].1.push(reading.value, reading.ts)
-                        }
-                        Entry::Vacant(slot) => {
-                            batches.push((slot.key().clone(), std::iter::once(reading).collect()));
-                            slot.insert(batches.len() - 1);
-                        }
-                    }
+                    batch(topic, reading);
                 }
             } else {
                 self.unpublished
@@ -318,8 +324,20 @@ impl Pusher {
             }
         }
 
+        let mut report = self.manager.tick(now);
+        let outputs = std::mem::take(&mut report.outputs);
+        let derived = outputs.iter().map(Vec::len).sum::<usize>() as u64;
+        self.derived.fetch_add(derived, Ordering::Relaxed);
+        if publishing {
+            for (topic, reading) in outputs.into_iter().flatten() {
+                batch(topic, reading);
+            }
+        } else {
+            self.unpublished.fetch_add(derived, Ordering::Relaxed);
+        }
+
         if let Some(connection) = &self.connection {
-            if self.config.publish && !batches.is_empty() {
+            if publishing && !batches.is_empty() {
                 let out = connection.lock().deliver(now, batches);
                 self.published.fetch_add(out.published, Ordering::Relaxed);
                 self.publish_errors
@@ -330,7 +348,7 @@ impl Pusher {
                     .fetch_add(out.final_errors, Ordering::Relaxed);
             }
         }
-        Ok(self.manager.tick(now))
+        Ok(report)
     }
 
     /// Counter snapshot.
@@ -344,6 +362,7 @@ impl Pusher {
         };
         PusherStats {
             sampled: self.sampled.load(Ordering::Relaxed),
+            derived: self.derived.load(Ordering::Relaxed),
             published: self.published.load(Ordering::Relaxed),
             publish_errors: self.publish_errors.load(Ordering::Relaxed),
             sample_errors: self.sample_errors.load(Ordering::Relaxed),
@@ -403,7 +422,6 @@ mod tests {
     use crate::delivery::{ReconnectConfig, SpoolConfig};
     use crate::plugins::{FlakyMonitoringPlugin, SimMonitoringPlugin, TesterMonitoringPlugin};
     use dcdb_bus::{Broker, ChaosBus, ChaosConfig, OverflowPolicy};
-    use dcdb_common::reading::SensorReading;
     use sim_cluster::{ClusterConfig, ClusterSimulator};
 
     fn t(s: &str) -> Topic {
@@ -450,13 +468,21 @@ mod tests {
     #[test]
     fn publish_can_be_disabled() {
         let (pusher, broker) = sim_pusher(false);
+        wintermute_plugins::register_all(pusher.manager(), None);
+        pusher
+            .manager()
+            .load(
+                PluginConfig::online("avg", "aggregator", 1000)
+                    .with_patterns(&["<bottomup-1>power"], &["<bottomup-1>power-avg"]),
+            )
+            .unwrap();
         let sub = broker.handle().subscribe_str("/#").unwrap();
         pusher.tick(Timestamp::from_secs(1)).unwrap();
         let stats = pusher.stats();
         assert_eq!(stats.published, 0);
         assert_eq!(sub.queued(), 0);
-        assert_eq!(stats.sampled, 22);
-        assert_eq!(stats.unpublished, 22);
+        assert_eq!((stats.sampled, stats.derived), (22, 1));
+        assert_eq!(stats.unpublished, 22 + 1, "outputs count as samples do");
         assert!(stats.delivery_conserved(), "{stats:?}");
     }
 
@@ -490,6 +516,44 @@ mod tests {
             .query_engine()
             .query(&t("/rack00/node00/power-avg"), QueryMode::Latest);
         assert!(!got.is_empty(), "operator output missing");
+    }
+
+    /// A refreshed tree holds the cached derived sensors, so a second
+    /// stage over a first stage's outputs resolves its units.
+    #[test]
+    fn a_refreshed_tree_lets_a_second_stage_load_over_derived_sensors() {
+        let (pusher, broker) = sim_pusher(true);
+        let sub = broker.handle().subscribe_str("/#").unwrap();
+        wintermute_plugins::register_all(pusher.manager(), None);
+        let stage = |name: &str, input: &str, output: &str| {
+            PluginConfig::online(name, "aggregator", 1000)
+                .with_patterns(&[input], &[output])
+                .with_option("window_ms", 10_000u64)
+        };
+        let manager = pusher.manager();
+        let first = stage("avg", "<bottomup-1>power", "<bottomup-1>power-avg");
+        manager.load(first).unwrap();
+        for s in 1..=3u64 {
+            pusher.tick(Timestamp::from_secs(s)).unwrap();
+        }
+        pusher.refresh_sensor_tree();
+        let second = stage("avg2", "<bottomup-1>power-avg", "<bottomup-1>power-avg2");
+        manager.load(second).unwrap();
+        let report = pusher.tick(Timestamp::from_secs(4)).unwrap();
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        assert_eq!(report.outputs_published, 2);
+
+        let stats = pusher.stats();
+        assert_eq!((stats.sampled, stats.derived), (4 * 22, 4 + 1));
+        assert_eq!(stats.published, stats.sampled + stats.derived);
+        assert!(stats.delivery_conserved(), "{stats:?}");
+        let avg2 = t("/rack00/node00/power-avg2");
+        let sent: Vec<_> = sub
+            .drain()
+            .into_iter()
+            .filter(|m| m.topic == avg2)
+            .collect();
+        assert_eq!(sent.len(), 1, "the second stage published over the bus");
     }
 
     /// A zero interval still advances `next_due`; otherwise the first

@@ -21,8 +21,9 @@
 //!   (§IV-B, §V-C.1);
 //! * [`plugin`] — plugin configurators and configuration files (§V-C.2);
 //! * [`job`] — **job operators** with dynamic per-job units (§VI-C);
-//! * [`manager`] — the **Operator Manager**: lifecycle, scheduling,
-//!   sinks and the RESTful management API (§V-A).
+//! * [`manager`] — the **Operator Manager**: lifecycle, tick-based
+//!   scheduling and the RESTful management API (§V-A); a tick returns
+//!   its outputs for the host to forward.
 //!
 //! ## Quick start
 //!
@@ -63,8 +64,8 @@ pub mod unit;
 pub mod prelude {
     pub use crate::job::{JobDataSource, JobInfo, JobUnitBuilder, StaticJobSource};
     pub use crate::manager::{
-        BusSink, FaultPolicy, OperatorManager, OperatorMetricsSnapshot, OperatorTotals,
-        PluginMetricsSnapshot, PluginStatus, SensorSink, TickReport,
+        FaultPolicy, OperatorManager, OperatorMetricsSnapshot, OperatorTotals,
+        PluginMetricsSnapshot, PluginStatus, TickReport,
     };
     pub use crate::operator::{
         compute_all_units, finite_output, ComputeContext, Operator, OperatorMode, Output, UnitMode,

@@ -11,15 +11,15 @@
 //! the calling thread, plugins in the order they were loaded, so a
 //! pipeline stage sees what the stage loaded before it published this
 //! tick — publishing its outputs to the Query Engine (making pipelines
-//! possible) and to any attached [`SensorSink`]s (MQTT bus, storage
-//! backend). Ticks can be driven by
-//! a wall-clock thread ([`OperatorManager::start_thread`]) in production
-//! or by a virtual clock in simulation — the manager itself is
-//! clock-agnostic.
+//! possible) and returning them in [`TickReport::outputs`], so the host
+//! forwards them the way it forwards its own readings: a Pusher sends
+//! them to its Collect Agent with its samples. Every host ticks the
+//! manager from its own loop, on the wall clock or a virtual one — the
+//! manager itself is clock-agnostic.
 //!
 //! The runtime is **fault-isolated**: a panic inside any
 //! [`Operator::compute`] is caught ([`std::panic::catch_unwind`]) and
-//! recorded instead of killing the scheduler; an operator failing
+//! recorded instead of killing the tick; an operator failing
 //! [`FaultPolicy::quarantine_threshold`] times in a row is *quarantined*
 //! — skipped with exponential backoff on its `next_due` — until a
 //! `PUT /analytics/plugins/:name/start` (or reload) resumes it; and an
@@ -34,7 +34,6 @@ use crate::plugin::{OperatorPlugin, PluginConfig};
 use crate::query::QueryEngine;
 use crate::unit::Unit;
 use dcdb_common::error::{DcdbError, Result};
-use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use dcdb_rest::{Method, Response, Router, Status};
@@ -45,39 +44,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// A destination for operator outputs beyond the local caches — the
-/// Pusher attaches an MQTT sink, the Collect Agent a storage sink.
-pub trait SensorSink: Send + Sync {
-    /// Publishes one output reading.
-    fn publish(&self, topic: &Topic, reading: SensorReading);
-}
-
-/// Publishes operator outputs onto the DCDB bus (Pusher deployment).
-pub struct BusSink {
-    bus: Arc<dyn dcdb_bus::MessageBus>,
-}
-
-impl BusSink {
-    /// Wraps a bus handle.
-    pub fn new(bus: dcdb_bus::BusHandle) -> Self {
-        BusSink { bus: Arc::new(bus) }
-    }
-
-    /// Wraps any [`dcdb_bus::MessageBus`] — in-band operator outputs
-    /// must ride the same (possibly faulty) transport as the raw
-    /// sensor data, or a broker outage is invisible to per-source
-    /// staleness tracking downstream.
-    pub fn over(bus: Arc<dyn dcdb_bus::MessageBus>) -> Self {
-        BusSink { bus }
-    }
-}
-
-impl SensorSink for BusSink {
-    fn publish(&self, topic: &Topic, reading: SensorReading) {
-        let _ = self.bus.publish_readings(topic.clone(), &[reading]);
-    }
-}
 
 /// Fault-isolation policy of the operator runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -312,7 +278,7 @@ struct LoadedPlugin {
 /// quarantine.
 enum SlotOutcome {
     Success {
-        outputs: usize,
+        outputs: Vec<Output>,
     },
     Error {
         message: String,
@@ -336,9 +302,13 @@ pub struct TickReport {
     pub successes: usize,
     /// Output readings published.
     pub outputs_published: usize,
+    /// What each successful computation published, one `Vec` per run
+    /// in tick order: the host forwards them (a Pusher sends them to
+    /// its Collect Agent).
+    pub outputs: Vec<Vec<Output>>,
     /// Per-operator errors (tick continues past failures).
     pub errors: Vec<String>,
-    /// Per-operator contained panics (tick and scheduler survive).
+    /// Per-operator contained panics (the tick survives them).
     pub panics: Vec<String>,
     /// Due operators skipped because they were still computing.
     pub overruns: usize,
@@ -356,7 +326,6 @@ pub struct OperatorManager {
     /// them in: a pipeline's stages are loaded upstream first.
     plugins: RwLock<Vec<Arc<LoadedPlugin>>>,
     query: Arc<QueryEngine>,
-    sinks: RwLock<Vec<Arc<dyn SensorSink>>>,
     time_source: Box<dyn Fn() -> Timestamp + Send + Sync>,
     fault_policy: RwLock<FaultPolicy>,
     ticks: AtomicU64,
@@ -379,7 +348,6 @@ impl OperatorManager {
             registry: RwLock::new(HashMap::new()),
             plugins: RwLock::new(Vec::new()),
             query,
-            sinks: RwLock::new(Vec::new()),
             time_source,
             fault_policy: RwLock::new(FaultPolicy::default()),
             ticks: AtomicU64::new(0),
@@ -413,11 +381,6 @@ impl OperatorManager {
         self.registry
             .write()
             .insert(plugin.kind().to_string(), plugin);
-    }
-
-    /// Attaches an output sink.
-    pub fn add_sink(&self, sink: Arc<dyn SensorSink>) {
-        self.sinks.write().push(sink);
     }
 
     /// Loads (configures and starts) a plugin instance.
@@ -619,7 +582,8 @@ impl OperatorManager {
             match self.run_slot(plugin, *slot_idx, *interval_ns, now, policy) {
                 SlotOutcome::Success { outputs } => {
                     report.successes += 1;
-                    report.outputs_published += outputs;
+                    report.outputs_published += outputs.len();
+                    report.outputs.push(outputs);
                 }
                 SlotOutcome::Error {
                     message,
@@ -677,9 +641,7 @@ impl OperatorManager {
                 // Only now, with every unit done: a run that fails
                 // publishes nothing.
                 self.publish(op.units(), &outputs, &ends);
-                SlotOutcome::Success {
-                    outputs: outputs.len(),
-                }
+                SlotOutcome::Success { outputs }
             }
             Ok(Err(e)) => {
                 slot.metrics.errors.fetch_add(1, Ordering::Relaxed);
@@ -728,24 +690,20 @@ impl OperatorManager {
         }
     }
 
-    /// Publishes one run's outputs to the engine and the sinks, counting
-    /// them into the engine's `inserts` once. An output a unit
-    /// returned under its own topic (a clone of its `outputs` entry, as
-    /// every in-tree plugin returns) goes through the unit's bound
-    /// handle; any other output is inserted by topic. `ends[i]` is where
-    /// unit `i`'s outputs end; operator-level outputs follow.
+    /// Publishes one run's outputs to the engine, counting them into
+    /// the engine's `inserts` once. An output a unit returned under its
+    /// own topic (a clone of its `outputs` entry, as every in-tree
+    /// plugin returns) goes through the unit's bound handle; any other
+    /// output is inserted by topic. `ends[i]` is where unit `i`'s
+    /// outputs end; operator-level outputs follow.
     fn publish(&self, units: &[Unit], outputs: &[Output], ends: &[usize]) {
-        let sinks = self.sinks.read();
-        let put = |unit: Option<&Unit>, (topic, reading): &Output| {
-            match unit.and_then(|unit| unit.output_handle(&self.query, topic)) {
-                Some(cache) => self.query.insert_bound(cache, topic, *reading),
-                None => {
-                    let cache = self.query.bind_or_create(topic);
-                    self.query.insert_bound(&cache, topic, *reading);
-                }
-            }
-            for sink in sinks.iter() {
-                sink.publish(topic, *reading);
+        let put = |unit: Option<&Unit>, (topic, reading): &Output| match unit
+            .and_then(|unit| unit.output_handle(&self.query, topic))
+        {
+            Some(cache) => self.query.insert_bound(cache, topic, *reading),
+            None => {
+                let cache = self.query.bind_or_create(topic);
+                self.query.insert_bound(&cache, topic, *reading);
             }
         };
         let mut start = 0;
@@ -950,48 +908,6 @@ impl OperatorManager {
             }
         });
     }
-
-    /// Spawns a wall-clock scheduler thread ticking every `period_ms`.
-    /// The returned handle stops the thread when dropped.
-    ///
-    /// Scheduling is deadline-based: each wake-up is `period` after the
-    /// *previous deadline*, not after the end of the tick, so the real
-    /// cadence is `period` rather than `period + tick_duration` and
-    /// does not drift under load. A tick slower than the period skips
-    /// the missed deadlines (catch-up skip) instead of bursting.
-    pub fn start_thread(self: &Arc<Self>, period_ms: u64) -> SchedulerHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let mgr = Arc::clone(self);
-        let period_ms = period_ms.max(1);
-        let period = std::time::Duration::from_millis(period_ms);
-        let handle = std::thread::Builder::new()
-            .name("wintermute-scheduler".into())
-            .spawn(move || {
-                let mut next_wake = Instant::now();
-                while !stop2.load(Ordering::Acquire) {
-                    let now = Instant::now();
-                    if next_wake > now {
-                        std::thread::sleep(next_wake - now);
-                    }
-                    mgr.tick(Timestamp::now());
-                    next_wake += period;
-                    let after = Instant::now();
-                    if next_wake <= after {
-                        // The tick overran one or more periods: realign
-                        // to the next future deadline.
-                        let behind = after.duration_since(next_wake).as_millis() as u64;
-                        let skipped = (behind / period_ms + 1).min(u32::MAX as u64);
-                        next_wake += period * skipped as u32;
-                    }
-                }
-            })
-            .expect("failed to spawn scheduler");
-        SchedulerHandle {
-            stop,
-            thread: Some(handle),
-        }
-    }
 }
 
 /// Best-effort human-readable message from a caught panic payload.
@@ -1005,27 +921,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Handle to the wall-clock scheduler thread; stops it on drop.
-pub struct SchedulerHandle {
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for SchedulerHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plugin::instantiate;
     use crate::tree::SensorNavigator;
     use crate::unit::Unit;
+    use dcdb_common::reading::SensorReading;
 
     fn t(s: &str) -> Topic {
         Topic::parse(s).unwrap()
@@ -1213,19 +1115,30 @@ mod tests {
     }
 
     #[test]
-    fn sink_receives_outputs() {
-        struct CountingSink(std::sync::atomic::AtomicUsize);
-        impl SensorSink for CountingSink {
-            fn publish(&self, _t: &Topic, _r: SensorReading) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    fn tick_returns_what_each_run_published() {
         let mgr = manager_with_data();
-        let sink = Arc::new(CountingSink(Default::default()));
-        mgr.add_sink(sink.clone());
+        mgr.register_plugin(Box::new(PanicPlugin));
         mgr.load(scale_config("s1", 1000)).unwrap();
-        mgr.tick(Timestamp::from_secs(2));
-        assert_eq!(sink.0.load(Ordering::Relaxed), 3);
+        mgr.load(
+            PluginConfig::online("bad", "panic", 1000)
+                .with_patterns(&["<topdown>power"], &["<topdown>boom"]),
+        )
+        .unwrap();
+        mgr.load(scale_config("s2", 1000).with_option("factor", 3u64))
+            .unwrap();
+        let report = mgr.tick(Timestamp::from_secs(2));
+        let now = Timestamp::from_secs(2);
+        let run = |factor: i64| -> Vec<Output> {
+            (0..3)
+                .map(|n| {
+                    let reading = SensorReading::new(100 * (n + 1) * factor, now);
+                    (t(&format!("/n{n}/power2")), reading)
+                })
+                .collect()
+        };
+        // The panicking run in between returns nothing.
+        assert_eq!(report.outputs, vec![run(2), run(3)]);
+        assert_eq!(report.outputs_published, 6);
     }
 
     #[test]
@@ -1641,19 +1554,5 @@ mod tests {
         assert_eq!(ticker.join().unwrap().successes, 1);
         let listed = listed.expect("list() waited for the computation");
         assert_eq!(listed, vec![("busy".into(), "parked".into(), true, 1, 1)]);
-    }
-
-    #[test]
-    fn scheduler_thread_ticks() {
-        let mgr = manager_with_data();
-        mgr.load(scale_config("s1", 1)).unwrap();
-        {
-            let _handle = mgr.start_thread(5);
-            std::thread::sleep(std::time::Duration::from_millis(80));
-        } // handle dropped: thread stopped
-        let got = mgr
-            .query_engine()
-            .query(&t("/n0/power2"), crate::query::QueryMode::Latest);
-        assert!(!got.is_empty(), "scheduler never ran");
     }
 }

@@ -27,7 +27,6 @@ use parking_lot::Mutex;
 use serde::Serialize;
 use sim_cluster::{AppModel, ClusterConfig, ClusterSimulator, Topology};
 use std::sync::Arc;
-use wintermute::manager::BusSink;
 use wintermute::prelude::*;
 use wintermute_plugins::perfmetrics::cpi_config;
 use wintermute_plugins::persyst::decode_decile;
@@ -121,7 +120,7 @@ fn run_app(config: &Fig7Config, app: AppModel) -> Fig7Result {
     let broker = Broker::new();
 
     // One Pusher per node, each with a perfmetrics CPI operator whose
-    // outputs are forwarded onto the bus (pipeline stage 1).
+    // outputs leave over the bus with the samples (pipeline stage 1).
     let mut pushers = Vec::with_capacity(total_nodes);
     for node in 0..total_nodes {
         let mut pusher = Pusher::new(
@@ -138,9 +137,6 @@ fn run_app(config: &Fig7Config, app: AppModel) -> Fig7Result {
         pusher
             .manager()
             .register_plugin(Box::new(PerfMetricsPlugin));
-        pusher
-            .manager()
-            .add_sink(Arc::new(BusSink::new(broker.handle())));
         pusher
             .manager()
             .load(

@@ -132,7 +132,7 @@ use dcdb_wintermute::dcdb_storage::{
     StorageEngine, StorageHealthReport, StorageIo,
 };
 use dcdb_wintermute::sim_cluster::{ClusterConfig, ClusterSimulator, Topology};
-use dcdb_wintermute::wintermute::manager::{BusSink, OperatorTotals};
+use dcdb_wintermute::wintermute::manager::OperatorTotals;
 use dcdb_wintermute::wintermute::prelude::*;
 use dcdb_wintermute::wintermute_plugins::{self, perfmetrics::cpi_config};
 use parking_lot::Mutex;
@@ -540,12 +540,6 @@ fn main() {
         pusher.refresh_sensor_tree();
         pusher.manager().set_fault_policy(fault_policy);
         wintermute_plugins::register_all(pusher.manager(), None);
-        // Operator outputs ride the same (chaos-wrapped, or federated)
-        // transport as the raw sensor data — a broker outage silences
-        // the node's derived metrics too, so staleness tracking sees it.
-        pusher
-            .manager()
-            .add_sink(Arc::new(BusSink::over(Arc::clone(&pusher_bus))));
         pusher
             .manager()
             .load(cpi_config("cpi", 1000).with_option("window_ms", 3000u64))

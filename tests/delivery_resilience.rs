@@ -5,7 +5,9 @@
 //! Everything runs on virtual time with seeded fault schedules, so
 //! every failure here replays bit-for-bit.
 
-use dcdb_wintermute::dcdb_bus::{Broker, ChaosBus, ChaosConfig, MessageBus, OverflowPolicy};
+use dcdb_wintermute::dcdb_bus::{
+    decode_batch, Broker, ChaosBus, ChaosConfig, MessageBus, OverflowPolicy,
+};
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_wintermute::dcdb_common::{Timestamp, Topic};
 use dcdb_wintermute::dcdb_pusher::{
@@ -13,6 +15,8 @@ use dcdb_wintermute::dcdb_pusher::{
     TesterMonitoringPlugin,
 };
 use dcdb_wintermute::dcdb_storage::StorageBackend;
+use dcdb_wintermute::wintermute::prelude::PluginConfig;
+use dcdb_wintermute::wintermute_plugins;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -96,6 +100,57 @@ fn spool_drains_oldest_first_with_no_duplicates() {
     for (topic, values) in &per_topic {
         assert_eq!(values, &expect, "{topic}");
     }
+}
+
+/// A Pusher's operator outputs leave through its supervised connection
+/// with the samples: across the same outage, the aggregate over the
+/// tester sensors reaches the broker once per tick, in order, and is
+/// counted in the delivery identity.
+#[test]
+fn operator_outputs_survive_an_outage() {
+    let broker = Broker::new();
+    let chaos = ChaosBus::new(
+        broker.handle(),
+        ChaosConfig::quiet(7).with_outage_ms(3_200, 9_400),
+    );
+    let pusher = chaos_pusher(&chaos, 4, OverflowPolicy::DropOldest, 64, 1000);
+    wintermute_plugins::register_all(pusher.manager(), None);
+    pusher
+        .manager()
+        .load(
+            PluginConfig::online("avg", "aggregator", 1000).with_patterns(
+                &["<bottomup, filter ^t[0-9]+$>value"],
+                &["<bottomup-1>tester-avg"],
+            ),
+        )
+        .unwrap();
+    let sub = broker
+        .handle()
+        .subscribe_str("/host/tester/tester-avg")
+        .unwrap();
+
+    let ticks = 20u64;
+    for s in 1..=ticks {
+        let now = Timestamp::from_secs(s);
+        chaos.advance(now);
+        let report = pusher.tick(now).unwrap();
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+    }
+    let stats = pusher.stats();
+    assert_eq!((stats.sampled, stats.derived), (4 * ticks, ticks));
+    assert_eq!(stats.published, stats.sampled + stats.derived, "{stats:?}");
+    assert!(stats.delivery_conserved(), "{stats:?}");
+
+    // One output per tick, oldest first: every tick's stamp once.
+    let stamps: Vec<u64> = sub
+        .drain()
+        .into_iter()
+        .flat_map(|m| decode_batch(m.payload).unwrap().ts)
+        .collect();
+    let want: Vec<u64> = (1..=ticks)
+        .map(|s| Timestamp::from_secs(s).as_nanos())
+        .collect();
+    assert_eq!(stamps, want);
 }
 
 /// Property-style sweep: under arbitrary seeded outage schedules and

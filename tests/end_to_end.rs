@@ -6,13 +6,11 @@
 
 use dcdb_wintermute::dcdb_bus::Broker;
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
-use dcdb_wintermute::dcdb_common::time::{Timestamp, NS_PER_SEC};
+use dcdb_wintermute::dcdb_common::time::Timestamp;
 use dcdb_wintermute::dcdb_common::topic::Topic;
-use dcdb_wintermute::dcdb_common::SensorReading;
 use dcdb_wintermute::dcdb_pusher::{Pusher, PusherConfig, SimMonitoringPlugin};
 use dcdb_wintermute::dcdb_storage::StorageBackend;
 use dcdb_wintermute::sim_cluster::{AppModel, ClusterConfig, ClusterSimulator};
-use dcdb_wintermute::wintermute::manager::BusSink;
 use dcdb_wintermute::wintermute::prelude::*;
 use dcdb_wintermute::wintermute_plugins;
 use parking_lot::Mutex;
@@ -53,9 +51,6 @@ fn build_system() -> (
         pusher.add_monitoring_plugin(Box::new(SimMonitoringPlugin::new(Arc::clone(&sim), node)));
         pusher.refresh_sensor_tree();
         wintermute_plugins::register_all(pusher.manager(), None);
-        pusher
-            .manager()
-            .add_sink(Arc::new(BusSink::new(broker.handle())));
         pushers.push(pusher);
     }
     let storage = Arc::new(StorageBackend::new());
@@ -201,8 +196,11 @@ fn process_pending_ingests_everything_published() {
     assert_eq!(ingested, 5 * 22);
 }
 
+/// A Pusher's operator outputs leave through its connection with the
+/// samples: they reach storage, and every message the agent receives
+/// is one a Pusher counted.
 #[test]
-fn operator_outputs_reach_storage_through_bus_sink() {
+fn pusher_operator_outputs_reach_storage_and_are_counted() {
     let (pushers, agent, _broker, _sim) = build_system();
     pushers[0]
         .manager()
@@ -212,19 +210,26 @@ fn operator_outputs_reach_storage_through_bus_sink() {
                 .with_option("window_ms", 5000u64),
         )
         .unwrap();
-    drive(&pushers, &agent, 1, 5);
+    drive(&pushers, &agent, 1, 10);
     agent.process_pending();
     // The derived sensor persisted in the storage backend.
     assert!(
         agent.storage().contains(&t("/rack00/node00/power-avg")),
         "derived sensor not persisted"
     );
+    for pusher in &pushers {
+        let stats = pusher.stats();
+        assert!(stats.delivery_conserved(), "{stats:?}");
+    }
+    assert_eq!(pushers[0].stats().derived, 10);
+    let published: u64 = pushers.iter().map(|p| p.stats().published).sum();
+    assert_eq!(published, agent.stats().messages);
 }
 
 #[test]
 fn simulated_counters_produce_sane_cpi_at_the_agent() {
-    // build_system already wires a BusSink into every pusher's manager,
-    // so perfmetrics outputs travel to the agent like raw sensors.
+    // Pushers send their operators' outputs with their samples, so
+    // perfmetrics outputs travel to the agent like raw sensors.
     let (pushers, agent, _broker, _sim) = build_system();
     for pusher in &pushers {
         pusher
@@ -247,7 +252,7 @@ fn simulated_counters_produce_sane_cpi_at_the_agent() {
 
 #[test]
 fn reload_after_new_sensors_appear_at_runtime() {
-    let (pushers, agent, _broker, sim) = build_system();
+    let (pushers, agent, _broker, _sim) = build_system();
     agent
         .manager()
         .load(
@@ -267,7 +272,6 @@ fn reload_after_new_sensors_appear_at_runtime() {
         )
         .unwrap();
     assert_eq!(agent.manager().units_of("avg").unwrap().len(), 4);
-    let _ = sim;
 }
 
 #[test]
@@ -280,6 +284,4 @@ fn sensor_reading_volume_accounting_is_consistent() {
     assert_eq!(agent.stats().decode_errors, 0);
     let storage_readings = agent.storage().stats().readings as u64;
     assert_eq!(storage_readings, agent.stats().readings);
-    let _ = SensorReading::new(0, Timestamp::ZERO); // keep import used
-    let _ = NS_PER_SEC;
 }

@@ -1,5 +1,5 @@
 //! Fault-isolated operator runtime integration tests: a panicking
-//! plugin must not kill the scheduler, repeated failures must lead to
+//! plugin must not kill the ticking thread, repeated failures must lead to
 //! quarantine (resumable over REST), an operator still busy when it
 //! comes due is skipped as an overrun instead of blocking the tick,
 //! and all of it must be visible through `GET /metrics` — with the
@@ -35,7 +35,6 @@ fn manager_with_sensor() -> Arc<OperatorManager> {
     mgr.register_plugin(Box::new(EchoPlugin));
     mgr.register_plugin(Box::new(PanicPlugin));
     mgr.register_plugin(Box::new(GatedPlugin::default()));
-    mgr.register_plugin(Box::new(SleepyPlugin));
     mgr
 }
 
@@ -182,53 +181,13 @@ impl OperatorPlugin for GatedPlugin {
     }
 }
 
-/// Operator that takes a fixed wall-clock time per computation.
-struct SleepyOperator {
-    units: Vec<Unit>,
-    sleep: Duration,
-}
-
-impl Operator for SleepyOperator {
-    fn name(&self) -> &str {
-        "sleepy"
-    }
-    fn units(&self) -> &[Unit] {
-        &self.units
-    }
-    fn compute(&mut self, i: usize, ctx: &ComputeContext<'_>) -> DcdbResult<Vec<Output>> {
-        std::thread::sleep(self.sleep);
-        Ok(vec![(
-            self.units[i].outputs[0].clone(),
-            SensorReading::new(3, ctx.now),
-        )])
-    }
-}
-
-struct SleepyPlugin;
-impl OperatorPlugin for SleepyPlugin {
-    fn kind(&self) -> &str {
-        "sleepy"
-    }
-    fn configure(
-        &self,
-        config: &PluginConfig,
-        nav: &SensorNavigator,
-    ) -> DcdbResult<Vec<Box<dyn Operator>>> {
-        let resolution = config.resolve(nav)?;
-        let sleep = Duration::from_millis(config.options.u64("sleep_ms").unwrap_or(25));
-        instantiate(config, resolution.units, move |_, units| {
-            Ok(Box::new(SleepyOperator { units, sleep }) as Box<dyn Operator>)
-        })
-    }
-}
-
 /// The acceptance scenario: three online operators — one healthy, one
-/// panicking every run, one busy past its interval — under the
-/// wall-clock scheduler thread. The scheduler survives ≥ 20 ticks, the
-/// healthy operator runs on every tick, the panicking one is
-/// quarantined after N consecutive failures and resumes after
-/// `PUT /analytics/plugins/boom/start`, and the busy one accumulates
-/// overruns instead of blocking anything.
+/// panicking every run, one busy past its interval — ticked on the wall
+/// clock from a thread of their own, as a host's loop ticks them. The
+/// ticking thread survives ≥ 20 ticks, the healthy operator runs on
+/// every tick, the panicking one is quarantined after N consecutive
+/// failures and resumes after `PUT /analytics/plugins/boom/start`, and
+/// the busy one accumulates overruns instead of blocking anything.
 #[test]
 fn scheduler_thread_survives_panicking_and_busy_operators() {
     let mgr = manager_with_sensor();
@@ -268,13 +227,22 @@ fn scheduler_thread_survives_panicking_and_busy_operators() {
     }
     assert!(entered.load(Ordering::Acquire), "on-demand never started");
 
-    let handle = mgr.start_thread(5);
+    let stop = Arc::new(AtomicBool::new(false));
+    let ticker = {
+        let (mgr, stop) = (Arc::clone(&mgr), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Acquire) {
+                mgr.tick(Timestamp::now());
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        })
+    };
     while mgr.ticks() < 25 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert!(
         mgr.ticks() >= 25,
-        "scheduler made only {} ticks",
+        "the ticking thread made only {} ticks",
         mgr.ticks()
     );
 
@@ -295,7 +263,8 @@ fn scheduler_thread_survives_panicking_and_busy_operators() {
     release.store(true, Ordering::Release);
     let outputs = on_demand.join().expect("on-demand thread");
     assert_eq!(outputs.len(), 1);
-    drop(handle); // stop + join the scheduler
+    stop.store(true, Ordering::Release);
+    ticker.join().expect("ticking thread");
 
     let good = snapshot(&mgr, "good");
     assert_eq!(good.runs, mgr.ticks(), "healthy operator missed a tick");
@@ -463,31 +432,4 @@ fn metrics_flow_through_collect_agent_rest() {
     let totals = v.get("operators").unwrap().get("totals").unwrap();
     assert_eq!(field(totals, "panics"), 3);
     assert_eq!(field(totals, "quarantined_operators"), 0);
-}
-
-/// Deadline-based scheduling keeps the cadence at `period`, not
-/// `period + tick_duration`: with a 40 ms period and a 25 ms compute,
-/// ~800 ms of wall clock must fit ~20 ticks (the old sleep-after-tick
-/// loop managed only ~12).
-#[test]
-fn scheduler_keeps_cadence_with_slow_operator() {
-    let mgr = manager_with_sensor();
-    mgr.load(
-        PluginConfig::online("sleepy", "sleepy", 1)
-            .with_patterns(&["<bottomup>power"], &["<bottomup>power-sleepy"])
-            .with_option("sleep_ms", 25u64),
-    )
-    .unwrap();
-    let handle = mgr.start_thread(40);
-    std::thread::sleep(Duration::from_millis(800));
-    drop(handle);
-    let ticks = mgr.ticks();
-    assert!(
-        (15..=25).contains(&ticks),
-        "expected ~20 ticks at a 40 ms cadence, got {ticks}"
-    );
-    let m = snapshot(&mgr, "sleepy");
-    assert_eq!(m.successes, m.runs);
-    assert!(m.ewma_latency_ns >= 20_000_000, "{m:?}");
-    assert_accounting(&m);
 }

@@ -16,7 +16,6 @@ use dcdb_wintermute::wintermute_plugins::persyst::decode_decile;
 use dcdb_wintermute::wintermute_plugins::{
     AggregatorPlugin, PerfMetricsPlugin, PersystPlugin, SmootherPlugin, TesterPlugin,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn t(s: &str) -> Topic {
@@ -147,14 +146,9 @@ fn handle_and_view_reads_equal_query() {
     }
 }
 
-/// A sink that counts what reaches it.
-#[derive(Default)]
-struct CountingSink(AtomicUsize);
-
-impl SensorSink for CountingSink {
-    fn publish(&self, _topic: &Topic, _reading: SensorReading) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
+/// How many readings a tick returned for its host to forward.
+fn returned(report: &TickReport) -> usize {
+    report.outputs.iter().map(Vec::len).sum()
 }
 
 /// Feeds second `k` of a four-node, two-core system: counters with CPI
@@ -175,7 +169,7 @@ fn feed(engine: &QueryEngine, k: u64) {
 /// An engine over in-memory storage with small caches, fed seconds
 /// `1..=12`, a fan per node that never reports, and a manager with the
 /// in-tree plugins on it.
-fn plant() -> (Arc<QueryEngine>, Arc<OperatorManager>, Arc<CountingSink>) {
+fn plant() -> (Arc<QueryEngine>, Arc<OperatorManager>) {
     let storage: Arc<dyn StorageEngine> = Arc::new(StorageBackend::new());
     let engine = Arc::new(QueryEngine::with_storage(8, storage));
     for k in 1..=12 {
@@ -190,9 +184,7 @@ fn plant() -> (Arc<QueryEngine>, Arc<OperatorManager>, Arc<CountingSink>) {
     manager.register_plugin(Box::new(AggregatorPlugin));
     manager.register_plugin(Box::new(SmootherPlugin));
     manager.register_plugin(Box::new(TesterPlugin));
-    let sink = Arc::new(CountingSink::default());
-    manager.add_sink(Arc::clone(&sink) as Arc<dyn SensorSink>);
-    (engine, manager, sink)
+    (engine, manager)
 }
 
 /// The counters of a run the parent commit's runtime — every read a
@@ -202,7 +194,7 @@ fn plant() -> (Arc<QueryEngine>, Arc<OperatorManager>, Arc<CountingSink>) {
 /// another writes, so the order of instances does not enter.
 #[test]
 fn query_stats_after_a_scripted_run_equal_the_parents() {
-    let (engine, manager, sink) = plant();
+    let (engine, manager) = plant();
     let fed = engine.stats();
     assert_eq!(fed.inserts, 12 * (4 * 2 * 2 + 4 + 1));
     let load = |config: PluginConfig| manager.load(config).unwrap();
@@ -255,7 +247,7 @@ fn query_stats_after_a_scripted_run_equal_the_parents() {
             .with_option("op", "sum")
             .with_option("window_ms", 60_000u64),
     );
-    let mut published = 0;
+    let (mut published, mut returned_total) = (0, 0);
     for k in 13..=18 {
         feed(&engine, k);
         let report = manager.tick(Timestamp::from_secs(k));
@@ -266,6 +258,7 @@ fn query_stats_after_a_scripted_run_equal_the_parents() {
             report.errors
         );
         published += report.outputs_published;
+        returned_total += returned(&report);
     }
     // On demand: computed and returned, neither published nor counted
     // as inserted — its reads are counted.
@@ -274,7 +267,7 @@ fn query_stats_after_a_scripted_run_equal_the_parents() {
         .unwrap();
     assert_eq!(outputs[0].1.value, encode_f64(2.0));
     let stats = engine.stats();
-    assert_eq!(sink.0.load(Ordering::Relaxed), published);
+    assert_eq!(returned_total, published);
     assert_eq!(stats.inserts - fed.inserts, 6 * 21 + published as u64);
     assert_eq!(
         (
@@ -291,7 +284,7 @@ fn query_stats_after_a_scripted_run_equal_the_parents() {
 
 #[test]
 fn an_erroring_unit_publishes_nothing_from_its_operator() {
-    let (engine, manager, sink) = plant();
+    let (engine, manager) = plant();
     // Per-node sums in one operator: four nodes of r0 sum fine, then
     // the node of r1 overflows — after four units have succeeded.
     manager
@@ -310,8 +303,10 @@ fn an_erroring_unit_publishes_nothing_from_its_operator() {
         .unwrap();
     assert_eq!(manager.units_of("sums").unwrap().len(), 5);
     let before = engine.stats();
+    let mut returned_total = 0;
     for k in 13..=15 {
         let report = manager.tick(Timestamp::from_secs(k));
+        returned_total += returned(&report);
         assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
         assert!(
             report.errors[0].contains("aggregator sums"),
@@ -325,7 +320,7 @@ fn an_erroring_unit_publishes_nothing_from_its_operator() {
         assert!(!engine.knows(&t(&format!("/r0/n{node}/power-sum"))));
     }
     assert!(!engine.knows(&t("/r1/n0/power-sum")));
-    assert_eq!(sink.0.load(Ordering::Relaxed), 3);
+    assert_eq!(returned_total, 3);
     assert_eq!(engine.stats().inserts - before.inserts, 3);
     let sums = &manager.operator_metrics()[1];
     assert_eq!((sums.name.as_str(), sums.operators[0].errors), ("sums", 3));
