@@ -21,6 +21,9 @@
 //!   [`SimClock`], the canonical [`EventTrace`] whose hash witnesses
 //!   replay determinism, the [`SimScheduler`] event queue, and the
 //!   splitmix64 [`derive_seed`] lane splitter;
+//! * [`supervisor`] — the one failure detector ([`Supervisor`]: `Up` →
+//!   `Degraded` → `Down` with capped backoff) every Pusher connection
+//!   and every federation shard runs;
 //! * [`config`] — typed and key-value configuration blocks;
 //! * [`doc`] — control-plane documents rendered from snapshot structs;
 //! * [`error`] — the shared [`DcdbError`] type.
@@ -35,6 +38,7 @@ pub mod error;
 pub mod reading;
 pub mod regex;
 pub mod sim;
+pub mod supervisor;
 pub mod time;
 pub mod topic;
 
@@ -46,5 +50,6 @@ pub use error::{DcdbError, Result};
 pub use reading::{decode_f64, encode_f64, ReadingStats, SensorReading, FIXED_POINT_SCALE};
 pub use regex::Regex;
 pub use sim::{derive_seed, EventTrace, SimClock, SimScheduler};
+pub use supervisor::{ConnectionState, ReconnectConfig, Supervisor};
 pub use time::{Timestamp, NS_PER_MS, NS_PER_SEC, NS_PER_US};
 pub use topic::Topic;

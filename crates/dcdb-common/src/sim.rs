@@ -71,6 +71,18 @@ pub fn derive_seed(seed: u64, lane: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// xorshift64* step: the no-dependency RNG every seeded lane draws from
+/// (plan churn, query storms, facility windows, operator fates,
+/// reconnect jitter). A zero state is forced odd, so any seed works.
+pub fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state | 1;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
 // ---------------------------------------------------------------------------
 // SimClock
 // ---------------------------------------------------------------------------

@@ -10,12 +10,9 @@
 //! supervised connection answers with store-and-forward spooling — the
 //! PR-4 machinery applies unchanged.
 //!
-//! Membership changes go through an **epoch-based cutover**: a
-//! join/leave builds the next [`ShardMap`] (epoch + 1), swaps it in,
-//! then bounded-waits for queries pinned to the old epoch to drain
-//! before declaring the rebalance complete. Queries pin an epoch with
-//! [`FederatedAgent::begin_query`] so a rebalance can never pull the
-//! map out from under a scatter in flight.
+//! A membership change builds the next [`ShardMap`] (epoch + 1) and
+//! swaps it in. Nothing pins the old map: ingest routes by the current
+//! one, and queries scatter to every live shard whatever the map says.
 //!
 //! With a replication factor of 2 each shard is a **primary/replica
 //! pair**: the primary serves ingest and queries while its acked
@@ -24,12 +21,16 @@
 //! [`FederatedAgent::kill`] is an honest crash — it *drops* the
 //! victim's in-process broker, agent, and memtable; only on-disk state
 //! survives. Nothing rebalances at the moment of the crash: failure is
-//! *detected*, by consecutive refused publishes, supervision passes
-//! ([`FederatedAgent::supervise`]), or the query router's timeout
-//! supervision, and past the configured threshold the federation fails
-//! over — the standby drains the in-flight stream, is promoted to
-//! primary (role epoch + promotion counter bump, map epoch bump through
-//! the normal cutover), and ingest for the shard's keys flows to it.
+//! *detected*. Each shard owns one [`Supervisor`] — the state machine a
+//! Pusher's connection runs — fed by three inputs: refused publishes,
+//! [`FederatedAgent::supervise`] sweeps that find the primary dead, and
+//! the query router's scatters (a dead primary or a missed deadline is
+//! a failure, an answer in time a success). When it crosses into `Down`
+//! the federation fails over — the standby drains the in-flight stream,
+//! is promoted to primary (role epoch + promotion counter bump, map
+//! epoch bump), and ingest for the shard's keys flows to it. A failover
+//! refuses a live primary, so a merely slow shard is only routed down:
+//! the router skips it until the supervisor's backoff admits a probe.
 //! The crashed node can later [`FederatedAgent::rejoin`] as a fresh
 //! standby that catches up from the new primary under per-sensor
 //! watermarks. A shard with no standby degrades the PR-6 way: it is
@@ -44,12 +45,15 @@ use dcdb_bus::{
 };
 use dcdb_collectagent::{CollectAgent, CollectAgentConfig, ShardAssignment, ShardRole};
 use dcdb_common::error::{DcdbError, Result};
+use dcdb_common::sim::{EventTrace, SimClock};
+use dcdb_common::supervisor::{ConnectionState, ReconnectConfig, Supervisor};
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use dcdb_storage::{StorageBackend, StorageEngine, TappedEngine};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 use wintermute::prelude::TickReport;
 
 /// Federation sizing and behaviour.
@@ -65,11 +69,6 @@ pub struct FederationConfig {
     /// Queue bound and overflow policy of every node's broker, first
     /// built or rebuilt by [`FederatedAgent::rejoin`].
     pub bus: BusConfig,
-    /// How long a rebalance waits for queries pinned to the outgoing
-    /// epoch before giving up on the drain (the cutover itself has
-    /// already happened; a timeout only means an old-epoch reader was
-    /// still running and is counted in the stats).
-    pub drain_timeout_ms: u64,
     /// Nodes per shard: `1` runs the unreplicated tier (a shard loss
     /// degrades to partial results), `2` runs primary/replica pairs
     /// with failover. Clamped to `1..=2`.
@@ -80,10 +79,16 @@ pub struct FederationConfig {
 /// compute node's sensors stay together.
 const SHARD_KEY_DEPTH: usize = 2;
 
-/// Consecutive ingest/query/supervision failures of a shard's primary
-/// before the federation fails over (promotes the standby, or removes
-/// the shard from the ring when it has none).
-const FAILOVER_THRESHOLD: u64 = 3;
+/// Every shard's failure detector: three consecutive failures cross
+/// into `Down` and fail the shard over; a routed-down shard is probed
+/// after 100 ms, doubling to 5 s. No jitter, so replays match.
+const SHARD_SUPERVISION: ReconnectConfig = ReconnectConfig {
+    base_ms: 100,
+    cap_ms: 5_000,
+    jitter: 0.0,
+    down_threshold: 3,
+    seed: 0,
+};
 
 /// Bound of a shard's journal tail queue, entries. Overflow is counted
 /// and forces an anti-entropy resync — never silent loss.
@@ -99,7 +104,6 @@ impl Default for FederationConfig {
             vnodes: DEFAULT_VNODES,
             agent: CollectAgentConfig::default(),
             bus: BusConfig::default(),
-            drain_timeout_ms: 1_000,
             replication_factor: 1,
         }
     }
@@ -148,9 +152,8 @@ pub struct Shard {
     link: Mutex<Option<ReplicaLink>>,
     /// Times a standby of this shard was promoted to primary.
     promotions: AtomicU64,
-    /// Consecutive failures observed against the current primary
-    /// (refused publishes, supervision passes); reset by any success.
-    strikes: AtomicU64,
+    /// The shard's one failure detector; see the module docs.
+    supervisor: Mutex<Supervisor>,
     /// Test hook: artificial per-query delay, nanoseconds. Lets tests
     /// and the chaos smoke drive a shard into scatter timeouts
     /// deterministically without touching the query path.
@@ -237,33 +240,15 @@ impl Shard {
             .map(|rt| Arc::clone(&rt.engine))
     }
 
-    fn note_ok(&self) {
-        self.strikes.store(0, Ordering::Release);
+    /// A snapshot of the shard's failure detector.
+    pub(crate) fn supervision(&self) -> Supervisor {
+        self.supervisor.lock().clone()
     }
-}
 
-/// One epoch of the shard map plus the number of queries pinned to it.
-struct EpochState {
-    map: Arc<ShardMap>,
-    inflight: AtomicU64,
-}
-
-/// Pins the shard map of the epoch a query started under; the rebalance
-/// drain waits for these to drop.
-pub struct QueryGuard {
-    epoch: Arc<EpochState>,
-}
-
-impl QueryGuard {
-    /// The shard map this query runs against.
-    pub fn map(&self) -> &Arc<ShardMap> {
-        &self.epoch.map
-    }
-}
-
-impl Drop for QueryGuard {
-    fn drop(&mut self) {
-        self.epoch.inflight.fetch_sub(1, Ordering::AcqRel);
+    /// Whether the failure detector is `Down`: the router skips the
+    /// shard until a probe is due.
+    pub(crate) fn is_routed_down(&self) -> bool {
+        self.supervisor.lock().state() == ConnectionState::Down
     }
 }
 
@@ -278,9 +263,6 @@ pub struct FederationStats {
     pub shards_up: usize,
     /// Rebalances performed (failovers + rejoins).
     pub rebalances: u64,
-    /// Rebalances whose old-epoch drain hit the timeout with queries
-    /// still pinned.
-    pub drains_timed_out: u64,
     /// Readings routed to a shard via [`MessageBus::publish`].
     pub publishes: u64,
     /// Publishes refused (owner crashed or no shard in the ring) — the
@@ -302,8 +284,7 @@ type StorageFactory = dyn Fn(usize, &str) -> Result<Arc<dyn StorageEngine>> + Se
 /// optionally running each shard as a primary/replica pair.
 pub struct FederatedAgent {
     shards: Vec<Arc<Shard>>,
-    current: RwLock<Arc<EpochState>>,
-    drain_timeout_ms: u64,
+    current: RwLock<Arc<ShardMap>>,
     replication_factor: usize,
     agent_template: CollectAgentConfig,
     bus: BusConfig,
@@ -318,8 +299,11 @@ pub struct FederatedAgent {
     /// Subscriptions with no live home shard attach here and stay
     /// silent instead of panicking.
     fallback_broker: Broker,
+    /// The failure detectors' clock: virtual time when a [`SimClock`]
+    /// is installed, wall time since `origin` otherwise.
+    sim_clock: OnceLock<Arc<SimClock>>,
+    origin: Instant,
     rebalances: AtomicU64,
-    drains_timed_out: AtomicU64,
     publishes: AtomicU64,
     publishes_refused: AtomicU64,
     degraded_removals: AtomicU64,
@@ -391,7 +375,7 @@ impl FederatedAgent {
                 role_epoch: AtomicU64::new(0),
                 link: Mutex::new(link),
                 promotions: AtomicU64::new(0),
-                strikes: AtomicU64::new(0),
+                supervisor: Mutex::new(Supervisor::new(SHARD_SUPERVISION)),
                 query_delay_ns: AtomicU64::new(0),
             }));
         }
@@ -399,19 +383,16 @@ impl FederatedAgent {
         let map = Arc::new(ShardMap::build(&ids, config.vnodes, SHARD_KEY_DEPTH));
         let fed = FederatedAgent {
             shards,
-            current: RwLock::new(Arc::new(EpochState {
-                map: Arc::clone(&map),
-                inflight: AtomicU64::new(0),
-            })),
-            drain_timeout_ms: config.drain_timeout_ms,
+            current: RwLock::new(Arc::clone(&map)),
             replication_factor: factor,
             agent_template: config.agent,
             bus: config.bus,
             storage_factory,
             membership: Mutex::new(()),
             fallback_broker: Broker::new(),
+            sim_clock: OnceLock::new(),
+            origin: Instant::now(),
             rebalances: AtomicU64::new(0),
-            drains_timed_out: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
             publishes_refused: AtomicU64::new(0),
             degraded_removals: AtomicU64::new(0),
@@ -432,29 +413,62 @@ impl FederatedAgent {
 
     /// The current shard map.
     pub fn shard_map(&self) -> Arc<ShardMap> {
-        Arc::clone(&self.current.read().map)
+        Arc::clone(&self.current.read())
     }
 
-    /// Pins the current epoch for the duration of one query. The
-    /// returned guard carries the map the query must use; a rebalance
-    /// started after this call waits (bounded) for the guard to drop.
-    pub fn begin_query(&self) -> QueryGuard {
-        // Increment under the read lock: a rebalance swaps the epoch
-        // under the write lock, so the drain can never miss a query
-        // that pinned the old epoch.
-        let current = self.current.read();
-        current.inflight.fetch_add(1, Ordering::AcqRel);
-        let epoch = Arc::clone(&current);
-        drop(current);
-        QueryGuard { epoch }
+    /// Moves the failure detectors' probe clock from wall time onto a
+    /// shared virtual [`SimClock`] (once), so backoff replays
+    /// bit-identically. The router's gather deadline stays wall-clock
+    /// (it bounds real thread work).
+    pub fn use_sim_clock(&self, clock: Arc<SimClock>) {
+        let _ = self.sim_clock.set(clock);
+    }
+
+    /// Attaches the canonical event trace: every shard's detector
+    /// transitions are appended as `shard-<i> <from>-><to>` under the
+    /// `router` lane.
+    pub fn set_trace(&self, trace: EventTrace) {
+        for (i, shard) in self.shards.iter().enumerate() {
+            let mut sup = shard.supervisor.lock();
+            sup.set_trace(trace.clone(), "router", &format!("shard-{i}"));
+        }
+    }
+
+    fn now_ns(&self) -> u64 {
+        let wall = || self.origin.elapsed().as_nanos() as u64;
+        self.sim_clock
+            .get()
+            .map_or_else(wall, |clock| clock.now_ns())
+    }
+
+    /// Runs `input` (a [`Supervisor`] method) on shard `index`'s
+    /// detector at the federation's now. The router asks
+    /// `attempt_due` before a scatter and reports `on_success` for an
+    /// answer in time; a landed publish reports nothing, since it says
+    /// nothing about query latency.
+    pub(crate) fn detect<R>(&self, index: usize, input: fn(&mut Supervisor, u64) -> R) -> R {
+        let now_ns = self.now_ns();
+        input(&mut self.shards[index].supervisor.lock(), now_ns)
+    }
+
+    /// Feeds one failure of shard `index` to its detector: the primary
+    /// was seen dead (a refused publish, a sweep, a scatter) or missed
+    /// a scatter deadline. Crossing into `Down` fails the shard over.
+    /// Returns true when it crossed.
+    pub(crate) fn note_failure(&self, index: usize) -> bool {
+        let crossed = self.detect(index, Supervisor::on_failure);
+        if crossed {
+            self.failover(index);
+        }
+        crossed
     }
 
     /// Crashes shard `id`'s current primary: its broker, agent, and
     /// memtable are dropped on the spot — only on-disk state survives.
     /// Nothing rebalances here; the ring still routes to the shard
-    /// until failure *detection* (refused publishes, supervision, or
-    /// router timeouts) crosses the threshold and triggers
-    /// [`FederatedAgent::failover`]. Returns false if the shard is
+    /// until its detector (refused publishes, sweeps, scatters) crosses
+    /// into `Down` and triggers [`FederatedAgent::failover`]; the crash
+    /// starts that detector afresh. Returns false if the shard is
     /// unknown or its primary is already down.
     pub fn kill(&self, id: &str) -> bool {
         let _membership = self.membership.lock();
@@ -466,7 +480,7 @@ impl FederatedAgent {
         if crashed.is_none() {
             return false;
         }
-        shard.strikes.store(0, Ordering::Release);
+        shard.supervisor.lock().reset();
         // `crashed` drops here: broker gone, agent gone, memtable gone.
         true
     }
@@ -475,8 +489,7 @@ impl FederatedAgent {
     /// the in-flight replication stream is drained into it (bounded by
     /// the tail capacity — the stream cannot grow while its primary is
     /// dead), the standby is promoted (role epoch + promotion counters
-    /// bump) and the map epoch advances through the normal cutover. A
-    /// shard with no standby is removed from the ring instead — the
+    /// bump) and the map epoch advances. A shard with no standby is removed from the ring instead — the
     /// PR-6 degraded tier, where its keys rehash to the surviving
     /// shards and queries report partial results. A shard whose primary
     /// is alive, or that already left the ring, is left untouched (so a
@@ -500,7 +513,6 @@ impl FederatedAgent {
             }
             None => {
                 self.degraded_removals.fetch_add(1, Ordering::Relaxed);
-                shard.strikes.store(0, Ordering::Release);
                 self.rebalance();
                 false
             }
@@ -521,35 +533,25 @@ impl FederatedAgent {
         shard.primary.store(slot, Ordering::Release);
         shard.role_epoch.fetch_add(1, Ordering::AcqRel);
         shard.promotions.fetch_add(1, Ordering::Relaxed);
-        shard.strikes.store(0, Ordering::Release);
+        shard.supervisor.lock().reset();
         self.rebalance();
     }
 
-    /// One failure-detection pass: every shard whose designated primary
-    /// is dead but still in the ring accrues one strike; a shard at the
-    /// failover threshold is failed over. Called from
-    /// [`FederatedAgent::tick`]; tests and harnesses can call it
-    /// directly to advance detection deterministically. Returns the
-    /// number of shards acted on (promoted or degraded).
+    /// One failure-detection sweep: every shard whose designated
+    /// primary is dead but still in the ring feeds its detector one
+    /// failure. Called from [`FederatedAgent::tick`]; tests and
+    /// harnesses can call it directly to advance detection
+    /// deterministically. Returns the number of shards whose detector
+    /// crossed into `Down` (and so failed over).
     pub fn supervise(&self) -> usize {
         let map = self.shard_map();
-        let mut acted = 0;
-        for (i, shard) in self.shards.iter().enumerate() {
-            if shard.is_up() {
-                continue;
-            }
-            if !map.agents.iter().any(|a| *a == shard.id) {
-                continue; // already degraded out; waiting for rejoin
-            }
-            let strikes = shard.strikes.fetch_add(1, Ordering::AcqRel) + 1;
-            if strikes >= FAILOVER_THRESHOLD {
-                let promoted = self.failover(i);
-                if promoted || !self.shard_map().agents.iter().any(|a| *a == shard.id) {
-                    acted += 1;
-                }
+        let mut crossed = 0;
+        for shard in self.shards.iter().filter(|s| !s.is_up()) {
+            if map.agents.contains(&shard.id) && self.note_failure(shard.index) {
+                crossed += 1;
             }
         }
-        acted
+        crossed
     }
 
     /// Restarts the dead node of shard `id` from its storage factory.
@@ -606,7 +608,7 @@ impl FederatedAgent {
             *shard.nodes[slot].runtime.write() = Some(runtime);
             shard.primary.store(slot, Ordering::Release);
             shard.role_epoch.fetch_add(1, Ordering::AcqRel);
-            shard.strikes.store(0, Ordering::Release);
+            shard.supervisor.lock().reset();
             self.rebalance();
         }
         true
@@ -621,37 +623,17 @@ impl FederatedAgent {
             .collect()
     }
 
-    /// Rebuilds the map over the live shard set, swaps it in, and
-    /// drains the outgoing epoch: new queries immediately see the new
-    /// map; queries pinned to the old one get up to `drain_timeout_ms`
-    /// to finish. Returns the new epoch.
+    /// Rebuilds the map over the live shard set and swaps it in.
+    /// Returns the new epoch.
     fn rebalance(&self) -> u64 {
         let live = self.up_ids();
-        let old = {
+        let map = {
             let mut current = self.current.write();
-            let next = Arc::new(EpochState {
-                map: Arc::new(current.map.rebalanced(&live)),
-                inflight: AtomicU64::new(0),
-            });
-            let old = Arc::clone(&current);
-            *current = next;
-            old
+            *current = Arc::new(current.rebalanced(&live));
+            Arc::clone(&current)
         };
-        let map = self.shard_map();
         self.apply_assignments(&map);
         self.rebalances.fetch_add(1, Ordering::Relaxed);
-        // Bounded drain: wait for old-epoch queries to finish so callers
-        // can treat "rebalance returned" as "no query still reads the
-        // retired map" (barring the counted timeout case).
-        let deadline =
-            std::time::Instant::now() + std::time::Duration::from_millis(self.drain_timeout_ms);
-        while old.inflight.load(Ordering::Acquire) > 0 {
-            if std::time::Instant::now() >= deadline {
-                self.drains_timed_out.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
         map.epoch
     }
 
@@ -754,7 +736,6 @@ impl FederatedAgent {
             shards_total: self.shards.len(),
             shards_up: self.shards.iter().filter(|s| s.is_up()).count(),
             rebalances: self.rebalances.load(Ordering::Relaxed),
-            drains_timed_out: self.drains_timed_out.load(Ordering::Relaxed),
             publishes: self.publishes.load(Ordering::Relaxed),
             publishes_refused: self.publishes_refused.load(Ordering::Relaxed),
             promotions: self.shards.iter().map(|s| s.promotions()).sum(),
@@ -769,8 +750,8 @@ impl FederatedAgent {
     }
 
     /// Federation status as JSON: the shard map, per-shard liveness,
-    /// role, replication lag and ingest counters, and the
-    /// rebalance/drain counters. Served by the router's
+    /// role, replication lag and ingest counters, and the rebalance
+    /// counters. Served by the router's
     /// `GET /federation` and the sim's status line.
     pub fn status_json(&self) -> serde_json::Value {
         let map = self.shard_map();
@@ -857,19 +838,15 @@ impl MessageBus for FederatedAgent {
             Some(shard) => match shard.bus() {
                 Some(bus) => {
                     self.publishes.fetch_add(1, Ordering::Relaxed);
-                    shard.note_ok();
                     bus.publish(topic, payload)
                 }
                 None => {
                     // The owner's primary is crashed: refuse (the
-                    // caller's spool takes over) and let the failure
-                    // feed detection — enough consecutive refusals
-                    // trigger the failover that re-routes these keys.
+                    // caller's spool takes over) and feed the shard's
+                    // detector — crossing into `Down` triggers the
+                    // failover that re-routes these keys.
                     self.publishes_refused.fetch_add(1, Ordering::Relaxed);
-                    let strikes = shard.strikes.fetch_add(1, Ordering::AcqRel) + 1;
-                    if strikes >= FAILOVER_THRESHOLD {
-                        self.failover(shard.index);
-                    }
+                    self.note_failure(shard.index);
                     Err(DcdbError::Disconnected(format!(
                         "shard {} owning {topic} is down",
                         shard.id
@@ -1007,9 +984,9 @@ mod tests {
         assert!(fed.publish(topic.clone(), Bytes::new()).is_err());
         assert!(fed.stats().publishes_refused >= 1);
 
-        // Detection: supervision strikes accumulate to the threshold,
-        // then the shard (no standby) degrades out of the ring.
-        for _ in 0..FAILOVER_THRESHOLD {
+        // Detection: sweeps feed the detector until it crosses into
+        // Down, then the shard (no standby) degrades out of the ring.
+        for _ in 0..SHARD_SUPERVISION.down_threshold {
             fed.supervise();
         }
         let map = fed.shard_map();
@@ -1079,7 +1056,7 @@ mod tests {
         );
 
         assert!(fed.kill(&owner));
-        for _ in 0..FAILOVER_THRESHOLD {
+        for _ in 0..SHARD_SUPERVISION.down_threshold {
             fed.supervise();
         }
         // Promotion: same ring membership, bumped epochs, counted.
@@ -1140,9 +1117,10 @@ mod tests {
         fed.process_pending();
         fed.kill(&owner);
 
-        // Each refused publish is a strike; the pusher's spool rides
-        // the refusals until the threshold promotes the standby.
-        let threshold = FAILOVER_THRESHOLD;
+        // Each refused publish is a failure; the pusher's spool rides
+        // the refusals until the detector crosses into Down and the
+        // standby is promoted.
+        let threshold = SHARD_SUPERVISION.down_threshold;
         let mut refusals = 0;
         for i in 0..threshold + 2 {
             let r = fed.publish_readings(
@@ -1183,43 +1161,6 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_waits_for_pinned_queries_then_counts_timeouts() {
-        let fed = Arc::new(
-            FederatedAgent::new(FederationConfig {
-                agents: 2,
-                drain_timeout_ms: 50,
-                ..FederationConfig::default()
-            })
-            .unwrap(),
-        );
-        let threshold = FAILOVER_THRESHOLD;
-        // A query pinned to epoch 0 that outlives the drain budget: the
-        // cutover still happens, and the timeout is counted.
-        let guard = fed.begin_query();
-        assert_eq!(guard.map().epoch, 0);
-        fed.kill("agent-01");
-        for _ in 0..threshold {
-            fed.supervise();
-        }
-        assert_eq!(fed.shard_map().epoch, 1);
-        assert_eq!(fed.stats().drains_timed_out, 1);
-        drop(guard);
-
-        // A query that finishes promptly lets the drain complete
-        // without a timeout.
-        let fed2 = Arc::clone(&fed);
-        let guard = fed.begin_query();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            drop(guard);
-        });
-        fed2.rejoin("agent-01");
-        h.join().unwrap();
-        assert_eq!(fed.stats().drains_timed_out, 1, "no new drain timeout");
-        assert_eq!(fed.shard_map().epoch, 2);
-    }
-
-    #[test]
     fn assignments_and_roles_are_visible_in_shard_health() {
         let fed = replicated(2);
         let a = fed.shard("agent-00").unwrap().agent().unwrap();
@@ -1229,7 +1170,7 @@ mod tests {
         assert_eq!(assignment.role, ShardRole::Primary);
 
         fed.kill("agent-00");
-        for _ in 0..FAILOVER_THRESHOLD {
+        for _ in 0..SHARD_SUPERVISION.down_threshold {
             fed.supervise();
         }
         // Promoted standby reports primary at the bumped epoch.

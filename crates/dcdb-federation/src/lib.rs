@@ -9,19 +9,20 @@
 //!   placing topic shard keys on agents with virtual nodes; join/leave
 //!   moves ~1/N of the keyspace and nothing else;
 //! * [`agent`] — [`FederatedAgent`], N broker + Collect Agent pairs
-//!   behind one [`dcdb_bus::MessageBus`], with epoch-based shard-map
-//!   cutover that drains in-flight queries before a rebalance is
-//!   declared done, honest crash semantics for `kill`, and strike-based
-//!   failure detection that triggers failover past a threshold;
+//!   behind one [`dcdb_bus::MessageBus`], with an epoch-numbered shard
+//!   map swapped on every membership change, honest crash semantics for
+//!   `kill`, and one failure detector per shard (the Pusher
+//!   connection's [`dcdb_common::Supervisor`]) that fails the shard
+//!   over when it crosses into `Down`;
 //! * [`replica`] — the primary→replica stream within one shard:
 //!   journal-tailing standbys ([`ReplicaLink`]), watermark-bounded
 //!   anti-entropy catch-up, and the conservation identity `acked ==
 //!   durable_on_primary + replicating + durable_on_replica_only`;
 //! * [`router`] — [`QueryRouter`], the scatter-gather front door
 //!   serving the single-agent REST surface (`/sensors`, `/metrics`,
-//!   `/health`, analytics) across shards, with per-shard deadlines,
-//!   pusher-style supervision (consecutive timeouts → routed-down →
-//!   capped-backoff probes), and an envelope on every response whose
+//!   `/health`, analytics) across shards, with per-shard deadlines that
+//!   feed each shard's detector (a `Down` shard is skipped until its
+//!   capped backoff admits a probe), and an envelope on every response whose
 //!   accounting identity `shards_total == shards_ok + shards_timed_out
 //!   + shards_down` makes partial results explicit instead of silent.
 
@@ -32,7 +33,7 @@ pub mod replica;
 pub mod ring;
 pub mod router;
 
-pub use agent::{FederatedAgent, FederationConfig, FederationStats, QueryGuard, Shard};
+pub use agent::{FederatedAgent, FederationConfig, FederationStats, Shard};
 pub use replica::{catch_up, derive_seed, CatchUpReport, ReplicaLink, ReplicaLinkStats};
 pub use ring::{ShardMap, DEFAULT_VNODES};
 pub use router::{

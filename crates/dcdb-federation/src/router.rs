@@ -18,18 +18,18 @@
 //! analogue of the delivery accounting the rest of the system already
 //! keeps (`published == delivered + dropped`).
 //!
-//! **Supervision** reuses the Pusher's [`ReconnectConfig`] parameters:
-//! `down_threshold` consecutive scatter timeouts (or dead-shard
-//! observations) mark a shard routed-down, after which it is skipped
-//! (counted under `shards_down`) until a doubling, capped backoff
-//! admits a probe query. One on-time answer restores it. Crossing the
-//! threshold also hands detection to the federation
-//! ([`FederatedAgent::failover`]) — the router is one of the three
-//! failure detectors (with refused publishes and supervision ticks)
-//! that can promote a shard's standby. The federation refuses to act
-//! on a shard whose primary is alive, so a probe that lands on an
-//! already-promoted replica simply clears `routed_down` — it can never
-//! double-promote.
+//! **Failure detection** is the federation's, not the router's: each
+//! scatter feeds every shard's one detector (the Pusher connection's
+//! [`dcdb_common::Supervisor`], owned by the [`Shard`]). A dead primary
+//! or a missed deadline is a failure, an answer in time a success.
+//! Refused publishes and the federation's sweeps feed the same
+//! detector, so three failures from any mix of inputs cross it into
+//! `Down` and hand the shard to [`FederatedAgent::failover`], which
+//! promotes a standby or, for a live but slow primary, refuses. A
+//! `Down` shard is skipped (counted under `shards_down`) until its
+//! doubling, capped backoff admits a probe; one answer in time restores
+//! it. Promotion and rejoin reset the detector, so the next scatter asks
+//! the new primary at once.
 //!
 //! **Sensor queries scatter to every live shard**, not just the ring
 //! owner: after a kill/rejoin cycle a topic's history is legitimately
@@ -45,10 +45,9 @@ use dcdb_collectagent::{
 };
 use dcdb_common::document;
 use dcdb_common::reading::SensorReading;
-use dcdb_common::sim::{EventTrace, SimClock};
+use dcdb_common::supervisor::{ConnectionState, Supervisor};
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
-use dcdb_pusher::{ReconnectConfig, BACKOFF_MULTIPLIER};
 use dcdb_rest::{Method, Request, Response, Router, Status};
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -66,50 +65,12 @@ pub struct RouterConfig {
     /// answered by then is reported `timed_out` and its (eventual)
     /// answer discarded.
     pub shard_timeout_ms: u64,
-    /// Supervision parameters, shared with the Pusher's supervised
-    /// connection: `down_threshold` consecutive timeouts mark a shard
-    /// routed-down; probes return after a `base_ms`-to-`cap_ms`
-    /// doubling backoff.
-    pub reconnect: ReconnectConfig,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             shard_timeout_ms: 250,
-            reconnect: ReconnectConfig {
-                base_ms: 100,
-                cap_ms: 5_000,
-                ..ReconnectConfig::default()
-            },
-        }
-    }
-}
-
-/// Supervision state of one shard, from the router's point of view.
-#[derive(Debug, Clone)]
-struct ShardSupervision {
-    consecutive_timeouts: u64,
-    routed_down: bool,
-    backoff_ms: u64,
-    /// Probe due time on the router's clock (wall nanoseconds since the
-    /// router's origin, or virtual nanoseconds under a [`SimClock`]).
-    next_probe_at_ns: Option<u64>,
-    /// The shard's role epoch when it was marked routed-down. A bumped
-    /// epoch (promotion, rejoin-as-primary) is a known recovery event:
-    /// the backoff was waiting for exactly this, so the next scatter
-    /// probes immediately instead of serving out the timer.
-    marked_role_epoch: u64,
-}
-
-impl ShardSupervision {
-    fn new() -> ShardSupervision {
-        ShardSupervision {
-            consecutive_timeouts: 0,
-            routed_down: false,
-            backoff_ms: 0,
-            next_probe_at_ns: None,
-            marked_role_epoch: 0,
         }
     }
 }
@@ -121,7 +82,7 @@ pub enum ShardOutcome {
     Ok,
     /// Missed the per-shard deadline.
     TimedOut,
-    /// Killed, or routed-down by supervision and not yet due a probe.
+    /// Killed, or routed down by its detector and not yet due a probe.
     Down,
 }
 
@@ -211,7 +172,7 @@ pub struct RouterStats {
     pub shard_timeouts: u64,
     /// Per-shard down skips observed.
     pub shard_downs: u64,
-    /// Shards marked routed-down by supervision.
+    /// Times a shard's detector crossed into `Down`.
     pub marked_down: u64,
     /// Shards recovered by a successful probe.
     pub recovered: u64,
@@ -221,34 +182,21 @@ pub struct RouterStats {
 pub struct QueryRouter {
     federation: Arc<FederatedAgent>,
     config: RouterConfig,
-    supervision: Vec<Mutex<ShardSupervision>>,
     /// One fully-mounted single-agent route table per shard, for the
     /// forwarded surfaces (analytics) that are owner-routed rather than
     /// scatter-merged. Cached against the shard's role epoch: a
     /// failover or rejoin-as-primary swaps the agent behind a shard,
     /// and the table is lazily rebuilt on first use after the swap.
     shard_routes: Vec<Mutex<(u64, Option<Arc<Router>>)>>,
-    /// Probe timers run on this clock when set (deterministic
-    /// simulation); on the wall clock relative to `origin` otherwise.
-    sim_clock: Mutex<Option<Arc<SimClock>>>,
-    origin: Instant,
-    trace: Mutex<Option<EventTrace>>,
     queries: AtomicU64,
     partial: AtomicU64,
     shard_timeouts: AtomicU64,
     shard_downs: AtomicU64,
-    marked_down: AtomicU64,
-    recovered: AtomicU64,
 }
 
 impl QueryRouter {
     /// Builds a router over `federation`.
     pub fn new(federation: Arc<FederatedAgent>, config: RouterConfig) -> QueryRouter {
-        let supervision = federation
-            .shards()
-            .iter()
-            .map(|_| Mutex::new(ShardSupervision::new()))
-            .collect();
         let shard_routes = federation
             .shards()
             .iter()
@@ -257,17 +205,11 @@ impl QueryRouter {
         QueryRouter {
             federation,
             config,
-            supervision,
             shard_routes,
-            sim_clock: Mutex::new(None),
-            origin: Instant::now(),
-            trace: Mutex::new(None),
             queries: AtomicU64::new(0),
             partial: AtomicU64::new(0),
             shard_timeouts: AtomicU64::new(0),
             shard_downs: AtomicU64::new(0),
-            marked_down: AtomicU64::new(0),
-            recovered: AtomicU64::new(0),
         }
     }
 
@@ -276,46 +218,18 @@ impl QueryRouter {
         &self.federation
     }
 
-    /// Switches probe scheduling from the wall clock onto a shared
-    /// virtual [`SimClock`]: backoff timers then replay bit-identically
-    /// from the driving tick sequence, independent of host speed. The
-    /// per-shard gather deadline stays wall-clock (it bounds real
-    /// thread work, not simulated time).
-    pub fn use_sim_clock(&self, clock: Arc<SimClock>) {
-        *self.sim_clock.lock() = Some(clock);
-    }
-
-    /// Attaches the canonical event trace; supervision transitions
-    /// (routed-down, recovered) are appended under the `router` lane.
-    pub fn set_trace(&self, trace: EventTrace) {
-        *self.trace.lock() = Some(trace);
-    }
-
-    /// Now on the router's probe clock: virtual time when a
-    /// [`SimClock`] is installed, wall nanoseconds since construction
-    /// otherwise.
-    fn now_ns(&self) -> u64 {
-        match self.sim_clock.lock().as_ref() {
-            Some(clock) => clock.now_ns(),
-            None => self.origin.elapsed().as_nanos() as u64,
-        }
-    }
-
-    fn record(&self, detail: &str) {
-        if let Some(trace) = self.trace.lock().as_ref() {
-            trace.record(Timestamp(self.now_ns()), "router", detail);
-        }
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> RouterStats {
+        let shards = self.federation.shards().iter();
+        let sum =
+            |count: fn(&Supervisor) -> u64| shards.clone().map(|s| count(&s.supervision())).sum();
         RouterStats {
             queries: self.queries.load(Ordering::Relaxed),
             partial: self.partial.load(Ordering::Relaxed),
             shard_timeouts: self.shard_timeouts.load(Ordering::Relaxed),
             shard_downs: self.shard_downs.load(Ordering::Relaxed),
-            marked_down: self.marked_down.load(Ordering::Relaxed),
-            recovered: self.recovered.load(Ordering::Relaxed),
+            marked_down: sum(Supervisor::downs),
+            recovered: sum(Supervisor::reconnects),
         }
     }
 
@@ -324,11 +238,6 @@ impl QueryRouter {
     fn router_json(&self) -> serde_json::Value {
         let timeout = json!({"shard_timeout_ms": self.config.shard_timeout_ms});
         document(&self.stats(), timeout)
-    }
-
-    /// Whether supervision currently routes `shard_index` as down.
-    pub fn is_routed_down(&self, shard_index: usize) -> bool {
-        self.supervision[shard_index].lock().routed_down
     }
 
     /// The shard's single-agent route table, rebuilt lazily whenever
@@ -349,42 +258,35 @@ impl QueryRouter {
 
     /// The scatter-gather core shared by every fanned-out query: runs
     /// `job` against each live shard on its own thread, gathers within
-    /// the per-shard deadline, feeds supervision (and, through it, the
-    /// federation's failure detection), and returns the partial-result
-    /// envelope plus the in-time answers. A job returns `None` when its
-    /// shard's primary vanished mid-flight — accounted down, never an
-    /// empty answer.
+    /// the per-shard deadline, feeds every shard's failure detector,
+    /// and returns the partial-result envelope plus the in-time answers.
+    /// A job returns `None` when its shard's primary vanished mid-flight
+    /// — accounted down, never an empty answer.
     fn scatter_shards<T, F>(&self, job: F) -> (QueryEnvelope, Vec<T>)
     where
         T: Send + 'static,
         F: Fn(Arc<Shard>) -> Option<T> + Send + Clone + 'static,
     {
-        let guard = self.federation.begin_query();
-        let epoch = guard.map().epoch;
+        let fed = &self.federation;
+        let epoch = fed.shard_map().epoch;
         self.queries.fetch_add(1, Ordering::Relaxed);
 
-        let shards = self.federation.shards();
+        let shards = fed.shards();
         let now = Instant::now();
-        let probe_now_ns = self.now_ns();
         let (tx, rx) = mpsc::channel::<(usize, Option<T>)>();
         let mut outcomes: Vec<Option<ShardOutcome>> = vec![None; shards.len()];
         let mut pending = 0usize;
         for (i, shard) in shards.iter().enumerate() {
             if !shard.is_up() {
+                // A dead primary seen by a query is a failure: the
+                // router's path to failover.
                 outcomes[i] = Some(ShardOutcome::Down);
-                // A dead primary observed by a query is a detection
-                // strike — the router path to failover.
-                self.note_failure(i);
+                fed.note_failure(i);
                 continue;
             }
-            {
-                let sup = self.supervision[i].lock();
-                let probe_due = sup.next_probe_at_ns.is_none_or(|at| probe_now_ns >= at)
-                    || shard.role_epoch() != sup.marked_role_epoch;
-                if sup.routed_down && !probe_due {
-                    outcomes[i] = Some(ShardOutcome::Down);
-                    continue;
-                }
+            if !fed.detect(i, Supervisor::attempt_due) {
+                outcomes[i] = Some(ShardOutcome::Down);
+                continue;
             }
             pending += 1;
             let tx = tx.clone();
@@ -414,9 +316,9 @@ impl QueryRouter {
                 }
                 Ok((i, None)) => {
                     // The shard died between the liveness check and the
-                    // job: down, and a detection strike.
+                    // job: down, and a failure.
                     outcomes[i] = Some(ShardOutcome::Down);
-                    self.note_failure(i);
+                    fed.note_failure(i);
                     pending -= 1;
                 }
                 Err(_) => break, // deadline hit (or all senders gone)
@@ -439,12 +341,14 @@ impl QueryRouter {
             match outcome.expect("every shard has an outcome") {
                 ShardOutcome::Ok => {
                     envelope.shards_ok += 1;
-                    self.note_ok(i);
+                    fed.detect(i, Supervisor::on_success);
                 }
                 ShardOutcome::TimedOut => {
                     envelope.shards_timed_out += 1;
                     self.shard_timeouts.fetch_add(1, Ordering::Relaxed);
-                    self.note_timeout(i);
+                    // The failover this may trigger refuses a live
+                    // primary, so a slow shard is only routed down.
+                    fed.note_failure(i);
                 }
                 ShardOutcome::Down => {
                     envelope.shards_down += 1;
@@ -530,83 +434,14 @@ impl QueryRouter {
         }
     }
 
-    fn note_ok(&self, i: usize) {
-        let recovered = {
-            let mut sup = self.supervision[i].lock();
-            sup.consecutive_timeouts = 0;
-            if sup.routed_down {
-                sup.routed_down = false;
-                sup.backoff_ms = 0;
-                sup.next_probe_at_ns = None;
-                self.recovered.fetch_add(1, Ordering::Relaxed);
-                true
-            } else {
-                false
-            }
-        };
-        if recovered {
-            self.record(&format!("shard-{i} recovered"));
-        }
-    }
-
-    fn note_timeout(&self, i: usize) {
-        if self.strike(i) {
-            // The federation refuses when the primary is alive (a
-            // merely-slow shard), so this can only promote for a shard
-            // that is genuinely dead.
-            self.federation.failover(i);
-        }
-    }
-
-    /// A scatter observed shard `i` with no live primary (skipped
-    /// pre-scatter, or its agent vanished mid-job): supervision strikes
-    /// exactly like a timeout, and crossing the threshold hands
-    /// detection to the federation.
-    fn note_failure(&self, i: usize) {
-        if self.strike(i) {
-            self.federation.failover(i);
-        }
-    }
-
-    /// One supervision strike against shard `i`. Returns true when the
-    /// strike crossed the routed-down threshold (the moment detection
-    /// escalates to the federation).
-    fn strike(&self, i: usize) -> bool {
-        let rc = &self.config.reconnect;
-        let now_ns = self.now_ns();
-        let crossed = {
-            let mut sup = self.supervision[i].lock();
-            sup.consecutive_timeouts += 1;
-            if sup.routed_down {
-                // Failed probe: double the backoff, capped.
-                let next = sup.backoff_ms.saturating_mul(BACKOFF_MULTIPLIER);
-                sup.backoff_ms = next.clamp(rc.base_ms, rc.cap_ms);
-                sup.next_probe_at_ns = Some(now_ns + sup.backoff_ms * 1_000_000);
-                false
-            } else if sup.consecutive_timeouts >= rc.down_threshold {
-                sup.routed_down = true;
-                sup.backoff_ms = rc.base_ms;
-                self.marked_down.fetch_add(1, Ordering::Relaxed);
-                sup.next_probe_at_ns = Some(now_ns + sup.backoff_ms * 1_000_000);
-                true
-            } else {
-                false
-            }
-        };
-        if crossed {
-            self.record(&format!("shard-{i} routed-down"));
-        }
-        crossed
-    }
-
     /// Per-shard health rows for `/health` and `/federation`.
     fn shard_health_json(&self, map: &ShardMap) -> Vec<serde_json::Value> {
         self.federation
             .shards()
             .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let sup = self.supervision[i].lock().clone();
+            .map(|s| {
+                let sup = s.supervision();
+                let routed_down = sup.state() == ConnectionState::Down;
                 let agent = s.agent();
                 let storage_state = match &agent {
                     Some(a) => a
@@ -620,9 +455,9 @@ impl QueryRouter {
                 json!({
                     "agent_id": s.id,
                     "up": s.is_up(),
-                    "routed_down": sup.routed_down,
-                    "consecutive_timeouts": sup.consecutive_timeouts,
-                    "backoff_ms": if sup.routed_down { Some(sup.backoff_ms) } else { None },
+                    "routed_down": routed_down,
+                    "consecutive_timeouts": sup.consecutive_failures(),
+                    "backoff_ms": routed_down.then_some(sup.backoff_ms()),
                     "in_ring": map.agents.iter().any(|m| *m == s.id),
                     "storage": storage_state,
                     "primary_node": s.primary_node_id(),
@@ -636,15 +471,15 @@ impl QueryRouter {
             .collect()
     }
 
-    fn reachable(&self, i: usize, shard: &Shard) -> bool {
-        shard.is_up() && !self.supervision[i].lock().routed_down
+    fn reachable(shard: &Shard) -> bool {
+        shard.is_up() && !shard.is_routed_down()
     }
 
     /// Forwards `req` to shard `i`'s own single-agent route table, so
     /// the federated analytics surface is the single-agent one per
     /// shard. `None` while the shard is unreachable.
     fn forward(&self, i: usize, req: &Request) -> Option<Response> {
-        if !self.reachable(i, &self.federation.shards()[i]) {
+        if !Self::reachable(&self.federation.shards()[i]) {
             return None;
         }
         Some(self.shard_router(i)?.dispatch(req.clone()))
@@ -737,8 +572,7 @@ impl QueryRouter {
                 .federation
                 .shards()
                 .iter()
-                .enumerate()
-                .filter(|(i, s)| rt.reachable(*i, s))
+                .filter(|s| Self::reachable(s))
                 .count();
             let total = rt.federation.shards().len();
             let (status, word) = if reachable == 0 {
@@ -900,7 +734,6 @@ mod tests {
         Arc::new(
             FederatedAgent::new(FederationConfig {
                 agents,
-                drain_timeout_ms: 100,
                 ..FederationConfig::default()
             })
             .unwrap(),
@@ -965,58 +798,12 @@ mod tests {
         assert_eq!(rt.stats().partial, 1);
     }
 
-    #[test]
-    fn slow_shard_times_out_then_supervision_routes_it_down_and_recovers() {
-        let fed = federation(2);
-        for node in 0..4 {
-            feed(&fed, node, 1..=3);
-        }
-        let rt = QueryRouter::new(
-            Arc::clone(&fed),
-            RouterConfig {
-                shard_timeout_ms: 20,
-                reconnect: ReconnectConfig {
-                    base_ms: 30,
-                    cap_ms: 200,
-                    down_threshold: 2,
-                    ..ReconnectConfig::default()
-                },
-            },
-        );
-        fed.shards()[1].set_query_delay_ms(200);
-        let topic = t("/rack00/node00/power");
-
-        // Two timeouts cross down_threshold.
-        for _ in 0..2 {
-            let q = rt.query_sensors(&topic, Timestamp::ZERO, Timestamp::MAX);
-            assert_eq!(q.envelope.shards_timed_out, 1);
-            assert!(q.envelope.accounted());
-        }
-        assert!(rt.is_routed_down(1));
-        assert_eq!(rt.stats().marked_down, 1);
-
-        // While down and before the probe is due, the shard is skipped
-        // (down, not timed out) — the scatter no longer pays the
-        // deadline for it.
-        let q = rt.query_sensors(&topic, Timestamp::ZERO, Timestamp::MAX);
-        assert_eq!(q.envelope.shards_down, 1);
-        assert_eq!(q.envelope.shards_timed_out, 0);
-
-        // Shard heals; after the backoff a probe admits it again.
-        fed.shards()[1].set_query_delay_ms(0);
-        std::thread::sleep(Duration::from_millis(40));
-        let q = rt.query_sensors(&topic, Timestamp::ZERO, Timestamp::MAX);
-        assert!(q.envelope.complete(), "{:?}", q.envelope);
-        assert!(!rt.is_routed_down(1));
-        assert_eq!(rt.stats().recovered, 1);
-    }
-
-    #[test]
-    fn router_failure_detection_promotes_and_a_probe_recovers_without_double_promotion() {
+    /// Two replica pairs with default settings, five seconds of data on
+    /// four nodes.
+    fn replicated_pair() -> Arc<FederatedAgent> {
         let fed = Arc::new(
             FederatedAgent::new(FederationConfig {
                 agents: 2,
-                drain_timeout_ms: 100,
                 replication_factor: 2,
                 ..FederationConfig::default()
             })
@@ -1025,54 +812,113 @@ mod tests {
         for node in 0..4 {
             feed(&fed, node, 1..=5);
         }
-        let rt = QueryRouter::new(
-            Arc::clone(&fed),
-            RouterConfig {
-                shard_timeout_ms: 50,
-                reconnect: ReconnectConfig {
-                    base_ms: 20,
-                    cap_ms: 100,
-                    down_threshold: 2,
-                    ..ReconnectConfig::default()
-                },
-            },
-        );
-        let victim = fed.shards()[1].id.clone();
-        assert!(fed.kill(&victim));
+        fed
+    }
+
+    #[test]
+    fn the_scatter_that_promotes_a_standby_does_not_wait_on_itself() {
+        let fed = replicated_pair();
+        let rt = QueryRouter::new(Arc::clone(&fed), RouterConfig::default());
+        assert!(fed.kill("agent-01"));
         let topic = t("/rack00/node00/power");
+        for _ in 0..5 {
+            let started = Instant::now();
+            let q = rt.query_sensors(&topic, Timestamp::ZERO, Timestamp::MAX);
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_millis(250),
+                "{took:?}: {:?}",
+                q.envelope
+            );
+            if fed.shards()[1].promotions() > 0 {
+                break;
+            }
+        }
+        assert_eq!(fed.stats().promotions, 1);
+    }
 
-        // Two scatters observe the dead primary: the second crosses the
-        // router's threshold and the detection hand-off promotes the
-        // standby.
-        let q = rt.query_sensors(&topic, Timestamp::ZERO, Timestamp::MAX);
-        assert_eq!(q.envelope.shards_down, 1);
-        assert_eq!(
-            fed.shards()[1].promotions(),
-            0,
-            "one strike is not detection"
-        );
-        let q = rt.query_sensors(&topic, Timestamp::ZERO, Timestamp::MAX);
-        assert_eq!(q.envelope.shards_down, 1, "this scatter still skipped it");
-        assert!(rt.is_routed_down(1));
-        assert_eq!(
-            fed.shards()[1].promotions(),
-            1,
-            "threshold promoted the standby"
-        );
-        assert!(fed.shards()[1].is_up());
+    #[test]
+    fn one_detector_fails_a_killed_shard_over_on_a_publish_a_tick_and_a_scatter() {
+        let fed = replicated_pair();
+        let rt = QueryRouter::new(Arc::clone(&fed), RouterConfig::default());
+        let map = fed.shard_map();
+        let topic = (0..64)
+            .map(|n| t(&format!("/rack00/node{n:02}/power")))
+            .find(|topic| map.assign_id(topic) == Some("agent-01"))
+            .expect("agent-01 owns a node");
+        assert!(fed.kill("agent-01"));
+        let shard = &fed.shards()[1];
 
-        // The probe lands on the promoted replica: routed-down clears
-        // and nothing promotes again.
-        std::thread::sleep(Duration::from_millis(30));
+        let r = SensorReading::new(1, Timestamp::from_secs(6));
+        assert!(fed.publish_readings(topic.clone(), &[r]).is_err());
+        fed.tick(Timestamp::from_secs(6));
+        assert_eq!(shard.supervision().consecutive_failures(), 2);
+        assert_eq!(shard.promotions(), 0, "two failures are not detection");
+
+        let q = rt.query_sensors(&topic, Timestamp::ZERO, Timestamp::MAX);
+        assert_eq!(q.envelope.shards_down, 1, "this scatter saw it dead");
+        assert_eq!(shard.promotions(), 1, "the third input promoted");
+        assert_eq!(rt.stats().marked_down, 1);
+
+        // Promotion reset the detector: the next scatter asks the new
+        // primary at once, and nothing promotes twice.
         let q = rt.query_sensors(&topic, Timestamp::ZERO, Timestamp::MAX);
         assert!(q.envelope.complete(), "{:?}", q.envelope);
-        assert!(!rt.is_routed_down(1));
-        assert_eq!(rt.stats().recovered, 1);
-        assert_eq!(fed.shards()[1].promotions(), 1, "no double promotion");
+        assert!(!shard.is_routed_down());
         assert!(
             !fed.failover(1),
             "explicit failover of a live shard refuses"
         );
+        assert_eq!(shard.promotions(), 1);
+    }
+
+    #[test]
+    fn a_slow_shard_under_publishes_is_routed_down_and_recovers_on_the_first_probe() {
+        let fed = federation(2);
+        for node in 0..4 {
+            feed(&fed, node, 1..=3);
+        }
+        let rt = QueryRouter::new(
+            Arc::clone(&fed),
+            RouterConfig {
+                shard_timeout_ms: 20,
+            },
+        );
+        fed.shards()[1].set_query_delay_ms(200);
+        let topic = t("/rack00/node00/power");
+
+        // Three timeouts cross the detector into Down, though every
+        // shard keeps taking publishes in between: a landed publish is
+        // not a success.
+        for round in 0..3u64 {
+            for node in 0..4 {
+                feed(&fed, node, 10 + round..=10 + round);
+            }
+            let q = rt.query_sensors(&topic, Timestamp::ZERO, Timestamp::MAX);
+            assert_eq!(q.envelope.shards_timed_out, 1, "round {round}");
+            assert!(q.envelope.accounted());
+        }
+        assert!(fed.shards()[1].is_routed_down());
+        assert_eq!(
+            fed.shards()[1].promotions(),
+            0,
+            "a live primary is not failed over"
+        );
+        assert_eq!(rt.stats().marked_down, 1);
+
+        // Before the 100 ms probe is due the shard is skipped (down, not
+        // timed out): the scatter no longer pays the deadline for it.
+        let q = rt.query_sensors(&topic, Timestamp::ZERO, Timestamp::MAX);
+        assert_eq!(q.envelope.shards_down, 1);
+        assert_eq!(q.envelope.shards_timed_out, 0);
+
+        // The shard heals; the first probe after the backoff restores it.
+        fed.shards()[1].set_query_delay_ms(0);
+        std::thread::sleep(Duration::from_millis(120));
+        let q = rt.query_sensors(&topic, Timestamp::ZERO, Timestamp::MAX);
+        assert!(q.envelope.complete(), "{:?}", q.envelope);
+        assert!(!fed.shards()[1].is_routed_down());
+        assert_eq!(rt.stats().recovered, 1);
     }
 
     #[test]

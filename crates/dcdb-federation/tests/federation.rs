@@ -41,7 +41,6 @@ fn federation_with(agents: usize, replication_factor: usize) -> Arc<FederatedAge
         FederatedAgent::new(FederationConfig {
             agents,
             agent: agent_config(),
-            drain_timeout_ms: 200,
             replication_factor,
             ..FederationConfig::default()
         })
@@ -220,7 +219,6 @@ fn envelope_identity_under_mixed_outage() {
         Arc::clone(&fed),
         RouterConfig {
             shard_timeout_ms: 30,
-            ..RouterConfig::default()
         },
     );
     fed.kill("agent-02");
@@ -252,7 +250,6 @@ fn durable_unreplicated_shard_kill_and_rejoin_returns_every_acked_reading_once()
             FederationConfig {
                 agents: 4,
                 agent: agent_config(),
-                drain_timeout_ms: 200,
                 ..FederationConfig::default()
             },
             move |_, id| {

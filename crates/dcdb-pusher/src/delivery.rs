@@ -8,8 +8,9 @@
 //! ODA. This module closes it for the reproduction:
 //!
 //! * [`BusConnection`] supervises the pusher's view of the bus: it
-//!   tracks a connection state machine (`Up` → `Degraded` → `Down`),
-//!   retries with exponential backoff plus seeded jitter, and exports
+//!   feeds every publish outcome to the shared [`Supervisor`] state
+//!   machine (`Up` → `Degraded` → `Down`, the one federation shards
+//!   run too), retries with exponential backoff plus seeded jitter, and exports
 //!   per-connection metrics (reconnects, time in each state, the last
 //!   error seen).
 //! * A bounded [`Spool`] buffers readings that the bus refused
@@ -34,80 +35,11 @@ use dcdb_bus::{MessageBus, OverflowPolicy};
 use dcdb_common::batch::ReadingBatch;
 use dcdb_common::reading::SensorReading;
 use dcdb_common::sim::{EventTrace, SimClock};
+use dcdb_common::supervisor::{ConnectionState, ReconnectConfig, Supervisor};
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
-use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-
-/// Connection state as the supervisor sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnectionState {
-    /// Publishes are succeeding.
-    Up,
-    /// Recent publishes failed but the supervisor is still attempting
-    /// every delivery (early failures may be transient).
-    Degraded,
-    /// Enough consecutive failures that the supervisor stopped
-    /// hammering the bus: everything spools, and a reconnect probe runs
-    /// only when the backoff timer expires.
-    Down,
-}
-
-impl ConnectionState {
-    /// Canonical lower-case spelling for status lines and JSON.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ConnectionState::Up => "up",
-            ConnectionState::Degraded => "degraded",
-            ConnectionState::Down => "down",
-        }
-    }
-
-    /// Stable array index (Up = 0, Degraded = 1, Down = 2) for
-    /// per-state accounting such as time-in-state counters.
-    pub fn index(self) -> usize {
-        match self {
-            ConnectionState::Up => 0,
-            ConnectionState::Degraded => 1,
-            ConnectionState::Down => 2,
-        }
-    }
-}
-
-/// Factor the backoff grows by after every failed probe, here and in
-/// the federation router's shard supervision: doubling, up to `cap_ms`.
-pub const BACKOFF_MULTIPLIER: u64 = 2;
-
-/// Reconnect/backoff policy of a [`BusConnection`].
-#[derive(Debug, Clone, Copy)]
-pub struct ReconnectConfig {
-    /// First backoff after the connection goes `Down`, milliseconds.
-    pub base_ms: u64,
-    /// Backoff ceiling, milliseconds.
-    pub cap_ms: u64,
-    /// Jitter fraction: each scheduled probe is delayed by up to this
-    /// fraction of the backoff, drawn from a seeded RNG (spreads
-    /// reconnect storms across pushers while staying reproducible).
-    pub jitter: f64,
-    /// Consecutive publish failures after which `Degraded` becomes
-    /// `Down` (the first failure already leaves `Up`).
-    pub down_threshold: u64,
-    /// Seed of the jitter RNG.
-    pub seed: u64,
-}
-
-impl Default for ReconnectConfig {
-    fn default() -> Self {
-        ReconnectConfig {
-            base_ms: 500,
-            cap_ms: 30_000,
-            jitter: 0.2,
-            down_threshold: 3,
-            seed: 0x5EED,
-        }
-    }
-}
 
 /// Spool sizing and overflow behaviour.
 #[derive(Debug, Clone, Copy)]
@@ -345,25 +277,15 @@ pub struct DeliveryMetricsSnapshot {
     pub spool: SpoolMetricsSnapshot,
 }
 
-/// Supervised delivery onto a [`MessageBus`]: connection-state
-/// tracking, backoff-with-jitter reconnects, and the bounded
+/// Supervised delivery onto a [`MessageBus`]: the shared [`Supervisor`]
+/// state machine fed by publish outcomes, and the bounded
 /// store-and-forward spool.
 pub struct BusConnection {
     bus: Arc<dyn MessageBus>,
-    reconnect: ReconnectConfig,
     spool: Spool,
-    state: ConnectionState,
-    consecutive_failures: u64,
-    backoff_ms: u64,
-    next_probe_ns: u64,
-    reconnects: u64,
-    failed_probes: u64,
+    supervisor: Supervisor,
     last_error: Option<String>,
     clock: Arc<SimClock>,
-    trace: Option<(EventTrace, String)>,
-    last_now_ns: u64,
-    time_in_state_ns: [u64; 3],
-    rng: StdRng,
 }
 
 impl BusConnection {
@@ -382,27 +304,17 @@ impl BusConnection {
     ) -> BusConnection {
         BusConnection {
             bus,
-            reconnect: config.reconnect,
             spool: Spool::new(config.spool),
-            state: ConnectionState::Up,
-            consecutive_failures: 0,
-            backoff_ms: config.reconnect.base_ms.max(1),
-            next_probe_ns: 0,
-            reconnects: 0,
-            failed_probes: 0,
+            supervisor: Supervisor::new(config.reconnect),
             last_error: None,
             clock,
-            trace: None,
-            last_now_ns: 0,
-            time_in_state_ns: [0; 3],
-            rng: StdRng::seed_from_u64(config.reconnect.seed),
         }
     }
 
     /// Attaches the canonical event trace; connection state transitions
     /// are appended as `<label> <from>-><to>` under the `delivery` lane.
     pub fn set_trace(&mut self, trace: EventTrace, label: &str) {
-        self.trace = Some((trace, label.to_string()));
+        self.supervisor.set_trace(trace, "delivery", label);
     }
 
     /// The shared virtual clock this connection ticks from.
@@ -417,7 +329,7 @@ impl BusConnection {
 
     /// Current connection state.
     pub fn state(&self) -> ConnectionState {
-        self.state
+        self.supervisor.state()
     }
 
     /// Readings currently spooled.
@@ -425,61 +337,9 @@ impl BusConnection {
         self.spool.depth()
     }
 
-    fn advance_clock(&mut self, now_ns: u64) {
-        let elapsed = now_ns.saturating_sub(self.last_now_ns);
-        self.time_in_state_ns[self.state.index()] += elapsed;
-        self.last_now_ns = now_ns;
-    }
-
-    fn record_transition(&self, at_ns: u64, from: ConnectionState, to: ConnectionState) {
-        if let Some((trace, label)) = &self.trace {
-            trace.record(
-                Timestamp(at_ns),
-                "delivery",
-                &format!("{label} {}->{}", from.as_str(), to.as_str()),
-            );
-        }
-    }
-
-    fn on_success(&mut self, now_ns: u64) {
-        if self.state == ConnectionState::Down {
-            self.reconnects += 1;
-        }
-        if self.state != ConnectionState::Up {
-            self.record_transition(now_ns, self.state, ConnectionState::Up);
-        }
-        self.state = ConnectionState::Up;
-        self.consecutive_failures = 0;
-        self.backoff_ms = self.reconnect.base_ms.max(1);
-        self.next_probe_ns = 0;
-    }
-
     fn on_failure(&mut self, now_ns: u64, error: String) {
         self.last_error = Some(error);
-        self.consecutive_failures += 1;
-        match self.state {
-            ConnectionState::Up => {
-                self.record_transition(now_ns, self.state, ConnectionState::Degraded);
-                self.state = ConnectionState::Degraded;
-            }
-            ConnectionState::Degraded => {}
-            ConnectionState::Down => {
-                self.failed_probes += 1;
-            }
-        }
-        if self.consecutive_failures >= self.reconnect.down_threshold.max(1) {
-            if self.state != ConnectionState::Down {
-                self.record_transition(now_ns, self.state, ConnectionState::Down);
-            }
-            self.state = ConnectionState::Down;
-            // Schedule the next probe: backoff plus seeded jitter, then
-            // grow the backoff for the probe after that.
-            let jitter = 1.0 + self.reconnect.jitter.max(0.0) * self.rng.gen::<f64>();
-            let delay_ms = (self.backoff_ms as f64 * jitter) as u64;
-            self.next_probe_ns = now_ns + delay_ms.max(1) * 1_000_000;
-            let grown = self.backoff_ms.saturating_mul(BACKOFF_MULTIPLIER);
-            self.backoff_ms = grown.clamp(1, self.reconnect.cap_ms.max(1));
-        }
+        self.supervisor.on_failure(now_ns);
     }
 
     /// Delivers one tick's worth of per-topic batches.
@@ -498,13 +358,8 @@ impl BusConnection {
         // The shared clock absorbs out-of-order ticks: the effective
         // `now` is monotonic, so backoff timers never rewind.
         let now_ns = self.clock.advance_to(now).as_nanos();
-        self.advance_clock(now_ns);
         let mut out = DeliveryOutcome::default();
-
-        let mut attempting = match self.state {
-            ConnectionState::Down => now_ns >= self.next_probe_ns,
-            _ => true,
-        };
+        let mut attempting = self.supervisor.attempt_due(now_ns);
 
         // Phase 1: drain the spool, oldest-first across topics.
         while attempting {
@@ -518,7 +373,7 @@ impl BusConnection {
                     out.published += n;
                     out.drained += n;
                     self.spool.note_drained(columns.len());
-                    self.on_success(now_ns);
+                    self.supervisor.on_success(now_ns);
                 }
                 Err(e) => {
                     out.refused_attempts += 1;
@@ -537,7 +392,7 @@ impl BusConnection {
                 match self.bus.publish_batch(topic.clone(), &batch) {
                     Ok(()) => {
                         out.published += batch.len() as u64;
-                        self.on_success(now_ns);
+                        self.supervisor.on_success(now_ns);
                         continue;
                     }
                     Err(e) => {
@@ -566,22 +421,15 @@ impl BusConnection {
 
     /// Counter snapshot.
     pub fn metrics(&self) -> DeliveryMetricsSnapshot {
+        let sup = &self.supervisor;
         DeliveryMetricsSnapshot {
-            state: self.state,
-            reconnects: self.reconnects,
-            failed_probes: self.failed_probes,
-            consecutive_failures: self.consecutive_failures,
-            backoff_ms: self.backoff_ms,
-            next_probe_in_ms: if self.state == ConnectionState::Down {
-                self.next_probe_ns.saturating_sub(self.last_now_ns) / 1_000_000
-            } else {
-                0
-            },
-            time_in_state_ms: [
-                self.time_in_state_ns[0] / 1_000_000,
-                self.time_in_state_ns[1] / 1_000_000,
-                self.time_in_state_ns[2] / 1_000_000,
-            ],
+            state: sup.state(),
+            reconnects: sup.reconnects(),
+            failed_probes: sup.failed_probes(),
+            consecutive_failures: sup.consecutive_failures(),
+            backoff_ms: sup.backoff_ms(),
+            next_probe_in_ms: sup.next_probe_in_ms(),
+            time_in_state_ms: sup.time_in_state_ms(),
             last_error: self.last_error.clone(),
             spool: self.spool.metrics(),
         }

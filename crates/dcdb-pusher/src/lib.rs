@@ -20,8 +20,8 @@ pub mod plugins;
 pub mod pusher;
 
 pub use delivery::{
-    BusConnection, ConnectionState, DeliveryConfig, DeliveryMetricsSnapshot, DeliveryOutcome,
-    ReconnectConfig, SpoolConfig, SpoolMetricsSnapshot, BACKOFF_MULTIPLIER,
+    BusConnection, DeliveryConfig, DeliveryMetricsSnapshot, DeliveryOutcome, SpoolConfig,
+    SpoolMetricsSnapshot,
 };
 pub use plugins::{
     standard_plugin_set, ClassMonitoringPlugin, FlakyMonitoringPlugin, MonitoringPlugin,

@@ -24,12 +24,13 @@
 //! routed through one [`BusConnection`], which spools refused readings
 //! and drains them oldest-first on recovery.
 
-use crate::delivery::{BusConnection, ConnectionState, DeliveryConfig, DeliveryMetricsSnapshot};
+use crate::delivery::{BusConnection, DeliveryConfig, DeliveryMetricsSnapshot};
 use crate::plugins::MonitoringPlugin;
 use dcdb_bus::{BusHandle, MessageBus};
 use dcdb_common::batch::ReadingBatch;
 use dcdb_common::error::Result;
 use dcdb_common::reading::SensorReading;
+use dcdb_common::supervisor::ConnectionState;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use dcdb_rest::Router;
@@ -419,9 +420,10 @@ impl Pusher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delivery::{ReconnectConfig, SpoolConfig};
+    use crate::delivery::SpoolConfig;
     use crate::plugins::{FlakyMonitoringPlugin, SimMonitoringPlugin, TesterMonitoringPlugin};
     use dcdb_bus::{Broker, ChaosBus, ChaosConfig, OverflowPolicy};
+    use dcdb_common::supervisor::ReconnectConfig;
     use sim_cluster::{ClusterConfig, ClusterSimulator};
 
     fn t(s: &str) -> Topic {

@@ -2,9 +2,9 @@
 //! scheduler drives every chaos layer of the stack at once.
 //!
 //! One [`SimClock`] is shared by the bus chaos layer, the storage fault
-//! devices, the delivery supervisors and the query router's probe
-//! timers; one [`SimScheduler`] owns every discrete fault action (shard
-//! kills and rejoins, island partitions and heals, thermal throttles,
+//! devices, the delivery supervisors and the shards' failure detectors;
+//! one [`SimScheduler`] owns every discrete fault action (shard kills and
+//! rejoins, island partitions and heals, thermal throttles,
 //! query storms), all derived from the single run seed via per-lane
 //! splitmix sub-seeds; and one [`EventTrace`] receives every injected
 //! event and observed state transition, so the trace hash is a
@@ -26,11 +26,12 @@ use crate::report::{CounterSummary, IdentityReport, ScenarioReport, SloReport};
 use crate::scenario::{LaneSet, Scale, Scenario};
 use dcdb_bus::{ChaosBus, ChaosConfig, MessageBus};
 use dcdb_common::batch::ReadingBatch;
-use dcdb_common::sim::{derive_seed, lanes, EventTrace, SimClock, SimScheduler};
+use dcdb_common::sim::{derive_seed, lanes, xorshift, EventTrace, SimClock, SimScheduler};
+use dcdb_common::supervisor::ReconnectConfig;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use dcdb_federation::{FederatedAgent, FederationConfig, QueryRouter, RouterConfig};
-use dcdb_pusher::{BusConnection, DeliveryConfig, ReconnectConfig};
+use dcdb_pusher::{BusConnection, DeliveryConfig};
 use dcdb_storage::{
     DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, HealthState, StdIo,
     StorageBackend, StorageEngine, StorageIo,
@@ -74,16 +75,6 @@ enum SimAction {
     },
 }
 
-/// xorshift64* step for plan drawing (seeded per lane via splitmix).
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state | 1;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
 /// Folds a shard id into a lane seed so primary and replica journal
 /// devices draw from distinct, stable streams.
 fn device_seed(lane_seed: u64, id: &str) -> u64 {
@@ -119,17 +110,17 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
         RUN_COUNTER.fetch_add(1, Ordering::Relaxed),
     ));
     let fed = build_federation(&lanes_armed, agents, seed, horizon_ns, &dir, &clock, &trace);
+    // The shards' failure detectors probe on the shared timeline.
+    fed.use_sim_clock(Arc::clone(&clock));
+    fed.set_trace(trace.clone());
 
     // --- Query tier: scatter-gather router on the shared timeline.
     let router = QueryRouter::new(
         Arc::clone(&fed),
         RouterConfig {
             shard_timeout_ms: 5_000,
-            ..RouterConfig::default()
         },
     );
-    router.use_sim_clock(Arc::clone(&clock));
-    router.set_trace(trace.clone());
 
     // --- Transport chaos over the federation front door; the ledger
     // between them records what the federation accepted.

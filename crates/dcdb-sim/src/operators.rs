@@ -11,20 +11,9 @@
 
 use dcdb_common::error::{DcdbError, Result};
 use dcdb_common::reading::SensorReading;
-use dcdb_common::sim::derive_seed;
+use dcdb_common::sim::{derive_seed, xorshift};
 use dcdb_common::topic::Topic;
 use wintermute::prelude::*;
-
-/// xorshift64* step — the same no-dependency RNG the storage fault
-/// injector and the facility scheduler use.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state | 1;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
 
 /// One seeded-fault operator: per compute, draws a fate from its
 /// private stream — panic, error, or a successful output reading.

@@ -286,7 +286,9 @@ struct FaultState {
 }
 
 /// xorshift64* step; decent-quality deterministic draws without a
-/// dependency on this hot-path crate.
+/// dependency on this hot-path crate. Not `dcdb_common::sim::xorshift`:
+/// that one forces the state odd, so merging would change every
+/// `FaultIo` fault stream (and every pinned witness built on one).
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;

@@ -17,7 +17,7 @@
 //! the event trace that witnesses replay determinism.
 
 use crate::topology::Topology;
-use dcdb_common::sim::{derive_seed, lanes};
+use dcdb_common::sim::{derive_seed, lanes, xorshift};
 
 /// What kind of facility event hits an island.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,17 +90,6 @@ impl FacilityEvent {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FacilitySchedule {
     events: Vec<FacilityEvent>,
-}
-
-/// xorshift64* step, seeded per lane via splitmix — the same
-/// no-dependency RNG discipline the storage fault injector uses.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state | 1;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
 fn draw_range(state: &mut u64, lo: u64, hi: u64) -> u64 {

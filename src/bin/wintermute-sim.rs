@@ -21,7 +21,8 @@
 //!     [--fsync-fail-prob P] [--io-latency-ms N]
 //! ```
 //!
-//! Any other `--flag` is a usage error (exit status 2).
+//! Any other `--flag`, and a value a flag cannot parse, is a usage
+//! error (exit status 2).
 //!
 //! Deterministic replay (`--scenario NAME --seed S`): instead of the
 //! wall-clock deployment, run one named fault scenario from the
@@ -118,13 +119,12 @@ use dcdb_wintermute::dcdb_bus::{
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig, SimJobSource};
 use dcdb_wintermute::dcdb_common::error::Result;
 use dcdb_wintermute::dcdb_common::sim::{derive_seed, SimClock};
-use dcdb_wintermute::dcdb_common::{Timestamp, Topic};
+use dcdb_wintermute::dcdb_common::{ConnectionState, ReconnectConfig, Timestamp, Topic};
 use dcdb_wintermute::dcdb_federation::{
     FederatedAgent, FederationConfig, QueryRouter, RouterConfig, DEFAULT_VNODES,
 };
 use dcdb_wintermute::dcdb_pusher::{
-    standard_plugin_set, ConnectionState, DeliveryConfig, Pusher, PusherConfig, PusherStats,
-    ReconnectConfig, SpoolConfig,
+    standard_plugin_set, DeliveryConfig, Pusher, PusherConfig, PusherStats, SpoolConfig,
 };
 use dcdb_wintermute::dcdb_rest::{RestServer, Router};
 use dcdb_wintermute::dcdb_storage::{
@@ -172,11 +172,28 @@ const FLAGS: &[&str] = &[
     "--io-latency-ms",
 ];
 
-/// The value following `name` on the command line, if present and
-/// parsable.
+/// Prints `message` and exits with the usage-error status 2.
+fn usage(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
+/// The value following `name` on the command line, if present. A value
+/// that does not parse is a usage error, never the default.
 fn flag<T: std::str::FromStr>(name: &str) -> Option<T> {
     let mut from_name = std::env::args().skip_while(|a| a != name);
-    from_name.nth(1)?.parse().ok()
+    let value = from_name.nth(1)?;
+    match value.parse() {
+        Ok(v) => Some(v),
+        Err(_) => usage(&format!("malformed {name} value {value:?}")),
+    }
+}
+
+/// A flag naming one of a fixed set of words (`expected`, `|`-joined);
+/// any other word is a usage error.
+fn choice<T>(name: &str, default: &str, expected: &str, parse: impl Fn(&str) -> Option<T>) -> T {
+    let value = flag::<String>(name).unwrap_or_else(|| default.into());
+    parse(&value).unwrap_or_else(|| usage(&format!("{name} must be {expected}, got {value:?}")))
 }
 
 fn arg(name: &str, default: u64) -> u64 {
@@ -266,18 +283,15 @@ fn scenario_mode() -> bool {
         std::process::exit(2);
     };
     let seed = arg("--seed", 0xD1CE);
-    let scale_name = flag::<String>("--sim-scale").unwrap_or("small".into());
-    let Some(scale) = Scale::parse(&scale_name) else {
-        eprintln!("--sim-scale must be tiny|small|large, got {scale_name:?}");
-        std::process::exit(2);
-    };
+    let scale = choice("--sim-scale", "small", "tiny|small|large", Scale::parse);
     let report = run_scenario(scenario, seed, scale);
     println!(
         "{}",
         serde_json::to_string_pretty(&report).expect("report serializes")
     );
     eprintln!(
-        "scenario {name} seed {seed:#x} scale {scale_name}: witness {} — {}",
+        "scenario {name} seed {seed:#x} scale {}: witness {} — {}",
+        scale.as_str(),
         report.trace_hash,
         if report.ok { "OK" } else { "FAILED" },
     );
@@ -329,8 +343,9 @@ fn main() {
 
     // --- Storage: one opener for every engine of either tier. ---
     let durable_config = DurableConfig {
-        fsync: FsyncPolicy::parse(&flag::<String>("--fsync").unwrap_or("batch".into()))
-            .expect("--fsync must be always|batch|never"),
+        fsync: choice("--fsync", "batch", "always|batch|never", |v| {
+            FsyncPolicy::parse(v).ok()
+        }),
         retention_ns: flag::<u64>("--retention-secs").map(|s| s * 1_000_000_000),
         ..DurableConfig::default()
     };
@@ -417,9 +432,8 @@ fn main() {
     };
 
     // --- Transport + storage tier: one broker and agent, or the federation. ---
-    let overflow =
-        OverflowPolicy::parse(&flag::<String>("--overflow").unwrap_or("drop-oldest".into()))
-            .expect("--overflow must be block|drop-newest|drop-oldest");
+    let expected = "block|drop-newest|drop-oldest";
+    let overflow = choice("--overflow", "drop-oldest", expected, OverflowPolicy::parse);
     let bus_config = BusConfig {
         sub_depth: arg("--sub-depth", BusConfig::default().sub_depth as u64).max(1) as usize,
         sub_policy: overflow,
@@ -440,7 +454,6 @@ fn main() {
                 agent: agent_config,
                 bus: bus_config,
                 replication_factor: arg("--replicas", 1).clamp(1, 2) as usize,
-                ..FederationConfig::default()
             },
             open_storage,
         );
@@ -453,7 +466,6 @@ fn main() {
                     RouterConfig::default().shard_timeout_ms,
                 )
                 .max(1),
-                ..RouterConfig::default()
             },
         ));
         Tier::Federated { fed, router }
@@ -587,7 +599,7 @@ fn main() {
             // total spool depth and losses.
             let mut state_counts = [0usize; 3];
             for state in pushers.iter().filter_map(|p| p.connection_state()) {
-                state_counts[state.index()] += 1;
+                state_counts[state as usize] += 1;
             }
             let delivery: Vec<PusherStats> = pushers.iter().map(|p| p.stats()).collect();
             // Totals over the live agents.
@@ -624,7 +636,7 @@ fn main() {
                     let rs = router.stats();
                     format!(
                         ", federation epoch {}: {}/{} shards up, routed {} (refused {}), \
-                         rebalances {} (drain timeouts {}), promotions {} (degraded {}), \
+                         rebalances {}, promotions {} (degraded {}), \
                          replication lag {} entries, router: {} queries ({} timeouts, {} \
                          marked down)",
                         fs.epoch,
@@ -633,7 +645,6 @@ fn main() {
                         fs.publishes,
                         fs.publishes_refused,
                         fs.rebalances,
-                        fs.drains_timed_out,
                         fs.promotions,
                         fs.degraded_removals,
                         fs.replication_lag_entries,
@@ -650,9 +661,9 @@ fn main() {
                  reconnects {}), operators: {} runs ({} ok, {} err, {} panic, {} overrun, {} \
                  quarantined){health_seg}{federation_seg}",
                 front_door.stats().dropped,
-                state_counts[ConnectionState::Up.index()],
-                state_counts[ConnectionState::Degraded.index()],
-                state_counts[ConnectionState::Down.index()],
+                state_counts[ConnectionState::Up as usize],
+                state_counts[ConnectionState::Degraded as usize],
+                state_counts[ConnectionState::Down as usize],
                 total(&delivery, |s| s.spooled_pending),
                 total(&delivery, |s| s.publish_errors),
                 total(&delivery, |s| s.spool_dropped),

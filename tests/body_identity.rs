@@ -378,7 +378,6 @@ fn federated_routes_serve_the_oracles_bytes() {
     let fed = Arc::new(
         FederatedAgent::new(FederationConfig {
             agents: 3,
-            drain_timeout_ms: 100,
             ..FederationConfig::default()
         })
         .unwrap(),

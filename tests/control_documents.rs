@@ -84,7 +84,6 @@ fn federation() -> (Arc<FederatedAgent>, Router) {
         FederatedAgent::new(FederationConfig {
             agents: 2,
             replication_factor: 2,
-            drain_timeout_ms: 100,
             ..FederationConfig::default()
         })
         .unwrap(),
@@ -370,7 +369,6 @@ storage: object
 ";
 const ROUTER_METRICS: &str = "
 federation.degraded_removals: integer
-federation.drains_timed_out: integer
 federation.epoch: integer
 federation.promotions: integer
 federation.publishes: integer
@@ -533,7 +531,6 @@ status: string
 ";
 const ROUTER_FEDERATION: &str = "
 federation.degraded_removals: integer
-federation.drains_timed_out: integer
 federation.epoch: integer
 federation.promotions: integer
 federation.publishes: integer

@@ -114,3 +114,33 @@ fn single_agent_run_honours_every_knob_family() {
 fn federated_run_honours_every_knob_family_on_every_shard() {
     run_daemon(&["--agents", "2", "--replicas", "2"], 2, 4);
 }
+
+/// A flag value the daemon cannot parse is a usage error naming the flag
+/// and the value, never a silent default or a panic.
+#[test]
+fn a_malformed_flag_value_exits_2_at_once() {
+    for (flag, value) in [("--duration", "3s"), ("--fsync", "sometimes")] {
+        let started = std::time::Instant::now();
+        let mut child = Command::new(env!("CARGO_BIN_EXE_wintermute-sim"))
+            .args([flag, value])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn wintermute-sim");
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("try_wait") {
+                break status;
+            }
+            if started.elapsed() > std::time::Duration::from_secs(1) {
+                let _ = child.kill();
+                panic!("{flag} {value} still running after a second");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        };
+        let mut err = String::new();
+        let mut stderr = child.stderr.take().expect("piped stderr");
+        stderr.read_to_string(&mut err).expect("read stderr");
+        assert_eq!(status.code(), Some(2), "{flag} {value}: {err}");
+        assert!(err.contains(flag) && err.contains(value), "{err}");
+    }
+}

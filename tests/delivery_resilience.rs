@@ -9,10 +9,9 @@ use dcdb_wintermute::dcdb_bus::{
     decode_batch, Broker, ChaosBus, ChaosConfig, MessageBus, OverflowPolicy,
 };
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
-use dcdb_wintermute::dcdb_common::{Timestamp, Topic};
+use dcdb_wintermute::dcdb_common::{ConnectionState, ReconnectConfig, Timestamp, Topic};
 use dcdb_wintermute::dcdb_pusher::{
-    ConnectionState, DeliveryConfig, Pusher, PusherConfig, ReconnectConfig, SpoolConfig,
-    TesterMonitoringPlugin,
+    DeliveryConfig, Pusher, PusherConfig, SpoolConfig, TesterMonitoringPlugin,
 };
 use dcdb_wintermute::dcdb_storage::StorageBackend;
 use dcdb_wintermute::wintermute::prelude::PluginConfig;
