@@ -15,9 +15,10 @@
 //! one, and queries scatter to every live shard whatever the map says.
 //!
 //! With a replication factor of 2 each shard is a **primary/replica
-//! pair**: the primary serves ingest and queries while its acked
-//! journal stream (see [`dcdb_storage::TappedEngine`]) is pumped into a
-//! journal-tailing standby ([`crate::replica::ReplicaLink`]).
+//! pair**: the primary serves ingest and queries while its
+//! [`NodeEngine`] streams every acked write onto a
+//! [`ReplicaStream`] that [`FederatedAgent::pump_replication`] applies
+//! to the standby (see [`crate::replica`]).
 //! [`FederatedAgent::kill`] is an honest crash — it *drops* the
 //! victim's in-process broker, agent, and memtable; only on-disk state
 //! survives. Nothing rebalances at the moment of the crash: failure is
@@ -36,7 +37,7 @@
 //! watermarks. A shard with no standby degrades the PR-6 way: it is
 //! removed from the ring and queries return partial results.
 
-use crate::replica::{self, ReplicaLink, ReplicaLinkStats};
+use crate::replica::{NodeEngine, ReplicaStats, ReplicaStream, PUMP_BUDGET, TAIL_CAPACITY};
 use crate::ring::{ShardMap, DEFAULT_VNODES};
 use bytes::Bytes;
 use dcdb_bus::{
@@ -49,7 +50,7 @@ use dcdb_common::sim::{EventTrace, SimClock};
 use dcdb_common::supervisor::{ConnectionState, ReconnectConfig, Supervisor};
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
-use dcdb_storage::{StorageBackend, StorageEngine, TappedEngine};
+use dcdb_storage::{StorageBackend, StorageEngine};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -90,13 +91,6 @@ const SHARD_SUPERVISION: ReconnectConfig = ReconnectConfig {
     seed: 0,
 };
 
-/// Bound of a shard's journal tail queue, entries. Overflow is counted
-/// and forces an anti-entropy resync — never silent loss.
-const TAIL_CAPACITY: usize = 4096;
-
-/// Max entries one replication pump applies to a standby.
-const PUMP_BUDGET: usize = 512;
-
 impl Default for FederationConfig {
     fn default() -> Self {
         FederationConfig {
@@ -114,7 +108,7 @@ impl Default for FederationConfig {
 struct NodeRuntime {
     broker: Broker,
     agent: Arc<CollectAgent>,
-    engine: Arc<TappedEngine>,
+    engine: Arc<NodeEngine>,
 }
 
 /// One node of a shard's replica pair (or the only node of an
@@ -134,7 +128,7 @@ impl ShardNode {
     }
 }
 
-/// One shard: a primary (plus optional journal-tailing standby) and the
+/// One shard: a primary (plus optional standby) and the
 /// failure-detection state around it.
 pub struct Shard {
     /// Stable shard id (`agent-00`, `agent-01`, …) — the ring member
@@ -149,7 +143,7 @@ pub struct Shard {
     /// per-shard route tables against this.
     role_epoch: AtomicU64,
     /// The replication stream feeding the standby, when one is wired.
-    link: Mutex<Option<ReplicaLink>>,
+    stream: Mutex<Option<Arc<ReplicaStream>>>,
     /// Times a standby of this shard was promoted to primary.
     promotions: AtomicU64,
     /// The shard's one failure detector; see the module docs.
@@ -207,9 +201,9 @@ impl Shard {
         self.promotions.load(Ordering::Relaxed)
     }
 
-    /// Replication stream counters, when a standby link is wired.
-    pub fn replication_stats(&self) -> Option<ReplicaLinkStats> {
-        self.link.lock().as_ref().map(|l| l.stats())
+    /// Replication stream counters, when a stream is wired.
+    pub fn replication_stats(&self) -> Option<ReplicaStats> {
+        self.stream.lock().as_ref().map(|s| s.stats())
     }
 
     /// Sets the artificial query delay (test/chaos hook).
@@ -232,12 +226,28 @@ impl Shard {
         (0..self.nodes.len()).find(|&slot| slot != primary && self.nodes[slot].alive())
     }
 
-    fn engine_of(&self, slot: usize) -> Option<Arc<TappedEngine>> {
+    fn engine_of(&self, slot: usize) -> Option<Arc<NodeEngine>> {
         self.nodes[slot]
             .runtime
             .read()
             .as_ref()
             .map(|rt| Arc::clone(&rt.engine))
+    }
+
+    /// One [`ReplicaStream::pump`] when a live primary, a live standby
+    /// and a stream between them are wired. Returns entries applied.
+    fn pump(&self) -> usize {
+        let stream = self.stream.lock();
+        let Some(stream) = stream.as_ref() else {
+            return 0;
+        };
+        let primary = self.engine_of(self.primary.load(Ordering::Acquire));
+        let standby = self.standby_slot().and_then(|slot| self.engine_of(slot));
+        let (Some(primary), Some(standby)) = (primary, standby) else {
+            return 0;
+        };
+        let pumped = stream.pump(primary.as_ref(), standby.as_ref(), PUMP_BUDGET);
+        pumped.unwrap_or(0)
     }
 
     /// A snapshot of the shard's failure detector.
@@ -273,9 +283,12 @@ pub struct FederationStats {
     /// Failovers that found no standby and degraded the shard out of
     /// the ring instead (the PR-6 partial-results tier).
     pub degraded_removals: u64,
-    /// Journal-tail entries currently queued across all shards
+    /// Replication-stream entries currently queued across all shards
     /// (federation-wide replication lag).
     pub replication_lag_entries: usize,
+    /// Readings a promotion drain offered the standby and it refused:
+    /// acknowledged, and lost with the stream.
+    pub replication_dropped: u64,
 }
 
 type StorageFactory = dyn Fn(usize, &str) -> Result<Arc<dyn StorageEngine>> + Send + Sync;
@@ -303,10 +316,12 @@ pub struct FederatedAgent {
     /// is installed, wall time since `origin` otherwise.
     sim_clock: OnceLock<Arc<SimClock>>,
     origin: Instant,
+    trace: OnceLock<EventTrace>,
     rebalances: AtomicU64,
     publishes: AtomicU64,
     publishes_refused: AtomicU64,
     degraded_removals: AtomicU64,
+    replication_dropped: AtomicU64,
 }
 
 impl FederatedAgent {
@@ -354,26 +369,20 @@ impl FederatedAgent {
                     runtime: RwLock::new(Some(runtime)),
                 });
             }
-            let link = if factor > 1 {
-                // The standby tails the primary from the first acked
-                // write; both start empty, so no catch-up is needed.
-                let primary_engine = nodes[0]
-                    .runtime
-                    .read()
-                    .as_ref()
-                    .map(|rt| Arc::clone(&rt.engine))
-                    .expect("just built");
-                Some(ReplicaLink::attach(&primary_engine, TAIL_CAPACITY))
-            } else {
-                None
-            };
+            // The standby is streamed the primary's first acked write
+            // on; both start empty, so no resync is needed.
+            let stream = (factor > 1).then(|| {
+                let primary = nodes[0].runtime.read();
+                let engine = &primary.as_ref().expect("just built").engine;
+                engine.attach(TAIL_CAPACITY, false)
+            });
             shards.push(Arc::new(Shard {
                 id,
                 index: i,
                 nodes,
                 primary: AtomicUsize::new(0),
                 role_epoch: AtomicU64::new(0),
-                link: Mutex::new(link),
+                stream: Mutex::new(stream),
                 promotions: AtomicU64::new(0),
                 supervisor: Mutex::new(Supervisor::new(SHARD_SUPERVISION)),
                 query_delay_ns: AtomicU64::new(0),
@@ -392,10 +401,12 @@ impl FederatedAgent {
             fallback_broker: Broker::new(),
             sim_clock: OnceLock::new(),
             origin: Instant::now(),
+            trace: OnceLock::new(),
             rebalances: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
             publishes_refused: AtomicU64::new(0),
             degraded_removals: AtomicU64::new(0),
+            replication_dropped: AtomicU64::new(0),
         };
         fed.apply_assignments(&map);
         Ok(fed)
@@ -424,13 +435,26 @@ impl FederatedAgent {
         let _ = self.sim_clock.set(clock);
     }
 
-    /// Attaches the canonical event trace: every shard's detector
+    /// Attaches the canonical event trace (once): every shard's detector
     /// transitions are appended as `shard-<i> <from>-><to>` under the
-    /// `router` lane.
+    /// `router` lane, and a promotion that dropped a pending resync as
+    /// `shard-<i> resync-dropped` under `replica`.
     pub fn set_trace(&self, trace: EventTrace) {
         for (i, shard) in self.shards.iter().enumerate() {
             let mut sup = shard.supervisor.lock();
             sup.set_trace(trace.clone(), "router", &format!("shard-{i}"));
+        }
+        let _ = self.trace.set(trace);
+    }
+
+    /// A promotion found a resync pending: the new primary lacks acked
+    /// history only the crashed one held, and no count of it exists.
+    fn report_resync_dropped(&self, shard: &Shard) {
+        let id = &shard.id;
+        eprintln!("dcdb-federation: {id} promoted a standby never caught up; acked readings lost");
+        if let Some(trace) = self.trace.get() {
+            let detail = format!("shard-{} resync-dropped", shard.index);
+            trace.record(Timestamp(self.now_ns()), "replica", &detail);
         }
     }
 
@@ -487,11 +511,12 @@ impl FederatedAgent {
 
     /// Fails over shard `index` after detection: if a standby is alive,
     /// the in-flight replication stream is drained into it (bounded by
-    /// the tail capacity — the stream cannot grow while its primary is
+    /// the stream's capacity — it cannot grow while its primary is
     /// dead), the standby is promoted (role epoch + promotion counters
-    /// bump) and the map epoch advances. A shard with no standby is removed from the ring instead — the
-    /// PR-6 degraded tier, where its keys rehash to the surviving
-    /// shards and queries report partial results. A shard whose primary
+    /// bump) and the map epoch advances. A shard with no standby is
+    /// removed from the ring instead — the degraded tier, where its keys
+    /// rehash to the surviving shards and queries report partial
+    /// results. A shard whose primary
     /// is alive, or that already left the ring, is left untouched (so a
     /// probe that triggers on a recovered shard can never
     /// double-promote). Returns true when a standby was promoted.
@@ -522,12 +547,17 @@ impl FederatedAgent {
     /// Promotes the live node in `slot` to primary. Caller holds the
     /// membership lock.
     fn promote_locked(&self, shard: &Arc<Shard>, slot: usize) {
-        if let Some(link) = shard.link.lock().take() {
+        if let Some(stream) = shard.stream.lock().take() {
             if let Some(engine) = shard.engine_of(slot) {
                 // The drain applies the `replicating` term of the
                 // conservation identity before the standby serves its
-                // first query.
-                let _ = link.drain(engine.as_ref());
+                // first query; what the standby refuses is counted.
+                let loss = stream.drain(engine.as_ref());
+                self.replication_dropped
+                    .fetch_add(loss.refused, Ordering::Relaxed);
+                if loss.resync_dropped {
+                    self.report_resync_dropped(shard);
+                }
             }
         }
         shard.primary.store(slot, Ordering::Release);
@@ -556,13 +586,13 @@ impl FederatedAgent {
 
     /// Restarts the dead node of shard `id` from its storage factory.
     /// If the shard has a live primary (it failed over), the restarted
-    /// node becomes the journal-tailing standby: the stream is attached
-    /// *first*, then an anti-entropy catch-up copies everything past
-    /// the node's per-sensor watermarks (the overlap dedups, so the
-    /// node can never double-apply an acked reading). If the whole
-    /// shard was down, the node resumes as primary and the shard
-    /// re-enters the ring. Returns false if the shard is unknown or
-    /// fully up.
+    /// node becomes the standby: a stream is attached to the primary
+    /// with a resync pending and the shard pumps at once, so the node
+    /// holds the primary's history past its per-sensor watermarks before
+    /// the rejoin returns (the overlap dedups; a refused catch-up stays
+    /// pending). If the whole shard was down, the node resumes as
+    /// primary and the shard re-enters the ring. Returns false if the
+    /// shard is unknown or fully up.
     pub fn rejoin(&self, id: &str) -> bool {
         let _membership = self.membership.lock();
         let Some(shard) = self.shard(id) else {
@@ -591,21 +621,15 @@ impl FederatedAgent {
                 self.promote_locked(shard, live);
             }
         }
-        if shard.is_up() {
-            // Standby path: tail first, catch up second (idempotent
-            // overlap); the pump resyncs again if catch-up failed.
-            let primary_slot = shard.primary.load(Ordering::Acquire);
-            let primary_engine = shard.engine_of(primary_slot).expect("primary is up");
-            let link = ReplicaLink::attach(&primary_engine, TAIL_CAPACITY);
-            link.mark_dirty();
-            if replica::catch_up(primary_engine.as_ref(), runtime.engine.as_ref()).is_ok() {
-                link.note_resynced();
-            }
-            *shard.nodes[slot].runtime.write() = Some(runtime);
-            *shard.link.lock() = Some(link);
+        let as_standby = shard.is_up();
+        *shard.nodes[slot].runtime.write() = Some(runtime);
+        if as_standby {
+            let primary = shard.engine_of(shard.primary.load(Ordering::Acquire));
+            let primary = primary.expect("primary is up");
+            *shard.stream.lock() = Some(primary.attach(TAIL_CAPACITY, true));
+            shard.pump();
             self.apply_assignments(&self.shard_map());
         } else {
-            *shard.nodes[slot].runtime.write() = Some(runtime);
             shard.primary.store(slot, Ordering::Release);
             shard.role_epoch.fetch_add(1, Ordering::AcqRel);
             shard.supervisor.lock().reset();
@@ -663,35 +687,13 @@ impl FederatedAgent {
         }
     }
 
-    /// One replication pass: for every shard with a wired standby, the
-    /// pump applies queued journal-tail entries (bounded by the
-    /// configured budget) and, if the stream gapped (tail overflow or a
-    /// failed join-time catch-up), re-runs the watermark-bounded
-    /// anti-entropy scan first. Returns entries applied.
+    /// One replication pass: every shard with a live primary, a live
+    /// standby and a stream between them runs one
+    /// [`ReplicaStream::pump`] — the catch-up a rejoin or an overflow
+    /// asked for, then up to the budget of queued entries as one group.
+    /// Returns entries applied.
     pub fn pump_replication(&self) -> usize {
-        let mut applied = 0;
-        for shard in &self.shards {
-            let link_guard = shard.link.lock();
-            let Some(link) = link_guard.as_ref() else {
-                continue;
-            };
-            let Some(slot) = shard.standby_slot() else {
-                continue;
-            };
-            let Some(standby) = shard.engine_of(slot) else {
-                continue;
-            };
-            if link.needs_resync() {
-                let primary_slot = shard.primary.load(Ordering::Acquire);
-                if let Some(primary) = shard.engine_of(primary_slot) {
-                    if replica::catch_up(primary.as_ref(), standby.as_ref()).is_ok() {
-                        link.note_resynced();
-                    }
-                }
-            }
-            applied += link.pump(standby.as_ref(), PUMP_BUDGET).unwrap_or(0);
-        }
-        applied
+        self.shards.iter().map(|shard| shard.pump()).sum()
     }
 
     /// Drains pending bus messages on every live shard, then pumps
@@ -746,6 +748,7 @@ impl FederatedAgent {
                 .filter_map(|s| s.replication_stats())
                 .map(|r| r.lag_entries)
                 .sum(),
+            replication_dropped: self.replication_dropped.load(Ordering::Relaxed),
         }
     }
 
@@ -807,7 +810,7 @@ impl FederatedAgent {
     }
 }
 
-/// Builds one node's runtime: broker, tapped engine, Collect Agent.
+/// Builds one node's runtime: broker, node engine, Collect Agent.
 fn build_node(
     template: &CollectAgentConfig,
     bus: BusConfig,
@@ -816,7 +819,7 @@ fn build_node(
     node_id: &str,
 ) -> Result<NodeRuntime> {
     let broker = Broker::with_config(bus);
-    let engine = TappedEngine::wrap(storage(ordinal, node_id)?);
+    let engine = NodeEngine::wrap(storage(ordinal, node_id)?);
     let agent = Arc::new(CollectAgent::new(
         CollectAgentConfig {
             agent_id: node_id.to_string(),
@@ -907,6 +910,8 @@ impl MessageBus for FederatedAgent {
 mod tests {
     use super::*;
     use dcdb_common::reading::SensorReading;
+    use dcdb_storage::{DurableBackend, DurableConfig, FaultConfig, FaultIo, HealthConfig};
+    use std::path::PathBuf;
     use wintermute::prelude::QueryMode;
 
     fn t(s: &str) -> Topic {
@@ -1106,6 +1111,176 @@ mod tests {
             30,
             "catch-up replayed history without duplicates"
         );
+    }
+
+    /// One replica pair (shard `agent-00` owns every topic) whose
+    /// standby journals through a `FaultIo` the test arms. The standby
+    /// never retries or demotes, so a failing disk refuses at once.
+    fn pair_with_faulty_standby(name: &str) -> (FederatedAgent, Arc<FaultIo>, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("dcdb-fed-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let io = Arc::new(FaultIo::std(FaultConfig::quiet(1)));
+        let (standby_io, standby_dir) = (Arc::clone(&io), dir.clone());
+        let config = FederationConfig {
+            agents: 1,
+            replication_factor: 2,
+            ..FederationConfig::default()
+        };
+        let fed = FederatedAgent::new_with(config, move |ordinal, _| {
+            if ordinal == 0 {
+                return Ok(Arc::new(StorageBackend::new()) as Arc<dyn StorageEngine>);
+            }
+            let health = HealthConfig {
+                max_retries: 0,
+                retry_backoff_base_ms: 0,
+                readonly_after: u32::MAX,
+                ..HealthConfig::default()
+            };
+            let config = DurableConfig {
+                health,
+                ..DurableConfig::default()
+            };
+            let io = Arc::clone(&standby_io) as _;
+            Ok(Arc::new(DurableBackend::open_with(io, &standby_dir, config)?) as _)
+        })
+        .unwrap();
+        io.set_config(FaultConfig {
+            eio_prob: 1.0,
+            ..FaultConfig::quiet(1)
+        });
+        (fed, io, dir)
+    }
+
+    #[test]
+    fn replication_lag_keeps_its_age_while_the_standby_refuses() {
+        let (fed, _io, dir) = pair_with_faulty_standby("lag");
+        publish_node(&fed, 0, 1..=5);
+        fed.process_pending(); // acked on the primary, the pump refused
+        let refusing = Instant::now();
+        let shard = &fed.shards()[0];
+        for _ in 0..5 {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            assert_eq!(fed.pump_replication(), 0);
+            let floor = refusing.elapsed().as_millis() as u64;
+            let s = shard.replication_stats().unwrap();
+            assert!(s.lag_entries > 0);
+            assert!(s.lag_ms >= floor, "{s:?} after {floor} ms of refusals");
+        }
+        drop(fed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_refused_promotion_drain_is_counted() {
+        let (fed, _io, dir) = pair_with_faulty_standby("drain");
+        publish_node(&fed, 0, 1..=5);
+        fed.process_pending();
+        assert!(fed.kill("agent-00"));
+        for _ in 0..SHARD_SUPERVISION.down_threshold {
+            fed.supervise();
+        }
+        assert_eq!(fed.stats().promotions, 1);
+        assert_eq!(
+            fed.stats().replication_dropped,
+            5,
+            "every acked reading the standby refused at promotion"
+        );
+        drop(fed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_node_rejoined_while_its_stream_overflowed_converges_through_one_catch_up() {
+        let fed = replicated(1);
+        publish_node(&fed, 0, 1..=20);
+        fed.process_pending();
+        assert!(fed.kill("agent-00"));
+        for _ in 0..SHARD_SUPERVISION.down_threshold {
+            fed.supervise();
+        }
+        // The rejoin's own pump catches the node up on the history.
+        assert!(fed.rejoin("agent-00"));
+        let shard = Arc::clone(&fed.shards()[0]);
+        let (standby, primary) = (shard.engine_of(0).unwrap(), shard.engine_of(1).unwrap());
+        let topic = t("/rack00/node00/power");
+        let values = || -> Vec<i64> {
+            let got = standby.query(&topic, Timestamp::ZERO, Timestamp::MAX);
+            got.iter().map(|r| r.value).collect()
+        };
+        assert_eq!(values(), (1..=20).collect::<Vec<i64>>());
+        // More acked writes than the stream holds, before any pump.
+        let last = 20 + TAIL_CAPACITY as u64 + 10;
+        for i in 21..=last {
+            let reading = SensorReading::new(i as i64, Timestamp::from_secs(i));
+            primary.insert(&topic, reading).unwrap();
+        }
+        assert_eq!(shard.replication_stats().unwrap().overflowed, 10);
+        // One pass: its one catch-up covers the gap.
+        let expected: Vec<i64> = (1..=last as i64).collect();
+        assert_eq!(fed.pump_replication(), PUMP_BUDGET);
+        assert_eq!(values(), expected);
+        // What is left on the stream re-applies as no-ops.
+        while fed.pump_replication() > 0 {}
+        assert_eq!(shard.replication_stats().unwrap().lag_entries, 0);
+        assert_eq!(values(), expected, "every acked reading exactly once");
+    }
+
+    /// Regression: a rejoin once left the catch-up to the next pump, so
+    /// a primary that crashed first promoted a node missing every
+    /// reading acknowledged while it was down, and counted nothing.
+    #[test]
+    fn a_node_promoted_right_after_its_rejoin_holds_every_acked_reading() {
+        let fed = replicated(1);
+        publish_node(&fed, 0, 1..=10);
+        fed.process_pending();
+        assert!(fed.kill("agent-00"));
+        for _ in 0..SHARD_SUPERVISION.down_threshold {
+            fed.supervise();
+        }
+        publish_node(&fed, 0, 11..=20); // acked while agent-00 is down
+        fed.process_pending();
+        assert!(fed.rejoin("agent-00"));
+        // The new primary crashes before any pump or tick.
+        assert!(fed.kill("agent-00"));
+        for _ in 0..SHARD_SUPERVISION.down_threshold {
+            fed.supervise();
+        }
+        let shard = &fed.shards()[0];
+        assert_eq!(
+            (shard.promotions(), shard.primary_node_id()),
+            (2, "agent-00")
+        );
+        let topic = t("/rack00/node00/power");
+        let back = shard.engine_of(0).unwrap();
+        let back = back.query(&topic, Timestamp::ZERO, Timestamp::MAX);
+        let values: Vec<i64> = back.iter().map(|r| r.value).collect();
+        assert_eq!(values, (1..=20).collect::<Vec<i64>>());
+        assert_eq!(fed.stats().replication_dropped, 0);
+    }
+
+    #[test]
+    fn a_promotion_that_drops_a_pending_resync_is_traced() {
+        let fed = replicated(1);
+        let trace = EventTrace::new();
+        fed.set_trace(trace.clone());
+        let shard = Arc::clone(&fed.shards()[0]);
+        let primary = shard.engine_of(0).unwrap();
+        let topic = t("/rack00/node00/power");
+        let last = TAIL_CAPACITY as u64 + 3;
+        for i in 1..=last {
+            let reading = SensorReading::new(i as i64, Timestamp::from_secs(i));
+            primary.insert(&topic, reading).unwrap();
+        }
+        assert!(fed.kill("agent-00"));
+        for _ in 0..SHARD_SUPERVISION.down_threshold {
+            fed.supervise();
+        }
+        // The queued entries land; the three turned away are lost.
+        let standby = shard.engine_of(1).unwrap();
+        let back = standby.query(&topic, Timestamp::ZERO, Timestamp::MAX);
+        assert_eq!(back.len(), TAIL_CAPACITY);
+        let dropped = |line: &String| line.ends_with("replica shard-0 resync-dropped\n");
+        assert_eq!(trace.tail().iter().filter(|l| dropped(l)).count(), 1);
     }
 
     #[test]

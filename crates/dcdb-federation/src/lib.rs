@@ -14,9 +14,11 @@
 //!   `kill`, and one failure detector per shard (the Pusher
 //!   connection's [`dcdb_common::Supervisor`]) that fails the shard
 //!   over when it crosses into `Down`;
-//! * [`replica`] — the primary→replica stream within one shard:
-//!   journal-tailing standbys ([`ReplicaLink`]), watermark-bounded
-//!   anti-entropy catch-up, and the conservation identity `acked ==
+//! * [`replica`] — the primary→standby stream within one shard: a
+//!   [`NodeEngine`] streams each acked write onto a bounded
+//!   [`ReplicaStream`], whose pump hands the standby one group per pass
+//!   and runs the watermark-bounded catch-up a rejoin or an overflow
+//!   asks for; the conservation identity is `acked ==
 //!   durable_on_primary + replicating + durable_on_replica_only`;
 //! * [`router`] — [`QueryRouter`], the scatter-gather front door
 //!   serving the single-agent REST surface (`/sensors`, `/metrics`,
@@ -34,7 +36,7 @@ pub mod ring;
 pub mod router;
 
 pub use agent::{FederatedAgent, FederationConfig, FederationStats, Shard};
-pub use replica::{catch_up, derive_seed, CatchUpReport, ReplicaLink, ReplicaLinkStats};
+pub use replica::{DrainLoss, NodeEngine, ReplicaStats, ReplicaStream};
 pub use ring::{ShardMap, DEFAULT_VNODES};
 pub use router::{
     merge_time_ordered, FederatedQuery, QueryEnvelope, QueryRouter, RouterConfig, RouterStats,

@@ -11,22 +11,18 @@
 //!
 //! * **Deterministic** — placement depends only on `(agents, vnodes,
 //!   shard_key_depth)`; two processes building a map from the same
-//!   agent set agree on every assignment, so a map can be rebuilt
-//!   anywhere instead of shipped around. (Placement metadata is cheap
-//!   to recompute; the *data* a shard holds is what [`crate::replica`]
-//!   replicates.)
+//!   agent set agree on every assignment, so a map is rebuilt from
+//!   those generators, never shipped around. (Placement metadata is
+//!   cheap to recompute; the *data* a shard holds is what
+//!   [`crate::replica`] replicates.)
 //! * **Stable under churn** — removing one agent only moves the keys
 //!   that agent owned; everything else stays put (the point of
 //!   consistent hashing: a join/leave rebalances ~1/N of the space).
 //! * **Component-affine** — keys are topic *prefixes*, so all sensors
 //!   of one node (`/rack00/node03/...`) land on the same shard and a
 //!   per-node analysis never fans out.
-//! * **Serializable** — the map travels as JSON (epoch + agents +
-//!   vnodes) and is rebuilt on arrival; the ring points themselves are
-//!   derived, never serialized.
 
 use dcdb_common::topic::Topic;
-use serde::{Deserialize, Serialize};
 
 /// Default virtual nodes per agent: enough to keep the largest/smallest
 /// shard ratio near 1 for small fleets.
@@ -55,9 +51,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// A versioned, deterministic assignment of the topic space to agents.
 ///
 /// Built with [`ShardMap::build`]; queried with [`ShardMap::assign`].
-/// Serializes to its *generators* (epoch, agents, vnodes, key depth) —
-/// deserialization rebuilds the ring points, so a map is
-/// wire-compatible as long as both sides run the same hash.
 #[derive(Debug, Clone)]
 pub struct ShardMap {
     /// Monotonic map version; bumped on every rebalance.
@@ -69,59 +62,9 @@ pub struct ShardMap {
     /// Member agent ids, sorted (placement is order-independent).
     pub agents: Vec<String>,
     /// Ring points: `(hash, agent index)`, sorted by hash. Derived from
-    /// the fields above; rebuilt on deserialization.
+    /// the fields above.
     points: Vec<(u64, u32)>,
 }
-
-/// The serialized form of a [`ShardMap`]: generators only.
-#[derive(Serialize, Deserialize)]
-struct ShardMapWire {
-    epoch: u64,
-    vnodes: usize,
-    shard_key_depth: usize,
-    agents: Vec<String>,
-}
-
-impl From<ShardMapWire> for ShardMap {
-    fn from(w: ShardMapWire) -> ShardMap {
-        ShardMap::build_at(w.epoch, &w.agents, w.vnodes, w.shard_key_depth)
-    }
-}
-
-impl From<ShardMap> for ShardMapWire {
-    fn from(m: ShardMap) -> ShardMapWire {
-        ShardMapWire {
-            epoch: m.epoch,
-            vnodes: m.vnodes,
-            shard_key_depth: m.shard_key_depth,
-            agents: m.agents,
-        }
-    }
-}
-
-// Serialization travels through the generators-only wire form; the
-// ring points are rebuilt on arrival.
-impl Serialize for ShardMap {
-    fn to_content(&self) -> serde::Content {
-        ShardMapWire::from(self.clone()).to_content()
-    }
-}
-
-impl Deserialize for ShardMap {
-    fn from_content(content: &serde::Content) -> std::result::Result<Self, serde::Error> {
-        ShardMapWire::from_content(content).map(ShardMap::from)
-    }
-}
-
-impl PartialEq for ShardMap {
-    fn eq(&self, other: &Self) -> bool {
-        self.epoch == other.epoch
-            && self.vnodes == other.vnodes
-            && self.shard_key_depth == other.shard_key_depth
-            && self.agents == other.agents
-    }
-}
-impl Eq for ShardMap {}
 
 impl ShardMap {
     /// Builds the epoch-0 map for `agents`.
@@ -200,8 +143,7 @@ impl ShardMap {
     }
 
     /// The fraction of `topics` whose owner differs between `self` and
-    /// `other` — churn accounting for rebalance tests and the
-    /// `/federation` endpoint.
+    /// `other` — the churn a rebalance causes (the ring tests bound it).
     pub fn moved_fraction(&self, other: &ShardMap, topics: &[Topic]) -> f64 {
         if topics.is_empty() {
             return 0.0;
@@ -308,19 +250,6 @@ mod tests {
         assert_eq!(rejoined.epoch, 2);
         for t in topics() {
             assert_eq!(before.assign_id(&t), rejoined.assign_id(&t), "{t}");
-        }
-    }
-
-    #[test]
-    fn serde_round_trip_rebuilds_identical_ring() {
-        let map = ShardMap::build_at(7, &agents(5), 32, 2);
-        let json = serde_json::to_string(&map).unwrap();
-        // Only the generators travel.
-        assert!(!json.contains("points"), "{json}");
-        let back: ShardMap = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, map);
-        for t in topics() {
-            assert_eq!(back.assign_id(&t), map.assign_id(&t));
         }
     }
 

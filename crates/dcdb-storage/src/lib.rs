@@ -27,6 +27,12 @@
 //! Supporting modules: [`series`] (one sensor's partitioned series),
 //! [`sealed`] (the one sealed-file container raw and rollup segments
 //! share), [`crc`] (checksums shared by the on-disk formats).
+//!
+//! The crate does not replicate. A federation replica pair streams a
+//! primary's acknowledged writes to its standby in
+//! `dcdb_federation::replica`, through the same [`StorageEngine`]
+//! trait: [`StorageEngine::insert_many`] for each pump and
+//! [`StorageEngine::watermark`] for catch-up.
 
 #![warn(missing_docs)]
 
@@ -40,7 +46,6 @@ pub mod rollup;
 pub mod sealed;
 pub mod segment;
 pub mod series;
-pub mod tail;
 pub mod wal;
 
 pub use backend::{StorageBackend, StorageStats};
@@ -51,7 +56,6 @@ pub use health::{
 pub use io::{FaultConfig, FaultIo, FaultIoStats, StdIo, StorageIo};
 pub use rollup::{AggFrame, RollupConfig, RollupStats, TierSpec, DEFAULT_TIER_WIDTHS_NS};
 pub use series::{Series, DEFAULT_PARTITION_NS};
-pub use tail::{JournalTail, TailEntry, TappedEngine};
 pub use wal::FsyncPolicy;
 
 use dcdb_common::batch::ReadingBatch;

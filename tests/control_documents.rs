@@ -374,6 +374,7 @@ federation.promotions: integer
 federation.publishes: integer
 federation.publishes_refused: integer
 federation.rebalances: integer
+federation.replication_dropped: integer
 federation.replication_factor: integer
 federation.replication_lag_entries: integer
 federation.ring: array
@@ -536,6 +537,7 @@ federation.promotions: integer
 federation.publishes: integer
 federation.publishes_refused: integer
 federation.rebalances: integer
+federation.replication_dropped: integer
 federation.replication_factor: integer
 federation.replication_lag_entries: integer
 federation.ring: array

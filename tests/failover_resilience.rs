@@ -4,13 +4,14 @@
 //! the new standby — and every acknowledged reading comes back from the
 //! scatter-gather exactly once. 32 deterministic seeds, each driving
 //! the shard count, the victim, and the kill/rejoin schedule through
-//! splitmix64 lanes ([`dcdb_federation::derive_seed`]), so a failure
+//! splitmix64 lanes (`dcdb_common::sim::derive_seed`), so a failure
 //! reproduces from one number.
 
 use dcdb_wintermute::dcdb_bus::MessageBus;
+use dcdb_wintermute::dcdb_common::sim::derive_seed;
 use dcdb_wintermute::dcdb_common::{SensorReading, Timestamp, Topic};
 use dcdb_wintermute::dcdb_federation::{
-    derive_seed, FederatedAgent, FederationConfig, QueryRouter, RouterConfig,
+    FederatedAgent, FederationConfig, QueryRouter, RouterConfig,
 };
 use std::sync::Arc;
 

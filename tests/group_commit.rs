@@ -13,11 +13,12 @@ use dcdb_wintermute::dcdb_bus::{Broker, MessageBus};
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_wintermute::dcdb_common::error::{DcdbError, Result};
 use dcdb_wintermute::dcdb_common::{ReadingBatch, SensorReading, Timestamp, Topic};
+use dcdb_wintermute::dcdb_federation::NodeEngine;
 use dcdb_wintermute::dcdb_storage::io::IoFile;
 use dcdb_wintermute::dcdb_storage::wal::WAL_MAGIC;
 use dcdb_wintermute::dcdb_storage::{
     DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, HealthConfig, HealthState,
-    InsertAck, StdIo, StorageEngine, StorageIo, TappedEngine,
+    InsertAck, StdIo, StorageBackend, StorageEngine, StorageIo, StorageStats,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -436,6 +437,38 @@ fn a_drain_costs_one_journal_write_per_sync_window() {
 }
 
 #[test]
+fn a_replication_pump_costs_the_journal_writes_of_one_group() {
+    // 512 entries (one pump's budget) into a durable standby: one group,
+    // so one write per sync window — as the same group costs when the
+    // engine is handed it directly.
+    let dir = temp_dir("io-pump");
+    let counts = Arc::new(CountingIo::default());
+    counts.window.store(64, Ordering::Relaxed);
+    let config = DurableConfig {
+        fsync: FsyncPolicy::EveryN(64),
+        health: quick_health(),
+        ..DurableConfig::default()
+    };
+    let io = Arc::new(SharedCountingIo(Arc::clone(&counts)));
+    let standby = DurableBackend::open_with(io, &dir, config).unwrap();
+    let primary = NodeEngine::wrap(Arc::new(StorageBackend::new()));
+    let stream = primary.attach(4_096, false);
+    assert!(primary
+        .insert_many(&one_reading_messages(512, 1))
+        .is_empty());
+    assert_eq!(stream.pump(primary.as_ref(), &standby, 512).unwrap(), 512);
+    let pumped = counts.wal_writes.load(Ordering::Relaxed);
+    assert!(standby
+        .insert_many(&one_reading_messages(512, 2))
+        .is_empty());
+    let grouped = counts.wal_writes.load(Ordering::Relaxed) - pumped;
+    assert_eq!((pumped, grouped), (8, 8));
+    counts.window.store(0, Ordering::Relaxed);
+    drop(standby);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn sync_points_fall_where_single_inserts_put_them_whatever_the_split() {
     // Groups of every size against a window of 5, the window checked on
     // every write and sync by `CountingFile`: a sync request always
@@ -780,13 +813,42 @@ fn a_read_only_engine_buffers_a_group_entry_by_entry() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A standby that records the sensors it is handed, in order.
+#[derive(Debug, Default)]
+struct Recorder(std::sync::Mutex<Vec<Topic>>);
+
+impl StorageEngine for Recorder {
+    fn insert_columns(&self, topic: &Topic, _: &ReadingBatch) -> Result<()> {
+        self.0.lock().unwrap().push(topic.clone());
+        Ok(())
+    }
+    fn query(&self, _: &Topic, _: Timestamp, _: Timestamp) -> Vec<SensorReading> {
+        Vec::new()
+    }
+    fn latest(&self, _: &Topic) -> Option<SensorReading> {
+        None
+    }
+    fn contains(&self, _: &Topic) -> bool {
+        false
+    }
+    fn topics(&self) -> Vec<Topic> {
+        Vec::new()
+    }
+    fn evict_before(&self, _: Timestamp) -> usize {
+        0
+    }
+    fn stats(&self) -> StorageStats {
+        StorageStats::default()
+    }
+}
+
 #[test]
 fn a_tapped_engine_taps_exactly_the_acknowledged_entries() {
     let group = distinct_entries(40);
     let dir = temp_dir("tapped");
     let (io, db) = faulty_engine(&dir, 11, 0);
-    let tapped = TappedEngine::wrap(Arc::new(db));
-    let tail = tapped.attach_tail(1_024);
+    let tapped = NodeEngine::wrap(Arc::new(db));
+    let stream = tapped.attach(1_024, false);
     io.set_config(FaultConfig {
         eio_prob: 0.5,
         ..FaultConfig::quiet(11)
@@ -797,19 +859,15 @@ fn a_tapped_engine_taps_exactly_the_acknowledged_entries() {
         !refused.is_empty() && refused.len() < group.len(),
         "{refused:?}"
     );
-    let acked: Vec<&Topic> = (0..group.len())
+    let acked: Vec<Topic> = (0..group.len())
         .filter(|i| !refused.contains(i))
-        .map(|i| &group[i].0)
+        .map(|i| group[i].0.clone())
         .collect();
-    let entries = tail.poll(usize::MAX);
-    assert_eq!(entries.iter().map(|e| &e.topic).collect::<Vec<_>>(), acked);
-    let seqs: Vec<u64> = entries.iter().map(|e| e.seq).collect();
-    assert_eq!(
-        seqs,
-        (0..acked.len() as u64).collect::<Vec<_>>(),
-        "ack order, gap-free"
-    );
-    assert_eq!(tapped.streamed(), acked.len() as u64);
+    // Everything on the stream, handed to a standby that records it.
+    let standby = Recorder::default();
+    let pumped = stream.pump(tapped.as_ref(), &standby, usize::MAX).unwrap();
+    assert_eq!(pumped, acked.len());
+    assert_eq!(*standby.0.lock().unwrap(), acked, "ack order, gap-free");
     drop(tapped);
     std::fs::remove_dir_all(&dir).ok();
 }
