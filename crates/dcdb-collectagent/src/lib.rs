@@ -1339,7 +1339,6 @@ mod tests {
                 DurableConfig {
                     health: HealthConfig {
                         retry_backoff_base_ms: 0,
-                        degraded_after: 1,
                         readonly_after: 2,
                         ..HealthConfig::default()
                     },

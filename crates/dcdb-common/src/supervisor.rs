@@ -1,11 +1,16 @@
 //! The one failure detector: an `Up` → `Degraded` → `Down` state
-//! machine with capped exponential backoff between probes, run by every
-//! Pusher's bus connection (fed publish outcomes) and every federation
-//! shard (fed refused publishes, sweeps and scatters). The first failure
-//! leaves `Up`; `down_threshold` consecutive ones cross into `Down`,
-//! where the owner stops trying until the backoff admits a probe; one
-//! success returns to `Up`. Clocked by the caller's `now_ns` only, so
-//! backoff replays identically under virtual time.
+//! machine with capped exponential backoff between probes. Every part of
+//! the stack that fails and recovers runs one: each Pusher's bus
+//! connection (fed publish outcomes), each federation shard (fed refused
+//! publishes, sweeps and scatters), the durable storage engine (fed
+//! journal writes; `Down` is ReadOnly), each Pusher monitoring plugin
+//! (fed samples) and each Wintermute operator (fed computations; `Down`
+//! is quarantine). The first failure leaves `Up`; `down_threshold`
+//! consecutive ones cross into `Down`, where the owner stops trying
+//! until the backoff admits a probe; one success returns to `Up`.
+//! Clocked by the caller's `now_ns` only, so backoff replays identically
+//! under virtual time; time in state is clocked from the first
+//! [`Supervisor::attempt_due`].
 
 use crate::sim::{xorshift, EventTrace};
 use crate::time::Timestamp;
@@ -79,7 +84,9 @@ pub struct Supervisor {
     reconnects: u64,
     failed_probes: u64,
     downs: u64,
-    last_now_ns: u64,
+    transitions: u64,
+    /// Latest instant observed; `None` until the first `attempt_due`.
+    last_now_ns: Option<u64>,
     time_in_state_ns: [u64; 3],
     rng: u64,
     /// `(trace, lane, label)`: transitions are recorded as
@@ -99,7 +106,8 @@ impl Supervisor {
             reconnects: 0,
             failed_probes: 0,
             downs: 0,
-            last_now_ns: 0,
+            transitions: 0,
+            last_now_ns: None,
             time_in_state_ns: [0; 3],
             rng: config.seed,
             trace: None,
@@ -113,9 +121,10 @@ impl Supervisor {
     }
 
     fn advance_clock(&mut self, now_ns: u64) {
-        let elapsed = now_ns.saturating_sub(self.last_now_ns);
-        self.time_in_state_ns[self.state as usize] += elapsed;
-        self.last_now_ns = self.last_now_ns.max(now_ns);
+        if let Some(last) = self.last_now_ns {
+            self.time_in_state_ns[self.state as usize] += now_ns.saturating_sub(last);
+            self.last_now_ns = Some(last.max(now_ns));
+        }
     }
 
     #[cold]
@@ -126,12 +135,15 @@ impl Supervisor {
             trace.record(Timestamp(now_ns), lane, &detail);
         }
         self.state = to;
+        self.transitions += 1;
     }
 
     /// Whether an attempt should be made at `now_ns`: always, unless
     /// `Down` with the probe not yet due. Also accrues time in state up
-    /// to `now_ns`.
+    /// to `now_ns`; the first call only sets the baseline, because a
+    /// wall clock's span since epoch 0 is no time in any state.
     pub fn attempt_due(&mut self, now_ns: u64) -> bool {
+        self.last_now_ns.get_or_insert(now_ns);
         self.advance_clock(now_ns);
         self.state != ConnectionState::Down || now_ns >= self.next_probe_ns
     }
@@ -201,12 +213,19 @@ impl Supervisor {
         self.backoff_ms
     }
 
+    /// The latest instant observed, nanoseconds (0 before the first
+    /// [`Supervisor::attempt_due`]): the clock of an owner whose
+    /// failures arrive without one.
+    pub fn observed_ns(&self) -> u64 {
+        self.last_now_ns.unwrap_or(0)
+    }
+
     /// Time from the last observed `now` to the next probe,
     /// milliseconds (0 when not `Down`).
     pub fn next_probe_in_ms(&self) -> u64 {
         match self.state {
             ConnectionState::Down => {
-                self.next_probe_ns.saturating_sub(self.last_now_ns) / 1_000_000
+                self.next_probe_ns.saturating_sub(self.observed_ns()) / 1_000_000
             }
             _ => 0,
         }
@@ -225,6 +244,16 @@ impl Supervisor {
     /// Times the supervisor crossed into `Down`.
     pub fn downs(&self) -> u64 {
         self.downs
+    }
+
+    /// State changes so far (a [`Supervisor::reset`] is not one).
+    pub fn transitions(&self) -> u64 {
+        self.transitions
+    }
+
+    /// Cumulative time spent in `[Up, Degraded, Down]`, nanoseconds.
+    pub fn time_in_state_ns(&self) -> [u64; 3] {
+        self.time_in_state_ns
     }
 
     /// Cumulative time spent in `[Up, Degraded, Down]`, milliseconds.
@@ -254,6 +283,7 @@ mod tests {
         let trace = EventTrace::new();
         let mut sup = Supervisor::new(config(0.0));
         sup.set_trace(trace.clone(), "router", "shard-1");
+        assert!(sup.attempt_due(0));
         assert!(!sup.on_failure(10 * MS));
         assert_eq!(sup.state(), ConnectionState::Degraded);
         assert!(!sup.on_failure(20 * MS));
@@ -266,7 +296,7 @@ mod tests {
         assert_eq!((sup.downs(), sup.failed_probes()), (1, 1));
         sup.on_success(900 * MS);
         assert_eq!(sup.state(), ConnectionState::Up);
-        assert_eq!(sup.reconnects(), 1);
+        assert_eq!((sup.reconnects(), sup.transitions()), (1, 3));
         let lines: Vec<String> = trace.tail();
         assert_eq!(
             lines,
@@ -278,6 +308,22 @@ mod tests {
         );
         // Time in state: 10 ms up, 20 ms degraded, 870 ms down.
         assert_eq!(sup.time_in_state_ms(), [10, 20, 870]);
+    }
+
+    /// A wall clock's first reading is a baseline, not 56 years in `Up`.
+    #[test]
+    fn time_in_state_is_clocked_from_the_first_attempt() {
+        let t0 = 1_700_000_000_000_000_000;
+        let mut sup = Supervisor::new(config(0.0));
+        assert!(!sup.on_failure(t0), "an outcome before any attempt");
+        assert_eq!(sup.time_in_state_ns(), [0; 3]);
+        assert!(sup.attempt_due(t0));
+        assert!(sup.attempt_due(t0 + 100 * MS));
+        sup.on_success(t0 + 250 * MS);
+        let [up, degraded, down] = sup.time_in_state_ms();
+        assert_eq!((up, degraded, down), (0, 250, 0));
+        assert_eq!(up + degraded + down, 250);
+        assert_eq!(sup.observed_ns(), t0 + 250 * MS);
     }
 
     #[test]

@@ -1103,7 +1103,6 @@ mod tests {
             assert!(agent.query_engine().sensor_count() > 0, "{}", shard.id);
             agent.manager().set_fault_policy(FaultPolicy {
                 quarantine_threshold: 1,
-                ..Default::default()
             });
             agent.manager().register_plugin(Box::new(FailingPlugin));
             agent

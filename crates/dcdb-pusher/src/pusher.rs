@@ -15,10 +15,12 @@
 //! [`crate::delivery`]) in one call. Production deployments drive ticks
 //! from a wall-clock loop; simulations from a virtual clock.
 //!
-//! Fault isolation mirrors the operator runtime: a failing monitoring
-//! plugin is counted (`sample_errors`), never aborts the tick, and is
-//! quarantined with interval backoff after
-//! [`FaultPolicy::quarantine_threshold`] consecutive failures — the
+//! Fault isolation mirrors the operator runtime: every plugin slot runs
+//! one [`Supervisor`], built by [`FaultPolicy::supervision`]. A failing
+//! monitoring plugin is counted (`sample_errors`), never aborts the
+//! tick, and after [`FaultPolicy::quarantine_threshold`] consecutive
+//! failures is quarantined — sampled only by probes 2, 4, 8, …
+//! intervals apart (capped at 64) until one succeeds — while the
 //! remaining plugins and the operator tick keep running. Everything a
 //! Pusher publishes, sampled or derived, is batched per topic and
 //! routed through one [`BusConnection`], which spools refused readings
@@ -30,13 +32,13 @@ use dcdb_bus::{BusHandle, MessageBus};
 use dcdb_common::batch::ReadingBatch;
 use dcdb_common::error::Result;
 use dcdb_common::reading::SensorReading;
-use dcdb_common::supervisor::ConnectionState;
+use dcdb_common::supervisor::{ConnectionState, Supervisor};
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use dcdb_rest::Router;
 use parking_lot::Mutex;
 use std::collections::hash_map::{Entry, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wintermute::prelude::*;
 
@@ -52,8 +54,8 @@ pub struct PusherConfig {
     /// Delivery-layer policy: reconnect backoff and the
     /// store-and-forward spool.
     pub delivery: DeliveryConfig,
-    /// Fault policy for monitoring plugins (quarantine threshold and
-    /// backoff cap, mirroring the operator runtime's semantics).
+    /// Fault policy for monitoring plugins (the quarantine threshold,
+    /// with the operator runtime's probe schedule).
     pub plugin_fault: FaultPolicy,
 }
 
@@ -72,13 +74,12 @@ impl Default for PusherConfig {
 struct PluginSlot {
     name: String,
     plugin: Mutex<Box<dyn MonitoringPlugin>>,
+    /// The plugin's failure detector, `Down` being quarantine. Its own
+    /// lock, never held across a sample, so metric readers never wait
+    /// on a slow plugin.
+    supervisor: Mutex<Supervisor>,
     next_due: AtomicU64,
     sample_errors: AtomicU64,
-    consecutive_failures: AtomicU64,
-    quarantined: AtomicBool,
-    /// Current quarantine backoff, in sampling intervals (doubles per
-    /// failed probe up to the policy's cap).
-    backoff_intervals: AtomicU64,
 }
 
 /// Per-plugin health metrics, as returned by [`Pusher::plugin_metrics`].
@@ -93,8 +94,6 @@ pub struct PluginMetricsSnapshot {
     /// Whether the plugin is quarantined (probed at backoff cadence
     /// instead of every interval).
     pub quarantined: bool,
-    /// Current probe backoff, in sampling intervals.
-    pub backoff_intervals: u64,
 }
 
 /// Counters for the footprint experiments and the delivery accounting
@@ -210,14 +209,16 @@ impl Pusher {
     /// Adds a monitoring plugin; [`Pusher::refresh_sensor_tree`] puts
     /// its topics in the sensor tree.
     pub fn add_monitoring_plugin(&mut self, plugin: Box<dyn MonitoringPlugin>) {
+        let supervision = self
+            .config
+            .plugin_fault
+            .supervision(self.config.sampling_interval_ms);
         self.plugins.push(PluginSlot {
             name: plugin.name().to_string(),
             plugin: Mutex::new(plugin),
+            supervisor: Mutex::new(Supervisor::new(supervision)),
             next_due: AtomicU64::new(0),
             sample_errors: AtomicU64::new(0),
-            consecutive_failures: AtomicU64::new(0),
-            quarantined: AtomicBool::new(false),
-            backoff_intervals: AtomicU64::new(1),
         });
     }
 
@@ -233,35 +234,6 @@ impl Pusher {
         topics.extend(self.query_engine().topics());
         self.query_engine()
             .set_navigator(SensorNavigator::build(&topics));
-    }
-
-    /// Handles one plugin's sample failure: count it, and after the
-    /// fault policy's threshold quarantine the plugin — its next probe
-    /// is pushed out by a per-failure-doubling number of intervals
-    /// (capped), so a dead data source costs one attempt per backoff
-    /// window instead of one per tick. A later successful sample clears
-    /// the quarantine.
-    fn note_sample_failure(&self, slot: &PluginSlot, now: Timestamp, interval_ns: u64) {
-        slot.sample_errors.fetch_add(1, Ordering::Relaxed);
-        self.sample_errors.fetch_add(1, Ordering::Relaxed);
-        let consecutive = slot.consecutive_failures.fetch_add(1, Ordering::AcqRel) + 1;
-        let policy = self.config.plugin_fault;
-        if consecutive >= policy.quarantine_threshold.max(1) {
-            let backoff = if slot.quarantined.swap(true, Ordering::AcqRel) {
-                // Already quarantined: this was a failed probe; double
-                // the backoff up to the cap.
-                let prev = slot.backoff_intervals.load(Ordering::Acquire);
-                let next = (prev * 2).min(policy.backoff_cap.max(1));
-                slot.backoff_intervals.store(next, Ordering::Release);
-                next
-            } else {
-                let first = 2u64.min(policy.backoff_cap.max(1));
-                slot.backoff_intervals.store(first, Ordering::Release);
-                first
-            };
-            slot.next_due
-                .store(now.as_nanos() + backoff * interval_ns, Ordering::Release);
-        }
     }
 
     /// One tick: sample due monitoring plugins (isolating failures),
@@ -298,18 +270,33 @@ impl Pusher {
 
             // One dead plugin must not cost the other plugins their
             // samples or the operator tick: count, quarantine, carry
-            // on.
-            let samples = match slot.plugin.lock().sample(now) {
-                Ok(samples) => samples,
+            // on. A quarantined plugin samples only when a probe is due.
+            // Outcomes are fed only under the plugin lock, so a plugin
+            // that was clean here needs no second supervisor lock to
+            // succeed.
+            let mut plugin = slot.plugin.lock();
+            let clean = {
+                let mut supervisor = slot.supervisor.lock();
+                if !supervisor.attempt_due(now.as_nanos()) {
+                    continue;
+                }
+                supervisor.state() == ConnectionState::Up && supervisor.consecutive_failures() == 0
+            };
+            let samples = match plugin.sample(now) {
+                Ok(samples) => {
+                    if !clean {
+                        slot.supervisor.lock().on_success(now.as_nanos());
+                    }
+                    samples
+                }
                 Err(_) => {
-                    self.note_sample_failure(slot, now, interval_ns);
+                    slot.supervisor.lock().on_failure(now.as_nanos());
+                    slot.sample_errors.fetch_add(1, Ordering::Relaxed);
+                    self.sample_errors.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
             };
-            if slot.consecutive_failures.swap(0, Ordering::AcqRel) > 0 {
-                slot.quarantined.store(false, Ordering::Release);
-                slot.backoff_intervals.store(1, Ordering::Release);
-            }
+            drop(plugin);
             self.sampled
                 .fetch_add(samples.len() as u64, Ordering::Relaxed);
             for (topic, reading) in &samples {
@@ -370,7 +357,7 @@ impl Pusher {
             quarantined_plugins: self
                 .plugins
                 .iter()
-                .filter(|slot| slot.quarantined.load(Ordering::Acquire))
+                .filter(|slot| slot.supervisor.lock().state() == ConnectionState::Down)
                 .count() as u64,
             spooled_pending,
             spool_dropped: self.spool_dropped.load(Ordering::Relaxed),
@@ -396,17 +383,19 @@ impl Pusher {
             .map(|connection| connection.lock().state())
     }
 
-    /// Per-plugin health: sample errors, consecutive failures,
-    /// quarantine state and probe backoff.
+    /// Per-plugin health: sample errors, consecutive failures and
+    /// quarantine state.
     pub fn plugin_metrics(&self) -> Vec<PluginMetricsSnapshot> {
         self.plugins
             .iter()
-            .map(|slot| PluginMetricsSnapshot {
-                name: slot.name.clone(),
-                sample_errors: slot.sample_errors.load(Ordering::Relaxed),
-                consecutive_failures: slot.consecutive_failures.load(Ordering::Relaxed),
-                quarantined: slot.quarantined.load(Ordering::Acquire),
-                backoff_intervals: slot.backoff_intervals.load(Ordering::Relaxed),
+            .map(|slot| {
+                let supervisor = slot.supervisor.lock();
+                PluginMetricsSnapshot {
+                    name: slot.name.clone(),
+                    sample_errors: slot.sample_errors.load(Ordering::Relaxed),
+                    consecutive_failures: supervisor.consecutive_failures(),
+                    quarantined: supervisor.state() == ConnectionState::Down,
+                }
             })
             .collect()
     }
@@ -660,6 +649,65 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// A plugin whose sample signals that it started, then hangs until
+    /// released, as an IPMI or SNMP read that runs into its timeout.
+    struct HungPlugin {
+        entered: std::sync::mpsc::Sender<()>,
+        release: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl MonitoringPlugin for HungPlugin {
+        fn name(&self) -> &str {
+            "hung"
+        }
+        fn sensor_topics(&self) -> Vec<Topic> {
+            Vec::new()
+        }
+        fn sample(&mut self, _now: Timestamp) -> Result<Vec<sim_cluster::Sample>> {
+            let _ = self.entered.send(());
+            let _ = self.release.recv();
+            Ok(Vec::new())
+        }
+    }
+
+    /// Readers of the plugin counters never wait behind a sample.
+    #[test]
+    fn plugin_counters_are_readable_while_a_sample_hangs() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let (entered_tx, entered) = channel();
+        let (release, release_rx) = channel();
+        let mut pusher = Pusher::new(PusherConfig::default(), None);
+        pusher.add_monitoring_plugin(Box::new(HungPlugin {
+            entered: entered_tx,
+            release: release_rx,
+        }));
+        let pusher = Arc::new(pusher);
+        let ticker = {
+            let pusher = Arc::clone(&pusher);
+            std::thread::spawn(move || pusher.tick(Timestamp::from_secs(1)).map(|_| ()))
+        };
+        entered
+            .recv_timeout(Duration::from_secs(2))
+            .expect("sample started");
+        let (read_tx, read) = channel();
+        let reader = {
+            let pusher = Arc::clone(&pusher);
+            std::thread::spawn(move || {
+                let quarantined = pusher.plugin_metrics()[0].quarantined;
+                let _ = read_tx.send((pusher.stats().quarantined_plugins, quarantined));
+            })
+        };
+        let got = read.recv_timeout(Duration::from_secs(2));
+        release.send(()).unwrap();
+        ticker.join().unwrap().unwrap();
+        reader.join().unwrap();
+        assert_eq!(
+            got.expect("counters read while the sample hung"),
+            (0, false)
+        );
+    }
+
     /// Regression: a failing plugin used to abort the tick via `?`,
     /// skipping every later plugin *and* the operator-manager tick.
     #[test]
@@ -669,7 +717,6 @@ mod tests {
             PusherConfig {
                 plugin_fault: FaultPolicy {
                     quarantine_threshold: 3,
-                    backoff_cap: 8,
                 },
                 ..PusherConfig::default()
             },
@@ -714,7 +761,6 @@ mod tests {
             PusherConfig {
                 plugin_fault: FaultPolicy {
                     quarantine_threshold: 2,
-                    backoff_cap: 4,
                 },
                 ..PusherConfig::default()
             },
@@ -736,9 +782,8 @@ mod tests {
         assert_eq!(stats.quarantined_plugins, 0, "recovered");
         assert!(stats.sampled > 0, "sampling resumed");
         let m = &pusher.plugin_metrics()[0];
-        assert_eq!(m.consecutive_failures, 0);
-        assert_eq!(m.backoff_intervals, 1);
-        assert!(m.sample_errors >= 2);
+        assert_eq!((m.consecutive_failures, m.sample_errors), (0, 2));
+        assert!(!m.quarantined);
     }
 
     #[test]

@@ -149,7 +149,9 @@ mod tests {
             t.successes + t.errors + t.panics + t.overruns + t.quarantined_skips,
             "{t:?}"
         );
-        assert!(t.quarantined_operators > 0, "quarantine engaged: {t:?}");
+        // Probes heal a quarantined operator whose next computation
+        // succeeds, so quarantine shows in the skips it left behind.
+        assert!(t.quarantined_skips > 0, "quarantine engaged: {t:?}");
     }
 
     #[test]

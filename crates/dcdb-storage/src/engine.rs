@@ -651,7 +651,7 @@ impl DurableBackend {
             };
             match outcome {
                 Ok((journaled, readings)) => {
-                    self.health.record_write_success(journaled);
+                    self.health.record_write_success();
                     self.health.note_ingested(readings);
                     self.health.note_durable(readings);
                     self.inserts.fetch_add(readings as u64, Ordering::Relaxed);
@@ -699,8 +699,7 @@ impl DurableBackend {
                     self.health.note_retry();
                     let backoff_ms = hc
                         .retry_backoff_base_ms
-                        .saturating_mul(1 << (attempt - 1).min(16))
-                        .min(hc.retry_backoff_cap_ms);
+                        .saturating_mul(1 << (attempt - 1).min(16));
                     if backoff_ms > 0 {
                         std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
                     }
@@ -1235,15 +1234,12 @@ impl DurableBackend {
     }
 
     /// One maintenance pass: advance the health clock, probe for
-    /// recovery under ReadOnly, and (when the journal is usable) seal,
-    /// compact and apply retention.
+    /// recovery under ReadOnly when the backoff admits it, and (when the
+    /// journal is usable) seal, compact and apply retention.
     pub fn maintain(&self, now: Timestamp) -> Result<()> {
-        self.health.observe(now);
-        if self.health.probe_due(now) {
-            match self.rotate_wal() {
-                Ok(()) => self.health.record_probe_success(),
-                Err(_) => self.health.record_probe_failure(now),
-            }
+        if self.health.attempt_due(now) && self.health.state() == HealthState::ReadOnly {
+            // The probe: a fresh WAL that re-journals the memtable.
+            self.health.record_probe(self.rotate_wal().is_ok());
         }
         if self.health.state() == HealthState::ReadOnly {
             // The disk is refusing writes; sealing or compacting now
@@ -1990,13 +1986,8 @@ mod tests {
             health: HealthConfig {
                 retry_backoff_base_ms: 0,
                 max_retries: 1,
-                degraded_after: 1,
                 readonly_after: 3,
-                heal_after: 2,
-                probe_base_ms: 10,
-                probe_cap_ms: 40,
                 buffer_max_readings: 5,
-                ..HealthConfig::default()
             },
             ..small_config()
         };
@@ -2031,16 +2022,14 @@ mod tests {
             5 - baseline
         );
         // Faults clear → the next due probe rotates the WAL, drains the
-        // buffer into durability and heals to Degraded, then Healthy.
+        // buffer into durability and heals straight to Healthy.
         io.clear_faults();
         db.maintain(Timestamp::from_secs(1000)).unwrap();
         let h = db.health_report();
-        assert_eq!(h.state, HealthState::Degraded, "{h:?}");
-        assert_eq!(h.buffered, 0, "{h:?}");
+        assert_eq!(h.state, HealthState::Healthy, "{h:?}");
+        assert_eq!((h.buffered, h.probes), (0, 1), "{h:?}");
         assert!(h.conserved(), "{h:?}");
         db.insert(&t("/a/b"), r(200, 200)).unwrap();
-        db.insert(&t("/a/b"), r(201, 201)).unwrap();
-        assert_eq!(db.health_report().state, HealthState::Healthy);
         // The drained buffer really is durable now.
         drop(db);
         let db = DurableBackend::open(dir.path(), small_config()).unwrap();

@@ -4,16 +4,21 @@
 //! The engine classifies itself into three states:
 //!
 //! * **Healthy** — writes succeed; normal operation.
-//! * **Degraded** — recent write errors; appends are retried with
+//! * **Degraded** — a recent write failed; appends are retried with
 //!   bounded exponential backoff and still acknowledged only once
-//!   journaled. Consecutive successes heal back to Healthy.
-//! * **ReadOnly** — the journal cannot make progress (retries and WAL
-//!   rotation keep failing). Reads keep working; writes are accepted
-//!   into a *bounded* memtable-only write-behind buffer (never
-//!   acknowledged durable) until the buffer fills, after which they are
-//!   shed. Periodic probes with doubling backoff attempt a WAL
-//!   rotation; the first success re-journals the memtable (draining the
-//!   buffer into durability) and drops back to Degraded.
+//!   journaled. One successful write heals back to Healthy.
+//! * **ReadOnly** — `readonly_after` writes in a row failed. Reads keep
+//!   working; writes are accepted into a *bounded* memtable-only
+//!   write-behind buffer (never acknowledged durable) until the buffer
+//!   fills, after which they are shed. Probes attempt a WAL rotation,
+//!   the first one base backoff after the demotion, then doubling; the
+//!   first success re-journals the memtable (draining the buffer into
+//!   durability) and returns straight to Healthy.
+//!
+//! The states are the shared [`Supervisor`]'s — Healthy is `Up`,
+//! Degraded `Degraded`, ReadOnly `Down` — run under the one lock the
+//! core already took. The write path has no clock: its outcomes are
+//! clocked at the instant of the last `maintain`.
 //!
 //! Every reading the engine ever accepts is accounted against the
 //! conservation identity `ingested == durable + buffered + shed` —
@@ -23,6 +28,7 @@
 //! Agent) can keep reading counters — including the final
 //! `drop_sync_errors` — after the engine itself is gone.
 
+use dcdb_common::supervisor::{ConnectionState, ReconnectConfig, Supervisor};
 use dcdb_common::time::Timestamp;
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -41,6 +47,14 @@ pub enum HealthState {
 }
 
 impl HealthState {
+    fn of(state: ConnectionState) -> HealthState {
+        match state {
+            ConnectionState::Up => HealthState::Healthy,
+            ConnectionState::Degraded => HealthState::Degraded,
+            ConnectionState::Down => HealthState::ReadOnly,
+        }
+    }
+
     /// Stable lower-case spelling used in metrics and logs.
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -59,19 +73,9 @@ pub struct HealthConfig {
     pub max_retries: u32,
     /// First retry backoff, milliseconds (doubles per attempt).
     pub retry_backoff_base_ms: u64,
-    /// Backoff ceiling, milliseconds.
-    pub retry_backoff_cap_ms: u64,
-    /// Consecutive write failures that demote Healthy → Degraded.
-    pub degraded_after: u32,
-    /// Consecutive write failures that demote Degraded → ReadOnly.
+    /// Consecutive write failures that demote to ReadOnly (the first
+    /// one already degrades).
     pub readonly_after: u32,
-    /// Consecutive write successes that promote Degraded → Healthy.
-    pub heal_after: u32,
-    /// First ReadOnly probe interval, milliseconds (doubles per failed
-    /// probe, capped by `probe_cap_ms`).
-    pub probe_base_ms: u64,
-    /// Probe interval ceiling, milliseconds.
-    pub probe_cap_ms: u64,
     /// Bound of the memtable-only write-behind buffer (readings)
     /// accepted under ReadOnly before writes are shed.
     pub buffer_max_readings: usize,
@@ -82,12 +86,7 @@ impl Default for HealthConfig {
         HealthConfig {
             max_retries: 3,
             retry_backoff_base_ms: 1,
-            retry_backoff_cap_ms: 20,
-            degraded_after: 1,
             readonly_after: 6,
-            heal_after: 3,
-            probe_base_ms: 100,
-            probe_cap_ms: 5_000,
             buffer_max_readings: 100_000,
         }
     }
@@ -117,7 +116,7 @@ pub struct StorageHealthReport {
     pub fsync_poisonings: u64,
     /// WAL rotations performed (poisoning recovery + ReadOnly probes).
     pub wal_rotations: u64,
-    /// ReadOnly probes attempted.
+    /// ReadOnly probes attempted (WAL rotations under ReadOnly).
     pub probes: u64,
     /// Final-fsync errors recorded by `Drop` (acknowledged-but-unsynced
     /// data may not have reached the platter).
@@ -164,23 +163,23 @@ impl StorageHealthReport {
     }
 }
 
-#[derive(Debug)]
-struct Transitions {
-    state: HealthState,
-    consecutive_failures: u32,
-    consecutive_successes: u32,
-    /// Next allowed probe instant (ns) and current probe interval (ms),
-    /// doubling per failed probe.
-    next_probe_ns: u64,
-    probe_interval_ms: u64,
+/// The engine's failure detector: probes start 100 ms after the
+/// demotion to ReadOnly and double to 5 s. No jitter, so replays match.
+fn supervision(readonly_after: u32) -> ReconnectConfig {
+    ReconnectConfig {
+        base_ms: 100,
+        cap_ms: 5_000,
+        jitter: 0.0,
+        down_threshold: u64::from(readonly_after),
+        seed: 0,
+    }
 }
 
 /// Shared mutable core of the health state machine; see the module docs.
 #[derive(Debug)]
 pub struct HealthCore {
     config: HealthConfig,
-    inner: Mutex<Transitions>,
-    transitions: AtomicU64,
+    supervisor: Mutex<Supervisor>,
     ingested: AtomicU64,
     durable: AtomicU64,
     buffered: AtomicU64,
@@ -189,7 +188,6 @@ pub struct HealthCore {
     write_retries: AtomicU64,
     fsync_poisonings: AtomicU64,
     wal_rotations: AtomicU64,
-    probes: AtomicU64,
     drop_sync_errors: AtomicU64,
     cleanup_errors: AtomicU64,
     quarantined: AtomicU64,
@@ -197,28 +195,14 @@ pub struct HealthCore {
     recovered_readings: AtomicU64,
     wal_bytes_discarded: AtomicU64,
     torn_tails: AtomicU64,
-    healthy_ns: AtomicU64,
-    degraded_ns: AtomicU64,
-    readonly_ns: AtomicU64,
-    last_observed_ns: AtomicU64,
 }
-
-/// Sentinel for "the health clock has not been observed yet".
-const NEVER_OBSERVED: u64 = u64::MAX;
 
 impl HealthCore {
     /// A fresh core in `Healthy`.
     pub fn new(config: HealthConfig) -> HealthCore {
         HealthCore {
             config,
-            inner: Mutex::new(Transitions {
-                state: HealthState::Healthy,
-                consecutive_failures: 0,
-                consecutive_successes: 0,
-                next_probe_ns: 0,
-                probe_interval_ms: config.probe_base_ms,
-            }),
-            transitions: AtomicU64::new(0),
+            supervisor: Mutex::new(Supervisor::new(supervision(config.readonly_after))),
             ingested: AtomicU64::new(0),
             durable: AtomicU64::new(0),
             buffered: AtomicU64::new(0),
@@ -227,7 +211,6 @@ impl HealthCore {
             write_retries: AtomicU64::new(0),
             fsync_poisonings: AtomicU64::new(0),
             wal_rotations: AtomicU64::new(0),
-            probes: AtomicU64::new(0),
             drop_sync_errors: AtomicU64::new(0),
             cleanup_errors: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
@@ -235,10 +218,6 @@ impl HealthCore {
             recovered_readings: AtomicU64::new(0),
             wal_bytes_discarded: AtomicU64::new(0),
             torn_tails: AtomicU64::new(0),
-            healthy_ns: AtomicU64::new(0),
-            degraded_ns: AtomicU64::new(0),
-            readonly_ns: AtomicU64::new(0),
-            last_observed_ns: AtomicU64::new(NEVER_OBSERVED),
         }
     }
 
@@ -249,107 +228,57 @@ impl HealthCore {
 
     /// Current state.
     pub fn state(&self) -> HealthState {
-        self.inner.lock().state
+        HealthState::of(self.supervisor.lock().state())
     }
 
-    /// Advances the health clock to `now`, attributing the elapsed span
-    /// to the current state. Drives time-in-state accounting; typically
-    /// called from the engine's `maintain` tick.
-    pub fn observe(&self, now: Timestamp) {
-        let now_ns = now.as_nanos();
-        let last = self.last_observed_ns.swap(now_ns, Ordering::AcqRel);
-        // The first observation only sets the baseline — attributing the
-        // span since epoch 0 would credit the whole wall clock to Healthy.
-        if last == NEVER_OBSERVED {
-            return;
-        }
-        let delta = now_ns.saturating_sub(last);
-        if delta == 0 {
-            return;
-        }
-        let bucket = match self.state() {
-            HealthState::Healthy => &self.healthy_ns,
-            HealthState::Degraded => &self.degraded_ns,
-            HealthState::ReadOnly => &self.readonly_ns,
-        };
-        bucket.fetch_add(delta, Ordering::Relaxed);
+    /// Advances the health clock to `now` (the engine's `maintain`
+    /// tick) and says whether a journal attempt is due: always, except
+    /// under ReadOnly before the next probe.
+    pub fn attempt_due(&self, now: Timestamp) -> bool {
+        self.supervisor.lock().attempt_due(now.as_nanos())
     }
 
-    fn set_state(&self, inner: &mut Transitions, next: HealthState) {
-        if inner.state != next {
-            inner.state = next;
-            self.transitions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a failed journal write or sync, demoting the state once
-    /// the consecutive-failure thresholds are crossed. Returns the state
-    /// after the transition.
+    /// Records a failed journal write or sync. Returns the state after
+    /// the transition. Under ReadOnly only a probe's outcome counts: a
+    /// write that was in flight when the engine crossed is a write error,
+    /// not a failed probe, and leaves the probe schedule alone.
     pub fn record_write_error(&self) -> HealthState {
         self.write_errors.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
-        inner.consecutive_successes = 0;
-        inner.consecutive_failures = inner.consecutive_failures.saturating_add(1);
-        match inner.state {
-            HealthState::Healthy if inner.consecutive_failures >= self.config.degraded_after => {
-                self.set_state(&mut inner, HealthState::Degraded);
-            }
-            HealthState::Degraded if inner.consecutive_failures >= self.config.readonly_after => {
-                self.set_state(&mut inner, HealthState::ReadOnly);
-                // First probe is allowed immediately; failures back off.
-                inner.probe_interval_ms = self.config.probe_base_ms;
-                inner.next_probe_ns = match self.last_observed_ns.load(Ordering::Acquire) {
-                    NEVER_OBSERVED => 0,
-                    last => last,
-                };
-            }
-            _ => {}
+        let mut sup = self.supervisor.lock();
+        if sup.state() != ConnectionState::Down {
+            let now_ns = sup.observed_ns();
+            sup.on_failure(now_ns);
         }
-        inner.state
+        HealthState::of(sup.state())
     }
 
-    /// Records `batches` batches journaled by one successful write,
-    /// healing Degraded → Healthy after enough consecutive successes.
-    /// ReadOnly heals only through [`HealthCore::record_probe_success`].
-    pub fn record_write_success(&self, batches: usize) {
-        let batches = u32::try_from(batches).unwrap_or(u32::MAX);
-        let mut inner = self.inner.lock();
-        inner.consecutive_failures = 0;
-        inner.consecutive_successes = inner.consecutive_successes.saturating_add(batches);
-        if inner.state == HealthState::Degraded
-            && inner.consecutive_successes >= self.config.heal_after
-        {
-            self.set_state(&mut inner, HealthState::Healthy);
+    /// Records a successful journal write: back to Healthy. A write that
+    /// was in flight when the engine went ReadOnly leaves it ReadOnly:
+    /// only a probe's rotation re-journals the write-behind buffer.
+    pub fn record_write_success(&self) {
+        let mut sup = self.supervisor.lock();
+        if sup.state() != ConnectionState::Down {
+            let now_ns = sup.observed_ns();
+            sup.on_success(now_ns);
         }
     }
 
-    /// True when a ReadOnly probe is due at `now`.
-    pub fn probe_due(&self, now: Timestamp) -> bool {
-        let inner = self.inner.lock();
-        inner.state == HealthState::ReadOnly && now.as_nanos() >= inner.next_probe_ns
-    }
-
-    /// Records a failed probe: doubles the probe interval (capped).
-    pub fn record_probe_failure(&self, now: Timestamp) {
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
-        inner.next_probe_ns = now
-            .as_nanos()
-            .saturating_add(inner.probe_interval_ms * 1_000_000);
-        inner.probe_interval_ms = (inner.probe_interval_ms * 2).min(self.config.probe_cap_ms);
-    }
-
-    /// Records a successful probe: ReadOnly → Degraded (consecutive
-    /// successes then heal the rest of the way to Healthy).
-    pub fn record_probe_success(&self) {
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
-        if inner.state == HealthState::ReadOnly {
-            self.set_state(&mut inner, HealthState::Degraded);
+    /// Records the outcome of a ReadOnly probe, a WAL rotation that
+    /// re-journals the memtable: success returns to Healthy, failure
+    /// counts as a write error and puts the next probe a doubled backoff
+    /// away.
+    pub fn record_probe(&self, ok: bool) {
+        let mut sup = self.supervisor.lock();
+        if sup.state() != ConnectionState::Down {
+            return;
         }
-        inner.consecutive_failures = 0;
-        inner.consecutive_successes = 0;
-        inner.probe_interval_ms = self.config.probe_base_ms;
+        let now_ns = sup.observed_ns();
+        if ok {
+            sup.on_success(now_ns);
+        } else {
+            self.write_errors.fetch_add(1, Ordering::Relaxed);
+            sup.on_failure(now_ns);
+        }
     }
 
     /// Accounts `n` readings entering the engine.
@@ -449,9 +378,11 @@ impl HealthCore {
 
     /// Point-in-time report.
     pub fn report(&self) -> StorageHealthReport {
+        let sup = self.supervisor.lock();
+        let [healthy, degraded, read_only] = sup.time_in_state_ns();
         StorageHealthReport {
-            state: self.state(),
-            transitions: self.transitions.load(Ordering::Relaxed),
+            state: HealthState::of(sup.state()),
+            transitions: sup.transitions(),
             ingested: self.ingested.load(Ordering::Relaxed),
             durable: self.durable.load(Ordering::Relaxed),
             buffered: self.buffered.load(Ordering::Relaxed),
@@ -460,7 +391,7 @@ impl HealthCore {
             write_retries: self.write_retries.load(Ordering::Relaxed),
             fsync_poisonings: self.fsync_poisonings.load(Ordering::Relaxed),
             wal_rotations: self.wal_rotations.load(Ordering::Relaxed),
-            probes: self.probes.load(Ordering::Relaxed),
+            probes: sup.reconnects() + sup.failed_probes(),
             drop_sync_errors: self.drop_sync_errors.load(Ordering::Relaxed),
             cleanup_errors: self.cleanup_errors.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
@@ -471,9 +402,9 @@ impl HealthCore {
                 torn_tails: self.torn_tails.load(Ordering::Relaxed),
             },
             time_in_state_ns: TimeInState {
-                healthy: self.healthy_ns.load(Ordering::Relaxed),
-                degraded: self.degraded_ns.load(Ordering::Relaxed),
-                read_only: self.readonly_ns.load(Ordering::Relaxed),
+                healthy,
+                degraded,
+                read_only,
             },
         }
     }
@@ -485,65 +416,70 @@ mod tests {
 
     fn cfg() -> HealthConfig {
         HealthConfig {
-            degraded_after: 2,
-            readonly_after: 4,
-            heal_after: 2,
-            probe_base_ms: 100,
-            probe_cap_ms: 400,
+            readonly_after: 3,
             ..HealthConfig::default()
         }
     }
 
     #[test]
-    fn demotes_and_heals_through_the_states() {
+    fn demotes_through_the_states_and_one_success_heals() {
         let h = HealthCore::new(cfg());
         assert_eq!(h.state(), HealthState::Healthy);
+        assert_eq!(h.record_write_error(), HealthState::Degraded);
+        h.record_write_success();
+        assert_eq!(h.state(), HealthState::Healthy, "one success heals");
         h.record_write_error();
-        assert_eq!(h.state(), HealthState::Healthy);
         h.record_write_error();
-        assert_eq!(h.state(), HealthState::Degraded);
-        h.record_write_error();
-        h.record_write_error();
+        assert_eq!(h.record_write_error(), HealthState::ReadOnly);
+        h.record_probe(true);
+        assert_eq!(h.state(), HealthState::Healthy, "straight from ReadOnly");
+        let r = h.report();
+        assert_eq!((r.transitions, r.write_errors, r.probes), (5, 4, 1));
+    }
+
+    /// Writes in flight when the engine crossed are no verdict on the
+    /// disk: only the probe's rotation leaves ReadOnly or reschedules.
+    #[test]
+    fn only_a_probe_leaves_read_only() {
+        let h = HealthCore::new(cfg());
+        h.attempt_due(Timestamp::from_millis(1_000));
+        for _ in 0..3 {
+            h.record_write_error();
+        }
+        assert!(h.try_note_buffered(4));
+        h.record_write_success();
         assert_eq!(h.state(), HealthState::ReadOnly);
-        // Write successes alone do not leave ReadOnly.
-        h.record_write_success(1);
-        assert_eq!(h.state(), HealthState::ReadOnly);
-        h.record_probe_success();
-        assert_eq!(h.state(), HealthState::Degraded);
-        h.record_write_success(1);
-        h.record_write_success(1);
+        assert_eq!(h.record_write_error(), HealthState::ReadOnly);
+        let r = h.report();
+        assert_eq!((r.buffered, r.probes, r.write_errors), (4, 0, 4));
+        assert!(
+            h.attempt_due(Timestamp::from_millis(1_100)),
+            "not pushed back"
+        );
+        h.record_probe(true);
         assert_eq!(h.state(), HealthState::Healthy);
-        assert_eq!(h.report().transitions, 4);
     }
 
     #[test]
-    fn success_resets_failure_streak() {
+    fn probes_start_one_base_backoff_after_the_demotion_and_double_to_the_cap() {
         let h = HealthCore::new(cfg());
-        h.record_write_error();
-        h.record_write_success(1);
-        h.record_write_error();
-        assert_eq!(h.state(), HealthState::Healthy, "streak was broken");
-    }
-
-    #[test]
-    fn probe_backoff_doubles_and_caps() {
-        let h = HealthCore::new(cfg());
-        for _ in 0..4 {
+        let t0 = Timestamp::from_millis(1_000);
+        assert!(h.attempt_due(t0));
+        for _ in 0..3 {
             h.record_write_error();
         }
         assert_eq!(h.state(), HealthState::ReadOnly);
-        let t0 = Timestamp::from_millis(1_000);
-        h.observe(t0);
-        assert!(h.probe_due(t0));
-        h.record_probe_failure(t0);
-        assert!(!h.probe_due(Timestamp::from_millis(1_050)));
-        assert!(h.probe_due(Timestamp::from_millis(1_100))); // +100ms
-        h.record_probe_failure(Timestamp::from_millis(1_100));
-        assert!(!h.probe_due(Timestamp::from_millis(1_250)));
-        assert!(h.probe_due(Timestamp::from_millis(1_300))); // +200ms
-        h.record_probe_failure(Timestamp::from_millis(1_300));
-        assert!(h.probe_due(Timestamp::from_millis(1_700))); // +400ms (capped)
-        assert_eq!(h.report().probes, 3);
+        let mut at = 1_000;
+        for gap in [100, 200, 400, 800, 1_600, 3_200, 5_000, 5_000] {
+            assert!(!h.attempt_due(Timestamp::from_millis(at + gap - 1)));
+            at += gap;
+            assert!(
+                h.attempt_due(Timestamp::from_millis(at)),
+                "probe at +{gap} ms"
+            );
+            h.record_probe(false);
+        }
+        assert_eq!(h.report().probes, 8);
     }
 
     #[test]
@@ -572,14 +508,16 @@ mod tests {
         assert_eq!(r.buffered, 0);
     }
 
+    /// Time is clocked from the first `maintain` instant, a wall clock's
+    /// included, and write-path transitions land at the latest one.
     #[test]
     fn time_in_state_attributes_to_current_state() {
         let h = HealthCore::new(cfg());
-        h.observe(Timestamp::from_millis(0));
-        h.observe(Timestamp::from_millis(100));
-        h.record_write_error();
-        h.record_write_error(); // → Degraded
-        h.observe(Timestamp::from_millis(250));
+        let t0 = 1_700_000_000_000_000_000;
+        h.attempt_due(Timestamp(t0));
+        h.attempt_due(Timestamp(t0 + 100_000_000));
+        h.record_write_error(); // → Degraded at t0 + 100 ms
+        h.attempt_due(Timestamp(t0 + 250_000_000));
         let t = h.report().time_in_state_ns;
         assert_eq!(t.healthy, 100 * 1_000_000);
         assert_eq!(t.degraded, 150 * 1_000_000);

@@ -19,12 +19,14 @@
 //!
 //! The runtime is **fault-isolated**: a panic inside any
 //! [`Operator::compute`] is caught ([`std::panic::catch_unwind`]) and
-//! recorded instead of killing the tick; an operator failing
+//! recorded instead of killing the tick; every operator slot runs one
+//! [`Supervisor`], so an operator failing
 //! [`FaultPolicy::quarantine_threshold`] times in a row is *quarantined*
-//! — skipped with exponential backoff on its `next_due` — until a
-//! `PUT /analytics/plugins/:name/start` (or reload) resumes it; and an
-//! operator still busy when it comes due again is skipped and counted as
-//! an *overrun* rather than parking the tick on its mutex.
+//! — its due events are skipped except for probes after 2, 4, 8, …
+//! intervals (capped at 64), and the first probe that succeeds resumes
+//! it, as does a `PUT /analytics/plugins/:name/start` (or reload); and
+//! an operator still busy when it comes due again is skipped and counted
+//! as an *overrun* rather than parking the tick on its mutex.
 //! Per-operator counters (runs, outputs, errors, panics, overruns,
 //! latency EWMA, quarantine state) are exposed through
 //! [`OperatorManager::metrics_json`].
@@ -34,6 +36,7 @@ use crate::plugin::{OperatorPlugin, PluginConfig};
 use crate::query::QueryEngine;
 use crate::unit::Unit;
 use dcdb_common::error::{DcdbError, Result};
+use dcdb_common::supervisor::{ConnectionState, ReconnectConfig, Supervisor};
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use dcdb_rest::{Method, Response, Router, Status};
@@ -45,23 +48,35 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Fault-isolation policy of the operator runtime.
+/// Fault-isolation policy of the operator runtime (and of a Pusher's
+/// monitoring plugins).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPolicy {
     /// Consecutive failures (errors or panics) after which an operator
     /// is quarantined.
     pub quarantine_threshold: u64,
-    /// Cap on the quarantine backoff, as a multiple of the operator's
-    /// interval (the backoff doubles on every skipped due event until
-    /// it reaches this cap).
-    pub backoff_cap: u64,
 }
 
 impl Default for FaultPolicy {
     fn default() -> Self {
         FaultPolicy {
             quarantine_threshold: 5,
-            backoff_cap: 64,
+        }
+    }
+}
+
+impl FaultPolicy {
+    /// The failure detector of one slot due every `interval_ms`:
+    /// `quarantine_threshold` failures in a row quarantine it, and
+    /// probes follow 2 intervals later, doubling to 64. No jitter.
+    pub fn supervision(&self, interval_ms: u64) -> ReconnectConfig {
+        let interval_ms = interval_ms.max(1);
+        ReconnectConfig {
+            base_ms: 2 * interval_ms,
+            cap_ms: 64 * interval_ms,
+            jitter: 0.0,
+            down_threshold: self.quarantine_threshold,
+            seed: 0,
         }
     }
 }
@@ -77,8 +92,6 @@ struct SlotMetrics {
     panics: AtomicU64,
     overruns: AtomicU64,
     quarantined_skips: AtomicU64,
-    consecutive_failures: AtomicU64,
-    quarantined: AtomicBool,
     last_latency_ns: AtomicU64,
     ewma_latency_ns: AtomicU64,
     max_latency_ns: AtomicU64,
@@ -94,24 +107,7 @@ impl SlotMetrics {
         self.ewma_latency_ns.store(new, Ordering::Relaxed);
     }
 
-    /// Registers a failed computation; true when this failure crossed
-    /// the quarantine threshold (the caller arms the backoff).
-    fn note_failure(&self, policy: FaultPolicy) -> bool {
-        let fails = self.consecutive_failures.fetch_add(1, Ordering::AcqRel) + 1;
-        fails >= policy.quarantine_threshold && !self.quarantined.swap(true, Ordering::AcqRel)
-    }
-
-    fn note_success(&self) {
-        self.consecutive_failures.store(0, Ordering::Release);
-        self.quarantined.store(false, Ordering::Release);
-    }
-
-    fn reset_quarantine(&self) {
-        self.quarantined.store(false, Ordering::Release);
-        self.consecutive_failures.store(0, Ordering::Release);
-    }
-
-    fn snapshot(&self, name: &str) -> OperatorMetricsSnapshot {
+    fn snapshot(&self, name: &str, supervisor: &Supervisor) -> OperatorMetricsSnapshot {
         OperatorMetricsSnapshot {
             name: name.to_string(),
             runs: self.runs.load(Ordering::Relaxed),
@@ -121,8 +117,8 @@ impl SlotMetrics {
             panics: self.panics.load(Ordering::Relaxed),
             overruns: self.overruns.load(Ordering::Relaxed),
             quarantined_skips: self.quarantined_skips.load(Ordering::Relaxed),
-            consecutive_failures: self.consecutive_failures.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Acquire),
+            consecutive_failures: supervisor.consecutive_failures(),
+            quarantined: supervisor.state() == ConnectionState::Down,
             last_latency_ns: self.last_latency_ns.load(Ordering::Relaxed),
             ewma_latency_ns: self.ewma_latency_ns.load(Ordering::Relaxed),
             max_latency_ns: self.max_latency_ns.load(Ordering::Relaxed),
@@ -264,6 +260,8 @@ struct OperatorSlot {
     units: AtomicUsize,
     /// Next due time in ns; 0 = run at the first tick.
     next_due: AtomicU64,
+    /// The slot's failure detector: `Down` is quarantine.
+    supervisor: Mutex<Supervisor>,
     metrics: SlotMetrics,
 }
 
@@ -277,6 +275,7 @@ struct LoadedPlugin {
 /// carries the operator name when this failure pushed it into
 /// quarantine.
 enum SlotOutcome {
+    Quarantined,
     Success {
         outputs: Vec<Output>,
     },
@@ -359,10 +358,20 @@ impl OperatorManager {
         &self.query
     }
 
-    /// Replaces the fault-isolation policy (quarantine threshold and
-    /// backoff cap). Takes effect from the next tick.
+    /// Replaces the fault-isolation policy. Every loaded operator's
+    /// failure detector restarts under it, so a quarantined operator
+    /// resumes, and operators loaded later run under it too.
     pub fn set_fault_policy(&self, policy: FaultPolicy) {
-        *self.fault_policy.write() = policy;
+        // Held across the rebuild, so concurrent calls leave every slot
+        // under the policy that was set last.
+        let mut current = self.fault_policy.write();
+        *current = policy;
+        for plugin in self.plugins.read().iter() {
+            let supervision = policy.supervision(plugin.config.interval_ms().unwrap_or(0));
+            for slot in &plugin.operators {
+                *slot.supervisor.lock() = Supervisor::new(supervision);
+            }
+        }
     }
 
     /// The current fault-isolation policy.
@@ -413,6 +422,9 @@ impl OperatorManager {
         })?;
         let nav = self.query.navigator();
         let operators = factory.configure(&config, &nav)?;
+        let supervision = self
+            .fault_policy()
+            .supervision(config.interval_ms().unwrap_or(0));
         Ok(LoadedPlugin {
             config,
             operators: operators
@@ -422,6 +434,7 @@ impl OperatorManager {
                     units: AtomicUsize::new(op.units().len()),
                     operator: Mutex::new(op),
                     next_due: AtomicU64::new(0),
+                    supervisor: Mutex::new(Supervisor::new(supervision)),
                     metrics: SlotMetrics::default(),
                 })
                 .collect(),
@@ -447,13 +460,13 @@ impl OperatorManager {
 
     /// Resumes an instance's online computation. Also clears any
     /// quarantine and re-arms every slot to run at the next tick — the
-    /// REST escape hatch (`PUT /analytics/plugins/:name/start`) for an
-    /// operator quarantined after repeated failures.
+    /// REST way (`PUT /analytics/plugins/:name/start`) to resume a
+    /// quarantined operator before its next probe.
     pub fn start(&self, name: &str) -> Result<()> {
         let plugin = self.plugin(name)?;
         plugin.running.store(true, Ordering::Release);
         for slot in &plugin.operators {
-            slot.metrics.reset_quarantine();
+            slot.supervisor.lock().reset();
             slot.next_due.store(0, Ordering::Release);
         }
         Ok(())
@@ -515,17 +528,16 @@ impl OperatorManager {
     /// operators in the order its configurator made them.
     ///
     /// The tick is fault-isolated: panics are caught and recorded,
-    /// repeatedly failing operators are quarantined (skipped with
-    /// exponential backoff), and operators still busy from a previous
-    /// computation (another thread's tick, or an on-demand request) are
-    /// skipped as overruns instead of blocking the tick.
+    /// repeatedly failing operators are quarantined (skipped but for
+    /// probes at exponential backoff), and operators still busy from a
+    /// previous computation (another thread's tick, or an on-demand
+    /// request) are skipped as overruns instead of blocking the tick.
     pub fn tick(&self, now: Timestamp) -> TickReport {
         self.ticks.fetch_add(1, Ordering::Relaxed);
-        let policy = self.fault_policy();
         let mut report = TickReport::default();
         // Snapshot due work without holding the plugin map lock during
         // computation.
-        let mut due: Vec<(Arc<LoadedPlugin>, usize, u64)> = Vec::new();
+        let mut due: Vec<(Arc<LoadedPlugin>, usize)> = Vec::new();
         {
             let plugins = self.plugins.read();
             for plugin in plugins.iter() {
@@ -541,30 +553,6 @@ impl OperatorManager {
                     if next > now.as_nanos() {
                         continue;
                     }
-                    if slot.metrics.quarantined.load(Ordering::Acquire) {
-                        // Quarantined: skip, doubling the backoff on
-                        // every visit (capped) so the scan re-visits
-                        // the slot ever more rarely until a REST
-                        // start / reload resumes it.
-                        slot.metrics.runs.fetch_add(1, Ordering::Relaxed);
-                        let skips = slot
-                            .metrics
-                            .quarantined_skips
-                            .fetch_add(1, Ordering::Relaxed)
-                            + 1;
-                        let mult = 1u64
-                            .checked_shl((skips + 1).min(63) as u32)
-                            .unwrap_or(u64::MAX)
-                            .min(policy.backoff_cap.max(2));
-                        slot.next_due.store(
-                            now.as_nanos()
-                                .saturating_add(interval_ns.saturating_mul(mult)),
-                            Ordering::Release,
-                        );
-                        report.operators_run += 1;
-                        report.quarantined_skips += 1;
-                        continue;
-                    }
                     // Schedule the next run; lagging operators skip
                     // missed intervals rather than bursting.
                     let mut new_next = if next == 0 { now.as_nanos() } else { next };
@@ -572,14 +560,14 @@ impl OperatorManager {
                         new_next += interval_ns;
                     }
                     slot.next_due.store(new_next, Ordering::Release);
-                    due.push((Arc::clone(plugin), i, interval_ns));
+                    due.push((Arc::clone(plugin), i));
                 }
             }
         }
 
         report.operators_run += due.len();
-        for (plugin, slot_idx, interval_ns) in &due {
-            match self.run_slot(plugin, *slot_idx, *interval_ns, now, policy) {
+        for (plugin, slot_idx) in &due {
+            match self.run_slot(plugin, *slot_idx, now) {
                 SlotOutcome::Success { outputs } => {
                     report.successes += 1;
                     report.outputs_published += outputs.len();
@@ -600,22 +588,17 @@ impl OperatorManager {
                     report.panics.push(message);
                 }
                 SlotOutcome::Overrun => report.overruns += 1,
+                SlotOutcome::Quarantined => report.quarantined_skips += 1,
             }
         }
         report
     }
 
     /// Runs one due slot through the fault-isolation machinery:
-    /// `try_lock` (overrun if busy), `catch_unwind` around the
-    /// computation, latency recording and quarantine bookkeeping.
-    fn run_slot(
-        &self,
-        plugin: &LoadedPlugin,
-        slot_idx: usize,
-        interval_ns: u64,
-        now: Timestamp,
-        policy: FaultPolicy,
-    ) -> SlotOutcome {
+    /// `try_lock` (overrun if busy), the supervisor's gate (a
+    /// quarantined skip unless a probe is due), `catch_unwind` around
+    /// the computation, latency recording and the outcome fed back.
+    fn run_slot(&self, plugin: &LoadedPlugin, slot_idx: usize, now: Timestamp) -> SlotOutcome {
         let slot = &plugin.operators[slot_idx];
         slot.metrics.runs.fetch_add(1, Ordering::Relaxed);
         // A computation still running from a previous tick (or a long
@@ -625,6 +608,18 @@ impl OperatorManager {
             slot.metrics.overruns.fetch_add(1, Ordering::Relaxed);
             return SlotOutcome::Overrun;
         };
+        // Outcomes are fed only under the operator lock, so a slot that
+        // was clean here needs no second supervisor lock to succeed.
+        let clean = {
+            let mut supervisor = slot.supervisor.lock();
+            if !supervisor.attempt_due(now.as_nanos()) {
+                slot.metrics
+                    .quarantined_skips
+                    .fetch_add(1, Ordering::Relaxed);
+                return SlotOutcome::Quarantined;
+            }
+            supervisor.state() == ConnectionState::Up && supervisor.consecutive_failures() == 0
+        };
         let ctx = ComputeContext::new(&self.query, now);
         let start = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| compute_units(op.as_mut(), &ctx)));
@@ -633,7 +628,9 @@ impl OperatorManager {
         slot.units.store(op.units().len(), Ordering::Relaxed);
         match result {
             Ok(Ok((outputs, ends))) => {
-                slot.metrics.note_success();
+                if !clean {
+                    slot.supervisor.lock().on_success(now.as_nanos());
+                }
                 slot.metrics.successes.fetch_add(1, Ordering::Relaxed);
                 slot.metrics
                     .outputs
@@ -645,9 +642,8 @@ impl OperatorManager {
             }
             Ok(Err(e)) => {
                 slot.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                let quarantined = self
-                    .quarantine_on_failure(slot, interval_ns, now, policy)
-                    .then(|| slot.name.clone());
+                let crossed = slot.supervisor.lock().on_failure(now.as_nanos());
+                let quarantined = crossed.then(|| slot.name.clone());
                 SlotOutcome::Error {
                     message: format!("{}: {e}", slot.name),
                     quarantined,
@@ -655,9 +651,8 @@ impl OperatorManager {
             }
             Err(payload) => {
                 slot.metrics.panics.fetch_add(1, Ordering::Relaxed);
-                let quarantined = self
-                    .quarantine_on_failure(slot, interval_ns, now, policy)
-                    .then(|| slot.name.clone());
+                let crossed = slot.supervisor.lock().on_failure(now.as_nanos());
+                let quarantined = crossed.then(|| slot.name.clone());
                 SlotOutcome::Panic {
                     message: format!(
                         "{}: panicked: {}",
@@ -667,26 +662,6 @@ impl OperatorManager {
                     quarantined,
                 }
             }
-        }
-    }
-
-    /// Failure bookkeeping: true when this failure pushed the slot into
-    /// quarantine (and armed the first backoff of 2x the interval).
-    fn quarantine_on_failure(
-        &self,
-        slot: &OperatorSlot,
-        interval_ns: u64,
-        now: Timestamp,
-        policy: FaultPolicy,
-    ) -> bool {
-        if slot.metrics.note_failure(policy) {
-            slot.next_due.store(
-                now.as_nanos().saturating_add(interval_ns.saturating_mul(2)),
-                Ordering::Release,
-            );
-            true
-        } else {
-            false
         }
     }
 
@@ -730,7 +705,7 @@ impl OperatorManager {
                 operators: p
                     .operators
                     .iter()
-                    .map(|s| s.metrics.snapshot(&s.name))
+                    .map(|s| s.metrics.snapshot(&s.name, &s.supervisor.lock()))
                     .collect(),
             })
             .collect();
@@ -1262,12 +1237,11 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_engages_backs_off_and_resumes_via_start() {
+    fn quarantine_engages_probes_with_backoff_and_resumes_via_start() {
         let mgr = manager_with_data();
         mgr.register_plugin(Box::new(PanicPlugin));
         mgr.set_fault_policy(FaultPolicy {
             quarantine_threshold: 2,
-            backoff_cap: 8,
         });
         mgr.load(
             PluginConfig::online("bad", "panic", 1000)
@@ -1281,24 +1255,22 @@ mod tests {
         assert_eq!(report.panics.len(), 1);
         assert_eq!(report.newly_quarantined, vec!["boom".to_string()]);
 
-        // First backoff: 2x interval — not due before t=4.
-        assert_eq!(mgr.tick(Timestamp::from_secs(3)).operators_run, 0);
-        let report = mgr.tick(Timestamp::from_secs(4));
-        assert_eq!(report.quarantined_skips, 1);
-        assert!(
-            report.panics.is_empty(),
-            "quarantined operator must not run"
-        );
-        assert_accounting(&report);
-
-        // Second visit backs off 4x: due again at t=8, then 8x (cap).
-        assert_eq!(mgr.tick(Timestamp::from_secs(7)).operators_run, 0);
-        assert_eq!(mgr.tick(Timestamp::from_secs(8)).quarantined_skips, 1);
+        // Every due event is skipped but for the probes, 2 then 4
+        // intervals apart; a failed probe is no new quarantine.
+        let mut probes = Vec::new();
+        for s in 3..=10 {
+            let report = mgr.tick(Timestamp::from_secs(s));
+            assert_accounting(&report);
+            assert_eq!(report.operators_run, 1);
+            assert!(report.newly_quarantined.is_empty());
+            if !report.panics.is_empty() {
+                probes.push(s);
+            }
+        }
+        assert_eq!(probes, vec![4, 8]);
 
         let m = &mgr.operator_metrics()[0].operators[0];
-        assert_eq!(m.panics, 2);
-        assert_eq!(m.quarantined_skips, 2);
-        assert_eq!(m.runs, 4);
+        assert_eq!((m.runs, m.panics, m.quarantined_skips), (10, 4, 6));
         assert!(m.quarantined);
         assert_eq!(
             m.runs,
@@ -1310,12 +1282,41 @@ mod tests {
         // PUT .../start semantics: quarantine cleared, slot re-armed.
         mgr.start("bad").unwrap();
         assert!(!mgr.operator_metrics()[0].operators[0].quarantined);
-        let report = mgr.tick(Timestamp::from_secs(9));
+        let report = mgr.tick(Timestamp::from_secs(11));
         assert_eq!(report.panics.len(), 1, "resumed operator runs again");
         // One failure since resume: below the threshold of 2.
         let m = &mgr.operator_metrics()[0].operators[0];
         assert_eq!(m.consecutive_failures, 1);
         assert!(!m.quarantined);
+    }
+
+    /// A policy set after `load` governs the operators already loaded.
+    #[test]
+    fn a_fault_policy_set_after_load_applies_to_loaded_operators() {
+        let mgr = manager_with_data();
+        mgr.register_plugin(Box::new(PanicPlugin));
+        mgr.load(
+            PluginConfig::online("bad", "panic", 1000)
+                .with_patterns(&["<topdown>power"], &["<topdown>boom"]),
+        )
+        .unwrap();
+        for s in 1..=2 {
+            assert!(mgr
+                .tick(Timestamp::from_secs(s))
+                .newly_quarantined
+                .is_empty());
+        }
+        mgr.set_fault_policy(FaultPolicy {
+            quarantine_threshold: 2,
+        });
+        let m = &mgr.operator_metrics()[0].operators[0];
+        assert_eq!(m.consecutive_failures, 0, "restarted under the new policy");
+        assert!(mgr
+            .tick(Timestamp::from_secs(3))
+            .newly_quarantined
+            .is_empty());
+        let report = mgr.tick(Timestamp::from_secs(4));
+        assert_eq!(report.newly_quarantined, vec!["boom".to_string()]);
     }
 
     #[test]

@@ -323,7 +323,6 @@ fn main() {
             FaultPolicy::default().quarantine_threshold,
         )
         .max(1),
-        ..FaultPolicy::default()
     };
     let agent_config = CollectAgentConfig {
         ingest_budget: arg(

@@ -271,7 +271,8 @@ fn connection_is_supervised_with_backoff_and_reconnect() {
     let pusher = chaos_pusher(&chaos, 1, OverflowPolicy::DropOldest, 64, 1000);
 
     let mut saw_down = false;
-    for s in 1..=25u64 {
+    // The first tick starts the supervisor's clock: tick from t=0.
+    for s in 0..=25u64 {
         let now = Timestamp::from_secs(s);
         chaos.advance(now);
         pusher.tick(now).unwrap();

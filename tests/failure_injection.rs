@@ -1,19 +1,23 @@
 //! Failure-injection integration tests: the stack must degrade
 //! gracefully under the faults a production monitoring system actually
 //! sees — clock hiccups producing stale samples, corrupt frames on the
-//! bus, operators failing mid-tick, subscribers vanishing, and plugins
-//! being reconfigured against a sensor space that shrank.
+//! bus, operators failing mid-tick, subscribers vanishing, plugins
+//! being reconfigured against a sensor space that shrank, and every part
+//! that fails and recovers (storage, monitoring plugins, operators)
+//! running one failure detector.
 
 use dcdb_wintermute::dcdb_bus::{Broker, MessageBus};
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_wintermute::dcdb_common::error::Result as DcdbResult;
-use dcdb_wintermute::dcdb_common::{ReadingBatch, SensorReading, Timestamp, Topic};
+use dcdb_wintermute::dcdb_common::{DcdbError, ReadingBatch, SensorReading, Timestamp, Topic};
+use dcdb_wintermute::dcdb_pusher::{MonitoringPlugin, Pusher, PusherConfig};
 use dcdb_wintermute::dcdb_storage::{
-    DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, HealthConfig, StorageBackend,
-    StorageEngine, StorageIo,
+    DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, HealthConfig, HealthState,
+    StorageBackend, StorageEngine, StorageIo,
 };
 use dcdb_wintermute::wintermute::prelude::*;
 use dcdb_wintermute::wintermute_plugins;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn t(s: &str) -> Topic {
@@ -490,4 +494,282 @@ fn on_demand_on_stopped_plugin_still_answers() {
         .unwrap();
     assert_eq!(outputs.len(), 1);
     assert_eq!(outputs[0].1.value, 42);
+}
+
+/// One part that fails and recovers, as the table below drives it: its
+/// supervision policy and a step function over virtual milliseconds.
+struct Part {
+    name: &'static str,
+    threshold: u64,
+    base_ms: u64,
+    cap_ms: u64,
+    step_ms: u64,
+    /// Advances the part to `now_ms`, making whatever attempt is due;
+    /// returns the failures counted so far.
+    step: Box<dyn FnMut(u64) -> u64>,
+    /// `(up, down)`: healthy / quarantined-or-read-only.
+    state: Box<dyn Fn() -> (bool, bool)>,
+    /// Makes every later attempt succeed.
+    heal: Box<dyn Fn()>,
+}
+
+/// A durable engine whose every write fails with `EIO` from 1 s on.
+fn storage_part(dir: &std::path::Path) -> Part {
+    let io = Arc::new(FaultIo::std(FaultConfig::quiet(21)));
+    let config = DurableConfig {
+        fsync: FsyncPolicy::Always,
+        health: HealthConfig {
+            max_retries: 0,
+            retry_backoff_base_ms: 0,
+            readonly_after: 3,
+            ..HealthConfig::default()
+        },
+        ..DurableConfig::default()
+    };
+    let db = Arc::new(DurableBackend::open_with(Arc::clone(&io) as _, dir, config).unwrap());
+    io.set_config(FaultConfig {
+        eio_prob: 1.0,
+        ..FaultConfig::quiet(21).with_window_ms(1_000, 1_000_000)
+    });
+    let (stepped, state, healed) = (Arc::clone(&db), Arc::clone(&db), Arc::clone(&io));
+    Part {
+        name: "storage",
+        threshold: 3,
+        base_ms: 100,
+        cap_ms: 5_000,
+        step_ms: 10,
+        step: Box::new(move |now_ms| {
+            let now = Timestamp::from_millis(now_ms);
+            io.advance(now);
+            stepped.maintain(now).ok();
+            // Buffered, not attempted, under ReadOnly.
+            let _ = stepped.insert(&t("/n0/power"), SensorReading::new(1, now));
+            stepped.health_report().write_errors
+        }),
+        state: Box::new(move || {
+            let s = state.health_report().state;
+            (s == HealthState::Healthy, s == HealthState::ReadOnly)
+        }),
+        heal: Box::new(move || healed.clear_faults()),
+    }
+}
+
+/// A monitoring plugin that errors while its switch is on.
+struct SwitchedPlugin(Arc<AtomicBool>);
+
+impl MonitoringPlugin for SwitchedPlugin {
+    fn name(&self) -> &str {
+        "switched"
+    }
+    fn sensor_topics(&self) -> Vec<Topic> {
+        vec![t("/host/switched")]
+    }
+    fn sample(&mut self, now: Timestamp) -> DcdbResult<Vec<(Topic, SensorReading)>> {
+        if self.0.load(Ordering::Acquire) {
+            return Err(DcdbError::InvalidState("injected sample failure".into()));
+        }
+        Ok(vec![(t("/host/switched"), SensorReading::new(1, now))])
+    }
+}
+
+fn plugin_part(failing: Arc<AtomicBool>) -> Part {
+    let mut pusher = Pusher::new(
+        PusherConfig {
+            sampling_interval_ms: 10,
+            plugin_fault: FaultPolicy {
+                quarantine_threshold: 4,
+            },
+            ..PusherConfig::default()
+        },
+        None,
+    );
+    pusher.add_monitoring_plugin(Box::new(SwitchedPlugin(Arc::clone(&failing))));
+    let pusher = Arc::new(pusher);
+    let (stepped, state) = (Arc::clone(&pusher), pusher);
+    Part {
+        name: "monitoring plugin",
+        threshold: 4,
+        base_ms: 20,
+        cap_ms: 640,
+        step_ms: 10,
+        step: Box::new(move |now_ms| {
+            stepped.tick(Timestamp::from_millis(now_ms)).unwrap();
+            stepped.plugin_metrics()[0].sample_errors
+        }),
+        state: Box::new(move || {
+            let m = &state.plugin_metrics()[0];
+            (m.consecutive_failures == 0, m.quarantined)
+        }),
+        heal: Box::new(move || failing.store(false, Ordering::Release)),
+    }
+}
+
+/// An operator that errors while its switch is on.
+struct SwitchedOperator {
+    units: Vec<Unit>,
+    failing: Arc<AtomicBool>,
+}
+
+impl Operator for SwitchedOperator {
+    fn name(&self) -> &str {
+        "switched"
+    }
+    fn units(&self) -> &[Unit] {
+        &self.units
+    }
+    fn compute(&mut self, i: usize, ctx: &ComputeContext<'_>) -> DcdbResult<Vec<Output>> {
+        if self.failing.load(Ordering::Acquire) {
+            return Err(DcdbError::InvalidState("injected failure".into()));
+        }
+        Ok(vec![(
+            self.units[i].outputs[0].clone(),
+            SensorReading::new(1, ctx.now),
+        )])
+    }
+}
+
+struct SwitchedOperatorPlugin(Arc<AtomicBool>);
+
+impl OperatorPlugin for SwitchedOperatorPlugin {
+    fn kind(&self) -> &str {
+        "switched"
+    }
+    fn configure(
+        &self,
+        config: &PluginConfig,
+        nav: &SensorNavigator,
+    ) -> DcdbResult<Vec<Box<dyn Operator>>> {
+        let resolution = config.resolve(nav)?;
+        instantiate(config, resolution.units, |_, units| {
+            let failing = Arc::clone(&self.0);
+            Ok(Box::new(SwitchedOperator { units, failing }) as Box<dyn Operator>)
+        })
+    }
+}
+
+/// One switched operator due every `interval_ms`, quarantined after
+/// two failures in a row.
+fn switched_manager(failing: Arc<AtomicBool>, interval_ms: u64) -> Arc<OperatorManager> {
+    let qe = Arc::new(QueryEngine::new(16));
+    qe.insert(
+        &t("/n0/power"),
+        SensorReading::new(1, Timestamp::from_secs(1)),
+    );
+    qe.rebuild_navigator();
+    let mgr = OperatorManager::new(qe);
+    mgr.set_fault_policy(FaultPolicy {
+        quarantine_threshold: 2,
+    });
+    mgr.register_plugin(Box::new(SwitchedOperatorPlugin(failing)));
+    mgr.load(
+        PluginConfig::online("switched", "switched", interval_ms)
+            .with_patterns(&["<bottomup>power"], &["<bottomup>power-out"]),
+    )
+    .unwrap();
+    mgr
+}
+
+fn operator_part(failing: Arc<AtomicBool>) -> Part {
+    let mgr = switched_manager(Arc::clone(&failing), 10);
+    let (stepped, state) = (Arc::clone(&mgr), mgr);
+    Part {
+        name: "operator",
+        threshold: 2,
+        base_ms: 20,
+        cap_ms: 640,
+        step_ms: 10,
+        step: Box::new(move |now_ms| {
+            stepped.tick(Timestamp::from_millis(now_ms));
+            stepped.metrics_totals().errors
+        }),
+        state: Box::new(move || {
+            let m = &state.operator_metrics()[0].operators[0];
+            (m.consecutive_failures == 0, m.quarantined)
+        }),
+        heal: Box::new(move || failing.store(false, Ordering::Release)),
+    }
+}
+
+/// Storage health, monitoring-plugin quarantine and operator quarantine
+/// are one `Supervisor` each: the failure that crosses is number
+/// `threshold`, probes come base, 2 x base, 4 x base, ... apart up to
+/// the cap, and one success returns the part to up.
+#[test]
+fn every_part_that_fails_and_recovers_runs_one_detector() {
+    let dir = std::env::temp_dir().join(format!("dcdb-one-detector-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let parts = vec![
+        storage_part(&dir),
+        plugin_part(Arc::new(AtomicBool::new(true))),
+        operator_part(Arc::new(AtomicBool::new(true))),
+    ];
+    for mut part in parts {
+        let name = part.name;
+        // Fail until the part goes down.
+        let mut now = 1_000;
+        let mut failures = (part.step)(now);
+        while !(part.state)().1 {
+            assert!(
+                failures < part.threshold,
+                "{name}: {failures} failures, still up"
+            );
+            now += part.step_ms;
+            failures = (part.step)(now);
+        }
+        assert_eq!(failures, part.threshold, "{name}: the crossing failure");
+        let crossed = now;
+
+        // Probes: every further failure is one, at doubling gaps.
+        let (mut gap, mut probes, mut want) = (part.base_ms, Vec::new(), Vec::new());
+        let mut offset = 0;
+        while gap < part.cap_ms || want.len() < 8 {
+            offset += gap.min(part.cap_ms);
+            want.push(offset);
+            gap *= 2;
+        }
+        while probes.len() < want.len() {
+            now += part.step_ms;
+            let seen = (part.step)(now);
+            assert!((part.state)().1, "{name}: left down at {now} ms");
+            if seen > failures {
+                assert_eq!(seen, failures + 1, "{name}: one attempt per probe");
+                probes.push(now - crossed);
+                failures = seen;
+            }
+        }
+        assert_eq!(probes, want, "{name}: probe offsets after the crossing");
+
+        // Heal: the next probe is one success, and the part is up again.
+        (part.heal)();
+        let next = crossed + want.last().unwrap() + part.cap_ms;
+        while now + part.step_ms < next {
+            now += part.step_ms;
+            (part.step)(now);
+            assert!((part.state)().1, "{name}: up before the probe at {now} ms");
+        }
+        assert_eq!((part.step)(next), failures, "{name}: the probe succeeded");
+        assert_eq!((part.state)(), (true, false), "{name}: one success heals");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A quarantined operator whose computation starts succeeding resumes
+/// at its next probe, with no `PUT /analytics/plugins/:name/start`.
+#[test]
+fn a_quarantined_operator_resumes_on_its_own_once_it_succeeds() {
+    let failing = Arc::new(AtomicBool::new(true));
+    let mgr = switched_manager(Arc::clone(&failing), 1000);
+    mgr.tick(Timestamp::from_secs(1));
+    let report = mgr.tick(Timestamp::from_secs(2));
+    assert_eq!(report.newly_quarantined, vec!["switched".to_string()]);
+
+    failing.store(false, Ordering::Release);
+    // Skipped at 3 s; probed at 4 s, two intervals after the crossing.
+    assert_eq!(mgr.tick(Timestamp::from_secs(3)).quarantined_skips, 1);
+    assert_eq!(mgr.tick(Timestamp::from_secs(4)).successes, 1);
+    let m = &mgr.operator_metrics()[0].operators[0];
+    assert!(!m.quarantined, "{m:?}");
+    assert_eq!((m.runs, m.errors, m.quarantined_skips), (4, 2, 1));
+    // Back on its interval.
+    assert_eq!(mgr.tick(Timestamp::from_secs(5)).successes, 1);
 }

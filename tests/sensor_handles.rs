@@ -201,7 +201,6 @@ fn query_stats_after_a_scripted_run_equal_the_parents() {
     // One instance fails on every tick: keep it out of quarantine.
     manager.set_fault_policy(FaultPolicy {
         quarantine_threshold: 100,
-        ..FaultPolicy::default()
     });
     load(
         PluginConfig::online("cpi", "perfmetrics", 1000).with_patterns(
