@@ -5,8 +5,9 @@
 //! filters. This module reproduces those semantics in-process:
 //!
 //! * QoS 0 (fire-and-forget) delivery, like DCDB's data path;
-//! * wildcard subscriptions backed by a topic trie, so routing cost is
-//!   proportional to topic depth rather than subscriber count;
+//! * wildcard subscriptions kept in one list and matched against each
+//!   publish: every composition has one subscriber per broker, the
+//!   Collect Agent on `/#`, so the list is the whole index;
 //! * one hop: `publish` matches and enqueues on the caller's thread, so
 //!   a message's fate is decided when `publish` returns and the bus is
 //!   deterministic by construction;
@@ -17,13 +18,12 @@
 //!   marks and drop counters are exported per subscriber via
 //!   [`Broker::metrics`] / [`BusHandle::metrics`].
 
-use crate::filter::{FilterSegment, TopicFilter};
+use crate::filter::TopicFilter;
 use crate::queue::{BoundedQueue, OverflowPolicy, PushOutcome, QueueMetricsSnapshot};
 use bytes::Bytes;
 use dcdb_common::error::DcdbError;
 use dcdb_common::topic::Topic;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,10 +39,6 @@ pub struct Message {
     /// Opaque payload (sensor frames use [`crate::codec`]).
     pub payload: Bytes,
 }
-
-/// Unique id of one subscription.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct SubId(u64);
 
 /// Queue sizing and overflow behaviour for a broker.
 #[derive(Debug, Clone, Copy)]
@@ -155,67 +151,6 @@ pub struct BusMetricsSnapshot {
     pub subscriptions: Vec<SubscriptionMetrics>,
 }
 
-/// Subscription trie: one node per filter path prefix.
-#[derive(Default)]
-struct TrieNode {
-    literal: HashMap<String, TrieNode>,
-    single: Option<Box<TrieNode>>,
-    /// Subscriptions whose filter ends with `#` here.
-    multi: Vec<SubId>,
-    /// Subscriptions whose filter ends exactly here.
-    terminal: Vec<SubId>,
-}
-
-impl TrieNode {
-    fn insert(&mut self, segs: &[FilterSegment], id: SubId) {
-        match segs.first() {
-            None => self.terminal.push(id),
-            Some(FilterSegment::MultiLevel) => self.multi.push(id),
-            Some(FilterSegment::Literal(l)) => self
-                .literal
-                .entry(l.clone())
-                .or_default()
-                .insert(&segs[1..], id),
-            Some(FilterSegment::SingleLevel) => self
-                .single
-                .get_or_insert_with(Default::default)
-                .insert(&segs[1..], id),
-        }
-    }
-
-    fn remove(&mut self, segs: &[FilterSegment], id: SubId) {
-        match segs.first() {
-            None => self.terminal.retain(|&x| x != id),
-            Some(FilterSegment::MultiLevel) => self.multi.retain(|&x| x != id),
-            Some(FilterSegment::Literal(l)) => {
-                if let Some(child) = self.literal.get_mut(l) {
-                    child.remove(&segs[1..], id);
-                }
-            }
-            Some(FilterSegment::SingleLevel) => {
-                if let Some(child) = self.single.as_mut() {
-                    child.remove(&segs[1..], id);
-                }
-            }
-        }
-    }
-
-    fn collect(&self, segs: &[&str], out: &mut Vec<SubId>) {
-        out.extend_from_slice(&self.multi);
-        match segs.first() {
-            None => out.extend_from_slice(&self.terminal),
-            Some(&seg) => {
-                if let Some(child) = self.literal.get(seg) {
-                    child.collect(&segs[1..], out);
-                }
-                if let Some(child) = self.single.as_deref() {
-                    child.collect(&segs[1..], out);
-                }
-            }
-        }
-    }
-}
-
 struct SinkEntry {
     queue: Arc<BoundedQueue<Message>>,
     filter: TopicFilter,
@@ -224,34 +159,30 @@ struct SinkEntry {
 
 struct Inner {
     config: BusConfig,
-    trie: RwLock<TrieNode>,
-    sinks: RwLock<HashMap<SubId, SinkEntry>>,
-    next_id: AtomicU64,
+    /// Every live subscription, in subscription order. A subscription
+    /// is identified by its queue.
+    sinks: RwLock<Vec<SinkEntry>>,
+    /// Subscriptions ever made; names the unlabelled ones.
+    subscribed: AtomicU64,
     stats: BusStats,
 }
 
 impl Inner {
     fn publish(&self, topic: Topic, payload: Bytes) {
         self.stats.published.fetch_add(1, Ordering::Relaxed);
-        let mut ids = Vec::new();
-        self.trie
-            .read()
-            .collect(&topic.segments().collect::<Vec<_>>(), &mut ids);
-        if ids.is_empty() {
-            return;
-        }
         // A `Block` queue parks the publisher inside `push`, so no
         // broker lock may be held across it: take the matched queues
         // out from under the read guard first.
-        let targets: Vec<(SubId, Arc<BoundedQueue<Message>>)> = {
-            let sinks = self.sinks.read();
-            ids.into_iter()
-                .filter_map(|id| sinks.get(&id).map(|e| (id, Arc::clone(&e.queue))))
-                .collect()
-        };
+        let targets: Vec<Arc<BoundedQueue<Message>>> = self
+            .sinks
+            .read()
+            .iter()
+            .filter(|e| e.filter.matches(&topic))
+            .map(|e| Arc::clone(&e.queue))
+            .collect();
         let msg = Message { topic, payload };
-        let mut dead: Vec<SubId> = Vec::new();
-        for (id, queue) in targets {
+        let mut dead = Vec::new();
+        for queue in targets {
             match queue.push(msg.clone()) {
                 PushOutcome::Enqueued => {
                     self.stats.delivered.fetch_add(1, Ordering::Relaxed);
@@ -264,58 +195,38 @@ impl Inner {
                 }
                 PushOutcome::Closed => {
                     self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                    dead.push(id);
+                    dead.push(queue);
                 }
             }
         }
-        if !dead.is_empty() {
-            // A disconnected subscriber must leave *both* indexes: the
-            // sink map and the routing trie. Leaving it in the trie
-            // would match every subsequent publish forever, inflating
-            // `dropped` and growing garbage nodes.
-            let mut trie = self.trie.write();
-            let mut sinks = self.sinks.write();
-            for id in dead {
-                if let Some(entry) = sinks.remove(&id) {
-                    trie.remove(entry.filter.segments(), id);
-                    entry.queue.close_tx();
-                }
-            }
+        for queue in dead {
+            // A disconnected subscriber leaves the list, or it would
+            // match every later publish and inflate `dropped` forever.
+            queue.close_tx();
+            self.unsubscribe(&queue);
         }
     }
 
     fn subscribe(self: &Arc<Self>, filter: TopicFilter, opts: SubscribeOptions) -> Subscription {
-        let id = SubId(self.next_id.fetch_add(1, Ordering::Relaxed));
         let depth = opts.depth.unwrap_or(self.config.sub_depth);
         let policy = opts.policy.unwrap_or(self.config.sub_policy);
-        let label = opts.label.unwrap_or_else(|| format!("sub-{}", id.0));
+        let n = self.subscribed.fetch_add(1, Ordering::Relaxed);
+        let label = opts.label.unwrap_or_else(|| format!("sub-{n}"));
         let queue = BoundedQueue::new(depth, policy);
-        let mut trie = self.trie.write();
-        let mut sinks = self.sinks.write();
-        trie.insert(filter.segments(), id);
-        sinks.insert(
-            id,
-            SinkEntry {
-                queue: Arc::clone(&queue),
-                filter: filter.clone(),
-                label,
-            },
-        );
-        drop(sinks);
-        drop(trie);
+        self.sinks.write().push(SinkEntry {
+            queue: Arc::clone(&queue),
+            filter: filter.clone(),
+            label,
+        });
         Subscription {
-            id,
             filter,
             queue,
             inner: Arc::clone(self),
         }
     }
 
-    fn unsubscribe(&self, filter: &TopicFilter, id: SubId) {
-        let mut trie = self.trie.write();
-        let mut sinks = self.sinks.write();
-        trie.remove(filter.segments(), id);
-        sinks.remove(&id);
+    fn unsubscribe(&self, queue: &Arc<BoundedQueue<Message>>) {
+        self.sinks.write().retain(|e| !Arc::ptr_eq(&e.queue, queue));
     }
 
     fn stats_snapshot(&self) -> BusStatsSnapshot {
@@ -331,7 +242,7 @@ impl Inner {
         let subscriptions = self
             .sinks
             .read()
-            .values()
+            .iter()
             .map(|entry| SubscriptionMetrics {
                 label: entry.label.clone(),
                 filter: entry.filter.as_str().to_string(),
@@ -346,7 +257,7 @@ impl Inner {
     }
 }
 
-/// The broker: the subscription indexes and counters that cheap
+/// The broker: the subscription list and counters that cheap
 /// [`BusHandle`]s publish into and subscribe on. It owns no thread;
 /// handles and subscriptions outlive it.
 pub struct Broker {
@@ -365,9 +276,8 @@ impl Broker {
         Broker {
             inner: Arc::new(Inner {
                 config,
-                trie: RwLock::new(TrieNode::default()),
-                sinks: RwLock::new(HashMap::new()),
-                next_id: AtomicU64::new(0),
+                sinks: RwLock::new(Vec::new()),
+                subscribed: AtomicU64::new(0),
                 stats: BusStats::default(),
             }),
         }
@@ -506,7 +416,6 @@ impl BusHandle {
 
 /// A live subscription; unsubscribes on drop.
 pub struct Subscription {
-    id: SubId,
     filter: TopicFilter,
     queue: Arc<BoundedQueue<Message>>,
     inner: Arc<Inner>,
@@ -561,8 +470,7 @@ impl Subscription {
 
     /// Closes the receiving side without unsubscribing — simulates a
     /// subscriber that died without cleanup. The broker detects this on
-    /// the next delivery attempt and garbage-collects the subscription
-    /// from both the sink map and the routing trie.
+    /// the next delivery attempt and removes the subscription.
     #[cfg(test)]
     pub(crate) fn simulate_disconnect(&self) {
         self.queue.close_rx();
@@ -572,9 +480,9 @@ impl Subscription {
 impl Drop for Subscription {
     fn drop(&mut self) {
         // Wake publishers parked on a full `Block` queue (they return
-        // `Closed`) before waiting for the index locks.
+        // `Closed`) before waiting for the list lock.
         self.queue.close_rx();
-        self.inner.unsubscribe(&self.filter, self.id);
+        self.inner.unsubscribe(&self.queue);
     }
 }
 
@@ -726,10 +634,10 @@ mod tests {
     }
 
     #[test]
-    fn dead_subscription_is_removed_from_trie() {
-        // Regression: a disconnected sink used to be removed from the
-        // sink map but never from the trie, so the stale SubId matched
-        // every subsequent publish and `dropped` grew forever.
+    fn dead_subscription_is_removed_from_the_list() {
+        // A disconnected sink leaves the list on its first failed
+        // delivery; left there, it would match every later publish and
+        // `dropped` would grow forever.
         let broker = Broker::new();
         let bus = broker.handle();
         let sub = bus.subscribe_str("/x/#").unwrap();
@@ -741,7 +649,7 @@ mod tests {
         assert_eq!(broker.subscriber_count(), 0);
 
         // Subsequent publishes no longer match anything: the counter
-        // stays stable because the trie entry is gone too.
+        // stays stable.
         for i in 0..10 {
             bus.publish(t(&format!("/x/{i}")), Bytes::new()).unwrap();
         }

@@ -68,6 +68,12 @@ impl TopicFilter {
                             "wildcard inside segment {s:?} in {raw:?}"
                         )));
                     }
+                    // No topic holds whitespace, so no literal may.
+                    if s.chars().any(char::is_whitespace) {
+                        return Err(DcdbError::Topic(format!(
+                            "whitespace in segment {s:?} in {raw:?}"
+                        )));
+                    }
                     segments.push(FilterSegment::Literal(s.to_string()));
                 }
             }
@@ -108,25 +114,21 @@ impl TopicFilter {
         &self.segments
     }
 
-    /// True if this filter matches `topic` under MQTT semantics.
+    /// True if this filter matches `topic` under MQTT semantics: one
+    /// walk over the topic's segments, allocating nothing.
     pub fn matches(&self, topic: &Topic) -> bool {
-        let topic_segs: Vec<&str> = topic.segments().collect();
-        Self::match_rec(&self.segments, &topic_segs)
-    }
-
-    fn match_rec(filter: &[FilterSegment], topic: &[&str]) -> bool {
-        match (filter.first(), topic.first()) {
-            (None, None) => true,
-            (Some(FilterSegment::MultiLevel), _) => true, // matches rest, even empty
-            (None, Some(_)) => false,
-            (Some(_), None) => false,
-            (Some(FilterSegment::Literal(l)), Some(t)) => {
-                l == t && Self::match_rec(&filter[1..], &topic[1..])
-            }
-            (Some(FilterSegment::SingleLevel), Some(_)) => {
-                Self::match_rec(&filter[1..], &topic[1..])
+        let mut segs = topic.segments();
+        for filter_seg in &self.segments {
+            let matched = match filter_seg {
+                FilterSegment::MultiLevel => return true, // the rest, even empty
+                FilterSegment::SingleLevel => segs.next().is_some(),
+                FilterSegment::Literal(l) => segs.next() == Some(l.as_str()),
+            };
+            if !matched {
+                return false;
             }
         }
+        segs.next().is_none()
     }
 
     /// True if the filter contains no wildcards (matches one topic).
@@ -211,7 +213,16 @@ mod tests {
 
     #[test]
     fn parse_errors() {
-        for bad in ["", "/", "/a/#/b", "/a/b#", "/a/+x/b", "/a//b"] {
+        for bad in [
+            "",
+            "/",
+            "/a/#/b",
+            "/a/b#",
+            "/a/+x/b",
+            "/a//b",
+            "/r0/ /power",
+            "/r0/a b/#",
+        ] {
             assert!(TopicFilter::parse(bad).is_err(), "{bad:?}");
         }
     }

@@ -8,8 +8,11 @@
 //! * [`codec`] — the compact binary frame format for reading batches;
 //! * [`queue`] — bounded delivery queues with overflow policies
 //!   (block / drop-newest / drop-oldest) and lock-free metrics;
-//! * [`broker`] — a QoS-0 [`Broker`] with trie-based routing on the
-//!   publisher's thread and a bounded queue on every subscription;
+//! * [`broker`] — a QoS-0 [`Broker`] that matches each publish against
+//!   one subscription list on the publisher's thread, with a bounded
+//!   queue on every subscription (`--overflow` in `wintermute-sim`
+//!   picks these queues' policy; a Pusher's spool, sized in ticks by
+//!   `--spool-depth`, always evicts its oldest tick);
 //! * [`chaos`] — a deterministic fault-injection wrapper ([`ChaosBus`])
 //!   implementing the same [`MessageBus`] surface: seeded
 //!   refuse-publish windows, per-message drops, delivery delay and

@@ -15,7 +15,7 @@ use dcdb_common::batch::ReadingBatch;
 use dcdb_common::document;
 use dcdb_common::error::Result;
 use dcdb_common::reading::SensorReading;
-use dcdb_common::time::Timestamp;
+use dcdb_common::time::{Timestamp, NS_PER_SEC};
 use dcdb_common::topic::Topic;
 use dcdb_rest::{JsonWriter, Method, Response, Router, Status};
 use dcdb_storage::StorageEngine;
@@ -674,24 +674,28 @@ pub fn agg_query_body(
 }
 
 /// Parses an optional `?name=<seconds>` query parameter. `Ok(None)`
-/// when absent; a `400 Bad Request` response when present but not a
-/// valid integer.
+/// when absent; a `400 Bad Request` response when present but not an
+/// unsigned integer, or past what nanoseconds in a `u64` can hold.
 fn parse_ts_param(
     req: &dcdb_rest::Request,
     name: &str,
 ) -> std::result::Result<Option<Timestamp>, Response> {
-    match req.query_param(name) {
-        None => Ok(None),
-        Some(v) => v
-            .parse::<u64>()
-            .map(|s| Some(Timestamp::from_secs(s)))
-            .map_err(|_| {
-                Response::error(
-                    Status::BadRequest,
-                    format!("malformed {name}: expected unsigned seconds, got {v:?}"),
-                )
-            }),
-    }
+    let Some(v) = req.query_param(name) else {
+        return Ok(None);
+    };
+    v.parse::<u64>()
+        .ok()
+        .and_then(|s| s.checked_mul(NS_PER_SEC))
+        .map(|ns| Some(Timestamp(ns)))
+        .ok_or_else(|| {
+            Response::error(
+                Status::BadRequest,
+                format!(
+                    "malformed {name}: expected unsigned seconds up to {}, got {v:?}",
+                    u64::MAX / NS_PER_SEC
+                ),
+            )
+        })
 }
 
 /// Adapts the simulated cluster's job scheduler into the
@@ -913,12 +917,23 @@ mod tests {
             "/sensors/r0/n0/temp?from_s=abc",
             "/sensors/r0/n0/temp?to_s=-5",
             "/sensors/r0/n0/temp?from_s=1&to_s=2x",
+            // Past what u64 nanoseconds hold: 2^64 ns is 18446744073.7 s.
+            "/sensors/r0/n0/temp?from_s=18446744074",
+            "/sensors/r0/n0/temp?to_s=18446744074",
+            "/sensors/r0/n0/temp?to_s=18446744073709551615",
         ] {
             let resp = router.dispatch(dcdb_rest::Request::new(Method::Get, path));
             assert_eq!(resp.status.code(), 400, "{path} -> {}", resp.body_str());
         }
         // Absent params still default to the open range.
         let resp = router.dispatch(dcdb_rest::Request::new(Method::Get, "/sensors/r0/n0/temp"));
+        assert_eq!(resp.status.code(), 200);
+        assert!(resp.body_str().contains("\"value\":40"));
+        // The last second u64 nanoseconds hold is still a bound.
+        let resp = router.dispatch(dcdb_rest::Request::new(
+            Method::Get,
+            "/sensors/r0/n0/temp?to_s=18446744073",
+        ));
         assert_eq!(resp.status.code(), 200);
         assert!(resp.body_str().contains("\"value\":40"));
     }
@@ -1002,6 +1017,9 @@ mod tests {
             "/query?sensor=/r0/n0/power&step=-5s",                     // negative step
             "/query?sensor=/r0/n0/power&from_s=9&to_s=1",              // reversed range
             "/query?sensor=/r0/n0/power&from_s=x",                     // malformed bound
+            "/query?sensor=/r0/n0/power&from_s=18446744074",           // past u64 ns
+            "/query?sensor=/r0/n0/power&to_s=18446744074",             // past u64 ns
+            "/query?sensor=/r0/+/power",                               // '+' decoded to ' '
             "/query?sensor=/r0/n0/power&from_s=0&to_s=999999&step=1s", // cap
         ] {
             let resp = router.dispatch(dcdb_rest::Request::new(Method::Get, path));

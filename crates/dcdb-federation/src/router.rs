@@ -940,12 +940,16 @@ mod tests {
         assert_eq!(meta.get("shards_total").unwrap().as_u64(), Some(2));
         assert_eq!(v.get("readings").unwrap().as_array().unwrap().len(), 2);
 
-        // Malformed ranges are 400s, mirroring the single-agent API.
-        let resp = router.dispatch(Request::new(
-            Method::Get,
+        // Malformed ranges are 400s, mirroring the single-agent API;
+        // so are bounds past what u64 nanoseconds hold.
+        for path in [
             "/sensors/rack00/node00/power?from_s=nope",
-        ));
-        assert_eq!(resp.status.code(), 400);
+            "/sensors/rack00/node00/power?from_s=18446744074",
+            "/sensors/rack00/node00/power?to_s=18446744074",
+        ] {
+            let resp = router.dispatch(Request::new(Method::Get, path));
+            assert_eq!(resp.status.code(), 400, "{path} -> {}", resp.body_str());
+        }
 
         let resp = router.dispatch(Request::new(Method::Get, "/metrics"));
         let v: serde_json::Value = serde_json::from_str(&resp.body_str()).unwrap();
@@ -1243,6 +1247,8 @@ mod tests {
             "/query?sensor=/rack00/node00/power&agg=median",
             "/query?sensor=/rack00/node00/power&step=0",
             "/query?sensor=/rack00/node00/power&from_s=9&to_s=1",
+            "/query?sensor=/rack00/node00/power&to_s=18446744074",
+            "/query?sensor=/rack00/+/power",
         ] {
             let resp = router.dispatch(Request::new(Method::Get, path));
             assert_eq!(resp.status.code(), 400, "{path} -> {}", resp.body_str());

@@ -13,11 +13,12 @@
 //!   run too), retries with exponential backoff plus seeded jitter, and exports
 //!   per-connection metrics (reconnects, time in each state, the last
 //!   error seen).
-//! * A bounded [`Spool`] buffers readings that the bus refused
-//!   (per-topic capacity, reusing the bus [`OverflowPolicy`] semantics)
-//!   and drains them **oldest-first ahead of fresh samples** once the
-//!   connection recovers, so consumers still see each topic in
-//!   timestamp order.
+//! * A bounded spool buffers what the bus refused: one FIFO entry per
+//!   [`BusConnection::deliver`] call, i.e. per Pusher tick, holding
+//!   that call's unpublished `(topic, batch)` run. Once the connection
+//!   recovers it drains **oldest-first ahead of fresh samples**, so
+//!   consumers still see each topic in timestamp order; when full it
+//!   evicts its oldest tick.
 //! * Accounting is exact: every sampled reading ends in exactly one of
 //!   `published`, `spooled_pending`, `spool_dropped` or
 //!   `publish_errors_final` (see
@@ -31,36 +32,28 @@
 //! backoff and recovery behave identically under virtual-time tests and
 //! live runs.
 
-use dcdb_bus::{MessageBus, OverflowPolicy};
+use dcdb_bus::MessageBus;
 use dcdb_common::batch::ReadingBatch;
-use dcdb_common::reading::SensorReading;
+use dcdb_common::error::DcdbError;
 use dcdb_common::sim::{EventTrace, SimClock};
 use dcdb_common::supervisor::{ConnectionState, ReconnectConfig, Supervisor};
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Spool sizing and overflow behaviour.
+/// Spool sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct SpoolConfig {
-    /// Per-topic capacity, readings. `0` disables the spool entirely:
-    /// refused publishes become final errors (the pre-spool QoS-0
-    /// behaviour).
-    pub per_topic_depth: usize,
-    /// What a full topic queue does with the next reading. `Block`
-    /// cannot suspend a sampling tick, so it is normalized to
-    /// [`OverflowPolicy::DropNewest`] (the closest lossy-at-the-boundary
-    /// equivalent) at construction.
-    pub policy: OverflowPolicy,
+    /// Capacity in ticks: refused deliveries held before the oldest is
+    /// evicted. `0` disables the spool entirely: refused publishes
+    /// become final errors (the pre-spool QoS-0 behaviour).
+    pub depth: usize,
 }
 
 impl Default for SpoolConfig {
     fn default() -> Self {
-        SpoolConfig {
-            per_topic_depth: 1024,
-            policy: OverflowPolicy::DropOldest,
-        }
+        SpoolConfig { depth: 1024 }
     }
 }
 
@@ -73,21 +66,20 @@ pub struct DeliveryConfig {
     pub spool: SpoolConfig,
 }
 
-/// One spooled reading, stamped with a global sequence number so the
-/// drain can restore the exact publish order across topics.
-#[derive(Debug, Clone, Copy)]
-struct SpoolEntry {
-    seq: u64,
-    reading: SensorReading,
+/// What the bus did not take from one `deliver` call, front batch
+/// first.
+type Tick = VecDeque<(Topic, ReadingBatch)>;
+
+fn readings(tick: &Tick) -> usize {
+    tick.iter().map(|(_, batch)| batch.len()).sum()
 }
 
-/// Bounded per-topic store-and-forward buffer.
+/// Bounded FIFO of refused ticks.
 #[derive(Debug, Default)]
-pub struct Spool {
-    topics: HashMap<Topic, VecDeque<SpoolEntry>>,
-    per_topic_depth: usize,
-    policy: OverflowPolicy,
-    next_seq: u64,
+struct Spool {
+    ticks: VecDeque<Tick>,
+    capacity: usize,
+    /// Readings held across all ticks.
     depth: usize,
     high_water: usize,
     spooled: u64,
@@ -95,138 +87,79 @@ pub struct Spool {
     dropped: u64,
 }
 
-/// Counter snapshot of a [`Spool`].
+/// Counter snapshot of a connection's spool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpoolMetricsSnapshot {
-    /// Readings currently spooled across all topics.
+    /// Readings currently spooled.
     pub depth: usize,
-    /// Deepest the spool ever got (total across topics).
+    /// Ticks currently spooled.
+    pub ticks: usize,
+    /// Most ticks the spool ever held.
     pub high_water: usize,
-    /// Topics with at least one spooled reading.
-    pub topics: usize,
-    /// Per-topic capacity bound.
-    pub per_topic_depth: usize,
-    /// Effective overflow policy.
-    pub policy: OverflowPolicy,
+    /// Capacity bound, ticks.
+    pub capacity: usize,
     /// Readings ever admitted to the spool.
     pub spooled: u64,
     /// Readings drained out of the spool and published.
     pub drained: u64,
-    /// Readings lost at the spool (evicted or refused at capacity).
+    /// Readings lost at the spool (evicted with their tick).
     pub dropped: u64,
 }
 
 impl Spool {
-    fn new(config: SpoolConfig) -> Spool {
-        Spool {
-            per_topic_depth: config.per_topic_depth,
-            // An in-tick spool cannot block the sampler; the nearest
-            // honest semantics is to refuse the incoming reading.
-            policy: match config.policy {
-                OverflowPolicy::Block => OverflowPolicy::DropNewest,
-                p => p,
-            },
-            ..Spool::default()
+    /// Parks one refused tick at the back, evicting the oldest tick
+    /// when full. Returns the readings evicted, or `None` when the
+    /// spool is disabled (depth 0): the caller must account the tick's
+    /// readings as final errors.
+    fn push(&mut self, tick: Tick) -> Option<usize> {
+        if self.capacity == 0 {
+            return None;
         }
+        let mut evicted = 0;
+        if self.ticks.len() == self.capacity {
+            evicted = self.ticks.pop_front().as_ref().map_or(0, readings);
+            self.depth -= evicted;
+            self.dropped += evicted as u64;
+        }
+        let admitted = readings(&tick);
+        self.ticks.push_back(tick);
+        self.depth += admitted;
+        self.spooled += admitted as u64;
+        self.high_water = self.high_water.max(self.ticks.len());
+        Some(evicted)
     }
 
-    /// Admits one reading, applying the overflow policy at the topic's
-    /// capacity bound. Returns `false` when the spool is disabled
-    /// (depth 0): the caller must account the reading as a final error.
-    fn push(&mut self, topic: &Topic, reading: SensorReading) -> bool {
-        if self.per_topic_depth == 0 {
-            return false;
-        }
-        let entry = SpoolEntry {
-            seq: self.next_seq,
-            reading,
-        };
-        self.next_seq += 1;
-        let q = self.topics.entry(topic.clone()).or_default();
-        if q.len() >= self.per_topic_depth {
-            match self.policy {
-                OverflowPolicy::DropOldest => {
-                    q.pop_front();
-                    q.push_back(entry);
-                    self.dropped += 1;
-                    self.spooled += 1;
+    /// Republishes the stored batches oldest-first until `publish`
+    /// refuses one; that batch and the rest of its tick stay at the
+    /// front. Returns the readings drained and the refusal, if any.
+    fn drain(
+        &mut self,
+        mut publish: impl FnMut(&Topic, &ReadingBatch) -> Result<(), DcdbError>,
+    ) -> (usize, Option<DcdbError>) {
+        let mut drained = 0;
+        let mut refusal = None;
+        'ticks: while let Some(tick) = self.ticks.front_mut() {
+            while let Some((topic, batch)) = tick.front() {
+                if let Err(e) = publish(topic, batch) {
+                    refusal = Some(e);
+                    break 'ticks;
                 }
-                // Block was normalized to DropNewest in `new`.
-                OverflowPolicy::DropNewest | OverflowPolicy::Block => {
-                    self.dropped += 1;
-                }
+                drained += batch.len();
+                tick.pop_front();
             }
-        } else {
-            q.push_back(entry);
-            self.spooled += 1;
-            self.depth += 1;
-            self.high_water = self.high_water.max(self.depth);
+            self.ticks.pop_front();
         }
-        true
+        self.depth -= drained;
+        self.drained += drained as u64;
+        (drained, refusal)
     }
 
-    /// Pops the globally-oldest run of same-topic readings (one publish
-    /// batch). `None` when the spool is empty.
-    fn pop_oldest_batch(&mut self) -> Option<(Topic, Vec<SpoolEntry>)> {
-        let topic = self
-            .topics
-            .iter()
-            .filter_map(|(t, q)| q.front().map(|e| (e.seq, t)))
-            .min_by_key(|&(seq, _)| seq)
-            .map(|(_, t)| t.clone())?;
-        // Take the longest prefix of this topic's queue that is still a
-        // contiguous run in global sequence order: batching never
-        // reorders deliveries relative to other topics.
-        let others_min = self
-            .topics
-            .iter()
-            .filter(|(t, _)| **t != topic)
-            .filter_map(|(_, q)| q.front().map(|e| e.seq))
-            .min()
-            .unwrap_or(u64::MAX);
-        let q = self.topics.get_mut(&topic).expect("topic just found");
-        let mut batch = Vec::new();
-        while let Some(front) = q.front() {
-            if front.seq > others_min {
-                break;
-            }
-            batch.push(*front);
-            q.pop_front();
-        }
-        self.depth -= batch.len();
-        if q.is_empty() {
-            self.topics.remove(&topic);
-        }
-        Some((topic, batch))
-    }
-
-    /// Returns a popped-but-unpublished batch to the front of its topic
-    /// queue (a failed drain must not lose or reorder).
-    fn unpop(&mut self, topic: Topic, batch: Vec<SpoolEntry>) {
-        let q = self.topics.entry(topic).or_default();
-        self.depth += batch.len();
-        for entry in batch.into_iter().rev() {
-            q.push_front(entry);
-        }
-    }
-
-    fn note_drained(&mut self, count: usize) {
-        self.drained += count as u64;
-    }
-
-    /// Readings currently spooled.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Counter snapshot.
-    pub fn metrics(&self) -> SpoolMetricsSnapshot {
+    fn metrics(&self) -> SpoolMetricsSnapshot {
         SpoolMetricsSnapshot {
             depth: self.depth,
+            ticks: self.ticks.len(),
             high_water: self.high_water,
-            topics: self.topics.len(),
-            per_topic_depth: self.per_topic_depth,
-            policy: self.policy,
+            capacity: self.capacity,
             spooled: self.spooled,
             drained: self.drained,
             dropped: self.dropped,
@@ -243,7 +176,7 @@ pub struct DeliveryOutcome {
     pub drained: u64,
     /// Fresh readings parked in the spool this call.
     pub spooled: u64,
-    /// Readings lost at the spool this call (evictions/refusals).
+    /// Readings lost at the spool this call (evicted with their tick).
     pub spool_dropped: u64,
     /// Readings lost outright (spool disabled while the bus refused).
     pub final_errors: u64,
@@ -304,7 +237,10 @@ impl BusConnection {
     ) -> BusConnection {
         BusConnection {
             bus,
-            spool: Spool::new(config.spool),
+            spool: Spool {
+                capacity: config.spool.depth,
+                ..Spool::default()
+            },
             supervisor: Supervisor::new(config.reconnect),
             last_error: None,
             clock,
@@ -334,7 +270,7 @@ impl BusConnection {
 
     /// Readings currently spooled.
     pub fn spool_depth(&self) -> usize {
-        self.spool.depth()
+        self.spool.depth
     }
 
     fn on_failure(&mut self, now_ns: u64, error: String) {
@@ -345,11 +281,10 @@ impl BusConnection {
     /// Delivers one tick's worth of per-topic batches.
     ///
     /// The spool drains oldest-first *before* any fresh batch is
-    /// offered; if any publish fails, the remaining readings (spooled
-    /// and fresh alike) go to the spool so per-topic order is never
-    /// inverted. While `Down`, nothing touches the bus until the
-    /// backoff expires — then the oldest spooled batch doubles as the
-    /// reconnect probe.
+    /// offered; if any publish fails, the fresh batches not yet taken
+    /// are spooled as one tick, so per-topic order is never inverted.
+    /// While `Down`, nothing touches the bus until the backoff expires —
+    /// then the oldest spooled batch doubles as the reconnect probe.
     pub fn deliver(
         &mut self,
         now: Timestamp,
@@ -359,64 +294,61 @@ impl BusConnection {
         // `now` is monotonic, so backoff timers never rewind.
         let now_ns = self.clock.advance_to(now).as_nanos();
         let mut out = DeliveryOutcome::default();
-        let mut attempting = self.supervisor.attempt_due(now_ns);
+        if !self.supervisor.attempt_due(now_ns) {
+            self.park(fresh.into(), &mut out);
+            return out;
+        }
 
-        // Phase 1: drain the spool, oldest-first across topics.
-        while attempting {
-            let Some((topic, batch)) = self.spool.pop_oldest_batch() else {
-                break;
-            };
-            let columns: ReadingBatch = batch.iter().map(|e| e.reading).collect();
-            match self.bus.publish_batch(topic.clone(), &columns) {
+        // Phase 1: drain the spool, oldest tick first.
+        let (bus, supervisor) = (&self.bus, &mut self.supervisor);
+        let (drained, refusal) = self.spool.drain(|topic, batch| {
+            bus.publish_batch(topic.clone(), batch)?;
+            supervisor.on_success(now_ns);
+            Ok(())
+        });
+        out.published += drained as u64;
+        out.drained += drained as u64;
+        if let Some(e) = refusal {
+            out.refused_attempts += 1;
+            self.on_failure(now_ns, e.to_string());
+            self.park(fresh.into(), &mut out);
+            return out;
+        }
+
+        // Phase 2: the spool is empty, so fresh batches go straight out
+        // until the bus refuses one.
+        let mut fresh: Tick = fresh.into();
+        while let Some((topic, batch)) = fresh.pop_front() {
+            match self.bus.publish_batch(topic.clone(), &batch) {
                 Ok(()) => {
-                    let n = columns.len() as u64;
-                    out.published += n;
-                    out.drained += n;
-                    self.spool.note_drained(columns.len());
+                    out.published += batch.len() as u64;
                     self.supervisor.on_success(now_ns);
                 }
                 Err(e) => {
                     out.refused_attempts += 1;
-                    self.spool.unpop(topic, batch);
                     self.on_failure(now_ns, e.to_string());
-                    attempting = false;
+                    fresh.push_front((topic, batch));
+                    break;
                 }
             }
         }
-
-        // Phase 2: fresh batches — published only when the line is
-        // clear *and* the spool is empty (otherwise order would
-        // invert); spooled otherwise.
-        for (topic, batch) in fresh {
-            if attempting && self.spool.depth() == 0 {
-                match self.bus.publish_batch(topic.clone(), &batch) {
-                    Ok(()) => {
-                        out.published += batch.len() as u64;
-                        self.supervisor.on_success(now_ns);
-                        continue;
-                    }
-                    Err(e) => {
-                        out.refused_attempts += 1;
-                        self.on_failure(now_ns, e.to_string());
-                        attempting = false;
-                    }
-                }
-            }
-            for reading in batch.iter() {
-                let before = self.spool.metrics();
-                if self.spool.push(&topic, reading) {
-                    let after = self.spool.metrics();
-                    out.spool_dropped += after.dropped - before.dropped;
-                    // `spooled` counts what is *newly parked*: an
-                    // admitted reading, net of any reading it evicted.
-                    out.spooled += 1;
-                    out.spooled -= after.dropped - before.dropped;
-                } else {
-                    out.final_errors += 1;
-                }
-            }
-        }
+        self.park(fresh, &mut out);
         out
+    }
+
+    /// Spools what is left of this call's batches as one tick.
+    fn park(&mut self, rest: Tick, out: &mut DeliveryOutcome) {
+        if rest.is_empty() {
+            return;
+        }
+        let n = readings(&rest) as u64;
+        match self.spool.push(rest) {
+            Some(evicted) => {
+                out.spooled += n;
+                out.spool_dropped += evicted as u64;
+            }
+            None => out.final_errors += n,
+        }
     }
 
     /// Counter snapshot.
@@ -439,7 +371,8 @@ impl BusConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcdb_bus::{decode_batch, Broker, ChaosBus, ChaosConfig};
+    use dcdb_bus::{decode_batch, Broker, ChaosBus, ChaosConfig, Subscription};
+    use dcdb_common::reading::SensorReading;
 
     fn t(s: &str) -> Topic {
         Topic::parse(s).unwrap()
@@ -562,45 +495,33 @@ mod tests {
     }
 
     #[test]
-    fn spool_overflow_follows_policy_and_accounting_holds() {
-        for policy in [
-            OverflowPolicy::DropOldest,
-            OverflowPolicy::DropNewest,
-            OverflowPolicy::Block,
-        ] {
-            let config = ChaosConfig::quiet(4).with_outage_ms(0, 100_000);
-            let (_broker, chaos, mut conn) = chaos_conn(
-                config,
-                DeliveryConfig {
-                    spool: SpoolConfig {
-                        per_topic_depth: 3,
-                        policy,
-                    },
-                    ..DeliveryConfig::default()
-                },
-            );
-            let mut totals = DeliveryOutcome::default();
-            for i in 0..10u64 {
-                let at = 10 + i * 10;
-                chaos.advance(ms(at));
-                let out = conn.deliver(ms(at), vec![(t("/a/x"), b(&[r(i as i64, at)]))]);
-                totals.published += out.published;
-                totals.spooled += out.spooled;
-                totals.spool_dropped += out.spool_dropped;
-                totals.final_errors += out.final_errors;
-            }
-            let spool = conn.metrics().spool;
-            assert_eq!(spool.depth, 3, "{policy:?}");
-            assert_eq!(spool.high_water, 3, "{policy:?}");
-            assert_eq!(spool.dropped, 7, "{policy:?}");
-            // Exact accounting: 10 sampled = published + pending +
-            // dropped + final.
-            assert_eq!(
-                totals.published + spool.depth as u64 + totals.spool_dropped + totals.final_errors,
-                10,
-                "{policy:?}"
-            );
+    fn full_spool_evicts_and_accounting_holds() {
+        let config = ChaosConfig::quiet(4).with_outage_ms(0, 100_000);
+        let (_broker, chaos, mut conn) = chaos_conn(
+            config,
+            DeliveryConfig {
+                spool: SpoolConfig { depth: 3 },
+                ..DeliveryConfig::default()
+            },
+        );
+        let mut totals = DeliveryOutcome::default();
+        for i in 0..10u64 {
+            let at = 10 + i * 10;
+            chaos.advance(ms(at));
+            let out = conn.deliver(ms(at), vec![(t("/a/x"), b(&[r(i as i64, at)]))]);
+            totals.published += out.published;
+            totals.spool_dropped += out.spool_dropped;
+            totals.final_errors += out.final_errors;
         }
+        let spool = conn.metrics().spool;
+        assert_eq!((spool.depth, spool.ticks, spool.high_water), (3, 3, 3));
+        assert_eq!(spool.dropped, 7);
+        // Exact accounting: 10 sampled = published + pending + dropped +
+        // final.
+        assert_eq!(
+            totals.published + spool.depth as u64 + totals.spool_dropped + totals.final_errors,
+            10
+        );
     }
 
     #[test]
@@ -609,10 +530,7 @@ mod tests {
         let (_broker, chaos, mut conn) = chaos_conn(
             config,
             DeliveryConfig {
-                spool: SpoolConfig {
-                    per_topic_depth: 0,
-                    policy: OverflowPolicy::DropOldest,
-                },
+                spool: SpoolConfig { depth: 0 },
                 ..DeliveryConfig::default()
             },
         );
@@ -621,6 +539,116 @@ mod tests {
         assert_eq!(out.final_errors, 2);
         assert_eq!(out.spooled, 0);
         assert_eq!(conn.spool_depth(), 0);
+    }
+
+    /// A connection over a bus with `/n` partitioned off, that never
+    /// goes `Down`, so every `deliver` call attempts the bus.
+    fn partitioned(depth: usize) -> (ChaosBus, Subscription, BusConnection) {
+        let (broker, chaos, conn) = chaos_conn(
+            ChaosConfig::quiet(7),
+            DeliveryConfig {
+                reconnect: ReconnectConfig {
+                    down_threshold: u64::MAX,
+                    ..ReconnectConfig::default()
+                },
+                spool: SpoolConfig { depth },
+            },
+        );
+        chaos.partition("/n");
+        let sub = broker.handle().subscribe_str("/#").unwrap();
+        (chaos, sub, conn)
+    }
+
+    /// One tick over `topics` topics, each batch one reading valued
+    /// `tick * 100 + topic`.
+    fn tick(tick: u64, topics: u64) -> Vec<(Topic, ReadingBatch)> {
+        (0..topics)
+            .map(|k| {
+                let v = (tick * 100 + k) as i64;
+                (t(&format!("/n/s{k}")), b(&[r(v, tick * 1000)]))
+            })
+            .collect()
+    }
+
+    /// Each message as `(topic, values)`, in arrival order.
+    fn arrivals(sub: &Subscription) -> Vec<(String, Vec<i64>)> {
+        sub.drain()
+            .into_iter()
+            .map(|m| {
+                let values = decode_batch(m.payload).unwrap().values;
+                (m.topic.as_str().to_string(), values)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_outage_drains_as_its_batches_in_tick_order_ahead_of_the_fresh_tick() {
+        let (n, k) = (5u64, 3u64);
+        let (chaos, sub, mut conn) = partitioned(64);
+        for i in 1..=n {
+            let out = conn.deliver(ms(i * 1000), tick(i, k));
+            assert_eq!((out.published, out.spooled), (0, k));
+        }
+        let m = conn.metrics().spool;
+        assert_eq!((m.ticks, m.depth), (n as usize, (n * k) as usize));
+
+        chaos.heal("/n");
+        let out = conn.deliver(ms((n + 1) * 1000), tick(n + 1, k));
+        assert_eq!((out.published, out.drained), ((n + 1) * k, n * k));
+        let want: Vec<(String, Vec<i64>)> = (1..=n + 1)
+            .flat_map(|i| tick(i, k))
+            .map(|(topic, batch)| (topic.as_str().to_string(), batch.values))
+            .collect();
+        assert_eq!(arrivals(&sub), want, "N x K batches, then the fresh tick");
+        assert_eq!(conn.spool_depth(), 0);
+    }
+
+    #[test]
+    fn a_refusal_mid_drain_keeps_the_rest_at_the_front() {
+        let (chaos, sub, mut conn) = partitioned(64);
+        for i in 1..=3 {
+            conn.deliver(ms(i * 1000), tick(i, 3));
+        }
+        // Only `/n/s1` stays cut off: tick 1's first batch goes out, its
+        // second is refused, and that batch and everything after it stay
+        // spooled, the fresh tick 4 behind them.
+        chaos.heal("/n");
+        chaos.partition("/n/s1");
+        let out = conn.deliver(ms(4000), tick(4, 3));
+        assert_eq!((out.drained, out.refused_attempts), (1, 1));
+        let values: Vec<i64> = arrivals(&sub).into_iter().flat_map(|(_, v)| v).collect();
+        assert_eq!(values, vec![100]);
+        let m = conn.metrics().spool;
+        assert_eq!((m.ticks, m.depth), (4, 11));
+
+        chaos.heal("/n/s1");
+        conn.deliver(ms(5000), Vec::new());
+        let values: Vec<i64> = arrivals(&sub).into_iter().flat_map(|(_, v)| v).collect();
+        assert_eq!(
+            values,
+            vec![101, 102, 200, 201, 202, 300, 301, 302, 400, 401, 402]
+        );
+    }
+
+    #[test]
+    fn a_full_spool_evicts_its_oldest_whole_tick() {
+        let (chaos, sub, mut conn) = partitioned(2);
+        let mut dropped = 0;
+        for i in 1..=3 {
+            // Ticks of 1, 2 and 3 topics: evicting tick 1 drops 1 reading.
+            dropped += conn.deliver(ms(i * 1000), tick(i, i)).spool_dropped;
+        }
+        assert_eq!(dropped, 1);
+        let m = conn.metrics().spool;
+        assert_eq!((m.ticks, m.depth, m.dropped, m.high_water), (2, 5, 1, 2));
+
+        // Evicting tick 2 drops its 2 readings.
+        let out = conn.deliver(ms(4000), tick(4, 1));
+        assert_eq!(out.spool_dropped, 2);
+        chaos.heal("/n");
+        conn.deliver(ms(5000), Vec::new());
+        let values: Vec<i64> = arrivals(&sub).into_iter().flat_map(|(_, v)| v).collect();
+        assert_eq!(values, vec![300, 301, 302, 400]);
     }
 
     #[test]

@@ -411,7 +411,7 @@ mod tests {
     use super::*;
     use crate::delivery::SpoolConfig;
     use crate::plugins::{FlakyMonitoringPlugin, SimMonitoringPlugin, TesterMonitoringPlugin};
-    use dcdb_bus::{Broker, ChaosBus, ChaosConfig, OverflowPolicy};
+    use dcdb_bus::{Broker, ChaosBus, ChaosConfig};
     use dcdb_common::supervisor::ReconnectConfig;
     use sim_cluster::{ClusterConfig, ClusterSimulator};
 
@@ -802,10 +802,7 @@ mod tests {
                         jitter: 0.0,
                         ..ReconnectConfig::default()
                     },
-                    spool: SpoolConfig {
-                        per_topic_depth: 16,
-                        policy: OverflowPolicy::DropOldest,
-                    },
+                    spool: SpoolConfig { depth: 16 },
                 },
                 ..PusherConfig::default()
             },

@@ -491,11 +491,8 @@ impl QueryEngine {
             topics.retain(|t| filter.matches(t));
             return topics;
         }
-        // A literal segment may hold what a topic cannot (whitespace):
-        // then nothing matches, as in the enumeration.
         Topic::parse(filter.as_str())
             .ok()
-            .filter(|t| filter.matches(t))
             .filter(|t| self.knows(t) || self.storage.as_ref().is_some_and(|s| s.contains(t)))
             .into_iter()
             .collect()
@@ -1335,7 +1332,8 @@ mod tests {
         let mut selected = 0;
         for case in 0..2000 {
             // Known topics, near misses (ancestor, descendant, unknown
-            // leaf), a literal no topic can equal, untrimmed forms.
+            // leaf), untrimmed forms; a literal no topic can equal does
+            // not parse.
             let (rack, node, s) = (next() % 4, next() % 4, next() % 4);
             let raw = match next() % 7 {
                 0 => format!("/r{rack}/n{node}"),
@@ -1346,7 +1344,10 @@ mod tests {
                 5 => format!("/r{rack}/#"),
                 _ => format!("/r{rack}/n{node}/s{s}"),
             };
-            let filter = TopicFilter::parse(&raw).unwrap();
+            let Ok(filter) = TopicFilter::parse(&raw) else {
+                assert!(raw.contains("n "), "{raw:?}");
+                continue;
+            };
             for qe in [&durable, &cache_only] {
                 let want: Vec<Topic> = qe
                     .topics()

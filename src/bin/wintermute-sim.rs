@@ -83,8 +83,9 @@
 //! two seeded broker outages of up to N ms across the run;
 //! `--drop-prob P` silently drops each published message with
 //! probability P. Refused publishes land in each Pusher's bounded
-//! store-and-forward spool (`--spool-depth` readings per topic,
-//! `--overflow` policy) and are drained oldest-first once the
+//! store-and-forward spool (`--spool-depth` ticks, one entry per
+//! refused tick, the oldest tick evicted when full; `--overflow`
+//! governs only the bus queues) and are drained oldest-first once the
 //! supervised connection reconnects (`--reconnect-base-ms` sets the
 //! backoff base). The status line and `GET /metrics` show spool depth
 //! and connection state.
@@ -526,11 +527,7 @@ fn main() {
             ..ReconnectConfig::default()
         },
         spool: SpoolConfig {
-            per_topic_depth: arg(
-                "--spool-depth",
-                SpoolConfig::default().per_topic_depth as u64,
-            ) as usize,
-            policy: overflow,
+            depth: arg("--spool-depth", SpoolConfig::default().depth as u64) as usize,
         },
     };
     let mut pushers = Vec::new();

@@ -5,9 +5,7 @@
 //! Everything runs on virtual time with seeded fault schedules, so
 //! every failure here replays bit-for-bit.
 
-use dcdb_wintermute::dcdb_bus::{
-    decode_batch, Broker, ChaosBus, ChaosConfig, MessageBus, OverflowPolicy,
-};
+use dcdb_wintermute::dcdb_bus::{decode_batch, Broker, ChaosBus, ChaosConfig, MessageBus};
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_wintermute::dcdb_common::{ConnectionState, ReconnectConfig, Timestamp, Topic};
 use dcdb_wintermute::dcdb_pusher::{
@@ -25,14 +23,8 @@ fn t(s: &str) -> Topic {
 }
 
 /// A pusher with `sensors` tester topics routed through `chaos`,
-/// spooling with the given policy/depth and deterministic reconnects.
-fn chaos_pusher(
-    chaos: &ChaosBus,
-    sensors: usize,
-    policy: OverflowPolicy,
-    depth: usize,
-    interval_ms: u64,
-) -> Pusher {
+/// spooling up to `depth` ticks, with deterministic reconnects.
+fn chaos_pusher(chaos: &ChaosBus, sensors: usize, depth: usize, interval_ms: u64) -> Pusher {
     let mut pusher = Pusher::with_bus(
         PusherConfig {
             sampling_interval_ms: interval_ms,
@@ -44,10 +36,7 @@ fn chaos_pusher(
                     jitter: 0.0,
                     ..ReconnectConfig::default()
                 },
-                spool: SpoolConfig {
-                    per_topic_depth: depth,
-                    policy,
-                },
+                spool: SpoolConfig { depth },
             },
             ..PusherConfig::default()
         },
@@ -70,7 +59,7 @@ fn spool_drains_oldest_first_with_no_duplicates() {
         broker.handle(),
         ChaosConfig::quiet(7).with_outage_ms(3_200, 9_400),
     );
-    let pusher = chaos_pusher(&chaos, 4, OverflowPolicy::DropOldest, 64, 1000);
+    let pusher = chaos_pusher(&chaos, 4, 64, 1000);
     let sub = broker.handle().subscribe_str("/host/#").unwrap();
 
     let ticks = 20u64;
@@ -112,7 +101,7 @@ fn operator_outputs_survive_an_outage() {
         broker.handle(),
         ChaosConfig::quiet(7).with_outage_ms(3_200, 9_400),
     );
-    let pusher = chaos_pusher(&chaos, 4, OverflowPolicy::DropOldest, 64, 1000);
+    let pusher = chaos_pusher(&chaos, 4, 64, 1000);
     wintermute_plugins::register_all(pusher.manager(), None);
     pusher
         .manager()
@@ -153,61 +142,50 @@ fn operator_outputs_survive_an_outage() {
 }
 
 /// Property-style sweep: under arbitrary seeded outage schedules and
-/// every overflow policy, the delivery accounting identity
-/// `sampled == published + spooled_pending + spool_dropped +
-/// final_errors` holds exactly, and the broker receives precisely what
-/// was published.
+/// spool depths, the delivery accounting identity `sampled ==
+/// published + spooled_pending + spool_dropped + final_errors` holds
+/// exactly, and the broker receives precisely what was published.
 #[test]
 fn accounting_identity_holds_over_seeded_chaos_schedules() {
     let horizon_ticks = 60u64;
     let interval_ms = 500u64;
     for seed in 0..10u64 {
-        for &policy in &[
-            OverflowPolicy::DropOldest,
-            OverflowPolicy::DropNewest,
-            OverflowPolicy::Block,
-        ] {
-            let broker = Broker::new();
-            let mut cfg = ChaosConfig::quiet(seed);
-            cfg.outages = ChaosConfig::seeded_outages(
-                seed,
-                horizon_ticks * interval_ms * 1_000_000,
-                3,
-                1_500_000_000,
-                5_000_000_000,
-            );
-            let chaos = ChaosBus::new(broker.handle(), cfg);
-            // Depth varies with the seed: some runs shed, some don't.
-            let depth = 2 + (seed as usize * 7) % 40;
-            let pusher = chaos_pusher(&chaos, 3, policy, depth, interval_ms);
-            let sub = broker.handle().subscribe_str("/host/#").unwrap();
+        let broker = Broker::new();
+        let mut cfg = ChaosConfig::quiet(seed);
+        cfg.outages = ChaosConfig::seeded_outages(
+            seed,
+            horizon_ticks * interval_ms * 1_000_000,
+            3,
+            1_500_000_000,
+            5_000_000_000,
+        );
+        let chaos = ChaosBus::new(broker.handle(), cfg);
+        // Depth varies with the seed: some runs shed, some don't.
+        let depth = 2 + (seed as usize * 7) % 40;
+        let pusher = chaos_pusher(&chaos, 3, depth, interval_ms);
+        let sub = broker.handle().subscribe_str("/host/#").unwrap();
 
-            for tick in 1..=horizon_ticks {
-                let now = Timestamp::from_millis(tick * interval_ms);
-                chaos.advance(now);
-                pusher.tick(now).unwrap();
-            }
-            let stats = pusher.stats();
-            assert!(
-                stats.delivery_conserved(),
-                "seed {seed} {policy:?} depth {depth}: identity broken: {stats:?}"
-            );
-            assert_eq!(stats.sampled, 3 * horizon_ticks);
-            // End-to-end: the broker delivered every published reading.
-            let received: u64 = sub
-                .drain()
-                .iter()
-                .map(|m| {
-                    dcdb_wintermute::dcdb_bus::decode_batch(m.payload.clone())
-                        .unwrap()
-                        .len() as u64
-                })
-                .sum();
-            assert_eq!(
-                received, stats.published,
-                "seed {seed} {policy:?}: bus receipt mismatch"
-            );
+        for tick in 1..=horizon_ticks {
+            let now = Timestamp::from_millis(tick * interval_ms);
+            chaos.advance(now);
+            pusher.tick(now).unwrap();
         }
+        let stats = pusher.stats();
+        assert!(
+            stats.delivery_conserved(),
+            "seed {seed} depth {depth}: identity broken: {stats:?}"
+        );
+        assert_eq!(stats.sampled, 3 * horizon_ticks);
+        // End-to-end: the broker delivered every published reading.
+        let received: u64 = sub
+            .drain()
+            .iter()
+            .map(|m| decode_batch(m.payload.clone()).unwrap().len() as u64)
+            .sum();
+        assert_eq!(
+            received, stats.published,
+            "seed {seed}: bus receipt mismatch"
+        );
     }
 }
 
@@ -220,7 +198,7 @@ fn staleness_raised_during_outage_and_cleared_after_recovery() {
         broker.handle(),
         ChaosConfig::quiet(21).with_outage_ms(4_500, 11_500),
     );
-    let pusher = chaos_pusher(&chaos, 2, OverflowPolicy::DropOldest, 64, 1000);
+    let pusher = chaos_pusher(&chaos, 2, 64, 1000);
     let agent = Arc::new(
         CollectAgent::new(
             CollectAgentConfig {
@@ -268,7 +246,7 @@ fn connection_is_supervised_with_backoff_and_reconnect() {
         broker.handle(),
         ChaosConfig::quiet(3).with_outage_ms(2_500, 14_500),
     );
-    let pusher = chaos_pusher(&chaos, 1, OverflowPolicy::DropOldest, 64, 1000);
+    let pusher = chaos_pusher(&chaos, 1, 64, 1000);
 
     let mut saw_down = false;
     // The first tick starts the supervisor's clock: tick from t=0.
@@ -300,13 +278,13 @@ fn connection_is_supervised_with_backoff_and_reconnect() {
 
 /// Graceful degradation: with the bus hard-partitioned for the whole
 /// run and a bounded spool, sampling and the local cache keep working,
-/// losses follow the configured policy, and the identity still holds.
+/// the oldest ticks are shed, and the identity still holds.
 #[test]
 fn local_cache_keeps_working_while_partitioned() {
     let broker = Broker::new();
     let chaos = ChaosBus::new(broker.handle(), ChaosConfig::quiet(5));
     chaos.partition("/host");
-    let pusher = chaos_pusher(&chaos, 2, OverflowPolicy::DropOldest, 8, 1000);
+    let pusher = chaos_pusher(&chaos, 2, 8, 1000);
 
     for s in 1..=30u64 {
         let now = Timestamp::from_secs(s);
@@ -357,10 +335,7 @@ fn fleet_of_pushers_shares_one_chaos_bus() {
                         jitter: 0.0,
                         ..ReconnectConfig::default()
                     },
-                    spool: SpoolConfig {
-                        per_topic_depth: 32,
-                        policy: OverflowPolicy::DropOldest,
-                    },
+                    spool: SpoolConfig { depth: 32 },
                 },
                 ..PusherConfig::default()
             },

@@ -5,7 +5,7 @@
 //! * cache + storage stitching in the Query Engine loses nothing;
 //! * the frame codec round-trips arbitrary batches;
 //! * MQTT filter matching is consistent between the standalone matcher
-//!   and the broker's trie routing;
+//!   and the broker's routing;
 //! * deciles are monotone and bounded for arbitrary inputs;
 //! * topic normalization is idempotent;
 //! * unit resolution binds only hierarchically-related, existing
