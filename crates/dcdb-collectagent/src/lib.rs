@@ -165,10 +165,9 @@ pub struct CollectAgent {
 
 impl CollectAgent {
     /// Creates an agent subscribed to all sensor data on `bus`, backed
-    /// by `storage` — either the in-memory
-    /// [`dcdb_storage::StorageBackend`] or, for durable deployments,
-    /// a [`dcdb_storage::DurableBackend`] that journals every reading
-    /// before it is acknowledged.
+    /// by `storage` — a [`dcdb_storage::DurableBackend`] that journals
+    /// every reading before it is acknowledged, to a data directory or
+    /// (volatile storage) an in-memory disk.
     pub fn new(
         config: CollectAgentConfig,
         bus: &BusHandle,
@@ -440,8 +439,7 @@ impl CollectAgent {
         // GET /health — liveness/readiness for load balancers and
         // monitoring: 200 while the storage engine accepts durable
         // writes (healthy or degraded-but-retrying), 503 once it has
-        // fallen back to memtable-only buffering (read_only). Volatile
-        // engines have no failure modes and always report ok.
+        // fallen back to memtable-only buffering (read_only).
         let agent = Arc::clone(self);
         router.route(Method::Get, "/health", move |_req| {
             let report = agent.storage().health();
@@ -738,7 +736,7 @@ mod tests {
     use super::*;
     use dcdb_bus::{Broker, MessageBus};
     use dcdb_common::reading::SensorReading;
-    use dcdb_storage::{DurableBackend, DurableConfig, StorageBackend};
+    use dcdb_storage::{DurableBackend, DurableConfig};
     use sim_cluster::{AppModel, ClusterConfig};
 
     fn t(s: &str) -> Topic {
@@ -747,7 +745,7 @@ mod tests {
 
     fn setup() -> (Broker, Arc<CollectAgent>) {
         let broker = Broker::new();
-        let storage = Arc::new(StorageBackend::new());
+        let storage = Arc::new(DurableBackend::in_memory());
         let agent = Arc::new(
             CollectAgent::new(CollectAgentConfig::default(), &broker.handle(), storage).unwrap(),
         );
@@ -1162,7 +1160,7 @@ mod tests {
     #[test]
     fn ingest_budget_bounds_one_pass_and_preserves_backlog() {
         let broker = Broker::new();
-        let storage = Arc::new(StorageBackend::new());
+        let storage = Arc::new(DurableBackend::in_memory());
         let agent = CollectAgent::new(
             CollectAgentConfig {
                 ingest_budget: 10,
@@ -1208,7 +1206,7 @@ mod tests {
     #[test]
     fn health_and_metrics_report_agent_identity_and_shard() {
         let broker = Broker::new();
-        let storage = Arc::new(StorageBackend::new());
+        let storage = Arc::new(DurableBackend::in_memory());
         let agent = Arc::new(
             CollectAgent::new(
                 CollectAgentConfig {
@@ -1331,9 +1329,9 @@ mod tests {
 
     #[test]
     fn health_endpoint_reflects_storage_state() {
-        use dcdb_storage::{FaultConfig, FaultIo, HealthConfig};
+        use dcdb_storage::{FaultConfig, FaultIo, HealthConfig, StdIo};
 
-        // Volatile engine: no health report, always ok.
+        // The in-memory engine: healthy, ok.
         let (_broker, agent) = setup();
         let mut router = Router::new();
         agent.mount_routes(&mut router);
@@ -1349,7 +1347,7 @@ mod tests {
         let mut dir = std::env::temp_dir();
         dir.push(format!("dcdb-agent-health-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let io = Arc::new(FaultIo::std(FaultConfig::quiet(7)));
+        let io = Arc::new(FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(7)));
         let storage = Arc::new(
             DurableBackend::open_with(
                 Arc::clone(&io) as Arc<dyn dcdb_storage::StorageIo>,
@@ -1455,7 +1453,7 @@ mod tests {
     #[test]
     fn storage_fallback_after_cache_eviction() {
         let broker = Broker::new();
-        let storage = Arc::new(StorageBackend::new());
+        let storage = Arc::new(DurableBackend::in_memory());
         let agent = CollectAgent::new(
             CollectAgentConfig {
                 cache_secs: 5,

@@ -50,7 +50,7 @@ use dcdb_common::sim::{EventTrace, SimClock};
 use dcdb_common::supervisor::{ConnectionState, ReconnectConfig, Supervisor};
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
-use dcdb_storage::{StorageBackend, StorageEngine};
+use dcdb_storage::{DurableBackend, StorageEngine};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -301,9 +301,9 @@ pub struct FederatedAgent {
     replication_factor: usize,
     agent_template: CollectAgentConfig,
     bus: BusConfig,
-    /// Rebuilds a node's engine on rejoin — durable engines reopen
-    /// their journal directory and recover; volatile engines come back
-    /// empty and refill through catch-up.
+    /// Rebuilds a node's engine on rejoin — one over a disk that outlived
+    /// the kill recovers from it; one over a fresh in-memory disk comes
+    /// back empty and refills through catch-up.
     storage_factory: Box<StorageFactory>,
     /// Serializes membership transitions (kill, rejoin, failover) so a
     /// publish-driven failover and a supervision-driven one can never
@@ -325,11 +325,11 @@ pub struct FederatedAgent {
 }
 
 impl FederatedAgent {
-    /// Builds a federation of `config.agents` shards over in-memory
-    /// storage.
+    /// Builds a federation of `config.agents` shards, each node (and each
+    /// rejoin) on a fresh [`DurableBackend::in_memory`].
     pub fn new(config: FederationConfig) -> Result<FederatedAgent> {
         FederatedAgent::new_with(config, |_, _| {
-            Ok(Arc::new(StorageBackend::new()) as Arc<dyn StorageEngine>)
+            Ok(Arc::new(DurableBackend::in_memory()) as Arc<dyn StorageEngine>)
         })
     }
 
@@ -910,7 +910,7 @@ impl MessageBus for FederatedAgent {
 mod tests {
     use super::*;
     use dcdb_common::reading::SensorReading;
-    use dcdb_storage::{DurableBackend, DurableConfig, FaultConfig, FaultIo, HealthConfig};
+    use dcdb_storage::{DurableConfig, FaultConfig, FaultIo, HealthConfig, StdIo};
     use std::path::PathBuf;
     use wintermute::prelude::QueryMode;
 
@@ -1119,7 +1119,7 @@ mod tests {
     fn pair_with_faulty_standby(name: &str) -> (FederatedAgent, Arc<FaultIo>, PathBuf) {
         let dir = std::env::temp_dir().join(format!("dcdb-fed-{name}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let io = Arc::new(FaultIo::std(FaultConfig::quiet(1)));
+        let io = Arc::new(FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(1)));
         let (standby_io, standby_dir) = (Arc::clone(&io), dir.clone());
         let config = FederationConfig {
             agents: 1,
@@ -1128,7 +1128,7 @@ mod tests {
         };
         let fed = FederatedAgent::new_with(config, move |ordinal, _| {
             if ordinal == 0 {
-                return Ok(Arc::new(StorageBackend::new()) as Arc<dyn StorageEngine>);
+                return Ok(Arc::new(DurableBackend::in_memory()) as Arc<dyn StorageEngine>);
             }
             let health = HealthConfig {
                 max_retries: 0,

@@ -322,7 +322,7 @@ fn catch_up(src: &dyn StorageEngine, dst: &dyn StorageEngine) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcdb_storage::{DurableBackend, DurableConfig, FaultConfig, FaultIo, StorageBackend};
+    use dcdb_storage::{DurableBackend, DurableConfig, FaultConfig, FaultIo, StdIo};
 
     fn t(s: &str) -> Topic {
         Topic::parse(s).unwrap()
@@ -365,17 +365,35 @@ mod tests {
         fn topics(&self) -> Vec<Topic> {
             Vec::new()
         }
+        fn oldest_ts(&self, _: &Topic) -> Option<Timestamp> {
+            None
+        }
         fn evict_before(&self, _: Timestamp) -> usize {
             0
         }
         fn stats(&self) -> StorageStats {
             StorageStats::default()
         }
+        fn flush(&self) -> Result<()> {
+            Ok(())
+        }
+        fn maintain(&self, _: Timestamp) -> Result<()> {
+            Ok(())
+        }
+        fn health(&self) -> Option<StorageHealthReport> {
+            None
+        }
+        fn rollup_tiers(&self) -> Vec<u64> {
+            Vec::new()
+        }
+        fn query_frames(&self, _: &Topic, _: u64, _: Timestamp, _: Timestamp) -> Vec<AggFrame> {
+            Vec::new()
+        }
     }
 
     #[test]
     fn acked_inserts_stream_in_ack_order() {
-        let primary = NodeEngine::wrap(Arc::new(StorageBackend::new()));
+        let primary = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
         let stream = primary.attach(16, false);
         primary.insert(&t("/r0/n2/power"), r(1, 1)).unwrap();
         primary
@@ -398,7 +416,7 @@ mod tests {
 
     #[test]
     fn overflow_turns_the_newest_away_counts_them_and_sets_resync() {
-        let primary = NodeEngine::wrap(Arc::new(StorageBackend::new()));
+        let primary = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
         let stream = primary.attach(2, false);
         for i in 0..5 {
             primary
@@ -410,7 +428,7 @@ mod tests {
         assert!(stream.state.lock().resync);
         // The turned-away readings are still on the primary: the pump's
         // catch-up recovers them, and the queued two re-apply as no-ops.
-        let standby = StorageBackend::new();
+        let standby = DurableBackend::in_memory();
         assert_eq!(stream.pump(primary.as_ref(), &standby, 10).unwrap(), 2);
         assert!(!stream.state.lock().resync);
         assert_eq!(all(&standby, "/r0/n0/power"), vec![0, 1, 2, 3, 4]);
@@ -418,7 +436,7 @@ mod tests {
 
     #[test]
     fn an_unattached_engine_streams_nothing_and_its_watermark_tracks_latest() {
-        let engine = NodeEngine::wrap(Arc::new(StorageBackend::new()));
+        let engine = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
         engine.insert(&t("/r0/n0/power"), r(1, 5)).unwrap();
         let stream = engine.attach(4, false);
         assert_eq!(stream.stats().lag_entries, 0, "nothing before the attach");
@@ -445,8 +463,8 @@ mod tests {
 
     #[test]
     fn pump_and_drain_preserve_the_conservation_identity() {
-        let primary = NodeEngine::wrap(Arc::new(StorageBackend::new()));
-        let standby = StorageBackend::new();
+        let primary = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
+        let standby = DurableBackend::in_memory();
         let stream = primary.attach(64, false);
         for i in 1..=10u64 {
             primary.insert(&t("/r0/n0/power"), r(i as i64, i)).unwrap();
@@ -464,10 +482,19 @@ mod tests {
     /// A standby over an in-memory engine that refuses any batch
     /// holding a timestamp in `refuse` — one entry of a group, not the
     /// whole group, as a durable engine refuses chunk by chunk.
-    #[derive(Debug, Default)]
+    #[derive(Debug)]
     struct Picky {
-        inner: StorageBackend,
+        inner: DurableBackend,
         refuse: Mutex<Vec<Timestamp>>,
+    }
+
+    impl Picky {
+        fn new() -> Picky {
+            Picky {
+                inner: DurableBackend::in_memory(),
+                refuse: Mutex::default(),
+            }
+        }
     }
 
     impl StorageEngine for Picky {
@@ -476,25 +503,49 @@ mod tests {
             if batch.iter().any(|r| refuse.contains(&r.ts)) {
                 return Err(DcdbError::InvalidState("refused".into()));
             }
-            StorageEngine::insert_columns(&self.inner, topic, batch)
+            self.inner.insert_columns(topic, batch)
         }
         fn query(&self, topic: &Topic, t0: Timestamp, t1: Timestamp) -> Vec<SensorReading> {
-            StorageEngine::query(&self.inner, topic, t0, t1)
+            self.inner.query(topic, t0, t1)
         }
         fn latest(&self, topic: &Topic) -> Option<SensorReading> {
-            StorageEngine::latest(&self.inner, topic)
+            self.inner.latest(topic)
+        }
+        fn oldest_ts(&self, topic: &Topic) -> Option<Timestamp> {
+            self.inner.oldest_ts(topic)
         }
         fn contains(&self, topic: &Topic) -> bool {
-            StorageEngine::contains(&self.inner, topic)
+            self.inner.contains(topic)
         }
         fn topics(&self) -> Vec<Topic> {
-            StorageEngine::topics(&self.inner)
+            self.inner.topics()
         }
         fn evict_before(&self, cutoff: Timestamp) -> usize {
-            StorageEngine::evict_before(&self.inner, cutoff)
+            self.inner.evict_before(cutoff)
         }
         fn stats(&self) -> StorageStats {
-            StorageEngine::stats(&self.inner)
+            self.inner.stats()
+        }
+        fn flush(&self) -> Result<()> {
+            self.inner.flush()
+        }
+        fn maintain(&self, now: Timestamp) -> Result<()> {
+            self.inner.maintain(now)
+        }
+        fn health(&self) -> Option<StorageHealthReport> {
+            StorageEngine::health(&self.inner)
+        }
+        fn rollup_tiers(&self) -> Vec<u64> {
+            self.inner.rollup_tiers()
+        }
+        fn query_frames(
+            &self,
+            topic: &Topic,
+            width: u64,
+            t0: Timestamp,
+            t1: Timestamp,
+        ) -> Vec<AggFrame> {
+            self.inner.query_frames(topic, width, t0, t1)
         }
     }
 
@@ -504,9 +555,9 @@ mod tests {
     /// copied them.
     #[test]
     fn a_partly_refused_group_survives_an_overflow_and_arrives_once() {
-        let primary = NodeEngine::wrap(Arc::new(StorageBackend::new()));
+        let primary = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
         let stream = primary.attach(4, false);
-        let standby = Picky::default();
+        let standby = Picky::new();
         let topic = t("/r0/n0/power");
         for i in 1..=2u64 {
             primary.insert(&topic, r(i as i64, i)).unwrap();
@@ -534,13 +585,13 @@ mod tests {
 
     #[test]
     fn a_drain_counts_exactly_the_readings_the_standby_refused() {
-        let primary = NodeEngine::wrap(Arc::new(StorageBackend::new()));
+        let primary = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
         let stream = primary.attach(8, false);
         primary.insert(&t("/r0/n0/power"), r(1, 1)).unwrap();
         let two = [r(2, 2), r(3, 3)];
         primary.insert_batch(&t("/r0/n1/power"), &two).unwrap();
         primary.insert(&t("/r0/n2/power"), r(4, 4)).unwrap();
-        let standby = Picky::default();
+        let standby = Picky::new();
         *standby.refuse.lock() = vec![Timestamp::from_secs(3)];
         // Offered once each: the refused batch counts its two readings,
         // and the entry after it still lands.
@@ -559,11 +610,11 @@ mod tests {
     fn a_refused_group_stays_on_the_stream_from_its_first_refused_entry() {
         let dir = std::env::temp_dir().join(format!("dcdb-replica-pump-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let io = Arc::new(FaultIo::std(FaultConfig::quiet(1)));
+        let io = Arc::new(FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(1)));
         let standby =
             DurableBackend::open_with(Arc::clone(&io) as _, &dir, DurableConfig::default())
                 .unwrap();
-        let primary = NodeEngine::wrap(Arc::new(StorageBackend::new()));
+        let primary = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
         let stream = primary.attach(64, false);
         for i in 1..=6u64 {
             primary.insert(&t("/r0/n0/power"), r(i as i64, i)).unwrap();
@@ -587,8 +638,8 @@ mod tests {
 
     #[test]
     fn catch_up_is_watermark_bounded_and_idempotent() {
-        let src = StorageBackend::new();
-        let dst = StorageBackend::new();
+        let src = DurableBackend::in_memory();
+        let dst = DurableBackend::in_memory();
         for i in 1..=20u64 {
             src.insert(&t("/r0/n0/power"), r(i as i64, i)).unwrap();
         }
@@ -605,14 +656,14 @@ mod tests {
 
     #[test]
     fn a_resync_and_the_overlapping_stream_never_duplicate() {
-        let primary = NodeEngine::wrap(Arc::new(StorageBackend::new()));
+        let primary = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
         for i in 1..=5u64 {
             primary.insert(&t("/r0/n0/power"), r(i as i64, i)).unwrap();
         }
         // Join protocol: attach with a resync pending — writes landing
         // after the attach are both scanned and streamed; dedup absorbs
         // the overlap.
-        let standby = StorageBackend::new();
+        let standby = DurableBackend::in_memory();
         let stream = primary.attach(64, true);
         primary.insert(&t("/r0/n0/power"), r(6, 6)).unwrap();
         assert_eq!(stream.pump(primary.as_ref(), &standby, 64).unwrap(), 1);

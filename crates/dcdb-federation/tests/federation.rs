@@ -13,7 +13,7 @@ use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use dcdb_federation::{FederatedAgent, FederationConfig, QueryRouter, RouterConfig};
-use dcdb_storage::{DurableBackend, DurableConfig, StorageBackend, StorageEngine};
+use dcdb_storage::{DurableBackend, DurableConfig, StorageEngine};
 use proptest::prelude::*;
 use std::sync::Arc;
 use wintermute::prelude::QueryMode;
@@ -51,7 +51,7 @@ fn federation_with(agents: usize, replication_factor: usize) -> Arc<FederatedAge
 /// Reference: one Collect Agent ingesting everything.
 fn single_agent() -> (dcdb_bus::Broker, Arc<CollectAgent>) {
     let broker = dcdb_bus::Broker::new();
-    let storage = Arc::new(StorageBackend::new());
+    let storage = Arc::new(DurableBackend::in_memory());
     let agent = Arc::new(CollectAgent::new(agent_config(), &broker.handle(), storage).unwrap());
     (broker, agent)
 }

@@ -13,8 +13,9 @@
 //! identical end-of-run counters.
 //!
 //! The harness publishes through the full production path — supervised
-//! [`BusConnection`]s → [`ChaosBus`] → [`FederatedAgent`] → (optionally
-//! fault-injected durable) shard storage — and asserts the stack's
+//! [`BusConnection`]s → [`ChaosBus`] → [`FederatedAgent`] → durable
+//! shard storage on one in-memory disk (behind seeded fault devices when
+//! the I/O lane is armed) — and asserts the stack's
 //! conservation identities at the end: faults move readings between
 //! accounting terms, they never make the books stop balancing. Then it
 //! holds one final answer per topic against the [`Ledger`] of readings
@@ -33,13 +34,12 @@ use dcdb_common::topic::Topic;
 use dcdb_federation::{FederatedAgent, FederationConfig, QueryRouter, RouterConfig};
 use dcdb_pusher::{BusConnection, DeliveryConfig};
 use dcdb_storage::{
-    DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, HealthState, StdIo,
-    StorageBackend, StorageEngine, StorageIo,
+    DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, HealthState, MemIo,
+    StorageEngine, StorageIo,
 };
 use sim_cluster::{FacilityEventKind, FacilitySchedule, Topology};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wintermute::prelude::{OperatorManager, PluginConfig, QueryEngine, QueryMode};
 
@@ -86,11 +86,8 @@ fn device_seed(lane_seed: u64, id: &str) -> u64 {
     derive_seed(lane_seed, h)
 }
 
-static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
-
 /// Runs `scenario` at `scale` from the single `seed` and returns the
-/// full report. Durable scenarios journal under a private temp
-/// directory that is removed before returning.
+/// full report.
 pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioReport {
     let lanes_armed = scenario.lanes;
     let topology = scale.topology(&lanes_armed);
@@ -102,14 +99,8 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
     let clock = SimClock::new();
     let trace = EventTrace::new();
 
-    // --- Storage tier: volatile, or durable over seeded fault devices.
-    let dir = std::env::temp_dir().join(format!(
-        "dcdb-sim-{}-{seed:016x}-{}-{}",
-        scenario.name,
-        std::process::id(),
-        RUN_COUNTER.fetch_add(1, Ordering::Relaxed),
-    ));
-    let fed = build_federation(&lanes_armed, agents, seed, horizon_ns, &dir, &clock, &trace);
+    // --- Storage tier: durable engines on the run's in-memory disk.
+    let fed = build_federation(&lanes_armed, agents, seed, horizon_ns, &clock, &trace);
     // The shards' failure detectors probe on the shared timeline.
     fed.use_sim_clock(Arc::clone(&clock));
     fed.set_trace(trace.clone());
@@ -370,7 +361,6 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
     );
     drop(connections);
     drop(router);
-    let _ = std::fs::remove_dir_all(&dir);
     report
 }
 
@@ -380,14 +370,15 @@ fn fault_window(horizon_ns: u64) -> (u64, u64) {
     (horizon_ns / 4, horizon_ns * 3 / 4)
 }
 
-/// Builds the federation: volatile shards, or durable shards over
-/// per-node seeded fault devices when the I/O lane is armed.
+/// Builds the federation. The run owns one in-memory disk and each
+/// node opens its durable engine at `/<node id>` on it, behind a
+/// per-node seeded fault device when the I/O lane is armed. A kill drops
+/// the engine and keeps the disk; a rejoin recovers from it.
 fn build_federation(
     lanes_armed: &LaneSet,
     agents: usize,
     seed: u64,
     horizon_ns: u64,
-    dir: &Path,
     clock: &Arc<SimClock>,
     trace: &EventTrace,
 ) -> Arc<FederatedAgent> {
@@ -398,7 +389,7 @@ fn build_federation(
     };
     let io_lane = derive_seed(seed, lanes::IO);
     let io_armed = lanes_armed.io;
-    let dir = dir.to_path_buf();
+    let disk = Arc::new(MemIo::default());
     let clock = Arc::clone(clock);
     let trace = trace.clone();
     Arc::new(
@@ -409,30 +400,32 @@ fn build_federation(
                 ..FederationConfig::default()
             },
             move |_ordinal, id: &str| {
-                if !io_armed {
-                    return Ok(Arc::new(StorageBackend::new()) as Arc<dyn StorageEngine>);
-                }
-                // ENOSPC / EIO / torn-write / fsync-poison faults fire
-                // inside the fault window only.
-                let config = FaultConfig {
-                    eio_prob: 0.015,
-                    fsync_fail_prob: 0.03,
-                    torn_write_prob: 0.01,
-                    window_ns: Some(fault_window(horizon_ns)),
-                    enospc_after_bytes: (id == "agent-00").then_some(8 * 1024),
-                    ..FaultConfig::quiet(device_seed(io_lane, id))
+                let (io, fsync) = if io_armed {
+                    // ENOSPC / EIO / torn-write / fsync-poison faults
+                    // fire inside the fault window only.
+                    let config = FaultConfig {
+                        eio_prob: 0.015,
+                        fsync_fail_prob: 0.03,
+                        torn_write_prob: 0.01,
+                        window_ns: Some(fault_window(horizon_ns)),
+                        enospc_after_bytes: (id == "agent-00").then_some(8 * 1024),
+                        ..FaultConfig::quiet(device_seed(io_lane, id))
+                    };
+                    let io = FaultIo::with_clock(
+                        Arc::clone(&disk) as Arc<dyn StorageIo>,
+                        config,
+                        Arc::clone(&clock),
+                    );
+                    io.set_trace(trace.clone(), id);
+                    (Arc::new(io) as Arc<dyn StorageIo>, FsyncPolicy::Always)
+                } else {
+                    (Arc::clone(&disk) as Arc<dyn StorageIo>, FsyncPolicy::Never)
                 };
-                let io = Arc::new(FaultIo::with_clock(
-                    Arc::new(StdIo),
-                    config,
-                    Arc::clone(&clock),
-                ));
-                io.set_trace(trace.clone(), id);
                 let db = DurableBackend::open_with(
-                    Arc::clone(&io) as Arc<dyn StorageIo>,
-                    &dir.join(id),
+                    io,
+                    &Path::new("/").join(id),
                     DurableConfig {
-                        fsync: FsyncPolicy::Always,
+                        fsync,
                         ..DurableConfig::default()
                     },
                 )?;
@@ -676,11 +669,11 @@ fn cache_only(engine: &QueryEngine, storage: &Arc<dyn StorageEngine>) -> Vec<(To
     only
 }
 
-/// Adds a durable engine's health books to the run's sums; false when
-/// its own conservation identity is broken. Volatile engines keep none.
+/// Adds an engine's health books to the run's sums; false when it keeps
+/// none or its own conservation identity is broken.
 fn tally_health(counters: &mut CounterSummary, storage: &dyn StorageEngine) -> bool {
     let Some(h) = storage.health() else {
-        return true;
+        return false;
     };
     counters.storage_ingested += h.ingested;
     counters.storage_durable += h.durable;
@@ -741,7 +734,7 @@ fn finish(
         storage_healed &= agent
             .storage()
             .health()
-            .is_none_or(|h| h.state != HealthState::ReadOnly && h.buffered == 0);
+            .is_some_and(|h| h.state != HealthState::ReadOnly && h.buffered == 0);
     }
     storage_ok &= counters.storage_ingested
         == counters.storage_durable + counters.storage_buffered + counters.storage_shed
@@ -775,7 +768,7 @@ fn finish(
                 + counters.delivery_final_errors,
         chaos_chain: counters.chaos_passed + counters.chaos_released
             == counters.fed_publishes + counters.fed_refused,
-        storage: storage_ok && (!scenario.lanes.io || counters.storage_ingested > 0),
+        storage: storage_ok && counters.storage_ingested > 0,
         operators: operators_ok,
         envelopes: envelopes_ok,
         answers: answers.holds(),

@@ -84,9 +84,9 @@ pub struct IdentityReport {
     /// forwarded (`passed + released`) is accounted by the federation
     /// as accepted or refused.
     pub chaos_chain: bool,
-    /// Durable-engine health books on every faulted shard:
-    /// `ingested == durable + buffered + shed`. Vacuously true when the
-    /// scenario runs volatile storage.
+    /// Storage-engine health books on every shard node, each and
+    /// summed: `ingested == durable + buffered + shed`, with
+    /// `ingested > 0` (every cell runs the durable engine).
     pub storage: bool,
     /// Operator runtime: `runs == successes + errors + panics +
     /// overruns + quarantined_skips`. Vacuously true when the operator
@@ -142,14 +142,14 @@ pub struct CounterSummary {
     pub fed_publishes: u64,
     /// Publishes the federation refused (owning shard down).
     pub fed_refused: u64,
-    /// Sum of `ingested` over faulted durable engines — every primary
-    /// live at the end or at its kill (0 if volatile).
+    /// Sum of `ingested` over the storage engines of every primary live
+    /// at the end or at its kill.
     pub storage_ingested: u64,
-    /// Sum of `durable` over faulted durable engines.
+    /// Sum of `durable` over the same engines.
     pub storage_durable: u64,
-    /// Sum of `buffered` over faulted durable engines.
+    /// Sum of `buffered` over the same engines.
     pub storage_buffered: u64,
-    /// Sum of `shed` over faulted durable engines.
+    /// Sum of `shed` over the same engines.
     pub storage_shed: u64,
     /// Readings a primary's engine had shed — served by its sensor
     /// cache alone — when the node was killed: the only readings the

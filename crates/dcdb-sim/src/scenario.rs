@@ -19,7 +19,7 @@ pub struct LaneSet {
     /// ChaosBus outages, silent drops and delivery delays.
     pub bus: bool,
     /// FaultIo ENOSPC / EIO / fsync-poison windows under the shard
-    /// journals (forces durable storage).
+    /// journals, which then fsync every write.
     pub io: bool,
     /// Seeded operator panics and errors driving quarantine.
     pub operators: bool,

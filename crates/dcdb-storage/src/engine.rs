@@ -1,8 +1,9 @@
 //! The durable engine: WAL + memtable + sealed segments + compaction.
 //!
-//! [`DurableBackend`] is the log-structured persistence tier standing in
-//! for the durability DCDB gets from Cassandra (paper §IV-A). It wraps
-//! the existing in-memory [`StorageBackend`] as its *memtable* and adds:
+//! [`DurableBackend`] is the one storage engine, standing in for the
+//! durability DCDB gets from Cassandra (paper §IV-A). Over a real
+//! directory or an in-memory disk ([`DurableBackend::in_memory`]) alike,
+//! it keeps recent readings in a [`StorageBackend`] *memtable* and adds:
 //!
 //! * a write-ahead log ([`crate::wal`]): every insert batch is journaled
 //!   before it is acknowledged, under a configurable fsync policy — a
@@ -38,9 +39,9 @@
 //! opened or quarantined on recovery, published after a seal, and
 //! retired only once no read still holds them.
 
-use crate::backend::{StorageBackend, StorageStats};
+use crate::backend::StorageBackend;
 use crate::health::{HealthConfig, HealthCore, HealthState, StorageHealthReport};
-use crate::io::{StdIo, StorageIo};
+use crate::io::{MemIo, StdIo, StorageIo};
 use crate::rollup::{
     bucket_start, write_rollup_segment_with, AggFrame, RollupConfig, RollupSegmentReader,
     RollupState,
@@ -117,6 +118,19 @@ pub struct RecoveryReport {
     /// Corrupt segments/WALs moved to `quarantine/` instead of aborting
     /// recovery.
     pub quarantined: usize,
+}
+
+/// Aggregate counters for footprint reporting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
+pub struct StorageStats {
+    /// Total readings currently stored.
+    pub readings: usize,
+    /// Number of sensors with at least one reading.
+    pub sensors: usize,
+    /// Total inserts performed (including overwrites).
+    pub inserts: u64,
+    /// Total range queries served.
+    pub queries: u64,
 }
 
 /// Operational counters beyond [`StorageStats`].
@@ -314,6 +328,17 @@ impl DurableBackend {
     /// recovering all sealed segments and replaying the WAL tail.
     pub fn open(dir: &Path, config: DurableConfig) -> Result<DurableBackend> {
         DurableBackend::open_with(Arc::new(StdIo), dir, config)
+    }
+
+    /// Volatile storage: the engine on a private in-memory disk
+    /// ([`MemIo`]), never fsyncing; its data dies with it.
+    pub fn in_memory() -> DurableBackend {
+        let config = DurableConfig {
+            fsync: FsyncPolicy::Never,
+            ..DurableConfig::default()
+        };
+        DurableBackend::open_with(Arc::new(MemIo::default()), Path::new("/"), config)
+            .expect("an empty in-memory disk opens")
     }
 
     /// [`DurableBackend::open`] over an explicit [`StorageIo`] — the VFS
@@ -899,90 +924,6 @@ impl DurableBackend {
         merge_generations(runs, |r| r.ts.as_nanos())
     }
 
-    /// The newest reading of `topic` across all generations.
-    ///
-    /// Checks the memtables first and then walks sealed segments newest
-    /// first, pruning on the per-topic index `block_max_ts`: in
-    /// steady-state (mostly time-ordered data) the newest reading is in
-    /// the active memtable and no block is decoded at all. Overwrite
-    /// ties resolve exactly as the merged read path does — active
-    /// memtable over sealing over newer segment over older — because
-    /// every earlier-authority source only wins with a strictly newer
-    /// timestamp.
-    pub fn latest(&self, topic: &Topic) -> Option<SensorReading> {
-        let gens = self.generations();
-        let mut best: Option<SensorReading> = gens.active.latest(topic);
-        if let Some(mem) = &gens.sealing {
-            if let Some(r) = mem.latest(topic) {
-                if best.is_none_or(|b| r.ts > b.ts) {
-                    best = Some(r);
-                }
-            }
-        }
-        for (_, seg) in gens.segments.iter().rev() {
-            let worth_reading = match (seg.block_max_ts(topic), &best) {
-                (Some(mts), Some(b)) => mts > b.ts,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if worth_reading {
-                match seg.read_topic(topic) {
-                    Ok(block) => {
-                        let last = block.and_then(|b| b.get(b.len().checked_sub(1)?));
-                        if last.is_some_and(|l| best.is_none_or(|b| l.ts > b.ts)) {
-                            best = last;
-                        }
-                    }
-                    Err(_) => {
-                        self.read_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// Timestamp of the oldest stored reading of `topic`, from the
-    /// segment indexes and memtables — no block reads.
-    pub fn oldest_ts(&self, topic: &Topic) -> Option<Timestamp> {
-        let mut best: Option<Timestamp> = None;
-        let mut consider = |ts: Option<Timestamp>| {
-            if let Some(ts) = ts {
-                best = Some(best.map_or(ts, |b| b.min(ts)));
-            }
-        };
-        let gens = self.generations();
-        for (_, seg) in gens.segments.iter() {
-            consider(seg.block_min_ts(topic));
-        }
-        if let Some(mem) = &gens.sealing {
-            consider(mem.oldest_ts(topic));
-        }
-        consider(gens.active.oldest_ts(topic));
-        best
-    }
-
-    /// True when any generation holds data for `topic`.
-    pub fn contains(&self, topic: &Topic) -> bool {
-        let gens = self.generations();
-        gens.active.contains(topic)
-            || gens.sealing.is_some_and(|m| m.contains(topic))
-            || gens.segments.iter().any(|(_, s)| s.contains(topic))
-    }
-
-    /// All topics with data in any generation, unordered.
-    pub fn topics(&self) -> Vec<Topic> {
-        let gens = self.generations();
-        let mut set: BTreeSet<Topic> = gens.active.topics().into_iter().collect();
-        if let Some(mem) = &gens.sealing {
-            set.extend(mem.topics());
-        }
-        for (_, seg) in gens.segments.iter() {
-            set.extend(seg.topics().cloned());
-        }
-        set.into_iter().collect()
-    }
-
     /// Seals the current memtable into an immutable segment and retires
     /// the covered WAL generations. Returns the readings sealed (0 when
     /// the memtable was empty).
@@ -1111,57 +1052,6 @@ impl DurableBackend {
         }
     }
 
-    /// Aggregate frames of the `width_ns` rollup tier whose buckets
-    /// overlap `[t0, t1]`, ascending by bucket. Sealed rollup segments
-    /// merge in sequence order and hot in-memory frames win every tie,
-    /// so a stale sealed frame (written before late data arrived) is
-    /// always shadowed by its recomputed successor.
-    pub fn query_frames(
-        &self,
-        topic: &Topic,
-        width_ns: u64,
-        t0: Timestamp,
-        t1: Timestamp,
-    ) -> Vec<AggFrame> {
-        if t1 < t0 {
-            return Vec::new();
-        }
-        // A rollup seal publishes its segment before evicting the clean
-        // hot frames it covers, so — as in `generations` — read the
-        // source (hot) before the destination (segments).
-        let hot = self
-            .rollup
-            .lock()
-            .query_hot(topic, width_ns, t0.as_nanos(), t1.as_nanos());
-        // Gather per-source ascending runs in authority order: segments
-        // by sequence, hot frames last (so later runs win bucket ties).
-        let mut runs: Vec<Vec<AggFrame>> = Vec::new();
-        let segments = self.rollup_segments.read().clone();
-        for (_, seg) in segments.iter() {
-            if seg.width_ns() != width_ns {
-                continue;
-            }
-            match seg.query(topic, t0.as_nanos(), t1.as_nanos()) {
-                Ok(frames) => runs.push(frames),
-                Err(_) => {
-                    self.read_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        runs.push(hot);
-        merge_generations(runs, |f| f.bucket_ns)
-    }
-
-    /// Rollup tier widths maintained by this engine, ascending.
-    pub fn rollup_tiers(&self) -> Vec<u64> {
-        self.config
-            .rollup
-            .tiers
-            .iter()
-            .map(|t| t.width_ns)
-            .collect()
-    }
-
     /// Applies per-tier rollup retention: drops hot frames and whole
     /// rollup segments entirely below each tier's cutoff.
     fn evict_rollups(&self, now: Timestamp) {
@@ -1215,74 +1105,6 @@ impl DurableBackend {
         self.retire(&self.segments, |s, _| s < seq);
         self.compactions.fetch_add(1, Ordering::Relaxed);
         Ok(true)
-    }
-
-    /// Evicts data older than `cutoff`: memtable partitions (exact
-    /// semantics of [`StorageBackend::evict_before`]) plus whole sealed
-    /// segments entirely below the cutoff. Returns readings evicted.
-    pub fn evict_before(&self, cutoff: Timestamp) -> usize {
-        let _guard = self.seal_lock.lock();
-        let mut evicted = self.active.read().memtable.evict_before(cutoff);
-        self.retire(&self.segments, |_, seg| {
-            let below = seg.max_ts().is_some_and(|max_ts| max_ts < cutoff);
-            if below {
-                evicted += seg.reading_count();
-            }
-            below
-        });
-        evicted
-    }
-
-    /// One maintenance pass: advance the health clock, probe for
-    /// recovery under ReadOnly when the backoff admits it, and (when the
-    /// journal is usable) seal, compact and apply retention.
-    pub fn maintain(&self, now: Timestamp) -> Result<()> {
-        if self.health.attempt_due(now) && self.health.state() == HealthState::ReadOnly {
-            // The probe: a fresh WAL that re-journals the memtable.
-            self.health.record_probe(self.rotate_wal().is_ok());
-        }
-        if self.health.state() == HealthState::ReadOnly {
-            // The disk is refusing writes; sealing or compacting now
-            // would only churn against it.
-            return Ok(());
-        }
-        if self.memtable_readings.load(Ordering::Relaxed) >= self.config.memtable_max_readings {
-            self.seal()?;
-        }
-        if self.segments.read().len() >= self.config.compact_min_segments.max(2) {
-            self.compact()?;
-        }
-        if let Some(retention) = self.config.retention_ns {
-            self.evict_before(now.saturating_sub_ns(retention));
-        }
-        self.evict_rollups(now);
-        Ok(())
-    }
-
-    /// Seals outstanding memtable data and fsyncs the WAL — call before
-    /// a graceful shutdown.
-    pub fn flush(&self) -> Result<()> {
-        self.seal()?;
-        self.active.read().wal.lock().sync()
-    }
-
-    /// Counter snapshot in the shape the rest of the stack expects.
-    /// `readings` can double-count a timestamp that exists both in a
-    /// segment and the memtable (pre-compaction); queries deduplicate.
-    pub fn stats(&self) -> StorageStats {
-        let mem = self.active.read().memtable.stats();
-        let seg_readings: usize = self
-            .segments
-            .read()
-            .iter()
-            .map(|(_, s)| s.reading_count())
-            .sum();
-        StorageStats {
-            readings: mem.readings + seg_readings,
-            sensors: self.topics().len(),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
-        }
     }
 
     /// Engine-specific counters.
@@ -1352,6 +1174,7 @@ impl StorageEngine for DurableBackend {
     fn insert_columns(&self, topic: &Topic, batch: &ReadingBatch) -> Result<()> {
         self.insert_columns_acked(topic, batch).map(|_| ())
     }
+
     fn insert_many(&self, group: &[(Topic, ReadingBatch)]) -> Vec<usize> {
         let refused = |(range, ack): (Range<usize>, Result<InsertAck>)| ack.err().map(|_| range);
         self.insert_many_acked(group)
@@ -1360,39 +1183,180 @@ impl StorageEngine for DurableBackend {
             .flatten()
             .collect()
     }
+
     fn query(&self, topic: &Topic, t0: Timestamp, t1: Timestamp) -> Vec<SensorReading> {
         DurableBackend::query(self, topic, t0, t1)
     }
+
+    /// The newest reading of `topic` across all generations.
+    ///
+    /// Checks the memtables first and then walks sealed segments newest
+    /// first, pruning on the per-topic index `block_max_ts`: in
+    /// steady-state (mostly time-ordered data) the newest reading is in
+    /// the active memtable and no block is decoded at all. Overwrite
+    /// ties resolve exactly as the merged read path does — active
+    /// memtable over sealing over newer segment over older — because
+    /// every earlier-authority source only wins with a strictly newer
+    /// timestamp.
     fn latest(&self, topic: &Topic) -> Option<SensorReading> {
-        DurableBackend::latest(self, topic)
+        let gens = self.generations();
+        let mut best: Option<SensorReading> = gens.active.latest(topic);
+        if let Some(mem) = &gens.sealing {
+            if let Some(r) = mem.latest(topic) {
+                if best.is_none_or(|b| r.ts > b.ts) {
+                    best = Some(r);
+                }
+            }
+        }
+        for (_, seg) in gens.segments.iter().rev() {
+            let worth_reading = match (seg.block_max_ts(topic), &best) {
+                (Some(mts), Some(b)) => mts > b.ts,
+                (Some(_), None) => true,
+                (None, _) => false,
+            };
+            if worth_reading {
+                match seg.read_topic(topic) {
+                    Ok(block) => {
+                        let last = block.and_then(|b| b.get(b.len().checked_sub(1)?));
+                        if last.is_some_and(|l| best.is_none_or(|b| l.ts > b.ts)) {
+                            best = last;
+                        }
+                    }
+                    Err(_) => {
+                        self.read_errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+        best
     }
+
+    /// Timestamp of the oldest stored reading of `topic`, from the
+    /// segment indexes and memtables — no block reads.
     fn oldest_ts(&self, topic: &Topic) -> Option<Timestamp> {
-        DurableBackend::oldest_ts(self, topic)
+        let mut best: Option<Timestamp> = None;
+        let mut consider = |ts: Option<Timestamp>| {
+            if let Some(ts) = ts {
+                best = Some(best.map_or(ts, |b| b.min(ts)));
+            }
+        };
+        let gens = self.generations();
+        for (_, seg) in gens.segments.iter() {
+            consider(seg.block_min_ts(topic));
+        }
+        if let Some(mem) = &gens.sealing {
+            consider(mem.oldest_ts(topic));
+        }
+        consider(gens.active.oldest_ts(topic));
+        best
     }
+
+    /// True when any generation holds data for `topic`.
     fn contains(&self, topic: &Topic) -> bool {
-        DurableBackend::contains(self, topic)
+        let gens = self.generations();
+        gens.active.contains(topic)
+            || gens.sealing.is_some_and(|m| m.contains(topic))
+            || gens.segments.iter().any(|(_, s)| s.contains(topic))
     }
+
+    /// All topics with data in any generation, unordered.
     fn topics(&self) -> Vec<Topic> {
-        DurableBackend::topics(self)
+        let gens = self.generations();
+        let mut set: BTreeSet<Topic> = gens.active.topics().into_iter().collect();
+        if let Some(mem) = &gens.sealing {
+            set.extend(mem.topics());
+        }
+        for (_, seg) in gens.segments.iter() {
+            set.extend(seg.topics().cloned());
+        }
+        set.into_iter().collect()
     }
+
+    /// Evicts data older than `cutoff`: memtable partitions (exact
+    /// semantics of [`StorageBackend::evict_before`]) plus whole sealed
+    /// segments entirely below the cutoff. Returns readings evicted.
     fn evict_before(&self, cutoff: Timestamp) -> usize {
-        DurableBackend::evict_before(self, cutoff)
+        let _guard = self.seal_lock.lock();
+        let mut evicted = self.active.read().memtable.evict_before(cutoff);
+        self.retire(&self.segments, |_, seg| {
+            let below = seg.max_ts().is_some_and(|max_ts| max_ts < cutoff);
+            if below {
+                evicted += seg.reading_count();
+            }
+            below
+        });
+        evicted
     }
+
+    /// `readings` can double-count a timestamp that exists both in a
+    /// segment and the memtable (pre-compaction); queries deduplicate.
     fn stats(&self) -> StorageStats {
-        DurableBackend::stats(self)
+        let mem_readings = self.active.read().memtable.readings();
+        let seg_readings: usize = self
+            .segments
+            .read()
+            .iter()
+            .map(|(_, s)| s.reading_count())
+            .sum();
+        StorageStats {
+            readings: mem_readings + seg_readings,
+            sensors: self.topics().len(),
+            inserts: self.inserts.load(Ordering::Relaxed),
+            queries: self.queries.load(Ordering::Relaxed),
+        }
     }
+
+    /// Seals outstanding memtable data and fsyncs the WAL — call before
+    /// a graceful shutdown.
     fn flush(&self) -> Result<()> {
-        DurableBackend::flush(self)
+        self.seal()?;
+        self.active.read().wal.lock().sync()
     }
+
+    /// One maintenance pass: advance the health clock, probe for
+    /// recovery under ReadOnly when the backoff admits it, and (when the
+    /// journal is usable) seal, compact and apply retention.
     fn maintain(&self, now: Timestamp) -> Result<()> {
-        DurableBackend::maintain(self, now)
+        if self.health.attempt_due(now) && self.health.state() == HealthState::ReadOnly {
+            // The probe: a fresh WAL that re-journals the memtable.
+            self.health.record_probe(self.rotate_wal().is_ok());
+        }
+        if self.health.state() == HealthState::ReadOnly {
+            // The disk is refusing writes; sealing or compacting now
+            // would only churn against it.
+            return Ok(());
+        }
+        if self.memtable_readings.load(Ordering::Relaxed) >= self.config.memtable_max_readings {
+            self.seal()?;
+        }
+        if self.segments.read().len() >= self.config.compact_min_segments.max(2) {
+            self.compact()?;
+        }
+        if let Some(retention) = self.config.retention_ns {
+            self.evict_before(now.saturating_sub_ns(retention));
+        }
+        self.evict_rollups(now);
+        Ok(())
     }
+
     fn health(&self) -> Option<StorageHealthReport> {
         Some(self.health.report())
     }
+
     fn rollup_tiers(&self) -> Vec<u64> {
-        DurableBackend::rollup_tiers(self)
+        self.config
+            .rollup
+            .tiers
+            .iter()
+            .map(|t| t.width_ns)
+            .collect()
     }
+
+    /// Aggregate frames of the `width_ns` rollup tier whose buckets
+    /// overlap `[t0, t1]`, ascending by bucket. Sealed rollup segments
+    /// merge in sequence order and hot in-memory frames win every tie,
+    /// so a stale sealed frame (written before late data arrived) is
+    /// always shadowed by its recomputed successor.
     fn query_frames(
         &self,
         topic: &Topic,
@@ -1400,7 +1364,33 @@ impl StorageEngine for DurableBackend {
         t0: Timestamp,
         t1: Timestamp,
     ) -> Vec<AggFrame> {
-        DurableBackend::query_frames(self, topic, width_ns, t0, t1)
+        if t1 < t0 {
+            return Vec::new();
+        }
+        // A rollup seal publishes its segment before evicting the clean
+        // hot frames it covers, so — as in `generations` — read the
+        // source (hot) before the destination (segments).
+        let hot = self
+            .rollup
+            .lock()
+            .query_hot(topic, width_ns, t0.as_nanos(), t1.as_nanos());
+        // Gather per-source ascending runs in authority order: segments
+        // by sequence, hot frames last (so later runs win bucket ties).
+        let mut runs: Vec<Vec<AggFrame>> = Vec::new();
+        let segments = self.rollup_segments.read().clone();
+        for (_, seg) in segments.iter() {
+            if seg.width_ns() != width_ns {
+                continue;
+            }
+            match seg.query(topic, t0.as_nanos(), t1.as_nanos()) {
+                Ok(frames) => runs.push(frames),
+                Err(_) => {
+                    self.read_errors.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        runs.push(hot);
+        merge_generations(runs, |f| f.bucket_ns)
     }
 }
 
@@ -1898,7 +1888,7 @@ mod tests {
     #[test]
     fn fsync_poisoning_rotates_wal_and_keeps_acked_data() {
         let dir = TempDir::new("poison-rotate");
-        let io = FaultIo::std(FaultConfig::quiet(21));
+        let io = FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(21));
         let config = DurableConfig {
             fsync: FsyncPolicy::Always,
             ..small_config()
@@ -1965,7 +1955,7 @@ mod tests {
     #[test]
     fn drop_sync_error_is_recorded_and_observable() {
         let dir = TempDir::new("drop-sync");
-        let io = FaultIo::std(FaultConfig::quiet(33));
+        let io = FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(33));
         let db =
             DurableBackend::open_with(Arc::new(io.clone()), dir.path(), small_config()).unwrap();
         db.insert(&t("/n0/power"), r(1, 1)).unwrap();
@@ -1980,7 +1970,7 @@ mod tests {
     #[test]
     fn readonly_buffers_then_sheds_then_heals() {
         let dir = TempDir::new("readonly");
-        let io = FaultIo::std(FaultConfig::quiet(55));
+        let io = FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(55));
         let config = DurableConfig {
             fsync: FsyncPolicy::Always,
             health: HealthConfig {

@@ -5,11 +5,13 @@
 //! faults — the dominant real-world failure mode of production ODA
 //! deployments — untestable: a full disk, a flaky controller or a
 //! failing fsync could only be observed in production. This module
-//! pulls every filesystem operation behind a small trait with two
+//! pulls every filesystem operation behind a small trait with three
 //! implementations:
 //!
 //! * [`StdIo`] — the production implementation, a thin veneer over
 //!   `std::fs` with the exact semantics the engine always had;
+//! * [`MemIo`] — an in-memory disk with `StdIo`'s semantics, for
+//!   volatile storage and the deterministic simulator;
 //! * [`FaultIo`] — a seeded, deterministic fault injector wrapping any
 //!   inner [`StorageIo`]. Per-op-class fault schedules (ENOSPC after a
 //!   byte budget, per-op EIO probability, fsync failure, torn/short
@@ -27,6 +29,7 @@ use dcdb_common::error::{DcdbError, Result};
 use dcdb_common::sim::{EventTrace, SimClock};
 use dcdb_common::time::Timestamp;
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -170,9 +173,117 @@ impl StorageIo for StdIo {
     }
 
     fn sync_dir(&self, dir: &Path) -> Result<()> {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
+        File::open(dir)?.sync_all()?;
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// MemIo — an in-memory disk.
+// ---------------------------------------------------------------------------
+
+/// A [`StorageIo`] keeping every file in memory with [`StdIo`]'s
+/// semantics, so an engine reopened over the same `MemIo` recovers as
+/// from a directory. A file's directory is its parent path; handles
+/// offer no `try_clone`, so a WAL syncs in-line (a no-op).
+#[derive(Debug, Default)]
+pub struct MemIo {
+    files: Mutex<BTreeMap<PathBuf, MemFile>>,
+}
+
+/// One in-memory file: every handle to it shares the bytes.
+#[derive(Debug, Clone, Default)]
+struct MemFile(Arc<Mutex<Vec<u8>>>);
+
+fn io_error(kind: std::io::ErrorKind) -> DcdbError {
+    DcdbError::Io(kind.into())
+}
+
+impl IoFile for MemFile {
+    fn write_all(&mut self, buf: &[u8]) -> Result<()> {
+        self.0.lock().extend_from_slice(buf);
+        Ok(())
+    }
+    fn sync(&mut self) -> Result<()> {
+        Ok(())
+    }
+    /// `File::set_len`: cuts the file, or extends it with zeros.
+    fn truncate(&mut self, len: u64) -> Result<()> {
+        let len = usize::try_from(len).map_err(|_| io_error(std::io::ErrorKind::InvalidInput))?;
+        self.0.lock().resize(len, 0);
+        Ok(())
+    }
+}
+
+impl MemIo {
+    fn file(&self, path: &Path) -> Result<MemFile> {
+        let file = self.files.lock().get(path).cloned();
+        file.ok_or_else(|| io_error(std::io::ErrorKind::NotFound))
+    }
+}
+
+impl StorageIo for MemIo {
+    fn create(&self, path: &Path) -> Result<Box<dyn IoFile>> {
+        let file = self
+            .files
+            .lock()
+            .entry(path.to_path_buf())
+            .or_default()
+            .clone();
+        file.0.lock().clear();
+        Ok(Box::new(file))
+    }
+
+    fn open_append(&self, path: &Path, truncate_to: u64) -> Result<Box<dyn IoFile>> {
+        let mut file = self.file(path)?;
+        file.truncate(truncate_to)?;
+        Ok(Box::new(file))
+    }
+
+    fn read(&self, path: &Path) -> Result<Vec<u8>> {
+        Ok(self.file(path)?.0.lock().clone())
+    }
+
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let file = self.file(path)?;
+        let data = file.0.lock();
+        let start = usize::try_from(offset).ok();
+        let range = start.and_then(|start| data.get(start..start.checked_add(len)?));
+        range
+            .map(<[u8]>::to_vec)
+            .ok_or_else(|| io_error(std::io::ErrorKind::UnexpectedEof))
+    }
+
+    fn file_len(&self, path: &Path) -> Result<u64> {
+        Ok(self.file(path)?.0.lock().len() as u64)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+        let mut files = self.files.lock();
+        let file = files.remove(from);
+        let file = file.ok_or_else(|| io_error(std::io::ErrorKind::NotFound))?;
+        files.insert(to.to_path_buf(), file);
+        Ok(())
+    }
+
+    fn remove(&self, path: &Path) -> Result<()> {
+        let removed = self.files.lock().remove(path);
+        removed
+            .map(drop)
+            .ok_or_else(|| io_error(std::io::ErrorKind::NotFound))
+    }
+
+    fn list(&self, dir: &Path) -> Result<Vec<PathBuf>> {
+        let files = self.files.lock();
+        let entries = files.keys().filter(|path| path.parent() == Some(dir));
+        Ok(entries.cloned().collect())
+    }
+
+    fn create_dir_all(&self, _dir: &Path) -> Result<()> {
+        Ok(())
+    }
+
+    fn sync_dir(&self, _dir: &Path) -> Result<()> {
         Ok(())
     }
 }
@@ -397,11 +508,6 @@ impl FaultIo {
         }
     }
 
-    /// Wraps the production [`StdIo`] behind the schedule.
-    pub fn std(config: FaultConfig) -> FaultIo {
-        FaultIo::new(Arc::new(StdIo), config)
-    }
-
     /// Advances virtual time; window-gated faults fire only while the
     /// clock sits inside the configured window. The shared [`SimClock`]
     /// is monotonic (`fetch_max`): out-of-order ticks never rewind the
@@ -568,6 +674,7 @@ impl IoFile for FaultFile {
             && self.state.draw() < config.eio_prob
         {
             self.state.injected_eio.fetch_add(1, Ordering::Relaxed);
+            self.state.record("eio");
             return Err(eio("truncate"));
         }
         self.inner.truncate(len)
@@ -671,7 +778,7 @@ mod tests {
     #[test]
     fn fault_io_is_transparent_when_quiet() {
         let path = temp("quiet");
-        let io = FaultIo::std(FaultConfig::quiet(7));
+        let io = FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(7));
         let mut f = io.create(&path).unwrap();
         f.write_all(b"data").unwrap();
         f.sync().unwrap();
@@ -691,7 +798,7 @@ mod tests {
         let path = temp("enospc");
         let mut cfg = FaultConfig::quiet(42);
         cfg.enospc_after_bytes = Some(10);
-        let io = FaultIo::std(cfg);
+        let io = FaultIo::new(Arc::new(StdIo), cfg);
         let mut f = io.create(&path).unwrap();
         f.write_all(b"12345").unwrap();
         f.write_all(b"1234").unwrap();
@@ -709,7 +816,7 @@ mod tests {
         let path = temp("torn");
         let mut cfg = FaultConfig::quiet(1234);
         cfg.torn_write_prob = 1.0;
-        let io = FaultIo::std(cfg);
+        let io = FaultIo::new(Arc::new(StdIo), cfg);
         let mut f = io.create(&path).unwrap();
         assert!(f.write_all(&[0xAB; 64]).is_err());
         drop(f);
@@ -724,7 +831,7 @@ mod tests {
     fn fsync_failures_and_eio_replay_from_seed() {
         let run = |seed: u64| {
             let path = temp(&format!("replay-{seed}"));
-            let io = FaultIo::std(FaultConfig::quiet(seed));
+            let io = FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(seed));
             let mut f = io.create(&path).unwrap();
             let mut cfg = FaultConfig::quiet(seed);
             cfg.fsync_fail_prob = 0.5;
@@ -754,7 +861,7 @@ mod tests {
         let path = temp("window");
         let mut cfg = FaultConfig::quiet(5).with_window_ms(1_000, 2_000);
         cfg.eio_prob = 1.0;
-        let io = FaultIo::std(cfg);
+        let io = FaultIo::new(Arc::new(StdIo), cfg);
         let mut f = io.create(&path).unwrap();
         // Before the window: clean.
         assert!(f.write_all(b"a").is_ok());
@@ -772,7 +879,7 @@ mod tests {
         let path = temp("clear");
         let mut cfg = FaultConfig::quiet(9);
         cfg.eio_prob = 1.0;
-        let io = FaultIo::std(cfg);
+        let io = FaultIo::new(Arc::new(StdIo), cfg);
         assert!(io.create(&path).is_err());
         io.clear_faults();
         let mut f = io.create(&path).unwrap();
@@ -786,12 +893,141 @@ mod tests {
         let path = temp("latency");
         let mut cfg = FaultConfig::quiet(3);
         cfg.latency_ns = 1_000_000;
-        let io = FaultIo::std(cfg);
+        let io = FaultIo::new(Arc::new(StdIo), cfg);
         let mut f = io.create(&path).unwrap();
         f.write_all(b"x").unwrap();
         f.sync().unwrap();
         drop(f);
         assert!(io.stats().injected_latency_ns >= 3_000_000);
         StdIo.remove(&path).ok();
+    }
+
+    #[test]
+    fn std_io_sync_dir_reports_its_errors() {
+        StdIo.sync_dir(&std::env::temp_dir()).unwrap();
+        assert!(StdIo.sync_dir(&temp("no-such-dir")).is_err());
+    }
+
+    /// An outcome with an I/O error reduced to its kind, so the real
+    /// filesystem's messages and `MemIo`'s compare equal.
+    fn outcome<T: std::fmt::Debug>(r: Result<T>) -> String {
+        match r {
+            Ok(v) => format!("{v:?}"),
+            Err(DcdbError::Io(e)) => format!("{:?}", e.kind()),
+            Err(e) => format!("{e}"),
+        }
+    }
+
+    /// Every op of the VFS once, with the edge cases the engine meets.
+    fn script(io: &dyn StorageIo, dir: &Path) -> Vec<String> {
+        let (a, b, c) = (dir.join("a"), dir.join("b"), dir.join("c"));
+        let mut out = vec![
+            outcome(io.read(&a)),
+            outcome(io.file_len(&a)),
+            outcome(io.open_append(&a, 0).map(drop)),
+            outcome(io.remove(&a)),
+            outcome(io.rename(&a, &b)),
+        ];
+        let mut f = io.create(&a).unwrap();
+        f.write_all(b"hello world").unwrap();
+        f.sync().unwrap();
+        out.push(outcome(io.read_range(&a, 6, 5)));
+        out.push(outcome(io.read_range(&a, 6, 6)));
+        out.push(outcome(io.read_range(&a, 1 << 40, 1)));
+        // A handle keeps writing to its file across a rename.
+        io.rename(&a, &b).unwrap();
+        f.write_all(b"!").unwrap();
+        out.push(outcome(io.read(&b)));
+        out.push(outcome(io.read(&a)));
+        f.truncate(5).unwrap();
+        f.write_all(b"?").unwrap();
+        drop(f);
+        // Reopening past the end extends with zeros.
+        let mut f = io.open_append(&b, 8).unwrap();
+        f.write_all(b"x").unwrap();
+        drop(f);
+        out.push(outcome(io.read(&b)));
+        io.create(&c).unwrap().write_all(b"c").unwrap();
+        io.create(&b).unwrap();
+        out.push(outcome(io.file_len(&b)));
+        let name = |p: PathBuf| p.strip_prefix(dir).unwrap().to_string_lossy().into_owned();
+        let mut names: Vec<String> = io.list(dir).unwrap().into_iter().map(name).collect();
+        names.sort();
+        out.push(format!("{names:?}"));
+        out.push(outcome(io.sync_dir(dir)));
+        out.push(outcome(io.remove(&c)));
+        out
+    }
+
+    #[test]
+    fn mem_io_answers_as_the_real_filesystem_does() {
+        let dir = temp("script-dir");
+        std::fs::create_dir_all(&dir).unwrap();
+        let real = script(&StdIo, &dir);
+        std::fs::remove_dir_all(&dir).ok();
+        let mem = MemIo::default();
+        assert_eq!(script(&mem, &dir), real);
+        assert_eq!(real[0], "NotFound");
+        assert_eq!(real[6], "UnexpectedEof");
+        assert_eq!(real[10], format!("{:?}", b"hello?\0\0x".to_vec()));
+        // Only files directly under a directory are its entries, sorted.
+        mem.create(Path::new("/d/z")).unwrap();
+        mem.create(Path::new("/d/sub/y")).unwrap();
+        mem.create(Path::new("/d/a")).unwrap();
+        let listed = mem.list(Path::new("/d")).unwrap();
+        assert_eq!(listed, [Path::new("/d/a"), Path::new("/d/z")]);
+        // No offset or length panics.
+        assert!(mem.read_range(Path::new("/d/a"), u64::MAX, 1).is_err());
+        assert!(mem.read_range(Path::new("/d/a"), 0, usize::MAX).is_err());
+    }
+
+    /// A seeded fault schedule over a disk, as its `(outcomes, stats,
+    /// trace witness)`.
+    fn faulted_run(inner: Arc<dyn StorageIo>, path: &Path) -> (Vec<bool>, FaultIoStats, String) {
+        let io = FaultIo::new(inner, FaultConfig::quiet(77));
+        let trace = EventTrace::new();
+        io.set_trace(trace.clone(), "dev");
+        let mut f = io.create(path).unwrap();
+        io.set_config(FaultConfig {
+            eio_prob: 0.2,
+            fsync_fail_prob: 0.2,
+            torn_write_prob: 0.1,
+            enospc_after_bytes: Some(400),
+            ..FaultConfig::quiet(77)
+        });
+        let mut outcomes = Vec::new();
+        for i in 0..60u8 {
+            outcomes.push(f.write_all(&[i; 9]).is_ok());
+            outcomes.push(f.sync().is_ok());
+            outcomes.push(f.truncate(u64::from(i) * 3).is_ok());
+            outcomes.push(io.read_range(path, 0, 2).is_ok());
+        }
+        drop(f);
+        (outcomes, io.stats(), trace.witness())
+    }
+
+    #[test]
+    fn fault_io_injects_the_same_faults_over_either_disk() {
+        let path = temp("faulted");
+        let real = faulted_run(Arc::new(StdIo), &path);
+        StdIo.remove(&path).ok();
+        let mem = faulted_run(Arc::new(MemIo::default()), &path);
+        assert_eq!(mem, real);
+        assert!(real.1.injected_eio > 0 && real.1.injected_enospc > 0);
+    }
+
+    #[test]
+    fn an_injected_truncate_eio_is_traced() {
+        let io = FaultIo::new(Arc::new(MemIo::default()), FaultConfig::quiet(3));
+        let trace = EventTrace::new();
+        io.set_trace(trace.clone(), "dev");
+        let mut f = io.create(Path::new("/f")).unwrap();
+        io.set_config(FaultConfig {
+            eio_prob: 1.0,
+            ..FaultConfig::quiet(3)
+        });
+        assert!(f.truncate(0).is_err());
+        assert_eq!(io.stats().injected_eio, 1);
+        assert_eq!(trace.tail(), ["0 io dev eio\n"]);
     }
 }

@@ -7,14 +7,12 @@
 //! Collect Agent and time-range reads from the Wintermute Query Engine
 //! when a request misses the sensor caches (paper §V-B).
 //!
-//! Two engines implement the common [`StorageEngine`] trait:
-//!
-//! * [`backend::StorageBackend`] — the sharded in-memory keyspace;
-//! * [`engine::DurableBackend`] — the log-structured durable engine
-//!   layering a write-ahead log ([`wal`]), compressed immutable sealed
-//!   segments ([`segment`], [`compress`]), rollup tiers ([`rollup`])
-//!   and compaction on top of the in-memory backend used as its
-//!   memtable.
+//! One engine implements the [`StorageEngine`] trait:
+//! [`engine::DurableBackend`] layers a write-ahead log ([`wal`]),
+//! compressed sealed segments ([`segment`], [`compress`]), rollup tiers
+//! ([`rollup`]) and compaction over an in-memory memtable
+//! ([`backend::StorageBackend`]), on a data directory ([`StdIo`]) or an
+//! in-memory disk ([`MemIo`], [`DurableBackend::in_memory`]).
 //!
 //! Readings have one shape at rest: every write travels as a columnar
 //! [`ReadingBatch`] (one record kind in the journal, one insert path
@@ -48,12 +46,14 @@ pub mod segment;
 pub mod series;
 pub mod wal;
 
-pub use backend::{StorageBackend, StorageStats};
-pub use engine::{DurableBackend, DurableConfig, EngineStats, InsertAck, RecoveryReport};
+pub use backend::StorageBackend;
+pub use engine::{
+    DurableBackend, DurableConfig, EngineStats, InsertAck, RecoveryReport, StorageStats,
+};
 pub use health::{
     HealthConfig, HealthCore, HealthState, ReplayCounters, StorageHealthReport, TimeInState,
 };
-pub use io::{FaultConfig, FaultIo, FaultIoStats, StdIo, StorageIo};
+pub use io::{FaultConfig, FaultIo, FaultIoStats, MemIo, StdIo, StorageIo};
 pub use rollup::{AggFrame, RollupConfig, RollupStats, TierSpec, DEFAULT_TIER_WIDTHS_NS};
 pub use series::{Series, DEFAULT_PARTITION_NS};
 pub use wal::FsyncPolicy;
@@ -66,12 +66,11 @@ use dcdb_common::topic::Topic;
 
 /// The storage abstraction the rest of the stack programs against.
 ///
-/// Both the volatile [`StorageBackend`] and the durable
-/// [`DurableBackend`] implement it, so the Collect Agent and the Query
-/// Engine take an `Arc<dyn StorageEngine>` and pick durability at
-/// deployment time. Write methods return a [`Result`] so a durable
-/// engine can refuse to acknowledge data it failed to journal; the
-/// in-memory engine never fails.
+/// [`DurableBackend`] implements it, so the Collect Agent and the Query
+/// Engine take an `Arc<dyn StorageEngine>` whatever disk sits beneath;
+/// the federation's replica tap and test doubles wrap one. Write
+/// methods return a [`Result`] so the engine can refuse to acknowledge
+/// data it failed to journal.
 pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// Inserts a columnar batch for `topic` — the one write method an
     /// engine implements.
@@ -99,14 +98,9 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     fn query(&self, topic: &Topic, t0: Timestamp, t1: Timestamp) -> Vec<SensorReading>;
     /// The newest reading for `topic`.
     fn latest(&self, topic: &Topic) -> Option<SensorReading>;
-    /// Timestamp of the oldest stored reading for `topic`. Engines
-    /// override this with an index lookup; the default materializes a
-    /// full range query.
-    fn oldest_ts(&self, topic: &Topic) -> Option<Timestamp> {
-        self.query(topic, Timestamp::ZERO, Timestamp::MAX)
-            .first()
-            .map(|r| r.ts)
-    }
+    /// Timestamp of the oldest stored reading for `topic`, from the
+    /// index rather than a range query.
+    fn oldest_ts(&self, topic: &Topic) -> Option<Timestamp>;
     /// True when any data exists for `topic`.
     fn contains(&self, topic: &Topic) -> bool;
     /// All topics with stored data.
@@ -115,37 +109,27 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     fn evict_before(&self, cutoff: Timestamp) -> usize;
     /// Counter snapshot.
     fn stats(&self) -> StorageStats;
-    /// Makes all acknowledged data durable (no-op for volatile engines).
-    fn flush(&self) -> Result<()> {
-        Ok(())
-    }
+    /// Makes all acknowledged data durable: seals the memtable and
+    /// fsyncs the journal.
+    fn flush(&self) -> Result<()>;
     /// One background maintenance pass (sealing, compaction, retention).
-    fn maintain(&self, _now: Timestamp) -> Result<()> {
-        Ok(())
-    }
-    /// Health report, for engines that track one (`None` for volatile
-    /// engines, which cannot fail).
-    fn health(&self) -> Option<StorageHealthReport> {
-        None
-    }
+    fn maintain(&self, now: Timestamp) -> Result<()>;
+    /// The health report; [`DurableBackend`] always keeps one.
+    fn health(&self) -> Option<StorageHealthReport>;
     /// Bucket widths (ns) of the continuous-aggregation rollup tiers
-    /// this engine maintains, ascending; empty when the engine keeps no
-    /// rollups (the planner then answers every aggregate from raw).
-    fn rollup_tiers(&self) -> Vec<u64> {
-        Vec::new()
-    }
+    /// this engine maintains, ascending; empty when rollups are off
+    /// (the planner then answers every aggregate from raw).
+    fn rollup_tiers(&self) -> Vec<u64>;
     /// Aggregate frames of the `width_ns` tier whose buckets overlap
-    /// `[t0, t1]`, ascending by bucket. Engines without rollups return
-    /// no frames and the planner falls back to raw readings.
+    /// `[t0, t1]`, ascending by bucket; none when the engine keeps no
+    /// such tier, and the planner falls back to raw readings.
     fn query_frames(
         &self,
-        _topic: &Topic,
-        _width_ns: u64,
-        _t0: Timestamp,
-        _t1: Timestamp,
-    ) -> Vec<AggFrame> {
-        Vec::new()
-    }
+        topic: &Topic,
+        width_ns: u64,
+        t0: Timestamp,
+        t1: Timestamp,
+    ) -> Vec<AggFrame>;
     /// Per-sensor last-applied watermark: the newest stored timestamp
     /// for `topic`. Replication catch-up replays a source engine only
     /// past the destination's watermark; because every engine dedups

@@ -197,6 +197,12 @@ impl SealedFile {
                 min_key: u64::from_le_bytes(take(8)?.try_into().unwrap()),
                 max_key: u64::from_le_bytes(take(8)?.try_into().unwrap()),
             };
+            // Block ranges are read from disk: one outside the block
+            // area would size a read of up to 4 GiB before failing.
+            let end = meta.offset.checked_add(u64::from(meta.len));
+            if meta.offset < header_len as u64 || end.is_none_or(|end| end > index_offset) {
+                return Err(corrupt("block out of range"));
+            }
             max_key = max_key.max(meta.max_key);
             items += meta.count as usize;
             index.insert(topic, meta);
@@ -442,11 +448,25 @@ mod tests {
             let mut huge = index.clone();
             huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
             refused(&join(&body, &huge, format), "truncated index");
+            // A block range outside the block area must fail the open,
+            // not size a read.
+            let (bad, ok) = (t("/r0/n0/power"), t("/r0/n1/temp"));
+            let entry = 4 + 2 + bad.as_str().len() + 8; // [u32 len][u32 crc]
+            let forged = |at: usize, bytes: &[u8]| {
+                let mut forged = index.clone();
+                forged[at..at + bytes.len()].copy_from_slice(bytes);
+                join(&body, &forged, format)
+            };
+            let overlong = forged(entry, &u32::MAX.to_le_bytes());
+            refused(&overlong, "block out of range");
+            let into_header = forged(entry - 8, &0u64.to_le_bytes());
+            refused(&into_header, "block out of range");
+            let wrapping = forged(entry - 8, &u64::MAX.to_le_bytes());
+            refused(&wrapping, "block out of range");
 
             // A damaged block leaves the index valid: the file opens,
             // the block read fails its checksum, other blocks still read.
             let file = open(&flipped(header_len + 2)).unwrap();
-            let (bad, ok) = (t("/r0/n0/power"), t("/r0/n1/temp"));
             let err = file.read_block(&bad, file.meta(&bad).unwrap());
             assert!(err.unwrap_err().to_string().contains("block checksum"));
             assert!(file.read_block(&ok, file.meta(&ok).unwrap()).is_ok());
@@ -456,7 +476,6 @@ mod tests {
             // block's checksum in the index and the index's in the
             // trailer recomputed to match, must surface as a parse
             // error from the typed reader — not size an allocation.
-            let entry = 4 + 2 + bad.as_str().len() + 8; // [u32 len][u32 crc]
             let len = u32::from_le_bytes(index[entry..entry + 4].try_into().unwrap()) as usize;
             let (mut body, mut index) = (body.clone(), index.clone());
             body[header_len..header_len + 4].copy_from_slice(&u32::MAX.to_le_bytes());

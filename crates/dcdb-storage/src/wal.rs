@@ -20,7 +20,7 @@
 //! [`WalWriter::append_group`] assembles the records of a run of
 //! batches back to back in one buffer and hands it to one `write_all`:
 //! the bytes are those of the same batches appended one at a time, so
-//! [`replay`] and every journal written before groups existed read as
+//! [`replay_with`] and every journal written before groups existed read as
 //! they always did. What a group changes is the cost — one `write(2)`
 //! for the run instead of one per batch — and what a failure covers: a
 //! failed group write is rolled back whole and none of the group is
@@ -83,7 +83,7 @@
 //!   WAL file and re-journal.
 
 use crate::crc::crc32;
-use crate::io::{IoFile, StdIo, StorageIo};
+use crate::io::{IoFile, StorageIo};
 use dcdb_common::batch::{
     extend_le_i64s, extend_le_u64s, read_le_i64s, read_le_u64s, ReadingBatch,
 };
@@ -107,7 +107,7 @@ const MAX_PAYLOAD: u32 = 1 << 30;
 const COLUMNAR_FLAG: u32 = 1 << 31;
 
 /// Payload bytes of a record carrying `readings` readings under a
-/// `topic_len`-byte topic, or `None` when [`replay`] would refuse a
+/// `topic_len`-byte topic, or `None` when [`replay_with`] would refuse a
 /// record that long.
 fn payload_len(topic_len: usize, readings: usize) -> Option<usize> {
     let len = readings.checked_mul(16)?.checked_add(2 + topic_len + 4)?;
@@ -336,12 +336,8 @@ impl Drop for PipelinedSync {
 }
 
 impl WalWriter {
-    /// Creates a fresh WAL at `path`, truncating any existing file.
-    pub fn create(path: &Path, policy: FsyncPolicy) -> Result<WalWriter> {
-        WalWriter::create_with(&StdIo, path, policy)
-    }
-
-    /// [`WalWriter::create`] over an explicit [`StorageIo`].
+    /// Creates a fresh WAL at `path` on `io`, truncating any existing
+    /// file.
     pub fn create_with(io: &dyn StorageIo, path: &Path, policy: FsyncPolicy) -> Result<WalWriter> {
         let mut file = io.create(path)?;
         file.write_all(WAL_MAGIC)?;
@@ -359,13 +355,9 @@ impl WalWriter {
         })
     }
 
-    /// Reopens an existing WAL for appending, truncating it to
-    /// `good_len` first (the clean prefix a prior [`replay`] validated).
-    pub fn open_append(path: &Path, policy: FsyncPolicy, good_len: u64) -> Result<WalWriter> {
-        WalWriter::open_append_with(&StdIo, path, policy, good_len)
-    }
-
-    /// [`WalWriter::open_append`] over an explicit [`StorageIo`].
+    /// Reopens the WAL at `path` on `io` for appending, truncating it to
+    /// `good_len` first (the clean prefix a prior [`replay_with`]
+    /// validated).
     pub fn open_append_with(
         io: &dyn StorageIo,
         path: &Path,
@@ -398,7 +390,7 @@ impl WalWriter {
     /// unless `entries` is empty). On return those records are in the
     /// file (and fsynced, under `FsyncPolicy::Always`); each body is its
     /// batch's two packed columns, copied with two bulk little-endian
-    /// appends. A record past the size [`replay`] accepts ends the
+    /// appends. A record past the size [`replay_with`] accepts ends the
     /// prefix before it, and is an error when it comes first.
     ///
     /// On a failed write the file is truncated back to its last good
@@ -570,7 +562,7 @@ impl WalWriter {
     }
 }
 
-/// Outcome of a [`replay`].
+/// Outcome of a [`replay_with`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalReplay {
     /// Complete record batches recovered.
@@ -580,23 +572,19 @@ pub struct WalReplay {
     /// True when a torn or corrupt tail stopped replay early.
     pub torn_tail: bool,
     /// Length of the validated prefix — reopen for append with
-    /// [`WalWriter::open_append`] at this offset to drop the torn tail.
+    /// [`WalWriter::open_append_with`] at this offset to drop the torn tail.
     pub good_len: u64,
     /// Bytes past the validated prefix that replay discarded (torn or
     /// corrupt tail). Zero on a clean replay.
     pub discarded_bytes: u64,
 }
 
-/// Replays a WAL, calling `sink(topic, batch)` per recovered record.
+/// Replays the WAL at `path` on `io`, calling `sink(topic, batch)` per
+/// recovered record.
 ///
 /// Tolerates a torn tail: a truncated or CRC-corrupt record terminates
 /// replay without error, reporting `torn_tail = true` and the length of
 /// the clean prefix.
-pub fn replay(path: &Path, sink: impl FnMut(Topic, ReadingBatch)) -> Result<WalReplay> {
-    replay_with(&StdIo, path, sink)
-}
-
-/// [`replay`] over an explicit [`StorageIo`].
 pub fn replay_with(
     io: &dyn StorageIo,
     path: &Path,
@@ -685,7 +673,7 @@ fn decode_payload(payload: &[u8]) -> Option<(Topic, ReadingBatch)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{FaultConfig, FaultIo};
+    use crate::io::{FaultConfig, FaultIo, StdIo};
     use dcdb_common::reading::SensorReading;
     use dcdb_common::time::Timestamp;
     use std::fs::OpenOptions;
@@ -709,14 +697,14 @@ mod tests {
 
     fn collect_replay(path: &Path) -> (Vec<(Topic, ReadingBatch)>, WalReplay) {
         let mut got = Vec::new();
-        let rep = replay(path, |topic, batch| got.push((topic, batch))).unwrap();
+        let rep = replay_with(&StdIo, path, |topic, batch| got.push((topic, batch))).unwrap();
         (got, rep)
     }
 
     #[test]
     fn append_replay_round_trip() {
         let path = temp_wal("roundtrip");
-        let mut w = WalWriter::create(&path, FsyncPolicy::Never).unwrap();
+        let mut w = WalWriter::create_with(&StdIo, &path, FsyncPolicy::Never).unwrap();
         w.append_batch(&t("/n0/power"), &b(&[r(1, 1), r(2, 2)]))
             .unwrap();
         w.append_batch(&t("/n1/temp"), &b(&[r(-7, 3)])).unwrap();
@@ -736,7 +724,7 @@ mod tests {
     #[test]
     fn torn_tail_is_tolerated_and_prefix_recovered() {
         let path = temp_wal("torn");
-        let mut w = WalWriter::create(&path, FsyncPolicy::Never).unwrap();
+        let mut w = WalWriter::create_with(&StdIo, &path, FsyncPolicy::Never).unwrap();
         w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
         let good = w.bytes_written();
         w.append_batch(&t("/a/b"), &b(&[r(2, 2), r(3, 3)])).unwrap();
@@ -753,7 +741,8 @@ mod tests {
         assert_eq!(rep.discarded_bytes, (full - good) / 2);
         assert_eq!(got[0].1, b(&[r(1, 1)]));
         // Reopening at good_len drops the tail; appends continue cleanly.
-        let mut w = WalWriter::open_append(&path, FsyncPolicy::Never, rep.good_len).unwrap();
+        let mut w =
+            WalWriter::open_append_with(&StdIo, &path, FsyncPolicy::Never, rep.good_len).unwrap();
         w.append_batch(&t("/a/b"), &b(&[r(4, 4)])).unwrap();
         w.sync().unwrap();
         let (got, rep) = collect_replay(&path);
@@ -766,7 +755,7 @@ mod tests {
     #[test]
     fn corrupt_record_stops_replay() {
         let path = temp_wal("corrupt");
-        let mut w = WalWriter::create(&path, FsyncPolicy::Never).unwrap();
+        let mut w = WalWriter::create_with(&StdIo, &path, FsyncPolicy::Never).unwrap();
         w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
         let good = w.bytes_written();
         w.append_batch(&t("/a/b"), &b(&[r(2, 2)])).unwrap();
@@ -788,7 +777,7 @@ mod tests {
     fn rejects_non_wal_files() {
         let path = temp_wal("garbage");
         std::fs::write(&path, b"not a wal").unwrap();
-        assert!(replay(&path, |_, _| {}).is_err());
+        assert!(replay_with(&StdIo, &path, |_, _| {}).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -806,7 +795,7 @@ mod tests {
     #[test]
     fn empty_wal_replays_clean() {
         let path = temp_wal("empty");
-        let w = WalWriter::create(&path, FsyncPolicy::Always).unwrap();
+        let w = WalWriter::create_with(&StdIo, &path, FsyncPolicy::Always).unwrap();
         drop(w);
         let (got, rep) = collect_replay(&path);
         assert!(got.is_empty());
@@ -820,7 +809,7 @@ mod tests {
         let path = temp_wal("poison");
         let mut cfg = FaultConfig::quiet(11);
         cfg.fsync_fail_prob = 1.0;
-        let io = FaultIo::std(cfg);
+        let io = FaultIo::new(Arc::new(StdIo), cfg);
         let w = WalWriter::create_with(&io, &path, FsyncPolicy::Never);
         // Creation syncs the magic — with fsync always failing, creation
         // itself fails. Create clean, then arm the fault.
@@ -841,7 +830,7 @@ mod tests {
     #[test]
     fn empty_and_multi_reading_batches_replay_in_order() {
         let path = temp_wal("columnar");
-        let mut w = WalWriter::create(&path, FsyncPolicy::Never).unwrap();
+        let mut w = WalWriter::create_with(&StdIo, &path, FsyncPolicy::Never).unwrap();
         let batch = b(&[r(10, 1), r(20, 2), r(30, 3)]);
         w.append_batch(&t("/n1/temp"), &batch).unwrap();
         w.append_batch(&t("/n2/flow"), &ReadingBatch::new())
@@ -866,7 +855,7 @@ mod tests {
         // columnar prefix before it is kept, everything from it on is
         // discarded.
         let path = temp_wal("row-kind");
-        let mut w = WalWriter::create(&path, FsyncPolicy::Never).unwrap();
+        let mut w = WalWriter::create_with(&StdIo, &path, FsyncPolicy::Never).unwrap();
         w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
         let good = w.bytes_written();
         drop(w);
@@ -883,7 +872,9 @@ mod tests {
         let mut data = std::fs::read(&path).unwrap();
         data.extend_from_slice(&record);
         std::fs::write(&path, &data).unwrap();
-        let mut w = WalWriter::open_append(&path, FsyncPolicy::Never, data.len() as u64).unwrap();
+        let mut w =
+            WalWriter::open_append_with(&StdIo, &path, FsyncPolicy::Never, data.len() as u64)
+                .unwrap();
         w.append_batch(&t("/a/b"), &b(&[r(3, 3)])).unwrap();
         drop(w);
         let (got, rep) = collect_replay(&path);
@@ -911,7 +902,7 @@ mod tests {
     #[test]
     fn columnar_records_survive_extreme_values() {
         let path = temp_wal("columnar-extreme");
-        let mut w = WalWriter::create(&path, FsyncPolicy::Never).unwrap();
+        let mut w = WalWriter::create_with(&StdIo, &path, FsyncPolicy::Never).unwrap();
         let batch = ReadingBatch::from_columns(
             vec![0, u64::MAX, u64::MAX / 2],
             vec![i64::MIN, i64::MAX, -1],
@@ -930,7 +921,7 @@ mod tests {
         // must still land durably and replay byte-clean, and explicit
         // sync must act as a full barrier.
         let path = temp_wal("pipelined");
-        let mut w = WalWriter::create(&path, FsyncPolicy::EveryN(4)).unwrap();
+        let mut w = WalWriter::create_with(&StdIo, &path, FsyncPolicy::EveryN(4)).unwrap();
         let mut batch = ReadingBatch::new();
         for i in 0..100u64 {
             batch.clear();
@@ -957,7 +948,7 @@ mod tests {
         // FaultIo files are not clonable (determinism), so EveryN falls
         // back to in-line syncs — and a failing one must still poison.
         let path = temp_wal("everyn-fault");
-        let io = FaultIo::std(FaultConfig::quiet(23));
+        let io = FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(23));
         let mut w = WalWriter::create_with(&io, &path, FsyncPolicy::EveryN(2)).unwrap();
         w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
         let mut cfg = FaultConfig::quiet(23);
@@ -972,7 +963,7 @@ mod tests {
     #[test]
     fn torn_append_rolls_back_to_clean_prefix() {
         let path = temp_wal("rollback");
-        let io = FaultIo::std(FaultConfig::quiet(17));
+        let io = FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(17));
         let mut w = WalWriter::create_with(&io, &path, FsyncPolicy::Never).unwrap();
         w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
         let good = w.bytes_written();

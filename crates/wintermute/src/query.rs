@@ -237,9 +237,9 @@ impl QueryEngine {
 
     /// Creates an engine backed by a storage engine (Collect Agent
     /// deployment: "data is retrieved from the local sensor cache, if
-    /// possible, or otherwise queried from the Storage Backend"). Both
-    /// the in-memory [`dcdb_storage::StorageBackend`] and the durable
-    /// [`dcdb_storage::DurableBackend`] fit here.
+    /// possible, or otherwise queried from the Storage Backend"): a
+    /// [`dcdb_storage::DurableBackend`] over a data directory or an
+    /// in-memory disk, or a wrapper around one.
     pub fn with_storage(cache_capacity: usize, storage: Arc<dyn StorageEngine>) -> QueryEngine {
         QueryEngine {
             storage: Some(storage),
@@ -747,7 +747,7 @@ impl std::fmt::Debug for QueryEngine {
 mod tests {
     use super::*;
     use dcdb_common::time::NS_PER_SEC;
-    use dcdb_storage::StorageBackend;
+    use dcdb_storage::DurableBackend;
 
     fn t(s: &str) -> Topic {
         Topic::parse(s).unwrap()
@@ -806,7 +806,7 @@ mod tests {
 
     #[test]
     fn storage_fallback_for_old_ranges() {
-        let storage: Arc<dyn StorageEngine> = Arc::new(StorageBackend::new());
+        let storage: Arc<dyn StorageEngine> = Arc::new(DurableBackend::in_memory());
         let qe = QueryEngine::with_storage(8, Arc::clone(&storage));
         // 50 readings but the cache only holds the last 8.
         for i in 1..=50u64 {
@@ -839,7 +839,7 @@ mod tests {
         // Cache of 8 over 50 readings: the cache holds 43..=50, so
         // cache_oldest = 43s. Any range with t0 < 43 <= t1 must stitch
         // storage and cache with reading 43 appearing exactly once.
-        let storage: Arc<dyn StorageEngine> = Arc::new(StorageBackend::new());
+        let storage: Arc<dyn StorageEngine> = Arc::new(DurableBackend::in_memory());
         let qe = QueryEngine::with_storage(8, Arc::clone(&storage));
         for i in 1..=50u64 {
             qe.insert(&t("/n1/power"), r(i as i64, i));
@@ -882,7 +882,7 @@ mod tests {
     /// planner boundary without a durable engine.
     #[derive(Debug)]
     struct PartialRollupStore {
-        inner: StorageBackend,
+        inner: DurableBackend,
         frame_end_s: u64,
     }
     impl StorageEngine for PartialRollupStore {
@@ -891,14 +891,16 @@ mod tests {
             topic: &Topic,
             batch: &ReadingBatch,
         ) -> dcdb_common::error::Result<()> {
-            self.inner.insert_columns(topic, batch);
-            Ok(())
+            self.inner.insert_columns(topic, batch)
         }
         fn query(&self, topic: &Topic, t0: Timestamp, t1: Timestamp) -> Vec<SensorReading> {
             self.inner.query(topic, t0, t1)
         }
         fn latest(&self, topic: &Topic) -> Option<SensorReading> {
             self.inner.latest(topic)
+        }
+        fn oldest_ts(&self, topic: &Topic) -> Option<Timestamp> {
+            self.inner.oldest_ts(topic)
         }
         fn contains(&self, topic: &Topic) -> bool {
             self.inner.contains(topic)
@@ -910,7 +912,16 @@ mod tests {
             self.inner.evict_before(cutoff)
         }
         fn stats(&self) -> dcdb_storage::StorageStats {
-            StorageEngine::stats(&self.inner)
+            self.inner.stats()
+        }
+        fn flush(&self) -> dcdb_common::error::Result<()> {
+            self.inner.flush()
+        }
+        fn maintain(&self, now: Timestamp) -> dcdb_common::error::Result<()> {
+            self.inner.maintain(now)
+        }
+        fn health(&self) -> Option<dcdb_storage::StorageHealthReport> {
+            StorageEngine::health(&self.inner)
         }
         fn rollup_tiers(&self) -> Vec<u64> {
             vec![10 * NS_PER_SEC]
@@ -976,7 +987,7 @@ mod tests {
         // exactly once, and the tier-planned answer equals the pure
         // raw-scan answer bucket for bucket.
         let storage: Arc<dyn StorageEngine> = Arc::new(PartialRollupStore {
-            inner: StorageBackend::new(),
+            inner: DurableBackend::in_memory(),
             frame_end_s: 30,
         });
         let qe = QueryEngine::with_storage(8, Arc::clone(&storage));
@@ -1008,7 +1019,7 @@ mod tests {
     #[test]
     fn agg_step_not_divisible_by_tier_falls_back_to_raw() {
         let storage: Arc<dyn StorageEngine> = Arc::new(PartialRollupStore {
-            inner: StorageBackend::new(),
+            inner: DurableBackend::in_memory(),
             frame_end_s: 60,
         });
         let qe = QueryEngine::with_storage(8, Arc::clone(&storage));
@@ -1063,11 +1074,13 @@ mod tests {
 
     #[test]
     fn relative_falls_back_to_storage_when_cache_empty() {
-        let storage = Arc::new(StorageBackend::new());
-        storage.insert_columns(
-            &t("/cold/sensor"),
-            &(1..=20u64).map(|i| r(i as i64, i)).collect(),
-        );
+        let storage = Arc::new(DurableBackend::in_memory());
+        storage
+            .insert_columns(
+                &t("/cold/sensor"),
+                &(1..=20u64).map(|i| r(i as i64, i)).collect(),
+            )
+            .unwrap();
         let qe = QueryEngine::with_storage(8, storage);
         let got = qe.query(
             &t("/cold/sensor"),
@@ -1166,7 +1179,7 @@ mod tests {
 
     #[test]
     fn readings_a_cache_refuses_are_counted() {
-        let storage = Arc::new(StorageBackend::new());
+        let storage = Arc::new(DurableBackend::in_memory());
         let qe = QueryEngine::with_storage(8, storage);
         let topic = t("/n1/power");
         qe.insert(&topic, r(1, 10));
@@ -1194,7 +1207,7 @@ mod tests {
     /// releases it — a disk scan of controllable length.
     #[derive(Debug)]
     struct ParkingStore {
-        inner: StorageBackend,
+        inner: DurableBackend,
         armed: std::sync::atomic::AtomicBool,
         entered: std::sync::Mutex<std::sync::mpsc::Sender<()>>,
         release: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
@@ -1205,8 +1218,7 @@ mod tests {
             topic: &Topic,
             batch: &ReadingBatch,
         ) -> dcdb_common::error::Result<()> {
-            self.inner.insert_columns(topic, batch);
-            Ok(())
+            self.inner.insert_columns(topic, batch)
         }
         fn query(&self, topic: &Topic, t0: Timestamp, t1: Timestamp) -> Vec<SensorReading> {
             if self.armed.load(Ordering::SeqCst) {
@@ -1218,6 +1230,9 @@ mod tests {
         fn latest(&self, topic: &Topic) -> Option<SensorReading> {
             self.inner.latest(topic)
         }
+        fn oldest_ts(&self, topic: &Topic) -> Option<Timestamp> {
+            self.inner.oldest_ts(topic)
+        }
         fn contains(&self, topic: &Topic) -> bool {
             self.inner.contains(topic)
         }
@@ -1228,7 +1243,28 @@ mod tests {
             self.inner.evict_before(cutoff)
         }
         fn stats(&self) -> dcdb_storage::StorageStats {
-            StorageEngine::stats(&self.inner)
+            self.inner.stats()
+        }
+        fn flush(&self) -> dcdb_common::error::Result<()> {
+            self.inner.flush()
+        }
+        fn maintain(&self, now: Timestamp) -> dcdb_common::error::Result<()> {
+            self.inner.maintain(now)
+        }
+        fn health(&self) -> Option<dcdb_storage::StorageHealthReport> {
+            StorageEngine::health(&self.inner)
+        }
+        fn rollup_tiers(&self) -> Vec<u64> {
+            self.inner.rollup_tiers()
+        }
+        fn query_frames(
+            &self,
+            topic: &Topic,
+            width_ns: u64,
+            t0: Timestamp,
+            t1: Timestamp,
+        ) -> Vec<AggFrame> {
+            self.inner.query_frames(topic, width_ns, t0, t1)
         }
     }
 
@@ -1242,7 +1278,7 @@ mod tests {
         let (entered_tx, entered_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel();
         let store = Arc::new(ParkingStore {
-            inner: StorageBackend::new(),
+            inner: DurableBackend::in_memory(),
             armed: false.into(),
             entered: entered_tx.into(),
             release: release_rx.into(),

@@ -20,7 +20,7 @@ use dcdb_collectagent::{CollectAgent, CollectAgentConfig, SimJobSource};
 use dcdb_common::time::{Timestamp, NS_PER_SEC};
 use dcdb_common::topic::Topic;
 use dcdb_pusher::{Pusher, PusherConfig, SimMonitoringPlugin};
-use dcdb_storage::StorageBackend;
+use dcdb_storage::DurableBackend;
 use dcdb_wintermute::dcdb_sim::report::{write_json_report, BenchMeta};
 use oda_ml::stats::{mean, quantile};
 use parking_lot::Mutex;
@@ -148,7 +148,7 @@ fn run_app(config: &Fig7Config, app: AppModel) -> Fig7Result {
     }
 
     // Collect Agent with the persyst job operator (pipeline stage 2).
-    let storage = Arc::new(StorageBackend::new());
+    let storage = Arc::new(DurableBackend::in_memory());
     let agent =
         CollectAgent::new(CollectAgentConfig::default(), &broker.handle(), storage).expect("agent");
     let job_source: Arc<dyn JobDataSource> = Arc::new(SimJobSource::new(Arc::clone(&sim)));

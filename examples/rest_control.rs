@@ -16,7 +16,7 @@ use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use dcdb_rest::{http_request, Method, RestServer, Router};
-use dcdb_storage::StorageBackend;
+use dcdb_storage::DurableBackend;
 use std::sync::Arc;
 use wintermute::prelude::*;
 use wintermute_plugins::AggregatorPlugin;
@@ -24,7 +24,7 @@ use wintermute_plugins::AggregatorPlugin;
 fn main() {
     // --- A Collect Agent with some sensor data and an aggregator. ---
     let broker = Broker::new();
-    let storage = Arc::new(StorageBackend::new());
+    let storage = Arc::new(DurableBackend::in_memory());
     let agent = Arc::new(
         CollectAgent::new(CollectAgentConfig::default(), &broker.handle(), storage).unwrap(),
     );

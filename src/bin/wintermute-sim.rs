@@ -90,7 +90,7 @@
 //! backoff base). The status line and `GET /metrics` show spool depth
 //! and connection state.
 //!
-//! Storage I/O faults (durable mode only): any of `--io-fault-seed`,
+//! Storage I/O faults: any of `--io-fault-seed`,
 //! `--enospc-after`, `--eio-prob`, `--fsync-fail-prob` or
 //! `--io-latency-ms` routes every byte of each durable engine through
 //! its own seeded fault-injecting [`FaultIo`] VFS, armed once the
@@ -104,15 +104,13 @@
 //! `GET /health` (503 once read-only) and under `storage.health` in
 //! `GET /metrics`.
 //!
-//! Persistence:
-//!
-//! * `--data-dir DIR` — durable mode: storage becomes a
-//!   [`DurableBackend`] journaling every reading to a WAL before it is
-//!   acknowledged and sealing compressed segments under `DIR` (one
-//!   subdirectory per node when federated). On restart each engine
-//!   recovers every acked insert (and prints a recovery report).
-//!   `--fsync` picks the WAL sync policy, and `--retention-secs`
-//!   bounds how much history is kept on disk.
+//! Persistence: each engine is a [`DurableBackend`] journaling every
+//! reading to a WAL before it is acknowledged and sealing compressed
+//! segments — under `--data-dir DIR` (one subdirectory per node when
+//! federated; on restart each engine recovers every acked insert and
+//! prints a recovery report), otherwise on one in-memory disk that dies
+//! with the process. `--fsync` picks the WAL sync policy, and
+//! `--retention-secs` bounds how much history is kept.
 
 use dcdb_wintermute::dcdb_bus::{
     Broker, BusConfig, ChaosBus, ChaosConfig, MessageBus, OverflowPolicy,
@@ -129,8 +127,8 @@ use dcdb_wintermute::dcdb_pusher::{
 };
 use dcdb_wintermute::dcdb_rest::{RestServer, Router};
 use dcdb_wintermute::dcdb_storage::{
-    DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, StdIo, StorageBackend,
-    StorageEngine, StorageHealthReport, StorageIo,
+    DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, MemIo, StdIo, StorageEngine,
+    StorageHealthReport, StorageIo,
 };
 use dcdb_wintermute::sim_cluster::{ClusterConfig, ClusterSimulator, Topology};
 use dcdb_wintermute::wintermute::manager::OperatorTotals;
@@ -349,9 +347,9 @@ fn main() {
         retention_ns: flag::<u64>("--retention-secs").map(|s| s * 1_000_000_000),
         ..DurableConfig::default()
     };
-    // Optional seeded storage I/O fault injection (durable mode): ENOSPC /
-    // EIO / fsync failures / device latency exercise the engines' health
-    // state machine on a live deployment.
+    // Optional seeded storage I/O fault injection: ENOSPC / EIO / fsync
+    // failures / device latency exercise the engines' health state
+    // machine on a live deployment.
     let io_faults = {
         let seed = flag::<u64>("--io-fault-seed");
         let cfg = FaultConfig {
@@ -369,7 +367,7 @@ fn main() {
             || cfg.eio_prob > 0.0
             || cfg.fsync_fail_prob > 0.0
             || cfg.latency_ns > 0;
-        (requested && data_dir.is_some()).then_some(cfg)
+        requested.then_some(cfg)
     };
     if let Some(cfg) = &io_faults {
         println!(
@@ -384,27 +382,29 @@ fn main() {
     }
     // `(node ordinal, node id) -> engine`. The single tier calls it once;
     // the federation keeps it as its storage factory, so a node it
-    // restarts is opened, recovered and fault-armed the same way.
+    // restarts is opened, recovered and fault-armed the same way. The
+    // disk is the real filesystem under `--data-dir`, otherwise one
+    // in-memory disk for the whole process.
     let open_storage = {
-        let data_dir = data_dir.clone();
+        let (disk, root): (Arc<dyn StorageIo>, _) = match data_dir.clone() {
+            Some(dir) => (Arc::new(StdIo), dir),
+            None => (Arc::new(MemIo::default()), PathBuf::from("/")),
+        };
         move |ordinal: usize, node_id: &str| -> Result<Arc<dyn StorageEngine>> {
-            let Some(dir) = &data_dir else {
-                return Ok(Arc::new(StorageBackend::new()));
-            };
             let dir = match agents_n {
-                1 => dir.clone(),
-                _ => dir.join(node_id),
+                1 => root.clone(),
+                _ => root.join(node_id),
             };
             // Opened with the faults disarmed so startup recovery runs on
-            // the real filesystem; armed below for the live run.
+            // a clean disk; armed below for the live run.
             let fault_io = io_faults.map(|cfg| {
                 let seed = derive_seed(cfg.seed, ordinal as u64);
-                let io = Arc::new(FaultIo::std(FaultConfig::quiet(seed)));
-                (io, FaultConfig { seed, ..cfg })
+                let io = FaultIo::new(Arc::clone(&disk), FaultConfig::quiet(seed));
+                (Arc::new(io), FaultConfig { seed, ..cfg })
             });
             let io: Arc<dyn StorageIo> = match &fault_io {
                 Some((io, _)) => Arc::clone(io) as Arc<dyn StorageIo>,
-                None => Arc::new(StdIo),
+                None => Arc::clone(&disk),
             };
             let db = Arc::new(DurableBackend::open_with(io, &dir, durable_config.clone())?);
             let rec = db.recovery();
@@ -611,8 +611,8 @@ fn main() {
                 ops.push(agent.manager().metrics_totals());
                 health.extend(agent.storage().health());
             }
-            // Storage health segment, present in durable mode only: the
-            // worst engine's state over the summed counters.
+            // Storage health segment: the worst engine's state over the
+            // summed counters.
             let health_seg = match health.iter().map(|h| h.state).max_by_key(|s| *s as u8) {
                 Some(worst) => format!(
                     ", storage {} (errs {}, retries {}, rotations {}, buffered {}, shed {})",

@@ -320,7 +320,7 @@ fn enumerate_and_query(qe: &QueryEngine, selector: &str, step_ns: u64) -> Vec<(T
 #[test]
 fn single_agent_routes_serve_the_oracles_bytes() {
     let broker = dcdb_wintermute::dcdb_bus::Broker::new();
-    let storage = Arc::new(dcdb_wintermute::dcdb_storage::StorageBackend::new());
+    let storage = Arc::new(dcdb_wintermute::dcdb_storage::DurableBackend::in_memory());
     let agent = Arc::new(CollectAgent::new(Default::default(), &broker.handle(), storage).unwrap());
     for node in 0..3 {
         for sec in 1..=40u64 {

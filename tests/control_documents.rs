@@ -495,7 +495,31 @@ shards.*.query.sensors: integer
 shards.*.query.storage_errors: integer
 shards.*.query.storage_fallbacks: integer
 shards.*.query: object
-shards.*.storage.health: null
+shards.*.storage.health.buffered: integer
+shards.*.storage.health.cleanup_errors: integer
+shards.*.storage.health.conserved: bool
+shards.*.storage.health.drop_sync_errors: integer
+shards.*.storage.health.durable: integer
+shards.*.storage.health.fsync_poisonings: integer
+shards.*.storage.health.ingested: integer
+shards.*.storage.health.probes: integer
+shards.*.storage.health.quarantined: integer
+shards.*.storage.health.recovery.recovered_readings: integer
+shards.*.storage.health.recovery.torn_tails: integer
+shards.*.storage.health.recovery.wal_bytes_discarded: integer
+shards.*.storage.health.recovery: object
+shards.*.storage.health.seal_failures: integer
+shards.*.storage.health.shed: integer
+shards.*.storage.health.state: string
+shards.*.storage.health.time_in_state_ns.degraded: integer
+shards.*.storage.health.time_in_state_ns.healthy: integer
+shards.*.storage.health.time_in_state_ns.read_only: integer
+shards.*.storage.health.time_in_state_ns: object
+shards.*.storage.health.transitions: integer
+shards.*.storage.health.wal_rotations: integer
+shards.*.storage.health.write_errors: integer
+shards.*.storage.health.write_retries: integer
+shards.*.storage.health: object
 shards.*.storage.inserts: integer
 shards.*.storage.queries: integer
 shards.*.storage.readings: integer

@@ -11,7 +11,7 @@ use dcdb_wintermute::dcdb_common::{ConnectionState, ReconnectConfig, Timestamp, 
 use dcdb_wintermute::dcdb_pusher::{
     DeliveryConfig, Pusher, PusherConfig, SpoolConfig, TesterMonitoringPlugin,
 };
-use dcdb_wintermute::dcdb_storage::StorageBackend;
+use dcdb_wintermute::dcdb_storage::DurableBackend;
 use dcdb_wintermute::wintermute::prelude::PluginConfig;
 use dcdb_wintermute::wintermute_plugins;
 use parking_lot::Mutex;
@@ -206,7 +206,7 @@ fn staleness_raised_during_outage_and_cleared_after_recovery() {
                 ..CollectAgentConfig::default()
             },
             &broker.handle(),
-            Arc::new(StorageBackend::new()),
+            Arc::new(DurableBackend::in_memory()),
         )
         .unwrap(),
     );
@@ -350,7 +350,7 @@ fn fleet_of_pushers_shares_one_chaos_bus() {
     let agent = CollectAgent::new(
         CollectAgentConfig::default(),
         &broker.handle(),
-        Arc::new(StorageBackend::new()),
+        Arc::new(DurableBackend::in_memory()),
     )
     .unwrap();
 

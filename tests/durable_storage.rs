@@ -1,15 +1,18 @@
 //! Crash-recovery and equivalence tests for the durable storage engine:
 //! WAL replay with torn tails, compression round-trips on randomized
-//! sequences, and merged memtable+segment queries matching the pure
-//! in-memory backend reading for reading.
+//! sequences, merged memtable+segment queries matching the pure
+//! in-memory backend reading for reading, and the in-memory disk
+//! leaving what the real filesystem leaves.
 
 use dcdb_wintermute::dcdb_common::{ReadingBatch, SensorReading, Timestamp, Topic};
 use dcdb_wintermute::dcdb_storage::compress::{compress_columns, decompress_columns};
-use dcdb_wintermute::dcdb_storage::wal::{replay, WalWriter};
+use dcdb_wintermute::dcdb_storage::wal::{replay_with, WalWriter};
 use dcdb_wintermute::dcdb_storage::{
-    DurableBackend, DurableConfig, FsyncPolicy, StorageBackend, StorageEngine,
+    DurableBackend, DurableConfig, FsyncPolicy, MemIo, RecoveryReport, StdIo, StorageBackend,
+    StorageEngine, StorageIo,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn t(s: &str) -> Topic {
     Topic::parse(s).unwrap()
@@ -40,7 +43,7 @@ fn wal_replay_stops_cleanly_at_torn_tail() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("wal-0000000001.log");
     {
-        let mut w = WalWriter::create(&path, FsyncPolicy::Never).unwrap();
+        let mut w = WalWriter::create_with(&StdIo, &path, FsyncPolicy::Never).unwrap();
         for i in 1..=40u64 {
             w.append_batch(
                 &t("/n0/power"),
@@ -60,7 +63,7 @@ fn wal_replay_stops_cleanly_at_torn_tail() {
     for cut in [1usize, 3, 7, 12, 21] {
         std::fs::write(&path, &full[..full.len() - cut]).unwrap();
         let mut values = Vec::new();
-        let rep = replay(&path, |_, batch| values.extend(batch.values)).unwrap();
+        let rep = replay_with(&StdIo, &path, |_, batch| values.extend(batch.values)).unwrap();
         assert!(rep.torn_tail, "cut {cut} not flagged");
         assert!(rep.readings < 40, "cut {cut} delivered everything");
         // Complete-record prefix: values are exactly 1..=rep.readings.
@@ -205,4 +208,107 @@ fn recovery_preserves_merge_equivalence() {
     }
     drop(durable);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What one seeded insert → seal → compact → drop → reopen run on `io`
+/// under `dir` leaves: every file (name, bytes), the reopen's recovery
+/// report, and the reopened engine's answers.
+type Lifecycle = (Vec<(String, Vec<u8>)>, RecoveryReport, Vec<String>);
+
+fn seeded_lifecycle(io: Arc<dyn StorageIo>, dir: &Path) -> Lifecycle {
+    let config = DurableConfig {
+        fsync: FsyncPolicy::Always,
+        memtable_max_readings: 64,
+        compact_min_segments: 3,
+        ..DurableConfig::default()
+    };
+    let topics: Vec<Topic> = (0..5).map(|n| t(&format!("/r0/n{n}/power"))).collect();
+    let mut rng = Rng(0xD15C_2026_0000_0036);
+    let mut insert_some = |db: &DurableBackend, n: u64| {
+        for i in 0..n {
+            let topic = &topics[(rng.next() % 5) as usize];
+            // Mostly in order, with late and duplicate timestamps.
+            let secs = i + rng.next() % 40;
+            let batch: ReadingBatch = (0..1 + rng.next() % 4)
+                .map(|k| {
+                    SensorReading::new(rng.next() as i64 >> 40, Timestamp::from_secs(secs + k))
+                })
+                .collect();
+            db.insert_columns(topic, &batch).unwrap();
+            if i % 50 == 49 {
+                db.maintain(Timestamp::from_secs(secs)).unwrap();
+            }
+        }
+    };
+    {
+        let db = DurableBackend::open_with(Arc::clone(&io), dir, config.clone()).unwrap();
+        insert_some(&db, 400);
+        db.seal().unwrap();
+        db.compact().unwrap();
+        insert_some(&db, 30); // a WAL tail the reopen must replay
+    }
+    let db = DurableBackend::open_with(Arc::clone(&io), dir, config).unwrap();
+    let mut answers = Vec::new();
+    for topic in &topics {
+        let (t0, t1) = (Timestamp::from_secs(100), Timestamp::from_secs(300));
+        answers.push(format!(
+            "{:?}",
+            db.query(topic, Timestamp::ZERO, Timestamp::MAX)
+        ));
+        answers.push(format!("{:?}", db.query(topic, t0, t1)));
+        answers.push(format!("{:?} {:?}", db.latest(topic), db.oldest_ts(topic)));
+        for width in db.rollup_tiers() {
+            let frames = db.query_frames(topic, width, Timestamp::ZERO, Timestamp::MAX);
+            answers.push(format!("{frames:?}"));
+        }
+    }
+    let recovery = db.recovery();
+    drop(db);
+    let mut names: Vec<String> = io
+        .list(dir)
+        .unwrap()
+        .iter()
+        .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let files = names
+        .into_iter()
+        .map(|name| {
+            let bytes = io.read(&dir.join(&name)).unwrap();
+            (name, bytes)
+        })
+        .collect();
+    (files, recovery, answers)
+}
+
+#[test]
+fn the_in_memory_disk_leaves_what_the_real_one_leaves() {
+    let dir = temp_dir("faithful");
+    let real = seeded_lifecycle(Arc::new(StdIo), &dir);
+    std::fs::remove_dir_all(&dir).ok();
+    let mem = seeded_lifecycle(Arc::new(MemIo::default()), &dir);
+    let names = |l: &Lifecycle| l.0.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+    assert_eq!(names(&mem), names(&real));
+    for ((name, a), (_, b)) in mem.0.iter().zip(&real.0) {
+        assert!(a == b, "{name} differs: {} vs {} bytes", a.len(), b.len());
+    }
+    assert_eq!(mem.1, real.1);
+    assert_eq!(mem.2, real.2);
+    // The run exercised what it claims to: segments (one compacted),
+    // rollup segments, and a replayed WAL tail.
+    assert!(
+        names(&real).iter().any(|n| n.starts_with("seg-")),
+        "{:?}",
+        names(&real)
+    );
+    assert!(
+        names(&real).iter().any(|n| n.starts_with("rlu-")),
+        "{:?}",
+        names(&real)
+    );
+    assert!(
+        real.1.segments >= 1 && real.1.wal_readings > 0,
+        "{:?}",
+        real.1
+    );
 }

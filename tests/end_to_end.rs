@@ -9,7 +9,7 @@ use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_wintermute::dcdb_common::time::Timestamp;
 use dcdb_wintermute::dcdb_common::topic::Topic;
 use dcdb_wintermute::dcdb_pusher::{Pusher, PusherConfig, SimMonitoringPlugin};
-use dcdb_wintermute::dcdb_storage::StorageBackend;
+use dcdb_wintermute::dcdb_storage::DurableBackend;
 use dcdb_wintermute::sim_cluster::{AppModel, ClusterConfig, ClusterSimulator};
 use dcdb_wintermute::wintermute::prelude::*;
 use dcdb_wintermute::wintermute_plugins;
@@ -53,7 +53,7 @@ fn build_system() -> (
         wintermute_plugins::register_all(pusher.manager(), None);
         pushers.push(pusher);
     }
-    let storage = Arc::new(StorageBackend::new());
+    let storage = Arc::new(DurableBackend::in_memory());
     let agent = Arc::new(
         CollectAgent::new(CollectAgentConfig::default(), &broker.handle(), storage).unwrap(),
     );
@@ -186,7 +186,7 @@ fn process_pending_ingests_everything_published() {
     let mut pusher = Pusher::new(PusherConfig::default(), Some(broker.handle()));
     pusher.add_monitoring_plugin(Box::new(SimMonitoringPlugin::new(Arc::clone(&sim), 0)));
     pusher.refresh_sensor_tree();
-    let storage = Arc::new(StorageBackend::new());
+    let storage = Arc::new(DurableBackend::in_memory());
     let agent =
         CollectAgent::new(CollectAgentConfig::default(), &broker.handle(), storage).unwrap();
     for s in 1..=5u64 {

@@ -13,7 +13,7 @@ use dcdb_wintermute::dcdb_common::{DcdbError, ReadingBatch, SensorReading, Times
 use dcdb_wintermute::dcdb_pusher::{MonitoringPlugin, Pusher, PusherConfig};
 use dcdb_wintermute::dcdb_storage::{
     DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, HealthConfig, HealthState,
-    StorageBackend, StorageEngine, StorageIo,
+    StdIo, StorageEngine, StorageIo,
 };
 use dcdb_wintermute::wintermute::prelude::*;
 use dcdb_wintermute::wintermute_plugins;
@@ -46,7 +46,7 @@ fn stale_samples_are_rejected_but_do_not_poison_the_cache() {
 #[test]
 fn corrupt_frames_interleaved_with_good_ones() {
     let broker = Broker::new();
-    let storage = Arc::new(StorageBackend::new());
+    let storage = Arc::new(DurableBackend::in_memory());
     let agent =
         CollectAgent::new(CollectAgentConfig::default(), &broker.handle(), storage).unwrap();
     let bus = broker.handle();
@@ -348,7 +348,7 @@ fn torn_write_crash_points_recover_prefix_consistent() {
         std::fs::remove_dir_all(&dir).ok();
         // Open under a quiet schedule (a faulted initial WAL header is
         // a failed open, not a crash point), then arm the faults.
-        let io = Arc::new(FaultIo::std(FaultConfig::quiet(seed)));
+        let io = Arc::new(FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(seed)));
         let db =
             DurableBackend::open_with(Arc::clone(&io) as Arc<dyn StorageIo>, &dir, config.clone())
                 .unwrap();
@@ -515,7 +515,7 @@ struct Part {
 
 /// A durable engine whose every write fails with `EIO` from 1 s on.
 fn storage_part(dir: &std::path::Path) -> Part {
-    let io = Arc::new(FaultIo::std(FaultConfig::quiet(21)));
+    let io = Arc::new(FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(21)));
     let config = DurableConfig {
         fsync: FsyncPolicy::Always,
         health: HealthConfig {

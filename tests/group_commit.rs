@@ -17,8 +17,8 @@ use dcdb_wintermute::dcdb_federation::NodeEngine;
 use dcdb_wintermute::dcdb_storage::io::IoFile;
 use dcdb_wintermute::dcdb_storage::wal::WAL_MAGIC;
 use dcdb_wintermute::dcdb_storage::{
-    DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, HealthConfig, HealthState,
-    InsertAck, StdIo, StorageBackend, StorageEngine, StorageIo, StorageStats,
+    AggFrame, DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, HealthConfig,
+    HealthState, InsertAck, StdIo, StorageEngine, StorageHealthReport, StorageIo, StorageStats,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -451,7 +451,7 @@ fn a_replication_pump_costs_the_journal_writes_of_one_group() {
     };
     let io = Arc::new(SharedCountingIo(Arc::clone(&counts)));
     let standby = DurableBackend::open_with(io, &dir, config).unwrap();
-    let primary = NodeEngine::wrap(Arc::new(StorageBackend::new()));
+    let primary = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
     let stream = primary.attach(4_096, false);
     assert!(primary
         .insert_many(&one_reading_messages(512, 1))
@@ -662,7 +662,7 @@ fn a_group_write_torn_at_any_byte_recovers_to_whole_records() {
 /// a group spans several chunks, that never demotes to ReadOnly: a
 /// chunk whose write keeps failing is refused.
 fn faulty_engine(dir: &Path, seed: u64, max_retries: u32) -> (Arc<FaultIo>, DurableBackend) {
-    let io = Arc::new(FaultIo::std(FaultConfig::quiet(seed)));
+    let io = Arc::new(FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(seed)));
     let config = DurableConfig {
         fsync: FsyncPolicy::EveryN(4),
         health: HealthConfig {
@@ -760,7 +760,7 @@ fn enospc_refuses_entries_by_index_and_conserves_readings() {
 fn a_read_only_engine_buffers_a_group_entry_by_entry() {
     let group = distinct_entries(30);
     let dir = temp_dir("read-only");
-    let io = Arc::new(FaultIo::std(FaultConfig::quiet(3)));
+    let io = Arc::new(FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(3)));
     let config = DurableConfig {
         fsync: FsyncPolicy::EveryN(4),
         health: HealthConfig {
@@ -834,11 +834,29 @@ impl StorageEngine for Recorder {
     fn topics(&self) -> Vec<Topic> {
         Vec::new()
     }
+    fn oldest_ts(&self, _: &Topic) -> Option<Timestamp> {
+        None
+    }
     fn evict_before(&self, _: Timestamp) -> usize {
         0
     }
     fn stats(&self) -> StorageStats {
         StorageStats::default()
+    }
+    fn flush(&self) -> Result<()> {
+        Ok(())
+    }
+    fn maintain(&self, _: Timestamp) -> Result<()> {
+        Ok(())
+    }
+    fn health(&self) -> Option<StorageHealthReport> {
+        None
+    }
+    fn rollup_tiers(&self) -> Vec<u64> {
+        Vec::new()
+    }
+    fn query_frames(&self, _: &Topic, _: u64, _: Timestamp, _: Timestamp) -> Vec<AggFrame> {
+        Vec::new()
     }
 }
 

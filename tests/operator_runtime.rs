@@ -12,7 +12,7 @@ use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_wintermute::dcdb_common::error::Result as DcdbResult;
 use dcdb_wintermute::dcdb_common::{SensorReading, Timestamp, Topic};
 use dcdb_wintermute::dcdb_rest::{Method, Request, Router};
-use dcdb_wintermute::dcdb_storage::StorageBackend;
+use dcdb_wintermute::dcdb_storage::DurableBackend;
 use dcdb_wintermute::wintermute::manager::OperatorMetricsSnapshot;
 use dcdb_wintermute::wintermute::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -358,7 +358,7 @@ fn overrunning_operator_is_skipped_not_blocking() {
 #[test]
 fn metrics_flow_through_collect_agent_rest() {
     let broker = Broker::new();
-    let storage = Arc::new(StorageBackend::new());
+    let storage = Arc::new(DurableBackend::in_memory());
     let agent = Arc::new(
         CollectAgent::new(CollectAgentConfig::default(), &broker.handle(), storage).unwrap(),
     );

@@ -13,7 +13,7 @@
 
 use dcdb_wintermute::dcdb_bus::{decode_batch, encode_batch, Broker, MessageBus, TopicFilter};
 use dcdb_wintermute::dcdb_common::{ReadingBatch, SensorCache, SensorReading, Timestamp, Topic};
-use dcdb_wintermute::dcdb_storage::StorageBackend;
+use dcdb_wintermute::dcdb_storage::DurableBackend;
 use dcdb_wintermute::oda_ml::stats::deciles;
 use dcdb_wintermute::wintermute::prelude::*;
 use proptest::prelude::*;
@@ -76,7 +76,7 @@ proptest! {
         cap in 2usize..32,
     ) {
         prop_assume!(!readings.is_empty());
-        let storage = std::sync::Arc::new(StorageBackend::new());
+        let storage = std::sync::Arc::new(DurableBackend::in_memory());
         let qe = QueryEngine::with_storage(cap, storage);
         let topic = Topic::parse("/p/s").unwrap();
         for &r in &readings {

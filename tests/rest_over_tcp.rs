@@ -6,7 +6,7 @@ use dcdb_wintermute::dcdb_bus::{Broker, MessageBus};
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_wintermute::dcdb_common::{SensorReading, Timestamp, Topic};
 use dcdb_wintermute::dcdb_rest::{http_request, Method, RestServer, Router, ServerConfig};
-use dcdb_wintermute::dcdb_storage::StorageBackend;
+use dcdb_wintermute::dcdb_storage::DurableBackend;
 use dcdb_wintermute::wintermute::prelude::*;
 use dcdb_wintermute::wintermute_plugins;
 use std::io::{Read, Write};
@@ -20,7 +20,7 @@ fn served_agent() -> (RestServer, Arc<CollectAgent>, Broker) {
 
 fn served_agent_with(config: ServerConfig) -> (RestServer, Arc<CollectAgent>, Broker) {
     let broker = Broker::new();
-    let storage = Arc::new(StorageBackend::new());
+    let storage = Arc::new(DurableBackend::in_memory());
     let agent = Arc::new(
         CollectAgent::new(CollectAgentConfig::default(), &broker.handle(), storage).unwrap(),
     );

@@ -10,7 +10,7 @@ use dcdb_wintermute::dcdb_common::batch::ReadingBatch;
 use dcdb_wintermute::dcdb_common::reading::encode_f64;
 use dcdb_wintermute::dcdb_common::time::NS_PER_SEC;
 use dcdb_wintermute::dcdb_common::{SensorReading, Timestamp, Topic};
-use dcdb_wintermute::dcdb_storage::{StorageBackend, StorageEngine};
+use dcdb_wintermute::dcdb_storage::{DurableBackend, StorageEngine};
 use dcdb_wintermute::wintermute::prelude::*;
 use dcdb_wintermute::wintermute_plugins::persyst::decode_decile;
 use dcdb_wintermute::wintermute_plugins::{
@@ -104,9 +104,10 @@ fn handle_and_view_reads_equal_query() {
     let inputs = [&wrapped, &short, &empty, &cold, &late, &never];
     for with_storage in [false, true] {
         let engine = if with_storage {
-            let storage = Arc::new(StorageBackend::new());
+            let storage = Arc::new(DurableBackend::in_memory());
             // Stored before the engine existed: known to storage only.
-            storage.insert_columns(&cold, &(1..=30).map(|s| r(s as i64, s)).collect());
+            let batch = (1..=30).map(|s| r(s as i64, s)).collect();
+            storage.insert_columns(&cold, &batch).unwrap();
             QueryEngine::with_storage(8, storage as Arc<dyn StorageEngine>)
         } else {
             QueryEngine::new(8)
@@ -170,7 +171,7 @@ fn feed(engine: &QueryEngine, k: u64) {
 /// `1..=12`, a fan per node that never reports, and a manager with the
 /// in-tree plugins on it.
 fn plant() -> (Arc<QueryEngine>, Arc<OperatorManager>) {
-    let storage: Arc<dyn StorageEngine> = Arc::new(StorageBackend::new());
+    let storage: Arc<dyn StorageEngine> = Arc::new(DurableBackend::in_memory());
     let engine = Arc::new(QueryEngine::with_storage(8, storage));
     for k in 1..=12 {
         feed(&engine, k);
