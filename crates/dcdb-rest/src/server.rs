@@ -490,13 +490,16 @@ pub fn http_request(
 ) -> Result<(u16, String), DcdbError> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    write!(
-        stream,
+    // One `write_all` for head and body: `write!` on the unbuffered
+    // stream would issue a syscall per format piece, and Nagle holds each
+    // later piece back until the first is acknowledged.
+    let mut request = format!(
         "{method} {path} HTTP/1.1\r\nHost: dcdb\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    )?;
-    stream.write_all(body)?;
-    stream.flush()?;
+    )
+    .into_bytes();
+    request.extend_from_slice(body);
+    stream.write_all(&request)?;
     // Parse the status line + headers + body.
     use std::io::{BufRead, BufReader};
     let mut reader = BufReader::new(stream);
@@ -733,6 +736,31 @@ mod tests {
             assert!(Instant::now() < deadline, "reaping timed out: {m:?}");
             std::thread::sleep(Duration::from_millis(10));
         }
+    }
+
+    #[test]
+    fn http_request_sends_head_and_body_in_one_piece() {
+        // A peer that reads once, after the client had time to send
+        // everything, must find the whole request: pieces written apart
+        // would leave it parsing a partial head.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+            let mut buf = [0u8; 4096];
+            let n = conn.read(&mut buf).unwrap();
+            conn.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+                .unwrap();
+            String::from_utf8_lossy(&buf[..n]).into_owned()
+        });
+        let reply = http_request(addr, Method::Put, "/analytics/x", b"{\"a\":1}").unwrap();
+        assert_eq!(reply, (200, "ok".to_string()));
+        let got = peer.join().unwrap();
+        let (head, body) = got.split_once("\r\n\r\n").expect("the whole head");
+        assert!(head.starts_with("PUT /analytics/x HTTP/1.1\r\n"), "{got:?}");
+        assert!(head.contains("Content-Length: 7"), "{got:?}");
+        assert_eq!(body, "{\"a\":1}");
     }
 
     #[test]

@@ -19,9 +19,14 @@
 //! * *merged reads*: range queries stitch segment blocks and memtable
 //!   partitions, deduplicating by timestamp with newest-generation-wins
 //!   semantics (identical to overwrite behaviour of the memtable);
-//! * *compaction* and *retention*: background maintenance merges small
-//!   segments and drops whole segments past the retention horizon,
-//!   honoring the same `evict_before` semantics as the memtable;
+//! * *compaction* and *retention*: once `compact_min_segments` raw
+//!   segments exist — or rollup segments of one tier — maintenance
+//!   merges them into one, newest generation winning, streaming one
+//!   topic at a time and dropping what retention has expired; whole
+//!   segments past the retention horizon are retired, honoring the
+//!   same `evict_before` semantics as the memtable. Memory therefore
+//!   follows what is still open — the memtable and each sensor's open
+//!   rollup buckets — not how long the engine has run;
 //! * *fault tolerance* ([`crate::health`]): write errors are retried
 //!   with bounded exponential backoff, a poisoned WAL (failed fsync) is
 //!   rotated to a fresh file that re-journals the memtable, and when the
@@ -176,7 +181,8 @@ pub struct EngineStats {
     pub rollup_seal_failures: u64,
     /// Current number of sealed rollup segments.
     pub rollup_segments: usize,
-    /// Rollup frames currently hot in memory.
+    /// Rollup frames currently hot in memory: each sensor's open bucket
+    /// per tier plus the frames dirtied since the last rollup seal.
     pub rollup_hot_frames: usize,
     /// Readings folded into frames via the O(1) ascending fast path.
     pub rollup_folds: u64,
@@ -321,6 +327,31 @@ fn merge_newer<T>(mut acc: Vec<T>, newer: Vec<T>, key: &impl Fn(&T) -> u64) -> V
     out.extend(old);
     out.extend(new);
     out
+}
+
+/// The newest-generation-wins merge of `files` (oldest first), one topic
+/// at a time: each item is one topic's merged run with every key below
+/// `keep_from` cut, read only when the writer pulls it. A read error
+/// ends the merge with that error.
+fn merged_topics<'f, R: AsRef<SealedFile>, T>(
+    files: &'f [(u64, Arc<R>)],
+    read: impl Fn(&R, &Topic) -> Result<Vec<T>> + 'f,
+    key: impl Fn(&T) -> u64 + Copy + 'f,
+    keep_from: u64,
+) -> impl Iterator<Item = Result<(&'f Topic, Vec<T>)>> + 'f {
+    let topics: BTreeSet<&Topic> = files
+        .iter()
+        .flat_map(|(_, file)| (**file).as_ref().topics())
+        .collect();
+    topics.into_iter().map(move |topic| {
+        let runs = files
+            .iter()
+            .map(|(_, file)| read(file, topic))
+            .collect::<Result<Vec<_>>>()?;
+        let mut run = merge_generations(runs, key);
+        run.drain(..run.partition_point(|item| key(item) < keep_from));
+        Ok((topic, run))
+    })
 }
 
 impl DurableBackend {
@@ -965,19 +996,14 @@ impl DurableBackend {
             old
         };
 
+        // Written topic by topic: each topic's columns are copied out of
+        // the outgoing memtable only while its block is encoded.
         let mut topics = old.memtable.topics();
         topics.sort();
-        let entries: Vec<(Topic, ReadingBatch)> = topics
-            .into_iter()
-            .map(|t| {
-                let columns = old.memtable.columns(&t);
-                (t, columns)
-            })
-            .collect();
-        let sealed: usize = entries.iter().map(|(_, b)| b.len()).sum();
+        let sealed = old.memtable.readings();
         let seg_path = self.dir.join(format!("seg-{seg_seq:010}.seg"));
-
-        let written = write_segment_with(self.io.as_ref(), &seg_path, &entries);
+        let columns = topics.iter().map(|t| Ok((t, old.memtable.columns(t))));
+        let written = write_segment_with(self.io.as_ref(), &seg_path, columns);
         match self.publish(
             &self.segments,
             seg_seq,
@@ -1007,13 +1033,16 @@ impl DurableBackend {
             }
             Err(e) => {
                 // Seal failed (e.g. disk full): fold the outgoing
-                // memtable back into the active one. Its WAL files stay
-                // on disk, so crash recovery still covers every
-                // acknowledged insert; the next seal retries.
+                // memtable, still visible in the `sealing` slot, back
+                // into the active one. Its WAL files stay on disk, so
+                // crash recovery still covers every acknowledged insert;
+                // the next seal retries.
                 {
                     let active = self.active.read();
-                    for (topic, batch) in &entries {
-                        active.memtable.insert_columns(topic, batch);
+                    for topic in &topics {
+                        active
+                            .memtable
+                            .insert_columns(topic, &old.memtable.columns(topic));
                     }
                     self.memtable_readings.fetch_add(sealed, Ordering::Relaxed);
                 }
@@ -1026,7 +1055,7 @@ impl DurableBackend {
     }
 
     /// Writes every dirty rollup frame into one rollup segment per
-    /// tier, then evicts clean frames beyond the per-sensor hot cap.
+    /// tier, then lets go of every frame but each topic's open bucket.
     /// Called with `seal_lock` held.
     fn seal_rollups(&self) {
         let mut roll = self.rollup.lock();
@@ -1037,8 +1066,8 @@ impl DurableBackend {
             }
             let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
             let path = self.dir.join(format!("rlu-{seq:010}.rsg"));
-            let written =
-                write_rollup_segment_with(self.io.as_ref(), &path, spec.width_ns, &entries);
+            let dirty = entries.iter().map(|(topic, frames)| Ok((topic, frames)));
+            let written = write_rollup_segment_with(self.io.as_ref(), &path, spec.width_ns, dirty);
             let open = RollupSegmentReader::open_with;
             match self.publish(&self.rollup_segments, seq, &path, written, open) {
                 Ok(()) => {
@@ -1070,40 +1099,89 @@ impl DurableBackend {
         }
     }
 
-    /// Merges all sealed segments into one when at least
-    /// `compact_min_segments` exist. Returns true if a pass ran.
+    /// Merges the sealed segments into one once at least
+    /// `compact_min_segments` exist, and likewise each rollup tier's
+    /// segments. Returns true if a pass merged anything.
     pub fn compact(&self) -> Result<bool> {
+        self.compact_at(None)
+    }
+
+    /// [`DurableBackend::compact`], dropping from the merged files what
+    /// retention at `now` has expired: raw readings older than the raw
+    /// cutoff, and frames ending at or before their tier's cutoff.
+    /// Without the cut a merged file always reaches recent data, and
+    /// retention, which retires whole files, would never retire it.
+    fn compact_at(&self, now: Option<Timestamp>) -> Result<bool> {
         let _guard = self.seal_lock.lock();
-        let old = self.segments.read().clone();
+        let cutoff = |retention: Option<u64>| {
+            now.zip(retention)
+                .map_or(0, |(now, r)| now.saturating_sub_ns(r).as_nanos())
+        };
+        let mut merged = false;
+        let passes = (|| {
+            let keep_from = cutoff(self.config.retention_ns);
+            let kind = ("seg", "seg", SegmentReader::open_with as OpenSealed<_>);
+            merged |= self.merge_files(&self.segments, &|_| true, kind, |path, files| {
+                let read = |seg: &SegmentReader, topic: &Topic| {
+                    Ok(seg
+                        .read_topic(topic)?
+                        .map_or_else(Vec::new, |b| b.to_readings()))
+                };
+                let runs = merged_topics(files, read, |r| r.ts.as_nanos(), keep_from);
+                let batches = runs.map(|run| run.map(|(t, run)| (t, ReadingBatch::from_iter(run))));
+                write_segment_with(self.io.as_ref(), path, batches)
+            })?;
+            for spec in &self.config.rollup.tiers {
+                let width = spec.width_ns;
+                let keep_from = cutoff(spec.retention_ns).saturating_sub(width - 1);
+                let tier = |seg: &RollupSegmentReader| seg.width_ns() == width;
+                let kind = (
+                    "rlu",
+                    "rsg",
+                    RollupSegmentReader::open_with as OpenSealed<_>,
+                );
+                merged |= self.merge_files(&self.rollup_segments, &tier, kind, |path, files| {
+                    let read = RollupSegmentReader::read_topic;
+                    let runs = merged_topics(files, read, |f| f.bucket_ns, keep_from);
+                    write_rollup_segment_with(self.io.as_ref(), path, width, runs)
+                })?;
+            }
+            Ok(())
+        })();
+        if merged {
+            self.compactions.fetch_add(1, Ordering::Relaxed);
+        }
+        passes.map(|()| merged)
+    }
+
+    /// Merges the published files of `list` that `pick` selects into one
+    /// file that `write` streams from them, once `compact_min_segments`
+    /// of them exist, then retires them. Called with `seal_lock` held,
+    /// so every selected file published before the merged one is exactly
+    /// what was merged.
+    fn merge_files<R: AsRef<SealedFile>>(
+        &self,
+        list: &SealedList<R>,
+        pick: &dyn Fn(&R) -> bool,
+        (prefix, ext, open): (&str, &str, OpenSealed<R>),
+        write: impl FnOnce(&Path, &[(u64, Arc<R>)]) -> Result<()>,
+    ) -> Result<bool> {
+        let old: Vec<(u64, Arc<R>)> = list
+            .read()
+            .iter()
+            .filter(|(_, file)| pick(file))
+            .cloned()
+            .collect();
         if old.len() < self.config.compact_min_segments.max(2) {
             return Ok(false);
         }
-        let topics: BTreeSet<&Topic> = old.iter().flat_map(|(_, seg)| seg.topics()).collect();
-        let mut entries: Vec<(Topic, ReadingBatch)> = Vec::with_capacity(topics.len());
-        for topic in topics {
-            let mut runs = Vec::with_capacity(old.len());
-            for (_, seg) in old.iter() {
-                runs.extend(seg.read_topic(topic)?.map(|b| b.to_readings()));
-            }
-            let merged = merge_generations(runs, |r| r.ts.as_nanos());
-            entries.push((topic.clone(), merged.into_iter().collect()));
-        }
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let path = self.dir.join(format!("{prefix}-{seq:010}.{ext}"));
+        let written = write(&path, &old);
         // `retire` waits for every other holder of the old readers.
         drop(old);
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let path = self.dir.join(format!("seg-{seq:010}.seg"));
-        let written = write_segment_with(self.io.as_ref(), &path, &entries);
-        self.publish(
-            &self.segments,
-            seq,
-            &path,
-            written,
-            SegmentReader::open_with,
-        )?;
-        // `seal_lock` is held, so everything published before `seq` is
-        // exactly what was just merged.
-        self.retire(&self.segments, |s, _| s < seq);
-        self.compactions.fetch_add(1, Ordering::Relaxed);
+        self.publish(list, seq, &path, written, open)?;
+        self.retire(list, |s, file| s < seq && pick(file));
         Ok(true)
     }
 
@@ -1315,7 +1393,7 @@ impl StorageEngine for DurableBackend {
 
     /// One maintenance pass: advance the health clock, probe for
     /// recovery under ReadOnly when the backoff admits it, and (when the
-    /// journal is usable) seal, compact and apply retention.
+    /// journal is usable) seal, apply retention and compact.
     fn maintain(&self, now: Timestamp) -> Result<()> {
         if self.health.attempt_due(now) && self.health.state() == HealthState::ReadOnly {
             // The probe: a fresh WAL that re-journals the memtable.
@@ -1329,14 +1407,13 @@ impl StorageEngine for DurableBackend {
         if self.memtable_readings.load(Ordering::Relaxed) >= self.config.memtable_max_readings {
             self.seal()?;
         }
-        if self.segments.read().len() >= self.config.compact_min_segments.max(2) {
-            self.compact()?;
-        }
+        // Retire whole expired files first, so the merge reads only
+        // files that still hold a live reading or frame.
         if let Some(retention) = self.config.retention_ns {
             self.evict_before(now.saturating_sub_ns(retention));
         }
         self.evict_rollups(now);
-        Ok(())
+        self.compact_at(Some(now)).map(drop)
     }
 
     fn health(&self) -> Option<StorageHealthReport> {
@@ -1692,6 +1769,78 @@ mod tests {
     }
 
     #[test]
+    fn retention_holds_once_compaction_has_run() {
+        // 1 Hz for 5 000 s with 1 000 s retention, maintained every 10 s:
+        // a merge every other seal always reaches recent data, so only
+        // the merge itself can drop what has expired. A sealed segment
+        // straddling the cutoff stays whole until the next merge, so a
+        // reading may outlive the cutoff by one merge interval: the
+        // merged file plus `compact_min_segments - 1` seals of 100 s.
+        let dir = TempDir::new("retention-after-compaction");
+        let config = DurableConfig {
+            retention_ns: Some(1_000 * NS_PER_SEC),
+            ..small_config()
+        };
+        let slack = (config.compact_min_segments - 1) * config.memtable_max_readings;
+        let db = DurableBackend::open(dir.path(), config).unwrap();
+        let topic = t("/n0/power");
+        for i in 1..=5_000u64 {
+            db.insert(&topic, r(i as i64, i)).unwrap();
+            if i % 10 == 0 {
+                db.maintain(Timestamp::from_secs(i)).unwrap();
+                let kept = db.query(&topic, Timestamp::ZERO, Timestamp::MAX);
+                let floor = i.saturating_sub(1_000 + slack as u64);
+                assert!(
+                    kept[0].ts >= Timestamp::from_secs(floor),
+                    "at {i} s the oldest reading is {:?}, {} kept",
+                    kept[0].ts,
+                    kept.len()
+                );
+            }
+        }
+        assert!(db.engine_stats().compactions >= 2);
+    }
+
+    #[test]
+    fn rollup_compaction_keeps_the_newest_version_of_every_bucket() {
+        // A seal every 100 s rewrites the open 5 min bucket into each
+        // rollup file, and late overwrites recompute buckets whose frames
+        // already left memory: every tier must still equal the raw
+        // truth while compaction keeps merging its files, and after a
+        // reopen.
+        let dir = TempDir::new("rollup-compaction");
+        let config = small_config();
+        let widths: Vec<u64> = config.rollup.tiers.iter().map(|t| t.width_ns).collect();
+        let files_max = widths.len() * config.compact_min_segments;
+        let db = DurableBackend::open(dir.path(), config.clone()).unwrap();
+        let topic = t("/n0/power");
+        let check = |db: &DurableBackend, at: u64| {
+            let raw = db.query(&topic, Timestamp::ZERO, Timestamp::MAX);
+            for &width in &widths {
+                let frames = db.query_frames(&topic, width, Timestamp::ZERO, Timestamp::MAX);
+                let want = AggFrame::from_readings(width, &raw);
+                assert_eq!(frames, want, "{width} ns tier at {at} s");
+            }
+        };
+        for i in 1..=2_000u64 {
+            db.insert(&topic, r(i as i64 * 3, i)).unwrap();
+            if i % 150 == 0 {
+                db.insert(&topic, r(-1, i - 120)).unwrap();
+            }
+            if i % 10 == 0 {
+                db.maintain(Timestamp::from_secs(i)).unwrap();
+                assert!(db.engine_stats().rollup_segments < files_max);
+            }
+            if i % 100 == 0 {
+                check(&db, i);
+            }
+        }
+        assert!(db.engine_stats().compactions >= 3);
+        drop(db);
+        check(&DurableBackend::open(dir.path(), config).unwrap(), 2_000);
+    }
+
+    #[test]
     fn concurrent_ingest_with_seals() {
         let dir = TempDir::new("concurrent");
         let db = Arc::new(DurableBackend::open(dir.path(), small_config()).unwrap());
@@ -1777,10 +1926,7 @@ mod tests {
         let dir = TempDir::new("tier-read-during-seal");
         let config = DurableConfig {
             memtable_max_readings: 2,
-            rollup: RollupConfig {
-                tiers: vec![tier],
-                hot_frames_per_sensor: 1,
-            },
+            rollup: RollupConfig { tiers: vec![tier] },
             ..small_config()
         };
         let db = DurableBackend::open(dir.path(), config).unwrap();
@@ -1839,7 +1985,6 @@ mod tests {
                     width_ns: NS_PER_SEC,
                     retention_ns: Some(NS_PER_SEC),
                 }],
-                hot_frames_per_sensor: 1,
             },
             ..small_config()
         };

@@ -27,13 +27,18 @@
 //! Frames therefore never double-count a reading that exists in both a
 //! sealed segment and the memtable, and never count a timestamp twice.
 //!
-//! ## Durability
+//! ## Durability and footprint
 //!
 //! Hot frames live in memory and are persisted as *rollup segments*
 //! (`rlu-<seq>.rsg`, one per tier per seal) whenever the engine seals
-//! its memtable. The frames themselves are **not** WAL-journaled:
-//! after a crash the engine replays the raw WAL into its memtable and
-//! rebuilds the affected frames from that raw replay (see
+//! its memtable. Only *open* frames stay hot: once a tier is sealed it
+//! keeps, per sensor, just its newest bucket (the one the fold is still
+//! extending) until new readings dirty more; every sealed frame is
+//! served from its segment. A bucket written by several seals has one
+//! version per file; the engine compacts each tier's segments like raw
+//! ones, the newest version winning. The frames themselves are **not**
+//! WAL-journaled: after a crash the engine replays the raw WAL into its
+//! memtable and rebuilds the affected frames from that raw replay (see
 //! `DurableBackend::open_with`), so rollup durability rides entirely on
 //! the raw WAL. A frame lost between raw seal and rollup seal merely
 //! degrades the planner to the raw path for that bucket.
@@ -78,18 +83,12 @@ impl TierSpec {
 pub struct RollupConfig {
     /// Tiers in ascending width order; empty disables rollups.
     pub tiers: Vec<TierSpec>,
-    /// Per tier and per sensor, keep at most this many *clean* (already
-    /// sealed) frames hot in memory; older clean frames are evicted at
-    /// seal time and served from rollup segments instead. Dirty frames
-    /// are never evicted by the cap.
-    pub hot_frames_per_sensor: usize,
 }
 
 impl Default for RollupConfig {
     fn default() -> Self {
         RollupConfig {
             tiers: DEFAULT_TIER_WIDTHS_NS.map(TierSpec::new).to_vec(),
-            hot_frames_per_sensor: 4096,
         }
     }
 }
@@ -97,10 +96,7 @@ impl Default for RollupConfig {
 impl RollupConfig {
     /// A config with rollups disabled.
     pub fn disabled() -> RollupConfig {
-        RollupConfig {
-            tiers: Vec::new(),
-            hot_frames_per_sensor: 0,
-        }
+        RollupConfig { tiers: Vec::new() }
     }
 }
 
@@ -253,7 +249,8 @@ pub struct RollupStats {
     pub folds: u64,
     /// Buckets re-aggregated from the raw query path.
     pub recomputes: u64,
-    /// Frames currently held in memory across all tiers.
+    /// Frames currently held in memory across all tiers: each topic's
+    /// open bucket plus the frames dirtied since the last rollup seal.
     pub hot_frames: usize,
     /// Hot frames modified since the last rollup seal.
     pub dirty_frames: usize,
@@ -281,7 +278,6 @@ struct TierAccum {
 /// the durable engine behind a mutex.
 pub struct RollupState {
     tiers: Vec<TierAccum>,
-    hot_cap: usize,
     folds: u64,
     recomputes: u64,
 }
@@ -299,7 +295,6 @@ impl RollupState {
                     topics: HashMap::new(),
                 })
                 .collect(),
-            hot_cap: config.hot_frames_per_sensor,
             folds: 0,
             recomputes: 0,
         }
@@ -365,7 +360,7 @@ impl RollupState {
                         } else {
                             // The bucket may have history the
                             // accumulator never saw (sealed segments,
-                            // evicted hot frames, fresh open).
+                            // sealed frames let go, fresh open).
                             recompute.insert(bucket);
                         }
                     }
@@ -456,29 +451,19 @@ impl RollupState {
         out
     }
 
-    /// Marks every dirty frame of the tier clean (its current state is
-    /// now durable in a rollup segment), then evicts the oldest clean
-    /// frames beyond the per-sensor hot cap.
+    /// Marks the tier sealed: every frame it holds was just written to a
+    /// rollup segment, so each topic keeps only its newest (open) bucket,
+    /// clean, for the fast fold to extend. The segments serve the rest.
     pub fn mark_sealed(&mut self, width_ns: u64) {
         let Some(tier) = self.tiers.iter_mut().find(|t| t.spec.width_ns == width_ns) else {
             return;
         };
         for accum in tier.topics.values_mut() {
+            while accum.frames.len() > 1 {
+                accum.frames.pop_first();
+            }
             for hot in accum.frames.values_mut() {
                 hot.dirty = false;
-            }
-            if self.hot_cap > 0 && accum.frames.len() > self.hot_cap {
-                let excess = accum.frames.len() - self.hot_cap;
-                let evict: Vec<u64> = accum
-                    .frames
-                    .iter()
-                    .filter(|(_, h)| !h.dirty)
-                    .map(|(b, _)| *b)
-                    .take(excess)
-                    .collect();
-                for b in evict {
-                    accum.frames.remove(&b);
-                }
             }
         }
     }
@@ -596,22 +581,28 @@ fn decode_frames(block: &[u8]) -> Result<Vec<AggFrame>> {
     Ok(cols.into_iter().map(AggFrame::from_cols).collect())
 }
 
-/// Writes a rollup segment for one tier; topics with no frames are
-/// skipped. See [`sealed::write`] for the failure contract.
-pub fn write_rollup_segment_with(
+/// Writes a rollup segment for one tier from per-topic frames (each
+/// ascending by bucket), pulling one topic at a time; topics with no
+/// frames are skipped. See [`sealed::write`] for the failure contract.
+pub fn write_rollup_segment_with<'a, F: AsRef<[AggFrame]>>(
     io: &dyn StorageIo,
     path: &Path,
     width_ns: u64,
-    entries: &[(Topic, Vec<AggFrame>)],
+    entries: impl IntoIterator<Item = Result<(&'a Topic, F)>>,
 ) -> Result<()> {
-    let blocks = entries.iter().filter_map(|(topic, frames)| {
-        Some(Block {
-            topic,
-            bytes: encode_frames(frames),
-            count: frames.len() as u32,
-            min_key: frames.first()?.bucket_ns,
-            max_key: frames.last()?.bucket_ns,
-        })
+    let blocks = entries.into_iter().filter_map(|entry| {
+        entry
+            .map(|(topic, frames)| {
+                let frames = frames.as_ref();
+                Some(Block {
+                    topic,
+                    bytes: encode_frames(frames),
+                    count: frames.len() as u32,
+                    min_key: frames.first()?.bucket_ns,
+                    max_key: frames.last()?.bucket_ns,
+                })
+            })
+            .transpose()
     });
     sealed::write(io, path, &FORMAT, &width_ns.to_le_bytes(), blocks)
 }
@@ -668,6 +659,19 @@ impl RollupSegmentReader {
     /// Start of the newest bucket in the segment; `None` when empty.
     pub fn max_bucket(&self) -> Option<u64> {
         self.file.max_key()
+    }
+
+    /// Every frame of `topic`, ascending. A block no query has pinned
+    /// yet is decoded for this call only: compaction reads each block
+    /// once, just before the file is retired.
+    pub(crate) fn read_topic(&self, topic: &Topic) -> Result<Vec<AggFrame>> {
+        if let Some(all) = self.decoded.lock().get(topic) {
+            return Ok(all.to_vec());
+        }
+        match self.file.meta(topic) {
+            Some(meta) => decode_frames(&self.file.read_block(topic, meta)?),
+            None => Ok(Vec::new()),
+        }
     }
 
     /// Frames of `topic` whose buckets overlap `[t0, t1]`, ascending.
@@ -758,7 +762,6 @@ mod tests {
         let width = 10;
         let config = RollupConfig {
             tiers: vec![TierSpec::new(width)],
-            hot_frames_per_sensor: 16,
         };
         let mut state = RollupState::new(&config);
         let topic = t("/r0/n0/power");
@@ -787,7 +790,6 @@ mod tests {
         let width = 10;
         let config = RollupConfig {
             tiers: vec![TierSpec::new(width)],
-            hot_frames_per_sensor: 16,
         };
         let mut state = RollupState::new(&config);
         let topic = t("/r0/n0/power");
@@ -822,8 +824,8 @@ mod tests {
                 f
             })
             .collect();
-        let entries = vec![(t("/r0/n0/power"), frames.clone())];
-        write_rollup_segment_with(&StdIo, &path, width, &entries).unwrap();
+        let topic = t("/r0/n0/power");
+        write_rollup_segment_with(&StdIo, &path, width, [Ok((&topic, &frames))]).unwrap();
         let reader = RollupSegmentReader::open_with(Arc::new(StdIo), &path).unwrap();
         assert_eq!(reader.width_ns(), width);
         assert_eq!(reader.frame_count(), 50);

@@ -77,7 +77,8 @@ pub struct BlockMeta {
 }
 
 /// Writes a sealed file atomically. `blocks` is consumed lazily, so only
-/// one encoded block is in memory at a time.
+/// one encoded block is in memory at a time; an `Err` among them aborts
+/// the file before it is renamed into place.
 ///
 /// On failure the temp file may remain behind — the engine counts (and
 /// retries) its removal rather than silently leaking it.
@@ -86,7 +87,7 @@ pub fn write<'a>(
     path: &Path,
     format: &Format,
     ext: &[u8],
-    blocks: impl Iterator<Item = Block<'a>>,
+    blocks: impl Iterator<Item = Result<Block<'a>>>,
 ) -> Result<()> {
     assert_eq!(ext.len(), format.ext_len, "header extension length");
     let tmp = path.with_extension("tmp");
@@ -100,6 +101,7 @@ pub fn write<'a>(
         let mut count = 0u32;
         let mut entries = Vec::new();
         for block in blocks {
+            let block = block?;
             file.write_all(&block.bytes)?;
             let topic = block.topic.as_str().as_bytes();
             entries.extend_from_slice(&(topic.len() as u16).to_le_bytes());
@@ -318,7 +320,8 @@ mod tests {
             (t("/r0/n1/empty"), ReadingBatch::new()),
             (t("/r0/n1/temp"), temp),
         ];
-        write_segment_with(&StdIo, path, &entries).unwrap();
+        let entries = entries.iter().map(|(topic, batch)| Ok((topic, batch)));
+        write_segment_with(&StdIo, path, entries).unwrap();
     }
 
     /// Writes the fixed rollup segment the golden hash was taken from.
@@ -339,7 +342,8 @@ mod tests {
             (t("/r0/n1/empty"), Vec::new()),
             (t("/r0/n1/temp"), temp),
         ];
-        write_rollup_segment_with(&StdIo, path, WIDTH, &entries).unwrap();
+        let entries = entries.iter().map(|(topic, frames)| Ok((topic, frames)));
+        write_rollup_segment_with(&StdIo, path, WIDTH, entries).unwrap();
     }
 
     /// Reads the first topic's whole block through the typed reader.
@@ -369,6 +373,24 @@ mod tests {
         assert_eq!((bytes.len(), crc32(&bytes)), (1344, 0xb7e6_93c8));
         // Nothing but the two renamed files is left behind.
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A failed block pull aborts the file: the error comes back and
+    /// nothing is renamed into place.
+    #[test]
+    fn an_error_among_the_blocks_publishes_nothing() {
+        let dir = temp_dir("abort");
+        let path = dir.join("seg-0000000001.seg");
+        let topic = t("/r0/n0/power");
+        let batch = ReadingBatch::from_columns(vec![1, 2], vec![3, 4]);
+        let entries = [
+            Ok((&topic, &batch)),
+            Err(DcdbError::Parse("read failed".into())),
+        ];
+        let err = write_segment_with(&StdIo, &path, entries).unwrap_err();
+        assert!(err.to_string().contains("read failed"), "{err}");
+        assert!(!path.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

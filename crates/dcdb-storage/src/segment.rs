@@ -16,6 +16,7 @@ use dcdb_common::error::Result;
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
+use std::borrow::Borrow;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -26,24 +27,31 @@ pub(crate) const FORMAT: Format = Format {
     kind: "segment",
 };
 
-/// Writes a segment file from per-topic columns.
+/// Writes a segment file from per-topic columns, pulling one topic at a
+/// time: a caller that builds each batch on demand holds one topic's
+/// readings, never the whole file's.
 ///
 /// `entries` must contain each batch sorted by timestamp (the memtable
 /// guarantees this); topics may come in any order and empty batches are
 /// skipped. See [`sealed::write`] for the failure contract.
-pub fn write_segment_with(
+pub fn write_segment_with<'a, B: Borrow<ReadingBatch>>(
     io: &dyn StorageIo,
     path: &Path,
-    entries: &[(Topic, ReadingBatch)],
+    entries: impl IntoIterator<Item = Result<(&'a Topic, B)>>,
 ) -> Result<()> {
-    let blocks = entries.iter().filter_map(|(topic, batch)| {
-        Some(Block {
-            topic,
-            bytes: compress_columns(&batch.ts, &batch.values),
-            count: batch.len() as u32,
-            min_key: *batch.ts.first()?,
-            max_key: *batch.ts.last()?,
-        })
+    let blocks = entries.into_iter().filter_map(|entry| {
+        entry
+            .map(|(topic, batch)| {
+                let batch = batch.borrow();
+                Some(Block {
+                    topic,
+                    bytes: compress_columns(&batch.ts, &batch.values),
+                    count: batch.len() as u32,
+                    min_key: *batch.ts.first()?,
+                    max_key: *batch.ts.last()?,
+                })
+            })
+            .transpose()
     });
     sealed::write(io, path, &FORMAT, &[], blocks)
 }
@@ -165,7 +173,8 @@ mod tests {
             (t("/n0/power"), (1..=100).map(|i| r(i, i as u64)).collect()),
             (t("/n1/temp"), (50..=80).map(|i| r(-i, i as u64)).collect()),
         ];
-        write_segment_with(&StdIo, &path, &entries).unwrap();
+        let pulled = entries.iter().map(|(topic, batch)| Ok((topic, batch)));
+        write_segment_with(&StdIo, &path, pulled).unwrap();
         let seg = SegmentReader::open_with(Arc::new(StdIo), &path).unwrap();
         assert_eq!(seg.reading_count(), 131);
         assert!(seg.contains(&t("/n0/power")));
@@ -206,7 +215,8 @@ mod tests {
             (t("/a/b"), ReadingBatch::new()),
             (t("/c/d"), ReadingBatch::from_columns(vec![1], vec![1])),
         ];
-        write_segment_with(&StdIo, &path, &entries).unwrap();
+        let pulled = entries.iter().map(|(topic, batch)| Ok((topic, batch)));
+        write_segment_with(&StdIo, &path, pulled).unwrap();
         let seg = SegmentReader::open_with(Arc::new(StdIo), &path).unwrap();
         assert!(!seg.contains(&t("/a/b")));
         assert_eq!(seg.reading_count(), 1);

@@ -355,29 +355,6 @@ impl WalWriter {
         })
     }
 
-    /// Reopens the WAL at `path` on `io` for appending, truncating it to
-    /// `good_len` first (the clean prefix a prior [`replay_with`]
-    /// validated).
-    pub fn open_append_with(
-        io: &dyn StorageIo,
-        path: &Path,
-        policy: FsyncPolicy,
-        good_len: u64,
-    ) -> Result<WalWriter> {
-        let file = io.open_append(path, good_len)?;
-        Ok(WalWriter {
-            file,
-            path: path.to_path_buf(),
-            policy,
-            appends_since_sync: 0,
-            bytes: good_len,
-            poisoned: false,
-            scratch: Vec::new(),
-            syncer: None,
-            syncer_unavailable: false,
-        })
-    }
-
     /// Journals one columnar batch for `topic`: the one-record case of
     /// [`WalWriter::append_group`].
     pub fn append_batch(&mut self, topic: &Topic, batch: &ReadingBatch) -> Result<()> {
@@ -571,8 +548,7 @@ pub struct WalReplay {
     pub readings: usize,
     /// True when a torn or corrupt tail stopped replay early.
     pub torn_tail: bool,
-    /// Length of the validated prefix — reopen for append with
-    /// [`WalWriter::open_append_with`] at this offset to drop the torn tail.
+    /// Length of the validated prefix: every byte past it was discarded.
     pub good_len: u64,
     /// Bytes past the validated prefix that replay discarded (torn or
     /// corrupt tail). Zero on a clean replay.
@@ -740,15 +716,6 @@ mod tests {
         assert_eq!(rep.good_len, good);
         assert_eq!(rep.discarded_bytes, (full - good) / 2);
         assert_eq!(got[0].1, b(&[r(1, 1)]));
-        // Reopening at good_len drops the tail; appends continue cleanly.
-        let mut w =
-            WalWriter::open_append_with(&StdIo, &path, FsyncPolicy::Never, rep.good_len).unwrap();
-        w.append_batch(&t("/a/b"), &b(&[r(4, 4)])).unwrap();
-        w.sync().unwrap();
-        let (got, rep) = collect_replay(&path);
-        assert!(!rep.torn_tail);
-        assert_eq!(rep.batches, 2);
-        assert_eq!(got[1].1, b(&[r(4, 4)]));
         std::fs::remove_file(&path).ok();
     }
 
@@ -869,14 +836,17 @@ mod tests {
         record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         record.extend_from_slice(&crc32(&payload).to_le_bytes());
         record.extend_from_slice(&payload);
-        let mut data = std::fs::read(&path).unwrap();
-        data.extend_from_slice(&record);
-        std::fs::write(&path, &data).unwrap();
-        let mut w =
-            WalWriter::open_append_with(&StdIo, &path, FsyncPolicy::Never, data.len() as u64)
-                .unwrap();
+        // A good columnar record after it, cut from a second journal.
+        let other = temp_wal("row-kind-next");
+        let mut w = WalWriter::create_with(&StdIo, &other, FsyncPolicy::Never).unwrap();
         w.append_batch(&t("/a/b"), &b(&[r(3, 3)])).unwrap();
         drop(w);
+        let next = std::fs::read(&other).unwrap();
+        std::fs::remove_file(&other).ok();
+        let mut data = std::fs::read(&path).unwrap();
+        data.extend_from_slice(&record);
+        data.extend_from_slice(&next[WAL_MAGIC.len()..]);
+        std::fs::write(&path, &data).unwrap();
         let (got, rep) = collect_replay(&path);
         assert!(rep.torn_tail);
         assert_eq!(rep.batches, 1);
