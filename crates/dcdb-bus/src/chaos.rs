@@ -5,7 +5,7 @@
 //! partitions as routine events; the follow-up deployment report singles
 //! out transport resilience as what production ODA demanded beyond the
 //! prototype. [`ChaosBus`] makes those failures *reproducible*: it wraps
-//! a real [`BusHandle`] behind the same [`MessageBus`] surface and
+//! any [`MessageBus`] behind the same surface and
 //! injects faults from a seeded schedule, so an outage observed in a
 //! test or bench replays bit-for-bit from the same seed.
 //!
@@ -22,21 +22,21 @@
 //!   prefix are refused (one pusher cut off from the agent while the
 //!   rest of the system keeps flowing).
 //!
-//! The wrapper is clocked by *virtual time*: it ticks from a shared
-//! [`SimClock`] — the driver calls [`ChaosBus::advance`] with every
-//! tick timestamp (a monotonic `fetch_max`, so out-of-order ticks can
-//! never rewind an outage window), or hands the same clock to the
-//! storage and delivery fault layers so one timeline drives compound
-//! failures. When an [`EventTrace`] is attached, every injected fault
-//! is appended to the canonical trace whose hash witnesses replay
-//! determinism.
+//! The wrapper reads the one [`Clock`] its owner hands it at
+//! construction — the same clock the owner hands the storage fault
+//! layer and the federation, so one timeline drives compound failures.
+//! The owner calls [`ChaosBus::advance`] with every tick timestamp: it
+//! moves the clock (a monotonic `fetch_max`, so out-of-order ticks can
+//! never rewind an outage window) and releases delayed messages. When an
+//! [`EventTrace`] is attached, every injected fault is appended to the
+//! canonical trace whose hash witnesses replay determinism.
 
-use crate::broker::{BusHandle, BusStatsSnapshot, MessageBus, SubscribeOptions, Subscription};
+use crate::broker::{BusStatsSnapshot, MessageBus, SubscribeOptions, Subscription};
 use crate::filter::TopicFilter;
 use bytes::Bytes;
 use dcdb_common::error::DcdbError;
-use dcdb_common::sim::{EventTrace, SimClock};
-use dcdb_common::time::Timestamp;
+use dcdb_common::sim::EventTrace;
+use dcdb_common::time::{Clock, Timestamp};
 use dcdb_common::topic::Topic;
 use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -163,7 +163,7 @@ impl Ord for Delayed {
 struct ChaosState {
     inner: Arc<dyn MessageBus>,
     config: ChaosConfig,
-    clock: Arc<SimClock>,
+    clock: Arc<Clock>,
     trace: Mutex<Option<EventTrace>>,
     was_outage: AtomicBool,
     rng: Mutex<StdRng>,
@@ -226,8 +226,8 @@ impl ChaosState {
     }
 }
 
-/// A fault-injecting [`MessageBus`] wrapper around a real
-/// [`BusHandle`]. Cloning shares the schedule, clock and counters, so
+/// A fault-injecting [`MessageBus`] wrapper around another one.
+/// Cloning shares the schedule, clock and counters, so
 /// every pusher in a simulation can hold a clone of the same chaos
 /// layer.
 #[derive(Clone)]
@@ -236,16 +236,10 @@ pub struct ChaosBus {
 }
 
 impl ChaosBus {
-    /// Wraps `inner` with the given fault schedule, on a private clock.
-    pub fn new(inner: BusHandle, config: ChaosConfig) -> ChaosBus {
-        ChaosBus::over(Arc::new(inner), config, SimClock::new())
-    }
-
     /// Wraps any [`MessageBus`] — a raw handle, a federation front-end,
-    /// another wrapper — ticking from a shared [`SimClock`], so the bus
-    /// chaos layer and the storage/delivery fault layers can observe
-    /// one timeline from one `advance`.
-    pub fn over(inner: Arc<dyn MessageBus>, config: ChaosConfig, clock: Arc<SimClock>) -> ChaosBus {
+    /// another wrapper — behind the fault schedule `config`, reading the
+    /// owner's `clock`.
+    pub fn new(inner: Arc<dyn MessageBus>, config: ChaosConfig, clock: Arc<Clock>) -> ChaosBus {
         let rng = StdRng::seed_from_u64(config.seed);
         ChaosBus {
             state: Arc::new(ChaosState {
@@ -274,17 +268,11 @@ impl ChaosBus {
         *self.state.trace.lock() = Some(trace);
     }
 
-    /// The shared virtual clock this wrapper ticks from.
-    pub fn clock(&self) -> Arc<SimClock> {
-        Arc::clone(&self.state.clock)
-    }
-
-    /// Advances virtual time: outage windows are evaluated
-    /// against the latest `advance`d timestamp, and any delayed message
-    /// whose release time has passed is forwarded to the inner bus (in
-    /// release order). The underlying [`SimClock`] is monotonic
-    /// (`fetch_max`), so a stale out-of-order tick can never rewind an
-    /// outage window. Call once per driver tick.
+    /// Advances the clock to `now`: outage windows are evaluated
+    /// against the clock, and any delayed message whose release time has
+    /// passed is forwarded to the inner bus (in release order). The
+    /// [`Clock`] is monotonic (`fetch_max`), so a stale out-of-order tick
+    /// can never rewind an outage window. Call once per tick.
     pub fn advance(&self, now: Timestamp) {
         let effective = self.state.clock.advance_to(now).as_nanos();
         let in_outage = self.state.in_outage(effective);
@@ -407,13 +395,15 @@ mod tests {
         Timestamp::from_millis(v)
     }
 
+    /// A chaos layer over `broker` on a clock of its own.
+    fn chaos_over(broker: &Broker, config: ChaosConfig) -> ChaosBus {
+        ChaosBus::new(Arc::new(broker.handle()), config, Clock::new())
+    }
+
     #[test]
     fn outage_window_refuses_then_recovers() {
         let broker = Broker::new();
-        let chaos = ChaosBus::new(
-            broker.handle(),
-            ChaosConfig::quiet(1).with_outage_ms(100, 200),
-        );
+        let chaos = chaos_over(&broker, ChaosConfig::quiet(1).with_outage_ms(100, 200));
         let sub = broker.handle().subscribe_str("/#").unwrap();
 
         chaos.advance(ms(50));
@@ -437,7 +427,7 @@ mod tests {
             let broker = Broker::new();
             let mut config = ChaosConfig::quiet(seed);
             config.drop_prob = 0.5;
-            let chaos = ChaosBus::new(broker.handle(), config);
+            let chaos = chaos_over(&broker, config);
             let sub = broker.handle().subscribe_str("/#").unwrap();
             for _ in 0..100 {
                 chaos.publish(t("/x"), Bytes::new()).unwrap();
@@ -457,7 +447,7 @@ mod tests {
         let broker = Broker::new();
         let mut config = ChaosConfig::quiet(7);
         config.delay_ns = 40 * 1_000_000; // 40 ms
-        let chaos = ChaosBus::new(broker.handle(), config);
+        let chaos = chaos_over(&broker, config);
         let sub = broker.handle().subscribe_str("/#").unwrap();
 
         chaos.advance(ms(10));
@@ -486,7 +476,7 @@ mod tests {
     #[test]
     fn partition_cuts_only_the_matching_prefix() {
         let broker = Broker::new();
-        let chaos = ChaosBus::new(broker.handle(), ChaosConfig::quiet(3));
+        let chaos = chaos_over(&broker, ChaosConfig::quiet(3));
         let sub = broker.handle().subscribe_str("/#").unwrap();
 
         chaos.partition("/rack00/node00");
@@ -511,13 +501,15 @@ mod tests {
 
     #[test]
     fn out_of_order_advance_cannot_rewind_the_outage_window() {
-        // Regression guard for the SimClock unification: `advance` is a
-        // monotonic fetch_max, so a stale tick arriving after the
-        // window closed must not re-enter the outage.
+        // `advance` is a monotonic fetch_max on the one clock, so a
+        // stale tick arriving after the window closed must not re-enter
+        // the outage.
         let broker = Broker::new();
+        let clock = Clock::new();
         let chaos = ChaosBus::new(
-            broker.handle(),
+            Arc::new(broker.handle()),
             ChaosConfig::quiet(5).with_outage_ms(100, 200),
+            Arc::clone(&clock),
         );
         chaos.advance(ms(150));
         assert!(chaos.in_outage());
@@ -527,20 +519,20 @@ mod tests {
         chaos.advance(ms(150));
         assert!(!chaos.in_outage(), "stale tick rewound the outage window");
         assert!(chaos.publish(t("/a"), Bytes::new()).is_ok());
-        assert_eq!(chaos.clock().now(), ms(250));
+        assert_eq!(clock.now(), ms(250));
     }
 
     #[test]
     fn shared_clock_drives_two_wrappers_and_traces_transitions() {
-        let clock = dcdb_common::sim::SimClock::new();
-        let trace = dcdb_common::sim::EventTrace::new();
+        let clock = Clock::new();
+        let trace = EventTrace::new();
         let broker = Broker::new();
-        let a = ChaosBus::over(
+        let a = ChaosBus::new(
             Arc::new(broker.handle()),
             ChaosConfig::quiet(1).with_outage_ms(100, 200),
             Arc::clone(&clock),
         );
-        let b = ChaosBus::over(
+        let b = ChaosBus::new(
             Arc::new(broker.handle()),
             ChaosConfig::quiet(2).with_outage_ms(150, 300),
             Arc::clone(&clock),
@@ -553,7 +545,7 @@ mod tests {
         assert!(a.in_outage() && b.in_outage());
         b.advance(ms(250));
         assert!(!a.in_outage() && b.in_outage());
-        assert_eq!(a.clock().now(), ms(250));
+        assert_eq!(clock.now(), ms(250));
         a.advance(ms(250));
 
         // Both wrappers appended their transitions to the one trace.

@@ -157,10 +157,6 @@ pub struct CollectAgent {
     /// Last-seen reading timestamp + counters per source prefix
     /// (delivery staleness tracking).
     sources: Mutex<std::collections::HashMap<String, SourceRecord>>,
-    /// The timestamp of the newest [`CollectAgent::tick`]; staleness is
-    /// judged against this clock so virtual-time tests stay
-    /// deterministic.
-    last_tick_ns: AtomicU64,
 }
 
 impl CollectAgent {
@@ -195,7 +191,6 @@ impl CollectAgent {
             maintenance_errors: AtomicU64::new(0),
             budget_exhausted: AtomicU64::new(0),
             sources: Mutex::new(std::collections::HashMap::new()),
-            last_tick_ns: AtomicU64::new(0),
         })
     }
 
@@ -296,11 +291,11 @@ impl CollectAgent {
 
     /// Per-pusher delivery health: one entry per source prefix, sorted
     /// by prefix, with last-seen reading timestamps and staleness
-    /// relative to the last tick (stale past 3× the expected sampling
+    /// relative to the newest tick (stale past 3× the expected sampling
     /// interval — the pusher is down, partitioned, or riding out an
     /// outage on its spool).
     pub fn delivery_health(&self) -> Vec<SourceHealth> {
-        let now_ns = self.last_tick_ns.load(Ordering::Acquire);
+        let now_ns = self.manager.last_tick().as_nanos();
         let stale_after_ns = self.stale_after_ms() * 1_000_000;
         let mut health: Vec<SourceHealth> = self
             .sources
@@ -327,11 +322,9 @@ impl CollectAgent {
     }
 
     /// One tick: ingest pending data, run due operators, then give the
-    /// storage engine a maintenance pass (sealing / compaction /
-    /// retention for durable engines; a no-op for the in-memory one).
+    /// storage engine a maintenance pass (sealing, compaction,
+    /// retention). The manager keeps `now` as the agent's time.
     pub fn tick(&self, now: Timestamp) -> TickReport {
-        self.last_tick_ns
-            .fetch_max(now.as_nanos(), Ordering::AcqRel);
         self.process_pending();
         let report = self.manager.tick(now);
         if self.storage.maintain(now).is_err() {
@@ -1347,7 +1340,11 @@ mod tests {
         let mut dir = std::env::temp_dir();
         dir.push(format!("dcdb-agent-health-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let io = Arc::new(FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(7)));
+        let io = Arc::new(FaultIo::new(
+            Arc::new(StdIo),
+            FaultConfig::quiet(7),
+            dcdb_common::Clock::new(),
+        ));
         let storage = Arc::new(
             DurableBackend::open_with(
                 Arc::clone(&io) as Arc<dyn dcdb_storage::StorageIo>,

@@ -4,8 +4,9 @@
 //! the DCDB monitoring framework the Wintermute paper extends
 //! (Netti et al., *DCDB Wintermute*, HPDC 2020):
 //!
-//! * [`time`] — nanosecond [`Timestamp`]s (the one virtual clock for
-//!   simulation is [`sim::SimClock`]);
+//! * [`time`] — nanosecond [`Timestamp`]s and the one [`Clock`] its
+//!   owner (the daemon's loop, the simulation harness, a test) builds
+//!   and hands once to each component that reads time between ticks;
 //! * [`reading`] — [`SensorReading`]s (value + timestamp) and
 //!   single-pass aggregate statistics;
 //! * [`batch`] — columnar [`ReadingBatch`]es, the one ingest currency:
@@ -17,10 +18,10 @@
 //!   (paper §V-B);
 //! * [`regex`] — a from-scratch linear-time regular-expression engine
 //!   used by Unit System filters (paper §III-B);
-//! * [`sim`] — deterministic-simulation primitives: the shared
-//!   [`SimClock`], the canonical [`EventTrace`] whose hash witnesses
-//!   replay determinism, the [`SimScheduler`] event queue, and the
-//!   splitmix64 [`derive_seed`] lane splitter;
+//! * [`sim`] — deterministic-simulation primitives: the canonical
+//!   [`EventTrace`] whose hash witnesses replay determinism, the
+//!   [`SimScheduler`] event queue, and the splitmix64 [`derive_seed`]
+//!   lane splitter;
 //! * [`supervisor`] — the one failure detector ([`Supervisor`]: `Up` →
 //!   `Degraded` → `Down` with capped backoff) every Pusher connection
 //!   and every federation shard runs;
@@ -49,7 +50,7 @@ pub use doc::document;
 pub use error::{DcdbError, Result};
 pub use reading::{decode_f64, encode_f64, ReadingStats, SensorReading, FIXED_POINT_SCALE};
 pub use regex::Regex;
-pub use sim::{derive_seed, EventTrace, SimClock, SimScheduler};
+pub use sim::{derive_seed, EventTrace, SimScheduler};
 pub use supervisor::{ConnectionState, ReconnectConfig, Supervisor};
-pub use time::{Timestamp, NS_PER_MS, NS_PER_SEC, NS_PER_US};
+pub use time::{Clock, Timestamp, NS_PER_MS, NS_PER_SEC, NS_PER_US};
 pub use topic::Topic;

@@ -9,12 +9,9 @@
 //! recorded the global order of injected events.
 //!
 //! This module is the shared substrate the `dcdb-sim` harness drives
-//! and every fault layer now ticks from:
+//! (every fault layer reads the one [`Clock`](crate::time::Clock) the
+//! harness hands it):
 //!
-//! * [`SimClock`] — one monotonic virtual clock, shared by `Arc`. The
-//!   `advance_to` primitive is a `fetch_max`, so out-of-order ticks
-//!   from concurrent drivers can never rewind time (the bug class the
-//!   per-layer clocks were one forgotten guard away from).
 //! * [`derive_seed`] — the splitmix64 lane splitter (hoisted out of
 //!   `dcdb-federation`): one user-facing `--seed` fans out into
 //!   independent per-lane sub-seeds, so bus chaos, I/O faults, kill
@@ -34,7 +31,6 @@
 use crate::time::Timestamp;
 use parking_lot::Mutex;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Well-known lane indices for [`derive_seed`], so every harness splits
@@ -81,57 +77,6 @@ pub fn xorshift(state: &mut u64) -> u64 {
     x ^= x << 17;
     *state = x;
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-// ---------------------------------------------------------------------------
-// SimClock
-// ---------------------------------------------------------------------------
-
-/// The shared monotonic virtual clock every fault layer ticks from.
-///
-/// Cloning the `Arc` shares the clock: a `ChaosBus`, a `FaultIo`, a
-/// pusher `BusConnection` and the federation's router supervision can
-/// all observe the *same* timeline, so one `advance_to` moves every
-/// layer's fault windows together. `advance_to` is a `fetch_max`:
-/// out-of-order ticks (two drivers racing, a stale timestamp) can only
-/// ever move time forward — an outage window that has closed can never
-/// reopen.
-#[derive(Debug, Default)]
-pub struct SimClock {
-    now_ns: AtomicU64,
-}
-
-impl SimClock {
-    /// A fresh clock at virtual time zero, ready to share.
-    pub fn new() -> Arc<SimClock> {
-        Arc::new(SimClock {
-            now_ns: AtomicU64::new(0),
-        })
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> Timestamp {
-        Timestamp(self.now_ns.load(Ordering::Acquire))
-    }
-
-    /// Current virtual time, nanoseconds.
-    pub fn now_ns(&self) -> u64 {
-        self.now_ns.load(Ordering::Acquire)
-    }
-
-    /// Advances the clock to `to` if that is later than the current
-    /// time (monotonic `fetch_max`), and returns the effective time —
-    /// the maximum of both. Out-of-order calls are absorbed, never
-    /// rewound.
-    pub fn advance_to(&self, to: Timestamp) -> Timestamp {
-        let prev = self.now_ns.fetch_max(to.as_nanos(), Ordering::AcqRel);
-        Timestamp(prev.max(to.as_nanos()))
-    }
-
-    /// Advances the clock by `ns` nanoseconds and returns the new time.
-    pub fn advance_ns(&self, ns: u64) -> Timestamp {
-        Timestamp(self.now_ns.fetch_add(ns, Ordering::AcqRel) + ns)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -338,25 +283,6 @@ mod tests {
         assert_ne!(derive_seed(42, 0), derive_seed(42, 1));
         assert_ne!(derive_seed(42, 0), derive_seed(43, 0));
         assert_ne!(derive_seed(42, lanes::BUS), derive_seed(42, lanes::IO));
-    }
-
-    #[test]
-    fn sim_clock_is_monotonic_under_out_of_order_ticks() {
-        let clock = SimClock::new();
-        assert_eq!(clock.advance_to(ms(100)), ms(100));
-        // A stale tick cannot rewind time.
-        assert_eq!(clock.advance_to(ms(40)), ms(100));
-        assert_eq!(clock.now(), ms(100));
-        assert_eq!(clock.advance_to(ms(250)), ms(250));
-        assert_eq!(clock.advance_ns(1_000_000), ms(251));
-    }
-
-    #[test]
-    fn shared_clock_observes_one_timeline() {
-        let clock = SimClock::new();
-        let other = Arc::clone(&clock);
-        other.advance_to(ms(500));
-        assert_eq!(clock.now(), ms(500));
     }
 
     #[test]

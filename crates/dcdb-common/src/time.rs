@@ -6,10 +6,20 @@
 //! so a single fixed-point representation with nanosecond resolution is
 //! used everywhere: [`Timestamp`] is a number of nanoseconds since the
 //! UNIX epoch.
+//!
+//! Time reaches the components that read it between ticks — the bus
+//! and storage fault layers, the federation's failure detectors and its
+//! replication stream — through one [`Clock`] its owner builds and
+//! hands each of them once. The owner is the daemon's loop (which
+//! advances it to wall time every tick), the simulation harness (which
+//! advances it through virtual time) or a test. Components that are only
+//! ticked keep their newest tick's `now` instead.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Nanoseconds in one second.
@@ -118,6 +128,48 @@ impl fmt::Display for Timestamp {
     }
 }
 
+/// The one clock: a monotonic timestamp shared by `Arc` (a `ChaosBus`,
+/// a `FaultIo` and a `FederatedAgent` read their owner's), so one
+/// `advance_to` moves every layer's fault windows, backoffs and lags
+/// together. `advance_to` is a `fetch_max`: out-of-order ticks (two
+/// threads racing, a stale timestamp) only ever move time forward — an
+/// outage window that has closed can never reopen.
+#[derive(Debug, Default)]
+pub struct Clock {
+    now_ns: AtomicU64,
+}
+
+impl Clock {
+    /// A fresh clock at time zero, ready to share.
+    pub fn new() -> Arc<Clock> {
+        Arc::new(Clock::default())
+    }
+
+    /// Current time.
+    pub fn now(&self) -> Timestamp {
+        Timestamp(self.now_ns())
+    }
+
+    /// Current time, nanoseconds.
+    pub fn now_ns(&self) -> u64 {
+        self.now_ns.load(Ordering::Acquire)
+    }
+
+    /// Advances the clock to `to` if that is later than the current
+    /// time (monotonic `fetch_max`), and returns the effective time —
+    /// the maximum of both. Out-of-order calls are absorbed, never
+    /// rewound.
+    pub fn advance_to(&self, to: Timestamp) -> Timestamp {
+        let prev = self.now_ns.fetch_max(to.as_nanos(), Ordering::AcqRel);
+        Timestamp(prev.max(to.as_nanos()))
+    }
+
+    /// Advances the clock by `ns` nanoseconds and returns the new time.
+    pub fn advance_ns(&self, ns: u64) -> Timestamp {
+        Timestamp(self.now_ns.fetch_add(ns, Ordering::AcqRel) + ns)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,5 +213,20 @@ mod tests {
     fn display_formats_fraction() {
         let t = Timestamp(1_500_000_000);
         assert_eq!(t.to_string(), "1.500000000");
+    }
+
+    #[test]
+    fn clock_is_monotonic_under_out_of_order_ticks() {
+        let ms = Timestamp::from_millis;
+        let clock = Clock::new();
+        assert_eq!(clock.advance_to(ms(100)), ms(100));
+        // A stale tick cannot rewind time.
+        assert_eq!(clock.advance_to(ms(40)), ms(100));
+        assert_eq!(clock.now(), ms(100));
+        assert_eq!(clock.advance_to(ms(250)), ms(250));
+        assert_eq!(clock.advance_ns(1_000_000), ms(251));
+        // Clones of the `Arc` observe one timeline.
+        Arc::clone(&clock).advance_to(ms(500));
+        assert_eq!(clock.now(), ms(500));
     }
 }

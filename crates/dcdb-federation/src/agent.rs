@@ -46,15 +46,14 @@ use dcdb_bus::{
 };
 use dcdb_collectagent::{CollectAgent, CollectAgentConfig, ShardAssignment, ShardRole};
 use dcdb_common::error::{DcdbError, Result};
-use dcdb_common::sim::{EventTrace, SimClock};
+use dcdb_common::sim::EventTrace;
 use dcdb_common::supervisor::{ConnectionState, ReconnectConfig, Supervisor};
-use dcdb_common::time::Timestamp;
+use dcdb_common::time::{Clock, Timestamp};
 use dcdb_common::topic::Topic;
 use dcdb_storage::{DurableBackend, StorageEngine};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 use wintermute::prelude::TickReport;
 
 /// Federation sizing and behaviour.
@@ -312,10 +311,9 @@ pub struct FederatedAgent {
     /// Subscriptions with no live home shard attach here and stay
     /// silent instead of panicking.
     fallback_broker: Broker,
-    /// The failure detectors' clock: virtual time when a [`SimClock`]
-    /// is installed, wall time since `origin` otherwise.
-    sim_clock: OnceLock<Arc<SimClock>>,
-    origin: Instant,
+    /// The owner's clock: the failure detectors' and the replication
+    /// streams' time.
+    clock: Arc<Clock>,
     trace: OnceLock<EventTrace>,
     rebalances: AtomicU64,
     publishes: AtomicU64,
@@ -326,9 +324,10 @@ pub struct FederatedAgent {
 
 impl FederatedAgent {
     /// Builds a federation of `config.agents` shards, each node (and each
-    /// rejoin) on a fresh [`DurableBackend::in_memory`].
-    pub fn new(config: FederationConfig) -> Result<FederatedAgent> {
-        FederatedAgent::new_with(config, |_, _| {
+    /// rejoin) on a fresh [`DurableBackend::in_memory`], on the owner's
+    /// `clock`.
+    pub fn new(config: FederationConfig, clock: Arc<Clock>) -> Result<FederatedAgent> {
+        FederatedAgent::new_with(config, clock, |_, _| {
             Ok(Arc::new(DurableBackend::in_memory()) as Arc<dyn StorageEngine>)
         })
     }
@@ -339,9 +338,11 @@ impl FederatedAgent {
     /// `i * f` and id `agent-0i`; its standby has ordinal `i * f + 1`
     /// and id `agent-0i-r`. This is how the bench and the durable sim
     /// give each node its own journal directory (and, for chaos runs,
-    /// its own fault-injecting device).
+    /// its own fault-injecting device). Every shard's failure detector
+    /// and replication stream reads the owner's `clock`.
     pub fn new_with(
         config: FederationConfig,
+        clock: Arc<Clock>,
         storage: impl Fn(usize, &str) -> Result<Arc<dyn StorageEngine>> + Send + Sync + 'static,
     ) -> Result<FederatedAgent> {
         let n = config.agents.max(1);
@@ -374,7 +375,7 @@ impl FederatedAgent {
             let stream = (factor > 1).then(|| {
                 let primary = nodes[0].runtime.read();
                 let engine = &primary.as_ref().expect("just built").engine;
-                engine.attach(TAIL_CAPACITY, false)
+                engine.attach(TAIL_CAPACITY, false, Arc::clone(&clock))
             });
             shards.push(Arc::new(Shard {
                 id,
@@ -399,8 +400,7 @@ impl FederatedAgent {
             storage_factory,
             membership: Mutex::new(()),
             fallback_broker: Broker::new(),
-            sim_clock: OnceLock::new(),
-            origin: Instant::now(),
+            clock,
             trace: OnceLock::new(),
             rebalances: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
@@ -427,14 +427,6 @@ impl FederatedAgent {
         Arc::clone(&self.current.read())
     }
 
-    /// Moves the failure detectors' probe clock from wall time onto a
-    /// shared virtual [`SimClock`] (once), so backoff replays
-    /// bit-identically. The router's gather deadline stays wall-clock
-    /// (it bounds real thread work).
-    pub fn use_sim_clock(&self, clock: Arc<SimClock>) {
-        let _ = self.sim_clock.set(clock);
-    }
-
     /// Attaches the canonical event trace (once): every shard's detector
     /// transitions are appended as `shard-<i> <from>-><to>` under the
     /// `router` lane, and a promotion that dropped a pending resync as
@@ -454,15 +446,8 @@ impl FederatedAgent {
         eprintln!("dcdb-federation: {id} promoted a standby never caught up; acked readings lost");
         if let Some(trace) = self.trace.get() {
             let detail = format!("shard-{} resync-dropped", shard.index);
-            trace.record(Timestamp(self.now_ns()), "replica", &detail);
+            trace.record(self.clock.now(), "replica", &detail);
         }
-    }
-
-    fn now_ns(&self) -> u64 {
-        let wall = || self.origin.elapsed().as_nanos() as u64;
-        self.sim_clock
-            .get()
-            .map_or_else(wall, |clock| clock.now_ns())
     }
 
     /// Runs `input` (a [`Supervisor`] method) on shard `index`'s
@@ -471,7 +456,7 @@ impl FederatedAgent {
     /// answer in time; a landed publish reports nothing, since it says
     /// nothing about query latency.
     pub(crate) fn detect<R>(&self, index: usize, input: fn(&mut Supervisor, u64) -> R) -> R {
-        let now_ns = self.now_ns();
+        let now_ns = self.clock.now_ns();
         input(&mut self.shards[index].supervisor.lock(), now_ns)
     }
 
@@ -626,7 +611,8 @@ impl FederatedAgent {
         if as_standby {
             let primary = shard.engine_of(shard.primary.load(Ordering::Acquire));
             let primary = primary.expect("primary is up");
-            *shard.stream.lock() = Some(primary.attach(TAIL_CAPACITY, true));
+            let stream = primary.attach(TAIL_CAPACITY, true, Arc::clone(&self.clock));
+            *shard.stream.lock() = Some(stream);
             shard.pump();
             self.apply_assignments(&self.shard_map());
         } else {
@@ -932,20 +918,26 @@ mod tests {
     }
 
     fn replicated(agents: usize) -> FederatedAgent {
-        FederatedAgent::new(FederationConfig {
-            agents,
-            replication_factor: 2,
-            ..FederationConfig::default()
-        })
+        FederatedAgent::new(
+            FederationConfig {
+                agents,
+                replication_factor: 2,
+                ..FederationConfig::default()
+            },
+            Clock::new(),
+        )
         .unwrap()
     }
 
     #[test]
     fn readings_route_to_the_owning_shard() {
-        let fed = FederatedAgent::new(FederationConfig {
-            agents: 4,
-            ..FederationConfig::default()
-        })
+        let fed = FederatedAgent::new(
+            FederationConfig {
+                agents: 4,
+                ..FederationConfig::default()
+            },
+            Clock::new(),
+        )
         .unwrap();
         for node in 0..8 {
             publish_node(&fed, node, 1..=10);
@@ -970,10 +962,13 @@ mod tests {
         // Unreplicated tier: a crash must degrade to the PR-6 partial
         // tier (ring removal) — and because the memtable really died,
         // the in-memory shard's pre-kill readings are genuinely gone.
-        let fed = FederatedAgent::new(FederationConfig {
-            agents: 3,
-            ..FederationConfig::default()
-        })
+        let fed = FederatedAgent::new(
+            FederationConfig {
+                agents: 3,
+                ..FederationConfig::default()
+            },
+            Clock::new(),
+        )
         .unwrap();
         let topic = t("/rack00/node00/power");
         let owner = fed.shard_map().assign_id(&topic).unwrap().to_string();
@@ -1116,17 +1111,22 @@ mod tests {
     /// One replica pair (shard `agent-00` owns every topic) whose
     /// standby journals through a `FaultIo` the test arms. The standby
     /// never retries or demotes, so a failing disk refuses at once.
-    fn pair_with_faulty_standby(name: &str) -> (FederatedAgent, Arc<FaultIo>, PathBuf) {
+    fn pair_with_faulty_standby(name: &str) -> (FederatedAgent, Arc<Clock>, PathBuf) {
         let dir = std::env::temp_dir().join(format!("dcdb-fed-{name}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let io = Arc::new(FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(1)));
+        let clock = Clock::new();
+        let io = Arc::new(FaultIo::new(
+            Arc::new(StdIo),
+            FaultConfig::quiet(1),
+            Arc::clone(&clock),
+        ));
         let (standby_io, standby_dir) = (Arc::clone(&io), dir.clone());
         let config = FederationConfig {
             agents: 1,
             replication_factor: 2,
             ..FederationConfig::default()
         };
-        let fed = FederatedAgent::new_with(config, move |ordinal, _| {
+        let fed = FederatedAgent::new_with(config, Arc::clone(&clock), move |ordinal, _| {
             if ordinal == 0 {
                 return Ok(Arc::new(DurableBackend::in_memory()) as Arc<dyn StorageEngine>);
             }
@@ -1148,23 +1148,24 @@ mod tests {
             eio_prob: 1.0,
             ..FaultConfig::quiet(1)
         });
-        (fed, io, dir)
+        (fed, clock, dir)
     }
 
     #[test]
     fn replication_lag_keeps_its_age_while_the_standby_refuses() {
-        let (fed, _io, dir) = pair_with_faulty_standby("lag");
+        let (fed, clock, dir) = pair_with_faulty_standby("lag");
+        clock.advance_to(Timestamp::from_millis(1_000));
         publish_node(&fed, 0, 1..=5);
         fed.process_pending(); // acked on the primary, the pump refused
-        let refusing = Instant::now();
         let shard = &fed.shards()[0];
-        for _ in 0..5 {
-            std::thread::sleep(std::time::Duration::from_millis(10));
+        for round in 1..=5u64 {
+            clock.advance_ns(10 * 1_000_000);
             assert_eq!(fed.pump_replication(), 0);
-            let floor = refusing.elapsed().as_millis() as u64;
             let s = shard.replication_stats().unwrap();
             assert!(s.lag_entries > 0);
-            assert!(s.lag_ms >= floor, "{s:?} after {floor} ms of refusals");
+            // A refused group goes back with its enqueue time: the lag
+            // is exactly the clock time since the primary acked it.
+            assert_eq!(s.lag_ms, 10 * round, "{s:?} after {round} refused pumps");
         }
         drop(fed);
         std::fs::remove_dir_all(&dir).ok();
@@ -1172,7 +1173,7 @@ mod tests {
 
     #[test]
     fn a_refused_promotion_drain_is_counted() {
-        let (fed, _io, dir) = pair_with_faulty_standby("drain");
+        let (fed, _clock, dir) = pair_with_faulty_standby("drain");
         publish_node(&fed, 0, 1..=5);
         fed.process_pending();
         assert!(fed.kill("agent-00"));
@@ -1320,10 +1321,13 @@ mod tests {
 
     #[test]
     fn publish_with_all_shards_down_is_refused_not_lost_silently() {
-        let fed = FederatedAgent::new(FederationConfig {
-            agents: 2,
-            ..FederationConfig::default()
-        })
+        let fed = FederatedAgent::new(
+            FederationConfig {
+                agents: 2,
+                ..FederationConfig::default()
+            },
+            Clock::new(),
+        )
         .unwrap();
         fed.kill("agent-00");
         fed.kill("agent-01");
@@ -1370,14 +1374,17 @@ mod tests {
 
     #[test]
     fn a_rejoined_node_runs_the_configured_bus() {
-        let fed = FederatedAgent::new(FederationConfig {
-            agents: 2,
-            bus: BusConfig {
-                sub_depth: 8,
-                sub_policy: dcdb_bus::OverflowPolicy::DropNewest,
+        let fed = FederatedAgent::new(
+            FederationConfig {
+                agents: 2,
+                bus: BusConfig {
+                    sub_depth: 8,
+                    sub_policy: dcdb_bus::OverflowPolicy::DropNewest,
+                },
+                ..FederationConfig::default()
             },
-            ..FederationConfig::default()
-        })
+            Clock::new(),
+        )
         .unwrap();
         let ingest_queue = |id: &str| {
             let bus = fed.shard(id).unwrap().bus().unwrap().metrics();
@@ -1398,10 +1405,13 @@ mod tests {
 
     #[test]
     fn subscriptions_attach_to_the_owning_shard() {
-        let fed = FederatedAgent::new(FederationConfig {
-            agents: 4,
-            ..FederationConfig::default()
-        })
+        let fed = FederatedAgent::new(
+            FederationConfig {
+                agents: 4,
+                ..FederationConfig::default()
+            },
+            Clock::new(),
+        )
         .unwrap();
         let topic = t("/rack00/node05/power");
         let sub = fed.subscribe_with(

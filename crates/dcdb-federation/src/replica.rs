@@ -32,13 +32,12 @@
 use dcdb_common::batch::ReadingBatch;
 use dcdb_common::error::{DcdbError, Result};
 use dcdb_common::reading::SensorReading;
-use dcdb_common::time::Timestamp;
+use dcdb_common::time::{Clock, Timestamp};
 use dcdb_common::topic::Topic;
 use dcdb_storage::{AggFrame, StorageEngine, StorageHealthReport, StorageStats};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Bound of a shard's replication stream, entries. Overflow is counted
 /// and forces a resync — never silent loss.
@@ -52,7 +51,8 @@ pub(crate) const PUMP_BUDGET: usize = 512;
 pub struct ReplicaStats {
     /// Entries currently queued (replication lag, entries).
     pub lag_entries: usize,
-    /// Age of the oldest queued entry, ms (replication lag, time).
+    /// Age of the oldest queued entry on the stream's clock, ms
+    /// (replication lag, time).
     pub lag_ms: u64,
     /// Entries turned away by overflow since attach (each forces a
     /// resync).
@@ -69,8 +69,8 @@ pub struct DrainLoss {
     pub resync_dropped: bool,
 }
 
-/// One acknowledged write and the instant it was streamed.
-type Entry = ((Topic, ReadingBatch), Instant);
+/// One acknowledged write and the clock time it was streamed, ns.
+type Entry = ((Topic, ReadingBatch), u64);
 
 #[derive(Default)]
 struct StreamState {
@@ -85,6 +85,7 @@ struct StreamState {
 pub struct ReplicaStream {
     state: Mutex<StreamState>,
     capacity: usize,
+    clock: Arc<Clock>,
 }
 
 impl ReplicaStream {
@@ -155,17 +156,19 @@ impl ReplicaStream {
     /// Counter snapshot.
     pub fn stats(&self) -> ReplicaStats {
         let state = self.state.lock();
+        let now_ns = self.clock.now_ns();
         ReplicaStats {
             lag_entries: state.queue.len(),
             lag_ms: state
                 .queue
                 .front()
-                .map_or(0, |(_, at)| at.elapsed().as_millis() as u64),
+                .map_or(0, |(_, at)| now_ns.saturating_sub(*at) / 1_000_000),
             overflowed: state.overflowed,
         }
     }
 
     fn push(&self, entries: impl Iterator<Item = (Topic, ReadingBatch)>) {
+        let now_ns = self.clock.now_ns();
         let mut state = self.state.lock();
         for entry in entries.filter(|(_, batch)| !batch.is_empty()) {
             if state.queue.len() >= self.capacity {
@@ -174,7 +177,7 @@ impl ReplicaStream {
                 state.overflowed += 1;
                 state.resync = true;
             } else {
-                state.queue.push_back((entry, Instant::now()));
+                state.queue.push_back((entry, now_ns));
             }
         }
     }
@@ -206,16 +209,18 @@ impl NodeEngine {
     }
 
     /// Attaches a fresh stream of `capacity` entries, replacing any
-    /// previous one; inserts acked from here on are streamed. With
-    /// `resync` the first pump catches the standby up on the history
-    /// before the attach (a node rejoining as standby).
-    pub fn attach(&self, capacity: usize, resync: bool) -> Arc<ReplicaStream> {
+    /// previous one; inserts acked from here on are streamed, stamped
+    /// with `clock`'s time. With `resync` the first pump catches the
+    /// standby up on the history before the attach (a node rejoining as
+    /// standby).
+    pub fn attach(&self, capacity: usize, resync: bool, clock: Arc<Clock>) -> Arc<ReplicaStream> {
         let stream = Arc::new(ReplicaStream {
             state: Mutex::new(StreamState {
                 resync,
                 ..StreamState::default()
             }),
             capacity: capacity.max(1),
+            clock,
         });
         *self.stream.lock() = Some(Arc::clone(&stream));
         stream
@@ -394,7 +399,7 @@ mod tests {
     #[test]
     fn acked_inserts_stream_in_ack_order() {
         let primary = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
-        let stream = primary.attach(16, false);
+        let stream = primary.attach(16, false, Clock::new());
         primary.insert(&t("/r0/n2/power"), r(1, 1)).unwrap();
         primary
             .insert_batch(&t("/r0/n0/power"), &[r(2, 2), r(3, 3)])
@@ -417,7 +422,7 @@ mod tests {
     #[test]
     fn overflow_turns_the_newest_away_counts_them_and_sets_resync() {
         let primary = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
-        let stream = primary.attach(2, false);
+        let stream = primary.attach(2, false, Clock::new());
         for i in 0..5 {
             primary
                 .insert(&t("/r0/n0/power"), r(i, i as u64 + 1))
@@ -438,7 +443,7 @@ mod tests {
     fn an_unattached_engine_streams_nothing_and_its_watermark_tracks_latest() {
         let engine = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
         engine.insert(&t("/r0/n0/power"), r(1, 5)).unwrap();
-        let stream = engine.attach(4, false);
+        let stream = engine.attach(4, false, Clock::new());
         assert_eq!(stream.stats().lag_entries, 0, "nothing before the attach");
         assert_eq!(
             engine.watermark(&t("/r0/n0/power")),
@@ -454,7 +459,7 @@ mod tests {
             ..Recorder::default()
         });
         let engine = NodeEngine::wrap(refusing);
-        let stream = engine.attach(4, false);
+        let stream = engine.attach(4, false, Clock::new());
         assert!(engine.insert(&t("/r0/n0/power"), r(1, 1)).is_err());
         let group = [(t("/r0/n1/power"), ReadingBatch::from_readings(&[r(2, 2)]))];
         assert_eq!(engine.insert_many(&group), vec![0]);
@@ -465,7 +470,7 @@ mod tests {
     fn pump_and_drain_preserve_the_conservation_identity() {
         let primary = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
         let standby = DurableBackend::in_memory();
-        let stream = primary.attach(64, false);
+        let stream = primary.attach(64, false, Clock::new());
         for i in 1..=10u64 {
             primary.insert(&t("/r0/n0/power"), r(i as i64, i)).unwrap();
         }
@@ -556,7 +561,7 @@ mod tests {
     #[test]
     fn a_partly_refused_group_survives_an_overflow_and_arrives_once() {
         let primary = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
-        let stream = primary.attach(4, false);
+        let stream = primary.attach(4, false, Clock::new());
         let standby = Picky::new();
         let topic = t("/r0/n0/power");
         for i in 1..=2u64 {
@@ -586,7 +591,7 @@ mod tests {
     #[test]
     fn a_drain_counts_exactly_the_readings_the_standby_refused() {
         let primary = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
-        let stream = primary.attach(8, false);
+        let stream = primary.attach(8, false, Clock::new());
         primary.insert(&t("/r0/n0/power"), r(1, 1)).unwrap();
         let two = [r(2, 2), r(3, 3)];
         primary.insert_batch(&t("/r0/n1/power"), &two).unwrap();
@@ -610,12 +615,16 @@ mod tests {
     fn a_refused_group_stays_on_the_stream_from_its_first_refused_entry() {
         let dir = std::env::temp_dir().join(format!("dcdb-replica-pump-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let io = Arc::new(FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(1)));
+        let io = Arc::new(FaultIo::new(
+            Arc::new(StdIo),
+            FaultConfig::quiet(1),
+            Clock::new(),
+        ));
         let standby =
             DurableBackend::open_with(Arc::clone(&io) as _, &dir, DurableConfig::default())
                 .unwrap();
         let primary = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
-        let stream = primary.attach(64, false);
+        let stream = primary.attach(64, false, Clock::new());
         for i in 1..=6u64 {
             primary.insert(&t("/r0/n0/power"), r(i as i64, i)).unwrap();
         }
@@ -664,7 +673,7 @@ mod tests {
         // after the attach are both scanned and streamed; dedup absorbs
         // the overlap.
         let standby = DurableBackend::in_memory();
-        let stream = primary.attach(64, true);
+        let stream = primary.attach(64, true, Clock::new());
         primary.insert(&t("/r0/n0/power"), r(6, 6)).unwrap();
         assert_eq!(stream.pump(primary.as_ref(), &standby, 64).unwrap(), 1);
         assert_eq!(all(&standby, "/r0/n0/power"), vec![1, 2, 3, 4, 5, 6]);

@@ -721,6 +721,7 @@ mod tests {
     use crate::agent::FederationConfig;
     use dcdb_bus::MessageBus;
     use dcdb_common::error::{DcdbError, Result as DcdbResult};
+    use dcdb_common::time::Clock;
     use wintermute::prelude::{
         instantiate, ComputeContext, FaultPolicy, Operator, OperatorPlugin, Output, PluginConfig,
         SensorNavigator, Unit,
@@ -731,13 +732,15 @@ mod tests {
     }
 
     fn federation(agents: usize) -> Arc<FederatedAgent> {
-        Arc::new(
-            FederatedAgent::new(FederationConfig {
-                agents,
-                ..FederationConfig::default()
-            })
-            .unwrap(),
-        )
+        federation_on(agents, Clock::new())
+    }
+
+    fn federation_on(agents: usize, clock: Arc<Clock>) -> Arc<FederatedAgent> {
+        let config = FederationConfig {
+            agents,
+            ..FederationConfig::default()
+        };
+        Arc::new(FederatedAgent::new(config, clock).unwrap())
     }
 
     fn feed(fed: &FederatedAgent, node: usize, secs: std::ops::RangeInclusive<u64>) {
@@ -801,14 +804,12 @@ mod tests {
     /// Two replica pairs with default settings, five seconds of data on
     /// four nodes.
     fn replicated_pair() -> Arc<FederatedAgent> {
-        let fed = Arc::new(
-            FederatedAgent::new(FederationConfig {
-                agents: 2,
-                replication_factor: 2,
-                ..FederationConfig::default()
-            })
-            .unwrap(),
-        );
+        let config = FederationConfig {
+            agents: 2,
+            replication_factor: 2,
+            ..FederationConfig::default()
+        };
+        let fed = Arc::new(FederatedAgent::new(config, Clock::new()).unwrap());
         for node in 0..4 {
             feed(&fed, node, 1..=5);
         }
@@ -874,7 +875,8 @@ mod tests {
 
     #[test]
     fn a_slow_shard_under_publishes_is_routed_down_and_recovers_on_the_first_probe() {
-        let fed = federation(2);
+        let clock = Clock::new();
+        let fed = federation_on(2, Arc::clone(&clock));
         for node in 0..4 {
             feed(&fed, node, 1..=3);
         }
@@ -908,13 +910,15 @@ mod tests {
 
         // Before the 100 ms probe is due the shard is skipped (down, not
         // timed out): the scatter no longer pays the deadline for it.
+        clock.advance_ns(99 * 1_000_000);
         let q = rt.query_sensors(&topic, Timestamp::ZERO, Timestamp::MAX);
         assert_eq!(q.envelope.shards_down, 1);
         assert_eq!(q.envelope.shards_timed_out, 0);
 
-        // The shard heals; the first probe after the backoff restores it.
+        // The shard heals; the first probe once the backoff has run on
+        // the federation's clock restores it.
         fed.shards()[1].set_query_delay_ms(0);
-        std::thread::sleep(Duration::from_millis(120));
+        clock.advance_ns(1_000_000);
         let q = rt.query_sensors(&topic, Timestamp::ZERO, Timestamp::MAX);
         assert!(q.envelope.complete(), "{:?}", q.envelope);
         assert!(!fed.shards()[1].is_routed_down());

@@ -10,7 +10,7 @@
 use dcdb_bus::MessageBus;
 use dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_common::reading::SensorReading;
-use dcdb_common::time::Timestamp;
+use dcdb_common::time::{Clock, Timestamp};
 use dcdb_common::topic::Topic;
 use dcdb_federation::{FederatedAgent, FederationConfig, QueryRouter, RouterConfig};
 use dcdb_storage::{DurableBackend, DurableConfig, StorageEngine};
@@ -38,12 +38,15 @@ fn federation(agents: usize) -> Arc<FederatedAgent> {
 
 fn federation_with(agents: usize, replication_factor: usize) -> Arc<FederatedAgent> {
     Arc::new(
-        FederatedAgent::new(FederationConfig {
-            agents,
-            agent: agent_config(),
-            replication_factor,
-            ..FederationConfig::default()
-        })
+        FederatedAgent::new(
+            FederationConfig {
+                agents,
+                agent: agent_config(),
+                replication_factor,
+                ..FederationConfig::default()
+            },
+            Clock::new(),
+        )
         .unwrap(),
     )
 }
@@ -252,6 +255,7 @@ fn durable_unreplicated_shard_kill_and_rejoin_returns_every_acked_reading_once()
                 agent: agent_config(),
                 ..FederationConfig::default()
             },
+            Clock::new(),
             move |_, id| {
                 let db = DurableBackend::open(&base.join(id), DurableConfig::default())?;
                 Ok(Arc::new(db) as Arc<dyn StorageEngine>)

@@ -35,7 +35,7 @@
 use dcdb_bus::MessageBus;
 use dcdb_common::batch::ReadingBatch;
 use dcdb_common::error::DcdbError;
-use dcdb_common::sim::{EventTrace, SimClock};
+use dcdb_common::sim::EventTrace;
 use dcdb_common::supervisor::{ConnectionState, ReconnectConfig, Supervisor};
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
@@ -218,23 +218,13 @@ pub struct BusConnection {
     spool: Spool,
     supervisor: Supervisor,
     last_error: Option<String>,
-    clock: Arc<SimClock>,
+    /// The newest `deliver` timestamp, nanoseconds.
+    now_ns: u64,
 }
 
 impl BusConnection {
-    /// Wraps `bus` with the given delivery policy, on a private clock.
+    /// Wraps `bus` with the given delivery policy.
     pub fn new(bus: Arc<dyn MessageBus>, config: DeliveryConfig) -> BusConnection {
-        BusConnection::with_clock(bus, config, SimClock::new())
-    }
-
-    /// Wraps `bus` ticking from a shared [`SimClock`]: the supervisor's
-    /// backoff timers then live on the same timeline as the bus and
-    /// storage fault windows, and a stale tick can never rewind them.
-    pub fn with_clock(
-        bus: Arc<dyn MessageBus>,
-        config: DeliveryConfig,
-        clock: Arc<SimClock>,
-    ) -> BusConnection {
         BusConnection {
             bus,
             spool: Spool {
@@ -243,7 +233,7 @@ impl BusConnection {
             },
             supervisor: Supervisor::new(config.reconnect),
             last_error: None,
-            clock,
+            now_ns: 0,
         }
     }
 
@@ -251,11 +241,6 @@ impl BusConnection {
     /// are appended as `<label> <from>-><to>` under the `delivery` lane.
     pub fn set_trace(&mut self, trace: EventTrace, label: &str) {
         self.supervisor.set_trace(trace, "delivery", label);
-    }
-
-    /// The shared virtual clock this connection ticks from.
-    pub fn clock(&self) -> Arc<SimClock> {
-        Arc::clone(&self.clock)
     }
 
     /// The underlying bus.
@@ -290,9 +275,10 @@ impl BusConnection {
         now: Timestamp,
         fresh: Vec<(Topic, ReadingBatch)>,
     ) -> DeliveryOutcome {
-        // The shared clock absorbs out-of-order ticks: the effective
-        // `now` is monotonic, so backoff timers never rewind.
-        let now_ns = self.clock.advance_to(now).as_nanos();
+        // The newest tick absorbs out-of-order ones: the effective `now`
+        // is monotonic, so backoff timers never rewind.
+        self.now_ns = self.now_ns.max(now.as_nanos());
+        let now_ns = self.now_ns;
         let mut out = DeliveryOutcome::default();
         if !self.supervisor.attempt_due(now_ns) {
             self.park(fresh.into(), &mut out);
@@ -373,6 +359,7 @@ mod tests {
     use super::*;
     use dcdb_bus::{decode_batch, Broker, ChaosBus, ChaosConfig, Subscription};
     use dcdb_common::reading::SensorReading;
+    use dcdb_common::time::Clock;
 
     fn t(s: &str) -> Topic {
         Topic::parse(s).unwrap()
@@ -395,7 +382,7 @@ mod tests {
         delivery: DeliveryConfig,
     ) -> (Broker, ChaosBus, BusConnection) {
         let broker = Broker::new();
-        let chaos = ChaosBus::new(broker.handle(), config);
+        let chaos = ChaosBus::new(Arc::new(broker.handle()), config, Clock::new());
         let conn = BusConnection::new(Arc::new(chaos.clone()), delivery);
         (broker, chaos, conn)
     }

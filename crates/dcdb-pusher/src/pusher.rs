@@ -790,9 +790,10 @@ mod tests {
     fn outage_spools_and_recovers_without_loss() {
         let broker = Broker::new();
         let chaos = ChaosBus::new(
-            broker.handle(),
+            Arc::new(broker.handle()),
             // Outage covers ticks at 3 s and 4 s.
             ChaosConfig::quiet(11).with_outage_ms(2_500, 4_500),
+            dcdb_common::Clock::new(),
         );
         let mut pusher = Pusher::with_bus(
             PusherConfig {

@@ -1,8 +1,10 @@
 //! The deterministic simulation harness: one seeded virtual-time event
 //! scheduler drives every chaos layer of the stack at once.
 //!
-//! One [`SimClock`] is shared by the bus chaos layer, the storage fault
-//! devices, the delivery supervisors and the shards' failure detectors;
+//! The harness builds one [`Clock`] and hands it to the bus chaos layer,
+//! the storage fault devices and the federation (the shards' failure
+//! detectors and replication streams); the delivery supervisors and the
+//! operator manager keep their newest tick;
 //! one [`SimScheduler`] owns every discrete fault action (shard kills and
 //! rejoins, island partitions and heals, thermal throttles,
 //! query storms), all derived from the single run seed via per-lane
@@ -27,9 +29,9 @@ use crate::report::{CounterSummary, IdentityReport, ScenarioReport, SloReport};
 use crate::scenario::{LaneSet, Scale, Scenario};
 use dcdb_bus::{ChaosBus, ChaosConfig, MessageBus};
 use dcdb_common::batch::ReadingBatch;
-use dcdb_common::sim::{derive_seed, lanes, xorshift, EventTrace, SimClock, SimScheduler};
+use dcdb_common::sim::{derive_seed, lanes, xorshift, EventTrace, SimScheduler};
 use dcdb_common::supervisor::ReconnectConfig;
-use dcdb_common::time::Timestamp;
+use dcdb_common::time::{Clock, Timestamp};
 use dcdb_common::topic::Topic;
 use dcdb_federation::{FederatedAgent, FederationConfig, QueryRouter, RouterConfig};
 use dcdb_pusher::{BusConnection, DeliveryConfig};
@@ -96,13 +98,12 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
     let rm_ns = scale.round_ms() * 1_000_000;
     let horizon_ns = scale.horizon_ns();
 
-    let clock = SimClock::new();
+    let clock = Clock::new();
     let trace = EventTrace::new();
 
-    // --- Storage tier: durable engines on the run's in-memory disk.
+    // --- Storage tier: durable engines on the run's in-memory disk; the
+    // shards' failure detectors probe on the run's clock.
     let fed = build_federation(&lanes_armed, agents, seed, horizon_ns, &clock, &trace);
-    // The shards' failure detectors probe on the shared timeline.
-    fed.use_sim_clock(Arc::clone(&clock));
     fed.set_trace(trace.clone());
 
     // --- Query tier: scatter-gather router on the shared timeline.
@@ -116,7 +117,7 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
     // --- Transport chaos over the federation front door; the ledger
     // between them records what the federation accepted.
     let ledger = Arc::new(Ledger::over(Arc::clone(&fed) as Arc<dyn MessageBus>));
-    let chaos = ChaosBus::over(
+    let chaos = ChaosBus::new(
         Arc::clone(&ledger) as Arc<dyn MessageBus>,
         chaos_config(&lanes_armed, seed, horizon_ns, rm_ns),
         Arc::clone(&clock),
@@ -128,7 +129,7 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
     let chaos_bus: Arc<dyn MessageBus> = Arc::new(chaos.clone());
     let mut connections: Vec<BusConnection> = (0..topology.racks)
         .map(|rack| {
-            let mut conn = BusConnection::with_clock(
+            let mut conn = BusConnection::new(
                 Arc::clone(&chaos_bus),
                 DeliveryConfig {
                     reconnect: ReconnectConfig {
@@ -138,20 +139,15 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
                     },
                     ..DeliveryConfig::default()
                 },
-                Arc::clone(&clock),
             );
             conn.set_trace(trace.clone(), &format!("rack{rack:02}"));
             conn
         })
         .collect();
 
-    // --- Operator fault lane: a manager ticking on the shared clock.
+    // --- Operator fault lane: a manager ticked once per round.
     let manager = lanes_armed.operators.then(|| {
-        let mgr_clock = Arc::clone(&clock);
-        let mgr = OperatorManager::with_time_source(
-            Arc::new(QueryEngine::new(64)),
-            Box::new(move || mgr_clock.now()),
-        );
+        let mgr = OperatorManager::new(Arc::new(QueryEngine::new(64)));
         mgr.register_plugin(Box::new(FaultyPlugin {
             seed: derive_seed(seed, lanes::OPERATOR),
             operators: 4,
@@ -379,7 +375,7 @@ fn build_federation(
     agents: usize,
     seed: u64,
     horizon_ns: u64,
-    clock: &Arc<SimClock>,
+    clock: &Arc<Clock>,
     trace: &EventTrace,
 ) -> Arc<FederatedAgent> {
     let replication_factor = if lanes_armed.churn || lanes_armed.facility {
@@ -399,6 +395,7 @@ fn build_federation(
                 replication_factor,
                 ..FederationConfig::default()
             },
+            Arc::clone(&clock),
             move |_ordinal, id: &str| {
                 let (io, fsync) = if io_armed {
                     // ENOSPC / EIO / torn-write / fsync-poison faults
@@ -411,7 +408,7 @@ fn build_federation(
                         enospc_after_bytes: (id == "agent-00").then_some(8 * 1024),
                         ..FaultConfig::quiet(device_seed(io_lane, id))
                     };
-                    let io = FaultIo::with_clock(
+                    let io = FaultIo::new(
                         Arc::clone(&disk) as Arc<dyn StorageIo>,
                         config,
                         Arc::clone(&clock),

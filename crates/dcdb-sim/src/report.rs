@@ -30,7 +30,7 @@ pub struct BenchMeta {
 
 impl BenchMeta {
     /// Builds the meta block for `bench`, stamping `duration_ms` from
-    /// `started` (capture `Instant::now()` before the run).
+    /// `started` (an `Instant` captured before the run).
     pub fn new(
         bench: &str,
         seed: Option<u64>,

@@ -2033,7 +2033,11 @@ mod tests {
     #[test]
     fn fsync_poisoning_rotates_wal_and_keeps_acked_data() {
         let dir = TempDir::new("poison-rotate");
-        let io = FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(21));
+        let io = FaultIo::new(
+            Arc::new(StdIo),
+            FaultConfig::quiet(21),
+            dcdb_common::Clock::new(),
+        );
         let config = DurableConfig {
             fsync: FsyncPolicy::Always,
             ..small_config()
@@ -2100,7 +2104,11 @@ mod tests {
     #[test]
     fn drop_sync_error_is_recorded_and_observable() {
         let dir = TempDir::new("drop-sync");
-        let io = FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(33));
+        let io = FaultIo::new(
+            Arc::new(StdIo),
+            FaultConfig::quiet(33),
+            dcdb_common::Clock::new(),
+        );
         let db =
             DurableBackend::open_with(Arc::new(io.clone()), dir.path(), small_config()).unwrap();
         db.insert(&t("/n0/power"), r(1, 1)).unwrap();
@@ -2115,7 +2123,11 @@ mod tests {
     #[test]
     fn readonly_buffers_then_sheds_then_heals() {
         let dir = TempDir::new("readonly");
-        let io = FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(55));
+        let io = FaultIo::new(
+            Arc::new(StdIo),
+            FaultConfig::quiet(55),
+            dcdb_common::Clock::new(),
+        );
         let config = DurableConfig {
             fsync: FsyncPolicy::Always,
             health: HealthConfig {

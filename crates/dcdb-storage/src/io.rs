@@ -16,9 +16,9 @@
 //!   inner [`StorageIo`]. Per-op-class fault schedules (ENOSPC after a
 //!   byte budget, per-op EIO probability, fsync failure, torn/short
 //!   writes, injected latency) replay bit-for-bit from a single seed,
-//!   and an optional virtual-time window gates when faults fire — the
-//!   same clocking discipline as the bus's `ChaosBus`, so storage
-//!   chaos composes with transport chaos in one deterministic run.
+//!   and an optional window on the owner's [`Clock`] gates when faults
+//!   fire — the clock the bus's `ChaosBus` reads, so storage chaos
+//!   composes with transport chaos in one deterministic run.
 //!
 //! The surface is deliberately coarse (whole-file reads, ranged reads,
 //! append-oriented writes) because that is all the WAL, segment,
@@ -26,8 +26,8 @@
 //! implementations honest.
 
 use dcdb_common::error::{DcdbError, Result};
-use dcdb_common::sim::{EventTrace, SimClock};
-use dcdb_common::time::Timestamp;
+use dcdb_common::sim::EventTrace;
+use dcdb_common::time::Clock;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -318,9 +318,8 @@ pub struct FaultConfig {
     pub latency_ns: u64,
     /// Sleep for `latency_ns` on every op instead of only accounting it.
     pub sleep_on_latency: bool,
-    /// Virtual-time window `[from_ns, until_ns)` during which faults
-    /// fire; `None` means always. Clocked by [`FaultIo::advance`], like
-    /// the bus's `ChaosBus`.
+    /// Window `[from_ns, until_ns)` on the owner's [`Clock`] during
+    /// which faults fire; `None` means always.
     pub window_ns: Option<(u64, u64)>,
 }
 
@@ -383,7 +382,7 @@ pub struct FaultIoStats {
 struct FaultState {
     config: Mutex<FaultConfig>,
     rng: Mutex<u64>,
-    clock: Arc<SimClock>,
+    clock: Arc<Clock>,
     trace: Mutex<Option<(EventTrace, String)>>,
     injected_enospc: AtomicU64,
     injected_eio: AtomicU64,
@@ -474,20 +473,10 @@ pub struct FaultIo {
 }
 
 impl FaultIo {
-    /// Wraps `inner` behind the fault schedule `config`, on a private
-    /// clock.
-    pub fn new(inner: Arc<dyn StorageIo>, config: FaultConfig) -> FaultIo {
-        FaultIo::with_clock(inner, config, SimClock::new())
-    }
-
-    /// Wraps `inner` ticking from a shared [`SimClock`], so storage
-    /// fault windows and the bus/delivery chaos layers observe one
-    /// timeline.
-    pub fn with_clock(
-        inner: Arc<dyn StorageIo>,
-        config: FaultConfig,
-        clock: Arc<SimClock>,
-    ) -> FaultIo {
+    /// Wraps `inner` behind the fault schedule `config`; window-gated
+    /// faults fire only while the owner's `clock` sits inside the
+    /// configured window.
+    pub fn new(inner: Arc<dyn StorageIo>, config: FaultConfig, clock: Arc<Clock>) -> FaultIo {
         FaultIo {
             inner,
             state: Arc::new(FaultState {
@@ -508,24 +497,11 @@ impl FaultIo {
         }
     }
 
-    /// Advances virtual time; window-gated faults fire only while the
-    /// clock sits inside the configured window. The shared [`SimClock`]
-    /// is monotonic (`fetch_max`): out-of-order ticks never rewind the
-    /// window.
-    pub fn advance(&self, now: Timestamp) {
-        self.state.clock.advance_to(now);
-    }
-
     /// Attaches the canonical event trace; every injected fault is
     /// appended as `<label> <kind>` under the `io` lane (the label
     /// distinguishes per-shard devices sharing one trace).
     pub fn set_trace(&self, trace: EventTrace, label: &str) {
         *self.state.trace.lock() = Some((trace, label.to_string()));
-    }
-
-    /// The shared virtual clock this wrapper ticks from.
-    pub fn clock(&self) -> Arc<SimClock> {
-        Arc::clone(&self.state.clock)
     }
 
     /// Replaces the fault schedule (counters and the clock persist).
@@ -749,6 +725,7 @@ impl StorageIo for FaultIo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcdb_common::time::Timestamp;
 
     fn temp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -778,7 +755,7 @@ mod tests {
     #[test]
     fn fault_io_is_transparent_when_quiet() {
         let path = temp("quiet");
-        let io = FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(7));
+        let io = FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(7), Clock::new());
         let mut f = io.create(&path).unwrap();
         f.write_all(b"data").unwrap();
         f.sync().unwrap();
@@ -798,7 +775,7 @@ mod tests {
         let path = temp("enospc");
         let mut cfg = FaultConfig::quiet(42);
         cfg.enospc_after_bytes = Some(10);
-        let io = FaultIo::new(Arc::new(StdIo), cfg);
+        let io = FaultIo::new(Arc::new(StdIo), cfg, Clock::new());
         let mut f = io.create(&path).unwrap();
         f.write_all(b"12345").unwrap();
         f.write_all(b"1234").unwrap();
@@ -816,7 +793,7 @@ mod tests {
         let path = temp("torn");
         let mut cfg = FaultConfig::quiet(1234);
         cfg.torn_write_prob = 1.0;
-        let io = FaultIo::new(Arc::new(StdIo), cfg);
+        let io = FaultIo::new(Arc::new(StdIo), cfg, Clock::new());
         let mut f = io.create(&path).unwrap();
         assert!(f.write_all(&[0xAB; 64]).is_err());
         drop(f);
@@ -831,7 +808,7 @@ mod tests {
     fn fsync_failures_and_eio_replay_from_seed() {
         let run = |seed: u64| {
             let path = temp(&format!("replay-{seed}"));
-            let io = FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(seed));
+            let io = FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(seed), Clock::new());
             let mut f = io.create(&path).unwrap();
             let mut cfg = FaultConfig::quiet(seed);
             cfg.fsync_fail_prob = 0.5;
@@ -861,13 +838,14 @@ mod tests {
         let path = temp("window");
         let mut cfg = FaultConfig::quiet(5).with_window_ms(1_000, 2_000);
         cfg.eio_prob = 1.0;
-        let io = FaultIo::new(Arc::new(StdIo), cfg);
+        let clock = Clock::new();
+        let io = FaultIo::new(Arc::new(StdIo), cfg, Arc::clone(&clock));
         let mut f = io.create(&path).unwrap();
         // Before the window: clean.
         assert!(f.write_all(b"a").is_ok());
-        io.advance(Timestamp::from_millis(1_500));
+        clock.advance_to(Timestamp::from_millis(1_500));
         assert!(f.write_all(b"b").is_err());
-        io.advance(Timestamp::from_millis(2_500));
+        clock.advance_to(Timestamp::from_millis(2_500));
         assert!(f.write_all(b"c").is_ok());
         drop(f);
         assert_eq!(StdIo.read(&path).unwrap(), b"ac");
@@ -879,7 +857,7 @@ mod tests {
         let path = temp("clear");
         let mut cfg = FaultConfig::quiet(9);
         cfg.eio_prob = 1.0;
-        let io = FaultIo::new(Arc::new(StdIo), cfg);
+        let io = FaultIo::new(Arc::new(StdIo), cfg, Clock::new());
         assert!(io.create(&path).is_err());
         io.clear_faults();
         let mut f = io.create(&path).unwrap();
@@ -893,7 +871,7 @@ mod tests {
         let path = temp("latency");
         let mut cfg = FaultConfig::quiet(3);
         cfg.latency_ns = 1_000_000;
-        let io = FaultIo::new(Arc::new(StdIo), cfg);
+        let io = FaultIo::new(Arc::new(StdIo), cfg, Clock::new());
         let mut f = io.create(&path).unwrap();
         f.write_all(b"x").unwrap();
         f.sync().unwrap();
@@ -984,7 +962,7 @@ mod tests {
     /// A seeded fault schedule over a disk, as its `(outcomes, stats,
     /// trace witness)`.
     fn faulted_run(inner: Arc<dyn StorageIo>, path: &Path) -> (Vec<bool>, FaultIoStats, String) {
-        let io = FaultIo::new(inner, FaultConfig::quiet(77));
+        let io = FaultIo::new(inner, FaultConfig::quiet(77), Clock::new());
         let trace = EventTrace::new();
         io.set_trace(trace.clone(), "dev");
         let mut f = io.create(path).unwrap();
@@ -1018,7 +996,11 @@ mod tests {
 
     #[test]
     fn an_injected_truncate_eio_is_traced() {
-        let io = FaultIo::new(Arc::new(MemIo::default()), FaultConfig::quiet(3));
+        let io = FaultIo::new(
+            Arc::new(MemIo::default()),
+            FaultConfig::quiet(3),
+            Clock::new(),
+        );
         let trace = EventTrace::new();
         io.set_trace(trace.clone(), "dev");
         let mut f = io.create(Path::new("/f")).unwrap();

@@ -776,7 +776,7 @@ mod tests {
         let path = temp_wal("poison");
         let mut cfg = FaultConfig::quiet(11);
         cfg.fsync_fail_prob = 1.0;
-        let io = FaultIo::new(Arc::new(StdIo), cfg);
+        let io = FaultIo::new(Arc::new(StdIo), cfg, dcdb_common::Clock::new());
         let w = WalWriter::create_with(&io, &path, FsyncPolicy::Never);
         // Creation syncs the magic — with fsync always failing, creation
         // itself fails. Create clean, then arm the fault.
@@ -918,7 +918,11 @@ mod tests {
         // FaultIo files are not clonable (determinism), so EveryN falls
         // back to in-line syncs — and a failing one must still poison.
         let path = temp_wal("everyn-fault");
-        let io = FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(23));
+        let io = FaultIo::new(
+            Arc::new(StdIo),
+            FaultConfig::quiet(23),
+            dcdb_common::Clock::new(),
+        );
         let mut w = WalWriter::create_with(&io, &path, FsyncPolicy::EveryN(2)).unwrap();
         w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
         let mut cfg = FaultConfig::quiet(23);
@@ -933,7 +937,11 @@ mod tests {
     #[test]
     fn torn_append_rolls_back_to_clean_prefix() {
         let path = temp_wal("rollback");
-        let io = FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(17));
+        let io = FaultIo::new(
+            Arc::new(StdIo),
+            FaultConfig::quiet(17),
+            dcdb_common::Clock::new(),
+        );
         let mut w = WalWriter::create_with(&io, &path, FsyncPolicy::Never).unwrap();
         w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
         let good = w.bytes_written();

@@ -325,31 +325,24 @@ pub struct OperatorManager {
     /// them in: a pipeline's stages are loaded upstream first.
     plugins: RwLock<Vec<Arc<LoadedPlugin>>>,
     query: Arc<QueryEngine>,
-    time_source: Box<dyn Fn() -> Timestamp + Send + Sync>,
     fault_policy: RwLock<FaultPolicy>,
     ticks: AtomicU64,
+    /// The newest `tick`'s `now`, nanoseconds: the time an on-demand
+    /// request computes at.
+    last_tick_ns: AtomicU64,
 }
 
 impl OperatorManager {
-    /// Creates a manager over a query engine, using wall-clock time for
-    /// REST-triggered computations.
+    /// Creates a manager over a query engine. Its time is the newest
+    /// [`OperatorManager::tick`]: REST-triggered computations run at it.
     pub fn new(query: Arc<QueryEngine>) -> Arc<OperatorManager> {
-        Self::with_time_source(query, Box::new(Timestamp::now))
-    }
-
-    /// Creates a manager with a custom time source (virtual clocks in
-    /// simulation).
-    pub fn with_time_source(
-        query: Arc<QueryEngine>,
-        time_source: Box<dyn Fn() -> Timestamp + Send + Sync>,
-    ) -> Arc<OperatorManager> {
         Arc::new(OperatorManager {
             registry: RwLock::new(HashMap::new()),
             plugins: RwLock::new(Vec::new()),
             query,
-            time_source,
             fault_policy: RwLock::new(FaultPolicy::default()),
             ticks: AtomicU64::new(0),
+            last_tick_ns: AtomicU64::new(0),
         })
     }
 
@@ -382,6 +375,12 @@ impl OperatorManager {
     /// Ticks processed so far (any clock).
     pub fn ticks(&self) -> u64 {
         self.ticks.load(Ordering::Relaxed)
+    }
+
+    /// The newest `now` a [`OperatorManager::tick`] was given (zero
+    /// before the first): the manager's time between ticks.
+    pub fn last_tick(&self) -> Timestamp {
+        Timestamp(self.last_tick_ns.load(Ordering::Acquire))
     }
 
     /// Registers a plugin factory; configurations with a matching
@@ -534,6 +533,8 @@ impl OperatorManager {
     /// request) are skipped as overruns instead of blocking the tick.
     pub fn tick(&self, now: Timestamp) -> TickReport {
         self.ticks.fetch_add(1, Ordering::Relaxed);
+        self.last_tick_ns
+            .fetch_max(now.as_nanos(), Ordering::AcqRel);
         let mut report = TickReport::default();
         // Snapshot due work without holding the plugin map lock during
         // computation.
@@ -779,7 +780,7 @@ impl OperatorManager {
     /// * `PUT  /analytics/plugins/:name/:action` — start / stop / reload;
     /// * `GET  /analytics/plugins/:name/units` — unit listing;
     /// * `GET  /analytics/compute/:name?unit=<topic>` — on-demand
-    ///   computation, outputs returned as JSON.
+    ///   computation at the newest tick's time, outputs returned as JSON.
     pub fn mount_routes(self: &Arc<Self>, router: &mut Router) {
         let mgr = Arc::clone(self);
         router.get("/analytics/plugins", move |_req| {
@@ -863,8 +864,7 @@ impl OperatorManager {
             let Ok(unit_topic) = Topic::parse(unit_str) else {
                 return Response::error(Status::BadRequest, "malformed unit topic");
             };
-            let now = (mgr.time_source)();
-            match mgr.on_demand(name, &unit_topic, now) {
+            match mgr.on_demand(name, &unit_topic, mgr.last_tick()) {
                 Ok(outputs) => {
                     let body: Vec<serde_json::Value> = outputs
                         .iter()
@@ -967,7 +967,8 @@ mod tests {
             );
         }
         qe.rebuild_navigator();
-        let mgr = OperatorManager::with_time_source(qe, Box::new(|| Timestamp::from_secs(100)));
+        let mgr = OperatorManager::new(qe);
+        mgr.tick(Timestamp::from_secs(100));
         mgr.register_plugin(Box::new(ScalePlugin));
         mgr
     }
@@ -1165,6 +1166,32 @@ mod tests {
         assert_eq!(resp.status.code(), 400);
     }
 
+    #[test]
+    fn on_demand_over_rest_computes_at_the_newest_tick() {
+        let mgr = manager_with_data();
+        mgr.load(scale_config("s1", 1000)).unwrap();
+        let mut router = Router::new();
+        mgr.mount_routes(&mut router);
+        let stamps = |router: &Router| -> Vec<u64> {
+            let req = dcdb_rest::Request::new(Method::Get, "/analytics/compute/s1?unit=/n2");
+            let resp = router.dispatch(req);
+            assert_eq!(resp.status.code(), 200, "{}", resp.body_str());
+            let body: serde_json::Value = serde_json::from_str(&resp.body_str()).unwrap();
+            let outputs = body.as_array().unwrap().iter();
+            outputs
+                .map(|o| o.get("timestamp").unwrap().as_u64().unwrap())
+                .collect()
+        };
+        let at = |s: u64| vec![Timestamp::from_secs(s).as_nanos()];
+
+        assert_eq!(stamps(&router), at(100), "the tick manager_with_data gave");
+        mgr.tick(Timestamp::from_secs(130));
+        assert_eq!(stamps(&router), at(130));
+        // A stale tick does not move the manager's time back.
+        mgr.tick(Timestamp::from_secs(120));
+        assert_eq!(stamps(&router), at(130));
+    }
+
     /// Test plugin whose operator panics on every computation.
     struct PanicPlugin;
 
@@ -1325,7 +1352,8 @@ mod tests {
         mgr.load(scale_config("s1", 1000)).unwrap();
         mgr.tick(Timestamp::from_secs(2));
         let v = mgr.metrics_json();
-        assert_eq!(v.get("ticks").unwrap().as_u64(), Some(1));
+        // The fixture's tick at 100 s and this one.
+        assert_eq!(v.get("ticks").unwrap().as_u64(), Some(2));
         let totals = v.get("totals").unwrap();
         assert_eq!(totals.get("runs").unwrap().as_u64(), Some(1));
         assert_eq!(totals.get("successes").unwrap().as_u64(), Some(1));

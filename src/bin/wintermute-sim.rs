@@ -117,8 +117,8 @@ use dcdb_wintermute::dcdb_bus::{
 };
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig, SimJobSource};
 use dcdb_wintermute::dcdb_common::error::Result;
-use dcdb_wintermute::dcdb_common::sim::{derive_seed, SimClock};
-use dcdb_wintermute::dcdb_common::{ConnectionState, ReconnectConfig, Timestamp, Topic};
+use dcdb_wintermute::dcdb_common::sim::derive_seed;
+use dcdb_wintermute::dcdb_common::{Clock, ConnectionState, ReconnectConfig, Timestamp, Topic};
 use dcdb_wintermute::dcdb_federation::{
     FederatedAgent, FederationConfig, QueryRouter, RouterConfig, DEFAULT_VNODES,
 };
@@ -339,6 +339,10 @@ fn main() {
         auto_workload: true,
     })));
 
+    // --- One clock: the loop below advances it to wall time every tick;
+    // the fault layers and the federation read it. ---
+    let clock = Clock::new();
+
     // --- Storage: one opener for every engine of either tier. ---
     let durable_config = DurableConfig {
         fsync: choice("--fsync", "batch", "always|batch|never", |v| {
@@ -386,6 +390,7 @@ fn main() {
     // disk is the real filesystem under `--data-dir`, otherwise one
     // in-memory disk for the whole process.
     let open_storage = {
+        let clock = Arc::clone(&clock);
         let (disk, root): (Arc<dyn StorageIo>, _) = match data_dir.clone() {
             Some(dir) => (Arc::new(StdIo), dir),
             None => (Arc::new(MemIo::default()), PathBuf::from("/")),
@@ -399,7 +404,11 @@ fn main() {
             // a clean disk; armed below for the live run.
             let fault_io = io_faults.map(|cfg| {
                 let seed = derive_seed(cfg.seed, ordinal as u64);
-                let io = FaultIo::new(Arc::clone(&disk), FaultConfig::quiet(seed));
+                let io = FaultIo::new(
+                    Arc::clone(&disk),
+                    FaultConfig::quiet(seed),
+                    Arc::clone(&clock),
+                );
                 (Arc::new(io), FaultConfig { seed, ..cfg })
             });
             let io: Arc<dyn StorageIo> = match &fault_io {
@@ -455,6 +464,7 @@ fn main() {
                 bus: bus_config,
                 replication_factor: arg("--replicas", 1).clamp(1, 2) as usize,
             },
+            Arc::clone(&clock),
             open_storage,
         );
         let fed = Arc::new(fed.expect("federation"));
@@ -513,7 +523,7 @@ fn main() {
             cfg.drop_prob,
             cfg.outages.len()
         );
-        ChaosBus::over(Arc::clone(&front_door), cfg, SimClock::new())
+        ChaosBus::new(Arc::clone(&front_door), cfg, Arc::clone(&clock))
     });
     let pusher_bus: Arc<dyn MessageBus> = match &chaos {
         Some(chaos) => Arc::new(chaos.clone()),
@@ -574,7 +584,7 @@ fn main() {
     let start = std::time::Instant::now();
     let mut last_status = 0u64;
     while start.elapsed().as_secs() < duration_s {
-        let now = Timestamp::now();
+        let now = clock.advance_to(Timestamp::now());
         if let Some(chaos) = &chaos {
             chaos.advance(now);
         }

@@ -9,7 +9,7 @@
 
 use dcdb_wintermute::dcdb_bus::{MessageBus, TopicFilter};
 use dcdb_wintermute::dcdb_collectagent::{agg_query_body, sensors_body, CollectAgent};
-use dcdb_wintermute::dcdb_common::{SensorReading, Timestamp, Topic};
+use dcdb_wintermute::dcdb_common::{Clock, SensorReading, Timestamp, Topic};
 use dcdb_wintermute::dcdb_federation::router::FederatedAggQuery;
 use dcdb_wintermute::dcdb_federation::{
     FederatedAgent, FederatedQuery, FederationConfig, QueryEnvelope, QueryRouter, RouterConfig,
@@ -376,10 +376,13 @@ fn single_agent_routes_serve_the_oracles_bytes() {
 #[test]
 fn federated_routes_serve_the_oracles_bytes() {
     let fed = Arc::new(
-        FederatedAgent::new(FederationConfig {
-            agents: 3,
-            ..FederationConfig::default()
-        })
+        FederatedAgent::new(
+            FederationConfig {
+                agents: 3,
+                ..FederationConfig::default()
+            },
+            Clock::new(),
+        )
         .unwrap(),
     );
     for node in 0..4 {

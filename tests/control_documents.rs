@@ -11,7 +11,7 @@
 
 use dcdb_wintermute::dcdb_bus::{Broker, MessageBus};
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
-use dcdb_wintermute::dcdb_common::{SensorReading, Timestamp, Topic};
+use dcdb_wintermute::dcdb_common::{Clock, SensorReading, Timestamp, Topic};
 use dcdb_wintermute::dcdb_federation::{
     FederatedAgent, FederationConfig, QueryRouter, RouterConfig,
 };
@@ -81,11 +81,14 @@ fn agent_documents() -> (Value, Value) {
 /// behind its router.
 fn federation() -> (Arc<FederatedAgent>, Router) {
     let fed = Arc::new(
-        FederatedAgent::new(FederationConfig {
-            agents: 2,
-            replication_factor: 2,
-            ..FederationConfig::default()
-        })
+        FederatedAgent::new(
+            FederationConfig {
+                agents: 2,
+                replication_factor: 2,
+                ..FederationConfig::default()
+            },
+            Clock::new(),
+        )
         .unwrap(),
     );
     for sec in 1..=5u64 {

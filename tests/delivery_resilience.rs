@@ -7,7 +7,7 @@
 
 use dcdb_wintermute::dcdb_bus::{decode_batch, Broker, ChaosBus, ChaosConfig, MessageBus};
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
-use dcdb_wintermute::dcdb_common::{ConnectionState, ReconnectConfig, Timestamp, Topic};
+use dcdb_wintermute::dcdb_common::{Clock, ConnectionState, ReconnectConfig, Timestamp, Topic};
 use dcdb_wintermute::dcdb_pusher::{
     DeliveryConfig, Pusher, PusherConfig, SpoolConfig, TesterMonitoringPlugin,
 };
@@ -20,6 +20,11 @@ use std::sync::Arc;
 
 fn t(s: &str) -> Topic {
     Topic::parse(s).unwrap()
+}
+
+/// A chaos layer over `broker`, on a clock the test advances through it.
+fn chaos_over(broker: &Broker, config: ChaosConfig) -> ChaosBus {
+    ChaosBus::new(Arc::new(broker.handle()), config, Clock::new())
 }
 
 /// A pusher with `sensors` tester topics routed through `chaos`,
@@ -55,10 +60,7 @@ fn chaos_pusher(chaos: &ChaosBus, sensors: usize, depth: usize, interval_ms: u64
 #[test]
 fn spool_drains_oldest_first_with_no_duplicates() {
     let broker = Broker::new();
-    let chaos = ChaosBus::new(
-        broker.handle(),
-        ChaosConfig::quiet(7).with_outage_ms(3_200, 9_400),
-    );
+    let chaos = chaos_over(&broker, ChaosConfig::quiet(7).with_outage_ms(3_200, 9_400));
     let pusher = chaos_pusher(&chaos, 4, 64, 1000);
     let sub = broker.handle().subscribe_str("/host/#").unwrap();
 
@@ -97,10 +99,7 @@ fn spool_drains_oldest_first_with_no_duplicates() {
 #[test]
 fn operator_outputs_survive_an_outage() {
     let broker = Broker::new();
-    let chaos = ChaosBus::new(
-        broker.handle(),
-        ChaosConfig::quiet(7).with_outage_ms(3_200, 9_400),
-    );
+    let chaos = chaos_over(&broker, ChaosConfig::quiet(7).with_outage_ms(3_200, 9_400));
     let pusher = chaos_pusher(&chaos, 4, 64, 1000);
     wintermute_plugins::register_all(pusher.manager(), None);
     pusher
@@ -159,7 +158,7 @@ fn accounting_identity_holds_over_seeded_chaos_schedules() {
             1_500_000_000,
             5_000_000_000,
         );
-        let chaos = ChaosBus::new(broker.handle(), cfg);
+        let chaos = chaos_over(&broker, cfg);
         // Depth varies with the seed: some runs shed, some don't.
         let depth = 2 + (seed as usize * 7) % 40;
         let pusher = chaos_pusher(&chaos, 3, depth, interval_ms);
@@ -194,8 +193,8 @@ fn accounting_identity_holds_over_seeded_chaos_schedules() {
 #[test]
 fn staleness_raised_during_outage_and_cleared_after_recovery() {
     let broker = Broker::new();
-    let chaos = ChaosBus::new(
-        broker.handle(),
+    let chaos = chaos_over(
+        &broker,
         ChaosConfig::quiet(21).with_outage_ms(4_500, 11_500),
     );
     let pusher = chaos_pusher(&chaos, 2, 64, 1000);
@@ -242,10 +241,7 @@ fn staleness_raised_during_outage_and_cleared_after_recovery() {
 #[test]
 fn connection_is_supervised_with_backoff_and_reconnect() {
     let broker = Broker::new();
-    let chaos = ChaosBus::new(
-        broker.handle(),
-        ChaosConfig::quiet(3).with_outage_ms(2_500, 14_500),
-    );
+    let chaos = chaos_over(&broker, ChaosConfig::quiet(3).with_outage_ms(2_500, 14_500));
     let pusher = chaos_pusher(&chaos, 1, 64, 1000);
 
     let mut saw_down = false;
@@ -282,7 +278,7 @@ fn connection_is_supervised_with_backoff_and_reconnect() {
 #[test]
 fn local_cache_keeps_working_while_partitioned() {
     let broker = Broker::new();
-    let chaos = ChaosBus::new(broker.handle(), ChaosConfig::quiet(5));
+    let chaos = chaos_over(&broker, ChaosConfig::quiet(5));
     chaos.partition("/host");
     let pusher = chaos_pusher(&chaos, 2, 8, 1000);
 
@@ -312,10 +308,7 @@ fn local_cache_keeps_working_while_partitioned() {
 #[test]
 fn fleet_of_pushers_shares_one_chaos_bus() {
     let broker = Broker::new();
-    let chaos = ChaosBus::new(
-        broker.handle(),
-        ChaosConfig::quiet(9).with_outage_ms(2_200, 5_800),
-    );
+    let chaos = chaos_over(&broker, ChaosConfig::quiet(9).with_outage_ms(2_200, 5_800));
     let bus: Arc<dyn MessageBus> = Arc::new(chaos.clone());
     let sim = Arc::new(Mutex::new(
         dcdb_wintermute::sim_cluster::ClusterSimulator::new(

@@ -9,7 +9,7 @@
 
 use dcdb_wintermute::dcdb_bus::MessageBus;
 use dcdb_wintermute::dcdb_common::sim::derive_seed;
-use dcdb_wintermute::dcdb_common::{SensorReading, Timestamp, Topic};
+use dcdb_wintermute::dcdb_common::{Clock, SensorReading, Timestamp, Topic};
 use dcdb_wintermute::dcdb_federation::{
     FederatedAgent, FederationConfig, QueryRouter, RouterConfig,
 };
@@ -30,11 +30,14 @@ fn scenario(seed: u64) {
     let victim_node = (derive_seed(seed, 3) % NODES as u64) as usize;
 
     let fed = Arc::new(
-        FederatedAgent::new(FederationConfig {
-            agents,
-            replication_factor: 2,
-            ..FederationConfig::default()
-        })
+        FederatedAgent::new(
+            FederationConfig {
+                agents,
+                replication_factor: 2,
+                ..FederationConfig::default()
+            },
+            Clock::new(),
+        )
         .unwrap(),
     );
     let router = QueryRouter::new(Arc::clone(&fed), RouterConfig::default());

@@ -9,7 +9,9 @@
 use dcdb_wintermute::dcdb_bus::{Broker, MessageBus};
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_wintermute::dcdb_common::error::Result as DcdbResult;
-use dcdb_wintermute::dcdb_common::{DcdbError, ReadingBatch, SensorReading, Timestamp, Topic};
+use dcdb_wintermute::dcdb_common::{
+    Clock, DcdbError, ReadingBatch, SensorReading, Timestamp, Topic,
+};
 use dcdb_wintermute::dcdb_pusher::{MonitoringPlugin, Pusher, PusherConfig};
 use dcdb_wintermute::dcdb_storage::{
     DurableBackend, DurableConfig, FaultConfig, FaultIo, FsyncPolicy, HealthConfig, HealthState,
@@ -348,7 +350,11 @@ fn torn_write_crash_points_recover_prefix_consistent() {
         std::fs::remove_dir_all(&dir).ok();
         // Open under a quiet schedule (a faulted initial WAL header is
         // a failed open, not a crash point), then arm the faults.
-        let io = Arc::new(FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(seed)));
+        let io = Arc::new(FaultIo::new(
+            Arc::new(StdIo),
+            FaultConfig::quiet(seed),
+            Clock::new(),
+        ));
         let db =
             DurableBackend::open_with(Arc::clone(&io) as Arc<dyn StorageIo>, &dir, config.clone())
                 .unwrap();
@@ -515,7 +521,12 @@ struct Part {
 
 /// A durable engine whose every write fails with `EIO` from 1 s on.
 fn storage_part(dir: &std::path::Path) -> Part {
-    let io = Arc::new(FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(21)));
+    let clock = Clock::new();
+    let io = Arc::new(FaultIo::new(
+        Arc::new(StdIo),
+        FaultConfig::quiet(21),
+        Arc::clone(&clock),
+    ));
     let config = DurableConfig {
         fsync: FsyncPolicy::Always,
         health: HealthConfig {
@@ -540,7 +551,7 @@ fn storage_part(dir: &std::path::Path) -> Part {
         step_ms: 10,
         step: Box::new(move |now_ms| {
             let now = Timestamp::from_millis(now_ms);
-            io.advance(now);
+            clock.advance_to(now);
             stepped.maintain(now).ok();
             // Buffered, not attempted, under ReadOnly.
             let _ = stepped.insert(&t("/n0/power"), SensorReading::new(1, now));

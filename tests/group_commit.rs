@@ -12,7 +12,7 @@
 use dcdb_wintermute::dcdb_bus::{Broker, MessageBus};
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_wintermute::dcdb_common::error::{DcdbError, Result};
-use dcdb_wintermute::dcdb_common::{ReadingBatch, SensorReading, Timestamp, Topic};
+use dcdb_wintermute::dcdb_common::{Clock, ReadingBatch, SensorReading, Timestamp, Topic};
 use dcdb_wintermute::dcdb_federation::NodeEngine;
 use dcdb_wintermute::dcdb_storage::io::IoFile;
 use dcdb_wintermute::dcdb_storage::wal::WAL_MAGIC;
@@ -452,7 +452,7 @@ fn a_replication_pump_costs_the_journal_writes_of_one_group() {
     let io = Arc::new(SharedCountingIo(Arc::clone(&counts)));
     let standby = DurableBackend::open_with(io, &dir, config).unwrap();
     let primary = NodeEngine::wrap(Arc::new(DurableBackend::in_memory()));
-    let stream = primary.attach(4_096, false);
+    let stream = primary.attach(4_096, false, Clock::new());
     assert!(primary
         .insert_many(&one_reading_messages(512, 1))
         .is_empty());
@@ -662,7 +662,11 @@ fn a_group_write_torn_at_any_byte_recovers_to_whole_records() {
 /// a group spans several chunks, that never demotes to ReadOnly: a
 /// chunk whose write keeps failing is refused.
 fn faulty_engine(dir: &Path, seed: u64, max_retries: u32) -> (Arc<FaultIo>, DurableBackend) {
-    let io = Arc::new(FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(seed)));
+    let io = Arc::new(FaultIo::new(
+        Arc::new(StdIo),
+        FaultConfig::quiet(seed),
+        Clock::new(),
+    ));
     let config = DurableConfig {
         fsync: FsyncPolicy::EveryN(4),
         health: HealthConfig {
@@ -760,7 +764,11 @@ fn enospc_refuses_entries_by_index_and_conserves_readings() {
 fn a_read_only_engine_buffers_a_group_entry_by_entry() {
     let group = distinct_entries(30);
     let dir = temp_dir("read-only");
-    let io = Arc::new(FaultIo::new(Arc::new(StdIo), FaultConfig::quiet(3)));
+    let io = Arc::new(FaultIo::new(
+        Arc::new(StdIo),
+        FaultConfig::quiet(3),
+        Clock::new(),
+    ));
     let config = DurableConfig {
         fsync: FsyncPolicy::EveryN(4),
         health: HealthConfig {
@@ -866,7 +874,7 @@ fn a_tapped_engine_taps_exactly_the_acknowledged_entries() {
     let dir = temp_dir("tapped");
     let (io, db) = faulty_engine(&dir, 11, 0);
     let tapped = NodeEngine::wrap(Arc::new(db));
-    let stream = tapped.attach(1_024, false);
+    let stream = tapped.attach(1_024, false, Clock::new());
     io.set_config(FaultConfig {
         eio_prob: 0.5,
         ..FaultConfig::quiet(11)
