@@ -1,7 +1,8 @@
 //! The memtable of [`crate::engine::DurableBackend`]: a keyspace of
-//! per-sensor series holding recent readings until a seal writes them
-//! out — columnar inserts keyed by topic, time-range queries,
-//! latest/oldest lookups, whole series for a seal, retention eviction.
+//! per-sensor series — one sorted column pair each ([`Series`]) —
+//! holding recent readings until a seal writes them out: columnar
+//! inserts keyed by topic, time-range queries, latest/oldest lookups,
+//! whole series for a seal, exact retention eviction.
 //!
 //! Concurrency model: the topic map is split into [`SHARD_COUNT`]
 //! shards, each a `RwLock<HashMap>` selected by topic hash, plus a
@@ -10,7 +11,7 @@
 //! 1-in-[`SHARD_COUNT`] slice of readers that hash to the same shard
 //! (the common case: one collect agent thread per pusher stream).
 
-use crate::series::{Series, DEFAULT_PARTITION_NS};
+use crate::series::Series;
 use dcdb_common::batch::ReadingBatch;
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
@@ -29,21 +30,14 @@ type Shard = RwLock<HashMap<Topic, Arc<Mutex<Series>>>>;
 pub struct StorageBackend {
     shards: [Shard; SHARD_COUNT],
     hasher: BuildHasherDefault<DefaultHasher>,
-    partition_ns: u64,
 }
 
 impl StorageBackend {
-    /// Creates a backend with the default (10-minute) partitioning.
+    /// Creates an empty memtable.
     pub fn new() -> Self {
-        Self::with_partition_ns(DEFAULT_PARTITION_NS)
-    }
-
-    /// Creates a backend with a custom partition duration.
-    pub fn with_partition_ns(partition_ns: u64) -> Self {
         StorageBackend {
             shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             hasher: BuildHasherDefault::default(),
-            partition_ns,
         }
     }
 
@@ -57,10 +51,7 @@ impl StorageBackend {
             return Arc::clone(s);
         }
         let mut map = shard.write();
-        Arc::clone(
-            map.entry(topic.clone())
-                .or_insert_with(|| Arc::new(Mutex::new(Series::new(self.partition_ns)))),
-        )
+        Arc::clone(map.entry(topic.clone()).or_default())
     }
 
     /// Inserts a columnar batch for `topic` under one series lock,
@@ -120,9 +111,10 @@ impl StorageBackend {
         all
     }
 
-    /// Evicts data older than `cutoff` from every series (retention).
-    /// Returns the total number of evicted readings. Shards are visited
-    /// one at a time so eviction never stalls the whole keyspace.
+    /// Evicts every reading older than `cutoff` from every series
+    /// (retention). Returns the total number of evicted readings.
+    /// Shards are visited one at a time so eviction never stalls the
+    /// whole keyspace.
     pub fn evict_before(&self, cutoff: Timestamp) -> usize {
         let mut evicted = 0;
         for shard in &self.shards {
@@ -193,7 +185,7 @@ mod tests {
 
     #[test]
     fn eviction_across_sensors() {
-        let db = StorageBackend::with_partition_ns(10 * 1_000_000_000);
+        let db = StorageBackend::new();
         for n in 0..4 {
             let topic = t(&format!("/n{n}/s"));
             for i in 0..40u64 {

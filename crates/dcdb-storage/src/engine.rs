@@ -16,17 +16,19 @@
 //!   is replayed into a fresh memtable — every acknowledged insert
 //!   survives a process kill, tolerating a torn final record; corrupt
 //!   segments and WALs are quarantined instead of aborting recovery;
-//! * *merged reads*: range queries stitch segment blocks and memtable
-//!   partitions, deduplicating by timestamp with newest-generation-wins
-//!   semantics (identical to overwrite behaviour of the memtable);
+//! * *merged reads*: range queries stitch segment blocks and the
+//!   memtable's per-sensor columns, deduplicating by timestamp with
+//!   newest-generation-wins semantics (identical to overwrite behaviour
+//!   of the memtable);
 //! * *compaction* and *retention*: once `compact_min_segments` raw
 //!   segments exist — or rollup segments of one tier — maintenance
 //!   merges them into one, newest generation winning, streaming one
 //!   topic at a time and dropping what retention has expired; whole
-//!   segments past the retention horizon are retired, honoring the
-//!   same `evict_before` semantics as the memtable. Memory therefore
-//!   follows what is still open — the memtable and each sensor's open
-//!   rollup buckets — not how long the engine has run;
+//!   segments past the retention horizon are retired (see
+//!   [`DurableConfig::retention_ns`] for how closely that holds).
+//!   Memory therefore follows what is still open — the memtable and
+//!   each sensor's open rollup buckets — not how long the engine has
+//!   run;
 //! * *fault tolerance* ([`crate::health`]): write errors are retried
 //!   with bounded exponential backoff, a poisoned WAL (failed fsync) is
 //!   rotated to a fresh file that re-journals the memtable, and when the
@@ -77,10 +79,13 @@ pub struct DurableConfig {
     pub memtable_max_readings: usize,
     /// Compact once this many sealed segments exist.
     pub compact_min_segments: usize,
-    /// Drop data older than `now - retention_ns` during [`DurableBackend::maintain`].
+    /// Drop raw data older than `now - retention_ns` during
+    /// [`DurableBackend::maintain`]: memtable readings below the cutoff
+    /// go exactly then, a sealed segment is retired whole once its
+    /// newest reading is below it, and compaction cuts expired readings
+    /// out of the files it merges. A sealed reading can therefore
+    /// outlive the cutoff by up to one merge interval.
     pub retention_ns: Option<u64>,
-    /// Partition duration of the memtable (see [`crate::series`]).
-    pub partition_ns: u64,
     /// Health state machine tuning (retry, demotion, probing, buffer).
     pub health: HealthConfig,
     /// Continuous-aggregation rollup tiers maintained at ingest (see
@@ -95,7 +100,6 @@ impl Default for DurableConfig {
             memtable_max_readings: 200_000,
             compact_min_segments: 4,
             retention_ns: None,
-            partition_ns: crate::series::DEFAULT_PARTITION_NS,
             health: HealthConfig::default(),
             rollup: RollupConfig::default(),
         }
@@ -444,7 +448,7 @@ impl DurableBackend {
             &mut quarantine,
         );
 
-        let memtable = Arc::new(StorageBackend::with_partition_ns(config.partition_ns));
+        let memtable = Arc::new(StorageBackend::new());
         let mut unsealed = Vec::new();
         for (_, path) in wal_files {
             let rep: WalReplay = match replay_with(io.as_ref(), &path, |topic, batch| {
@@ -974,7 +978,7 @@ impl DurableBackend {
                     return Err(err);
                 }
             };
-        let fresh = Arc::new(StorageBackend::with_partition_ns(self.config.partition_ns));
+        let fresh = Arc::new(StorageBackend::new());
 
         // Publish the outgoing memtable to the `sealing` slot *before*
         // swapping it out, so reads never lose sight of it (brief double
@@ -1350,9 +1354,11 @@ impl StorageEngine for DurableBackend {
         set.into_iter().collect()
     }
 
-    /// Evicts data older than `cutoff`: memtable partitions (exact
-    /// semantics of [`StorageBackend::evict_before`]) plus whole sealed
-    /// segments entirely below the cutoff. Returns readings evicted.
+    /// Evicts data older than `cutoff`: every memtable reading below it
+    /// ([`StorageBackend::evict_before`]) plus each sealed segment whose
+    /// newest reading is below it. A segment straddling the cutoff stays
+    /// whole until compaction merges it ([`DurableConfig::retention_ns`]).
+    /// Returns readings evicted.
     fn evict_before(&self, cutoff: Timestamp) -> usize {
         let _guard = self.seal_lock.lock();
         let mut evicted = self.active.read().memtable.evict_before(cutoff);
@@ -1509,7 +1515,6 @@ mod tests {
             memtable_max_readings: 100,
             compact_min_segments: 3,
             retention_ns: None,
-            partition_ns: 10 * 1_000_000_000,
             health: HealthConfig {
                 retry_backoff_base_ms: 0,
                 ..HealthConfig::default()
@@ -1732,7 +1737,7 @@ mod tests {
     }
 
     #[test]
-    fn eviction_drops_old_segments_and_memtable_partitions() {
+    fn eviction_drops_old_segments_and_the_memtable_prefix() {
         let dir = TempDir::new("evict");
         let db = DurableBackend::open(dir.path(), small_config()).unwrap();
         for i in 0..100u64 {
@@ -1742,11 +1747,13 @@ mod tests {
         for i in 100..140u64 {
             db.insert(&t("/n0/power"), r(i as i64, i)).unwrap();
         }
-        // Cutoff above the sealed segment's max: segment dropped whole.
+        // Cutoff above the sealed segment's max: segment dropped whole,
+        // and the memtable's readings below the cutoff exactly.
         let evicted = db.evict_before(Timestamp::from_secs(120));
-        assert!(evicted >= 100, "evicted {evicted}");
+        assert_eq!(evicted, 120);
         let q = db.query(&t("/n0/power"), Timestamp::ZERO, Timestamp::MAX);
-        assert!(q.iter().all(|x| x.ts >= Timestamp::from_secs(120)));
+        assert_eq!(q.first().map(|x| x.ts), Some(Timestamp::from_secs(120)));
+        assert_eq!(q.len(), 20);
         assert_eq!(db.engine_stats().sealed_segments, 0);
     }
 

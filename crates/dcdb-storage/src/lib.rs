@@ -1,11 +1,11 @@
 //! # dcdb-storage — embedded time-series storage backend
 //!
 //! DCDB persists all monitoring data in Apache Cassandra (paper §IV-A).
-//! This crate provides an embedded substitute with the same shape: a
-//! keyspace of per-sensor series partitioned by time window, serving the
-//! two access patterns the stack needs — append-mostly writes from the
-//! Collect Agent and time-range reads from the Wintermute Query Engine
-//! when a request misses the sensor caches (paper §V-B).
+//! This crate provides an embedded substitute: a keyspace of per-sensor
+//! time series, serving the two access patterns the stack needs —
+//! append-mostly writes from the Collect Agent and time-range reads from
+//! the Wintermute Query Engine when a request misses the sensor caches
+//! (paper §V-B).
 //!
 //! One engine implements the [`StorageEngine`] trait:
 //! [`engine::DurableBackend`] layers a write-ahead log ([`wal`]),
@@ -17,12 +17,12 @@
 //! Readings have one shape at rest: every write travels as a columnar
 //! [`ReadingBatch`] (one record kind in the journal, one insert path
 //! per layer: a group of batches, of which a single batch is the group
-//! of one), a memtable partition is a pair of `ts`/`values` columns,
+//! of one), a memtable series is a pair of `ts`/`values` columns,
 //! and a seal hands those columns to the block codec. Rows
 //! (`SensorReading`) exist only where a read API returns them
 //! ([`StorageEngine::query`], [`StorageEngine::latest`]).
 //!
-//! Supporting modules: [`series`] (one sensor's partitioned series),
+//! Supporting modules: [`series`] (one sensor's memtable columns),
 //! [`sealed`] (the one sealed-file container raw and rollup segments
 //! share), [`crc`] (checksums shared by the on-disk formats).
 //!
@@ -55,7 +55,7 @@ pub use health::{
 };
 pub use io::{FaultConfig, FaultIo, FaultIoStats, MemIo, StdIo, StorageIo};
 pub use rollup::{AggFrame, RollupConfig, RollupStats, TierSpec, DEFAULT_TIER_WIDTHS_NS};
-pub use series::{Series, DEFAULT_PARTITION_NS};
+pub use series::Series;
 pub use wal::FsyncPolicy;
 
 use dcdb_common::batch::ReadingBatch;
@@ -105,7 +105,8 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     fn contains(&self, topic: &Topic) -> bool;
     /// All topics with stored data.
     fn topics(&self) -> Vec<Topic>;
-    /// Drops data strictly older than `cutoff`; returns readings evicted.
+    /// Drops data strictly older than `cutoff` — for a sealed file, once
+    /// all of it is; returns readings evicted.
     fn evict_before(&self, cutoff: Timestamp) -> usize;
     /// Counter snapshot.
     fn stats(&self) -> StorageStats;

@@ -34,9 +34,13 @@
 //! its memtable. Only *open* frames stay hot: once a tier is sealed it
 //! keeps, per sensor, just its newest bucket (the one the fold is still
 //! extending) until new readings dirty more; every sealed frame is
-//! served from its segment. A bucket written by several seals has one
-//! version per file; the engine compacts each tier's segments like raw
-//! ones, the newest version winning. The frames themselves are **not**
+//! served from its segment. A sensor's hot frames in a tier are
+//! therefore a short vector sorted by bucket — one frame after a seal,
+//! the buckets dirtied since before the next — held in one map entry per
+//! sensor across all tiers, so a sensor costs a few frames, not a tree
+//! per tier. A bucket written by several seals has one version per
+//! file; the engine compacts each tier's segments like raw ones, the
+//! newest version winning. The frames themselves are **not**
 //! WAL-journaled: after a crash the engine replays the raw WAL into its
 //! memtable and rebuilds the affected frames from that raw replay (see
 //! `DurableBackend::open_with`), so rollup durability rides entirely on
@@ -50,7 +54,7 @@ use dcdb_common::error::{DcdbError, Result};
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::NS_PER_SEC;
 use dcdb_common::topic::Topic;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -261,23 +265,48 @@ struct HotFrame {
     dirty: bool,
 }
 
-struct TopicAccum {
-    frames: BTreeMap<u64, HotFrame>,
+/// One sensor's hot state in one tier.
+#[derive(Default)]
+struct TierFrames {
+    /// Ascending by `frame.bucket_ns`, one frame per bucket: after a
+    /// seal just the open bucket, so the vector is sized for one.
+    frames: Vec<HotFrame>,
     /// Highest raw timestamp incorporated for this (tier, topic);
     /// buckets entirely above it provably have no prior history.
     watermark: Option<u64>,
 }
 
-struct TierAccum {
-    spec: TierSpec,
-    topics: HashMap<Topic, TopicAccum>,
+impl TierFrames {
+    /// The index of `bucket`'s frame, or where it would go.
+    fn find(&self, bucket: u64) -> std::result::Result<usize, usize> {
+        self.frames
+            .binary_search_by_key(&bucket, |h| h.frame.bucket_ns)
+    }
+
+    /// Stores `frame` as its bucket's dirty hot frame.
+    fn put(&mut self, frame: AggFrame) {
+        let hot = HotFrame { frame, dirty: true };
+        match self.find(frame.bucket_ns) {
+            Ok(i) => self.frames[i] = hot,
+            Err(i) => {
+                if self.frames.capacity() == 0 {
+                    // A sensor's first frame: room for one, not the
+                    // four a growing vector would reserve.
+                    self.frames.reserve_exact(1);
+                }
+                self.frames.insert(i, hot);
+            }
+        }
+    }
 }
 
-/// The in-memory streaming accumulator: per tier, per sensor, the hot
-/// [`AggFrame`]s plus the bookkeeping that keeps them exact. Owned by
-/// the durable engine behind a mutex.
+/// The in-memory streaming accumulator: per sensor and per tier, the
+/// hot [`AggFrame`]s plus the bookkeeping that keeps them exact. Owned
+/// by the durable engine behind a mutex.
 pub struct RollupState {
-    tiers: Vec<TierAccum>,
+    specs: Vec<TierSpec>,
+    /// Per sensor, one entry per tier in `specs` order.
+    sensors: HashMap<Topic, Box<[TierFrames]>>,
     folds: u64,
     recomputes: u64,
 }
@@ -286,15 +315,13 @@ impl RollupState {
     /// An accumulator for the given tier set.
     pub fn new(config: &RollupConfig) -> RollupState {
         RollupState {
-            tiers: config
+            specs: config
                 .tiers
                 .iter()
+                .copied()
                 .filter(|t| t.width_ns > 0)
-                .map(|spec| TierAccum {
-                    spec: *spec,
-                    topics: HashMap::new(),
-                })
                 .collect(),
+            sensors: HashMap::new(),
             folds: 0,
             recomputes: 0,
         }
@@ -302,7 +329,16 @@ impl RollupState {
 
     /// Tier specs, ascending by width.
     pub fn tier_specs(&self) -> Vec<TierSpec> {
-        self.tiers.iter().map(|t| t.spec).collect()
+        self.specs.clone()
+    }
+
+    fn tier_index(&self, width_ns: u64) -> Option<usize> {
+        self.specs.iter().position(|t| t.width_ns == width_ns)
+    }
+
+    /// A new sensor's state: one empty entry per tier.
+    fn new_sensor(tiers: usize) -> Box<[TierFrames]> {
+        (0..tiers).map(|_| TierFrames::default()).collect()
     }
 
     /// Feeds a batch of readings for `topic` into every tier. `raw`
@@ -313,56 +349,50 @@ impl RollupState {
     where
         F: Fn(u64, u64) -> Vec<SensorReading>,
     {
-        if batch.is_empty() {
+        if batch.is_empty() || self.specs.is_empty() {
             return;
         }
+        let batch_max = batch.iter().map(|&(ts, _)| ts).max().unwrap_or(0);
         let mut folds = 0u64;
         let mut recomputes = 0u64;
-        for tier in &mut self.tiers {
-            let width = tier.spec.width_ns;
-            let accum = tier
-                .topics
+        let RollupState { specs, sensors, .. } = self;
+        // One lookup per batch; the topic is cloned only for a new sensor.
+        let sensor = match sensors.get_mut(topic) {
+            Some(sensor) => sensor,
+            None => sensors
                 .entry(topic.clone())
-                .or_insert_with(|| TopicAccum {
-                    frames: BTreeMap::new(),
-                    watermark: None,
-                });
+                .or_insert_with(|| Self::new_sensor(specs.len())),
+        };
+        for (accum, spec) in sensor.iter_mut().zip(specs.iter()) {
+            let width = spec.width_ns;
             let mut recompute: BTreeSet<u64> = BTreeSet::new();
-            let mut batch_max = 0u64;
             for &(ts, value) in batch {
-                batch_max = batch_max.max(ts);
                 let bucket = bucket_start(ts, width);
                 if recompute.contains(&bucket) {
                     continue;
                 }
-                match accum.frames.get_mut(&bucket) {
-                    Some(hot) if ts > hot.frame.last_ts => {
+                match accum.find(bucket) {
+                    Ok(i) if ts > accum.frames[i].frame.last_ts => {
+                        let hot = &mut accum.frames[i];
                         hot.frame.observe(ts, value);
                         hot.dirty = true;
                         folds += 1;
                     }
-                    Some(_) => {
+                    Ok(_) => {
                         // Duplicate or out-of-order timestamp: the raw
                         // path dedups newest-wins; only a recompute can
                         // mirror that exactly.
                         recompute.insert(bucket);
                     }
-                    None => {
-                        if accum.watermark.is_some_and(|w| bucket > w) {
-                            accum.frames.insert(
-                                bucket,
-                                HotFrame {
-                                    frame: AggFrame::seed(bucket, ts, value),
-                                    dirty: true,
-                                },
-                            );
-                            folds += 1;
-                        } else {
-                            // The bucket may have history the
-                            // accumulator never saw (sealed segments,
-                            // sealed frames let go, fresh open).
-                            recompute.insert(bucket);
-                        }
+                    Err(_) if accum.watermark.is_some_and(|w| bucket > w) => {
+                        accum.put(AggFrame::seed(bucket, ts, value));
+                        folds += 1;
+                    }
+                    Err(_) => {
+                        // The bucket may have history the accumulator
+                        // never saw (sealed segments, sealed frames let
+                        // go, fresh open).
+                        recompute.insert(bucket);
                     }
                 }
             }
@@ -370,11 +400,11 @@ impl RollupState {
                 let readings = raw(bucket, bucket + width - 1);
                 recomputes += 1;
                 match AggFrame::from_readings(width, &readings).into_iter().next() {
-                    Some(frame) => {
-                        accum.frames.insert(bucket, HotFrame { frame, dirty: true });
-                    }
+                    Some(frame) => accum.put(frame),
                     None => {
-                        accum.frames.remove(&bucket);
+                        if let Ok(i) = accum.find(bucket) {
+                            accum.frames.remove(i);
+                        }
                     }
                 }
             }
@@ -388,55 +418,50 @@ impl RollupState {
     /// raw readings (the recovery path after a WAL replay). Existing
     /// frames for the touched buckets are replaced.
     pub fn rebuild_topic(&mut self, topic: &Topic, readings: &[SensorReading]) {
-        if readings.is_empty() {
+        let Some(last) = readings.last().filter(|_| !self.specs.is_empty()) else {
             return;
-        }
-        let max_ts = readings.last().map(|r| r.ts.as_nanos()).unwrap_or(0);
-        for tier in &mut self.tiers {
-            let frames = AggFrame::from_readings(tier.spec.width_ns, readings);
-            let accum = tier
-                .topics
-                .entry(topic.clone())
-                .or_insert_with(|| TopicAccum {
-                    frames: BTreeMap::new(),
-                    watermark: None,
-                });
-            for frame in frames {
-                accum
-                    .frames
-                    .insert(frame.bucket_ns, HotFrame { frame, dirty: true });
+        };
+        let max_ts = last.ts.as_nanos();
+        let RollupState { specs, sensors, .. } = self;
+        let sensor = sensors
+            .entry(topic.clone())
+            .or_insert_with(|| Self::new_sensor(specs.len()));
+        for (accum, spec) in sensor.iter_mut().zip(specs.iter()) {
+            for frame in AggFrame::from_readings(spec.width_ns, readings) {
+                accum.put(frame);
             }
             accum.watermark = Some(accum.watermark.unwrap_or(0).max(max_ts));
-            self.recomputes += 1;
         }
+        self.recomputes += self.specs.len() as u64;
     }
 
     /// Hot frames of the `width_ns` tier whose buckets overlap
     /// `[t0, t1]`, ascending by bucket.
     pub fn query_hot(&self, topic: &Topic, width_ns: u64, t0: u64, t1: u64) -> Vec<AggFrame> {
-        let Some(tier) = self.tiers.iter().find(|t| t.spec.width_ns == width_ns) else {
+        let (Some(tier), Some(sensor)) = (self.tier_index(width_ns), self.sensors.get(topic))
+        else {
             return Vec::new();
         };
-        let Some(accum) = tier.topics.get(topic) else {
-            return Vec::new();
-        };
+        let frames = &sensor[tier].frames;
         let lo = bucket_start(t0, width_ns);
-        accum.frames.range(lo..=t1).map(|(_, h)| h.frame).collect()
+        let from = frames.partition_point(|h| h.frame.bucket_ns < lo);
+        let to = frames.partition_point(|h| h.frame.bucket_ns <= t1);
+        frames[from..to].iter().map(|h| h.frame).collect()
     }
 
     /// Every dirty frame of the `width_ns` tier, grouped per topic
     /// (topics sorted, frames ascending) — the seal payload.
     pub fn collect_dirty(&self, width_ns: u64) -> Vec<(Topic, Vec<AggFrame>)> {
-        let Some(tier) = self.tiers.iter().find(|t| t.spec.width_ns == width_ns) else {
+        let Some(tier) = self.tier_index(width_ns) else {
             return Vec::new();
         };
-        let mut out: Vec<(Topic, Vec<AggFrame>)> = tier
-            .topics
+        let mut out: Vec<(Topic, Vec<AggFrame>)> = self
+            .sensors
             .iter()
-            .filter_map(|(topic, accum)| {
-                let frames: Vec<AggFrame> = accum
+            .filter_map(|(topic, sensor)| {
+                let frames: Vec<AggFrame> = sensor[tier]
                     .frames
-                    .values()
+                    .iter()
                     .filter(|h| h.dirty)
                     .map(|h| h.frame)
                     .collect();
@@ -455,14 +480,14 @@ impl RollupState {
     /// rollup segment, so each topic keeps only its newest (open) bucket,
     /// clean, for the fast fold to extend. The segments serve the rest.
     pub fn mark_sealed(&mut self, width_ns: u64) {
-        let Some(tier) = self.tiers.iter_mut().find(|t| t.spec.width_ns == width_ns) else {
+        let Some(tier) = self.tier_index(width_ns) else {
             return;
         };
-        for accum in tier.topics.values_mut() {
-            while accum.frames.len() > 1 {
-                accum.frames.pop_first();
-            }
-            for hot in accum.frames.values_mut() {
+        for sensor in self.sensors.values_mut() {
+            let frames = &mut sensor[tier].frames;
+            frames.drain(..frames.len().saturating_sub(1));
+            frames.shrink_to_fit();
+            for hot in frames.iter_mut() {
                 hot.dirty = false;
             }
         }
@@ -471,29 +496,31 @@ impl RollupState {
     /// Drops hot frames of the tier whose bucket ends at or before
     /// `cutoff_ns`. Returns frames dropped.
     pub fn evict_before(&mut self, width_ns: u64, cutoff_ns: u64) -> usize {
-        let Some(tier) = self.tiers.iter_mut().find(|t| t.spec.width_ns == width_ns) else {
+        let Some(tier) = self.tier_index(width_ns) else {
             return 0;
         };
+        let keep_from = cutoff_ns.saturating_sub(width_ns - 1);
         let mut dropped = 0usize;
-        for accum in tier.topics.values_mut() {
-            let keep = accum
-                .frames
-                .split_off(&cutoff_ns.saturating_sub(width_ns - 1));
-            dropped += accum.frames.len();
-            accum.frames = keep;
+        for sensor in self.sensors.values_mut() {
+            let frames = &mut sensor[tier].frames;
+            let expired = frames.partition_point(|h| h.frame.bucket_ns < keep_from);
+            frames.drain(..expired);
+            dropped += expired;
         }
         dropped
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> RollupStats {
-        let mut hot = 0usize;
-        let mut dirty = 0usize;
-        for tier in &self.tiers {
-            for accum in tier.topics.values() {
-                hot += accum.frames.len();
-                dirty += accum.frames.values().filter(|h| h.dirty).count();
-            }
+        let frames = self
+            .sensors
+            .values()
+            .flat_map(|s| s.iter())
+            .flat_map(|t| &t.frames);
+        let (mut hot, mut dirty) = (0usize, 0usize);
+        for h in frames {
+            hot += 1;
+            dirty += usize::from(h.dirty);
         }
         RollupStats {
             folds: self.folds,
