@@ -8,7 +8,7 @@
 //! * a write-ahead log ([`crate::wal`]): every insert batch is journaled
 //!   before it is acknowledged, under a configurable fsync policy — a
 //!   group of batches ([`DurableBackend::insert_many_acked`]: one
-//!   Collect Agent drain) in one journal write per sync window;
+//!   Collect Agent drain) in one write and at most one sync request;
 //! * *sealing*: when the memtable exceeds a size threshold (or on
 //!   explicit flush) its contents are written as an immutable compressed
 //!   segment ([`crate::segment`]) and the WAL generation is retired;
@@ -649,19 +649,19 @@ impl DurableBackend {
     /// returns — it will survive a process kill — and the list is empty
     /// and unallocated when that is all of them.
     ///
-    /// The group is journaled in *chunks*: a chunk is the longest run
-    /// of entries that crosses neither the journal's next sync point
-    /// nor the seal threshold and names no sensor twice, and costs one
-    /// lock pair and one journal write. The first two bounds put sync
-    /// requests and seals exactly where inserting the entries one by
-    /// one puts them. The third keeps the rollup fold's view of the
-    /// memtable the one-by-one view: a recompute reads the sensor's raw
-    /// readings back, and must not find a later entry's there. The
-    /// columns flow straight into the journal records and the memtable
+    /// The group is journaled in *chunks*: a chunk is the longest run of
+    /// entries that does not cross the seal threshold and names no sensor
+    /// twice, and costs one lock pair, one journal write and at most one
+    /// sync request (the sync window does not cut a chunk: see
+    /// [`crate::wal`]). The first bound puts seals exactly where inserting
+    /// the entries one by one puts them. The second keeps the rollup fold's
+    /// view of the memtable the one-by-one view: a recompute reads the
+    /// sensor's raw readings back, and must not find a later entry's there.
+    /// The columns flow straight into the journal records and the memtable
     /// — no row transpose on the hot path. A chunk whose write fails is
-    /// retried with bounded exponential backoff and a poisoned WAL
-    /// triggers rotation; a chunk that stays refused is refused whole,
-    /// and none of it reaches the memtable.
+    /// retried with bounded exponential backoff and a poisoned WAL triggers
+    /// rotation; a chunk that stays refused is refused whole, and none of
+    /// it reaches the memtable.
     pub fn insert_many_acked<T, B>(
         &self,
         group: &[(T, B)],
@@ -691,7 +691,7 @@ impl DurableBackend {
             let (end, outcome) = {
                 let active = self.active.read();
                 let mut wal = active.wal.lock();
-                let end = self.chunk_end(group, start, wal.sync_room(), &mut seen);
+                let end = self.chunk_end(group, start, &mut seen);
                 let outcome = match wal.append_group(&group[start..end]) {
                     Ok(journaled) => {
                         let mut readings = 0usize;
@@ -770,14 +770,13 @@ impl DurableBackend {
     }
 
     /// End of the chunk of `group` that starts at the non-empty entry
-    /// `start`, given `room` records before the journal's next sync
-    /// point (see [`DurableBackend::insert_many_acked`]). An empty
-    /// batch ends the chunk before it: it is never journaled.
+    /// `start`: before a repeated sensor, or at the entry that fills
+    /// the memtable (see [`DurableBackend::insert_many_acked`]). An
+    /// empty batch ends the chunk before it: it is never journaled.
     fn chunk_end<'g, T, B>(
         &self,
         group: &'g [(T, B)],
         start: usize,
-        room: usize,
         seen: &mut HashSet<&'g Topic>,
     ) -> usize
     where
@@ -789,7 +788,7 @@ impl DurableBackend {
         seen.clear();
         let mut filling = self.memtable_readings.load(Ordering::Relaxed);
         let mut end = start;
-        while end < group.len() && end - start < room {
+        while end < group.len() {
             let (topic, batch) = &group[end];
             let batch: &ReadingBatch = batch.borrow();
             if batch.is_empty() || (repeats_possible && !seen.insert(topic.borrow())) {

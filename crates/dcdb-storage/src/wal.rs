@@ -43,28 +43,28 @@
 //! a torn tail.
 //!
 //! Under [`FsyncPolicy::EveryN`] the writer *pipelines* its syncs: the
-//! Nth append enqueues an fsync request for a background thread and
-//! continues journaling without waiting (group commit, as in
-//! PostgreSQL's walwriter). The syncer coalesces every request queued
-//! while an fsync was running into the next fsync — one `fdatasync`
-//! covers them all — so when syncs are slower than the append windows
-//! between them, fsyncs run back-to-back on the background thread and
-//! the writer never stalls. The writer blocks only when more than
-//! [`MAX_SYNC_LAG`] sync windows are outstanding, which caps the crash
-//! window at `(MAX_SYNC_LAG + 1) * N - 1` unacknowledged-durable
-//! appends (vs. `N - 1` for in-line `EveryN`) — a wider but still
-//! bounded window, of the same kind `EveryN` deployments have already
-//! accepted; `Always` never pipelines. A failed background sync is
-//! harvested at the next sync point and poisons the writer exactly
-//! like an in-line failure.
+//! write that brings the unsynced records to `N` or more enqueues an fsync
+//! request for a background thread and journaling continues without waiting
+//! (group commit, as in PostgreSQL's walwriter). The syncer coalesces every
+//! request queued while an fsync was running into the next fsync — one
+//! `fdatasync` covers them all — so when syncs are slower than the writes
+//! between them, fsyncs run back-to-back on the background thread and the
+//! writer never stalls. The writer blocks only when more than
+//! [`MAX_SYNC_LAG`] requests are outstanding; `Always` never pipelines. A
+//! failed background sync is harvested at the next sync point and poisons
+//! the writer exactly like an in-line failure.
 //!
-//! Every record of a group counts as one append toward `N`, and a
-//! group write never straddles a sync point: `append_group` journals
-//! the longest prefix of what it is given that fits the current window
-//! ([`WalWriter::sync_room`]) and says how many records that was, so a
-//! sync request still covers exactly `N` records and the bound above
-//! holds in records, unchanged. `Always` issues one write and one
-//! fsync per group before acknowledging it; `Never` one write.
+//! Every record of a group counts as one append toward `N`, and a group is
+//! one write whatever the window: the sync point falls at the end of the
+//! write that fills the window, so a sync request covers between `N` and
+//! `N - 1 + k` records, `k` being the records of the write that closed it.
+//! Inserting one record per write, a request covers exactly `N`; a Collect
+//! Agent drain is one write and one request. The crash window is therefore
+//! stated in records: at most `MAX_SYNC_LAG * (N - 1 + G) + N - 1`
+//! acknowledged records are not yet fsynced, `G` being the largest group —
+//! in time, at most `MAX_SYNC_LAG` drains plus fewer than `N` records.
+//! `Always` issues one write and one fsync per group before acknowledging
+//! it; `Never` one write.
 //!
 //! All I/O goes through the [`crate::io::StorageIo`] VFS, so fault
 //! injection exercises the exact production code paths. Two failure
@@ -141,15 +141,17 @@ fn push_record(buf: &mut Vec<u8>, topic: &Topic, batch: &ReadingBatch) -> Result
 /// When the WAL calls `fsync` relative to appends.
 ///
 /// `Always` makes every acknowledged batch crash-durable; `EveryN`
-/// amortizes the syscall over a batch window and pipelines it on a
-/// background thread (at most `2N - 1` batches at risk — see the
-/// module docs); `Never` leaves flushing to the OS page cache (data
-/// still survives a process kill, but not a machine crash).
+/// amortizes the syscall over a window of records and pipelines it on
+/// a background thread (the records at risk are bounded by
+/// [`MAX_SYNC_LAG`] — see the module docs); `Never` leaves flushing to
+/// the OS page cache (data still survives a process kill, but not a
+/// machine crash).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// `fsync` after every append.
     Always,
-    /// `fsync` after every `N` appends (and on explicit [`WalWriter::sync`]).
+    /// `fsync` after the write that brings the unsynced appends to `N`
+    /// or more (and on explicit [`WalWriter::sync`]).
     EveryN(u32),
     /// Never `fsync` implicitly.
     Never,
@@ -192,10 +194,15 @@ pub struct WalWriter {
     syncer_unavailable: bool,
 }
 
-/// Most sync windows allowed outstanding before the writer blocks on
+/// Most sync requests allowed outstanding before the writer blocks on
 /// the background syncer; bounds the `EveryN` crash window at
-/// `(MAX_SYNC_LAG + 1) * N - 1` appends (see the module docs).
+/// `MAX_SYNC_LAG * (N - 1 + G) + N - 1` acknowledged records, `G` being
+/// the largest group written (see the module docs).
 pub const MAX_SYNC_LAG: u64 = 4;
+
+/// Capacity the group assembly buffer keeps between writes: a larger
+/// group's buffer is given back once it is written.
+const SCRATCH_CAP: usize = 1 << 20;
 
 /// Shared state between the writer and the background syncer.
 struct SyncShared {
@@ -361,13 +368,13 @@ impl WalWriter {
         self.append_group(&[(topic, batch)]).map(|_| ())
     }
 
-    /// Journals the longest prefix of `entries` that does not cross the
-    /// next sync point, one record per entry, back to back in a single
-    /// `write_all`, and returns how many it journaled (at least one,
-    /// unless `entries` is empty). On return those records are in the
-    /// file (and fsynced, under `FsyncPolicy::Always`); each body is its
-    /// batch's two packed columns, copied with two bulk little-endian
-    /// appends. A record past the size [`replay_with`] accepts ends the
+    /// Journals the longest prefix of `entries` whose records
+    /// [`replay_with`] accepts, one record per entry, back to back in a
+    /// single `write_all`, and returns how many it journaled (at least
+    /// one, unless `entries` is empty). On return those records are in
+    /// the file (and fsynced, under `FsyncPolicy::Always`); each body is
+    /// its batch's two packed columns, copied with two bulk
+    /// little-endian appends. A record past the size limit ends the
     /// prefix before it, and is an error when it comes first.
     ///
     /// On a failed write the file is truncated back to its last good
@@ -387,10 +394,9 @@ impl WalWriter {
             return Ok(0);
         }
         let mut buf = std::mem::take(&mut self.scratch);
-        buf.clear();
         let mut records = 0u32;
         let mut result = Ok(());
-        for (topic, batch) in entries.iter().take(self.sync_room()) {
+        for (topic, batch) in entries {
             if let Err(err) = push_record(&mut buf, topic.borrow(), batch.borrow()) {
                 if records == 0 {
                     result = Err(err);
@@ -402,18 +408,10 @@ impl WalWriter {
         if records > 0 {
             result = self.write_records(&buf, records);
         }
+        buf.clear();
+        buf.shrink_to(SCRATCH_CAP);
         self.scratch = buf;
         result.map(|()| records as usize)
-    }
-
-    /// Records that may still be journaled before the next sync point:
-    /// what is left of the `EveryN` window, and no bound under the
-    /// other two policies.
-    pub fn sync_room(&self) -> usize {
-        match self.policy {
-            FsyncPolicy::EveryN(n) => n.saturating_sub(self.appends_since_sync).max(1) as usize,
-            FsyncPolicy::Always | FsyncPolicy::Never => usize::MAX,
-        }
     }
 
     /// Writes `records` assembled records as one write and applies the
@@ -910,6 +908,150 @@ mod tests {
             got[99].1.get(1),
             Some(SensorReading::new(100, Timestamp(99 * 1_000 + 500)))
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Records in one journal write (`[u32 len][u32 crc][payload]`*).
+    fn records_in(mut buf: &[u8]) -> u64 {
+        let mut records = 0;
+        while !buf.is_empty() {
+            let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
+            buf = &buf[8 + len..];
+            records += 1;
+        }
+        records
+    }
+
+    /// What a [`GatedFile`] and its clones were asked to do.
+    #[derive(Default)]
+    struct Ledger {
+        writes: u64,
+        /// Records written.
+        written: u64,
+        /// Records covered by a completed `sync`.
+        durable: u64,
+        /// Most records a write found written but not yet durable.
+        most_at_risk: u64,
+        /// While false, every `sync` waits.
+        open: bool,
+    }
+
+    /// A journal whose clones share one [`Ledger`], so the background
+    /// syncer engages, and whose `sync` is held until the gate opens.
+    #[derive(Clone, Default)]
+    struct GatedFile(Arc<(Mutex<Ledger>, Condvar)>);
+
+    impl GatedFile {
+        fn ledger(&self) -> MutexGuard<'_, Ledger> {
+            self.0 .0.lock().unwrap()
+        }
+        /// Signalled on every write and when the gate opens.
+        fn changed(&self) -> &Condvar {
+            &self.0 .1
+        }
+    }
+
+    impl IoFile for GatedFile {
+        fn write_all(&mut self, buf: &[u8]) -> Result<()> {
+            let mut ledger = self.ledger();
+            ledger.most_at_risk = ledger.most_at_risk.max(ledger.written - ledger.durable);
+            ledger.writes += 1;
+            ledger.written += records_in(buf);
+            self.changed().notify_all();
+            Ok(())
+        }
+        fn sync(&mut self) -> Result<()> {
+            let mut ledger = self.ledger();
+            let covers = ledger.written;
+            while !ledger.open {
+                ledger = self.changed().wait(ledger).unwrap();
+            }
+            ledger.durable = ledger.durable.max(covers);
+            Ok(())
+        }
+        fn truncate(&mut self, _: u64) -> Result<()> {
+            Ok(())
+        }
+        fn try_clone(&self) -> Option<Box<dyn IoFile>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    #[test]
+    fn the_writer_stops_at_max_sync_lag_and_bounds_the_records_at_risk() {
+        const N: u64 = 5;
+        let sizes: Vec<u64> = (0..40).map(|i| [3, 1, 7, 2, 5, 9, 1, 4][i % 8]).collect();
+        let largest = *sizes.iter().max().unwrap();
+        // The write that issues request `MAX_SYNC_LAG + 1`: with the
+        // first sync held, the writer must not return from it.
+        let (mut unsynced, mut requests) = (0, 0);
+        let stall = 1 + sizes
+            .iter()
+            .position(|size| {
+                unsynced += size;
+                if unsynced >= N {
+                    (unsynced, requests) = (0, requests + 1);
+                }
+                requests == MAX_SYNC_LAG + 1
+            })
+            .unwrap() as u64;
+        let file = GatedFile::default();
+        let mut w = WalWriter {
+            file: Box::new(file.clone()),
+            path: PathBuf::from("gated.log"),
+            policy: FsyncPolicy::EveryN(N as u32),
+            appends_since_sync: 0,
+            bytes: 0,
+            poisoned: false,
+            scratch: Vec::new(),
+            syncer: None,
+            syncer_unavailable: false,
+        };
+        let entries: Vec<_> = (0..largest).map(|i| (t("/a/b"), b(&[r(1, i)]))).collect();
+        let total: u64 = sizes.iter().sum();
+        let writer = std::thread::spawn(move || {
+            for size in sizes {
+                w.append_group(&entries[..size as usize]).unwrap();
+            }
+            w.sync().unwrap();
+        });
+        let ten_s = Duration::from_secs(10);
+        drop(
+            file.changed()
+                .wait_timeout_while(file.ledger(), ten_s, |l| l.writes < stall)
+                .unwrap(),
+        );
+        // The held sync keeps a correct writer at `stall` however long
+        // this waits; the wait only gives a writer that does not stop
+        // the time to show it.
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(file.ledger().writes, stall, "writes while the sync is held");
+        assert!(!writer.is_finished());
+        file.ledger().open = true;
+        file.changed().notify_all();
+        writer.join().unwrap();
+        let ledger = file.ledger();
+        assert_eq!((ledger.written, ledger.durable), (total, total));
+        let bound = MAX_SYNC_LAG * (N - 1 + largest) + N - 1;
+        assert!(
+            ledger.most_at_risk <= bound,
+            "{} records at risk, bound {bound}",
+            ledger.most_at_risk
+        );
+    }
+
+    #[test]
+    fn a_large_group_leaves_no_large_scratch_behind() {
+        let path = temp_wal("scratch");
+        let mut w = WalWriter::create_with(&StdIo, &path, FsyncPolicy::Never).unwrap();
+        let n = 600_000u64;
+        let batch = ReadingBatch::from_columns((0..n).collect(), (0..n as i64).collect());
+        w.append_batch(&t("/a/b"), &batch).unwrap();
+        assert!(w.bytes_written() >= 8 << 20);
+        assert!(w.scratch.capacity() <= SCRATCH_CAP);
+        // A small group still reuses what is kept.
+        w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
+        assert!((1..=SCRATCH_CAP).contains(&w.scratch.capacity()));
         std::fs::remove_file(&path).ok();
     }
 

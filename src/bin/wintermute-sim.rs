@@ -109,8 +109,9 @@
 //! segments — under `--data-dir DIR` (one subdirectory per node when
 //! federated; on restart each engine recovers every acked insert and
 //! prints a recovery report), otherwise on one in-memory disk that dies
-//! with the process. `--fsync` picks the WAL sync policy, and
-//! `--retention-secs` bounds how much history is kept.
+//! with the process. `--fsync` picks the WAL sync policy (`batch`: a
+//! background fsync after a drain that leaves 64 or more records
+//! unsynced), and `--retention-secs` bounds how much history is kept.
 
 use dcdb_wintermute::dcdb_bus::{
     Broker, BusConfig, ChaosBus, ChaosConfig, MessageBus, OverflowPolicy,

@@ -5,7 +5,7 @@
 //! Three groups of tests: *equivalence* (a seeded property: same bytes
 //! on disk, same answers, same counters, same recovery), *I/O count*
 //! (how many `write(2)`s and fsyncs a drain costs under each policy,
-//! and that no write straddles a sync point), and *faults* (a torn,
+//! and how many records each sync covers), and *faults* (a torn,
 //! failing or refused group write never acknowledges what it did not
 //! journal and never shows what it did not acknowledge).
 
@@ -229,10 +229,11 @@ fn groups_are_equivalent_to_their_entries_one_by_one() {
 // ---------------------------------------------------------------------------
 
 /// Counts what the engine does to its journal files, and checks the
-/// sync cadence while it watches: no write may carry records across a
-/// sync point, and a sync comes exactly when the window is full. Its
-/// files cannot be cloned, so `EveryN` syncs in line and each sync
-/// request is one `sync` call here.
+/// sync cadence while it watches: a write starts with fewer than `n`
+/// records unsynced, and a sync covers at least `n` records and at most
+/// `n - 1 + k`, `k` being the records of the write that closed the
+/// window. Its files cannot be cloned, so `EveryN` syncs in line and
+/// each sync request is one `sync` call here.
 #[derive(Debug, Default)]
 struct CountingIo {
     wal_writes: AtomicU64,
@@ -245,6 +246,8 @@ struct CountingFile {
     inner: Box<dyn IoFile>,
     io: Option<Arc<CountingIo>>,
     unsynced_records: u64,
+    /// Records of the last journal write.
+    last_write_records: u64,
 }
 
 /// Records in one journal write (`[u32 len][u32 crc][payload]`*).
@@ -263,13 +266,14 @@ impl IoFile for CountingFile {
         if let Some(io) = &self.io {
             if buf != WAL_MAGIC {
                 io.wal_writes.fetch_add(1, Ordering::Relaxed);
-                self.unsynced_records += records_in(buf);
                 let window = io.window.load(Ordering::Relaxed);
                 assert!(
-                    window == 0 || self.unsynced_records <= window,
-                    "a write straddles a sync point: {} records unsynced, window {window}",
+                    window == 0 || self.unsynced_records < window,
+                    "a write starts past a sync point: {} records unsynced, window {window}",
                     self.unsynced_records
                 );
+                self.last_write_records = records_in(buf);
+                self.unsynced_records += self.last_write_records;
             }
         }
         self.inner.write_all(buf)
@@ -279,10 +283,12 @@ impl IoFile for CountingFile {
             if self.unsynced_records > 0 {
                 io.wal_syncs.fetch_add(1, Ordering::Relaxed);
                 let window = io.window.load(Ordering::Relaxed);
+                let most = window.saturating_sub(1) + self.last_write_records;
                 assert!(
-                    window == 0 || self.unsynced_records == window,
-                    "a sync request covers {} records, window {window}",
-                    self.unsynced_records
+                    window == 0 || (window..=most).contains(&self.unsynced_records),
+                    "a sync request covers {} records, window {window}, last write {}",
+                    self.unsynced_records,
+                    self.last_write_records
                 );
             }
             self.unsynced_records = 0;
@@ -341,6 +347,7 @@ impl StorageIo for SharedCountingIo {
             inner: StdIo.create(path)?,
             io: is_wal(path).then(|| Arc::clone(&self.0)),
             unsynced_records: 0,
+            last_write_records: 0,
         }))
     }
     delegate_to_std_io!();
@@ -421,9 +428,9 @@ fn journal_cost(name: &str, fsync: FsyncPolicy, drained: bool) -> (u64, u64) {
 }
 
 #[test]
-fn a_drain_costs_one_journal_write_per_sync_window() {
+fn a_drain_costs_one_journal_write_and_one_sync_request() {
     let every = FsyncPolicy::EveryN(64);
-    assert_eq!(journal_cost("io-every-drain", every, true), (50, 50));
+    assert_eq!(journal_cost("io-every-drain", every, true), (1, 1));
     assert_eq!(journal_cost("io-every-single", every, false), (3_200, 50));
     let always = FsyncPolicy::Always;
     assert_eq!(journal_cost("io-always-drain", always, true), (1, 1));
@@ -439,8 +446,8 @@ fn a_drain_costs_one_journal_write_per_sync_window() {
 #[test]
 fn a_replication_pump_costs_the_journal_writes_of_one_group() {
     // 512 entries (one pump's budget) into a durable standby: one group,
-    // so one write per sync window — as the same group costs when the
-    // engine is handed it directly.
+    // so one write and one sync request — as the same group costs when
+    // the engine is handed it directly.
     let dir = temp_dir("io-pump");
     let counts = Arc::new(CountingIo::default());
     counts.window.store(64, Ordering::Relaxed);
@@ -462,18 +469,18 @@ fn a_replication_pump_costs_the_journal_writes_of_one_group() {
         .insert_many(&one_reading_messages(512, 2))
         .is_empty());
     let grouped = counts.wal_writes.load(Ordering::Relaxed) - pumped;
-    assert_eq!((pumped, grouped), (8, 8));
+    assert_eq!((pumped, grouped), (1, 1));
+    assert_eq!(counts.wal_syncs.load(Ordering::Relaxed), 2);
     counts.window.store(0, Ordering::Relaxed);
     drop(standby);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn sync_points_fall_where_single_inserts_put_them_whatever_the_split() {
+fn a_sync_point_falls_at_the_end_of_the_group_that_fills_the_window() {
     // Groups of every size against a window of 5, the window checked on
-    // every write and sync by `CountingFile`: a sync request always
-    // covers exactly one full window, so the records at risk stay below
-    // `(MAX_SYNC_LAG + 1) * N`, as they do one insert at a time.
+    // every write and sync by `CountingFile`: a sync request covers
+    // between 5 and 4 + k records, k being the group that closed it.
     let dir = temp_dir("io-window");
     let counts = Arc::new(CountingIo::default());
     counts.window.store(5, Ordering::Relaxed);
@@ -484,12 +491,18 @@ fn sync_points_fall_where_single_inserts_put_them_whatever_the_split() {
     };
     let io = Arc::new(SharedCountingIo(Arc::clone(&counts)));
     let engine = DurableBackend::open_with(io, &dir, config).unwrap();
-    let mut journaled = 0u64;
     for size in 1..=23usize {
         let group = one_reading_messages(size, 10 + size as u64);
         assert!(engine.insert_many(&group).is_empty());
-        journaled += size as u64;
-        assert_eq!(counts.wal_syncs.load(Ordering::Relaxed), journaled / 5);
+        // 1 + 2 = 3 records stay below the window, the group of 3
+        // closes it (6), the group of 4 stays below it, the group of 5
+        // closes it (9), and every later group fills a window alone.
+        let syncs = match size {
+            1 | 2 => 0,
+            3 | 4 => 1,
+            _ => size as u64 - 3,
+        };
+        assert_eq!(counts.wal_syncs.load(Ordering::Relaxed), syncs, "{size}");
     }
     counts.window.store(0, Ordering::Relaxed);
     drop(engine);
@@ -568,19 +581,28 @@ impl StorageIo for SharedDyingIo {
     delegate_to_std_io!();
 }
 
-/// Entry `i` of a fault-test group: its own sensor, `1 + i % 3`
-/// readings — so which entries survived is readable from the sensors.
-fn distinct_entries(count: usize) -> Group {
+/// Entry `i` of a fault-test group: sensor `i % sensors`, `1 + i % 3`
+/// readings at timestamps no other entry uses — so which entries
+/// survived is readable from the store. A chunk ends where a sensor
+/// repeats, so the engine journals such a group `sensors` entries at a
+/// time.
+fn cycling_entries(count: usize, sensors: usize) -> Group {
     (0..count)
         .map(|i| {
             let batch = (0..1 + i % 3)
                 .map(|j| {
-                    SensorReading::new((i * 10 + j) as i64, Timestamp::from_secs(1 + j as u64))
+                    let ts = Timestamp::from_secs(1 + 3 * i as u64 + j as u64);
+                    SensorReading::new((i * 10 + j) as i64, ts)
                 })
                 .collect();
-            (t(&format!("/rack0/node{i:03}/power")), batch)
+            (t(&format!("/rack0/node{:03}/power", i % sensors)), batch)
         })
         .collect()
+}
+
+/// Entry `i` on its own sensor: a group the engine journals whole.
+fn distinct_entries(count: usize) -> Group {
+    cycling_entries(count, count)
 }
 
 /// The entries of `group` outside every range of `exceptions`.
@@ -592,18 +614,33 @@ fn durable_entries(
     (0..group.len()).filter(|i| !listed(i)).collect()
 }
 
-/// Indices of `group` whose sensor `db` holds in full; panics on a
-/// sensor held in part.
+/// Indices of `group` whose readings `db` holds in full; panics on an
+/// entry held in part, and on a sensor holding readings of no entry.
 fn present(db: &dyn StorageEngine, group: &Group) -> Vec<usize> {
-    let whole = |(i, (topic, batch)): (usize, &(Topic, ReadingBatch))| {
+    let mut topics: Vec<&Topic> = group.iter().map(|(topic, _)| topic).collect();
+    topics.sort();
+    topics.dedup();
+    let mut held = Vec::new();
+    for topic in topics {
         let got = db.query(topic, Timestamp::ZERO, Timestamp::MAX);
-        assert!(
-            got.is_empty() || got == batch.to_readings(),
-            "entry {i} is stored in part: {got:?}"
-        );
-        (!got.is_empty()).then_some(i)
-    };
-    group.iter().enumerate().filter_map(whole).collect()
+        let mut expected = Vec::new();
+        for (i, (_, batch)) in group.iter().enumerate().filter(|(_, e)| &e.0 == topic) {
+            let readings = batch.to_readings();
+            let stored = readings.iter().filter(|r| got.contains(r)).count();
+            assert!(
+                stored == 0 || stored == readings.len(),
+                "entry {i} is stored in part: {got:?}"
+            );
+            if stored > 0 {
+                held.push(i);
+                expected.extend(readings);
+            }
+        }
+        expected.sort_by_key(|r| r.ts);
+        assert_eq!(got, expected, "{topic} holds readings of no entry");
+    }
+    held.sort_unstable();
+    held
 }
 
 #[test]
@@ -658,9 +695,9 @@ fn a_group_write_torn_at_any_byte_recovers_to_whole_records() {
     }
 }
 
-/// An engine over a `FaultIo` opened quiet, with small sync windows so
-/// a group spans several chunks, that never demotes to ReadOnly: a
-/// chunk whose write keeps failing is refused.
+/// An engine over a `FaultIo` opened quiet, with sync windows of one
+/// four-sensor chunk of [`cycling_entries`], that never demotes to
+/// ReadOnly: a chunk whose write keeps failing is refused.
 fn faulty_engine(dir: &Path, seed: u64, max_retries: u32) -> (Arc<FaultIo>, DurableBackend) {
     let io = Arc::new(FaultIo::new(
         Arc::new(StdIo),
@@ -682,6 +719,10 @@ fn faulty_engine(dir: &Path, seed: u64, max_retries: u32) -> (Arc<FaultIo>, Dura
 
 #[test]
 fn eio_on_a_group_write_is_retried_without_a_duplicate_record() {
+    // Ten groups of four entries, one chunk apiece, each entry on a
+    // sensor of its own: a WAL rotation re-journals the memtable one
+    // record per sensor, so the journal holds one record per
+    // acknowledged entry.
     let group = distinct_entries(40);
     let mut retried = 0;
     let mut refused_somewhere = false;
@@ -692,7 +733,12 @@ fn eio_on_a_group_write_is_retried_without_a_duplicate_record() {
             eio_prob: 0.4,
             ..FaultConfig::quiet(seed)
         });
-        let exceptions = db.insert_many_acked(&group);
+        let mut exceptions = Vec::new();
+        for (k, part) in group.chunks(4).enumerate() {
+            for (range, ack) in db.insert_many_acked(part) {
+                exceptions.push((range.start + 4 * k..range.end + 4 * k, ack));
+            }
+        }
         io.clear_faults();
         let durable = durable_entries(&group, &exceptions);
         assert!(exceptions.iter().all(|(_, ack)| ack.is_err()), "never RO");
@@ -725,7 +771,7 @@ fn eio_on_a_group_write_is_retried_without_a_duplicate_record() {
 
 #[test]
 fn enospc_refuses_entries_by_index_and_conserves_readings() {
-    let group = distinct_entries(40);
+    let group = cycling_entries(40, 4);
     let total: usize = group.iter().map(|(_, batch)| batch.len()).sum();
     let dir = temp_dir("enospc");
     let (io, db) = faulty_engine(&dir, 7, 1);
@@ -762,7 +808,7 @@ fn enospc_refuses_entries_by_index_and_conserves_readings() {
 
 #[test]
 fn a_read_only_engine_buffers_a_group_entry_by_entry() {
-    let group = distinct_entries(30);
+    let group = cycling_entries(30, 4);
     let dir = temp_dir("read-only");
     let io = Arc::new(FaultIo::new(
         Arc::new(StdIo),
@@ -821,13 +867,13 @@ fn a_read_only_engine_buffers_a_group_entry_by_entry() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A standby that records the sensors it is handed, in order.
+/// A standby that records the entries it is handed, in order.
 #[derive(Debug, Default)]
-struct Recorder(std::sync::Mutex<Vec<Topic>>);
+struct Recorder(std::sync::Mutex<Group>);
 
 impl StorageEngine for Recorder {
-    fn insert_columns(&self, topic: &Topic, _: &ReadingBatch) -> Result<()> {
-        self.0.lock().unwrap().push(topic.clone());
+    fn insert_columns(&self, topic: &Topic, batch: &ReadingBatch) -> Result<()> {
+        self.0.lock().unwrap().push((topic.clone(), batch.clone()));
         Ok(())
     }
     fn query(&self, _: &Topic, _: Timestamp, _: Timestamp) -> Vec<SensorReading> {
@@ -870,7 +916,7 @@ impl StorageEngine for Recorder {
 
 #[test]
 fn a_tapped_engine_taps_exactly_the_acknowledged_entries() {
-    let group = distinct_entries(40);
+    let group = cycling_entries(40, 4);
     let dir = temp_dir("tapped");
     let (io, db) = faulty_engine(&dir, 11, 0);
     let tapped = NodeEngine::wrap(Arc::new(db));
@@ -885,9 +931,9 @@ fn a_tapped_engine_taps_exactly_the_acknowledged_entries() {
         !refused.is_empty() && refused.len() < group.len(),
         "{refused:?}"
     );
-    let acked: Vec<Topic> = (0..group.len())
+    let acked: Group = (0..group.len())
         .filter(|i| !refused.contains(i))
-        .map(|i| group[i].0.clone())
+        .map(|i| group[i].clone())
         .collect();
     // Everything on the stream, handed to a standby that records it.
     let standby = Recorder::default();
