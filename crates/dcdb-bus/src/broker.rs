@@ -13,10 +13,11 @@
 //!   deterministic by construction;
 //! * **bounded queues**: every subscriber queue carries a capacity
 //!   bound and an [`OverflowPolicy`], so a slow subscriber or a publish
-//!   storm degrades by policy (block / drop-newest / drop-oldest)
-//!   instead of growing memory without limit. Queue depth, high-water
-//!   marks and drop counters are exported per subscriber via
-//!   [`Broker::metrics`] / [`BusHandle::metrics`].
+//!   storm sheds by policy (drop-newest / drop-oldest) instead of
+//!   growing memory without limit, and a publish never waits on a
+//!   subscriber. Queue depth, high-water marks and drop counters are
+//!   exported per subscriber via [`Broker::metrics`] /
+//!   [`BusHandle::metrics`].
 
 use crate::filter::TopicFilter;
 use crate::queue::{BoundedQueue, OverflowPolicy, PushOutcome, QueueMetricsSnapshot};
@@ -26,7 +27,6 @@ use dcdb_common::topic::Topic;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A routed message: topic plus opaque payload.
 ///
@@ -45,11 +45,8 @@ pub struct Message {
 pub struct BusConfig {
     /// Default capacity of each subscriber queue.
     pub sub_depth: usize,
-    /// Default overflow policy of each subscriber queue. `DropOldest`
-    /// keeps publishers non-blocking (QoS 0). `Block` gives lossless
-    /// backpressure by parking the publishing thread inside `publish`
-    /// until the subscriber pops, so it requires the consumer to run on
-    /// another thread than the publisher.
+    /// Default overflow policy of each subscriber queue: which message
+    /// a full queue sheds (QoS 0; `DropOldest` keeps the freshest).
     pub sub_policy: OverflowPolicy,
 }
 
@@ -105,8 +102,8 @@ pub struct BusStats {
 ///
 /// Accounting is per *copy* offered to a subscriber: every copy ends up
 /// either `delivered` (admitted to the subscriber queue and never
-/// evicted) or `dropped` (dead subscriber, drop-newest rejection, or
-/// drop-oldest eviction — an eviction moves the evicted copy from
+/// evicted) or `dropped` (drop-newest rejection or drop-oldest
+/// eviction — an eviction moves the evicted copy from
 /// `delivered` to `dropped`). With a single subscriber matching every
 /// topic, `published == delivered + dropped` holds across policies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -116,8 +113,8 @@ pub struct BusStatsSnapshot {
     /// Message copies currently admitted to subscriber queues (consumed
     /// or still queued), net of later evictions.
     pub delivered: u64,
-    /// Copies dropped: dead subscriber, full queue (drop-newest), or
-    /// evicted (drop-oldest).
+    /// Copies dropped: full queue (drop-newest) or evicted
+    /// (drop-oldest).
     pub dropped: u64,
     /// Always 0: there is no router queue to lose a message at. Kept
     /// because frozen `pipeline-bench/` reads it; the next `[benchmark]`
@@ -170,20 +167,11 @@ struct Inner {
 impl Inner {
     fn publish(&self, topic: Topic, payload: Bytes) {
         self.stats.published.fetch_add(1, Ordering::Relaxed);
-        // A `Block` queue parks the publisher inside `push`, so no
-        // broker lock may be held across it: take the matched queues
-        // out from under the read guard first.
-        let targets: Vec<Arc<BoundedQueue<Message>>> = self
-            .sinks
-            .read()
-            .iter()
-            .filter(|e| e.filter.matches(&topic))
-            .map(|e| Arc::clone(&e.queue))
-            .collect();
+        // A push never waits, so it runs under the list's read guard.
         let msg = Message { topic, payload };
-        let mut dead = Vec::new();
-        for queue in targets {
-            match queue.push(msg.clone()) {
+        let sinks = self.sinks.read();
+        for entry in sinks.iter().filter(|e| e.filter.matches(&msg.topic)) {
+            match entry.queue.push(msg.clone()) {
                 PushOutcome::Enqueued => {
                     self.stats.delivered.fetch_add(1, Ordering::Relaxed);
                 }
@@ -193,17 +181,7 @@ impl Inner {
                 PushOutcome::Evicted | PushOutcome::DroppedNewest => {
                     self.stats.dropped.fetch_add(1, Ordering::Relaxed);
                 }
-                PushOutcome::Closed => {
-                    self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                    dead.push(queue);
-                }
             }
-        }
-        for queue in dead {
-            // A disconnected subscriber leaves the list, or it would
-            // match every later publish and inflate `dropped` forever.
-            queue.close_tx();
-            self.unsubscribe(&queue);
         }
     }
 
@@ -427,34 +405,14 @@ impl Subscription {
         &self.filter
     }
 
-    /// Blocking receive.
-    pub fn recv(&self) -> Result<Message, DcdbError> {
-        self.queue
-            .pop()
-            .map_err(|_| DcdbError::Disconnected("broker closed".into()))
-    }
-
-    /// Non-blocking receive; `Ok(None)` when the queue is empty.
-    pub fn try_recv(&self) -> Result<Option<Message>, DcdbError> {
-        self.queue
-            .try_pop()
-            .map_err(|_| DcdbError::Disconnected("broker closed".into()))
-    }
-
-    /// Receive with a timeout; `Ok(None)` on timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, DcdbError> {
-        self.queue
-            .pop_timeout(timeout)
-            .map_err(|_| DcdbError::Disconnected("broker closed".into()))
+    /// Takes the oldest queued message; `None` when the queue is empty.
+    pub fn try_recv(&self) -> Option<Message> {
+        self.queue.try_pop()
     }
 
     /// Drains everything currently queued.
     pub fn drain(&self) -> Vec<Message> {
-        let mut out = Vec::new();
-        while let Ok(Some(m)) = self.try_recv() {
-            out.push(m);
-        }
-        out
+        std::iter::from_fn(|| self.try_recv()).collect()
     }
 
     /// Number of messages currently queued.
@@ -467,21 +425,10 @@ impl Subscription {
     pub fn metrics(&self) -> QueueMetricsSnapshot {
         self.queue.metrics()
     }
-
-    /// Closes the receiving side without unsubscribing — simulates a
-    /// subscriber that died without cleanup. The broker detects this on
-    /// the next delivery attempt and removes the subscription.
-    #[cfg(test)]
-    pub(crate) fn simulate_disconnect(&self) {
-        self.queue.close_rx();
-    }
 }
 
 impl Drop for Subscription {
     fn drop(&mut self) {
-        // Wake publishers parked on a full `Block` queue (they return
-        // `Closed`) before waiting for the list lock.
-        self.queue.close_rx();
         self.inner.unsubscribe(&self.queue);
     }
 }
@@ -509,7 +456,7 @@ mod tests {
         assert_eq!(power.queued(), 1);
         assert_eq!(all.queued(), 1);
         assert_eq!(temps.queued(), 0);
-        let m = power.try_recv().unwrap().unwrap();
+        let m = power.try_recv().unwrap();
         assert_eq!(m.topic.as_str(), "/n1/power");
         assert_eq!(&m.payload[..], b"x");
     }
@@ -563,7 +510,7 @@ mod tests {
             SensorReading::new(105, Timestamp::from_secs(2)),
         ];
         bus.publish_readings(t("/n1/power"), &batch).unwrap();
-        let msg = sub.try_recv().unwrap().unwrap();
+        let msg = sub.try_recv().unwrap();
         assert_eq!(
             crate::codec::decode_batch(msg.payload)
                 .unwrap()
@@ -613,15 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_returns_none_when_idle() {
-        let broker = Broker::new();
-        let bus = broker.handle();
-        let sub = bus.subscribe_str("/quiet/#").unwrap();
-        let got = sub.recv_timeout(Duration::from_millis(10)).unwrap();
-        assert!(got.is_none());
-    }
-
-    #[test]
     fn drain_empties_queue() {
         let broker = Broker::new();
         let bus = broker.handle();
@@ -631,32 +569,6 @@ mod tests {
         }
         assert_eq!(sub.drain().len(), 5);
         assert_eq!(sub.queued(), 0);
-    }
-
-    #[test]
-    fn dead_subscription_is_removed_from_the_list() {
-        // A disconnected sink leaves the list on its first failed
-        // delivery; left there, it would match every later publish and
-        // `dropped` would grow forever.
-        let broker = Broker::new();
-        let bus = broker.handle();
-        let sub = bus.subscribe_str("/x/#").unwrap();
-        sub.simulate_disconnect();
-
-        // First delivery attempt fails and garbage-collects the sub.
-        bus.publish(t("/x/1"), Bytes::new()).unwrap();
-        assert_eq!(broker.stats().dropped, 1);
-        assert_eq!(broker.subscriber_count(), 0);
-
-        // Subsequent publishes no longer match anything: the counter
-        // stays stable.
-        for i in 0..10 {
-            bus.publish(t(&format!("/x/{i}")), Bytes::new()).unwrap();
-        }
-        assert_eq!(broker.stats().dropped, 1);
-        assert_eq!(broker.stats().delivered, 0);
-        drop(sub); // second unsubscribe is harmless
-        assert_eq!(broker.subscriber_count(), 0);
     }
 
     #[test]
@@ -724,44 +636,5 @@ mod tests {
         assert_eq!(b.queue.offered, 0);
         assert_eq!(b.queue.capacity, BusConfig::default().sub_depth);
         assert_eq!(m.stats, broker.stats());
-    }
-
-    #[test]
-    fn dropping_a_full_block_subscription_releases_the_publisher() {
-        // A publisher parked on a full `Block` queue holds no broker
-        // lock, and dropping the subscription closes the queue before
-        // it waits for one: neither side can wedge the other.
-        let broker = Broker::new();
-        let bus = broker.handle();
-        let sub = bus.subscribe_with(
-            TopicFilter::parse("/b/#").unwrap(),
-            SubscribeOptions::default()
-                .depth(1)
-                .policy(OverflowPolicy::Block),
-        );
-        let publisher = std::thread::spawn(move || {
-            for i in 0..3 {
-                bus.publish(t(&format!("/b/{i}")), Bytes::new()).unwrap();
-            }
-        });
-        // The second push has been offered to the full queue: the
-        // publisher is inside it.
-        while sub.metrics().offered < 2 {
-            std::thread::yield_now();
-        }
-        let dropper = std::thread::spawn(move || drop(sub));
-        // A deadlock must fail the test, not hang it.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !(publisher.is_finished() && dropper.is_finished()) {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "publisher and dropper wedged each other"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        publisher.join().unwrap();
-        dropper.join().unwrap();
-        assert_eq!(broker.subscriber_count(), 0);
-        assert_eq!(broker.stats().published, 3);
     }
 }

@@ -465,7 +465,7 @@ mod tests {
         chaos.advance(ms(51)); // past release
         assert_eq!(sub.queued(), 2);
         // Publish order preserved through the delay buffer.
-        let first = sub.try_recv().unwrap().unwrap();
+        let first = sub.try_recv().unwrap();
         assert_eq!(
             crate::codec::decode_batch(first.payload).unwrap().values[0],
             1

@@ -6,8 +6,8 @@
 //!
 //! * [`filter`] — MQTT topic filters with `+` / `#` wildcards;
 //! * [`codec`] — the compact binary frame format for reading batches;
-//! * [`queue`] — bounded delivery queues with overflow policies
-//!   (block / drop-newest / drop-oldest) and lock-free metrics;
+//! * [`queue`] — bounded delivery queues, one lock around a ring, that
+//!   shed by policy (drop-newest / drop-oldest) and count every drop;
 //! * [`broker`] — a QoS-0 [`Broker`] that matches each publish against
 //!   one subscription list on the publisher's thread, with a bounded
 //!   queue on every subscription (`--overflow` in `wintermute-sim`

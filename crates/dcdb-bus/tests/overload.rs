@@ -35,18 +35,13 @@ fn reading(seq: u64) -> SensorReading {
 
 /// A deliberately slow consumer under sustained overload never sees its
 /// queue grow past the configured bound, for any overflow policy; what
-/// it does see is in publication order, every message is accounted for,
-/// the shedding policies really shed and `Block` loses nothing. The
-/// publisher is unpaced, so the overload is whatever the consumer's
-/// 20 µs a message makes it — far past the 16× at which a bounded bus
-/// must shed.
+/// it does see is in publication order, every message is accounted for
+/// and the policy really sheds. The publisher is unpaced, so the
+/// overload is whatever the consumer's 20 µs a message makes it — far
+/// past the 16× at which a bounded bus must shed.
 #[test]
 fn bounded_subscription_never_exceeds_depth_under_overload() {
-    for policy in [
-        OverflowPolicy::DropOldest,
-        OverflowPolicy::DropNewest,
-        OverflowPolicy::Block,
-    ] {
+    for policy in [OverflowPolicy::DropOldest, OverflowPolicy::DropNewest] {
         let depth = 64usize;
         let total = 10_000u64;
         let broker = Broker::with_config(BusConfig {
@@ -65,8 +60,8 @@ fn bounded_subscription_never_exceeds_depth_under_overload() {
                 let mut consumed = 0u64;
                 let mut last_ts = 0u64;
                 loop {
-                    match sub.recv_timeout(Duration::from_millis(1)) {
-                        Ok(Some(msg)) => {
+                    match sub.try_recv() {
+                        Some(msg) => {
                             let ts = decode_batch(msg.payload).unwrap().ts[0];
                             assert!(ts > last_ts, "{policy:?}: {last_ts} then {ts}");
                             last_ts = ts;
@@ -74,12 +69,10 @@ fn bounded_subscription_never_exceeds_depth_under_overload() {
                             // Slower than the publisher: force overload.
                             std::thread::sleep(Duration::from_micros(20));
                         }
-                        Ok(None) => {
-                            if stop.load(Ordering::Acquire) && sub.queued() == 0 {
-                                return (sub, consumed);
-                            }
+                        None if stop.load(Ordering::Acquire) && sub.queued() == 0 => {
+                            return (sub, consumed);
                         }
-                        Err(_) => return (sub, consumed),
+                        None => std::thread::yield_now(),
                     }
                 }
             })
@@ -107,11 +100,7 @@ fn bounded_subscription_never_exceeds_depth_under_overload() {
         assert_eq!(stats.published, total, "{policy:?}");
         assert_eq!(stats.published, stats.delivered + stats.dropped);
         assert_eq!(consumed + m.dropped_total(), total, "{policy:?}: {m:?}");
-        if policy == OverflowPolicy::Block {
-            assert_eq!(consumed, total, "Block must not lose: {m:?}");
-        } else {
-            assert!(m.dropped_total() > 0, "{policy:?}: overload shed nothing");
-        }
+        assert!(m.dropped_total() > 0, "{policy:?}: overload shed nothing");
     }
 }
 
@@ -219,61 +208,6 @@ fn published_equals_delivered_plus_dropped_for_shedding_policies() {
     }
 }
 
-/// `Block` end to end is lossless: with consumers draining, every
-/// published copy is delivered and nothing is dropped — the publisher
-/// is paced instead.
-#[test]
-fn block_policy_is_lossless_end_to_end() {
-    let broker = Broker::with_config(BusConfig {
-        sub_depth: 8,
-        sub_policy: OverflowPolicy::Block,
-    });
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut consumers = Vec::new();
-    for f in ["/#", "/bench/+/power"] {
-        let sub = broker
-            .handle()
-            .subscribe_with(filter(f), SubscribeOptions::default().label(f));
-        let stop = Arc::clone(&stop);
-        consumers.push(std::thread::spawn(move || {
-            let mut consumed = 0u64;
-            loop {
-                match sub.recv_timeout(Duration::from_millis(1)) {
-                    Ok(Some(_)) => consumed += 1,
-                    Ok(None) => {
-                        if stop.load(Ordering::Acquire) && sub.queued() == 0 {
-                            return consumed;
-                        }
-                    }
-                    Err(_) => return consumed,
-                }
-            }
-        }));
-    }
-
-    let total = 3_000u64;
-    for seq in 0..total {
-        let t = topic(if seq % 2 == 0 {
-            "/bench/node00/power"
-        } else {
-            "/bench/node00/temp"
-        });
-        broker
-            .handle()
-            .publish_readings(t, &[reading(seq)])
-            .unwrap();
-    }
-    stop.store(true, Ordering::Release);
-    let consumed: u64 = consumers.into_iter().map(|h| h.join().unwrap()).sum();
-
-    let stats = broker.stats();
-    let copies = total + total / 2;
-    assert_eq!(stats.published, total);
-    assert_eq!(stats.dropped, 0, "Block policy must not drop");
-    assert_eq!(stats.delivered, copies);
-    assert_eq!(consumed, copies);
-}
-
 /// The one routing path under real threads: four publishers route
 /// concurrently into one consumer's queue, for every overflow policy,
 /// while a second subscriber dies mid-run.
@@ -282,11 +216,7 @@ fn concurrent_publishers_keep_order_and_accounting_while_a_subscriber_dies() {
     const PUBLISHERS: u64 = 4;
     const PER_PUBLISHER: u64 = 2_000;
     const VICTIM_LIFETIME: u64 = 32;
-    for policy in [
-        OverflowPolicy::DropOldest,
-        OverflowPolicy::DropNewest,
-        OverflowPolicy::Block,
-    ] {
+    for policy in [OverflowPolicy::DropOldest, OverflowPolicy::DropNewest] {
         let broker = Broker::with_config(BusConfig {
             sub_depth: 64,
             sub_policy: policy,
@@ -299,8 +229,8 @@ fn concurrent_publishers_keep_order_and_accounting_while_a_subscriber_dies() {
                 let mut last_seq: HashMap<String, i64> = HashMap::new();
                 let mut consumed = 0u64;
                 loop {
-                    match sub.recv_timeout(Duration::from_millis(1)) {
-                        Ok(Some(msg)) => {
+                    match sub.try_recv() {
+                        Some(msg) => {
                             let seq = decode_batch(msg.payload).unwrap().values[0];
                             let last = last_seq.entry(msg.topic.as_str().to_string()).or_insert(-1);
                             assert!(
@@ -311,23 +241,25 @@ fn concurrent_publishers_keep_order_and_accounting_while_a_subscriber_dies() {
                             *last = seq;
                             consumed += 1;
                         }
-                        Ok(None) if stop.load(Ordering::Acquire) && sub.queued() == 0 => {
+                        None if stop.load(Ordering::Acquire) && sub.queued() == 0 => {
                             return (sub, consumed);
                         }
-                        Ok(None) => {}
-                        Err(_) => return (sub, consumed),
+                        None => std::thread::yield_now(),
                     }
                 }
             })
         };
         // Consumes less than one queue's worth (so it cannot starve),
-        // then goes away with publishers mid-push (under `Block`,
-        // parked on its full queue).
+        // then goes away with publishers mid-push.
         let victim = {
             let sub = broker.handle().subscribe(filter("/#"));
             std::thread::spawn(move || {
-                for _ in 0..VICTIM_LIFETIME {
-                    sub.recv().unwrap();
+                let mut consumed = 0;
+                while consumed < VICTIM_LIFETIME {
+                    match sub.try_recv() {
+                        Some(_) => consumed += 1,
+                        None => std::thread::yield_now(),
+                    }
                 }
             })
         };
@@ -358,9 +290,6 @@ fn concurrent_publishers_keep_order_and_accounting_while_a_subscriber_dies() {
         assert_eq!(m.offered, published, "{policy:?}: {m:?}");
         assert_eq!(consumed + m.dropped_total(), published, "{policy:?}: {m:?}");
         assert!(m.high_water <= 64, "{policy:?}: {m:?}");
-        if policy == OverflowPolicy::Block {
-            assert_eq!(consumed, published, "Block must not lose: {m:?}");
-        }
         // The rest of the bus-level copies are the victim's: at least
         // what it consumed, at most one per message.
         let victim_copies = stats.delivered + stats.dropped - published;

@@ -237,7 +237,7 @@ impl CollectAgent {
             Vec::with_capacity(budget.min(self.subscription.queued()));
         let mut consumed = 0usize;
         while consumed < budget {
-            let Ok(Some(msg)) = self.subscription.try_recv() else {
+            let Some(msg) = self.subscription.try_recv() else {
                 break;
             };
             consumed += 1;

@@ -1420,7 +1420,7 @@ mod tests {
         );
         fed.publish_readings(topic, &[SensorReading::new(7, Timestamp::from_secs(1))])
             .unwrap();
-        let msg = sub.try_recv().unwrap().expect("delivered on home shard");
+        let msg = sub.try_recv().expect("delivered on home shard");
         assert_eq!(msg.topic.as_str(), "/rack00/node05/power");
     }
 }

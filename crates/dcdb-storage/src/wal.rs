@@ -510,11 +510,6 @@ impl WalWriter {
         self.poisoned
     }
 
-    /// Appends journaled but not yet fsynced under the current policy.
-    pub fn unsynced_appends(&self) -> u32 {
-        self.appends_since_sync
-    }
-
     fn check_poisoned(&self) -> Result<()> {
         if self.poisoned {
             Err(DcdbError::InvalidState(format!(
@@ -899,7 +894,6 @@ mod tests {
         }
         assert!(!w.poisoned());
         w.sync().unwrap();
-        assert_eq!(w.unsynced_appends(), 0);
         let (got, rep) = collect_replay(&path);
         assert_eq!(rep.batches, 100);
         assert_eq!(rep.readings, 200);

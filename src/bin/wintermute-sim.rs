@@ -13,7 +13,7 @@
 //!     [--scenario NAME --seed S [--sim-scale tiny|small|large]] [--list-scenarios]
 //!     [--agents N] [--vnodes N] [--replicas 1|2] [--shard-timeout-ms N]
 //!     [--data-dir DIR] [--fsync always|batch|never] [--retention-secs N]
-//!     [--sub-depth N] [--overflow block|drop-newest|drop-oldest]
+//!     [--sub-depth N] [--overflow drop-newest|drop-oldest]
 //!     [--ingest-budget N] [--quarantine-threshold N]
 //!     [--chaos-seed N] [--outage-ms N] [--drop-prob P]
 //!     [--spool-depth N] [--reconnect-base-ms N]
@@ -61,10 +61,8 @@
 //!
 //! Backpressure knobs (paper §V scalability): every subscription queue
 //! of every agent's broker is bounded at `--sub-depth`; `--overflow`
-//! picks what happens when a queue is full (QoS-0 default:
-//! `drop-oldest`). `block` parks the publisher until the subscriber
-//! pops, and this binary drives Pushers and Collect Agents from one
-//! loop, so under `block` `--sub-depth` must hold one tick's messages.
+//! picks which message a full queue sheds (QoS-0 default:
+//! `drop-oldest`); a publish never waits for the subscriber.
 //! `--ingest-budget` caps how many bus messages the Collect Agent
 //! drains per tick so operators and storage maintenance are never
 //! starved. Live queue depths and drop counters are served at
@@ -442,7 +440,7 @@ fn main() {
     };
 
     // --- Transport + storage tier: one broker and agent, or the federation. ---
-    let expected = "block|drop-newest|drop-oldest";
+    let expected = "drop-newest|drop-oldest";
     let overflow = choice("--overflow", "drop-oldest", expected, OverflowPolicy::parse);
     let bus_config = BusConfig {
         sub_depth: arg("--sub-depth", BusConfig::default().sub_depth as u64).max(1) as usize,

@@ -243,7 +243,6 @@ bus.subscriptions[].label: string
 bus.subscriptions[].queue.capacity: integer
 bus.subscriptions[].queue.depth: integer
 bus.subscriptions[].queue.dequeued: integer
-bus.subscriptions[].queue.dropped_closed: integer
 bus.subscriptions[].queue.dropped_newest: integer
 bus.subscriptions[].queue.dropped_oldest: integer
 bus.subscriptions[].queue.enqueued: integer
@@ -433,7 +432,6 @@ shards.*.bus.subscriptions[].label: string
 shards.*.bus.subscriptions[].queue.capacity: integer
 shards.*.bus.subscriptions[].queue.depth: integer
 shards.*.bus.subscriptions[].queue.dequeued: integer
-shards.*.bus.subscriptions[].queue.dropped_closed: integer
 shards.*.bus.subscriptions[].queue.dropped_newest: integer
 shards.*.bus.subscriptions[].queue.dropped_oldest: integer
 shards.*.bus.subscriptions[].queue.enqueued: integer

@@ -119,7 +119,11 @@ fn federated_run_honours_every_knob_family_on_every_shard() {
 /// and the value, never a silent default or a panic.
 #[test]
 fn a_malformed_flag_value_exits_2_at_once() {
-    for (flag, value) in [("--duration", "3s"), ("--fsync", "sometimes")] {
+    for (flag, value) in [
+        ("--duration", "3s"),
+        ("--fsync", "sometimes"),
+        ("--overflow", "block"),
+    ] {
         let started = std::time::Instant::now();
         let mut child = Command::new(env!("CARGO_BIN_EXE_wintermute-sim"))
             .args([flag, value])

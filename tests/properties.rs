@@ -116,7 +116,7 @@ proptest! {
         let bus = broker.handle();
         let sub = bus.subscribe(filter);
         bus.publish(topic.clone(), bytes::Bytes::new()).unwrap();
-        let delivered = sub.try_recv().unwrap().is_some();
+        let delivered = sub.try_recv().is_some();
         prop_assert_eq!(delivered, expected, "filter {} topic {}", fstr, topic);
     }
 
