@@ -889,6 +889,75 @@ mod tests {
         assert!(!body.contains("\"value\":41"));
     }
 
+    /// A late reading and a repeated timestamp read as storage holds
+    /// them through both data routes: right after the insert, when the
+    /// cache serves them, and once the window has moved past them.
+    #[test]
+    fn rest_routes_answer_a_late_reading_and_a_repeat_as_storage_holds_them() {
+        let broker = Broker::new();
+        let storage = Arc::new(DurableBackend::in_memory());
+        let agent = Arc::new(
+            CollectAgent::new(
+                CollectAgentConfig {
+                    cache_secs: 5,
+                    expected_interval_ms: 1000,
+                    ..CollectAgentConfig::default()
+                },
+                &broker.handle(),
+                storage,
+            )
+            .unwrap(),
+        );
+        let mut router = Router::new();
+        agent.mount_routes(&mut router);
+        let bus = broker.handle();
+        let ingest = |readings: &[(i64, u64)]| {
+            for &(v, s) in readings {
+                let r = SensorReading::new(v, Timestamp::from_secs(s));
+                bus.publish_readings(t("/r0/n0/power"), &[r]).unwrap();
+            }
+            agent.process_pending();
+        };
+        let get = |path: &str| {
+            let resp = router.dispatch(dcdb_rest::Request::new(Method::Get, path));
+            assert_eq!(resp.status.code(), 200, "{path} -> {}", resp.body_str());
+            serde_json::from_str::<serde_json::Value>(&resp.body_str()).unwrap()
+        };
+        // `from_s=10` starts at the cache's oldest reading while the
+        // cache still holds it: the cache alone answers then.
+        let hits = || agent.query_engine().stats().cache_hits;
+        let check = |values: [i64; 4], cache_hits: u64| {
+            let before = hits();
+            for from in [0, 10] {
+                let v = get(&format!("/sensors/r0/n0/power?from_s={from}&to_s=40"));
+                let field = |name: &str| -> Vec<u64> {
+                    let rows = v.as_array().unwrap().iter();
+                    rows.map(|r| r.get(name).unwrap().as_i64().unwrap() as u64)
+                        .collect()
+                };
+                let secs: Vec<u64> = field("timestamp")
+                    .iter()
+                    .map(|ns| ns / 1_000_000_000)
+                    .collect();
+                assert_eq!(secs, vec![10, 15, 20, 30], "from_s={from}");
+                assert_eq!(field("value"), values.map(|v| v as u64).to_vec());
+            }
+            let v = get("/query?sensor=/r0/n0/power&agg=count&step=40s&from_s=0&to_s=39");
+            let series = v.get("series").unwrap().as_array().unwrap();
+            let points = series[0].get("points").unwrap().as_array().unwrap();
+            assert_eq!(points.len(), 1);
+            assert_eq!(points[0].get("count").unwrap().as_u64(), Some(4));
+            assert_eq!(hits() - before, cache_hits);
+        };
+        ingest(&[(10, 10), (20, 20), (30, 30)]);
+        ingest(&[(15, 15)]);
+        check([10, 15, 20, 30], 1);
+        ingest(&[(-20, 20)]);
+        check([10, 15, -20, 30], 1);
+        ingest(&[(41, 41), (42, 42), (43, 43), (44, 44), (45, 45), (46, 46)]);
+        check([10, 15, -20, 30], 0);
+    }
+
     #[test]
     fn rest_sensor_query_rejects_malformed_range_params() {
         let (broker, agent) = setup();

@@ -70,9 +70,9 @@ fn back_off(spins: &mut u32) {
 
 /// Ring buffer of recent readings for one sensor, shared without a lock.
 ///
-/// Writes must be timestamp-monotonic (enforced: stale writes are
-/// rejected), which every sampling loop guarantees by construction; this
-/// is what makes binary search on the logical sequence valid.
+/// Readings are held in timestamp order, one per timestamp (binary search
+/// relies on it), and admitted as storage admits them: sorted in, a repeat
+/// overwriting its value; one older than the oldest is outside the window.
 ///
 /// Ring memory is at most two blocks, neither moved nor freed before the
 /// cache: the first `min(capacity, 4096)` slots, allocated here, and the
@@ -90,17 +90,6 @@ pub struct SensorCache {
     /// Exponentially weighted estimate of the sampling interval (ns), as
     /// `f64` bits.
     avg_interval_ns: AtomicU64,
-}
-
-/// Outcome of [`SensorCache::push`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushOutcome {
-    /// Stored; nothing evicted.
-    Stored,
-    /// Stored; the oldest reading was evicted to make room.
-    Evicted,
-    /// Rejected: timestamp not newer than the latest entry.
-    RejectedStale,
 }
 
 impl SensorCache {
@@ -221,7 +210,6 @@ impl SensorCache {
                     cache: self,
                     head: self.head.load(Ordering::Relaxed) as usize,
                     len: self.len.load(Ordering::Relaxed) as usize,
-                    avg_interval_ns: f64::from_bits(self.avg_interval_ns.load(Ordering::Relaxed)),
                 };
                 let got = attempt(&ring);
                 // The loads above happen before the check (paired with
@@ -248,22 +236,15 @@ impl SensorCache {
         })
     }
 
-    /// Inserts a reading. Readings must arrive in timestamp order;
-    /// a reading whose timestamp is not strictly newer than the latest
-    /// entry is rejected (sampling loops occasionally re-fire on clock
-    /// hiccups, and silently reordering would break binary search).
-    pub fn push(&self, r: SensorReading) -> PushOutcome {
+    /// Inserts a reading; a full ring evicts its oldest to make room.
+    pub fn push(&self, r: SensorReading) {
         self.writer().push(r)
     }
 
-    /// Inserts `readings` in order inside one write, and returns how
-    /// many were rejected as not newer than the latest entry.
-    pub fn push_all(&self, readings: impl IntoIterator<Item = SensorReading>) -> usize {
+    /// Inserts `readings` in order inside one write.
+    pub fn push_all(&self, readings: impl IntoIterator<Item = SensorReading>) {
         let mut writer = self.writer();
-        readings
-            .into_iter()
-            .filter(|&r| writer.push(r) == PushOutcome::RejectedStale)
-            .count()
+        readings.into_iter().for_each(|r| writer.push(r));
     }
 
     /// Copies into `out` (cleared first) approximately the last
@@ -272,16 +253,17 @@ impl SensorCache {
     ///
     /// The start is computed from the average-interval estimate, exactly
     /// like DCDB's fast path; the result may include slightly more or
-    /// less than `offset_ns` when sampling jitters. `offset_ns == 0`
-    /// yields just the most recent reading. Returns the oldest cached
-    /// timestamp at the time of the copy, `None` when the cache is
-    /// empty.
+    /// less than `offset_ns` when sampling jitters, and a late reading
+    /// sorted into the span displaces its oldest. `offset_ns == 0` yields
+    /// just the most recent reading. Returns the oldest cached timestamp
+    /// at the time of the copy, `None` when the cache is empty.
     pub fn read_relative(&self, offset_ns: u64, out: &mut Vec<SensorReading>) -> Option<Timestamp> {
         self.read(|ring| {
+            let avg = self.avg_interval_ns();
             let n = if offset_ns == 0 {
                 1
-            } else if ring.avg_interval_ns > 0.0 {
-                ((offset_ns as f64 / ring.avg_interval_ns).ceil() as usize).saturating_add(1)
+            } else if avg > 0.0 {
+                ((offset_ns as f64 / avg).ceil() as usize).saturating_add(1)
             } else {
                 ring.len
             };
@@ -328,7 +310,6 @@ struct Ring<'a> {
     cache: &'a SensorCache,
     head: usize,
     len: usize,
-    avg_interval_ns: f64,
 }
 
 impl Ring<'_> {
@@ -370,7 +351,7 @@ struct Writer<'a> {
 }
 
 impl Writer<'_> {
-    fn push(&mut self, r: SensorReading) -> PushOutcome {
+    fn push(&mut self, r: SensorReading) {
         let c = self.cache;
         let cap = c.cap as usize;
         let head = c.head.load(Ordering::Relaxed) as usize;
@@ -378,7 +359,7 @@ impl Writer<'_> {
         if let Some(last) = len.checked_sub(1).and_then(|i| c.at(head, i)) {
             let last = last.load();
             if r.ts <= last.ts {
-                return PushOutcome::RejectedStale;
+                return self.sort_in(r, head, len);
             }
             let dt = r.ts.elapsed_since(last.ts) as f64;
             let avg = f64::from_bits(c.avg_interval_ns.load(Ordering::Relaxed));
@@ -395,13 +376,41 @@ impl Writer<'_> {
             // The oldest reading stays at index 0 until the ring is full.
             self.slot(len).store(r);
             c.len.store(len as u32 + 1, Ordering::Relaxed);
-            PushOutcome::Stored
         } else {
             self.slot(head).store(r);
             let next = if head + 1 == cap { 0 } else { head + 1 };
             c.head.store(next as u32, Ordering::Relaxed);
-            PushOutcome::Evicted
         }
+    }
+
+    /// A reading not newer than the newest, out of the append's line: a
+    /// repeated timestamp overwrites its value, one older than the
+    /// oldest is not kept, and any other moves the newer readings up a
+    /// slot, a full ring evicting its oldest first.
+    #[cold]
+    #[inline(never)]
+    fn sort_in(&self, r: SensorReading, mut head: usize, len: usize) {
+        let cache = self.cache;
+        let cap = cache.cap as usize;
+        // `r` is not newer than the newest, so `i < len`.
+        let mut i = Ring { cache, head, len }.partition(|ts| ts < r.ts);
+        let mut end = len;
+        if cache.at(head, i).is_some_and(|s| s.load().ts == r.ts) {
+            end = i;
+        } else if i == 0 {
+            return;
+        } else if len == cap {
+            head = (head + 1) % cap;
+            cache.head.store(head as u32, Ordering::Relaxed);
+            (i, end) = (i - 1, len - 1);
+        } else {
+            cache.len.store(len as u32 + 1, Ordering::Relaxed);
+        }
+        let at = |j: usize| self.slot((head + j) % cap);
+        for j in (i..end).rev() {
+            at(j + 1).store(at(j).load());
+        }
+        at(i).store(r);
     }
 
     /// The slot at physical index `p < cap`, allocating the rest of the
@@ -437,7 +446,7 @@ mod tests {
 
     fn fill_from(cache: &SensorCache, from: u64, to: u64) {
         for i in from..=to {
-            assert_ne!(cache.push(r(i as i64, i)), PushOutcome::RejectedStale);
+            cache.push(r(i as i64, i));
         }
     }
 
@@ -463,28 +472,86 @@ mod tests {
         out
     }
 
+    fn timestamps(readings: &[SensorReading]) -> Vec<u64> {
+        readings
+            .iter()
+            .map(|r| r.ts.as_nanos() / NS_PER_SEC)
+            .collect()
+    }
+
     #[test]
     fn push_and_eviction() {
         let c = SensorCache::new(3);
-        assert_eq!(c.push(r(1, 1)), PushOutcome::Stored);
-        assert_eq!(c.push(r(2, 2)), PushOutcome::Stored);
-        assert_eq!(c.push(r(3, 3)), PushOutcome::Stored);
-        assert_eq!(c.push(r(4, 4)), PushOutcome::Evicted);
+        for i in 1..=3 {
+            c.push(r(i, i as u64));
+        }
+        assert_eq!(values(&all(&c)), vec![1, 2, 3]);
+        c.push(r(4, 4));
         assert_eq!(c.len(), 3);
         assert_eq!(values(&all(&c)), vec![2, 3, 4]);
         assert_eq!(c.latest().unwrap().value, 4);
     }
 
     #[test]
-    fn rejects_stale() {
+    fn sorts_in_late_readings_and_overwrites_repeats() {
         let c = SensorCache::new(4);
+        c.push(r(0, 1)); // opens the window at 1 s
         c.push(r(1, 5));
-        assert_eq!(c.push(r(2, 5)), PushOutcome::RejectedStale);
-        assert_eq!(c.push(r(2, 4)), PushOutcome::RejectedStale);
-        assert_eq!(c.len(), 1);
-        // One write, two refusals among three.
-        assert_eq!(c.push_all([r(3, 3), r(6, 6), r(4, 4)]), 2);
-        assert_eq!(values(&all(&c)), vec![1, 6]);
+        // A repeated timestamp overwrites; an earlier one is sorted in.
+        c.push(r(2, 5));
+        c.push(r(2, 4));
+        assert_eq!(timestamps(&all(&c)), vec![1, 4, 5]);
+        assert_eq!(values(&all(&c)), vec![0, 2, 2]);
+        // One write: 3 s is sorted in, 6 s evicts 1 s, 4 s overwrites.
+        c.push_all([r(3, 3), r(6, 6), r(4, 4)]);
+        assert_eq!(timestamps(&all(&c)), vec![3, 4, 5, 6]);
+        assert_eq!(values(&all(&c)), vec![3, 4, 2, 6]);
+        assert_eq!(c.latest(), Some(r(6, 6)));
+    }
+
+    #[test]
+    fn a_full_ring_evicts_its_oldest_for_a_late_reading_inside_it() {
+        let mut c = SensorCache::new(4);
+        fill(&mut c, 10); // 7..=10, the head mid-ring
+        c.push(r(85, 8)); // an overwrite moves nothing
+        c.push(r(95, 9));
+        assert_eq!(values(&all(&c)), vec![7, 85, 95, 10]);
+        c.push(r(20, 20));
+        c.push(r(15, 15)); // evicts 8
+        assert_eq!(timestamps(&all(&c)), vec![9, 10, 15, 20]);
+        // Older than the oldest: outside the window, not kept.
+        c.push(r(8, 8));
+        assert_eq!(timestamps(&all(&c)), vec![9, 10, 15, 20]);
+        c.push(r(12, 12)); // evicts 9
+        assert_eq!(timestamps(&all(&c)), vec![10, 12, 15, 20]);
+        assert_eq!(c.latest(), Some(r(20, 20)));
+    }
+
+    #[test]
+    fn a_late_reading_older_than_the_oldest_is_not_kept_by_a_ring_with_room() {
+        // Storage may hold what the ring never saw (a restart, a
+        // promoted replica), so the ring's window starts at its oldest.
+        let c = SensorCache::new(8);
+        c.push(r(40, 40));
+        c.push(r(15, 15));
+        assert_eq!(timestamps(&all(&c)), vec![40]);
+    }
+
+    #[test]
+    fn shifting_the_newest_past_the_first_block_allocates_the_rest() {
+        let mut c = SensorCache::new(FIRST_BLOCK + 2);
+        fill(&mut c, FIRST_BLOCK as u64);
+        let first = c.memory_bytes();
+        let newest = Timestamp::from_secs(FIRST_BLOCK as u64);
+        c.push(SensorReading::new(
+            -1,
+            Timestamp(newest.as_nanos() - NS_PER_SEC / 2),
+        ));
+        assert!(c.memory_bytes() > first);
+        let held = all(&c);
+        assert_eq!(held.len(), FIRST_BLOCK + 1);
+        let tail = values(&held[FIRST_BLOCK - 2..]);
+        assert_eq!(tail, vec![FIRST_BLOCK as i64 - 1, -1, FIRST_BLOCK as i64]);
     }
 
     #[test]

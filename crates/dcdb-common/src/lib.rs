@@ -44,7 +44,7 @@ pub mod time;
 pub mod topic;
 
 pub use batch::ReadingBatch;
-pub use cache::{PushOutcome, SensorCache};
+pub use cache::SensorCache;
 pub use config::{KvConfig, SamplingConfig};
 pub use doc::document;
 pub use error::{DcdbError, Result};

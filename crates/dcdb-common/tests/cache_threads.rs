@@ -1,8 +1,9 @@
 //! The sensor cache's sequence stamp under real threads: one writer and
-//! two readers over a ring of eight, which wraps on almost every write.
-//! Every window a reader copies out must be one the writer stored at
-//! some instant — no longer than the ring, consecutive in time, and each
-//! value the one its timestamp encodes.
+//! two readers over a ring of eight, which wraps on almost every write
+//! and every so often sorts a late reading in. Every window a reader
+//! copies out must be one the writer stored at some instant — no longer
+//! than the ring, consecutive in time, and each value the one its
+//! timestamp encodes.
 
 use dcdb_common::{SensorCache, SensorReading, Timestamp};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -52,12 +53,15 @@ fn readers_copy_only_windows_the_writer_stored() {
             start.wait();
             let mut k = 1;
             while k <= WRITES {
-                // Single pushes, whole batches in one write, and a stale
-                // reading the cache must refuse without storing.
+                // Single pushes, and whole batches in one write: five in
+                // order, a repeat of the first (an overwrite with the
+                // same value), then a swapped pair whose second reading
+                // is sorted in, shifting the newest up a slot.
                 if k % 3 == 0 {
                     let batch = (k..k + 5).map(reading);
-                    assert_eq!(cache.push_all(batch.chain([reading(k)])), 1);
-                    k += 5;
+                    let swapped = [reading(k + 6), reading(k + 5)];
+                    cache.push_all(batch.chain([reading(k)]).chain(swapped));
+                    k += 7;
                 } else {
                     cache.push(reading(k));
                     k += 1;

@@ -261,10 +261,10 @@ fn percent_decode(s: &str) -> String {
     while i < bytes.len() {
         match bytes[i] {
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3);
-                match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()) {
-                    Some(b) => {
-                        out.push(b);
+                let digit = |k| bytes.get(i + k).and_then(|&b| char::from(b).to_digit(16));
+                match digit(1).zip(digit(2)) {
+                    Some((hi, lo)) => {
+                        out.push((hi * 16 + lo) as u8);
                         i += 3;
                     }
                     None => {
@@ -438,6 +438,15 @@ mod tests {
         assert_eq!(percent_decode("a%"), "a%");
         assert_eq!(percent_decode("a%2"), "a%2");
         assert_eq!(percent_decode("a%zz"), "a%zz");
+    }
+
+    #[test]
+    fn percent_decode_takes_only_two_hex_digits() {
+        // A sign is not a hex digit: `%+f` stays literal, and its `+`
+        // then decodes as the space a query string means by it.
+        assert_eq!(percent_decode("%+f"), "% f");
+        assert_eq!(percent_decode("%-1"), "%-1");
+        assert_eq!(percent_decode("%2b%2B"), "++");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::tree::SensorNavigator;
 use dcdb_bus::TopicFilter;
 use dcdb_common::batch::ReadingBatch;
-use dcdb_common::cache::{PushOutcome, SensorCache};
+use dcdb_common::cache::SensorCache;
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
@@ -66,9 +66,6 @@ pub struct QueryStats {
     /// durable backend failing to journal); the reading stays cached
     /// but is not guaranteed to survive a restart.
     pub storage_errors: u64,
-    /// Readings a sensor cache refused as not newer than its latest
-    /// (the storage engine, when attached, still takes them).
-    pub cache_rejected: u64,
     /// Aggregate (`query_agg`) requests served.
     pub agg_queries: u64,
     /// Sub-buckets of aggregate queries served from rollup frames.
@@ -203,7 +200,6 @@ pub struct QueryEngine {
     misses: AtomicU64,
     inserts: AtomicU64,
     storage_errors: AtomicU64,
-    cache_rejected: AtomicU64,
     agg_queries: AtomicU64,
     agg_tier_buckets: AtomicU64,
     agg_raw_buckets: AtomicU64,
@@ -228,7 +224,6 @@ impl QueryEngine {
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             storage_errors: AtomicU64::new(0),
-            cache_rejected: AtomicU64::new(0),
             agg_queries: AtomicU64::new(0),
             agg_tier_buckets: AtomicU64::new(0),
             agg_raw_buckets: AtomicU64::new(0),
@@ -279,9 +274,7 @@ impl QueryEngine {
     /// [`QueryEngine::insert`] into a cache already found, leaving
     /// `inserts` to the caller ([`QueryEngine::add_inserts`]).
     pub(crate) fn insert_bound(&self, cache: &SensorCache, topic: &Topic, reading: SensorReading) {
-        if cache.push(reading) == PushOutcome::RejectedStale {
-            self.add_rejected(1);
-        }
+        cache.push(reading);
         if let Some(storage) = &self.storage {
             if storage.insert(topic, reading).is_err() {
                 self.storage_errors.fetch_add(1, Ordering::Relaxed);
@@ -295,7 +288,7 @@ impl QueryEngine {
     pub fn insert_columns(&self, topic: &Topic, batch: &ReadingBatch) {
         self.inserts
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.add_rejected(self.bind_or_create(topic).push_all(batch.iter()));
+        self.bind_or_create(topic).push_all(batch.iter());
         if let Some(storage) = &self.storage {
             if storage.insert_columns(topic, batch).is_err() {
                 self.storage_errors.fetch_add(1, Ordering::Relaxed);
@@ -314,17 +307,15 @@ impl QueryEngine {
     pub fn insert_many(&self, group: &[(Topic, ReadingBatch)]) -> usize {
         let mut readings = 0u64;
         let mut created = 0usize;
-        let mut rejected = 0usize;
         for (topic, batch) in group {
             readings += batch.len() as u64;
             let cache = self.bind(topic).unwrap_or_else(|| {
                 created += 1;
                 self.bind_or_create(topic)
             });
-            rejected += cache.push_all(batch.iter());
+            cache.push_all(batch.iter());
         }
         self.add_inserts(readings);
-        self.add_rejected(rejected);
         if let Some(storage) = &self.storage {
             let refused = storage.insert_many(group).len() as u64;
             self.storage_errors.fetch_add(refused, Ordering::Relaxed);
@@ -357,6 +348,11 @@ impl QueryEngine {
 
     /// Executes a query. Cache-first; falls back to storage for
     /// absolute ranges that reach past the cache contents.
+    ///
+    /// The cache admits a reading as storage does, so an `Absolute`
+    /// answer is what storage acknowledged, whichever copy serves it. A
+    /// late reading inside a `Relative` span displaces the span's oldest,
+    /// and an operator reading either mode sees it from its next run on.
     pub fn query(&self, topic: &Topic, mode: QueryMode) -> Vec<SensorReading> {
         let mut buf = Vec::new();
         self.read(topic, mode, &mut buf);
@@ -401,14 +397,6 @@ impl QueryEngine {
     /// Adds the inserts [`QueryEngine::insert_bound`] left to its caller.
     pub(crate) fn add_inserts(&self, inserts: u64) {
         self.inserts.fetch_add(inserts, Ordering::Relaxed);
-    }
-
-    /// Counts readings a cache refused, with no atomic write for none.
-    fn add_rejected(&self, rejected: usize) {
-        if rejected > 0 {
-            self.cache_rejected
-                .fetch_add(rejected as u64, Ordering::Relaxed);
-        }
     }
 
     /// The one read path under `query`, `view` and unit reads: replaces
@@ -622,14 +610,14 @@ impl QueryEngine {
     /// have them, raw re-aggregation for the missing sub-bucket runs
     /// (coalesced into one stitched raw query per contiguous gap).
     ///
-    /// Frames only serve buckets wholly *before* the cache boundary.
-    /// Inside the cache window the raw stitch answers from the ring
-    /// buffer, which applies its own admission policy (out-of-order
-    /// samples are dropped; storage keeps them) — a frame there would
-    /// reflect storage truth and silently disagree with the raw path,
-    /// and a straddling bucket would count boundary readings from both
-    /// sources. Ending the tier strictly at the boundary keeps every
-    /// reading exactly-once and tier-vs-raw answers identical.
+    /// Frames only serve buckets wholly *before* the cache boundary. The
+    /// ring admits as storage does but is another copy: within a drain it
+    /// is written first, and it keeps readings storage refused (which the
+    /// simulator's answer ledger counts). A frame inside the window could
+    /// disagree with the raw path, and a straddling bucket would count
+    /// boundary readings from both sources. Ending the tier strictly at
+    /// the boundary keeps every reading exactly-once and tier-vs-raw
+    /// answers identical.
     fn tier_sub_frames(
         &self,
         topic: &Topic,
@@ -703,7 +691,6 @@ impl QueryEngine {
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             storage_errors: self.storage_errors.load(Ordering::Relaxed),
-            cache_rejected: self.cache_rejected.load(Ordering::Relaxed),
             agg_queries: self.agg_queries.load(Ordering::Relaxed),
             agg_tier_buckets: self.agg_tier_buckets.load(Ordering::Relaxed),
             agg_raw_buckets: self.agg_raw_buckets.load(Ordering::Relaxed),
@@ -1177,30 +1164,79 @@ mod tests {
         assert_eq!(qe.query(&t("/n1/power"), QueryMode::Latest)[0].value, 51);
     }
 
-    #[test]
-    fn readings_a_cache_refuses_are_counted() {
-        let storage = Arc::new(DurableBackend::in_memory());
-        let qe = QueryEngine::with_storage(8, storage);
-        let topic = t("/n1/power");
-        qe.insert(&topic, r(1, 10));
-        assert_eq!(qe.stats().cache_rejected, 0);
-        // Not newer than the latest: refused by the cache.
-        qe.insert(&topic, r(2, 10));
-        assert_eq!(qe.stats().cache_rejected, 1);
-        // One stale reading inside a drain's batch.
-        let batch: ReadingBatch = [r(3, 11), r(4, 9), r(5, 12)].into_iter().collect();
-        qe.insert_many(&[
-            (topic.clone(), batch),
-            (t("/n2/power"), [r(6, 1)].into_iter().collect()),
-        ]);
-        assert_eq!(qe.stats().cache_rejected, 2);
-        let cached: Vec<i64> = qe
-            .query(&topic, QueryMode::Relative { offset_ns: 0 })
+    fn seconds(readings: &[SensorReading]) -> Vec<u64> {
+        readings
             .iter()
-            .map(|x| x.value)
-            .collect();
-        assert_eq!(cached, vec![5]);
-        assert_eq!(qe.stats().inserts, 6);
+            .map(|x| x.ts.as_nanos() / NS_PER_SEC)
+            .collect()
+    }
+
+    /// A late reading at 15 s after readings at 10, 20 and 30 s: the
+    /// answer is storage's, right after the insert and once the cache
+    /// window has moved past it, and a repeated timestamp reads its new
+    /// value from either copy.
+    #[test]
+    fn a_late_reading_is_answered_as_storage_holds_it() {
+        let storage: Arc<dyn StorageEngine> = Arc::new(DurableBackend::in_memory());
+        let qe = QueryEngine::with_storage(4, Arc::clone(&storage));
+        let topic = t("/n1/power");
+        let absolute = |t0: u64, t1: u64| {
+            let mode = QueryMode::Absolute {
+                t0: Timestamp::from_secs(t0),
+                t1: Timestamp::from_secs(t1),
+            };
+            let got = qe.query(&topic, mode);
+            let stored = storage.query(&topic, Timestamp::from_secs(t0), Timestamp::from_secs(t1));
+            assert_eq!(
+                got, stored,
+                "[{t0}, {t1}]: the engine answers what storage holds"
+            );
+            got
+        };
+        for s in [10, 20, 30] {
+            qe.insert(&topic, r(s as i64, s));
+        }
+        qe.insert(&topic, r(15, 15));
+        assert_eq!(seconds(&absolute(0, 40)), vec![10, 15, 20, 30]);
+        // A range inside the window is the cache's answer alone.
+        assert_eq!(seconds(&absolute(10, 40)), vec![10, 15, 20, 30]);
+        assert_eq!(qe.stats().cache_hits, 1);
+        // The window moves past the late reading: the stitch finds it.
+        for s in 41..=44 {
+            qe.insert(&topic, r(s as i64, s));
+        }
+        assert_eq!(seconds(&absolute(0, 40)), vec![10, 15, 20, 30]);
+        // Repeats overwrite the newest and a middle reading, in one drain.
+        let batch: ReadingBatch = [r(-44, 44), r(-42, 42)].into_iter().collect();
+        qe.insert_many(&[(topic.clone(), batch)]);
+        let recent: Vec<i64> = absolute(41, 44).iter().map(|x| x.value).collect();
+        assert_eq!(recent, vec![41, -42, 43, -44]);
+        assert_eq!(qe.query(&topic, QueryMode::Latest), vec![r(-44, 44)]);
+        assert_eq!(qe.stats().inserts, 10);
+    }
+
+    /// Storage can hold readings the cache never saw — here written
+    /// before the engine existed, as a restart or a promoted replica
+    /// leaves it. A late reading older than the cache's oldest then
+    /// stays out of the cache, so the stitch reads storage up to the
+    /// cache and misses nothing in between.
+    #[test]
+    fn a_late_reading_older_than_the_cache_is_answered_from_storage() {
+        let storage = Arc::new(DurableBackend::in_memory());
+        let topic = t("/n1/power");
+        let before: ReadingBatch = [r(10, 10), r(20, 20), r(30, 30)].into_iter().collect();
+        storage.insert_columns(&topic, &before).unwrap();
+        let qe = QueryEngine::with_storage(8, storage);
+        qe.insert(&topic, r(40, 40));
+        qe.insert(&topic, r(15, 15));
+        let got = qe.query(
+            &topic,
+            QueryMode::Absolute {
+                t0: Timestamp::ZERO,
+                t1: Timestamp::from_secs(50),
+            },
+        );
+        assert_eq!(seconds(&got), vec![10, 15, 20, 30, 40]);
     }
 
     /// Delegating store whose `query` parks, once armed, until the test

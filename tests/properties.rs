@@ -3,6 +3,8 @@
 //!
 //! * the sensor cache's absolute reads agree with a naive reference;
 //! * cache + storage stitching in the Query Engine loses nothing;
+//! * late and repeated readings read as storage holds them, and the
+//!   cache admits them as a sorted map model does;
 //! * the frame codec round-trips arbitrary batches;
 //! * MQTT filter matching is consistent between the standalone matcher
 //!   and the broker's routing;
@@ -13,10 +15,12 @@
 
 use dcdb_wintermute::dcdb_bus::{decode_batch, encode_batch, Broker, MessageBus, TopicFilter};
 use dcdb_wintermute::dcdb_common::{ReadingBatch, SensorCache, SensorReading, Timestamp, Topic};
-use dcdb_wintermute::dcdb_storage::DurableBackend;
+use dcdb_wintermute::dcdb_storage::{DurableBackend, StorageEngine};
 use dcdb_wintermute::oda_ml::stats::deciles;
 use dcdb_wintermute::wintermute::prelude::*;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Strictly increasing timestamps with arbitrary values.
 fn reading_sequence(max_len: usize) -> impl Strategy<Value = Vec<SensorReading>> {
@@ -88,6 +92,66 @@ proptest! {
         );
         // Full history must come back exactly once, in order.
         prop_assert_eq!(got, readings);
+    }
+
+    #[test]
+    fn late_and_repeated_readings_read_as_storage_holds_them(
+        readings in reading_sequence(120),
+        cap in 1usize..24,
+        seed in any::<u64>(),
+    ) {
+        // A seeded xorshift: the shuffle, the repeats and the ranges.
+        let mut state = seed | 1;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        // About one reading in four is sent again with a new value,
+        // and the whole lot arrives in a shuffled order.
+        let mut arrivals = readings.clone();
+        for r in &readings {
+            if below(4) == 0 {
+                arrivals.push(SensorReading::new(!r.value, r.ts));
+            }
+        }
+        for i in (1..arrivals.len()).rev() {
+            arrivals.swap(i, below(i + 1));
+        }
+        let end = readings.last().map_or(0, |r| r.ts.as_nanos()) + 1_000_000;
+        let storage: Arc<dyn StorageEngine> = Arc::new(DurableBackend::in_memory());
+        let qe = QueryEngine::with_storage(cap, Arc::clone(&storage));
+        let topic = Topic::parse("/p/late").unwrap();
+        let cache = SensorCache::new(cap);
+        let mut model: BTreeMap<Timestamp, i64> = BTreeMap::new();
+        for &r in &arrivals {
+            qe.insert(&topic, r);
+            cache.push(r);
+            // The model: a repeat overwrites, a reading older than the
+            // oldest held lies outside the window, anything else goes
+            // in and pushes the oldest out past `cap`.
+            let oldest = model.keys().next().copied();
+            if model.contains_key(&r.ts) || oldest.is_none_or(|o| r.ts > o) {
+                model.insert(r.ts, r.value);
+                if model.len() > cap {
+                    model.pop_first();
+                }
+            }
+            let mut held = Vec::new();
+            cache.read_absolute(Timestamp::ZERO, Timestamp::MAX, &mut held);
+            let expected: Vec<SensorReading> =
+                model.iter().map(|(&ts, &v)| SensorReading::new(v, ts)).collect();
+            prop_assert_eq!(held, expected);
+            for _ in 0..3 {
+                let t0 = Timestamp(below(end as usize) as u64);
+                let t1 = Timestamp(t0.as_nanos() + below(end as usize) as u64);
+                prop_assert_eq!(
+                    qe.query(&topic, QueryMode::Absolute { t0, t1 }),
+                    storage.query(&topic, t0, t1)
+                );
+            }
+        }
     }
 
     #[test]
