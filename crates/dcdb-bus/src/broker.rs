@@ -59,30 +59,16 @@ impl Default for BusConfig {
     }
 }
 
-/// Per-subscription overrides for [`BusHandle::subscribe_with`].
+/// Per-subscription options for [`BusHandle::subscribe_with`]. Every
+/// queue's capacity and overflow policy come from the broker's
+/// [`BusConfig`].
 #[derive(Debug, Clone, Default)]
 pub struct SubscribeOptions {
-    /// Queue capacity; broker default when `None`.
-    pub depth: Option<usize>,
-    /// Overflow policy; broker default when `None`.
-    pub policy: Option<OverflowPolicy>,
     /// Human-readable label shown in the metrics registry.
     pub label: Option<String>,
 }
 
 impl SubscribeOptions {
-    /// Sets the queue capacity.
-    pub fn depth(mut self, depth: usize) -> Self {
-        self.depth = Some(depth);
-        self
-    }
-
-    /// Sets the overflow policy.
-    pub fn policy(mut self, policy: OverflowPolicy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
     /// Sets the metrics label.
     pub fn label(mut self, label: impl Into<String>) -> Self {
         self.label = Some(label.into());
@@ -186,11 +172,9 @@ impl Inner {
     }
 
     fn subscribe(self: &Arc<Self>, filter: TopicFilter, opts: SubscribeOptions) -> Subscription {
-        let depth = opts.depth.unwrap_or(self.config.sub_depth);
-        let policy = opts.policy.unwrap_or(self.config.sub_policy);
         let n = self.subscribed.fetch_add(1, Ordering::Relaxed);
         let label = opts.label.unwrap_or_else(|| format!("sub-{n}"));
-        let queue = BoundedQueue::new(depth, policy);
+        let queue = BoundedQueue::new(self.config.sub_depth, self.config.sub_policy);
         self.sinks.write().push(SinkEntry {
             queue: Arc::clone(&queue),
             filter: filter.clone(),
@@ -573,14 +557,14 @@ mod tests {
 
     #[test]
     fn bounded_subscription_drop_oldest_keeps_freshest() {
-        let broker = Broker::new();
+        let broker = Broker::with_config(BusConfig {
+            sub_depth: 4,
+            sub_policy: OverflowPolicy::DropOldest,
+        });
         let bus = broker.handle();
         let sub = bus.subscribe_with(
             TopicFilter::parse("/s/#").unwrap(),
-            SubscribeOptions::default()
-                .depth(4)
-                .policy(OverflowPolicy::DropOldest)
-                .label("tiny"),
+            SubscribeOptions::default().label("tiny"),
         );
         for i in 0..10u64 {
             bus.publish_readings(

@@ -48,10 +48,9 @@ fn bounded_subscription_never_exceeds_depth_under_overload() {
             sub_depth: depth,
             sub_policy: policy,
         });
-        let sub = broker.handle().subscribe_with(
-            filter("/bench/#"),
-            SubscribeOptions::default().depth(depth).policy(policy),
-        );
+        let sub = broker
+            .handle()
+            .subscribe_with(filter("/bench/#"), SubscribeOptions::default());
 
         let stop = Arc::new(AtomicBool::new(false));
         let consumer = {
@@ -148,8 +147,8 @@ fn drop_oldest_survivors_preserve_timestamp_order() {
 }
 
 /// Every published message is accounted as delivered or dropped for the
-/// shedding policies, even with multiple subscribers at different
-/// depths and nobody consuming.
+/// shedding policies, even with multiple subscribers on different
+/// filters and nobody consuming.
 #[test]
 fn published_equals_delivered_plus_dropped_for_shedding_policies() {
     for policy in [OverflowPolicy::DropOldest, OverflowPolicy::DropNewest] {
@@ -162,7 +161,7 @@ fn published_equals_delivered_plus_dropped_for_shedding_policies() {
             .subscribe_with(filter("/#"), SubscribeOptions::default().label("wide"));
         let narrow = broker.handle().subscribe_with(
             filter("/bench/+/power"),
-            SubscribeOptions::default().depth(4).label("narrow"),
+            SubscribeOptions::default().label("narrow"),
         );
 
         let total = 3_000u64;

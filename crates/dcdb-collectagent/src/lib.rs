@@ -12,6 +12,7 @@
 
 use dcdb_bus::{decode_batch, BusHandle, SubscribeOptions, Subscription};
 use dcdb_common::batch::ReadingBatch;
+use dcdb_common::cache::SensorCache;
 use dcdb_common::document;
 use dcdb_common::error::Result;
 use dcdb_common::reading::SensorReading;
@@ -169,8 +170,7 @@ impl CollectAgent {
         bus: &BusHandle,
         storage: Arc<dyn StorageEngine>,
     ) -> Result<CollectAgent> {
-        let cache_slots =
-            (config.cache_secs * 1000 / config.expected_interval_ms.max(1)).max(2) as usize + 1;
+        let cache_slots = SensorCache::window_slots(config.cache_secs, config.expected_interval_ms);
         let query = Arc::new(QueryEngine::with_storage(cache_slots, Arc::clone(&storage)));
         let manager = OperatorManager::new(query);
         let filter = dcdb_bus::TopicFilter::parse("/#")?;

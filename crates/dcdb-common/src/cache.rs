@@ -97,7 +97,7 @@ impl SensorCache {
     /// (`1..=u32::MAX`).
     ///
     /// DCDB sizes caches by time (e.g. 180 s at a 1 s interval); use
-    /// [`SensorCache::with_window`] for that calculation.
+    /// [`SensorCache::window_slots`] for that calculation.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         let cap = u32::try_from(capacity).expect("cache capacity fits in u32");
@@ -112,17 +112,11 @@ impl SensorCache {
         }
     }
 
-    /// Creates a cache sized to cover `window_ns` of data sampled every
-    /// `interval_ns` (with one extra slot of headroom).
-    pub fn with_window(window_ns: u64, interval_ns: u64) -> Self {
-        let interval = interval_ns.max(1);
-        let slots = (window_ns / interval).max(1) as usize + 1;
-        SensorCache::new(slots)
-    }
-
-    /// Maximum number of readings held.
-    pub fn capacity(&self) -> usize {
-        self.cap as usize
+    /// The capacity that covers `cache_secs` of readings arriving every
+    /// `interval_ms` (0 counts as 1 ms): the window's readings plus one,
+    /// and never fewer than three.
+    pub fn window_slots(cache_secs: u64, interval_ms: u64) -> usize {
+        (cache_secs * 1000 / interval_ms.max(1)).max(2) as usize + 1
     }
 
     /// Bytes actually held by this cache: the struct itself plus the
@@ -596,9 +590,12 @@ mod tests {
     }
 
     #[test]
-    fn with_window_sizes_by_interval() {
-        let c = SensorCache::with_window(180 * NS_PER_SEC, NS_PER_SEC);
-        assert!(c.capacity() >= 181);
+    fn window_slots_cover_the_window_plus_one_with_a_floor_of_three() {
+        assert_eq!(SensorCache::window_slots(180, 1000), 181);
+        assert_eq!(SensorCache::window_slots(180, 250), 721);
+        assert_eq!(SensorCache::window_slots(1, 1000), 3);
+        assert_eq!(SensorCache::window_slots(0, 1000), 3);
+        assert_eq!(SensorCache::window_slots(1, 0), 1001);
     }
 
     #[test]

@@ -1,63 +1,13 @@
-//! Configuration primitives shared by Pushers, Collect Agents and
-//! Wintermute plugins.
+//! Configuration primitives shared by Wintermute plugins.
 //!
 //! DCDB configures every plugin from its own configuration file; this
-//! module provides the common typed blocks (sampling/caching settings)
-//! plus [`KvConfig`], a loosely-typed key-value view used by plugin
-//! configurators for their plugin-specific options (paper §V-C.2).
+//! module provides [`KvConfig`], a loosely-typed key-value view used by
+//! plugin configurators for their plugin-specific options (paper §V-C.2).
 
 use crate::error::DcdbError;
-use crate::time::{NS_PER_MS, NS_PER_SEC};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
-
-/// Sampling settings common to monitoring plugins and operators.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SamplingConfig {
-    /// Interval between samples / computations, in milliseconds.
-    pub interval_ms: u64,
-    /// Cache window per sensor, in seconds (DCDB default: 180 s, the
-    /// value the paper's Query Engine experiments use).
-    #[serde(default = "default_cache_secs")]
-    pub cache_secs: u64,
-}
-
-fn default_cache_secs() -> u64 {
-    180
-}
-
-impl Default for SamplingConfig {
-    fn default() -> Self {
-        SamplingConfig {
-            interval_ms: 1000,
-            cache_secs: default_cache_secs(),
-        }
-    }
-}
-
-impl SamplingConfig {
-    /// Sampling interval in nanoseconds.
-    pub fn interval_ns(&self) -> u64 {
-        self.interval_ms * NS_PER_MS
-    }
-
-    /// Cache window in nanoseconds.
-    pub fn cache_window_ns(&self) -> u64 {
-        self.cache_secs * NS_PER_SEC
-    }
-
-    /// Validates semantic constraints that serde cannot express.
-    pub fn validate(&self) -> Result<(), DcdbError> {
-        if self.interval_ms == 0 {
-            return Err(DcdbError::Config("interval_ms must be > 0".into()));
-        }
-        if self.cache_secs == 0 {
-            return Err(DcdbError::Config("cache_secs must be > 0".into()));
-        }
-        Ok(())
-    }
-}
 
 /// Loosely-typed configuration block for plugin-specific options.
 ///
@@ -83,11 +33,6 @@ impl KvConfig {
     pub fn with(mut self, key: &str, value: impl Into<Value>) -> Self {
         self.0.insert(key.to_string(), value.into());
         self
-    }
-
-    /// True if `key` is present.
-    pub fn contains(&self, key: &str) -> bool {
-        self.0.contains_key(key)
     }
 
     /// Required string value.
@@ -156,39 +101,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sampling_defaults_match_paper() {
-        let s = SamplingConfig::default();
-        assert_eq!(s.interval_ms, 1000);
-        assert_eq!(s.cache_secs, 180);
-        assert_eq!(s.interval_ns(), 1_000_000_000);
-        assert_eq!(s.cache_window_ns(), 180_000_000_000);
-        s.validate().unwrap();
-    }
-
-    #[test]
-    fn sampling_validation() {
-        assert!(SamplingConfig {
-            interval_ms: 0,
-            cache_secs: 10
-        }
-        .validate()
-        .is_err());
-        assert!(SamplingConfig {
-            interval_ms: 10,
-            cache_secs: 0
-        }
-        .validate()
-        .is_err());
-    }
-
-    #[test]
-    fn sampling_serde_defaults() {
-        let s: SamplingConfig = serde_json::from_str(r#"{"interval_ms": 250}"#).unwrap();
-        assert_eq!(s.interval_ms, 250);
-        assert_eq!(s.cache_secs, 180);
-    }
-
-    #[test]
     fn kv_typed_accessors() {
         let cfg = KvConfig::from_json(
             r#"{"name": "regressor", "window_ms": 5000, "threshold": 0.001,
@@ -200,8 +112,6 @@ mod tests {
         assert!((cfg.f64("threshold").unwrap() - 0.001).abs() < 1e-12);
         assert!(cfg.bool_or("parallel", false));
         assert_eq!(cfg.str_list("inputs").unwrap(), vec!["power", "temp"]);
-        assert!(cfg.contains("name"));
-        assert!(!cfg.contains("absent"));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! * [`supervisor`] — the one failure detector ([`Supervisor`]: `Up` →
 //!   `Degraded` → `Down` with capped backoff) every Pusher connection
 //!   and every federation shard runs;
-//! * [`config`] — typed and key-value configuration blocks;
+//! * [`config`] — the key-value block plugins read their options from;
 //! * [`doc`] — control-plane documents rendered from snapshot structs;
 //! * [`error`] — the shared [`DcdbError`] type.
 
@@ -45,10 +45,10 @@ pub mod topic;
 
 pub use batch::ReadingBatch;
 pub use cache::SensorCache;
-pub use config::{KvConfig, SamplingConfig};
+pub use config::KvConfig;
 pub use doc::document;
 pub use error::{DcdbError, Result};
-pub use reading::{decode_f64, encode_f64, ReadingStats, SensorReading, FIXED_POINT_SCALE};
+pub use reading::{decode_f64, encode_f64, SensorReading, FIXED_POINT_SCALE};
 pub use regex::Regex;
 pub use sim::{derive_seed, EventTrace, SimScheduler};
 pub use supervisor::{ConnectionState, ReconnectConfig, Supervisor};

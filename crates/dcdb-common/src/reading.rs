@@ -23,12 +23,6 @@ impl SensorReading {
     pub const fn new(value: i64, ts: Timestamp) -> Self {
         SensorReading { value, ts }
     }
-
-    /// The value as `f64`, applying a fixed-point `scale` divisor
-    /// (`scale == 1.0` for plain integer sensors).
-    pub fn scaled(&self, scale: f64) -> f64 {
-        self.value as f64 / scale
-    }
 }
 
 /// Fixed-point scale used by real-valued sensors: values are stored as
@@ -45,93 +39,9 @@ pub fn decode_f64(v: i64) -> f64 {
     v as f64 / FIXED_POINT_SCALE
 }
 
-/// Summary statistics over a sequence of readings.
-///
-/// Used by the Query Engine and by aggregating operators; computed in one
-/// pass (Welford for variance) so it can run inside tight sampling loops.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct ReadingStats {
-    /// Number of readings aggregated.
-    pub count: usize,
-    /// Arithmetic mean of the values.
-    pub mean: f64,
-    /// Population variance of the values.
-    pub variance: f64,
-    /// Smallest value seen.
-    pub min: i64,
-    /// Largest value seen.
-    pub max: i64,
-    /// Earliest timestamp seen.
-    pub first_ts: Timestamp,
-    /// Latest timestamp seen.
-    pub last_ts: Timestamp,
-}
-
-impl ReadingStats {
-    /// Aggregates an iterator of readings. Returns `None` for an empty
-    /// input, since min/max/mean are undefined there.
-    pub fn from_readings<'a, I>(readings: I) -> Option<Self>
-    where
-        I: IntoIterator<Item = &'a SensorReading>,
-    {
-        let mut it = readings.into_iter();
-        let first = *it.next()?;
-        let mut s = ReadingStats {
-            count: 1,
-            mean: first.value as f64,
-            variance: 0.0,
-            min: first.value,
-            max: first.value,
-            first_ts: first.ts,
-            last_ts: first.ts,
-        };
-        let mut m2 = 0.0f64;
-        for r in it {
-            s.count += 1;
-            let x = r.value as f64;
-            let delta = x - s.mean;
-            s.mean += delta / s.count as f64;
-            m2 += delta * (x - s.mean);
-            s.min = s.min.min(r.value);
-            s.max = s.max.max(r.value);
-            if r.ts < s.first_ts {
-                s.first_ts = r.ts;
-            }
-            if r.ts > s.last_ts {
-                s.last_ts = r.ts;
-            }
-        }
-        s.variance = if s.count > 1 {
-            m2 / s.count as f64
-        } else {
-            0.0
-        };
-        Some(s)
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
-    }
-
-    /// Rate of change between first and last reading, in value units per
-    /// second. `None` when fewer than two distinct timestamps exist.
-    pub fn rate_per_sec(&self, first_value: i64, last_value: i64) -> Option<f64> {
-        let dt_ns = self.last_ts.elapsed_since(self.first_ts);
-        if dt_ns == 0 {
-            return None;
-        }
-        Some((last_value - first_value) as f64 * 1e9 / dt_ns as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn r(v: i64, s: u64) -> SensorReading {
-        SensorReading::new(v, Timestamp::from_secs(s))
-    }
 
     #[test]
     fn fixed_point_round_trips() {
@@ -139,74 +49,5 @@ mod tests {
             let enc = encode_f64(x);
             assert!((decode_f64(enc) - x).abs() < 1e-3, "{x}");
         }
-    }
-
-    #[test]
-    fn scaled_applies_divisor() {
-        let rd = SensorReading::new(1500, Timestamp::ZERO);
-        assert_eq!(rd.scaled(1000.0), 1.5);
-        assert_eq!(rd.scaled(1.0), 1500.0);
-    }
-
-    #[test]
-    fn stats_empty_is_none() {
-        assert!(ReadingStats::from_readings(std::iter::empty::<&SensorReading>()).is_none());
-    }
-
-    #[test]
-    fn stats_single_reading() {
-        let rs = [r(42, 7)];
-        let s = ReadingStats::from_readings(&rs).unwrap();
-        assert_eq!(s.count, 1);
-        assert_eq!(s.mean, 42.0);
-        assert_eq!(s.variance, 0.0);
-        assert_eq!(s.min, 42);
-        assert_eq!(s.max, 42);
-        assert_eq!(s.first_ts, Timestamp::from_secs(7));
-        assert_eq!(s.last_ts, Timestamp::from_secs(7));
-    }
-
-    #[test]
-    fn stats_known_values() {
-        let rs = [
-            r(2, 1),
-            r(4, 2),
-            r(4, 3),
-            r(4, 4),
-            r(5, 5),
-            r(5, 6),
-            r(7, 7),
-            r(9, 8),
-        ];
-        let s = ReadingStats::from_readings(&rs).unwrap();
-        assert_eq!(s.count, 8);
-        assert!((s.mean - 5.0).abs() < 1e-12);
-        assert!((s.variance - 4.0).abs() < 1e-9, "var={}", s.variance);
-        assert!((s.std_dev() - 2.0).abs() < 1e-9);
-        assert_eq!(s.min, 2);
-        assert_eq!(s.max, 9);
-    }
-
-    #[test]
-    fn stats_handle_unordered_timestamps() {
-        let rs = [r(1, 5), r(2, 3), r(3, 9)];
-        let s = ReadingStats::from_readings(&rs).unwrap();
-        assert_eq!(s.first_ts, Timestamp::from_secs(3));
-        assert_eq!(s.last_ts, Timestamp::from_secs(9));
-    }
-
-    #[test]
-    fn rate_per_sec_computes_slope() {
-        let rs = [r(100, 10), r(400, 13)];
-        let s = ReadingStats::from_readings(&rs).unwrap();
-        // 300 units over 3 seconds.
-        assert!((s.rate_per_sec(100, 400).unwrap() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rate_per_sec_zero_span_is_none() {
-        let rs = [r(1, 4), r(2, 4)];
-        let s = ReadingStats::from_readings(&rs).unwrap();
-        assert!(s.rate_per_sec(1, 2).is_none());
     }
 }

@@ -154,11 +154,6 @@ impl EventTrace {
         self.state.lock().events
     }
 
-    /// The running FNV-1a hash over every canonical line.
-    pub fn hash(&self) -> u64 {
-        self.state.lock().hash
-    }
-
     /// The determinism witness string: `"<events>:<hash as hex>"` —
     /// what scenario reports and bench metadata record.
     pub fn witness(&self) -> String {
@@ -253,11 +248,6 @@ impl<E> SimScheduler<E> {
         due
     }
 
-    /// Virtual time of the next scheduled event, if any.
-    pub fn next_at(&self) -> Option<Timestamp> {
-        self.queue.peek().map(|s| Timestamp(s.at_ns))
-    }
-
     /// Events still scheduled.
     pub fn len(&self) -> usize {
         self.queue.len()
@@ -321,7 +311,6 @@ mod tests {
         sched.schedule(ms(10), "a");
         sched.schedule(ms(10), "b"); // same instant: insertion order
         sched.schedule(ms(50), "d");
-        assert_eq!(sched.next_at(), Some(ms(10)));
         let due: Vec<&str> = sched.pop_due(ms(30)).into_iter().map(|(_, e)| e).collect();
         assert_eq!(due, vec!["a", "b", "c"]);
         assert_eq!(sched.len(), 1);

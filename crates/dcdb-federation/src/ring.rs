@@ -141,24 +141,21 @@ impl ShardMap {
     pub fn is_empty(&self) -> bool {
         self.agents.is_empty()
     }
-
-    /// The fraction of `topics` whose owner differs between `self` and
-    /// `other` — the churn a rebalance causes (the ring tests bound it).
-    pub fn moved_fraction(&self, other: &ShardMap, topics: &[Topic]) -> f64 {
-        if topics.is_empty() {
-            return 0.0;
-        }
-        let moved = topics
-            .iter()
-            .filter(|t| self.assign_id(t) != other.assign_id(t))
-            .count();
-        moved as f64 / topics.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The fraction of `topics` whose owner differs between `a` and `b`:
+    /// the churn a rebalance causes.
+    fn moved_fraction(a: &ShardMap, b: &ShardMap, topics: &[Topic]) -> f64 {
+        let moved = topics
+            .iter()
+            .filter(|t| a.assign_id(t) != b.assign_id(t))
+            .count();
+        moved as f64 / topics.len() as f64
+    }
 
     fn agents(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("agent-{i:02}")).collect()
@@ -238,7 +235,7 @@ mod tests {
             }
         }
         // Churn ≈ 1/N, certainly nowhere near a full reshuffle.
-        let moved = before.moved_fraction(&after, &ts);
+        let moved = moved_fraction(&before, &after, &ts);
         assert!(moved > 0.0 && moved < 0.5, "moved {moved}");
     }
 

@@ -213,11 +213,6 @@ impl QueryRouter {
         }
     }
 
-    /// The federation behind this router.
-    pub fn federation(&self) -> &Arc<FederatedAgent> {
-        &self.federation
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> RouterStats {
         let shards = self.federation.shards().iter();

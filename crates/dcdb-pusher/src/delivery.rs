@@ -243,11 +243,6 @@ impl BusConnection {
         self.supervisor.set_trace(trace, "delivery", label);
     }
 
-    /// The underlying bus.
-    pub fn bus(&self) -> &Arc<dyn MessageBus> {
-        &self.bus
-    }
-
     /// Current connection state.
     pub fn state(&self) -> ConnectionState {
         self.supervisor.state()

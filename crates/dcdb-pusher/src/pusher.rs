@@ -30,6 +30,7 @@ use crate::delivery::{BusConnection, DeliveryConfig, DeliveryMetricsSnapshot};
 use crate::plugins::MonitoringPlugin;
 use dcdb_bus::{BusHandle, MessageBus};
 use dcdb_common::batch::ReadingBatch;
+use dcdb_common::cache::SensorCache;
 use dcdb_common::error::Result;
 use dcdb_common::reading::SensorReading;
 use dcdb_common::supervisor::{ConnectionState, Supervisor};
@@ -174,8 +175,7 @@ impl Pusher {
     /// 1 ms, for cache sizing and ticking alike.
     pub fn with_bus(mut config: PusherConfig, bus: Option<Arc<dyn MessageBus>>) -> Pusher {
         config.sampling_interval_ms = config.sampling_interval_ms.max(1);
-        let cache_slots =
-            (config.cache_secs * 1000 / config.sampling_interval_ms).max(2) as usize + 1;
+        let cache_slots = SensorCache::window_slots(config.cache_secs, config.sampling_interval_ms);
         let query = Arc::new(QueryEngine::new(cache_slots));
         let manager = OperatorManager::new(query);
         let connection = bus.map(|bus| Mutex::new(BusConnection::new(bus, config.delivery)));

@@ -269,11 +269,6 @@ impl<'a> BlockCursor<'a> {
         })
     }
 
-    /// Readings left to yield.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
     /// Decodes the next reading, or `Ok(None)` at a clean end of block.
     pub fn next_reading(&mut self) -> Result<Option<SensorReading>> {
         if self.remaining == 0 {
@@ -600,14 +595,12 @@ mod tests {
         let readings: Vec<SensorReading> = (0..777).map(|i| r(i * 3, i as u64 * 50)).collect();
         let block = encode(&readings);
         let mut cur = BlockCursor::new(&block).unwrap();
-        assert_eq!(cur.remaining(), 777);
         let mut n = 0usize;
         while let Some(got) = cur.next_reading().unwrap() {
             assert_eq!(got, readings[n]);
             n += 1;
         }
         assert_eq!(n, 777);
-        assert_eq!(cur.remaining(), 0);
         // Exhausted cursor keeps returning a clean end.
         assert!(cur.next_reading().unwrap().is_none());
     }

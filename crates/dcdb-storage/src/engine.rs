@@ -554,11 +554,6 @@ impl DurableBackend {
         self.recovery
     }
 
-    /// The engine's data directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The shared health core — stays readable after the engine drops,
     /// so observers can see the final `drop_sync_errors`.
     pub fn health_handle(&self) -> Arc<HealthCore> {

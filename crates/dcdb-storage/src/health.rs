@@ -221,11 +221,6 @@ impl HealthCore {
         }
     }
 
-    /// The configuration this core runs under.
-    pub fn config(&self) -> HealthConfig {
-        self.config
-    }
-
     /// Current state.
     pub fn state(&self) -> HealthState {
         HealthState::of(self.supervisor.lock().state())

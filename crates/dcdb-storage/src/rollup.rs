@@ -678,11 +678,6 @@ impl RollupSegmentReader {
         self.width_ns
     }
 
-    /// Total frames across all blocks.
-    pub fn frame_count(&self) -> usize {
-        self.file.item_count()
-    }
-
     /// Start of the newest bucket in the segment; `None` when empty.
     pub fn max_bucket(&self) -> Option<u64> {
         self.file.max_key()
@@ -855,7 +850,6 @@ mod tests {
         write_rollup_segment_with(&StdIo, &path, width, [Ok((&topic, &frames))]).unwrap();
         let reader = RollupSegmentReader::open_with(Arc::new(StdIo), &path).unwrap();
         assert_eq!(reader.width_ns(), width);
-        assert_eq!(reader.frame_count(), 50);
         let all = reader.query(&t("/r0/n0/power"), 0, u64::MAX).unwrap();
         assert_eq!(all, frames);
         // Range filter: buckets 10..=12 inclusive-overlap.

@@ -520,16 +520,6 @@ impl WalWriter {
             Ok(())
         }
     }
-
-    /// Bytes written so far, including the header.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Path of the underlying file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 /// Outcome of a [`replay_with`].
@@ -683,7 +673,7 @@ mod tests {
         assert_eq!(rep.readings, 3);
         assert!(!rep.torn_tail);
         assert_eq!(rep.discarded_bytes, 0);
-        assert_eq!(rep.good_len, w.bytes_written());
+        assert_eq!(rep.good_len, w.bytes);
         assert_eq!(got[0].0, t("/n0/power"));
         assert_eq!(got[0].1, b(&[r(1, 1), r(2, 2)]));
         assert_eq!(got[1].1, b(&[r(-7, 3)]));
@@ -695,7 +685,7 @@ mod tests {
         let path = temp_wal("torn");
         let mut w = WalWriter::create_with(&StdIo, &path, FsyncPolicy::Never).unwrap();
         w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
-        let good = w.bytes_written();
+        let good = w.bytes;
         w.append_batch(&t("/a/b"), &b(&[r(2, 2), r(3, 3)])).unwrap();
         drop(w);
         // Crash mid-append: cut the last record in half.
@@ -717,7 +707,7 @@ mod tests {
         let path = temp_wal("corrupt");
         let mut w = WalWriter::create_with(&StdIo, &path, FsyncPolicy::Never).unwrap();
         w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
-        let good = w.bytes_written();
+        let good = w.bytes;
         w.append_batch(&t("/a/b"), &b(&[r(2, 2)])).unwrap();
         w.append_batch(&t("/a/b"), &b(&[r(3, 3)])).unwrap();
         drop(w);
@@ -801,7 +791,7 @@ mod tests {
         assert_eq!(rep.batches, 3);
         assert_eq!(rep.readings, 4);
         assert!(!rep.torn_tail);
-        assert_eq!(rep.good_len, w.bytes_written());
+        assert_eq!(rep.good_len, w.bytes);
         assert_eq!(got[0], (t("/n1/temp"), batch));
         assert!(got[1].1.is_empty());
         assert_eq!(got[2].1, b(&[r(2, 2)]));
@@ -817,7 +807,7 @@ mod tests {
         let path = temp_wal("row-kind");
         let mut w = WalWriter::create_with(&StdIo, &path, FsyncPolicy::Never).unwrap();
         w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
-        let good = w.bytes_written();
+        let good = w.bytes;
         drop(w);
         let mut payload = Vec::new();
         payload.extend_from_slice(&4u16.to_le_bytes());
@@ -1041,7 +1031,7 @@ mod tests {
         let n = 600_000u64;
         let batch = ReadingBatch::from_columns((0..n).collect(), (0..n as i64).collect());
         w.append_batch(&t("/a/b"), &batch).unwrap();
-        assert!(w.bytes_written() >= 8 << 20);
+        assert!(w.bytes >= 8 << 20);
         assert!(w.scratch.capacity() <= SCRATCH_CAP);
         // A small group still reuses what is kept.
         w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
@@ -1080,7 +1070,7 @@ mod tests {
         );
         let mut w = WalWriter::create_with(&io, &path, FsyncPolicy::Never).unwrap();
         w.append_batch(&t("/a/b"), &b(&[r(1, 1)])).unwrap();
-        let good = w.bytes_written();
+        let good = w.bytes;
         let mut cfg = FaultConfig::quiet(17);
         cfg.torn_write_prob = 1.0;
         io.set_config(cfg);

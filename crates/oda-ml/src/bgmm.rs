@@ -96,16 +96,6 @@ impl BgmmModel {
             _ => None,
         }
     }
-
-    /// Log mixture density at `x`.
-    pub fn log_pdf(&self, x: &[f64]) -> f64 {
-        let logs: Vec<f64> = self
-            .components
-            .iter()
-            .map(|c| c.weight.max(1e-300).ln() + c.log_pdf(x))
-            .collect();
-        log_sum_exp(&logs)
-    }
 }
 
 /// Per-component variational parameters (Bishop's notation).
@@ -300,31 +290,19 @@ pub fn fit_bgmm(data: &[Vec<f64>], config: &BgmmConfig) -> BgmmModel {
         }
     }
 
-    // ---- Label points; detect outliers by density threshold. ----
-    let labels = data
-        .iter()
-        .map(|x| {
-            let mut best: Option<(usize, f64)> = None;
-            for (idx, comp) in components.iter().enumerate() {
-                let p = comp.pdf(x);
-                if best.map(|(_, bp)| p > bp).unwrap_or(true) {
-                    best = Some((idx, p));
-                }
-            }
-            match best {
-                Some((idx, p)) if p >= config.outlier_pdf_threshold => Some(idx),
-                _ => None,
-            }
-        })
-        .collect();
-
-    BgmmModel {
+    let mut model = BgmmModel {
         components,
-        labels,
+        labels: Vec::new(),
         initial_components: k,
         iterations,
         converged,
-    }
+    };
+    // ---- Label points; detect outliers by density threshold. ----
+    model.labels = data
+        .iter()
+        .map(|x| model.classify(x, config.outlier_pdf_threshold))
+        .collect();
+    model
 }
 
 #[cfg(test)]
@@ -437,6 +415,18 @@ mod tests {
     }
 
     #[test]
+    fn training_labels_are_classify_at_the_config_threshold() {
+        let (data, n_inliers) = blobs_with_outliers(10);
+        let config = BgmmConfig::default();
+        let model = fit_bgmm(&data, &config);
+        assert!(model.labels[..n_inliers].iter().any(Option::is_some));
+        assert!(model.labels[n_inliers..].iter().all(Option::is_none));
+        for (x, &label) in data.iter().zip(&model.labels) {
+            assert_eq!(label, model.classify(x, config.outlier_pdf_threshold));
+        }
+    }
+
+    #[test]
     fn correlated_elongated_cluster_is_captured() {
         // Nodes in Fig. 8 lie on a linear power/temperature trend; full
         // covariance must capture it with one component.
@@ -471,14 +461,5 @@ mod tests {
         let b = fit_bgmm(&data, &BgmmConfig::default());
         assert_eq!(a.labels, b.labels);
         assert_eq!(a.n_effective(), b.n_effective());
-    }
-
-    #[test]
-    fn log_pdf_finite_on_fitted_data() {
-        let (data, _) = blobs_with_outliers(9);
-        let model = fit_bgmm(&data, &BgmmConfig::default());
-        for x in data.iter().take(20) {
-            assert!(model.log_pdf(x).is_finite());
-        }
     }
 }

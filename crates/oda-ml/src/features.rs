@@ -111,16 +111,6 @@ impl FeatureExtractor {
         FeatureExtractor { features }
     }
 
-    /// The default extractor (6 features per sensor).
-    pub fn default_extractor() -> Self {
-        FeatureExtractor::new(Feature::default_set())
-    }
-
-    /// Features produced per sensor window.
-    pub fn features_per_sensor(&self) -> usize {
-        self.features.len()
-    }
-
     /// Builds the feature vector from per-sensor windows.
     pub fn extract(&self, windows: &[Vec<f64>]) -> Vec<f64> {
         let mut out = Vec::with_capacity(windows.len() * self.features.len());
@@ -191,12 +181,11 @@ mod tests {
         let ex = FeatureExtractor::new(vec![Feature::Mean, Feature::Last]);
         let vec = ex.extract(&[vec![1.0, 3.0], vec![10.0, 20.0, 30.0]]);
         assert_eq!(vec, vec![2.0, 3.0, 20.0, 30.0]);
-        assert_eq!(ex.features_per_sensor(), 2);
     }
 
     #[test]
-    fn default_extractor_dimension() {
-        let ex = FeatureExtractor::default_extractor();
+    fn default_set_extracts_six_features_per_sensor() {
+        let ex = FeatureExtractor::new(Feature::default_set());
         let v = ex.extract(&[vec![1.0, 2.0], vec![3.0], vec![]]);
         assert_eq!(v.len(), 3 * 6);
     }

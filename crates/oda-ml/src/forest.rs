@@ -37,7 +37,6 @@ impl Default for ForestConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RandomForest {
     trees: Vec<RegressionTree>,
-    n_features: usize,
 }
 
 impl RandomForest {
@@ -67,7 +66,7 @@ impl RandomForest {
         };
 
         let trees = (0..config.n_trees).map(fit_one).collect();
-        RandomForest { trees, n_features }
+        RandomForest { trees }
     }
 
     /// Predicts the target as the mean of the trees' predictions.
@@ -75,62 +74,33 @@ impl RandomForest {
         let sum: f64 = self.trees.iter().map(|t| t.predict(features)).sum();
         sum / self.trees.len() as f64
     }
-
-    /// Batch prediction.
-    pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        rows.iter().map(|r| self.predict(r)).collect()
-    }
-
-    /// Number of trees.
-    pub fn tree_count(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Input dimensionality the forest was trained on.
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-
-    /// Mean squared error over a labelled set.
-    pub fn mse(&self, x: &[Vec<f64>], y: &[f64]) -> f64 {
-        assert_eq!(x.len(), y.len());
-        if x.is_empty() {
-            return 0.0;
-        }
-        x.iter()
-            .zip(y.iter())
-            .map(|(xi, yi)| {
-                let d = self.predict(xi) - yi;
-                d * d
-            })
-            .sum::<f64>()
-            / x.len() as f64
-    }
-
-    /// Mean absolute relative error (the paper's Fig. 6 metric),
-    /// skipping targets with magnitude below `eps`.
-    pub fn mean_relative_error(&self, x: &[Vec<f64>], y: &[f64], eps: f64) -> f64 {
-        assert_eq!(x.len(), y.len());
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for (xi, &yi) in x.iter().zip(y.iter()) {
-            if yi.abs() < eps {
-                continue;
-            }
-            total += ((self.predict(xi) - yi) / yi).abs();
-            count += 1;
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total / count as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Mean squared error over a labelled set.
+    fn mse(forest: &RandomForest, x: &[Vec<f64>], y: &[f64]) -> f64 {
+        let sq: f64 = x
+            .iter()
+            .zip(y)
+            .map(|(xi, yi)| (forest.predict(xi) - yi).powi(2))
+            .sum();
+        sq / x.len() as f64
+    }
+
+    /// Mean absolute relative error (the paper's Fig. 6 metric),
+    /// skipping targets with magnitude below `eps`.
+    fn mean_relative_error(forest: &RandomForest, x: &[Vec<f64>], y: &[f64], eps: f64) -> f64 {
+        let rel: Vec<f64> = x
+            .iter()
+            .zip(y)
+            .filter(|(_, yi)| yi.abs() >= eps)
+            .map(|(xi, yi)| ((forest.predict(xi) - yi) / yi).abs())
+            .collect();
+        rel.iter().sum::<f64>() / rel.len() as f64
+    }
 
     fn synthetic(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         // y = 3*x0 + noise-free interaction with x1.
@@ -152,7 +122,7 @@ mod tests {
     fn fits_linear_signal_reasonably() {
         let (x, y) = synthetic(600);
         let forest = RandomForest::fit(&x, &y, &small_cfg());
-        let rel = forest.mean_relative_error(&x, &y, 1.0);
+        let rel = mean_relative_error(&forest, &x, &y, 1.0);
         // Loose bound: with max_features=1 the ensemble quality varies
         // noticeably with the RNG stream (upstream rand vs the
         // vendored stand-in draw different bootstrap samples).
@@ -161,7 +131,7 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.tree.max_features = Some(3);
         let full = RandomForest::fit(&x, &y, &cfg);
-        let rel_full = full.mean_relative_error(&x, &y, 1.0);
+        let rel_full = mean_relative_error(&full, &x, &y, 1.0);
         assert!(rel_full < 0.1, "full-feature relative error {rel_full}");
     }
 
@@ -223,38 +193,10 @@ mod tests {
             },
         );
         assert!(
-            forest.mse(&xt, &yt) < single.mse(&xt, &yt),
+            mse(&forest, &xt, &yt) < mse(&single, &xt, &yt),
             "forest {} vs single {}",
-            forest.mse(&xt, &yt),
-            single.mse(&xt, &yt)
+            mse(&forest, &xt, &yt),
+            mse(&single, &xt, &yt)
         );
-    }
-
-    #[test]
-    fn batch_predict_matches_scalar() {
-        let (x, y) = synthetic(100);
-        let forest = RandomForest::fit(&x, &y, &small_cfg());
-        let batch = forest.predict_batch(&x[..5]);
-        for (i, b) in batch.iter().enumerate() {
-            assert_eq!(*b, forest.predict(&x[i]));
-        }
-    }
-
-    #[test]
-    fn relative_error_skips_near_zero_targets() {
-        let x = vec![vec![0.0], vec![1.0]];
-        let y = vec![0.0, 10.0];
-        let forest = RandomForest::fit(&x, &y, &small_cfg());
-        // Only the y=10 sample contributes.
-        let rel = forest.mean_relative_error(&x, &y, 0.5);
-        assert!(rel.is_finite());
-    }
-
-    #[test]
-    fn metadata_accessors() {
-        let (x, y) = synthetic(50);
-        let forest = RandomForest::fit(&x, &y, &small_cfg());
-        assert_eq!(forest.tree_count(), 10);
-        assert_eq!(forest.n_features(), 3);
     }
 }

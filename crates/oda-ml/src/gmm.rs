@@ -68,7 +68,8 @@ mod tests {
             mean: vec![2.0],
             cov: SquareMatrix::diag(&[4.0]), // std = 2
         };
-        let expect = crate::stats::normal_pdf(3.0, 2.0, 2.0);
+        // N(3; μ = 2, σ = 2) = exp(-1/8) / (2 √(2π)).
+        let expect = (-0.125f64).exp() / (2.0 * (2.0 * std::f64::consts::PI).sqrt());
         assert!((c.pdf(&[3.0]) - expect).abs() < 1e-12);
     }
 }

@@ -3,8 +3,8 @@
 //! From-scratch implementations of every model the Wintermute paper's
 //! case studies rely on (Netti et al., HPDC 2020):
 //!
-//! * [`stats`] — quantiles/deciles, histograms, normal fits (persyst
-//!   plugin, §VI-C; error PDFs, §VI-B);
+//! * [`stats`] — quantiles/deciles and histograms (persyst plugin,
+//!   §VI-C; error PDFs, §VI-B);
 //! * [`features`] — windowed feature extraction (regressor plugin, §VI-B);
 //! * [`tree`] / [`forest`] — CART regression trees and bagged random
 //!   forests (regressor plugin's model, §VI-B — substitute for OpenCV
@@ -16,7 +16,7 @@
 //!   automatic component-count selection and density-threshold outlier
 //!   detection (clustering plugin, §VI-D);
 //! * [`linalg`] / [`special`] — the supporting numerics (Cholesky,
-//!   digamma, log-gamma).
+//!   digamma).
 
 #![warn(missing_docs)]
 

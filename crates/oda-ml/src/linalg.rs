@@ -4,7 +4,8 @@
 //! paper's case study uses 3 dimensions: power, temperature, CPU idle
 //! time), so a simple row-major dense matrix with Cholesky-based
 //! routines for symmetric positive-definite (SPD) systems is all the
-//! Bayesian GMM needs: inverse, log-determinant and quadratic forms.
+//! Bayesian GMM needs: solves, log-determinants and inverse quadratic
+//! forms.
 
 use std::fmt;
 
@@ -43,22 +44,6 @@ impl SquareMatrix {
         m
     }
 
-    /// Builds from rows; panics if not square.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        let n = rows.len();
-        let mut m = Self::zeros(n);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row.len(), n, "row {i} has wrong length");
-            m.a[i * n..(i + 1) * n].copy_from_slice(row);
-        }
-        m
-    }
-
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Adds `alpha * x xᵀ` (symmetric rank-1 update).
     pub fn rank1_update(&mut self, x: &[f64], alpha: f64) {
         assert_eq!(x.len(), self.n);
@@ -84,26 +69,6 @@ impl SquareMatrix {
         }
     }
 
-    /// Matrix-vector product `A x`.
-    pub fn mat_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n);
-        let mut out = vec![0.0; self.n];
-        for (i, out_i) in out.iter_mut().enumerate() {
-            let row = &self.a[i * self.n..(i + 1) * self.n];
-            *out_i = row.iter().zip(x.iter()).map(|(a, b)| a * b).sum();
-        }
-        out
-    }
-
-    /// Quadratic form `xᵀ A x`.
-    pub fn quadratic_form(&self, x: &[f64]) -> f64 {
-        self.mat_vec(x)
-            .iter()
-            .zip(x.iter())
-            .map(|(a, b)| a * b)
-            .sum()
-    }
-
     /// Cholesky factorization `A = L Lᵀ` for SPD matrices; `None` when
     /// the matrix is not positive definite.
     pub fn cholesky(&self) -> Option<Cholesky> {
@@ -126,28 +91,6 @@ impl SquareMatrix {
             }
         }
         Some(Cholesky { n, l })
-    }
-
-    /// Inverse of an SPD matrix via Cholesky; `None` if not SPD.
-    pub fn inverse_spd(&self) -> Option<SquareMatrix> {
-        let chol = self.cholesky()?;
-        let n = self.n;
-        let mut inv = SquareMatrix::zeros(n);
-        let mut e = vec![0.0; n];
-        for col in 0..n {
-            e.iter_mut().for_each(|v| *v = 0.0);
-            e[col] = 1.0;
-            let x = chol.solve(&e);
-            for row in 0..n {
-                inv[(row, col)] = x[row];
-            }
-        }
-        Some(inv)
-    }
-
-    /// Log-determinant of an SPD matrix; `None` if not SPD.
-    pub fn logdet_spd(&self) -> Option<f64> {
-        Some(self.cholesky()?.logdet())
     }
 }
 
@@ -228,9 +171,28 @@ impl Cholesky {
 mod tests {
     use super::*;
 
+    /// Builds from rows; panics if not square.
+    fn from_rows(rows: &[Vec<f64>]) -> SquareMatrix {
+        let n = rows.len();
+        let mut m = SquareMatrix::zeros(n);
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), n, "row {i} has wrong length");
+            m.a[i * n..(i + 1) * n].copy_from_slice(row);
+        }
+        m
+    }
+
+    /// Matrix-vector product `A x`.
+    fn mat_vec(m: &SquareMatrix, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), m.n);
+        (0..m.n)
+            .map(|i| (0..m.n).map(|j| m[(i, j)] * x[j]).sum())
+            .collect()
+    }
+
     fn spd3() -> SquareMatrix {
         // A = B Bᵀ + I for B with distinct entries: guaranteed SPD.
-        SquareMatrix::from_rows(&[
+        from_rows(&[
             vec![4.0, 2.0, 0.6],
             vec![2.0, 5.0, 1.0],
             vec![0.6, 1.0, 3.0],
@@ -244,15 +206,6 @@ mod tests {
         assert_eq!(i3[(0, 1)], 0.0);
         let d = SquareMatrix::diag(&[2.0, 3.0]);
         assert_eq!(d[(1, 1)], 3.0);
-        assert_eq!(d.dim(), 2);
-    }
-
-    #[test]
-    fn mat_vec_and_quadratic_form() {
-        let m = SquareMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(m.mat_vec(&[1.0, 1.0]), vec![3.0, 7.0]);
-        // xᵀAx for x=(1,1): 1+2+3+4 = 10.
-        assert_eq!(m.quadratic_form(&[1.0, 1.0]), 10.0);
     }
 
     #[test]
@@ -277,40 +230,23 @@ mod tests {
         let a = spd3();
         let b = vec![1.0, 2.0, 3.0];
         let x = a.cholesky().unwrap().solve(&b);
-        let back = a.mat_vec(&x);
+        let back = mat_vec(&a, &x);
         for (u, v) in back.iter().zip(b.iter()) {
             assert!((u - v).abs() < 1e-10);
         }
     }
 
     #[test]
-    fn inverse_spd_identity_product() {
-        let a = spd3();
-        let inv = a.inverse_spd().unwrap();
-        for i in 0..3 {
-            let mut e = vec![0.0; 3];
-            e[i] = 1.0;
-            let col = inv.mat_vec(&a.mat_vec(&e));
-            for (j, v) in col.iter().enumerate() {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((v - expect).abs() < 1e-10, "({i},{j})={v}");
-            }
-        }
-    }
-
-    #[test]
     fn logdet_matches_2x2_formula() {
-        let a = SquareMatrix::from_rows(&[vec![3.0, 1.0], vec![1.0, 2.0]]);
+        let a = from_rows(&[vec![3.0, 1.0], vec![1.0, 2.0]]);
         let det: f64 = 3.0 * 2.0 - 1.0;
-        assert!((a.logdet_spd().unwrap() - det.ln()).abs() < 1e-12);
+        assert!((a.cholesky().unwrap().logdet() - det.ln()).abs() < 1e-12);
     }
 
     #[test]
     fn non_spd_is_rejected() {
-        let m = SquareMatrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]); // indefinite
+        let m = from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]); // indefinite
         assert!(m.cholesky().is_none());
-        assert!(m.inverse_spd().is_none());
-        assert!(m.logdet_spd().is_none());
         let z = SquareMatrix::zeros(2);
         assert!(z.cholesky().is_none());
     }
@@ -331,13 +267,10 @@ mod tests {
 
     #[test]
     fn inv_quadratic_form_matches_explicit() {
-        let a = spd3();
-        let x = vec![0.5, -1.0, 2.0];
+        // A = [[3, 1], [1, 2]] has A⁻¹ = [[2, -1], [-1, 3]] / 5, so for x = (1, 2):
+        // xᵀ A⁻¹ x = (2 - 2·2 + 3·4) / 5 = 2.
+        let a = from_rows(&[vec![3.0, 1.0], vec![1.0, 2.0]]);
         let chol = a.cholesky().unwrap();
-        let direct = {
-            let inv = a.inverse_spd().unwrap();
-            inv.quadratic_form(&x)
-        };
-        assert!((chol.inv_quadratic_form(&x) - direct).abs() < 1e-10);
+        assert!((chol.inv_quadratic_form(&[1.0, 2.0]) - 2.0).abs() < 1e-12);
     }
 }

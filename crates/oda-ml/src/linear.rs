@@ -80,37 +80,19 @@ impl RidgeRegression {
                 .map(|(w, x)| w * x)
                 .sum::<f64>()
     }
-
-    /// The fitted coefficient vector.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// The fitted intercept.
-    pub fn intercept(&self) -> f64 {
-        self.intercept
-    }
-
-    /// Mean squared error over a labelled set.
-    pub fn mse(&self, x: &[Vec<f64>], y: &[f64]) -> f64 {
-        assert_eq!(x.len(), y.len());
-        if x.is_empty() {
-            return 0.0;
-        }
-        x.iter()
-            .zip(y.iter())
-            .map(|(xi, yi)| {
-                let e = self.predict(xi) - yi;
-                e * e
-            })
-            .sum::<f64>()
-            / x.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Largest absolute prediction error over a labelled set.
+    fn max_residual(model: &RidgeRegression, x: &[Vec<f64>], y: &[f64]) -> f64 {
+        x.iter()
+            .zip(y)
+            .map(|(xi, yi)| (model.predict(xi) - yi).abs())
+            .fold(0.0, f64::max)
+    }
 
     #[test]
     fn recovers_exact_linear_relation() {
@@ -120,10 +102,11 @@ mod tests {
             .collect();
         let y: Vec<f64> = x.iter().map(|r| 2.0 * r[0] - 3.0 * r[1] + 5.0).collect();
         let model = RidgeRegression::fit(&x, &y, 1e-9).unwrap();
-        assert!((model.weights()[0] - 2.0).abs() < 1e-6);
-        assert!((model.weights()[1] + 3.0).abs() < 1e-6);
-        assert!((model.intercept() - 5.0).abs() < 1e-6);
-        assert!(model.mse(&x, &y) < 1e-10);
+        let intercept = model.predict(&[0.0, 0.0]);
+        assert!((model.predict(&[1.0, 0.0]) - intercept - 2.0).abs() < 1e-6);
+        assert!((model.predict(&[0.0, 1.0]) - intercept + 3.0).abs() < 1e-6);
+        assert!((intercept - 5.0).abs() < 1e-6);
+        assert!(max_residual(&model, &x, &y) < 1e-5);
     }
 
     #[test]
@@ -132,8 +115,9 @@ mod tests {
         let y: Vec<f64> = x.iter().map(|r| 4.0 * r[0]).collect();
         let loose = RidgeRegression::fit(&x, &y, 1e-9).unwrap();
         let tight = RidgeRegression::fit(&x, &y, 1e5).unwrap();
-        assert!(tight.weights()[0].abs() < loose.weights()[0].abs());
-        assert!((loose.weights()[0] - 4.0).abs() < 1e-6);
+        let slope = |m: &RidgeRegression| m.predict(&[1.0]) - m.predict(&[0.0]);
+        assert!(slope(&tight).abs() < slope(&loose).abs());
+        assert!((slope(&loose) - 4.0).abs() < 1e-6);
     }
 
     #[test]
@@ -143,7 +127,7 @@ mod tests {
         let y: Vec<f64> = (0..20).map(|i| 3.0 * i as f64).collect();
         let model = RidgeRegression::fit(&x, &y, 1e-3).unwrap();
         // Prediction accuracy matters, not the (non-unique) weights.
-        assert!(model.mse(&x, &y) < 1e-3);
+        assert!(max_residual(&model, &x, &y) < 0.03);
     }
 
     #[test]
@@ -151,8 +135,7 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
         let y = vec![7.0; 10];
         let model = RidgeRegression::fit(&x, &y, 1.0).unwrap();
-        assert!(model.weights()[0].abs() < 1e-9);
-        assert!((model.intercept() - 7.0).abs() < 1e-9);
+        assert!(max_residual(&model, &x, &y) < 1e-9);
     }
 
     #[test]

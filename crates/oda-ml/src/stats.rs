@@ -124,16 +124,6 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total samples added.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Empirical probability of each bucket.
     pub fn probabilities(&self) -> Vec<f64> {
         if self.total == 0 {
@@ -144,27 +134,6 @@ impl Histogram {
             .map(|&c| c as f64 / self.total as f64)
             .collect()
     }
-
-    /// The center value of bucket `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-}
-
-/// Univariate normal density.
-pub fn normal_pdf(x: f64, mean: f64, std: f64) -> f64 {
-    if std <= 0.0 {
-        return 0.0;
-    }
-    let z = (x - mean) / std;
-    (-0.5 * z * z).exp() / (std * (2.0 * std::f64::consts::PI).sqrt())
-}
-
-/// Fits a normal distribution (mean, std) to samples: the "fitted PDF"
-/// overlay of the paper's Fig. 6b.
-pub fn fit_normal(xs: &[f64]) -> (f64, f64) {
-    (mean(xs), std_dev(xs))
 }
 
 /// Z-score standardization: returns per-column (mean, std) and the
@@ -262,35 +231,9 @@ mod tests {
         for x in [0.5, 1.0, 3.0, 9.9, -5.0, 15.0] {
             h.add(x);
         }
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.counts(), &[3, 1, 0, 0, 2]); // -5 clamps low, 15 clamps high
-        let p = h.probabilities();
-        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
-        assert!((h.bin_center(4) - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normal_pdf_properties() {
-        // Peak at the mean, symmetric, integrates to ~1.
-        let p0 = normal_pdf(0.0, 0.0, 1.0);
-        assert!((p0 - 0.398_942_280_4).abs() < 1e-9);
-        assert!((normal_pdf(1.0, 0.0, 1.0) - normal_pdf(-1.0, 0.0, 1.0)).abs() < 1e-15);
-        let integral: f64 = (-600..600)
-            .map(|i| normal_pdf(i as f64 / 100.0, 0.0, 1.0) * 0.01)
-            .sum();
-        assert!((integral - 1.0).abs() < 1e-3);
-        assert_eq!(normal_pdf(0.0, 0.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn fit_normal_recovers_parameters() {
-        let xs: Vec<f64> = (0..1000)
-            .map(|i| 5.0 + 2.0 * ((i % 7) as f64 - 3.0))
-            .collect();
-        let (m, s) = fit_normal(&xs);
-        assert!((m - 5.0).abs() < 0.1);
-        assert!(s > 0.0);
+        // -5 clamps low, 15 clamps high.
+        let expect = [3.0, 1.0, 0.0, 0.0, 2.0].map(|c| c / 6.0);
+        assert_eq!(h.probabilities(), expect);
     }
 
     #[test]

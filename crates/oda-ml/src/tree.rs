@@ -111,22 +111,6 @@ impl RegressionTree {
             }
         }
     }
-
-    /// Number of nodes (diagnostics / tests).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Maximum depth actually reached.
-    pub fn depth(&self) -> usize {
-        fn walk(nodes: &[Node], idx: usize) -> usize {
-            match &nodes[idx] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + walk(nodes, *left).max(walk(nodes, *right)),
-            }
-        }
-        walk(&self.nodes, 0)
-    }
 }
 
 struct Builder<'a> {
@@ -236,6 +220,17 @@ impl<'a> Builder<'a> {
 mod tests {
     use super::*;
 
+    /// Maximum depth actually reached (root = depth 0).
+    fn depth(tree: &RegressionTree) -> usize {
+        fn walk(nodes: &[Node], idx: usize) -> usize {
+            match &nodes[idx] {
+                Node::Leaf { .. } => 0,
+                Node::Split { left, right, .. } => 1 + walk(nodes, *left).max(walk(nodes, *right)),
+            }
+        }
+        walk(&tree.nodes, 0)
+    }
+
     fn step_data() -> (Vec<Vec<f64>>, Vec<f64>) {
         // y = 1 for x < 5, y = 10 for x >= 5.
         let x: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 10.0]).collect();
@@ -259,7 +254,7 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let y = vec![3.5; 20];
         let tree = RegressionTree::fit(&x, &y, &TreeConfig::default(), 0);
-        assert_eq!(tree.node_count(), 1);
+        assert_eq!(depth(&tree), 0);
         assert_eq!(tree.predict(&[99.0]), 3.5);
     }
 
@@ -272,7 +267,7 @@ mod tests {
             ..Default::default()
         };
         let tree = RegressionTree::fit(&x, &y, &cfg, 0);
-        assert!(tree.depth() <= 3, "depth={}", tree.depth());
+        assert!(depth(&tree) <= 3, "depth={}", depth(&tree));
     }
 
     #[test]
@@ -286,7 +281,7 @@ mod tests {
         };
         let tree = RegressionTree::fit(&x, &y, &cfg, 0);
         // With leaves of >= 5 samples on 10 points, at most one split.
-        assert!(tree.node_count() <= 3);
+        assert!(depth(&tree) <= 1);
     }
 
     #[test]
@@ -339,7 +334,7 @@ mod tests {
         let x = vec![vec![1.0], vec![1.0], vec![1.0], vec![1.0]];
         let y = vec![0.0, 1.0, 0.0, 1.0];
         let tree = RegressionTree::fit(&x, &y, &TreeConfig::default(), 0);
-        assert_eq!(tree.node_count(), 1);
+        assert_eq!(depth(&tree), 0);
         assert!((tree.predict(&[1.0]) - 0.5).abs() < 1e-12);
     }
 

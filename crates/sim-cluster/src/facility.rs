@@ -36,15 +36,6 @@ pub enum FacilityEventKind {
 }
 
 impl FacilityEventKind {
-    /// Canonical lower-case name, used in trace lines.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FacilityEventKind::PowerOutage => "power-outage",
-            FacilityEventKind::ThermalThrottle => "thermal-throttle",
-            FacilityEventKind::RollingRestart => "rolling-restart",
-        }
-    }
-
     fn order(&self) -> u8 {
         match self {
             FacilityEventKind::PowerOutage => 0,
@@ -69,21 +60,6 @@ pub struct FacilityEvent {
     /// sample only (≥ 2). For [`FacilityEventKind::RollingRestart`]:
     /// how many nodes restart together per step. `1` otherwise.
     pub factor: u64,
-}
-
-impl FacilityEvent {
-    /// Canonical one-line form for the event trace:
-    /// `island<I> <kind> <from>..<until> x<factor>`.
-    pub fn describe(&self) -> String {
-        format!(
-            "island{} {} {}..{} x{}",
-            self.island,
-            self.kind.as_str(),
-            self.from_ns,
-            self.until_ns,
-            self.factor
-        )
-    }
 }
 
 /// A deterministic facility-event schedule over a horizon.
@@ -146,25 +122,6 @@ impl FacilitySchedule {
     /// All events, in canonical (start, island, kind) order.
     pub fn events(&self) -> &[FacilityEvent] {
         &self.events
-    }
-
-    /// Events whose window starts inside `[from_ns, until_ns)` — what a
-    /// harness tick activates.
-    pub fn starting_in(&self, from_ns: u64, until_ns: u64) -> Vec<FacilityEvent> {
-        self.events
-            .iter()
-            .copied()
-            .filter(|e| e.from_ns >= from_ns && e.from_ns < until_ns)
-            .collect()
-    }
-
-    /// Events whose window covers the instant `at_ns`.
-    pub fn active_at(&self, at_ns: u64) -> Vec<FacilityEvent> {
-        self.events
-            .iter()
-            .copied()
-            .filter(|e| e.from_ns <= at_ns && at_ns < e.until_ns)
-            .collect()
     }
 }
 
@@ -236,20 +193,5 @@ mod tests {
             let b: Vec<_> = six.events().iter().filter(|e| e.island == island).collect();
             assert_eq!(a, b, "island {island} schedule changed");
         }
-    }
-
-    #[test]
-    fn window_queries_select_the_right_events() {
-        let topo = Topology::multi_island();
-        let sched = FacilitySchedule::seeded(&topo, 11, HORIZON);
-        let first = sched.events()[0];
-        assert_eq!(
-            sched.starting_in(first.from_ns, first.from_ns + 1)[0],
-            first
-        );
-        assert!(sched.active_at(first.from_ns).contains(&first));
-        assert!(sched.starting_in(HORIZON, HORIZON * 2).is_empty());
-        // describe() is canonical and parseable-by-eye.
-        assert!(first.describe().contains(first.kind.as_str()));
     }
 }

@@ -181,11 +181,6 @@ impl NodeSimulator {
         }
     }
 
-    /// The node's behavioural profile.
-    pub fn profile(&self) -> ProfileClass {
-        self.profile
-    }
-
     /// The application currently running, if any.
     pub fn current_app(&self) -> Option<AppModel> {
         self.app

@@ -82,11 +82,6 @@ impl JobScheduler {
         self.jobs.iter().filter(|j| j.is_running_at(t)).collect()
     }
 
-    /// Job by id.
-    pub fn job(&self, id: u64) -> Option<&Job> {
-        self.jobs.iter().find(|j| j.id == id)
-    }
-
     /// All jobs ever submitted.
     pub fn all(&self) -> &[Job] {
         &self.jobs
@@ -104,12 +99,6 @@ impl JobScheduler {
             }
         }
         (0..total_nodes).filter(|&n| !busy[n]).collect()
-    }
-
-    /// Drops jobs that ended before `cutoff` (bounded memory in long
-    /// simulations).
-    pub fn forget_before(&mut self, cutoff: Timestamp) {
-        self.jobs.retain(|j| j.end >= cutoff);
     }
 }
 
@@ -244,10 +233,10 @@ mod tests {
         let mut sched = JobScheduler::new();
         let id = sched.submit("alice", AppModel::Kripke, vec![0, 1], ts(10), ts(100));
         assert_eq!(sched.running_at(ts(5)).len(), 0);
-        assert_eq!(sched.running_at(ts(10)).len(), 1);
         assert_eq!(sched.running_at(ts(99)).len(), 1);
         assert_eq!(sched.running_at(ts(100)).len(), 0);
-        let job = sched.job(id).unwrap();
+        let job = sched.running_at(ts(10))[0];
+        assert_eq!(job.id, id);
         assert_eq!(job.user, "alice");
         assert_eq!(job.nodes, vec![0, 1]);
     }
@@ -267,16 +256,6 @@ mod tests {
         sched.submit("a", AppModel::Hpl, vec![1, 3], ts(0), ts(100));
         assert_eq!(sched.free_nodes(ts(50), 5), vec![0, 2, 4]);
         assert_eq!(sched.free_nodes(ts(200), 5), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn forget_before_prunes() {
-        let mut sched = JobScheduler::new();
-        sched.submit("a", AppModel::Hpl, vec![0], ts(0), ts(10));
-        sched.submit("b", AppModel::Hpl, vec![0], ts(20), ts(30));
-        sched.forget_before(ts(15));
-        assert_eq!(sched.all().len(), 1);
-        assert_eq!(sched.all()[0].user, "b");
     }
 
     #[test]

@@ -130,19 +130,6 @@ impl Topology {
         Topic::parse(&format!("/island{island}")).expect("valid path")
     }
 
-    /// Global node indices belonging to `island`.
-    pub fn island_nodes(&self, island: usize) -> impl Iterator<Item = usize> {
-        assert!(island < self.islands, "island {island} out of range");
-        let per_island = self.total_nodes / self.islands;
-        let start = island * per_island;
-        let end = if island + 1 == self.islands {
-            self.total_nodes
-        } else {
-            start + per_island
-        };
-        start..end
-    }
-
     /// Global index -> (rack, node-in-rack).
     pub fn locate(&self, node: usize) -> (usize, usize) {
         (node / self.nodes_per_rack, node % self.nodes_per_rack)
@@ -172,26 +159,9 @@ impl Topology {
             .expect("valid path")
     }
 
-    /// The component path of a rack: `/rack01`, or `/island0/rack01` on
-    /// a multi-island topology.
-    pub fn rack_topic(&self, rack: usize) -> Topic {
-        assert!(rack < self.racks, "rack {rack} out of range");
-        let path = if self.islands > 1 {
-            format!("/island{}/rack{rack:02}", self.island_of_rack(rack))
-        } else {
-            format!("/rack{rack:02}")
-        };
-        Topic::parse(&path).expect("valid path")
-    }
-
     /// Iterates all node indices.
     pub fn nodes(&self) -> impl Iterator<Item = usize> {
         0..self.total_nodes
-    }
-
-    /// Total core count across the system.
-    pub fn total_cores(&self) -> usize {
-        self.total_nodes * self.cores_per_node
     }
 
     /// Every sensor topic a node's Pusher publishes: node-level sensors
@@ -231,7 +201,6 @@ mod tests {
         let t = Topology::coolmuc3();
         assert_eq!(t.total_nodes, 148);
         assert_eq!(t.cores_per_node, 64);
-        assert_eq!(t.total_cores(), 148 * 64);
         assert_eq!(t.nodes().count(), 148);
     }
 
@@ -244,7 +213,6 @@ mod tests {
         assert_eq!(t.locate(147), (3, 36));
         assert_eq!(t.node_topic(147).as_str(), "/rack03/node36");
         assert_eq!(t.core_topic(0, 63).as_str(), "/rack00/node00/cpu63");
-        assert_eq!(t.rack_topic(2).as_str(), "/rack02");
     }
 
     #[test]
@@ -303,24 +271,13 @@ mod tests {
         // Node 512 = rack 32 = first rack of island 1.
         assert_eq!(t.island_of_node(512), 1);
         assert_eq!(t.node_topic(512).as_str(), "/island1/rack32/node00");
-        assert_eq!(t.rack_topic(95).as_str(), "/island2/rack95");
         assert_eq!(t.island_topic(2).as_str(), "/island2");
-        // Island node partitions cover every node exactly once.
-        let mut seen = vec![false; t.total_nodes];
-        for island in 0..t.islands {
-            for n in t.island_nodes(island) {
-                assert!(!seen[n]);
-                seen[n] = true;
-                assert_eq!(t.island_of_node(n), island);
-                // Every sensor topic of the node lives under the
-                // island's subtree — facility events cut one prefix.
-                assert!(t
-                    .node_topic(n)
-                    .as_str()
-                    .starts_with(t.island_topic(island).as_str()));
-            }
+        // Every sensor topic of a node lives under its island's subtree —
+        // facility events cut one prefix.
+        for n in t.nodes() {
+            let island = t.island_topic(t.island_of_node(n));
+            assert!(t.node_topic(n).as_str().starts_with(island.as_str()));
         }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

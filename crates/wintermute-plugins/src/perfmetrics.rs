@@ -239,12 +239,6 @@ impl OperatorPlugin for PerfMetricsPlugin {
     }
 }
 
-/// Decodes a fixed-point CPI reading back to a float (helper shared
-/// with the persyst stage and the figure harnesses).
-pub fn decode_cpi(reading: &SensorReading) -> f64 {
-    dcdb_common::reading::decode_f64(reading.value)
-}
-
 /// Convenience: the standard perfmetrics configuration used by the
 /// paper's job-analysis pipeline — one unit per CPU core, CPI output.
 pub fn cpi_config(name: &str, interval_ms: u64) -> PluginConfig {
@@ -260,6 +254,7 @@ pub fn cpi_config(name: &str, interval_ms: u64) -> PluginConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcdb_common::reading::decode_f64;
     use dcdb_common::Timestamp;
     use std::sync::Arc;
 
@@ -319,14 +314,14 @@ mod tests {
             .query_engine()
             .query(&t("/n0/cpu0/cpi"), QueryMode::Latest);
         assert!(
-            (decode_cpi(&cpi0[0]) - 2.0).abs() < 0.05,
+            (decode_f64(cpi0[0].value) - 2.0).abs() < 0.05,
             "{}",
-            decode_cpi(&cpi0[0])
+            decode_f64(cpi0[0].value)
         );
         let cpi1 = mgr
             .query_engine()
             .query(&t("/n0/cpu1/cpi"), QueryMode::Latest);
-        assert!((decode_cpi(&cpi1[0]) - 4.0).abs() < 0.1);
+        assert!((decode_f64(cpi1[0].value) - 4.0).abs() < 0.1);
     }
 
     #[test]
@@ -359,7 +354,7 @@ mod tests {
         let mr = mgr
             .query_engine()
             .query(&t("/n0/cpu0/miss-ratio"), QueryMode::Latest);
-        assert!((decode_cpi(&mr[0]) - 0.01).abs() < 0.001);
+        assert!((decode_f64(mr[0].value) - 0.01).abs() < 0.001);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! paper's random forest and a ridge-regression ablation baseline.
 
 use dcdb_common::error::{DcdbError, Result};
-use dcdb_common::reading::{decode_f64, encode_f64, SensorReading};
+use dcdb_common::reading::{encode_f64, SensorReading};
 use dcdb_common::time::NS_PER_MS;
 use oda_ml::features::{Feature, FeatureExtractor};
 use oda_ml::forest::{ForestConfig, RandomForest};
@@ -93,11 +93,6 @@ pub struct RegressorOperator {
 }
 
 impl RegressorOperator {
-    /// Samples accumulated so far.
-    pub fn training_samples(&self) -> usize {
-        self.train_x.len()
-    }
-
     fn feature_vector(&self, unit: &Unit, ctx: &ComputeContext<'_>) -> Vec<f64> {
         let window = QueryMode::Relative {
             offset_ns: self.window_ns,
@@ -210,11 +205,6 @@ impl Operator for RegressorOperator {
     }
 }
 
-/// Decodes a prediction output back to a float.
-pub fn decode_prediction(reading: &SensorReading) -> f64 {
-    decode_f64(reading.value)
-}
-
 /// The plugin factory.
 pub struct RegressorPlugin;
 
@@ -303,6 +293,7 @@ impl OperatorPlugin for RegressorPlugin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcdb_common::reading::decode_f64;
     use dcdb_common::{Timestamp, Topic};
     use std::sync::Arc;
 
@@ -366,7 +357,7 @@ mod tests {
                 .first()
                 .map(|r| r.value as f64);
             if let Some(truth) = truth {
-                errs.push(((decode_prediction(p) - truth) / truth).abs());
+                errs.push(((decode_f64(p.value) - truth) / truth).abs());
             }
         }
         let avg = oda_ml::stats::mean(&errs);
@@ -431,9 +422,9 @@ mod tests {
         // power = 40 + util is exactly linear: predictions are close.
         let truth = mgr.query_engine().query(&t("/n0/power"), QueryMode::Latest)[0].value as f64;
         assert!(
-            (decode_prediction(&preds[0]) - truth).abs() / truth < 0.2,
+            (decode_f64(preds[0].value) - truth).abs() / truth < 0.2,
             "linear pred {} vs {}",
-            decode_prediction(&preds[0]),
+            decode_f64(preds[0].value),
             truth
         );
     }

@@ -42,15 +42,6 @@ pub struct TesterOperator {
     queries: usize,
     mode: TesterMode,
     range_ns: u64,
-    /// Total readings retrieved over the operator's lifetime.
-    total_retrieved: u64,
-}
-
-impl TesterOperator {
-    /// Lifetime count of readings fetched.
-    pub fn total_retrieved(&self) -> u64 {
-        self.total_retrieved
-    }
 }
 
 impl Operator for TesterOperator {
@@ -85,7 +76,6 @@ impl Operator for TesterOperator {
                 readings.len() as u64
             });
         }
-        self.total_retrieved += retrieved;
         Ok(unit
             .outputs
             .iter()
@@ -122,7 +112,6 @@ impl OperatorPlugin for TesterPlugin {
                 queries,
                 mode,
                 range_ns,
-                total_retrieved: 0,
             }) as Box<dyn Operator>)
         })
     }

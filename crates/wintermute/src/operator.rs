@@ -115,17 +115,6 @@ impl<'a> ComputeContext<'a> {
         f(buf)
     }
 
-    /// Convenience: the input window of `topic` covering the last
-    /// `window_ns`, as `f64` values in timestamp order.
-    pub fn window_values(&self, topic: &Topic, window_ns: u64) -> Vec<f64> {
-        let mode = QueryMode::Relative {
-            offset_ns: window_ns,
-        };
-        self.query.view(topic, mode, |window| {
-            window.iter().map(|r| r.value as f64).collect()
-        })
-    }
-
     /// Convenience: the most recent value of `topic`, if any.
     pub fn latest_value(&self, topic: &Topic) -> Option<f64> {
         self.query.view(topic, QueryMode::Latest, |latest| {
@@ -243,9 +232,14 @@ mod tests {
         fn compute(&mut self, i: usize, ctx: &ComputeContext<'_>) -> Result<Vec<Output>> {
             self.computed += 1;
             let unit = &self.units[i];
+            let window = QueryMode::Relative {
+                offset_ns: self.window_ns,
+            };
             let mut values = Vec::new();
-            for input in &unit.inputs {
-                values.extend(ctx.window_values(input, self.window_ns));
+            for k in 0..unit.inputs.len() {
+                ctx.input_view(unit, k, window, |w| {
+                    values.extend(w.iter().map(|r| r.value as f64))
+                });
             }
             if values.is_empty() {
                 return Err(DcdbError::NotFound(format!(
@@ -322,9 +316,6 @@ mod tests {
         let ctx = ComputeContext::new(&qe, Timestamp::from_secs(11));
         assert_eq!(ctx.latest_value(&t("/n1/power")), Some(110.0));
         assert_eq!(ctx.latest_value(&t("/missing")), None);
-        let w = ctx.window_values(&t("/n1/power"), 3 * dcdb_common::time::NS_PER_SEC);
-        assert!(!w.is_empty());
-        assert_eq!(*w.last().unwrap(), 110.0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::operator::{Operator, OperatorMode, UnitMode};
 use crate::tree::SensorNavigator;
 use crate::unit::{resolve_units, Resolution, Unit, UnitTemplate};
-use dcdb_common::config::{KvConfig, SamplingConfig};
+use dcdb_common::config::KvConfig;
 use dcdb_common::error::{DcdbError, Result};
 use serde::{Deserialize, Serialize};
 
@@ -28,10 +28,6 @@ pub struct PluginConfig {
     /// Sequential vs parallel unit management.
     #[serde(default)]
     pub unit_mode: UnitMode,
-    /// Sampling/caching parameters (interval reused as the online
-    /// computation interval when `mode` carries none).
-    #[serde(default)]
-    pub sampling: SamplingConfig,
     /// Input pattern expressions (paper §III-C syntax).
     #[serde(default)]
     pub inputs: Vec<String>,
@@ -51,7 +47,6 @@ impl PluginConfig {
             kind: kind.to_string(),
             mode: OperatorMode::Online { interval_ms },
             unit_mode: UnitMode::Sequential,
-            sampling: SamplingConfig::default(),
             inputs: Vec::new(),
             outputs: Vec::new(),
             options: KvConfig::new(),

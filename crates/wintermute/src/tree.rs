@@ -113,23 +113,6 @@ impl SensorNavigator {
         Some(cur)
     }
 
-    /// True if `path` names a component node in the tree.
-    pub fn has_component(&self, path: &Topic) -> bool {
-        self.find(path).is_some()
-    }
-
-    /// The sensors directly attached to a component, as full topics.
-    pub fn sensors_of(&self, path: &Topic) -> Vec<Topic> {
-        match self.find(path) {
-            None => Vec::new(),
-            Some(node) => node
-                .sensors
-                .iter()
-                .map(|s| path.child(s).expect("valid sensor topic"))
-                .collect(),
-        }
-    }
-
     /// True if the tree contains the exact sensor `topic`.
     pub fn has_sensor(&self, topic: &Topic) -> bool {
         let Some(parent) = topic.parent() else {
@@ -140,49 +123,12 @@ impl SensorNavigator {
             .unwrap_or(false)
     }
 
-    /// Child components of a node (for tree exploration APIs).
-    pub fn children_of(&self, path: &Topic) -> Vec<Topic> {
-        match self.find(path) {
-            None => Vec::new(),
-            Some(node) => node
-                .children
-                .keys()
-                .map(|c| path.child(c).expect("valid path"))
-                .collect(),
-        }
-    }
-
     /// True when `a` and `b` are *hierarchically related*: equal, or one
     /// is an ancestor of the other. This is the Unit System's
     /// admissibility condition for binding input sensors to a unit
     /// (paper §III-B).
     pub fn hierarchically_related(a: &Topic, b: &Topic) -> bool {
         a == b || a.is_ancestor_of(b) || b.is_ancestor_of(a)
-    }
-
-    /// The depth of a component node (0-based), or `None` if absent.
-    pub fn level_of(&self, path: &Topic) -> Option<usize> {
-        self.has_component(path).then(|| path.depth() - 1)
-    }
-
-    /// Every sensor topic in the tree (stable order: depth-first over
-    /// sorted component names).
-    pub fn all_sensors(&self) -> Vec<Topic> {
-        let mut out = Vec::with_capacity(self.sensor_count);
-        for s in &self.root.sensors {
-            out.push(Topic::parse(&format!("/{s}")).expect("valid"));
-        }
-        fn walk(node: &TreeNode, path: &str, out: &mut Vec<Topic>) {
-            for (name, child) in &node.children {
-                let p = format!("{path}/{name}");
-                for s in &child.sensors {
-                    out.push(Topic::parse(&format!("{p}/{s}")).expect("valid"));
-                }
-                walk(child, &p, out);
-            }
-        }
-        walk(&self.root, "", &mut out);
-        out
     }
 
     /// All sensors named `sensor_name` in the subtree rooted at `root`
@@ -300,38 +246,12 @@ mod tests {
     }
 
     #[test]
-    fn sensors_of_component() {
-        let nav = paper_tree();
-        let s: Vec<String> = nav
-            .sensors_of(&t("/r03/c02/s02"))
-            .iter()
-            .map(|x| x.as_str().to_string())
-            .collect();
-        assert_eq!(s, vec!["/r03/c02/s02/memfree", "/r03/c02/s02/healthy"]);
-        assert!(nav.sensors_of(&t("/nope")).is_empty());
-    }
-
-    #[test]
     fn has_sensor_including_root_level() {
         let nav = paper_tree();
         assert!(nav.has_sensor(&t("/r03/c02/power")));
         assert!(nav.has_sensor(&t("/db-uptime")));
         assert!(!nav.has_sensor(&t("/r03/c02/nope")));
         assert!(!nav.has_sensor(&t("/r99/power")));
-    }
-
-    #[test]
-    fn children_and_levels() {
-        let nav = paper_tree();
-        let c: Vec<String> = nav
-            .children_of(&t("/r03"))
-            .iter()
-            .map(|x| x.as_str().to_string())
-            .collect();
-        assert_eq!(c, vec!["/r03/c01", "/r03/c02", "/r03/c03"]);
-        assert_eq!(nav.level_of(&t("/r03/c02")), Some(1));
-        assert_eq!(nav.level_of(&t("/r03/c02/s02/cpu1")), Some(3));
-        assert_eq!(nav.level_of(&t("/absent")), None);
     }
 
     #[test]
@@ -358,18 +278,6 @@ mod tests {
         assert!(nav.resolve_level(LevelSpec::TopDown(4)).is_err());
         assert!(nav.resolve_level(LevelSpec::BottomUp(4)).is_err());
         assert!(nav.resolve_level(LevelSpec::TopDown(-1)).is_err());
-    }
-
-    #[test]
-    fn all_sensors_are_complete_and_unique() {
-        let nav = paper_tree();
-        let all = nav.all_sensors();
-        assert_eq!(all.len(), 16);
-        let mut dedup: Vec<_> = all.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 16);
-        assert!(all.contains(&t("/db-uptime")));
     }
 
     #[test]

@@ -144,3 +144,38 @@ fn malformed_documents_are_rejected_with_context() {
     let err = mgr.load(config.plugins[0].clone()).unwrap_err().to_string();
     assert!(err.contains("warp-drive"), "{err}");
 }
+
+/// Files written for earlier releases may carry a per-plugin
+/// `"sampling": {...}` block, which nothing ever read: such a file loads
+/// and runs exactly as one without it.
+#[test]
+fn a_legacy_sampling_block_is_ignored() {
+    let legacy = CONFIG.replace(
+        r#""unit_mode": "parallel","#,
+        r#""unit_mode": "parallel",
+      "sampling": {"interval_ms": 250, "cache_secs": 60},"#,
+    );
+    assert_ne!(legacy, CONFIG);
+    let run = |doc: &str| {
+        let mgr = OperatorManager::new(engine());
+        wintermute_plugins::register_all(&mgr, None);
+        let config = WintermuteConfig::from_json(doc).unwrap();
+        let intervals: Vec<_> = config.plugins.iter().map(|p| p.interval_ms()).collect();
+        for plugin in config.plugins {
+            mgr.load(plugin).unwrap();
+        }
+        let runs: Vec<_> = [31, 33, 36]
+            .map(|s| mgr.tick(Timestamp::from_secs(s)).operators_run)
+            .to_vec();
+        let all = QueryMode::Absolute {
+            t0: Timestamp::ZERO,
+            t1: Timestamp::from_secs(40),
+        };
+        let avg = mgr.query_engine().query(&t("/rack0/node0/power-avg"), all);
+        (intervals, runs, avg)
+    };
+    let (intervals, runs, avg) = run(&legacy);
+    assert_eq!(intervals, [Some(1000), Some(5000), None]);
+    assert_eq!(avg.len(), 3);
+    assert_eq!((intervals, runs, avg), run(CONFIG));
+}
