@@ -394,6 +394,13 @@ impl Subscription {
         self.queue.try_pop()
     }
 
+    /// Takes the oldest queued message if `take` accepts it; a refused
+    /// message stays first in line. `take` runs under the queue's lock,
+    /// so it must be quick.
+    pub fn try_recv_if(&self, take: impl FnOnce(&Message) -> bool) -> Option<Message> {
+        self.queue.try_pop_if(take)
+    }
+
     /// Drains everything currently queued.
     pub fn drain(&self) -> Vec<Message> {
         std::iter::from_fn(|| self.try_recv()).collect()

@@ -5,7 +5,8 @@
 //! This crate reproduces that transport in-process:
 //!
 //! * [`filter`] — MQTT topic filters with `+` / `#` wildcards;
-//! * [`codec`] — the compact binary frame format for reading batches;
+//! * [`codec`] — the compact binary frames: a Pusher's node frame (one
+//!   per tick and node prefix) and the one-sensor batch frame;
 //! * [`queue`] — bounded delivery queues, one lock around a ring, that
 //!   shed by policy (drop-newest / drop-oldest) and count every drop;
 //! * [`broker`] — a QoS-0 [`Broker`] that matches each publish against
@@ -36,6 +37,6 @@ pub use broker::{
     SubscribeOptions, Subscription, SubscriptionMetrics,
 };
 pub use chaos::{ChaosBus, ChaosConfig, ChaosMetricsSnapshot};
-pub use codec::{decode_batch, encode_batch};
+pub use codec::{decode_batch, decode_frame, encode_batch, Frame, FrameBuilder};
 pub use filter::{FilterSegment, TopicFilter};
 pub use queue::{OverflowPolicy, QueueMetricsSnapshot};

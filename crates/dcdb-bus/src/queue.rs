@@ -178,7 +178,17 @@ impl<T> BoundedQueue<T> {
 
     /// Takes the oldest queued message; `None` when the queue is empty.
     pub fn try_pop(&self) -> Option<T> {
+        self.try_pop_if(|_| true)
+    }
+
+    /// Takes the oldest queued message if `take` accepts it, judged
+    /// under the queue's lock; `None` when the queue is empty or `take`
+    /// refused, the message then staying at the front.
+    pub fn try_pop_if(&self, take: impl FnOnce(&T) -> bool) -> Option<T> {
         let mut s = self.state.lock();
+        if !take(s.ring.front()?) {
+            return None;
+        }
         let msg = s.ring.pop_front()?;
         s.dequeued += 1;
         Some(msg)
@@ -207,6 +217,20 @@ mod tests {
         assert_eq!(q.try_pop(), Some(1));
         assert_eq!(q.try_pop(), Some(2));
         assert_eq!(q.try_pop(), None);
+    }
+
+    #[test]
+    fn a_refused_pop_leaves_the_front_queued() {
+        let q = BoundedQueue::new(4, OverflowPolicy::DropOldest);
+        q.push(1);
+        q.push(2);
+        assert_eq!(q.try_pop_if(|m| *m > 1), None);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.try_pop_if(|m| *m == 1), Some(1));
+        assert_eq!(q.try_pop(), Some(2));
+        assert_eq!(q.try_pop_if(|_| true), None);
+        assert!(q.metrics().conserved());
+        assert_eq!(q.metrics().dequeued, 2);
     }
 
     #[test]

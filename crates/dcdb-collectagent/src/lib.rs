@@ -10,14 +10,15 @@
 
 #![warn(missing_docs)]
 
-use dcdb_bus::{decode_batch, BusHandle, SubscribeOptions, Subscription};
-use dcdb_common::batch::ReadingBatch;
+use dcdb_bus::codec::{entry_topic, for_each_entry, frame_readings};
+use dcdb_bus::{BusHandle, Message, SubscribeOptions, Subscription};
+use dcdb_common::batch::{ReadingBatch, READING_WIRE_SIZE};
 use dcdb_common::cache::SensorCache;
 use dcdb_common::document;
 use dcdb_common::error::Result;
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::{Timestamp, NS_PER_SEC};
-use dcdb_common::topic::Topic;
+use dcdb_common::topic::{Topic, NODE_PREFIX_DEPTH};
 use dcdb_rest::{JsonWriter, Method, Response, Router, Status};
 use dcdb_storage::StorageEngine;
 use parking_lot::Mutex;
@@ -42,19 +43,16 @@ pub struct CollectAgentConfig {
     /// Expected sampling interval of incoming data, milliseconds (sizes
     /// the caches).
     pub expected_interval_ms: u64,
-    /// Maximum bus messages ingested per [`CollectAgent::tick`] /
-    /// [`CollectAgent::process_pending`] call. Bounding the drain means
-    /// a publish storm can never starve the operator tick or storage
-    /// maintenance: surplus messages stay on the (bounded) subscriber
-    /// queue and are shed there by its overflow policy.
+    /// Maximum readings ingested per [`CollectAgent::tick`] /
+    /// [`CollectAgent::process_pending`] call. A pass stops before a
+    /// frame that would take it past the budget (a frame counts its
+    /// readings, and at least one); a single frame larger than the
+    /// budget is taken alone. Bounding the drain means a publish storm
+    /// can never starve the operator tick or storage maintenance:
+    /// surplus frames stay on the (bounded) subscriber queue and are
+    /// shed there by its overflow policy.
     pub ingest_budget: usize,
 }
-
-/// How many leading topic segments identify one data source (Pusher)
-/// for delivery-staleness tracking — `/rack00/node03/...` groups by
-/// node. A source is flagged stale once no reading arrived for 3× the
-/// expected sampling interval.
-const SOURCE_PREFIX_DEPTH: usize = 2;
 
 impl Default for CollectAgentConfig {
     fn default() -> Self {
@@ -87,7 +85,8 @@ pub struct SourceHealth {
 /// Counters for footprint reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CollectAgentStats {
-    /// Messages consumed from the bus.
+    /// Frames consumed from the bus: a Pusher sends one per tick and
+    /// node prefix.
     pub messages: u64,
     /// Readings ingested into cache + storage.
     pub readings: u64,
@@ -104,6 +103,79 @@ pub struct CollectAgentStats {
 struct SourceRecord {
     last_seen_ns: u64,
     readings: u64,
+}
+
+/// One ingest pass's entries: `entries[..len]` is the group handed to
+/// storage; the slots past it keep their cleared batches for the next
+/// pass, so a steady drain allocates nothing.
+#[derive(Default)]
+struct Drain {
+    entries: Vec<(Topic, ReadingBatch)>,
+    len: usize,
+    /// Per frame taken: its topic, newest timestamp and readings.
+    sources: Vec<(Topic, u64, u64)>,
+}
+
+impl Drain {
+    /// Stages every entry of `msg`, naming each by the query engine's
+    /// `Topic` for it (parsed on first sight); on a malformed frame or
+    /// topic, unstages the frame whole. Returns the readings staged.
+    fn stage(&mut self, msg: &Message, known: &KnownTopics<'_>) -> Result<usize> {
+        let mark = self.len;
+        let (mut newest, mut readings) = (None, 0usize);
+        let staged = for_each_entry(&msg.topic, &msg.payload, |entry| {
+            let topic = match known.get(entry.topic) {
+                Some(topic) => topic.clone(),
+                None if entry.topic == msg.topic.as_str() => msg.topic.clone(),
+                None => entry_topic(entry.topic)?,
+            };
+            let batch = self.slot(topic);
+            entry.extend_into(batch);
+            newest = newest.max(batch.ts.iter().copied().max());
+            readings += batch.len();
+            Ok(())
+        });
+        if let Err(err) = staged {
+            self.len = mark;
+            return Err(err);
+        }
+        if let Some(newest) = newest {
+            self.sources
+                .push((msg.topic.clone(), newest, readings as u64));
+        }
+        Ok(readings)
+    }
+
+    /// The next slot, cleared, under `topic`.
+    fn slot(&mut self, topic: Topic) -> &mut ReadingBatch {
+        if self.len == self.entries.len() {
+            self.entries.push((topic, ReadingBatch::new()));
+        } else {
+            let slot = &mut self.entries[self.len];
+            slot.0 = topic;
+            slot.1.clear();
+        }
+        self.len += 1;
+        &mut self.entries[self.len - 1].1
+    }
+
+    fn entries(&self) -> &[(Topic, ReadingBatch)] {
+        &self.entries[..self.len]
+    }
+
+    /// Ends a pass: at most `budget` slots stay, none holding room for
+    /// more than `budget` readings (only a frame larger than the budget,
+    /// taken alone, grows one past it).
+    fn reset(&mut self, budget: usize) {
+        self.entries.truncate(budget);
+        for (_, batch) in &mut self.entries {
+            if batch.ts.capacity() > budget {
+                *batch = ReadingBatch::new();
+            }
+        }
+        self.len = 0;
+        self.sources.clear();
+    }
 }
 
 /// This agent's role within its shard's replica pair.
@@ -155,6 +227,8 @@ pub struct CollectAgent {
     /// Ticks whose ingest budget was exhausted with messages still
     /// queued (overload indicator).
     budget_exhausted: AtomicU64,
+    /// The entries of one pass, kept from pass to pass.
+    drain: Mutex<Drain>,
     /// Last-seen reading timestamp + counters per source prefix
     /// (delivery staleness tracking).
     sources: Mutex<std::collections::HashMap<String, SourceRecord>>,
@@ -190,6 +264,7 @@ impl CollectAgent {
             decode_errors: AtomicU64::new(0),
             maintenance_errors: AtomicU64::new(0),
             budget_exhausted: AtomicU64::new(0),
+            drain: Mutex::default(),
             sources: Mutex::new(std::collections::HashMap::new()),
         })
     }
@@ -225,41 +300,55 @@ impl CollectAgent {
         &self.storage
     }
 
-    /// Drains pending bus messages into caches and storage, bounded by
-    /// the configured per-tick ingest budget so a publish storm can
-    /// never starve operators or storage maintenance. Surplus messages
+    /// Drains pending frames into caches and storage, bounded by the
+    /// configured per-tick ingest budget in readings, so a publish storm
+    /// can never starve operators or storage maintenance. Surplus frames
     /// stay queued (and are shed by the subscription's overflow policy
-    /// under sustained overload). Returns the number of readings
-    /// ingested.
+    /// under sustained overload). A malformed frame counts once in
+    /// `decode_errors` and none of its entries is ingested. Returns the
+    /// number of readings ingested.
     pub fn process_pending(&self) -> usize {
         let budget = self.ingest_budget;
-        let mut group: Vec<(Topic, ReadingBatch)> =
-            Vec::with_capacity(budget.min(self.subscription.queued()));
-        let mut consumed = 0usize;
-        while consumed < budget {
-            let Some(msg) = self.subscription.try_recv() else {
-                break;
-            };
-            consumed += 1;
-            match decode_batch(msg.payload) {
-                Ok(batch) => group.push((msg.topic, batch)),
-                Err(_) => {
-                    self.decode_errors.fetch_add(1, Ordering::Relaxed);
+        let mut drain = self.drain.lock();
+        let (mut taken, mut consumed, mut ingested) = (0usize, 0u64, 0usize);
+        // A frame of `b` bytes carries at most `b / 16` readings: most
+        // frames fit by their length alone, unwalked.
+        let fits = |taken: usize, msg: &Message| {
+            taken == 0
+                || taken + msg.payload.len() / READING_WIRE_SIZE <= budget
+                || taken + frame_readings(&msg.topic, &msg.payload).max(1) <= budget
+        };
+        self.query_engine().with_known_topics(|known| {
+            while taken < budget {
+                let Some(msg) = self.subscription.try_recv_if(|msg| fits(taken, msg)) else {
+                    break;
+                };
+                consumed += 1;
+                match drain.stage(&msg, &known) {
+                    Ok(readings) => {
+                        ingested += readings;
+                        taken += readings.max(1);
+                    }
+                    Err(_) => {
+                        self.decode_errors.fetch_add(1, Ordering::Relaxed);
+                        taken += 1;
+                    }
                 }
             }
-        }
-        let ingested: usize = group.iter().map(|(_, batch)| batch.len()).sum();
-        self.messages.fetch_add(consumed as u64, Ordering::Relaxed);
+        });
+        self.messages.fetch_add(consumed, Ordering::Relaxed);
         self.readings.fetch_add(ingested as u64, Ordering::Relaxed);
-        if consumed == budget && self.subscription.queued() > 0 {
+        // The loop stops with frames queued only at the budget.
+        if self.subscription.queued() > 0 {
             self.budget_exhausted.fetch_add(1, Ordering::Relaxed);
         }
-        self.note_sources(&group);
+        self.note_sources(&drain.sources);
         // The drain is the unit the storage engine journals; sensors
         // it had not seen need the tree refreshed so operators can bind.
-        if self.query_engine().insert_many(&group) > 0 {
+        if self.query_engine().insert_many(drain.entries()) > 0 {
             self.query_engine().rebuild_navigator();
         }
+        drain.reset(budget);
         ingested
     }
 
@@ -268,15 +357,13 @@ impl CollectAgent {
         self.subscription.queued()
     }
 
-    /// Updates the per-source last-seen clocks from one drain, under one
-    /// lock; a source's key is allocated when it is first seen.
-    fn note_sources(&self, group: &[(Topic, ReadingBatch)]) {
+    /// Updates the per-source last-seen clocks from one drain's frames,
+    /// under one lock; a source's key is allocated when it is first
+    /// seen.
+    fn note_sources(&self, frames: &[(Topic, u64, u64)]) {
         let mut sources = self.sources.lock();
-        for (topic, batch) in group {
-            let Some(newest) = batch.ts.iter().copied().max() else {
-                continue;
-            };
-            let prefix = topic.prefix_str(SOURCE_PREFIX_DEPTH);
+        for (topic, newest, readings) in frames {
+            let prefix = topic.prefix_str(NODE_PREFIX_DEPTH);
             let record = match sources.get_mut(prefix) {
                 Some(record) => record,
                 None => sources.entry(prefix.to_string()).or_insert(SourceRecord {
@@ -284,8 +371,8 @@ impl CollectAgent {
                     readings: 0,
                 }),
             };
-            record.last_seen_ns = record.last_seen_ns.max(newest);
-            record.readings += batch.len() as u64;
+            record.last_seen_ns = record.last_seen_ns.max(*newest);
+            record.readings += readings;
         }
     }
 
@@ -381,7 +468,7 @@ impl CollectAgent {
             "delivery": json!({
                 "expected_interval_ms": self.expected_interval_ms,
                 "stale_after_ms": self.stale_after_ms(),
-                "source_prefix_depth": SOURCE_PREFIX_DEPTH,
+                "source_prefix_depth": NODE_PREFIX_DEPTH,
                 "stale_sources": sources.iter().filter(|s| s.stale).count(),
                 "sources": sources,
             }),
@@ -1251,6 +1338,112 @@ mod tests {
         // No further budget exhaustion once drained.
         assert_eq!(agent.process_pending(), 0);
         assert_eq!(agent.stats().budget_exhausted, 2);
+    }
+
+    /// A node frame of `n` readings, one entry per sensor `s<k>` below
+    /// `/r0/n0`, valued `base + k` at second `base + k`.
+    fn node_frame(base: u64, n: u64) -> (Topic, bytes::Bytes) {
+        let mut builder = dcdb_bus::FrameBuilder::default();
+        for k in 0..n {
+            let v = base + k;
+            builder.push(
+                &t(&format!("/r0/n0/s{k}")),
+                SensorReading::new(v as i64, Timestamp::from_secs(v)),
+            );
+        }
+        let frame = builder.finish().remove(0);
+        (frame.topic, frame.payload)
+    }
+
+    /// A frame that turns bad after a good entry: the agent takes none
+    /// of it, while the frames around it are ingested whole.
+    #[test]
+    fn a_malformed_node_frame_is_rejected_whole() {
+        let (broker, agent) = setup();
+        let bus = broker.handle();
+        let (node, good) = node_frame(1, 3);
+        let push_raw = |raw: &str| {
+            let mut buf = good[..good.len()].to_vec();
+            buf[1..5].copy_from_slice(&4u32.to_le_bytes());
+            dcdb_common::batch::push_entry(&mut buf, raw, &[9], &[9]).unwrap();
+            bytes::Bytes::from(buf)
+        };
+        bus.publish(node.clone(), good.clone()).unwrap();
+        // A fourth entry whose topic is not in normal form, then one
+        // under another node: both frames fail after three good entries.
+        bus.publish(node.clone(), push_raw("/r0/n0//x")).unwrap();
+        bus.publish(node.clone(), push_raw("/r0/n1/x")).unwrap();
+        let (_, later) = node_frame(10, 3);
+        bus.publish(node.clone(), later).unwrap();
+        assert_eq!(agent.process_pending(), 6);
+        let stats = agent.stats();
+        assert_eq!(
+            (stats.messages, stats.readings, stats.decode_errors),
+            (4, 6, 2)
+        );
+        let values = agent.query_engine().query(
+            &t("/r0/n0/s0"),
+            QueryMode::Absolute {
+                t0: Timestamp::ZERO,
+                t1: Timestamp::MAX,
+            },
+        );
+        let ts: Vec<u64> = values
+            .iter()
+            .map(|r| r.ts.as_nanos() / 1_000_000_000)
+            .collect();
+        assert_eq!(ts, vec![1, 10], "nothing from the rejected frames");
+        assert_eq!(agent.storage().stats().readings, 6);
+        assert!(!agent.query_engine().knows(&t("/r0/n1/x")));
+        assert_eq!(agent.delivery_health()[0].readings, 6);
+    }
+
+    /// The budget counts readings: a pass stops before the frame that
+    /// would pass it, and a frame larger than the budget goes alone.
+    /// The group the agent keeps never outgrows one pass.
+    #[test]
+    fn the_budget_counts_readings_and_takes_an_oversized_frame_alone() {
+        let broker = Broker::new();
+        let agent = CollectAgent::new(
+            CollectAgentConfig {
+                ingest_budget: 10,
+                ..CollectAgentConfig::default()
+            },
+            &broker.handle(),
+            Arc::new(DurableBackend::in_memory()),
+        )
+        .unwrap();
+        let bus = broker.handle();
+        for base in [100, 200, 300] {
+            let (node, frame) = node_frame(base, 4);
+            bus.publish(node, frame).unwrap();
+        }
+        let (node, big) = node_frame(400, 25);
+        bus.publish(node, big).unwrap();
+        assert_eq!(
+            agent.process_pending(),
+            8,
+            "two frames of 4; a third would pass 10"
+        );
+        assert_eq!(
+            (agent.ingest_backlog(), agent.stats().budget_exhausted),
+            (2, 1)
+        );
+        assert_eq!(
+            agent.process_pending(),
+            4,
+            "the big frame does not fit behind it"
+        );
+        assert_eq!(agent.process_pending(), 25, "alone, it is taken whole");
+        assert_eq!(agent.ingest_backlog(), 0);
+        let stats = agent.stats();
+        assert_eq!(
+            (stats.readings, stats.messages, stats.budget_exhausted),
+            (37, 4, 2)
+        );
+        let drain = agent.drain.lock();
+        assert!(drain.entries.len() <= 10);
+        assert!(drain.entries.iter().all(|(_, b)| b.ts.capacity() <= 10));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! [`ReadingBatch::to_readings`]) for the query side, which still
 //! thinks in `(value, ts)` pairs.
 
+use crate::error::DcdbError;
 use crate::reading::SensorReading;
 use crate::time::Timestamp;
 
@@ -170,29 +171,138 @@ pub fn extend_le_i64s(out: &mut Vec<u8>, column: &[i64]) {
     }
 }
 
-/// Decodes `count` little-endian `u64`s from `data` into a vector.
+// ---------------------------------------------------------------------------
+// The entry: one `(topic, batch)` on the wire and in the journal.
+// ---------------------------------------------------------------------------
+
+/// Bit 31 of an entry's count field marks the columnar layout, the only
+/// one written or read.
+const COLUMNAR_FLAG: u32 = 1 << 31;
+
+/// Bytes one reading occupies in an entry: its timestamp and its value.
+pub const READING_WIRE_SIZE: usize = 16;
+
+/// Appends one entry, all integers little-endian:
 ///
-/// # Panics
-/// When `data` is shorter than `count * 8` bytes (callers validate
-/// lengths before decoding columns).
-pub fn read_le_u64s(data: &[u8], count: usize) -> Vec<u64> {
-    let mut out = Vec::with_capacity(count);
-    for chunk in data[..count * 8].chunks_exact(8) {
-        out.push(u64::from_le_bytes(chunk.try_into().unwrap()));
-    }
-    out
+/// ```text
+/// [u16 topic_len] [topic utf-8] [u32 count | 0x8000_0000]
+/// [count × u64 ts] [count × i64 value]
+/// ```
+///
+/// A WAL record's payload and an entry of a node frame are this layout
+/// byte for byte. Fails, leaving `out` as it was, when the topic does
+/// not fit the length field or the count reaches the flag bit.
+pub fn push_entry(
+    out: &mut Vec<u8>,
+    topic: &str,
+    ts: &[u64],
+    values: &[i64],
+) -> Result<(), DcdbError> {
+    debug_assert_eq!(ts.len(), values.len());
+    let Ok(topic_len) = u16::try_from(topic.len()) else {
+        return Err(DcdbError::InvalidState(format!(
+            "topic of {} bytes exceeds the entry limit",
+            topic.len()
+        )));
+    };
+    let count = match u32::try_from(ts.len()) {
+        Ok(count) if count & COLUMNAR_FLAG == 0 => count,
+        _ => {
+            return Err(DcdbError::InvalidState(format!(
+                "entry of {} readings exceeds the count field",
+                ts.len()
+            )))
+        }
+    };
+    out.extend_from_slice(&topic_len.to_le_bytes());
+    out.extend_from_slice(topic.as_bytes());
+    out.extend_from_slice(&(count | COLUMNAR_FLAG).to_le_bytes());
+    extend_le_u64s(out, ts);
+    extend_le_i64s(out, values);
+    Ok(())
 }
 
-/// Decodes `count` little-endian `i64`s from `data` into a vector.
-///
-/// # Panics
-/// When `data` is shorter than `count * 8` bytes.
-pub fn read_le_i64s(data: &[u8], count: usize) -> Vec<i64> {
-    let mut out = Vec::with_capacity(count);
-    for chunk in data[..count * 8].chunks_exact(8) {
-        out.push(i64::from_le_bytes(chunk.try_into().unwrap()));
+/// One entry as [`read_entry`] found it, borrowed from the bytes: the
+/// topic is valid UTF-8 (not yet a parsed [`crate::topic::Topic`]) and
+/// both columns are exactly `len()` words long.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryRef<'a> {
+    /// The topic bytes, as written.
+    pub topic: &'a str,
+    ts: &'a [u8],
+    values: &'a [u8],
+}
+
+impl<'a> EntryRef<'a> {
+    /// An entry over a column pair already split off, each `len × 8`
+    /// bytes.
+    pub fn from_columns(topic: &'a str, ts: &'a [u8], values: &'a [u8]) -> Option<EntryRef<'a>> {
+        (ts.len() == values.len() && ts.len().is_multiple_of(8)).then_some(EntryRef {
+            topic,
+            ts,
+            values,
+        })
     }
-    out
+
+    /// Readings the entry carries.
+    pub fn len(&self) -> usize {
+        self.ts.len() / 8
+    }
+
+    /// True when the entry carries no reading.
+    pub fn is_empty(&self) -> bool {
+        self.ts.is_empty()
+    }
+
+    /// Appends the entry's readings to `batch`.
+    pub fn extend_into(&self, batch: &mut ReadingBatch) {
+        let n = self.len();
+        batch.ts.reserve(n);
+        batch.values.reserve(n);
+        for chunk in self.ts.chunks_exact(8) {
+            batch
+                .ts
+                .push(u64::from_le_bytes(chunk.try_into().expect("eight bytes")));
+        }
+        for chunk in self.values.chunks_exact(8) {
+            batch
+                .values
+                .push(i64::from_le_bytes(chunk.try_into().expect("eight bytes")));
+        }
+    }
+
+    /// The entry's readings as a batch of their own.
+    pub fn to_batch(&self) -> ReadingBatch {
+        let mut batch = ReadingBatch::with_capacity(self.len());
+        self.extend_into(&mut batch);
+        batch
+    }
+}
+
+/// Reads the entry at the start of `data` and returns it with the bytes
+/// it spans; bytes after it are the caller's (the next entry of a
+/// frame, or a record's end). `None` when the bytes cannot be an entry:
+/// too short for a header or for the columns the count declares, a
+/// topic that is not UTF-8, or the flag bit clear. Nothing is
+/// allocated, so a count field cannot size a reservation.
+pub fn read_entry(data: &[u8]) -> Option<(EntryRef<'_>, usize)> {
+    let topic_len = u16::from_le_bytes(data.get(0..2)?.try_into().ok()?) as usize;
+    let topic = std::str::from_utf8(data.get(2..2 + topic_len)?).ok()?;
+    let at = 2 + topic_len;
+    let raw_count = u32::from_le_bytes(data.get(at..at + 4)?.try_into().ok()?);
+    if raw_count & COLUMNAR_FLAG == 0 {
+        return None;
+    }
+    let count = (raw_count & !COLUMNAR_FLAG) as usize;
+    let body = &data[at + 4..];
+    if body.len() / READING_WIRE_SIZE < count {
+        return None;
+    }
+    let (ts, values) = body[..count * READING_WIRE_SIZE].split_at(count * 8);
+    Some((
+        EntryRef { topic, ts, values },
+        at + 4 + count * READING_WIRE_SIZE,
+    ))
 }
 
 #[cfg(test)]
@@ -243,6 +353,54 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_round_trips_and_spans_exactly_its_bytes() {
+        let mut buf = Vec::new();
+        push_entry(&mut buf, "/a/b", &[1, u64::MAX], &[-1, i64::MIN]).unwrap();
+        assert_eq!(buf.len(), 2 + 4 + 4 + 2 * READING_WIRE_SIZE);
+        buf.extend_from_slice(b"next");
+        let (entry, used) = read_entry(&buf).unwrap();
+        assert_eq!((entry.topic, entry.len(), used), ("/a/b", 2, buf.len() - 4));
+        assert_eq!(
+            entry.to_batch(),
+            ReadingBatch::from_columns(vec![1, u64::MAX], vec![-1, i64::MIN])
+        );
+        let mut batch = ReadingBatch::from_columns(vec![0], vec![0]);
+        entry.extend_into(&mut batch);
+        assert_eq!(batch.ts, vec![0, 1, u64::MAX]);
+        // Every cut short of the columns is refused.
+        for cut in 0..used {
+            assert!(read_entry(&buf[..cut]).is_none(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn an_entry_refuses_lying_fields() {
+        let mut buf = Vec::new();
+        push_entry(&mut buf, "/a", &[7], &[8]).unwrap();
+        let count_at = 2 + 2;
+        // The count claims more readings than the bytes hold.
+        let mut big = buf.clone();
+        big[count_at..count_at + 4].copy_from_slice(&(u32::MAX).to_le_bytes());
+        assert!(read_entry(&big).is_none());
+        // The flag bit clear: the retired row-major layout.
+        let mut rows = buf.clone();
+        rows[count_at..count_at + 4].copy_from_slice(&1u32.to_le_bytes());
+        assert!(read_entry(&rows).is_none());
+        // A topic length past the end, and a topic that is not UTF-8.
+        let mut long = buf.clone();
+        long[0..2].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert!(read_entry(&long).is_none());
+        let mut bad = buf.clone();
+        bad[2] = 0xff;
+        assert!(read_entry(&bad).is_none());
+        // The writer refuses what the fields cannot say.
+        let mut out = vec![9u8];
+        let topic = "x".repeat(u16::MAX as usize + 1);
+        assert!(push_entry(&mut out, &topic, &[], &[]).is_err());
+        assert_eq!(out, vec![9u8]);
+    }
+
+    #[test]
     fn bulk_le_round_trips() {
         let ts = vec![0u64, 1, u64::MAX, 0x0102_0304_0506_0708];
         let values = vec![0i64, -1, i64::MIN, i64::MAX];
@@ -259,7 +417,8 @@ mod tests {
             expect.extend_from_slice(&x.to_le_bytes());
         }
         assert_eq!(buf, expect);
-        assert_eq!(read_le_u64s(&buf, 4), ts);
-        assert_eq!(read_le_i64s(&buf[32..], 4), values);
+        // And reads back as an entry's columns.
+        let entry = EntryRef::from_columns("/t", &buf[..32], &buf[32..]).unwrap();
+        assert_eq!(entry.to_batch(), ReadingBatch::from_columns(ts, values));
     }
 }

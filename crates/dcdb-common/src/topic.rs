@@ -8,8 +8,31 @@
 
 use crate::error::DcdbError;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
+
+/// Leading segments that name one node: `/rack00/node03/...` belongs
+/// to `/rack00/node03`. A Pusher publishes one frame per node prefix,
+/// the Collect Agent tracks delivery staleness per node prefix, and the
+/// federation ring places topics on shards by it.
+pub const NODE_PREFIX_DEPTH: usize = 2;
+
+/// `path` truncated to its first `depth` segments, as
+/// [`Topic::prefix_str`] does for a parsed topic.
+pub fn prefix_of(path: &str, depth: usize) -> &str {
+    let depth = depth.max(1);
+    let mut segments = 0usize;
+    for (i, byte) in path.bytes().enumerate() {
+        if byte == b'/' && i > 0 {
+            segments += 1;
+            if segments == depth {
+                return &path[..i];
+            }
+        }
+    }
+    path
+}
 
 /// A normalized sensor topic: `/seg1/seg2/.../name`.
 ///
@@ -17,7 +40,9 @@ use std::sync::Arc;
 /// * starts with `/`,
 /// * no trailing `/` (except the bare root `/`),
 /// * no empty segments,
-/// * segments contain no whitespace, `+`, `#` or `/`.
+/// * segments contain no whitespace, `+`, `#` or `/`,
+/// * at most 65 535 bytes: what an entry's `u16` length field carries
+///   (see [`crate::batch::push_entry`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 #[serde(try_from = "String", into = "String")]
 pub struct Topic(Arc<str>);
@@ -52,6 +77,12 @@ impl Topic {
             }
             out.push('/');
             out.push_str(seg);
+        }
+        if out.len() > u16::MAX as usize {
+            return Err(DcdbError::Topic(format!(
+                "topic of {} bytes is longer than 65535",
+                out.len()
+            )));
         }
         Ok(Topic(out.into()))
     }
@@ -128,16 +159,14 @@ impl Topic {
     /// [`Topic::prefix`] as a slice of this topic: the same key, with
     /// no allocation.
     pub fn prefix_str(&self, depth: usize) -> &str {
-        let depth = depth.max(1);
-        let mut segments = 0usize;
-        for (i, byte) in self.0.bytes().enumerate() {
-            if byte == b'/' && i > 0 {
-                segments += 1;
-                if segments == depth {
-                    return &self.0[..i];
-                }
-            }
-        }
+        prefix_of(&self.0, depth)
+    }
+}
+
+/// A map keyed by `Topic` answers a `&str` lookup without building a
+/// `Topic`: hashing and equality are those of the string.
+impl Borrow<str> for Topic {
+    fn borrow(&self) -> &str {
         &self.0
     }
 }
@@ -190,6 +219,9 @@ mod tests {
         for bad in ["", "/", "//", "/a//b", "/a/+/b", "/a/#", "/a b/c"] {
             assert!(Topic::parse(bad).is_err(), "{bad:?} should be rejected");
         }
+        let longest = "x".repeat(u16::MAX as usize - 1);
+        assert!(Topic::parse(&longest).is_ok());
+        assert!(Topic::parse(&format!("{longest}x")).is_err());
     }
 
     #[test]
@@ -286,6 +318,21 @@ mod tests {
         assert!(!short.is_ancestor_of(&longer));
         assert!(short.is_ancestor_of(&deeper));
         assert_ne!(longer.prefix(2), short);
+    }
+
+    #[test]
+    fn a_map_of_topics_answers_a_str_lookup() {
+        let t = Topic::parse("/rack00/node03/power").unwrap();
+        let map: std::collections::HashMap<Topic, u32> = [(t.clone(), 7)].into();
+        let (key, value) = map.get_key_value("/rack00/node03/power").unwrap();
+        assert!(key.ptr_eq(&t));
+        assert_eq!(*value, 7);
+        assert!(!map.contains_key("rack00/node03/power"), "no normalization");
+        assert_eq!(
+            prefix_of("/rack00/node03/power", NODE_PREFIX_DEPTH),
+            "/rack00/node03"
+        );
+        assert_eq!(prefix_of("/rack00", NODE_PREFIX_DEPTH), "/rack00");
     }
 
     #[test]

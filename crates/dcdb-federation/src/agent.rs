@@ -49,7 +49,7 @@ use dcdb_common::error::{DcdbError, Result};
 use dcdb_common::sim::EventTrace;
 use dcdb_common::supervisor::{ConnectionState, ReconnectConfig, Supervisor};
 use dcdb_common::time::{Clock, Timestamp};
-use dcdb_common::topic::Topic;
+use dcdb_common::topic::{Topic, NODE_PREFIX_DEPTH};
 use dcdb_storage::{DurableBackend, StorageEngine};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -74,10 +74,6 @@ pub struct FederationConfig {
     /// with failover. Clamped to `1..=2`.
     pub replication_factor: usize,
 }
-
-/// Leading topic segments forming the shard key: `/rack/node` — one
-/// compute node's sensors stay together.
-const SHARD_KEY_DEPTH: usize = 2;
 
 /// Every shard's failure detector: three consecutive failures cross
 /// into `Down` and fail the shard over; a routed-down shard is probed
@@ -390,7 +386,7 @@ impl FederatedAgent {
             }));
         }
         let ids: Vec<String> = shards.iter().map(|s| s.id.clone()).collect();
-        let map = Arc::new(ShardMap::build(&ids, config.vnodes, SHARD_KEY_DEPTH));
+        let map = Arc::new(ShardMap::build(&ids, config.vnodes, NODE_PREFIX_DEPTH));
         let fed = FederatedAgent {
             shards,
             current: RwLock::new(Arc::clone(&map)),

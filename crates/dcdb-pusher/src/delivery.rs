@@ -15,7 +15,7 @@
 //!   error seen).
 //! * A bounded spool buffers what the bus refused: one FIFO entry per
 //!   [`BusConnection::deliver`] call, i.e. per Pusher tick, holding
-//!   that call's unpublished `(topic, batch)` run. Once the connection
+//!   that call's unpublished node frames. Once the connection
 //!   recovers it drains **oldest-first ahead of fresh samples**, so
 //!   consumers still see each topic in timestamp order; when full it
 //!   evicts its oldest tick.
@@ -32,13 +32,11 @@
 //! backoff and recovery behave identically under virtual-time tests and
 //! live runs.
 
-use dcdb_bus::MessageBus;
-use dcdb_common::batch::ReadingBatch;
+use dcdb_bus::{Frame, MessageBus};
 use dcdb_common::error::DcdbError;
 use dcdb_common::sim::EventTrace;
 use dcdb_common::supervisor::{ConnectionState, ReconnectConfig, Supervisor};
 use dcdb_common::time::Timestamp;
-use dcdb_common::topic::Topic;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -66,12 +64,12 @@ pub struct DeliveryConfig {
     pub spool: SpoolConfig,
 }
 
-/// What the bus did not take from one `deliver` call, front batch
+/// What the bus did not take from one `deliver` call, front frame
 /// first.
-type Tick = VecDeque<(Topic, ReadingBatch)>;
+type Tick = VecDeque<Frame>;
 
 fn readings(tick: &Tick) -> usize {
-    tick.iter().map(|(_, batch)| batch.len()).sum()
+    tick.iter().map(|frame| frame.readings).sum()
 }
 
 /// Bounded FIFO of refused ticks.
@@ -129,22 +127,22 @@ impl Spool {
         Some(evicted)
     }
 
-    /// Republishes the stored batches oldest-first until `publish`
-    /// refuses one; that batch and the rest of its tick stay at the
+    /// Republishes the stored frames oldest-first until `publish`
+    /// refuses one; that frame and the rest of its tick stay at the
     /// front. Returns the readings drained and the refusal, if any.
     fn drain(
         &mut self,
-        mut publish: impl FnMut(&Topic, &ReadingBatch) -> Result<(), DcdbError>,
+        mut publish: impl FnMut(&Frame) -> Result<(), DcdbError>,
     ) -> (usize, Option<DcdbError>) {
         let mut drained = 0;
         let mut refusal = None;
         'ticks: while let Some(tick) = self.ticks.front_mut() {
-            while let Some((topic, batch)) = tick.front() {
-                if let Err(e) = publish(topic, batch) {
+            while let Some(frame) = tick.front() {
+                if let Err(e) = publish(frame) {
                     refusal = Some(e);
                     break 'ticks;
                 }
-                drained += batch.len();
+                drained += frame.readings;
                 tick.pop_front();
             }
             self.ticks.pop_front();
@@ -258,18 +256,15 @@ impl BusConnection {
         self.supervisor.on_failure(now_ns);
     }
 
-    /// Delivers one tick's worth of per-topic batches.
+    /// Delivers one tick's node frames, one publish and one
+    /// supervisor outcome per frame.
     ///
-    /// The spool drains oldest-first *before* any fresh batch is
-    /// offered; if any publish fails, the fresh batches not yet taken
+    /// The spool drains oldest-first *before* any fresh frame is
+    /// offered; if any publish fails, the fresh frames not yet taken
     /// are spooled as one tick, so per-topic order is never inverted.
     /// While `Down`, nothing touches the bus until the backoff expires —
-    /// then the oldest spooled batch doubles as the reconnect probe.
-    pub fn deliver(
-        &mut self,
-        now: Timestamp,
-        fresh: Vec<(Topic, ReadingBatch)>,
-    ) -> DeliveryOutcome {
+    /// then the oldest spooled frame doubles as the reconnect probe.
+    pub fn deliver(&mut self, now: Timestamp, fresh: Vec<Frame>) -> DeliveryOutcome {
         // The newest tick absorbs out-of-order ones: the effective `now`
         // is monotonic, so backoff timers never rewind.
         self.now_ns = self.now_ns.max(now.as_nanos());
@@ -282,8 +277,8 @@ impl BusConnection {
 
         // Phase 1: drain the spool, oldest tick first.
         let (bus, supervisor) = (&self.bus, &mut self.supervisor);
-        let (drained, refusal) = self.spool.drain(|topic, batch| {
-            bus.publish_batch(topic.clone(), batch)?;
+        let (drained, refusal) = self.spool.drain(|frame| {
+            bus.publish(frame.topic.clone(), frame.payload.clone())?;
             supervisor.on_success(now_ns);
             Ok(())
         });
@@ -296,28 +291,32 @@ impl BusConnection {
             return out;
         }
 
-        // Phase 2: the spool is empty, so fresh batches go straight out
+        // Phase 2: the spool is empty, so fresh frames go straight out
         // until the bus refuses one.
-        let mut fresh: Tick = fresh.into();
-        while let Some((topic, batch)) = fresh.pop_front() {
-            match self.bus.publish_batch(topic.clone(), &batch) {
+        let mut taken = 0;
+        for frame in &fresh {
+            match self.bus.publish(frame.topic.clone(), frame.payload.clone()) {
                 Ok(()) => {
-                    out.published += batch.len() as u64;
+                    out.published += frame.readings as u64;
                     self.supervisor.on_success(now_ns);
+                    taken += 1;
                 }
                 Err(e) => {
                     out.refused_attempts += 1;
                     self.on_failure(now_ns, e.to_string());
-                    fresh.push_front((topic, batch));
                     break;
                 }
             }
         }
-        self.park(fresh, &mut out);
+        if taken < fresh.len() {
+            let mut rest: Tick = fresh.into();
+            rest.drain(..taken);
+            self.park(rest, &mut out);
+        }
         out
     }
 
-    /// Spools what is left of this call's batches as one tick.
+    /// Spools what is left of this call's frames as one tick.
     fn park(&mut self, rest: Tick, out: &mut DeliveryOutcome) {
         if rest.is_empty() {
             return;
@@ -352,9 +351,13 @@ impl BusConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcdb_bus::{decode_batch, Broker, ChaosBus, ChaosConfig, Subscription};
+    use dcdb_bus::{
+        decode_frame, Broker, ChaosBus, ChaosConfig, FrameBuilder, Message, Subscription,
+        TopicFilter,
+    };
     use dcdb_common::reading::SensorReading;
     use dcdb_common::time::Clock;
+    use dcdb_common::topic::Topic;
 
     fn t(s: &str) -> Topic {
         Topic::parse(s).unwrap()
@@ -368,8 +371,24 @@ mod tests {
         SensorReading::new(value, ms(at_ms))
     }
 
-    fn b(rows: &[SensorReading]) -> ReadingBatch {
-        ReadingBatch::from_readings(rows)
+    /// One tick's frames: each topic's readings, framed by node prefix.
+    fn frames(rows: &[(&str, &[SensorReading])]) -> Vec<Frame> {
+        let mut builder = FrameBuilder::default();
+        for (topic, readings) in rows {
+            for reading in *readings {
+                builder.push(&t(topic), *reading);
+            }
+        }
+        builder.finish()
+    }
+
+    /// The values a message carries, over all its entries.
+    fn values(msg: &Message) -> Vec<i64> {
+        decode_frame(msg, &TopicFilter::parse("/#").unwrap())
+            .unwrap()
+            .into_iter()
+            .flat_map(|(_, batch)| batch.values)
+            .collect()
     }
 
     fn chaos_conn(
@@ -388,7 +407,7 @@ mod tests {
             chaos_conn(ChaosConfig::quiet(1), DeliveryConfig::default());
         let sub = broker.handle().subscribe_str("/#").unwrap();
         chaos.advance(ms(10));
-        let out = conn.deliver(ms(10), vec![(t("/a/power"), b(&[r(1, 10)]))]);
+        let out = conn.deliver(ms(10), frames(&[("/a/power", &[r(1, 10)])]));
         assert_eq!(out.published, 1);
         assert_eq!(out.spooled, 0);
         assert_eq!(conn.state(), ConnectionState::Up);
@@ -415,7 +434,7 @@ mod tests {
         // Healthy tick, then three ticks inside the outage.
         for (tick, at) in [(1i64, 50u64), (2, 150), (3, 250), (4, 350)] {
             chaos.advance(ms(at));
-            conn.deliver(ms(at), vec![(t("/a/power"), b(&[r(tick, at)]))]);
+            conn.deliver(ms(at), frames(&[("/a/power", &[r(tick, at)])]));
         }
         assert_eq!(conn.state(), ConnectionState::Down);
         assert_eq!(conn.spool_depth(), 3);
@@ -425,16 +444,12 @@ mod tests {
         // succeeds and everything arrives, oldest first, ahead of the
         // fresh tick-5 sample.
         chaos.advance(ms(450));
-        let out = conn.deliver(ms(450), vec![(t("/a/power"), b(&[r(5, 450)]))]);
+        let out = conn.deliver(ms(450), frames(&[("/a/power", &[r(5, 450)])]));
         assert_eq!(out.published, 4);
         assert_eq!(out.drained, 3);
         assert_eq!(conn.state(), ConnectionState::Up);
         assert_eq!(conn.metrics().reconnects, 1);
-        let values: Vec<i64> = sub
-            .drain()
-            .into_iter()
-            .flat_map(|m| decode_batch(m.payload).unwrap().values)
-            .collect();
+        let values: Vec<i64> = sub.drain().into_iter().flat_map(|m| values(&m)).collect();
         assert_eq!(values, vec![1, 2, 3, 4, 5]);
     }
 
@@ -455,20 +470,20 @@ mod tests {
         );
 
         chaos.advance(ms(100));
-        conn.deliver(ms(100), vec![(t("/a/x"), b(&[r(1, 100)]))]);
+        conn.deliver(ms(100), frames(&[("/a/x", &[r(1, 100)])]));
         assert_eq!(conn.state(), ConnectionState::Down);
         let refused_after_first = chaos.metrics().refused_total();
 
         // Before the probe time nothing touches the bus.
         chaos.advance(ms(600));
-        conn.deliver(ms(600), vec![(t("/a/x"), b(&[r(2, 600)]))]);
+        conn.deliver(ms(600), frames(&[("/a/x", &[r(2, 600)])]));
         assert_eq!(chaos.metrics().refused_total(), refused_after_first);
         assert_eq!(conn.spool_depth(), 2);
 
         // Past the backoff the probe runs (and fails: outage persists),
         // growing the backoff.
         chaos.advance(ms(1200));
-        conn.deliver(ms(1200), vec![(t("/a/x"), b(&[r(3, 1200)]))]);
+        conn.deliver(ms(1200), frames(&[("/a/x", &[r(3, 1200)])]));
         let m = conn.metrics();
         assert_eq!(chaos.metrics().refused_total(), refused_after_first + 1);
         assert_eq!(m.failed_probes, 1);
@@ -490,7 +505,7 @@ mod tests {
         for i in 0..10u64 {
             let at = 10 + i * 10;
             chaos.advance(ms(at));
-            let out = conn.deliver(ms(at), vec![(t("/a/x"), b(&[r(i as i64, at)]))]);
+            let out = conn.deliver(ms(at), frames(&[("/a/x", &[r(i as i64, at)])]));
             totals.published += out.published;
             totals.spool_dropped += out.spool_dropped;
             totals.final_errors += out.final_errors;
@@ -517,7 +532,7 @@ mod tests {
             },
         );
         chaos.advance(ms(10));
-        let out = conn.deliver(ms(10), vec![(t("/a/x"), b(&[r(1, 10), r(2, 10)]))]);
+        let out = conn.deliver(ms(10), frames(&[("/a/x", &[r(1, 10), r(2, 10)])]));
         assert_eq!(out.final_errors, 2);
         assert_eq!(out.spooled, 0);
         assert_eq!(conn.spool_depth(), 0);
@@ -541,25 +556,22 @@ mod tests {
         (chaos, sub, conn)
     }
 
-    /// One tick over `topics` topics, each batch one reading valued
-    /// `tick * 100 + topic`.
-    fn tick(tick: u64, topics: u64) -> Vec<(Topic, ReadingBatch)> {
-        (0..topics)
-            .map(|k| {
-                let v = (tick * 100 + k) as i64;
-                (t(&format!("/n/s{k}")), b(&[r(v, tick * 1000)]))
-            })
-            .collect()
+    /// One tick over `topics` nodes `/n/s<k>`, each frame one reading
+    /// valued `tick * 100 + k`.
+    fn tick(tick: u64, topics: u64) -> Vec<Frame> {
+        let mut builder = FrameBuilder::default();
+        for k in 0..topics {
+            let v = (tick * 100 + k) as i64;
+            builder.push(&t(&format!("/n/s{k}")), r(v, tick * 1000));
+        }
+        builder.finish()
     }
 
     /// Each message as `(topic, values)`, in arrival order.
     fn arrivals(sub: &Subscription) -> Vec<(String, Vec<i64>)> {
         sub.drain()
             .into_iter()
-            .map(|m| {
-                let values = decode_batch(m.payload).unwrap().values;
-                (m.topic.as_str().to_string(), values)
-            })
+            .map(|m| (m.topic.as_str().to_string(), values(&m)))
             .collect()
     }
 
@@ -579,9 +591,15 @@ mod tests {
         assert_eq!((out.published, out.drained), ((n + 1) * k, n * k));
         let want: Vec<(String, Vec<i64>)> = (1..=n + 1)
             .flat_map(|i| tick(i, k))
-            .map(|(topic, batch)| (topic.as_str().to_string(), batch.values))
+            .map(|frame| {
+                let msg = Message {
+                    topic: frame.topic,
+                    payload: frame.payload,
+                };
+                (msg.topic.as_str().to_string(), values(&msg))
+            })
             .collect();
-        assert_eq!(arrivals(&sub), want, "N x K batches, then the fresh tick");
+        assert_eq!(arrivals(&sub), want, "N x K frames, then the fresh tick");
         assert_eq!(conn.spool_depth(), 0);
     }
 
@@ -650,7 +668,7 @@ mod tests {
         );
         for at in (0..=4000).step_by(500) {
             chaos.advance(ms(at));
-            conn.deliver(ms(at), vec![(t("/a/x"), b(&[r(1, at)]))]);
+            conn.deliver(ms(at), frames(&[("/a/x", &[r(1, at)])]));
         }
         let m = conn.metrics();
         assert_eq!(conn.state(), ConnectionState::Up);

@@ -22,23 +22,20 @@
 //! failures is quarantined — sampled only by probes 2, 4, 8, …
 //! intervals apart (capped at 64) until one succeeds — while the
 //! remaining plugins and the operator tick keep running. Everything a
-//! Pusher publishes, sampled or derived, is batched per topic and
-//! routed through one [`BusConnection`], which spools refused readings
-//! and drains them oldest-first on recovery.
+//! Pusher publishes, sampled or derived, is appended to one node frame
+//! per node prefix and tick ([`FrameBuilder`]) and routed through one
+//! [`BusConnection`], which spools refused frames and drains them
+//! oldest-first on recovery.
 
 use crate::delivery::{BusConnection, DeliveryConfig, DeliveryMetricsSnapshot};
 use crate::plugins::MonitoringPlugin;
-use dcdb_bus::{BusHandle, MessageBus};
-use dcdb_common::batch::ReadingBatch;
+use dcdb_bus::{BusHandle, FrameBuilder, MessageBus};
 use dcdb_common::cache::SensorCache;
 use dcdb_common::error::Result;
-use dcdb_common::reading::SensorReading;
 use dcdb_common::supervisor::{ConnectionState, Supervisor};
 use dcdb_common::time::Timestamp;
-use dcdb_common::topic::Topic;
 use dcdb_rest::Router;
 use parking_lot::Mutex;
-use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wintermute::prelude::*;
@@ -150,6 +147,9 @@ pub struct Pusher {
     plugins: Vec<PluginSlot>,
     manager: Arc<OperatorManager>,
     connection: Option<Mutex<BusConnection>>,
+    /// The tick's node frames; its own lock, so counter readers never
+    /// wait on a tick.
+    frames: Mutex<FrameBuilder>,
     sampled: AtomicU64,
     derived: AtomicU64,
     published: AtomicU64,
@@ -184,6 +184,7 @@ impl Pusher {
             plugins: Vec::new(),
             manager,
             connection,
+            frames: Mutex::default(),
             sampled: AtomicU64::new(0),
             derived: AtomicU64::new(0),
             published: AtomicU64::new(0),
@@ -238,25 +239,14 @@ impl Pusher {
 
     /// One tick: sample due monitoring plugins (isolating failures),
     /// cache their readings, run due Wintermute operators, then deliver
-    /// the samples followed by the operators' outputs in per-topic
-    /// batches through the supervised connection. The returned report's
-    /// `outputs` are empty: they left with the samples.
+    /// the samples followed by the operators' outputs, one entry each in
+    /// the node frame of their prefix, through the supervised
+    /// connection. The returned report's `outputs` are empty: they left
+    /// with the samples.
     pub fn tick(&self, now: Timestamp) -> Result<TickReport> {
         let interval_ns = self.config.sampling_interval_ms * 1_000_000;
         let publishing = self.config.publish && self.connection.is_some();
-        // Per-topic batches accumulated across every due plugin and
-        // then every operator run this tick; publish order follows
-        // first sight of a topic, `slots` finds a topic's batch without
-        // scanning them.
-        let mut batches: Vec<(Topic, ReadingBatch)> = Vec::new();
-        let mut slots: HashMap<Topic, usize> = HashMap::new();
-        let mut batch = |topic: Topic, reading: SensorReading| match slots.entry(topic) {
-            Entry::Occupied(slot) => batches[*slot.get()].1.push(reading.value, reading.ts),
-            Entry::Vacant(slot) => {
-                batches.push((slot.key().clone(), std::iter::once(reading).collect()));
-                slot.insert(batches.len() - 1);
-            }
-        };
+        let mut frames = self.frames.lock();
         for slot in &self.plugins {
             let due = slot.next_due.load(Ordering::Acquire);
             if due > now.as_nanos() {
@@ -303,8 +293,8 @@ impl Pusher {
                 self.query_engine().insert(topic, *reading);
             }
             if publishing {
-                for (topic, reading) in samples {
-                    batch(topic, reading);
+                for (topic, reading) in &samples {
+                    frames.push(topic, *reading);
                 }
             } else {
                 self.unpublished
@@ -317,16 +307,16 @@ impl Pusher {
         let derived = outputs.iter().map(Vec::len).sum::<usize>() as u64;
         self.derived.fetch_add(derived, Ordering::Relaxed);
         if publishing {
-            for (topic, reading) in outputs.into_iter().flatten() {
-                batch(topic, reading);
+            for (topic, reading) in outputs.iter().flatten() {
+                frames.push(topic, *reading);
             }
         } else {
             self.unpublished.fetch_add(derived, Ordering::Relaxed);
         }
 
         if let Some(connection) = &self.connection {
-            if publishing && !batches.is_empty() {
-                let out = connection.lock().deliver(now, batches);
+            if publishing && !frames.is_empty() {
+                let out = connection.lock().deliver(now, frames.finish());
                 self.published.fetch_add(out.published, Ordering::Relaxed);
                 self.publish_errors
                     .fetch_add(out.refused_attempts, Ordering::Relaxed);
@@ -411,8 +401,10 @@ mod tests {
     use super::*;
     use crate::delivery::SpoolConfig;
     use crate::plugins::{FlakyMonitoringPlugin, SimMonitoringPlugin, TesterMonitoringPlugin};
-    use dcdb_bus::{Broker, ChaosBus, ChaosConfig};
+    use dcdb_bus::{decode_frame, Broker, ChaosBus, ChaosConfig, Message, TopicFilter};
+    use dcdb_common::reading::SensorReading;
     use dcdb_common::supervisor::ReconnectConfig;
+    use dcdb_common::topic::Topic;
     use sim_cluster::{ClusterConfig, ClusterSimulator};
 
     fn t(s: &str) -> Topic {
@@ -447,8 +439,11 @@ mod tests {
         assert_eq!(stats.sampled, 22); // 6 node-level + 16 core sensors
         assert_eq!(stats.published, 22);
         assert!(stats.delivery_conserved(), "{stats:?}");
-        // Batched per topic: 22 readings over 22 distinct topics.
-        assert_eq!(sub.queued(), 22);
+        // One node, one frame: 22 readings over 22 topics in 1 message.
+        assert_eq!(sub.queued(), 1);
+        let frame = sub.try_recv().unwrap();
+        assert_eq!(frame.topic, t("/rack00/node00"));
+        assert_eq!(entries(&frame, "/#").len(), 22);
         // Local cache has the data.
         let got = pusher
             .query_engine()
@@ -538,11 +533,10 @@ mod tests {
         assert_eq!((stats.sampled, stats.derived), (4 * 22, 4 + 1));
         assert_eq!(stats.published, stats.sampled + stats.derived);
         assert!(stats.delivery_conserved(), "{stats:?}");
-        let avg2 = t("/rack00/node00/power-avg2");
         let sent: Vec<_> = sub
             .drain()
-            .into_iter()
-            .filter(|m| m.topic == avg2)
+            .iter()
+            .flat_map(|m| entries(m, "/rack00/node00/power-avg2"))
             .collect();
         assert_eq!(sent.len(), 1, "the second stage published over the bus");
     }
@@ -609,13 +603,23 @@ mod tests {
         }
     }
 
-    /// The per-topic grouping is indexed, not scanned: at the paper's
-    /// 1 000-sensor tester Pusher the publish order (first sight of a
-    /// topic), the batch contents and the counters are what the linear
-    /// scan produced, including for a topic sampled again later in the
-    /// same plugin and by a second plugin.
+    /// Each frame's entries as `(topic, value)`, in frame order, picked
+    /// with `filter`.
+    fn entries(msg: &Message, filter: &str) -> Vec<(Topic, i64)> {
+        decode_frame(msg, &TopicFilter::parse(filter).unwrap())
+            .unwrap()
+            .into_iter()
+            .flat_map(|(topic, batch)| batch.values.into_iter().map(move |v| (topic.clone(), v)))
+            .collect()
+    }
+
+    /// At the paper's 1 000-sensor tester Pusher, here with one node
+    /// prefix per sensor, a tick publishes one frame per prefix in the
+    /// order the prefixes were first sampled, each reading an entry in
+    /// sampling order, including a topic sampled again later in the
+    /// same plugin and one sampled by a second plugin.
     #[test]
-    fn thousand_sensor_tick_groups_repeated_topics_in_first_seen_order() {
+    fn thousand_sensor_tick_frames_each_node_in_first_seen_order() {
         let broker = Broker::new();
         let mut pusher = Pusher::new(PusherConfig::default(), Some(broker.handle()));
         let topic = |i: usize| t(&format!("/host/s{i:04}/value"));
@@ -633,19 +637,18 @@ mod tests {
         assert_eq!(stats.sampled, 1003);
         assert_eq!(stats.published, 1003);
         assert!(stats.delivery_conserved(), "{stats:?}");
-        let got: Vec<(Topic, Vec<i64>)> = sub
+        let got: Vec<(Topic, Vec<(Topic, i64)>)> = sub
             .drain()
-            .into_iter()
-            .map(|m| {
-                let batch = dcdb_bus::decode_batch(m.payload).unwrap();
-                (m.topic, batch.iter().map(|r| r.value).collect())
-            })
+            .iter()
+            .map(|m| (m.topic.clone(), entries(m, "/#")))
             .collect();
-        let mut want: Vec<(Topic, Vec<i64>)> =
-            (0..1000).map(|i| (topic(i), vec![i as i64])).collect();
-        want[5].1.push(-1);
-        want[7].1.push(-2);
-        want.push((t("/host/late/value"), vec![-3]));
+        let node = |i: usize| t(&format!("/host/s{i:04}"));
+        let mut want: Vec<(Topic, Vec<(Topic, i64)>)> = (0..1000)
+            .map(|i| (node(i), vec![(topic(i), i as i64)]))
+            .collect();
+        want[5].1.push((topic(5), -1));
+        want[7].1.push((topic(7), -2));
+        want.push((t("/host/late"), vec![(t("/host/late/value"), -3)]));
         assert_eq!(got, want);
     }
 
@@ -829,15 +832,16 @@ mod tests {
         assert!(stats.publish_errors > 0, "the refusals were observed");
         assert!(stats.delivery_conserved(), "{stats:?}");
         // Per-topic timestamp order survived the outage.
-        let mut last_ts_per_topic: std::collections::HashMap<String, u64> = Default::default();
+        let mut last_ts_per_topic: std::collections::HashMap<Topic, u64> = Default::default();
         for msg in sub.drain() {
-            for ts in dcdb_bus::decode_batch(msg.payload).unwrap().ts {
-                let last = last_ts_per_topic
-                    .entry(msg.topic.as_str().to_string())
-                    .or_insert(0);
-                assert!(ts > *last, "out of order on {}", msg.topic);
-                *last = ts;
+            for (topic, batch) in decode_frame(&msg, sub.filter()).unwrap() {
+                for ts in batch.ts {
+                    let last = last_ts_per_topic.entry(topic.clone()).or_insert(0);
+                    assert!(ts > *last, "out of order on {topic}");
+                    *last = ts;
+                }
             }
         }
+        assert_eq!(last_ts_per_topic.len(), 3);
     }
 }

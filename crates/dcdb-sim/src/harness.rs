@@ -27,8 +27,8 @@ use crate::ledger::{AnswerReport, Ledger};
 use crate::operators::FaultyPlugin;
 use crate::report::{CounterSummary, IdentityReport, ScenarioReport, SloReport};
 use crate::scenario::{LaneSet, Scale, Scenario};
-use dcdb_bus::{ChaosBus, ChaosConfig, MessageBus};
-use dcdb_common::batch::ReadingBatch;
+use dcdb_bus::{ChaosBus, ChaosConfig, FrameBuilder, MessageBus};
+use dcdb_common::reading::SensorReading;
 use dcdb_common::sim::{derive_seed, lanes, xorshift, EventTrace, SimScheduler};
 use dcdb_common::supervisor::ReconnectConfig;
 use dcdb_common::time::{Clock, Timestamp};
@@ -190,6 +190,7 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
     let mut pending_rejoins: Vec<usize> = Vec::new();
     let mut last_promotions = vec![0u64; agents];
     let sub_ns = (rm_ns / topology.racks as u64).max(1);
+    let mut frames = FrameBuilder::default();
 
     for round in 1..=rounds {
         let round_start = (round - 1) * rm_ns;
@@ -214,8 +215,8 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
                 );
             }
             // This rack's fresh readings, decimated under a thermal
-            // throttle, one single-reading batch per node topic so
-            // readings and publish attempts stay unit-aligned.
+            // throttle, one single-reading frame per node, as each
+            // node's Pusher would send it.
             let mut fresh = Vec::with_capacity(topology.nodes_per_rack);
             for (node, topic) in topics
                 .iter()
@@ -228,12 +229,11 @@ pub fn run_scenario(scenario: &Scenario, seed: u64, scale: Scale) -> ScenarioRep
                         continue;
                     }
                 }
-                fresh.push((
-                    topic.clone(),
-                    ReadingBatch::from_columns(vec![vns], vec![round as i64]),
-                ));
+                frames.push(topic, SensorReading::new(round as i64, Timestamp(vns)));
+                fresh.extend(frames.finish());
             }
-            counters.offered += fresh.len() as u64;
+            counters.offered += fresh.iter().map(|f| f.readings as u64).sum::<u64>();
+            counters.offered_frames += fresh.len() as u64;
             let out = conn.deliver(Timestamp(vns), fresh);
             counters.published += out.published;
             counters.delivery_final_errors += out.final_errors;
@@ -776,7 +776,8 @@ fn finish(
     } else {
         (counters.queries - counters.partial_queries) as f64 / counters.queries as f64
     };
-    let drop_ratio = counters.chaos_dropped as f64 / counters.offered.max(1) as f64;
+    // The chaos layer drops whole messages, so the ratio is in frames.
+    let drop_ratio = counters.chaos_dropped as f64 / counters.offered_frames.max(1) as f64;
     let shed_ratio = counters.storage_shed as f64 / counters.fed_publishes.max(1) as f64;
     let failovers_resolved = fed_stats.shards_up == agents
         && counters.promotions == counters.kills

@@ -13,7 +13,8 @@
 
 use bytes::Bytes;
 use dcdb_bus::{
-    decode_batch, BusStatsSnapshot, MessageBus, SubscribeOptions, Subscription, TopicFilter,
+    decode_frame, BusStatsSnapshot, Message, MessageBus, SubscribeOptions, Subscription,
+    TopicFilter,
 };
 use dcdb_common::error::DcdbError;
 use dcdb_common::reading::SensorReading;
@@ -62,6 +63,8 @@ impl AnswerReport {
 /// The recording bus over the federation front door.
 pub struct Ledger {
     inner: Arc<dyn MessageBus>,
+    /// Every entry of a frame is recorded.
+    all: TopicFilter,
     held: Mutex<BTreeMap<Topic, BTreeMap<u64, i64>>>,
     shed_at_kill: Mutex<BTreeSet<(Topic, u64)>>,
 }
@@ -71,6 +74,7 @@ impl Ledger {
     pub fn over(inner: Arc<dyn MessageBus>) -> Ledger {
         Ledger {
             inner,
+            all: TopicFilter::parse("/#").expect("valid filter"),
             held: Mutex::default(),
             shed_at_kill: Mutex::default(),
         }
@@ -123,10 +127,12 @@ impl Ledger {
 impl MessageBus for Ledger {
     fn publish(&self, topic: Topic, payload: Bytes) -> Result<(), DcdbError> {
         self.inner.publish(topic.clone(), payload.clone())?;
-        if let Ok(batch) = decode_batch(payload) {
+        if let Ok(entries) = decode_frame(&Message { topic, payload }, &self.all) {
             let mut held = self.held.lock();
-            let series = held.entry(topic).or_default();
-            series.extend(batch.iter().map(|r| (r.ts.as_nanos(), r.value)));
+            for (topic, batch) in entries {
+                let series = held.entry(topic).or_default();
+                series.extend(batch.iter().map(|r| (r.ts.as_nanos(), r.value)));
+            }
         }
         Ok(())
     }

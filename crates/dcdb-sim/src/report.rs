@@ -120,8 +120,11 @@ impl IdentityReport {
 /// witness.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct CounterSummary {
-    /// Readings handed to the delivery tier as fresh batches.
+    /// Readings handed to the delivery tier in fresh frames.
     pub offered: u64,
+    /// Fresh frames handed to the delivery tier: one per node and
+    /// round.
+    pub offered_frames: u64,
     /// Readings the delivery tier published (fresh + drained re-sends).
     pub published: u64,
     /// Readings evicted from spools (overflow policy).
@@ -184,7 +187,8 @@ pub struct CounterSummary {
 pub struct SloReport {
     /// Fraction of queries whose envelope was complete.
     pub complete_query_ratio: f64,
-    /// Chaos-layer silent losses over readings offered.
+    /// Chaos-layer silent losses over frames offered: the chaos layer
+    /// drops whole messages.
     pub drop_ratio: f64,
     /// Readings shed by storage over publishes the federation accepted.
     pub shed_ratio: f64,

@@ -33,7 +33,10 @@
 //! everything before it is recovered, everything after is discarded
 //! (it was never acknowledged durable).
 //!
-//! The packed timestamp and value columns of a [`ReadingBatch`] land in
+//! The payload is one entry as [`dcdb_common::batch::push_entry`] writes
+//! it — the layout a node frame on the bus carries its entries in — and
+//! replay reads it back with [`dcdb_common::batch::read_entry`]. The
+//! packed timestamp and value columns of a [`ReadingBatch`] land in
 //! the record via two bulk little-endian copies instead of a
 //! per-reading loop, assembled in a scratch buffer reused across
 //! appends. Bit 31 of the count field marks the columnar layout — the
@@ -84,9 +87,7 @@
 
 use crate::crc::crc32;
 use crate::io::{IoFile, StorageIo};
-use dcdb_common::batch::{
-    extend_le_i64s, extend_le_u64s, read_le_i64s, read_le_u64s, ReadingBatch,
-};
+use dcdb_common::batch::{push_entry, read_entry, ReadingBatch};
 use dcdb_common::error::{DcdbError, Result};
 use dcdb_common::topic::Topic;
 use std::borrow::Borrow;
@@ -103,9 +104,6 @@ pub const WAL_MAGIC: &[u8; 8] = b"DCDBWAL1";
 /// discarded as a torn tail.
 const MAX_PAYLOAD: u32 = 1 << 30;
 
-/// Bit 31 of the record count field marks a columnar payload.
-const COLUMNAR_FLAG: u32 = 1 << 31;
-
 /// Payload bytes of a record carrying `readings` readings under a
 /// `topic_len`-byte topic, or `None` when [`replay_with`] would refuse a
 /// record that long.
@@ -115,10 +113,11 @@ fn payload_len(topic_len: usize, readings: usize) -> Option<usize> {
 }
 
 /// Appends one CRC-framed record for `(topic, batch)` to `buf`, which
-/// is left as it was when the record is past the size limit.
+/// is left as it was when the record is past the size limit. The
+/// payload is one [`push_entry`].
 fn push_record(buf: &mut Vec<u8>, topic: &Topic, batch: &ReadingBatch) -> Result<()> {
-    let topic_bytes = topic.as_str().as_bytes();
-    let Some(payload_len) = payload_len(topic_bytes.len(), batch.len()) else {
+    let topic = topic.as_str();
+    let Some(payload_len) = payload_len(topic.len(), batch.len()) else {
         return Err(DcdbError::InvalidState(format!(
             "batch of {} readings exceeds the WAL record limit",
             batch.len()
@@ -128,11 +127,10 @@ fn push_record(buf: &mut Vec<u8>, topic: &Topic, batch: &ReadingBatch) -> Result
     buf.reserve(8 + payload_len);
     buf.extend_from_slice(&(payload_len as u32).to_le_bytes());
     buf.extend_from_slice(&[0u8; 4]); // CRC placeholder
-    buf.extend_from_slice(&(topic_bytes.len() as u16).to_le_bytes());
-    buf.extend_from_slice(topic_bytes);
-    buf.extend_from_slice(&(batch.len() as u32 | COLUMNAR_FLAG).to_le_bytes());
-    extend_le_u64s(buf, &batch.ts);
-    extend_le_i64s(buf, &batch.values);
+    if let Err(err) = push_entry(buf, topic, &batch.ts, &batch.values) {
+        buf.truncate(start);
+        return Err(err);
+    }
     let crc = crc32(&buf[start + 8..]);
     buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
     Ok(())
@@ -600,39 +598,19 @@ pub fn replay_with(
     }
 }
 
+/// A record's payload is exactly one entry under a valid topic.
 fn decode_payload(payload: &[u8]) -> Option<(Topic, ReadingBatch)> {
-    if payload.len() < 6 {
+    let (entry, used) = read_entry(payload)?;
+    if used != payload.len() {
         return None;
     }
-    let topic_len = u16::from_le_bytes(payload[0..2].try_into().unwrap()) as usize;
-    if payload.len() < 2 + topic_len + 4 {
-        return None;
-    }
-    let topic = Topic::parse(std::str::from_utf8(&payload[2..2 + topic_len]).ok()?).ok()?;
-    let raw_count = u32::from_le_bytes(
-        payload[2 + topic_len..2 + topic_len + 4]
-            .try_into()
-            .unwrap(),
-    );
-    if raw_count & COLUMNAR_FLAG == 0 {
-        return None;
-    }
-    let count = (raw_count & !COLUMNAR_FLAG) as usize;
-    let body = &payload[2 + topic_len + 4..];
-    if body.len() != count * 16 {
-        return None;
-    }
-    let batch = ReadingBatch::from_columns(
-        read_le_u64s(body, count),
-        read_le_i64s(&body[count * 8..], count),
-    );
-    Some((topic, batch))
+    Some((Topic::parse(entry.topic).ok()?, entry.to_batch()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{FaultConfig, FaultIo, StdIo};
+    use crate::io::{FaultConfig, FaultIo, MemIo, StdIo};
     use dcdb_common::reading::SensorReading;
     use dcdb_common::time::Timestamp;
     use std::fs::OpenOptions;
@@ -1087,5 +1065,49 @@ mod tests {
         assert_eq!(got[1].1, b(&[r(2, 2)]));
         assert!(rep.good_len > good);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The journal's bytes are a format: a fixed seeded group, written
+    /// as one group and then entry by entry, hashes to the value pinned
+    /// when the record layout was last changed.
+    #[test]
+    fn the_journal_bytes_of_a_seeded_group_are_pinned() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let group: Vec<(Topic, ReadingBatch)> = (0..48)
+            .map(|k| {
+                let topic = t(&format!(
+                    "/rack{:02}/node{:02}/s{:03}",
+                    k % 3,
+                    k % 7,
+                    next() % 500
+                ));
+                let n = (next() % 6) as usize;
+                let ts = (0..n).map(|_| next()).collect();
+                let values = (0..n).map(|_| next() as i64).collect();
+                (topic, ReadingBatch::from_columns(ts, values))
+            })
+            .collect();
+        let io = MemIo::default();
+        let path = Path::new("/pin/wal-1.log");
+        let mut w = WalWriter::create_with(&io, path, FsyncPolicy::Never).unwrap();
+        assert_eq!(w.append_group(&group).unwrap(), group.len());
+        for (topic, batch) in &group {
+            w.append_batch(topic, batch).unwrap();
+        }
+        drop(w);
+        let bytes = io.read(path).unwrap();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(
+            (bytes.len(), format!("{fnv:016x}")),
+            (6760, "830fe8c008cb0779".to_string())
+        );
     }
 }

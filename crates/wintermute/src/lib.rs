@@ -71,7 +71,9 @@ pub mod prelude {
         compute_all_units, finite_output, ComputeContext, Operator, OperatorMode, Output, UnitMode,
     };
     pub use crate::plugin::{instantiate, OperatorPlugin, PluginConfig, WintermuteConfig};
-    pub use crate::query::{AggFunc, AggPlan, AggSeries, QueryEngine, QueryMode, QueryStats};
+    pub use crate::query::{
+        AggFunc, AggPlan, AggSeries, KnownTopics, QueryEngine, QueryMode, QueryStats,
+    };
     pub use crate::tree::{LevelSpec, SensorNavigator};
     pub use crate::unit::{resolve_units, PatternExpr, Resolution, Unit, UnitTemplate};
 }

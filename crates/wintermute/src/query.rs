@@ -183,6 +183,17 @@ fn cached(
     }
 }
 
+/// The sensors a [`QueryEngine`] caches, by topic string; see
+/// [`QueryEngine::with_known_topics`].
+pub struct KnownTopics<'a>(&'a HashMap<Topic, Arc<SensorCache>>);
+
+impl KnownTopics<'_> {
+    /// The engine's `Topic` spelled `topic`, if it caches that sensor.
+    pub fn get(&self, topic: &str) -> Option<&Topic> {
+        self.0.get_key_value(topic).map(|(known, _)| known)
+    }
+}
+
 /// Distinguishes engines, so a unit bound in one is not read in another.
 static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -321,6 +332,15 @@ impl QueryEngine {
             self.storage_errors.fetch_add(refused, Ordering::Relaxed);
         }
         created
+    }
+
+    /// Runs `resolve` with a lookup from a topic string to the engine's
+    /// own `Topic` for it, under one read of the cache map: a sensor the
+    /// engine caches is found without building a `Topic`, and no second
+    /// table grows with the sensor set. The map stays read-locked while
+    /// `resolve` runs, so `resolve` must not insert into this engine.
+    pub fn with_known_topics<R>(&self, resolve: impl FnOnce(KnownTopics<'_>) -> R) -> R {
+        resolve(KnownTopics(&self.caches.read()))
     }
 
     /// `topic`'s cache, if the engine has one.

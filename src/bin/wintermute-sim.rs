@@ -63,9 +63,10 @@
 //! of every agent's broker is bounded at `--sub-depth`; `--overflow`
 //! picks which message a full queue sheds (QoS-0 default:
 //! `drop-oldest`); a publish never waits for the subscriber.
-//! `--ingest-budget` caps how many bus messages the Collect Agent
-//! drains per tick so operators and storage maintenance are never
-//! starved. Live queue depths and drop counters are served at
+//! `--ingest-budget` caps how many readings the Collect Agent drains
+//! per tick so operators and storage maintenance are never starved: a
+//! drain stops before the frame that would pass it, and takes a larger
+//! frame alone. Live queue depths and drop counters are served at
 //! `GET /metrics`.
 //!
 //! Fault isolation: every operator runs behind panic containment and is

@@ -5,7 +5,7 @@
 //! Everything runs on virtual time with seeded fault schedules, so
 //! every failure here replays bit-for-bit.
 
-use dcdb_wintermute::dcdb_bus::{decode_batch, Broker, ChaosBus, ChaosConfig, MessageBus};
+use dcdb_wintermute::dcdb_bus::{decode_frame, Broker, ChaosBus, ChaosConfig, MessageBus};
 use dcdb_wintermute::dcdb_collectagent::{CollectAgent, CollectAgentConfig};
 use dcdb_wintermute::dcdb_common::{Clock, ConnectionState, ReconnectConfig, Timestamp, Topic};
 use dcdb_wintermute::dcdb_pusher::{
@@ -79,11 +79,12 @@ fn spool_drains_oldest_first_with_no_duplicates() {
     // nothing lost, nothing duplicated, nothing reordered.
     let mut per_topic: HashMap<String, Vec<i64>> = HashMap::new();
     for msg in sub.drain() {
-        let batch = dcdb_wintermute::dcdb_bus::decode_batch(msg.payload).unwrap();
-        per_topic
-            .entry(msg.topic.as_str().to_string())
-            .or_default()
-            .extend(batch.values);
+        for (topic, batch) in decode_frame(&msg, sub.filter()).unwrap() {
+            per_topic
+                .entry(topic.as_str().to_string())
+                .or_default()
+                .extend(batch.values);
+        }
     }
     assert_eq!(per_topic.len(), 4);
     let expect: Vec<i64> = (1..=ticks as i64).collect();
@@ -111,10 +112,10 @@ fn operator_outputs_survive_an_outage() {
             ),
         )
         .unwrap();
-    let sub = broker
-        .handle()
-        .subscribe_str("/host/tester/tester-avg")
-        .unwrap();
+    // The output rides in the node frame of `/host/tester`: subscribe
+    // below the node and pick its entry.
+    let sub = broker.handle().subscribe_str("/host/tester/#").unwrap();
+    let avg = dcdb_wintermute::dcdb_bus::TopicFilter::parse("/host/tester/tester-avg").unwrap();
 
     let ticks = 20u64;
     for s in 1..=ticks {
@@ -131,8 +132,9 @@ fn operator_outputs_survive_an_outage() {
     // One output per tick, oldest first: every tick's stamp once.
     let stamps: Vec<u64> = sub
         .drain()
-        .into_iter()
-        .flat_map(|m| decode_batch(m.payload).unwrap().ts)
+        .iter()
+        .flat_map(|m| decode_frame(m, &avg).unwrap())
+        .flat_map(|(_, batch)| batch.ts)
         .collect();
     let want: Vec<u64> = (1..=ticks)
         .map(|s| Timestamp::from_secs(s).as_nanos())
@@ -179,7 +181,8 @@ fn accounting_identity_holds_over_seeded_chaos_schedules() {
         let received: u64 = sub
             .drain()
             .iter()
-            .map(|m| decode_batch(m.payload.clone()).unwrap().len() as u64)
+            .flat_map(|m| decode_frame(m, sub.filter()).unwrap())
+            .map(|(_, batch)| batch.len() as u64)
             .sum();
         assert_eq!(
             received, stats.published,

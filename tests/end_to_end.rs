@@ -197,11 +197,11 @@ fn process_pending_ingests_everything_published() {
 }
 
 /// A Pusher's operator outputs leave through its connection with the
-/// samples: they reach storage, and every message the agent receives
-/// is one a Pusher counted.
+/// samples: they reach storage, every reading the agent ingests is one
+/// a Pusher counted, and every message is one Pusher tick's node frame.
 #[test]
 fn pusher_operator_outputs_reach_storage_and_are_counted() {
-    let (pushers, agent, _broker, _sim) = build_system();
+    let (pushers, agent, broker, _sim) = build_system();
     pushers[0]
         .manager()
         .load(
@@ -223,7 +223,10 @@ fn pusher_operator_outputs_reach_storage_and_are_counted() {
     }
     assert_eq!(pushers[0].stats().derived, 10);
     let published: u64 = pushers.iter().map(|p| p.stats().published).sum();
-    assert_eq!(published, agent.stats().messages);
+    assert_eq!(published, agent.stats().readings);
+    // The output is under its node: one frame per Pusher and tick.
+    assert_eq!(agent.stats().messages, broker.stats().published);
+    assert_eq!(agent.stats().messages, 4 * 10);
 }
 
 #[test]
@@ -276,11 +279,13 @@ fn reload_after_new_sensors_appear_at_runtime() {
 
 #[test]
 fn sensor_reading_volume_accounting_is_consistent() {
-    let (pushers, agent, _broker, _sim) = build_system();
+    let (pushers, agent, broker, _sim) = build_system();
     drive(&pushers, &agent, 1, 20);
     agent.process_pending();
     let pusher_published: u64 = pushers.iter().map(|p| p.stats().published).sum();
-    assert_eq!(pusher_published, agent.stats().messages);
+    assert_eq!(pusher_published, agent.stats().readings);
+    assert_eq!(agent.stats().messages, broker.stats().published);
+    assert_eq!(agent.stats().messages, 4 * 20);
     assert_eq!(agent.stats().decode_errors, 0);
     let storage_readings = agent.storage().stats().readings as u64;
     assert_eq!(storage_readings, agent.stats().readings);
