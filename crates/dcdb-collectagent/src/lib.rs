@@ -409,8 +409,11 @@ impl CollectAgent {
     }
 
     /// One tick: ingest pending data, run due operators, then give the
-    /// storage engine a maintenance pass (sealing, compaction,
-    /// retention). The manager keeps `now` as the agent's time.
+    /// storage engine a maintenance pass. The durable engine swaps out a
+    /// full memtable and queues sealing, retention and compaction for
+    /// its own maintenance thread, so the tick does not wait for them; an
+    /// error a queued job left comes back from a later pass and counts in
+    /// `maintenance_errors`. The manager keeps `now` as the agent's time.
     pub fn tick(&self, now: Timestamp) -> TickReport {
         self.process_pending();
         let report = self.manager.tick(now);

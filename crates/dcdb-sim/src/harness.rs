@@ -709,6 +709,7 @@ fn finish(
     let fed_stats = fed.stats();
     counters.fed_publishes = fed_stats.publishes;
     counters.fed_refused = fed_stats.publishes_refused;
+    counters.fed_readings = ledger.accepted();
     counters.degraded_removals = fed_stats.degraded_removals;
     counters.promotions = fed.shards().iter().map(|s| s.promotions()).sum();
 
@@ -778,7 +779,8 @@ fn finish(
     };
     // The chaos layer drops whole messages, so the ratio is in frames.
     let drop_ratio = counters.chaos_dropped as f64 / counters.offered_frames.max(1) as f64;
-    let shed_ratio = counters.storage_shed as f64 / counters.fed_publishes.max(1) as f64;
+    // Storage sheds readings, so the ratio is in readings.
+    let shed_ratio = counters.storage_shed as f64 / counters.fed_readings.max(1) as f64;
     let failovers_resolved = fed_stats.shards_up == agents
         && counters.promotions == counters.kills
         && fed_stats.replication_lag_entries <= topology.total_nodes;

@@ -22,6 +22,7 @@ use dcdb_common::topic::Topic;
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How the final answers compared with the ledger, summed over topics.
@@ -66,6 +67,8 @@ pub struct Ledger {
     /// Every entry of a frame is recorded.
     all: TopicFilter,
     held: Mutex<BTreeMap<Topic, BTreeMap<u64, i64>>>,
+    /// Readings in the publishes `inner` accepted, repeats included.
+    accepted: AtomicU64,
     shed_at_kill: Mutex<BTreeSet<(Topic, u64)>>,
 }
 
@@ -76,8 +79,15 @@ impl Ledger {
             inner,
             all: TopicFilter::parse("/#").expect("valid filter"),
             held: Mutex::default(),
+            accepted: AtomicU64::new(0),
             shed_at_kill: Mutex::default(),
         }
+    }
+
+    /// Readings in the publishes the federation accepted: the unit
+    /// storage sheds in.
+    pub fn accepted(&self) -> u64 {
+        self.accepted.load(Ordering::Relaxed)
     }
 
     /// Marks a reading that may go missing: its engine refused it
@@ -130,6 +140,8 @@ impl MessageBus for Ledger {
         if let Ok(entries) = decode_frame(&Message { topic, payload }, &self.all) {
             let mut held = self.held.lock();
             for (topic, batch) in entries {
+                self.accepted
+                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
                 let series = held.entry(topic).or_default();
                 series.extend(batch.iter().map(|r| (r.ts.as_nanos(), r.value)));
             }

@@ -145,6 +145,9 @@ pub struct CounterSummary {
     pub fed_publishes: u64,
     /// Publishes the federation refused (owning shard down).
     pub fed_refused: u64,
+    /// Readings in the publishes the federation accepted
+    /// (`fed_publishes` counts frames).
+    pub fed_readings: u64,
     /// Sum of `ingested` over the storage engines of every primary live
     /// at the end or at its kill.
     pub storage_ingested: u64,
@@ -190,7 +193,7 @@ pub struct SloReport {
     /// Chaos-layer silent losses over frames offered: the chaos layer
     /// drops whole messages.
     pub drop_ratio: f64,
-    /// Readings shed by storage over publishes the federation accepted.
+    /// Readings shed by storage over readings the federation accepted.
     pub shed_ratio: f64,
     /// Every kill was answered by exactly one promotion, every shard is
     /// up again, and replication lag is back within one round's batch.

@@ -60,6 +60,11 @@ impl StorageBackend {
         self.series_for(topic).lock().insert_columns(batch);
     }
 
+    /// [`Series::insert_older`] for `topic`'s series.
+    pub(crate) fn insert_older(&self, topic: &Topic, older: &ReadingBatch) {
+        self.series_for(topic).lock().insert_older(older);
+    }
+
     /// Range query: readings of `topic` with `t0 <= ts <= t1`.
     /// Returns an empty vector for unknown sensors.
     pub fn query(&self, topic: &Topic, t0: Timestamp, t1: Timestamp) -> Vec<SensorReading> {

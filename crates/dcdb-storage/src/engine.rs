@@ -10,8 +10,9 @@
 //!   group of batches ([`DurableBackend::insert_many_acked`]: one
 //!   Collect Agent drain) in one write and at most one sync request;
 //! * *sealing*: when the memtable exceeds a size threshold (or on
-//!   explicit flush) its contents are written as an immutable compressed
-//!   segment ([`crate::segment`]) and the WAL generation is retired;
+//!   explicit flush) it is swapped for a fresh one behind a fresh WAL,
+//!   and its contents are written as an immutable compressed segment
+//!   ([`crate::segment`]) whose WAL generations are then retired;
 //! * *recovery*: on open, sealed segments are indexed and the WAL tail
 //!   is replayed into a fresh memtable — every acknowledged insert
 //!   survives a process kill, tolerating a torn final record; corrupt
@@ -29,6 +30,18 @@
 //!   Memory therefore follows what is still open — the memtable and
 //!   each sensor's open rollup buckets — not how long the engine has
 //!   run;
+//! * *one maintenance thread*: the engine owns it (spawned at open,
+//!   joined on drop) and runs every segment write, rollup seal,
+//!   retention pass and merge on it, in the order they were queued. The
+//!   thread that inserts keeps only the memtable swap and `maintain`'s
+//!   health probe, so ingest never waits on an encode or a merge — save
+//!   that a swap waits while the previous seal is queued or writing, which
+//!   bounds outgoing memtables at one. Being the one writer of the
+//!   segment lists, the thread needs no lock to serialize passes;
+//!   callers that need a result ([`DurableBackend::seal`],
+//!   [`DurableBackend::compact`], `flush`, `evict_before`) queue it and
+//!   wait, and a job nobody waits for leaves its error for the next
+//!   `maintain` or `flush`;
 //! * *fault tolerance* ([`crate::health`]): write errors are retried
 //!   with bounded exponential backoff, a poisoned WAL (failed fsync) is
 //!   rotated to a fresh file that re-journals the memtable, and when the
@@ -39,8 +52,10 @@
 //!
 //! Directory layout: `wal-<seq>.log` journal generations, `seg-<seq>.seg`
 //! sealed raw segments and `rlu-<seq>.rsg` sealed rollup segments (both
-//! the one container of [`crate::sealed`]), sharing one monotonic sequence
-//! counter; `*.tmp` files are crash leftovers and deleted on open;
+//! the one container of [`crate::sealed`]). Journals and sealed files
+//! each count their own monotonic sequence, both resumed past the
+//! highest number on disk at open, so each thread numbers its files in
+//! its own order; `*.tmp` files are crash leftovers and deleted on open;
 //! `quarantine/` collects corrupt files set aside during recovery. Both
 //! segment kinds live in a `SealedList` and share one lifecycle:
 //! opened or quarantined on recovery, published after a seal, and
@@ -53,7 +68,7 @@ use crate::rollup::{
     bucket_start, write_rollup_segment_with, AggFrame, RollupConfig, RollupSegmentReader,
     RollupState,
 };
-use crate::sealed::SealedFile;
+use crate::sealed::{Names, SealedFile};
 use crate::segment::{write_segment_with, SegmentReader};
 use crate::wal::{replay_with, FsyncPolicy, WalReplay, WalWriter};
 use crate::StorageEngine;
@@ -64,11 +79,11 @@ use dcdb_common::time::Timestamp;
 use dcdb_common::topic::Topic;
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 
 /// Tuning knobs for the durable engine.
 #[derive(Debug, Clone)]
@@ -209,31 +224,73 @@ struct Active {
     memtable: Arc<StorageBackend>,
     wal: Mutex<WalWriter>,
     wal_path: PathBuf,
+    /// Older journal files that also cover `memtable`: those replayed at
+    /// open and those a failed seal handed back. They are deleted with
+    /// `wal_path` once the memtable is sealed, or once a rotation
+    /// re-journals it.
+    older_wals: Vec<PathBuf>,
+    /// Readings of `memtable` that no journal covers: accepted into the
+    /// write-behind buffer under ReadOnly. They turn durable when a
+    /// rotation re-journals this memtable or its seal writes it.
+    buffered: AtomicUsize,
 }
 
 /// One read's view of every generation holding raw readings; see
-/// [`DurableBackend::generations`] for the order it is taken in.
+/// [`Core::generations`] for the order it is taken in.
 struct Generations {
     active: Arc<StorageBackend>,
     sealing: Option<Arc<StorageBackend>>,
     segments: Arc<Vec<(u64, Arc<SegmentReader>)>>,
 }
 
-/// The published sealed files of one kind as `(seq, reader)`, ascending
-/// by `seq`; later sequence numbers win key ties during merges. The
-/// list is copy-on-write: a read takes one reference to the current
-/// version and only then touches blocks, so the lock is never held
-/// across I/O, a read costs one reference count however many files are
-/// published, and [`DurableBackend::retire`] can tell from a reader's
+/// The published sealed files of one kind as `(seq, reader)`, in
+/// publication order (ascending `seq`); later files win key ties during
+/// merges. The list is copy-on-write: a read takes one reference to the
+/// current version and only then touches blocks, so the lock is never
+/// held across I/O, a read costs one reference count however many files
+/// are published, and [`Core::retire`] can tell from a reader's
 /// reference count (one per list version still alive) when the file is
 /// safe to delete.
 type SealedList<R> = RwLock<Arc<Vec<(u64, Arc<R>)>>>;
 
 /// Signature shared by both segment kinds' `open_with`.
-type OpenSealed<R> = fn(Arc<dyn StorageIo>, &Path) -> Result<R>;
+type OpenSealed<R> = fn(Arc<dyn StorageIo>, &Path, Names<'_>) -> Result<R>;
+
+/// One step of maintenance, run on the maintenance thread in the order
+/// it was queued (see [`Core::submit`]).
+enum Job {
+    /// `maintain`'s pass: retention, then compaction, at this instant.
+    Maintain(Timestamp),
+    /// A seal, or a step a caller waits for.
+    Run(Box<dyn FnOnce(&Core) + Send>),
+}
+
+/// The maintenance thread's queue, and what its jobs report back.
+#[derive(Default)]
+struct Jobs {
+    queue: VecDeque<Job>,
+    /// A seal is queued or running: a swap waits for it, so at most one
+    /// outgoing memtable exists.
+    seal_queued: bool,
+    /// The first error of a job no caller waits for; it stays until
+    /// [`DurableBackend::settle`], `maintain` or `flush` returns it.
+    error: Option<DcdbError>,
+    /// A job panicked: the thread has stopped, and every later call that
+    /// needs it panics too (see [`Core::jobs`]).
+    panicked: bool,
+    /// Set by `Drop`: the thread runs what is queued, then exits.
+    closed: bool,
+}
 
 /// The durable storage engine. See the module docs for the design.
 pub struct DurableBackend {
+    core: Arc<Core>,
+    /// The maintenance thread; `Drop` takes it to join it.
+    worker: Option<std::thread::JoinHandle<()>>,
+}
+
+/// The engine's state, shared by its handle and its maintenance thread.
+struct Core {
     io: Arc<dyn StorageIo>,
     dir: PathBuf,
     config: DurableConfig,
@@ -243,17 +300,17 @@ pub struct DurableBackend {
     sealing: RwLock<Option<Arc<StorageBackend>>>,
     /// Sealed raw segments.
     segments: SealedList<SegmentReader>,
-    /// WAL files (paths) whose contents live in the active memtable and
-    /// are deleted once that data is sealed into a segment.
-    unsealed_wals: Mutex<Vec<PathBuf>>,
     /// The streaming continuous-aggregation accumulator (hot frames).
     rollup: Mutex<RollupState>,
-    /// Sealed rollup segments; hot frames win over every one of them.
+    /// Sealed rollup segments; in-memory frames win over every one.
     rollup_segments: SealedList<RollupSegmentReader>,
-    next_seq: AtomicU64,
+    /// Next journal sequence number; journals are created on the
+    /// threads that insert and `maintain`.
+    next_wal_seq: AtomicU64,
+    /// Next sealed-file sequence number; sealed files are written on the
+    /// maintenance thread alone, so their numbers follow its order.
+    next_sealed_seq: AtomicU64,
     memtable_readings: AtomicUsize,
-    /// Serializes seal / compact / retention / WAL-rotation passes.
-    seal_lock: Mutex<()>,
     recovery: RecoveryReport,
     health: Arc<HealthCore>,
     inserts: AtomicU64,
@@ -263,6 +320,9 @@ pub struct DurableBackend {
     read_errors: AtomicU64,
     rollup_seals: AtomicU64,
     rollup_seal_failures: AtomicU64,
+    jobs: std::sync::Mutex<Jobs>,
+    /// Wakes the thread for a queued job, and swaps for a finished seal.
+    jobs_changed: Condvar,
 }
 
 fn parse_seq(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
@@ -282,7 +342,7 @@ fn recover_sealed<R>(
 ) -> Vec<(u64, Arc<R>)> {
     let mut list = Vec::with_capacity(files.len());
     for (seq, path) in files {
-        match open(Arc::clone(io), &path) {
+        match open(Arc::clone(io), &path, &|_| None) {
             Ok(reader) => list.push((seq, Arc::new(reader))),
             Err(err) => quarantine(&path, &err),
         }
@@ -356,6 +416,65 @@ fn merged_topics<'f, R: AsRef<SealedFile>, T>(
         run.drain(..run.partition_point(|item| key(item) < keep_from));
         Ok((topic, run))
     })
+}
+
+/// The topic named `name` in `items`, sorted by `topic`.
+fn sorted_topic<T>(items: &[T], name: &str, topic: impl Fn(&T) -> &Topic) -> Option<Topic> {
+    let at = items.binary_search_by(|item| topic(item).as_str().cmp(name));
+    at.ok().map(|i| topic(&items[i]).clone())
+}
+
+/// What a call that needs the maintenance thread panics with once a job
+/// has panicked and stopped it.
+const JOB_PANICKED: &str = "a storage maintenance job panicked; the engine stopped";
+
+/// Fails a call that needs the maintenance thread once it has stopped.
+fn live(jobs: MutexGuard<'_, Jobs>) -> MutexGuard<'_, Jobs> {
+    if jobs.panicked {
+        drop(jobs);
+        panic!("{JOB_PANICKED}");
+    }
+    jobs
+}
+
+/// The maintenance thread: runs queued jobs in order until `Drop` has
+/// closed the queue and nothing is left, or until a job panics. A
+/// panicking job may have stopped halfway — its memtable still in
+/// `sealing`, its rollup frames still outgoing, its journals not yet
+/// retired — and no later job may build on that, so the thread drops
+/// what is queued and stops; every later call that needs it panics
+/// (fail-stop), and a reopen recovers from the journals left on disk.
+fn maintenance_thread(core: Arc<Core>) {
+    loop {
+        let job = {
+            let mut jobs = core.jobs();
+            loop {
+                if let Some(next) = jobs.queue.pop_front() {
+                    break next;
+                }
+                if jobs.closed {
+                    return;
+                }
+                jobs = core.wait_jobs(jobs);
+            }
+        };
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match job {
+            Job::Maintain(now) => {
+                if let Err(err) = core.maintain_files(now) {
+                    core.fail(err);
+                }
+            }
+            Job::Run(job) => job(&core),
+        }));
+        if ran.is_err() {
+            let mut jobs = core.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+            jobs.panicked = true;
+            // Dropping a waiting caller's job wakes it, to panic too.
+            jobs.queue.clear();
+            core.jobs_changed.notify_all();
+            return;
+        }
+    }
 }
 
 impl DurableBackend {
@@ -484,7 +603,7 @@ impl DurableBackend {
         );
 
         let rollup_state = RollupState::new(&config.rollup);
-        let engine = DurableBackend {
+        let core = Core {
             io,
             dir: dir.to_path_buf(),
             config,
@@ -492,15 +611,16 @@ impl DurableBackend {
                 memtable,
                 wal: Mutex::new(wal),
                 wal_path,
+                older_wals: unsealed,
+                buffered: AtomicUsize::new(0),
             }),
             sealing: RwLock::new(None),
             segments: RwLock::new(Arc::new(segments)),
-            unsealed_wals: Mutex::new(unsealed),
             rollup: Mutex::new(rollup_state),
             rollup_segments: RwLock::new(Arc::new(rollup_segments)),
-            next_seq: AtomicU64::new(wal_seq + 1),
+            next_wal_seq: AtomicU64::new(wal_seq + 1),
+            next_sealed_seq: AtomicU64::new(wal_seq + 1),
             memtable_readings: AtomicUsize::new(recovery.wal_readings),
-            seal_lock: Mutex::new(()),
             recovery,
             health,
             inserts: AtomicU64::new(0),
@@ -510,11 +630,148 @@ impl DurableBackend {
             read_errors: AtomicU64::new(0),
             rollup_seals: AtomicU64::new(0),
             rollup_seal_failures: AtomicU64::new(0),
+            jobs: std::sync::Mutex::default(),
+            jobs_changed: Condvar::new(),
         };
-        engine.rebuild_rollups();
-        Ok(engine)
+        core.rebuild_rollups();
+        let core = Arc::new(core);
+        let thread_core = Arc::clone(&core);
+        let worker = std::thread::Builder::new()
+            .name("dcdb-maint".into())
+            .spawn(move || maintenance_thread(thread_core))?;
+        Ok(DurableBackend {
+            core,
+            worker: Some(worker),
+        })
     }
 
+    /// What `open` recovered from disk.
+    pub fn recovery(&self) -> RecoveryReport {
+        self.core.recovery
+    }
+
+    /// The shared health core — stays readable after the engine drops,
+    /// so observers can see the final `drop_sync_errors`.
+    pub fn health_handle(&self) -> Arc<HealthCore> {
+        Arc::clone(&self.core.health)
+    }
+
+    /// Point-in-time health report.
+    pub fn health_report(&self) -> StorageHealthReport {
+        self.core.health.report()
+    }
+
+    /// Inserts one columnar batch: the one-entry case of
+    /// [`DurableBackend::insert_many_acked`].
+    pub fn insert_columns_acked(&self, topic: &Topic, batch: &ReadingBatch) -> Result<InsertAck> {
+        self.insert_many_acked(&[(topic, batch)])
+            .pop()
+            .map_or(Ok(InsertAck::Durable), |(_, ack)| ack)
+    }
+
+    /// Inserts a group of columnar batches in order, journaled before
+    /// acknowledgement, and lists the index ranges that were *not*
+    /// acknowledged [`InsertAck::Durable`]: accepted memtable-only into
+    /// the bounded write-behind buffer under ReadOnly
+    /// ([`InsertAck::Buffered`]), or refused with the error that
+    /// refused them. Every entry outside those ranges is in the WAL
+    /// file (and fsynced, under `FsyncPolicy::Always`) when this
+    /// returns — it will survive a process kill — and the list is empty
+    /// and unallocated when that is all of them.
+    ///
+    /// The group is journaled in *chunks*: a chunk is the longest run of
+    /// entries that does not cross the seal threshold and names no sensor
+    /// twice, and costs one lock pair, one journal write and at most one
+    /// sync request (the sync window does not cut a chunk: see
+    /// [`crate::wal`]). The first bound puts seals exactly where inserting
+    /// the entries one by one puts them. The second keeps the rollup fold's
+    /// view of the memtable the one-by-one view: a recompute reads the
+    /// sensor's raw readings back, and must not find a later entry's there.
+    /// The columns flow straight into the journal records and the memtable
+    /// — no row transpose on the hot path. A chunk whose write fails is
+    /// retried with bounded exponential backoff and a poisoned WAL triggers
+    /// rotation; a chunk that stays refused is refused whole, and none of
+    /// it reaches the memtable. A chunk that fills the memtable swaps it
+    /// out and queues its seal; this call waits only while the previous
+    /// seal is still writing.
+    pub fn insert_many_acked<T, B>(
+        &self,
+        group: &[(T, B)],
+    ) -> Vec<(Range<usize>, Result<InsertAck>)>
+    where
+        T: Borrow<Topic>,
+        B: Borrow<ReadingBatch>,
+    {
+        self.core.insert_many_acked(group)
+    }
+
+    /// Range query merging sealed segments, the sealing memtable (if a
+    /// seal is in flight) and the active memtable. Duplicate timestamps
+    /// resolve newest-generation-wins, matching memtable overwrites.
+    pub fn query(&self, topic: &Topic, t0: Timestamp, t1: Timestamp) -> Vec<SensorReading> {
+        self.core.queries.fetch_add(1, Ordering::Relaxed);
+        self.core.query_merged(topic, t0, t1)
+    }
+
+    /// Seals the current memtable into an immutable segment, retires the
+    /// covered WAL generations and waits until that is done. Returns the
+    /// readings sealed (0 when the memtable was empty), or the first
+    /// error a maintenance job left since the last time one was
+    /// returned.
+    pub fn seal(&self) -> Result<usize> {
+        let sealed = self.core.swap()?;
+        self.settle()?;
+        Ok(sealed)
+    }
+
+    /// Waits until every maintenance job queued so far has run, and
+    /// returns (and clears) the first error one of them left.
+    pub fn settle(&self) -> Result<()> {
+        self.core.run(|_| ());
+        self.core.take_error()
+    }
+
+    /// Merges the sealed segments into one once at least
+    /// `compact_min_segments` exist, and likewise each rollup tier's
+    /// segments, after every job queued before it. Returns true if a
+    /// pass merged anything.
+    pub fn compact(&self) -> Result<bool> {
+        self.core.run(|core| core.compact_at(None))
+    }
+
+    /// Engine-specific counters.
+    pub fn engine_stats(&self) -> EngineStats {
+        let core = &self.core;
+        let h = core.health.report();
+        let roll = core.rollup.lock().stats();
+        EngineStats {
+            seals: core.seals.load(Ordering::Relaxed),
+            compactions: core.compactions.load(Ordering::Relaxed),
+            read_errors: core.read_errors.load(Ordering::Relaxed),
+            sealed_segments: core.segments.read().len(),
+            memtable_readings: core.memtable_readings.load(Ordering::Relaxed),
+            write_errors: h.write_errors,
+            write_retries: h.write_retries,
+            fsync_poisonings: h.fsync_poisonings,
+            wal_rotations: h.wal_rotations,
+            seal_failures: h.seal_failures,
+            drop_sync_errors: h.drop_sync_errors,
+            cleanup_errors: h.cleanup_errors,
+            quarantined: h.quarantined,
+            wal_recovered_readings: core.recovery.wal_readings,
+            wal_bytes_discarded: core.recovery.wal_bytes_discarded,
+            torn_tails: core.recovery.torn_tails,
+            rollup_seals: core.rollup_seals.load(Ordering::Relaxed),
+            rollup_seal_failures: core.rollup_seal_failures.load(Ordering::Relaxed),
+            rollup_segments: core.rollup_segments.read().len(),
+            rollup_hot_frames: roll.hot_frames,
+            rollup_folds: roll.folds,
+            rollup_recomputes: roll.recomputes,
+        }
+    }
+}
+
+impl Core {
     /// Rebuilds hot rollup frames for every bucket the recovered
     /// memtable touches, from the engine's *merged* raw truth — this is
     /// the rebuild-from-WAL-replay invariant: rollup durability rides
@@ -549,22 +806,6 @@ impl DurableBackend {
         }
     }
 
-    /// What `open` recovered from disk.
-    pub fn recovery(&self) -> RecoveryReport {
-        self.recovery
-    }
-
-    /// The shared health core — stays readable after the engine drops,
-    /// so observers can see the final `drop_sync_errors`.
-    pub fn health_handle(&self) -> Arc<HealthCore> {
-        Arc::clone(&self.health)
-    }
-
-    /// Point-in-time health report.
-    pub fn health_report(&self) -> StorageHealthReport {
-        self.health.report()
-    }
-
     /// Removes a file through the VFS, counting (instead of swallowing)
     /// failures so leaked files are observable.
     fn remove_file_counted(&self, path: &Path) {
@@ -573,11 +814,12 @@ impl DurableBackend {
         }
     }
 
-    /// Opens the sealed file `written` reports complete and publishes
-    /// its reader at the tail of `list` — always before the caller
-    /// retires what the file replaces, so a read snapshotting in between
-    /// finds the data in at least one of the two. On failure nothing is
-    /// published and the temp file is removed.
+    /// Opens the sealed file `written` reports complete, its index taking
+    /// the topics `names` knows, and publishes its reader at the tail of
+    /// `list` — always before the caller retires what the file replaces,
+    /// so a read snapshotting in between finds the data in at least one
+    /// of the two. On failure nothing is published and the temp file is
+    /// removed.
     fn publish<R>(
         &self,
         list: &SealedList<R>,
@@ -585,8 +827,9 @@ impl DurableBackend {
         path: &Path,
         written: Result<()>,
         open: OpenSealed<R>,
+        names: Names<'_>,
     ) -> Result<()> {
-        match written.and_then(|()| open(Arc::clone(&self.io), path)) {
+        match written.and_then(|()| open(Arc::clone(&self.io), path, names)) {
             Ok(reader) => {
                 Arc::make_mut(&mut list.write()).push((seq, Arc::new(reader)));
                 Ok(())
@@ -626,41 +869,8 @@ impl DurableBackend {
         }
     }
 
-    /// Inserts one columnar batch: the one-entry case of
-    /// [`DurableBackend::insert_many_acked`].
-    pub fn insert_columns_acked(&self, topic: &Topic, batch: &ReadingBatch) -> Result<InsertAck> {
-        self.insert_many_acked(&[(topic, batch)])
-            .pop()
-            .map_or(Ok(InsertAck::Durable), |(_, ack)| ack)
-    }
-
-    /// Inserts a group of columnar batches in order, journaled before
-    /// acknowledgement, and lists the index ranges that were *not*
-    /// acknowledged [`InsertAck::Durable`]: accepted memtable-only into
-    /// the bounded write-behind buffer under ReadOnly
-    /// ([`InsertAck::Buffered`]), or refused with the error that
-    /// refused them. Every entry outside those ranges is in the WAL
-    /// file (and fsynced, under `FsyncPolicy::Always`) when this
-    /// returns — it will survive a process kill — and the list is empty
-    /// and unallocated when that is all of them.
-    ///
-    /// The group is journaled in *chunks*: a chunk is the longest run of
-    /// entries that does not cross the seal threshold and names no sensor
-    /// twice, and costs one lock pair, one journal write and at most one
-    /// sync request (the sync window does not cut a chunk: see
-    /// [`crate::wal`]). The first bound puts seals exactly where inserting
-    /// the entries one by one puts them. The second keeps the rollup fold's
-    /// view of the memtable the one-by-one view: a recompute reads the
-    /// sensor's raw readings back, and must not find a later entry's there.
-    /// The columns flow straight into the journal records and the memtable
-    /// — no row transpose on the hot path. A chunk whose write fails is
-    /// retried with bounded exponential backoff and a poisoned WAL triggers
-    /// rotation; a chunk that stays refused is refused whole, and none of
-    /// it reaches the memtable.
-    pub fn insert_many_acked<T, B>(
-        &self,
-        group: &[(T, B)],
-    ) -> Vec<(Range<usize>, Result<InsertAck>)>
+    /// See [`DurableBackend::insert_many_acked`].
+    fn insert_many_acked<T, B>(&self, group: &[(T, B)]) -> Vec<(Range<usize>, Result<InsertAck>)>
     where
         T: Borrow<Topic>,
         B: Borrow<ReadingBatch>,
@@ -681,7 +891,7 @@ impl DurableBackend {
                 break;
             }
             // The append and the memtable inserts happen under one
-            // `active` guard per attempt, so a concurrent seal can never
+            // `active` guard per attempt, so a concurrent swap can never
             // retire the WAL generation that covers this chunk.
             let (end, outcome) = {
                 let active = self.active.read();
@@ -721,9 +931,9 @@ impl DurableBackend {
                         >= self.config.memtable_max_readings
                     {
                         // The chunk is already acknowledged durable; a
-                        // failed seal is a maintenance problem (counted,
+                        // failed swap is a maintenance problem (counted,
                         // retried next pass), not an insert failure.
-                        let _ = self.seal();
+                        let _ = self.swap();
                     }
                 }
                 Err((err, poisoned)) => {
@@ -848,6 +1058,7 @@ impl DurableBackend {
             }
             let active = self.active.read();
             active.memtable.insert_columns(topic, batch);
+            active.buffered.fetch_add(len, Ordering::Relaxed);
             self.memtable_readings.fetch_add(len, Ordering::Relaxed);
             drop(active);
             self.rollup_apply(std::slice::from_ref(entry), &mut pairs);
@@ -857,17 +1068,19 @@ impl DurableBackend {
     }
 
     /// Rotates to a fresh WAL file that re-journals the entire active
-    /// memtable, then retires every previous journal generation. This is
-    /// the recovery move for a poisoned WAL and the ReadOnly probe: on
-    /// success everything the memtable holds — including write-behind
-    /// buffered readings — is durable again.
+    /// memtable, then retires every previous journal generation of it.
+    /// This is the recovery move for a poisoned WAL and the ReadOnly
+    /// probe: on success everything the memtable holds — including
+    /// write-behind buffered readings — is durable again. An outgoing
+    /// memtable keeps its own journals until its seal is done.
     fn rotate_wal(&self) -> Result<()> {
-        let _guard = self.seal_lock.lock();
-        let wal_seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let wal_seq = self.next_wal_seq.fetch_add(1, Ordering::Relaxed);
         let new_path = self.dir.join(format!("wal-{wal_seq:010}.log"));
         let mut new_wal = WalWriter::create_with(self.io.as_ref(), &new_path, self.config.fsync)?;
         // Hold the write guard across dump + swap: no insert may slip
-        // into the old (about-to-be-retired) journal after the dump.
+        // into the old (about-to-be-retired) journal after the dump, and
+        // no failed seal may hand journals back between the dump and the
+        // hand-over of `older_wals`.
         let mut active = self.active.write();
         let dumped = (|| -> Result<()> {
             for topic in active.memtable.topics() {
@@ -884,38 +1097,30 @@ impl DurableBackend {
             return Err(err);
         }
         let old_wal = std::mem::replace(&mut active.wal_path, new_path);
+        let mut retired = std::mem::take(&mut active.older_wals);
+        let journaled = active.buffered.swap(0, Ordering::Relaxed);
         *active.wal.lock() = new_wal;
         drop(active);
         // The fresh journal covers the whole memtable, so every older
         // generation (including replayed pre-crash WALs) is redundant.
-        let mut retired: Vec<PathBuf> = std::mem::take(&mut *self.unsealed_wals.lock());
         retired.push(old_wal);
         for path in retired {
             self.remove_file_counted(&path);
         }
         self.health.note_wal_rotation();
-        self.health.drain_buffered();
+        self.health.drain_buffered(journaled);
         Ok(())
     }
 
-    /// Range query merging sealed segments, the sealing memtable (if a
-    /// seal is in flight) and the active memtable. Duplicate timestamps
-    /// resolve newest-generation-wins, matching memtable overwrites.
-    pub fn query(&self, topic: &Topic, t0: Timestamp, t1: Timestamp) -> Vec<SensorReading> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.query_merged(topic, t0, t1)
-    }
-
     /// Snapshots every generation a read must consult, in the reverse
-    /// of [`DurableBackend::seal`]'s publication order. A seal moves data
-    /// active memtable → `sealing` → `segments` (or, when it fails,
-    /// folds `sealing` back into the active memtable before clearing the
-    /// slot), publishing each destination before retiring its source;
-    /// reading source before destination — and querying the snapshots
-    /// only after all three are taken — therefore finds every
-    /// acknowledged reading in at least one of them, however a seal
-    /// interleaves. Brief double visibility is harmless: merges dedupe
-    /// by timestamp.
+    /// of a seal's publication order. A seal moves data active memtable
+    /// → `sealing` → `segments` (or, when it fails, folds `sealing` back
+    /// into the active memtable before clearing the slot), publishing
+    /// each destination before retiring its source; reading source
+    /// before destination — and querying the snapshots only after all
+    /// three are taken — therefore finds every acknowledged reading in
+    /// at least one of them, however a seal interleaves. Brief double
+    /// visibility is harmless: merges dedupe by timestamp.
     fn generations(&self) -> Generations {
         let active = Arc::clone(&self.active.read().memtable);
         let sealing = self.sealing.read().clone();
@@ -953,136 +1158,251 @@ impl DurableBackend {
         merge_generations(runs, |r| r.ts.as_nanos())
     }
 
-    /// Seals the current memtable into an immutable segment and retires
-    /// the covered WAL generations. Returns the readings sealed (0 when
-    /// the memtable was empty).
-    pub fn seal(&self) -> Result<usize> {
-        let _guard = self.seal_lock.lock();
+    /// The job queue, for a caller that needs the maintenance thread;
+    /// panics once a job has panicked and stopped it (see
+    /// [`maintenance_thread`]).
+    fn jobs(&self) -> MutexGuard<'_, Jobs> {
+        live(self.jobs.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Waits for the job queue to change.
+    fn wait_jobs<'a>(&self, jobs: MutexGuard<'a, Jobs>) -> MutexGuard<'a, Jobs> {
+        live(
+            self.jobs_changed
+                .wait(jobs)
+                .unwrap_or_else(PoisonError::into_inner),
+        )
+    }
+
+    /// Queues `job` behind every job queued so far. A maintenance pass
+    /// that nothing is queued behind yet absorbs a later one, taking its
+    /// instant: the two would run back to back, and the second would
+    /// find nothing left to merge. The queue therefore holds at most one
+    /// pass per seal or waiting caller, however far `maintain` runs ahead.
+    fn submit(&self, job: Job) {
+        let mut jobs = self.jobs();
+        match (jobs.queue.back_mut(), job) {
+            (Some(Job::Maintain(queued)), Job::Maintain(now)) => *queued = (*queued).max(now),
+            (_, job) => jobs.queue.push_back(job),
+        }
+        self.jobs_changed.notify_all();
+    }
+
+    /// Queues `job` and waits for its value: the engine's one completion
+    /// point, reached once every job queued before it has run. Panics
+    /// when a job panicked.
+    fn run<T: Send + 'static>(&self, job: impl FnOnce(&Core) -> T + Send + 'static) -> T {
+        let (done, value) = std::sync::mpsc::sync_channel(1);
+        self.submit(Job::Run(Box::new(move |core| {
+            let _ = done.send(job(core));
+        })));
+        value.recv().expect(JOB_PANICKED)
+    }
+
+    /// Keeps the first error of a job no caller waits for.
+    fn fail(&self, err: DcdbError) {
+        self.jobs().error.get_or_insert(err);
+    }
+
+    /// Returns, and clears, the error a job left.
+    fn take_error(&self) -> Result<()> {
+        self.jobs().error.take().map_or(Ok(()), Err)
+    }
+
+    /// The part of a seal the caller's thread runs: the full active
+    /// memtable moves into the `sealing` slot behind a fresh WAL, the
+    /// dirty rollup frames become the outgoing ones, and the seal job
+    /// that writes both is queued. Waits while an earlier seal is still
+    /// queued or running, so at most one outgoing memtable exists.
+    /// Returns the readings swapped out: 0 when the memtable was empty,
+    /// and nothing was queued.
+    fn swap(&self) -> Result<usize> {
+        let mut jobs = self.jobs();
+        while jobs.seal_queued {
+            jobs = self.wait_jobs(jobs);
+        }
         if self.memtable_readings.load(Ordering::Relaxed) == 0 {
             return Ok(0);
         }
-        let seg_seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let wal_seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let new_wal_path = self.dir.join(format!("wal-{wal_seq:010}.log"));
-        let new_wal =
-            match WalWriter::create_with(self.io.as_ref(), &new_wal_path, self.config.fsync) {
-                Ok(w) => w,
-                Err(err) => {
-                    self.health.note_seal_failure();
-                    return Err(err);
-                }
-            };
-        let fresh = Arc::new(StorageBackend::new());
-
-        // Publish the outgoing memtable to the `sealing` slot *before*
+        let wal_seq = self.next_wal_seq.fetch_add(1, Ordering::Relaxed);
+        let wal_path = self.dir.join(format!("wal-{wal_seq:010}.log"));
+        let wal = match WalWriter::create_with(self.io.as_ref(), &wal_path, self.config.fsync) {
+            Ok(wal) => wal,
+            Err(err) => {
+                self.health.note_seal_failure();
+                return Err(err);
+            }
+        };
+        let fresh = Active {
+            memtable: Arc::new(StorageBackend::new()),
+            wal: Mutex::new(wal),
+            wal_path,
+            older_wals: Vec::new(),
+            buffered: AtomicUsize::new(0),
+        };
+        // Publish the outgoing memtable to the `sealing` slot before
         // swapping it out, so reads never lose sight of it (brief double
         // visibility is harmless — merges dedupe by timestamp).
-        let old = {
-            let active = self.active.read();
-            *self.sealing.write() = Some(Arc::clone(&active.memtable));
-            drop(active);
+        let Active {
+            memtable,
+            wal,
+            wal_path,
+            mut older_wals,
+            buffered,
+        } = {
             let mut active = self.active.write();
-            let old = std::mem::replace(
-                &mut *active,
-                Active {
-                    memtable: fresh,
-                    wal: Mutex::new(new_wal),
-                    wal_path: new_wal_path,
-                },
-            );
+            *self.sealing.write() = Some(Arc::clone(&active.memtable));
             self.memtable_readings.store(0, Ordering::Relaxed);
-            old
+            std::mem::replace(&mut *active, fresh)
         };
+        // The old journal takes no more appends: close it now (the
+        // seal job keeps only its path).
+        drop(wal);
+        older_wals.push(wal_path);
+        let readings = memtable.readings();
+        self.rollup.lock().begin_seal();
+        jobs.seal_queued = true;
+        drop(jobs);
+        let buffered = buffered.into_inner();
+        let job = move |core: &Core| core.write_sealed(&memtable, readings, buffered, older_wals);
+        self.submit(Job::Run(Box::new(job)));
+        Ok(readings)
+    }
 
+    /// The seal job: writes the outgoing memtable as a segment, retires
+    /// the journals that covered it, then writes the outgoing rollup
+    /// frames, and lets the next swap go. When the segment cannot be
+    /// written the memtable folds back into the active one (which wins
+    /// every timestamp both hold), its journals stay on disk so a crash
+    /// still recovers it, its `buffered` readings stay buffered, the
+    /// rollup frames go back to the hot set, and the error waits for the
+    /// next `maintain` or `flush`.
+    fn write_sealed(
+        &self,
+        memtable: &StorageBackend,
+        readings: usize,
+        buffered: usize,
+        wals: Vec<PathBuf>,
+    ) {
         // Written topic by topic: each topic's columns are copied out of
         // the outgoing memtable only while its block is encoded.
-        let mut topics = old.memtable.topics();
+        let mut topics = memtable.topics();
         topics.sort();
-        let sealed = old.memtable.readings();
-        let seg_path = self.dir.join(format!("seg-{seg_seq:010}.seg"));
-        let columns = topics.iter().map(|t| Ok((t, old.memtable.columns(t))));
-        let written = write_segment_with(self.io.as_ref(), &seg_path, columns);
-        match self.publish(
-            &self.segments,
-            seg_seq,
-            &seg_path,
-            written,
-            SegmentReader::open_with,
-        ) {
+        let seq = self.next_sealed_seq.fetch_add(1, Ordering::Relaxed);
+        let path = self.dir.join(format!("seg-{seq:010}.seg"));
+        let columns = topics.iter().map(|t| Ok((t, memtable.columns(t))));
+        let written = write_segment_with(self.io.as_ref(), &path, columns);
+        let open = SegmentReader::open_with;
+        let names = |name: &str| sorted_topic(&topics, name, |topic| topic);
+        match self.publish(&self.segments, seq, &path, written, open, &names) {
             Ok(()) => {
                 *self.sealing.write() = None;
                 // The sealed data is durable in the segment; retire the
-                // WAL generations that covered it. Any write-behind
-                // buffered readings just became durable too.
-                self.health.drain_buffered();
-                let mut retired: Vec<PathBuf> = std::mem::take(&mut *self.unsealed_wals.lock());
-                retired.push(old.wal_path);
-                for path in retired {
-                    self.remove_file_counted(&path);
+                // WAL generations that covered it. The write-behind
+                // readings it held just became durable too, and only
+                // those: the active memtable may be buffering more.
+                self.health.drain_buffered(buffered);
+                for path in &wals {
+                    self.remove_file_counted(path);
                 }
                 self.seals.fetch_add(1, Ordering::Relaxed);
                 // With the raw data durable in a segment, persist the
-                // dirty rollup frames too. A failed rollup seal keeps
-                // the frames dirty (retried next seal) and degrades the
-                // planner to raw for any bucket it cannot cover —
+                // outgoing rollup frames too. A failed rollup seal hands
+                // the frames back dirty (retried next seal) and degrades
+                // the planner to raw for any bucket it cannot cover —
                 // correctness never depends on rollup durability.
-                self.seal_rollups();
-                Ok(sealed)
+                self.seal_rollups(true);
             }
-            Err(e) => {
-                // Seal failed (e.g. disk full): fold the outgoing
-                // memtable, still visible in the `sealing` slot, back
-                // into the active one. Its WAL files stay on disk, so
-                // crash recovery still covers every acknowledged insert;
-                // the next seal retries.
+            Err(err) => {
                 {
-                    let active = self.active.read();
+                    // Under the write guard, so a rotation either
+                    // re-journals the folded readings or leaves their
+                    // journals alone.
+                    let mut active = self.active.write();
                     for topic in &topics {
                         active
                             .memtable
-                            .insert_columns(topic, &old.memtable.columns(topic));
+                            .insert_older(topic, &memtable.columns(topic));
                     }
-                    self.memtable_readings.fetch_add(sealed, Ordering::Relaxed);
+                    self.memtable_readings
+                        .fetch_add(readings, Ordering::Relaxed);
+                    active.buffered.fetch_add(buffered, Ordering::Relaxed);
+                    active.older_wals.extend(wals);
                 }
                 *self.sealing.write() = None;
-                self.unsealed_wals.lock().push(old.wal_path);
+                self.seal_rollups(false);
                 self.health.note_seal_failure();
-                Err(e)
+                self.fail(err);
             }
+        }
+        self.jobs().seal_queued = false;
+        self.jobs_changed.notify_all();
+    }
+
+    /// Writes each tier's outgoing rollup frames into one rollup segment
+    /// when `write`, and ends every tier's seal.
+    fn seal_rollups(&self, write: bool) {
+        for spec in self.config.rollup.tiers.iter() {
+            let width = spec.width_ns;
+            let entries = self.rollup.lock().outgoing(width);
+            let mut written = false;
+            if write && !entries.is_empty() {
+                let seq = self.next_sealed_seq.fetch_add(1, Ordering::Relaxed);
+                let path = self.dir.join(format!("rlu-{seq:010}.rsg"));
+                let frames = entries.iter().map(|(topic, frames)| Ok((topic, frames)));
+                let result = write_rollup_segment_with(self.io.as_ref(), &path, width, frames);
+                let open = RollupSegmentReader::open_with;
+                let names = |name: &str| sorted_topic(&entries, name, |(topic, _)| topic);
+                written = self
+                    .publish(&self.rollup_segments, seq, &path, result, open, &names)
+                    .is_ok();
+                let counter = if written {
+                    &self.rollup_seals
+                } else {
+                    &self.rollup_seal_failures
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+            self.rollup.lock().end_seal(width, written);
         }
     }
 
-    /// Writes every dirty rollup frame into one rollup segment per
-    /// tier, then lets go of every frame but each topic's open bucket.
-    /// Called with `seal_lock` held.
-    fn seal_rollups(&self) {
-        let mut roll = self.rollup.lock();
-        for spec in roll.tier_specs() {
-            let entries = roll.collect_dirty(spec.width_ns);
-            if entries.is_empty() {
-                continue;
-            }
-            let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-            let path = self.dir.join(format!("rlu-{seq:010}.rsg"));
-            let dirty = entries.iter().map(|(topic, frames)| Ok((topic, frames)));
-            let written = write_rollup_segment_with(self.io.as_ref(), &path, spec.width_ns, dirty);
-            let open = RollupSegmentReader::open_with;
-            match self.publish(&self.rollup_segments, seq, &path, written, open) {
-                Ok(()) => {
-                    roll.mark_sealed(spec.width_ns);
-                    self.rollup_seals.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    self.rollup_seal_failures.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+    /// The maintenance job `maintain` queues: retention, then
+    /// compaction, at `now`.
+    fn maintain_files(&self, now: Timestamp) -> Result<()> {
+        // Retire whole expired files first, so the merge reads only
+        // files that still hold a live reading or frame.
+        if let Some(retention) = self.config.retention_ns {
+            self.evict(now.saturating_sub_ns(retention));
         }
+        self.evict_rollups(now);
+        self.compact_at(Some(now)).map(drop)
     }
 
-    /// Applies per-tier rollup retention: drops hot frames and whole
-    /// rollup segments entirely below each tier's cutoff.
+    /// See [`StorageEngine::evict_before`]; runs on the maintenance
+    /// thread. The outgoing memtable, if any, was swapped out after the
+    /// pass that runs this was queued, so its readings count as the
+    /// memtable's.
+    fn evict(&self, cutoff: Timestamp) -> usize {
+        // No snapshot of the segment list may live across `retire`.
+        let active = Arc::clone(&self.active.read().memtable);
+        let sealing = self.sealing.read().clone();
+        let mut evicted = active.evict_before(cutoff);
+        evicted += sealing.map_or(0, |mem| mem.evict_before(cutoff));
+        self.retire(&self.segments, |_, seg| {
+            let below = seg.max_ts().is_some_and(|max_ts| max_ts < cutoff);
+            if below {
+                evicted += seg.reading_count();
+            }
+            below
+        });
+        evicted
+    }
+
+    /// Applies per-tier rollup retention: drops in-memory frames and
+    /// whole rollup segments entirely below each tier's cutoff.
     fn evict_rollups(&self, now: Timestamp) {
-        for spec in self.config.rollup.tiers.clone() {
+        for spec in &self.config.rollup.tiers {
             let Some(retention) = spec.retention_ns else {
                 continue;
             };
@@ -1097,20 +1417,12 @@ impl DurableBackend {
         }
     }
 
-    /// Merges the sealed segments into one once at least
-    /// `compact_min_segments` exist, and likewise each rollup tier's
-    /// segments. Returns true if a pass merged anything.
-    pub fn compact(&self) -> Result<bool> {
-        self.compact_at(None)
-    }
-
     /// [`DurableBackend::compact`], dropping from the merged files what
     /// retention at `now` has expired: raw readings older than the raw
     /// cutoff, and frames ending at or before their tier's cutoff.
     /// Without the cut a merged file always reaches recent data, and
     /// retention, which retires whole files, would never retire it.
     fn compact_at(&self, now: Option<Timestamp>) -> Result<bool> {
-        let _guard = self.seal_lock.lock();
         let cutoff = |retention: Option<u64>| {
             now.zip(retention)
                 .map_or(0, |(now, r)| now.saturating_sub_ns(r).as_nanos())
@@ -1154,9 +1466,9 @@ impl DurableBackend {
 
     /// Merges the published files of `list` that `pick` selects into one
     /// file that `write` streams from them, once `compact_min_segments`
-    /// of them exist, then retires them. Called with `seal_lock` held,
-    /// so every selected file published before the merged one is exactly
-    /// what was merged.
+    /// of them exist, then retires them. Runs on the maintenance thread,
+    /// the one writer of the lists, so every selected file published
+    /// before the merged one is exactly what was merged.
     fn merge_files<R: AsRef<SealedFile>>(
         &self,
         list: &SealedList<R>,
@@ -1173,60 +1485,42 @@ impl DurableBackend {
         if old.len() < self.config.compact_min_segments.max(2) {
             return Ok(false);
         }
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.next_sealed_seq.fetch_add(1, Ordering::Relaxed);
         let path = self.dir.join(format!("{prefix}-{seq:010}.{ext}"));
         let written = write(&path, &old);
+        let names = |name: &str| {
+            old.iter()
+                .find_map(|(_, file)| (**file).as_ref().topic(name))
+        };
+        self.publish(list, seq, &path, written, open, &names)?;
         // `retire` waits for every other holder of the old readers.
         drop(old);
-        self.publish(list, seq, &path, written, open)?;
         self.retire(list, |s, file| s < seq && pick(file));
         Ok(true)
-    }
-
-    /// Engine-specific counters.
-    pub fn engine_stats(&self) -> EngineStats {
-        let h = self.health.report();
-        let roll = self.rollup.lock().stats();
-        EngineStats {
-            seals: self.seals.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            read_errors: self.read_errors.load(Ordering::Relaxed),
-            sealed_segments: self.segments.read().len(),
-            memtable_readings: self.memtable_readings.load(Ordering::Relaxed),
-            write_errors: h.write_errors,
-            write_retries: h.write_retries,
-            fsync_poisonings: h.fsync_poisonings,
-            wal_rotations: h.wal_rotations,
-            seal_failures: h.seal_failures,
-            drop_sync_errors: h.drop_sync_errors,
-            cleanup_errors: h.cleanup_errors,
-            quarantined: h.quarantined,
-            wal_recovered_readings: self.recovery.wal_readings,
-            wal_bytes_discarded: self.recovery.wal_bytes_discarded,
-            torn_tails: self.recovery.torn_tails,
-            rollup_seals: self.rollup_seals.load(Ordering::Relaxed),
-            rollup_seal_failures: self.rollup_seal_failures.load(Ordering::Relaxed),
-            rollup_segments: self.rollup_segments.read().len(),
-            rollup_hot_frames: roll.hot_frames,
-            rollup_folds: roll.folds,
-            rollup_recomputes: roll.recomputes,
-        }
     }
 }
 
 impl Drop for DurableBackend {
     fn drop(&mut self) {
+        // Finish every queued job, then stop the thread (which a job's
+        // panic may have stopped already).
+        let jobs = &self.core.jobs;
+        jobs.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
+        self.core.jobs_changed.notify_all();
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join();
+        }
         // Best-effort: make acknowledged-but-unsynced appends durable —
         // and make it *visible* when that fails, because it means
         // acknowledged data may not have reached the platter.
-        let active = self.active.read();
+        let active = self.core.active.read();
         let result = active.wal.lock().sync();
         drop(active);
         if let Err(err) = result {
-            self.health.note_drop_sync_error();
+            self.core.health.note_drop_sync_error();
             eprintln!(
                 "dcdb-storage: final WAL fsync failed while dropping engine at {}: {err}",
-                self.dir.display()
+                self.core.dir.display()
             );
         }
     }
@@ -1236,8 +1530,8 @@ impl std::fmt::Debug for DurableBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let e = self.engine_stats();
         f.debug_struct("DurableBackend")
-            .field("dir", &self.dir)
-            .field("state", &self.health.state().as_str())
+            .field("dir", &self.core.dir)
+            .field("state", &self.core.health.state().as_str())
             .field("segments", &e.sealed_segments)
             .field("memtable_readings", &e.memtable_readings)
             .field("seals", &e.seals)
@@ -1275,7 +1569,7 @@ impl StorageEngine for DurableBackend {
     /// every earlier-authority source only wins with a strictly newer
     /// timestamp.
     fn latest(&self, topic: &Topic) -> Option<SensorReading> {
-        let gens = self.generations();
+        let gens = self.core.generations();
         let mut best: Option<SensorReading> = gens.active.latest(topic);
         if let Some(mem) = &gens.sealing {
             if let Some(r) = mem.latest(topic) {
@@ -1299,7 +1593,7 @@ impl StorageEngine for DurableBackend {
                         }
                     }
                     Err(_) => {
-                        self.read_errors.fetch_add(1, Ordering::Relaxed);
+                        self.core.read_errors.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
@@ -1316,7 +1610,7 @@ impl StorageEngine for DurableBackend {
                 best = Some(best.map_or(ts, |b| b.min(ts)));
             }
         };
-        let gens = self.generations();
+        let gens = self.core.generations();
         for (_, seg) in gens.segments.iter() {
             consider(seg.block_min_ts(topic));
         }
@@ -1329,7 +1623,7 @@ impl StorageEngine for DurableBackend {
 
     /// True when any generation holds data for `topic`.
     fn contains(&self, topic: &Topic) -> bool {
-        let gens = self.generations();
+        let gens = self.core.generations();
         gens.active.contains(topic)
             || gens.sealing.is_some_and(|m| m.contains(topic))
             || gens.segments.iter().any(|(_, s)| s.contains(topic))
@@ -1337,7 +1631,7 @@ impl StorageEngine for DurableBackend {
 
     /// All topics with data in any generation, unordered.
     fn topics(&self) -> Vec<Topic> {
-        let gens = self.generations();
+        let gens = self.core.generations();
         let mut set: BTreeSet<Topic> = gens.active.topics().into_iter().collect();
         if let Some(mem) = &gens.sealing {
             set.extend(mem.topics());
@@ -1348,80 +1642,69 @@ impl StorageEngine for DurableBackend {
         set.into_iter().collect()
     }
 
-    /// Evicts data older than `cutoff`: every memtable reading below it
+    /// Evicts data older than `cutoff`, after every queued maintenance
+    /// job: every memtable reading below it
     /// ([`StorageBackend::evict_before`]) plus each sealed segment whose
     /// newest reading is below it. A segment straddling the cutoff stays
     /// whole until compaction merges it ([`DurableConfig::retention_ns`]).
     /// Returns readings evicted.
     fn evict_before(&self, cutoff: Timestamp) -> usize {
-        let _guard = self.seal_lock.lock();
-        let mut evicted = self.active.read().memtable.evict_before(cutoff);
-        self.retire(&self.segments, |_, seg| {
-            let below = seg.max_ts().is_some_and(|max_ts| max_ts < cutoff);
-            if below {
-                evicted += seg.reading_count();
-            }
-            below
-        });
-        evicted
+        self.core.run(move |core| core.evict(cutoff))
     }
 
-    /// `readings` can double-count a timestamp that exists both in a
-    /// segment and the memtable (pre-compaction); queries deduplicate.
+    /// `readings` can double-count a timestamp that exists in more than
+    /// one generation (pre-compaction); queries deduplicate.
     fn stats(&self) -> StorageStats {
-        let mem_readings = self.active.read().memtable.readings();
-        let seg_readings: usize = self
-            .segments
-            .read()
-            .iter()
-            .map(|(_, s)| s.reading_count())
-            .sum();
+        let gens = self.core.generations();
+        let memtables = gens.active.readings() + gens.sealing.map_or(0, |mem| mem.readings());
+        let seg_readings: usize = gens.segments.iter().map(|(_, s)| s.reading_count()).sum();
         StorageStats {
-            readings: mem_readings + seg_readings,
+            readings: memtables + seg_readings,
             sensors: self.topics().len(),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
+            inserts: self.core.inserts.load(Ordering::Relaxed),
+            queries: self.core.queries.load(Ordering::Relaxed),
         }
     }
 
     /// Seals outstanding memtable data and fsyncs the WAL — call before
-    /// a graceful shutdown.
+    /// a graceful shutdown. Returns the first error a maintenance job
+    /// left, as [`DurableBackend::seal`] does.
     fn flush(&self) -> Result<()> {
         self.seal()?;
-        self.active.read().wal.lock().sync()
+        self.core.active.read().wal.lock().sync()
     }
 
-    /// One maintenance pass: advance the health clock, probe for
-    /// recovery under ReadOnly when the backoff admits it, and (when the
-    /// journal is usable) seal, apply retention and compact.
+    /// One maintenance pass: advance the health clock and probe for
+    /// recovery under ReadOnly when the backoff admits it — both on the
+    /// caller's thread — and, when the journal is usable, swap out a
+    /// full memtable and queue retention and compaction for the
+    /// maintenance thread. Returns without waiting for them, with the
+    /// first error an earlier job left.
     fn maintain(&self, now: Timestamp) -> Result<()> {
-        if self.health.attempt_due(now) && self.health.state() == HealthState::ReadOnly {
+        let core = &self.core;
+        if core.health.attempt_due(now) && core.health.state() == HealthState::ReadOnly {
             // The probe: a fresh WAL that re-journals the memtable.
-            self.health.record_probe(self.rotate_wal().is_ok());
+            core.health.record_probe(core.rotate_wal().is_ok());
         }
-        if self.health.state() == HealthState::ReadOnly {
+        if core.health.state() == HealthState::ReadOnly {
             // The disk is refusing writes; sealing or compacting now
             // would only churn against it.
             return Ok(());
         }
-        if self.memtable_readings.load(Ordering::Relaxed) >= self.config.memtable_max_readings {
-            self.seal()?;
+        if core.memtable_readings.load(Ordering::Relaxed) >= core.config.memtable_max_readings {
+            core.swap()?;
         }
-        // Retire whole expired files first, so the merge reads only
-        // files that still hold a live reading or frame.
-        if let Some(retention) = self.config.retention_ns {
-            self.evict_before(now.saturating_sub_ns(retention));
-        }
-        self.evict_rollups(now);
-        self.compact_at(Some(now)).map(drop)
+        core.submit(Job::Maintain(now));
+        core.take_error()
     }
 
     fn health(&self) -> Option<StorageHealthReport> {
-        Some(self.health.report())
+        Some(self.core.health.report())
     }
 
     fn rollup_tiers(&self) -> Vec<u64> {
-        self.config
+        self.core
+            .config
             .rollup
             .tiers
             .iter()
@@ -1431,9 +1714,10 @@ impl StorageEngine for DurableBackend {
 
     /// Aggregate frames of the `width_ns` rollup tier whose buckets
     /// overlap `[t0, t1]`, ascending by bucket. Sealed rollup segments
-    /// merge in sequence order and hot in-memory frames win every tie,
-    /// so a stale sealed frame (written before late data arrived) is
-    /// always shadowed by its recomputed successor.
+    /// merge in sequence order, then the frames a seal in flight is
+    /// writing, and hot in-memory frames win every tie, so a stale
+    /// sealed frame (written before late data arrived) is always
+    /// shadowed by its recomputed successor.
     fn query_frames(
         &self,
         topic: &Topic,
@@ -1444,17 +1728,19 @@ impl StorageEngine for DurableBackend {
         if t1 < t0 {
             return Vec::new();
         }
-        // A rollup seal publishes its segment before evicting the clean
-        // hot frames it covers, so — as in `generations` — read the
-        // source (hot) before the destination (segments).
-        let hot = self
-            .rollup
-            .lock()
-            .query_hot(topic, width_ns, t0.as_nanos(), t1.as_nanos());
+        // A rollup seal takes frames from the hot set into the outgoing
+        // one in one step, and publishes its segment before letting the
+        // outgoing frames go, so — as in `generations` — read the source
+        // (in memory) before the destination (segments).
+        let in_memory =
+            self.core
+                .rollup
+                .lock()
+                .query_hot(topic, width_ns, t0.as_nanos(), t1.as_nanos());
         // Gather per-source ascending runs in authority order: segments
-        // by sequence, hot frames last (so later runs win bucket ties).
+        // by sequence, in-memory frames last (so later runs win ties).
         let mut runs: Vec<Vec<AggFrame>> = Vec::new();
-        let segments = self.rollup_segments.read().clone();
+        let segments = self.core.rollup_segments.read().clone();
         for (_, seg) in segments.iter() {
             if seg.width_ns() != width_ns {
                 continue;
@@ -1462,11 +1748,11 @@ impl StorageEngine for DurableBackend {
             match seg.query(topic, t0.as_nanos(), t1.as_nanos()) {
                 Ok(frames) => runs.push(frames),
                 Err(_) => {
-                    self.read_errors.fetch_add(1, Ordering::Relaxed);
+                    self.core.read_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-        runs.push(hot);
+        runs.extend(in_memory);
         merge_generations(runs, |f| f.bucket_ns)
     }
 }
@@ -1588,6 +1874,7 @@ mod tests {
             db.insert(&t("/n0/power"), r(i as i64, i)).unwrap();
         }
         // Threshold of 100 crossed → at least one automatic seal.
+        db.settle().unwrap();
         let e = db.engine_stats();
         assert!(e.seals >= 1, "{e:?}");
         assert!(e.sealed_segments >= 1);
@@ -1764,6 +2051,7 @@ mod tests {
         }
         db.seal().unwrap();
         db.maintain(Timestamp::from_secs(200)).unwrap();
+        db.settle().unwrap();
         // Everything is older than 200s - 50s = 150s.
         let q = db.query(&t("/n0/power"), Timestamp::ZERO, Timestamp::MAX);
         assert!(q.is_empty(), "{} readings survive", q.len());
@@ -1789,6 +2077,7 @@ mod tests {
             db.insert(&topic, r(i as i64, i)).unwrap();
             if i % 10 == 0 {
                 db.maintain(Timestamp::from_secs(i)).unwrap();
+                db.settle().unwrap();
                 let kept = db.query(&topic, Timestamp::ZERO, Timestamp::MAX);
                 let floor = i.saturating_sub(1_000 + slack as u64);
                 assert!(
@@ -1830,6 +2119,7 @@ mod tests {
             }
             if i % 10 == 0 {
                 db.maintain(Timestamp::from_secs(i)).unwrap();
+                db.settle().unwrap();
                 assert!(db.engine_stats().rollup_segments < files_max);
             }
             if i % 100 == 0 {
@@ -1858,6 +2148,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+        db.settle().unwrap();
         for n in 0..4 {
             let q = db.query(&t(&format!("/n{n}/s")), Timestamp::ZERO, Timestamp::MAX);
             assert_eq!(q.len(), 500, "topic /n{n}/s");
@@ -1908,6 +2199,7 @@ mod tests {
                 }
             }
         });
+        db.settle().unwrap();
         assert!(db.engine_stats().seals >= WRITES / 2 - 1);
     }
 
@@ -1968,6 +2260,7 @@ mod tests {
                 }
             }
         });
+        db.settle().unwrap();
         let e = db.engine_stats();
         assert_eq!(e.read_errors, 0, "{e:?}");
         assert!(e.rollup_seals >= WRITES / 2 - 1, "{e:?}");
@@ -1992,13 +2285,13 @@ mod tests {
         let db = DurableBackend::open(dir.path(), config).unwrap();
         db.insert(&t("/n0/power"), r(7, 1)).unwrap();
         db.flush().unwrap();
-        let held = db.rollup_segments.read().clone();
+        let held = db.core.rollup_segments.read().clone();
         let path = AsRef::<SealedFile>::as_ref(&*held[0].1)
             .path()
             .to_path_buf();
         std::thread::scope(|scope| {
             let evictor = scope.spawn(|| db.maintain(Timestamp::from_secs(1000)));
-            while !db.rollup_segments.read().is_empty() {
+            while !db.core.rollup_segments.read().is_empty() {
                 std::thread::yield_now();
             }
             // Unpublished, but this snapshot's first block read still
@@ -2009,6 +2302,7 @@ mod tests {
             drop(held);
             evictor.join().unwrap().unwrap();
         });
+        db.settle().unwrap();
         assert!(!path.exists());
         assert_eq!(db.engine_stats().read_errors, 0);
     }
@@ -2119,6 +2413,44 @@ mod tests {
         io.set_config(cfg);
         drop(db);
         assert_eq!(health.drop_sync_errors(), 1);
+    }
+
+    #[test]
+    fn maintenance_passes_queued_back_to_back_coalesce() {
+        let dir = TempDir::new("coalesce");
+        let db = DurableBackend::open(dir.path(), small_config()).unwrap();
+        let passes = |db: &DurableBackend| -> Vec<Option<Timestamp>> {
+            let jobs = db.core.jobs();
+            let at = |job: &Job| match job {
+                Job::Maintain(now) => Some(*now),
+                Job::Run(_) => None,
+            };
+            jobs.queue.iter().map(at).collect()
+        };
+        // Hold the thread in a job while `maintain` runs ahead of it.
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let (started, running) = std::sync::mpsc::channel::<()>();
+        db.core.submit(Job::Run(Box::new(move |_| {
+            started.send(()).unwrap();
+            held.recv().unwrap();
+        })));
+        running.recv().unwrap();
+        for s in 1..=50 {
+            db.maintain(Timestamp::from_secs(s)).unwrap();
+        }
+        assert_eq!(passes(&db), vec![Some(Timestamp::from_secs(50))]);
+        // A seal queued behind a pass keeps its place: the next pass
+        // queues after it, so it still compacts what the seal wrote.
+        for i in 0..100u64 {
+            db.insert(&t("/n0/power"), r(i as i64, i)).unwrap();
+        }
+        db.maintain(Timestamp::from_secs(60)).unwrap();
+        db.maintain(Timestamp::from_secs(70)).unwrap();
+        let at = |s| Some(Timestamp::from_secs(s));
+        assert_eq!(passes(&db), vec![at(50), None, at(70)]);
+        release.send(()).unwrap();
+        db.settle().unwrap();
+        assert_eq!(db.engine_stats().seals, 1);
     }
 
     #[test]

@@ -312,12 +312,12 @@ impl HealthCore {
         self.shed.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    /// Moves the whole write-behind buffer into durability — called when
-    /// a WAL rotation re-journals the memtable or a seal persists it.
-    pub fn drain_buffered(&self) -> u64 {
-        let n = self.buffered.swap(0, Ordering::AcqRel);
-        self.durable.fetch_add(n, Ordering::Relaxed);
-        n
+    /// Moves `n` write-behind readings into durability — called when a
+    /// WAL rotation re-journals the memtable that holds them or a seal
+    /// persists it.
+    pub fn drain_buffered(&self, n: usize) {
+        self.buffered.fetch_sub(n as u64, Ordering::AcqRel);
+        self.durable.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Counts a retry attempt.
@@ -496,7 +496,7 @@ mod tests {
         assert_eq!(r.buffered, 8);
         assert_eq!(r.shed, 10);
         // Draining moves buffered into durable, preserving the identity.
-        assert_eq!(h.drain_buffered(), 8);
+        h.drain_buffered(8);
         let r = h.report();
         assert!(r.conserved(), "{r:?}");
         assert_eq!(r.durable, 13);

@@ -113,7 +113,10 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// Makes all acknowledged data durable: seals the memtable and
     /// fsyncs the journal.
     fn flush(&self) -> Result<()>;
-    /// One background maintenance pass (sealing, compaction, retention).
+    /// One maintenance pass (sealing, compaction, retention). An engine
+    /// may run it in the background and return at once; it then returns
+    /// here (or from [`StorageEngine::flush`]) the first error a pass it
+    /// ran in the background left.
     fn maintain(&self, now: Timestamp) -> Result<()>;
     /// The health report; [`DurableBackend`] always keeps one.
     fn health(&self) -> Option<StorageHealthReport>;

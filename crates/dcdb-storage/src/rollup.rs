@@ -49,7 +49,7 @@
 
 use crate::compress::{get_uvarint, put_uvarint, unzigzag, zigzag};
 use crate::io::StorageIo;
-use crate::sealed::{self, Block, Format, SealedFile};
+use crate::sealed::{self, Block, Format, Names, SealedFile};
 use dcdb_common::error::{DcdbError, Result};
 use dcdb_common::reading::SensorReading;
 use dcdb_common::time::NS_PER_SEC;
@@ -254,7 +254,8 @@ pub struct RollupStats {
     /// Buckets re-aggregated from the raw query path.
     pub recomputes: u64,
     /// Frames currently held in memory across all tiers: each topic's
-    /// open bucket plus the frames dirtied since the last rollup seal.
+    /// open bucket plus the frames dirtied since the last rollup seal
+    /// finished (a seal in flight holds the frames it writes).
     pub hot_frames: usize,
     /// Hot frames modified since the last rollup seal.
     pub dirty_frames: usize,
@@ -300,6 +301,10 @@ impl TierFrames {
     }
 }
 
+/// One tier's frames a rollup seal is writing: per topic (sorted), the
+/// frames ascending by bucket.
+pub type Outgoing = Vec<(Topic, Vec<AggFrame>)>;
+
 /// The in-memory streaming accumulator: per sensor and per tier, the
 /// hot [`AggFrame`]s plus the bookkeeping that keeps them exact. Owned
 /// by the durable engine behind a mutex.
@@ -307,6 +312,10 @@ pub struct RollupState {
     specs: Vec<TierSpec>,
     /// Per sensor, one entry per tier in `specs` order.
     sensors: HashMap<Topic, Box<[TierFrames]>>,
+    /// Per tier in `specs` order, the frames a seal in flight is
+    /// writing: taken out of the hot set by [`RollupState::begin_seal`]
+    /// and served from here until [`RollupState::end_seal`].
+    outgoing: Vec<Arc<Outgoing>>,
     folds: u64,
     recomputes: u64,
 }
@@ -314,22 +323,19 @@ pub struct RollupState {
 impl RollupState {
     /// An accumulator for the given tier set.
     pub fn new(config: &RollupConfig) -> RollupState {
+        let specs: Vec<TierSpec> = config
+            .tiers
+            .iter()
+            .copied()
+            .filter(|t| t.width_ns > 0)
+            .collect();
         RollupState {
-            specs: config
-                .tiers
-                .iter()
-                .copied()
-                .filter(|t| t.width_ns > 0)
-                .collect(),
+            outgoing: vec![Arc::default(); specs.len()],
+            specs,
             sensors: HashMap::new(),
             folds: 0,
             recomputes: 0,
         }
-    }
-
-    /// Tier specs, ascending by width.
-    pub fn tier_specs(&self) -> Vec<TierSpec> {
-        self.specs.clone()
     }
 
     fn tier_index(&self, width_ns: u64) -> Option<usize> {
@@ -435,27 +441,82 @@ impl RollupState {
         self.recomputes += self.specs.len() as u64;
     }
 
-    /// Hot frames of the `width_ns` tier whose buckets overlap
-    /// `[t0, t1]`, ascending by bucket.
-    pub fn query_hot(&self, topic: &Topic, width_ns: u64, t0: u64, t1: u64) -> Vec<AggFrame> {
-        let (Some(tier), Some(sensor)) = (self.tier_index(width_ns), self.sensors.get(topic))
-        else {
-            return Vec::new();
+    /// In-memory frames of the `width_ns` tier whose buckets overlap
+    /// `[t0, t1]`, as two runs ascending by bucket, older generation
+    /// first: the frames a seal in flight is writing, then the hot ones.
+    pub fn query_hot(&self, topic: &Topic, width_ns: u64, t0: u64, t1: u64) -> [Vec<AggFrame>; 2] {
+        let Some(tier) = self.tier_index(width_ns) else {
+            return Default::default();
         };
-        let frames = &sensor[tier].frames;
         let lo = bucket_start(t0, width_ns);
-        let from = frames.partition_point(|h| h.frame.bucket_ns < lo);
-        let to = frames.partition_point(|h| h.frame.bucket_ns <= t1);
-        frames[from..to].iter().map(|h| h.frame).collect()
+        let window = |frames: &[AggFrame]| {
+            let from = frames.partition_point(|f| f.bucket_ns < lo);
+            let to = frames.partition_point(|f| f.bucket_ns <= t1);
+            frames[from..to].to_vec()
+        };
+        let outgoing = &self.outgoing[tier];
+        let outgoing = outgoing
+            .binary_search_by(|(t, _)| t.cmp(topic))
+            .map_or_else(|_| Vec::new(), |i| window(&outgoing[i].1));
+        let hot = self.sensors.get(topic).map_or_else(Vec::new, |sensor| {
+            let frames = &sensor[tier].frames;
+            let from = frames.partition_point(|h| h.frame.bucket_ns < lo);
+            let to = frames.partition_point(|h| h.frame.bucket_ns <= t1);
+            frames[from..to].iter().map(|h| h.frame).collect()
+        });
+        [outgoing, hot]
     }
 
-    /// Every dirty frame of the `width_ns` tier, grouped per topic
-    /// (topics sorted, frames ascending) — the seal payload.
-    pub fn collect_dirty(&self, width_ns: u64) -> Vec<(Topic, Vec<AggFrame>)> {
+    /// Starts a rollup seal: every tier's dirty frames become its
+    /// outgoing set, and each topic keeps only its newest (open) bucket
+    /// hot, clean, for the fast fold to extend. Reads see the outgoing
+    /// frames until [`RollupState::end_seal`], so taking them and the
+    /// hot set's change are one step under the caller's lock.
+    pub fn begin_seal(&mut self) {
+        for tier in 0..self.specs.len() {
+            self.outgoing[tier] = Arc::new(self.collect_dirty(tier));
+            self.mark_sealed(tier);
+        }
+    }
+
+    /// The frames the seal in flight writes for the `width_ns` tier.
+    pub fn outgoing(&self, width_ns: u64) -> Arc<Outgoing> {
+        self.tier_index(width_ns)
+            .map_or_else(Arc::default, |tier| Arc::clone(&self.outgoing[tier]))
+    }
+
+    /// Ends the `width_ns` tier's seal. When its file was not written,
+    /// each outgoing frame goes back into the hot set, dirty — or, where
+    /// the hot set holds its bucket (the open one, or a fold since
+    /// [`RollupState::begin_seal`]), that newer version turns dirty —
+    /// so the next seal writes it.
+    pub fn end_seal(&mut self, width_ns: u64, written: bool) {
         let Some(tier) = self.tier_index(width_ns) else {
-            return Vec::new();
+            return;
         };
-        let mut out: Vec<(Topic, Vec<AggFrame>)> = self
+        let outgoing = std::mem::take(&mut self.outgoing[tier]);
+        if written {
+            return;
+        }
+        let tiers = self.specs.len();
+        for (topic, frames) in outgoing.iter() {
+            let sensor = self
+                .sensors
+                .entry(topic.clone())
+                .or_insert_with(|| Self::new_sensor(tiers));
+            for frame in frames {
+                match sensor[tier].find(frame.bucket_ns) {
+                    Ok(i) => sensor[tier].frames[i].dirty = true,
+                    Err(_) => sensor[tier].put(*frame),
+                }
+            }
+        }
+    }
+
+    /// Every dirty frame of the tier at index `tier`, grouped per topic
+    /// (topics sorted, frames ascending) — the seal payload.
+    fn collect_dirty(&self, tier: usize) -> Outgoing {
+        let mut out: Outgoing = self
             .sensors
             .iter()
             .filter_map(|(topic, sensor)| {
@@ -476,13 +537,10 @@ impl RollupState {
         out
     }
 
-    /// Marks the tier sealed: every frame it holds was just written to a
-    /// rollup segment, so each topic keeps only its newest (open) bucket,
-    /// clean, for the fast fold to extend. The segments serve the rest.
-    pub fn mark_sealed(&mut self, width_ns: u64) {
-        let Some(tier) = self.tier_index(width_ns) else {
-            return;
-        };
+    /// Marks the tier at index `tier` sealed: every frame it holds is
+    /// being written to a rollup segment, so each topic keeps only its
+    /// newest (open) bucket, clean. The segment serves the rest.
+    fn mark_sealed(&mut self, tier: usize) {
         for sensor in self.sensors.values_mut() {
             let frames = &mut sensor[tier].frames;
             frames.drain(..frames.len().saturating_sub(1));
@@ -493,8 +551,8 @@ impl RollupState {
         }
     }
 
-    /// Drops hot frames of the tier whose bucket ends at or before
-    /// `cutoff_ns`. Returns frames dropped.
+    /// Drops the tier's in-memory frames (hot and outgoing) whose
+    /// bucket ends at or before `cutoff_ns`. Returns frames dropped.
     pub fn evict_before(&mut self, width_ns: u64, cutoff_ns: u64) -> usize {
         let Some(tier) = self.tier_index(width_ns) else {
             return 0;
@@ -504,6 +562,14 @@ impl RollupState {
         for sensor in self.sensors.values_mut() {
             let frames = &mut sensor[tier].frames;
             let expired = frames.partition_point(|h| h.frame.bucket_ns < keep_from);
+            frames.drain(..expired);
+            dropped += expired;
+        }
+        if self.outgoing[tier].is_empty() {
+            return dropped;
+        }
+        for (_, frames) in Arc::make_mut(&mut self.outgoing[tier]).iter_mut() {
+            let expired = frames.partition_point(|f| f.bucket_ns < keep_from);
             frames.drain(..expired);
             dropped += expired;
         }
@@ -517,7 +583,9 @@ impl RollupState {
             .values()
             .flat_map(|s| s.iter())
             .flat_map(|t| &t.frames);
-        let (mut hot, mut dirty) = (0usize, 0usize);
+        let outgoing = self.outgoing.iter().flat_map(|o| o.iter());
+        let outgoing: usize = outgoing.map(|(_, frames)| frames.len()).sum();
+        let (mut hot, mut dirty) = (outgoing, 0usize);
         for h in frames {
             hot += 1;
             dirty += usize::from(h.dirty);
@@ -656,9 +724,14 @@ impl AsRef<SealedFile> for RollupSegmentReader {
 }
 
 impl RollupSegmentReader {
-    /// Opens a rollup segment, validating magics and the index checksum.
-    pub fn open_with(io: Arc<dyn StorageIo>, path: &Path) -> Result<RollupSegmentReader> {
-        let file = SealedFile::open(io, path, &FORMAT)?;
+    /// Opens a rollup segment, validating magics and the index checksum;
+    /// its index takes each topic `names` knows from there.
+    pub fn open_with(
+        io: Arc<dyn StorageIo>,
+        path: &Path,
+        names: Names<'_>,
+    ) -> Result<RollupSegmentReader> {
+        let file = SealedFile::open(io, path, &FORMAT, names)?;
         let width_ns = u64::from_le_bytes(file.ext().try_into().expect("ext_len is 8"));
         if width_ns == 0 {
             return Err(DcdbError::Parse(format!(
@@ -798,7 +871,8 @@ mod tests {
         let batch: Vec<(u64, i64)> = all.iter().map(|x| (x.ts.as_nanos(), x.value)).collect();
         state.apply(&topic, &batch[..20], |t0, t1| raw(20, t0, t1));
         state.apply(&topic, &batch[20..], |t0, t1| raw(35, t0, t1));
-        let frames = state.query_hot(&topic, width, 0, u64::MAX);
+        let [outgoing, frames] = state.query_hot(&topic, width, 0, u64::MAX);
+        assert!(outgoing.is_empty());
         let reference = AggFrame::from_readings(width, &all);
         assert_eq!(frames, reference);
         // The second, strictly-ascending batch folds in O(1): its first
@@ -827,7 +901,8 @@ mod tests {
         state.apply(&topic, &[(1, 3), (5, 2)], raw);
         // Overwrite ts 1 with 7: duplicate timestamp, must recompute.
         state.apply(&topic, &[(1, 7)], raw);
-        let frames = state.query_hot(&topic, width, 0, u64::MAX);
+        let [outgoing, frames] = state.query_hot(&topic, width, 0, u64::MAX);
+        assert!(outgoing.is_empty());
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].count, 2);
         assert_eq!(frames[0].sum, 9);
@@ -848,7 +923,7 @@ mod tests {
             .collect();
         let topic = t("/r0/n0/power");
         write_rollup_segment_with(&StdIo, &path, width, [Ok((&topic, &frames))]).unwrap();
-        let reader = RollupSegmentReader::open_with(Arc::new(StdIo), &path).unwrap();
+        let reader = RollupSegmentReader::open_with(Arc::new(StdIo), &path, &|_| None).unwrap();
         assert_eq!(reader.width_ns(), width);
         let all = reader.query(&t("/r0/n0/power"), 0, u64::MAX).unwrap();
         assert_eq!(all, frames);

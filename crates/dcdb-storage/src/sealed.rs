@@ -48,6 +48,13 @@ pub struct Format {
     pub kind: &'static str,
 }
 
+/// Where [`SealedFile::open`] finds the [`Topic`] of a name its index
+/// lists. A caller that already holds the file's topics (the seal and
+/// the merge that wrote it) passes them, so every index shares one
+/// allocation per sensor with the memtable, the rollup state and the
+/// other files; a name it does not know is parsed.
+pub type Names<'a> = &'a dyn Fn(&str) -> Option<Topic>;
+
 /// One topic's encoded block, handed to [`write()`].
 pub struct Block<'a> {
     /// The topic the block belongs to.
@@ -146,7 +153,12 @@ pub struct SealedFile {
 impl SealedFile {
     /// Opens a sealed file, validating both magics, the trailer and the
     /// index checksum; the handle keeps the VFS for later block reads.
-    pub fn open(io: Arc<dyn StorageIo>, path: &Path, format: &Format) -> Result<SealedFile> {
+    pub fn open(
+        io: Arc<dyn StorageIo>,
+        path: &Path,
+        format: &Format,
+        names: Names<'_>,
+    ) -> Result<SealedFile> {
         let kind = format.kind;
         let corrupt = |what: &str| DcdbError::Parse(format!("{kind} {}: {what}", path.display()));
         let file_len = io.file_len(path)?;
@@ -188,9 +200,12 @@ impl SealedFile {
         let mut items = 0usize;
         for _ in 0..count {
             let topic_len = u16::from_le_bytes(take(2)?.try_into().unwrap()) as usize;
-            let topic = Topic::parse(
-                std::str::from_utf8(take(topic_len)?).map_err(|_| corrupt("non-utf8 topic"))?,
-            )?;
+            let name =
+                std::str::from_utf8(take(topic_len)?).map_err(|_| corrupt("non-utf8 topic"))?;
+            let topic = match names(name) {
+                Some(topic) => topic,
+                None => Topic::parse(name)?,
+            };
             let meta = BlockMeta {
                 offset: u64::from_le_bytes(take(8)?.try_into().unwrap()),
                 len: u32::from_le_bytes(take(4)?.try_into().unwrap()),
@@ -236,6 +251,13 @@ impl SealedFile {
     /// Topics indexed by this file.
     pub fn topics(&self) -> impl Iterator<Item = &Topic> {
         self.index.keys()
+    }
+
+    /// This file's `Topic` named `name`, if it holds a block for it.
+    pub fn topic(&self, name: &str) -> Option<Topic> {
+        self.index
+            .get_key_value(name)
+            .map(|(topic, _)| topic.clone())
     }
 
     /// The index entry of `topic`'s block, if the file holds one.
@@ -348,12 +370,12 @@ mod tests {
 
     /// Reads the first topic's whole block through the typed reader.
     fn read_raw(path: &Path) -> Result<()> {
-        let seg = SegmentReader::open_with(Arc::new(StdIo), path)?;
+        let seg = SegmentReader::open_with(Arc::new(StdIo), path, &|_| None)?;
         seg.read_topic(&t("/r0/n0/power")).map(drop)
     }
 
     fn read_rollup(path: &Path) -> Result<()> {
-        let seg = RollupSegmentReader::open_with(Arc::new(StdIo), path)?;
+        let seg = RollupSegmentReader::open_with(Arc::new(StdIo), path, &|_| None)?;
         seg.query(&t("/r0/n0/power"), 0, u64::MAX).map(drop)
     }
 
@@ -431,7 +453,7 @@ mod tests {
             let header_len = format.magic.len() + format.ext_len;
             let open = |bytes: &[u8]| {
                 std::fs::write(&path, bytes).unwrap();
-                SealedFile::open(Arc::new(StdIo), &path, format)
+                SealedFile::open(Arc::new(StdIo), &path, format, &|_| None)
             };
             let refused = |bytes: &[u8], why: &str| {
                 let err = open(bytes).expect_err(why).to_string();

@@ -10,7 +10,7 @@
 
 use crate::compress::{compress_columns, decompress_columns, BlockCursor};
 use crate::io::StorageIo;
-use crate::sealed::{self, Block, Format, SealedFile};
+use crate::sealed::{self, Block, Format, Names, SealedFile};
 use dcdb_common::batch::ReadingBatch;
 use dcdb_common::error::Result;
 use dcdb_common::reading::SensorReading;
@@ -70,10 +70,14 @@ impl AsRef<SealedFile> for SegmentReader {
 
 impl SegmentReader {
     /// Opens a segment over `io`, validating magics and the index
-    /// checksum.
-    pub fn open_with(io: Arc<dyn StorageIo>, path: &Path) -> Result<SegmentReader> {
+    /// checksum; its index takes each topic `names` knows from there.
+    pub fn open_with(
+        io: Arc<dyn StorageIo>,
+        path: &Path,
+        names: Names<'_>,
+    ) -> Result<SegmentReader> {
         Ok(SegmentReader {
-            file: SealedFile::open(io, path, &FORMAT)?,
+            file: SealedFile::open(io, path, &FORMAT, names)?,
         })
     }
 
@@ -175,7 +179,7 @@ mod tests {
         ];
         let pulled = entries.iter().map(|(topic, batch)| Ok((topic, batch)));
         write_segment_with(&StdIo, &path, pulled).unwrap();
-        let seg = SegmentReader::open_with(Arc::new(StdIo), &path).unwrap();
+        let seg = SegmentReader::open_with(Arc::new(StdIo), &path, &|_| None).unwrap();
         assert_eq!(seg.reading_count(), 131);
         assert!(seg.contains(&t("/n0/power")));
         assert!(!seg.contains(&t("/nope")));
@@ -217,7 +221,7 @@ mod tests {
         ];
         let pulled = entries.iter().map(|(topic, batch)| Ok((topic, batch)));
         write_segment_with(&StdIo, &path, pulled).unwrap();
-        let seg = SegmentReader::open_with(Arc::new(StdIo), &path).unwrap();
+        let seg = SegmentReader::open_with(Arc::new(StdIo), &path, &|_| None).unwrap();
         assert!(!seg.contains(&t("/a/b")));
         assert_eq!(seg.reading_count(), 1);
         std::fs::remove_file(&path).ok();

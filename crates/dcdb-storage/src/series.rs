@@ -88,6 +88,14 @@ impl Series {
         }
     }
 
+    /// Puts an older generation of this sensor's readings under the
+    /// series: where both hold a timestamp the series' reading wins, as
+    /// in a merged read. A seal that failed hands its memtable back so.
+    pub(crate) fn insert_older(&mut self, older: &ReadingBatch) {
+        let newer = std::mem::replace(&mut self.cols, older.clone());
+        self.insert_columns(&newer);
+    }
+
     /// All readings with `t0 <= ts <= t1`, in timestamp order.
     pub fn query(&self, t0: Timestamp, t1: Timestamp) -> Vec<SensorReading> {
         if t1 < t0 {

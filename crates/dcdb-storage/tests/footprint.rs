@@ -96,7 +96,7 @@ fn rollup_files_per_tier(dir: &Path) -> BTreeMap<u64, usize> {
     for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
         if path.extension().is_some_and(|e| e == "rsg") {
-            let reader = RollupSegmentReader::open_with(Arc::new(StdIo), &path).unwrap();
+            let reader = RollupSegmentReader::open_with(Arc::new(StdIo), &path, &|_| None).unwrap();
             *per_tier.entry(reader.width_ns()).or_insert(0) += 1;
         }
     }
@@ -139,6 +139,8 @@ fn memory_follows_open_data_not_history() {
             }
             db.insert_columns(topic, &ReadingBatch::from_columns(ts, values))
                 .unwrap();
+            // A seal the insert queued runs on the maintenance thread.
+            db.settle().unwrap();
             let e = db.engine_stats();
             if e.seals > seals {
                 // A seal ends the call: nothing was dirtied after it.
@@ -156,6 +158,7 @@ fn memory_follows_open_data_not_history() {
         let now = start + BATCH_S;
         if now.is_multiple_of(SEAL_S) && now <= SECONDS - UNMAINTAINED_S {
             db.maintain(Timestamp::from_secs(now)).unwrap();
+            db.settle().unwrap();
             for (width, files) in rollup_files_per_tier(&dir.0) {
                 assert!(
                     files <= min_segments,

@@ -194,7 +194,10 @@ fn recovery_preserves_merge_equivalence() {
             durable.insert_columns(&topic, &batch).unwrap();
             reference.insert_columns(&topic, &batch);
         }
-        // No flush — recovery has to stitch segments + WAL tail.
+        // No flush — recovery has to stitch segments + WAL tail. The
+        // queued seals finish first, as a killed process's thread would
+        // stop: the leaked engine must not write under the reopened one.
+        durable.settle().unwrap();
         std::mem::forget(durable);
     }
     let durable = DurableBackend::open(&dir, config).unwrap();

@@ -239,7 +239,10 @@ fn kill_mid_ingest_loses_no_acked_data() {
     assert_eq!(acked.len(), 1800, "all inserts should be acknowledged");
     // Simulated SIGKILL mid-ingest: no Drop, no flush, no final sync —
     // the process just disappears. (The leaked handle stands in for the
-    // killed process still "holding" the file.)
+    // killed process still "holding" the file.) A kill stops the
+    // maintenance thread too, so the leaked engine's queued seal runs
+    // out first and leaves the directory alone afterwards.
+    db.settle().unwrap();
     std::mem::forget(db);
 
     // Restart over the same directory.
@@ -278,6 +281,7 @@ fn kill_mid_wal_record_tolerates_torn_tail() {
         )
         .unwrap();
     }
+    db.settle().unwrap();
     std::mem::forget(db);
 
     // The kill interrupted a WAL append half-way: garbage bytes sit
@@ -378,6 +382,11 @@ fn torn_write_crash_points_recover_prefix_consistent() {
                     Ok(InsertAck::Buffered) => buffered[i].extend(&batch.ts),
                     Err(_) => refused += 1,
                 }
+                // A seal the insert queued draws on the seed's fault
+                // stream too: let it finish before the next insert, so
+                // each seed replays one order of I/O (a failed seal's
+                // error is the health books', not this loop's).
+                let _ = db.settle();
             }
         }
         assert!(
@@ -464,6 +473,9 @@ fn collect_agent_killed_mid_ingest_recovers_acked_readings() {
         assert_eq!(acked, 700);
         // SIGKILL: keep one storage handle alive forever so no Drop
         // (and thus no graceful sync) ever runs, then drop the agent.
+        // The kill stops the maintenance thread too: let its queued
+        // seal run out first.
+        storage.settle().unwrap();
         std::mem::forget(storage);
     }
 

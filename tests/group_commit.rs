@@ -124,6 +124,8 @@ struct Observed {
 }
 
 fn observe(db: &DurableBackend, dir: &Path, topics: &[Topic]) -> Observed {
+    // The seal the last insert queued writes on the maintenance thread.
+    db.settle().unwrap();
     let mut answers = Vec::new();
     for topic in topics {
         let raw = db.query(topic, Timestamp::ZERO, Timestamp::MAX);

@@ -139,7 +139,10 @@ fn tier_served_aggregates_equal_raw_across_seeds_and_crash_recovery() {
 
         // Crash: no Drop, no flush. The WAL tail is whatever is on
         // disk; rollup frames are NOT journaled and must be rebuilt.
+        // The queued maintenance finishes first, as a killed process's
+        // thread would stop.
         drop(qe);
+        db.settle().unwrap();
         std::mem::forget(db);
 
         let db = Arc::new(DurableBackend::open(&dir, small_config()).unwrap());
